@@ -6,7 +6,8 @@ use bytes::Bytes;
 use criterion::{Criterion, Throughput, criterion_group, criterion_main};
 use sc_crypto::aes::{Aes, KeySize};
 use sc_crypto::blinding::BlindingScheme;
-use sc_crypto::modes::Cfb;
+use sc_crypto::hmac::hmac_sha256;
+use sc_crypto::modes::{Cfb, Ctr};
 use sc_crypto::sha256::sha256;
 use sc_gfw::{FlowTable, GfwConfig};
 use sc_netproto::pac::PacFile;
@@ -27,7 +28,17 @@ fn crypto_benches(c: &mut Criterion) {
             buf
         })
     });
+    g.bench_function("aes256_ctr_16k", |b| {
+        let aes = Aes::new(KeySize::Aes256, &[7; 32]).unwrap();
+        b.iter(|| {
+            let mut ctr = Ctr::new(aes.clone(), [1; 16]);
+            let mut buf = data.clone();
+            ctr.apply(&mut buf);
+            buf
+        })
+    });
     g.bench_function("sha256_16k", |b| b.iter(|| sha256(&data)));
+    g.bench_function("hmac_sha256_16k", |b| b.iter(|| hmac_sha256(&[3; 32], &data)));
     for scheme in BlindingScheme::rotation() {
         g.bench_function(format!("blind_{scheme:?}_16k"), |b| {
             let codec = scheme.instantiate(b"key");

@@ -28,8 +28,11 @@ use crate::aes::Aes;
 #[derive(Debug, Clone)]
 pub struct Cfb {
     cipher: Aes,
+    /// The last 16 ciphertext bytes (the IV before any); complete
+    /// whenever `offset == 16`.
     register: [u8; 16],
     keystream: [u8; 16],
+    /// Bytes of `keystream` already used; 16 means none are left.
     offset: usize,
 }
 
@@ -44,40 +47,49 @@ impl Cfb {
         }
     }
 
-    fn refill(&mut self) {
-        self.keystream = self.register;
-        self.cipher.encrypt_block(&mut self.keystream);
-        self.offset = 0;
-    }
-
     /// Encrypts `data` in place, advancing the stream state.
     pub fn encrypt(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.offset == 16 {
-                self.refill();
-            }
-            *byte ^= self.keystream[self.offset];
-            // In CFB the *ciphertext* feeds back into the shift register.
-            self.register[self.offset] = *byte;
-            self.offset += 1;
-            if self.offset == 16 {
-                // Register now holds the last ciphertext block; keystream
-                // will be refilled from it on the next byte.
-            }
-        }
+        self.process(data, false);
     }
 
     /// Decrypts `data` in place, advancing the stream state.
     pub fn decrypt(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.offset == 16 {
-                self.refill();
-            }
-            let cipher_byte = *byte;
-            *byte ^= self.keystream[self.offset];
-            self.register[self.offset] = cipher_byte;
-            self.offset += 1;
+        self.process(data, true);
+    }
+
+    /// Finishes the keystream block in progress, then takes the rest a
+    /// block at a time; a short last chunk leaves its block in progress.
+    fn process(&mut self, data: &mut [u8], decrypt: bool) {
+        let (head, rest) = data.split_at_mut(data.len().min(16 - self.offset));
+        self.within_block(head, decrypt);
+        for chunk in rest.chunks_mut(16) {
+            self.keystream = self.register;
+            self.cipher.encrypt_block(&mut self.keystream);
+            self.offset = 0;
+            self.within_block(chunk, decrypt);
         }
+    }
+
+    /// CFB over bytes that fit in what is left of the current keystream
+    /// block.
+    fn within_block(&mut self, bytes: &mut [u8], decrypt: bool) {
+        let end = self.offset + bytes.len();
+        let register = &mut self.register[self.offset..end];
+        // In CFB the *ciphertext* feeds back into the shift register.
+        if decrypt {
+            register.copy_from_slice(bytes);
+        }
+        xor_in(bytes, &self.keystream[self.offset..end]);
+        if !decrypt {
+            register.copy_from_slice(bytes);
+        }
+        self.offset = end;
+    }
+}
+
+fn xor_in(data: &mut [u8], keystream: &[u8]) {
+    for (d, k) in data.iter_mut().zip(keystream) {
+        *d ^= k;
     }
 }
 
@@ -100,8 +112,10 @@ impl Cfb {
 #[derive(Debug, Clone)]
 pub struct Ctr {
     cipher: Aes,
-    counter: [u8; 16],
+    /// The next counter block, as a big-endian 128-bit integer.
+    counter: u128,
     keystream: [u8; 16],
+    /// Bytes of `keystream` already used; 16 means none are left.
     offset: usize,
 }
 
@@ -110,36 +124,25 @@ impl Ctr {
     pub fn new(cipher: Aes, nonce: [u8; 16]) -> Self {
         Self {
             cipher,
-            counter: nonce,
+            counter: u128::from_be_bytes(nonce),
             keystream: [0; 16],
             offset: 16,
         }
     }
 
-    fn increment_counter(&mut self) {
-        for i in (0..16).rev() {
-            self.counter[i] = self.counter[i].wrapping_add(1);
-            if self.counter[i] != 0 {
-                break;
-            }
-        }
-    }
-
-    fn refill(&mut self) {
-        self.keystream = self.counter;
-        self.cipher.encrypt_block(&mut self.keystream);
-        self.increment_counter();
-        self.offset = 0;
-    }
-
     /// XORs the keystream into `data` (encrypts or decrypts).
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.offset == 16 {
-                self.refill();
-            }
-            *byte ^= self.keystream[self.offset];
-            self.offset += 1;
+        // Leftover keystream first, then a fresh block per chunk; a short
+        // last chunk leaves the rest of its block for the next call.
+        let (head, rest) = data.split_at_mut(data.len().min(16 - self.offset));
+        xor_in(head, &self.keystream[self.offset..]);
+        self.offset += head.len();
+        for chunk in rest.chunks_mut(16) {
+            self.keystream = self.counter.to_be_bytes();
+            self.cipher.encrypt_block(&mut self.keystream);
+            self.counter = self.counter.wrapping_add(1);
+            xor_in(chunk, &self.keystream);
+            self.offset = chunk.len();
         }
     }
 }
@@ -148,6 +151,7 @@ impl Ctr {
 mod tests {
     use super::*;
     use crate::aes::KeySize;
+    use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -156,61 +160,204 @@ mod tests {
             .collect()
     }
 
-    // NIST SP 800-38A F.3.13 (CFB128-AES256 encrypt, first two blocks).
+    // NIST SP 800-38A appendix F: the four-block plaintext and the
+    // AES-128/192/256 keys every mode's vectors share.
+    const PLAIN: &str = "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51\
+                         30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710";
+    const KEYS: [(KeySize, &str); 3] = [
+        (KeySize::Aes128, "2b7e151628aed2a6abf7158809cf4f3c"),
+        (KeySize::Aes192, "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b"),
+        (KeySize::Aes256, "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"),
+    ];
+
+    // F.3.13, F.3.15, F.3.17 (CFB128 encrypt) and their decrypt twins.
     #[test]
-    fn nist_cfb128_aes256() {
-        let key = hex("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+    fn nist_cfb128_all_key_sizes() {
+        let cipher = [
+            "3b3fd92eb72dad20333449f8e83cfb4ac8a64537a0b3a93fcde3cdad9f1ce58b\
+             26751f67a3cbb140b1808cf187a4f4dfc04b05357c5d1c0eeac4c66f9ff7f2e6",
+            "cdc80d6fddf18cab34c25909c99a417467ce7f7f81173621961a2b70171d3d7a\
+             2e1e8a1dd59b88b1c8e60fed1efac4c9c05f9f9ca9834fa042ae8fba584b09ff",
+            "dc7e84bfda79164b7ecd8486985d386039ffed143b28b1c832113c6331e5407b\
+             df10132415e54b92a13ed0a8267ae2f975a385741ab9cef82031623d55b1e471",
+        ];
         let iv: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
-        let aes = Aes::new(KeySize::Aes256, &key).unwrap();
-        let mut cfb = Cfb::new(aes, iv);
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51");
-        cfb.encrypt(&mut data);
-        assert_eq!(
-            data,
-            hex("dc7e84bfda79164b7ecd8486985d386039ffed143b28b1c832113c6331e5407b")
-        );
+        for ((size, key), cipher) in KEYS.into_iter().zip(cipher) {
+            let aes = Aes::new(size, &hex(key)).unwrap();
+            let mut data = hex(PLAIN);
+            Cfb::new(aes.clone(), iv).encrypt(&mut data);
+            assert_eq!(data, hex(cipher), "{size:?} encrypt");
+            Cfb::new(aes, iv).decrypt(&mut data);
+            assert_eq!(data, hex(PLAIN), "{size:?} decrypt");
+        }
     }
 
-    // NIST SP 800-38A F.5.5 (CTR-AES256, first block).
+    // F.5.1, F.5.3, F.5.5 (CTR encrypt).
     #[test]
-    fn nist_ctr_aes256() {
-        let key = hex("603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4");
+    fn nist_ctr_all_key_sizes() {
+        let cipher = [
+            "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff\
+             5ae4df3edbd5d35e5b4f09020db03eab1e031dda2fbe03d1792170a0f3009cee",
+            "1abc932417521ca24f2b0459fe7e6e0b090339ec0aa6faefd5ccc2c6f4ce8e94\
+             1e36b26bd1ebc670d1bd1d665620abf74f78a7f6d29809585a97daec58c6b050",
+            "601ec313775789a5b7a7f504bbf3d228f443e3ca4d62b59aca84e990cacaf5c5\
+             2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6",
+        ];
         let nonce: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        let aes = Aes::new(KeySize::Aes256, &key).unwrap();
-        let mut ctr = Ctr::new(aes, nonce);
-        let mut data = hex("6bc1bee22e409f96e93d7e117393172a");
-        ctr.apply(&mut data);
-        assert_eq!(data, hex("601ec313775789a5b7a7f504bbf3d228"));
+        for ((size, key), cipher) in KEYS.into_iter().zip(cipher) {
+            let mut data = hex(PLAIN);
+            Ctr::new(Aes::new(size, &hex(key)).unwrap(), nonce).apply(&mut data);
+            assert_eq!(data, hex(cipher), "{size:?}");
+        }
     }
 
+    /// CFB one byte at a time, straight from the definition: the
+    /// reference the block-wise `Cfb` must equal under any chunking.
+    fn reference_cfb(aes: &Aes, iv: [u8; 16], data: &mut [u8], decrypt: bool) {
+        let mut register = iv;
+        let mut keystream = [0u8; 16];
+        for (i, byte) in data.iter_mut().enumerate() {
+            if i % 16 == 0 {
+                keystream = register;
+                aes.encrypt_block(&mut keystream);
+            }
+            let input = *byte;
+            *byte ^= keystream[i % 16];
+            register[i % 16] = if decrypt { input } else { *byte };
+        }
+    }
+
+    /// CTR one byte at a time with a byte-wise carry.
+    fn reference_ctr(aes: &Aes, nonce: [u8; 16], data: &mut [u8]) {
+        let mut counter = nonce;
+        let mut keystream = [0u8; 16];
+        for (i, byte) in data.iter_mut().enumerate() {
+            if i % 16 == 0 {
+                keystream = counter;
+                aes.encrypt_block(&mut keystream);
+                for c in counter.iter_mut().rev() {
+                    *c = c.wrapping_add(1);
+                    if *c != 0 {
+                        break;
+                    }
+                }
+            }
+            *byte ^= keystream[i % 16];
+        }
+    }
+
+    /// Calls `f` on consecutive chunks of `data` whose lengths cycle
+    /// through `lens`.
+    fn in_chunks(data: &mut [u8], lens: &[usize], mut f: impl FnMut(&mut [u8])) {
+        let mut rest = data;
+        for &len in lens.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at_mut(len.min(rest.len()));
+            f(chunk);
+            rest = tail;
+        }
+    }
+
+    const SPLITS: [usize; 12] = [1, 15, 16, 17, 31, 32, 33, 0, 47, 100, 300, 1024];
+
     #[test]
-    fn cfb_roundtrip_across_block_boundaries() {
+    fn cfb_equals_reference_across_fixed_split_points() {
         let aes = Aes::new(KeySize::Aes256, &[0x42; 32]).unwrap();
         let iv = [0x17; 16];
-        let plain: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        let mut enc = Cfb::new(aes.clone(), iv);
-        let mut dec = Cfb::new(aes, iv);
+        let plain: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
+        let mut expect = plain.clone();
+        reference_cfb(&aes, iv, &mut expect, false);
+
         let mut data = plain.clone();
-        // Encrypt in irregular chunks to exercise stream-state carry-over.
-        let mut pos = 0;
-        for chunk in [1usize, 15, 16, 17, 31, 100, 300, 520] {
-            let end = (pos + chunk).min(data.len());
-            enc.encrypt(&mut data[pos..end]);
-            pos = end;
-        }
-        enc.encrypt(&mut data[pos..]);
-        dec.decrypt(&mut data);
+        let mut enc = Cfb::new(aes.clone(), iv);
+        in_chunks(&mut data, &SPLITS, |c| enc.encrypt(c));
+        assert_eq!(data, expect);
+
+        let mut dec = Cfb::new(aes, iv);
+        in_chunks(&mut data, &SPLITS[3..], |c| dec.decrypt(c));
         assert_eq!(data, plain);
     }
 
     #[test]
-    fn ctr_counter_wraps_correctly() {
+    fn ctr_equals_reference_across_fixed_split_points() {
+        let aes = Aes::new(KeySize::Aes128, &[0x24; 16]).unwrap();
+        let nonce = [0x71; 16];
+        let mut expect = vec![0u8; 5000];
+        reference_ctr(&aes, nonce, &mut expect);
+        let mut data = vec![0u8; 5000];
+        let mut ctr = Ctr::new(aes, nonce);
+        in_chunks(&mut data, &SPLITS, |c| ctr.apply(c));
+        assert_eq!(data, expect);
+    }
+
+    #[test]
+    fn ctr_counter_carries_and_wraps_like_the_bytewise_increment() {
         let aes = Aes::new(KeySize::Aes128, &[0; 16]).unwrap();
-        let mut ctr = Ctr::new(aes, [0xff; 16]);
-        // Consuming more than one block forces a counter increment across
-        // the all-0xff boundary (wrap to zero) without panicking.
-        let mut data = [0u8; 48];
-        ctr.apply(&mut data);
-        assert_ne!(&data[0..16], &data[16..32]);
+        // A carry out of the low eight bytes, and the all-0xff wrap to zero.
+        let mut carry = [0u8; 16];
+        carry[8..].fill(0xff);
+        for nonce in [carry, [0xff; 16]] {
+            let mut expect = [0u8; 48];
+            reference_ctr(&aes, nonce, &mut expect);
+            let mut data = [0u8; 48];
+            Ctr::new(aes.clone(), nonce).apply(&mut data);
+            assert_eq!(data, expect);
+            assert_ne!(&data[0..16], &data[16..32]);
+        }
+    }
+
+    proptest! {
+        /// Block-wise CFB equals the byte-at-a-time reference, in both
+        /// directions, however the stream is cut up.
+        #[test]
+        fn cfb_equals_reference_under_arbitrary_chunking(
+            size_id in 0usize..3,
+            key_bytes: [u8; 32],
+            iv: [u8; 16],
+            data in prop::collection::vec(any::<u8>(), 0..4500),
+            lens in prop::collection::vec(0usize..70, 1..8),
+        ) {
+            prop_assume!(lens.iter().any(|&l| l > 0));
+            let size = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256][size_id];
+            let aes = Aes::new(size, &key_bytes[..size.key_len()]).unwrap();
+            let mut expect = data.clone();
+            reference_cfb(&aes, iv, &mut expect, false);
+
+            let mut wire = data.clone();
+            let mut enc = Cfb::new(aes.clone(), iv);
+            in_chunks(&mut wire, &lens, |c| enc.encrypt(c));
+            prop_assert_eq!(&wire, &expect);
+
+            reference_cfb(&aes, iv, &mut expect, true);
+            prop_assert_eq!(&expect, &data);
+            let mut dec = Cfb::new(aes, iv);
+            in_chunks(&mut wire, &lens, |c| dec.decrypt(c));
+            prop_assert_eq!(wire, data);
+        }
+
+        /// Block-wise CTR equals the byte-at-a-time reference however the
+        /// stream is cut up, including across counter carries.
+        #[test]
+        fn ctr_equals_reference_under_arbitrary_chunking(
+            key: [u8; 32],
+            nonce_head: [u8; 8],
+            data in prop::collection::vec(any::<u8>(), 0..4500),
+            lens in prop::collection::vec(0usize..70, 1..8),
+        ) {
+            prop_assume!(lens.iter().any(|&l| l > 0));
+            let aes = Aes::new(KeySize::Aes256, &key).unwrap();
+            // Low half a few blocks short of carrying into the high half.
+            let mut nonce = [0xffu8; 16];
+            nonce[..8].copy_from_slice(&nonce_head);
+            nonce[15] = 0xf0;
+            let mut expect = data.clone();
+            reference_ctr(&aes, nonce, &mut expect);
+            let mut wire = data;
+            let mut ctr = Ctr::new(aes, nonce);
+            in_chunks(&mut wire, &lens, |c| ctr.apply(c));
+            prop_assert_eq!(wire, expect);
+        }
     }
 }

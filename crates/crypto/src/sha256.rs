@@ -57,47 +57,57 @@ impl Sha256 {
     }
 
     fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().unwrap());
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
+        // The message schedule as a rolling window: w[t % 16] holds W[t]
+        // once round t has been reached, W[t - 16] before.
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let temp1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let temp2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(temp1);
-            d = c;
-            c = b;
-            b = a;
-            a = temp1.wrapping_add(temp2);
+        // One round with the working variables renamed instead of moved:
+        // only `d` and `h` change, and the caller rotates the names.
+        macro_rules! round {
+            ($a:ident $b:ident $c:ident $d:ident $e:ident $f:ident $g:ident $h:ident, $kw:expr) => {
+                let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+                let ch = ($e & $f) ^ (!$e & $g);
+                let temp1 = $h.wrapping_add(s1).wrapping_add(ch).wrapping_add($kw);
+                let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+                let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+                $d = $d.wrapping_add(temp1);
+                $h = temp1.wrapping_add(s0.wrapping_add(maj));
+            };
         }
-        state[0] = state[0].wrapping_add(a);
-        state[1] = state[1].wrapping_add(b);
-        state[2] = state[2].wrapping_add(c);
-        state[3] = state[3].wrapping_add(d);
-        state[4] = state[4].wrapping_add(e);
-        state[5] = state[5].wrapping_add(f);
-        state[6] = state[6].wrapping_add(g);
-        state[7] = state[7].wrapping_add(h);
+        for (group, k) in K.chunks_exact(8).enumerate() {
+            // Rounds 8*group .. 8*group + 8 read the window half `base..`.
+            let base = 8 * (group % 2);
+            if group >= 2 {
+                for i in base..base + 8 {
+                    let w15 = w[(i + 1) % 16];
+                    let w2 = w[(i + 14) % 16];
+                    let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                    let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                    w[i] = w[i]
+                        .wrapping_add(s0)
+                        .wrapping_add(w[(i + 9) % 16])
+                        .wrapping_add(s1);
+                }
+            }
+            let mut kw = [0u32; 8];
+            for ((kw, k), w) in kw.iter_mut().zip(k).zip(&w[base..base + 8]) {
+                *kw = k.wrapping_add(*w);
+            }
+            round!(a b c d e f g h, kw[0]);
+            round!(h a b c d e f g, kw[1]);
+            round!(g h a b c d e f, kw[2]);
+            round!(f g h a b c d e, kw[3]);
+            round!(e f g h a b c d, kw[4]);
+            round!(d e f g h a b c, kw[5]);
+            round!(c d e f g h a b, kw[6]);
+            round!(b c d e f g h a, kw[7]);
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 
     /// Feeds `data` into the hash.
@@ -110,8 +120,7 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                Self::compress(&mut self.state, &block);
+                Self::compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
@@ -128,17 +137,18 @@ impl Sha256 {
 
     /// Consumes the hasher and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        // Padding: 0x80, zeros to 56 mod 64, then the bit length. The
+        // buffer is never full between calls, so the 0x80 always fits;
+        // the length may need a block of its own.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // Careful: the 0x80 update above also bumped total_len, but the
-        // length we encode was captured before padding.
-        while self.buffer_len != 56 {
-            self.update(&[0]);
+        self.buffer[self.buffer_len] = 0x80;
+        self.buffer[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            Self::compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        self.total_len = 0; // prevent further length accounting confusion
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        Self::compress(&mut self.state, &block);
+        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
+        Self::compress(&mut self.state, &self.buffer);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -190,6 +200,24 @@ mod tests {
         );
     }
 
+    // Lengths on either side of the padding boundaries: 55 is the longest
+    // message whose padding fits one block, 56..=63 spill the length into
+    // a second one, and 119/120 repeat that one block later.
+    #[test]
+    fn padding_boundaries() {
+        for (len, digest) in [
+            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
+            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
+        ] {
+            assert_eq!(sha256(&vec![b'a'; len]), hex32(digest), "{len} bytes of 'a'");
+        }
+    }
+
+    // FIPS 180-4 long-message vector.
     #[test]
     fn million_a() {
         let mut h = Sha256::new();

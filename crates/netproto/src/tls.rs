@@ -71,41 +71,59 @@ pub struct TlsOutput {
     pub handshake_complete: bool,
 }
 
-fn frame_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 7);
+/// Record header: type(1) || version(2) || length(4).
+const HEADER_LEN: usize = 7;
+/// Truncated HMAC tag closing every application record.
+const TAG_LEN: usize = 8;
+
+/// Starts a record of `payload_len` payload bytes: the header, with room
+/// reserved for the payload.
+fn start_record(rtype: u8, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.push(rtype);
     out.extend_from_slice(&VERSION);
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&(payload_len as u32).to_be_bytes());
+    out
+}
+
+fn frame_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = start_record(rtype, payload.len());
     out.extend_from_slice(payload);
     out
 }
 
-/// Incremental record deframer.
+/// Incremental record deframer. Records are handed out as slices of the
+/// receive buffer (so the record layer can decrypt in place) and dropped
+/// from it on the next `push`.
 #[derive(Debug, Default)]
 struct RecordBuf {
     buf: Vec<u8>,
+    /// Bytes at the front of `buf` already handed out.
+    consumed: usize,
 }
 
 impl RecordBuf {
     fn push(&mut self, data: &[u8]) {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
         self.buf.extend_from_slice(data);
     }
 
-    fn next_record(&mut self) -> Result<Option<(u8, Vec<u8>)>, TlsError> {
-        if self.buf.len() < 7 {
+    fn next_record(&mut self) -> Result<Option<(u8, &mut [u8])>, TlsError> {
+        let pending = &mut self.buf[self.consumed..];
+        if pending.len() < HEADER_LEN {
             return Ok(None);
         }
-        if self.buf[1..3] != VERSION {
+        if pending[1..3] != VERSION {
             return Err(TlsError::BadRecord);
         }
-        let len = u32::from_be_bytes(self.buf[3..7].try_into().unwrap()) as usize;
-        if self.buf.len() < 7 + len {
+        let len = u32::from_be_bytes(pending[3..7].try_into().unwrap()) as usize;
+        if pending.len() - HEADER_LEN < len {
             return Ok(None);
         }
-        let rtype = self.buf[0];
-        let payload = self.buf[7..7 + len].to_vec();
-        self.buf.drain(..7 + len);
-        Ok(Some((rtype, payload)))
+        self.consumed += HEADER_LEN + len;
+        let rtype = pending[0];
+        Ok(Some((rtype, &mut pending[HEADER_LEN..HEADER_LEN + len])))
     }
 }
 
@@ -118,7 +136,13 @@ struct SessionKeys {
     server_mac: [u8; 32],
 }
 
-fn derive_keys(shared: &[u8; 32], client_random: &[u8; 32], server_random: &[u8; 32]) -> SessionKeys {
+/// Boxed so that an endpoint still in its handshake, and whatever embeds
+/// one, does not carry room for two expanded key schedules.
+fn derive_keys(
+    shared: &[u8; 32],
+    client_random: &[u8; 32],
+    server_random: &[u8; 32],
+) -> Box<SessionKeys> {
     let mut salt = Vec::with_capacity(64);
     salt.extend_from_slice(client_random);
     salt.extend_from_slice(server_random);
@@ -129,36 +153,39 @@ fn derive_keys(shared: &[u8; 32], client_random: &[u8; 32], server_random: &[u8;
     cnonce.copy_from_slice(&okm[128..144]);
     let mut snonce = [0u8; 16];
     snonce.copy_from_slice(&okm[144..160]);
-    SessionKeys {
+    Box::new(SessionKeys {
         client_write: Ctr::new(cw, cnonce),
         server_write: Ctr::new(sw, snonce),
         client_mac: okm[64..96].try_into().unwrap(),
         server_mac: okm[96..128].try_into().unwrap(),
-    }
+    })
 }
 
-/// Encrypt-then-MAC application record body: ciphertext || HMAC-tag(8).
+/// A framed application record, encrypt-then-MAC: header || ciphertext
+/// || HMAC-tag(8), built in one buffer.
 fn seal(ctr: &mut Ctr, mac_key: &[u8; 32], plaintext: &[u8]) -> Vec<u8> {
-    let mut ct = plaintext.to_vec();
-    ctr.apply(&mut ct);
-    let tag = hmac_sha256(mac_key, &ct);
-    let mut out = ct;
-    out.extend_from_slice(&tag[..8]);
+    let mut out = start_record(record_type::APPLICATION_DATA, plaintext.len() + TAG_LEN);
+    out.extend_from_slice(plaintext);
+    let ct = &mut out[HEADER_LEN..];
+    ctr.apply(ct);
+    let tag = hmac_sha256(mac_key, ct);
+    out.extend_from_slice(&tag[..TAG_LEN]);
     out
 }
 
-fn open(ctr: &mut Ctr, mac_key: &[u8; 32], body: &[u8]) -> Result<Vec<u8>, TlsError> {
-    if body.len() < 8 {
+/// Checks an application record body's tag and decrypts it where it lies,
+/// returning the plaintext part.
+fn open<'a>(ctr: &mut Ctr, mac_key: &[u8; 32], body: &'a mut [u8]) -> Result<&'a [u8], TlsError> {
+    let Some(ct_len) = body.len().checked_sub(TAG_LEN) else {
         return Err(TlsError::BadRecordMac);
-    }
-    let (ct, tag) = body.split_at(body.len() - 8);
+    };
+    let (ct, tag) = body.split_at_mut(ct_len);
     let expect = hmac_sha256(mac_key, ct);
-    if !ct_eq(&expect[..8], tag) {
+    if !ct_eq(&expect[..TAG_LEN], tag) {
         return Err(TlsError::BadRecordMac);
     }
-    let mut pt = ct.to_vec();
-    ctr.apply(&mut pt);
-    Ok(pt)
+    ctr.apply(ct);
+    Ok(ct)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,7 +205,7 @@ pub struct TlsClient {
     transcript: Sha256,
     client_random: [u8; 32],
     dh: PrivateKey,
-    keys: Option<SessionKeys>,
+    keys: Option<Box<SessionKeys>>,
     shared: Option<[u8; 32]>,
     server_random: Option<[u8; 32]>,
 }
@@ -228,8 +255,7 @@ impl TlsClient {
     /// Panics if the handshake has not completed.
     pub fn send(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let keys = self.keys.as_mut().expect("TLS handshake not complete");
-        let body = seal(&mut keys.client_write, &keys.client_mac, plaintext);
-        frame_record(record_type::APPLICATION_DATA, &body)
+        seal(&mut keys.client_write, &keys.client_mac, plaintext)
     }
 
     /// Feeds bytes received from the peer.
@@ -250,7 +276,7 @@ impl TlsClient {
                     server_random.copy_from_slice(&payload[1..33]);
                     let server_pub = PublicKey::from_bytes(payload[33..41].try_into().unwrap())
                         .map_err(|_| TlsError::BadHandshake("server dh key"))?;
-                    self.transcript.update(&payload);
+                    self.transcript.update(payload);
                     let shared = self.dh.agree(&server_pub);
                     self.server_random = Some(server_random);
                     self.shared = Some(shared);
@@ -290,7 +316,7 @@ impl TlsClient {
                 (t, ClientState::Connected) if t == record_type::APPLICATION_DATA => {
                     let keys = self.keys.as_mut().expect("connected implies keys");
                     out.plaintext
-                        .extend(open(&mut keys.server_write, &keys.server_mac, &payload)?);
+                        .extend_from_slice(open(&mut keys.server_write, &keys.server_mac, payload)?);
                 }
                 _ => return Err(TlsError::BadHandshake("unexpected record")),
             }
@@ -325,7 +351,7 @@ pub struct TlsServer {
     transcript: Sha256,
     server_random: [u8; 32],
     dh: PrivateKey,
-    keys: Option<SessionKeys>,
+    keys: Option<Box<SessionKeys>>,
     shared: Option<[u8; 32]>,
     client_random: Option<[u8; 32]>,
     sni: Option<String>,
@@ -367,8 +393,7 @@ impl TlsServer {
     /// Panics if the handshake has not completed.
     pub fn send(&mut self, plaintext: &[u8]) -> Vec<u8> {
         let keys = self.keys.as_mut().expect("TLS handshake not complete");
-        let body = seal(&mut keys.server_write, &keys.server_mac, plaintext);
-        frame_record(record_type::APPLICATION_DATA, &body)
+        seal(&mut keys.server_write, &keys.server_mac, plaintext)
     }
 
     /// Feeds bytes received from the peer.
@@ -393,7 +418,7 @@ impl TlsServer {
                     }
                     self.sni = Some(String::from_utf8_lossy(&payload[35..]).to_string());
                     self.client_random = Some(client_random);
-                    self.transcript.update(&payload);
+                    self.transcript.update(payload);
 
                     // ServerHello: type | random(32) | dh_pub(8)
                     let mut hello = vec![hs_type::SERVER_HELLO];
@@ -409,7 +434,7 @@ impl TlsServer {
                     }
                     let client_pub = PublicKey::from_bytes(payload[1..9].try_into().unwrap())
                         .map_err(|_| TlsError::BadHandshake("client dh key"))?;
-                    self.transcript.update(&payload);
+                    self.transcript.update(payload);
                     self.shared = Some(self.dh.agree(&client_pub));
                     self.state = ServerState::AwaitFinished;
                 }
@@ -423,7 +448,7 @@ impl TlsServer {
                     if !ct_eq(&expect, &payload[1..]) {
                         return Err(TlsError::BadFinished);
                     }
-                    self.transcript.update(&payload);
+                    self.transcript.update(payload);
                     // Server Finished.
                     let th2 = self.transcript.clone().finalize();
                     let mut fin = vec![hs_type::FINISHED];
@@ -440,7 +465,7 @@ impl TlsServer {
                 (t, ServerState::Connected) if t == record_type::APPLICATION_DATA => {
                     let keys = self.keys.as_mut().expect("connected implies keys");
                     out.plaintext
-                        .extend(open(&mut keys.client_write, &keys.client_mac, &payload)?);
+                        .extend_from_slice(open(&mut keys.client_write, &keys.client_mac, payload)?);
                 }
                 _ => return Err(TlsError::BadHandshake("unexpected record")),
             }

@@ -230,7 +230,9 @@ impl StreamHeader {
 /// always; encryption only when the payload is not already TLS.
 pub struct StreamCodec {
     blinder: Box<dyn Blinder>,
-    cipher: Option<Ctr>,
+    /// Boxed: a key schedule is 240 bytes, and codecs sit inline in
+    /// per-stream state that mostly carries TLS (no cipher here).
+    cipher: Option<Box<Ctr>>,
     encode_pos: u64,
     decode_pos: u64,
 }
@@ -255,7 +257,7 @@ impl StreamCodec {
             let key = session_key(secret, hello.nonce ^ 0xd1d1_d1d1);
             let mut nonce = [0u8; 16];
             nonce[0] = dir;
-            Ctr::new(Aes::new(KeySize::Aes256, &key).expect("32-byte key"), nonce)
+            Box::new(Ctr::new(Aes::new(KeySize::Aes256, &key).expect("32-byte key"), nonce))
         });
         StreamCodec { blinder, cipher, encode_pos: 0, decode_pos: 0 }
     }

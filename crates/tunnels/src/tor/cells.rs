@@ -118,10 +118,11 @@ impl CellBuf {
     }
 }
 
-/// One onion layer: the keys and counters shared with one hop.
+/// One onion layer: the key (expanded once) and counters shared with one
+/// hop.
 #[derive(Debug, Clone)]
 pub struct OnionLayer {
-    key: [u8; 32],
+    aes: Aes,
     fwd_counter: u64,
     bwd_counter: u64,
 }
@@ -129,14 +130,15 @@ pub struct OnionLayer {
 impl OnionLayer {
     /// Creates a layer from a shared secret.
     pub fn new(key: [u8; 32]) -> Self {
-        OnionLayer { key, fwd_counter: 0, bwd_counter: 0 }
+        let aes = Aes::new(KeySize::Aes256, &key).expect("32-byte key");
+        OnionLayer { aes, fwd_counter: 0, bwd_counter: 0 }
     }
 
     fn apply(&self, counter: u64, dir: u8, data: &mut [u8]) {
         let mut nonce = [0u8; 16];
         nonce[0] = dir;
         nonce[8..16].copy_from_slice(&counter.to_be_bytes());
-        Ctr::new(Aes::new(KeySize::Aes256, &self.key).expect("32-byte key"), nonce).apply(data);
+        Ctr::new(self.aes.clone(), nonce).apply(data);
     }
 
     /// Applies the forward-direction transform (client → exit) and

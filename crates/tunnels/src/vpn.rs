@@ -80,34 +80,53 @@ impl VpnVariant {
 
 // --- per-packet sealing -------------------------------------------------
 
+/// A VPN session key with its AES-256 schedule expanded once, so that
+/// sealing or opening a packet builds only the per-packet counter block.
+#[derive(Clone)]
+pub struct SessionKey {
+    mac_key: [u8; 32],
+    aes: Aes,
+}
+
+impl SessionKey {
+    /// Expands the agreed 32-byte secret.
+    pub fn new(key: [u8; 32]) -> Self {
+        let aes = Aes::new(KeySize::Aes256, &key).expect("32-byte key");
+        SessionKey { mac_key: key, aes }
+    }
+
+    fn ctr(&self, nonce: &[u8; 8]) -> Ctr {
+        let mut nblock = [0u8; 16];
+        nblock[..8].copy_from_slice(nonce);
+        Ctr::new(self.aes.clone(), nblock)
+    }
+}
+
 /// Seals `plain` with `key`: nonce(8) || ctr-ciphertext || hmac-tag(8).
-pub fn seal_packet(key: &[u8; 32], nonce: u64, plain: &[u8]) -> Vec<u8> {
+pub fn seal_packet(key: &SessionKey, nonce: u64, plain: &[u8]) -> Vec<u8> {
+    let nonce = nonce.to_be_bytes();
     let mut out = Vec::with_capacity(plain.len() + 16);
-    out.extend_from_slice(&nonce.to_be_bytes());
-    let mut nblock = [0u8; 16];
-    nblock[..8].copy_from_slice(&nonce.to_be_bytes());
-    let mut ct = plain.to_vec();
-    Ctr::new(Aes::new(KeySize::Aes256, key).expect("32-byte key"), nblock).apply(&mut ct);
-    out.extend_from_slice(&ct);
-    let tag = hmac_sha256(key, &out);
+    out.extend_from_slice(&nonce);
+    out.extend_from_slice(plain);
+    key.ctr(&nonce).apply(&mut out[8..]);
+    let tag = hmac_sha256(&key.mac_key, &out);
     out.extend_from_slice(&tag[..8]);
     out
 }
 
 /// Opens a sealed packet; `None` on any authentication failure.
-pub fn open_packet(key: &[u8; 32], data: &[u8]) -> Option<Vec<u8>> {
+pub fn open_packet(key: &SessionKey, data: &[u8]) -> Option<Vec<u8>> {
     if data.len() < 16 {
         return None;
     }
     let (body, tag) = data.split_at(data.len() - 8);
-    let expect = hmac_sha256(key, body);
+    let expect = hmac_sha256(&key.mac_key, body);
     if !ct_eq(&expect[..8], tag) {
         return None;
     }
-    let mut nblock = [0u8; 16];
-    nblock[..8].copy_from_slice(&body[..8]);
-    let mut pt = body[8..].to_vec();
-    Ctr::new(Aes::new(KeySize::Aes256, key).expect("32-byte key"), nblock).apply(&mut pt);
+    let (nonce, ct) = body.split_first_chunk::<8>()?;
+    let mut pt = ct.to_vec();
+    key.ctr(nonce).apply(&mut pt);
     Some(pt)
 }
 
@@ -239,7 +258,7 @@ struct VpnTunnel {
     variant: VpnVariant,
     own: Addr,
     server: Addr,
-    key: [u8; 32],
+    key: SessionKey,
     nonce: u64,
 }
 
@@ -276,7 +295,7 @@ pub struct VpnClient {
     status: TunnelStatus,
     phase: ClientPhase,
     dh: Option<PrivateKey>,
-    key: Option<[u8; 32]>,
+    key: Option<SessionKey>,
     control_tcp: Option<TcpHandle>,
     control_udp: Option<UdpHandle>,
     entropy: u64,
@@ -315,8 +334,8 @@ impl VpnClient {
         let Ok(bytes8): Result<[u8; 8], _> = server_pub_bytes.try_into() else { return };
         let Ok(server_pub) = PublicKey::from_bytes(bytes8) else { return };
         let dh = self.dh.expect("hello sent before reply");
-        let key = dh.agree(&server_pub);
-        self.key = Some(key);
+        let key = SessionKey::new(dh.agree(&server_pub));
+        self.key = Some(key.clone());
         self.phase = ClientPhase::Up;
         ctx.install_tunnel(Box::new(VpnTunnel {
             variant: self.variant,
@@ -410,8 +429,8 @@ impl App for VpnClient {
 
 impl VpnClient {
     fn deliver_inner(&mut self, sealed: &[u8], ctx: &mut Ctx<'_>) {
-        let Some(key) = self.key else { return };
-        let Some(plain) = open_packet(&key, sealed) else { return };
+        let Some(key) = &self.key else { return };
+        let Some(plain) = open_packet(key, sealed) else { return };
         let Ok(inner) = Packet::decode(&plain) else { return };
         // Feed the decapsulated reply into our own stack (loopback),
         // bypassing the tunnel so it cannot be re-captured.
@@ -426,7 +445,7 @@ impl VpnClient {
 pub struct VpnServer {
     variant: VpnVariant,
     /// Session key per client address.
-    sessions: HashMap<Addr, [u8; 32]>,
+    sessions: HashMap<Addr, SessionKey>,
     nat: Nat,
     nonce: u64,
     entropy: u64,
@@ -454,7 +473,7 @@ impl VpnServer {
         let client_pub = PublicKey::from_bytes(bytes8).ok()?;
         let dh = PrivateKey::from_entropy(self.entropy ^ client.as_u32() as u64);
         let key = dh.agree(&client_pub);
-        self.sessions.insert(client, key);
+        self.sessions.insert(client, SessionKey::new(key));
         let _ = ctx;
         let mut reply = match self.variant {
             VpnVariant::Pptp => b"SCCRP".to_vec(),
@@ -466,8 +485,8 @@ impl VpnServer {
     }
 
     fn handle_data(&mut self, from: Addr, sealed: &[u8], ctx: &mut Ctx<'_>) {
-        let Some(&key) = self.sessions.get(&from) else { return };
-        let Some(plain) = open_packet(&key, sealed) else { return };
+        let Some(key) = self.sessions.get(&from) else { return };
+        let Some(plain) = open_packet(key, sealed) else { return };
         let Ok(inner) = Packet::decode(&plain) else { return };
         let public = ctx.addr();
         if let Some(translated) = self.nat.outbound(from, public, inner) {
@@ -477,9 +496,9 @@ impl VpnServer {
     }
 
     fn return_to_client(&mut self, client: Addr, inner: Packet, ctx: &mut Ctx<'_>) {
-        let Some(&key) = self.sessions.get(&client) else { return };
+        let Some(key) = self.sessions.get(&client) else { return };
         self.nonce += 1;
-        let sealed = seal_packet(&key, self.nonce, &inner.encode());
+        let sealed = seal_packet(key, self.nonce, &inner.encode());
         let pkt = encap_packet(self.variant, ctx.addr(), client, sealed);
         ctx.send_packet(pkt);
     }
@@ -560,7 +579,7 @@ mod tests {
 
     #[test]
     fn seal_open_roundtrip() {
-        let key = [7u8; 32];
+        let key = SessionKey::new([7u8; 32]);
         let sealed = seal_packet(&key, 42, b"inner packet");
         assert_eq!(open_packet(&key, &sealed).unwrap(), b"inner packet");
         // Tampering is detected.
@@ -568,14 +587,14 @@ mod tests {
         bad[10] ^= 1;
         assert!(open_packet(&key, &bad).is_none());
         // Wrong key fails.
-        assert!(open_packet(&[8u8; 32], &sealed).is_none());
+        assert!(open_packet(&SessionKey::new([8u8; 32]), &sealed).is_none());
         // Truncation fails.
         assert!(open_packet(&key, &sealed[..10]).is_none());
     }
 
     #[test]
     fn sealed_payload_is_high_entropy() {
-        let key = [9u8; 32];
+        let key = SessionKey::new([9u8; 32]);
         let sealed = seal_packet(&key, 1, &vec![0u8; 2000]);
         let stats = sc_crypto::entropy::PayloadStats::analyze(&sealed);
         assert!(stats.entropy > 7.0);

@@ -4,17 +4,17 @@ use proptest::prelude::*;
 use sc_tunnels::tor::cells::{
     CELL_PAYLOAD, Cell, CellBuf, OnionLayer, cmd, parse_relay_payload, relay_payload,
 };
-use sc_tunnels::vpn::{NAT_PORT_HI, NAT_PORT_LO, Nat, open_packet, seal_packet};
+use sc_tunnels::vpn::{NAT_PORT_HI, NAT_PORT_LO, Nat, SessionKey, open_packet, seal_packet};
 
 proptest! {
     /// Sealed VPN packets always open to the original bytes; any single
     /// bit flip is rejected.
     #[test]
-    fn vpn_seal_open(key in prop::collection::vec(any::<u8>(), 32),
+    fn vpn_seal_open(key: [u8; 32],
                      nonce: u64,
                      plain in prop::collection::vec(any::<u8>(), 0..1500),
                      flip in 0usize..1500) {
-        let key: [u8; 32] = key.try_into().unwrap();
+        let key = SessionKey::new(key);
         let sealed = seal_packet(&key, nonce, &plain);
         prop_assert_eq!(open_packet(&key, &sealed).unwrap(), plain);
         let mut bad = sealed.clone();
@@ -25,11 +25,11 @@ proptest! {
 
     /// Seal never produces the same wire bytes for different nonces.
     #[test]
-    fn vpn_seal_nonce_uniqueness(key in prop::collection::vec(any::<u8>(), 32),
+    fn vpn_seal_nonce_uniqueness(key: [u8; 32],
                                  n1: u64, n2: u64,
                                  plain in prop::collection::vec(any::<u8>(), 1..500)) {
         prop_assume!(n1 != n2);
-        let key: [u8; 32] = key.try_into().unwrap();
+        let key = SessionKey::new(key);
         prop_assert_ne!(seal_packet(&key, n1, &plain), seal_packet(&key, n2, &plain));
     }
 

@@ -104,3 +104,11 @@ cargo run --release --offline -p sc-bench --bin scholar-bench -- \
     --quiet --iterations 1 --out "$bench_out" >/dev/null
 rm -f "$bench_out"
 echo "scholar-bench smoke gate: ok"
+
+# The repository benchmark (benchmark/, a workspace of its own): its unit
+# tests (estimators, bounds table, correctness checks), then one
+# repetition of every workload in both modes. --smoke gates nothing
+# timed; it fails only if a workload stops being correct.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
+echo "benchmark smoke gate: ok"

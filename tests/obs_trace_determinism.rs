@@ -50,6 +50,30 @@ fn same_seed_traces_are_byte_identical() {
     assert_eq!(a, b, "same-seed traces must be byte-identical");
 }
 
+/// Determinism *across commits*: the SHA-256 of each access method's
+/// seeded trace is pinned in `tests/golden/transport_digests.txt`. A
+/// change that claims to be bit-identical (a faster cipher, a leaner
+/// packet path) must leave the digests alone; one that means to move
+/// the trace re-blesses them with
+/// `SC_BLESS=1 cargo test --test obs_trace_determinism golden` and says so.
+#[test]
+fn transport_trace_digests_match_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden/transport_digests.txt");
+    let mut actual = String::new();
+    for method in Method::all_measured() {
+        let digest = sc_crypto::sha256(&traced_run(method, 33));
+        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+        actual.push_str(&format!("{method:?} {hex}\n"));
+    }
+    if std::env::var_os("SC_BLESS").is_some() {
+        std::fs::write(&path, &actual).expect("write golden digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("read golden digests");
+    assert_eq!(actual, golden, "seeded traces moved; if intended, re-bless with SC_BLESS=1");
+}
+
 /// The `sc_obs::prof` wall-clock profiler must be write-only from the
 /// simulator's perspective: running the same seeded scenario with the
 /// profiler collecting must leave the SC_TRACE bytes untouched. This is
