@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the substrates: crypto throughput, blinding codecs,
-//! TCP bulk transfer in the simulator, GFW flow classification, and the
-//! PAC evaluator.
+//! TCP bulk transfer in the simulator and the bare receive path, GFW flow
+//! classification (first packet and established flow), and the PAC
+//! evaluator.
 
 use bytes::Bytes;
 use criterion::{Criterion, Throughput, criterion_group, criterion_main};
@@ -83,6 +84,32 @@ fn gfw_benches(c: &mut Criterion) {
             table.observe(&tls, SimTime::ZERO, &cfg);
         })
     });
+
+    // What a workload pays per packet once a flow is established (the
+    // two rows above time a flow's *first* packet): the whole middlebox
+    // on an HTTP-class flow whose 2 KiB capture is full, for one
+    // server→client MSS data packet and the bare ACK that answers it.
+    g.bench_function("established_http_flow_packet", |b| {
+        use rand::SeedableRng;
+        use sc_simnet::middlebox::{MbCtx, Middlebox};
+        let mut gfw = sc_gfw::GfwMiddlebox::new(sc_gfw::new_gfw(cfg.clone()));
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut pass = |pkt: &Packet| {
+            let mut ctx = MbCtx { now: SimTime::ZERO, rng: &mut rng, inject: Vec::new() };
+            gfw.process(pkt, &mut ctx)
+        };
+        pass(&http);
+        for _ in 0..2 {
+            pass(&mk_packet(80, &[b'a'; 1400]));
+        }
+        let mut data = mk_packet(80, &[b'b'; 1400]);
+        std::mem::swap(&mut data.src, &mut data.dst);
+        if let sc_simnet::packet::L4::Tcp(t) = &mut data.l4 {
+            std::mem::swap(&mut t.src_port, &mut t.dst_port);
+        }
+        let ack = mk_packet(80, b"");
+        b.iter(|| (pass(&data), pass(&ack)))
+    });
     g.finish();
 }
 
@@ -159,5 +186,69 @@ fn tcp_transfer_bench(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, crypto_benches, gfw_benches, pac_benches, tcp_transfer_bench);
+/// The receive path of one connection, without a simulator around it:
+/// 64 KiB arriving as in-order MSS segments, then drained in one `recv`.
+fn tcp_buffer_bench(c: &mut Criterion) {
+    use sc_simnet::api::{AppEvent, AppId, TcpEvent};
+    use sc_simnet::packet::{L4, TcpSegment};
+    use sc_simnet::tcp::{Effects, MSS, TcpLayer};
+
+    const SEGMENTS: usize = 47;
+    let (client, server) = (Addr::new(10, 0, 0, 1), Addr::new(99, 0, 0, 1));
+    let segment = |seq: u64, ack: u64, flags: TcpFlags, payload: Bytes| TcpSegment {
+        src_port: 40_000,
+        dst_port: 80,
+        seq,
+        ack,
+        flags,
+        window: 1 << 20,
+        payload,
+    };
+    let mut tcp = TcpLayer::new();
+    tcp.listen(80, AppId(0));
+    let mut fx = Effects::default();
+    tcp.on_segment(client, server, segment(100, 0, TcpFlags::SYN, Bytes::new()), SimTime::ZERO, &mut fx);
+    let ack = match &fx.out[0].l4 {
+        L4::Tcp(syn_ack) => syn_ack.seq + 1,
+        other => panic!("expected a SYN-ACK, got {other:?}"),
+    };
+    let mut fx = Effects::default();
+    tcp.on_segment(client, server, segment(101, ack, TcpFlags::ACK, Bytes::new()), SimTime::ZERO, &mut fx);
+    let conn = fx
+        .app_events
+        .iter()
+        .find_map(|(_, ev)| match ev {
+            AppEvent::Tcp(h, TcpEvent::Accepted { .. }) => Some(*h),
+            _ => None,
+        })
+        .expect("handshake completes");
+
+    let chunk = Bytes::from(vec![0xa5u8; MSS]);
+    let mut seq = 101;
+    let mut g = c.benchmark_group("tcp");
+    g.throughput(Throughput::Bytes((SEGMENTS * MSS) as u64));
+    g.bench_function("recv_all_64k", |b| {
+        b.iter(|| {
+            for _ in 0..SEGMENTS {
+                let mut fx = Effects::default();
+                let seg = segment(seq, ack, TcpFlags::ACK, chunk.clone());
+                tcp.on_segment(client, server, seg, SimTime::ZERO, &mut fx);
+                seq += MSS as u64;
+            }
+            let got = tcp.recv(conn, usize::MAX);
+            assert_eq!(got.len(), SEGMENTS * MSS);
+            got
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    crypto_benches,
+    gfw_benches,
+    pac_benches,
+    tcp_transfer_bench,
+    tcp_buffer_bench
+);
 criterion_main!(benches);

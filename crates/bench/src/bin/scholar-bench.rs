@@ -183,8 +183,8 @@ fn elastic_churn() -> RunCounters {
             apply: Box::new(move |_now| {
                 let Some(addr) = elastic.warm_addrs().first().copied() else { return };
                 let mut st = gfw.borrow_mut();
-                if !st.config.ip_blacklist.contains(&(addr, 32)) {
-                    st.config.ip_blacklist.push((addr, 32));
+                if !st.config().ip_blacklist.contains(&(addr, 32)) {
+                    st.config_mut().ip_blacklist.push((addr, 32));
                 }
             }),
         },

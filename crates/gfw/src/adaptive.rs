@@ -435,7 +435,10 @@ fn emit_adaptive(now: SimTime, name: &'static str, f: impl FnOnce(sc_obs::Event)
 /// observation of each flow, learns/refreshes/expires signatures,
 /// and schedules campaign probe waves. Called only when
 /// `GfwConfig::adaptive` is set; the split borrows mirror
-/// [`GfwState`](crate::engine::GfwState)'s fields.
+/// [`GfwState`](crate::engine::GfwState)'s fields. `evidence_changed`
+/// says whether this packet changed the flow's capture or the rules
+/// (the readiness check reads nothing else, so it is skipped otherwise).
+/// Returns whether `learned_signatures` changed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn process_flow(
     adaptive: &mut AdaptiveState,
@@ -445,13 +448,16 @@ pub(crate) fn process_flow(
     replay_preambles: &mut HashMap<SocketAddr, Vec<u8>>,
     counters: &mut GfwCounters,
     rec: &mut FlowRecord,
+    evidence_changed: bool,
     now: SimTime,
     draw: &mut dyn FnMut() -> f64,
-) {
+) -> bool {
+    let mut rules_changed = false;
     // Rule churn first so a dead signature stops matching before new
     // evidence lands.
     for sig in adaptive.expire_signatures(now) {
         learned_signatures.retain(|s| *s != sig);
+        rules_changed = true;
         sc_obs::counter_add("gfw.adaptive_signatures_expired", 1);
         emit_adaptive(now, "signature_expired", |ev| {
             ev.field("signature", String::from_utf8_lossy(&sig).into_owned())
@@ -463,7 +469,7 @@ pub(crate) fn process_flow(
     // first packet often carries the HTTP head with only a sliver of
     // body; judging it then would let every cover flow pass as plain
     // HTTP forever).
-    if !rec.adaptive_noted && evidence_ready(&rec.early_bytes) {
+    if !rec.adaptive_noted && evidence_changed && evidence_ready(&rec.early_bytes) {
         rec.adaptive_noted = true;
         let odd = odd_preamble(&rec.early_bytes);
         let score = adaptive.note_flow(cfg, rec.server, rec.client, odd, now);
@@ -472,6 +478,7 @@ pub(crate) fn process_flow(
                 FingerprintOutcome::Learned(sig) => {
                     if !learned_signatures.contains(&sig) {
                         learned_signatures.push(sig.clone());
+                        rules_changed = true;
                     }
                     counters.signatures_learned += 1;
                     sc_obs::counter_add("gfw.adaptive_signatures_learned", 1);
@@ -508,6 +515,7 @@ pub(crate) fn process_flow(
             ev.field("server", rec.server.to_string()).field("wave", wave as u64)
         });
     }
+    rules_changed
 }
 
 #[cfg(test)]

@@ -142,11 +142,15 @@ impl GfwConfig {
             .any(|(prefix, len)| addr.in_prefix(*prefix, *len))
     }
 
-    /// Whether a domain matches a suffix list.
+    /// Whether a domain matches a suffix list (ASCII case-insensitively,
+    /// on label boundaries).
     pub fn domain_matches(list: &[String], name: &str) -> bool {
-        let name = name.to_ascii_lowercase();
-        list.iter()
-            .any(|d| name == *d || name.ends_with(&format!(".{d}")))
+        let name = name.as_bytes();
+        list.iter().any(|d| {
+            let Some(rest) = name.len().checked_sub(d.len()) else { return false };
+            name[rest..].eq_ignore_ascii_case(d.as_bytes())
+                && (rest == 0 || name[rest - 1] == b'.')
+        })
     }
 
     /// The policy applied to a traffic class.
@@ -181,6 +185,9 @@ mod tests {
         assert!(GfwConfig::domain_matches(&list, "Scholar.Google.com"));
         assert!(!GfwConfig::domain_matches(&list, "notgoogle.com"));
         assert!(!GfwConfig::domain_matches(&list, "google.com.cn.fake.example"));
+        assert!(!GfwConfig::domain_matches(&list, "com"));
+        // A list entry's own case does not matter either.
+        assert!(GfwConfig::domain_matches(&["Google.COM".to_string()], "scholar.google.com"));
     }
 
     #[test]

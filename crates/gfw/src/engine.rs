@@ -12,8 +12,11 @@ use sc_simnet::addr::SocketAddr;
 use sc_simnet::middlebox::{MbCtx, Middlebox, Verdict};
 use sc_simnet::packet::{L4, Packet, TcpFlags, TcpSegmentBody};
 
-use crate::classify::{FlowTable, TrafficClass};
+use crate::classify::{FlowTable, Inspection, TrafficClass};
 use crate::config::GfwConfig;
+
+#[cfg(test)]
+mod reference;
 
 /// Counters describing everything the GFW did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -45,9 +48,12 @@ pub struct GfwCounters {
 /// (an app on the same border node) both hold this handle.
 #[derive(Debug)]
 pub struct GfwState {
-    /// Configuration (blocklists, policies). May be updated mid-run to
-    /// model GFW rule pushes.
-    pub config: GfwConfig,
+    /// Configuration (blocklists, policies). Updated mid-run (through
+    /// [`config_mut`](Self::config_mut)) to model GFW rule pushes.
+    config: GfwConfig,
+    /// Version of `config`'s rule lists. Flow records remember the epoch
+    /// they were last scanned under; a mismatch re-runs the scanners.
+    rules_epoch: u32,
     /// The DPI flow table.
     pub flows: FlowTable,
     /// Servers awaiting an active probe.
@@ -73,6 +79,7 @@ pub type GfwHandle = Rc<RefCell<GfwState>>;
 pub fn new_gfw(config: GfwConfig) -> GfwHandle {
     Rc::new(RefCell::new(GfwState {
         config,
+        rules_epoch: 0,
         flows: FlowTable::new(),
         probe_queue: VecDeque::new(),
         probed: HashSet::new(),
@@ -81,6 +88,21 @@ pub fn new_gfw(config: GfwConfig) -> GfwHandle {
         replay_preambles: HashMap::new(),
         counters: GfwCounters::default(),
     }))
+}
+
+impl GfwState {
+    /// The configuration in force.
+    pub fn config(&self) -> &GfwConfig {
+        &self.config
+    }
+
+    /// Mutable access to the configuration, for rule pushes. Starts a new
+    /// rules epoch, so every flow is re-inspected against the new rules
+    /// on its next packet — including flows whose capture is long full.
+    pub fn config_mut(&mut self) -> &mut GfwConfig {
+        self.rules_epoch = self.rules_epoch.wrapping_add(1);
+        &mut self.config
+    }
 }
 
 /// The packet-inspecting middlebox. Attach to the border router with
@@ -113,8 +135,18 @@ impl GfwMiddlebox {
         let to_src = Packet::tcp(dst, src, body(ack, seq));
         Some((to_src, to_dst))
     }
-}
 
+    /// Resets the connection `pkt` belongs to (a spoofed RST toward each
+    /// endpoint) and drops the packet under `rule`.
+    fn reset(pkt: &Packet, ctx: &mut MbCtx<'_>, rule: &'static str) -> Verdict {
+        if let Some((a, b)) = Self::spoof_rst(pkt) {
+            ctx.inject(a);
+            ctx.inject(b);
+        }
+        trace_drop(ctx.now, rule, pkt, 2);
+        Verdict::Drop(rule)
+    }
+}
 
 /// Records one GFW verdict in the observability layer: a counter plus,
 /// when tracing is enabled, an event carrying the rule label (and how
@@ -186,7 +218,9 @@ impl Middlebox for GfwMiddlebox {
         // --- Flow classification ---
         let now = ctx.now;
         let st = &mut *st;
-        let Some(rec) = st.flows.observe(pkt, now, &st.config) else {
+        let Some((rec, evidence_changed)) =
+            st.flows.observe_at(pkt, now, &st.config, st.rules_epoch)
+        else {
             // No ports (GRE/ESP): tunnel data channels, covered by the VPN
             // policy directly.
             let class = match pkt.l4.protocol() {
@@ -221,7 +255,7 @@ impl Middlebox for GfwMiddlebox {
                 &mut st.config;
             let acfg = adaptive.as_ref().expect("checked above");
             let mut draw = || ctx.rng.gen::<f64>();
-            crate::adaptive::process_flow(
+            let rules_changed = crate::adaptive::process_flow(
                 &mut st.adaptive,
                 acfg,
                 learned_signatures,
@@ -229,71 +263,32 @@ impl Middlebox for GfwMiddlebox {
                 &mut st.replay_preambles,
                 &mut st.counters,
                 rec,
+                evidence_changed,
                 now,
                 &mut draw,
             );
+            if rules_changed {
+                st.rules_epoch = st.rules_epoch.wrapping_add(1);
+            }
         }
 
-        // --- Keyword filtering on plaintext HTTP ---
-        if rec.class == TrafficClass::Http && !st.config.http_keywords.is_empty() {
-            let haystack = rec.early_bytes.to_ascii_lowercase();
-            let hit = st
-                .config
-                .http_keywords
-                .iter()
-                .any(|k| !k.is_empty() && haystack.windows(k.len()).any(|w| w == k.as_bytes()));
-            if hit {
-                if let Some((a, b)) = Self::spoof_rst(pkt) {
-                    ctx.inject(a);
-                    ctx.inject(b);
-                }
+        // --- Payload filters: keyword and embedded-TLS SNI on plaintext
+        // HTTP, SNI on TLS. The record carries what the scanners concluded
+        // when the capture or the rules last changed; a flow that hit a
+        // rule is reset on every packet until one of them changes again.
+        match rec.inspection {
+            Inspection::Clean | Inspection::TlsHello => {}
+            Inspection::Keyword => {
                 st.counters.keyword_resets += 1;
-                trace_drop(ctx.now, "gfw-keyword", pkt, 2);
-                return Verdict::Drop("gfw-keyword");
+                return Self::reset(pkt, ctx, "gfw-keyword");
             }
-        }
-
-        // --- embedded-TLS scan inside HTTP bodies ---
-        // The GFW inspects HTTP payloads (the keyword filter above is one
-        // face of that); the same scanner spots a TLS ClientHello carried
-        // inside an upload body — i.e. a naive HTTP-covered tunnel whose
-        // payload is NOT blinded — and resets it when the SNI is blocked.
-        if rec.class == TrafficClass::Http && !st.config.sni_blocklist.is_empty() {
-            let bytes = &rec.early_bytes;
-            let mut embedded_hit = false;
-            for off in 0..bytes.len().saturating_sub(42) {
-                if bytes[off] == 22 && bytes[off + 1] == 3 && bytes[off + 2] == 3 {
-                    if let Some(sni) = sc_netproto::sniff_sni(&bytes[off..]) {
-                        if GfwConfig::domain_matches(&st.config.sni_blocklist, &sni) {
-                            embedded_hit = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if embedded_hit {
-                if let Some((a, b)) = Self::spoof_rst(pkt) {
-                    ctx.inject(a);
-                    ctx.inject(b);
-                }
+            Inspection::EmbeddedSni => {
                 st.counters.embedded_sni_resets += 1;
-                trace_drop(ctx.now, "gfw-embedded-sni", pkt, 2);
-                return Verdict::Drop("gfw-embedded-sni");
+                return Self::reset(pkt, ctx, "gfw-embedded-sni");
             }
-        }
-
-        // --- SNI filtering on TLS ---
-        if matches!(rec.class, TrafficClass::Tls | TrafficClass::Meek) {
-            if let Some(sni) = sc_netproto::sniff_sni(&rec.early_bytes) {
-                if GfwConfig::domain_matches(&st.config.sni_blocklist, &sni) {
-                    if let Some((a, b)) = Self::spoof_rst(pkt) {
-                        ctx.inject(a);
-                        ctx.inject(b);
-                    }
-                    st.counters.sni_resets += 1;
-                    trace_drop(ctx.now, "gfw-sni", pkt, 2);
-                    return Verdict::Drop("gfw-sni");
-                }
+            Inspection::BlockedSni => {
+                st.counters.sni_resets += 1;
+                return Self::reset(pkt, ctx, "gfw-sni");
             }
         }
 
@@ -364,12 +359,7 @@ impl Middlebox for GfwMiddlebox {
             return Verdict::Drop("gfw-block");
         }
         if policy.rst {
-            if let Some((a, b)) = Self::spoof_rst(pkt) {
-                ctx.inject(a);
-                ctx.inject(b);
-            }
-            trace_drop(ctx.now, "gfw-rst", pkt, 2);
-            return Verdict::Drop("gfw-rst");
+            return Self::reset(pkt, ctx, "gfw-rst");
         }
         if policy.drop_prob > 0.0 && ctx.rng.gen::<f64>() < policy.drop_prob {
             st.counters.throttled += 1;

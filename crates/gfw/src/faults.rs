@@ -23,8 +23,8 @@ pub fn blacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
         label: "gfw_blacklist_ip",
         apply: Box::new(move |now| {
             let mut st = gfw.borrow_mut();
-            if !st.config.ip_blacklist.contains(&(addr, 32)) {
-                st.config.ip_blacklist.push((addr, 32));
+            if !st.config().ip_blacklist.contains(&(addr, 32)) {
+                st.config_mut().ip_blacklist.push((addr, 32));
             }
             sc_obs::counter_add("gfw.blacklist_updates", 1);
             sc_obs::emit(
@@ -49,7 +49,7 @@ pub fn unblacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
         label: "gfw_unblacklist_ip",
         apply: Box::new(move |now| {
             let mut st = gfw.borrow_mut();
-            st.config.ip_blacklist.retain(|&(a, len)| !(a == addr && len == 32));
+            st.config_mut().ip_blacklist.retain(|&(a, len)| !(a == addr && len == 32));
             sc_obs::counter_add("gfw.blacklist_updates", 1);
             sc_obs::emit(
                 sc_obs::Event::new(
@@ -78,16 +78,16 @@ mod tests {
         let target = Addr::new(99, 0, 0, 41);
         let mut add = blacklist_ip(&gfw, target);
         let mut remove = unblacklist_ip(&gfw, target);
-        assert!(!gfw.borrow().config.ip_blocked(target));
+        assert!(!gfw.borrow().config().ip_blocked(target));
         if let Fault::Callback { apply, .. } = &mut add {
             apply(SimTime::ZERO);
             apply(SimTime::ZERO); // idempotent: no duplicate entries
         }
-        assert!(gfw.borrow().config.ip_blocked(target));
-        assert_eq!(gfw.borrow().config.ip_blacklist.len(), 1);
+        assert!(gfw.borrow().config().ip_blocked(target));
+        assert_eq!(gfw.borrow().config().ip_blacklist.len(), 1);
         if let Fault::Callback { apply, .. } = &mut remove {
             apply(SimTime::ZERO);
         }
-        assert!(!gfw.borrow().config.ip_blocked(target));
+        assert!(!gfw.borrow().config().ip_blocked(target));
     }
 }

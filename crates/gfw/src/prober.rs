@@ -91,10 +91,10 @@ impl ActiveProber {
             sc_obs::counter_add("gfw.servers_confirmed", 1);
             // An adaptive deployment escalates: endpoints that answer
             // like proxies are blacklisted at the IP layer outright.
-            if st.config.adaptive.is_some()
-                && !st.config.ip_blacklist.contains(&(server.addr, 32))
+            if st.config().adaptive.is_some()
+                && !st.config().ip_blacklist.contains(&(server.addr, 32))
             {
-                st.config.ip_blacklist.push((server.addr, 32));
+                st.config_mut().ip_blacklist.push((server.addr, 32));
                 sc_obs::counter_add("gfw.adaptive_blacklisted", 1);
                 if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
                     sc_obs::emit(

@@ -611,22 +611,26 @@ impl Sim {
     /// Sends a packet originating at `node` (applying the node's tunnel
     /// unless `bypass_tunnel`).
     fn send_from(&mut self, node: NodeId, packet: Packet, bypass_tunnel: bool) {
-        let packets = if !bypass_tunnel && self.nodes[node.0].tunnel.is_some() {
-            let mut tun = self.nodes[node.0].tunnel.take().expect("checked");
-            let out = tun.wrap(packet, self.now);
-            self.nodes[node.0].tunnel = Some(tun);
-            out
-        } else {
-            vec![packet]
-        };
-        for pkt in packets {
-            if pkt.dst == self.nodes[node.0].addr {
-                // Loopback: deliver after a negligible delay.
-                self.schedule(SimDuration::from_micros(10), Event::Arrival { node, packet: pkt });
-                continue;
-            }
-            self.route_out(node, pkt);
+        if bypass_tunnel || self.nodes[node.0].tunnel.is_none() {
+            self.originate(node, packet);
+            return;
         }
+        let mut tun = self.nodes[node.0].tunnel.take().expect("checked");
+        let wrapped = tun.wrap(packet, self.now);
+        self.nodes[node.0].tunnel = Some(tun);
+        for pkt in wrapped {
+            self.originate(node, pkt);
+        }
+    }
+
+    /// Puts one packet on the wire from `node`, or loops it back.
+    fn originate(&mut self, node: NodeId, packet: Packet) {
+        if packet.dst == self.nodes[node.0].addr {
+            // Loopback: deliver after a negligible delay.
+            self.schedule(SimDuration::from_micros(10), Event::Arrival { node, packet });
+            return;
+        }
+        self.route_out(node, packet);
     }
 
     fn route_out(&mut self, node: NodeId, packet: Packet) {

@@ -145,6 +145,18 @@ impl Conn {
     }
 }
 
+/// Copies `buf[start..start + len]` out of the ring with at most two bulk
+/// copies (the range straddles the wrap point at most once).
+fn ring_bytes(buf: &VecDeque<u8>, start: usize, len: usize) -> Bytes {
+    let (head, tail) = buf.as_slices();
+    if start >= head.len() {
+        let start = start - head.len();
+        return Bytes::copy_from_slice(&tail[start..start + len]);
+    }
+    let in_head = len.min(head.len() - start);
+    Bytes::copy_from_slices(&head[start..start + in_head], &tail[..len - in_head])
+}
+
 /// Per-node TCP layer: connections, listeners, and the demux table.
 #[derive(Debug, Default)]
 pub struct TcpLayer {
@@ -285,7 +297,7 @@ impl TcpLayer {
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynRcvd => {}
             _ => return None,
         }
-        c.send_buf.extend(data.iter().copied());
+        c.send_buf.extend(data);
         self.pump(h.0, now, fx);
         Some(data.len())
     }
@@ -296,8 +308,9 @@ impl TcpLayer {
             return Bytes::new();
         };
         let n = c.recv_buf.len().min(max);
-        let drained: Vec<u8> = c.recv_buf.drain(..n).collect();
-        Bytes::from(drained)
+        let out = ring_bytes(&c.recv_buf, 0, n);
+        c.recv_buf.drain(..n);
+        out
     }
 
     /// Bytes currently waiting in the receive buffer.
@@ -407,7 +420,7 @@ impl TcpLayer {
             if n == 0 {
                 break;
             }
-            let payload: Vec<u8> = c.send_buf.iter().skip(offset).take(n).copied().collect();
+            let payload = ring_bytes(&c.send_buf, offset, n);
             let seq = c.snd_nxt;
             if c.rtt_sample.is_none() {
                 c.rtt_sample = Some((seq + n as u64, now));
@@ -420,7 +433,7 @@ impl TcpLayer {
                     ack: c.rcv_nxt,
                     flags: TcpFlags::ACK,
                     window: RECV_WINDOW,
-                    payload: Bytes::from(payload),
+                    payload,
                 },
             );
             c.snd_nxt += n as u64;
@@ -740,7 +753,7 @@ impl TcpLayer {
         if !seg.payload.is_empty() {
             let c = &mut self.conns[idx];
             if seg.seq == c.rcv_nxt {
-                c.recv_buf.extend(seg.payload.iter().copied());
+                c.recv_buf.extend(seg.payload.as_slice());
                 c.rcv_nxt += seg.payload.len() as u64;
                 need_ack = true;
                 fx.app_events.push((app, AppEvent::Tcp(TcpHandle(idx), TcpEvent::DataReceived)));
@@ -890,7 +903,7 @@ impl TcpLayer {
         let data_len = c.send_buf.len();
         if data_len > 0 {
             let n = data_len.min(MSS);
-            let payload: Vec<u8> = c.send_buf.iter().take(n).copied().collect();
+            let payload = ring_bytes(&c.send_buf, 0, n);
             c.retransmitted_bytes += n as u64;
             sc_obs::counter_add("simnet.tcp_retransmits", 1);
             sc_obs::counter_add("simnet.tcp_retransmitted_bytes", n as u64);
@@ -902,7 +915,7 @@ impl TcpLayer {
                     ack: c.rcv_nxt,
                     flags: TcpFlags::ACK,
                     window: RECV_WINDOW,
-                    payload: Bytes::from(payload),
+                    payload,
                 },
             );
             fx.out.push(pkt);
@@ -977,5 +990,267 @@ impl TcpLayer {
             .iter()
             .map(|c| std::mem::size_of::<Conn>() + c.send_buf.len() + c.recv_buf.len())
             .sum()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::addr::Addr;
+    use crate::packet::L4;
+    use proptest::prelude::*;
+
+    const A: Addr = Addr::new(10, 0, 0, 1);
+    const B: Addr = Addr::new(10, 0, 0, 2);
+
+    /// Byte `i` of the stream the sender's app writes.
+    fn stream_byte(i: usize) -> u8 {
+        (i.wrapping_mul(31) ^ (i >> 8)) as u8
+    }
+
+    /// Two TCP layers joined by a wire the test drives by hand, next to a
+    /// plain-`Vec` model of the byte stream: `sent` is everything the
+    /// sending app wrote, `delivered` everything the receiving app read.
+    struct Harness {
+        a: TcpLayer,
+        b: TcpLayer,
+        ha: TcpHandle,
+        hb: TcpHandle,
+        now: SimTime,
+        to_b: VecDeque<Packet>,
+        to_a: VecDeque<Packet>,
+        rto: Option<(SimTime, TcpTimer)>,
+        /// Sequence number of stream byte 0.
+        base: u64,
+        sent: Vec<u8>,
+        delivered: Vec<u8>,
+        /// Highest cumulative ACK the sender has processed, as a stream offset.
+        acked: usize,
+        /// Stream offset the sender transmits next (the model's `snd_nxt`).
+        next: usize,
+        /// What `ConnStats::retransmitted_bytes` must read.
+        retransmitted: u64,
+    }
+
+    impl Harness {
+        fn establish() -> Harness {
+            let (mut a, mut b) = (TcpLayer::new(), TcpLayer::new());
+            assert!(b.listen(80, AppId(0)));
+            let mut fx = Effects::default();
+            let ha = a.connect(AppId(0), A, SocketAddr::new(B, 80), &mut fx);
+            let mut h = Harness {
+                a,
+                b,
+                ha,
+                hb: TcpHandle(0),
+                now: SimTime::ZERO,
+                to_b: VecDeque::new(),
+                to_a: VecDeque::new(),
+                rto: None,
+                base: 0,
+                sent: Vec::new(),
+                delivered: Vec::new(),
+                acked: 0,
+                next: 0,
+                retransmitted: 0,
+            };
+            h.base = match &fx.out[0].l4 {
+                L4::Tcp(syn) => syn.seq + 1,
+                other => panic!("expected a SYN, got {other:?}"),
+            };
+            h.sender_emitted(fx);
+            h.deliver_to_b(usize::MAX);
+            h.deliver_to_a(usize::MAX);
+            h.deliver_to_b(usize::MAX);
+            assert_eq!(h.a.stats(h.ha).unwrap().state, TcpState::Established);
+            assert_eq!(h.b.stats(h.hb).unwrap().state, TcpState::Established);
+            h
+        }
+
+        /// Takes what the sender emitted: every data segment must carry
+        /// exactly the model's bytes at its sequence number.
+        fn sender_emitted(&mut self, fx: Effects) {
+            let mut recovering = false;
+            for pkt in fx.out {
+                if let L4::Tcp(seg) = &pkt.l4 {
+                    if !seg.payload.is_empty() {
+                        let start = (seg.seq - self.base) as usize;
+                        let end = start + seg.payload.len();
+                        assert_eq!(seg.payload.as_slice(), &self.sent[start..end], "wire bytes at {start}");
+                        // Anything but the next byte in sequence is loss
+                        // recovery rewinding to the first unacknowledged one.
+                        if start != self.next {
+                            assert_eq!(start, self.acked, "go-back-N restarts at snd_una");
+                            recovering = true;
+                        }
+                        self.next = end;
+                    }
+                }
+                self.to_b.push_back(pkt);
+            }
+            if recovering {
+                self.retransmitted += (self.sent.len() - self.acked).min(MSS) as u64;
+            }
+            // The layer re-arms by superseding: the last timer is the live one.
+            if let Some(&(after, timer)) = fx.timers.last() {
+                self.rto = Some((self.now + after, timer));
+            }
+        }
+
+        fn app_write(&mut self, n: usize) {
+            let start = self.sent.len();
+            self.sent.extend((start..start + n).map(stream_byte));
+            let mut fx = Effects::default();
+            assert_eq!(self.a.send(self.ha, &self.sent[start..], self.now, &mut fx), Some(n));
+            self.sender_emitted(fx);
+        }
+
+        fn app_read(&mut self, max: usize) {
+            let available = self.b.recv_available(self.hb);
+            let got = self.b.recv(self.hb, max);
+            assert_eq!(got.len(), available.min(max), "recv(max) drains min(available, max)");
+            self.delivered.extend_from_slice(&got);
+            assert_eq!(self.delivered, self.sent[..self.delivered.len()], "delivered stream");
+        }
+
+        fn deliver_to_b(&mut self, count: usize) {
+            for _ in 0..count {
+                let Some(pkt) = self.to_b.pop_front() else { break };
+                let L4::Tcp(seg) = pkt.l4 else { unreachable!() };
+                let mut fx = Effects::default();
+                self.b.on_segment(pkt.src, pkt.dst, seg, self.now, &mut fx);
+                for (_, ev) in &fx.app_events {
+                    if let AppEvent::Tcp(h, TcpEvent::Accepted { .. }) = ev {
+                        self.hb = *h;
+                    }
+                }
+                self.to_a.extend(fx.out);
+            }
+        }
+
+        fn deliver_to_a(&mut self, count: usize) {
+            for _ in 0..count {
+                let Some(pkt) = self.to_a.pop_front() else { break };
+                let L4::Tcp(seg) = pkt.l4 else { unreachable!() };
+                if seg.flags.ack && seg.ack >= self.base {
+                    self.acked = self.acked.max((seg.ack - self.base) as usize);
+                    self.next = self.next.max(self.acked);
+                }
+                let mut fx = Effects::default();
+                self.a.on_segment(pkt.src, pkt.dst, seg, self.now, &mut fx);
+                self.sender_emitted(fx);
+            }
+        }
+
+        /// Lets the sender's retransmission timer fire, if one is live
+        /// (and the connection would survive it: this is a buffer test).
+        fn fire_rto(&mut self) {
+            if self.a.conns[self.ha.0].retries >= MAX_RETRIES {
+                return;
+            }
+            let Some((at, timer)) = self.rto.take() else { return };
+            self.now = self.now.max(at);
+            let mut fx = Effects::default();
+            self.a.on_timer(timer, self.now, &mut fx);
+            self.sender_emitted(fx);
+        }
+
+        fn check_stats(&self) {
+            let a = self.a.stats(self.ha).unwrap();
+            assert_eq!(a.state, TcpState::Established);
+            assert_eq!(a.retransmitted_bytes, self.retransmitted, "retransmitted_bytes");
+            assert!(a.cwnd >= MSS);
+            assert_eq!(a.srtt.is_some(), self.acked > 0, "an RTT sample needs an ACK of data");
+            assert_eq!(self.b.stats(self.hb).unwrap().state, TcpState::Established);
+        }
+
+        /// Both ring buffers currently hold their contents in two slices.
+        fn wrapped(&self) -> (bool, bool) {
+            (
+                !self.a.conns[self.ha.0].send_buf.as_slices().1.is_empty(),
+                !self.b.conns[self.hb.0].recv_buf.as_slices().1.is_empty(),
+            )
+        }
+    }
+
+    proptest! {
+        /// `ring_bytes` against `Vec` slicing, over rings rotated so the
+        /// contents straddle the wrap point.
+        #[test]
+        fn ring_bytes_matches_a_vec_model(
+            len in 1usize..600,
+            rotate in 0usize..600,
+            start in 0usize..600,
+            take in 0usize..600,
+        ) {
+            let mut ring: VecDeque<u8> = VecDeque::with_capacity(len);
+            let cap = ring.capacity();
+            // Advance the head without growing, then fill to capacity.
+            for _ in 0..rotate % cap {
+                ring.push_back(0);
+                ring.pop_front();
+            }
+            let model: Vec<u8> = (0..cap).map(stream_byte).collect();
+            ring.extend(&model);
+            prop_assert_eq!(ring.capacity(), cap);
+            prop_assert_eq!(ring.as_slices().1.len(), rotate % cap, "the ring wraps by its rotation");
+            let start = start % cap;
+            let take = take.min(cap - start);
+            prop_assert_eq!(ring_bytes(&ring, start, take).as_slice(), &model[start..start + take]);
+        }
+
+        /// `send`, ACK-driven drain, loss and RTO retransmission, in-order
+        /// receive and partial `recv(max)`: whatever the interleaving, the
+        /// wire carries the model's bytes, the receiving app reads the
+        /// model's stream, and the connection statistics are the model's.
+        #[test]
+        fn byte_stream_and_stats_match_a_vec_model(
+            ops in prop::collection::vec((0u8..7, 1usize..5000), 1..60),
+        ) {
+            let mut h = Harness::establish();
+            // Open with both rings wrapped: 3000 bytes out, 2800 ACKed and
+            // 2000 read, then more of each than fits before the seam.
+            h.app_write(3000);
+            h.deliver_to_b(2);
+            h.deliver_to_a(usize::MAX);
+            h.app_read(2000);
+            h.app_write(2000);
+            h.deliver_to_b(2);
+            prop_assert_eq!(h.wrapped(), (true, true));
+            h.check_stats();
+
+            for (op, n) in ops {
+                match op {
+                    0 | 1 => h.app_write(n),
+                    2 => h.deliver_to_b(1 + n % 8),
+                    3 => h.deliver_to_a(1 + n % 8),
+                    4 => h.app_read(n),
+                    5 => {
+                        h.to_b.pop_front(); // lost on the way
+                    }
+                    _ => h.fire_rto(),
+                }
+                h.now += SimDuration::from_millis(1 + n as u64 % 50);
+                h.check_stats();
+            }
+
+            // Drain: a lossless wire and a patient timer deliver the rest.
+            for _ in 0..10_000 {
+                if h.to_b.is_empty() && h.to_a.is_empty() {
+                    if h.acked == h.sent.len() {
+                        break;
+                    }
+                    h.fire_rto();
+                }
+                h.deliver_to_b(usize::MAX);
+                h.deliver_to_a(usize::MAX);
+                h.app_read(usize::MAX);
+                h.now += SimDuration::from_millis(1);
+            }
+            h.app_read(usize::MAX);
+            h.check_stats();
+            prop_assert_eq!(h.delivered.len(), h.sent.len());
+            prop_assert_eq!(h.acked, h.sent.len());
+        }
     }
 }

@@ -124,8 +124,8 @@ fn blacklist_oldest_warm(gfw: &GfwHandle, elastic: &sc_core::ElasticHandle) -> F
 /// [`sc_gfw::blacklist_ip`] fault leaves.
 fn blacklist_now(gfw: &GfwHandle, addr: Addr, now: SimTime) {
     let mut st = gfw.borrow_mut();
-    if !st.config.ip_blacklist.contains(&(addr, 32)) {
-        st.config.ip_blacklist.push((addr, 32));
+    if !st.config().ip_blacklist.contains(&(addr, 32)) {
+        st.config_mut().ip_blacklist.push((addr, 32));
     }
     sc_obs::counter_add("gfw.blacklist_updates", 1);
     sc_obs::emit(

@@ -6,6 +6,15 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
+# The two differential suites behind the packet path's "each byte's work
+# once" — the GFW engine against its inspect-everything-every-packet
+# oracle, and the TCP ring buffers against a plain-Vec model — at depth:
+# the default 64 cases reach the common interleavings, the rare ones
+# (a rule learned mid-run by the adaptive censor, say) need thousands.
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-gfw --lib engine::reference
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
+echo "differential suites: ok"
+
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
 # One trace-capture gate: run the example with SC_TRACE pointed at a

@@ -273,8 +273,8 @@ fn elastic_run(seed: u64) -> Vec<u8> {
             apply: Box::new(move |now| {
                 let Some(addr) = elastic.warm_addrs().first().copied() else { return };
                 let mut st = gfw.borrow_mut();
-                if !st.config.ip_blacklist.contains(&(addr, 32)) {
-                    st.config.ip_blacklist.push((addr, 32));
+                if !st.config().ip_blacklist.contains(&(addr, 32)) {
+                    st.config_mut().ip_blacklist.push((addr, 32));
                 }
                 sc_obs::emit(
                     sc_obs::Event::new(

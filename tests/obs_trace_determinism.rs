@@ -27,19 +27,25 @@ impl Write for SharedBuf {
     }
 }
 
-fn traced_run(method: Method, seed: u64) -> Vec<u8> {
+/// Runs `f` under a Debug-level JSONL dispatcher and returns the trace.
+fn captured(f: impl FnOnce()) -> Vec<u8> {
     let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
     let guard = Dispatcher::new()
         .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
+        .with_sink(Box::new(JsonlSink::new(Box::new(buf.clone()))))
         .install();
-    let mut cfg = ScenarioConfig::paper(method, seed);
-    cfg.loads = 2;
-    run_scenario(&cfg);
+    f();
     drop(guard);
     let out = buf.0.borrow().clone();
     out
+}
+
+fn traced_run(method: Method, seed: u64) -> Vec<u8> {
+    captured(|| {
+        let mut cfg = ScenarioConfig::paper(method, seed);
+        cfg.loads = 2;
+        run_scenario(&cfg);
+    })
 }
 
 #[test]
@@ -58,20 +64,190 @@ fn same_seed_traces_are_byte_identical() {
 /// `SC_BLESS=1 cargo test --test obs_trace_determinism golden` and says so.
 #[test]
 fn transport_trace_digests_match_golden() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/transport_digests.txt");
     let mut actual = String::new();
     for method in Method::all_measured() {
-        let digest = sc_crypto::sha256(&traced_run(method, 33));
-        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-        actual.push_str(&format!("{method:?} {hex}\n"));
+        actual.push_str(&digest_line(&format!("{method:?}"), &traced_run(method, 33)));
     }
+    check_golden("transport_digests.txt", &actual);
+}
+
+fn digest_line(label: &str, trace: &[u8]) -> String {
+    let hex: String = sc_crypto::sha256(trace).iter().map(|b| format!("{b:02x}")).collect();
+    format!("{label} {hex}\n")
+}
+
+/// Compares `actual` with `tests/golden/<file>`, or rewrites the file
+/// when `SC_BLESS` is set.
+fn check_golden(file: &str, actual: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
     if std::env::var_os("SC_BLESS").is_some() {
-        std::fs::write(&path, &actual).expect("write golden digests");
+        std::fs::write(&path, actual).expect("write golden digests");
         return;
     }
     let golden = std::fs::read_to_string(&path).expect("read golden digests");
     assert_eq!(actual, golden, "seeded traces moved; if intended, re-bless with SC_BLESS=1");
+}
+
+/// A plaintext keyword reset and a raw-IP dial to Google on a small
+/// border topology (client, GFW border, server, google). The server
+/// streams small chunks from accept; the client's request carrying the
+/// keyword arrives while those are in flight, so the border resets the
+/// request *and* every server packet that crosses afterwards — the "a
+/// flow that hit a rule keeps being reset" path. A second app dials
+/// Google's address directly and has its SYNs black-holed. Returns the
+/// trace and the GFW's counters.
+fn border_lab_run() -> (Vec<u8>, sc_gfw::GfwCounters) {
+    use sc_gfw::{GfwConfig, GfwMiddlebox, new_gfw};
+    use sc_simnet::prelude::*;
+
+    const SERVER: Addr = Addr::new(99, 0, 0, 1);
+    const GOOGLE: Addr = Addr::new(99, 2, 0, 1);
+
+    struct Dialer;
+    impl App for Dialer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.tcp_connect(SocketAddr::new(GOOGLE, 443));
+        }
+        fn on_event(&mut self, _ev: AppEvent, _ctx: &mut Ctx<'_>) {}
+    }
+
+    struct Streamer {
+        conn: Option<TcpHandle>,
+        chunks_left: u32,
+    }
+    impl App for Streamer {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.tcp_listen(80);
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::Tcp(h, TcpEvent::Accepted { .. }) => {
+                    self.conn = Some(h);
+                    ctx.set_timer(SimDuration::from_millis(5), 1);
+                }
+                AppEvent::Tcp(_, TcpEvent::Reset) => self.conn = None,
+                AppEvent::TimerFired(1) => {
+                    if let (Some(h), true) = (self.conn, self.chunks_left > 0) {
+                        self.chunks_left -= 1;
+                        ctx.tcp_send(h, &[b'.'; 200]);
+                        ctx.set_timer(SimDuration::from_millis(5), 1);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    struct Asker {
+        conn: Option<TcpHandle>,
+    }
+    impl App for Asker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.conn = Some(ctx.tcp_connect(SocketAddr::new(SERVER, 80)));
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::Tcp(_, TcpEvent::Connected) => {
+                    ctx.set_timer(SimDuration::from_millis(150), 1);
+                }
+                AppEvent::Tcp(h, TcpEvent::DataReceived) => {
+                    let _ = ctx.tcp_recv_all(h);
+                }
+                AppEvent::TimerFired(1) => {
+                    let h = self.conn.expect("connected");
+                    ctx.tcp_send(h, b"GET /search?q=falun HTTP/1.1\r\nHost: s\r\n\r\n");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    let mut counters = sc_gfw::GfwCounters::default();
+    let trace = captured(|| {
+        let mut sim = Sim::new(77);
+        let client = sim.add_node("client", Addr::new(10, 0, 0, 1));
+        let border = sim.add_node("border", Addr::new(172, 16, 0, 1));
+        let server = sim.add_node("server", SERVER);
+        let google = sim.add_node("google", GOOGLE);
+        sim.add_link(client, border, LinkConfig::with_delay(SimDuration::from_millis(10)));
+        sim.add_link(border, server, LinkConfig::with_delay(SimDuration::from_millis(60)));
+        sim.add_link(border, google, LinkConfig::with_delay(SimDuration::from_millis(60)));
+        sim.compute_routes();
+        let gfw = new_gfw(GfwConfig::china_2017((Addr::new(99, 2, 0, 0), 16)));
+        sim.set_middlebox(border, Box::new(GfwMiddlebox::new(gfw.clone())));
+        sim.install_app(server, Box::new(Streamer { conn: None, chunks_left: 100 }));
+        sim.install_app(client, Box::new(Asker { conn: None }));
+        sim.install_app(client, Box::new(Dialer));
+        sim.run_for(SimDuration::from_secs(5));
+        counters = gfw.borrow().counters;
+    });
+    (trace, counters)
+}
+
+/// The interference paths, pinned across commits like the transports
+/// above: every GFW technique that acts on a flow's captured payload
+/// (or blocks before it) must keep producing the same trace — same
+/// verdicts, same injected RSTs, same RNG draws — whatever the engine
+/// does to avoid re-inspecting bytes it has already seen.
+#[test]
+fn interference_trace_digests_match_golden() {
+    let has = |trace: &[u8], needle: &str| {
+        String::from_utf8_lossy(trace).lines().any(|l| l.contains(needle))
+    };
+    let mut actual = String::new();
+
+    // Direct access to Google, the paper's shape: the name is poisoned.
+    let direct = captured(|| {
+        let mut cfg = ScenarioConfig::paper(Method::Direct, 33);
+        cfg.loads = 2;
+        cfg.timeout = SimDuration::from_secs(20);
+        run_scenario(&cfg);
+    });
+    assert!(has(&direct, "\"rule\":\"gfw-dns-poison\""), "direct run must be DNS-poisoned");
+    actual.push_str(&digest_line("DirectGoogle", &direct));
+
+    // Blinding off: the tunnelled ClientHello is reset by the
+    // embedded-SNI scan on every packet of the flow.
+    let unblinded = captured(|| {
+        let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 33);
+        cfg.loads = 2;
+        cfg.sc_scheme = sc_crypto::BlindingScheme::Identity;
+        run_scenario(&cfg);
+    });
+    assert!(has(&unblinded, "\"rule\":\"gfw-embedded-sni\""), "blinding-off run must be reset");
+    actual.push_str(&digest_line("BlindingOff", &unblinded));
+
+    let (lab, counters) = border_lab_run();
+    assert!(
+        counters.keyword_resets > 1,
+        "packets after the first keyword hit must keep being reset: {counters:?}"
+    );
+    assert!(counters.ip_blocked > 0, "the raw-IP dial must be black-holed: {counters:?}");
+    actual.push_str(&digest_line("KeywordResetAndIpBlock", &lab));
+
+    // One arms-race seed: the censor learns the cover signature, the
+    // defense rotates away from it, and the starved rule expires.
+    let arms_race = captured(|| {
+        let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 9191);
+        cfg.clients = 2;
+        cfg.loads = 5;
+        cfg.interval = SimDuration::from_secs(10);
+        cfg.timeout = SimDuration::from_secs(8);
+        cfg.extra_runtime = SimDuration::from_secs(20);
+        cfg.sc_adaptive = true;
+        cfg.sc_adaptive_learn_flows = 4;
+        cfg.sc_adaptive_signature_ttl = SimDuration::from_secs(15);
+        cfg.sc_adaptive_rotation = true;
+        cfg.sc_adaptive_rotation_threshold = 2;
+        cfg.sc_adaptive_rotation_cooldown = SimDuration::from_secs(5);
+        build_scenario(&cfg).finish();
+    });
+    for needed in ["signature_learned", "signature_expired", "\"rule\":\"gfw-rst\""] {
+        assert!(has(&arms_race, needed), "arms-race trace must record {needed}");
+    }
+    actual.push_str(&digest_line("ArmsRace", &arms_race));
+
+    check_golden("interference_digests.txt", &actual);
 }
 
 /// The `sc_obs::prof` wall-clock profiler must be write-only from the
