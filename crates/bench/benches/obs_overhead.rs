@@ -25,12 +25,16 @@
 //!   and run the exclusive-time sweep over each (what `scholar-obs`
 //!   does per captured trace).
 //!
+//! The `analyze` group is the read side on its own, over a 2 000-tree
+//! synthetic trace: `parse_trace` in MiB/s of JSONL and `analyze` in
+//! events/s.
+//!
 //! Numbers are recorded in EXPERIMENTS.md.
 
-use criterion::{Criterion, criterion_group, criterion_main};
+use criterion::{Criterion, Throughput, criterion_group, criterion_main};
 use sc_metrics::scenario::default_slos;
 use sc_metrics::{Method, ScenarioConfig, run_scenario};
-use sc_obs::analyze::{analyze, parse_trace, TraceEvent};
+use sc_obs::analyze::{analyze, parse_trace};
 use sc_obs::{Dispatcher, JsonlSink, Level, RingSink, TraceCtx, TraceId, WindowSpec};
 use sc_simnet::time::SimDuration;
 
@@ -100,10 +104,10 @@ fn obs_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Builds a parsed event stream of `trees` six-span request trees —
-/// the canonical browser → admission → establish → attempt → relay
-/// chain — spaced 1 ms apart, mimicking a captured ops trace.
-fn synthetic_forest(trees: u64) -> Vec<TraceEvent> {
+/// Builds the JSONL trace of `trees` six-span request trees — the
+/// canonical browser → admission → establish → attempt → relay chain —
+/// spaced 1 ms apart, mimicking a captured ops trace.
+fn synthetic_forest(trees: u64) -> String {
     let mut text = String::new();
     for i in 0..trees {
         let t0 = i * 1_000;
@@ -135,7 +139,7 @@ fn synthetic_forest(trees: u64) -> Vec<TraceEvent> {
             ));
         }
     }
-    parse_trace(&text).expect("synthetic trace parses")
+    text
 }
 
 fn trace_stitching(c: &mut Criterion) {
@@ -156,7 +160,8 @@ fn trace_stitching(c: &mut Criterion) {
     });
 
     // Offline analyzer throughput: trees stitched + attributed per pass.
-    let events = synthetic_forest(200);
+    let text = synthetic_forest(200);
+    let events = parse_trace(&text).expect("synthetic trace parses");
     g.bench_function("stitch_and_attribute_200_trees", |b| {
         b.iter(|| {
             let analysis = analyze(&events, 1_000_000);
@@ -168,5 +173,24 @@ fn trace_stitching(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, obs_overhead, trace_stitching);
+/// The analyzer's two input stages over one synthetic trace.
+fn analyzer_read_side(c: &mut Criterion) {
+    let text = synthetic_forest(2_000);
+    let events = parse_trace(&text).expect("synthetic trace parses");
+    let mut g = c.benchmark_group("analyze");
+
+    g.throughput(Throughput::Bytes(text.len() as u64));
+    g.bench_function("parse_trace", |b| {
+        b.iter(|| parse_trace(criterion::black_box(&text)).expect("synthetic trace parses"))
+    });
+
+    g.throughput(Throughput::Elements(events.len() as u64));
+    g.bench_function("analyze", |b| {
+        b.iter(|| analyze(criterion::black_box(&events), 1_000_000))
+    });
+
+    g.finish();
+}
+
+criterion_group!(benches, obs_overhead, trace_stitching, analyzer_read_side);
 criterion_main!(benches);

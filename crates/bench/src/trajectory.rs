@@ -148,7 +148,7 @@ impl BenchReport {
                     .iter()
                     .map(|(k, v)| {
                         v.as_u64()
-                            .map(|ns| (k.clone(), ns))
+                            .map(|ns| (k.to_string(), ns))
                             .ok_or_else(|| format!("scenario {i}: subsystem {k:?} not a u64"))
                     })
                     .collect::<Result<Vec<_>, _>>()?,

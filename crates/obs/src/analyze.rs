@@ -17,18 +17,27 @@
 //!    comparisons hinge on time-resolved percentiles, not run-wide
 //!    aggregates).
 //!
-//! The parser is hand-rolled (std-only, like everything in `sc-obs`)
-//! and accepts exactly the JSON subset [`crate::write_event_json`]
-//! emits: one object per line, string/number/bool/null values, one
-//! level of `fields` nesting. The `scholar-obs` binary wraps this
-//! module as a CLI.
+//! The parser is hand-rolled (std-only, like everything in `sc-obs`):
+//! one tokenizer over JSON's whole value grammar, nesting capped at
+//! [`MAX_DEPTH`], behind two entry points. [`parse_line`] reads the
+//! records [`crate::write_event_json`] emits — the seven top-level keys
+//! it writes and no others — straight into a [`TraceEvent`] whose
+//! strings are slices of the line; a string is copied only when it
+//! holds an escape. [`parse_json`] reads any document into an owned
+//! [`Json`]. The `scholar-obs` binary wraps this module as a CLI.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// A parsed JSON value from a trace line.
+use crate::metrics::with_named;
+
+/// A parsed JSON value. Strings and object keys are slices of the text
+/// they were parsed from, copied only where an escape had to be
+/// decoded; [`Json`] is the form that owns all of them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum JsonValue<'a> {
     /// `null` (e.g. a non-finite float).
     Null,
     /// `true` / `false`.
@@ -40,18 +49,25 @@ pub enum Json {
     /// Floating point.
     F64(f64),
     /// String (unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// Array.
-    Arr(Vec<Json>),
+    Arr(Vec<JsonValue<'a>>),
     /// Nested object, order preserved.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'a, str>, JsonValue<'a>)>),
 }
 
-impl Json {
+/// A JSON value that outlives the text it was parsed from.
+pub type Json = JsonValue<'static>;
+
+fn own(s: Cow<'_, str>) -> Cow<'static, str> {
+    Cow::Owned(s.into_owned())
+}
+
+impl<'a> JsonValue<'a> {
     /// The value as `u64` if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::U64(v) => Some(*v),
+            JsonValue::U64(v) => Some(*v),
             _ => None,
         }
     }
@@ -59,7 +75,7 @@ impl Json {
     /// The value as a string slice.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Json::Str(s) => Some(s),
+            JsonValue::Str(s) => Some(s),
             _ => None,
         }
     }
@@ -67,64 +83,98 @@ impl Json {
     /// The value as `f64` (integers widen).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::U64(v) => Some(*v as f64),
-            Json::I64(v) => Some(*v as f64),
-            Json::F64(v) => Some(*v),
+            JsonValue::U64(v) => Some(*v as f64),
+            JsonValue::I64(v) => Some(*v as f64),
+            JsonValue::F64(v) => Some(*v),
             _ => None,
         }
     }
 
     /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub fn as_arr(&self) -> Option<&[JsonValue<'a>]> {
         match self {
-            Json::Arr(items) => Some(items),
+            JsonValue::Arr(items) => Some(items),
             _ => None,
         }
     }
 
     /// Looks up a key when the value is an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&JsonValue<'a>> {
         match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
+        }
+    }
+
+    /// Copies every borrowed string, so the value no longer depends on
+    /// the text it was parsed from.
+    pub fn into_owned(self) -> Json {
+        match self {
+            JsonValue::Null => Json::Null,
+            JsonValue::Bool(b) => Json::Bool(b),
+            JsonValue::U64(v) => Json::U64(v),
+            JsonValue::I64(v) => Json::I64(v),
+            JsonValue::F64(v) => Json::F64(v),
+            JsonValue::Str(s) => Json::Str(own(s)),
+            JsonValue::Arr(items) => {
+                Json::Arr(items.into_iter().map(JsonValue::into_owned).collect())
+            }
+            JsonValue::Obj(pairs) => Json::Obj(own_pairs(pairs)),
         }
     }
 }
 
-/// One trace record, the offline twin of [`crate::Event`] (owned
-/// strings instead of `&'static str`).
+fn own_pairs(pairs: Vec<(Cow<'_, str>, JsonValue<'_>)>) -> Vec<(Cow<'static, str>, Json)> {
+    pairs.into_iter().map(|(k, v)| (own(k), v.into_owned())).collect()
+}
+
+/// One trace record, the offline twin of [`crate::Event`]. Its strings
+/// are slices of the line it was parsed from (see [`JsonValue`]).
 #[derive(Debug, Clone)]
-pub struct TraceEvent {
+pub struct TraceEvent<'a> {
     /// Simulation time in microseconds.
     pub t_us: u64,
     /// Severity string (`"info"`, …).
-    pub level: String,
+    pub level: Cow<'a, str>,
     /// Emitting component.
-    pub component: String,
+    pub component: Cow<'a, str>,
     /// Subsystem within the component.
-    pub target: String,
+    pub target: Cow<'a, str>,
     /// Event name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Enclosing span id, if any.
     pub span: Option<u64>,
     /// Ordered payload.
-    pub fields: Vec<(String, Json)>,
+    pub fields: Vec<(Cow<'a, str>, JsonValue<'a>)>,
 }
 
-impl TraceEvent {
+impl<'a> TraceEvent<'a> {
     /// Looks up a field by key.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&JsonValue<'a>> {
         self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// Field as `u64`.
     pub fn get_u64(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(Json::as_u64)
+        self.get(key).and_then(JsonValue::as_u64)
     }
 
     /// Field as string slice.
     pub fn get_str(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Json::as_str)
+        self.get(key).and_then(JsonValue::as_str)
+    }
+
+    /// Copies every borrowed string, so the event outlives its line.
+    pub fn into_owned(self) -> TraceEvent<'static> {
+        TraceEvent {
+            t_us: self.t_us,
+            level: own(self.level),
+            component: own(self.component),
+            target: own(self.target),
+            name: own(self.name),
+            span: self.span,
+            fields: own_pairs(self.fields),
+        }
     }
 }
 
@@ -132,24 +182,32 @@ impl TraceEvent {
 // Parsing
 // ---------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser follows. Traces nest 2 deep
+/// and BENCH files 4; the cap is what keeps a hostile `[[[[…` from
+/// recursing the stack away.
+pub const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
-    b: &'a [u8],
+    s: &'a str,
     i: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Parser<'a> {
-        Parser { b: s.as_bytes(), i: 0 }
+        Parser { s, i: 0, depth: 0 }
     }
 
+    #[cold]
     fn err(&self, msg: &str) -> String {
         format!("{msg} at byte {}", self.i)
     }
 
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.s.as_bytes().get(self.i).copied()
     }
 
+    #[inline]
     fn eat(&mut self, c: u8) -> Result<(), String> {
         if self.peek() == Some(c) {
             self.i += 1;
@@ -165,72 +223,98 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Vec<(String, Json)>, String> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
+    /// Nothing but whitespace may follow the document.
+    fn end(&mut self) -> Result<(), String> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(out);
+        if self.i != self.s.len() {
+            return Err(self.err("trailing data"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            out.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+        Ok(())
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// `open item , item … close`, one nesting level down; `item`
+    /// parses one element (for an object, key and value).
+    fn sequence(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.eat(open)?;
+        self.depth += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.i += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.i += 1,
+                    Some(c) if c == close => {
+                        self.i += 1;
+                        break;
+                    }
+                    _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    /// An object; `member` gets each key with the parser standing at
+    /// its value, which it must parse.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.sequence(b'{', b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.eat(b':')?;
+            p.skip_ws();
+            member(p, key)
+        })
+    }
+
+    fn object(&mut self) -> Result<Vec<(Cow<'a, str>, JsonValue<'a>)>, String> {
+        let mut out = Vec::new();
+        self.members(|p, key| {
+            out.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    fn array(&mut self) -> Result<Vec<JsonValue<'a>>, String> {
+        let mut out = Vec::new();
+        self.sequence(b'[', b']', |p| {
+            out.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    fn value(&mut self) -> Result<JsonValue<'a>, String> {
         match self.peek() {
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'{') => Ok(Json::Obj(self.object()?)),
-            Some(b'[') => Ok(Json::Arr(self.array()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
+            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b'{') => Ok(JsonValue::Obj(self.object()?)),
+            Some(b'[') => Ok(JsonValue::Arr(self.array()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn array(&mut self) -> Result<Vec<Json>, String> {
-        self.eat(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.i..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str, v: JsonValue<'a>) -> Result<JsonValue<'a>, String> {
+        if self.s.as_bytes()[self.i..].starts_with(word.as_bytes()) {
             self.i += word.len();
             Ok(v)
         } else {
@@ -238,146 +322,153 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<JsonValue<'a>, String> {
         let start = self.i;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.i += 1;
         }
-        let mut float = false;
-        while let Some(c) = self.peek() {
-            match c {
-                b'0'..=b'9' => self.i += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.i += 1;
-                }
-                _ => break,
-            }
+        // Plain digits accumulate as they are scanned; `None` once the
+        // magnitude has overflowed a `u64`.
+        let digits = self.i;
+        let mut magnitude = Some(0u64);
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            magnitude = magnitude
+                .and_then(|m| m.checked_mul(10)?.checked_add(u64::from(c - b'0')));
+            self.i += 1;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|_| self.err("utf8"))?;
-        if !float {
-            if let Ok(v) = text.parse::<u64>() {
-                return Ok(Json::U64(v));
-            }
-            if let Ok(v) = text.parse::<i64>() {
-                return Ok(Json::I64(v));
-            }
+        let integer = self.i > digits
+            && !matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        let exact = magnitude.filter(|_| integer).and_then(|m| match negative {
+            false => Some(JsonValue::U64(m)),
+            true => 0i64.checked_sub_unsigned(m).map(JsonValue::I64),
+        });
+        if let Some(v) = exact {
+            return Ok(v);
         }
-        text.parse::<f64>()
-            .map(Json::F64)
+        // A fraction, an exponent, or an integer too wide for 64 bits.
+        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            self.i += 1;
+        }
+        self.s[start..self.i]
+            .parse::<f64>()
+            .map(JsonValue::F64)
             .map_err(|_| self.err("bad number"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string: a slice of the text when it holds no escape, a decoded
+    /// copy otherwise. Every cut falls beside an ASCII byte this loop
+    /// has looked at, so the slices are on `char` boundaries.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
+        let mut run = self.i;
         loop {
-            let Some(c) = self.peek() else {
-                return Err(self.err("unterminated string"));
-            };
-            self.i += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("truncated escape"));
-                    };
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.i += 1;
+            }
+            let text = self.s;
+            let plain = &text[run..self.i];
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
                     self.i += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.i + 4 > self.b.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                                .map_err(|_| self.err("utf8"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.i += 4;
-                            // Surrogate pairs never appear in our traces
-                            // (the writer only \u-escapes control chars);
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(plain),
+                        Some(mut out) => {
+                            out.push_str(plain);
+                            Cow::Owned(out)
                         }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+                    });
                 }
-                _ => {
-                    // Re-borrow as str to copy whole UTF-8 sequences.
-                    let rest = &self.b[self.i - 1..];
-                    let ch_len = utf8_len(c);
-                    if ch_len == 1 {
-                        out.push(c as char);
-                    } else {
-                        let s = std::str::from_utf8(&rest[..ch_len.min(rest.len())])
-                            .map_err(|_| self.err("utf8"))?;
-                        let ch = s.chars().next().ok_or_else(|| self.err("utf8"))?;
-                        out.push(ch);
-                        self.i += ch_len - 1;
-                    }
+                Some(_) => {
+                    self.i += 1;
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(plain);
+                    out.push(self.escape()?);
+                    run = self.i;
                 }
             }
         }
     }
-}
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
+    /// The character an escape stands for; the parser is just past the
+    /// backslash.
+    fn escape(&mut self) -> Result<char, String> {
+        let Some(esc) = self.peek() else {
+            return Err(self.err("truncated escape"));
+        };
+        self.i += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let hex = self.s.as_bytes().get(self.i..self.i + 4);
+                let hex = hex.ok_or_else(|| self.err("truncated \\u escape"))?;
+                let mut code = 0;
+                for &h in hex {
+                    let digit = char::from(h).to_digit(16);
+                    code = code << 4 | digit.ok_or_else(|| self.err("bad \\u escape"))?;
+                }
+                self.i += 4;
+                // Surrogate pairs never appear in our traces (the
+                // writer only \u-escapes control chars); map lone
+                // surrogates to the replacement char.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
     }
 }
 
-/// Parses a standalone JSON document (object/array nesting, any depth)
-/// into a [`Json`] value. This is the generic entry point other tools
-/// (e.g. `scholar-bench`'s BENCH_*.json reader) reuse, as opposed to
-/// [`parse_line`]'s trace-shaped records.
+/// Parses a standalone JSON document (object/array nesting up to
+/// [`MAX_DEPTH`]) into a [`Json`] value that owns its strings. This is
+/// the generic entry point other tools (e.g. `scholar-bench`'s
+/// BENCH_*.json reader) reuse, as opposed to [`parse_line`]'s
+/// trace-shaped records.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data"));
-    }
-    Ok(v)
+    p.end()?;
+    Ok(v.into_owned())
 }
 
-/// Parses one JSONL trace line into a [`TraceEvent`].
-pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
+/// Parses one JSONL trace line into a [`TraceEvent`] that borrows from
+/// it. A key [`crate::write_event_json`] does not write, or one of its
+/// keys holding the wrong kind of value, is an error.
+pub fn parse_line(line: &str) -> Result<TraceEvent<'_>, String> {
     let mut p = Parser::new(line);
-    let obj = p.object()?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(p.err("trailing data"));
-    }
-    let mut t_us = None;
-    let mut level = None;
-    let mut component = None;
-    let mut target = None;
-    let mut name = None;
-    let mut span = None;
+    let (mut t_us, mut span) = (None, None);
+    let (mut level, mut component, mut target, mut name) = (None, None, None, None);
     let mut fields = Vec::new();
-    for (k, v) in obj {
-        match (k.as_str(), v) {
-            ("t_us", v) => t_us = v.as_u64(),
-            ("level", Json::Str(s)) => level = Some(s),
-            ("component", Json::Str(s)) => component = Some(s),
-            ("target", Json::Str(s)) => target = Some(s),
-            ("event", Json::Str(s)) => name = Some(s),
-            ("span", v) => span = v.as_u64(),
-            ("fields", Json::Obj(f)) => fields = f,
-            (k, _) => return Err(format!("unexpected key {k:?}")),
+    let mut unexpected = None;
+    p.members(|p, key| {
+        match (&*key, p.peek()) {
+            ("t_us", _) => t_us = p.value()?.as_u64(),
+            ("span", _) => span = p.value()?.as_u64(),
+            ("level", Some(b'"')) => level = Some(p.string()?),
+            ("component", Some(b'"')) => component = Some(p.string()?),
+            ("target", Some(b'"')) => target = Some(p.string()?),
+            ("event", Some(b'"')) => name = Some(p.string()?),
+            ("fields", Some(b'{')) => fields = p.object()?,
+            // Reported once the line has proved well-formed.
+            _ => {
+                p.value()?;
+                unexpected.get_or_insert(key);
+            }
         }
+        Ok(())
+    })?;
+    p.end()?;
+    if let Some(key) = unexpected {
+        return Err(format!("unexpected key {key:?}"));
     }
     Ok(TraceEvent {
         t_us: t_us.ok_or("missing t_us")?,
@@ -390,9 +481,10 @@ pub fn parse_line(line: &str) -> Result<TraceEvent, String> {
     })
 }
 
-/// Parses a whole JSONL trace; blank lines are skipped, any malformed
-/// line is an error carrying its 1-based line number.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
+/// Parses a whole JSONL trace into events that borrow from `text`;
+/// blank lines are skipped, any malformed line is an error carrying its
+/// 1-based line number.
+pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent<'_>>, String> {
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
@@ -408,14 +500,16 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
 // ---------------------------------------------------------------------
 
 /// A closed span reconstructed from its `span_start`/`span_end` pair.
+/// `component` and `name` are shared: one copy of each distinct string
+/// per analysis, whichever spans and trees carry it.
 #[derive(Debug, Clone)]
 pub struct ClosedSpan {
     /// Span id.
     pub id: u64,
     /// Emitting component.
-    pub component: String,
+    pub component: Arc<str>,
     /// Span name (`page_load`, `connect`, …).
-    pub name: String,
+    pub name: Arc<str>,
     /// Start time (µs).
     pub start_us: u64,
     /// End time (µs).
@@ -446,8 +540,8 @@ pub struct PhaseAgg {
 pub struct PageLoad {
     /// The load span.
     pub span: ClosedSpan,
-    /// Summed attributed phase time by phase name.
-    pub phase_us: BTreeMap<String, u64>,
+    /// Summed attributed phase time by phase name (one of [`PHASES`]).
+    pub phase_us: BTreeMap<&'static str, u64>,
     /// Length of the union of attributed phase intervals (µs): the part
     /// of the load that instrumented phases account for.
     pub covered_us: u64,
@@ -463,9 +557,9 @@ pub struct TraceSpan {
     /// Span id.
     pub id: u64,
     /// Emitting component.
-    pub component: String,
+    pub component: Arc<str>,
     /// Span name (`page_load`, `admission`, `relay`, …).
-    pub name: String,
+    pub name: Arc<str>,
     /// Start time (µs).
     pub start_us: u64,
     /// End time (µs); the trace end for unclosed spans.
@@ -839,8 +933,8 @@ pub struct TraceAnalysis {
     pub unclosed_spans: usize,
     /// Reconstructed page loads, in end order.
     pub page_loads: Vec<PageLoad>,
-    /// Phase aggregates across all page loads.
-    pub phase_totals: BTreeMap<String, PhaseAgg>,
+    /// Phase aggregates across all page loads, by [`PHASES`] name.
+    pub phase_totals: BTreeMap<&'static str, PhaseAgg>,
     /// rule → window index → interference event count.
     pub rule_timeline: BTreeMap<String, BTreeMap<u64, u64>>,
     /// SLO alerts found in the trace: `(t_us, fire|resolve, slo, burn)`.
@@ -899,7 +993,8 @@ impl TraceAnalysis {
 
     /// Looks up a stitched tree by trace id.
     pub fn tree(&self, trace_id: u64) -> Option<&TraceTree> {
-        self.trees.iter().find(|t| t.trace_id == trace_id)
+        let i = self.trees.binary_search_by_key(&trace_id, |t| t.trace_id).ok()?;
+        Some(&self.trees[i])
     }
 
     /// Fraction of completed requests whose trace stitched across
@@ -950,12 +1045,26 @@ impl TraceAnalysis {
 /// The page-load phases the browser instruments, in pipeline order.
 pub const PHASES: [&str; 4] = ["dns", "connect", "tunnel", "fetch"];
 
+/// The shared copy of `s`, made the first time `s` is seen.
+fn intern(seen: &mut BTreeSet<Arc<str>>, s: &str) -> Arc<str> {
+    if let Some(shared) = seen.get(s) {
+        return Arc::clone(shared);
+    }
+    let shared: Arc<str> = Arc::from(s);
+    seen.insert(Arc::clone(&shared));
+    shared
+}
+
 /// Analyzes a parsed trace with `window_us`-wide timeline windows.
-pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
+/// No string is copied per event: text leaves `events` only for what
+/// the analysis keeps, once per distinct value for what repeats
+/// (components, span names, rules).
+pub fn analyze(events: &[TraceEvent<'_>], window_us: u64) -> TraceAnalysis {
     let window_us = window_us.max(1);
     let mut component_counts: BTreeMap<String, u64> = BTreeMap::new();
+    let mut names: BTreeSet<Arc<str>> = BTreeSet::new();
     // id → (start, component, name, trace_id, parent)
-    let mut open: BTreeMap<u64, (u64, String, String, u64, Option<u64>)> = BTreeMap::new();
+    let mut open: BTreeMap<u64, (u64, &str, &str, u64, Option<u64>)> = BTreeMap::new();
     let mut spans: Vec<ClosedSpan> = Vec::new();
     // trace id → that request's spans, in close order (resorted later).
     let mut by_trace: BTreeMap<u64, Vec<TraceSpan>> = BTreeMap::new();
@@ -974,16 +1083,13 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
 
     for ev in events {
         t_end_us = t_end_us.max(ev.t_us);
-        *component_counts.entry(ev.component.clone()).or_insert(0) += 1;
-        match ev.name.as_str() {
+        with_named(&mut component_counts, &ev.component, || 0, |n| *n += 1);
+        match &*ev.name {
             "span_start" => {
                 if let (Some(id), Some(name)) = (ev.span, ev.get_str("span_name")) {
                     let trace = ev.get_u64("trace_id").unwrap_or(0);
                     let parent = ev.get_u64("parent");
-                    open.insert(
-                        id,
-                        (ev.t_us, ev.component.clone(), name.to_string(), trace, parent),
-                    );
+                    open.insert(id, (ev.t_us, &*ev.component, name, trace, parent));
                 }
             }
             "span_end" => {
@@ -991,9 +1097,11 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
                     if let Some((start_us, component, name, trace, parent)) = open.remove(&id)
                     {
                         let ok = match ev.get("ok") {
-                            Some(Json::Bool(b)) => Some(*b),
+                            Some(JsonValue::Bool(b)) => Some(*b),
                             _ => None,
                         };
+                        let component = intern(&mut names, component);
+                        let name = intern(&mut names, name);
                         if trace != 0 {
                             by_trace.entry(trace).or_default().push(TraceSpan {
                                 id,
@@ -1021,21 +1129,20 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             }
             // Interference: GFW verdicts and the simnet drops they cause
             // both carry the rule label.
-            "drop" | "censor_drop" if matches!(ev.component.as_str(), "gfw" | "simnet") => {
+            "drop" | "censor_drop" if matches!(&*ev.component, "gfw" | "simnet") => {
                 if let Some(rule) = ev.get_str("rule") {
-                    *rule_timeline
-                        .entry(rule.to_string())
-                        .or_default()
-                        .entry(ev.t_us / window_us)
-                        .or_insert(0) += 1;
+                    let window = ev.t_us / window_us;
+                    with_named(&mut rule_timeline, rule, BTreeMap::new, |w| {
+                        *w.entry(window).or_insert(0) += 1
+                    });
                 }
             }
             "fire" | "resolve" if ev.component == "slo" => {
                 slo_alerts.push((
                     ev.t_us,
-                    ev.name.clone(),
+                    ev.name.to_string(),
                     ev.get_str("slo").unwrap_or("?").to_string(),
-                    ev.get("burn").and_then(Json::as_f64).unwrap_or(0.0),
+                    ev.get("burn").and_then(JsonValue::as_f64).unwrap_or(0.0),
                 ));
                 if ev.name == "fire" {
                     if let Some(list) = ev.get_str("exemplars") {
@@ -1064,7 +1171,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             "admit" | "enqueue" | "dequeue" | "shed" | "throttle" | "retry_denied"
                 if ev.component == "scholarcloud" && ev.target == "admission" =>
             {
-                match ev.name.as_str() {
+                match &*ev.name {
                     // A dequeued request was admitted after waiting; its
                     // earlier "enqueue" is counted under `queued`, so
                     // admitted + shed + throttled counts each request once.
@@ -1078,7 +1185,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             "hit" | "miss" | "coalesced" | "revalidated" | "evicted"
                 if ev.component == "scholarcloud" && ev.target == "cache" =>
             {
-                match ev.name.as_str() {
+                match &*ev.name {
                     "hit" => cache.hits += 1,
                     "miss" => cache.misses += 1,
                     "coalesced" => cache.coalesced += 1,
@@ -1089,7 +1196,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
                 // shard index; single-proxy traces carry no such field.
                 if let Some(shard) = ev.get_u64("shard") {
                     let sc = fleet.shard_cache.entry(shard).or_default();
-                    match ev.name.as_str() {
+                    match &*ev.name {
                         "hit" => sc.hits += 1,
                         "miss" => sc.misses += 1,
                         "coalesced" => sc.coalesced += 1,
@@ -1103,7 +1210,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             "connect_ok" | "connect_fail" | "proxy_dead" | "proxy_recovered" | "failover"
                 if ev.component == "web" && ev.target == "fleet" =>
             {
-                match ev.name.as_str() {
+                match &*ev.name {
                     "connect_ok" => fleet.connect_ok += 1,
                     "connect_fail" => fleet.connect_fail += 1,
                     "proxy_dead" => fleet.dead_marks += 1,
@@ -1117,7 +1224,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
                 if ev.component == "scholarcloud" && ev.target == "fleet" =>
             {
                 let shard = ev.get_u64("shard");
-                match ev.name.as_str() {
+                match &*ev.name {
                     "peer_fetch" => {
                         fleet.peer_fetches += 1;
                         if let Some(s) = shard {
@@ -1139,7 +1246,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             "provision" | "warm" | "drain" | "retire" | "churn" | "cost"
                 if ev.component == "scholarcloud" && ev.target == "elastic" =>
             {
-                match ev.name.as_str() {
+                match &*ev.name {
                     "provision" => elastic.provisions += 1,
                     "warm" => {
                         elastic.warms += 1;
@@ -1171,7 +1278,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
                         elastic.timeline.push((
                             ev.t_us,
                             inst.to_string(),
-                            ev.name.clone(),
+                            ev.name.to_string(),
                         ));
                     }
                 }
@@ -1182,7 +1289,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             | "region_drift" | "blacklisted"
                 if ev.component == "gfw" && ev.target == "adaptive" =>
             {
-                match ev.name.as_str() {
+                match &*ev.name {
                     "signature_learned" => {
                         adaptive.signatures_learned += 1;
                         adaptive.first_detection_us.get_or_insert(ev.t_us);
@@ -1200,7 +1307,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
             // Active-probe traffic (both the pre-adaptive suspect probes
             // and adaptive campaign waves land here).
             "launched" | "verdict" if ev.component == "gfw" && ev.target == "probe" => {
-                match ev.name.as_str() {
+                match &*ev.name {
                     "launched" => {
                         adaptive.probes_launched += 1;
                         if ev.get_u64("replay").is_some() {
@@ -1243,7 +1350,7 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
     // client id, so this is a heuristic; aggregates stay exact.)
     let mut loads: Vec<PageLoad> = spans
         .iter()
-        .filter(|s| s.component == "web" && s.name == "page_load")
+        .filter(|s| &*s.component == "web" && &*s.name == "page_load")
         .map(|s| PageLoad {
             span: s.clone(),
             phase_us: BTreeMap::new(),
@@ -1251,22 +1358,23 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
         })
         .collect();
     loads.sort_by_key(|l| (l.span.start_us, l.span.id));
-    let mut phase_totals: BTreeMap<String, PhaseAgg> = BTreeMap::new();
+    let mut phase_totals: BTreeMap<&'static str, PhaseAgg> = BTreeMap::new();
     let mut intervals: Vec<Vec<(u64, u64)>> = vec![Vec::new(); loads.len()];
-    for s in &spans {
-        if s.component != "web" || !PHASES.contains(&s.name.as_str()) {
+    for s in spans.iter().filter(|s| &*s.component == "web") {
+        let Some(&phase) = PHASES.iter().find(|p| **p == &*s.name) else {
             continue;
-        }
-        let agg = phase_totals.entry(s.name.clone()).or_default();
+        };
+        let agg = phase_totals.entry(phase).or_default();
         agg.spans += 1;
         agg.total_us += s.dur_us();
-        // Latest-starting load containing the phase start.
-        let owner = loads
-            .iter()
-            .rposition(|l| l.span.start_us <= s.start_us && s.start_us <= l.span.end_us);
+        // Latest-starting load containing the phase start: `loads` is
+        // sorted by start, so walk back from the last one that starts
+        // at or before it.
+        let started = loads.partition_point(|l| l.span.start_us <= s.start_us);
+        let owner = loads[..started].iter().rposition(|l| s.start_us <= l.span.end_us);
         if let Some(i) = owner {
             let clipped_end = s.end_us.min(loads[i].span.end_us);
-            *loads[i].phase_us.entry(s.name.clone()).or_insert(0) +=
+            *loads[i].phase_us.entry(phase).or_insert(0) +=
                 clipped_end.saturating_sub(s.start_us);
             intervals[i].push((s.start_us, clipped_end));
         }
@@ -1282,8 +1390,8 @@ pub fn analyze(events: &[TraceEvent], window_us: u64) -> TraceAnalysis {
         if *trace != 0 {
             by_trace.entry(*trace).or_default().push(TraceSpan {
                 id,
-                component: component.clone(),
-                name: name.clone(),
+                component: intern(&mut names, component),
+                name: intern(&mut names, name),
                 start_us: *start_us,
                 end_us: t_end_us.max(*start_us),
                 closed: false,
@@ -1338,7 +1446,7 @@ fn stitch_tree(trace_id: u64, mut spans: Vec<TraceSpan>) -> TraceTree {
     spans.sort_by_key(|s| (s.start_us, s.id));
     let root = spans
         .iter()
-        .position(|s| s.component == "web" && s.name == "page_load");
+        .position(|s| &*s.component == "web" && &*s.name == "page_load");
     let idx_of: BTreeMap<u64, usize> =
         spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
 
@@ -2168,6 +2276,11 @@ mod tests {
         s
     }
 
+    /// `ev` as the analyzer reads it back, detached from its line.
+    fn reparsed(ev: &Event) -> TraceEvent<'static> {
+        parse_line(&line(ev)).unwrap().into_owned()
+    }
+
     #[test]
     fn parses_what_the_writer_emits_including_hostile_strings() {
         let ev = Event::new(17, Level::Warn, "gfw", "verdict", "drop")
@@ -2179,7 +2292,7 @@ mod tests {
             .field("nan", f64::NAN)
             .field("ok", false)
             .in_span(SpanId(3));
-        let parsed = parse_line(&line(&ev)).unwrap();
+        let parsed = reparsed(&ev);
         assert_eq!(parsed.t_us, 17);
         assert_eq!(parsed.level, "warn");
         assert_eq!(parsed.component, "gfw");
@@ -2206,6 +2319,45 @@ mod tests {
         );
         let err = parse_trace(&text).unwrap_err();
         assert!(err.starts_with("line 4:"), "{err}");
+
+        // A record is the writer's keys and nothing else, each holding
+        // the kind of value the writer puts there.
+        let members = [
+            ("t_us", "1"),
+            ("level", "\"info\""),
+            ("component", "\"a\""),
+            ("target", "\"b\""),
+            ("event", "\"c\""),
+        ];
+        let record = |members: &[(&str, &str)]| {
+            let body: Vec<String> = members.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            format!("{{{}}}", body.join(","))
+        };
+        assert!(parse_line(&record(&members)).is_ok());
+        for (i, (key, _)) in members.iter().enumerate() {
+            let mut rest = members.to_vec();
+            rest.remove(i);
+            assert_eq!(parse_line(&record(&rest)).unwrap_err(), format!("missing {key}"));
+        }
+        let with = |key, value| record(&[&members[..], &[(key, value)]].concat());
+        assert_eq!(parse_line(&with("when", "2")).unwrap_err(), "unexpected key \"when\"");
+        assert_eq!(parse_line(&with("level", "5")).unwrap_err(), "unexpected key \"level\"");
+        assert_eq!(parse_line(&with("fields", "[]")).unwrap_err(), "unexpected key \"fields\"");
+        assert_eq!(parse_line(&with("t_us", "\"1\"")).unwrap_err(), "missing t_us");
+        // A malformed line is reported as malformed, whatever its keys.
+        let err = parse_line(with("when", "2").trim_end_matches('}')).unwrap_err();
+        assert!(err.starts_with("expected ',' or '}' at byte"), "{err}");
+        let err = parse_line(&format!("{} x", record(&members))).unwrap_err();
+        assert!(err.starts_with("trailing data at byte"), "{err}");
+        for (escape, complaint) in [
+            ("\\q", "unknown escape"),
+            ("\\u12g4", "bad \\u escape"),
+            ("\\u12", "truncated \\u escape"),
+            ("\\", "truncated escape"),
+        ] {
+            let err = parse_json(&format!("\"{escape}")).unwrap_err();
+            assert!(err.starts_with(complaint), "{escape}: {err}");
+        }
     }
 
     fn span_pair(
@@ -2214,7 +2366,7 @@ mod tests {
         name: &'static str,
         start: u64,
         end: u64,
-    ) -> Vec<TraceEvent> {
+    ) -> Vec<TraceEvent<'static>> {
         let s = Event::new(start, Level::Info, component, "load", "span_start")
             .field("span_name", name)
             .in_span(SpanId(id));
@@ -2223,7 +2375,7 @@ mod tests {
             .field("dur_us", end - start)
             .field("ok", true)
             .in_span(SpanId(id));
-        vec![parse_line(&line(&s)).unwrap(), parse_line(&line(&e)).unwrap()]
+        vec![reparsed(&s), reparsed(&e)]
     }
 
     #[test]
@@ -2248,24 +2400,32 @@ mod tests {
         let report = render_report(&a);
         assert!(report.contains("page_load critical path (2 loads"));
         assert!(report.contains("share of PLT"));
+
+        // The last load to start before a phase may be over by then;
+        // the phase belongs to the earlier load still running.
+        let mut evs = Vec::new();
+        evs.extend(span_pair(1, "web", "page_load", 0, 10_000_000));
+        evs.extend(span_pair(2, "web", "page_load", 1_000_000, 2_000_000));
+        evs.extend(span_pair(3, "web", "fetch", 5_000_000, 6_000_000));
+        let a = analyze(&evs, 1_000_000);
+        assert_eq!(a.page_loads[0].phase_us.get("fetch"), Some(&1_000_000));
+        assert!(a.page_loads[1].phase_us.is_empty());
     }
 
     #[test]
     fn interference_and_slo_events_build_timelines() {
         let mk = |t, rule: &'static str| {
-            parse_line(&line(
+            reparsed(
                 &Event::new(t, Level::Info, "gfw", "verdict", "drop").field("rule", rule),
-            ))
-            .unwrap()
+            )
         };
         let mut evs = vec![mk(100, "gfw-dns"), mk(200, "gfw-dns"), mk(2_500_000, "gfw-sni")];
         evs.push(
-            parse_line(&line(
+            reparsed(
                 &Event::new(3_000_000, Level::Warn, "slo", "alert", "fire")
                     .field("slo", "plt-p95".to_string())
                     .field("burn", 2.5),
-            ))
-            .unwrap(),
+            ),
         );
         let a = analyze(&evs, 1_000_000);
         assert_eq!(a.rule_timeline["gfw-dns"][&0], 2);
@@ -2281,12 +2441,11 @@ mod tests {
     #[test]
     fn cache_events_aggregate_into_stats() {
         let mk = |t, name: &'static str| {
-            parse_line(&line(
+            reparsed(
                 &Event::new(t, Level::Debug, "scholarcloud", "cache", name)
                     .field("host", "scholar.google.com")
                     .field("path", "/"),
-            ))
-            .unwrap()
+            )
         };
         let evs = vec![
             mk(100, "miss"),
@@ -2296,7 +2455,7 @@ mod tests {
             mk(500, "revalidated"),
             mk(600, "evicted"),
             // Same names under a different target must not count.
-            parse_line(&line(&Event::new(700, Level::Debug, "web", "cache", "hit"))).unwrap(),
+            reparsed(&Event::new(700, Level::Debug, "web", "cache", "hit")),
         ];
         let a = analyze(&evs, 1_000_000);
         assert_eq!(a.cache.hits, 1);
@@ -2350,8 +2509,7 @@ mod tests {
         evs.extend(span_pair(1, "web", "page_load", 0, 1_000_000));
         evs.extend(span_pair(2, "web", "page_load", 0, 3_000_000));
         let mk = |t, name: &'static str| {
-            parse_line(&line(&Event::new(t, Level::Debug, "scholarcloud", "cache", name)))
-                .unwrap()
+            reparsed(&Event::new(t, Level::Debug, "scholarcloud", "cache", name))
         };
         evs.push(mk(100, "miss"));
         evs.push(mk(200, "hit"));
@@ -2473,25 +2631,22 @@ mod tests {
     #[test]
     fn fleet_events_aggregate_per_shard() {
         let web = |t, name: &'static str| {
-            parse_line(&line(
+            reparsed(
                 &Event::new(t, Level::Debug, "web", "fleet", name)
                     .field("proxy", "10.1.0.2:8080"),
-            ))
-            .unwrap()
+            )
         };
         let sc = |t, name: &'static str, shard: u64| {
-            parse_line(&line(
+            reparsed(
                 &Event::new(t, Level::Debug, "scholarcloud", "fleet", name)
                     .field("shard", shard),
-            ))
-            .unwrap()
+            )
         };
         let cache = |t, name: &'static str, shard: u64| {
-            parse_line(&line(
+            reparsed(
                 &Event::new(t, Level::Debug, "scholarcloud", "cache", name)
                     .field("shard", shard),
-            ))
-            .unwrap()
+            )
         };
         let evs = vec![
             web(100, "connect_ok"),
@@ -2554,10 +2709,10 @@ mod tests {
             for (k, v) in extra {
                 ev = ev.field(*k, v.to_string());
             }
-            parse_line(&line(&ev)).unwrap()
+            reparsed(&ev)
         };
         let cost = |t, live: u64, inv: u64, eg: u64, warm: u64| {
-            parse_line(&line(
+            reparsed(
                 &Event::new(t, Level::Info, "scholarcloud", "elastic", "cost")
                     .field("warm", live)
                     .field("live", live)
@@ -2565,8 +2720,7 @@ mod tests {
                     .field("egress_micro", eg)
                     .field("warm_micro", warm)
                     .field("total_micro", inv + eg + warm),
-            ))
-            .unwrap()
+            )
         };
         let mut evs = span_pair(1, "web", "page_load", 0, 1_000_000);
         evs.push(el(100, "provision", &[("cold_start_us", "400000")]));
@@ -2626,14 +2780,14 @@ mod tests {
             for (k, v) in extra {
                 ev = ev.field(*k, v.to_string());
             }
-            parse_line(&line(&ev)).unwrap()
+            reparsed(&ev)
         };
         let sc = |t, target: &'static str, name: &'static str, extra: &[(&'static str, &str)]| {
             let mut ev = Event::new(t, Level::Info, "scholarcloud", target, name);
             for (k, v) in extra {
                 ev = ev.field(*k, v.to_string());
             }
-            parse_line(&line(&ev)).unwrap()
+            reparsed(&ev)
         };
         let mut evs = Vec::new();
         // Two loads finish before the campaign (one fails — ignored by
@@ -2646,12 +2800,11 @@ mod tests {
         evs.push(gfw(600_000, "adaptive", "campaign", &[("server", "99.0.0.40:9443"), ("score", "7")]));
         evs.push(gfw(600_000, "adaptive", "probe_wave", &[("wave", "0")]));
         evs.push(
-            parse_line(&line(
+            reparsed(
                 &Event::new(610_000, Level::Info, "gfw", "probe", "launched")
                     .field("server", "99.0.0.40:9443")
                     .field("replay", 1u64),
-            ))
-            .unwrap(),
+            ),
         );
         evs.push(gfw(620_000, "probe", "verdict", &[("verdict", "innocent")]));
         evs.push(gfw(700_000, "probe", "launched", &[("server", "99.0.0.40:9443")]));
@@ -2717,7 +2870,7 @@ mod tests {
         trace: u64,
         parent: Option<u64>,
         ok: bool,
-    ) -> Vec<TraceEvent> {
+    ) -> Vec<TraceEvent<'static>> {
         let mut s = Event::new(start, Level::Debug, component, "t", "span_start")
             .field("span_name", name)
             .field("trace_id", trace)
@@ -2729,7 +2882,7 @@ mod tests {
             .field("span_name", name)
             .field("ok", ok)
             .in_span(SpanId(id));
-        vec![parse_line(&line(&s)).unwrap(), parse_line(&line(&e)).unwrap()]
+        vec![reparsed(&s), reparsed(&e)]
     }
 
     /// The canonical happy path: browser → admission → establish →
@@ -2828,7 +2981,7 @@ mod tests {
             .field("trace_id", 11u64)
             .field("parent", 1u64)
             .in_span(SpanId(2));
-        evs.push(parse_line(&line(&s)).unwrap());
+        evs.push(reparsed(&s));
         let a = analyze(&evs, 1_000_000);
         let tree = a.tree(11).unwrap();
         let cut = tree.spans.iter().find(|s| s.id == 2).unwrap();
@@ -2854,13 +3007,12 @@ mod tests {
         let mut evs = Vec::new();
         evs.extend(span_pair(1, "web", "page_load", 0, 1_000_000));
         evs.push(
-            parse_line(&line(
+            reparsed(
                 &Event::new(2_000_000, Level::Warn, "slo", "alert", "fire")
                     .field("slo", "plt-p95".to_string())
                     .field("burn", 2.0)
                     .field("exemplars", "00000000000000ff,0000000000000abc".to_string()),
-            ))
-            .unwrap(),
+            ),
         );
         let a = analyze(&evs, 1_000_000);
         assert_eq!(a.alert_exemplars.len(), 1);

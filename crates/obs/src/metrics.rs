@@ -222,6 +222,21 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
+/// Applies `f` to `map[name]`. Only a name the map has not seen is
+/// copied (and its value made by `new`): the write side runs this
+/// several times per simulated packet.
+pub(crate) fn with_named<V, R>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_insert_with(new)),
+    }
+}
+
 /// Central store of named metrics with deterministic iteration order.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
@@ -238,7 +253,7 @@ impl Registry {
 
     /// Adds `by` to the named counter, creating it on first use.
     pub fn counter_add(&mut self, name: &str, by: u64) {
-        self.counters.entry(name.to_string()).or_default().add(by);
+        with_named(&mut self.counters, name, Counter::default, |c| c.add(by));
     }
 
     /// Reads a counter (0 when never touched).
@@ -248,12 +263,12 @@ impl Registry {
 
     /// Sets the named gauge, creating it on first use.
     pub fn gauge_set(&mut self, name: &str, v: i64) {
-        self.gauges.entry(name.to_string()).or_default().set(v);
+        with_named(&mut self.gauges, name, Gauge::default, |g| g.set(v));
     }
 
     /// Adds `by` (may be negative) to the named gauge.
     pub fn gauge_add(&mut self, name: &str, by: i64) {
-        self.gauges.entry(name.to_string()).or_default().add(by);
+        with_named(&mut self.gauges, name, Gauge::default, |g| g.add(by));
     }
 
     /// Reads a gauge (0 when never touched).
@@ -264,7 +279,7 @@ impl Registry {
     /// Records a sample into the named histogram, creating it on first
     /// use.
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms.entry(name.to_string()).or_default().observe(v);
+        with_named(&mut self.histograms, name, Histogram::default, |h| h.observe(v));
     }
 
     /// Reads a histogram, if it exists.

@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use crate::metrics::{bucket_lo, bucket_of, bucket_width};
+use crate::metrics::{bucket_lo, bucket_of, bucket_width, with_named};
 
 /// Window geometry and the memory bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,82 +277,51 @@ impl TimeSeries {
         self.spec
     }
 
+    /// Applies `op` to the window of `name` that holds `t_us`, creating
+    /// the series as `kind` on first use. A series of the other kind is
+    /// left alone; a window outside retention counts as late.
+    fn write(&mut self, name: &str, kind: SeriesKind, t_us: u64, op: impl FnOnce(&mut Window)) {
+        let idx = t_us / self.spec.width_us;
+        let cap = self.spec.max_windows;
+        with_named(&mut self.series, name, || Series::new(kind), |s| {
+            if s.kind != kind {
+                return;
+            }
+            match s.window_mut(idx, cap) {
+                Some(w) => op(w),
+                None => s.late += 1,
+            }
+        })
+    }
+
     /// Records a latency-style sample at simulation time `t_us`.
     /// Ignored if the name is already a rate series.
     pub fn record(&mut self, name: &str, t_us: u64, v: u64) {
-        let idx = t_us / self.spec.width_us;
-        let cap = self.spec.max_windows;
-        let s = self
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(SeriesKind::Sample));
-        if s.kind != SeriesKind::Sample {
-            return;
-        }
-        match s.window_mut(idx, cap) {
-            Some(w) => w.observe(v),
-            None => s.late += 1,
-        }
+        self.write(name, SeriesKind::Sample, t_us, |w| w.observe(v));
     }
 
     /// Like [`record`](Self::record), but also offers `(v, trace_id)`
     /// as an exemplar to the window (kept if among its worst K).
     pub fn record_ex(&mut self, name: &str, t_us: u64, v: u64, trace_id: u64) {
-        let idx = t_us / self.spec.width_us;
-        let cap = self.spec.max_windows;
-        let s = self
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(SeriesKind::Sample));
-        if s.kind != SeriesKind::Sample {
-            return;
-        }
-        match s.window_mut(idx, cap) {
-            Some(w) => {
-                w.observe(v);
-                w.note_exemplar(v, trace_id);
-            }
-            None => s.late += 1,
-        }
+        self.write(name, SeriesKind::Sample, t_us, |w| {
+            w.observe(v);
+            w.note_exemplar(v, trace_id);
+        });
     }
 
     /// Adds a counter-style increment at simulation time `t_us`.
     /// Ignored if the name is already a sample series.
     pub fn bump(&mut self, name: &str, t_us: u64, by: u64) {
-        let idx = t_us / self.spec.width_us;
-        let cap = self.spec.max_windows;
-        let s = self
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(SeriesKind::Rate));
-        if s.kind != SeriesKind::Rate {
-            return;
-        }
-        match s.window_mut(idx, cap) {
-            Some(w) => w.bump(by),
-            None => s.late += 1,
-        }
+        self.write(name, SeriesKind::Rate, t_us, |w| w.bump(by));
     }
 
     /// Like [`bump`](Self::bump), but tags the increment with the
     /// contributing request's trace id (exemplar for rate-based SLOs).
     pub fn bump_ex(&mut self, name: &str, t_us: u64, by: u64, trace_id: u64) {
-        let idx = t_us / self.spec.width_us;
-        let cap = self.spec.max_windows;
-        let s = self
-            .series
-            .entry(name.to_string())
-            .or_insert_with(|| Series::new(SeriesKind::Rate));
-        if s.kind != SeriesKind::Rate {
-            return;
-        }
-        match s.window_mut(idx, cap) {
-            Some(w) => {
-                w.bump(by);
-                w.note_exemplar(by, trace_id);
-            }
-            None => s.late += 1,
-        }
+        self.write(name, SeriesKind::Rate, t_us, |w| {
+            w.bump(by);
+            w.note_exemplar(by, trace_id);
+        });
     }
 
     /// Advances the high-water clock (never backwards); windows with

@@ -91,7 +91,7 @@ fn push_pair(
 
 /// Lower a generated forest to a time-ordered event stream, the way a
 /// real `SC_TRACE` capture would interleave concurrent requests.
-fn forest_to_events(forest: &[GenTree]) -> Vec<TraceEvent> {
+fn forest_to_events(forest: &[GenTree]) -> Vec<TraceEvent<'static>> {
     let mut lines: Vec<(u64, String)> = Vec::new();
     let mut next_id = 1u64;
     for (t_idx, (rooted_pct, window, children)) in forest.iter().enumerate() {
@@ -129,7 +129,10 @@ fn forest_to_events(forest: &[GenTree]) -> Vec<TraceEvent> {
         }
     }
     lines.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    lines.iter().map(|(_, l)| parse_line(l).expect("self-emitted line parses")).collect()
+    lines
+        .iter()
+        .map(|(_, l)| parse_line(l).expect("self-emitted line parses").into_owned())
+        .collect()
 }
 
 proptest! {

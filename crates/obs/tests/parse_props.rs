@@ -1,0 +1,211 @@
+//! Property tests for the analyzer's JSON parser, the one place where
+//! `sc-obs` reads bytes it did not just write: (a) whatever [`Event`]
+//! the writer can serialize parses back field for field, borrowing from
+//! the line exactly when nothing had to be unescaped; (b) a string
+//! parses to the same text whether it arrives plain (borrowed path) or
+//! `\u`-escaped (owned path); (c) arbitrary bytes, and arbitrary damage
+//! to a valid line, are an `Err` with an in-range offset or an `Ok` —
+//! never a panic, and never a stack overflow however deep they nest.
+
+use std::borrow::Cow;
+
+use proptest::prelude::*;
+use sc_obs::analyze::{parse_json, parse_line, JsonValue, MAX_DEPTH};
+use sc_obs::{write_event_json, Event, Level, SpanId, Value};
+
+/// Characters the writer escapes (quote, backslash, C0 controls), ones
+/// it must not (DEL, `/`), JSON punctuation, and 2-, 3- and 4-byte
+/// UTF-8.
+const ALPHABET: [char; 26] = [
+    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\0', '\u{1}', '\u{8}', '\u{c}',
+    '\u{1f}', '\u{7f}', '{', '}', '[', ':', ',', 'u', 'é', '例', '\u{ffff}', '😀',
+];
+
+/// Static names for the `&'static str` slots of an [`Event`]: plain,
+/// hostile, empty, and ones that collide with the record's own keys.
+const NAMES: [&str; 9] =
+    ["web", "span_start", "with\"quote", "back\\slash", "ctl\u{1}\n\t", "例子.测试", "", "t_us", "fields"];
+
+fn needs_escape(s: &str) -> bool {
+    s.chars().any(|c| c == '"' || c == '\\' || (c as u32) < 0x20)
+}
+
+fn gen_text() -> impl Strategy<Value = String> {
+    prop::collection::vec(0usize..ALPHABET.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+}
+
+fn gen_name() -> impl Strategy<Value = &'static str> {
+    (0usize..NAMES.len()).prop_map(|i| NAMES[i])
+}
+
+/// Every [`Value`] kind; floats come from raw bits so NaN, infinities,
+/// subnormals and integers-as-floats all turn up.
+fn gen_value() -> impl Strategy<Value = Value> {
+    (0u8..6, any::<u64>(), gen_text(), gen_name()).prop_map(|(kind, bits, text, name)| match kind {
+        0 => Value::U64(bits),
+        1 => Value::I64(bits as i64),
+        2 => Value::F64(f64::from_bits(bits)),
+        3 => Value::Str(name),
+        4 => Value::String(text),
+        _ => Value::Bool(bits & 1 == 1),
+    })
+}
+
+fn gen_event() -> impl Strategy<Value = Event> {
+    (
+        any::<u64>(),
+        0usize..5,
+        (gen_name(), gen_name(), gen_name()),
+        // Every fourth event is outside any span.
+        any::<u64>().prop_map(|id| if id % 4 == 0 { 0 } else { id }),
+        prop::collection::vec((gen_name(), gen_value()), 0..7),
+    )
+        .prop_map(|(t_us, level, (component, target, name), span, fields)| {
+            let level = [Level::Trace, Level::Debug, Level::Info, Level::Warn, Level::Error][level];
+            let mut ev = Event::new(t_us, level, component, target, name).in_span(SpanId(span));
+            ev.fields = fields;
+            ev
+        })
+}
+
+fn line_of(ev: &Event) -> String {
+    let mut line = String::new();
+    write_event_json(&mut line, ev);
+    line
+}
+
+/// A parsed string equals what was written, and was copied only if the
+/// writer had to escape it.
+#[allow(clippy::ptr_arg)] // the variant is what is under test
+fn assert_string(parsed: &Cow<'_, str>, written: &str) {
+    assert_eq!(parsed, written);
+    assert_eq!(matches!(parsed, Cow::Owned(_)), needs_escape(written), "{written:?}");
+}
+
+/// A parse error that names a byte offset names one inside the text.
+fn assert_offset_in_range(err: &str, len: usize) {
+    if let Some(at) = err.rfind(" at byte ") {
+        if let Ok(offset) = err[at + " at byte ".len()..].parse::<usize>() {
+            assert!(offset <= len, "offset {offset} past {len}: {err}");
+        }
+    }
+}
+
+/// Neither parser panics on `text`, and their errors point into it.
+fn assert_parsers_survive(text: &str) {
+    for result in [parse_line(text).map(drop), parse_json(text).map(drop)] {
+        if let Err(e) = result {
+            assert_offset_in_range(&e, text.len());
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn written_events_parse_back_field_for_field(ev in gen_event()) {
+        let line = line_of(&ev);
+        let parsed = parse_line(&line).expect("what the writer emits parses");
+        prop_assert_eq!(parsed.t_us, ev.t_us);
+        prop_assert_eq!(&*parsed.level, ev.level.as_str());
+        assert_string(&parsed.component, ev.component);
+        assert_string(&parsed.target, ev.target);
+        assert_string(&parsed.name, ev.name);
+        prop_assert_eq!(parsed.span, (!ev.span.is_none()).then_some(ev.span.0));
+        prop_assert_eq!(parsed.fields.len(), ev.fields.len());
+        for ((key, value), (written_key, written)) in parsed.fields.iter().zip(&ev.fields) {
+            assert_string(key, written_key);
+            match (written, value) {
+                (Value::U64(w), v) => prop_assert_eq!(v.as_u64(), Some(*w)),
+                (Value::I64(w), v) if *w >= 0 => prop_assert_eq!(v.as_u64(), Some(*w as u64)),
+                (Value::I64(w), v) => prop_assert_eq!(v, &JsonValue::I64(*w)),
+                (Value::F64(w), v) if w.is_finite() => prop_assert_eq!(v.as_f64(), Some(*w)),
+                (Value::F64(_), v) => prop_assert_eq!(v, &JsonValue::Null),
+                (Value::Bool(w), v) => prop_assert_eq!(v, &JsonValue::Bool(*w)),
+                (Value::Str(w), JsonValue::Str(s)) => assert_string(s, w),
+                (Value::String(w), JsonValue::Str(s)) => assert_string(s, w),
+                (w, v) => panic!("{w:?} parsed as {v:?}"),
+            }
+        }
+        // Detaching the event from its line changes nothing but who
+        // owns the strings.
+        let owned = parsed.clone().into_owned();
+        prop_assert_eq!(&owned.fields, &parsed.fields);
+        prop_assert_eq!(
+            (&owned.level, &owned.component, &owned.target, &owned.name),
+            (&parsed.level, &parsed.component, &parsed.target, &parsed.name)
+        );
+    }
+
+    #[test]
+    fn escaped_and_plain_strings_parse_alike(text in gen_text()) {
+        // `\uXXXX` reaches the Basic Multilingual Plane only; the parser
+        // does not join surrogate pairs.
+        let text: String = text.chars().filter(|c| (*c as u32) <= 0xffff).collect();
+        let escaped: String = text.chars().map(|c| format!("\\u{:04x}", c as u32)).collect();
+        let via_escapes = parse_json(&format!("\"{escaped}\"")).expect("\\u escapes parse");
+        prop_assert_eq!(via_escapes.as_str(), Some(text.as_str()));
+        if !needs_escape(&text) {
+            let plain = parse_json(&format!("\"{text}\"")).expect("a plain string parses");
+            prop_assert_eq!(plain, via_escapes);
+        }
+    }
+
+    #[test]
+    fn parsers_survive_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..200),
+        picks in prop::collection::vec(any::<u8>(), 0..200),
+    ) {
+        assert_parsers_survive(&String::from_utf8_lossy(&bytes));
+        // The same again from JSON's own alphabet, which gets past the
+        // first byte far more often.
+        const JSONISH: &[u8] = b"{}[]\",:\\u0123456789abcdefE+-. \ttruefalsn\xc3\xa9";
+        let jsonish: Vec<u8> = picks.iter().map(|p| JSONISH[*p as usize % JSONISH.len()]).collect();
+        assert_parsers_survive(&String::from_utf8_lossy(&jsonish));
+    }
+
+    #[test]
+    fn parsers_survive_mutated_lines(
+        ev in gen_event(),
+        edits in prop::collection::vec((0u8..4, any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        let mut bytes = line_of(&ev).into_bytes();
+        for (kind, at, byte) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 => bytes.insert(at, byte),
+                1 if at < bytes.len() => bytes[at] = byte,
+                2 if at < bytes.len() => drop(bytes.remove(at)),
+                _ => bytes.truncate(at),
+            }
+        }
+        assert_parsers_survive(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Nesting is followed [`MAX_DEPTH`] levels down and no further, for
+/// both entry points, however long the input.
+#[test]
+fn parse_rejects_nesting_past_the_cap() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+    for text in [nested(MAX_DEPTH + 1), "[".repeat(1 << 20), "{\"k\":".repeat(1 << 18)] {
+        let err = parse_json(&text).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        assert_offset_in_range(&err, text.len());
+    }
+    // A trace line spends two levels on the record and its `fields`.
+    let line = |value: &str| {
+        format!(
+            "{{\"t_us\":1,\"level\":\"info\",\"component\":\"c\",\"target\":\"t\",\
+             \"event\":\"e\",\"fields\":{{\"k\":{value}}}}}"
+        )
+    };
+    assert!(parse_line(&line(&nested(MAX_DEPTH - 2))).is_ok());
+    for value in [nested(MAX_DEPTH - 1), "[".repeat(1 << 20)] {
+        let err = parse_line(&line(&value)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+    let err = parse_line(&format!("{{\"x\":{}", "[".repeat(1 << 20))).expect_err("too deep");
+    assert!(err.contains("nesting deeper than"), "{err}");
+}

@@ -15,6 +15,13 @@ PROPTEST_CASES=2048 cargo test -q --offline -p sc-gfw --lib engine::reference
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
 echo "differential suites: ok"
 
+# The analyzer's parser is where sc-obs reads bytes it did not write:
+# written events parse back field for field, arbitrary bytes and damaged
+# lines never panic, nesting stops at the cap (crates/obs/tests/
+# parse_props.rs plus the parse_* unit tests), at the same depth.
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-obs parse
+echo "parser properties: ok"
+
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
 # One trace-capture gate: run the example with SC_TRACE pointed at a

@@ -85,7 +85,7 @@ fn check_golden(file: &str, actual: &str) {
         return;
     }
     let golden = std::fs::read_to_string(&path).expect("read golden digests");
-    assert_eq!(actual, golden, "seeded traces moved; if intended, re-bless with SC_BLESS=1");
+    assert_eq!(actual, golden, "{file} moved; if intended, re-bless with SC_BLESS=1");
 }
 
 /// A plaintext keyword reset and a raw-IP dial to Google on a small
@@ -184,6 +184,26 @@ fn border_lab_run() -> (Vec<u8>, sc_gfw::GfwCounters) {
     (trace, counters)
 }
 
+/// One arms-race seed: the censor learns the cover signature, the
+/// defense rotates away from it, and the starved rule expires.
+fn arms_race_run() -> Vec<u8> {
+    captured(|| {
+        let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 9191);
+        cfg.clients = 2;
+        cfg.loads = 5;
+        cfg.interval = SimDuration::from_secs(10);
+        cfg.timeout = SimDuration::from_secs(8);
+        cfg.extra_runtime = SimDuration::from_secs(20);
+        cfg.sc_adaptive = true;
+        cfg.sc_adaptive_learn_flows = 4;
+        cfg.sc_adaptive_signature_ttl = SimDuration::from_secs(15);
+        cfg.sc_adaptive_rotation = true;
+        cfg.sc_adaptive_rotation_threshold = 2;
+        cfg.sc_adaptive_rotation_cooldown = SimDuration::from_secs(5);
+        build_scenario(&cfg).finish();
+    })
+}
+
 /// The interference paths, pinned across commits like the transports
 /// above: every GFW technique that acts on a flow's captured payload
 /// (or blocks before it) must keep producing the same trace — same
@@ -225,23 +245,7 @@ fn interference_trace_digests_match_golden() {
     assert!(counters.ip_blocked > 0, "the raw-IP dial must be black-holed: {counters:?}");
     actual.push_str(&digest_line("KeywordResetAndIpBlock", &lab));
 
-    // One arms-race seed: the censor learns the cover signature, the
-    // defense rotates away from it, and the starved rule expires.
-    let arms_race = captured(|| {
-        let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 9191);
-        cfg.clients = 2;
-        cfg.loads = 5;
-        cfg.interval = SimDuration::from_secs(10);
-        cfg.timeout = SimDuration::from_secs(8);
-        cfg.extra_runtime = SimDuration::from_secs(20);
-        cfg.sc_adaptive = true;
-        cfg.sc_adaptive_learn_flows = 4;
-        cfg.sc_adaptive_signature_ttl = SimDuration::from_secs(15);
-        cfg.sc_adaptive_rotation = true;
-        cfg.sc_adaptive_rotation_threshold = 2;
-        cfg.sc_adaptive_rotation_cooldown = SimDuration::from_secs(5);
-        build_scenario(&cfg).finish();
-    });
+    let arms_race = arms_race_run();
     for needed in ["signature_learned", "signature_expired", "\"rule\":\"gfw-rst\""] {
         assert!(has(&arms_race, needed), "arms-race trace must record {needed}");
     }
@@ -627,4 +631,41 @@ fn completed_loads_stitch_into_attributed_trees_with_exemplars() {
     let waterfall = sc_obs::analyze::render_waterfall(worst);
     assert!(waterfall.contains("page_load"), "waterfall missing root:\n{waterfall}");
     assert!(waterfall.contains("tier blame:"), "waterfall missing blame:\n{waterfall}");
+}
+
+/// What the analyzer prints for `trace`: the text report, the `--json`
+/// summary and the slowest completed request's waterfall, hashed.
+fn analyzer_digest_line(label: &str, trace: &[u8]) -> String {
+    use sc_obs::analyze::{analyze, parse_trace, render_json, render_report, render_waterfall};
+    let text = std::str::from_utf8(trace).expect("traces are UTF-8");
+    let events = parse_trace(text).expect("a trace the sink wrote parses");
+    let analysis = analyze(&events, 2_000_000);
+    let mut printed = render_report(&analysis);
+    printed.push_str(&render_json(&analysis));
+    if let Some(worst) = analysis.slowest(1).first() {
+        printed.push_str(&render_waterfall(worst));
+    }
+    digest_line(label, printed.as_bytes())
+}
+
+/// The read side, pinned across commits like the traces above: whatever
+/// the analyzer does to parse and aggregate faster, every byte it prints
+/// for the scenarios this file builds stays the same.
+#[test]
+fn analyzer_output_digests_match_golden() {
+    let mut actual = String::new();
+    for method in Method::all_measured() {
+        actual.push_str(&analyzer_digest_line(&format!("{method:?}"), &traced_run(method, 33)));
+    }
+    for (label, trace) in [
+        ("FaultInjected", faulted_run(57)),
+        ("FlashCrowd", flash_crowd_run(77)),
+        ("FleetChaos", fleet_chaos_run(9393)),
+        ("CacheLab", cache_lab_run(4242)),
+        ("Ops", ops_run(91).0),
+        ("ArmsRace", arms_race_run()),
+    ] {
+        actual.push_str(&analyzer_digest_line(label, &trace));
+    }
+    check_golden("analyzer_digests.txt", &actual);
 }
