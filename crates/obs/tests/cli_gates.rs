@@ -1,0 +1,171 @@
+//! `scholar-obs` gate flags, end to end through the binary: each
+//! numeric gate passing (exit 0), failing (4), undefined on a trace
+//! that lacks its events (4) and given a malformed value (1), with the
+//! report on stdout the same whatever the gates decide.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+use sc_obs::{write_event_json, Event, Level, SpanId};
+
+fn write_trace(name: &str, events: &[Event]) -> PathBuf {
+    let mut text = String::new();
+    for ev in events {
+        write_event_json(&mut text, ev);
+        text.push('\n');
+    }
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("write trace");
+    path
+}
+
+fn span(
+    id: u64,
+    component: &'static str,
+    name: &'static str,
+    (start, end): (u64, u64),
+    trace: u64,
+    parent: Option<u64>,
+    ok: bool,
+) -> [Event; 2] {
+    let mut s = Event::new(start, Level::Debug, component, "t", "span_start")
+        .field("span_name", name)
+        .field("trace_id", trace)
+        .in_span(SpanId(id));
+    if let Some(p) = parent {
+        s = s.field("parent", p);
+    }
+    let e = Event::new(end, Level::Info, component, "t", "span_end")
+        .field("span_name", name)
+        .field("ok", ok)
+        .in_span(SpanId(id));
+    [s, e]
+}
+
+fn repeat(n: usize, ev: Event) -> Vec<Event> {
+    vec![ev; n]
+}
+
+/// A trace on which every gated metric is defined:
+/// availability 50% (2 of 4 loads), 50% under the campaign that starts
+/// at 2 s (1 of the 2 loads ending after it), attribution coverage 50%
+/// (1 of the 2 completed loads stitched), shed rate 25%, cache hit
+/// rate 50%, fleet availability 75%, 0.0005 USD per successful load,
+/// probe detection rate 25%. Tests run in parallel, so each writes
+/// its own copy.
+fn rich_trace(test: &str) -> PathBuf {
+    const S: u64 = 1_000_000;
+    let mut evs = Vec::new();
+    evs.extend(span(1, "web", "page_load", (0, S), 1, None, true));
+    evs.extend(span(2, "scholarcloud", "establish", (10, 20), 1, Some(1), true));
+    evs.extend(span(3, "web", "page_load", (0, S), 2, None, false));
+    evs.extend(span(4, "web", "page_load", (2 * S, 3 * S), 3, None, true));
+    evs.extend(span(5, "web", "page_load", (2 * S, 3 * S), 4, None, false));
+    let sc = |target, name| Event::new(100, Level::Debug, "scholarcloud", target, name);
+    evs.extend(repeat(3, sc("admission", "admit")));
+    evs.push(sc("admission", "shed"));
+    evs.push(sc("cache", "hit"));
+    evs.push(sc("cache", "miss"));
+    evs.extend(repeat(3, Event::new(100, Level::Info, "web", "fleet", "connect_ok")));
+    evs.push(Event::new(100, Level::Info, "web", "fleet", "connect_fail"));
+    evs.push(sc("elastic", "cost").field("live", 1u64).field("total_micro", 1000u64));
+    evs.push(Event::new(2 * S, Level::Info, "gfw", "adaptive", "campaign"));
+    evs.extend(repeat(4, Event::new(2 * S, Level::Info, "gfw", "probe", "launched")));
+    evs.push(
+        Event::new(2 * S, Level::Info, "gfw", "probe", "verdict").field("verdict", "confirmed"),
+    );
+    evs.sort_by_key(|e| e.t_us);
+    write_trace(&format!("cli_gates_{test}_rich.jsonl"), &evs)
+}
+
+/// A trace that analyzes (one closed span) but carries none of the
+/// events any gate reads.
+fn bare_trace() -> PathBuf {
+    write_trace("cli_gates_bare.jsonl", &span(1, "web", "dns", (0, 10), 0, None, true))
+}
+
+fn run(trace: &PathBuf, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_scholar-obs"))
+        .arg(trace)
+        .args(args)
+        .output()
+        .expect("run scholar-obs")
+}
+
+fn code(out: &Output) -> i32 {
+    out.status.code().expect("exit code")
+}
+
+/// `(flag, passing value, failing value, out-of-range value or None,
+/// exit code on the bare trace)`.
+const GATES: [(&str, &str, &str, Option<&str>, i32); 8] = [
+    ("--min-availability", "0.5", "0.51", Some("1.5"), 4),
+    // The shed rate of a trace without admission decisions is 0, not
+    // undefined.
+    ("--max-shed-rate", "0.25", "0.24", Some("-0.1"), 0),
+    ("--min-cache-hit-rate", "0.5", "0.51", Some("2"), 4),
+    ("--min-fleet-availability", "0.75", "0.76", Some("1.01"), 4),
+    ("--min-attribution-coverage", "50", "50.5", Some("101"), 4),
+    ("--max-cost-per-load", "0.0005", "0.00049", Some("-1"), 4),
+    ("--max-detection-rate", "0.25", "0.24", Some("1.5"), 4),
+    ("--min-availability-under-campaign", "0.5", "0.51", Some("7"), 4),
+];
+
+#[test]
+fn each_numeric_gate_passes_fails_and_reports_undefined() {
+    let rich = rich_trace("numeric");
+    let bare = bare_trace();
+    let report = run(&rich, &[]);
+    assert_eq!(code(&report), 0);
+    assert!(!report.stdout.is_empty());
+    for (flag, pass, fail, _, bare_code) in GATES {
+        let out = run(&rich, &[flag, pass]);
+        assert_eq!(code(&out), 0, "{flag} {pass}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.stdout, report.stdout, "{flag} must not change the report");
+
+        let out = run(&rich, &[flag, fail]);
+        assert_eq!(code(&out), 4, "{flag} {fail} must fail the gate");
+        assert_eq!(out.stdout, report.stdout, "a failed gate still prints the report");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("gate failed"), "{flag}: {err}");
+
+        let out = run(&bare, &[flag, pass]);
+        assert_eq!(code(&out), bare_code, "{flag} on a trace without its events");
+        if bare_code == 4 {
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("undefined") || err.contains("no "), "{flag}: {err}");
+        }
+    }
+}
+
+#[test]
+fn malformed_gate_values_are_usage_errors() {
+    let rich = rich_trace("malformed");
+    for (flag, _, _, out_of_range, _) in GATES {
+        for bad in [Some("abc"), Some("nan"), out_of_range].into_iter().flatten() {
+            let out = run(&rich, &[flag, bad]);
+            assert_eq!(code(&out), 1, "{flag} {bad}");
+            assert!(out.stdout.is_empty(), "{flag} {bad}: nothing is analyzed");
+            assert!(String::from_utf8_lossy(&out.stderr).contains(flag), "{flag} {bad}");
+        }
+        // The value is missing altogether.
+        assert_eq!(code(&run(&rich, &[flag])), 1, "{flag} without a value");
+    }
+}
+
+#[test]
+fn boolean_gates_json_and_usage_keep_their_exit_codes() {
+    let rich = rich_trace("boolean");
+    assert_eq!(code(&run(&rich, &["--require-failover"])), 4);
+    assert_eq!(code(&run(&rich, &["--require-exemplars"])), 4);
+    let json = run(&rich, &["--json", "--min-availability", "0.9"]);
+    assert_eq!(code(&json), 4, "gates still decide the exit code under --json");
+    assert!(String::from_utf8_lossy(&json.stdout).contains("\"schema\": \"scholar-obs/v5\""));
+    assert_eq!(code(&run(&rich, &["--bogus"])), 1);
+    let help = Command::new(env!("CARGO_BIN_EXE_scholar-obs")).arg("--help").output().unwrap();
+    assert_eq!(code(&help), 0);
+    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+    for (flag, ..) in GATES {
+        assert!(usage.contains(flag), "usage must name {flag}");
+    }
+}

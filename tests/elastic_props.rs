@@ -17,17 +17,14 @@
 //!    resolved at fire time, churn, cost metering) produces
 //!    byte-identical JSONL traces across same-seed runs.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::rc::Rc;
+mod common;
 
+use std::collections::BTreeMap;
+
+use common::elastic_run;
 use proptest::prelude::*;
 use sc_core::{ElasticAction, ElasticConfig, ElasticPool};
-use sc_metrics::{Method, ScenarioConfig, build_scenario};
-use sc_obs::{Dispatcher, JsonlSink, Level};
 use sc_simnet::addr::Addr;
-use sc_simnet::faults::{Fault, FaultPlan};
 use sc_simnet::time::{SimDuration, SimTime};
 
 /// Fresh addresses for the pool, far more than any op sequence can
@@ -224,76 +221,6 @@ proptest! {
             last_total = total;
         }
     }
-}
-
-/// An in-memory `Write` target shared with the test after the sink is
-/// boxed away.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// An elastic scenario run: a serverless remote tier with a mid-run
-/// blacklisting wave whose target is resolved at fire time from the
-/// live warm set (the elastic_lab shape, shrunk). Autoscaler ticks,
-/// cold starts, churn, and the cost meters are all keyed to the
-/// seeded sim, so the trace must be a pure function of the seed.
-fn elastic_run(seed: u64) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install();
-    let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
-    cfg.clients = 2;
-    cfg.loads = 4;
-    cfg.interval = SimDuration::from_secs(10);
-    cfg.timeout = SimDuration::from_secs(8);
-    cfg.sc_elastic_pool = 8;
-    cfg.sc_elastic_min = 1;
-    cfg.sc_elastic_max = 4;
-    cfg.sc_elastic_idle = SimDuration::from_secs(25);
-    cfg.extra_runtime = SimDuration::from_secs(15);
-    let mut built = build_scenario(&cfg);
-    let gfw = built.gfw.clone().expect("paper config attaches the GFW");
-    let elastic = built.sc_elastic.clone().expect("elastic tier requested");
-    let plan = FaultPlan::new().at(
-        SimTime::from_secs(15),
-        Fault::Callback {
-            label: "gfw_blacklist_warm",
-            apply: Box::new(move |now| {
-                let Some(addr) = elastic.warm_addrs().first().copied() else { return };
-                let mut st = gfw.borrow_mut();
-                if !st.config().ip_blacklist.contains(&(addr, 32)) {
-                    st.config_mut().ip_blacklist.push((addr, 32));
-                }
-                sc_obs::emit(
-                    sc_obs::Event::new(
-                        now.as_micros(),
-                        sc_obs::Level::Info,
-                        "gfw",
-                        "fault",
-                        "blacklist_ip",
-                    )
-                    .field("addr", addr.to_string()),
-                );
-            }),
-        },
-    );
-    built.sim.install_fault_plan(plan);
-    built.finish();
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
 }
 
 #[test]

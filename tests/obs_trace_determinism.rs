@@ -3,42 +3,13 @@
 //! and span ids are assigned sequentially, so the trace is a pure
 //! function of the seed.
 
-use std::cell::RefCell;
-use std::io::Write;
-use std::rc::Rc;
+mod common;
 
-use sc_metrics::{Method, ScenarioConfig, build_scenario, run_scenario};
+use common::{captured, elastic_run, SharedBuf};
+use sc_metrics::{BuiltScenario, Method, ScenarioConfig, build_scenario, run_scenario};
 use sc_obs::{Dispatcher, JsonlSink, Level, SloSpec, WindowSpec};
 use sc_simnet::faults::FaultPlan;
 use sc_simnet::time::{SimDuration, SimTime};
-
-/// An in-memory `Write` target shared with the test after the sink is
-/// boxed away.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-/// Runs `f` under a Debug-level JSONL dispatcher and returns the trace.
-fn captured(f: impl FnOnce()) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(JsonlSink::new(Box::new(buf.clone()))))
-        .install();
-    f();
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
-}
 
 fn traced_run(method: Method, seed: u64) -> Vec<u8> {
     captured(|| {
@@ -298,13 +269,7 @@ fn different_seed_traces_differ() {
 /// fail over, whatever the health-scored pick chose) and heals one
 /// later. Same seed + same plan must still be a pure function of the
 /// inputs — byte-identical traces.
-fn faulted_run(seed: u64) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install();
+fn faulted_scenario(seed: u64) -> BuiltScenario {
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
     cfg.clients = 2;
     cfg.loads = 4;
@@ -321,10 +286,13 @@ fn faulted_run(seed: u64) -> Vec<u8> {
         .at(SimTime::from_secs(24), sc_gfw::unblacklist_ip(&gfw, remotes[2]))
         .at(SimTime::from_secs(40), sc_gfw::unblacklist_ip(&gfw, remotes[0]));
     built.sim.install_fault_plan(plan);
-    built.finish();
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
+    built
+}
+
+fn faulted_run(seed: u64) -> Vec<u8> {
+    captured(|| {
+        faulted_scenario(seed).finish();
+    })
 }
 
 #[test]
@@ -351,13 +319,7 @@ fn fault_injected_traces_are_byte_identical() {
 /// Admission decisions (sheds, queue drains, Retry-After backoffs) are
 /// pure functions of the seeded sim, so the trace must stay
 /// byte-identical with the overload-control layer fully engaged.
-fn flash_crowd_run(seed: u64) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install();
+fn flash_crowd_scenario(seed: u64) -> BuiltScenario {
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
     cfg.clients = 2;
     cfg.loads = 4;
@@ -381,10 +343,13 @@ fn flash_crowd_run(seed: u64) -> Vec<u8> {
         },
     );
     built.sim.install_fault_plan(plan);
-    built.finish();
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
+    built
+}
+
+fn flash_crowd_run(seed: u64) -> Vec<u8> {
+    captured(|| {
+        flash_crowd_scenario(seed).finish();
+    })
 }
 
 #[test]
@@ -418,13 +383,7 @@ fn flash_crowd_traces_are_byte_identical() {
 /// Dead-marks, failover retries, re-probe backoff, and the cache-
 /// peering hop are all keyed to simulation time, so same seed + same
 /// crash must be byte-identical.
-fn fleet_chaos_run(seed: u64) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install();
+fn fleet_chaos_scenario(seed: u64) -> BuiltScenario {
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
     cfg.clients = 4;
     cfg.loads = 3;
@@ -441,10 +400,13 @@ fn fleet_chaos_run(seed: u64) -> Vec<u8> {
         .at(SimTime::from_secs(12), sc_simnet::faults::Fault::NodeCrash(victim))
         .at(SimTime::from_secs(20), sc_simnet::faults::Fault::NodeRestart(victim));
     built.sim.install_fault_plan(plan);
-    built.finish();
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
+    built
+}
+
+fn fleet_chaos_run(seed: u64) -> Vec<u8> {
+    captured(|| {
+        fleet_chaos_scenario(seed).finish();
+    })
 }
 
 #[test]
@@ -478,12 +440,7 @@ fn fleet_chaos_traces_are_byte_identical() {
 /// cache decision is keyed to simulation time, so the trace must be
 /// byte-identical across same-seed runs.
 fn cache_lab_run(seed: u64) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install();
+    captured(|| {
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
     cfg.clients = 4;
     cfg.loads = 2;
@@ -493,9 +450,7 @@ fn cache_lab_run(seed: u64) -> Vec<u8> {
     cfg.origin_max_age = Some(20);
     cfg.sc_cache_bytes = Some(256 * 1024);
     run_scenario(&cfg);
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
+    })
 }
 
 #[test]
@@ -668,4 +623,24 @@ fn analyzer_output_digests_match_golden() {
         actual.push_str(&analyzer_digest_line(label, &trace));
     }
     check_golden("analyzer_digests.txt", &actual);
+}
+
+/// The proxy-heavy scenarios, pinned byte for byte: the analyzer digests
+/// above only see what `analyze` reads, so a reordered field or a
+/// renamed key in an event it ignores would slip past them. These hash
+/// the raw traces.
+#[test]
+fn scenario_trace_digests_match_golden() {
+    let mut actual = String::new();
+    for (label, trace) in [
+        ("FaultInjected", faulted_run(57)),
+        ("FlashCrowd", flash_crowd_run(77)),
+        ("FleetChaos", fleet_chaos_run(9393)),
+        ("CacheLab", cache_lab_run(4242)),
+        ("Ops", ops_run(91).0),
+        ("Elastic", elastic_run(7171)),
+    ] {
+        actual.push_str(&digest_line(label, &trace));
+    }
+    check_golden("scenario_digests.txt", &actual);
 }
