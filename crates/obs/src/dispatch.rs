@@ -165,6 +165,32 @@ impl Dispatcher {
             sink.record(ev);
         }
     }
+
+    /// Allocates the next span id, remembers the start and dispatches
+    /// the `span_start` event (the caller has checked the level).
+    fn open_span(
+        &mut self,
+        start: SpanStart,
+        level: Level,
+        ctx: crate::context::TraceCtx,
+        fields: SpanFields,
+    ) -> SpanId {
+        self.next_span += 1;
+        let id = self.next_span;
+        let mut ev = Event::new(start.t_us, level, start.component, start.target, "span_start")
+            .in_span(SpanId(id));
+        ev.fields.push(("span_name", crate::event::Value::Str(start.name)));
+        self.open_spans.insert(id, start);
+        if !ctx.trace.is_none() {
+            ev.fields.push(("trace_id", crate::event::Value::U64(ctx.trace.0)));
+        }
+        if !ctx.parent.is_none() {
+            ev.fields.push(("parent", crate::event::Value::U64(ctx.parent.0)));
+        }
+        ev.fields.extend(fields);
+        self.dispatch(&ev);
+        SpanId(id)
+    }
 }
 
 /// RAII guard from [`Dispatcher::install`]; dropping it flushes sinks
@@ -247,6 +273,31 @@ pub fn emit(ev: Event) {
     });
 }
 
+/// Emits one event, building it only if it will be recorded: `build`
+/// receives the bare event and attaches the fields, and runs only after
+/// the level filter has accepted `level` for `component` — a filtered
+/// event costs neither its `String`s nor its field vector, and each
+/// site names its level and component once.
+pub fn event(
+    t_us: u64,
+    level: Level,
+    component: &'static str,
+    target: &'static str,
+    name: &'static str,
+    build: impl FnOnce(Event) -> Event,
+) {
+    if !is_enabled(level, component) {
+        return;
+    }
+    // Built outside the dispatcher borrow, so `build` may itself read
+    // the registry or emit.
+    let ev = build(Event::new(t_us, level, component, target, name));
+    with_installed(|d| d.dispatch(&ev));
+}
+
+/// Field list of a span's start or end event.
+pub type SpanFields = Vec<(&'static str, crate::event::Value)>;
+
 /// Opens a span: emits a `span_start` event and returns the id to close
 /// it with. Returns [`SpanId::NONE`] (which [`span_end`] ignores) when
 /// no dispatcher is installed or the span's level is filtered out.
@@ -256,22 +307,9 @@ pub fn span_start(
     component: &'static str,
     target: &'static str,
     name: &'static str,
-    fields: Vec<(&'static str, crate::event::Value)>,
+    fields: SpanFields,
 ) -> SpanId {
-    with_installed(|d| {
-        if !d.enabled(level, component) {
-            return SpanId::NONE;
-        }
-        d.next_span += 1;
-        let id = d.next_span;
-        d.open_spans.insert(id, SpanStart { t_us, component, target, name });
-        let mut ev = Event::new(t_us, level, component, target, "span_start").in_span(SpanId(id));
-        ev.fields.push(("span_name", crate::event::Value::Str(name)));
-        ev.fields.extend(fields);
-        d.dispatch(&ev);
-        SpanId(id)
-    })
-    .unwrap_or(SpanId::NONE)
+    span_start_ctx(t_us, level, component, target, name, crate::context::TraceCtx::NONE, fields)
 }
 
 /// Opens a span *inside a propagated trace*: like [`span_start`], but
@@ -290,33 +328,39 @@ pub fn span_start_ctx(
     target: &'static str,
     name: &'static str,
     ctx: crate::context::TraceCtx,
-    fields: Vec<(&'static str, crate::event::Value)>,
+    fields: SpanFields,
 ) -> SpanId {
     with_installed(|d| {
         if !d.enabled(level, component) {
             return SpanId::NONE;
         }
-        d.next_span += 1;
-        let id = d.next_span;
-        d.open_spans.insert(id, SpanStart { t_us, component, target, name });
-        let mut ev = Event::new(t_us, level, component, target, "span_start").in_span(SpanId(id));
-        ev.fields.push(("span_name", crate::event::Value::Str(name)));
-        if !ctx.trace.is_none() {
-            ev.fields.push(("trace_id", crate::event::Value::U64(ctx.trace.0)));
-        }
-        if !ctx.parent.is_none() {
-            ev.fields.push(("parent", crate::event::Value::U64(ctx.parent.0)));
-        }
-        ev.fields.extend(fields);
-        d.dispatch(&ev);
-        SpanId(id)
+        d.open_span(SpanStart { t_us, component, target, name }, level, ctx, fields)
     })
     .unwrap_or(SpanId::NONE)
 }
 
+/// [`span_start_ctx`] for callers whose fields cost something to build:
+/// `fields` runs only once the level filter has accepted the span.
+pub fn span_start_with(
+    t_us: u64,
+    level: Level,
+    component: &'static str,
+    target: &'static str,
+    name: &'static str,
+    ctx: crate::context::TraceCtx,
+    fields: impl FnOnce() -> SpanFields,
+) -> SpanId {
+    if !is_enabled(level, component) {
+        return SpanId::NONE;
+    }
+    let fields = fields();
+    with_installed(|d| d.open_span(SpanStart { t_us, component, target, name }, level, ctx, fields))
+        .unwrap_or(SpanId::NONE)
+}
+
 /// Closes a span opened by [`span_start`], emitting a `span_end` event
 /// carrying the span's simulated duration in `dur_us`.
-pub fn span_end(t_us: u64, span: SpanId, fields: Vec<(&'static str, crate::event::Value)>) {
+pub fn span_end(t_us: u64, span: SpanId, fields: SpanFields) {
     if span.is_none() {
         return;
     }

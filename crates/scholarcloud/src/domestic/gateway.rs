@@ -1,0 +1,572 @@
+//! Stage 2 — gateway: plain-HTTP requests answered from the shared
+//! content cache, a coalesced in-flight fetch, or upstream.
+//!
+//! Unlike CONNECT tunnels, these requests expose their HTTP semantics —
+//! the only place caching can apply. The proxy terminates HTTP on a
+//! gateway connection (one request at a time, keep-alive across
+//! requests). The stage owns the in-flight fetches, the singleflight
+//! table with its parked waiters, and the requesters' validators; a
+//! fetch that must leave the proxy goes back to the driver as a
+//! [`Request`] for admission or a [`Miss`] the peer stage may take.
+
+use std::collections::BTreeMap;
+
+use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight};
+use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
+use sc_obs::{Level, SpanId, TraceCtx};
+use sc_simnet::addr::Addr;
+use sc_simnet::api::TcpHandle;
+use sc_simnet::time::SimTime;
+
+use super::admit::{stream_header, trace_ctx_of, Request};
+use super::io::Io;
+use super::trace;
+use super::FLEET_HEADER;
+use crate::config::ScConfig;
+
+/// An in-flight fetch on behalf of a gateway requester, keyed by that
+/// leader's browser handle. The upstream leg runs through the normal
+/// admission + establish machinery (or one intra-fleet hop); the
+/// response is reassembled here instead of being piped through.
+struct Fetch {
+    /// The leader's fairness key (a replayed fetch is re-admitted).
+    client: Addr,
+    /// `(host, path)` — the shared cache's key.
+    key: CacheKey,
+    /// Origin port of the upstream leg.
+    port: u16,
+    /// Origin-form request (replayed if the flight's leadership moves
+    /// or a peering hop falls back upstream).
+    request: HttpRequest,
+    /// Store a `200` under `key` and fan it out to coalesced waiters.
+    cacheable: bool,
+    /// Carries our stored validator: an upstream `304` renews the entry.
+    revalidating: bool,
+    /// Reassembles the upstream response stream.
+    parser: HttpParser,
+}
+
+/// A requester parked on another leader's in-flight fetch.
+struct Wait {
+    key: CacheKey,
+    /// Open "coalesce_wait" span.
+    span: SpanId,
+    /// The waiter's own identity, used if it is promoted to leader.
+    tctx: TraceCtx,
+    client: Addr,
+}
+
+/// A cacheable miss whose requester leads the fetch.
+pub(super) struct Miss {
+    pub leader: TcpHandle,
+    pub client: Addr,
+    pub port: u16,
+    pub key: CacheKey,
+    /// Origin-form request, without any validator.
+    pub request: HttpRequest,
+    /// The validator of our stale entry, if we hold one.
+    pub stored_etag: Option<String>,
+    pub tctx: TraceCtx,
+    /// The request is itself a peer's hop: answer locally, never
+    /// forward again — a peering hop is one hop, by construction.
+    pub via_hop: bool,
+}
+
+/// Where a gateway request went.
+pub(super) enum Routed {
+    /// Answered (cache hit, `400`) or parked on an in-flight fetch.
+    Done,
+    /// Names a host off the whitelist.
+    OffWhitelist(String),
+    /// Must be fetched upstream, through admission.
+    Upstream(Request),
+    /// A cacheable miss led by this requester.
+    Lead(Miss),
+}
+
+/// What an upstream stream's bytes amounted to.
+pub(super) enum Parsed {
+    /// No fetch of this browser's is waiting for them.
+    NotMine,
+    /// Not a whole response yet.
+    More,
+    /// Not HTTP.
+    Garbled,
+    /// The response is complete.
+    Response(HttpResponse),
+}
+
+pub(super) struct Gateway {
+    /// This proxy's fleet shard, for event attribution.
+    shard: Option<usize>,
+    fetches: BTreeMap<TcpHandle, Fetch>,
+    /// Coalescing table for cacheable fetches.
+    flights: Singleflight<TcpHandle>,
+    waits: BTreeMap<TcpHandle, Wait>,
+    /// `If-None-Match` validators sent by requesters, consulted when
+    /// answering from the cache (matching validator → bodyless 304).
+    inm: BTreeMap<TcpHandle, String>,
+}
+
+impl Gateway {
+    pub fn new() -> Self {
+        Gateway {
+            shard: None,
+            fetches: BTreeMap::new(),
+            flights: Singleflight::new(),
+            waits: BTreeMap::new(),
+            inm: BTreeMap::new(),
+        }
+    }
+
+    pub fn join_fleet(&mut self, self_idx: usize) {
+        self.shard = Some(self_idx);
+    }
+
+    /// `(table, entries)` for the conservation checks.
+    pub fn occupancy(&self) -> [(&'static str, usize); 3] {
+        [
+            ("gateway fetches", self.fetches.len()),
+            ("gateway waiters", self.waits.len()),
+            ("gateway flights", self.flights.len()),
+        ]
+    }
+
+    fn cache_event(&self, now: SimTime, name: &'static str, key: &CacheKey) {
+        trace::event(now, Level::Debug, "cache", name, |ev| {
+            trace::sharded(ev.field("host", key.0.clone()).field("path", key.1.clone()), self.shard)
+        });
+    }
+
+    /// One parsed request on a gateway-mode browser conn: resolve the
+    /// target (absolute-form, or origin-form via the Host header — the
+    /// browser's RTT probes arrive that way), enforce the whitelist, and
+    /// serve from the shared cache, an in-flight coalesced fetch, or
+    /// upstream.
+    pub fn request(
+        &mut self,
+        browser: TcpHandle,
+        client: Addr,
+        req: HttpRequest,
+        cfg: &ScConfig,
+        io: &mut impl Io,
+    ) -> Routed {
+        let Some((host, port, path)) = split_target(&req) else {
+            io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
+            return Routed::Done;
+        };
+        if !cfg.whitelisted(&host) {
+            return Routed::OffWhitelist(host);
+        }
+        let now = io.now();
+        let tctx = trace_ctx_of(&req);
+        let key: CacheKey = (host, path);
+        match req.header_value("If-None-Match") {
+            Some(inm) => {
+                self.inm.insert(browser, inm.to_string());
+            }
+            None => {
+                self.inm.remove(&browser);
+            }
+        }
+        let cacheable = req.method == "GET" && cfg.cache.borrow().enabled();
+        // An intra-fleet peering hop announces itself with the
+        // loop-guard header: the owner answers locally (cache,
+        // coalesced flight, or its own upstream fetch) and never
+        // re-forwards.
+        let peer_hop = req.header_value(FLEET_HEADER).and_then(|v| v.parse::<usize>().ok());
+        if let Some(from) = peer_hop {
+            cfg.cache.borrow_mut().note_peer_serve();
+            trace::count(now, "scholarcloud.peer_serves", 1);
+            trace::event(now, Level::Debug, "fleet", "peer_serve", |ev| {
+                trace::sharded(ev, self.shard)
+                    .field("from", from.to_string())
+                    .field("path", key.1.clone())
+            });
+        }
+
+        // Upstream leg is origin-form.
+        let mut request = req;
+        request.target = key.1.clone();
+        request.headers.retain(|(n, _)| !n.eq_ignore_ascii_case(FLEET_HEADER));
+
+        if !cacheable {
+            // Non-GET (the HEAD RTT probe) or cache disabled: a plain
+            // uncoalesced pass-through fetch.
+            let fetch = Fetch::new(client, key, port, request, false, false);
+            return Routed::Upstream(self.go_upstream(browser, fetch, tctx, false, cfg, now));
+        }
+        // The client's validator is answered from the cache, not
+        // forwarded: the shared cache needs the full body for its other
+        // readers, so only *its own* validator may go upstream.
+        request.headers.retain(|(n, _)| !n.eq_ignore_ascii_case("If-None-Match"));
+
+        enum Plan {
+            Hit(CachedResponse),
+            Fetch { stored_etag: Option<String> },
+        }
+        let plan = {
+            let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
+            let mut cache = cfg.cache.borrow_mut();
+            match cache.lookup(&key, now) {
+                Lookup::Fresh(r) => {
+                    let r = r.clone();
+                    cache.note_hit(r.body.len());
+                    Plan::Hit(r)
+                }
+                Lookup::Stale(_) => Plan::Fetch {
+                    stored_etag: cache.etag_of(&key).filter(|e| !e.is_empty()).map(str::to_string),
+                },
+                Lookup::Miss => Plan::Fetch { stored_etag: None },
+            }
+        };
+        // An instant "cache_lookup" span records the verdict in the
+        // trace tree (and marks the request as having reached the cache
+        // tier even when it never goes upstream).
+        let verdict = match &plan {
+            Plan::Hit(_) => "hit",
+            Plan::Fetch { stored_etag: Some(_) } => "stale",
+            Plan::Fetch { stored_etag: None } => "miss",
+        };
+        let mut lookup_span =
+            trace::span(now, "cache", "cache_lookup", tctx, || vec![("verdict", verdict.into())]);
+        trace::end(now, &mut lookup_span, Vec::new);
+        match plan {
+            Plan::Hit(r) => {
+                trace::count(now, "scholarcloud.cache_hits", 1);
+                trace::count(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
+                self.cache_event(now, "hit", &key);
+                self.serve_from_cache(browser, &r, io);
+                Routed::Done
+            }
+            Plan::Fetch { stored_etag } => match self.flights.begin(&key, browser) {
+                Role::Waiter => {
+                    // No admission slot, no tunnel: park on the leader's
+                    // in-flight fetch.
+                    let span = trace::span(now, "cache", "coalesce_wait", tctx, || {
+                        vec![("path", key.1.clone().into())]
+                    });
+                    cfg.cache.borrow_mut().note_coalesced();
+                    trace::count(now, "scholarcloud.cache_coalesced", 1);
+                    self.cache_event(now, "coalesced", &key);
+                    self.waits.insert(browser, Wait { key, span, tctx, client });
+                    Routed::Done
+                }
+                Role::Leader => Routed::Lead(Miss {
+                    leader: browser,
+                    client,
+                    port,
+                    key,
+                    request,
+                    stored_etag,
+                    tctx,
+                    via_hop: peer_hop.is_some(),
+                }),
+            },
+        }
+    }
+
+    /// The leader's miss goes upstream itself (no peer owns the key):
+    /// only *our* stored validator rides along.
+    pub fn lead_upstream(&mut self, miss: Miss, cfg: &ScConfig, now: SimTime) -> Request {
+        let revalidating = miss.stored_etag.is_some();
+        let request = match miss.stored_etag {
+            Some(etag) => miss.request.header("If-None-Match", &etag),
+            None => miss.request,
+        };
+        let fetch = Fetch::new(miss.client, miss.key, miss.port, request, true, revalidating);
+        self.go_upstream(miss.leader, fetch, miss.tctx, false, cfg, now)
+    }
+
+    /// The leader's miss takes an intra-fleet hop to the key's owner.
+    /// The fetch is registered under the leader as usual, so waiters
+    /// coalesce locally too and a failed hop can fall back upstream.
+    pub fn lead_via_peer(&mut self, miss: Miss, cfg: &ScConfig) {
+        cfg.cache.borrow_mut().note_peer_fetch();
+        let revalidating = miss.stored_etag.is_some();
+        self.fetches.insert(
+            miss.leader,
+            Fetch::new(miss.client, miss.key, miss.port, miss.request, true, revalidating),
+        );
+    }
+
+    /// Replays a failed hop's request through the normal upstream
+    /// machinery. One hop max: even if another peer now owns the key,
+    /// the fallback goes straight upstream — bounded worst-case latency
+    /// per request, by construction. `None` if the browser vanished
+    /// while the hop was in flight.
+    pub fn fall_back_upstream(
+        &mut self,
+        leader: TcpHandle,
+        tctx: TraceCtx,
+        cfg: &ScConfig,
+        now: SimTime,
+    ) -> Option<Request> {
+        let mut fetch = self.fetches.remove(&leader)?;
+        if fetch.revalidating {
+            if let Some(etag) = cfg.cache.borrow().etag_of(&fetch.key).filter(|e| !e.is_empty()) {
+                fetch.request = fetch.request.header("If-None-Match", etag);
+            }
+        }
+        Some(self.go_upstream(leader, fetch, tctx, false, cfg, now))
+    }
+
+    /// Registers `fetch` under `browser` and builds its upstream leg's
+    /// [`Request`] (one tunnel per fetch). A `replay` re-runs a fetch
+    /// the stats already counted as a miss.
+    fn go_upstream(
+        &mut self,
+        browser: TcpHandle,
+        fetch: Fetch,
+        tctx: TraceCtx,
+        replay: bool,
+        cfg: &ScConfig,
+        now: SimTime,
+    ) -> Request {
+        if fetch.cacheable {
+            cfg.cache.borrow_mut().note_upstream_fetch(&fetch.key, now);
+            if !fetch.revalidating && !replay {
+                cfg.cache.borrow_mut().note_miss();
+                trace::count(now, "scholarcloud.cache_misses", 1);
+                self.cache_event(now, "miss", &fetch.key);
+            }
+        }
+        let req = Request {
+            browser,
+            client: fetch.client,
+            header: stream_header(&fetch.key.0, fetch.port, false, tctx),
+            initial_plain: fetch.request.encode(),
+            is_connect: false,
+            tctx,
+        };
+        self.fetches.insert(browser, fetch);
+        req
+    }
+
+    /// Feeds an upstream stream's plaintext to `browser`'s fetch.
+    pub fn upstream_data(&mut self, browser: TcpHandle, plain: &[u8]) -> Parsed {
+        let Some(fetch) = self.fetches.get_mut(&browser) else { return Parsed::NotMine };
+        match fetch.parser.push(plain) {
+            Err(_) => Parsed::Garbled,
+            Ok(msgs) => msgs
+                .into_iter()
+                .find_map(|m| match m {
+                    HttpMessage::Response(r) => Some(Parsed::Response(r)),
+                    _ => None,
+                })
+                .unwrap_or(Parsed::More),
+        }
+    }
+
+    /// Settles `leader`'s completed fetch: update the cache, answer the
+    /// leader and every coalesced waiter. Shared between the upstream
+    /// path (which then releases its admission slot) and the intra-fleet
+    /// peering path (which held none). `via_peer` bodies came from a
+    /// peer's cache over the LAN, so a changed representation there is
+    /// not a local miss.
+    pub fn settle(
+        &mut self,
+        leader: TcpHandle,
+        resp: HttpResponse,
+        via_peer: bool,
+        cfg: &ScConfig,
+        io: &mut impl Io,
+    ) {
+        let Some(fetch) = self.fetches.remove(&leader) else { return };
+        let now = io.now();
+        let cache_prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
+        let served: Option<CachedResponse> = if !fetch.cacheable {
+            None
+        } else if resp.status == 304 && fetch.revalidating {
+            // Our validator held: a cheap bodyless exchange renewed the
+            // entry for everyone.
+            let renewed = {
+                let mut cache = cfg.cache.borrow_mut();
+                let ttl = cache.ttl_for(&fetch.key.0, resp.max_age_secs());
+                cache.revalidate(&fetch.key, ttl, now, resp.header_value("ETag")).cloned()
+            };
+            if let Some(r) = &renewed {
+                cfg.cache.borrow_mut().note_bytes_saved(r.body.len());
+                trace::count(now, "scholarcloud.cache_revalidated", 1);
+                trace::count(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
+                self.cache_event(now, "revalidated", &fetch.key);
+            }
+            renewed
+        } else if resp.status == 200 {
+            let entry = CachedResponse {
+                status: 200,
+                content_type: resp
+                    .header_value("Content-Type")
+                    .unwrap_or("application/octet-stream")
+                    .to_string(),
+                etag: resp.header_value("ETag").unwrap_or_default().to_string(),
+                max_age: resp.max_age_secs(),
+                body: resp.body.clone(),
+            };
+            // The representation changed upstream: the stale entry did
+            // not help after all.
+            let changed = fetch.revalidating && !via_peer;
+            let evicted = {
+                let mut cache = cfg.cache.borrow_mut();
+                let ttl = cache.ttl_for(&fetch.key.0, entry.max_age);
+                if changed {
+                    cache.note_miss();
+                }
+                cache.insert(fetch.key.clone(), entry.clone(), ttl, now).evicted
+            };
+            if changed {
+                trace::count(now, "scholarcloud.cache_misses", 1);
+                self.cache_event(now, "miss", &fetch.key);
+            }
+            for victim in &evicted {
+                trace::count(now, "scholarcloud.cache_evicted", 1);
+                self.cache_event(now, "evicted", victim);
+            }
+            Some(entry)
+        } else {
+            None
+        };
+        drop(cache_prof);
+        // A pass-through fetch was never coalesced.
+        let waiters = match fetch.cacheable.then(|| self.flights.complete(&fetch.key)).flatten() {
+            Some(flight) => flight.waiters,
+            None => Vec::new(),
+        };
+        match served {
+            Some(entry) => {
+                self.serve_from_cache(leader, &entry, io);
+                for w in waiters {
+                    self.end_wait(w, now, || vec![("ok", true.into())]);
+                    cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
+                    trace::count(now, "scholarcloud.cache_bytes_saved", entry.body.len() as u64);
+                    self.serve_from_cache(w, &entry, io);
+                }
+            }
+            None => {
+                // Pass-through (non-GET, cache off, or an uncacheable
+                // status): every coalesced requester gets the same
+                // answer.
+                let wire = resp.encode();
+                io.send(leader, &wire);
+                for w in waiters {
+                    self.end_wait(w, now, || vec![("ok", true.into())]);
+                    io.send(w, &wire);
+                }
+            }
+        }
+    }
+
+    fn end_wait(&mut self, waiter: TcpHandle, now: SimTime, fields: impl FnOnce() -> sc_obs::SpanFields) {
+        if let Some(mut wait) = self.waits.remove(&waiter) {
+            trace::end(now, &mut wait.span, fields);
+        }
+    }
+
+    /// Answers a gateway requester from a cache entry: `304` when its own
+    /// validator still matches, the full `200` otherwise. Validators and
+    /// freshness are forwarded so browser caches layer on top.
+    fn serve_from_cache(&mut self, browser: TcpHandle, entry: &CachedResponse, io: &mut impl Io) {
+        let inm = self.inm.remove(&browser);
+        let not_modified = !entry.etag.is_empty() && inm.as_deref() == Some(entry.etag.as_str());
+        let mut resp = if not_modified {
+            HttpResponse::new(304, Vec::new())
+        } else {
+            HttpResponse::new(entry.status, entry.body.clone())
+                .header("Content-Type", &entry.content_type)
+        };
+        if !entry.etag.is_empty() {
+            resp = resp.header("ETag", &entry.etag);
+        }
+        if let Some(max_age) = entry.max_age {
+            resp = resp.header("Cache-Control", &format!("public, max-age={max_age}"));
+        }
+        io.send(browser, &resp.encode());
+    }
+
+    /// A gateway leader's request failed (shed, retries exhausted, or
+    /// upstream death): its coalesced waiters get the same answer —
+    /// without this they would hang until their browsers time out.
+    /// Returns the waiters whose connections were closed.
+    pub fn fail_waiters(&mut self, leader: TcpHandle, code: u16, io: &mut impl Io) -> Vec<TcpHandle> {
+        let Some(fetch) = self.fetches.remove(&leader) else { return Vec::new() };
+        self.inm.remove(&leader);
+        if !fetch.cacheable {
+            return Vec::new();
+        }
+        let Some(flight) = self.flights.complete(&fetch.key) else { return Vec::new() };
+        let wire = HttpResponse::new(code, Vec::new()).encode();
+        for &w in &flight.waiters {
+            self.end_wait(w, io.now(), || vec![("ok", false.into()), ("code", code.into())]);
+            self.inm.remove(&w);
+            io.send(w, &wire);
+            io.close(w);
+        }
+        flight.waiters
+    }
+
+    /// A gateway browser conn went away: drop it from any coalesced
+    /// flight. A departing waiter is simply removed; a departing leader
+    /// hands the fetch to its first waiter, whose replayed request —
+    /// returned here — goes back through admission under the waiter's
+    /// own slot and trace context.
+    pub fn browser_gone(
+        &mut self,
+        browser: TcpHandle,
+        cfg: &ScConfig,
+        now: SimTime,
+    ) -> Option<Request> {
+        self.inm.remove(&browser);
+        if let Some(mut wait) = self.waits.remove(&browser) {
+            trace::end(now, &mut wait.span, || vec![("ok", false.into())]);
+            self.flights.forget(&wait.key, browser);
+            return None;
+        }
+        let fetch = self.fetches.remove(&browser).filter(|f| f.cacheable)?;
+        let promoted = self.flights.forget(&fetch.key, browser)?;
+        // The dead leader's attempt is torn down by the caller; the
+        // promoted waiter restarts the fetch. Its coalesce wait ends
+        // here.
+        let (tctx, client) = match self.waits.remove(&promoted) {
+            Some(mut wait) => {
+                trace::end(now, &mut wait.span, || vec![("promoted", true.into())]);
+                (wait.tctx, wait.client)
+            }
+            None => (TraceCtx::NONE, fetch.client),
+        };
+        let replayed = Fetch { client, parser: HttpParser::new(), ..fetch };
+        Some(self.go_upstream(promoted, replayed, tctx, true, cfg, now))
+    }
+}
+
+/// `(host, port, path)` of a gateway request: absolute-form, or
+/// origin-form with a Host header.
+fn split_target(req: &HttpRequest) -> Option<(String, u16, String)> {
+    if let Some(rest) = req.target.strip_prefix("http://") {
+        let (hostport, path) = match rest.find('/') {
+            Some(i) => (&rest[..i], &rest[i..]),
+            None => (rest, "/"),
+        };
+        let (host, port) = match hostport.rsplit_once(':') {
+            Some((h, p)) => (h, p.parse().unwrap_or(80)),
+            None => (hostport, 80),
+        };
+        Some((host.to_string(), port, path.to_string()))
+    } else if req.target.starts_with('/') {
+        Some((req.host()?.to_string(), 80, req.target.clone()))
+    } else {
+        None
+    }
+}
+
+impl Fetch {
+    fn new(
+        client: Addr,
+        key: CacheKey,
+        port: u16,
+        request: HttpRequest,
+        cacheable: bool,
+        revalidating: bool,
+    ) -> Self {
+        Fetch { client, key, port, request, cacheable, revalidating, parser: HttpParser::new() }
+    }
+}

@@ -1,0 +1,257 @@
+//! Stage 3 — peer: one intra-fleet hop to the cache shard that owns a
+//! key, instead of a cross-border fetch.
+//!
+//! Owns this proxy's private fleet view (peer dead-marks with re-probe
+//! backoff) and the in-flight hops. A hop either settles like an
+//! upstream response or falls back upstream; either way the outcome
+//! goes back to the driver, which owns neither the cache nor admission.
+
+use std::collections::BTreeMap;
+
+use sc_cache::CacheKey;
+use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
+use sc_obs::{Level, SpanId, TraceCtx};
+use sc_simnet::api::{TcpEvent, TcpHandle};
+use sc_simnet::time::{SimDuration, SimTime};
+
+use super::gateway::Miss;
+use super::io::{Io, Timer};
+use super::trace;
+use super::FLEET_HEADER;
+use crate::fleet::FleetMember;
+
+/// An in-flight intra-fleet peering hop: a non-owner's cacheable miss
+/// forwarded to the key's owner shard instead of upstream.
+struct Hop {
+    /// The gateway leader whose request this hop serves.
+    leader: TcpHandle,
+    /// Owner shard index the hop targets.
+    owner: usize,
+    /// Pre-encoded request, sent once the peer TCP connects.
+    wire: Vec<u8>,
+    connected: bool,
+    /// Response settled; awaiting the close handshake's events.
+    done: bool,
+    /// Reassembles the owner's response.
+    parser: HttpParser,
+    /// Open "peer_fetch" span.
+    span: SpanId,
+    /// Leader's trace context (a fallback replay parents into it).
+    tctx: TraceCtx,
+}
+
+/// What became of a hop.
+pub(super) enum HopOutcome {
+    /// Still in flight, or nothing the rest of the pipeline cares about.
+    Nothing,
+    /// The owner answered `200`/`304`: settle the leader's fetch with it.
+    Settled { leader: TcpHandle, resp: HttpResponse },
+    /// The hop failed or was refused: the leader's fetch goes upstream.
+    Fallback { leader: TcpHandle, tctx: TraceCtx },
+}
+
+pub(super) struct Peer {
+    /// `None` = the paper's single-proxy deployment: nothing ever hops.
+    fleet: Option<FleetMember>,
+    hops: BTreeMap<TcpHandle, Hop>,
+}
+
+impl Peer {
+    pub fn new() -> Self {
+        Peer { fleet: None, hops: BTreeMap::new() }
+    }
+
+    pub fn join_fleet(&mut self, member: FleetMember) {
+        self.fleet = Some(member);
+    }
+
+    pub fn owns(&self, h: TcpHandle) -> bool {
+        self.hops.contains_key(&h)
+    }
+
+    pub fn occupancy(&self) -> [(&'static str, usize); 1] {
+        [("peer hops", self.hops.len())]
+    }
+
+    fn shard(&self) -> Option<usize> {
+        self.fleet.as_ref().map(|f| f.self_idx)
+    }
+
+    /// The peer shard owning `key` right now, or `None` when the hop
+    /// should not happen: no fleet, a one-member fleet, or this shard
+    /// owns the key itself (possibly by inheritance from a dead peer).
+    pub fn owner_of(&self, key: &CacheKey, now: SimTime) -> Option<usize> {
+        let f = self.fleet.as_ref()?;
+        if f.handle.len() < 2 {
+            return None;
+        }
+        let owner = f.owner_for(key, now);
+        (owner != f.self_idx).then_some(owner)
+    }
+
+    /// Launches the hop for `miss`: one absolute-form GET to the key's
+    /// owner shard, marked with the loop-guard header and carrying *our*
+    /// stored validator (the owner's `304` renews our entry). One
+    /// deadline of `2 × connect_timeout` covers the whole hop (connect +
+    /// response): a crashed or wedged owner must cost one bounded wait,
+    /// then the fallback goes upstream.
+    pub fn start(&mut self, miss: &Miss, owner: usize, connect_timeout: SimDuration, io: &mut impl Io) {
+        let now = io.now();
+        let f = self.fleet.as_ref().expect("owner_of found a fleet");
+        let (self_idx, addr) = (f.self_idx, f.handle.member_addr(owner));
+        let key = &miss.key;
+        trace::count(now, "scholarcloud.peer_fetches", 1);
+        trace::event(now, Level::Debug, "fleet", "peer_fetch", |ev| {
+            ev.field("shard", self_idx as u64)
+                .field("owner", owner.to_string())
+                .field("host", key.0.clone())
+                .field("path", key.1.clone())
+        });
+        let span = trace::span(now, "fleet", "peer_fetch", miss.tctx, || {
+            vec![("owner", (owner as u64).into())]
+        });
+        let target = if miss.port == 80 {
+            format!("http://{}{}", key.0, key.1)
+        } else {
+            format!("http://{}:{}{}", key.0, miss.port, key.1)
+        };
+        let mut hop = HttpRequest::get(&key.0, &target)
+            .header(FLEET_HEADER, &self_idx.to_string())
+            .header(sc_obs::TRACE_HEADER, &miss.tctx.with_parent(span).header_value());
+        if let Some(etag) = &miss.stored_etag {
+            hop = hop.header("If-None-Match", etag);
+        }
+        let h = io.connect(addr);
+        self.hops.insert(
+            h,
+            Hop {
+                leader: miss.leader,
+                owner,
+                wire: hop.encode(),
+                connected: false,
+                done: false,
+                parser: HttpParser::new(),
+                span,
+                tctx: miss.tctx,
+            },
+        );
+        io.timer(connect_timeout.saturating_mul(2), Timer::PeerDeadline(h));
+    }
+
+    pub fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> HopOutcome {
+        let Some(hop) = self.hops.get_mut(&h) else { return HopOutcome::Nothing };
+        match ev {
+            TcpEvent::Connected => {
+                hop.connected = true;
+                let wire = std::mem::take(&mut hop.wire);
+                io.send(h, &wire);
+                HopOutcome::Nothing
+            }
+            TcpEvent::DataReceived => {
+                let data = io.recv(h);
+                if hop.done {
+                    return HopOutcome::Nothing;
+                }
+                match hop.parser.push(&data) {
+                    Err(_) => {
+                        io.abort(h);
+                        self.failed(h, "bad_peer_response", io)
+                    }
+                    Ok(msgs) => {
+                        let resp = msgs.into_iter().find_map(|m| match m {
+                            HttpMessage::Response(r) => Some(r),
+                            _ => None,
+                        });
+                        match resp {
+                            Some(resp) => self.answered(h, resp, io),
+                            None => HopOutcome::Nothing,
+                        }
+                    }
+                }
+            }
+            TcpEvent::ConnectFailed | TcpEvent::Reset | TcpEvent::PeerClosed => {
+                if hop.done {
+                    // Settled hop: just drain the close handshake.
+                    self.hops.remove(&h);
+                    return HopOutcome::Nothing;
+                }
+                let reason = match ev {
+                    TcpEvent::ConnectFailed => "peer_connect_failed",
+                    TcpEvent::Reset => "peer_reset",
+                    _ => "peer_closed",
+                };
+                self.failed(h, reason, io)
+            }
+            _ => HopOutcome::Nothing,
+        }
+    }
+
+    /// The whole-hop deadline fired.
+    pub fn deadline(&mut self, h: TcpHandle, io: &mut impl Io) -> HopOutcome {
+        let Some(hop) = self.hops.get(&h).filter(|hop| !hop.done) else {
+            return HopOutcome::Nothing;
+        };
+        let reason =
+            if hop.connected { "peer_response_timeout" } else { "peer_connect_timeout" };
+        io.abort(h);
+        sc_obs::counter_add("scholarcloud.peer_timeouts", 1);
+        self.failed(h, reason, io)
+    }
+
+    /// The owner shard answered. A `200`/`304` settles exactly like an
+    /// upstream response (the `200` body is stored locally too — a
+    /// deliberate hot-key replica, so repeat traffic at this shard stops
+    /// paying the hop); no admission slot was held, so nothing is
+    /// released. Anything else means the owner is alive but refusing
+    /// (shedding under fleet pressure): not a liveness failure — no
+    /// dead-mark, fall back upstream.
+    fn answered(&mut self, h: TcpHandle, resp: HttpResponse, io: &mut impl Io) -> HopOutcome {
+        let now = io.now();
+        let shard = self.shard();
+        let hop = self.hops.get_mut(&h).expect("caller checked");
+        hop.done = true;
+        let (leader, owner, tctx) = (hop.leader, hop.owner, hop.tctx);
+        let ok = resp.status == 200 || resp.status == 304;
+        io.close(h);
+        trace::end(now, &mut hop.span, || {
+            vec![("ok", ok.into()), ("status", resp.status.into())]
+        });
+        if !ok {
+            trace::count(now, "scholarcloud.peer_refusals", 1);
+            trace::event(now, Level::Info, "fleet", "peer_refused", |ev| {
+                trace::sharded(ev, shard)
+                    .field("owner", owner.to_string())
+                    .field("status", resp.status.to_string())
+            });
+            return HopOutcome::Fallback { leader, tctx };
+        }
+        if self.fleet.as_mut().map_or(false, |f| f.mark_peer_up(owner)) {
+            trace::count(now, "scholarcloud.peer_recoveries", 1);
+            trace::event(now, Level::Info, "fleet", "peer_up", |ev| {
+                trace::sharded(ev, shard).field("peer", owner.to_string())
+            });
+        }
+        HopOutcome::Settled { leader, resp }
+    }
+
+    /// The hop died (connect failure, deadline, reset): dead-mark the
+    /// owner with exponential re-probe backoff — misses on its keyspace
+    /// re-route to each key's next-highest scorer until the backoff
+    /// elapses — and fall back upstream for this request.
+    fn failed(&mut self, h: TcpHandle, reason: &'static str, io: &mut impl Io) -> HopOutcome {
+        let Some(mut hop) = self.hops.remove(&h).filter(|hop| !hop.done) else {
+            return HopOutcome::Nothing;
+        };
+        let now = io.now();
+        trace::end(now, &mut hop.span, || vec![("ok", false.into()), ("reason", reason.into())]);
+        let backoff = self.fleet.as_mut().map(|f| f.mark_peer_dead(hop.owner, now));
+        trace::count(now, "scholarcloud.peer_dead_marks", 1);
+        trace::event(now, Level::Warn, "fleet", "peer_dead", |ev| {
+            trace::sharded(ev, self.shard())
+                .field("peer", hop.owner.to_string())
+                .field("reason", reason.to_string())
+                .field("backoff_us", backoff.map_or(0, |b| b.as_micros()).to_string())
+        });
+        HopOutcome::Fallback { leader: hop.leader, tctx: hop.tctx }
+    }
+}

@@ -1,0 +1,237 @@
+//! Stage 5 — relay: established streams, piped both ways through the
+//! blinding codecs until either side closes.
+//!
+//! Owns the streams (by remote-side handle) and, while a stream is
+//! still transparently recoverable, its replay buffer: the stream-level
+//! half of the rotation defense. A learned signature RSTs the preamble
+//! *after* the connect succeeds, past the establish-phase retry budget,
+//! and would otherwise kill every stream in flight at the moment of
+//! detection.
+
+use std::collections::BTreeMap;
+
+use sc_obs::{Level, SpanId};
+use sc_simnet::addr::Addr;
+use sc_simnet::api::TcpHandle;
+
+use super::admit::Request;
+use super::establish::Up;
+use super::io::Io;
+use super::remotes::Remotes;
+use super::trace::{self, target_label};
+use crate::config::ScConfig;
+use crate::frame::StreamCodec;
+
+/// Upper bound on buffered upstream plaintext per stream: past this the
+/// replay state is dropped and a mid-stream death is final.
+const REPLAY_CAP: usize = 16 * 1024;
+
+/// Everything needed to transparently rebuild an established tunnel
+/// whose remote leg died before delivering a single downstream byte.
+/// The browser has observed nothing yet, so replaying the buffered
+/// plaintext through a fresh tunnel (under whatever blinding scheme is
+/// in force *now*) is indistinguishable from a slow first attempt.
+pub(super) struct Replay {
+    /// The original request; `initial_plain` holds the plaintext sent
+    /// upstream so far (capped at [`REPLAY_CAP`]).
+    pub req: Request,
+    /// Establish attempts already consumed by this browser request.
+    pub attempts: u32,
+}
+
+struct Stream {
+    browser: TcpHandle,
+    /// Whose admission slot the stream holds.
+    client: Addr,
+    /// Index into the remote pool (health/breaker bookkeeping).
+    remote_idx: usize,
+    /// Outbound (domestic→remote) codec.
+    tx: StreamCodec,
+    /// Inbound (remote→domestic) codec.
+    rx: StreamCodec,
+    /// Plaintext bytes relayed browser→remote.
+    up_bytes: u64,
+    /// Plaintext bytes relayed remote→browser.
+    down_bytes: u64,
+    /// Open "tunnel_stream"/"upstream_fetch" span.
+    span: SpanId,
+    /// Armed while a mid-stream death is still transparently
+    /// recoverable; cleared by the first downstream byte or a buffer
+    /// overflow.
+    replay: Option<Replay>,
+}
+
+/// How a stream ended, as its span and byte histograms record it.
+#[derive(Clone, Copy, PartialEq)]
+pub(super) enum Ending {
+    /// Orderly: either side closed, or a gateway fetch completed.
+    Clean,
+    /// The remote leg was reset mid-stream.
+    Reset,
+    /// Reset before the first downstream byte, and replayable.
+    Resumed,
+    /// The upstream response was not HTTP.
+    Garbled,
+}
+
+/// What an ended stream leaves behind.
+pub(super) struct Ended {
+    pub browser: TcpHandle,
+    /// The client whose admission slot the stream held.
+    pub client: Addr,
+    /// Set for [`Ending::Resumed`]: what to rebuild the tunnel from,
+    /// avoiding the remote at pool index `remote_idx`.
+    pub replay: Option<Replay>,
+    pub remote_idx: usize,
+}
+
+pub(super) struct Relay {
+    streams: BTreeMap<TcpHandle, Stream>,
+}
+
+impl Relay {
+    pub fn new() -> Self {
+        Relay { streams: BTreeMap::new() }
+    }
+
+    pub fn owns(&self, h: TcpHandle) -> bool {
+        self.streams.contains_key(&h)
+    }
+
+    pub fn occupancy(&self) -> [(&'static str, usize); 1] {
+        [("streams", self.streams.len())]
+    }
+
+    /// Adopts the tunnel that just came up on `h`. The stream span
+    /// covers its lifetime — established → torn down — parented on the
+    /// browser-side span that requested it. `resumable` arms the replay
+    /// buffer (CONNECT tunnels only: a gateway fetch is retried by its
+    /// browser).
+    pub fn open(&mut self, h: TcpHandle, up: Up, resumable: bool, io: &mut impl Io) {
+        let now = io.now();
+        let Up { req, remote_idx, remote, attempts, resumed, tx, rx, up_bytes, .. } = up;
+        let name = if req.is_connect { "tunnel_stream" } else { "upstream_fetch" };
+        let span = trace::span(now, "domestic", name, req.tctx, || {
+            vec![("target", target_label(&req.header).into())]
+        });
+        if req.is_connect && !resumed {
+            io.send(req.browser, b"HTTP/1.1 200 Connection established\r\n\r\n");
+        }
+        sc_obs::counter_add("scholarcloud.tunnels_opened", 1);
+        trace::event(now, Level::Info, "domestic", "tunnel_open", |ev| {
+            ev.field("target", target_label(&req.header))
+                .field("encrypted", !req.header.is_tls)
+                .field("remote", remote.to_string())
+                .field("attempt", u64::from(attempts))
+        });
+        let (browser, client) = (req.browser, req.client);
+        let replay = (resumable && req.is_connect && req.initial_plain.len() <= REPLAY_CAP)
+            .then_some(Replay { req, attempts });
+        self.streams.insert(
+            h,
+            Stream { browser, client, remote_idx, tx, rx, up_bytes, down_bytes: 0, span, replay },
+        );
+    }
+
+    /// Browser → remote on an established tunnel.
+    pub fn upstream(&mut self, remote: TcpHandle, data: &[u8], io: &mut impl Io) {
+        let Some(stream) = self.streams.get_mut(&remote) else { return };
+        if let Some(rep) = &mut stream.replay {
+            if rep.req.initial_plain.len() + data.len() <= REPLAY_CAP {
+                rep.req.initial_plain.extend_from_slice(data);
+            } else {
+                stream.replay = None;
+            }
+        }
+        let mut wire = data.to_vec();
+        stream.up_bytes += wire.len() as u64;
+        sc_obs::counter_add("scholarcloud.bytes_up", wire.len() as u64);
+        stream.tx.encode(&mut wire);
+        io.send(remote, &wire);
+    }
+
+    /// Remote → browser: decodes what arrived on `h` and returns the
+    /// browser it is for with the plaintext (the caller pipes it through
+    /// or feeds a gateway fetch).
+    pub fn downstream(
+        &mut self,
+        h: TcpHandle,
+        remotes: &Remotes,
+        io: &mut impl Io,
+    ) -> Option<(TcpHandle, Vec<u8>)> {
+        let data = io.recv(h);
+        let stream = self.streams.get_mut(&h)?;
+        let mut plain = data.to_vec();
+        stream.rx.decode(&mut plain);
+        stream.down_bytes += plain.len() as u64;
+        // The browser has now observed upstream state: a later death
+        // can no longer be replayed from zero.
+        stream.replay = None;
+        sc_obs::counter_add("scholarcloud.bytes_down", plain.len() as u64);
+        remotes.egress(stream.remote_idx, plain.len() as u64);
+        Some((stream.browser, plain))
+    }
+
+    /// How the stream on `h` ends now that its remote side closed
+    /// (`reset`: with an RST).
+    ///
+    /// A mid-stream RST before any downstream byte is the adaptive
+    /// censor's learned-signature RESET landing on the preamble: with a
+    /// replay buffer and attempts left, the stream is
+    /// [`Ending::Resumed`] instead of lost.
+    pub fn ending_for(&self, h: TcpHandle, reset: bool, max_attempts: u32) -> Ending {
+        let replayable = self.streams.get(&h).map_or(false, |s| {
+            s.down_bytes == 0 && s.replay.as_ref().map_or(false, |r| r.attempts < max_attempts)
+        });
+        match (reset, replayable) {
+            (true, true) => Ending::Resumed,
+            (true, false) => Ending::Reset,
+            (false, _) => Ending::Clean,
+        }
+    }
+
+    /// Takes stream `h` out and closes its books: elastic idle
+    /// accounting, the byte histograms, the span. A reset is a health
+    /// signal (GFW interference or a dying VM) and counts against the
+    /// remote — *before* the books close when the stream will resume,
+    /// so the breaker/rotation evidence is current and a
+    /// detection-driven rotation fires right here, ahead of the rebuilt
+    /// request's retry.
+    pub fn end(
+        &mut self,
+        h: TcpHandle,
+        how: Ending,
+        remotes: &mut Remotes,
+        cfg: &ScConfig,
+        io: &mut impl Io,
+    ) -> Option<Ended> {
+        let mut stream = self.streams.remove(&h)?;
+        let now = io.now();
+        remotes.stream_end(stream.remote_idx, now);
+        if how == Ending::Resumed {
+            remotes.failed(stream.remote_idx, cfg, io);
+        }
+        let down = stream.down_bytes;
+        if how != Ending::Garbled {
+            sc_obs::observe("scholarcloud.stream_bytes_up", stream.up_bytes);
+            sc_obs::observe("scholarcloud.stream_bytes_down", down);
+        }
+        trace::end(now, &mut stream.span, || match how {
+            Ending::Clean => vec![("ok", true.into()), ("bytes_down", down.into())],
+            Ending::Reset => vec![("ok", false.into()), ("bytes_down", down.into())],
+            Ending::Resumed => {
+                vec![("ok", false.into()), ("bytes_down", down.into()), ("resumed", true.into())]
+            }
+            Ending::Garbled => vec![("ok", false.into())],
+        });
+        if how == Ending::Reset {
+            remotes.failed(stream.remote_idx, cfg, io);
+        }
+        Some(Ended {
+            browser: stream.browser,
+            client: stream.client,
+            replay: stream.replay.filter(|_| how == Ending::Resumed),
+            remote_idx: stream.remote_idx,
+        })
+    }
+}

@@ -15,8 +15,9 @@ use crate::packet::Packet;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppId(pub usize);
 
-/// Handle to a TCP connection on the local node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Handle to a TCP connection on the local node. Ordered, so tables
+/// keyed by it iterate the same way in every run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TcpHandle(pub usize);
 
 /// Handle to a bound UDP socket on the local node.
