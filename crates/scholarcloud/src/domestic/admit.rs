@@ -6,16 +6,19 @@
 //! itself — `403` off-whitelist, `429`/`503` + `Retry-After` when shed —
 //! and hands admitted or queued work on as a [`Request`].
 
+use std::rc::Rc;
+
 use sc_netproto::http::{HttpRequest, HttpResponse};
 use sc_netproto::socks::TargetAddr;
-use sc_obs::{Level, SpanId, TraceCtx};
+use sc_obs::{Level, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
 use sc_simnet::time::{SimDuration, SimTime};
 
 use super::io::{Io, Timer};
 use super::trace::{self, target_label};
-use crate::admission::{AdmissionConfig, AdmissionController, Decision, Dequeued};
+use super::Step;
+use crate::admission::{AdmissionController, Decision, Dequeued};
 use crate::config::ScConfig;
 use crate::fleet::FleetHandle;
 use crate::frame::{decoy_response, StreamHeader};
@@ -65,50 +68,8 @@ pub(super) fn stream_header(host: &str, port: u16, is_tls: bool, tctx: TraceCtx)
     }
 }
 
-/// What a CONNECT request asks for.
-pub(super) enum Connect {
-    /// No `host:port` target: `400`.
-    Malformed,
-    /// Names a host off the whitelist.
-    OffWhitelist(String),
-    /// A tunnel to a whitelisted host. Its `200` is deferred until the
-    /// tunnel actually connects.
-    Go(Request),
-}
-
-/// Reads a CONNECT request's target and checks it against the whitelist.
-pub(super) fn connect_request(
-    browser: TcpHandle,
-    client: Addr,
-    req: &HttpRequest,
-    cfg: &ScConfig,
-) -> Connect {
-    let Some((host, port)) = req.target.rsplit_once(':') else { return Connect::Malformed };
-    if !cfg.whitelisted(host) {
-        return Connect::OffWhitelist(host.to_string());
-    }
-    let port: u16 = port.parse().unwrap_or(443);
-    let tctx = trace_ctx_of(req);
-    Connect::Go(Request {
-        browser,
-        client,
-        header: stream_header(host, port, port == 443, tctx),
-        initial_plain: Vec::new(),
-        is_connect: true,
-        tctx,
-    })
-}
-
-/// What admission decided about a [`Request`].
-pub(super) enum Verdict {
-    /// Runs now (`queued == false`) or waits in the queue; `span` is the
-    /// still-open admission span of a queued request.
-    Enter { req: Request, queued: bool, span: SpanId },
-    /// Answer with `code` and close.
-    Refuse { browser: TcpHandle, code: u16, reason: &'static str },
-}
-
 pub(super) struct Admit {
+    cfg: Rc<ScConfig>,
     ctl: AdmissionController<TcpHandle>,
     /// This shard's index and the fleet's shared sickness board.
     fleet: Option<(usize, FleetHandle)>,
@@ -117,8 +78,9 @@ pub(super) struct Admit {
 }
 
 impl Admit {
-    pub fn new(cfg: AdmissionConfig) -> Self {
-        Admit { ctl: AdmissionController::new(cfg), fleet: None, queue_tick_armed: false }
+    pub fn new(cfg: Rc<ScConfig>) -> Self {
+        let ctl = AdmissionController::new(cfg.admission.clone());
+        Admit { cfg, ctl, fleet: None, queue_tick_armed: false }
     }
 
     pub fn join_fleet(&mut self, self_idx: usize, board: FleetHandle) {
@@ -177,18 +139,47 @@ impl Admit {
     /// scanner or an active probe. Aborting would answer garbage with an
     /// RST, the exact silent-proxy signature probing looks for; serve
     /// the same boring decoy as the remote side and close cleanly.
-    pub fn decoy(&self, conn: TcpHandle, cfg: &ScConfig, io: &mut impl Io) {
+    pub fn decoy(&self, conn: TcpHandle, io: &mut impl Io) {
         io.send(conn, &decoy_response());
         io.close(conn);
         sc_obs::counter_add("scholarcloud.decoys_served", 1);
-        cfg.interference.note_probe();
+        self.cfg.interference.note_probe();
         trace::event(io.now(), Level::Info, "domestic", "decoy", |ev| ev.field("reason", "not_http"));
+    }
+
+    /// Reads a CONNECT request's target and checks it against the
+    /// whitelist. The tunnel's `200` is deferred until it actually
+    /// connects.
+    pub fn connect(
+        &self,
+        browser: TcpHandle,
+        client: Addr,
+        req: &HttpRequest,
+        io: &mut impl Io,
+    ) -> Step {
+        let Some((host, port)) = req.target.rsplit_once(':') else {
+            io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
+            return Step::Done;
+        };
+        if !self.cfg.whitelisted(host) {
+            return Step::RefuseHost { browser, host: host.to_string() };
+        }
+        let port: u16 = port.parse().unwrap_or(443);
+        let tctx = trace_ctx_of(req);
+        Step::Admit(Request {
+            browser,
+            client,
+            header: stream_header(host, port, port == 443, tctx),
+            initial_plain: Vec::new(),
+            is_connect: true,
+            tctx,
+        })
     }
 
     /// Runs a whitelisted request through admission: admitted work
     /// enters the pipeline now, saturated work enters it queued,
     /// everything else is refused with `429`/`503`.
-    pub fn on_request(&mut self, req: Request, io: &mut impl Io) -> Verdict {
+    pub fn on_request(&mut self, req: Request, io: &mut impl Io) -> Step {
         let now = io.now();
         // Fleet-wide admission: under fleet-wide pressure the sickest
         // shard sheds first — PAC failover then re-spreads its clients
@@ -208,7 +199,7 @@ impl Admit {
                         .field("queue_depth", depth.to_string())
                         .field("fleet_queue", board.total_queue_depth().to_string())
                 });
-                return Verdict::Refuse { browser: req.browser, code: 503, reason: "fleet_shed" };
+                return Step::Shed { browser: req.browser, code: 503, reason: "fleet_shed" };
             }
         }
         // The admission span covers arrival → verdict: for queued work
@@ -227,7 +218,7 @@ impl Admit {
                     ev.field("target", target_label(&req.header))
                         .field("active", self.ctl.active().to_string())
                 });
-                Verdict::Enter { req, queued: false, span }
+                Step::Establish { req, queued: false, span }
             }
             Decision::Enqueue => {
                 sc_obs::counter_add("scholarcloud.queued", 1);
@@ -237,14 +228,14 @@ impl Admit {
                 });
                 self.sample_queue_depth(now);
                 self.ensure_queue_tick(io);
-                Verdict::Enter { req, queued: true, span }
+                Step::Establish { req, queued: true, span }
             }
             _ => {
                 let code = decision.status().expect("refusals carry a status");
                 trace::end(now, &mut span, || {
                     vec![("verdict", decision.name().into()), ("code", code.into())]
                 });
-                Verdict::Refuse { browser: req.browser, code, reason: decision.name() }
+                Step::Shed { browser: req.browser, code, reason: decision.name() }
             }
         }
     }

@@ -13,6 +13,7 @@
 //! elastic drive, is [`Remotes`].
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sc_netproto::http::HttpResponse;
 use sc_obs::{Level, SpanId};
@@ -22,8 +23,10 @@ use sc_simnet::time::{SimDuration, SimTime};
 
 use super::admit::Request;
 use super::io::{Io, Timer};
+use super::relay::Replay;
 use super::remotes::Remotes;
 use super::trace::{self, target_label};
+use super::Step;
 use crate::config::ScConfig;
 use crate::frame::{Hello, StreamCodec};
 
@@ -106,26 +109,6 @@ pub(super) struct Up {
     pub service: SimDuration,
 }
 
-/// What starting an attempt came to.
-pub(super) enum Tried {
-    /// An attempt is in flight (or the request is gone).
-    Nothing,
-    /// Every breaker refuses: the request waits for recovery. The
-    /// caller fails `overflow` (the oldest parked requests beyond the
-    /// cap) and then calls [`Establish::settle_park`].
-    Parked { overflow: Vec<TcpHandle>, expired: bool, recheck: bool },
-}
-
-/// What a dead attempt leaves its request with.
-pub(super) enum Failed {
-    /// The browser is already gone.
-    Nothing,
-    /// Attempts exhausted: `502`.
-    GiveUp { browser: TcpHandle },
-    /// May retry if the retry budget grants it.
-    WantsRetry { browser: TcpHandle, attempts: u32 },
-}
-
 /// What a departing browser's pending request held.
 pub(super) enum Abandoned {
     NotPending,
@@ -136,6 +119,7 @@ pub(super) enum Abandoned {
 }
 
 pub(super) struct Establish {
+    cfg: Rc<ScConfig>,
     /// Requests awaiting tunnel establishment, by browser handle.
     pending: BTreeMap<TcpHandle, Pending>,
     /// Outstanding connects, by remote-side handle.
@@ -143,8 +127,8 @@ pub(super) struct Establish {
 }
 
 impl Establish {
-    pub fn new() -> Self {
-        Establish { pending: BTreeMap::new(), attempts: BTreeMap::new() }
+    pub fn new(cfg: Rc<ScConfig>) -> Self {
+        Establish { cfg, pending: BTreeMap::new(), attempts: BTreeMap::new() }
     }
 
     pub fn owns_attempt(&self, h: TcpHandle) -> bool {
@@ -168,7 +152,8 @@ impl Establish {
     /// browser keeps its admission slot and notices nothing: no
     /// downstream byte was ever delivered, and the rebuilt tunnel
     /// replays every plaintext byte it sent.
-    pub fn resume(&mut self, req: Request, attempts: u32, last_remote: usize, now: SimTime) {
+    pub fn resume(&mut self, replay: Replay, last_remote: usize, now: SimTime) {
+        let Replay { req, attempts } = replay;
         sc_obs::counter_add("scholarcloud.stream_resumes", 1);
         trace::event(now, Level::Info, "domestic", "stream_resume", |ev| {
             ev.field("target", target_label(&req.header))
@@ -304,11 +289,10 @@ impl Establish {
         browser: TcpHandle,
         park_cap: usize,
         remotes: &mut Remotes,
-        cfg: &ScConfig,
         io: &mut impl Io,
-    ) -> Tried {
+    ) -> Step {
         let now = io.now();
-        let Some(pt) = self.pending.get_mut(&browser) else { return Tried::Nothing };
+        let Some(pt) = self.pending.get_mut(&browser) else { return Step::Done };
         debug_assert!(pt.attempt.is_none(), "attempt already outstanding");
         // The establish span opens with the first attempt and stays open
         // across retries/backoffs/parks until the tunnel is up or the
@@ -324,10 +308,10 @@ impl Establish {
             // drain us early), failing fast once the window elapses.
             let newly_parked = pt.parked_since.is_none();
             let since = *pt.parked_since.get_or_insert(now);
-            let expired = now.saturating_since(since) >= cfg.resilience.queue_fail_after;
-            let recheck = !expired && !pt.retry_armed;
-            if recheck {
+            let expired = now.saturating_since(since) >= self.cfg.resilience.queue_fail_after;
+            if !expired && !pt.retry_armed {
                 pt.retry_armed = true;
+                io.timer(PARK_RECHECK, Timer::Retry(browser));
             }
             let mut overflow = Vec::new();
             if newly_parked {
@@ -343,7 +327,7 @@ impl Establish {
                 let parked = self.parked_oldest_first(|_| true);
                 overflow = parked[..parked.len().saturating_sub(park_cap)].to_vec();
             }
-            return Tried::Parked { overflow, expired, recheck };
+            return Step::Parked { browser, overflow, expired };
         };
 
         let prev = pt.last_remote;
@@ -377,14 +361,14 @@ impl Establish {
         // TCP connection as a new session, and a rotation since the last
         // attempt takes effect here (the live scheme handle is re-read).
         let hello = Hello {
-            scheme: cfg.scheme.get(),
+            scheme: self.cfg.scheme.get(),
             nonce: io.rand_u64(),
-            generation: cfg.scheme.generation(),
+            generation: self.cfg.scheme.generation(),
         };
         let encrypt = !header.is_tls;
-        let mut tx = StreamCodec::new(&cfg.secret, &hello, encrypt, 0);
-        let rx = StreamCodec::new(&cfg.secret, &hello, encrypt, 1);
-        let mut wire = hello.encode(&cfg.secret, &cfg.front_host);
+        let mut tx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 0);
+        let rx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 1);
+        let mut wire = hello.encode(&self.cfg.secret, &self.cfg.front_host);
         let mut head = header.encode();
         tx.encode(&mut head);
         wire.extend_from_slice(&head);
@@ -400,9 +384,9 @@ impl Establish {
             rh,
             Attempt { browser, remote_idx: idx, started: now, wire, tx, rx, up_bytes: 0, span },
         );
-        io.timer(cfg.resilience.connect_timeout, Timer::ConnectDeadline(rh));
+        io.timer(self.cfg.resilience.connect_timeout, Timer::ConnectDeadline(rh));
         sc_obs::counter_add("scholarcloud.connect_attempts", 1);
-        Tried::Nothing
+        Step::Done
     }
 
     /// Parked requests matching `keep`, oldest first (park time, then
@@ -425,23 +409,8 @@ impl Establish {
         self.parked_oldest_first(|pt| pt.attempt.is_none())
     }
 
-    /// Second half of parking `browser`, after the overflow was failed:
-    /// arms the re-check, or reports (`true`) that the request waited
-    /// out its window and must fail with `503`.
-    pub fn settle_park(
-        &mut self,
-        browser: TcpHandle,
-        expired: bool,
-        recheck: bool,
-        io: &mut impl Io,
-    ) -> bool {
-        if !self.pending.contains_key(&browser) {
-            return false;
-        }
-        if !expired && recheck {
-            io.timer(PARK_RECHECK, Timer::Retry(browser));
-        }
-        expired
+    pub fn is_pending(&self, browser: TcpHandle) -> bool {
+        self.pending.contains_key(&browser)
     }
 
     /// A retry backoff elapsed or a parked request's re-check came due.
@@ -470,36 +439,29 @@ impl Establish {
         rh: TcpHandle,
         reason: &'static str,
         remotes: &mut Remotes,
-        cfg: &ScConfig,
         io: &mut impl Io,
-    ) -> Failed {
-        let Some(mut at) = self.attempts.remove(&rh) else { return Failed::Nothing };
+    ) -> Step {
+        let Some(mut at) = self.attempts.remove(&rh) else { return Step::Done };
         let now = io.now();
         remotes.stream_end(at.remote_idx, now);
         trace::end(now, &mut at.span, || vec![("ok", false.into()), ("reason", reason.into())]);
-        remotes.failed(at.remote_idx, cfg, io);
+        remotes.failed(at.remote_idx, io);
         // The browser may have given up (or been refused) meanwhile.
-        let Some(pt) = self.pending.get_mut(&at.browser) else { return Failed::Nothing };
+        let Some(pt) = self.pending.get_mut(&at.browser) else { return Step::Done };
         pt.attempt = None;
-        if pt.attempts >= cfg.resilience.max_attempts {
-            Failed::GiveUp { browser: at.browser }
+        if pt.attempts >= self.cfg.resilience.max_attempts {
+            Step::Fail { browser: at.browser, code: 502, reason }
         } else {
-            Failed::WantsRetry { browser: at.browser, attempts: pt.attempts }
+            Step::Retry { browser: at.browser, reason, attempts: pt.attempts }
         }
     }
 
     /// Schedules `browser`'s next attempt after a jittered backoff.
-    pub fn backoff(
-        &mut self,
-        browser: TcpHandle,
-        reason: &'static str,
-        cfg: &ScConfig,
-        io: &mut impl Io,
-    ) {
+    pub fn backoff(&mut self, browser: TcpHandle, reason: &'static str, io: &mut impl Io) {
         let now = io.now();
         let draw = io.rand_unit();
         let Some(pt) = self.pending.get_mut(&browser) else { return };
-        let delay = cfg.resilience.backoff.delay(pt.attempts - 1, draw);
+        let delay = self.cfg.resilience.backoff.delay(pt.attempts - 1, draw);
         pt.retry_armed = true;
         let parent = pt.req.tctx.with_parent(pt.establish_span);
         pt.wait_span = trace::span(now, "resilience", "backoff", parent, || {

@@ -6,10 +6,11 @@
 //! gateway connection (one request at a time, keep-alive across
 //! requests). The stage owns the in-flight fetches, the singleflight
 //! table with its parked waiters, and the requesters' validators; a
-//! fetch that must leave the proxy goes back to the driver as a
-//! [`Request`] for admission or a [`Miss`] the peer stage may take.
+//! fetch that must leave the proxy goes back to the driver as a request
+//! for admission or a [`Miss`] the peer stage may take.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
@@ -21,7 +22,7 @@ use sc_simnet::time::SimTime;
 use super::admit::{stream_header, trace_ctx_of, Request};
 use super::io::Io;
 use super::trace;
-use super::FLEET_HEADER;
+use super::{Step, FLEET_HEADER};
 use crate::config::ScConfig;
 
 /// An in-flight fetch on behalf of a gateway requester, keyed by that
@@ -72,18 +73,6 @@ pub(super) struct Miss {
     pub via_hop: bool,
 }
 
-/// Where a gateway request went.
-pub(super) enum Routed {
-    /// Answered (cache hit, `400`) or parked on an in-flight fetch.
-    Done,
-    /// Names a host off the whitelist.
-    OffWhitelist(String),
-    /// Must be fetched upstream, through admission.
-    Upstream(Request),
-    /// A cacheable miss led by this requester.
-    Lead(Miss),
-}
-
 /// What an upstream stream's bytes amounted to.
 pub(super) enum Parsed {
     /// No fetch of this browser's is waiting for them.
@@ -97,6 +86,7 @@ pub(super) enum Parsed {
 }
 
 pub(super) struct Gateway {
+    cfg: Rc<ScConfig>,
     /// This proxy's fleet shard, for event attribution.
     shard: Option<usize>,
     fetches: BTreeMap<TcpHandle, Fetch>,
@@ -109,8 +99,9 @@ pub(super) struct Gateway {
 }
 
 impl Gateway {
-    pub fn new() -> Self {
+    pub fn new(cfg: Rc<ScConfig>) -> Self {
         Gateway {
+            cfg,
             shard: None,
             fetches: BTreeMap::new(),
             flights: Singleflight::new(),
@@ -148,15 +139,14 @@ impl Gateway {
         browser: TcpHandle,
         client: Addr,
         req: HttpRequest,
-        cfg: &ScConfig,
         io: &mut impl Io,
-    ) -> Routed {
+    ) -> Step {
         let Some((host, port, path)) = split_target(&req) else {
             io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
-            return Routed::Done;
+            return Step::Done;
         };
-        if !cfg.whitelisted(&host) {
-            return Routed::OffWhitelist(host);
+        if !self.cfg.whitelisted(&host) {
+            return Step::RefuseHost { browser, host };
         }
         let now = io.now();
         let tctx = trace_ctx_of(&req);
@@ -169,14 +159,14 @@ impl Gateway {
                 self.inm.remove(&browser);
             }
         }
-        let cacheable = req.method == "GET" && cfg.cache.borrow().enabled();
+        let cacheable = req.method == "GET" && self.cfg.cache.borrow().enabled();
         // An intra-fleet peering hop announces itself with the
         // loop-guard header: the owner answers locally (cache,
         // coalesced flight, or its own upstream fetch) and never
         // re-forwards.
         let peer_hop = req.header_value(FLEET_HEADER).and_then(|v| v.parse::<usize>().ok());
         if let Some(from) = peer_hop {
-            cfg.cache.borrow_mut().note_peer_serve();
+            self.cfg.cache.borrow_mut().note_peer_serve();
             trace::count(now, "scholarcloud.peer_serves", 1);
             trace::event(now, Level::Debug, "fleet", "peer_serve", |ev| {
                 trace::sharded(ev, self.shard)
@@ -194,7 +184,7 @@ impl Gateway {
             // Non-GET (the HEAD RTT probe) or cache disabled: a plain
             // uncoalesced pass-through fetch.
             let fetch = Fetch::new(client, key, port, request, false, false);
-            return Routed::Upstream(self.go_upstream(browser, fetch, tctx, false, cfg, now));
+            return self.go_upstream(browser, fetch, tctx, false, now);
         }
         // The client's validator is answered from the cache, not
         // forwarded: the shared cache needs the full body for its other
@@ -207,7 +197,7 @@ impl Gateway {
         }
         let plan = {
             let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
-            let mut cache = cfg.cache.borrow_mut();
+            let mut cache = self.cfg.cache.borrow_mut();
             match cache.lookup(&key, now) {
                 Lookup::Fresh(r) => {
                     let r = r.clone();
@@ -237,7 +227,7 @@ impl Gateway {
                 trace::count(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
                 self.cache_event(now, "hit", &key);
                 self.serve_from_cache(browser, &r, io);
-                Routed::Done
+                Step::Done
             }
             Plan::Fetch { stored_etag } => match self.flights.begin(&key, browser) {
                 Role::Waiter => {
@@ -246,13 +236,13 @@ impl Gateway {
                     let span = trace::span(now, "cache", "coalesce_wait", tctx, || {
                         vec![("path", key.1.clone().into())]
                     });
-                    cfg.cache.borrow_mut().note_coalesced();
+                    self.cfg.cache.borrow_mut().note_coalesced();
                     trace::count(now, "scholarcloud.cache_coalesced", 1);
                     self.cache_event(now, "coalesced", &key);
                     self.waits.insert(browser, Wait { key, span, tctx, client });
-                    Routed::Done
+                    Step::Done
                 }
-                Role::Leader => Routed::Lead(Miss {
+                Role::Leader => Step::Lead(Miss {
                     leader: browser,
                     client,
                     port,
@@ -268,21 +258,21 @@ impl Gateway {
 
     /// The leader's miss goes upstream itself (no peer owns the key):
     /// only *our* stored validator rides along.
-    pub fn lead_upstream(&mut self, miss: Miss, cfg: &ScConfig, now: SimTime) -> Request {
+    pub fn lead_upstream(&mut self, miss: Miss, now: SimTime) -> Step {
         let revalidating = miss.stored_etag.is_some();
         let request = match miss.stored_etag {
             Some(etag) => miss.request.header("If-None-Match", &etag),
             None => miss.request,
         };
         let fetch = Fetch::new(miss.client, miss.key, miss.port, request, true, revalidating);
-        self.go_upstream(miss.leader, fetch, miss.tctx, false, cfg, now)
+        self.go_upstream(miss.leader, fetch, miss.tctx, false, now)
     }
 
     /// The leader's miss takes an intra-fleet hop to the key's owner.
     /// The fetch is registered under the leader as usual, so waiters
     /// coalesce locally too and a failed hop can fall back upstream.
-    pub fn lead_via_peer(&mut self, miss: Miss, cfg: &ScConfig) {
-        cfg.cache.borrow_mut().note_peer_fetch();
+    pub fn lead_via_peer(&mut self, miss: Miss) {
+        self.cfg.cache.borrow_mut().note_peer_fetch();
         let revalidating = miss.stored_etag.is_some();
         self.fetches.insert(
             miss.leader,
@@ -293,22 +283,21 @@ impl Gateway {
     /// Replays a failed hop's request through the normal upstream
     /// machinery. One hop max: even if another peer now owns the key,
     /// the fallback goes straight upstream — bounded worst-case latency
-    /// per request, by construction. `None` if the browser vanished
-    /// while the hop was in flight.
+    /// per request, by construction. (The browser may have vanished
+    /// while the hop was in flight.)
     pub fn fall_back_upstream(
         &mut self,
         leader: TcpHandle,
         tctx: TraceCtx,
-        cfg: &ScConfig,
         now: SimTime,
-    ) -> Option<Request> {
-        let mut fetch = self.fetches.remove(&leader)?;
+    ) -> Step {
+        let Some(mut fetch) = self.fetches.remove(&leader) else { return Step::Done };
         if fetch.revalidating {
-            if let Some(etag) = cfg.cache.borrow().etag_of(&fetch.key).filter(|e| !e.is_empty()) {
+            if let Some(etag) = self.cfg.cache.borrow().etag_of(&fetch.key).filter(|e| !e.is_empty()) {
                 fetch.request = fetch.request.header("If-None-Match", etag);
             }
         }
-        Some(self.go_upstream(leader, fetch, tctx, false, cfg, now))
+        self.go_upstream(leader, fetch, tctx, false, now)
     }
 
     /// Registers `fetch` under `browser` and builds its upstream leg's
@@ -320,13 +309,12 @@ impl Gateway {
         fetch: Fetch,
         tctx: TraceCtx,
         replay: bool,
-        cfg: &ScConfig,
         now: SimTime,
-    ) -> Request {
+    ) -> Step {
         if fetch.cacheable {
-            cfg.cache.borrow_mut().note_upstream_fetch(&fetch.key, now);
+            self.cfg.cache.borrow_mut().note_upstream_fetch(&fetch.key, now);
             if !fetch.revalidating && !replay {
-                cfg.cache.borrow_mut().note_miss();
+                self.cfg.cache.borrow_mut().note_miss();
                 trace::count(now, "scholarcloud.cache_misses", 1);
                 self.cache_event(now, "miss", &fetch.key);
             }
@@ -340,7 +328,7 @@ impl Gateway {
             tctx,
         };
         self.fetches.insert(browser, fetch);
-        req
+        Step::Admit(req)
     }
 
     /// Feeds an upstream stream's plaintext to `browser`'s fetch.
@@ -369,7 +357,6 @@ impl Gateway {
         leader: TcpHandle,
         resp: HttpResponse,
         via_peer: bool,
-        cfg: &ScConfig,
         io: &mut impl Io,
     ) {
         let Some(fetch) = self.fetches.remove(&leader) else { return };
@@ -381,12 +368,12 @@ impl Gateway {
             // Our validator held: a cheap bodyless exchange renewed the
             // entry for everyone.
             let renewed = {
-                let mut cache = cfg.cache.borrow_mut();
+                let mut cache = self.cfg.cache.borrow_mut();
                 let ttl = cache.ttl_for(&fetch.key.0, resp.max_age_secs());
                 cache.revalidate(&fetch.key, ttl, now, resp.header_value("ETag")).cloned()
             };
             if let Some(r) = &renewed {
-                cfg.cache.borrow_mut().note_bytes_saved(r.body.len());
+                self.cfg.cache.borrow_mut().note_bytes_saved(r.body.len());
                 trace::count(now, "scholarcloud.cache_revalidated", 1);
                 trace::count(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
                 self.cache_event(now, "revalidated", &fetch.key);
@@ -407,7 +394,7 @@ impl Gateway {
             // not help after all.
             let changed = fetch.revalidating && !via_peer;
             let evicted = {
-                let mut cache = cfg.cache.borrow_mut();
+                let mut cache = self.cfg.cache.borrow_mut();
                 let ttl = cache.ttl_for(&fetch.key.0, entry.max_age);
                 if changed {
                     cache.note_miss();
@@ -437,7 +424,7 @@ impl Gateway {
                 self.serve_from_cache(leader, &entry, io);
                 for w in waiters {
                     self.end_wait(w, now, || vec![("ok", true.into())]);
-                    cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
+                    self.cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
                     trace::count(now, "scholarcloud.cache_bytes_saved", entry.body.len() as u64);
                     self.serve_from_cache(w, &entry, io);
                 }
@@ -509,20 +496,17 @@ impl Gateway {
     /// hands the fetch to its first waiter, whose replayed request —
     /// returned here — goes back through admission under the waiter's
     /// own slot and trace context.
-    pub fn browser_gone(
-        &mut self,
-        browser: TcpHandle,
-        cfg: &ScConfig,
-        now: SimTime,
-    ) -> Option<Request> {
+    pub fn browser_gone(&mut self, browser: TcpHandle, now: SimTime) -> Step {
         self.inm.remove(&browser);
         if let Some(mut wait) = self.waits.remove(&browser) {
             trace::end(now, &mut wait.span, || vec![("ok", false.into())]);
             self.flights.forget(&wait.key, browser);
-            return None;
+            return Step::Done;
         }
-        let fetch = self.fetches.remove(&browser).filter(|f| f.cacheable)?;
-        let promoted = self.flights.forget(&fetch.key, browser)?;
+        let Some(fetch) = self.fetches.remove(&browser).filter(|f| f.cacheable) else {
+            return Step::Done;
+        };
+        let Some(promoted) = self.flights.forget(&fetch.key, browser) else { return Step::Done };
         // The dead leader's attempt is torn down by the caller; the
         // promoted waiter restarts the fetch. Its coalesce wait ends
         // here.
@@ -534,7 +518,7 @@ impl Gateway {
             None => (TraceCtx::NONE, fetch.client),
         };
         let replayed = Fetch { client, parser: HttpParser::new(), ..fetch };
-        Some(self.go_upstream(promoted, replayed, tctx, true, cfg, now))
+        self.go_upstream(promoted, replayed, tctx, true, now)
     }
 }
 

@@ -47,18 +47,20 @@ mod tests;
 mod trace;
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
+use sc_obs::{SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
 
-use self::admit::{Admit, Connect, Request, Verdict};
-use self::establish::{Abandoned, Establish, Failed, Tried};
-use self::gateway::{Gateway, Parsed, Routed};
+use self::admit::{Admit, Request};
+use self::establish::{Abandoned, Establish};
+use self::gateway::{Gateway, Miss, Parsed};
 use self::io::{Io, Timer};
-use self::peer::{HopOutcome, Peer};
-use self::relay::{Ending, Relay};
+use self::peer::Peer;
+use self::relay::{Ended, Ending, Relay};
 use self::remotes::Remotes;
 use crate::admission::Dequeued;
 use crate::config::ScConfig;
@@ -69,6 +71,38 @@ use crate::fleet::FleetMember;
 /// requesting shard's index, and its presence means "answer locally,
 /// never forward again" — a peering hop is one hop, by construction.
 pub const FLEET_HEADER: &str = "Sc-Fleet";
+
+/// Work a stage hands back for another stage: every edge of the
+/// pipeline, routed by [`DomesticProxy::step`].
+enum Step {
+    /// Nothing further.
+    Done,
+    /// A whitelisted request: run it through admission.
+    Admit(Request),
+    /// A request named a host off the whitelist: `403`, close.
+    RefuseHost { browser: TcpHandle, host: String },
+    /// Admission refused: answer `code` + `Retry-After`, close.
+    Shed { browser: TcpHandle, code: u16, reason: &'static str },
+    /// Admission let the request in, holding a slot or (`queued`) still
+    /// waiting for one under its open admission `span`.
+    Establish { req: Request, queued: bool, span: SpanId },
+    /// A cacheable gateway miss led by its requester: one intra-fleet
+    /// hop if a peer owns the key, upstream otherwise.
+    Lead(Miss),
+    /// The key's owner answered the hop: settle the leader's fetch.
+    Settle { leader: TcpHandle, resp: HttpResponse },
+    /// The hop failed or was refused: the leader's fetch goes upstream.
+    FallBack { leader: TcpHandle, tctx: TraceCtx },
+    /// Every remote is dark and the request parked. The oldest parked
+    /// requests beyond the cap (`overflow`) are shed; `expired` says
+    /// this one has waited out its window.
+    Parked { browser: TcpHandle, overflow: Vec<TcpHandle>, expired: bool },
+    /// A connect attempt died with attempts left: retry if the retry
+    /// budget grants it.
+    Retry { browser: TcpHandle, reason: &'static str, attempts: u32 },
+    /// The request is lost: answer `code`, close, free its slot.
+    Fail { browser: TcpHandle, code: u16, reason: &'static str },
+}
 
 /// What a browser connection is doing. A finished connection has no
 /// entry at all.
@@ -90,7 +124,7 @@ struct Conn {
 
 /// The domestic proxy app. Install on the domestic VM node.
 pub struct DomesticProxy {
-    config: ScConfig,
+    config: Rc<ScConfig>,
     conns: BTreeMap<TcpHandle, Conn>,
     admit: Admit,
     gateway: Gateway,
@@ -103,14 +137,15 @@ pub struct DomesticProxy {
 impl DomesticProxy {
     /// Creates the proxy with one circuit breaker per configured remote.
     pub fn new(config: ScConfig) -> Self {
+        let config = Rc::new(config);
         DomesticProxy {
             conns: BTreeMap::new(),
-            admit: Admit::new(config.admission.clone()),
-            gateway: Gateway::new(),
-            peer: Peer::new(),
-            establish: Establish::new(),
-            remotes: Remotes::new(&config),
-            relay: Relay::new(),
+            admit: Admit::new(config.clone()),
+            gateway: Gateway::new(config.clone()),
+            peer: Peer::new(config.resilience.connect_timeout),
+            establish: Establish::new(config.clone()),
+            remotes: Remotes::new(config.clone()),
+            relay: Relay::new(config.clone()),
             config,
         }
     }
@@ -160,30 +195,97 @@ impl DomesticProxy {
         }
     }
 
-    // ---- unwinding: shed, fail, release -----------------------------------
+    // ---- the pipeline's edges ---------------------------------------------
 
-    /// Refuses a request at admission: coalesced waiters get the same
-    /// answer, the queued request (if any) closes its spans, the browser
-    /// gets `code` + `Retry-After`. No slot was held.
-    fn shed(&mut self, browser: TcpHandle, code: u16, reason: &'static str, io: &mut impl Io) {
-        for waiter in self.gateway.fail_waiters(browser, code, io) {
-            self.finish(waiter);
+    fn step(&mut self, step: Step, io: &mut impl Io) {
+        match step {
+            Step::Done => {}
+            Step::Admit(req) => {
+                let verdict = self.admit.on_request(req, io);
+                self.step(verdict, io);
+            }
+            Step::RefuseHost { browser, host } => {
+                self.admit.refuse_host(browser, &host, io);
+                self.finish(browser);
+            }
+            Step::Shed { browser, code, reason } => {
+                // Coalesced waiters get the same answer, the queued
+                // request (if any) closes its spans. No slot was held.
+                self.fail_waiters(browser, code, io);
+                self.establish.shed(browser, code, reason, io.now());
+                self.admit.refuse(browser, code, reason, io);
+                self.finish(browser);
+            }
+            Step::Establish { req, queued, span } => {
+                let browser = req.browser;
+                // Gateway conns keep their request parser: the conn
+                // outlives the per-request fetch.
+                if req.is_connect {
+                    self.set_state(browser, ConnState::Pending);
+                }
+                self.establish.enter(req, queued, span, io.now());
+                if !queued {
+                    self.attempt(browser, io);
+                }
+            }
+            Step::Lead(miss) => {
+                // A non-owner's miss takes one intra-fleet hop to the
+                // key's owner (whose singleflight coalesces the whole
+                // fleet's demand) instead of a cross-border fetch —
+                // unless it already IS such a hop.
+                let owner = match miss.via_hop {
+                    false => self.peer.owner_of(&miss.key, io.now()),
+                    true => None,
+                };
+                match owner {
+                    Some(owner) => {
+                        self.peer.start(&miss, owner, io);
+                        self.gateway.lead_via_peer(miss);
+                    }
+                    None => {
+                        let upstream = self.gateway.lead_upstream(miss, io.now());
+                        self.step(upstream, io);
+                    }
+                }
+            }
+            Step::Settle { leader, resp } => self.gateway.settle(leader, resp, true, io),
+            Step::FallBack { leader, tctx } => {
+                let upstream = self.gateway.fall_back_upstream(leader, tctx, io.now());
+                self.step(upstream, io);
+            }
+            Step::Parked { browser, overflow, expired } => {
+                for oldest in overflow {
+                    self.step(Step::Fail { browser: oldest, code: 503, reason: "parked_overflow" }, io);
+                }
+                // A same-instant park burst can shed this very request.
+                if expired && self.establish.is_pending(browser) {
+                    self.step(Step::Fail { browser, code: 503, reason: "all_remotes_dark" }, io);
+                }
+            }
+            Step::Retry { browser, reason, attempts } => {
+                if self.admit.grant_retry(reason, attempts, io.now()) {
+                    self.establish.backoff(browser, reason, io);
+                } else {
+                    let reason = "retry_budget_exhausted";
+                    self.step(Step::Fail { browser, code: 502, reason }, io);
+                }
+            }
+            Step::Fail { browser, code, reason } => {
+                self.fail_waiters(browser, code, io);
+                let held = self.establish.fail(browser, code, reason, io);
+                self.finish(browser);
+                if let Some(client) = held {
+                    self.release(client, io);
+                }
+            }
         }
-        self.establish.shed(browser, code, reason, io.now());
-        self.admit.refuse(browser, code, reason, io);
-        self.finish(browser);
     }
 
-    /// Fails an admitted request: like [`shed`](Self::shed), and the
-    /// slot it held goes back to the queue.
-    fn fail(&mut self, browser: TcpHandle, code: u16, reason: &'static str, io: &mut impl Io) {
-        for waiter in self.gateway.fail_waiters(browser, code, io) {
+    /// A gateway leader's request failed: its coalesced waiters got the
+    /// same answer and are done.
+    fn fail_waiters(&mut self, leader: TcpHandle, code: u16, io: &mut impl Io) {
+        for waiter in self.gateway.fail_waiters(leader, code, io) {
             self.finish(waiter);
-        }
-        let held = self.establish.fail(browser, code, reason, io);
-        self.finish(browser);
-        if let Some(client) = held {
-            self.release(client, io);
         }
     }
 
@@ -205,7 +307,9 @@ impl DomesticProxy {
         }
         for action in actions {
             match action {
-                Dequeued::Shed { token } => self.shed(token, 503, "deadline_shed", io),
+                Dequeued::Shed { token: browser } => {
+                    self.step(Step::Shed { browser, code: 503, reason: "deadline_shed" }, io);
+                }
                 Dequeued::Admit { token, waited } => {
                     sc_obs::counter_add("scholarcloud.admitted", 1);
                     if self.establish.dequeued(token, waited, now) {
@@ -214,8 +318,8 @@ impl DomesticProxy {
                     } else {
                         // The browser vanished without its queue entry
                         // being removed; hand the slot straight back.
-                        let client = self.conns.get(&token).map_or(Addr::new(0, 0, 0, 0), |c| c.client);
-                        self.admit.release(client, now);
+                        let client = self.conns.get(&token).map(|c| c.client);
+                        self.admit.release(client.unwrap_or(Addr::new(0, 0, 0, 0)), now);
                     }
                 }
             }
@@ -223,56 +327,22 @@ impl DomesticProxy {
         self.admit.after_drain(io);
     }
 
-    // ---- admit → establish ------------------------------------------------
-
-    /// Runs a whitelisted request through admission and, if it got a
-    /// slot, into its first attempt.
-    fn enter(&mut self, req: Request, io: &mut impl Io) {
-        match self.admit.on_request(req, io) {
-            Verdict::Refuse { browser, code, reason } => self.shed(browser, code, reason, io),
-            Verdict::Enter { req, queued, span } => {
-                let browser = req.browser;
-                // Gateway conns keep their request parser: the conn
-                // outlives the per-request fetch.
-                if req.is_connect {
-                    self.set_state(browser, ConnState::Pending);
-                }
-                self.establish.enter(req, queued, span, io.now());
-                if !queued {
-                    self.attempt(browser, io);
-                }
-            }
-        }
-    }
-
     fn attempt(&mut self, browser: TcpHandle, io: &mut impl Io) {
         let cap = self.admit.park_cap();
-        let tried = self.establish.try_attempt(browser, cap, &mut self.remotes, &self.config, io);
-        if let Tried::Parked { overflow, expired, recheck } = tried {
-            for oldest in overflow {
-                self.fail(oldest, 503, "parked_overflow", io);
-            }
-            if self.establish.settle_park(browser, expired, recheck, io) {
-                self.fail(browser, 503, "all_remotes_dark", io);
-            }
-        }
+        let tried = self.establish.try_attempt(browser, cap, &mut self.remotes, io);
+        self.step(tried, io);
     }
 
-    /// A connect attempt died: retry (budget permitting) or give up
-    /// with 502.
     fn attempt_failed(&mut self, rh: TcpHandle, reason: &'static str, io: &mut impl Io) {
-        match self.establish.attempt_failed(rh, reason, &mut self.remotes, &self.config, io) {
-            Failed::Nothing => {}
-            Failed::GiveUp { browser } => self.fail(browser, 502, reason, io),
-            Failed::WantsRetry { browser, attempts } => {
-                if self.admit.grant_retry(reason, attempts, io.now()) {
-                    self.establish.backoff(browser, reason, &self.config, io);
-                } else {
-                    self.fail(browser, 502, "retry_budget_exhausted", io);
-                }
-            }
-        }
+        let failed = self.establish.attempt_failed(rh, reason, &mut self.remotes, io);
+        self.step(failed, io);
     }
+
+    fn end_stream(&mut self, rh: TcpHandle, how: Ending, io: &mut impl Io) -> Option<Ended> {
+        self.relay.end(rh, how, &mut self.remotes, io)
+    }
+
+    // ---- events, by the stage that owns the handle ------------------------
 
     fn on_attempt_event(&mut self, rh: TcpHandle, ev: TcpEvent, io: &mut impl Io) {
         match ev {
@@ -284,7 +354,7 @@ impl DomesticProxy {
                 if up.req.is_connect {
                     self.set_state(up.req.browser, ConnState::Tunneling { remote: rh });
                 }
-                self.relay.open(rh, up, self.config.resilience.stream_resume, io);
+                self.relay.open(rh, up, io);
             }
             TcpEvent::ConnectFailed => self.attempt_failed(rh, "connect_failed", io),
             TcpEvent::Reset => self.attempt_failed(rh, "reset", io),
@@ -292,8 +362,6 @@ impl DomesticProxy {
             _ => {}
         }
     }
-
-    // ---- relay ------------------------------------------------------------
 
     fn on_stream_event(&mut self, rh: TcpHandle, ev: TcpEvent, io: &mut impl Io) {
         match ev {
@@ -303,45 +371,41 @@ impl DomesticProxy {
                 };
                 // A gateway fetch reassembles the upstream response
                 // instead of piping bytes through.
-                match self.gateway.upstream_data(browser, &plain) {
-                    Parsed::NotMine => io.send(browser, &plain),
-                    Parsed::More => {}
+                let ended = match self.gateway.upstream_data(browser, &plain) {
+                    Parsed::NotMine => return io.send(browser, &plain),
+                    Parsed::More => return,
                     Parsed::Garbled => {
                         io.abort(rh);
                         let ended = self.end_stream(rh, Ending::Garbled, io);
-                        self.fail(browser, 502, "bad_upstream_response", io);
-                        if let Some(ended) = ended {
-                            self.release(ended.client, io);
-                        }
+                        let reason = "bad_upstream_response";
+                        self.step(Step::Fail { browser, code: 502, reason }, io);
+                        ended
                     }
                     Parsed::Response(resp) => {
-                        // One fetch per tunnel: close the upstream leg
-                        // and free the slot.
+                        // One fetch per tunnel: close the upstream leg.
                         io.close(rh);
                         let ended = self.end_stream(rh, Ending::Clean, io);
-                        self.gateway.settle(browser, resp, false, &self.config, io);
-                        if let Some(ended) = ended {
-                            self.release(ended.client, io);
-                        }
+                        self.gateway.settle(browser, resp, false, io);
+                        ended
                     }
+                };
+                if let Some(ended) = ended {
+                    self.release(ended.client, io);
                 }
             }
             TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
-                let reset = ev == TcpEvent::Reset;
-                let how = self.relay.ending_for(rh, reset, self.config.resilience.max_attempts);
+                let how = self.relay.ending_for(rh, ev == TcpEvent::Reset);
                 let Some(ended) = self.end_stream(rh, how, io) else { return };
                 match ended.replay {
                     Some(replay) => {
                         self.set_state(ended.browser, ConnState::Pending);
-                        self.establish.resume(replay.req, replay.attempts, ended.remote_idx, io.now());
+                        self.establish.resume(replay, ended.remote_idx, io.now());
                         self.attempt(ended.browser, io);
                     }
                     None => {
                         // A gateway fetch dying mid-response takes its
                         // coalesced waiters down with the same status.
-                        for waiter in self.gateway.fail_waiters(ended.browser, 502, io) {
-                            self.finish(waiter);
-                        }
+                        self.fail_waiters(ended.browser, 502, io);
                         io.close(ended.browser);
                         self.finish(ended.browser);
                         self.release(ended.client, io);
@@ -352,76 +416,20 @@ impl DomesticProxy {
         }
     }
 
-    fn end_stream(&mut self, rh: TcpHandle, how: Ending, io: &mut impl Io) -> Option<relay::Ended> {
-        self.relay.end(rh, how, &mut self.remotes, &self.config, io)
-    }
-
-    // ---- gateway, peer ----------------------------------------------------
-
-    fn gateway_request(&mut self, browser: TcpHandle, req: HttpRequest, io: &mut impl Io) {
-        let Some(client) = self.conns.get(&browser).map(|c| c.client) else { return };
-        match self.gateway.request(browser, client, req, &self.config, io) {
-            Routed::Done => {}
-            Routed::OffWhitelist(host) => {
-                self.admit.refuse_host(browser, &host, io);
-                self.finish(browser);
-            }
-            Routed::Upstream(req) => self.enter(req, io),
-            Routed::Lead(miss) => {
-                // A non-owner's miss takes one intra-fleet hop to the
-                // key's owner (whose singleflight coalesces the whole
-                // fleet's demand) instead of a cross-border fetch.
-                let owner = (!miss.via_hop).then(|| self.peer.owner_of(&miss.key, io.now())).flatten();
-                match owner {
-                    Some(owner) => {
-                        let timeout = self.config.resilience.connect_timeout;
-                        self.peer.start(&miss, owner, timeout, io);
-                        self.gateway.lead_via_peer(miss, &self.config);
-                    }
-                    None => {
-                        let req = self.gateway.lead_upstream(miss, &self.config, io.now());
-                        self.enter(req, io);
-                    }
-                }
-            }
-        }
-    }
-
-    fn hop_outcome(&mut self, outcome: HopOutcome, io: &mut impl Io) {
-        match outcome {
-            HopOutcome::Nothing => {}
-            HopOutcome::Settled { leader, resp } => {
-                self.gateway.settle(leader, resp, true, &self.config, io);
-            }
-            HopOutcome::Fallback { leader, tctx } => {
-                if let Some(req) = self.gateway.fall_back_upstream(leader, tctx, &self.config, io.now()) {
-                    self.enter(req, io);
-                }
-            }
-        }
-    }
-
-    // ---- browser side -----------------------------------------------------
-
     /// The first request on a browser connection decides its mode.
     fn first_request(&mut self, browser: TcpHandle, client: Addr, req: HttpRequest, io: &mut impl Io) {
-        if req.method == "CONNECT" {
-            match admit::connect_request(browser, client, &req, &self.config) {
-                Connect::Malformed => io.send(browser, &HttpResponse::new(400, Vec::new()).encode()),
-                Connect::OffWhitelist(host) => {
-                    self.admit.refuse_host(browser, &host, io);
-                    self.finish(browser);
-                }
-                Connect::Go(req) => self.enter(req, io),
-            }
+        let step = if req.method == "CONNECT" {
+            self.admit.connect(browser, client, &req, io)
         } else if req.target.starts_with("http://") || req.target.starts_with('/') {
             // Plain HTTP: the conn stays in gateway mode for keep-alive
             // follow-ups; each request runs through the shared cache.
             self.set_state(browser, ConnState::Gateway(HttpParser::new()));
-            self.gateway_request(browser, req, io);
+            self.gateway.request(browser, client, req, io)
         } else {
             io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
-        }
+            Step::Done
+        };
+        self.step(step, io);
     }
 
     fn on_browser_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) {
@@ -454,7 +462,7 @@ impl DomesticProxy {
                     // No admission slot is held: admission only engages
                     // after a parsed request is whitelisted.
                     (true, Err(_)) => {
-                        self.admit.decoy(h, &self.config, io);
+                        self.admit.decoy(h, io);
                         self.finish(h);
                     }
                     // One request per proxy connection decides its mode.
@@ -469,7 +477,8 @@ impl DomesticProxy {
                     }
                     (false, Ok(requests)) => {
                         for req in requests {
-                            self.gateway_request(h, req, io);
+                            let routed = self.gateway.request(h, client, req, io);
+                            self.step(routed, io);
                         }
                     }
                 }
@@ -484,9 +493,8 @@ impl DomesticProxy {
     fn browser_gone(&mut self, h: TcpHandle, io: &mut impl Io) {
         // A departing gateway leader hands its fetch to the first
         // waiter, which re-enters admission under its own identity.
-        if let Some(promoted) = self.gateway.browser_gone(h, &self.config, io.now()) {
-            self.enter(promoted, io);
-        }
+        let promoted = self.gateway.browser_gone(h, io.now());
+        self.step(promoted, io);
         let held = match self.establish.abandon(h, &self.remotes, io) {
             Abandoned::Queued => {
                 self.admit.forget_queued(h, io.now());
@@ -507,12 +515,10 @@ impl DomesticProxy {
         }
     }
 
-    // ---- dispatch ---------------------------------------------------------
-
     fn on_timer(&mut self, timer: Timer, io: &mut impl Io) {
         match timer {
-            Timer::ProbeTick => self.remotes.probe_round(&self.config, io),
-            Timer::ProbeDeadline(h) => self.remotes.probe_deadline(h, &self.config, io),
+            Timer::ProbeTick => self.remotes.probe_round(io),
+            Timer::ProbeDeadline(h) => self.remotes.probe_deadline(h, io),
             Timer::ElasticTick => self.remotes.elastic_tick(self.admit.queue_depth(), io),
             Timer::ConnectDeadline(rh) => {
                 if self.establish.connect_deadline(rh, io) {
@@ -531,7 +537,7 @@ impl DomesticProxy {
             }
             Timer::PeerDeadline(h) => {
                 let outcome = self.peer.deadline(h, io);
-                self.hop_outcome(outcome, io);
+                self.step(outcome, io);
             }
         }
     }
@@ -547,7 +553,7 @@ impl DomesticProxy {
             AppEvent::Tcp(h, ev) if self.remotes.owns_probe(h) => {
                 // A probe (or trial) that proves a remote healthy lets
                 // every parked request retry immediately.
-                if self.remotes.on_probe_event(h, ev, &self.config, io) {
+                if self.remotes.on_probe_event(h, ev, io) {
                     for browser in self.establish.parked() {
                         self.attempt(browser, io);
                     }
@@ -555,7 +561,7 @@ impl DomesticProxy {
             }
             AppEvent::Tcp(h, ev) if self.peer.owns(h) => {
                 let outcome = self.peer.on_event(h, ev, io);
-                self.hop_outcome(outcome, io);
+                self.step(outcome, io);
             }
             AppEvent::Tcp(h, ev) if self.establish.owns_attempt(h) => self.on_attempt_event(h, ev, io),
             AppEvent::Tcp(h, ev) if self.relay.owns(h) => self.on_stream_event(h, ev, io),
@@ -568,7 +574,7 @@ impl DomesticProxy {
 impl App for DomesticProxy {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         ctx.tcp_listen(self.config.domestic.port);
-        self.remotes.start(&self.config, ctx);
+        self.remotes.start(ctx);
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {

@@ -17,7 +17,7 @@ use sc_simnet::time::{SimDuration, SimTime};
 use super::gateway::Miss;
 use super::io::{Io, Timer};
 use super::trace;
-use super::FLEET_HEADER;
+use super::{Step, FLEET_HEADER};
 use crate::fleet::FleetMember;
 
 /// An in-flight intra-fleet peering hop: a non-owner's cacheable miss
@@ -40,25 +40,19 @@ struct Hop {
     tctx: TraceCtx,
 }
 
-/// What became of a hop.
-pub(super) enum HopOutcome {
-    /// Still in flight, or nothing the rest of the pipeline cares about.
-    Nothing,
-    /// The owner answered `200`/`304`: settle the leader's fetch with it.
-    Settled { leader: TcpHandle, resp: HttpResponse },
-    /// The hop failed or was refused: the leader's fetch goes upstream.
-    Fallback { leader: TcpHandle, tctx: TraceCtx },
-}
-
 pub(super) struct Peer {
+    /// One deadline covers a whole hop (connect + response): a crashed
+    /// or wedged owner must cost one bounded wait, then the fallback
+    /// goes upstream.
+    hop_deadline: SimDuration,
     /// `None` = the paper's single-proxy deployment: nothing ever hops.
     fleet: Option<FleetMember>,
     hops: BTreeMap<TcpHandle, Hop>,
 }
 
 impl Peer {
-    pub fn new() -> Self {
-        Peer { fleet: None, hops: BTreeMap::new() }
+    pub fn new(connect_timeout: SimDuration) -> Self {
+        Peer { hop_deadline: connect_timeout.saturating_mul(2), fleet: None, hops: BTreeMap::new() }
     }
 
     pub fn join_fleet(&mut self, member: FleetMember) {
@@ -91,11 +85,8 @@ impl Peer {
 
     /// Launches the hop for `miss`: one absolute-form GET to the key's
     /// owner shard, marked with the loop-guard header and carrying *our*
-    /// stored validator (the owner's `304` renews our entry). One
-    /// deadline of `2 × connect_timeout` covers the whole hop (connect +
-    /// response): a crashed or wedged owner must cost one bounded wait,
-    /// then the fallback goes upstream.
-    pub fn start(&mut self, miss: &Miss, owner: usize, connect_timeout: SimDuration, io: &mut impl Io) {
+    /// stored validator (the owner's `304` renews our entry).
+    pub fn start(&mut self, miss: &Miss, owner: usize, io: &mut impl Io) {
         let now = io.now();
         let f = self.fleet.as_ref().expect("owner_of found a fleet");
         let (self_idx, addr) = (f.self_idx, f.handle.member_addr(owner));
@@ -135,22 +126,22 @@ impl Peer {
                 tctx: miss.tctx,
             },
         );
-        io.timer(connect_timeout.saturating_mul(2), Timer::PeerDeadline(h));
+        io.timer(self.hop_deadline, Timer::PeerDeadline(h));
     }
 
-    pub fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> HopOutcome {
-        let Some(hop) = self.hops.get_mut(&h) else { return HopOutcome::Nothing };
+    pub fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> Step {
+        let Some(hop) = self.hops.get_mut(&h) else { return Step::Done };
         match ev {
             TcpEvent::Connected => {
                 hop.connected = true;
                 let wire = std::mem::take(&mut hop.wire);
                 io.send(h, &wire);
-                HopOutcome::Nothing
+                Step::Done
             }
             TcpEvent::DataReceived => {
                 let data = io.recv(h);
                 if hop.done {
-                    return HopOutcome::Nothing;
+                    return Step::Done;
                 }
                 match hop.parser.push(&data) {
                     Err(_) => {
@@ -164,7 +155,7 @@ impl Peer {
                         });
                         match resp {
                             Some(resp) => self.answered(h, resp, io),
-                            None => HopOutcome::Nothing,
+                            None => Step::Done,
                         }
                     }
                 }
@@ -173,7 +164,7 @@ impl Peer {
                 if hop.done {
                     // Settled hop: just drain the close handshake.
                     self.hops.remove(&h);
-                    return HopOutcome::Nothing;
+                    return Step::Done;
                 }
                 let reason = match ev {
                     TcpEvent::ConnectFailed => "peer_connect_failed",
@@ -182,14 +173,14 @@ impl Peer {
                 };
                 self.failed(h, reason, io)
             }
-            _ => HopOutcome::Nothing,
+            _ => Step::Done,
         }
     }
 
     /// The whole-hop deadline fired.
-    pub fn deadline(&mut self, h: TcpHandle, io: &mut impl Io) -> HopOutcome {
+    pub fn deadline(&mut self, h: TcpHandle, io: &mut impl Io) -> Step {
         let Some(hop) = self.hops.get(&h).filter(|hop| !hop.done) else {
-            return HopOutcome::Nothing;
+            return Step::Done;
         };
         let reason =
             if hop.connected { "peer_response_timeout" } else { "peer_connect_timeout" };
@@ -205,7 +196,7 @@ impl Peer {
     /// released. Anything else means the owner is alive but refusing
     /// (shedding under fleet pressure): not a liveness failure — no
     /// dead-mark, fall back upstream.
-    fn answered(&mut self, h: TcpHandle, resp: HttpResponse, io: &mut impl Io) -> HopOutcome {
+    fn answered(&mut self, h: TcpHandle, resp: HttpResponse, io: &mut impl Io) -> Step {
         let now = io.now();
         let shard = self.shard();
         let hop = self.hops.get_mut(&h).expect("caller checked");
@@ -223,7 +214,7 @@ impl Peer {
                     .field("owner", owner.to_string())
                     .field("status", resp.status.to_string())
             });
-            return HopOutcome::Fallback { leader, tctx };
+            return Step::FallBack { leader, tctx };
         }
         if self.fleet.as_mut().map_or(false, |f| f.mark_peer_up(owner)) {
             trace::count(now, "scholarcloud.peer_recoveries", 1);
@@ -231,16 +222,16 @@ impl Peer {
                 trace::sharded(ev, shard).field("peer", owner.to_string())
             });
         }
-        HopOutcome::Settled { leader, resp }
+        Step::Settle { leader, resp }
     }
 
     /// The hop died (connect failure, deadline, reset): dead-mark the
     /// owner with exponential re-probe backoff — misses on its keyspace
     /// re-route to each key's next-highest scorer until the backoff
     /// elapses — and fall back upstream for this request.
-    fn failed(&mut self, h: TcpHandle, reason: &'static str, io: &mut impl Io) -> HopOutcome {
+    fn failed(&mut self, h: TcpHandle, reason: &'static str, io: &mut impl Io) -> Step {
         let Some(mut hop) = self.hops.remove(&h).filter(|hop| !hop.done) else {
-            return HopOutcome::Nothing;
+            return Step::Done;
         };
         let now = io.now();
         trace::end(now, &mut hop.span, || vec![("ok", false.into()), ("reason", reason.into())]);
@@ -252,6 +243,6 @@ impl Peer {
                 .field("reason", reason.to_string())
                 .field("backoff_us", backoff.map_or(0, |b| b.as_micros()).to_string())
         });
-        HopOutcome::Fallback { leader: hop.leader, tctx: hop.tctx }
+        Step::FallBack { leader: hop.leader, tctx: hop.tctx }
     }
 }

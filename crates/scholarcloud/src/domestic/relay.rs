@@ -9,6 +9,7 @@
 //! detection.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sc_obs::{Level, SpanId};
 use sc_simnet::addr::Addr;
@@ -86,12 +87,13 @@ pub(super) struct Ended {
 }
 
 pub(super) struct Relay {
+    cfg: Rc<ScConfig>,
     streams: BTreeMap<TcpHandle, Stream>,
 }
 
 impl Relay {
-    pub fn new() -> Self {
-        Relay { streams: BTreeMap::new() }
+    pub fn new(cfg: Rc<ScConfig>) -> Self {
+        Relay { cfg, streams: BTreeMap::new() }
     }
 
     pub fn owns(&self, h: TcpHandle) -> bool {
@@ -104,10 +106,10 @@ impl Relay {
 
     /// Adopts the tunnel that just came up on `h`. The stream span
     /// covers its lifetime — established → torn down — parented on the
-    /// browser-side span that requested it. `resumable` arms the replay
-    /// buffer (CONNECT tunnels only: a gateway fetch is retried by its
-    /// browser).
-    pub fn open(&mut self, h: TcpHandle, up: Up, resumable: bool, io: &mut impl Io) {
+    /// browser-side span that requested it. With `stream_resume` on, a
+    /// CONNECT tunnel arms its replay buffer (a gateway fetch is retried
+    /// by its browser).
+    pub fn open(&mut self, h: TcpHandle, up: Up, io: &mut impl Io) {
         let now = io.now();
         let Up { req, remote_idx, remote, attempts, resumed, tx, rx, up_bytes, .. } = up;
         let name = if req.is_connect { "tunnel_stream" } else { "upstream_fetch" };
@@ -125,7 +127,7 @@ impl Relay {
                 .field("attempt", u64::from(attempts))
         });
         let (browser, client) = (req.browser, req.client);
-        let replay = (resumable && req.is_connect && req.initial_plain.len() <= REPLAY_CAP)
+        let replay = (self.cfg.resilience.stream_resume && req.is_connect && req.initial_plain.len() <= REPLAY_CAP)
             .then_some(Replay { req, attempts });
         self.streams.insert(
             h,
@@ -179,7 +181,8 @@ impl Relay {
     /// censor's learned-signature RESET landing on the preamble: with a
     /// replay buffer and attempts left, the stream is
     /// [`Ending::Resumed`] instead of lost.
-    pub fn ending_for(&self, h: TcpHandle, reset: bool, max_attempts: u32) -> Ending {
+    pub fn ending_for(&self, h: TcpHandle, reset: bool) -> Ending {
+        let max_attempts = self.cfg.resilience.max_attempts;
         let replayable = self.streams.get(&h).map_or(false, |s| {
             s.down_bytes == 0 && s.replay.as_ref().map_or(false, |r| r.attempts < max_attempts)
         });
@@ -202,14 +205,13 @@ impl Relay {
         h: TcpHandle,
         how: Ending,
         remotes: &mut Remotes,
-        cfg: &ScConfig,
         io: &mut impl Io,
     ) -> Option<Ended> {
         let mut stream = self.streams.remove(&h)?;
         let now = io.now();
         remotes.stream_end(stream.remote_idx, now);
         if how == Ending::Resumed {
-            remotes.failed(stream.remote_idx, cfg, io);
+            remotes.failed(stream.remote_idx, io);
         }
         let down = stream.down_bytes;
         if how != Ending::Garbled {
@@ -225,7 +227,7 @@ impl Relay {
             Ending::Garbled => vec![("ok", false.into())],
         });
         if how == Ending::Reset {
-            remotes.failed(stream.remote_idx, cfg, io);
+            remotes.failed(stream.remote_idx, io);
         }
         Some(Ended {
             browser: stream.browser,

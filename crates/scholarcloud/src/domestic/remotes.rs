@@ -7,6 +7,7 @@
 //! relay stage's mid-stream resets land here too.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use sc_obs::Level;
 use sc_simnet::addr::{Addr, SocketAddr};
@@ -36,6 +37,7 @@ struct Probe {
 }
 
 pub(super) struct Remotes {
+    cfg: Rc<ScConfig>,
     pool: RemotePool,
     /// The elastic remote tier this proxy drives (None = the paper's
     /// static VM pool; every elastic path is inert then).
@@ -51,7 +53,7 @@ pub(super) struct Remotes {
 
 impl Remotes {
     /// One circuit breaker per configured remote.
-    pub fn new(cfg: &ScConfig) -> Self {
+    pub fn new(cfg: Rc<ScConfig>) -> Self {
         Remotes {
             pool: RemotePool::new(
                 cfg.remotes.clone(),
@@ -63,6 +65,7 @@ impl Remotes {
             breaker_opens: 0,
             evidence_consumed: 0,
             last_rotation: None,
+            cfg,
         }
     }
 
@@ -70,8 +73,8 @@ impl Remotes {
         self.elastic = Some(handle);
     }
 
-    pub fn start(&mut self, cfg: &ScConfig, io: &mut impl Io) {
-        io.timer(cfg.resilience.probe_interval, Timer::ProbeTick);
+    pub fn start(&mut self, io: &mut impl Io) {
+        io.timer(self.cfg.resilience.probe_interval, Timer::ProbeTick);
         if self.elastic.is_some() {
             io.timer(ELASTIC_TICK, Timer::ElasticTick);
         }
@@ -143,7 +146,7 @@ impl Remotes {
     /// Records a failure against pool entry `idx` (a dead attempt, a
     /// timed-out probe, or an established stream's mid-stream RST — a
     /// health signal, GFW interference or a dying VM).
-    pub fn failed(&mut self, idx: usize, cfg: &ScConfig, io: &mut impl Io) {
+    pub fn failed(&mut self, idx: usize, io: &mut impl Io) {
         let now = io.now();
         let Some(t) = self.pool.record_failure(idx, now) else { return };
         self.breaker_event(idx, t, now);
@@ -156,7 +159,7 @@ impl Remotes {
             self.breaker_opens += 1;
             // Rotate *now*, not at the next tick: this request's own
             // retry already picks up the new scheme.
-            self.maybe_rotate(cfg, now);
+            self.maybe_rotate(now);
         }
     }
 
@@ -167,9 +170,9 @@ impl Remotes {
     /// the blinding scheme, changing the cover traffic's on-wire shape
     /// and starving whatever signature the censor had learned. No timer
     /// is involved: an undetected scheme never rotates.
-    fn maybe_rotate(&mut self, cfg: &ScConfig, now: SimTime) {
-        let Some(policy) = cfg.rotation else { return };
-        let evidence = self.breaker_opens + cfg.interference.probe_sightings();
+    fn maybe_rotate(&mut self, now: SimTime) {
+        let Some(policy) = self.cfg.rotation else { return };
+        let evidence = self.breaker_opens + self.cfg.interference.probe_sightings();
         let fresh = evidence.saturating_sub(self.evidence_consumed);
         let cooling =
             self.last_rotation.map_or(false, |last| now.saturating_since(last) < policy.cooldown);
@@ -178,11 +181,11 @@ impl Remotes {
         }
         self.evidence_consumed = evidence;
         self.last_rotation = Some(now);
-        let from = cfg.scheme.get();
+        let from = self.cfg.scheme.get();
         // A fresh cover generation with the new codec: the censor's
         // classifier has never seen the rotated deployment's preamble,
         // so every learned signature starves from here on out.
-        let to = cfg.scheme.rotate_fresh_at(now.as_micros());
+        let to = self.cfg.scheme.rotate_fresh_at(now.as_micros());
         sc_obs::counter_add("scholarcloud.adaptive_rotations", 1);
         trace::event(now, Level::Info, "adaptive", "rotate", |ev| {
             ev.field("from", format!("{from:?}"))
@@ -206,12 +209,12 @@ impl Remotes {
 
     /// Launches one probe round (unproven or unhealthy remotes only) and
     /// re-arms the next tick.
-    pub fn probe_round(&mut self, cfg: &ScConfig, io: &mut impl Io) {
+    pub fn probe_round(&mut self, io: &mut impl Io) {
         let now = io.now();
         // Probe sightings accrue on the remote side between our own
         // failure events; re-evaluate rotation on the same cadence as
         // health probing so they are picked up without a dedicated timer.
-        self.maybe_rotate(cfg, now);
+        self.maybe_rotate(now);
         for idx in 0..self.pool.len() {
             let e = self.pool.entry(idx);
             // Retired entries (drained elastic instances) are gone for
@@ -231,32 +234,26 @@ impl Remotes {
             }
             let h = io.connect(e.addr);
             self.probes.insert(h, Probe { remote_idx: idx, started: now, done: false });
-            io.timer(cfg.resilience.connect_timeout, Timer::ProbeDeadline(h));
+            io.timer(self.cfg.resilience.connect_timeout, Timer::ProbeDeadline(h));
             sc_obs::counter_add("scholarcloud.probes", 1);
         }
-        io.timer(cfg.resilience.probe_interval, Timer::ProbeTick);
+        io.timer(self.cfg.resilience.probe_interval, Timer::ProbeTick);
     }
 
     /// The connect deadline of probe `h` fired.
-    pub fn probe_deadline(&mut self, h: TcpHandle, cfg: &ScConfig, io: &mut impl Io) {
+    pub fn probe_deadline(&mut self, h: TcpHandle, io: &mut impl Io) {
         if self.probes.get(&h).map_or(true, |p| p.done) {
             return;
         }
         io.abort(h);
         let p = self.probes.remove(&h).expect("checked");
         sc_obs::counter_add("scholarcloud.probe_timeouts", 1);
-        self.failed(p.remote_idx, cfg, io);
+        self.failed(p.remote_idx, io);
     }
 
     /// A TCP event on probe `h`. `true` when it just proved a remote
     /// healthy: the caller retries the [`parked`](Self::parked) set.
-    pub fn on_probe_event(
-        &mut self,
-        h: TcpHandle,
-        ev: TcpEvent,
-        cfg: &ScConfig,
-        io: &mut impl Io,
-    ) -> bool {
+    pub fn on_probe_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> bool {
         match ev {
             TcpEvent::Connected => {
                 let now = io.now();
@@ -270,7 +267,7 @@ impl Remotes {
             }
             TcpEvent::ConnectFailed | TcpEvent::Reset | TcpEvent::PeerClosed => {
                 if let Some(p) = self.probes.remove(&h).filter(|p| !p.done) {
-                    self.failed(p.remote_idx, cfg, io);
+                    self.failed(p.remote_idx, io);
                 }
                 false
             }
