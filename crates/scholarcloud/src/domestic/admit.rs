@@ -18,7 +18,7 @@ use sc_simnet::time::{SimDuration, SimTime};
 use super::io::{Io, Timer};
 use super::trace::{self, target_label};
 use super::Step;
-use crate::admission::{AdmissionController, Decision, Dequeued};
+use crate::admission::{AdmissionController, Decision};
 use crate::config::ScConfig;
 use crate::fleet::FleetHandle;
 use crate::frame::{decoy_response, StreamHeader};
@@ -70,7 +70,9 @@ pub(super) fn stream_header(host: &str, port: u16, is_tls: bool, tctx: TraceCtx)
 
 pub(super) struct Admit {
     cfg: Rc<ScConfig>,
-    ctl: AdmissionController<TcpHandle>,
+    /// Slots, queue, fairness, retry budget. The driver drains it and
+    /// hands slots back directly.
+    pub ctl: AdmissionController<TcpHandle>,
     /// This shard's index and the fleet's shared sickness board.
     fleet: Option<(usize, FleetHandle)>,
     /// A [`QUEUE_TICK`] timer is currently armed.
@@ -85,14 +87,6 @@ impl Admit {
 
     pub fn join_fleet(&mut self, self_idx: usize, board: FleetHandle) {
         self.fleet = Some((self_idx, board));
-    }
-
-    pub fn active(&self) -> usize {
-        self.ctl.active()
-    }
-
-    pub fn queue_depth(&self) -> usize {
-        self.ctl.queue_depth()
     }
 
     /// Bound on the parked set, shared with the admission queue: an
@@ -110,7 +104,7 @@ impl Admit {
     }
 
     fn sample_queue_depth(&self, now: SimTime) {
-        sc_obs::ts_record(now.as_micros(), "scholarcloud.queue_depth", self.queue_depth() as u64);
+        sc_obs::ts_record(now.as_micros(), "scholarcloud.queue_depth", self.ctl.queue_depth() as u64);
     }
 
     /// Arms the queue re-check tick if the queue is non-empty and no
@@ -263,11 +257,6 @@ impl Admit {
         });
     }
 
-    /// Dequeues as much as capacity allows, in queue order.
-    pub fn drain(&mut self, now: SimTime) -> Vec<Dequeued<TcpHandle>> {
-        self.ctl.drain(now)
-    }
-
     /// A queued request was just granted its slot after `waited`.
     pub fn note_dequeue(&self, waited: SimDuration, now: SimTime) {
         trace::event(now, Level::Debug, "admission", "dequeue", |ev| {
@@ -288,20 +277,10 @@ impl Admit {
         self.queue_tick_armed = false;
     }
 
-    /// Hands back the active slot charged to `client`.
-    pub fn release(&mut self, client: Addr, now: SimTime) {
-        self.ctl.release(client, now, None);
-    }
-
     /// A browser gave up while still queued: no slot was held yet.
     pub fn forget_queued(&mut self, browser: TcpHandle, now: SimTime) {
         self.ctl.remove_queued(browser);
         self.sample_queue_depth(now);
-    }
-
-    /// Feeds the admit → established time into the service estimate.
-    pub fn record_service(&mut self, d: SimDuration) {
-        self.ctl.record_service(d);
     }
 
     /// Asks the global retry budget for one retry. It caps brownout

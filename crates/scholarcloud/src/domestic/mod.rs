@@ -174,8 +174,8 @@ impl DomesticProxy {
     pub fn occupancy(&self) -> Vec<(&'static str, usize)> {
         let mut all = vec![
             ("browser conns", self.conns.len()),
-            ("active admission slots", self.admit.active()),
-            ("queued requests", self.admit.queue_depth()),
+            ("active admission slots", self.admit.ctl.active()),
+            ("queued requests", self.admit.ctl.queue_depth()),
         ];
         all.extend(self.gateway.occupancy());
         all.extend(self.peer.occupancy());
@@ -292,7 +292,7 @@ impl DomesticProxy {
     /// Hands back the slot charged to `client` and lets queued work
     /// advance into the freed capacity.
     fn release(&mut self, client: Addr, io: &mut impl Io) {
-        self.admit.release(client, io.now());
+        self.admit.ctl.release(client, io.now(), None);
         self.drain_queue(io);
         self.admit.publish_sickness();
     }
@@ -301,7 +301,7 @@ impl DomesticProxy {
     /// are shed with 503, admissible ones start their first attempt.
     fn drain_queue(&mut self, io: &mut impl Io) {
         let now = io.now();
-        let actions = self.admit.drain(now);
+        let actions = self.admit.ctl.drain(now);
         if actions.is_empty() {
             return;
         }
@@ -319,7 +319,7 @@ impl DomesticProxy {
                         // The browser vanished without its queue entry
                         // being removed; hand the slot straight back.
                         let client = self.conns.get(&token).map(|c| c.client);
-                        self.admit.release(client.unwrap_or(Addr::new(0, 0, 0, 0)), now);
+                        self.admit.ctl.release(client.unwrap_or(Addr::new(0, 0, 0, 0)), now, None);
                     }
                 }
             }
@@ -348,7 +348,7 @@ impl DomesticProxy {
         match ev {
             TcpEvent::Connected => {
                 let Some(up) = self.establish.connected(rh, &mut self.remotes, io) else { return };
-                self.admit.record_service(up.service);
+                self.admit.ctl.record_service(up.service);
                 // A gateway leader's conn stays in gateway mode; only
                 // opaque tunnels switch to piping.
                 if up.req.is_connect {
@@ -519,7 +519,7 @@ impl DomesticProxy {
         match timer {
             Timer::ProbeTick => self.remotes.probe_round(io),
             Timer::ProbeDeadline(h) => self.remotes.probe_deadline(h, io),
-            Timer::ElasticTick => self.remotes.elastic_tick(self.admit.queue_depth(), io),
+            Timer::ElasticTick => self.remotes.elastic_tick(self.admit.ctl.queue_depth(), io),
             Timer::ConnectDeadline(rh) => {
                 if self.establish.connect_deadline(rh, io) {
                     self.attempt_failed(rh, "connect_timeout", io);

@@ -1,1 +1,404 @@
-// stage unit tests
+//! Stage unit tests: a scripted [`Io`] drives a stage (or the whole
+//! driver) with no simulator and no topology.
+
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use bytes::Bytes;
+use sc_netproto::http::HttpRequest;
+use sc_obs::{SpanId, TraceCtx, TraceId};
+use sc_simnet::addr::{Addr, SocketAddr};
+use sc_simnet::api::{AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::time::{SimDuration, SimTime};
+
+use super::admit::{stream_header, Request};
+use super::establish::{Establish, Up};
+use super::gateway::Gateway;
+use super::io::{Io, Timer};
+use super::relay::{Ending, Relay};
+use super::remotes::Remotes;
+use super::{DomesticProxy, Step};
+use crate::config::ScConfig;
+use crate::frame::{Hello, StreamCodec};
+
+/// What a stage did to the world.
+#[derive(Debug, Clone, PartialEq)]
+enum Call {
+    Connect(TcpHandle),
+    Send(TcpHandle, Vec<u8>),
+    Close(TcpHandle),
+    Abort(TcpHandle),
+    Timer(Timer),
+}
+
+/// A scripted world: hands out handles from 100 up, records every call,
+/// serves `recv` from `inbox`, and draws "randomness" from a counter.
+struct FakeIo {
+    now: SimTime,
+    next_handle: usize,
+    calls: Vec<Call>,
+    inbox: BTreeMap<TcpHandle, Vec<u8>>,
+    draws: u64,
+}
+
+impl FakeIo {
+    fn new() -> Self {
+        FakeIo {
+            now: SimTime::ZERO,
+            next_handle: 100,
+            calls: Vec::new(),
+            inbox: BTreeMap::new(),
+            draws: 0,
+        }
+    }
+
+    fn advance(&mut self, d: SimDuration) {
+        self.now = self.now + d;
+    }
+
+    fn connects(&self) -> Vec<TcpHandle> {
+        self.calls
+            .iter()
+            .filter_map(|c| match c {
+                Call::Connect(h) => Some(*h),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Everything sent on `h`, concatenated.
+    fn sent(&self, h: TcpHandle) -> String {
+        let bytes: Vec<u8> = self
+            .calls
+            .iter()
+            .filter_map(|c| match c {
+                Call::Send(to, data) if *to == h => Some(data.clone()),
+                _ => None,
+            })
+            .flatten()
+            .collect();
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+}
+
+impl Io for FakeIo {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn connect(&mut self, _to: SocketAddr) -> TcpHandle {
+        let h = TcpHandle(self.next_handle);
+        self.next_handle += 1;
+        self.calls.push(Call::Connect(h));
+        h
+    }
+    fn send(&mut self, h: TcpHandle, data: &[u8]) {
+        self.calls.push(Call::Send(h, data.to_vec()));
+    }
+    fn recv(&mut self, h: TcpHandle) -> Bytes {
+        Bytes::from(self.inbox.remove(&h).unwrap_or_default())
+    }
+    fn close(&mut self, h: TcpHandle) {
+        self.calls.push(Call::Close(h));
+    }
+    fn abort(&mut self, h: TcpHandle) {
+        self.calls.push(Call::Abort(h));
+    }
+    fn timer(&mut self, _delay: SimDuration, purpose: Timer) {
+        self.calls.push(Call::Timer(purpose));
+    }
+    fn rand_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.draws
+    }
+    fn rand_unit(&mut self) -> f64 {
+        self.draws += 1;
+        0.5
+    }
+    fn node_power(&mut self, _addr: Addr, _up: bool) {}
+}
+
+const CLIENT: Addr = Addr::new(10, 0, 0, 7);
+
+fn config() -> ScConfig {
+    ScConfig::new(Addr::new(10, 1, 0, 1), Addr::new(99, 0, 0, 40))
+}
+
+fn connect_request(browser: usize, tctx: TraceCtx) -> Request {
+    Request {
+        browser: TcpHandle(browser),
+        client: CLIENT,
+        header: stream_header("scholar.google.com", 443, true, tctx),
+        initial_plain: Vec::new(),
+        is_connect: true,
+        tctx,
+    }
+}
+
+/// A pool whose single remote's breaker is open, and the establish
+/// stage in front of it.
+fn dark_pool(io: &mut FakeIo) -> (Establish, Remotes) {
+    let cfg = Rc::new(config());
+    let mut remotes = Remotes::new(cfg.clone());
+    for _ in 0..cfg.resilience.breaker_threshold {
+        remotes.failed(0, io);
+    }
+    assert!(remotes.pick(io.now, None).is_none(), "the breaker must be open");
+    (Establish::new(cfg), remotes)
+}
+
+/// Parks `browser` (admitted now) and returns what parking came to.
+fn park(est: &mut Establish, remotes: &mut Remotes, browser: usize, cap: usize, io: &mut FakeIo) -> Step {
+    est.enter(connect_request(browser, TraceCtx::NONE), false, SpanId::NONE, io.now);
+    est.try_attempt(TcpHandle(browser), cap, remotes, io)
+}
+
+#[test]
+fn timer_tokens_round_trip() {
+    let h = TcpHandle(123_456);
+    for timer in [
+        Timer::ProbeTick,
+        Timer::QueueTick,
+        Timer::ElasticTick,
+        Timer::ConnectDeadline(h),
+        Timer::ProbeDeadline(h),
+        Timer::Retry(h),
+        Timer::PeerDeadline(h),
+    ] {
+        assert_eq!(Timer::from_token(timer.token()), Some(timer));
+    }
+    assert_eq!(Timer::from_token(u64::MAX), None);
+}
+
+/// The bug this pins: parked requests used to be retried in the hash
+/// order of the pending table, so with two or more parked the nonce
+/// draws and remote picks — the trace — depended on `RandomState`.
+#[test]
+fn parked_requests_retry_oldest_first() {
+    let mut io = FakeIo::new();
+    let (mut est, mut remotes) = dark_pool(&mut io);
+    // Park order 9, 3, 5: neither handle order nor any hash order.
+    for browser in [9, 3, 5] {
+        assert!(matches!(park(&mut est, &mut remotes, browser, 8, &mut io), Step::Parked { .. }));
+        io.advance(SimDuration::from_millis(10));
+    }
+    // Two parked at the same instant tie-break on the handle.
+    for browser in [8, 4] {
+        park(&mut est, &mut remotes, browser, 8, &mut io);
+    }
+
+    // A probe proves the remote healthy again.
+    remotes.probe_round(&mut io);
+    let probe = *io.connects().last().expect("the dark remote is probed");
+    assert!(remotes.on_probe_event(probe, TcpEvent::Connected, &mut io));
+
+    let order = est.parked();
+    assert_eq!(order, [9, 3, 5, 4, 8].map(TcpHandle));
+    let before = io.connects().len();
+    for browser in order {
+        assert!(matches!(est.try_attempt(browser, 8, &mut remotes, &mut io), Step::Done));
+    }
+    assert_eq!(io.connects().len(), before + 5, "every parked request got its attempt");
+    assert!(est.parked().is_empty());
+}
+
+#[test]
+fn park_overflow_sheds_the_oldest_first() {
+    let mut io = FakeIo::new();
+    let (mut est, mut remotes) = dark_pool(&mut io);
+    for browser in [7, 2] {
+        let Step::Parked { overflow, expired, .. } = park(&mut est, &mut remotes, browser, 2, &mut io)
+        else {
+            panic!("a dark pool parks")
+        };
+        assert!(overflow.is_empty() && !expired);
+        io.advance(SimDuration::from_millis(10));
+    }
+    // The third exceeds the cap of two: the oldest (7, not the lowest
+    // handle) goes.
+    let Step::Parked { browser, overflow, expired } = park(&mut est, &mut remotes, 5, 2, &mut io)
+    else {
+        panic!("a dark pool parks")
+    };
+    assert_eq!((browser, overflow, expired), (TcpHandle(5), vec![TcpHandle(7)], false));
+    // Each parked request armed one re-check.
+    let rechecks = io.calls.iter().filter(|c| matches!(c, Call::Timer(Timer::Retry(_)))).count();
+    assert_eq!(rechecks, 3);
+}
+
+/// Drives a browser's CONNECT through the whole proxy and returns the
+/// remote-side handle of its first attempt.
+fn connect_through(proxy: &mut DomesticProxy, browser: TcpHandle, io: &mut FakeIo) -> TcpHandle {
+    let peer = SocketAddr::new(CLIENT, 40_000);
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer }), io);
+    io.inbox.insert(browser, HttpRequest::connect("scholar.google.com:443").encode());
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::DataReceived), io);
+    *io.connects().last().expect("an admitted CONNECT starts an attempt")
+}
+
+fn assert_drained(proxy: &DomesticProxy) {
+    let held: Vec<_> = proxy.occupancy().into_iter().filter(|(_, n)| *n > 0).collect();
+    assert!(held.is_empty(), "proxy still holds {held:?}");
+}
+
+#[test]
+fn a_denied_retry_is_a_502_not_a_retry() {
+    let mut cfg = config();
+    cfg.admission.retry_budget_frac = 0.0;
+    cfg.admission.retry_budget_burst = 0.0;
+    let mut proxy = DomesticProxy::new(cfg);
+    let mut io = FakeIo::new();
+    let browser = TcpHandle(1);
+    let attempt = connect_through(&mut proxy, browser, &mut io);
+
+    proxy.route(AppEvent::Tcp(attempt, TcpEvent::ConnectFailed), &mut io);
+
+    assert!(io.sent(browser).starts_with("HTTP/1.1 502"), "{}", io.sent(browser));
+    assert!(io.calls.contains(&Call::Close(browser)));
+    assert!(!io.calls.contains(&Call::Timer(Timer::Retry(browser))), "no retry was scheduled");
+    assert_eq!(io.connects().len(), 1, "no second attempt");
+    assert_drained(&proxy);
+}
+
+#[test]
+fn a_granted_retry_backs_off_and_fails_over() {
+    let mut proxy = DomesticProxy::new(config().with_remotes(&[
+        Addr::new(99, 0, 0, 40),
+        Addr::new(99, 0, 0, 41),
+    ]));
+    let mut io = FakeIo::new();
+    let browser = TcpHandle(1);
+    let first = connect_through(&mut proxy, browser, &mut io);
+    proxy.route(AppEvent::Tcp(first, TcpEvent::ConnectFailed), &mut io);
+    assert!(io.calls.contains(&Call::Timer(Timer::Retry(browser))));
+    assert!(io.sent(browser).is_empty(), "the browser hears nothing while retrying");
+
+    proxy.route(AppEvent::TimerFired(Timer::Retry(browser).token()), &mut io);
+    let second = *io.connects().last().unwrap();
+    assert_ne!(first, second);
+    proxy.route(AppEvent::Tcp(second, TcpEvent::Connected), &mut io);
+    assert!(io.sent(browser).starts_with("HTTP/1.1 200"), "the 200 waits for the tunnel");
+
+    // Browser closes: the stream ends, the slot comes back, nothing
+    // is left behind.
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::PeerClosed), &mut io);
+    assert!(io.calls.contains(&Call::Close(second)));
+    assert_drained(&proxy);
+}
+
+fn gateway_get(gw: &mut Gateway, browser: usize, trace: u64, io: &mut FakeIo) -> Step {
+    let tctx = TraceCtx::new(TraceId(trace), SpanId(trace));
+    let req = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper")
+        .header(sc_obs::TRACE_HEADER, &tctx.header_value());
+    gw.request(TcpHandle(browser), CLIENT, req, io)
+}
+
+/// A leader with two waiters coalesced behind its upstream fetch.
+fn flight_of_three(io: &mut FakeIo) -> Gateway {
+    let mut gw = Gateway::new(Rc::new(config()));
+    let Step::Lead(miss) = gateway_get(&mut gw, 1, 0xa1, io) else { panic!("first request leads") };
+    assert!(matches!(gw.lead_upstream(miss, io.now), Step::Admit(req) if req.browser == TcpHandle(1)));
+    for (browser, trace) in [(2, 0xa2), (3, 0xa3)] {
+        assert!(matches!(gateway_get(&mut gw, browser, trace, io), Step::Done), "waiters park");
+    }
+    assert_eq!(gw.occupancy().map(|(_, n)| n), [1, 2, 1]);
+    gw
+}
+
+#[test]
+fn a_departing_leader_promotes_exactly_one_waiter_under_its_own_trace() {
+    let mut io = FakeIo::new();
+    let mut gw = flight_of_three(&mut io);
+
+    let Step::Admit(replayed) = gw.browser_gone(TcpHandle(1), io.now) else {
+        panic!("the first waiter takes over the fetch")
+    };
+    assert_eq!(replayed.browser, TcpHandle(2));
+    assert_eq!(replayed.tctx, TraceCtx::new(TraceId(0xa2), SpanId(0xa2)));
+    assert_eq!(replayed.header.trace, 0xa2);
+    assert!(!replayed.is_connect);
+    assert!(String::from_utf8_lossy(&replayed.initial_plain).starts_with("GET /paper "));
+    // One fetch (the promoted one), one waiter still parked behind it.
+    assert_eq!(gw.occupancy().map(|(_, n)| n), [1, 1, 1]);
+    assert!(io.calls.is_empty(), "nobody has been answered yet");
+
+    // A departing waiter just leaves.
+    assert!(matches!(gw.browser_gone(TcpHandle(3), io.now), Step::Done));
+    assert_eq!(gw.occupancy().map(|(_, n)| n), [1, 0, 1]);
+}
+
+#[test]
+fn a_failed_leader_fans_its_status_to_every_waiter() {
+    let mut io = FakeIo::new();
+    let mut gw = flight_of_three(&mut io);
+
+    let closed = gw.fail_waiters(TcpHandle(1), 502, &mut io);
+
+    assert_eq!(closed, [2, 3].map(TcpHandle));
+    for waiter in closed {
+        assert!(io.sent(waiter).starts_with("HTTP/1.1 502"), "{}", io.sent(waiter));
+        assert!(io.calls.contains(&Call::Close(waiter)));
+    }
+    assert!(io.sent(TcpHandle(1)).is_empty(), "the leader is answered by whoever failed it");
+    assert_eq!(gw.occupancy().map(|(_, n)| n), [0, 0, 0]);
+}
+
+/// An established CONNECT stream on remote handle 50 for browser 1.
+fn open_stream(stream_resume: bool, io: &mut FakeIo) -> (Relay, Remotes) {
+    let mut cfg = config();
+    cfg.resilience.stream_resume = stream_resume;
+    let cfg = Rc::new(cfg);
+    let hello = Hello { scheme: cfg.scheme.get(), nonce: 1, generation: 0 };
+    let up = Up {
+        req: connect_request(1, TraceCtx::NONE),
+        remote_idx: 0,
+        remote: cfg.remote,
+        attempts: 1,
+        resumed: false,
+        tx: StreamCodec::new(&cfg.secret, &hello, false, 0),
+        rx: StreamCodec::new(&cfg.secret, &hello, false, 1),
+        up_bytes: 0,
+        service: SimDuration::ZERO,
+    };
+    let mut relay = Relay::new(cfg.clone());
+    relay.open(TcpHandle(50), up, io);
+    (relay, Remotes::new(cfg))
+}
+
+#[test]
+fn a_reset_before_the_first_downstream_byte_resumes_from_the_replay_buffer() {
+    let mut io = FakeIo::new();
+    let (mut relay, mut remotes) = open_stream(true, &mut io);
+    relay.upstream(TcpHandle(50), b"client hello", &mut io);
+    relay.upstream(TcpHandle(50), b", more", &mut io);
+
+    assert!(relay.ending_for(TcpHandle(50), false) == Ending::Clean);
+    let how = relay.ending_for(TcpHandle(50), true);
+    assert!(how == Ending::Resumed);
+    let ended = relay.end(TcpHandle(50), how, &mut remotes, &mut io).expect("stream exists");
+    let replay = ended.replay.expect("a resumed stream hands back its replay");
+    assert_eq!(replay.req.initial_plain, b"client hello, more");
+    assert_eq!((replay.req.browser, replay.attempts, ended.remote_idx), (TcpHandle(1), 1, 0));
+    assert_eq!(relay.occupancy(), [("streams", 0)]);
+}
+
+#[test]
+fn a_reset_after_a_downstream_byte_is_final() {
+    let mut io = FakeIo::new();
+    let (mut relay, mut remotes) = open_stream(true, &mut io);
+    relay.upstream(TcpHandle(50), b"client hello", &mut io);
+    io.inbox.insert(TcpHandle(50), b"server hello".to_vec());
+    let (browser, plain) = relay.downstream(TcpHandle(50), &remotes, &mut io).unwrap();
+    assert_eq!((browser, plain.len()), (TcpHandle(1), 12));
+
+    let how = relay.ending_for(TcpHandle(50), true);
+    assert!(how == Ending::Reset);
+    let ended = relay.end(TcpHandle(50), how, &mut remotes, &mut io).unwrap();
+    assert!(ended.replay.is_none());
+}
+
+#[test]
+fn without_stream_resume_a_reset_is_final() {
+    let mut io = FakeIo::new();
+    let (relay, _) = open_stream(false, &mut io);
+    assert!(relay.ending_for(TcpHandle(50), true) == Ending::Reset);
+}

@@ -70,7 +70,9 @@ pub enum AppEvent {
 ///
 /// Implementations hold their own state machine; all interaction with the
 /// network goes through the [`Ctx`](crate::sim::Ctx) passed to each call.
-pub trait App {
+/// An installed app can be inspected after a run by downcasting
+/// (`&dyn App` coerces to `&dyn Any`).
+pub trait App: std::any::Any {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut crate::sim::Ctx<'_>) {
         let _ = ctx;

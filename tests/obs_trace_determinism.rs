@@ -644,3 +644,26 @@ fn scenario_trace_digests_match_golden() {
     }
     check_golden("scenario_digests.txt", &actual);
 }
+
+/// Conservation: once a run has finished, the domestic proxy holds
+/// nothing — no browser connection, pending request, stream, peering
+/// hop, gateway fetch or waiter, and no admission slot. A table that
+/// only grows (every accepted connection used to leave an entry behind)
+/// or a slot that is never handed back shows up here as a non-zero row.
+#[test]
+fn a_finished_run_leaves_the_proxy_empty() {
+    for (label, mut built) in
+        [("flash crowd", flash_crowd_scenario(77)), ("fault injected", faulted_scenario(57))]
+    {
+        built.sim.run_for(built.runtime());
+        let node = built.sim.node(built.sc_domestic_nodes[0]);
+        let proxy = node
+            .apps
+            .iter()
+            .flatten()
+            .find_map(|app| (&**app as &dyn std::any::Any).downcast_ref::<sc_core::DomesticProxy>())
+            .expect("the domestic node runs the proxy");
+        let held: Vec<_> = proxy.occupancy().into_iter().filter(|(_, n)| *n > 0).collect();
+        assert!(held.is_empty(), "{label}: the proxy still holds {held:?}");
+    }
+}
