@@ -419,16 +419,7 @@ impl AdaptiveState {
 }
 
 fn emit_adaptive(now: SimTime, name: &'static str, f: impl FnOnce(sc_obs::Event) -> sc_obs::Event) {
-    if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-        let ev = sc_obs::Event::new(
-            now.as_micros(),
-            sc_obs::Level::Info,
-            "gfw",
-            "adaptive",
-            name,
-        );
-        sc_obs::emit(f(ev));
-    }
+    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "adaptive", name, f);
 }
 
 /// The engine's per-packet hook: accrues evidence on the first data

@@ -157,22 +157,17 @@ fn trace_drop(now: sc_simnet::time::SimTime, rule: &'static str, pkt: &Packet, r
     if rsts > 0 {
         sc_obs::counter_add("gfw.rst_injected", rsts as u64);
     }
-    if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-        let mut ev = sc_obs::Event::new(
-            now.as_micros(),
-            sc_obs::Level::Info,
-            "gfw",
-            "verdict",
-            "drop",
-        )
-        .field("rule", rule)
-        .field("src", pkt.src.to_string())
-        .field("dst", pkt.dst.to_string());
+    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "verdict", "drop", |ev| {
+        let ev = ev
+            .field("rule", rule)
+            .field("src", pkt.src.to_string())
+            .field("dst", pkt.dst.to_string());
         if rsts > 0 {
-            ev = ev.field("rsts", rsts);
+            ev.field("rsts", rsts)
+        } else {
+            ev
         }
-        sc_obs::emit(ev);
-    }
+    });
 }
 
 impl Middlebox for GfwMiddlebox {
@@ -303,18 +298,9 @@ impl Middlebox for GfwMiddlebox {
             st.probe_queue.push_back(rec.server);
             st.counters.probes_requested += 1;
             sc_obs::counter_add("gfw.probes_requested", 1);
-            if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-                sc_obs::emit(
-                    sc_obs::Event::new(
-                        now.as_micros(),
-                        sc_obs::Level::Info,
-                        "gfw",
-                        "probe",
-                        "requested",
-                    )
-                    .field("server", rec.server.to_string()),
-                );
-            }
+            sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |ev| {
+                ev.field("server", rec.server.to_string())
+            });
         }
 
         // --- Per-class policy (throttling) ---
@@ -334,19 +320,17 @@ impl Middlebox for GfwMiddlebox {
                 );
                 if let Some(region) = rolled {
                     sc_obs::counter_add("gfw.adaptive_region_rolls", 1);
-                    if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-                        sc_obs::emit(
-                            sc_obs::Event::new(
-                                now.as_micros(),
-                                sc_obs::Level::Info,
-                                "gfw",
-                                "adaptive",
-                                "region_drift",
-                            )
-                            .field("region", region as u64)
-                            .field("enforcing", if enforcing { 1u64 } else { 0 }),
-                        );
-                    }
+                    sc_obs::event(
+                        now.as_micros(),
+                        sc_obs::Level::Info,
+                        "gfw",
+                        "adaptive",
+                        "region_drift",
+                        |ev| {
+                            ev.field("region", region as u64)
+                                .field("enforcing", if enforcing { 1u64 } else { 0 })
+                        },
+                    );
                 }
                 if !enforcing {
                     sc_obs::counter_add("gfw.forwarded", 1);

@@ -294,18 +294,9 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
         st.probe_queue.push_back(rec.server);
         st.counters.probes_requested += 1;
         sc_obs::counter_add("gfw.probes_requested", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    now.as_micros(),
-                    sc_obs::Level::Info,
-                    "gfw",
-                    "probe",
-                    "requested",
-                )
-                .field("server", rec.server.to_string()),
-            );
-        }
+        sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |ev| {
+            ev.field("server", rec.server.to_string())
+        });
     }
 
     // --- Per-class policy (throttling) ---
@@ -325,19 +316,17 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
             );
             if let Some(region) = rolled {
                 sc_obs::counter_add("gfw.adaptive_region_rolls", 1);
-                if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-                    sc_obs::emit(
-                        sc_obs::Event::new(
-                            now.as_micros(),
-                            sc_obs::Level::Info,
-                            "gfw",
-                            "adaptive",
-                            "region_drift",
-                        )
-                        .field("region", region as u64)
-                        .field("enforcing", if enforcing { 1u64 } else { 0 }),
-                    );
-                }
+                sc_obs::event(
+                    now.as_micros(),
+                    sc_obs::Level::Info,
+                    "gfw",
+                    "adaptive",
+                    "region_drift",
+                    |ev| {
+                        ev.field("region", region as u64)
+                            .field("enforcing", if enforcing { 1u64 } else { 0 })
+                    },
+                );
             }
             if !enforcing {
                 sc_obs::counter_add("gfw.forwarded", 1);

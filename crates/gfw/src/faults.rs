@@ -27,16 +27,10 @@ pub fn blacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
                 st.config_mut().ip_blacklist.push((addr, 32));
             }
             sc_obs::counter_add("gfw.blacklist_updates", 1);
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    now.as_micros(),
-                    sc_obs::Level::Info,
-                    "gfw",
-                    "fault",
-                    "blacklist_ip",
-                )
-                .field("addr", addr.to_string()),
-            );
+            let now_us = now.as_micros();
+            sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |ev| {
+                ev.field("addr", addr.to_string())
+            });
         }),
     }
 }
@@ -51,16 +45,10 @@ pub fn unblacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
             let mut st = gfw.borrow_mut();
             st.config_mut().ip_blacklist.retain(|&(a, len)| !(a == addr && len == 32));
             sc_obs::counter_add("gfw.blacklist_updates", 1);
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    now.as_micros(),
-                    sc_obs::Level::Info,
-                    "gfw",
-                    "fault",
-                    "unblacklist_ip",
-                )
-                .field("addr", addr.to_string()),
-            );
+            let now_us = now.as_micros();
+            sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "unblacklist_ip", |ev| {
+                ev.field("addr", addr.to_string())
+            });
         }),
     }
 }

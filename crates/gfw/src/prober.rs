@@ -96,34 +96,22 @@ impl ActiveProber {
             {
                 st.config_mut().ip_blacklist.push((server.addr, 32));
                 sc_obs::counter_add("gfw.adaptive_blacklisted", 1);
-                if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-                    sc_obs::emit(
-                        sc_obs::Event::new(
-                            now_us,
-                            sc_obs::Level::Info,
-                            "gfw",
-                            "adaptive",
-                            "blacklisted",
-                        )
-                        .field("server", server.to_string()),
-                    );
-                }
+                sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "adaptive", "blacklisted", |ev| {
+                    ev.field("server", server.to_string())
+                });
             }
         }
-        if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-            sc_obs::emit(
-                sc_obs::Event::new(now_us, sc_obs::Level::Info, "gfw", "probe", "verdict")
-                    .field("server", server.to_string())
-                    .field(
-                        "verdict",
-                        match verdict {
-                            ProbeVerdict::Innocent => "innocent",
-                            ProbeVerdict::Confirmed => "confirmed",
-                            ProbeVerdict::Unreachable => "unreachable",
-                        },
-                    ),
-            );
-        }
+        sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "verdict", |ev| {
+            ev.field("server", server.to_string())
+                .field(
+                    "verdict",
+                    match verdict {
+                        ProbeVerdict::Innocent => "innocent",
+                        ProbeVerdict::Confirmed => "confirmed",
+                        ProbeVerdict::Unreachable => "unreachable",
+                    },
+                )
+        });
     }
 }
 
@@ -147,20 +135,15 @@ impl App for ActiveProber {
                         .cloned();
                     let h = ctx.tcp_connect(server);
                     sc_obs::counter_add("gfw.probes_launched", 1);
-                    if sc_obs::is_enabled(sc_obs::Level::Info, "gfw") {
-                        let mut ev = sc_obs::Event::new(
-                            ctx.now().as_micros(),
-                            sc_obs::Level::Info,
-                            "gfw",
-                            "probe",
-                            "launched",
-                        )
-                        .field("server", server.to_string());
+                    let now_us = ctx.now().as_micros();
+                    sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "launched", |ev| {
+                        let ev = ev.field("server", server.to_string());
                         if replay.is_some() {
-                            ev = ev.field("replay", 1u64);
+                            ev.field("replay", 1u64)
+                        } else {
+                            ev
                         }
-                        sc_obs::emit(ev);
-                    }
+                    });
                     let check_token = self.next_check;
                     self.next_check += 1;
                     self.probes.insert(

@@ -488,6 +488,31 @@ mod tests {
     }
 
     #[test]
+    fn event_builds_its_fields_only_when_it_will_be_recorded() {
+        let built = Cell::new(0);
+        let build = |ev: Event| {
+            built.set(built.get() + 1);
+            ev.field("k", 1u64)
+        };
+        event(1, Level::Error, "gfw", "t", "e", build); // no dispatcher
+        let ring = RingSink::with_capacity(8);
+        let handle = ring.handle();
+        let guard = Dispatcher::new().with_level(Level::Info).with_sink(Box::new(ring)).install();
+        event(2, Level::Debug, "gfw", "t", "e", build); // filtered by level
+        assert_eq!(built.get(), 0, "a filtered event must not be built");
+        event(3, Level::Info, "gfw", "t", "e", build);
+        assert_eq!(built.get(), 1);
+        assert_eq!(span_start_with(4, Level::Debug, "gfw", "t", "s", crate::TraceCtx::NONE, || {
+            built.set(built.get() + 1);
+            Vec::new()
+        }), SpanId::NONE);
+        assert_eq!(built.get(), 1, "a filtered span must not build its fields");
+        drop(guard);
+        assert_eq!(handle.count_named("gfw", "e"), 1);
+        assert_eq!(handle.events()[0].get_u64("k"), Some(1));
+    }
+
+    #[test]
     fn no_dispatcher_means_noop() {
         assert!(!is_active());
         assert!(!is_enabled(Level::Error, "simnet"));

@@ -89,16 +89,14 @@ impl SchemeHandle {
             inner.1
         };
         sc_obs::counter_add("scholarcloud.scheme_rotations", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "scholarcloud") {
-            let mut ev =
-                sc_obs::Event::new(t_us, sc_obs::Level::Info, "scholarcloud", "scheme", "rotate")
-                    .field("from", format!("{cur:?}"))
-                    .field("to", format!("{next:?}"));
+        sc_obs::event(t_us, sc_obs::Level::Info, "scholarcloud", "scheme", "rotate", |ev| {
+            let ev = ev.field("from", format!("{cur:?}")).field("to", format!("{next:?}"));
             if fresh_cover {
-                ev = ev.field("generation", u64::from(generation));
+                ev.field("generation", u64::from(generation))
+            } else {
+                ev
             }
-            sc_obs::emit(ev);
-        }
+        });
         next
     }
 }

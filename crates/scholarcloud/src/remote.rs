@@ -68,18 +68,14 @@ impl RemoteProxy {
             self.config.interference.note_probe();
         }
         sc_obs::counter_add("scholarcloud.decoys_served", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "scholarcloud") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    ctx.now().as_micros(),
-                    sc_obs::Level::Info,
-                    "scholarcloud",
-                    "remote",
-                    "auth_fail",
-                )
-                .field("reason", reason),
-            );
-        }
+        sc_obs::event(
+            ctx.now().as_micros(),
+            sc_obs::Level::Info,
+            "scholarcloud",
+            "remote",
+            "auth_fail",
+            |ev| ev.field("reason", reason),
+        );
     }
 
     fn advance(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
@@ -195,18 +191,14 @@ impl RemoteProxy {
         self.conns.insert(h, ClientConn::Relaying { rx, tx, upstream, span });
         self.tunnels += 1;
         sc_obs::counter_add("scholarcloud.remote_tunnels", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "scholarcloud") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    ctx.now().as_micros(),
-                    sc_obs::Level::Info,
-                    "scholarcloud",
-                    "remote",
-                    "auth_ok",
-                )
-                .field("dest", dest.to_string()),
-            );
-        }
+        sc_obs::event(
+            ctx.now().as_micros(),
+            sc_obs::Level::Info,
+            "scholarcloud",
+            "remote",
+            "auth_ok",
+            |ev| ev.field("dest", dest.to_string()),
+        );
     }
 }
 

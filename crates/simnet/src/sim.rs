@@ -377,18 +377,14 @@ impl Sim {
             self.nodes[node.0].pending.clear();
         }
         sc_obs::counter_add("simnet.lifecycle_transitions", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "simnet") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    self.now.as_micros(),
-                    sc_obs::Level::Info,
-                    "simnet",
-                    "lifecycle",
-                    if up { "power_up" } else { "power_down" },
-                )
-                .field("node", self.nodes[node.0].name.clone()),
-            );
-        }
+        sc_obs::event(
+            self.now.as_micros(),
+            sc_obs::Level::Info,
+            "simnet",
+            "lifecycle",
+            if up { "power_up" } else { "power_down" },
+            |ev| ev.field("node", self.nodes[node.0].name.clone()),
+        );
     }
 
     fn apply_fault(&mut self, mut fault: Fault) {
@@ -456,18 +452,9 @@ impl Sim {
         };
         sc_obs::counter_add("simnet.faults_applied", 1);
         sc_obs::ts_bump(self.now.as_micros(), "simnet.faults", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "simnet") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    self.now.as_micros(),
-                    sc_obs::Level::Info,
-                    "simnet",
-                    "fault",
-                    name,
-                )
-                .field("detail", detail),
-            );
-        }
+        sc_obs::event(self.now.as_micros(), sc_obs::Level::Info, "simnet", "fault", name, |ev| {
+            ev.field("detail", detail)
+        });
     }
 
     fn flap_toggle(&mut self, flap: usize) {
@@ -518,20 +505,18 @@ impl Sim {
                     .record_drop(packet.src, packet.dst, DropReason::Censor(label));
                 sc_obs::counter_add("simnet.censor_drops", 1);
                 sc_obs::ts_bump(self.now.as_micros(), "simnet.censor_drops", 1);
-                if sc_obs::is_enabled(sc_obs::Level::Info, "simnet") {
-                    sc_obs::emit(
-                        sc_obs::Event::new(
-                            self.now.as_micros(),
-                            sc_obs::Level::Info,
-                            "simnet",
-                            "packet",
-                            "censor_drop",
-                        )
-                        .field("rule", label)
-                        .field("src", packet.src.to_string())
-                        .field("dst", packet.dst.to_string()),
-                    );
-                }
+                sc_obs::event(
+                    self.now.as_micros(),
+                    sc_obs::Level::Info,
+                    "simnet",
+                    "packet",
+                    "censor_drop",
+                    |ev| {
+                        ev.field("rule", label)
+                            .field("src", packet.src.to_string())
+                            .field("dst", packet.dst.to_string())
+                    },
+                );
                 return;
             }
         }
@@ -697,20 +682,11 @@ impl Sim {
     /// and are emitted at their verdict site instead).
     fn trace_drop(&self, packet: &Packet, reason: &'static str) {
         sc_obs::counter_add("simnet.packets_dropped", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Debug, "simnet") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    self.now.as_micros(),
-                    sc_obs::Level::Debug,
-                    "simnet",
-                    "packet",
-                    "drop",
-                )
-                .field("reason", reason)
+        sc_obs::event(self.now.as_micros(), sc_obs::Level::Debug, "simnet", "packet", "drop", |ev| {
+            ev.field("reason", reason)
                 .field("src", packet.src.to_string())
-                .field("dst", packet.dst.to_string()),
-            );
-        }
+                .field("dst", packet.dst.to_string())
+        });
     }
 
     fn flush(&mut self, node: NodeId, fx: Effects) {

@@ -842,21 +842,12 @@ impl TcpLayer {
         let retx = c.send_buf.len().min(MSS) as u64;
         c.retransmitted_bytes += retx;
         sc_obs::counter_add("simnet.tcp_retransmits", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Debug, "simnet") {
-            let (local, remote) = (c.local, c.remote);
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    now.as_micros(),
-                    sc_obs::Level::Debug,
-                    "simnet",
-                    "tcp",
-                    "loss_recovery",
-                )
-                .field("bytes", retx)
-                .field("local", local.to_string())
-                .field("remote", remote.to_string()),
-            );
-        }
+        let now_us = now.as_micros();
+        sc_obs::event(now_us, sc_obs::Level::Debug, "simnet", "tcp", "loss_recovery", |ev| {
+            ev.field("bytes", retx)
+                .field("local", c.local.to_string())
+                .field("remote", c.remote.to_string())
+        });
         self.pump(idx, now, fx);
         let c = &mut self.conns[idx];
         if !c.rto_armed {

@@ -49,12 +49,9 @@ impl TunnelStatus {
                 ("failed", 0)
             }
         };
-        if sc_obs::is_enabled(sc_obs::Level::Info, "tunnels") {
-            sc_obs::emit(
-                sc_obs::Event::new(t_us, sc_obs::Level::Info, "tunnels", "status", "transition")
-                    .field("state", name),
-            );
-        }
+        sc_obs::event(t_us, sc_obs::Level::Info, "tunnels", "status", "transition", |ev| {
+            ev.field("state", name)
+        });
     }
 
     /// Reads the current state.

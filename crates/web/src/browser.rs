@@ -557,14 +557,9 @@ impl Browser {
         fields: &[(&'static str, String)],
         ctx: &Ctx<'_>,
     ) {
-        if sc_obs::is_enabled(level, "web") {
-            let mut ev =
-                sc_obs::Event::new(ctx.now().as_micros(), level, "web", "fleet", name);
-            for (k, v) in fields {
-                ev = ev.field(k, v.clone());
-            }
-            sc_obs::emit(ev);
-        }
+        sc_obs::event(ctx.now().as_micros(), level, "web", "fleet", name, |ev| {
+            fields.iter().fold(ev, |ev, (k, v)| ev.field(k, v.clone()))
+        });
     }
 
     /// A connect to a PAC proxy succeeded: count it for fleet
@@ -1020,19 +1015,17 @@ impl Browser {
         load.pending = 1; // the retried HTML
         sc_obs::counter_add("web.throttled", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.throttled", 1);
-        if sc_obs::is_enabled(sc_obs::Level::Info, "web") {
-            sc_obs::emit(
-                sc_obs::Event::new(
-                    ctx.now().as_micros(),
-                    sc_obs::Level::Info,
-                    "web",
-                    "browser",
-                    "throttled",
-                )
-                .field("attempt", u64::from(attempt))
-                .field("delay_us", delay.as_micros()),
-            );
-        }
+        sc_obs::event(
+            ctx.now().as_micros(),
+            sc_obs::Level::Info,
+            "web",
+            "browser",
+            "throttled",
+            |ev| {
+                ev.field("attempt", u64::from(attempt))
+                    .field("delay_us", delay.as_micros())
+            },
+        );
         self.teardown_conns(ctx);
         self.throttle_wait_for = Some(token);
         ctx.set_timer(delay, TIMER_THROTTLE);
@@ -1318,18 +1311,14 @@ impl Browser {
                             }
                             sc_obs::counter_add("web.proxy_errors", 1);
                             sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_errors", 1);
-                            if sc_obs::is_enabled(sc_obs::Level::Warn, "web") {
-                                sc_obs::emit(
-                                    sc_obs::Event::new(
-                                        ctx.now().as_micros(),
-                                        sc_obs::Level::Warn,
-                                        "web",
-                                        "browser",
-                                        "proxy_error",
-                                    )
-                                    .field("status", u64::from(r.status)),
-                                );
-                            }
+                            sc_obs::event(
+                                ctx.now().as_micros(),
+                                sc_obs::Level::Warn,
+                                "web",
+                                "browser",
+                                "proxy_error",
+                                |ev| ev.field("status", u64::from(r.status)),
+                            );
                             if matches!(r.status, 429 | 503) && retry_after.is_some() {
                                 if let Some(secs) = retry_after {
                                     if self.throttle_backoff(secs, ctx) {

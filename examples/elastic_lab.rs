@@ -128,10 +128,9 @@ fn blacklist_now(gfw: &GfwHandle, addr: Addr, now: SimTime) {
         st.config_mut().ip_blacklist.push((addr, 32));
     }
     sc_obs::counter_add("gfw.blacklist_updates", 1);
-    sc_obs::emit(
-        sc_obs::Event::new(now.as_micros(), sc_obs::Level::Info, "gfw", "fault", "blacklist_ip")
-            .field("addr", addr.to_string()),
-    );
+    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |ev| {
+        ev.field("addr", addr.to_string())
+    });
 }
 
 fn run_once(static_pool: usize, elastic: bool, verbose: bool) -> RunStats {
