@@ -1,13 +1,7 @@
 //! `scholar-obs`: offline analyzer for `SC_TRACE` JSONL traces.
 //!
 //! ```text
-//! scholar-obs <trace.jsonl> [--window SECS] [--json] [--trace ID]
-//!             [--require-failover] [--min-availability FRAC]
-//!             [--max-shed-rate FRAC] [--min-cache-hit-rate FRAC]
-//!             [--min-fleet-availability FRAC]
-//!             [--min-attribution-coverage PCT] [--require-exemplars]
-//!             [--max-cost-per-load DOLLARS] [--max-detection-rate FRAC]
-//!             [--min-availability-under-campaign FRAC]
+//! scholar-obs <trace.jsonl> [--window SECS] [--json] [--trace ID] [GATE...]
 //! ```
 //!
 //! Prints the critical-path decomposition of `page_load` spans, the
@@ -23,43 +17,17 @@
 //! one request's cross-tier waterfall: every span of the stitched tree,
 //! indented by causal depth, with the exclusive time blamed on each.
 //!
-//! The gate flags turn the analyzer into a chaos-run assertion:
-//! `--require-failover` demands at least one ScholarCloud failover
-//! event, `--min-availability 0.9` demands ≥ 90% of finished page loads
-//! succeeded, `--max-shed-rate 0.5` demands that at most 50% of
-//! admission decisions shed or throttled the request (the flash-crowd
-//! smoke gate: overload may brown the service out, not black it out),
-//! and `--min-cache-hit-rate 0.5` demands that at least 50% of the
-//! domestic proxy's cache-path requests were answered without a full
-//! upstream fetch (the shared-cache smoke gate; fails when the trace
-//! carries no cache events at all). `--min-fleet-availability 0.8`
-//! demands that at least 80% of browser connects to domestic-fleet
-//! members succeeded (the fleet-chaos smoke gate: a crashed member may
-//! cost the connects that discover it, not sustained availability;
-//! fails when the trace carries no fleet connect events at all).
-//! `--min-attribution-coverage 95`
-//! demands that at least 95% of completed page loads stitched into
-//! cross-tier trees (fails when no load completed), and
-//! `--require-exemplars` demands that at least one fired SLO alert
-//! carried exemplar trace ids. `--max-cost-per-load 0.002` demands
-//! that the elastic remote tier's metered cost per *successful* page
-//! load stayed at or below 0.002 USD (the elastic-lab smoke gate;
-//! fails when the trace carries no elastic cost data or no load
-//! succeeded). `--max-detection-rate 0.0` demands that at most 0% of
-//! the censor's active probes confirmed a proxy (the arms-race smoke
-//! gate: a probe-resistant remote must classify as an innocent web
-//! server; fails when the trace carries no probe verdicts at all),
-//! and `--min-availability-under-campaign 0.9` demands that at least
-//! 90% of page loads finishing after the censor's first probing
-//! campaign still succeeded (fails when the trace carries no campaign
-//! or no load finished after it).
-//!
 //! `--json` replaces the human-readable report with the machine
 //! summary from [`sc_obs::analyze::render_json`] (schema
-//! `scholar-obs/v2`: availability, shed rate, cache hit rate, PLT
-//! percentiles, per-tier attribution, alert exemplars) so CI can
-//! consume the numbers directly; gates still apply and still decide
-//! the exit code.
+//! `scholar-obs/v5`: availability, shed rate, cache hit rate, PLT
+//! percentiles, per-tier attribution, alert exemplars, fleet, elastic
+//! and arms-race sections) so CI can consume the numbers directly;
+//! gates still apply and still decide the exit code.
+//!
+//! The gate flags turn the analyzer into a scenario assertion; [`GATES`]
+//! is the whole list — what each one reads, which way it bounds it, and
+//! what it says when the trace lacks the events it needs (which fails
+//! the gate: a metric that cannot be computed did not pass).
 //!
 //! Exit codes (used by `scripts/check.sh` as a smoke gate):
 //! * `0` — analysis printed (and any requested gates passed);
@@ -67,39 +35,238 @@
 //! * `2` — trace unparseable or empty;
 //! * `3` — trace parsed but carries no closed spans and no events worth
 //!   analyzing (empty analysis), or `--trace` names an unknown id;
-//! * `4` — a `--require-failover` / `--min-availability` /
-//!   `--max-shed-rate` / `--min-cache-hit-rate` /
-//!   `--min-fleet-availability` / `--min-attribution-coverage` /
-//!   `--require-exemplars` / `--max-cost-per-load` /
-//!   `--max-detection-rate` / `--min-availability-under-campaign`
-//!   gate failed.
+//! * `4` — a requested gate failed.
 
 use std::process::ExitCode;
 
+use sc_obs::analyze::TraceAnalysis;
+
+/// What a gate's threshold is measured in.
+#[derive(Clone, Copy)]
+enum Unit {
+    /// A share in `[0, 1]`, printed as a percentage.
+    Fraction,
+    /// A percentage in `[0, 100]`.
+    Percent,
+    /// A non-negative dollar amount.
+    Dollars,
+}
+
+impl Unit {
+    fn value_name(self) -> &'static str {
+        match self {
+            Unit::Fraction => "FRAC",
+            Unit::Percent => "PCT",
+            Unit::Dollars => "DOLLARS",
+        }
+    }
+
+    fn expects(self) -> &'static str {
+        match self {
+            Unit::Fraction => "a fraction in [0, 1]",
+            Unit::Percent => "a percentage in [0, 100]",
+            Unit::Dollars => "a non-negative dollar amount",
+        }
+    }
+
+    fn accepts(self, v: f64) -> bool {
+        match self {
+            Unit::Fraction => (0.0..=1.0).contains(&v),
+            Unit::Percent => (0.0..=100.0).contains(&v),
+            Unit::Dollars => v.is_finite() && v >= 0.0,
+        }
+    }
+
+    fn show(self, v: f64) -> String {
+        match self {
+            Unit::Fraction => format!("{:.1}%", v * 100.0),
+            Unit::Percent => format!("{v:.1}%"),
+            Unit::Dollars => format!("{v:.6} USD"),
+        }
+    }
+}
+
+/// Which side of its threshold a metric must stay on.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// Gate passes when `metric >= threshold`.
+    AtLeast,
+    /// Gate passes when `metric <= threshold`.
+    AtMost,
+}
+
+/// One gate flag: drives argument parsing, the check, and the usage
+/// line.
+struct Gate {
+    flag: &'static str,
+    /// The threshold the flag takes; `None` for a bare `--require-…`
+    /// flag, which only demands that `metric` is defined.
+    threshold: Option<(Unit, Bound)>,
+    /// Name of the metric in failure messages.
+    what: &'static str,
+    /// The metric in the threshold's unit; `None` when the trace lacks
+    /// the events it is computed from.
+    metric: fn(&TraceAnalysis) -> Option<f64>,
+    /// Why the metric is undefined, when it is.
+    undefined: &'static str,
+    /// Appended to the "threshold missed" message.
+    hint: &'static str,
+}
+
+const GATES: [Gate; 10] = [
+    // The chaos gate: the resilience layer reacted at least once.
+    Gate {
+        flag: "--require-failover",
+        threshold: None,
+        what: "failover",
+        metric: |a| (!a.failover_times.is_empty()).then_some(1.0),
+        undefined: "no scholarcloud failover events in trace",
+        hint: "",
+    },
+    // Share of finished page loads that succeeded.
+    Gate {
+        flag: "--min-availability",
+        threshold: Some((Unit::Fraction, Bound::AtLeast)),
+        what: "availability",
+        metric: |a| a.availability(),
+        undefined: "no finished page loads, availability undefined",
+        hint: "",
+    },
+    // Share of admission decisions that shed or throttled the request
+    // (the flash-crowd gate: overload may brown the service out, not
+    // black it out). Zero, not undefined, without admission events.
+    Gate {
+        flag: "--max-shed-rate",
+        threshold: Some((Unit::Fraction, Bound::AtMost)),
+        what: "shed rate",
+        metric: |a| Some(a.admission.shed_rate()),
+        undefined: "",
+        hint: "",
+    },
+    // Share of the domestic proxy's cache-path requests answered
+    // without a full upstream fetch (the shared-cache gate).
+    Gate {
+        flag: "--min-cache-hit-rate",
+        threshold: Some((Unit::Fraction, Bound::AtLeast)),
+        what: "cache hit rate",
+        metric: |a| a.cache.any().then(|| a.cache.hit_rate()),
+        undefined: "no scholarcloud cache events in trace",
+        hint: "",
+    },
+    // Share of browser connects to domestic-fleet members that
+    // succeeded (the fleet-chaos gate: a crashed member may cost the
+    // connects that discover it, not sustained availability).
+    Gate {
+        flag: "--min-fleet-availability",
+        threshold: Some((Unit::Fraction, Bound::AtLeast)),
+        what: "fleet availability",
+        metric: |a| a.fleet.availability(),
+        undefined: "no fleet connect events in trace, fleet availability undefined",
+        hint: "",
+    },
+    // Share of completed page loads that stitched into cross-tier
+    // trees.
+    Gate {
+        flag: "--min-attribution-coverage",
+        threshold: Some((Unit::Percent, Bound::AtLeast)),
+        what: "attribution coverage",
+        metric: |a| a.attribution_coverage().map(|c| c * 100.0),
+        undefined: "no completed page loads, attribution coverage undefined",
+        hint: " (completed loads not stitching across tiers)",
+    },
+    // At least one fired SLO alert carried exemplar trace ids.
+    Gate {
+        flag: "--require-exemplars",
+        threshold: None,
+        what: "exemplars",
+        metric: |a| (!a.alert_exemplars.is_empty()).then_some(1.0),
+        undefined: "no fired SLO alert carries exemplar trace ids",
+        hint: "",
+    },
+    // The elastic remote tier's metered cost per *successful* page load
+    // (the elastic-lab gate).
+    Gate {
+        flag: "--max-cost-per-load",
+        threshold: Some((Unit::Dollars, Bound::AtMost)),
+        what: "cost per successful load",
+        metric: |a| a.cost_per_ok_load_micro().map(|micro| micro / 1_000_000.0),
+        undefined: "no elastic cost data (or no successful loads), cost per load undefined",
+        hint: "",
+    },
+    // Share of the censor's active probes that confirmed a proxy (the
+    // arms-race gate: a probe-resistant remote must classify as an
+    // innocent web server).
+    Gate {
+        flag: "--max-detection-rate",
+        threshold: Some((Unit::Fraction, Bound::AtMost)),
+        what: "probe detection rate",
+        metric: |a| a.adaptive.detection_rate(),
+        undefined: "no active probes in trace, detection rate undefined",
+        hint: " (active probes are confirming the proxy)",
+    },
+    // Share of page loads finishing after the censor's first probing
+    // campaign that still succeeded.
+    Gate {
+        flag: "--min-availability-under-campaign",
+        threshold: Some((Unit::Fraction, Bound::AtLeast)),
+        what: "availability under campaign",
+        metric: |a| a.availability_under_campaign(),
+        undefined: "no probing campaign in trace (or no load finished after it), \
+                    availability under campaign undefined",
+        hint: "",
+    },
+];
+
+impl Gate {
+    /// Checks the gate against `analysis`; `Err` is the failure message.
+    fn check(&self, wanted: f64, analysis: &TraceAnalysis) -> Result<(), String> {
+        let Some(got) = (self.metric)(analysis) else { return Err(self.undefined.to_string()) };
+        let Some((unit, bound)) = self.threshold else { return Ok(()) };
+        let (ok, missed) = match bound {
+            Bound::AtLeast => (got >= wanted, "below required"),
+            Bound::AtMost => (got <= wanted, "above allowed"),
+        };
+        if ok {
+            return Ok(());
+        }
+        Err(format!("{} {} {missed} {}{}", self.what, unit.show(got), unit.show(wanted), self.hint))
+    }
+}
+
+fn usage() -> String {
+    let mut usage = String::from("usage: scholar-obs <trace.jsonl> [--window SECS] [--json] [--trace ID]");
+    for gate in &GATES {
+        match gate.threshold {
+            Some((unit, _)) => usage.push_str(&format!(" [{} {}]", gate.flag, unit.value_name())),
+            None => usage.push_str(&format!(" [{}]", gate.flag)),
+        }
+    }
+    usage
+}
+
 fn main() -> ExitCode {
-    const USAGE: &str = "usage: scholar-obs <trace.jsonl> [--window SECS] [--json] \
-                         [--trace ID] [--require-failover] [--min-availability FRAC] \
-                         [--max-shed-rate FRAC] [--min-cache-hit-rate FRAC] \
-                         [--min-fleet-availability FRAC] \
-                         [--min-attribution-coverage PCT] [--require-exemplars] \
-                         [--max-cost-per-load DOLLARS] [--max-detection-rate FRAC] \
-                         [--min-availability-under-campaign FRAC]";
     let mut args = std::env::args().skip(1);
     let mut path = None;
     let mut window_s: u64 = 10;
-    let mut require_failover = false;
-    let mut min_availability: Option<f64> = None;
-    let mut max_shed_rate: Option<f64> = None;
-    let mut min_cache_hit_rate: Option<f64> = None;
-    let mut min_fleet_availability: Option<f64> = None;
-    let mut min_attribution_coverage: Option<f64> = None;
-    let mut max_cost_per_load: Option<f64> = None;
-    let mut max_detection_rate: Option<f64> = None;
-    let mut min_availability_under_campaign: Option<f64> = None;
-    let mut require_exemplars = false;
+    // Threshold per requested gate, by position in `GATES`.
+    let mut wanted: [Option<f64>; GATES.len()] = [None; GATES.len()];
     let mut waterfall: Option<u64> = None;
     let mut json = false;
     while let Some(arg) = args.next() {
+        if let Some(i) = GATES.iter().position(|g| g.flag == arg) {
+            wanted[i] = Some(match GATES[i].threshold {
+                None => 0.0,
+                Some((unit, _)) => {
+                    let value = args.next().and_then(|v| v.parse::<f64>().ok());
+                    let Some(v) = value.filter(|v| unit.accepts(*v)) else {
+                        eprintln!("scholar-obs: {arg} expects {}", unit.expects());
+                        return ExitCode::from(1);
+                    };
+                    v
+                }
+            });
+            continue;
+        }
         match arg.as_str() {
             "--json" => json = true,
             "--trace" => {
@@ -111,20 +278,6 @@ fn main() -> ExitCode {
                 };
                 waterfall = Some(id);
             }
-            "--require-exemplars" => require_exemplars = true,
-            "--min-attribution-coverage" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=100.0).contains(v))
-                else {
-                    eprintln!(
-                        "scholar-obs: --min-attribution-coverage expects a percentage in [0, 100]"
-                    );
-                    return ExitCode::from(1);
-                };
-                min_attribution_coverage = Some(v);
-            }
             "--window" => {
                 let Some(v) = args.next().and_then(|v| v.parse::<u64>().ok()).filter(|v| *v > 0)
                 else {
@@ -133,93 +286,8 @@ fn main() -> ExitCode {
                 };
                 window_s = v;
             }
-            "--require-failover" => require_failover = true,
-            "--min-availability" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=1.0).contains(v))
-                else {
-                    eprintln!("scholar-obs: --min-availability expects a fraction in [0, 1]");
-                    return ExitCode::from(1);
-                };
-                min_availability = Some(v);
-            }
-            "--max-shed-rate" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=1.0).contains(v))
-                else {
-                    eprintln!("scholar-obs: --max-shed-rate expects a fraction in [0, 1]");
-                    return ExitCode::from(1);
-                };
-                max_shed_rate = Some(v);
-            }
-            "--min-cache-hit-rate" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=1.0).contains(v))
-                else {
-                    eprintln!("scholar-obs: --min-cache-hit-rate expects a fraction in [0, 1]");
-                    return ExitCode::from(1);
-                };
-                min_cache_hit_rate = Some(v);
-            }
-            "--min-fleet-availability" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=1.0).contains(v))
-                else {
-                    eprintln!(
-                        "scholar-obs: --min-fleet-availability expects a fraction in [0, 1]"
-                    );
-                    return ExitCode::from(1);
-                };
-                min_fleet_availability = Some(v);
-            }
-            "--max-cost-per-load" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| v.is_finite() && *v >= 0.0)
-                else {
-                    eprintln!(
-                        "scholar-obs: --max-cost-per-load expects a non-negative dollar amount"
-                    );
-                    return ExitCode::from(1);
-                };
-                max_cost_per_load = Some(v);
-            }
-            "--max-detection-rate" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=1.0).contains(v))
-                else {
-                    eprintln!("scholar-obs: --max-detection-rate expects a fraction in [0, 1]");
-                    return ExitCode::from(1);
-                };
-                max_detection_rate = Some(v);
-            }
-            "--min-availability-under-campaign" => {
-                let Some(v) = args
-                    .next()
-                    .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|v| (0.0..=1.0).contains(v))
-                else {
-                    eprintln!(
-                        "scholar-obs: --min-availability-under-campaign expects a fraction \
-                         in [0, 1]"
-                    );
-                    return ExitCode::from(1);
-                };
-                min_availability_under_campaign = Some(v);
-            }
             "-h" | "--help" => {
-                println!("{USAGE}");
+                println!("{}", usage());
                 return ExitCode::SUCCESS;
             }
             _ if path.is_none() && !arg.starts_with('-') => path = Some(arg),
@@ -230,7 +298,7 @@ fn main() -> ExitCode {
         }
     }
     let Some(path) = path else {
-        eprintln!("{USAGE}");
+        eprintln!("{}", usage());
         return ExitCode::from(1);
     };
 
@@ -277,162 +345,11 @@ fn main() -> ExitCode {
     }
 
     let mut gate_failed = false;
-    if require_failover && analysis.failover_times.is_empty() {
-        eprintln!("scholar-obs: gate failed — no scholarcloud failover events in trace");
-        gate_failed = true;
-    }
-    if let Some(min) = min_availability {
-        match analysis.availability() {
-            Some(avail) if avail >= min => {}
-            Some(avail) => {
-                eprintln!(
-                    "scholar-obs: gate failed — availability {:.1}% below required {:.1}%",
-                    avail * 100.0,
-                    min * 100.0
-                );
-                gate_failed = true;
-            }
-            None => {
-                eprintln!(
-                    "scholar-obs: gate failed — no finished page loads, availability undefined"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if let Some(max) = max_shed_rate {
-        let rate = analysis.admission.shed_rate();
-        if rate > max {
-            eprintln!(
-                "scholar-obs: gate failed — shed rate {:.1}% above allowed {:.1}%",
-                rate * 100.0,
-                max * 100.0
-            );
+    for (gate, wanted) in GATES.iter().zip(wanted) {
+        if let Some(Err(why)) = wanted.map(|w| gate.check(w, &analysis)) {
+            eprintln!("scholar-obs: gate failed — {why}");
             gate_failed = true;
         }
-    }
-    if let Some(min) = min_cache_hit_rate {
-        if !analysis.cache.any() {
-            eprintln!("scholar-obs: gate failed — no scholarcloud cache events in trace");
-            gate_failed = true;
-        } else {
-            let rate = analysis.cache.hit_rate();
-            if rate < min {
-                eprintln!(
-                    "scholar-obs: gate failed — cache hit rate {:.1}% below required {:.1}%",
-                    rate * 100.0,
-                    min * 100.0
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if let Some(min) = min_fleet_availability {
-        match analysis.fleet.availability() {
-            Some(avail) if avail >= min => {}
-            Some(avail) => {
-                eprintln!(
-                    "scholar-obs: gate failed — fleet availability {:.1}% below \
-                     required {:.1}%",
-                    avail * 100.0,
-                    min * 100.0
-                );
-                gate_failed = true;
-            }
-            None => {
-                eprintln!(
-                    "scholar-obs: gate failed — no fleet connect events in trace, \
-                     fleet availability undefined"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if let Some(min_pct) = min_attribution_coverage {
-        match analysis.attribution_coverage() {
-            Some(cov) if cov * 100.0 >= min_pct => {}
-            Some(cov) => {
-                eprintln!(
-                    "scholar-obs: gate failed — attribution coverage {:.1}% below \
-                     required {min_pct:.1}% (completed loads not stitching across tiers)",
-                    cov * 100.0
-                );
-                gate_failed = true;
-            }
-            None => {
-                eprintln!(
-                    "scholar-obs: gate failed — no completed page loads, attribution \
-                     coverage undefined"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if let Some(max_dollars) = max_cost_per_load {
-        match analysis.cost_per_ok_load_micro() {
-            Some(micro) if micro / 1_000_000.0 <= max_dollars => {}
-            Some(micro) => {
-                eprintln!(
-                    "scholar-obs: gate failed — cost per successful load {:.6} USD above \
-                     allowed {max_dollars:.6} USD",
-                    micro / 1_000_000.0
-                );
-                gate_failed = true;
-            }
-            None => {
-                eprintln!(
-                    "scholar-obs: gate failed — no elastic cost data (or no successful \
-                     loads), cost per load undefined"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if let Some(max) = max_detection_rate {
-        match analysis.adaptive.detection_rate() {
-            Some(rate) if rate <= max => {}
-            Some(rate) => {
-                eprintln!(
-                    "scholar-obs: gate failed — probe detection rate {:.1}% above \
-                     allowed {:.1}% (active probes are confirming the proxy)",
-                    rate * 100.0,
-                    max * 100.0
-                );
-                gate_failed = true;
-            }
-            None => {
-                eprintln!(
-                    "scholar-obs: gate failed — no active probes in trace, detection \
-                     rate undefined"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if let Some(min) = min_availability_under_campaign {
-        match analysis.availability_under_campaign() {
-            Some(avail) if avail >= min => {}
-            Some(avail) => {
-                eprintln!(
-                    "scholar-obs: gate failed — availability under campaign {:.1}% below \
-                     required {:.1}%",
-                    avail * 100.0,
-                    min * 100.0
-                );
-                gate_failed = true;
-            }
-            None => {
-                eprintln!(
-                    "scholar-obs: gate failed — no probing campaign in trace (or no load \
-                     finished after it), availability under campaign undefined"
-                );
-                gate_failed = true;
-            }
-        }
-    }
-    if require_exemplars && analysis.alert_exemplars.is_empty() {
-        eprintln!("scholar-obs: gate failed — no fired SLO alert carries exemplar trace ids");
-        gate_failed = true;
     }
     if gate_failed {
         return ExitCode::from(4);
