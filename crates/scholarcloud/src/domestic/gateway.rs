@@ -336,13 +336,7 @@ impl Gateway {
         let Some(fetch) = self.fetches.get_mut(&browser) else { return Parsed::NotMine };
         match fetch.parser.push(plain) {
             Err(_) => Parsed::Garbled,
-            Ok(msgs) => msgs
-                .into_iter()
-                .find_map(|m| match m {
-                    HttpMessage::Response(r) => Some(Parsed::Response(r)),
-                    _ => None,
-                })
-                .unwrap_or(Parsed::More),
+            Ok(msgs) => first_response(msgs).map_or(Parsed::More, Parsed::Response),
         }
     }
 
@@ -520,6 +514,14 @@ impl Gateway {
         let replayed = Fetch { client, parser: HttpParser::new(), ..fetch };
         self.go_upstream(promoted, replayed, tctx, true, now)
     }
+}
+
+/// The first complete response among freshly parsed messages.
+pub(super) fn first_response(msgs: Vec<HttpMessage>) -> Option<HttpResponse> {
+    msgs.into_iter().find_map(|m| match m {
+        HttpMessage::Response(r) => Some(r),
+        _ => None,
+    })
 }
 
 /// `(host, port, path)` of a gateway request: absolute-form, or

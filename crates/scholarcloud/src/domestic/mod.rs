@@ -24,9 +24,9 @@
 //! 5. [`relay`] — established streams, with transparent mid-stream
 //!    resume while the browser has observed nothing.
 //!
-//! This file is the driver: the browser-connection table, the only
-//! `impl App`, and the routing between stages — in particular the order
-//! in which a failure in one stage unwinds the others.
+//! This file is the driver's front half: the browser-connection table,
+//! the only `impl App`, and the routing of each event to the stage that
+//! owns its handle. [`step`] is the back half: the edges between stages.
 //!
 //! Error surface seen by browsers: `403` off-whitelist, `429`
 //! throttled (per-client rate or stream cap), `502` retries exhausted
@@ -42,6 +42,7 @@ mod io;
 mod peer;
 mod relay;
 mod remotes;
+mod step;
 #[cfg(test)]
 mod tests;
 mod trace;
@@ -50,19 +51,18 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
-use sc_obs::{SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
 
-use self::admit::{Admit, Request};
+use self::admit::Admit;
 use self::establish::{Abandoned, Establish};
-use self::gateway::{Gateway, Miss, Parsed};
+use self::gateway::Gateway;
 use self::io::{Io, Timer};
 use self::peer::Peer;
-use self::relay::{Ended, Ending, Relay};
+use self::relay::{Ending, Relay};
 use self::remotes::Remotes;
-use crate::admission::Dequeued;
+use self::step::Step;
 use crate::config::ScConfig;
 use crate::elastic::ElasticHandle;
 use crate::fleet::FleetMember;
@@ -71,38 +71,6 @@ use crate::fleet::FleetMember;
 /// requesting shard's index, and its presence means "answer locally,
 /// never forward again" — a peering hop is one hop, by construction.
 pub const FLEET_HEADER: &str = "Sc-Fleet";
-
-/// Work a stage hands back for another stage: every edge of the
-/// pipeline, routed by [`DomesticProxy::step`].
-enum Step {
-    /// Nothing further.
-    Done,
-    /// A whitelisted request: run it through admission.
-    Admit(Request),
-    /// A request named a host off the whitelist: `403`, close.
-    RefuseHost { browser: TcpHandle, host: String },
-    /// Admission refused: answer `code` + `Retry-After`, close.
-    Shed { browser: TcpHandle, code: u16, reason: &'static str },
-    /// Admission let the request in, holding a slot or (`queued`) still
-    /// waiting for one under its open admission `span`.
-    Establish { req: Request, queued: bool, span: SpanId },
-    /// A cacheable gateway miss led by its requester: one intra-fleet
-    /// hop if a peer owns the key, upstream otherwise.
-    Lead(Miss),
-    /// The key's owner answered the hop: settle the leader's fetch.
-    Settle { leader: TcpHandle, resp: HttpResponse },
-    /// The hop failed or was refused: the leader's fetch goes upstream.
-    FallBack { leader: TcpHandle, tctx: TraceCtx },
-    /// Every remote is dark and the request parked. The oldest parked
-    /// requests beyond the cap (`overflow`) are shed; `expired` says
-    /// this one has waited out its window.
-    Parked { browser: TcpHandle, overflow: Vec<TcpHandle>, expired: bool },
-    /// A connect attempt died with attempts left: retry if the retry
-    /// budget grants it.
-    Retry { browser: TcpHandle, reason: &'static str, attempts: u32 },
-    /// The request is lost: answer `code`, close, free its slot.
-    Fail { browser: TcpHandle, code: u16, reason: &'static str },
-}
 
 /// What a browser connection is doing. A finished connection has no
 /// entry at all.
@@ -192,227 +160,6 @@ impl DomesticProxy {
     fn set_state(&mut self, browser: TcpHandle, state: ConnState) {
         if let Some(conn) = self.conns.get_mut(&browser) {
             conn.state = state;
-        }
-    }
-
-    // ---- the pipeline's edges ---------------------------------------------
-
-    fn step(&mut self, step: Step, io: &mut impl Io) {
-        match step {
-            Step::Done => {}
-            Step::Admit(req) => {
-                let verdict = self.admit.on_request(req, io);
-                self.step(verdict, io);
-            }
-            Step::RefuseHost { browser, host } => {
-                self.admit.refuse_host(browser, &host, io);
-                self.finish(browser);
-            }
-            Step::Shed { browser, code, reason } => {
-                // Coalesced waiters get the same answer, the queued
-                // request (if any) closes its spans. No slot was held.
-                self.fail_waiters(browser, code, io);
-                self.establish.shed(browser, code, reason, io.now());
-                self.admit.refuse(browser, code, reason, io);
-                self.finish(browser);
-            }
-            Step::Establish { req, queued, span } => {
-                let browser = req.browser;
-                // Gateway conns keep their request parser: the conn
-                // outlives the per-request fetch.
-                if req.is_connect {
-                    self.set_state(browser, ConnState::Pending);
-                }
-                self.establish.enter(req, queued, span, io.now());
-                if !queued {
-                    self.attempt(browser, io);
-                }
-            }
-            Step::Lead(miss) => {
-                // A non-owner's miss takes one intra-fleet hop to the
-                // key's owner (whose singleflight coalesces the whole
-                // fleet's demand) instead of a cross-border fetch —
-                // unless it already IS such a hop.
-                let owner = match miss.via_hop {
-                    false => self.peer.owner_of(&miss.key, io.now()),
-                    true => None,
-                };
-                match owner {
-                    Some(owner) => {
-                        self.peer.start(&miss, owner, io);
-                        self.gateway.lead_via_peer(miss);
-                    }
-                    None => {
-                        let upstream = self.gateway.lead_upstream(miss, io.now());
-                        self.step(upstream, io);
-                    }
-                }
-            }
-            Step::Settle { leader, resp } => self.gateway.settle(leader, resp, true, io),
-            Step::FallBack { leader, tctx } => {
-                let upstream = self.gateway.fall_back_upstream(leader, tctx, io.now());
-                self.step(upstream, io);
-            }
-            Step::Parked { browser, overflow, expired } => {
-                for oldest in overflow {
-                    self.step(Step::Fail { browser: oldest, code: 503, reason: "parked_overflow" }, io);
-                }
-                // A same-instant park burst can shed this very request.
-                if expired && self.establish.is_pending(browser) {
-                    self.step(Step::Fail { browser, code: 503, reason: "all_remotes_dark" }, io);
-                }
-            }
-            Step::Retry { browser, reason, attempts } => {
-                if self.admit.grant_retry(reason, attempts, io.now()) {
-                    self.establish.backoff(browser, reason, io);
-                } else {
-                    let reason = "retry_budget_exhausted";
-                    self.step(Step::Fail { browser, code: 502, reason }, io);
-                }
-            }
-            Step::Fail { browser, code, reason } => {
-                self.fail_waiters(browser, code, io);
-                let held = self.establish.fail(browser, code, reason, io);
-                self.finish(browser);
-                if let Some(client) = held {
-                    self.release(client, io);
-                }
-            }
-        }
-    }
-
-    /// A gateway leader's request failed: its coalesced waiters got the
-    /// same answer and are done.
-    fn fail_waiters(&mut self, leader: TcpHandle, code: u16, io: &mut impl Io) {
-        for waiter in self.gateway.fail_waiters(leader, code, io) {
-            self.finish(waiter);
-        }
-    }
-
-    /// Hands back the slot charged to `client` and lets queued work
-    /// advance into the freed capacity.
-    fn release(&mut self, client: Addr, io: &mut impl Io) {
-        self.admit.ctl.release(client, io.now(), None);
-        self.drain_queue(io);
-        self.admit.publish_sickness();
-    }
-
-    /// Dequeues as much as capacity allows: deadline-expired entries
-    /// are shed with 503, admissible ones start their first attempt.
-    fn drain_queue(&mut self, io: &mut impl Io) {
-        let now = io.now();
-        let actions = self.admit.ctl.drain(now);
-        if actions.is_empty() {
-            return;
-        }
-        for action in actions {
-            match action {
-                Dequeued::Shed { token: browser } => {
-                    self.step(Step::Shed { browser, code: 503, reason: "deadline_shed" }, io);
-                }
-                Dequeued::Admit { token, waited } => {
-                    sc_obs::counter_add("scholarcloud.admitted", 1);
-                    if self.establish.dequeued(token, waited, now) {
-                        self.admit.note_dequeue(waited, now);
-                        self.attempt(token, io);
-                    } else {
-                        // The browser vanished without its queue entry
-                        // being removed; hand the slot straight back.
-                        let client = self.conns.get(&token).map(|c| c.client);
-                        self.admit.ctl.release(client.unwrap_or(Addr::new(0, 0, 0, 0)), now, None);
-                    }
-                }
-            }
-        }
-        self.admit.after_drain(io);
-    }
-
-    fn attempt(&mut self, browser: TcpHandle, io: &mut impl Io) {
-        let cap = self.admit.park_cap();
-        let tried = self.establish.try_attempt(browser, cap, &mut self.remotes, io);
-        self.step(tried, io);
-    }
-
-    fn attempt_failed(&mut self, rh: TcpHandle, reason: &'static str, io: &mut impl Io) {
-        let failed = self.establish.attempt_failed(rh, reason, &mut self.remotes, io);
-        self.step(failed, io);
-    }
-
-    fn end_stream(&mut self, rh: TcpHandle, how: Ending, io: &mut impl Io) -> Option<Ended> {
-        self.relay.end(rh, how, &mut self.remotes, io)
-    }
-
-    // ---- events, by the stage that owns the handle ------------------------
-
-    fn on_attempt_event(&mut self, rh: TcpHandle, ev: TcpEvent, io: &mut impl Io) {
-        match ev {
-            TcpEvent::Connected => {
-                let Some(up) = self.establish.connected(rh, &mut self.remotes, io) else { return };
-                self.admit.ctl.record_service(up.service);
-                // A gateway leader's conn stays in gateway mode; only
-                // opaque tunnels switch to piping.
-                if up.req.is_connect {
-                    self.set_state(up.req.browser, ConnState::Tunneling { remote: rh });
-                }
-                self.relay.open(rh, up, io);
-            }
-            TcpEvent::ConnectFailed => self.attempt_failed(rh, "connect_failed", io),
-            TcpEvent::Reset => self.attempt_failed(rh, "reset", io),
-            TcpEvent::PeerClosed => self.attempt_failed(rh, "peer_closed", io),
-            _ => {}
-        }
-    }
-
-    fn on_stream_event(&mut self, rh: TcpHandle, ev: TcpEvent, io: &mut impl Io) {
-        match ev {
-            TcpEvent::DataReceived => {
-                let Some((browser, plain)) = self.relay.downstream(rh, &self.remotes, io) else {
-                    return;
-                };
-                // A gateway fetch reassembles the upstream response
-                // instead of piping bytes through.
-                let ended = match self.gateway.upstream_data(browser, &plain) {
-                    Parsed::NotMine => return io.send(browser, &plain),
-                    Parsed::More => return,
-                    Parsed::Garbled => {
-                        io.abort(rh);
-                        let ended = self.end_stream(rh, Ending::Garbled, io);
-                        let reason = "bad_upstream_response";
-                        self.step(Step::Fail { browser, code: 502, reason }, io);
-                        ended
-                    }
-                    Parsed::Response(resp) => {
-                        // One fetch per tunnel: close the upstream leg.
-                        io.close(rh);
-                        let ended = self.end_stream(rh, Ending::Clean, io);
-                        self.gateway.settle(browser, resp, false, io);
-                        ended
-                    }
-                };
-                if let Some(ended) = ended {
-                    self.release(ended.client, io);
-                }
-            }
-            TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
-                let how = self.relay.ending_for(rh, ev == TcpEvent::Reset);
-                let Some(ended) = self.end_stream(rh, how, io) else { return };
-                match ended.replay {
-                    Some(replay) => {
-                        self.set_state(ended.browser, ConnState::Pending);
-                        self.establish.resume(replay, ended.remote_idx, io.now());
-                        self.attempt(ended.browser, io);
-                    }
-                    None => {
-                        // A gateway fetch dying mid-response takes its
-                        // coalesced waiters down with the same status.
-                        self.fail_waiters(ended.browser, 502, io);
-                        io.close(ended.browser);
-                        self.finish(ended.browser);
-                        self.release(ended.client, io);
-                    }
-                }
-            }
-            _ => {}
         }
     }
 

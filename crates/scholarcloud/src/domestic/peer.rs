@@ -9,12 +9,12 @@
 use std::collections::BTreeMap;
 
 use sc_cache::CacheKey;
-use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
+use sc_netproto::http::{HttpParser, HttpRequest, HttpResponse};
 use sc_obs::{Level, SpanId, TraceCtx};
 use sc_simnet::api::{TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
-use super::gateway::Miss;
+use super::gateway::{first_response, Miss};
 use super::io::{Io, Timer};
 use super::trace;
 use super::{Step, FLEET_HEADER};
@@ -148,16 +148,10 @@ impl Peer {
                         io.abort(h);
                         self.failed(h, "bad_peer_response", io)
                     }
-                    Ok(msgs) => {
-                        let resp = msgs.into_iter().find_map(|m| match m {
-                            HttpMessage::Response(r) => Some(r),
-                            _ => None,
-                        });
-                        match resp {
-                            Some(resp) => self.answered(h, resp, io),
-                            None => Step::Done,
-                        }
-                    }
+                    Ok(msgs) => match first_response(msgs) {
+                        Some(resp) => self.answered(h, resp, io),
+                        None => Step::Done,
+                    },
                 }
             }
             TcpEvent::ConnectFailed | TcpEvent::Reset | TcpEvent::PeerClosed => {

@@ -22,6 +22,49 @@ echo "differential suites: ok"
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-obs parse
 echo "parser properties: ok"
 
+# Structure: the domestic proxy stays the pipeline it was made into
+# (DESIGN.md §6m) and tracing stays on its one emit path. Plain grep,
+# so a violation names its line.
+fail_if_found() {
+    _what="$1"; shift
+    if _hits=$("$@"); then
+        echo "structure: $_what:" >&2
+        echo "$_hits" >&2
+        exit 1
+    fi
+}
+# Events are built inside sc_obs::event's closure, after the level
+# check; nobody outside sc-obs guards or constructs one by hand.
+fail_if_found "event built outside sc_obs::event" \
+    grep -rnE 'is_enabled\(|Event::new\(' crates src examples \
+        --include='*.rs' --exclude-dir=obs --exclude-dir=tests --exclude-dir=benches
+fail_if_found "emit_* helper in sc-core" \
+    grep -rnE 'fn emit_' crates/scholarcloud/src
+dom=crates/scholarcloud/src/domestic
+# Sim-visible tables iterate in key order; only the driver and the Io
+# seam know the simulator.
+fail_if_found "HashMap under domestic/" grep -rn 'HashMap' "$dom"
+fail_if_found "stage file imports sim::Ctx" \
+    grep -ln 'sim::Ctx' "$dom/admit.rs" "$dom/gateway.rs" "$dom/peer.rs" \
+        "$dom/establish.rs" "$dom/remotes.rs" "$dom/relay.rs" "$dom/step.rs" "$dom/trace.rs"
+fail_if_found "a second impl App under domestic/" \
+    grep -ln 'impl App for' $(ls "$dom"/*.rs | grep -v /mod.rs)
+fail_if_found "clippy::too_many_arguments allowed under domestic/" \
+    grep -rn 'too_many_arguments' "$dom"
+if [ -e crates/scholarcloud/src/domestic.rs ]; then
+    echo "structure: crates/scholarcloud/src/domestic.rs is back" >&2; exit 1
+fi
+for f in "$dom"/*.rs; do
+    _limit=650; [ "$f" = "$dom/mod.rs" ] && _limit=500
+    [ "$f" = "$dom/tests.rs" ] && continue
+    if [ "$(wc -l < "$f")" -gt "$_limit" ]; then
+        echo "structure: $f is over $_limit lines" >&2; exit 1
+    fi
+done
+_code=$(cat $(ls "$dom"/*.rs | grep -v /tests.rs) | grep -v '^[[:space:]]*$' \
+    | grep -vc '^[[:space:]]*//')
+echo "structure: ok (domestic/ holds $_code non-blank non-comment lines, tests.rs aside)"
+
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
 # One trace-capture gate: run the example with SC_TRACE pointed at a
