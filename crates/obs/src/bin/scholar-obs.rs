@@ -234,7 +234,8 @@ impl Gate {
 }
 
 fn usage() -> String {
-    let mut usage = String::from("usage: scholar-obs <trace.jsonl> [--window SECS] [--json] [--trace ID]");
+    let mut usage =
+        String::from("usage: scholar-obs <trace.jsonl> [--window SECS] [--json] [--trace ID]");
     for gate in &GATES {
         match gate.threshold {
             Some((unit, _)) => usage.push_str(&format!(" [{} {}]", gate.flag, unit.value_name())),

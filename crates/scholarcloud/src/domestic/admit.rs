@@ -104,7 +104,8 @@ impl Admit {
     }
 
     fn sample_queue_depth(&self, now: SimTime) {
-        sc_obs::ts_record(now.as_micros(), "scholarcloud.queue_depth", self.ctl.queue_depth() as u64);
+        let depth = self.ctl.queue_depth() as u64;
+        sc_obs::ts_record(now.as_micros(), "scholarcloud.queue_depth", depth);
     }
 
     /// Arms the queue re-check tick if the queue is non-empty and no
@@ -138,7 +139,9 @@ impl Admit {
         io.close(conn);
         sc_obs::counter_add("scholarcloud.decoys_served", 1);
         self.cfg.interference.note_probe();
-        trace::event(io.now(), Level::Info, "domestic", "decoy", |ev| ev.field("reason", "not_http"));
+        trace::event(io.now(), Level::Info, "domestic", "decoy", |ev| {
+            ev.field("reason", "not_http")
+        });
     }
 
     /// Reads a CONNECT request's target and checks it against the
@@ -239,7 +242,7 @@ impl Admit {
     /// failure path that keeps an overloaded proxy responsive.
     pub fn refuse(&self, browser: TcpHandle, code: u16, reason: &'static str, io: &mut impl Io) {
         let retry_after = self.ctl.retry_after();
-        let secs = (retry_after.as_micros() + 999_999) / 1_000_000;
+        let secs = retry_after.as_micros().div_ceil(1_000_000);
         let resp =
             HttpResponse::new(code, Vec::new()).header("Retry-After", &secs.max(1).to_string());
         io.send(browser, &resp.encode());

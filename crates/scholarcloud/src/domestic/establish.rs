@@ -231,9 +231,10 @@ impl Establish {
         };
         trace::count(now, counter, 1);
         trace::event(now, Level::Warn, "resilience", "tunnel_failed", |ev| {
+            let target = pt.as_ref().map_or(String::new(), |pt| target_label(&pt.req.header));
             ev.field("code", code.to_string())
                 .field("reason", reason.to_string())
-                .field("target", pt.as_ref().map_or(String::new(), |pt| target_label(&pt.req.header)))
+                .field("target", target)
         });
         pt.filter(|pt| !pt.queued).map(|pt| pt.req.client)
     }

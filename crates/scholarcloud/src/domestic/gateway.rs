@@ -7,14 +7,14 @@
 //! requests). The stage owns the in-flight fetches, the singleflight
 //! table with its parked waiters, and the requesters' validators; a
 //! fetch that must leave the proxy goes back to the driver as a request
-//! for admission or a [`Miss`] the peer stage may take.
+//! for admission or a [`Miss`] for the peer stage.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
-use sc_obs::{Level, SpanId, TraceCtx};
+use sc_obs::{Level, SpanFields, SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
 use sc_simnet::time::SimTime;
@@ -57,20 +57,19 @@ struct Wait {
     client: Addr,
 }
 
-/// A cacheable miss whose requester leads the fetch.
+/// A leader's cacheable miss on a key another shard owns: what the
+/// peer stage needs to fetch it from there. (The fetch itself is already
+/// registered under the leader, so waiters coalesce locally too and a
+/// failed hop can fall back upstream.)
 pub(super) struct Miss {
     pub leader: TcpHandle,
-    pub client: Addr,
-    pub port: u16,
+    /// The shard that owns `key`.
+    pub owner: usize,
     pub key: CacheKey,
-    /// Origin-form request, without any validator.
-    pub request: HttpRequest,
+    pub port: u16,
     /// The validator of our stale entry, if we hold one.
     pub stored_etag: Option<String>,
     pub tctx: TraceCtx,
-    /// The request is itself a peer's hop: answer locally, never
-    /// forward again — a peering hop is one hop, by construction.
-    pub via_hop: bool,
 }
 
 /// What an upstream stream's bytes amounted to.
@@ -132,13 +131,14 @@ impl Gateway {
     /// One parsed request on a gateway-mode browser conn: resolve the
     /// target (absolute-form, or origin-form via the Host header — the
     /// browser's RTT probes arrive that way), enforce the whitelist, and
-    /// serve from the shared cache, an in-flight coalesced fetch, or
-    /// upstream.
+    /// serve from the shared cache, an in-flight coalesced fetch, the
+    /// shard `owner_of` says owns the key, or upstream.
     pub fn request(
         &mut self,
         browser: TcpHandle,
         client: Addr,
         req: HttpRequest,
+        owner_of: impl Fn(&CacheKey, SimTime) -> Option<usize>,
         io: &mut impl Io,
     ) -> Step {
         let Some((host, port, path)) = split_target(&req) else {
@@ -242,42 +242,36 @@ impl Gateway {
                     self.waits.insert(browser, Wait { key, span, tctx, client });
                     Step::Done
                 }
-                Role::Leader => Step::Lead(Miss {
-                    leader: browser,
-                    client,
-                    port,
-                    key,
-                    request,
-                    stored_etag,
-                    tctx,
-                    via_hop: peer_hop.is_some(),
-                }),
+                Role::Leader => {
+                    let revalidating = stored_etag.is_some();
+                    // A non-owner's miss takes one intra-fleet hop to
+                    // the key's owner (whose singleflight coalesces the
+                    // whole fleet's demand) instead of a cross-border
+                    // fetch — unless it already IS such a hop.
+                    let owner = if peer_hop.is_none() { owner_of(&key, now) } else { None };
+                    if let Some(owner) = owner {
+                        self.cfg.cache.borrow_mut().note_peer_fetch();
+                        let hop = key.clone();
+                        let fetch = Fetch::new(client, key, port, request, true, revalidating);
+                        self.fetches.insert(browser, fetch);
+                        return Step::Hop(Miss {
+                            leader: browser,
+                            owner,
+                            key: hop,
+                            port,
+                            stored_etag,
+                            tctx,
+                        });
+                    }
+                    // Only *our* stored validator rides upstream.
+                    if let Some(etag) = &stored_etag {
+                        request = request.header("If-None-Match", etag);
+                    }
+                    let fetch = Fetch::new(client, key, port, request, true, revalidating);
+                    self.go_upstream(browser, fetch, tctx, false, now)
+                }
             },
         }
-    }
-
-    /// The leader's miss goes upstream itself (no peer owns the key):
-    /// only *our* stored validator rides along.
-    pub fn lead_upstream(&mut self, miss: Miss, now: SimTime) -> Step {
-        let revalidating = miss.stored_etag.is_some();
-        let request = match miss.stored_etag {
-            Some(etag) => miss.request.header("If-None-Match", &etag),
-            None => miss.request,
-        };
-        let fetch = Fetch::new(miss.client, miss.key, miss.port, request, true, revalidating);
-        self.go_upstream(miss.leader, fetch, miss.tctx, false, now)
-    }
-
-    /// The leader's miss takes an intra-fleet hop to the key's owner.
-    /// The fetch is registered under the leader as usual, so waiters
-    /// coalesce locally too and a failed hop can fall back upstream.
-    pub fn lead_via_peer(&mut self, miss: Miss) {
-        self.cfg.cache.borrow_mut().note_peer_fetch();
-        let revalidating = miss.stored_etag.is_some();
-        self.fetches.insert(
-            miss.leader,
-            Fetch::new(miss.client, miss.key, miss.port, miss.request, true, revalidating),
-        );
     }
 
     /// Replays a failed hop's request through the normal upstream
@@ -293,7 +287,8 @@ impl Gateway {
     ) -> Step {
         let Some(mut fetch) = self.fetches.remove(&leader) else { return Step::Done };
         if fetch.revalidating {
-            if let Some(etag) = self.cfg.cache.borrow().etag_of(&fetch.key).filter(|e| !e.is_empty()) {
+            let cache = self.cfg.cache.borrow();
+            if let Some(etag) = cache.etag_of(&fetch.key).filter(|e| !e.is_empty()) {
                 fetch.request = fetch.request.header("If-None-Match", etag);
             }
         }
@@ -409,10 +404,8 @@ impl Gateway {
         };
         drop(cache_prof);
         // A pass-through fetch was never coalesced.
-        let waiters = match fetch.cacheable.then(|| self.flights.complete(&fetch.key)).flatten() {
-            Some(flight) => flight.waiters,
-            None => Vec::new(),
-        };
+        let flight = if fetch.cacheable { self.flights.complete(&fetch.key) } else { None };
+        let waiters = flight.map_or(Vec::new(), |f| f.waiters);
         match served {
             Some(entry) => {
                 self.serve_from_cache(leader, &entry, io);
@@ -437,7 +430,7 @@ impl Gateway {
         }
     }
 
-    fn end_wait(&mut self, waiter: TcpHandle, now: SimTime, fields: impl FnOnce() -> sc_obs::SpanFields) {
+    fn end_wait(&mut self, waiter: TcpHandle, now: SimTime, fields: impl FnOnce() -> SpanFields) {
         if let Some(mut wait) = self.waits.remove(&waiter) {
             trace::end(now, &mut wait.span, fields);
         }
@@ -468,7 +461,12 @@ impl Gateway {
     /// upstream death): its coalesced waiters get the same answer —
     /// without this they would hang until their browsers time out.
     /// Returns the waiters whose connections were closed.
-    pub fn fail_waiters(&mut self, leader: TcpHandle, code: u16, io: &mut impl Io) -> Vec<TcpHandle> {
+    pub fn fail_waiters(
+        &mut self,
+        leader: TcpHandle,
+        code: u16,
+        io: &mut impl Io,
+    ) -> Vec<TcpHandle> {
         let Some(fetch) = self.fetches.remove(&leader) else { return Vec::new() };
         self.inm.remove(&leader);
         if !fetch.cacheable {

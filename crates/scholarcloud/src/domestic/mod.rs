@@ -163,15 +163,32 @@ impl DomesticProxy {
         }
     }
 
+    fn gateway_request(
+        &mut self,
+        browser: TcpHandle,
+        client: Addr,
+        req: HttpRequest,
+        io: &mut impl Io,
+    ) -> Step {
+        let peer = &self.peer;
+        self.gateway.request(browser, client, req, |key, now| peer.owner_of(key, now), io)
+    }
+
     /// The first request on a browser connection decides its mode.
-    fn first_request(&mut self, browser: TcpHandle, client: Addr, req: HttpRequest, io: &mut impl Io) {
+    fn first_request(
+        &mut self,
+        browser: TcpHandle,
+        client: Addr,
+        req: HttpRequest,
+        io: &mut impl Io,
+    ) {
         let step = if req.method == "CONNECT" {
             self.admit.connect(browser, client, &req, io)
         } else if req.target.starts_with("http://") || req.target.starts_with('/') {
             // Plain HTTP: the conn stays in gateway mode for keep-alive
             // follow-ups; each request runs through the shared cache.
             self.set_state(browser, ConnState::Gateway(HttpParser::new()));
-            self.gateway.request(browser, client, req, io)
+            self.gateway_request(browser, client, req, io)
         } else {
             io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
             Step::Done
@@ -224,7 +241,7 @@ impl DomesticProxy {
                     }
                     (false, Ok(requests)) => {
                         for req in requests {
-                            let routed = self.gateway.request(h, client, req, io);
+                            let routed = self.gateway_request(h, client, req, io);
                             self.step(routed, io);
                         }
                     }
@@ -310,7 +327,9 @@ impl DomesticProxy {
                 let outcome = self.peer.on_event(h, ev, io);
                 self.step(outcome, io);
             }
-            AppEvent::Tcp(h, ev) if self.establish.owns_attempt(h) => self.on_attempt_event(h, ev, io),
+            AppEvent::Tcp(h, ev) if self.establish.owns_attempt(h) => {
+                self.on_attempt_event(h, ev, io);
+            }
             AppEvent::Tcp(h, ev) if self.relay.owns(h) => self.on_stream_event(h, ev, io),
             AppEvent::Tcp(h, ev) => self.on_browser_event(h, ev, io),
             _ => {}

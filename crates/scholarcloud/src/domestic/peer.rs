@@ -86,7 +86,8 @@ impl Peer {
     /// Launches the hop for `miss`: one absolute-form GET to the key's
     /// owner shard, marked with the loop-guard header and carrying *our*
     /// stored validator (the owner's `304` renews our entry).
-    pub fn start(&mut self, miss: &Miss, owner: usize, io: &mut impl Io) {
+    pub fn start(&mut self, miss: Miss, io: &mut impl Io) {
+        let owner = miss.owner;
         let now = io.now();
         let f = self.fleet.as_ref().expect("owner_of found a fleet");
         let (self_idx, addr) = (f.self_idx, f.handle.member_addr(owner));
@@ -210,7 +211,7 @@ impl Peer {
             });
             return Step::FallBack { leader, tctx };
         }
-        if self.fleet.as_mut().map_or(false, |f| f.mark_peer_up(owner)) {
+        if self.fleet.as_mut().is_some_and(|f| f.mark_peer_up(owner)) {
             trace::count(now, "scholarcloud.peer_recoveries", 1);
             trace::event(now, Level::Info, "fleet", "peer_up", |ev| {
                 trace::sharded(ev, shard).field("peer", owner.to_string())

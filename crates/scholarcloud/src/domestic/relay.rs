@@ -127,8 +127,10 @@ impl Relay {
                 .field("attempt", u64::from(attempts))
         });
         let (browser, client) = (req.browser, req.client);
-        let replay = (self.cfg.resilience.stream_resume && req.is_connect && req.initial_plain.len() <= REPLAY_CAP)
-            .then_some(Replay { req, attempts });
+        let resumable = self.cfg.resilience.stream_resume
+            && req.is_connect
+            && req.initial_plain.len() <= REPLAY_CAP;
+        let replay = resumable.then_some(Replay { req, attempts });
         self.streams.insert(
             h,
             Stream { browser, client, remote_idx, tx, rx, up_bytes, down_bytes: 0, span, replay },
@@ -183,8 +185,8 @@ impl Relay {
     /// [`Ending::Resumed`] instead of lost.
     pub fn ending_for(&self, h: TcpHandle, reset: bool) -> Ending {
         let max_attempts = self.cfg.resilience.max_attempts;
-        let replayable = self.streams.get(&h).map_or(false, |s| {
-            s.down_bytes == 0 && s.replay.as_ref().map_or(false, |r| r.attempts < max_attempts)
+        let replayable = self.streams.get(&h).is_some_and(|s| {
+            s.down_bytes == 0 && s.replay.as_ref().is_some_and(|r| r.attempts < max_attempts)
         });
         match (reset, replayable) {
             (true, true) => Ending::Resumed,

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use sc_obs::Level;
+use sc_obs::{Event, Level};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
@@ -175,7 +175,7 @@ impl Remotes {
         let evidence = self.breaker_opens + self.cfg.interference.probe_sightings();
         let fresh = evidence.saturating_sub(self.evidence_consumed);
         let cooling =
-            self.last_rotation.map_or(false, |last| now.saturating_since(last) < policy.cooldown);
+            self.last_rotation.is_some_and(|last| now.saturating_since(last) < policy.cooldown);
         if fresh < policy.threshold || cooling {
             return;
         }
@@ -242,7 +242,7 @@ impl Remotes {
 
     /// The connect deadline of probe `h` fired.
     pub fn probe_deadline(&mut self, h: TcpHandle, io: &mut impl Io) {
-        if self.probes.get(&h).map_or(true, |p| p.done) {
+        if self.probes.get(&h).is_none_or(|p| p.done) {
             return;
         }
         io.abort(h);
@@ -275,14 +275,6 @@ impl Remotes {
         }
     }
 
-    fn elastic_event(&self, now: SimTime, name: &'static str, addr: Addr, extra: &[(&'static str, String)]) {
-        trace::event(now, Level::Info, "elastic", name, |ev| {
-            extra.iter().fold(ev.field("instance", addr.to_string()), |ev, (k, v)| {
-                ev.field(k, v.clone())
-            })
-        });
-    }
-
     /// Marks the instance behind pool entry `idx` as blacklisted, if it
     /// is an elastic one; the next autoscaler tick drains and replaces
     /// it.
@@ -291,7 +283,7 @@ impl Remotes {
         let addr = self.pool.entry(idx).addr.addr;
         if handle.with(|p| p.churn(addr)) {
             sc_obs::counter_add("scholarcloud.elastic_churns", 1);
-            self.elastic_event(now, "churn", addr, &[]);
+            elastic_event(now, "churn", addr, |ev| ev);
         }
     }
 
@@ -312,8 +304,9 @@ impl Remotes {
             match act {
                 ElasticAction::Provision { addr, cold_start } => {
                     sc_obs::counter_add("scholarcloud.elastic_provisions", 1);
-                    let cold = ("cold_start_us", cold_start.as_micros().to_string());
-                    self.elastic_event(now, "provision", addr, &[cold]);
+                    elastic_event(now, "provision", addr, |ev| {
+                        ev.field("cold_start_us", cold_start.as_micros().to_string())
+                    });
                 }
                 ElasticAction::Warm { addr, cold_start } => {
                     // The instance's node comes up and its pool entry
@@ -324,20 +317,23 @@ impl Remotes {
                         self.pool.add_remote(sock);
                     }
                     sc_obs::observe("scholarcloud.elastic_cold_start_us", cold_start.as_micros());
-                    let cold = ("cold_start_us", cold_start.as_micros().to_string());
-                    self.elastic_event(now, "warm", addr, &[cold]);
+                    elastic_event(now, "warm", addr, |ev| {
+                        ev.field("cold_start_us", cold_start.as_micros().to_string())
+                    });
                 }
                 ElasticAction::Drain { addr, reason } => {
                     if let Some(idx) = self.pool.index_of(SocketAddr::new(addr, REMOTE_PORT)) {
                         self.pool.retire(idx);
                     }
-                    self.elastic_event(now, "drain", addr, &[("reason", reason.name().to_string())]);
+                    elastic_event(now, "drain", addr, |ev| {
+                        ev.field("reason", reason.name().to_string())
+                    });
                 }
                 ElasticAction::Retire { addr } => {
                     // In-flight streams drained; the husk powers off.
                     io.node_power(addr, false);
                     sc_obs::counter_add("scholarcloud.elastic_retires", 1);
-                    self.elastic_event(now, "retire", addr, &[]);
+                    elastic_event(now, "retire", addr, |ev| ev);
                 }
             }
         }
@@ -355,4 +351,17 @@ impl Remotes {
         });
         io.timer(ELASTIC_TICK, Timer::ElasticTick);
     }
+}
+
+/// One `scholarcloud/elastic` lifecycle event about the instance at
+/// `addr`; `more` appends what is particular to the transition.
+fn elastic_event(
+    now: SimTime,
+    name: &'static str,
+    addr: Addr,
+    more: impl FnOnce(Event) -> Event,
+) {
+    trace::event(now, Level::Info, "elastic", name, |ev| {
+        more(ev.field("instance", addr.to_string()))
+    });
 }

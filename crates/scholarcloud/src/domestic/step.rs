@@ -30,9 +30,9 @@ pub(super) enum Step {
     /// Admission let the request in, holding a slot or (`queued`) still
     /// waiting for one under its open admission `span`.
     Establish { req: Request, queued: bool, span: SpanId },
-    /// A cacheable gateway miss led by its requester: one intra-fleet
-    /// hop if a peer owns the key, upstream otherwise.
-    Lead(Miss),
+    /// A gateway leader's miss on a key another shard owns: one
+    /// intra-fleet hop instead of a cross-border fetch.
+    Hop(Miss),
     /// The key's owner answered the hop: settle the leader's fetch.
     Settle { leader: TcpHandle, resp: HttpResponse },
     /// The hop failed or was refused: the leader's fetch goes upstream.
@@ -80,26 +80,7 @@ impl DomesticProxy {
                     self.attempt(browser, io);
                 }
             }
-            Step::Lead(miss) => {
-                // A non-owner's miss takes one intra-fleet hop to the
-                // key's owner (whose singleflight coalesces the whole
-                // fleet's demand) instead of a cross-border fetch —
-                // unless it already IS such a hop.
-                let owner = match miss.via_hop {
-                    false => self.peer.owner_of(&miss.key, io.now()),
-                    true => None,
-                };
-                match owner {
-                    Some(owner) => {
-                        self.peer.start(&miss, owner, io);
-                        self.gateway.lead_via_peer(miss);
-                    }
-                    None => {
-                        let upstream = self.gateway.lead_upstream(miss, io.now());
-                        self.step(upstream, io);
-                    }
-                }
-            }
+            Step::Hop(miss) => self.peer.start(miss, io),
             Step::Settle { leader, resp } => self.gateway.settle(leader, resp, true, io),
             Step::FallBack { leader, tctx } => {
                 let upstream = self.gateway.fall_back_upstream(leader, tctx, io.now());
@@ -107,7 +88,8 @@ impl DomesticProxy {
             }
             Step::Parked { browser, overflow, expired } => {
                 for oldest in overflow {
-                    self.step(Step::Fail { browser: oldest, code: 503, reason: "parked_overflow" }, io);
+                    let reason = "parked_overflow";
+                    self.step(Step::Fail { browser: oldest, code: 503, reason }, io);
                 }
                 // A same-instant park burst can shed this very request.
                 if expired && self.establish.is_pending(browser) {
@@ -190,7 +172,12 @@ impl DomesticProxy {
         self.step(failed, io);
     }
 
-    pub(super) fn end_stream(&mut self, rh: TcpHandle, how: Ending, io: &mut impl Io) -> Option<Ended> {
+    pub(super) fn end_stream(
+        &mut self,
+        rh: TcpHandle,
+        how: Ending,
+        io: &mut impl Io,
+    ) -> Option<Ended> {
         self.relay.end(rh, how, &mut self.remotes, io)
     }
 

@@ -53,7 +53,7 @@ impl FakeIo {
     }
 
     fn advance(&mut self, d: SimDuration) {
-        self.now = self.now + d;
+        self.now += d;
     }
 
     fn connects(&self) -> Vec<TcpHandle> {
@@ -147,7 +147,13 @@ fn dark_pool(io: &mut FakeIo) -> (Establish, Remotes) {
 }
 
 /// Parks `browser` (admitted now) and returns what parking came to.
-fn park(est: &mut Establish, remotes: &mut Remotes, browser: usize, cap: usize, io: &mut FakeIo) -> Step {
+fn park(
+    est: &mut Establish,
+    remotes: &mut Remotes,
+    browser: usize,
+    cap: usize,
+    io: &mut FakeIo,
+) -> Step {
     est.enter(connect_request(browser, TraceCtx::NONE), false, SpanId::NONE, io.now);
     est.try_attempt(TcpHandle(browser), cap, remotes, io)
 }
@@ -206,10 +212,8 @@ fn park_overflow_sheds_the_oldest_first() {
     let mut io = FakeIo::new();
     let (mut est, mut remotes) = dark_pool(&mut io);
     for browser in [7, 2] {
-        let Step::Parked { overflow, expired, .. } = park(&mut est, &mut remotes, browser, 2, &mut io)
-        else {
-            panic!("a dark pool parks")
-        };
+        let parked = park(&mut est, &mut remotes, browser, 2, &mut io);
+        let Step::Parked { overflow, expired, .. } = parked else { panic!("a dark pool parks") };
         assert!(overflow.is_empty() && !expired);
         io.advance(SimDuration::from_millis(10));
     }
@@ -289,14 +293,14 @@ fn gateway_get(gw: &mut Gateway, browser: usize, trace: u64, io: &mut FakeIo) ->
     let tctx = TraceCtx::new(TraceId(trace), SpanId(trace));
     let req = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper")
         .header(sc_obs::TRACE_HEADER, &tctx.header_value());
-    gw.request(TcpHandle(browser), CLIENT, req, io)
+    gw.request(TcpHandle(browser), CLIENT, req, |_, _| None, io)
 }
 
 /// A leader with two waiters coalesced behind its upstream fetch.
 fn flight_of_three(io: &mut FakeIo) -> Gateway {
     let mut gw = Gateway::new(Rc::new(config()));
-    let Step::Lead(miss) = gateway_get(&mut gw, 1, 0xa1, io) else { panic!("first request leads") };
-    assert!(matches!(gw.lead_upstream(miss, io.now), Step::Admit(req) if req.browser == TcpHandle(1)));
+    let led = gateway_get(&mut gw, 1, 0xa1, io);
+    assert!(matches!(led, Step::Admit(req) if req.browser == TcpHandle(1)), "first request leads");
     for (browser, trace) in [(2, 0xa2), (3, 0xa3)] {
         assert!(matches!(gateway_get(&mut gw, browser, trace, io), Step::Done), "waiters park");
     }
@@ -401,4 +405,86 @@ fn without_stream_resume_a_reset_is_final() {
     let mut io = FakeIo::new();
     let (relay, _) = open_stream(false, &mut io);
     assert!(relay.ending_for(TcpHandle(50), true) == Ending::Reset);
+}
+
+/// Drives a plain-HTTP GET through the whole proxy up to an established
+/// upstream fetch; returns the remote-side handle.
+fn gateway_fetch_through(
+    proxy: &mut DomesticProxy,
+    browser: TcpHandle,
+    io: &mut FakeIo,
+) -> TcpHandle {
+    let peer = SocketAddr::new(CLIENT, 40_000);
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer }), io);
+    let get = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper");
+    io.inbox.insert(browser, get.encode());
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::DataReceived), io);
+    let remote = *io.connects().last().expect("a cache miss goes upstream");
+    proxy.route(AppEvent::Tcp(remote, TcpEvent::Connected), io);
+    remote
+}
+
+/// The established stream held the request's admission slot, and a
+/// response that is not HTTP used to end the stream without ever
+/// handing it back.
+#[test]
+fn a_garbled_upstream_response_is_a_502_and_frees_the_slot() {
+    let cfg = config();
+    // What the remote would send under the attempt's session: the fake's
+    // first draw is the nonce.
+    let hello = Hello { scheme: cfg.scheme.get(), nonce: 1, generation: cfg.scheme.generation() };
+    let mut remote_tx = StreamCodec::new(&cfg.secret, &hello, true, 1);
+    let mut garbage = b"\x00\x01 not http \r\n\r\n".to_vec();
+    remote_tx.encode(&mut garbage);
+
+    let mut proxy = DomesticProxy::new(cfg);
+    let mut io = FakeIo::new();
+    let browser = TcpHandle(1);
+    let remote = gateway_fetch_through(&mut proxy, browser, &mut io);
+    io.inbox.insert(remote, garbage);
+    proxy.route(AppEvent::Tcp(remote, TcpEvent::DataReceived), &mut io);
+
+    assert!(io.calls.contains(&Call::Abort(remote)));
+    assert!(io.sent(browser).starts_with("HTTP/1.1 502"), "{}", io.sent(browser));
+    assert_drained(&proxy);
+}
+
+/// Garbage on a gateway connection with a fetch in flight used to drop
+/// the connection but leave its pending request (and slot) behind.
+#[test]
+fn garbage_on_a_gateway_conn_tears_its_request_down() {
+    let mut proxy = DomesticProxy::new(config());
+    let mut io = FakeIo::new();
+    let browser = TcpHandle(1);
+    let peer = SocketAddr::new(CLIENT, 40_000);
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer }), &mut io);
+    let get = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper");
+    io.inbox.insert(browser, get.encode());
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::DataReceived), &mut io);
+    let attempt = *io.connects().last().unwrap();
+
+    io.inbox.insert(browser, b"\x16\x03\x01 definitely not http\r\n\r\n".to_vec());
+    proxy.route(AppEvent::Tcp(browser, TcpEvent::DataReceived), &mut io);
+
+    assert!(io.calls.contains(&Call::Abort(browser)));
+    assert!(io.calls.contains(&Call::Abort(attempt)), "the in-flight attempt goes too");
+    assert_drained(&proxy);
+}
+
+#[test]
+fn a_miss_on_another_shards_key_becomes_a_hop_with_the_fetch_registered() {
+    let mut io = FakeIo::new();
+    let mut gw = Gateway::new(Rc::new(config()));
+    let tctx = TraceCtx::new(TraceId(7), SpanId(7));
+    let req = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper")
+        .header(sc_obs::TRACE_HEADER, &tctx.header_value());
+    let Step::Hop(miss) = gw.request(TcpHandle(1), CLIENT, req, |_, _| Some(2), &mut io) else {
+        panic!("a key owned by shard 2 is fetched from shard 2")
+    };
+    assert_eq!((miss.leader, miss.owner, miss.port), (TcpHandle(1), 2, 80));
+    assert_eq!(miss.key, ("scholar.google.com".to_string(), "/paper".to_string()));
+    assert_eq!(gw.occupancy().map(|(_, n)| n), [1, 0, 1], "waiters can coalesce behind the hop");
+    // The hop failed: the same fetch goes upstream under the leader.
+    let fallback = gw.fall_back_upstream(TcpHandle(1), tctx, io.now);
+    assert!(matches!(fallback, Step::Admit(req) if req.browser == TcpHandle(1) && !req.is_connect));
 }

@@ -69,16 +69,10 @@ pub fn elastic_run(seed: u64) -> Vec<u8> {
                     if !st.config().ip_blacklist.contains(&(addr, 32)) {
                         st.config_mut().ip_blacklist.push((addr, 32));
                     }
-                    sc_obs::emit(
-                        sc_obs::Event::new(
-                            now.as_micros(),
-                            sc_obs::Level::Info,
-                            "gfw",
-                            "fault",
-                            "blacklist_ip",
-                        )
-                        .field("addr", addr.to_string()),
-                    );
+                    let now_us = now.as_micros();
+                    sc_obs::event(now_us, Level::Info, "gfw", "fault", "blacklist_ip", |ev| {
+                        ev.field("addr", addr.to_string())
+                    });
                 }),
             },
         );
