@@ -619,6 +619,7 @@ fn analyzer_output_digests_match_golden() {
         ("CacheLab", cache_lab_run(4242)),
         ("Ops", ops_run(91).0),
         ("ArmsRace", arms_race_run()),
+        ("Elastic", elastic_run(7171)),
     ] {
         actual.push_str(&analyzer_digest_line(label, &trace));
     }
