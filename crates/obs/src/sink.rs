@@ -213,7 +213,7 @@ fn write_value_json(out: &mut String, v: &Value) {
 }
 
 /// Display adaptor applying JSON string escaping.
-struct Escaped<'a>(&'a str);
+pub(crate) struct Escaped<'a>(pub(crate) &'a str);
 
 impl std::fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -42,7 +42,7 @@ fn gen_tree() -> impl Strategy<Value = GenTree> {
 }
 
 /// (component, span_name) for each generated kind, chosen to cover every
-/// tier `span_tier` distinguishes.
+/// tier `TraceSpan::tier` distinguishes.
 fn kind_names(kind: u8) -> (&'static str, &'static str) {
     match kind {
         0 => ("web", "tunnel"),

@@ -1,11 +1,13 @@
 //! `scholar-obs` gate flags, end to end through the binary: each
-//! numeric gate passing (exit 0), failing (4), undefined on a trace
-//! that lacks its events (4) and given a malformed value (1), with the
-//! report on stdout the same whatever the gates decide.
+//! numeric gate passing (exit 0), failing (4) and given a malformed
+//! value (1), with the report on stdout the same whatever the gates
+//! decide; and, over the library's own gate list, every flag in the
+//! usage line once and undefined (4) on a trace that lacks its events.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use sc_obs::analyze::{analyze, gates, parse_trace};
 use sc_obs::{write_event_json, Event, Level, SpanId};
 
 fn write_trace(name: &str, events: &[Event]) -> PathBuf {
@@ -96,29 +98,26 @@ fn code(out: &Output) -> i32 {
     out.status.code().expect("exit code")
 }
 
-/// `(flag, passing value, failing value, out-of-range value or None,
-/// exit code on the bare trace)`.
-const GATES: [(&str, &str, &str, Option<&str>, i32); 8] = [
-    ("--min-availability", "0.5", "0.51", Some("1.5"), 4),
-    // The shed rate of a trace without admission decisions is 0, not
-    // undefined.
-    ("--max-shed-rate", "0.25", "0.24", Some("-0.1"), 0),
-    ("--min-cache-hit-rate", "0.5", "0.51", Some("2"), 4),
-    ("--min-fleet-availability", "0.75", "0.76", Some("1.01"), 4),
-    ("--min-attribution-coverage", "50", "50.5", Some("101"), 4),
-    ("--max-cost-per-load", "0.0005", "0.00049", Some("-1"), 4),
-    ("--max-detection-rate", "0.25", "0.24", Some("1.5"), 4),
-    ("--min-availability-under-campaign", "0.5", "0.51", Some("7"), 4),
+/// `(flag, passing value, failing value, out-of-range value)` on the
+/// rich trace.
+const GATES: [(&str, &str, &str, &str); 8] = [
+    ("--min-availability", "0.5", "0.51", "1.5"),
+    ("--max-shed-rate", "0.25", "0.24", "-0.1"),
+    ("--min-cache-hit-rate", "0.5", "0.51", "2"),
+    ("--min-fleet-availability", "0.75", "0.76", "1.01"),
+    ("--min-attribution-coverage", "50", "50.5", "101"),
+    ("--max-cost-per-load", "0.0005", "0.00049", "-1"),
+    ("--max-detection-rate", "0.25", "0.24", "1.5"),
+    ("--min-availability-under-campaign", "0.5", "0.51", "7"),
 ];
 
 #[test]
-fn each_numeric_gate_passes_fails_and_reports_undefined() {
+fn each_numeric_gate_passes_and_fails_without_touching_the_report() {
     let rich = rich_trace("numeric");
-    let bare = bare_trace();
     let report = run(&rich, &[]);
     assert_eq!(code(&report), 0);
     assert!(!report.stdout.is_empty());
-    for (flag, pass, fail, _, bare_code) in GATES {
+    for (flag, pass, fail, _) in GATES {
         let out = run(&rich, &[flag, pass]);
         assert_eq!(code(&out), 0, "{flag} {pass}: {}", String::from_utf8_lossy(&out.stderr));
         assert_eq!(out.stdout, report.stdout, "{flag} must not change the report");
@@ -128,12 +127,41 @@ fn each_numeric_gate_passes_fails_and_reports_undefined() {
         assert_eq!(out.stdout, report.stdout, "a failed gate still prints the report");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("gate failed"), "{flag}: {err}");
+    }
+}
 
-        let out = run(&bare, &[flag, pass]);
-        assert_eq!(code(&out), bare_code, "{flag} on a trace without its events");
-        if bare_code == 4 {
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert!(err.contains("undefined") || err.contains("no "), "{flag}: {err}");
+/// The gate list the library assembles from its sections is what the
+/// binary parses and prints: every flag is in the usage line exactly
+/// once (so no two gates share one), every flag is exercised by the
+/// table above, and on a trace that carries none of a gate's events the
+/// gate fails with its own `undefined` message — except where the
+/// metric is defined without them (a shed rate of 0).
+#[test]
+fn every_gate_is_listed_once_and_undefined_without_its_events() {
+    let help = Command::new(env!("CARGO_BIN_EXE_scholar-obs")).arg("--help").output().unwrap();
+    assert_eq!(code(&help), 0);
+    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
+    let bare = bare_trace();
+    let text = std::fs::read_to_string(&bare).unwrap();
+    let analysis = analyze(&parse_trace(&text).unwrap(), 10_000_000);
+    let gates = gates();
+    assert!(gates.len() >= 10, "{} gates", gates.len());
+    for gate in gates {
+        let listed = usage.split_whitespace().filter(|w| w.trim_matches(['[', ']']) == gate.flag);
+        assert_eq!(listed.count(), 1, "{} in: {usage}", gate.flag);
+        let numeric = gate.threshold.is_some();
+        assert_eq!(numeric, GATES.iter().any(|(flag, ..)| *flag == gate.flag), "{}", gate.flag);
+        // 0 is a threshold every unit accepts.
+        let args: &[&str] = if numeric { &[gate.flag, "0"] } else { &[gate.flag] };
+        let out = run(&bare, args);
+        match gate.check(0.0, &analysis) {
+            Ok(()) => assert_eq!(code(&out), 0, "{}", gate.flag),
+            Err(why) => {
+                assert_eq!(code(&out), 4, "{} on a trace without its events", gate.flag);
+                assert_eq!(why, gate.undefined, "{}", gate.flag);
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(err.contains(gate.undefined), "{}: {err}", gate.flag);
+            }
         }
     }
 }
@@ -141,8 +169,8 @@ fn each_numeric_gate_passes_fails_and_reports_undefined() {
 #[test]
 fn malformed_gate_values_are_usage_errors() {
     let rich = rich_trace("malformed");
-    for (flag, _, _, out_of_range, _) in GATES {
-        for bad in [Some("abc"), Some("nan"), out_of_range].into_iter().flatten() {
+    for (flag, _, _, out_of_range) in GATES {
+        for bad in ["abc", "nan", out_of_range] {
             let out = run(&rich, &[flag, bad]);
             assert_eq!(code(&out), 1, "{flag} {bad}");
             assert!(out.stdout.is_empty(), "{flag} {bad}: nothing is analyzed");
@@ -154,7 +182,7 @@ fn malformed_gate_values_are_usage_errors() {
 }
 
 #[test]
-fn boolean_gates_json_and_usage_keep_their_exit_codes() {
+fn boolean_gates_and_json_keep_their_exit_codes() {
     let rich = rich_trace("boolean");
     assert_eq!(code(&run(&rich, &["--require-failover"])), 4);
     assert_eq!(code(&run(&rich, &["--require-exemplars"])), 4);
@@ -162,10 +190,4 @@ fn boolean_gates_json_and_usage_keep_their_exit_codes() {
     assert_eq!(code(&json), 4, "gates still decide the exit code under --json");
     assert!(String::from_utf8_lossy(&json.stdout).contains("\"schema\": \"scholar-obs/v5\""));
     assert_eq!(code(&run(&rich, &["--bogus"])), 1);
-    let help = Command::new(env!("CARGO_BIN_EXE_scholar-obs")).arg("--help").output().unwrap();
-    assert_eq!(code(&help), 0);
-    let usage = String::from_utf8_lossy(&help.stdout).into_owned();
-    for (flag, ..) in GATES {
-        assert!(usage.contains(flag), "usage must name {flag}");
-    }
 }

@@ -5,12 +5,19 @@
 //! parses to the same text whether it arrives plain (borrowed path) or
 //! `\u`-escaped (owned path); (c) arbitrary bytes, and arbitrary damage
 //! to a valid line, are an `Err` with an in-range offset or an `Ok` —
-//! never a panic, and never a stack overflow however deep they nest.
+//! never a panic, and never a stack overflow however deep they nest;
+//! (d) whatever sequence of well-formed events a trace holds — the
+//! analyzer's own vocabulary in any order, with any timestamps, span
+//! ids and field types — parses, analyzes and renders without a panic,
+//! to JSON that parses back, the same bytes every time.
 
 use std::borrow::Cow;
 
 use proptest::prelude::*;
-use sc_obs::analyze::{parse_json, parse_line, JsonValue, MAX_DEPTH};
+use sc_obs::analyze::{
+    analyze, parse_json, parse_line, parse_trace, render_json, render_report, render_waterfall,
+    JsonValue, TraceAnalysis, MAX_DEPTH,
+};
 use sc_obs::{write_event_json, Event, Level, SpanId, Value};
 
 /// Characters the writer escapes (quote, backslash, C0 controls), ones
@@ -180,6 +187,132 @@ proptest! {
             }
         }
         assert_parsers_survive(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Every `(component, target, event)` the read side gives a meaning to:
+/// the spine's own and each section's vocabulary.
+fn read_side_vocabulary() -> Vec<(&'static str, &'static str, &'static str)> {
+    let mut all = vec![
+        ("web", "load", "span_start"),
+        ("web", "load", "span_end"),
+        ("scholarcloud", "t", "span_start"),
+        ("scholarcloud", "t", "span_end"),
+        ("gfw", "verdict", "drop"),
+        ("simnet", "link", "censor_drop"),
+        ("slo", "alert", "fire"),
+        ("slo", "alert", "resolve"),
+        ("simnet", "fault", "link_down"),
+        ("scholarcloud", "resilience", "failover"),
+        ("scholarcloud", "resilience", "breaker"),
+    ];
+    for section in TraceAnalysis::default().sections() {
+        for (component, target, names) in section.vocabulary() {
+            all.extend(names.iter().map(|name| (*component, *target, *name)));
+        }
+    }
+    all
+}
+
+/// The field keys the read side looks up, and one it does not.
+const FIELD_KEYS: [&str; 24] = [
+    "span_name", "trace_id", "parent", "ok", "rule", "slo", "burn", "exemplars", "shard",
+    "cold_start_us", "reason", "instance", "live", "invocation_micro", "egress_micro",
+    "warm_micro", "total_micro", "replay", "verdict", "remote", "from", "to", "dur_us", "other",
+];
+
+/// Text those fields hold in real traces.
+const FIELD_TEXT: [&str; 14] = [
+    "page_load", "dns", "connect", "fetch", "relay", "admission", "blacklist", "confirmed",
+    "innocent", "gfw-dns", "plt-\"p95\"", "00000000000000ff,2a,zz", "99.0.1.2", "400000",
+];
+
+/// An event the read side has a reader for — half of them one side of
+/// a span, the browser's `page_load` and its phases among them — or,
+/// one time in eight, an arbitrary one. Timestamps come from both ends
+/// of `u64` and in no order, span and trace ids from ranges small
+/// enough to collide and to go unmatched, and a field the analyzer
+/// looks up holds the type it expects or any other.
+fn gen_read_side_event() -> impl Strategy<Value = Event> {
+    const SPAN_NAMES: [&str; 6] = ["page_load", "page_load", "fetch", "dns", "relay", "admission"];
+    let field = (0usize..FIELD_KEYS.len(), 0u8..5, any::<u64>(), 0usize..FIELD_TEXT.len());
+    (
+        gen_event(),
+        (0u8..8, any::<usize>(), 0u8..4, any::<u64>(), 0u64..6),
+        (0usize..SPAN_NAMES.len(), 0u64..3, 0u64..6, any::<u8>()),
+        prop::collection::vec(field, 0..6),
+    )
+        .prop_map(|(arbitrary, (which, pick, clock, t, span), (span_name, trace, parent, flags), fields)| {
+            if which == 0 {
+                return arbitrary;
+            }
+            let t_us = match clock {
+                0 => t % 100,
+                1 => t % 10_000_000,
+                2 => u64::MAX - t % 1000,
+                _ => t,
+            };
+            let mut fields: Vec<(&'static str, Value)> = fields
+                .into_iter()
+                .map(|(key, kind, bits, text)| {
+                    let value = match kind {
+                        0 => Value::U64(bits % 8),
+                        1 => Value::U64(bits),
+                        2 => Value::Str(FIELD_TEXT[text]),
+                        3 => Value::Bool(bits & 1 == 1),
+                        _ => Value::F64(f64::from_bits(bits)),
+                    };
+                    (FIELD_KEYS[key], value)
+                })
+                .collect();
+            let (component, target, name) = if which < 5 {
+                // A lookup finds the first field of a name: one time in
+                // four the well-typed ones go last, behind whatever the
+                // arbitrary ones hold under the same keys.
+                let at = if flags & 3 == 0 { fields.len() } else { 0 };
+                let well_typed = [
+                    ("span_name", Value::Str(SPAN_NAMES[span_name])),
+                    ("trace_id", Value::U64(trace)),
+                    ("parent", Value::U64(parent)),
+                    ("ok", Value::Bool(flags & 4 == 0)),
+                ];
+                fields.splice(at..at, well_typed);
+                let component = if flags & 8 == 0 { "web" } else { "scholarcloud" };
+                (component, "t", if flags & 16 == 0 { "span_start" } else { "span_end" })
+            } else {
+                let vocabulary = read_side_vocabulary();
+                vocabulary[pick % vocabulary.len()]
+            };
+            let mut ev = Event::new(t_us, Level::Debug, component, target, name).in_span(SpanId(span));
+            ev.fields = fields;
+            ev
+        })
+}
+
+proptest! {
+    #[test]
+    fn parsed_event_sequences_survive_the_whole_read_side(
+        events in prop::collection::vec(gen_read_side_event(), 0..40),
+        window in (0u8..3, any::<u64>()),
+    ) {
+        let text: String = events.iter().map(|ev| line_of(ev) + "\n").collect();
+        let window_us = match window {
+            (0, _) => 2_000_000,
+            (1, us) => us % 1000,
+            (_, us) => us,
+        };
+        let read = || {
+            let events = parse_trace(&text).expect("what the writer emits parses");
+            let analysis = analyze(&events, window_us);
+            let json = render_json(&analysis);
+            parse_json(&json).unwrap_or_else(|e| panic!("--json does not parse back ({e}):\n{json}"));
+            let mut printed = render_report(&analysis) + &json;
+            for tree in &analysis.trees {
+                printed.push_str(&render_waterfall(tree));
+            }
+            printed
+        };
+        prop_assert_eq!(read(), read());
     }
 }
 

@@ -15,10 +15,13 @@ PROPTEST_CASES=2048 cargo test -q --offline -p sc-gfw --lib engine::reference
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
 echo "differential suites: ok"
 
-# The analyzer's parser is where sc-obs reads bytes it did not write:
-# written events parse back field for field, arbitrary bytes and damaged
-# lines never panic, nesting stops at the cap (crates/obs/tests/
-# parse_props.rs plus the parse_* unit tests), at the same depth.
+# The analyzer is where sc-obs reads bytes it did not write: written
+# events parse back field for field, arbitrary bytes and damaged lines
+# never panic, nesting stops at the cap, and arbitrary sequences of
+# well-formed events — any timestamps, span ids and field types — go
+# through analyze and every renderer without a panic, to JSON that
+# parses back (crates/obs/tests/parse_props.rs plus the parse_* unit
+# tests), at the same depth.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-obs parse
 echo "parser properties: ok"
 
@@ -65,6 +68,39 @@ _code=$(cat $(ls "$dom"/*.rs | grep -v /tests.rs) | grep -v '^[[:space:]]*$' \
     | grep -vc '^[[:space:]]*//')
 echo "structure: ok (domestic/ holds $_code non-blank non-comment lines, tests.rs aside)"
 
+# Structure, read side: the analyzer stays a spine and a list of
+# sections (DESIGN.md §6b). analyze.rs was replaced, not forked; no file
+# grows back into it; and what the analyzer knows about a layer — here,
+# a sample of each layer's event and field names — is in that layer's
+# section file and nowhere else in sc-obs.
+ana=crates/obs/src/analyze
+if [ -e crates/obs/src/analyze.rs ]; then
+    echo "structure: crates/obs/src/analyze.rs is back" >&2; exit 1
+fi
+# A file up to its test module, and its code lines: the non-blank,
+# non-comment ones of that.
+sans_tests() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"; }
+code_lines() { sans_tests "$1" | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//'; }
+_code=$(code_lines crates/obs/src/bin/scholar-obs.rs)
+for f in $(find "$ana" -name '*.rs' ! -name tests.rs | sort); do
+    if [ "$(sans_tests "$f" | wc -l)" -gt 700 ]; then
+        echo "structure: $f is over 700 lines (tests aside)" >&2; exit 1
+    fi
+    _code=$((_code + $(code_lines "$f")))
+done
+for _word in retry_denied dequeue evicted peer_fetch fleet_shed proxy_dead \
+    cold_start_us churn signature_learned probe_wave; do
+    _files=$(grep -rlF "\"$_word\"" crates/obs/src || true)
+    case "$_files" in
+        "$ana"/sections/*.rs) [ "$(printf '%s\n' "$_files" | wc -l)" -eq 1 ] && continue ;;
+    esac
+    echo "structure: \"$_word\" belongs to one section file, found in:" >&2
+    echo "${_files:-(nowhere)}" >&2; exit 1
+done
+fail_if_found "a Gate defined outside analyze/" \
+    grep -rnE 'struct Gate|Gate \{' crates/obs/src --include='*.rs' --exclude-dir=analyze
+echo "structure: ok (analyze/ + scholar-obs.rs hold $_code non-blank non-comment lines, tests aside)"
+
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
 # One trace-capture gate: run the example with SC_TRACE pointed at a
@@ -81,35 +117,40 @@ run_gate() {
     echo "$_name smoke gate: ok"
 }
 
+# The trace gates, one row each: name | example | scholar-obs flags. A
+# row's comment says what the scenario is and why its thresholds are
+# what they are; the examples assert the rest themselves.
+#
+# Every ScholarCloud-method row also demands ≥95% attribution coverage:
+# completed page loads must stitch into cross-tier trace trees (trace
+# ids propagate in-band, so coverage is structural — a drop below 100%
+# means a hop stopped forwarding its TraceCtx).
+while IFS='|' read -r _name _example _flags <&3; do
+    case "$_name" in ''|'#'*) continue ;; esac
+    # Unquoted on purpose: the columns are padded, the flags are words.
+    run_gate $_name $_example $_flags
+done 3<<'GATES'
 # Observability: a seeded quickstart run must produce an analyzable trace.
-run_gate quickstart quickstart --window 30
-
-# Every ScholarCloud-method gate below also demands ≥95% attribution
-# coverage: completed page loads must stitch into cross-tier trace
-# trees (trace ids propagate in-band, so coverage is structural — a
-# drop below 100% means a hop stopped forwarding its TraceCtx).
+quickstart | quickstart | --window 30
 
 # Chaos: the fault-injection scenario (GFW blacklists the remote pool
 # one VM at a time, then heals) must show the resilience layer reacting
 # — at least one failover, availability above the chaos floor.
-run_gate chaos chaos_lab --require-failover --min-availability 0.70 \
-    --min-attribution-coverage 95
+chaos | chaos_lab | --require-failover --min-availability 0.70 --min-attribution-coverage 95
 
 # Overload: the flash-crowd scenario (a 10x client surge against an
 # undersized domestic proxy) must shed load within bounds — the example
 # itself asserts fast 503/429s, bounded p95 PLT, the retry budget, and
 # recovery; scholar-obs then gates the shed rate (brownout, never a
 # blackout).
-run_gate overload flash_crowd --max-shed-rate 0.70 \
-    --min-attribution-coverage 95
+overload | flash_crowd | --max-shed-rate 0.70 --min-attribution-coverage 95
 
 # Cache: the shared-cache scenario (a same-page crowd on the plain-HTTP
 # gateway path) must be absorbed by the domestic proxy's content cache —
 # the example itself asserts singleflight coalescing, the ≥50%
 # upstream-byte cut vs the cache-off control, 304 revalidation, and
 # determinism; scholar-obs then gates the hit rate.
-run_gate cache cache_lab --min-cache-hit-rate 0.50 \
-    --min-attribution-coverage 95
+cache | cache_lab | --min-cache-hit-rate 0.50 --min-attribution-coverage 95
 
 # Fleet: the fleet-chaos scenario (a 3-member domestic-proxy fleet, one
 # member crashed mid flash-crowd) must survive via PAC failover and
@@ -118,8 +159,7 @@ run_gate cache cache_lab --min-cache-hit-rate 0.50 \
 # scholar-obs then gates sustained fleet availability (the crash may
 # cost the connects that discover it — roughly one timed-out connect
 # per client per crash run — not ongoing ones).
-run_gate fleet fleet_chaos --min-fleet-availability 0.80 \
-    --min-attribution-coverage 95
+fleet | fleet_chaos | --min-fleet-availability 0.80 --min-attribution-coverage 95
 
 # Elastic: the serverless-remote-tier scenario (a 4-wave GFW
 # blacklisting campaign against the autoscaled pool) must stay cheap
@@ -129,8 +169,7 @@ run_gate fleet fleet_chaos --min-fleet-availability 0.80 \
 # last run's — each run overwrites SC_TRACE) on availability and the
 # metered cost per successful load (measured ≈ 0.00012 USD/load;
 # 0.0002 allows drift without letting it approach static-pool cost).
-run_gate elastic elastic_lab --min-availability 0.95 \
-    --max-cost-per-load 0.0002 --min-attribution-coverage 95
+elastic | elastic_lab | --min-availability 0.95 --max-cost-per-load 0.0002 --min-attribution-coverage 95
 
 # Arms race: the adaptive-censor scenario (a reactive GFW that learns
 # cover signatures and actively probes, against detection-driven scheme
@@ -140,15 +179,14 @@ run_gate elastic elastic_lab --min-availability 0.95 \
 # gates the defended arm's trace (the last run's): availability over
 # loads finishing after the first probing campaign, and a 0% probe
 # detection rate (the replay cache must deflect every probe).
-run_gate arms_race arms_race_lab --min-availability-under-campaign 0.90 \
-    --max-detection-rate 0.0 --min-attribution-coverage 95
+arms_race | arms_race_lab | --min-availability-under-campaign 0.90 --max-detection-rate 0.0 --min-attribution-coverage 95
 
 # Ops: the capacity-incident scenario must fire the PLT SLO with
 # exemplar trace ids attached (the example itself additionally renders
 # the worst exemplar's waterfall and asserts the per-tier exclusive
 # times partition the PLT).
-run_gate ops scholarcloud_ops --window 10 --min-attribution-coverage 95 \
-    --require-exemplars
+ops | scholarcloud_ops | --window 10 --min-attribution-coverage 95 --require-exemplars
+GATES
 
 # Performance-harness smoke gate: one fast iteration of the scholar-bench
 # suite must produce a schema-valid BENCH file that passes its own sanity
