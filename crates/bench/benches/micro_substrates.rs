@@ -7,7 +7,7 @@ use bytes::Bytes;
 use criterion::{Criterion, Throughput, criterion_group, criterion_main};
 use sc_crypto::aes::{Aes, KeySize};
 use sc_crypto::blinding::BlindingScheme;
-use sc_crypto::hmac::hmac_sha256;
+use sc_crypto::hmac::{HmacKey, hmac_sha256};
 use sc_crypto::modes::{Cfb, Ctr};
 use sc_crypto::sha256::sha256;
 use sc_gfw::{FlowTable, GfwConfig};
@@ -17,6 +17,13 @@ use sc_simnet::packet::{Packet, TcpFlags, TcpSegmentBody};
 use sc_simnet::time::SimTime;
 
 fn crypto_benches(c: &mut Criterion) {
+    // Which kernels the rows below ran on: a number from a box with
+    // SHA-NI/AES-NI and one from a box without are not the same row.
+    println!(
+        "crypto backends: sha256 {}, aes {}",
+        sc_crypto::sha256::backend(),
+        sc_crypto::aes::backend()
+    );
     let mut g = c.benchmark_group("crypto");
     let data = vec![0xa5u8; 16 * 1024];
     g.throughput(Throughput::Bytes(data.len() as u64));
@@ -50,6 +57,37 @@ fn crypto_benches(c: &mut Criterion) {
             })
         });
     }
+    // One TLS or VPN record's MAC under a session's prepared key: the
+    // per-record cost once the pads are hashed at key set-up.
+    let record = vec![0xa5u8; 1400];
+    g.throughput(Throughput::Bytes(record.len() as u64));
+    g.bench_function("hmac_sha256_1400_keyed", |b| {
+        let key = HmacKey::new(&[3; 32]);
+        b.iter(|| key.mac(&record))
+    });
+    g.finish();
+}
+
+/// One 1400-byte application record sealed by a connected client and
+/// opened by its server: CTR + HMAC each way, the page-load data path's
+/// unit of crypto work.
+fn tls_benches(c: &mut Criterion) {
+    let mut client = sc_netproto::TlsClient::new("scholar.google.com", 1);
+    let mut server = sc_netproto::TlsServer::new(2);
+    let hello = client.start_handshake();
+    let s1 = server.on_bytes(&hello).expect("client hello");
+    let c1 = client.on_bytes(&s1.wire).expect("server hello");
+    let s2 = server.on_bytes(&c1.wire).expect("client finished");
+    client.on_bytes(&s2.wire).expect("server finished");
+    let plain = vec![0x5au8; 1400];
+    let mut g = c.benchmark_group("tls");
+    g.throughput(Throughput::Bytes(plain.len() as u64));
+    g.bench_function("seal_open_1400", |b| {
+        b.iter(|| {
+            let wire = client.send(&plain);
+            server.on_bytes(&wire).expect("record opens").plaintext
+        })
+    });
     g.finish();
 }
 
@@ -246,6 +284,7 @@ fn tcp_buffer_bench(c: &mut Criterion) {
 criterion_group!(
     benches,
     crypto_benches,
+    tls_benches,
     gfw_benches,
     pac_benches,
     tcp_transfer_bench,

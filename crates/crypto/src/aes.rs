@@ -1,14 +1,23 @@
 //! AES block cipher (FIPS-197), implemented from scratch for the
 //! reproduction so that Shadowsocks' AES-256-CFB wire format is real.
 //!
-//! Encryption is the standard four-table ("T-table") round on `u32`
-//! columns, with the tables derived from the S-box at compile time and
-//! the key schedule held in a fixed array. Decryption is the byte-wise
-//! inverse straight from the specification: CFB and CTR only ever run the
-//! cipher forwards, so nothing on the data path decrypts a block. It is
-//! *not* hardened against timing side channels (the table lookups are
-//! indexed by secret state); the simulator threat model is a classifier
-//! looking at ciphertext bytes, not a co-resident attacker.
+//! Encryption has two kernels behind [`Aes::encrypt_block`] (and the
+//! run-of-blocks form the modes use): on x86_64 with AES-NI, `aesenc`
+//! with up to eight independent blocks in flight; everywhere else the
+//! standard four-table ("T-table") round on `u32` columns, with the
+//! tables derived from the S-box at compile time. Which one runs is
+//! decided from what the CPU reports, never by a caller, and both read
+//! the one key schedule — big-endian column words in a fixed array — so
+//! an [`Aes`] is the same size whichever kernel it feeds (the AES-NI
+//! kernel byte-swaps each round key as it loads it).
+//!
+//! Decryption is the byte-wise inverse straight from the specification:
+//! CFB and CTR only ever run the cipher forwards, so nothing on the data
+//! path decrypts a block. The portable kernel is *not* hardened against
+//! timing side channels (its table lookups are indexed by secret state);
+//! the AES-NI one has no secret-dependent lookups. Either way the
+//! simulator's threat model is a classifier looking at ciphertext bytes,
+//! not a co-resident attacker.
 
 /// The AES S-box.
 pub(crate) const SBOX: [u8; 256] = [
@@ -292,6 +301,27 @@ impl Aes {
 
     /// Encrypts one 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; 16]) {
+        self.encrypt_blocks(core::slice::from_mut(block));
+    }
+
+    /// Encrypts every block of `blocks` in place, each on its own (ECB):
+    /// what CTR and CFB-decrypt need for a run of keystream blocks, and
+    /// what lets the AES-NI kernel overlap [`PARALLEL_BLOCKS`] of them.
+    pub(crate) fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        #[cfg(target_arch = "x86_64")]
+        if !crate::portable_forced()
+            && x86::encrypt_blocks(&self.round_keys, self.size.rounds(), blocks)
+        {
+            return;
+        }
+        for block in blocks {
+            self.encrypt_block_portable(block);
+        }
+    }
+
+    /// The T-table kernel: the one for CPUs without AES instructions,
+    /// and the oracle for the one with them.
+    pub(crate) fn encrypt_block_portable(&self, block: &mut [u8; 16]) {
         let nr = self.size.rounds();
         let mut s = self.round_keys[0];
         for (col, bytes) in s.iter_mut().zip(block.chunks_exact(4)) {
@@ -336,9 +366,105 @@ impl Aes {
     }
 }
 
+/// How many independent blocks `Aes::encrypt_blocks` overlaps on
+/// AES-NI (`aesenc` has a latency of several cycles and a throughput of
+/// one or two per cycle); the modes hand it runs of a few times this
+/// many.
+pub(crate) const PARALLEL_BLOCKS: usize = 8;
+
+/// The kernel [`Aes::encrypt_block`] runs on this CPU: `"aes-ni"` or
+/// `"portable"`. For logs and bench labels; nothing selects on it.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if x86::available() {
+        return "aes-ni";
+    }
+    "portable"
+}
+
+/// The AES-NI kernel. All the `unsafe` in this file is in here: the
+/// unaligned loads and stores, and the one call into code compiled for
+/// features the build target does not assume, behind the check that the
+/// CPU has them. What the module offers the rest of the file is safe.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{MAX_ROUNDS, PARALLEL_BLOCKS};
+    use core::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`kernel`] is compiled for
+    /// (std caches the CPUID probe; this is a load and a mask).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("aes") && is_x86_feature_detected!("ssse3")
+    }
+
+    /// Encrypts every block of `blocks` in place if this CPU can; says
+    /// whether it did. `round_keys` is the schedule as `Aes` holds it:
+    /// big-endian column words, `rounds + 1` rows used.
+    pub(super) fn encrypt_blocks(
+        round_keys: &[[u32; 4]; MAX_ROUNDS + 1],
+        rounds: usize,
+        blocks: &mut [[u8; 16]],
+    ) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available()` has just reported every CPU feature
+        // `kernel` is compiled for.
+        unsafe { kernel(round_keys, rounds, blocks) };
+        true
+    }
+
+    #[target_feature(enable = "aes,sse2,ssse3")]
+    fn load(block: &[u8; 16]) -> __m128i {
+        // SAFETY: `block` is 16 readable bytes; `loadu` needs no alignment.
+        unsafe { _mm_loadu_si128(block.as_ptr().cast()) }
+    }
+
+    #[target_feature(enable = "aes,sse2,ssse3")]
+    fn store(block: &mut [u8; 16], v: __m128i) {
+        // SAFETY: `block` is 16 writable bytes; `storeu` needs no alignment.
+        unsafe { _mm_storeu_si128(block.as_mut_ptr().cast(), v) }
+    }
+
+    /// [`encrypt_blocks`] proper, [`PARALLEL_BLOCKS`] at a time while
+    /// that many are left.
+    #[target_feature(enable = "aes,sse2,ssse3")]
+    fn kernel(round_keys: &[[u32; 4]; MAX_ROUNDS + 1], rounds: usize, blocks: &mut [[u8; 16]]) {
+        // `aesenc` takes a round key as the 16 key-schedule bytes in
+        // order; a big-endian word held as a native `u32` has its four
+        // reversed.
+        let swap = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+        let mut keys = [_mm_setzero_si128(); MAX_ROUNDS + 1];
+        for (key, words) in keys.iter_mut().zip(&round_keys[..=rounds]) {
+            let [w0, w1, w2, w3] = words.map(|w| w as i32);
+            *key = _mm_shuffle_epi8(_mm_set_epi32(w3, w2, w1, w0), swap);
+        }
+        let (first, middle, last) = (keys[0], &keys[1..rounds], keys[rounds]);
+
+        let (wide, narrow) = blocks.as_chunks_mut::<PARALLEL_BLOCKS>();
+        for run in wide {
+            let mut s = run.each_ref().map(|b| _mm_xor_si128(load(b), first));
+            for &key in middle {
+                s = s.map(|s| _mm_aesenc_si128(s, key));
+            }
+            for (block, s) in run.iter_mut().zip(s) {
+                store(block, _mm_aesenclast_si128(s, last));
+            }
+        }
+        for block in narrow {
+            let mut s = _mm_xor_si128(load(block), first);
+            for &key in middle {
+                s = _mm_aesenc_si128(s, key);
+            }
+            store(block, _mm_aesenclast_si128(s, last));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::on_each_backend;
     use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
@@ -387,59 +513,106 @@ mod tests {
         aes.add_round_key(block, nr);
     }
 
+    const SIZES: [KeySize; 3] = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256];
+
+    /// The AES-NI kernel by name; `false` (and one line saying so) on a
+    /// CPU without it.
+    fn aes_ni(aes: &Aes, blocks: &mut [[u8; 16]]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if x86::encrypt_blocks(&aes.round_keys, aes.size.rounds(), blocks) {
+            return true;
+        }
+        crate::testing::note_skipped("aes");
+        false
+    }
+
     proptest! {
         /// The T-table kernel equals the byte-wise reference for every key
-        /// size, key and block.
+        /// size, key and block, and so does the AES-NI one where there is
+        /// one.
         #[test]
-        fn table_kernel_equals_reference(
+        fn kernels_equal_reference(
             size_id in 0usize..3,
             key_bytes: [u8; 32],
             block: [u8; 16],
         ) {
-            let size = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256][size_id];
+            let size = SIZES[size_id];
             let aes = Aes::new(size, &key_bytes[..size.key_len()]).unwrap();
-            let mut fast = block;
             let mut reference = block;
-            aes.encrypt_block(&mut fast);
             reference_encrypt_block(&aes, &mut reference);
-            prop_assert_eq!(fast, reference);
-            aes.decrypt_block(&mut fast);
-            prop_assert_eq!(fast, block);
+            let mut portable = block;
+            aes.encrypt_block_portable(&mut portable);
+            prop_assert_eq!(portable, reference);
+            let mut hardware = [block];
+            if aes_ni(&aes, &mut hardware) {
+                prop_assert_eq!(hardware[0], reference);
+            }
+            let mut dispatched = block;
+            aes.encrypt_block(&mut dispatched);
+            prop_assert_eq!(dispatched, reference);
+            aes.decrypt_block(&mut dispatched);
+            prop_assert_eq!(dispatched, block);
+        }
+
+        /// A run of blocks comes out of the AES-NI kernel as it does out
+        /// of the portable one a block at a time, whether the run is
+        /// shorter than the eight it overlaps, a multiple, or neither.
+        #[test]
+        fn kernels_agree_on_runs_of_blocks(
+            size_id in 0usize..3,
+            key_bytes: [u8; 32],
+            blocks in prop::collection::vec(any::<[u8; 16]>(), 0..=2 * PARALLEL_BLOCKS + 3),
+        ) {
+            let size = SIZES[size_id];
+            let aes = Aes::new(size, &key_bytes[..size.key_len()]).unwrap();
+            let mut portable = blocks.clone();
+            for block in &mut portable {
+                aes.encrypt_block_portable(block);
+            }
+            let mut hardware = blocks.clone();
+            if aes_ni(&aes, &mut hardware) {
+                prop_assert_eq!(&hardware, &portable);
+            }
+            let mut dispatched = blocks;
+            aes.encrypt_blocks(&mut dispatched);
+            prop_assert_eq!(dispatched, portable);
         }
     }
 
-    // FIPS-197 Appendix C test vectors.
+    // FIPS-197 Appendix C test vectors, on both kernels.
     #[test]
-    fn fips197_aes128() {
-        let key = hex("000102030405060708090a0b0c0d0e0f");
-        let aes = Aes::new(KeySize::Aes128, &key).unwrap();
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
+    fn fips197_appendix_c() {
+        let plain: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
+        on_each_backend(|| {
+            for (size, key, cipher) in [
+                (KeySize::Aes128, "000102030405060708090a0b0c0d0e0f", "69c4e0d86a7b0430d8cdb78070b4c55a"),
+                (
+                    KeySize::Aes192,
+                    "000102030405060708090a0b0c0d0e0f1011121314151617",
+                    "dda97ca4864cdfe06eaf70a0ec0d7191",
+                ),
+                (
+                    KeySize::Aes256,
+                    "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+                    "8ea2b7ca516745bfeafc49904b496089",
+                ),
+            ] {
+                let aes = Aes::new(size, &hex(key)).unwrap();
+                let mut block = plain;
+                aes.encrypt_block(&mut block);
+                assert_eq!(block.to_vec(), hex(cipher), "{size:?}");
+                aes.decrypt_block(&mut block);
+                assert_eq!(block, plain, "{size:?}");
+            }
+        });
     }
 
+    /// Both kernels read the one schedule, so a hardware kernel costs an
+    /// `Aes` (and everything that embeds one: every `Ctr`, `Cfb`, TLS and
+    /// VPN session) no bytes: 15 round keys of 16 bytes and the key size.
     #[test]
-    fn fips197_aes192() {
-        let key = hex("000102030405060708090a0b0c0d0e0f1011121314151617");
-        let aes = Aes::new(KeySize::Aes192, &key).unwrap();
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("dda97ca4864cdfe06eaf70a0ec0d7191"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
-    }
-
-    #[test]
-    fn fips197_aes256() {
-        let key = hex("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f");
-        let aes = Aes::new(KeySize::Aes256, &key).unwrap();
-        let mut block: [u8; 16] = hex("00112233445566778899aabbccddeeff").try_into().unwrap();
-        aes.encrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("8ea2b7ca516745bfeafc49904b496089"));
-        aes.decrypt_block(&mut block);
-        assert_eq!(block.to_vec(), hex("00112233445566778899aabbccddeeff"));
+    fn aes_is_the_size_it_was_before_the_hardware_kernel() {
+        assert_eq!(core::mem::size_of::<Aes>(), 244);
     }
 
     #[test]

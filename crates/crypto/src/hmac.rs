@@ -14,20 +14,41 @@ use crate::sha256::{sha256, Sha256};
 /// assert_eq!(tag.len(), 32);
 /// ```
 pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; 32] {
-    let mut mac = HmacSha256::new(key);
-    mac.update(data);
-    mac.finalize()
+    HmacKey::new(key).mac(data)
 }
 
-/// Incremental HMAC-SHA256.
-#[derive(Debug, Clone)]
-pub struct HmacSha256 {
-    inner: Sha256,
-    opad_key: [u8; 64],
+/// An HMAC-SHA256 key with its two padded-key blocks already hashed: the
+/// SHA-256 chaining values after `key ^ ipad` and after `key ^ opad`.
+/// Whoever MACs many messages under one key (a TLS session, a VPN
+/// session, a proxy's preamble secret) builds this once; each tag then
+/// costs the message's own blocks plus two, with no pad to rebuild.
+///
+/// # Examples
+///
+/// ```
+/// use sc_crypto::hmac::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"key");
+/// assert_eq!(key.mac(b"message"), hmac_sha256(b"key", b"message"));
+/// let mut mac = key.start();
+/// mac.update(b"mess");
+/// mac.update(b"age");
+/// assert_eq!(mac.finalize(), key.mac(b"message"));
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
-impl HmacSha256 {
-    /// Creates a MAC keyed with `key` (any length; long keys are hashed).
+impl core::fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("HmacKey").finish_non_exhaustive()
+    }
+}
+
+impl HmacKey {
+    /// Prepares `key` (any length; keys over 64 bytes are hashed first).
     pub fn new(key: &[u8]) -> Self {
         let mut block_key = [0u8; 64];
         if key.len() > 64 {
@@ -35,18 +56,38 @@ impl HmacSha256 {
         } else {
             block_key[..key.len()].copy_from_slice(key);
         }
-        let mut ipad = [0u8; 64];
-        let mut opad = [0u8; 64];
-        for i in 0..64 {
-            ipad[i] = block_key[i] ^ 0x36;
-            opad[i] = block_key[i] ^ 0x5c;
-        }
-        let mut inner = Sha256::new();
-        inner.update(&ipad);
-        Self {
-            inner,
-            opad_key: opad,
-        }
+        let midstate_after = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&block_key.map(|b| b ^ pad));
+            h.midstate()
+        };
+        Self { inner: midstate_after(0x36), outer: midstate_after(0x5c) }
+    }
+
+    /// Starts a MAC over a message fed in pieces.
+    pub fn start(&self) -> HmacSha256 {
+        HmacSha256 { inner: Sha256::from_midstate(self.inner, 1), outer: self.outer }
+    }
+
+    /// The tag of `data`.
+    pub fn mac(&self, data: &[u8]) -> [u8; 32] {
+        let mut mac = self.start();
+        mac.update(data);
+        mac.finalize()
+    }
+}
+
+/// Incremental HMAC-SHA256.
+#[derive(Debug, Clone)]
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: [u32; 8],
+}
+
+impl HmacSha256 {
+    /// Creates a MAC keyed with `key` (any length; long keys are hashed).
+    pub fn new(key: &[u8]) -> Self {
+        HmacKey::new(key).start()
     }
 
     /// Feeds message bytes.
@@ -56,10 +97,8 @@ impl HmacSha256 {
 
     /// Returns the 32-byte tag.
     pub fn finalize(self) -> [u8; 32] {
-        let inner_hash = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
-        outer.update(&inner_hash);
+        let mut outer = Sha256::from_midstate(self.outer, 1);
+        outer.update(&self.inner.finalize());
         outer.finalize()
     }
 }
@@ -87,21 +126,31 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
 ///
 /// Panics if `out_len > 255 * 32` (the RFC limit).
 pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out_len: usize) -> Vec<u8> {
-    assert!(out_len <= 255 * 32, "HKDF output length exceeds RFC 5869 limit");
-    let mut out = Vec::with_capacity(out_len);
-    let mut t: Vec<u8> = Vec::new();
-    let mut counter = 1u8;
-    while out.len() < out_len {
-        let mut mac = HmacSha256::new(prk);
-        mac.update(&t);
-        mac.update(info);
-        mac.update(&[counter]);
-        t = mac.finalize().to_vec();
-        let take = (out_len - out.len()).min(32);
-        out.extend_from_slice(&t[..take]);
-        counter = counter.checked_add(1).expect("HKDF counter overflow");
-    }
+    let mut out = vec![0u8; out_len];
+    hkdf_expand_into(prk, info, &mut out);
     out
+}
+
+/// [`hkdf_expand`] into a buffer the caller owns: `out.len()` bytes of
+/// output keying material, nothing allocated.
+///
+/// # Panics
+///
+/// Panics if `out.len() > 255 * 32` (the RFC limit).
+pub fn hkdf_expand_into(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
+    assert!(out.len() <= 255 * 32, "HKDF output length exceeds RFC 5869 limit");
+    let key = HmacKey::new(prk);
+    let mut t = [0u8; 32];
+    for (i, chunk) in out.chunks_mut(32).enumerate() {
+        let mut mac = key.start();
+        if i > 0 {
+            mac.update(&t);
+        }
+        mac.update(info);
+        mac.update(&[i as u8 + 1]);
+        t = mac.finalize();
+        chunk.copy_from_slice(&t[..chunk.len()]);
+    }
 }
 
 /// One-call HKDF (extract then expand).
@@ -129,6 +178,7 @@ pub fn bytes_to_key(password: &[u8], key_len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::on_each_backend;
 
     fn hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -137,49 +187,110 @@ mod tests {
             .collect()
     }
 
-    // RFC 4231 test case 1.
+    // RFC 4231 test cases 1, 2 ("Jefe") and 6 (key longer than a block),
+    // through every entry point, on both kernels.
     #[test]
-    fn rfc4231_case1() {
-        let key = vec![0x0b; 20];
-        let tag = hmac_sha256(&key, b"Hi There");
-        assert_eq!(
-            tag.to_vec(),
-            hex("b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7")
-        );
+    fn rfc4231_cases_1_2_6() {
+        on_each_backend(|| {
+            for (key, msg, tag) in [
+                (
+                    vec![0x0b; 20],
+                    &b"Hi There"[..],
+                    "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+                ),
+                (
+                    b"Jefe".to_vec(),
+                    b"what do ya want for nothing?",
+                    "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+                ),
+                (
+                    vec![0xaa; 131],
+                    b"Test Using Larger Than Block-Size Key - Hash Key First",
+                    "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+                ),
+            ] {
+                let tag = hex(tag);
+                assert_eq!(hmac_sha256(&key, msg).to_vec(), tag);
+                let prepared = HmacKey::new(&key);
+                assert_eq!(prepared.mac(msg).to_vec(), tag);
+                // The prepared key is not used up by a tag.
+                assert_eq!(prepared.mac(msg).to_vec(), tag);
+                let mut pieces = HmacSha256::new(&key);
+                let (a, b) = msg.split_at(msg.len() / 2);
+                pieces.update(a);
+                pieces.update(b);
+                assert_eq!(pieces.finalize().to_vec(), tag);
+            }
+        });
     }
 
-    // RFC 4231 test case 2 ("Jefe").
-    #[test]
-    fn rfc4231_case2() {
-        let tag = hmac_sha256(b"Jefe", b"what do ya want for nothing?");
-        assert_eq!(
-            tag.to_vec(),
-            hex("5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843")
-        );
+    /// RFC 2104 as written — H((K' ^ opad) || H((K' ^ ipad) || m)) over
+    /// concatenated bytes — so the midstate shortcut has something other
+    /// than itself to equal.
+    fn reference_hmac(key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut block_key = if key.len() > 64 { sha256(key).to_vec() } else { key.to_vec() };
+        block_key.resize(64, 0);
+        let pad = |p: u8| block_key.iter().map(|b| b ^ p).collect::<Vec<u8>>();
+        let inner = sha256(&[pad(0x36), msg.to_vec()].concat());
+        sha256(&[pad(0x5c), inner.to_vec()].concat())
     }
 
-    // RFC 4231 test case 6 (key longer than block size).
+    // Key lengths around the block size (zero-padded below it, hashed
+    // above it) and message lengths around the padding boundaries.
     #[test]
-    fn rfc4231_long_key() {
-        let key = vec![0xaa; 131];
-        let tag = hmac_sha256(&key, b"Test Using Larger Than Block-Size Key - Hash Key First");
-        assert_eq!(
-            tag.to_vec(),
-            hex("60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54")
-        );
+    fn prepared_key_equals_the_definition_at_the_boundaries() {
+        on_each_backend(|| {
+            for key_len in [0usize, 1, 63, 64, 65, 131] {
+                let key: Vec<u8> = (0..key_len).map(|i| (i * 7 + 1) as u8).collect();
+                let prepared = HmacKey::new(&key);
+                for msg_len in [0usize, 1, 55, 56, 64, 119, 1400] {
+                    let msg: Vec<u8> = (0..msg_len).map(|i| (i % 253) as u8).collect();
+                    let expect = reference_hmac(&key, &msg);
+                    assert_eq!(prepared.mac(&msg), expect, "key {key_len}, message {msg_len}");
+                    assert_eq!(hmac_sha256(&key, &msg), expect, "key {key_len}, message {msg_len}");
+                }
+            }
+        });
     }
 
-    // RFC 5869 test case 1.
+    // RFC 5869 test cases 1 and 3 (empty salt and info), on both kernels.
     #[test]
-    fn rfc5869_case1() {
-        let ikm = vec![0x0b; 22];
-        let salt = hex("000102030405060708090a0b0c");
-        let info = hex("f0f1f2f3f4f5f6f7f8f9");
-        let okm = hkdf(&salt, &ikm, &info, 42);
-        assert_eq!(
-            okm,
-            hex("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865")
-        );
+    fn rfc5869_cases_1_3() {
+        on_each_backend(|| {
+            let okm = hkdf(
+                &hex("000102030405060708090a0b0c"),
+                &[0x0b; 22],
+                &hex("f0f1f2f3f4f5f6f7f8f9"),
+                42,
+            );
+            assert_eq!(
+                okm,
+                hex("3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf34007208d5b887185865")
+            );
+            let okm = hkdf(&[], &[0x0b; 22], &[], 42);
+            assert_eq!(
+                okm,
+                hex("8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d9d201395faa4b61a96c8")
+            );
+        });
+    }
+
+    #[test]
+    fn hkdf_expand_into_fills_any_length_up_to_the_limit() {
+        let prk = hkdf_extract(b"salt", b"input keying material");
+        let longest = hkdf_expand(&prk, b"info", 255 * 32);
+        for len in [0usize, 1, 31, 32, 33, 160] {
+            let mut out = vec![0u8; len];
+            hkdf_expand_into(&prk, b"info", &mut out);
+            // A shorter output is a prefix of a longer one.
+            assert_eq!(out, longest[..len]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "RFC 5869 limit")]
+    fn hkdf_expand_refuses_more_than_the_limit() {
+        hkdf_expand(&[0; 32], b"", 255 * 32 + 1);
     }
 
     #[test]

@@ -1,7 +1,19 @@
 //! Block cipher modes of operation: CFB (as used by Shadowsocks'
 //! `aes-256-cfb` method) and CTR (used by the simulated TLS record layer).
+//!
+//! Where the keystream blocks of a run do not depend on each other — CTR
+//! either way, CFB when decrypting (each is the cipher over the previous
+//! *ciphertext* block, all of which are at hand) — the modes hand the
+//! cipher a run of them (32) in one call, which an AES-NI kernel works
+//! through eight at a time. CFB encryption is serial by construction.
 
-use crate::aes::Aes;
+use crate::aes::{Aes, PARALLEL_BLOCKS};
+
+/// Keystream blocks prepared per call into the cipher: a few of its
+/// strides, so what a call costs before its first block (the AES-NI
+/// kernel re-reads the key schedule) is spread over many, and still only
+/// half a KiB of stack.
+const RUN: usize = 4 * PARALLEL_BLOCKS;
 
 /// AES-CFB streaming encryptor/decryptor with full-block (128-bit) feedback.
 ///
@@ -49,25 +61,52 @@ impl Cfb {
 
     /// Encrypts `data` in place, advancing the stream state.
     pub fn encrypt(&mut self, data: &mut [u8]) {
-        self.process(data, false);
+        let (blocks, tail) = self.finish_block(data, false).as_chunks_mut::<16>();
+        for block in blocks {
+            self.cipher.encrypt_block(&mut self.register);
+            xor_in(block, &self.register);
+            self.register = *block;
+        }
+        self.start_block(tail, false);
     }
 
     /// Decrypts `data` in place, advancing the stream state.
     pub fn decrypt(&mut self, data: &mut [u8]) {
-        self.process(data, true);
+        let (blocks, tail) = self.finish_block(data, true).as_chunks_mut::<16>();
+        for run in blocks.chunks_mut(RUN) {
+            // Keystream block i is the cipher over ciphertext block i - 1.
+            let mut keystream = [[0u8; 16]; RUN];
+            let keystream = &mut keystream[..run.len()];
+            let (last, before) = run.split_last().expect("chunks are non-empty");
+            keystream[0] = self.register;
+            keystream[1..].copy_from_slice(before);
+            self.register = *last;
+            self.cipher.encrypt_blocks(keystream);
+            for (block, k) in run.iter_mut().zip(keystream) {
+                xor_in(block, k);
+            }
+        }
+        self.start_block(tail, true);
     }
 
-    /// Finishes the keystream block in progress, then takes the rest a
-    /// block at a time; a short last chunk leaves its block in progress.
-    fn process(&mut self, data: &mut [u8], decrypt: bool) {
+    /// Uses up the keystream block in progress; returns what is left of
+    /// `data`, which is empty unless that block is now finished.
+    fn finish_block<'a>(&mut self, data: &'a mut [u8], decrypt: bool) -> &'a mut [u8] {
         let (head, rest) = data.split_at_mut(data.len().min(16 - self.offset));
         self.within_block(head, decrypt);
-        for chunk in rest.chunks_mut(16) {
-            self.keystream = self.register;
-            self.cipher.encrypt_block(&mut self.keystream);
-            self.offset = 0;
-            self.within_block(chunk, decrypt);
+        rest
+    }
+
+    /// Opens a keystream block for `tail`, the bytes after the last whole
+    /// block (fewer than 16; none leaves the state as it is).
+    fn start_block(&mut self, tail: &mut [u8], decrypt: bool) {
+        if tail.is_empty() {
+            return;
         }
+        self.keystream = self.register;
+        self.cipher.encrypt_block(&mut self.keystream);
+        self.offset = 0;
+        self.within_block(tail, decrypt);
     }
 
     /// CFB over bytes that fit in what is left of the current keystream
@@ -132,18 +171,35 @@ impl Ctr {
 
     /// XORs the keystream into `data` (encrypts or decrypts).
     pub fn apply(&mut self, data: &mut [u8]) {
-        // Leftover keystream first, then a fresh block per chunk; a short
-        // last chunk leaves the rest of its block for the next call.
+        // Leftover keystream first, then whole blocks a run at a time; a
+        // short last chunk leaves the rest of its block for the next call.
         let (head, rest) = data.split_at_mut(data.len().min(16 - self.offset));
         xor_in(head, &self.keystream[self.offset..]);
         self.offset += head.len();
-        for chunk in rest.chunks_mut(16) {
-            self.keystream = self.counter.to_be_bytes();
-            self.cipher.encrypt_block(&mut self.keystream);
-            self.counter = self.counter.wrapping_add(1);
-            xor_in(chunk, &self.keystream);
-            self.offset = chunk.len();
+        let (blocks, tail) = rest.as_chunks_mut::<16>();
+        for run in blocks.chunks_mut(RUN) {
+            let mut keystream = [[0u8; 16]; RUN];
+            let keystream = &mut keystream[..run.len()];
+            for k in keystream.iter_mut() {
+                *k = self.next_counter_block();
+            }
+            self.cipher.encrypt_blocks(keystream);
+            for (block, k) in run.iter_mut().zip(keystream) {
+                xor_in(block, k);
+            }
         }
+        if !tail.is_empty() {
+            self.keystream = self.next_counter_block();
+            self.cipher.encrypt_block(&mut self.keystream);
+            xor_in(tail, &self.keystream);
+            self.offset = tail.len();
+        }
+    }
+
+    fn next_counter_block(&mut self) -> [u8; 16] {
+        let block = self.counter.to_be_bytes();
+        self.counter = self.counter.wrapping_add(1);
+        block
     }
 }
 
@@ -151,6 +207,7 @@ impl Ctr {
 mod tests {
     use super::*;
     use crate::aes::KeySize;
+    use crate::testing::on_each_backend;
     use proptest::prelude::*;
 
     fn hex(s: &str) -> Vec<u8> {
@@ -170,7 +227,8 @@ mod tests {
         (KeySize::Aes256, "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4"),
     ];
 
-    // F.3.13, F.3.15, F.3.17 (CFB128 encrypt) and their decrypt twins.
+    // F.3.13, F.3.15, F.3.17 (CFB128 encrypt) and their decrypt twins,
+    // on both kernels.
     #[test]
     fn nist_cfb128_all_key_sizes() {
         let cipher = [
@@ -182,17 +240,19 @@ mod tests {
              df10132415e54b92a13ed0a8267ae2f975a385741ab9cef82031623d55b1e471",
         ];
         let iv: [u8; 16] = hex("000102030405060708090a0b0c0d0e0f").try_into().unwrap();
-        for ((size, key), cipher) in KEYS.into_iter().zip(cipher) {
-            let aes = Aes::new(size, &hex(key)).unwrap();
-            let mut data = hex(PLAIN);
-            Cfb::new(aes.clone(), iv).encrypt(&mut data);
-            assert_eq!(data, hex(cipher), "{size:?} encrypt");
-            Cfb::new(aes, iv).decrypt(&mut data);
-            assert_eq!(data, hex(PLAIN), "{size:?} decrypt");
-        }
+        on_each_backend(|| {
+            for ((size, key), cipher) in KEYS.into_iter().zip(cipher) {
+                let aes = Aes::new(size, &hex(key)).unwrap();
+                let mut data = hex(PLAIN);
+                Cfb::new(aes.clone(), iv).encrypt(&mut data);
+                assert_eq!(data, hex(cipher), "{size:?} encrypt");
+                Cfb::new(aes, iv).decrypt(&mut data);
+                assert_eq!(data, hex(PLAIN), "{size:?} decrypt");
+            }
+        });
     }
 
-    // F.5.1, F.5.3, F.5.5 (CTR encrypt).
+    // F.5.1, F.5.3, F.5.5 (CTR encrypt), on both kernels.
     #[test]
     fn nist_ctr_all_key_sizes() {
         let cipher = [
@@ -204,22 +264,25 @@ mod tests {
              2b0930daa23de94ce87017ba2d84988ddfc9c58db67aada613c2dd08457941a6",
         ];
         let nonce: [u8; 16] = hex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff").try_into().unwrap();
-        for ((size, key), cipher) in KEYS.into_iter().zip(cipher) {
-            let mut data = hex(PLAIN);
-            Ctr::new(Aes::new(size, &hex(key)).unwrap(), nonce).apply(&mut data);
-            assert_eq!(data, hex(cipher), "{size:?}");
-        }
+        on_each_backend(|| {
+            for ((size, key), cipher) in KEYS.into_iter().zip(cipher) {
+                let mut data = hex(PLAIN);
+                Ctr::new(Aes::new(size, &hex(key)).unwrap(), nonce).apply(&mut data);
+                assert_eq!(data, hex(cipher), "{size:?}");
+            }
+        });
     }
 
-    /// CFB one byte at a time, straight from the definition: the
-    /// reference the block-wise `Cfb` must equal under any chunking.
+    /// CFB one byte at a time, straight from the definition, over the
+    /// portable block kernel: the reference the run-wise `Cfb` must equal
+    /// under any chunking, whichever kernel it dispatches to.
     fn reference_cfb(aes: &Aes, iv: [u8; 16], data: &mut [u8], decrypt: bool) {
         let mut register = iv;
         let mut keystream = [0u8; 16];
         for (i, byte) in data.iter_mut().enumerate() {
             if i % 16 == 0 {
                 keystream = register;
-                aes.encrypt_block(&mut keystream);
+                aes.encrypt_block_portable(&mut keystream);
             }
             let input = *byte;
             *byte ^= keystream[i % 16];
@@ -227,14 +290,15 @@ mod tests {
         }
     }
 
-    /// CTR one byte at a time with a byte-wise carry.
+    /// CTR one byte at a time with a byte-wise carry, over the portable
+    /// block kernel.
     fn reference_ctr(aes: &Aes, nonce: [u8; 16], data: &mut [u8]) {
         let mut counter = nonce;
         let mut keystream = [0u8; 16];
         for (i, byte) in data.iter_mut().enumerate() {
             if i % 16 == 0 {
                 keystream = counter;
-                aes.encrypt_block(&mut keystream);
+                aes.encrypt_block_portable(&mut keystream);
                 for c in counter.iter_mut().rev() {
                     *c = c.wrapping_add(1);
                     if *c != 0 {
@@ -260,7 +324,10 @@ mod tests {
         }
     }
 
-    const SPLITS: [usize; 12] = [1, 15, 16, 17, 31, 32, 33, 0, 47, 100, 300, 1024];
+    // On either side of a block (16), of the kernel's stride (128) and
+    // of a run (512).
+    const SPLITS: [usize; 18] =
+        [1, 15, 16, 17, 31, 32, 33, 0, 47, 100, 127, 128, 129, 300, 511, 513, 143, 1024];
 
     #[test]
     fn cfb_equals_reference_across_fixed_split_points() {
@@ -269,15 +336,16 @@ mod tests {
         let plain: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
         let mut expect = plain.clone();
         reference_cfb(&aes, iv, &mut expect, false);
+        on_each_backend(|| {
+            let mut data = plain.clone();
+            let mut enc = Cfb::new(aes.clone(), iv);
+            in_chunks(&mut data, &SPLITS, |c| enc.encrypt(c));
+            assert_eq!(data, expect);
 
-        let mut data = plain.clone();
-        let mut enc = Cfb::new(aes.clone(), iv);
-        in_chunks(&mut data, &SPLITS, |c| enc.encrypt(c));
-        assert_eq!(data, expect);
-
-        let mut dec = Cfb::new(aes, iv);
-        in_chunks(&mut data, &SPLITS[3..], |c| dec.decrypt(c));
-        assert_eq!(data, plain);
+            let mut dec = Cfb::new(aes.clone(), iv);
+            in_chunks(&mut data, &SPLITS[3..], |c| dec.decrypt(c));
+            assert_eq!(data, plain);
+        });
     }
 
     #[test]
@@ -286,78 +354,101 @@ mod tests {
         let nonce = [0x71; 16];
         let mut expect = vec![0u8; 5000];
         reference_ctr(&aes, nonce, &mut expect);
-        let mut data = vec![0u8; 5000];
-        let mut ctr = Ctr::new(aes, nonce);
-        in_chunks(&mut data, &SPLITS, |c| ctr.apply(c));
-        assert_eq!(data, expect);
+        on_each_backend(|| {
+            let mut data = vec![0u8; 5000];
+            let mut ctr = Ctr::new(aes.clone(), nonce);
+            in_chunks(&mut data, &SPLITS, |c| ctr.apply(c));
+            assert_eq!(data, expect);
+        });
+    }
+
+    /// A counter block `before` blocks short of carrying out of its low
+    /// 64 bits (into `high`), or — with `high` all ones — of wrapping to
+    /// zero.
+    fn nonce_about_to_carry(high: [u8; 8], before: u8) -> [u8; 16] {
+        let mut nonce = [0xffu8; 16];
+        nonce[..8].copy_from_slice(&high);
+        nonce[15] = 0xff - before;
+        nonce
     }
 
     #[test]
     fn ctr_counter_carries_and_wraps_like_the_bytewise_increment() {
         let aes = Aes::new(KeySize::Aes128, &[0; 16]).unwrap();
-        // A carry out of the low eight bytes, and the all-0xff wrap to zero.
-        let mut carry = [0u8; 16];
-        carry[8..].fill(0xff);
-        for nonce in [carry, [0xff; 16]] {
-            let mut expect = [0u8; 48];
-            reference_ctr(&aes, nonce, &mut expect);
-            let mut data = [0u8; 48];
-            Ctr::new(aes.clone(), nonce).apply(&mut data);
-            assert_eq!(data, expect);
-            assert_ne!(&data[0..16], &data[16..32]);
-        }
+        on_each_backend(|| {
+            // The carry and the wrap at the first block of a run, inside
+            // a stride, and at the first block of the second run.
+            for high in [[0u8; 8], [0xff; 8]] {
+                for before in [0, 3, RUN as u8] {
+                    let nonce = nonce_about_to_carry(high, before);
+                    let mut expect = [0u8; 16 * (RUN + 4)];
+                    reference_ctr(&aes, nonce, &mut expect);
+                    let mut data = [0u8; 16 * (RUN + 4)];
+                    Ctr::new(aes.clone(), nonce).apply(&mut data);
+                    assert_eq!(data, expect, "high {high:?}, {before} blocks before");
+                    assert_ne!(&data[0..16], &data[16..32]);
+                }
+            }
+        });
     }
 
     proptest! {
-        /// Block-wise CFB equals the byte-at-a-time reference, in both
-        /// directions, however the stream is cut up.
+        /// Run-wise CFB equals the byte-at-a-time reference, in both
+        /// directions, however the stream is cut up — pieces shorter
+        /// than a block, longer than a run, and in between.
         #[test]
         fn cfb_equals_reference_under_arbitrary_chunking(
             size_id in 0usize..3,
             key_bytes: [u8; 32],
             iv: [u8; 16],
             data in prop::collection::vec(any::<u8>(), 0..4500),
-            lens in prop::collection::vec(0usize..70, 1..8),
+            lens in prop::collection::vec(0usize..700, 1..8),
         ) {
             prop_assume!(lens.iter().any(|&l| l > 0));
             let size = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256][size_id];
             let aes = Aes::new(size, &key_bytes[..size.key_len()]).unwrap();
             let mut expect = data.clone();
             reference_cfb(&aes, iv, &mut expect, false);
+            let mut back = expect.clone();
+            reference_cfb(&aes, iv, &mut back, true);
+            prop_assert_eq!(&back, &data);
 
-            let mut wire = data.clone();
-            let mut enc = Cfb::new(aes.clone(), iv);
-            in_chunks(&mut wire, &lens, |c| enc.encrypt(c));
-            prop_assert_eq!(&wire, &expect);
-
-            reference_cfb(&aes, iv, &mut expect, true);
-            prop_assert_eq!(&expect, &data);
-            let mut dec = Cfb::new(aes, iv);
-            in_chunks(&mut wire, &lens, |c| dec.decrypt(c));
-            prop_assert_eq!(wire, data);
+            on_each_backend(|| {
+                let mut wire = data.clone();
+                let mut enc = Cfb::new(aes.clone(), iv);
+                in_chunks(&mut wire, &lens, |c| enc.encrypt(c));
+                assert_eq!(&wire, &expect);
+                let mut dec = Cfb::new(aes.clone(), iv);
+                in_chunks(&mut wire, &lens, |c| dec.decrypt(c));
+                assert_eq!(&wire, &data);
+            });
         }
 
-        /// Block-wise CTR equals the byte-at-a-time reference however the
-        /// stream is cut up, including across counter carries.
+        /// Run-wise CTR equals the byte-at-a-time reference however the
+        /// stream is cut up, for every key size, across a carry out of
+        /// the counter's low 64 bits and across its wrap at `u128::MAX`.
         #[test]
         fn ctr_equals_reference_under_arbitrary_chunking(
-            key: [u8; 32],
+            size_id in 0usize..3,
+            key_bytes: [u8; 32],
             nonce_head: [u8; 8],
+            wraps: bool,
+            before in 0u8..40,
             data in prop::collection::vec(any::<u8>(), 0..4500),
-            lens in prop::collection::vec(0usize..70, 1..8),
+            lens in prop::collection::vec(0usize..700, 1..8),
         ) {
             prop_assume!(lens.iter().any(|&l| l > 0));
-            let aes = Aes::new(KeySize::Aes256, &key).unwrap();
-            // Low half a few blocks short of carrying into the high half.
-            let mut nonce = [0xffu8; 16];
-            nonce[..8].copy_from_slice(&nonce_head);
-            nonce[15] = 0xf0;
+            let size = [KeySize::Aes128, KeySize::Aes192, KeySize::Aes256][size_id];
+            let aes = Aes::new(size, &key_bytes[..size.key_len()]).unwrap();
+            let nonce = nonce_about_to_carry(if wraps { [0xff; 8] } else { nonce_head }, before);
             let mut expect = data.clone();
             reference_ctr(&aes, nonce, &mut expect);
-            let mut wire = data;
-            let mut ctr = Ctr::new(aes, nonce);
-            in_chunks(&mut wire, &lens, |c| ctr.apply(c));
-            prop_assert_eq!(wire, expect);
+            on_each_backend(|| {
+                let mut wire = data.clone();
+                let mut ctr = Ctr::new(aes.clone(), nonce);
+                in_chunks(&mut wire, &lens, |c| ctr.apply(c));
+                assert_eq!(&wire, &expect);
+            });
         }
     }
 }

@@ -1,5 +1,14 @@
 //! SHA-256 (FIPS 180-4), used for key derivation, HMAC, and the simulated
 //! TLS handshake transcript hash.
+//!
+//! The compression function has two kernels behind one entry point,
+//! `compress_blocks`: the portable rounds below, and on x86_64 a SHA-NI
+//! one (`mod x86`) that keeps the state in two registers across every block
+//! of a span. Which one runs is decided from what the CPU reports
+//! (`is_x86_feature_detected!`), never by a caller: the two produce the
+//! same bytes, so there is nothing to choose. The portable kernel is the
+//! fallback on every other CPU and the oracle the hardware one is tested
+//! against.
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
@@ -19,44 +28,30 @@ const H0: [u32; 8] = [
     0x5be0cd19,
 ];
 
-/// Incremental SHA-256 hasher.
-///
-/// # Examples
-///
-/// ```
-/// use sc_crypto::sha256::Sha256;
-///
-/// let mut h = Sha256::new();
-/// h.update(b"hello ");
-/// h.update(b"world");
-/// assert_eq!(h.finalize(), sc_crypto::sha256::sha256(b"hello world"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Sha256 {
-    state: [u32; 8],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    total_len: u64,
+/// The kernel [`Sha256`] runs on this CPU: `"sha-ni"` or
+/// `"portable"`. For logs and bench labels; nothing selects on it.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if x86::available() {
+        return "sha-ni";
+    }
+    "portable"
 }
 
-impl Default for Sha256 {
-    fn default() -> Self {
-        Self::new()
+/// Folds `data`, a whole number of 64-byte blocks, into `state`.
+fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    debug_assert_eq!(data.len() % 64, 0);
+    #[cfg(target_arch = "x86_64")]
+    if !crate::portable_forced() && x86::compress_blocks(state, data) {
+        return;
     }
+    compress_blocks_portable(state, data);
 }
 
-impl Sha256 {
-    /// Creates a fresh hasher.
-    pub fn new() -> Self {
-        Self {
-            state: H0,
-            buffer: [0; 64],
-            buffer_len: 0,
-            total_len: 0,
-        }
-    }
-
-    fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// The FIPS 180-4 rounds on `u32`s: the kernel for CPUs without SHA
+/// extensions, and the oracle for the one with them.
+fn compress_blocks_portable(state: &mut [u32; 8], data: &[u8]) {
+    for block in data.chunks_exact(64) {
         // The message schedule as a rolling window: w[t % 16] holds W[t]
         // once round t has been reached, W[t - 16] before.
         let mut w = [0u32; 16];
@@ -109,8 +104,158 @@ impl Sha256 {
             *s = s.wrapping_add(v);
         }
     }
+}
 
-    /// Feeds `data` into the hash.
+/// The SHA-NI kernel. All the `unsafe` in this file is in here: the
+/// unaligned loads and stores, and the one call into code compiled for
+/// features the build target does not assume, behind the check that the
+/// CPU has them. What the module offers the rest of the file is safe.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::K;
+    use core::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`kernel`] is compiled for
+    /// (std caches the CPUID probe; this is a load and a mask).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Folds `data`, a whole number of 64-byte blocks, into `state` if
+    /// this CPU can; says whether it did.
+    pub(super) fn compress_blocks(state: &mut [u32; 8], data: &[u8]) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available()` has just reported every CPU feature
+        // `kernel` is compiled for.
+        unsafe { kernel(state, data) };
+        true
+    }
+
+    /// `sha256rnds2` works on the state as (ABEF, CDGH); these convert
+    /// from and to the (ABCD, EFGH) order of the digest words.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn to_rounds_order(abcd: __m128i, efgh: __m128i) -> (__m128i, __m128i) {
+        let cdab = _mm_shuffle_epi32::<0xB1>(abcd);
+        let efgh = _mm_shuffle_epi32::<0x1B>(efgh);
+        (_mm_alignr_epi8::<8>(cdab, efgh), _mm_blend_epi16::<0xF0>(efgh, cdab))
+    }
+
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn to_digest_order(abef: __m128i, cdgh: __m128i) -> (__m128i, __m128i) {
+        let feba = _mm_shuffle_epi32::<0x1B>(abef);
+        let dchg = _mm_shuffle_epi32::<0xB1>(cdgh);
+        (_mm_blend_epi16::<0xF0>(feba, dchg), _mm_alignr_epi8::<8>(dchg, feba))
+    }
+
+    /// [`compress_blocks`] proper: `state` stays in two registers from
+    /// the first block to the last.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn kernel(state: &mut [u32; 8], data: &[u8]) {
+        // Big-endian message words to little-endian lanes.
+        let be = _mm_set_epi64x(0x0c0d0e0f_08090a0b, 0x04050607_00010203);
+        // SAFETY: `state` is 32 readable bytes; `loadu` needs no alignment.
+        let (abcd, efgh) = unsafe {
+            let p = state.as_ptr().cast::<__m128i>();
+            (_mm_loadu_si128(p), _mm_loadu_si128(p.add(1)))
+        };
+        let (mut s0, mut s1) = to_rounds_order(abcd, efgh);
+
+        for block in data.chunks_exact(64) {
+            let (save0, save1) = (s0, s1);
+            // Four schedule vectors W[4i..4i+4], rolling.
+            let mut w = [_mm_setzero_si128(); 4];
+            for i in 0..16 {
+                let wi = if i < 4 {
+                    // SAFETY: `block` is 64 bytes, so bytes 16*i..16*i+16
+                    // are in bounds for i < 4; `loadu` needs no alignment.
+                    let raw = unsafe { _mm_loadu_si128(block.as_ptr().cast::<__m128i>().add(i)) };
+                    _mm_shuffle_epi8(raw, be)
+                } else {
+                    // W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16],
+                    // four at a time: msg1 does the σ0 half over the
+                    // vector 4 back (same slot as `i`), msg2 the σ1 half.
+                    let (w4, w3, w2, w1) = (w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]);
+                    let t = _mm_add_epi32(_mm_sha256msg1_epu32(w4, w3), _mm_alignr_epi8::<4>(w1, w2));
+                    _mm_sha256msg2_epu32(t, w1)
+                };
+                w[i % 4] = wi;
+                // SAFETY: `K` is 64 words, so words 4*i..4*i+4 are in
+                // bounds for i < 16; `loadu` needs no alignment.
+                let k = unsafe { _mm_loadu_si128(K.as_ptr().cast::<__m128i>().add(i)) };
+                let kw = _mm_add_epi32(wi, k);
+                s1 = _mm_sha256rnds2_epu32(s1, s0, kw);
+                s0 = _mm_sha256rnds2_epu32(s0, s1, _mm_shuffle_epi32::<0x0E>(kw));
+            }
+            s0 = _mm_add_epi32(s0, save0);
+            s1 = _mm_add_epi32(s1, save1);
+        }
+
+        let (abcd, efgh) = to_digest_order(s0, s1);
+        // SAFETY: `state` is 32 writable bytes; `storeu` needs no alignment.
+        unsafe {
+            let p = state.as_mut_ptr().cast::<__m128i>();
+            _mm_storeu_si128(p, abcd);
+            _mm_storeu_si128(p.add(1), efgh);
+        }
+    }
+}
+
+/// Incremental SHA-256 hasher.
+///
+/// # Examples
+///
+/// ```
+/// use sc_crypto::sha256::Sha256;
+///
+/// let mut h = Sha256::new();
+/// h.update(b"hello ");
+/// h.update(b"world");
+/// assert_eq!(h.finalize(), sc_crypto::sha256::sha256(b"hello world"));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Sha256 {
+    state: [u32; 8],
+    buffer: [u8; 64],
+    buffer_len: usize,
+    total_len: u64,
+}
+
+impl Default for Sha256 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sha256 {
+    /// Creates a fresh hasher.
+    pub fn new() -> Self {
+        Self::from_midstate(H0, 0)
+    }
+
+    /// A hasher that has already absorbed `blocks` whole blocks, which
+    /// left it in `state` (how [`crate::hmac::HmacKey`] resumes from its
+    /// padded key).
+    pub(crate) fn from_midstate(state: [u32; 8], blocks: u64) -> Self {
+        Self {
+            state,
+            buffer: [0; 64],
+            buffer_len: 0,
+            total_len: 64 * blocks,
+        }
+    }
+
+    /// The chaining value after the whole blocks fed so far.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        debug_assert_eq!(self.buffer_len, 0, "midstate taken inside a block");
+        self.state
+    }
+
+    /// Feeds `data` into the hash: one kernel call per span of whole
+    /// blocks.
     pub fn update(&mut self, data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut data = data;
@@ -119,20 +264,18 @@ impl Sha256 {
             self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
             self.buffer_len += take;
             data = &data[take..];
-            if self.buffer_len == 64 {
-                Self::compress(&mut self.state, &self.buffer);
-                self.buffer_len = 0;
+            if self.buffer_len < 64 {
+                return;
             }
+            compress_blocks(&mut self.state, &self.buffer);
+            self.buffer_len = 0;
         }
-        while data.len() >= 64 {
-            let block: &[u8; 64] = data[..64].try_into().unwrap();
-            Self::compress(&mut self.state, block);
-            data = &data[64..];
+        let (blocks, tail) = data.split_at(data.len() - data.len() % 64);
+        if !blocks.is_empty() {
+            compress_blocks(&mut self.state, blocks);
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
-        }
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
     /// Consumes the hasher and returns the 32-byte digest.
@@ -141,17 +284,15 @@ impl Sha256 {
         // buffer is never full between calls, so the 0x80 always fits;
         // the length may need a block of its own.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.buffer[self.buffer_len] = 0x80;
-        self.buffer[self.buffer_len + 1..].fill(0);
-        if self.buffer_len >= 56 {
-            Self::compress(&mut self.state, &self.buffer);
-            self.buffer.fill(0);
-        }
-        self.buffer[56..].copy_from_slice(&bit_len.to_be_bytes());
-        Self::compress(&mut self.state, &self.buffer);
+        let mut pad = [0u8; 128];
+        pad[..self.buffer_len].copy_from_slice(&self.buffer[..self.buffer_len]);
+        pad[self.buffer_len] = 0x80;
+        let padded = if self.buffer_len < 56 { 64 } else { 128 };
+        pad[padded - 8..padded].copy_from_slice(&bit_len.to_be_bytes());
+        compress_blocks(&mut self.state, &pad[..padded]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -167,6 +308,8 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::on_each_backend;
+    use proptest::prelude::*;
 
     fn hex32(s: &str) -> [u8; 32] {
         let v: Vec<u8> = (0..64)
@@ -176,28 +319,21 @@ mod tests {
         v.try_into().unwrap()
     }
 
+    // FIPS 180-4 / NIST example vectors, on both kernels.
     #[test]
-    fn empty_string() {
-        assert_eq!(
-            sha256(b""),
-            hex32("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855")
-        );
-    }
-
-    #[test]
-    fn abc() {
-        assert_eq!(
-            sha256(b"abc"),
-            hex32("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad")
-        );
-    }
-
-    #[test]
-    fn two_block_message() {
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            hex32("248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1")
-        );
+    fn short_message_vectors() {
+        on_each_backend(|| {
+            for (msg, digest) in [
+                (&b""[..], "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+                (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+                (
+                    b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                    "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+                ),
+            ] {
+                assert_eq!(sha256(msg), hex32(digest), "{} bytes", msg.len());
+            }
+        });
     }
 
     // Lengths on either side of the padding boundaries: 55 is the longest
@@ -205,40 +341,104 @@ mod tests {
     // a second one, and 119/120 repeat that one block later.
     #[test]
     fn padding_boundaries() {
-        for (len, digest) in [
-            (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
-            (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
-            (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
-            (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
-            (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
-            (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
-        ] {
-            assert_eq!(sha256(&vec![b'a'; len]), hex32(digest), "{len} bytes of 'a'");
-        }
+        on_each_backend(|| {
+            for (len, digest) in [
+                (55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"),
+                (56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"),
+                (63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"),
+                (64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"),
+                (119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"),
+                (120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"),
+            ] {
+                assert_eq!(sha256(&vec![b'a'; len]), hex32(digest), "{len} bytes of 'a'");
+            }
+        });
     }
 
     // FIPS 180-4 long-message vector.
     #[test]
     fn million_a() {
-        let mut h = Sha256::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
-        }
-        assert_eq!(
-            h.finalize(),
-            hex32("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
-        );
+        on_each_backend(|| {
+            let mut h = Sha256::new();
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update(&chunk);
+            }
+            assert_eq!(
+                h.finalize(),
+                hex32("cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0")
+            );
+        });
     }
 
     #[test]
     fn incremental_equals_oneshot_for_odd_splits() {
-        let data: Vec<u8> = (0..300u16).map(|i| (i % 256) as u8).collect();
-        for split in [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 200, 299, 300] {
-            let mut h = Sha256::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        on_each_backend(|| {
+            let data: Vec<u8> = (0..300u16).map(|i| (i % 256) as u8).collect();
+            for split in [0usize, 1, 55, 56, 63, 64, 65, 127, 128, 200, 299, 300] {
+                let mut h = Sha256::new();
+                h.update(&data[..split]);
+                h.update(&data[split..]);
+                assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+            }
+        });
+    }
+
+    /// The SHA-NI kernel by name; `false` (and one line saying so) on a
+    /// CPU without it.
+    fn sha_ni(state: &mut [u32; 8], data: &[u8]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if x86::compress_blocks(state, data) {
+            return true;
+        }
+        crate::testing::note_skipped("sha_ni");
+        false
+    }
+
+    #[test]
+    fn kernels_agree_on_a_run_of_blocks_from_any_state() {
+        let data: Vec<u8> = (0..64 * 9).map(|i| (i * 131 % 251) as u8).collect();
+        for blocks in 0..=9 {
+            let mut portable = H0;
+            // A state that is not the initial one either.
+            portable[3] ^= blocks as u32;
+            let mut hardware = portable;
+            compress_blocks_portable(&mut portable, &data[..64 * blocks]);
+            if !sha_ni(&mut hardware, &data[..64 * blocks]) {
+                return;
+            }
+            assert_eq!(hardware, portable, "{blocks} blocks");
+        }
+    }
+
+    proptest! {
+        /// Any message of up to 1 KiB, fed in any pieces, hashes to the
+        /// same digest on the portable kernel and on the dispatched one,
+        /// and to the one-shot digest.
+        #[test]
+        fn backends_agree_under_arbitrary_chunking(
+            data in prop::collection::vec(any::<u8>(), 0..=1024),
+            lens in prop::collection::vec(0usize..150, 1..8),
+        ) {
+            prop_assume!(lens.iter().any(|&l| l > 0));
+            let digests = std::cell::RefCell::new(Vec::new());
+            on_each_backend(|| {
+                let mut h = Sha256::new();
+                let mut rest = &data[..];
+                for &len in lens.iter().cycle() {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let (piece, tail) = rest.split_at(len.min(rest.len()));
+                    h.update(piece);
+                    rest = tail;
+                }
+                digests.borrow_mut().push((h.finalize(), sha256(&data)));
+            });
+            let digests = digests.into_inner();
+            prop_assert_eq!(digests[0].0, digests[0].1, "portable: chunked vs one-shot");
+            prop_assert_eq!(digests[1].0, digests[1].1, "dispatched: chunked vs one-shot");
+            prop_assert_eq!(digests[0].0, digests[1].0, "portable vs dispatched");
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use sc_crypto::aes::{Aes, KeySize};
 use sc_crypto::dh::{PrivateKey, PublicKey};
-use sc_crypto::hmac::{ct_eq, hkdf, hmac_sha256};
+use sc_crypto::hmac::{ct_eq, hkdf_expand_into, hkdf_extract, HmacKey, HmacSha256};
 use sc_crypto::modes::Ctr;
 use sc_crypto::sha256::Sha256;
 
@@ -75,10 +75,16 @@ pub struct TlsOutput {
 const HEADER_LEN: usize = 7;
 /// Truncated HMAC tag closing every application record.
 const TAG_LEN: usize = 8;
+/// Longest record payload an endpoint accepts or emits. The largest any
+/// in-tree sender emits is one whole HTTP response in a single record
+/// (tens of KB for the page models); 16 MiB is far above that and far
+/// below the 4 GiB a peer could otherwise make us buffer towards.
+const MAX_RECORD_LEN: usize = 1 << 24;
 
 /// Starts a record of `payload_len` payload bytes: the header, with room
 /// reserved for the payload.
 fn start_record(rtype: u8, payload_len: usize) -> Vec<u8> {
+    assert!(payload_len <= MAX_RECORD_LEN, "TLS record of {payload_len} bytes: the peer would refuse it");
     let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
     out.push(rtype);
     out.extend_from_slice(&VERSION);
@@ -117,7 +123,13 @@ impl RecordBuf {
         if pending[1..3] != VERSION {
             return Err(TlsError::BadRecord);
         }
-        let len = u32::from_be_bytes(pending[3..7].try_into().unwrap()) as usize;
+        // Checked as soon as the header is readable, so an absurd length
+        // is refused before anything is buffered towards it.
+        let len = u32::from_be_bytes(pending[3..7].try_into().expect("4 bytes"));
+        let len = usize::try_from(len).ok().filter(|&len| len <= MAX_RECORD_LEN);
+        let Some(len) = len else {
+            return Err(TlsError::BadRecord);
+        };
         if pending.len() - HEADER_LEN < len {
             return Ok(None);
         }
@@ -127,13 +139,14 @@ impl RecordBuf {
     }
 }
 
-/// Session keys derived from the handshake.
+/// Session keys derived from the handshake: each direction's cipher
+/// stream, and its MAC key with the padded-key blocks already hashed.
 #[derive(Debug)]
 struct SessionKeys {
     client_write: Ctr,
     server_write: Ctr,
-    client_mac: [u8; 32],
-    server_mac: [u8; 32],
+    client_mac: HmacKey,
+    server_mac: HmacKey,
 }
 
 /// Boxed so that an endpoint still in its handshake, and whatever embeds
@@ -143,44 +156,52 @@ fn derive_keys(
     client_random: &[u8; 32],
     server_random: &[u8; 32],
 ) -> Box<SessionKeys> {
-    let mut salt = Vec::with_capacity(64);
-    salt.extend_from_slice(client_random);
-    salt.extend_from_slice(server_random);
-    let okm = hkdf(&salt, shared, b"sc-tls key expansion", 32 + 32 + 32 + 32 + 16 + 16);
+    let mut salt = [0u8; 64];
+    salt[..32].copy_from_slice(client_random);
+    salt[32..].copy_from_slice(server_random);
+    // client key | server key | client MAC | server MAC | the two nonces.
+    let mut okm = [0u8; 32 + 32 + 32 + 32 + 16 + 16];
+    hkdf_expand_into(&hkdf_extract(&salt, shared), b"sc-tls key expansion", &mut okm);
     let cw = Aes::new(KeySize::Aes256, &okm[0..32]).expect("fixed-size key");
     let sw = Aes::new(KeySize::Aes256, &okm[32..64]).expect("fixed-size key");
-    let mut cnonce = [0u8; 16];
-    cnonce.copy_from_slice(&okm[128..144]);
-    let mut snonce = [0u8; 16];
-    snonce.copy_from_slice(&okm[144..160]);
+    let cnonce: [u8; 16] = okm[128..144].try_into().expect("16 bytes");
+    let snonce: [u8; 16] = okm[144..160].try_into().expect("16 bytes");
     Box::new(SessionKeys {
         client_write: Ctr::new(cw, cnonce),
         server_write: Ctr::new(sw, snonce),
-        client_mac: okm[64..96].try_into().unwrap(),
-        server_mac: okm[96..128].try_into().unwrap(),
+        client_mac: HmacKey::new(&okm[64..96]),
+        server_mac: HmacKey::new(&okm[96..128]),
     })
+}
+
+/// The Finished MAC of one side: HMAC(shared, transcript-hash || label).
+fn finished_mac(shared: &[u8; 32], transcript: &Sha256, label: &[u8]) -> [u8; 32] {
+    let mut mac = HmacSha256::new(shared);
+    mac.update(&transcript.clone().finalize());
+    mac.update(label);
+    mac.finalize()
 }
 
 /// A framed application record, encrypt-then-MAC: header || ciphertext
 /// || HMAC-tag(8), built in one buffer.
-fn seal(ctr: &mut Ctr, mac_key: &[u8; 32], plaintext: &[u8]) -> Vec<u8> {
+fn seal(ctr: &mut Ctr, mac_key: &HmacKey, plaintext: &[u8]) -> Vec<u8> {
     let mut out = start_record(record_type::APPLICATION_DATA, plaintext.len() + TAG_LEN);
     out.extend_from_slice(plaintext);
     let ct = &mut out[HEADER_LEN..];
     ctr.apply(ct);
-    let tag = hmac_sha256(mac_key, ct);
+    let tag = mac_key.mac(ct);
     out.extend_from_slice(&tag[..TAG_LEN]);
     out
 }
 
 /// Checks an application record body's tag and decrypts it where it lies,
 /// returning the plaintext part.
-fn open<'a>(ctr: &mut Ctr, mac_key: &[u8; 32], body: &'a mut [u8]) -> Result<&'a [u8], TlsError> {
+fn open<'a>(ctr: &mut Ctr, mac_key: &HmacKey, body: &'a mut [u8]) -> Result<&'a [u8], TlsError> {
     let Some(ct_len) = body.len().checked_sub(TAG_LEN) else {
         return Err(TlsError::BadRecordMac);
     };
     let (ct, tag) = body.split_at_mut(ct_len);
-    let expect = hmac_sha256(mac_key, ct);
+    let expect = mac_key.mac(ct);
     if !ct_eq(&expect[..TAG_LEN], tag) {
         return Err(TlsError::BadRecordMac);
     }
@@ -288,9 +309,8 @@ impl TlsClient {
                     out.wire.extend(frame_record(record_type::HANDSHAKE, &cke));
 
                     // Client Finished: HMAC(shared, transcript || "client")
-                    let th = self.transcript.clone().finalize();
                     let mut fin = vec![hs_type::FINISHED];
-                    fin.extend_from_slice(&hmac_sha256(&shared, &[&th[..], b"client"].concat()));
+                    fin.extend_from_slice(&finished_mac(&shared, &self.transcript, b"client"));
                     self.transcript.update(&fin);
                     out.wire.extend(frame_record(record_type::HANDSHAKE, &fin));
                     self.state = ClientState::AwaitFinished;
@@ -300,8 +320,7 @@ impl TlsClient {
                         return Err(TlsError::BadHandshake("expected finished"));
                     }
                     let shared = self.shared.expect("set with server hello");
-                    let th = self.transcript.clone().finalize();
-                    let expect = hmac_sha256(&shared, &[&th[..], b"server"].concat());
+                    let expect = finished_mac(&shared, &self.transcript, b"server");
                     if !ct_eq(&expect, &payload[1..]) {
                         return Err(TlsError::BadFinished);
                     }
@@ -443,16 +462,14 @@ impl TlsServer {
                         return Err(TlsError::BadHandshake("expected finished"));
                     }
                     let shared = self.shared.expect("set at key exchange");
-                    let th = self.transcript.clone().finalize();
-                    let expect = hmac_sha256(&shared, &[&th[..], b"client"].concat());
+                    let expect = finished_mac(&shared, &self.transcript, b"client");
                     if !ct_eq(&expect, &payload[1..]) {
                         return Err(TlsError::BadFinished);
                     }
                     self.transcript.update(payload);
                     // Server Finished.
-                    let th2 = self.transcript.clone().finalize();
                     let mut fin = vec![hs_type::FINISHED];
-                    fin.extend_from_slice(&hmac_sha256(&shared, &[&th2[..], b"server"].concat()));
+                    fin.extend_from_slice(&finished_mac(&shared, &self.transcript, b"server"));
                     out.wire.extend(frame_record(record_type::HANDSHAKE, &fin));
                     self.keys = Some(derive_keys(
                         &shared,
@@ -565,6 +582,32 @@ mod tests {
         let n = wire.len();
         wire[n - 9] ^= 0xff; // flip a ciphertext bit
         assert_eq!(server.on_bytes(&wire).unwrap_err(), TlsError::BadRecordMac);
+    }
+
+    /// A header by itself, announcing `len` payload bytes to come.
+    fn header_announcing(len: u32) -> Vec<u8> {
+        let mut header = vec![record_type::APPLICATION_DATA];
+        header.extend_from_slice(&VERSION);
+        header.extend_from_slice(&len.to_be_bytes());
+        header
+    }
+
+    #[test]
+    fn oversized_record_is_refused_as_soon_as_its_header_is_read() {
+        // Connected, and still in the handshake: nothing is buffered
+        // towards a length no sender of ours would announce.
+        let (mut client, mut server) = handshake();
+        let mut fresh = TlsServer::new(9);
+        for len in [u32::MAX, MAX_RECORD_LEN as u32 + 1] {
+            let header = header_announcing(len);
+            assert_eq!(server.on_bytes(&header).unwrap_err(), TlsError::BadRecord);
+            assert_eq!(client.on_bytes(&header).unwrap_err(), TlsError::BadRecord);
+            assert_eq!(fresh.on_bytes(&header).unwrap_err(), TlsError::BadRecord);
+        }
+        // The largest length allowed is only incomplete.
+        let (_client, mut server) = handshake();
+        let out = server.on_bytes(&header_announcing(MAX_RECORD_LEN as u32)).unwrap();
+        assert!(out.plaintext.is_empty() && out.wire.is_empty());
     }
 
     #[test]

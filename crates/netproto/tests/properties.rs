@@ -91,4 +91,68 @@ proptest! {
         let got = client.on_bytes(&wire).unwrap();
         prop_assert_eq!(got.plaintext, s2c);
     }
+
+    /// Whatever bytes arrive, in whatever pieces, a TLS endpoint answers
+    /// with output or an error — in its handshake or connected, and again
+    /// after it has already refused something.
+    #[test]
+    fn tls_endpoints_survive_arbitrary_bytes(
+        noise in prop::collection::vec(any::<u8>(), 0..600),
+        // Half the time, dress the noise as one whole record, so it gets
+        // past the deframer and into the state machines.
+        looks_like_a_record: bool,
+        record_type in 20u8..25,
+        frag in 1usize..97,
+        connected: bool,
+    ) {
+        let mut bytes = noise;
+        if looks_like_a_record && bytes.len() >= 7 {
+            let len = (bytes.len() - 7) as u32;
+            bytes[..3].copy_from_slice(&[record_type, 0x03, 0x03]);
+            bytes[3..7].copy_from_slice(&len.to_be_bytes());
+        }
+        let mut client = TlsClient::new("host.example", 11);
+        let mut server = TlsServer::new(12);
+        let ch = client.start_handshake();
+        if connected {
+            let s1 = server.on_bytes(&ch).unwrap();
+            let c1 = client.on_bytes(&s1.wire).unwrap();
+            let s2 = server.on_bytes(&c1.wire).unwrap();
+            client.on_bytes(&s2.wire).unwrap();
+        }
+        for chunk in bytes.chunks(frag) {
+            let _ = client.on_bytes(chunk);
+            let _ = server.on_bytes(chunk);
+        }
+    }
+
+    /// A handshake with one byte of one flight damaged in transit never
+    /// panics either side, and never ends with the two sides connected
+    /// and unable to talk.
+    #[test]
+    fn tls_handshake_survives_a_mutated_flight(
+        flight in 0usize..4,
+        at: usize,
+        flip in 1u8..=255,
+        entropy: u64,
+    ) {
+        let mut client = TlsClient::new("host.example", entropy);
+        let mut server = TlsServer::new(entropy ^ 1);
+        let damage = |n: usize, mut wire: Vec<u8>| {
+            if n == flight && !wire.is_empty() {
+                let at = at % wire.len();
+                wire[at] ^= flip;
+            }
+            wire
+        };
+        let ch = damage(0, client.start_handshake());
+        let s1 = server.on_bytes(&ch).map(|o| o.wire).unwrap_or_default();
+        let c1 = client.on_bytes(&damage(1, s1)).map(|o| o.wire).unwrap_or_default();
+        let s2 = server.on_bytes(&damage(2, c1)).map(|o| o.wire).unwrap_or_default();
+        let _ = client.on_bytes(&damage(3, s2));
+        if client.is_connected() && server.is_connected() {
+            let got = server.on_bytes(&client.send(b"ping")).unwrap();
+            prop_assert_eq!(got.plaintext, b"ping");
+        }
+    }
 }

@@ -4,7 +4,8 @@
 //! Everything else in `sc-obs` is keyed to **simulation time** and
 //! feeds the scientific record of a run. This module is the opposite:
 //! it measures **wall-clock** cost per subsystem (event loop, TCP
-//! engine, GFW classification, proxy/admission, shared cache) so the
+//! engine, GFW classification, proxy/admission, shared cache, ciphers
+//! and MACs, the browser/origin apps, the remote proxy) so the
 //! `scholar-bench` harness can attribute a run's real-world cost and
 //! the BENCH_*.json trajectory can prove that hot-path rebuilds
 //! actually got faster.
@@ -12,8 +13,8 @@
 //! # Design constraints
 //!
 //! 1. **Strictly off by default.** The disabled path of [`scope`] is a
-//!    thread-local flag read and a branch — no `Instant::now()` call,
-//!    no allocation, nothing observable. Production scenarios and the
+//!    thread-local flag read and a branch — no clock read, no
+//!    allocation, nothing observable. Production scenarios and the
 //!    determinism tests run with the profiler off and must pay nothing.
 //! 2. **Never perturbs the simulation.** The profiler reads the wall
 //!    clock but is *write-only* from the simulator's perspective: no
@@ -24,6 +25,13 @@
 //!    entering [`Subsystem::Tcp`] inside [`Subsystem::EventLoop`]
 //!    charges the TCP segment to TCP only. The per-subsystem numbers
 //!    therefore sum to ≤ total wall time and never double count.
+//!
+//! 4. **Cheap while on.** A scope costs two clock reads, and on a run of
+//!    a hundred thousand scopes the clock *is* the overhead. So the
+//!    scope boundaries read raw ticks (the TSC on x86_64, about half the
+//!    price of `Instant::now()`), [`report`] turns ticks into nanoseconds
+//!    at a rate measured once per process against `Instant`, and the
+//!    simulator opens its `EventLoop` scope once per run, not per event.
 //!
 //! Scope guards tolerate misuse: dropping a parent guard before a
 //! still-live child closes the child's frame too (attributing its time
@@ -46,25 +54,31 @@
 //! {
 //!     let _outer = prof::scope(Subsystem::EventLoop);
 //!     {
-//!         let _inner = prof::scope(Subsystem::Tcp); // pauses EventLoop
+//!         let _app = prof::scope(Subsystem::Web); // pauses EventLoop
+//!         let _record = prof::scope(Subsystem::Crypto); // pauses Web
 //!     }
 //! }
 //! prof::set_enabled(false);
 //! let report = prof::report();
 //! assert_eq!(report.scopes(Subsystem::EventLoop), 1);
-//! assert_eq!(report.scopes(Subsystem::Tcp), 1);
+//! assert_eq!(report.scopes(Subsystem::Web), 1);
+//! assert_eq!(report.scopes(Subsystem::Crypto), 1);
+//! assert_eq!(report.rows().count(), Subsystem::COUNT);
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
 
 /// The instrumented subsystems, in report order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Subsystem {
-    /// `sc-simnet`'s event loop: dequeue, dispatch, app callbacks —
-    /// everything not claimed by a nested scope.
+    /// `sc-simnet`'s event loop, one scope per `run_until`: dequeue,
+    /// routing, dispatch, and the callbacks of apps without a scope of
+    /// their own (the tunnel stacks) — everything not claimed by a
+    /// nested scope.
     EventLoop,
     /// The TCP engine (segment processing and retransmit timers).
     Tcp,
@@ -74,11 +88,21 @@ pub enum Subsystem {
     Proxy,
     /// The shared content cache on the proxy's gateway path.
     Cache,
+    /// Ciphers, MACs and key derivation on the data path: a TLS endpoint
+    /// sealing or opening records (handshake included), the ScholarCloud
+    /// stream codec, a tunnel sealing or opening a packet or cell. One
+    /// scope per record or per call into the endpoint, never per block.
+    Crypto,
+    /// The browser and origin-server apps' callbacks (HTTP, page-load
+    /// bookkeeping), less the crypto they call.
+    Web,
+    /// The remote proxy's callbacks, less the crypto they call.
+    Remote,
 }
 
 impl Subsystem {
     /// Number of subsystems (array sizing).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 8;
 
     /// All subsystems, in report order.
     pub const ALL: [Subsystem; Subsystem::COUNT] = [
@@ -87,6 +111,9 @@ impl Subsystem {
         Subsystem::GfwClassify,
         Subsystem::Proxy,
         Subsystem::Cache,
+        Subsystem::Crypto,
+        Subsystem::Web,
+        Subsystem::Remote,
     ];
 
     /// Stable snake_case name used in BENCH_*.json.
@@ -97,6 +124,9 @@ impl Subsystem {
             Subsystem::GfwClassify => "gfw_classify",
             Subsystem::Proxy => "proxy",
             Subsystem::Cache => "cache",
+            Subsystem::Crypto => "crypto",
+            Subsystem::Web => "web",
+            Subsystem::Remote => "remote",
         }
     }
 
@@ -105,15 +135,43 @@ impl Subsystem {
     }
 }
 
+/// The clock the scope boundaries read, in ticks of its own.
+#[cfg(target_arch = "x86_64")]
+fn ticks() -> u64 {
+    // SAFETY: `rdtsc` reads a counter and has no preconditions.
+    unsafe { core::arch::x86_64::_rdtsc() }
+}
+
+/// Without a cycle counter to read, a tick is a nanosecond.
+#[cfg(not(target_arch = "x86_64"))]
+fn ticks() -> u64 {
+    static START: OnceLock<Instant> = OnceLock::new();
+    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
+}
+
+/// Nanoseconds per tick, measured once per process: both clocks read
+/// around a 2 ms spin. A stall inside the window stretches both alike.
+fn ns_per_tick() -> f64 {
+    static RATE: OnceLock<f64> = OnceLock::new();
+    *RATE.get_or_init(|| {
+        let (t0, c0) = (Instant::now(), ticks());
+        while t0.elapsed() < Duration::from_millis(2) {
+            std::hint::spin_loop();
+        }
+        let (dt, dc) = (t0.elapsed(), ticks().saturating_sub(c0));
+        dt.as_nanos() as f64 / dc.max(1) as f64
+    })
+}
+
 #[derive(Default)]
 struct ProfState {
-    /// Exclusive wall nanoseconds per subsystem.
-    self_ns: [u64; Subsystem::COUNT],
+    /// Exclusive wall ticks per subsystem.
+    self_ticks: [u64; Subsystem::COUNT],
     /// Scopes entered per subsystem.
     scopes: [u64; Subsystem::COUNT],
     /// Open frames: `(subsystem, current segment start)`. The top
     /// frame's segment is live; deeper frames are paused.
-    stack: Vec<(usize, Instant)>,
+    stack: Vec<(usize, u64)>,
 }
 
 thread_local! {
@@ -145,16 +203,16 @@ pub fn scope(sub: Subsystem) -> ScopeGuard {
     if !ENABLED.with(|e| e.get()) {
         return ScopeGuard { depth: usize::MAX };
     }
-    let now = Instant::now();
+    let now = ticks();
     let depth = STATE.with(|s| {
         let mut st = s.borrow_mut();
         st.scopes[sub.idx()] += 1;
         // Pause the parent: bank its live segment up to now.
         if let Some((parent, seg_start)) = st.stack.last_mut() {
             let parent = *parent;
-            let elapsed = now.duration_since(*seg_start).as_nanos() as u64;
+            let elapsed = now.saturating_sub(*seg_start);
             *seg_start = now;
-            st.self_ns[parent] += elapsed;
+            st.self_ticks[parent] += elapsed;
         }
         st.stack.push((sub.idx(), now));
         st.stack.len()
@@ -176,7 +234,7 @@ impl Drop for ScopeGuard {
         if self.depth == usize::MAX {
             return;
         }
-        let now = Instant::now();
+        let now = ticks();
         STATE.with(|s| {
             let mut st = s.borrow_mut();
             // Misuse tolerance: if an out-of-order parent drop already
@@ -186,8 +244,7 @@ impl Drop for ScopeGuard {
             // banked segment to its own subsystem.
             while st.stack.len() >= self.depth {
                 let (sub, seg_start) = st.stack.pop().expect("len checked");
-                let elapsed = now.duration_since(seg_start).as_nanos() as u64;
-                st.self_ns[sub] += elapsed;
+                st.self_ticks[sub] += now.saturating_sub(seg_start);
             }
             // Resume the parent frame's segment from now.
             if let Some((_, seg_start)) = st.stack.last_mut() {
@@ -239,9 +296,13 @@ impl ProfReport {
 /// the last pause), so calling this mid-scope undercounts the open
 /// frame rather than double counting.
 pub fn report() -> ProfReport {
+    let rate = ns_per_tick();
     STATE.with(|s| {
         let st = s.borrow();
-        ProfReport { self_ns: st.self_ns, scopes: st.scopes }
+        ProfReport {
+            self_ns: st.self_ticks.map(|t| (t as f64 * rate) as u64),
+            scopes: st.scopes,
+        }
     })
 }
 
@@ -443,7 +504,15 @@ mod tests {
     #[test]
     fn subsystem_names_are_stable() {
         let names: Vec<&str> = Subsystem::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["event_loop", "tcp", "gfw_classify", "proxy", "cache"]);
+        assert_eq!(
+            names,
+            ["event_loop", "tcp", "gfw_classify", "proxy", "cache", "crypto", "web", "remote"]
+        );
+        // `idx()` is the discriminant: `ALL` must list the variants in
+        // declaration order.
+        for (i, s) in Subsystem::ALL.iter().enumerate() {
+            assert_eq!(s.idx(), i);
+        }
     }
 
     /// Burns a little wall time without sleeping (keeps tests fast and

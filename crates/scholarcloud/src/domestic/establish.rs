@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use sc_crypto::hmac::HmacKey;
 use sc_netproto::http::HttpResponse;
 use sc_obs::{Level, SpanId};
 use sc_simnet::addr::{Addr, SocketAddr};
@@ -120,6 +121,8 @@ pub(super) enum Abandoned {
 
 pub(super) struct Establish {
     cfg: Rc<ScConfig>,
+    /// `cfg.secret` as the preamble MAC takes it, prepared once.
+    preamble_key: HmacKey,
     /// Requests awaiting tunnel establishment, by browser handle.
     pending: BTreeMap<TcpHandle, Pending>,
     /// Outstanding connects, by remote-side handle.
@@ -128,7 +131,8 @@ pub(super) struct Establish {
 
 impl Establish {
     pub fn new(cfg: Rc<ScConfig>) -> Self {
-        Establish { cfg, pending: BTreeMap::new(), attempts: BTreeMap::new() }
+        let preamble_key = HmacKey::new(&cfg.secret);
+        Establish { cfg, preamble_key, pending: BTreeMap::new(), attempts: BTreeMap::new() }
     }
 
     pub fn owns_attempt(&self, h: TcpHandle) -> bool {
@@ -369,7 +373,7 @@ impl Establish {
         let encrypt = !header.is_tls;
         let mut tx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 0);
         let rx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 1);
-        let mut wire = hello.encode(&self.cfg.secret, &self.cfg.front_host);
+        let mut wire = hello.encode(&self.preamble_key, &self.cfg.front_host);
         let mut head = header.encode();
         tx.encode(&mut head);
         wire.extend_from_slice(&head);

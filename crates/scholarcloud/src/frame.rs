@@ -12,11 +12,12 @@
 //! remote (§3, "message blinding"; probe resistance).
 
 use sc_crypto::blinding::{Blinder, BlindingScheme};
-use sc_crypto::hmac::{ct_eq, hkdf, hmac_sha256};
+use sc_crypto::hmac::{ct_eq, hkdf_expand_into, hkdf_extract, HmacKey};
 use sc_crypto::sha256::sha256;
 use sc_crypto::modes::Ctr;
 use sc_crypto::{Aes, KeySize};
 use sc_netproto::socks::TargetAddr;
+use sc_obs::prof::{self, Subsystem};
 
 /// Each blinding scheme fronts as a different innocuous endpoint, so a
 /// censor signature written against one scheme's cover does not match the
@@ -85,18 +86,18 @@ pub struct Hello {
     pub generation: u32,
 }
 
-fn mac_hex(secret: &[u8], scheme: BlindingScheme, nonce: u64) -> String {
-    let mut msg = Vec::with_capacity(16);
-    msg.push(scheme.wire_id());
-    msg.extend_from_slice(&nonce.to_be_bytes());
-    let tag = hmac_sha256(secret, &msg);
-    tag[..12].iter().map(|b| format!("{b:02x}")).collect()
+fn mac_hex(key: &HmacKey, scheme: BlindingScheme, nonce: u64) -> String {
+    let mut mac = key.start();
+    mac.update(&[scheme.wire_id()]);
+    mac.update(&nonce.to_be_bytes());
+    mac.finalize()[..12].iter().map(|b| format!("{b:02x}")).collect()
 }
 
 impl Hello {
-    /// Renders the cover preamble (a complete HTTP request head).
-    pub fn encode(&self, secret: &[u8], front_host: &str) -> Vec<u8> {
-        let mac = mac_hex(secret, self.scheme, self.nonce);
+    /// Renders the cover preamble (a complete HTTP request head). `key`
+    /// is the operator secret, prepared once by whoever holds it.
+    pub fn encode(&self, key: &HmacKey, front_host: &str) -> Vec<u8> {
+        let mac = mac_hex(key, self.scheme, self.nonce);
         format!(
             "POST {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/octet-stream\r\nX-Req-Id: {:016x}\r\nX-Trace: {}\r\nTransfer-Encoding: chunked\r\n\r\n",
             cover_path_gen(self.scheme, self.generation),
@@ -119,7 +120,7 @@ impl Hello {
     /// — no longer parses and gets the decoy.
     #[allow(clippy::result_unit_err)]
     pub fn parse(
-        secret: &[u8],
+        key: &HmacKey,
         generation: u32,
         data: &[u8],
     ) -> Result<Option<(Hello, usize)>, ()> {
@@ -153,7 +154,7 @@ impl Hello {
             }
         }
         let (Some(nonce), Some(trace)) = (nonce, trace) else { return Err(()) };
-        let expect = mac_hex(secret, scheme, nonce);
+        let expect = mac_hex(key, scheme, nonce);
         if !ct_eq(expect.as_bytes(), trace.as_bytes()) {
             return Err(());
         }
@@ -163,9 +164,10 @@ impl Hello {
 
 /// Derives the session key for a hello.
 pub fn session_key(secret: &[u8], nonce: u64) -> [u8; 32] {
-    hkdf(&nonce.to_be_bytes(), secret, b"scholarcloud-session", 32)
-        .try_into()
-        .expect("32-byte output")
+    let mut key = [0u8; 32];
+    let prk = hkdf_extract(&nonce.to_be_bytes(), secret);
+    hkdf_expand_into(&prk, b"scholarcloud-session", &mut key);
+    key
 }
 
 /// The per-stream header inside the tunnel: whether the payload is
@@ -252,6 +254,7 @@ impl StreamCodec {
     /// `dir` distinguishes the two directions so they use independent
     /// cipher streams.
     pub fn new(secret: &[u8], hello: &Hello, encrypt: bool, dir: u8) -> Self {
+        let _prof = prof::scope(Subsystem::Crypto);
         let blinder = hello.scheme.instantiate(&session_key(secret, hello.nonce));
         let cipher = encrypt.then(|| {
             let key = session_key(secret, hello.nonce ^ 0xd1d1_d1d1);
@@ -264,6 +267,7 @@ impl StreamCodec {
 
     /// Transforms plaintext into wire bytes (encrypt-then-blind).
     pub fn encode(&mut self, data: &mut [u8]) {
+        let _prof = prof::scope(Subsystem::Crypto);
         if let Some(c) = self.cipher.as_mut() {
             c.apply(data);
         }
@@ -276,6 +280,7 @@ impl StreamCodec {
     /// Note: each direction needs its own codec; `decode` here exists for
     /// the peer's symmetric instance.
     pub fn decode(&mut self, data: &mut [u8]) {
+        let _prof = prof::scope(Subsystem::Crypto);
         self.blinder.decode(data, self.decode_pos);
         self.decode_pos += data.len() as u64;
         if let Some(c) = self.cipher.as_mut() {
@@ -310,11 +315,15 @@ mod tests {
 
     const SECRET: &[u8] = b"shared-operator-secret";
 
+    fn key() -> HmacKey {
+        HmacKey::new(SECRET)
+    }
+
     #[test]
     fn hello_roundtrip() {
         let hello = Hello { scheme: BlindingScheme::ByteMap, nonce: 0xdead_beef, generation: 0 };
-        let wire = hello.encode(SECRET, "cdn.front.example");
-        let (parsed, used) = Hello::parse(SECRET, 0, &wire).unwrap().unwrap();
+        let wire = hello.encode(&key(), "cdn.front.example");
+        let (parsed, used) = Hello::parse(&key(), 0, &wire).unwrap().unwrap();
         assert_eq!(parsed, hello);
         assert_eq!(used, wire.len());
         // The preamble must look like printable HTTP to DPI.
@@ -326,17 +335,17 @@ mod tests {
     #[test]
     fn hello_rejects_wrong_secret() {
         let hello = Hello { scheme: BlindingScheme::ByteMap, nonce: 7, generation: 0 };
-        let wire = hello.encode(SECRET, "h");
-        assert!(Hello::parse(b"other-secret", 0, &wire).is_err());
+        let wire = hello.encode(&key(), "h");
+        assert!(Hello::parse(&HmacKey::new(b"other-secret"), 0, &wire).is_err());
     }
 
     #[test]
     fn hello_rejects_garbage_and_honest_http() {
-        assert!(Hello::parse(SECRET, 0, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").is_err());
+        assert!(Hello::parse(&key(), 0, b"GET / HTTP/1.1\r\nHost: x\r\n\r\n").is_err());
         let garbage = vec![0xa7u8; 5000];
-        assert!(Hello::parse(SECRET, 0, &garbage).is_err());
+        assert!(Hello::parse(&key(), 0, &garbage).is_err());
         // Incomplete head: need more data.
-        assert_eq!(Hello::parse(SECRET, 0, b"POST /api/sync HTT").unwrap(), None);
+        assert_eq!(Hello::parse(&key(), 0, b"POST /api/sync HTT").unwrap(), None);
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use sc_crypto::hmac::HmacKey;
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
@@ -23,6 +24,8 @@ enum ClientConn {
 /// The remote proxy app. Install on the foreign VM node.
 pub struct RemoteProxy {
     config: ScConfig,
+    /// `config.secret` as the preamble MAC takes it, prepared once.
+    preamble_key: HmacKey,
     names: NameMap,
     conns: HashMap<TcpHandle, ClientConn>,
     upstreams: HashMap<TcpHandle, TcpHandle>,
@@ -44,6 +47,7 @@ impl RemoteProxy {
     /// Creates the proxy; `names` is the uncensored DNS view.
     pub fn new(config: ScConfig, names: NameMap) -> Self {
         RemoteProxy {
+            preamble_key: HmacKey::new(&config.secret),
             config,
             names,
             conns: HashMap::new(),
@@ -81,7 +85,7 @@ impl RemoteProxy {
     fn advance(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
         if let Some(ClientConn::AwaitHello { buf }) = self.conns.get_mut(&h) {
             let snapshot = std::mem::take(buf);
-            match Hello::parse(&self.config.secret, self.config.scheme.generation(), &snapshot) {
+            match Hello::parse(&self.preamble_key, self.config.scheme.generation(), &snapshot) {
                 Ok(None) => {
                     if !could_be_preamble(&snapshot) {
                         self.serve_decoy(h, "not_preamble", ctx);
@@ -208,6 +212,7 @@ impl App for RemoteProxy {
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+        let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Remote);
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
 
         // Upstream side.

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 use sc_core::frame::{Hello, StreamCodec, StreamHeader, could_be_preamble};
 use sc_crypto::blinding::BlindingScheme;
+use sc_crypto::hmac::HmacKey;
 use sc_netproto::socks::TargetAddr;
 
 fn scheme_strategy() -> impl Strategy<Value = BlindingScheme> {
@@ -16,8 +17,9 @@ proptest! {
                        secret in prop::collection::vec(any::<u8>(), 1..64),
                        host in "[a-z]{1,10}\\.[a-z]{2,6}") {
         let hello = Hello { scheme, nonce, generation: 0 };
-        let wire = hello.encode(&secret, &host);
-        let (parsed, used) = Hello::parse(&secret, 0, &wire).unwrap().unwrap();
+        let key = HmacKey::new(&secret);
+        let wire = hello.encode(&key, &host);
+        let (parsed, used) = Hello::parse(&key, 0, &wire).unwrap().unwrap();
         prop_assert_eq!(parsed, hello);
         prop_assert_eq!(used, wire.len());
         prop_assert!(could_be_preamble(&wire[..wire.len().min(6)]));
@@ -29,8 +31,8 @@ proptest! {
                             s1 in prop::collection::vec(any::<u8>(), 1..32),
                             s2 in prop::collection::vec(any::<u8>(), 1..32)) {
         prop_assume!(s1 != s2);
-        let wire = Hello { scheme, nonce, generation: 0 }.encode(&s1, "h.example");
-        prop_assert!(Hello::parse(&s2, 0, &wire).is_err());
+        let wire = Hello { scheme, nonce, generation: 0 }.encode(&HmacKey::new(&s1), "h.example");
+        prop_assert!(Hello::parse(&HmacKey::new(&s2), 0, &wire).is_err());
     }
 
     /// Stream headers round-trip for all targets.

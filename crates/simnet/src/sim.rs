@@ -274,6 +274,11 @@ impl Sim {
     /// SLOs *during* the run (alert events carry the sim time at which
     /// the offending window closed, not the end of the run).
     pub fn run_until(&mut self, deadline: SimTime) {
+        // Wall-clock attribution only; nothing below reads the guard.
+        // One scope per run, not one per event: the dequeue belongs to
+        // the loop's row too, and per-event scopes were more than half of
+        // all scopes, which is to say of the profiler's own cost.
+        let _prof = prof::scope(Subsystem::EventLoop);
         while let Some(Reverse(q)) = self.queue.peek() {
             if q.at > deadline {
                 break;
@@ -299,6 +304,7 @@ impl Sim {
 
     /// Runs until no events remain (beware apps that re-arm timers forever).
     pub fn run_until_idle(&mut self) {
+        let _prof = prof::scope(Subsystem::EventLoop);
         while let Some(Reverse(q)) = self.queue.pop() {
             if q.at > self.now {
                 sc_obs::tick(q.at.as_micros());
@@ -310,8 +316,6 @@ impl Sim {
 
     fn handle(&mut self, ev: Event) {
         self.stats.events_processed += 1;
-        // Wall-clock attribution only; nothing below reads the guard.
-        let _prof = prof::scope(Subsystem::EventLoop);
         // A crashed node neither receives nor forwards; its timers are
         // swallowed while down (transport state goes stale on purpose).
         match &ev {

@@ -20,6 +20,7 @@ use sc_crypto::hmac::bytes_to_key;
 use sc_crypto::modes::Cfb;
 use sc_crypto::{Aes, KeySize};
 use sc_netproto::socks::{SocksServerSession, TargetAddr};
+use sc_obs::prof::{self, Subsystem};
 
 use crate::names::NameMap;
 use sc_simnet::addr::SocketAddr;
@@ -78,6 +79,18 @@ impl SsConfig {
 
 fn new_cfb(key: &[u8; 32], iv: [u8; 16]) -> Cfb {
     Cfb::new(Aes::new(KeySize::Aes256, key).expect("32-byte key"), iv)
+}
+
+/// Encrypts one write's worth of stream, on the profiler's crypto row.
+fn seal(tx: &mut Cfb, data: &mut [u8]) {
+    let _prof = prof::scope(Subsystem::Crypto);
+    tx.encrypt(data);
+}
+
+/// Decrypts one read's worth of stream, on the profiler's crypto row.
+fn open(rx: &mut Cfb, data: &mut [u8]) {
+    let _prof = prof::scope(Subsystem::Crypto);
+    rx.decrypt(data);
 }
 
 // --- local proxy -------------------------------------------------------------
@@ -257,7 +270,7 @@ impl App for SsLocal {
                             match self.remotes.get_mut(&remote) {
                                 Some(RemoteConn::DataUp { tx, .. }) => {
                                     let mut enc = data.to_vec();
-                                    tx.encrypt(&mut enc);
+                                    seal(tx, &mut enc);
                                     ctx.tcp_send(remote, &enc);
                                 }
                                 Some(RemoteConn::DataConnecting { buffered, .. }) => {
@@ -294,7 +307,7 @@ impl App for SsLocal {
                         plain.push(pass.len() as u8);
                         plain.extend_from_slice(&pass);
                         let mut frame = std::mem::take(buf); // the IV
-                        tx.encrypt(&mut plain);
+                        seal(tx, &mut plain);
                         frame.extend_from_slice(&plain);
                         ctx.tcp_send(h, &frame);
                     }
@@ -309,7 +322,7 @@ impl App for SsLocal {
                         plain.extend_from_slice(&buffered);
                         let mut frame = iv.to_vec();
                         let mut ct = plain;
-                        tx.encrypt(&mut ct);
+                        seal(&mut tx, &mut ct);
                         frame.extend_from_slice(&ct);
                         ctx.tcp_send(h, &frame);
                         self.remotes.insert(
@@ -339,7 +352,7 @@ impl App for SsLocal {
                             buf.drain(..16);
                         }
                         let mut plain = std::mem::take(buf);
-                        rx.as_mut().expect("just set").decrypt(&mut plain);
+                        open(rx.as_mut().expect("just set"), &mut plain);
                         if !*challenge_answered {
                             // Server sent a 16-byte challenge; answer with
                             // HMAC(password, challenge).
@@ -357,7 +370,7 @@ impl App for SsLocal {
                                 &challenge,
                             )[..16]
                                 .to_vec();
-                            tx.encrypt(&mut answer);
+                            seal(tx, &mut answer);
                             ctx.tcp_send(h, &answer);
                             *buf = plain[16..].to_vec();
                             return;
@@ -403,7 +416,7 @@ impl App for SsLocal {
                         }
                         if let Some(rx) = rx {
                             let mut plain = std::mem::take(rx_buf);
-                            rx.decrypt(&mut plain);
+                            open(rx, &mut plain);
                             ctx.tcp_send(browser, &plain);
                         }
                     }
@@ -516,7 +529,7 @@ impl SsRemote {
                             )[..16]
                                 .to_vec();
                             let mut body = challenge.to_vec();
-                            tx.encrypt(&mut body);
+                            seal(&mut tx, &mut body);
                             let mut frame = iv.to_vec();
                             frame.extend_from_slice(&body);
                             ctx.tcp_send(h, &frame);
@@ -542,7 +555,7 @@ impl SsRemote {
                 if sc_crypto::hmac::ct_eq(&plain_snapshot[..16], &expect) {
                     self.auths += 1;
                     let mut ok = vec![1u8];
-                    tx.encrypt(&mut ok);
+                    seal(&mut tx, &mut ok);
                     ctx.tcp_send(h, &ok);
                 } else {
                     self.conns.insert(h, ServerConn::Blackhole);
@@ -610,7 +623,7 @@ impl App for SsRemote {
                         }
                         let tx = tx.as_mut().expect("just initialized");
                         let mut enc = data.to_vec();
-                        tx.encrypt(&mut enc);
+                        seal(tx, &mut enc);
                         ctx.tcp_send(client, &enc);
                     }
                 }
@@ -646,7 +659,7 @@ impl App for SsRemote {
                         }
                         if let Some(rx) = rx {
                             let mut chunk = std::mem::take(buf);
-                            rx.decrypt(&mut chunk);
+                            open(rx, &mut chunk);
                             plain.extend_from_slice(&chunk);
                         }
                         self.try_interpret(h, ctx);
@@ -654,7 +667,7 @@ impl App for SsRemote {
                     Some(ServerConn::Relaying { upstream, rx, .. }) => {
                         let upstream = *upstream;
                         let mut plain = data.to_vec();
-                        rx.decrypt(&mut plain);
+                        open(rx, &mut plain);
                         if self.upstream_pending.contains_key(&upstream) {
                             self.upstream_pending
                                 .get_mut(&upstream)

@@ -135,6 +135,7 @@ impl OnionLayer {
     }
 
     fn apply(&self, counter: u64, dir: u8, data: &mut [u8]) {
+        let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Crypto);
         let mut nonce = [0u8; 16];
         nonce[0] = dir;
         nonce[8..16].copy_from_slice(&counter.to_be_bytes());

@@ -9,6 +9,7 @@ use rand::Rng;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest};
 use sc_netproto::socks::{SocksServerSession, TargetAddr};
 use sc_netproto::tls::TlsClient;
+use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
@@ -156,7 +157,11 @@ impl TorClient {
             ],
             body,
         };
-        let wire = tls.send(&req.encode());
+        let plain = req.encode();
+        let wire = {
+            let _prof = prof::scope(Subsystem::Crypto);
+            tls.send(&plain)
+        };
         ctx.tcp_send(conn, &wire);
         self.poll_in_flight = true;
         self.polls_sent += 1;
@@ -372,7 +377,11 @@ impl App for TorClient {
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
                     let Some(tls) = self.tls.as_mut() else { return };
-                    let Ok(out) = tls.on_bytes(&data) else {
+                    let out = {
+                        let _prof = prof::scope(Subsystem::Crypto);
+                        tls.on_bytes(&data)
+                    };
+                    let Ok(out) = out else {
                         self.phase = Phase::Failed;
                         self.status.set(TunnelState::Failed);
                         return;

@@ -11,6 +11,7 @@ use std::collections::HashMap;
 
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
+use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
@@ -74,10 +75,12 @@ impl MeekGateway {
         let body = std::mem::take(&mut session.downstream);
         session.held_poll = None;
         let resp = HttpResponse::new(200, body).header("Content-Type", "application/octet-stream");
+        let plain = resp.encode();
         let wire = {
             let Some(c) = self.conns.get_mut(&conn) else { return };
             c.holding_for = None;
-            c.tls.send(&resp.encode())
+            let _prof = prof::scope(Subsystem::Crypto);
+            c.tls.send(&plain)
         };
         ctx.tcp_send(conn, &wire);
         self.polls += 1;
@@ -200,7 +203,11 @@ impl App for MeekGateway {
                         let data = ctx.tcp_recv_all(h);
                         let (wire_out, requests) = {
                             let Some(c) = self.conns.get_mut(&h) else { return };
-                            let Ok(out) = c.tls.on_bytes(&data) else {
+                            let out = {
+                                let _prof = prof::scope(Subsystem::Crypto);
+                                c.tls.on_bytes(&data)
+                            };
+                            let Ok(out) = out else {
                                 ctx.tcp_abort(h);
                                 return;
                             };

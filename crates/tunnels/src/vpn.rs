@@ -13,9 +13,10 @@ use std::collections::HashMap;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use sc_crypto::dh::{PrivateKey, PublicKey};
-use sc_crypto::hmac::{ct_eq, hmac_sha256};
+use sc_crypto::hmac::{ct_eq, HmacKey};
 use sc_crypto::modes::Ctr;
 use sc_crypto::{Aes, KeySize};
+use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
 use sc_simnet::packet::{L4, Packet, proto};
@@ -80,11 +81,12 @@ impl VpnVariant {
 
 // --- per-packet sealing -------------------------------------------------
 
-/// A VPN session key with its AES-256 schedule expanded once, so that
-/// sealing or opening a packet builds only the per-packet counter block.
+/// A VPN session key with its AES-256 schedule expanded and its HMAC
+/// pads hashed once, so that sealing or opening a packet builds only the
+/// per-packet counter block and MACs only the packet.
 #[derive(Clone)]
 pub struct SessionKey {
-    mac_key: [u8; 32],
+    mac_key: HmacKey,
     aes: Aes,
 }
 
@@ -92,7 +94,7 @@ impl SessionKey {
     /// Expands the agreed 32-byte secret.
     pub fn new(key: [u8; 32]) -> Self {
         let aes = Aes::new(KeySize::Aes256, &key).expect("32-byte key");
-        SessionKey { mac_key: key, aes }
+        SessionKey { mac_key: HmacKey::new(&key), aes }
     }
 
     fn ctr(&self, nonce: &[u8; 8]) -> Ctr {
@@ -104,23 +106,25 @@ impl SessionKey {
 
 /// Seals `plain` with `key`: nonce(8) || ctr-ciphertext || hmac-tag(8).
 pub fn seal_packet(key: &SessionKey, nonce: u64, plain: &[u8]) -> Vec<u8> {
+    let _prof = prof::scope(Subsystem::Crypto);
     let nonce = nonce.to_be_bytes();
     let mut out = Vec::with_capacity(plain.len() + 16);
     out.extend_from_slice(&nonce);
     out.extend_from_slice(plain);
     key.ctr(&nonce).apply(&mut out[8..]);
-    let tag = hmac_sha256(&key.mac_key, &out);
+    let tag = key.mac_key.mac(&out);
     out.extend_from_slice(&tag[..8]);
     out
 }
 
 /// Opens a sealed packet; `None` on any authentication failure.
 pub fn open_packet(key: &SessionKey, data: &[u8]) -> Option<Vec<u8>> {
+    let _prof = prof::scope(Subsystem::Crypto);
     if data.len() < 16 {
         return None;
     }
     let (body, tag) = data.split_at(data.len() - 8);
-    let expect = hmac_sha256(&key.mac_key, body);
+    let expect = key.mac_key.mac(body);
     if !ct_eq(&expect[..8], tag) {
         return None;
     }

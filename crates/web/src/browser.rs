@@ -15,6 +15,7 @@ use sc_dns::stub::{ResolveOutcome, StubResolver};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::pac::PacFile;
 use sc_netproto::tls::TlsClient;
+use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
@@ -762,18 +763,23 @@ impl Browser {
             }
         };
         conn.current = Some(path);
-        let wire = match conn.tls.as_mut() {
-            Some(tls) => tls.send(&req.encode()),
-            None => req.encode(),
-        };
+        let mut wire = req.encode();
+        if let Some(tls) = conn.tls.as_mut() {
+            let _prof = prof::scope(Subsystem::Crypto);
+            wire = tls.send(&wire);
+        }
         ctx.tcp_send(h, &wire);
     }
 
     fn begin_app_layer(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         if conn.port == 443 {
-            let mut tls = TlsClient::new(&conn.host, self.config.entropy ^ h.0 as u64);
-            let hello = tls.start_handshake();
+            let (tls, hello) = {
+                let _prof = prof::scope(Subsystem::Crypto);
+                let mut tls = TlsClient::new(&conn.host, self.config.entropy ^ h.0 as u64);
+                let hello = tls.start_handshake();
+                (tls, hello)
+            };
             conn.tls = Some(tls);
             conn.phase = ConnPhase::TlsHandshake;
             ctx.tcp_send(h, &hello);
@@ -1087,6 +1093,7 @@ impl App for Browser {
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+        let _prof = prof::scope(Subsystem::Web);
         match ev {
             AppEvent::TimerFired(TIMER_RAMP) => {
                 // Ramp delay elapsed: restart the PLT clock so the
@@ -1343,7 +1350,11 @@ impl Browser {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let plaintext = match conn.tls.as_mut() {
             Some(tls) => {
-                let Ok(out) = tls.on_bytes(&stream_bytes) else {
+                let out = {
+                    let _prof = prof::scope(Subsystem::Crypto);
+                    tls.on_bytes(&stream_bytes)
+                };
+                let Ok(out) = out else {
                     self.fail_load(ctx);
                     return;
                 };

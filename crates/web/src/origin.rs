@@ -12,6 +12,7 @@ use std::collections::HashMap;
 
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
+use sc_obs::prof::{self, Subsystem};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
 
@@ -211,6 +212,7 @@ impl App for OriginServer {
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+        let _prof = prof::scope(Subsystem::Web);
         match ev {
             AppEvent::TimerFired(token) => {
                 if let Some((h, wire, span)) = self.pending.remove(&token) {
@@ -220,7 +222,10 @@ impl App for OriginServer {
             }
             AppEvent::Tcp(h, TcpEvent::Accepted { .. }) => {
                 let port = ctx.tcp_local(h).map(|l| l.port).unwrap_or(443);
-                let tls = (port == 443).then(|| TlsServer::new(self.entropy ^ h.0 as u64));
+                let tls = (port == 443).then(|| {
+                    let _prof = prof::scope(Subsystem::Crypto);
+                    TlsServer::new(self.entropy ^ h.0 as u64)
+                });
                 self.sessions.insert(h, Session { tls, http: HttpParser::new() });
             }
             AppEvent::Tcp(h, TcpEvent::DataReceived) => {
@@ -229,7 +234,11 @@ impl App for OriginServer {
                 let mut requests = Vec::new();
                 match session.tls.as_mut() {
                     Some(tls) => {
-                        let Ok(out) = tls.on_bytes(&data) else {
+                        let out = {
+                            let _prof = prof::scope(Subsystem::Crypto);
+                            tls.on_bytes(&data)
+                        };
+                        let Ok(out) = out else {
                             ctx.tcp_abort(h);
                             self.sessions.remove(&h);
                             return;
@@ -290,13 +299,13 @@ impl App for OriginServer {
                     } else {
                         self.capacity.service_us
                     };
-                    let wire = if is_tls {
+                    let mut wire = resp.encode();
+                    if is_tls {
                         let session = self.sessions.get_mut(&h).expect("session exists");
                         let tls = session.tls.as_mut().expect("tls session");
-                        tls.send(&resp.encode())
-                    } else {
-                        resp.encode()
-                    };
+                        let _prof = prof::scope(Subsystem::Crypto);
+                        wire = tls.send(&wire);
+                    }
                     self.respond_with_cost(h, wire, cost, span, ctx);
                 }
             }

@@ -25,6 +25,18 @@ echo "differential suites: ok"
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-obs parse
 echo "parser properties: ok"
 
+# sc-crypto picks its SHA-256 and AES kernels from what the CPU reports
+# (DESIGN.md §6n), so the same command tests different code on different
+# machines: say which. The suite runs every FIPS/NIST/RFC vector on the
+# portable kernels and on the dispatched ones, and the hardware kernels
+# against the portable ones block for block — arbitrary update chunkings,
+# CTR/CFB pieces that straddle the kernel's stride, counters that carry
+# and wrap — at depth; on a CPU without the instructions it prints
+# `skipped: no sha_ni` / `skipped: no aes` and tests the fallback alone.
+cargo run -q --release --offline -p sc-crypto --example backends
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-crypto
+echo "crypto differential suite: ok"
+
 # Structure: the domestic proxy stays the pipeline it was made into
 # (DESIGN.md §6m) and tracing stays on its one emit path. Plain grep,
 # so a violation names its line.
@@ -43,6 +55,35 @@ fail_if_found "event built outside sc_obs::event" \
         --include='*.rs' --exclude-dir=obs --exclude-dir=tests --exclude-dir=benches
 fail_if_found "emit_* helper in sc-core" \
     grep -rnE 'fn emit_' crates/scholarcloud/src
+# `unsafe` is for the instructions safe Rust has no word for (SHA-NI,
+# AES-NI, rdtsc) and the counting allocator: inside sc-crypto's two
+# `mod x86` blocks and in prof.rs, each block under a `// SAFETY:`
+# comment, and nowhere else. CPU detection stays where the kernels are.
+unsafe_outside_arch_modules() {
+    # Code lines (not `//` comments) that say `unsafe`, outside `mod x86 { … }`.
+    awk '/^mod x86 \{/ { inside = 1 } inside && /^\}/ { inside = 0; next }
+         !inside && !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ \
+             { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' crates/crypto/src/sha256.rs crates/crypto/src/aes.rs
+}
+fail_if_found "unsafe outside sc-crypto's x86 modules" unsafe_outside_arch_modules
+fail_if_found "unsafe outside crates/crypto/src/{sha256,aes}.rs and crates/obs/src/prof.rs" \
+    grep -rnwE '^[^/]*unsafe' crates src examples tests --include='*.rs' \
+        --exclude=sha256.rs --exclude=aes.rs --exclude=prof.rs
+unsafe_without_safety_comment() {
+    # An `unsafe {` block or `unsafe impl` whose run of comment lines
+    # directly above has no `SAFETY:` in it.
+    awk 'FNR == 1 { covered = 0 }
+         /^[[:space:]]*\/\// { if (/SAFETY:/) covered = 1; next }
+         /(^|[^[:alnum:]_])unsafe[[:space:]]*(\{|impl)/ && !covered \
+             { print FILENAME ":" FNR ": " $0; found = 1 }
+         { covered = 0 }
+         END { exit !found }' crates/crypto/src/sha256.rs crates/crypto/src/aes.rs crates/obs/src/prof.rs
+}
+fail_if_found "unsafe block without a // SAFETY: comment above it" unsafe_without_safety_comment
+fail_if_found "is_x86_feature_detected outside sc-crypto" \
+    grep -rn 'is_x86_feature_detected' crates src examples tests benchmark/src \
+        --include='*.rs' --exclude-dir=crypto
 dom=crates/scholarcloud/src/domestic
 # Sim-visible tables iterate in key order; only the driver and the Io
 # seam know the simulator.
