@@ -7,10 +7,8 @@
 //! experiment record.
 //!
 //! Targets: `fig3_survey`, `fig5_performance`, `fig6_overhead`,
-//! `fig7_scalability`, `ablations`, `micro_substrates`.
+//! `fig7_scalability`, `ablations`, `micro_substrates`, `obs_overhead`,
+//! `cache_ops`.
 //!
-//! The crate also ships the `scholar-bench` binary — the fixed-suite
-//! performance harness behind the committed `BENCH_*.json` trajectory —
-//! and [`trajectory`], the schema/compare module it is built on.
-
-pub mod trajectory;
+//! End-to-end performance is measured by the repository benchmark
+//! (`benchmark/`, a package of its own), not here.

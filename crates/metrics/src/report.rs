@@ -140,63 +140,6 @@ pub fn render_ops_dashboard(series: &[&str]) -> String {
     out
 }
 
-/// One scenario's wall-clock performance numbers for [`render_perf`] —
-/// filled by the `scholar-bench` harness from `sc_obs::prof` and the
-/// simulator's event-loop counters.
-#[derive(Debug, Clone)]
-pub struct PerfRow {
-    /// Scenario name.
-    pub name: String,
-    /// Wall-clock milliseconds.
-    pub wall_ms: f64,
-    /// Events the simulator loop dispatched.
-    pub events: u64,
-    /// Events per wall second.
-    pub events_per_sec: f64,
-    /// Simulated seconds per wall second.
-    pub sim_per_wall: f64,
-    /// Event-queue depth high-water mark.
-    pub queue_depth_hwm: u64,
-    /// Peak live heap bytes (0 when no counting allocator installed).
-    pub peak_alloc_bytes: u64,
-    /// `(subsystem, exclusive wall ns)` attribution, report order.
-    pub subsystems: Vec<(String, u64)>,
-}
-
-/// Renders the `scholar-bench` console table: one throughput row per
-/// scenario, then per-subsystem wall-time attribution as a share of
-/// each scenario's profiled time.
-pub fn render_perf(rows: &[PerfRow]) -> String {
-    let mut out = String::from("Performance — wall-clock (best iteration)\n");
-    out.push_str(&format!(
-        "  {:<12} {:>9} {:>10} {:>12} {:>10} {:>7} {:>10}\n",
-        "scenario", "wall ms", "events", "events/s", "sim/wall", "q-hwm", "peak KiB"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "  {:<12} {:>9.1} {:>10} {:>12.0} {:>10.0} {:>7} {:>10}\n",
-            r.name,
-            r.wall_ms,
-            r.events,
-            r.events_per_sec,
-            r.sim_per_wall,
-            r.queue_depth_hwm,
-            r.peak_alloc_bytes / 1024,
-        ));
-    }
-    out.push_str("  subsystem attribution (% of profiled wall time):\n");
-    for r in rows {
-        let total: u64 = r.subsystems.iter().map(|(_, ns)| ns).sum();
-        out.push_str(&format!("  {:<12}", r.name));
-        for (name, ns) in &r.subsystems {
-            let pct = if total > 0 { *ns as f64 / total as f64 * 100.0 } else { 0.0 };
-            out.push_str(&format!(" {name} {pct:.0}%"));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders Figure 3 as text.
 pub fn render_fig3(row: &Fig3Row) -> String {
     let mut out = String::new();

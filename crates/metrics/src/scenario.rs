@@ -81,6 +81,10 @@ pub mod calibration {
     /// yields the ~0.2% PLR the paper measures for VPNs and non-blocked
     /// US sites (Figure 5c's floor).
     pub const BORDER_LOSS: f64 = 0.0006;
+    /// Size of the consensus the Tor directory serves: the bootstrap
+    /// transfer behind Tor's slow first load (Figure 5a, first ≫
+    /// subsequent).
+    pub const TOR_CONSENSUS_LEN: usize = 400 * 1024;
     /// Per-method server access bandwidth, modelling single-core crypto
     /// throughput of the 1-core VM (Figure 7): Shadowsocks saturates
     /// first (knee past 60 clients), native VPN next, OpenVPN and
@@ -162,8 +166,6 @@ pub struct ScenarioConfig {
     pub ss_auth_per_connection: bool,
     /// ScholarCloud blinding scheme (Identity = blinding off ablation).
     pub sc_scheme: BlindingScheme,
-    /// Tor consensus size (bootstrapping cost).
-    pub consensus_len: usize,
     /// Per-load timeout.
     pub timeout: SimDuration,
     /// Extra signatures pushed to the GFW (agility ablation).
@@ -211,8 +213,6 @@ pub struct ScenarioConfig {
     /// the gateway path but disables the cache — the cache-off control.
     /// `None` leaves the proxy's default cache configuration in place.
     pub sc_cache_bytes: Option<usize>,
-    /// Default TTL for cached entries whose origin sets no `max-age`.
-    pub sc_cache_ttl: Option<SimDuration>,
     /// Serves the scholar page over plain HTTP (port 80) so browsers use
     /// the proxy's absolute-form gateway path instead of CONNECT — the
     /// only mode in which the proxy sees HTTP semantics and the shared
@@ -234,49 +234,30 @@ pub struct ScenarioConfig {
     /// pool (ScholarCloud only; `0` = elastic off, the static
     /// [`sc_remotes`](Self::sc_remotes) pool serves as in the paper).
     /// When > 0 the domestic proxy's remote pool is seeded with
-    /// [`sc_elastic_min`](Self::sc_elastic_min) pre-warmed instances
-    /// from [`addrs::SC_ELASTIC_BASE`] and autoscales over the rest:
-    /// scale-out on admission pressure (with sampled cold starts),
+    /// [`sc_elastic`](Self::sc_elastic)`.min_instances` pre-warmed
+    /// instances from [`addrs::SC_ELASTIC_BASE`] and autoscales over the
+    /// rest: scale-out on admission pressure (with sampled cold starts),
     /// scale-in on idle, churn-and-replace on GFW blacklisting.
     /// Requires `sc_fleet == 1`.
     pub sc_elastic_pool: usize,
-    /// Elastic: minimum live instances (also the pre-warmed seed).
-    pub sc_elastic_min: usize,
-    /// Elastic: maximum live instances.
-    pub sc_elastic_max: usize,
-    /// Elastic: idle window before a surplus instance is drained.
-    pub sc_elastic_idle: SimDuration,
-    /// Elastic: cold-start band in milliseconds `(min, max)`; each
-    /// provision samples uniformly from the seeded RNG.
-    pub sc_elastic_cold_ms: (u64, u64),
-    /// Reactive-censor master switch. `false` — the default — keeps the
-    /// GFW the static rule set every pre-adaptive trace was pinned
-    /// against: no suspicion scoring, no fingerprint learning, no
-    /// probing campaigns, no regional drift, zero extra RNG draws.
-    pub sc_adaptive: bool,
-    /// Adaptive: flows sharing a cover fingerprint before the censor
-    /// learns it as a blockable signature.
-    pub sc_adaptive_learn_flows: u32,
-    /// Adaptive: how long a learned signature lives without a matching
-    /// flow refreshing it (rotation starves the refresh).
-    pub sc_adaptive_signature_ttl: SimDuration,
-    /// Adaptive: probe waves per campaign against one suspect server.
-    pub sc_adaptive_campaign_waves: u32,
-    /// Adaptive: number of enforcement regions (per-region drift).
-    pub sc_adaptive_regions: u32,
-    /// Adaptive: probability in `[0, 1)` that a region's current drift
-    /// roll leaves learned-signature flows unenforced (the paper's
-    /// observation that blocking differs by province and time of day).
-    pub sc_adaptive_leniency: f64,
-    /// Defense: detection-driven scheme rotation in the domestic proxy.
-    /// `false` keeps the scheme fixed for the whole run (the control
-    /// arm; also the pre-adaptive behavior).
-    pub sc_adaptive_rotation: bool,
-    /// Defense: new interference units (breaker opens + remote-side
-    /// probe sightings) that trigger a rotation.
-    pub sc_adaptive_rotation_threshold: u64,
-    /// Defense: minimum spacing between rotations.
-    pub sc_adaptive_rotation_cooldown: SimDuration,
+    /// The elastic tier's own tunables (autoscaler bounds, idle window,
+    /// cold-start band, cost meters), read only when
+    /// [`sc_elastic_pool`](Self::sc_elastic_pool) > 0. The bounds are
+    /// clamped to `1 ≤ min ≤ max` when the pool is built.
+    pub sc_elastic: sc_core::ElasticConfig,
+    /// The reactive censor. `None` — the default — keeps the GFW the
+    /// static rule set every pre-adaptive trace was pinned against: no
+    /// suspicion scoring, no fingerprint learning, no probing campaigns,
+    /// no regional drift, zero extra RNG draws. `Some` hands the GFW
+    /// these tunables (`learn_after_flows` and `regions` clamped to ≥ 1)
+    /// and makes it reset, not merely throttle, what it learns.
+    pub sc_adaptive: Option<sc_gfw::AdaptiveConfig>,
+    /// The defense: detection-driven scheme rotation in the domestic
+    /// proxy (`threshold` clamped to ≥ 1), with mid-stream tunnel resume
+    /// so rotation preserves in-flight streams. `None` keeps the scheme
+    /// fixed for the whole run (the control arm; also the pre-adaptive
+    /// behavior).
+    pub sc_rotation: Option<sc_core::RotationPolicy>,
 }
 
 impl ScenarioConfig {
@@ -292,7 +273,6 @@ impl ScenarioConfig {
             ss_keepalive: SimDuration::from_secs(10),
             ss_auth_per_connection: true,
             sc_scheme: BlindingScheme::ByteMap,
-            consensus_len: 400 * 1024,
             timeout: SimDuration::from_secs(55),
             gfw_learned_signatures: Vec::new(),
             ramp_stagger: SimDuration::ZERO,
@@ -306,24 +286,13 @@ impl ScenarioConfig {
             flash_ramp: SimDuration::ZERO,
             extra_runtime: SimDuration::ZERO,
             sc_cache_bytes: None,
-            sc_cache_ttl: None,
             sc_http_page: false,
             origin_max_age: None,
             sc_fleet: 1,
             sc_elastic_pool: 0,
-            sc_elastic_min: 1,
-            sc_elastic_max: 8,
-            sc_elastic_idle: SimDuration::from_secs(10),
-            sc_elastic_cold_ms: (300, 1500),
-            sc_adaptive: false,
-            sc_adaptive_learn_flows: 6,
-            sc_adaptive_signature_ttl: SimDuration::from_secs(45),
-            sc_adaptive_campaign_waves: 3,
-            sc_adaptive_regions: 1,
-            sc_adaptive_leniency: 0.0,
-            sc_adaptive_rotation: false,
-            sc_adaptive_rotation_threshold: 3,
-            sc_adaptive_rotation_cooldown: SimDuration::from_secs(10),
+            sc_elastic: sc_core::ElasticConfig::default(),
+            sc_adaptive: None,
+            sc_rotation: None,
         }
     }
 
@@ -391,8 +360,7 @@ pub struct ScenarioOutcome {
     pub censor_by_rule: Vec<(&'static str, u64)>,
     /// Simulated duration.
     pub sim_end: SimTime,
-    /// Events the simulator's loop dispatched (`scholar-bench`'s
-    /// events/sec numerator).
+    /// Events the simulator's loop dispatched.
     pub events_processed: u64,
     /// Timer events (TCP + app) fired during the run.
     pub timers_fired: u64,
@@ -525,6 +493,24 @@ fn fleet_pac(
     let rotated: Vec<_> = (0..n).map(|j| gateways[(client_idx + j) % n]).collect();
     let pac = sc_netproto::pac::PacFile::with_fallbacks(whitelist.iter().cloned(), rotated);
     sc_netproto::pac::PacFile::parse(&pac.to_javascript()).expect("generated PAC parses")
+}
+
+/// The browser every client runs: the paper's page fetched through
+/// `policy`, paced by the scenario's load count, interval and timeout.
+/// `idx` seeds the client's entropy and sets its slot on the start ramp.
+fn browser_config(
+    cfg: &ScenarioConfig,
+    resolver: Addr,
+    policy: ProxyPolicy,
+    idx: usize,
+) -> BrowserConfig {
+    let mut bcfg = BrowserConfig::scholar(resolver, policy);
+    bcfg.loads = cfg.loads;
+    bcfg.interval = cfg.interval;
+    bcfg.timeout = cfg.timeout;
+    bcfg.entropy = cfg.seed ^ (idx as u64);
+    bcfg.start_delay = cfg.ramp_stagger.saturating_mul(idx as u64);
+    bcfg
 }
 
 /// Builds a scenario without running it (see [`BuiltScenario`]).
@@ -668,14 +654,11 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
         gfw_cfg
             .learned_signatures
             .extend(cfg.gfw_learned_signatures.iter().cloned());
-        if cfg.sc_adaptive {
+        if let Some(adaptive) = &cfg.sc_adaptive {
             gfw_cfg.adaptive = Some(sc_gfw::AdaptiveConfig {
-                learn_after_flows: cfg.sc_adaptive_learn_flows.max(1),
-                signature_ttl: cfg.sc_adaptive_signature_ttl,
-                campaign_waves: cfg.sc_adaptive_campaign_waves,
-                regions: cfg.sc_adaptive_regions.max(1),
-                leniency: cfg.sc_adaptive_leniency,
-                ..sc_gfw::AdaptiveConfig::default()
+                learn_after_flows: adaptive.learn_after_flows.max(1),
+                regions: adaptive.regions.max(1),
+                ..adaptive.clone()
             });
             // A reactive censor resets what it learns instead of merely
             // throttling it — learned-signature tunnels die, breakers
@@ -735,12 +718,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
         Method::Direct => {
             for (i, &c) in clients.iter().enumerate() {
                 let log = new_load_log();
-                let mut bcfg = BrowserConfig::scholar(RESOLVER_CN, ProxyPolicy::Direct);
-                bcfg.loads = cfg.loads;
-                bcfg.interval = cfg.interval;
-                bcfg.timeout = cfg.timeout;
-                bcfg.entropy = cfg.seed ^ (i as u64);
-                bcfg.start_delay = cfg.ramp_stagger.saturating_mul(i as u64);
+                let bcfg = browser_config(cfg, RESOLVER_CN, ProxyPolicy::Direct, i);
                 sim.install_app(c, Box::new(Browser::new(bcfg, None, log.clone())));
                 logs.push(log);
             }
@@ -759,12 +737,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     Box::new(VpnClient::new(variant, VPN, 3000 + i as u64, status.clone())),
                 );
                 let log = new_load_log();
-                let mut bcfg = BrowserConfig::scholar(RESOLVER_US, ProxyPolicy::Direct);
-                bcfg.loads = cfg.loads;
-                bcfg.interval = cfg.interval;
-                bcfg.timeout = cfg.timeout;
-                bcfg.entropy = cfg.seed ^ (i as u64);
-                bcfg.start_delay = cfg.ramp_stagger.saturating_mul(i as u64);
+                let bcfg = browser_config(cfg, RESOLVER_US, ProxyPolicy::Direct, i);
                 let gate = {
                     let status = status.clone();
                     ReadyProbe::new(move || status.is_up())
@@ -781,15 +754,8 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
             for (i, &c) in clients.iter().enumerate() {
                 sim.install_app(c, Box::new(SsLocal::new(ss_cfg.clone())));
                 let log = new_load_log();
-                let mut bcfg = BrowserConfig::scholar(
-                    RESOLVER_CN,
-                    ProxyPolicy::Socks(SocketAddr::new(sim.addr_of(c), SS_LOCAL_PORT)),
-                );
-                bcfg.loads = cfg.loads;
-                bcfg.interval = cfg.interval;
-                bcfg.timeout = cfg.timeout;
-                bcfg.entropy = cfg.seed ^ (i as u64);
-                bcfg.start_delay = cfg.ramp_stagger.saturating_mul(i as u64);
+                let socks = SocketAddr::new(sim.addr_of(c), SS_LOCAL_PORT);
+                let bcfg = browser_config(cfg, RESOLVER_CN, ProxyPolicy::Socks(socks), i);
                 sim.install_app(c, Box::new(Browser::new(bcfg, None, log.clone())));
                 logs.push(log);
             }
@@ -801,7 +767,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
             sim.install_app(exit, Box::new(OrRelay::new(OR_PORT, 4004, names.clone())));
             sim.install_app(
                 directory,
-                Box::new(DirectoryServer::with_consensus_len(cfg.consensus_len)),
+                Box::new(DirectoryServer::with_consensus_len(TOR_CONSENSUS_LEN)),
             );
             for (i, &c) in clients.iter().enumerate() {
                 let status = TunnelStatus::new();
@@ -818,15 +784,8 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     Box::new(TorClient::new(tor_cfg, 5000 + i as u64, status.clone())),
                 );
                 let log = new_load_log();
-                let mut bcfg = BrowserConfig::scholar(
-                    RESOLVER_CN,
-                    ProxyPolicy::Socks(SocketAddr::new(sim.addr_of(c), TOR_SOCKS_PORT)),
-                );
-                bcfg.loads = cfg.loads;
-                bcfg.interval = cfg.interval;
-                bcfg.timeout = cfg.timeout;
-                bcfg.entropy = cfg.seed ^ (i as u64);
-                bcfg.start_delay = cfg.ramp_stagger.saturating_mul(i as u64);
+                let socks = SocketAddr::new(sim.addr_of(c), TOR_SOCKS_PORT);
+                let bcfg = browser_config(cfg, RESOLVER_CN, ProxyPolicy::Socks(socks), i);
                 let gate = {
                     let status = status.clone();
                     ReadyProbe::new(move || status.is_up())
@@ -840,10 +799,10 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                 .with_remotes(&sc_remote_addrs);
             sc_cfg.whitelist = vec!["scholar.google.com".into(), "accounts.google.com".into()];
             sc_cfg.scheme.set(cfg.sc_scheme);
-            if cfg.sc_adaptive_rotation {
+            if let Some(rotation) = cfg.sc_rotation {
                 sc_cfg.rotation = Some(sc_core::RotationPolicy {
-                    threshold: cfg.sc_adaptive_rotation_threshold.max(1),
-                    cooldown: cfg.sc_adaptive_rotation_cooldown,
+                    threshold: rotation.threshold.max(1),
+                    ..rotation
                 });
                 // The stream-level half of the defense: a learned
                 // signature RSTs established tunnels (past the connect
@@ -858,15 +817,12 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
             if let Some(q) = cfg.sc_queue_len {
                 sc_cfg.admission.queue_len = q;
             }
-            if cfg.sc_cache_bytes.is_some() || cfg.sc_cache_ttl.is_some() {
-                let mut cache_cfg = sc_core::CacheConfig::default();
-                if let Some(b) = cfg.sc_cache_bytes {
-                    cache_cfg.capacity_bytes = b;
-                }
-                if let Some(t) = cfg.sc_cache_ttl {
-                    cache_cfg.default_ttl = t;
-                }
-                sc_cfg = sc_cfg.with_cache(cache_cfg);
+            // One cache configuration for every store: the gateway's
+            // and, under a fleet, each further member's own shard.
+            let mut cache_cfg = sc_core::CacheConfig::default();
+            if let Some(b) = cfg.sc_cache_bytes {
+                cache_cfg.capacity_bytes = b;
+                sc_cfg = sc_cfg.with_cache(cache_cfg.clone());
             }
             sc_cache = Some(sc_cfg.cache.clone());
             let fleet_n = cfg.sc_fleet.max(1);
@@ -884,19 +840,17 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     fleet_n, 1,
                     "the elastic remote tier drives a single domestic proxy (sc_fleet must be 1)"
                 );
+                let min_instances = cfg.sc_elastic.min_instances.max(1);
                 let e_cfg = sc_core::ElasticConfig {
-                    min_instances: cfg.sc_elastic_min.max(1),
-                    max_instances: cfg.sc_elastic_max.max(cfg.sc_elastic_min.max(1)),
-                    idle_timeout: cfg.sc_elastic_idle,
-                    cold_start_min: SimDuration::from_millis(cfg.sc_elastic_cold_ms.0),
-                    cold_start_max: SimDuration::from_millis(cfg.sc_elastic_cold_ms.1),
-                    ..sc_core::ElasticConfig::default()
+                    min_instances,
+                    max_instances: cfg.sc_elastic.max_instances.max(min_instances),
+                    ..cfg.sc_elastic.clone()
                 };
                 let mut pool = sc_core::ElasticPool::new(e_cfg, sc_elastic_addrs.clone());
-                let warmed = pool.seed_warm(cfg.sc_elastic_min.max(1));
+                let warmed = pool.seed_warm(min_instances);
                 assert!(
                     !warmed.is_empty(),
-                    "sc_elastic_pool must cover at least sc_elastic_min addresses"
+                    "sc_elastic_pool must cover at least sc_elastic.min_instances addresses"
                 );
                 sc_cfg = sc_cfg.with_remotes(&warmed);
                 sc_elastic = Some(sc_core::ElasticHandle::new(pool));
@@ -919,14 +873,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     let mut mcfg = sc_cfg.clone();
                     mcfg.domestic = gateways[i];
                     if i > 0 {
-                        let mut cache_cfg = sc_core::CacheConfig::default();
-                        if let Some(b) = cfg.sc_cache_bytes {
-                            cache_cfg.capacity_bytes = b;
-                        }
-                        if let Some(t) = cfg.sc_cache_ttl {
-                            cache_cfg.default_ttl = t;
-                        }
-                        mcfg = mcfg.with_cache(cache_cfg);
+                        mcfg = mcfg.with_cache(cache_cfg.clone());
                     }
                     sc_fleet_caches.push(mcfg.cache.clone());
                     sim.install_app(
@@ -970,12 +917,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                 } else {
                     sc_cfg.pac_file()
                 };
-                let mut bcfg = BrowserConfig::scholar(RESOLVER_CN, ProxyPolicy::Pac(pac));
-                bcfg.loads = cfg.loads;
-                bcfg.interval = cfg.interval;
-                bcfg.timeout = cfg.timeout;
-                bcfg.entropy = cfg.seed ^ (i as u64);
-                bcfg.start_delay = cfg.ramp_stagger.saturating_mul(i as u64);
+                let mut bcfg = browser_config(cfg, RESOLVER_CN, ProxyPolicy::Pac(pac), i);
                 if cfg.sc_http_page {
                     bcfg.page_port = 80;
                 }
@@ -997,11 +939,12 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     } else {
                         sc_cfg.pac_file()
                     };
-                    let mut bcfg = BrowserConfig::scholar(RESOLVER_CN, ProxyPolicy::Pac(pac));
+                    // Entropy lane 0x1000+ keeps the crowd's draws apart
+                    // from the nominal clients'; the crowd has its own
+                    // load count and its own arrival ramp.
+                    let mut bcfg =
+                        browser_config(cfg, RESOLVER_CN, ProxyPolicy::Pac(pac), 0x1000 + i);
                     bcfg.loads = cfg.flash_loads;
-                    bcfg.interval = cfg.interval;
-                    bcfg.timeout = cfg.timeout;
-                    bcfg.entropy = cfg.seed ^ (0x1000 + i as u64);
                     bcfg.start_delay = cfg.flash_start + offsets[i];
                     if cfg.sc_http_page {
                         bcfg.page_port = 80;

@@ -410,8 +410,8 @@ impl<'a> Parser<'a> {
 
 /// Parses a standalone JSON document (object/array nesting up to
 /// [`MAX_DEPTH`]) into a [`Json`] value that owns its strings. This is
-/// the generic entry point other tools (e.g. `scholar-bench`'s
-/// BENCH_*.json reader) reuse, as opposed to [`parse_line`]'s
+/// the generic entry point other tools (e.g. the benchmark's
+/// `--compare` reader) reuse, as opposed to [`parse_line`]'s
 /// trace-shaped records.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let mut p = Parser::new(text);

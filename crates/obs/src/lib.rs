@@ -21,7 +21,7 @@
 //!
 //! A fourth piece stands apart: [`prof`] is a **wall-clock**
 //! self-profiler (per-subsystem scoped timers plus allocation
-//! accounting) for the `scholar-bench` performance harness. It is off
+//! accounting) for the repository benchmark (`benchmark/`). It is off
 //! by default and guaranteed never to perturb sim-time traces.
 //!
 //! # Usage

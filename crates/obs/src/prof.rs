@@ -6,9 +6,8 @@
 //! it measures **wall-clock** cost per subsystem (event loop, TCP
 //! engine, GFW classification, proxy/admission, shared cache, ciphers
 //! and MACs, the browser/origin apps, the remote proxy) so the
-//! `scholar-bench` harness can attribute a run's real-world cost and
-//! the BENCH_*.json trajectory can prove that hot-path rebuilds
-//! actually got faster.
+//! repository benchmark (`benchmark/`, `--trace 1`) can attribute a
+//! run's real-world cost to the layer that spent it.
 //!
 //! # Design constraints
 //!
@@ -41,8 +40,8 @@
 //!
 //! [`CountingAlloc`] is a `GlobalAlloc` wrapper around the system
 //! allocator that counts bytes allocated and tracks the in-use
-//! high-water mark. It is **not** installed by this crate — a harness
-//! binary (e.g. `scholar-bench`) opts in with
+//! high-water mark. It is **not** installed by this crate — the
+//! benchmark binary (`benchmark/src/main.rs`) opts in with
 //! `#[global_allocator]`, keeping ordinary builds on the untouched
 //! system allocator.
 //!
@@ -116,7 +115,7 @@ impl Subsystem {
         Subsystem::Remote,
     ];
 
-    /// Stable snake_case name used in BENCH_*.json.
+    /// Stable snake_case name, as the benchmark's `--trace 1` split prints it.
     pub fn name(self) -> &'static str {
         match self {
             Subsystem::EventLoop => "event_loop",

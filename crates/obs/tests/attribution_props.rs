@@ -146,7 +146,13 @@ proptest! {
     ) {
         let events = forest_to_events(&forest);
         let analysis = analyze(&events, 1_000_000);
-        prop_assert_eq!(analysis.trees.len(), forest.len());
+        // A rootless tree with no children emits no event at all, so
+        // the trace cannot hold a tree for it.
+        let emitting = forest
+            .iter()
+            .filter(|(rooted_pct, _, children)| *rooted_pct < 85 || !children.is_empty())
+            .count();
+        prop_assert_eq!(analysis.trees.len(), emitting);
         for tree in &analysis.trees {
             let excl_sum: u64 = tree.spans.iter().map(|s| s.excl_us).sum();
             let tier_sum: u64 = tree.tier_us.values().sum();

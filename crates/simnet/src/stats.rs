@@ -53,8 +53,7 @@ pub struct SimStats {
     /// Per-source-address counters.
     pub by_addr: HashMap<Addr, AddrCounters>,
     /// Events popped off the event queue and dispatched — the
-    /// numerator of the `events/sec` throughput metric `scholar-bench`
-    /// reports.
+    /// numerator of the benchmark's `simnet.events_per_load`.
     pub events_processed: u64,
     /// Timer events (TCP retransmit/delack + app timers) fired.
     pub timers_fired: u64,

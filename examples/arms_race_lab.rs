@@ -103,12 +103,15 @@ fn run_once(learn_flows: u32, rotation: bool, verbose: bool) -> RunStats {
     cfg.interval = SimDuration::from_secs(INTERVAL_S);
     cfg.timeout = SimDuration::from_secs(TIMEOUT_S);
     cfg.extra_runtime = SimDuration::from_secs(20);
-    cfg.sc_adaptive = true;
-    cfg.sc_adaptive_learn_flows = learn_flows;
+    cfg.sc_adaptive = Some(sc_gfw::AdaptiveConfig {
+        learn_after_flows: learn_flows,
+        ..Default::default()
+    });
     if rotation {
-        cfg.sc_adaptive_rotation = true;
-        cfg.sc_adaptive_rotation_threshold = ROTATION_THRESHOLD;
-        cfg.sc_adaptive_rotation_cooldown = SimDuration::from_secs(ROTATION_COOLDOWN_S);
+        cfg.sc_rotation = Some(sc_core::RotationPolicy {
+            threshold: ROTATION_THRESHOLD,
+            cooldown: SimDuration::from_secs(ROTATION_COOLDOWN_S),
+        });
     }
 
     let built = build_scenario(&cfg);

@@ -144,12 +144,12 @@ fn run_once(static_pool: usize, elastic: bool, verbose: bool) -> RunStats {
     cfg.extra_runtime = SimDuration::from_secs(20);
     if elastic {
         cfg.sc_elastic_pool = ELASTIC_ADDRS;
-        cfg.sc_elastic_min = ELASTIC_MIN;
-        cfg.sc_elastic_max = ELASTIC_MAX;
+        cfg.sc_elastic.min_instances = ELASTIC_MIN;
+        cfg.sc_elastic.max_instances = ELASTIC_MAX;
         // Longer than the breaker's detection time, so a blacklisted
         // instance is caught (and churned at a fresh IP) rather than
         // quietly idle-drained before anything notices.
-        cfg.sc_elastic_idle = SimDuration::from_secs(30);
+        cfg.sc_elastic.idle_timeout = SimDuration::from_secs(30);
     } else {
         cfg.sc_remotes = static_pool;
     }

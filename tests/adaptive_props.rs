@@ -241,11 +241,14 @@ fn adaptive_run(seed: u64, adaptive: bool) -> Vec<u8> {
     cfg.timeout = SimDuration::from_secs(8);
     cfg.extra_runtime = SimDuration::from_secs(20);
     if adaptive {
-        cfg.sc_adaptive = true;
-        cfg.sc_adaptive_learn_flows = 4;
-        cfg.sc_adaptive_rotation = true;
-        cfg.sc_adaptive_rotation_threshold = 1;
-        cfg.sc_adaptive_rotation_cooldown = SimDuration::from_secs(5);
+        cfg.sc_adaptive = Some(AdaptiveConfig {
+            learn_after_flows: 4,
+            ..AdaptiveConfig::default()
+        });
+        cfg.sc_rotation = Some(sc_core::RotationPolicy {
+            threshold: 1,
+            cooldown: SimDuration::from_secs(5),
+        });
     }
     let built = build_scenario(&cfg);
     built.finish();

@@ -52,9 +52,9 @@ pub fn elastic_run(seed: u64) -> Vec<u8> {
         cfg.interval = SimDuration::from_secs(10);
         cfg.timeout = SimDuration::from_secs(8);
         cfg.sc_elastic_pool = 8;
-        cfg.sc_elastic_min = 1;
-        cfg.sc_elastic_max = 4;
-        cfg.sc_elastic_idle = SimDuration::from_secs(25);
+        cfg.sc_elastic.min_instances = 1;
+        cfg.sc_elastic.max_instances = 4;
+        cfg.sc_elastic.idle_timeout = SimDuration::from_secs(25);
         cfg.extra_runtime = SimDuration::from_secs(15);
         let mut built = build_scenario(&cfg);
         let gfw = built.gfw.clone().expect("paper config attaches the GFW");

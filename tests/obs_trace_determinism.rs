@@ -165,12 +165,15 @@ fn arms_race_run() -> Vec<u8> {
         cfg.interval = SimDuration::from_secs(10);
         cfg.timeout = SimDuration::from_secs(8);
         cfg.extra_runtime = SimDuration::from_secs(20);
-        cfg.sc_adaptive = true;
-        cfg.sc_adaptive_learn_flows = 4;
-        cfg.sc_adaptive_signature_ttl = SimDuration::from_secs(15);
-        cfg.sc_adaptive_rotation = true;
-        cfg.sc_adaptive_rotation_threshold = 2;
-        cfg.sc_adaptive_rotation_cooldown = SimDuration::from_secs(5);
+        cfg.sc_adaptive = Some(sc_gfw::AdaptiveConfig {
+            learn_after_flows: 4,
+            signature_ttl: SimDuration::from_secs(15),
+            ..Default::default()
+        });
+        cfg.sc_rotation = Some(sc_core::RotationPolicy {
+            threshold: 2,
+            cooldown: SimDuration::from_secs(5),
+        });
         build_scenario(&cfg).finish();
     })
 }
@@ -228,8 +231,8 @@ fn interference_trace_digests_match_golden() {
 /// The `sc_obs::prof` wall-clock profiler must be write-only from the
 /// simulator's perspective: running the same seeded scenario with the
 /// profiler collecting must leave the SC_TRACE bytes untouched. This is
-/// the guarantee that lets `scholar-bench` profile the exact code CI
-/// verifies.
+/// the guarantee that lets the benchmark's `--trace 1` runs profile the
+/// exact code CI verifies.
 #[test]
 fn profiler_on_and_off_traces_are_byte_identical() {
     use sc_obs::prof::{self, Subsystem};
