@@ -14,6 +14,7 @@
 use sc_crypto::entropy::PayloadStats;
 use sc_netproto::tls::sniff_sni;
 use sc_simnet::addr::SocketAddr;
+use sc_simnet::hash::FixedMap;
 use sc_simnet::packet::{L4, Packet, proto};
 use sc_simnet::time::SimTime;
 
@@ -361,7 +362,7 @@ impl FlowRecord {
 /// The flow table: bounded map from flow key to record.
 #[derive(Debug, Default)]
 pub struct FlowTable {
-    flows: std::collections::HashMap<FlowKey, FlowRecord>,
+    flows: FixedMap<FlowKey, FlowRecord>,
 }
 
 /// Cap on tracked flows; oldest-by-insertion beyond this are evicted

@@ -1001,12 +1001,7 @@ impl BuiltScenario {
         let plr_addr_override =
             (cfg.method == Method::ScholarCloud).then_some(addrs::SC_DOMESTIC);
         let first_client_addr = sim.addr_of(clients[0]);
-        let counters = sim
-            .stats
-            .by_addr
-            .get(&first_client_addr)
-            .copied()
-            .unwrap_or_default();
+        let counters = sim.stats.by_addr(first_client_addr);
         let mut plr_sum = 0.0;
         match plr_addr_override {
             Some(addr) => plr_sum = sim.stats.loss_rate_for(addr) * cfg.clients as f64,

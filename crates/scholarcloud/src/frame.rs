@@ -86,11 +86,18 @@ pub struct Hello {
     pub generation: u32,
 }
 
-fn mac_hex(key: &HmacKey, scheme: BlindingScheme, nonce: u64) -> String {
+/// The preamble's `X-Trace` value: the first twelve bytes of the MAC over
+/// scheme and nonce, as 24 lower-case hex digits.
+fn mac_hex(key: &HmacKey, scheme: BlindingScheme, nonce: u64) -> [u8; 24] {
     let mut mac = key.start();
     mac.update(&[scheme.wire_id()]);
     mac.update(&nonce.to_be_bytes());
-    mac.finalize()[..12].iter().map(|b| format!("{b:02x}")).collect()
+    let mut hex = [0u8; 24];
+    for (pair, byte) in hex.chunks_exact_mut(2).zip(mac.finalize()) {
+        pair[0] = b"0123456789abcdef"[usize::from(byte >> 4)];
+        pair[1] = b"0123456789abcdef"[usize::from(byte & 0x0f)];
+    }
+    hex
 }
 
 impl Hello {
@@ -103,7 +110,7 @@ impl Hello {
             cover_path_gen(self.scheme, self.generation),
             front_host,
             self.nonce,
-            mac,
+            std::str::from_utf8(&mac).expect("hex digits are ASCII"),
         )
         .into_bytes()
     }
@@ -150,12 +157,12 @@ impl Hello {
             if let Some(v) = line.strip_prefix("X-Req-Id: ") {
                 nonce = u64::from_str_radix(v.trim(), 16).ok();
             } else if let Some(v) = line.strip_prefix("X-Trace: ") {
-                trace = Some(v.trim().to_string());
+                trace = Some(v.trim());
             }
         }
         let (Some(nonce), Some(trace)) = (nonce, trace) else { return Err(()) };
         let expect = mac_hex(key, scheme, nonce);
-        if !ct_eq(expect.as_bytes(), trace.as_bytes()) {
+        if !ct_eq(&expect, trace.as_bytes()) {
             return Err(());
         }
         Ok(Some((Hello { scheme, nonce, generation }, head_end + 4)))
@@ -330,6 +337,17 @@ mod tests {
         assert!(wire.starts_with(b"POST /api/sync HTTP/1.1\r\n"));
         let stats = sc_crypto::entropy::PayloadStats::analyze(&wire);
         assert!(stats.printable > 0.95);
+    }
+
+    #[test]
+    fn mac_hex_is_the_first_twelve_mac_bytes_in_lower_case_hex() {
+        for nonce in [0, 7, 0xdead_beef, u64::MAX] {
+            let mut mac = key().start();
+            mac.update(&[BlindingScheme::XorRolling.wire_id()]);
+            mac.update(&nonce.to_be_bytes());
+            let formatted: String = mac.finalize()[..12].iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(mac_hex(&key(), BlindingScheme::XorRolling, nonce), formatted.as_bytes());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! ## Architecture
 //!
 //! * [`sim::Sim`] — the engine: event queue, clock, seeded RNG, statistics.
+//! * [`hash`] — the fixed-state hasher behind every per-packet map.
 //! * [`node::Node`] — hosts/routers with TCP ([`tcp`]), UDP, raw protocols.
 //! * [`link`] — links with propagation delay, bandwidth, queues, base loss.
 //! * [`middlebox`] — the in-path inspection hook the GFW attaches to.
@@ -49,10 +50,12 @@
 pub mod addr;
 pub mod api;
 pub mod faults;
+pub mod hash;
 pub mod link;
 pub mod middlebox;
 pub mod node;
 pub mod packet;
+mod queue;
 pub mod ramp;
 pub mod sim;
 pub mod stats;

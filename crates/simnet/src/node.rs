@@ -2,10 +2,11 @@
 //! raw-protocol handlers, optional middlebox, optional packet tunnel, and
 //! a set of applications.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::addr::Addr;
 use crate::api::{App, AppEvent, AppId, PacketTunnel};
+use crate::hash::FixedMap;
 use crate::link::LinkId;
 use crate::middlebox::Middlebox;
 use crate::tcp::TcpLayer;
@@ -13,14 +14,14 @@ use crate::tcp::TcpLayer;
 /// UDP layer: port → owning app.
 #[derive(Debug, Default)]
 pub struct UdpLayer {
-    sockets: HashMap<u16, AppId>,
+    sockets: FixedMap<u16, AppId>,
     next_ephemeral: u16,
 }
 
 impl UdpLayer {
     /// Creates an empty UDP layer.
     pub fn new() -> Self {
-        UdpLayer { sockets: HashMap::new(), next_ephemeral: 50_000 }
+        UdpLayer { sockets: FixedMap::default(), next_ephemeral: 50_000 }
     }
 
     /// Binds `port` (0 = pick an ephemeral port) to `app`.
@@ -62,8 +63,10 @@ pub struct Node {
     pub addr: Addr,
     /// Links attached to this node.
     pub links: Vec<LinkId>,
-    /// Destination address → next-hop link (computed by routing).
-    pub routes: HashMap<Addr, LinkId>,
+    /// Next-hop link toward each node, indexed by the destination's
+    /// `NodeId` (computed by routing); `None` where there is no path, and
+    /// for the node itself.
+    pub routes: Vec<Option<LinkId>>,
     /// Installed applications (slot is `None` while the app is running).
     pub apps: Vec<Option<Box<dyn App>>>,
     /// TCP layer.
@@ -71,7 +74,7 @@ pub struct Node {
     /// UDP layer.
     pub udp: UdpLayer,
     /// Raw IP protocol number → handler app.
-    pub raw_handlers: HashMap<u8, AppId>,
+    pub raw_handlers: FixedMap<u8, AppId>,
     /// Port-range taps: packets whose destination port falls in a range
     /// are delivered to the app as [`AppEvent::RawPacket`](crate::api::AppEvent)
     /// instead of the transport stack (used by NAT implementations).
@@ -105,11 +108,11 @@ impl Node {
             name: name.into(),
             addr,
             links: Vec::new(),
-            routes: HashMap::new(),
+            routes: Vec::new(),
             apps: Vec::new(),
             tcp: TcpLayer::new(),
             udp: UdpLayer::new(),
-            raw_handlers: HashMap::new(),
+            raw_handlers: FixedMap::default(),
             port_taps: Vec::new(),
             middlebox: None,
             tunnel: None,

@@ -1,7 +1,6 @@
 //! The discrete-event simulation engine and the application [`Ctx`] API.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
@@ -10,13 +9,15 @@ use rand::{Rng, SeedableRng};
 use crate::addr::{Addr, SocketAddr};
 use crate::api::{App, AppEvent, AppId, PacketTunnel, TcpHandle, UdpHandle};
 use crate::faults::{Fault, FaultPlan, FlapState};
+use crate::hash::FixedMap;
 use crate::link::{Link, LinkConfig, LinkId, LinkOutcome, NodeId};
 use crate::middlebox::{MbCtx, Middlebox, Verdict};
 use crate::node::Node;
 use crate::packet::{L4, Packet};
+use crate::queue::EventQueue;
 use crate::stats::{DropReason, SimStats};
 use sc_obs::prof::{self, Subsystem};
-use crate::tcp::{ConnStats, Effects, TcpTimer};
+use crate::tcp::{ConnStats, Effects, TcpLayer, TcpTimer};
 use crate::time::{SimDuration, SimTime};
 
 #[derive(Debug)]
@@ -31,29 +32,6 @@ enum Event {
     /// Unlike `Fault::NodeCrash`, this is a *planned* control-plane
     /// action: it is delivered even to a node that is already down.
     Lifecycle { node: NodeId, up: bool },
-}
-
-struct Queued {
-    at: SimTime,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Queued {}
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// The simulator: topology, clock, event queue, and statistics.
@@ -75,11 +53,12 @@ impl Ord for Queued {
 /// ```
 pub struct Sim {
     now: SimTime,
-    queue: BinaryHeap<Reverse<Queued>>,
-    seq: u64,
+    queue: EventQueue<Event>,
+    /// The one TCP side-effect scratch; see [`Sim::with_tcp`].
+    fx: Effects,
     nodes: Vec<Node>,
     links: Vec<Link>,
-    addr_map: HashMap<Addr, NodeId>,
+    addr_map: FixedMap<Addr, NodeId>,
     rng: SmallRng,
     /// Active partitions: traffic hopping from one side to the other is
     /// dropped (installed by [`Fault::Partition`]).
@@ -106,11 +85,11 @@ impl Sim {
     pub fn new(seed: u64) -> Self {
         Sim {
             now: SimTime::ZERO,
-            queue: BinaryHeap::new(),
-            seq: 0,
+            queue: EventQueue::new(),
+            fx: Effects::default(),
             nodes: Vec::new(),
             links: Vec::new(),
-            addr_map: HashMap::new(),
+            addr_map: FixedMap::default(),
             rng: SmallRng::seed_from_u64(seed),
             partitions: Vec::new(),
             flaps: Vec::new(),
@@ -136,6 +115,7 @@ impl Sim {
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node::new(name, addr));
         self.addr_map.insert(addr, id);
+        self.stats.add_node(addr);
         id
     }
 
@@ -149,7 +129,9 @@ impl Sim {
     }
 
     /// Computes shortest-path (hop count) routes for every node via BFS.
-    /// Call after the topology is complete and before running.
+    /// Call after the topology is complete and before running. Each
+    /// node's table is dense — one entry per destination node — so the
+    /// per-packet lookup is an address-to-node resolution and an index.
     pub fn compute_routes(&mut self) {
         let n = self.nodes.len();
         for start in 0..n {
@@ -172,11 +154,7 @@ impl Sim {
                     q.push_back(v.0);
                 }
             }
-            let routes: HashMap<Addr, LinkId> = (0..n)
-                .filter(|&v| v != start)
-                .filter_map(|v| first_link[v].map(|l| (self.nodes[v].addr, l)))
-                .collect();
-            self.nodes[start].routes = routes;
+            self.nodes[start].routes = first_link;
         }
     }
 
@@ -257,10 +235,7 @@ impl Sim {
     }
 
     fn schedule(&mut self, delay: SimDuration, ev: Event) {
-        let at = self.now + delay;
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Queued { at, seq, ev }));
+        self.queue.push(self.now + delay, ev);
         let depth = self.queue.len() as u64;
         if depth > self.stats.queue_depth_hwm {
             self.stats.queue_depth_hwm = depth;
@@ -279,16 +254,12 @@ impl Sim {
         // the loop's row too, and per-event scopes were more than half of
         // all scopes, which is to say of the profiler's own cost.
         let _prof = prof::scope(Subsystem::EventLoop);
-        while let Some(Reverse(q)) = self.queue.peek() {
-            if q.at > deadline {
-                break;
+        while let Some((at, ev)) = self.queue.pop_due(deadline) {
+            if at > self.now {
+                sc_obs::tick(at.as_micros());
             }
-            let Reverse(q) = self.queue.pop().unwrap();
-            if q.at > self.now {
-                sc_obs::tick(q.at.as_micros());
-            }
-            self.now = q.at;
-            self.handle(q.ev);
+            self.now = at;
+            self.handle(ev);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -305,12 +276,12 @@ impl Sim {
     /// Runs until no events remain (beware apps that re-arm timers forever).
     pub fn run_until_idle(&mut self) {
         let _prof = prof::scope(Subsystem::EventLoop);
-        while let Some(Reverse(q)) = self.queue.pop() {
-            if q.at > self.now {
-                sc_obs::tick(q.at.as_micros());
+        while let Some((at, ev)) = self.queue.pop() {
+            if at > self.now {
+                sc_obs::tick(at.as_micros());
             }
-            self.now = q.at;
-            self.handle(q.ev);
+            self.now = at;
+            self.handle(ev);
         }
     }
 
@@ -352,13 +323,10 @@ impl Sim {
             }
             Event::TcpTimer { node, timer } => {
                 self.stats.timers_fired += 1;
-                let mut fx = Effects::default();
-                let now = self.now;
-                {
+                self.with_tcp(node, |tcp, now, fx| {
                     let _prof = prof::scope(Subsystem::Tcp);
-                    self.nodes[node.0].tcp.on_timer(timer, now, &mut fx);
-                }
-                self.flush(node, fx);
+                    tcp.on_timer(timer, now, fx);
+                });
                 self.drain_pending(node);
             }
             Event::Arrival { node, packet } => {
@@ -529,7 +497,7 @@ impl Sim {
             // Loopback traffic (browser ↔ local proxy on one machine)
             // never touches a wire; keep it out of the traffic stats.
             if packet.src != packet.dst {
-                self.stats.record_delivered(local_addr, packet.wire_len());
+                self.stats.record_delivered(node, packet.wire_len());
                 sc_obs::counter_add("simnet.packets_delivered", 1);
             }
             self.deliver_local(node, packet);
@@ -564,15 +532,10 @@ impl Sim {
             }
         }
         match packet.l4 {
-            L4::Tcp(seg) => {
-                let mut fx = Effects::default();
-                let now = self.now;
-                {
-                    let _prof = prof::scope(Subsystem::Tcp);
-                    self.nodes[node.0].tcp.on_segment(src, dst, seg, now, &mut fx);
-                }
-                self.flush(node, fx);
-            }
+            L4::Tcp(seg) => self.with_tcp(node, |tcp, now, fx| {
+                let _prof = prof::scope(Subsystem::Tcp);
+                tcp.on_segment(src, dst, seg, now, fx);
+            }),
             L4::Udp(dgram) => {
                 let app = self.nodes[node.0].udp.lookup(dgram.dst_port);
                 if let Some(app) = app {
@@ -623,7 +586,11 @@ impl Sim {
     }
 
     fn route_out(&mut self, node: NodeId, packet: Packet) {
-        let Some(&lid) = self.nodes[node.0].routes.get(&packet.dst) else {
+        let next_hop = self
+            .addr_map
+            .get(&packet.dst)
+            .and_then(|dst| self.nodes[node.0].routes.get(dst.0).copied().flatten());
+        let Some(lid) = next_hop else {
             self.stats
                 .record_drop(packet.src, packet.dst, DropReason::NoRoute);
             self.trace_drop(&packet, "no_route");
@@ -634,7 +601,7 @@ impl Sim {
         // node owning the source address), so loss rates are end-to-end
         // rather than per-hop.
         if self.nodes[node.0].addr == packet.src {
-            self.stats.record_sent(packet.src, wire_len);
+            self.stats.record_sent(node, wire_len);
             sc_obs::counter_add("simnet.packets_sent", 1);
             sc_obs::counter_add("simnet.bytes_sent", wire_len as u64);
         }
@@ -693,16 +660,34 @@ impl Sim {
         });
     }
 
-    fn flush(&mut self, node: NodeId, fx: Effects) {
-        for pkt in fx.out {
+    /// Runs one step of `node`'s TCP layer and carries out its side
+    /// effects: packets out, timers into the queue, app events onto the
+    /// node's pending list.
+    ///
+    /// The step writes into the simulator's one [`Effects`] scratch,
+    /// which is *taken* for the duration and handed back drained, with
+    /// its capacity — so a segment costs no `Vec` allocation. Taken, not
+    /// borrowed: every step ends before the app events it queued are
+    /// dispatched, and an app that calls `Ctx::tcp_send` from `on_event`
+    /// starts a step of its own, which must find the scratch empty.
+    /// Should a step ever start inside another, it finds a fresh, empty
+    /// `Effects` where the scratch was — slower, never wrong.
+    fn with_tcp<R>(
+        &mut self,
+        node: NodeId,
+        step: impl FnOnce(&mut TcpLayer, SimTime, &mut Effects) -> R,
+    ) -> R {
+        let mut fx = std::mem::take(&mut self.fx);
+        let result = step(&mut self.nodes[node.0].tcp, self.now, &mut fx);
+        for pkt in fx.out.drain(..) {
             self.send_from(node, pkt, false);
         }
-        for (delay, timer) in fx.timers {
+        for (delay, timer) in fx.timers.drain(..) {
             self.schedule(delay, Event::TcpTimer { node, timer });
         }
-        for (app, ev) in fx.app_events {
-            self.nodes[node.0].pending.push_back((app, ev));
-        }
+        self.nodes[node.0].pending.extend(fx.app_events.drain(..));
+        self.fx = fx;
+        result
     }
 
     fn drain_pending(&mut self, node: NodeId) {
@@ -761,13 +746,9 @@ impl<'a> Ctx<'a> {
 
     /// Opens a TCP connection to `remote`.
     pub fn tcp_connect(&mut self, remote: SocketAddr) -> TcpHandle {
-        let mut fx = Effects::default();
-        let local = self.addr();
-        let h = self.sim.nodes[self.node.0]
-            .tcp
-            .connect(self.app, local, remote, &mut fx);
-        self.sim.flush(self.node, fx);
-        h
+        let (app, local) = (self.app, self.addr());
+        self.sim
+            .with_tcp(self.node, |tcp, _, fx| tcp.connect(app, local, remote, fx))
     }
 
     /// Listens for TCP connections on `port`. Returns `false` if taken.
@@ -778,11 +759,8 @@ impl<'a> Ctx<'a> {
     /// Sends bytes on a connection. Returns bytes accepted, or `None` if
     /// the connection cannot send.
     pub fn tcp_send(&mut self, h: TcpHandle, data: &[u8]) -> Option<usize> {
-        let mut fx = Effects::default();
-        let now = self.sim.now;
-        let r = self.sim.nodes[self.node.0].tcp.send(h, data, now, &mut fx);
-        self.sim.flush(self.node, fx);
-        r
+        self.sim
+            .with_tcp(self.node, |tcp, now, fx| tcp.send(h, data, now, fx))
     }
 
     /// Drains up to `max` received bytes.
@@ -802,17 +780,13 @@ impl<'a> Ctx<'a> {
 
     /// Begins a graceful close.
     pub fn tcp_close(&mut self, h: TcpHandle) {
-        let mut fx = Effects::default();
-        let now = self.sim.now;
-        self.sim.nodes[self.node.0].tcp.close(h, now, &mut fx);
-        self.sim.flush(self.node, fx);
+        self.sim
+            .with_tcp(self.node, |tcp, now, fx| tcp.close(h, now, fx));
     }
 
     /// Aborts with RST.
     pub fn tcp_abort(&mut self, h: TcpHandle) {
-        let mut fx = Effects::default();
-        self.sim.nodes[self.node.0].tcp.abort(h, &mut fx);
-        self.sim.flush(self.node, fx);
+        self.sim.with_tcp(self.node, |tcp, _, fx| tcp.abort(h, fx));
     }
 
     /// The peer address of a connection.
@@ -916,5 +890,182 @@ impl<'a> Ctx<'a> {
         self.sim
             .node_by_addr(addr)
             .map_or(false, |n| self.sim.nodes[n.0].up)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::TcpEvent;
+    use crate::link::LinkConfig;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    const CLIENT: Addr = Addr::new(10, 0, 0, 1);
+    const SERVER: Addr = Addr::new(99, 0, 0, 1);
+
+    /// Writes every TCP segment crossing the router as one line.
+    struct WireLog(Rc<RefCell<Vec<String>>>);
+
+    impl Middlebox for WireLog {
+        fn process(&mut self, pkt: &Packet, ctx: &mut MbCtx<'_>) -> Verdict {
+            if let L4::Tcp(seg) = &pkt.l4 {
+                let f = seg.flags;
+                let flags: String = [(f.syn, 'S'), (f.ack, 'A'), (f.fin, 'F'), (f.rst, 'R')]
+                    .iter()
+                    .filter_map(|&(set, c)| set.then_some(c))
+                    .collect();
+                self.0.borrow_mut().push(format!(
+                    "{} {}>{} {flags} {}:{} +{}",
+                    ctx.now.as_micros(),
+                    seg.src_port,
+                    seg.dst_port,
+                    seg.seq,
+                    seg.ack,
+                    seg.payload.len()
+                ));
+            }
+            Verdict::Forward
+        }
+    }
+
+    /// Echoes on ports 80 and 81; closes when the peer does.
+    struct Echo;
+
+    impl App for Echo {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            assert!(ctx.tcp_listen(80) && ctx.tcp_listen(81));
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::Tcp(h, TcpEvent::DataReceived) => {
+                    let data = ctx.tcp_recv_all(h);
+                    ctx.tcp_send(h, &data);
+                }
+                AppEvent::Tcp(h, TcpEvent::PeerClosed) => ctx.tcp_close(h),
+                _ => {}
+            }
+        }
+    }
+
+    /// Every TCP step it takes is taken from inside `on_event`, while the
+    /// events of the step before are still being dispatched: it sends on
+    /// connect; when the echo is complete it closes and opens a second
+    /// connection in one handler; on that one it sends and closes in one
+    /// handler.
+    struct Chatter {
+        first: Option<TcpHandle>,
+        second: Option<TcpHandle>,
+        echoed: usize,
+    }
+
+    impl App for Chatter {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.first = Some(ctx.tcp_connect(SocketAddr::new(SERVER, 80)));
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::Tcp(h, TcpEvent::Connected) if Some(h) == self.first => {
+                    assert_eq!(ctx.tcp_send(h, &[0x5a; 2000]), Some(2000));
+                }
+                AppEvent::Tcp(h, TcpEvent::DataReceived) if Some(h) == self.first => {
+                    self.echoed += ctx.tcp_recv_all(h).len();
+                    if self.echoed == 2000 {
+                        ctx.tcp_close(h);
+                        self.second = Some(ctx.tcp_connect(SocketAddr::new(SERVER, 81)));
+                    }
+                }
+                AppEvent::Tcp(h, TcpEvent::Connected) if Some(h) == self.second => {
+                    assert_eq!(ctx.tcp_send(h, b"one more"), Some(8));
+                    ctx.tcp_close(h);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn destinations_without_a_route_are_dropped_and_counted() {
+        struct Stray(Addr);
+        impl App for Stray {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.raw_send(self.0, 47, Bytes::from_static(b"x"));
+            }
+            fn on_event(&mut self, _: AppEvent, _: &mut Ctx<'_>) {}
+        }
+        let mut sim = Sim::new(1);
+        let a = sim.add_node("a", CLIENT);
+        let b = sim.add_node("b", SERVER);
+        sim.add_link(a, b, LinkConfig::with_delay(SimDuration::from_millis(1)));
+        sim.compute_routes();
+        // An address no node owns, and a node the routes were computed
+        // without: both are lookups that must miss, not index past the table.
+        let nowhere = Addr::new(203, 0, 113, 9);
+        let late = Addr::new(99, 0, 0, 2);
+        sim.add_node("late", late);
+        sim.install_app(a, Box::new(Stray(nowhere)));
+        sim.install_app(a, Box::new(Stray(late)));
+        sim.run_until_idle();
+        assert_eq!(sim.stats.drops[&DropReason::NoRoute], 2);
+        assert_eq!(sim.stats.packets_sent, 0);
+        assert_eq!(sim.stats.by_addr(CLIENT).dropped, 2);
+        assert_eq!(sim.stats.by_addr(nowhere).dropped, 1);
+        assert_eq!(sim.stats.by_addr(late).dropped, 1);
+    }
+
+    #[test]
+    fn tcp_steps_taken_from_inside_on_event_put_the_same_segments_on_the_wire() {
+        let mut sim = Sim::new(5);
+        let a = sim.add_node("client", CLIENT);
+        let r = sim.add_node("router", Addr::new(10, 0, 0, 254));
+        let b = sim.add_node("server", SERVER);
+        sim.add_link(a, r, LinkConfig::with_delay(SimDuration::from_millis(5)));
+        sim.add_link(r, b, LinkConfig::with_delay(SimDuration::from_millis(5)));
+        sim.compute_routes();
+        let wire = Rc::new(RefCell::new(Vec::new()));
+        sim.set_middlebox(r, Box::new(WireLog(wire.clone())));
+        sim.install_app(b, Box::new(Echo));
+        sim.install_app(a, Box::new(Chatter { first: None, second: None, echoed: 0 }));
+        sim.run_until_idle();
+        // What the router saw when every step built and dropped an
+        // `Effects` of its own (recorded from that implementation).
+        let expected = [
+            "5003 40000>80 S 1000:0 +0",
+            "15009 80>40000 SA 1000:1001 +0",
+            "25015 40000>80 A 1001:1001 +0",
+            "25130 40000>80 A 1001:1001 +1400",
+            "25181 40000>80 A 2401:1001 +600",
+            "35248 80>40000 A 1001:2401 +0",
+            "35363 80>40000 A 1001:2401 +1400",
+            "35366 80>40000 A 2401:3001 +0",
+            "35417 80>40000 A 2401:3001 +600",
+            "45481 40000>80 A 3001:2401 +0",
+            "45535 40000>80 A 3001:3001 +0",
+            "45538 40000>80 AF 3001:3001 +0",
+            "45541 40001>81 S 101000:0 +0",
+            "55544 80>40000 A 3001:3002 +0",
+            "55547 80>40000 AF 3001:3002 +0",
+            "55550 81>40001 SA 101000:101001 +0",
+            "65553 40000>80 A 3002:3002 +0",
+            "65556 40001>81 A 101001:101001 +0",
+            "65560 40001>81 A 101001:101001 +8",
+            "65563 40001>81 AF 101009:101001 +0",
+            "75567 81>40001 A 101001:101009 +0",
+            "75571 81>40001 A 101001:101009 +8",
+            "75574 81>40001 A 101009:101010 +0",
+            "75577 81>40001 AF 101009:101010 +0",
+            "85578 40001>81 A 101010:101009 +0",
+            "85584 40001>81 A 101010:101010 +0",
+        ];
+        assert_eq!(*wire.borrow(), expected);
+        // The last event is a TIME_WAIT expiry, a second after the close.
+        assert_eq!(sim.now().as_micros(), 1_080_581);
+        assert_eq!((sim.stats.packets_sent, sim.stats.packets_delivered), (26, 26));
+        assert_eq!((sim.stats.events_processed, sim.stats.timers_fired), (70, 16));
+        assert_eq!(sim.stats.queue_depth_hwm, 17);
+        // Every step handed the scratch back, drained and still grown.
+        assert!(sim.fx.out.is_empty() && sim.fx.timers.is_empty() && sim.fx.app_events.is_empty());
+        assert!(sim.fx.out.capacity() > 0 && sim.fx.timers.capacity() > 0);
+        assert!(sim.fx.app_events.capacity() > 0);
     }
 }

@@ -8,11 +8,11 @@
 //! degrades page load time in the paper's measurements.
 
 use bytes::Bytes;
-use std::collections::HashMap;
 use std::collections::VecDeque;
 
 use crate::addr::SocketAddr;
 use crate::api::{AppEvent, AppId, TcpEvent, TcpHandle};
+use crate::hash::FixedMap;
 use crate::packet::{Packet, TcpFlags, TcpSegment, TcpSegmentBody};
 use crate::time::{SimDuration, SimTime};
 
@@ -162,9 +162,9 @@ fn ring_bytes(buf: &VecDeque<u8>, start: usize, len: usize) -> Bytes {
 pub struct TcpLayer {
     conns: Vec<Conn>,
     /// (local port, remote socket) → connection slot.
-    demux: HashMap<(u16, SocketAddr), usize>,
+    demux: FixedMap<(u16, SocketAddr), usize>,
     /// Listening port → owning app.
-    listeners: HashMap<u16, AppId>,
+    listeners: FixedMap<u16, AppId>,
     next_ephemeral: u16,
     /// Deterministic ISS counter.
     next_iss: u64,
@@ -188,8 +188,8 @@ impl TcpLayer {
     pub fn new() -> Self {
         TcpLayer {
             conns: Vec::new(),
-            demux: HashMap::new(),
-            listeners: HashMap::new(),
+            demux: FixedMap::default(),
+            listeners: FixedMap::default(),
             next_ephemeral: 40_000,
             next_iss: 1_000,
         }

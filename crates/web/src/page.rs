@@ -113,12 +113,20 @@ impl PageSpec {
         bytes
     }
 
-    /// Parses the manifest back out of an HTML body.
+    /// Parses the manifest back out of an HTML body: the `RES ` lines,
+    /// wherever they stand. Lines are cut the way `str::lines` cuts them
+    /// (at `\n`, dropping the `\r` of a `\r\n`), and only a `RES ` line
+    /// is decoded — the kilobytes of markup around them are stepped over
+    /// as bytes.
     pub fn parse_manifest(html: &[u8]) -> Vec<Resource> {
-        let text = String::from_utf8_lossy(html);
-        text.lines()
+        html.split_inclusive(|&b| b == b'\n')
             .filter_map(|line| {
-                let mut parts = line.strip_prefix("RES ")?.split(' ');
+                let line = match line.strip_suffix(b"\n") {
+                    Some(cut) => cut.strip_suffix(b"\r").unwrap_or(cut),
+                    None => line,
+                };
+                let fields = String::from_utf8_lossy(line.strip_prefix(b"RES ")?);
+                let mut parts = fields.split(' ');
                 let host = parts.next()?.to_string();
                 let path = parts.next()?.to_string();
                 let len: usize = parts.next()?.parse().ok()?;
@@ -137,6 +145,55 @@ impl PageSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `parse_manifest` as it was first written — decode the whole body,
+    /// then look at every line — kept as the oracle for the one above.
+    fn parse_manifest_whole_body(html: &[u8]) -> Vec<Resource> {
+        let text = String::from_utf8_lossy(html);
+        text.lines()
+            .filter_map(|line| {
+                let mut parts = line.strip_prefix("RES ")?.split(' ');
+                let host = parts.next()?.to_string();
+                let path = parts.next()?.to_string();
+                let len: usize = parts.next()?.parse().ok()?;
+                let first = parts.next()? == "first";
+                Some(Resource { host, path, len, first_visit_only: first })
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Bodies stitched from manifest lines (whole, cut short, with
+        /// arbitrary bytes where a field should be), every kind of line
+        /// ending, and arbitrary bytes — invalid UTF-8 inside and outside
+        /// `RES ` lines — parse as the whole-body oracle parses them, and
+        /// so does every prefix of one: a body may stop mid-line, after a
+        /// bare `\r`, or inside a multi-byte character.
+        #[test]
+        fn parse_manifest_matches_the_whole_body_oracle(
+            pieces in prop::collection::vec((0u8..10, prop::collection::vec(any::<u8>(), 0..12)), 0..24),
+        ) {
+            let mut html = Vec::new();
+            for (kind, noise) in pieces {
+                match kind {
+                    0 => html.extend_from_slice(b"RES cdn.example /a.css 120 first"),
+                    1 => html.extend_from_slice(b"RES cdn.example /b.js 7 always"),
+                    2 => html.extend_from_slice(b"RES "),
+                    3 => html.extend_from_slice(b" 42 first"),
+                    4 => html.push(b' '),
+                    5 => html.push(b'\n'),
+                    6 => html.extend_from_slice(b"\r\n"),
+                    7 => html.push(b'\r'),
+                    _ => html.extend_from_slice(&noise),
+                }
+            }
+            for end in 0..=html.len() {
+                let body = &html[..end];
+                prop_assert_eq!(PageSpec::parse_manifest(body), parse_manifest_whole_body(body));
+            }
+        }
+    }
 
     #[test]
     fn manifest_roundtrip() {

@@ -13,6 +13,11 @@ cargo test -q --offline
 # (a rule learned mid-run by the adaptive censor, say) need thousands.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-gfw --lib engine::reference
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
+# The event queue (heap of keys over a slab of payloads) against an
+# ordered-map model, and the page manifest parser against the
+# decode-the-whole-body parser it replaced, at the same depth.
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib queue::tests
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-web --lib page::tests
 echo "differential suites: ok"
 
 # The analyzer is where sc-obs reads bytes it did not write: written
@@ -148,6 +153,23 @@ done
 fail_if_found "a Gate defined outside analyze/" \
     grep -rnE 'struct Gate|Gate \{' crates/obs/src --include='*.rs' --exclude-dir=analyze
 echo "structure: ok (analyze/ + scholar-obs.rs hold $_code non-blank non-comment lines, tests aside)"
+
+# Structure, event core (DESIGN.md §6o): the simulator has one TCP
+# side-effect scratch — `Effects::default()` is spelled once, where
+# `Sim::new` fills the field, and otherwise only in tests — and the maps
+# a packet passes through are dense tables or the crate's fixed-state
+# `FixedMap`, never a `HashMap` with the standard library's random keys.
+event_core_offenders() {
+    # Lines above a file's test module that name a HashMap, or build an
+    # Effects anywhere but in Sim's field initialiser.
+    awk 'FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
+         !tests && /HashMap|Effects::default\(\)/ && !/^ *fx: Effects::default\(\),$/ \
+             { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' crates/simnet/src/sim.rs crates/simnet/src/node.rs \
+        crates/simnet/src/stats.rs crates/simnet/src/tcp.rs
+}
+fail_if_found "a HashMap or a second Effects in the simnet event core" event_core_offenders
+echo "structure: ok (one Effects scratch; no std-keyed HashMap in the simnet event core)"
 
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion
