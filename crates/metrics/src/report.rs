@@ -228,6 +228,36 @@ pub fn render_fig7(curves: &[(Method, Vec<Fig7Point>)]) -> String {
     out
 }
 
+/// Renders the three ablations (blinding, scheme agility, Shadowsocks
+/// keep-alive sweep) from what their runners return.
+pub fn render_ablations(
+    blinding: &(Fig5Row, Fig5Row, u64),
+    agility: (f64, f64),
+    keepalive: &[(u64, f64)],
+) -> String {
+    let (on, off, resets) = blinding;
+    let mut out = String::new();
+    out.push_str("Ablation — message blinding:\n");
+    out.push_str(&format!(
+        "  blinding ON : fail rate {:.1}%  PLR {:.3}%\n",
+        on.failure_rate * 100.0,
+        on.plr * 100.0
+    ));
+    out.push_str(&format!(
+        "  blinding OFF: fail rate {:.1}%  PLR {:.3}%  (embedded-SNI resets: {resets})\n",
+        off.failure_rate * 100.0,
+        off.plr * 100.0
+    ));
+    out.push_str("Ablation — scheme agility after a GFW rule update:\n");
+    out.push_str(&format!("  before rotation: degradation index {:.2}\n", agility.0));
+    out.push_str(&format!("  after  rotation: degradation index {:.2}\n", agility.1));
+    out.push_str("Ablation — Shadowsocks keep-alive window vs mean PLT:\n");
+    for (w, plt) in keepalive {
+        out.push_str(&format!("  keepalive {w:>4} s → subsequent PLT {plt:.2} s\n"));
+    }
+    out
+}
+
 /// Renders rows as CSV (for external plotting).
 pub fn fig5_csv(rows: &[Fig5Row]) -> String {
     let mut out = String::from(

@@ -7,7 +7,7 @@ use sc_metrics::{
     FIG7_CLIENTS, Method, ablation_agility, ablation_blinding, ablation_ss_keepalive, fig3_survey,
     fig5_all, fig6_all, fig7_method,
 };
-use sc_metrics::report::{render_fig3, render_fig5, render_fig6, render_fig7};
+use sc_metrics::report::{render_ablations, render_fig3, render_fig5, render_fig6, render_fig7};
 
 fn main() {
     // SC_TRACE=trace.jsonl streams every instrumented event to a file.
@@ -49,26 +49,13 @@ fn main() {
         println!("       OpenVPN and ScholarCloud grow most gently\n");
     }
     if which == "ablations" || which == "all" {
-        let (on, off, resets) = ablation_blinding(seed);
-        println!("Ablation — message blinding:");
-        println!(
-            "  blinding ON : fail rate {:.1}%  PLR {:.3}%",
-            on.failure_rate * 100.0,
-            on.plr * 100.0
+        print!(
+            "{}",
+            render_ablations(
+                &ablation_blinding(seed),
+                ablation_agility(seed),
+                &ablation_ss_keepalive(seed, &[1, 10, 120]),
+            )
         );
-        println!(
-            "  blinding OFF: fail rate {:.1}%  PLR {:.3}%  (embedded-SNI resets: {resets})",
-            off.failure_rate * 100.0,
-            off.plr * 100.0
-        );
-        let (before, after) = ablation_agility(seed);
-        println!("Ablation — scheme agility after a GFW rule update:");
-        println!("  before rotation: degradation index {before:.2}");
-        println!("  after  rotation: degradation index {after:.2}");
-        let sweep = ablation_ss_keepalive(seed, &[1, 10, 120]);
-        println!("Ablation — Shadowsocks keep-alive window vs mean PLT:");
-        for (w, plt) in sweep {
-            println!("  keepalive {w:>4} s → subsequent PLT {plt:.2} s");
-        }
     }
 }

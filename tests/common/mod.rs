@@ -39,6 +39,34 @@ pub fn captured(f: impl FnOnce()) -> Vec<u8> {
     out
 }
 
+/// One `label sha256-hex` line of a golden digest file.
+pub fn digest_line(label: &str, trace: &[u8]) -> String {
+    let hex: String = sc_crypto::sha256(trace).iter().map(|b| format!("{b:02x}")).collect();
+    format!("{label} {hex}\n")
+}
+
+/// Where `tests/golden/<file>` is.
+pub fn golden_path(file: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file)
+}
+
+/// `SC_BLESS` is set: a golden check rewrites its file instead.
+pub fn blessing() -> bool {
+    std::env::var_os("SC_BLESS").is_some()
+}
+
+/// Compares `actual` with `tests/golden/<file>`, or rewrites the file
+/// when `SC_BLESS` is set.
+pub fn check_golden(file: &str, actual: &str) {
+    let path = golden_path(file);
+    if blessing() {
+        std::fs::write(&path, actual).expect("write golden digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(&path).expect("read golden digests");
+    assert_eq!(actual, golden, "{file} moved; if intended, re-bless with SC_BLESS=1");
+}
+
 /// An elastic scenario run: a serverless remote tier with a mid-run
 /// blacklisting wave whose target is resolved at fire time from the
 /// live warm set (the elastic_lab shape, shrunk). Autoscaler ticks,

@@ -5,7 +5,7 @@
 
 mod common;
 
-use common::{captured, elastic_run, SharedBuf};
+use common::{captured, check_golden, digest_line, elastic_run, SharedBuf};
 use sc_metrics::{BuiltScenario, Method, ScenarioConfig, build_scenario, run_scenario};
 use sc_obs::{Dispatcher, JsonlSink, Level, SloSpec, WindowSpec};
 use sc_simnet::faults::FaultPlan;
@@ -40,23 +40,6 @@ fn transport_trace_digests_match_golden() {
         actual.push_str(&digest_line(&format!("{method:?}"), &traced_run(method, 33)));
     }
     check_golden("transport_digests.txt", &actual);
-}
-
-fn digest_line(label: &str, trace: &[u8]) -> String {
-    let hex: String = sc_crypto::sha256(trace).iter().map(|b| format!("{b:02x}")).collect();
-    format!("{label} {hex}\n")
-}
-
-/// Compares `actual` with `tests/golden/<file>`, or rewrites the file
-/// when `SC_BLESS` is set.
-fn check_golden(file: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(file);
-    if std::env::var_os("SC_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden digests");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("read golden digests");
-    assert_eq!(actual, golden, "{file} moved; if intended, re-bless with SC_BLESS=1");
 }
 
 /// A plaintext keyword reset and a raw-IP dial to Google on a small
