@@ -137,11 +137,6 @@ impl StubResolver {
         Some(Resolution { name, outcome, token, from_cache: false })
     }
 
-    /// Drops all cached entries (models a browser restart).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Whether any queries are awaiting answers.
     pub fn has_pending(&self) -> bool {
         !self.pending.is_empty()

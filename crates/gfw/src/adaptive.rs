@@ -29,6 +29,14 @@ use sc_simnet::time::{SimDuration, SimTime};
 use crate::classify::FlowRecord;
 use crate::engine::GfwCounters;
 
+/// Maximum bytes of a promoted signature.
+pub const SIGNATURE_LEN: usize = 24;
+/// Window for the connection-cadence detector.
+pub const CADENCE_WINDOW: SimDuration = SimDuration::from_secs(30);
+/// Bytes of a suspect flow's captured preamble replayed by campaign
+/// probes.
+pub const REPLAY_CAPTURE: usize = 256;
+
 /// Tuning for the reactive censor. All thresholds are integers so the
 /// suspicion score is exactly reproducible and monotone in evidence.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,8 +45,6 @@ pub struct AdaptiveConfig {
     /// before the fingerprint is promoted to a blockable signature
     /// (the classifier *never* fires below this).
     pub learn_after_flows: u32,
-    /// Maximum bytes of a promoted signature.
-    pub signature_len: usize,
     /// Rule churn: a learned signature expires this long after it was
     /// last re-confirmed by a matching flow. A defense that rotates
     /// schemes starves the refresh and eventually un-learns the rule; a
@@ -51,23 +57,18 @@ pub struct AdaptiveConfig {
     /// server (destination fan-in).
     pub fanin_weight: u32,
     /// Score points per machine-like reconnect (a new flow to the same
-    /// server within [`cadence_window`](Self::cadence_window)).
+    /// server within [`CADENCE_WINDOW`]).
     pub cadence_weight: u32,
     /// Score points per flow whose preamble looks odd (printable
     /// HTTP-shaped head fronting a binary body, or a headerless
     /// high-entropy stream).
     pub preamble_weight: u32,
-    /// Window for the connection-cadence detector.
-    pub cadence_window: SimDuration,
     /// Probe waves per campaign (hard bound on probes per server).
     pub campaign_waves: u32,
     /// Base gap between campaign waves.
     pub wave_gap: SimDuration,
     /// Seeded jitter added to each wave gap (uniform in `[0, jitter)`).
     pub wave_jitter: SimDuration,
-    /// Bytes of a suspect flow's captured preamble replayed by campaign
-    /// probes (`0` = garbage-only probes).
-    pub replay_capture: usize,
     /// Number of enforcement regions (paths through the border). Flows
     /// hash to a region by client address.
     pub regions: u32,
@@ -82,17 +83,14 @@ impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
             learn_after_flows: 6,
-            signature_len: 24,
             signature_ttl: SimDuration::from_secs(45),
             suspicion_threshold: 6,
             fanin_weight: 2,
             cadence_weight: 1,
             preamble_weight: 2,
-            cadence_window: SimDuration::from_secs(30),
             campaign_waves: 3,
             wave_gap: SimDuration::from_secs(5),
             wave_jitter: SimDuration::from_secs(2),
-            replay_capture: 256,
             regions: 1,
             leniency: 0.0,
             drift_period: SimDuration::from_secs(60),
@@ -171,7 +169,7 @@ pub struct AdaptiveState {
 /// The cover fingerprint of a flow's early bytes: the request line up
 /// to the protocol version (`"POST /api/sync"`), the stable prefix a
 /// rule writer would extract. `None` for non-HTTP-shaped flows.
-pub fn cover_fingerprint(early: &[u8], max_len: usize) -> Option<Vec<u8>> {
+pub fn cover_fingerprint(early: &[u8]) -> Option<Vec<u8>> {
     if !(early.starts_with(b"POST ") || early.starts_with(b"GET ") || early.starts_with(b"PUT ")) {
         return None;
     }
@@ -182,7 +180,7 @@ pub fn cover_fingerprint(early: &[u8], max_len: usize) -> Option<Vec<u8>> {
     if sig.len() < 6 {
         return None;
     }
-    Some(sig[..sig.len().min(max_len)].to_vec())
+    Some(sig[..sig.len().min(SIGNATURE_LEN)].to_vec())
 }
 
 /// Whether a flow's captured preamble looks odd to a censor analyst: an
@@ -255,7 +253,7 @@ impl AdaptiveState {
         let ev = self.servers.entry(server).or_default();
         ev.clients.insert(client);
         if let Some(last) = ev.last_flow {
-            if now - last <= cfg.cadence_window {
+            if now - last <= CADENCE_WINDOW {
                 ev.cadence_hits = ev.cadence_hits.saturating_add(1);
             }
         }
@@ -276,7 +274,7 @@ impl AdaptiveState {
         early: &[u8],
         now: SimTime,
     ) -> FingerprintOutcome {
-        let Some(sig) = cover_fingerprint(early, cfg.signature_len) else {
+        let Some(sig) = cover_fingerprint(early) else {
             return FingerprintOutcome::None;
         };
         if let Some(l) = self.learned.iter_mut().find(|l| l.sig == sig) {
@@ -486,10 +484,8 @@ pub(crate) fn process_flow(
             if adaptive.start_campaign(cfg, rec.server, now) {
                 counters.campaigns_launched += 1;
                 sc_obs::counter_add("gfw.adaptive_campaigns", 1);
-                if cfg.replay_capture > 0 {
-                    let take = rec.early_bytes.len().min(cfg.replay_capture);
-                    replay_preambles.insert(rec.server, rec.early_bytes[..take].to_vec());
-                }
+                let take = rec.early_bytes.len().min(REPLAY_CAPTURE);
+                replay_preambles.insert(rec.server, rec.early_bytes[..take].to_vec());
                 emit_adaptive(now, "campaign", |ev| {
                     ev.field("server", rec.server.to_string()).field("score", score as u64)
                 });
@@ -530,8 +526,8 @@ mod tests {
     #[test]
     fn fingerprint_is_request_line_prefix() {
         let p = preamble("/api/sync");
-        assert_eq!(cover_fingerprint(&p, 24).unwrap(), b"POST /api/sync".to_vec());
-        assert_eq!(cover_fingerprint(b"\x16\x03\x03junk", 24), None);
+        assert_eq!(cover_fingerprint(&p).unwrap(), b"POST /api/sync".to_vec());
+        assert_eq!(cover_fingerprint(b"\x16\x03\x03junk"), None);
     }
 
     #[test]

@@ -88,8 +88,6 @@ pub struct GfwConfig {
     pub sni_blocklist: Vec<String>,
     /// Keywords in plaintext HTTP that trigger connection reset.
     pub http_keywords: Vec<String>,
-    /// The bogus address injected into poisoned DNS answers.
-    pub poison_addr: Addr,
     /// Per-class interference.
     pub policies: ClassPolicies,
     /// Whether the active prober confirms suspects (can be disabled for
@@ -112,7 +110,6 @@ impl Default for GfwConfig {
             dns_blocklist: Vec::new(),
             sni_blocklist: Vec::new(),
             http_keywords: Vec::new(),
-            poison_addr: Addr::new(127, 66, 66, 66),
             policies: ClassPolicies::default(),
             active_probing: true,
             learned_signatures: Vec::new(),

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use rand::Rng;
 use sc_dns::forge_response;
-use sc_simnet::addr::SocketAddr;
+use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::middlebox::{MbCtx, Middlebox, Verdict};
 use sc_simnet::packet::{L4, Packet, TcpFlags, TcpSegmentBody};
 
@@ -17,6 +17,9 @@ use crate::config::GfwConfig;
 
 #[cfg(test)]
 mod reference;
+
+/// The bogus address injected into poisoned DNS answers.
+pub const POISON_ADDR: Addr = Addr::new(127, 66, 66, 66);
 
 /// Counters describing everything the GFW did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -192,8 +195,7 @@ impl Middlebox for GfwMiddlebox {
                     if !query.is_response
                         && GfwConfig::domain_matches(&st.config.dns_blocklist, &query.qname)
                     {
-                        let poison = st.config.poison_addr;
-                        if let Some(forged) = forge_response(&u.payload, poison, 600) {
+                        if let Some(forged) = forge_response(&u.payload, POISON_ADDR, 600) {
                             // Spoofed answer "from" the queried server.
                             let reply = Packet::udp(
                                 SocketAddr::new(pkt.dst, u.dst_port),

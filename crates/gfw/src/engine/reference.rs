@@ -15,7 +15,7 @@ use sc_simnet::middlebox::{MbCtx, Verdict};
 use sc_simnet::packet::{L4, Packet, proto};
 use sc_simnet::time::SimTime;
 
-use super::{GfwMiddlebox, GfwState, trace_drop};
+use super::{GfwMiddlebox, GfwState, POISON_ADDR, trace_drop};
 use crate::classify::{
     CAPTURE_LIMIT, FlowRecord, TIMING_WINDOW, TrafficClass, is_openvpn_frame, ports,
 };
@@ -144,8 +144,7 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
                 if !query.is_response
                     && GfwConfig::domain_matches(&st.config.dns_blocklist, &query.qname)
                 {
-                    let poison = st.config.poison_addr;
-                    if let Some(forged) = forge_response(&u.payload, poison, 600) {
+                    if let Some(forged) = forge_response(&u.payload, POISON_ADDR, 600) {
                         // Spoofed answer "from" the queried server.
                         let reply = Packet::udp(
                             SocketAddr::new(pkt.dst, u.dst_port),

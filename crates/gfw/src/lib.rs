@@ -209,7 +209,6 @@ mod tests {
             }
         }
         let cfg = GfwConfig::china_2017((Addr::new(99, 2, 0, 0), 16));
-        let poison = cfg.poison_addr;
         let (mut sim, client, _server, gfw) = topology(cfg);
         // Authoritative server past the border holds the real record.
         let dns_node = sim.node_by_addr(RESOLVER_UP).unwrap();
@@ -224,14 +223,14 @@ mod tests {
         sim.run_for(SimDuration::from_secs(5));
         match got.borrow().clone().expect("should get an answer") {
             ResolveOutcome::Resolved(addrs) => {
-                assert_eq!(addrs, vec![poison], "answer must be the forged one");
+                assert_eq!(addrs, vec![engine::POISON_ADDR], "answer must be the forged one");
             }
             other => panic!("unexpected outcome {other:?}"),
         }
         assert_eq!(gfw.borrow().counters.dns_poisoned, 1);
         // The forged message must parse as a normal response.
         let q = DnsMessage::query(1, "scholar.google.com");
-        assert!(sc_dns::forge_response(&q.encode(), poison, 60).is_some());
+        assert!(sc_dns::forge_response(&q.encode(), engine::POISON_ADDR, 60).is_some());
     }
 
     #[test]

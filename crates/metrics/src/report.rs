@@ -101,7 +101,7 @@ pub fn render_cache(stats: &sc_core::CacheStats) -> String {
     out
 }
 
-/// Renders the installed observability registry (counters, gauges,
+/// Renders the installed observability registry (counters,
 /// histogram percentiles), or a placeholder when no collector is
 /// installed. Plugs the `sc-obs` metrics into the report output.
 pub fn render_obs_summary() -> String {

@@ -804,12 +804,6 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     threshold: rotation.threshold.max(1),
                     ..rotation
                 });
-                // The stream-level half of the defense: a learned
-                // signature RSTs established tunnels (past the connect
-                // retry budget), so rotation only preserves in-flight
-                // streams if they transparently re-establish under the
-                // rotated scheme.
-                sc_cfg.resilience.stream_resume = true;
             }
             if let Some(m) = cfg.sc_max_tunnels {
                 sc_cfg.admission.max_tunnels = m;

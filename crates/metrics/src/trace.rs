@@ -78,13 +78,3 @@ pub fn ops_obs(windows: WindowSpec, slos: Vec<SloSpec>) -> ObsGuard {
     }
     d.install()
 }
-
-/// Installs a JSONL trace collector writing to `path` unconditionally.
-/// Used by tests that assert on trace contents.
-pub fn obs_to_file(path: &str) -> std::io::Result<ObsGuard> {
-    let sink = JsonlSink::create(path)?;
-    Ok(Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install())
-}

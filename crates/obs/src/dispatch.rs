@@ -390,17 +390,6 @@ pub fn counter_add(name: &str, by: u64) {
     with_installed(|d| d.registry.counter_add(name, by));
 }
 
-/// Sets a named gauge in the installed registry.
-pub fn gauge_set(name: &str, v: i64) {
-    with_installed(|d| d.registry.gauge_set(name, v));
-}
-
-/// Adds (possibly negatively) to a named gauge in the installed
-/// registry.
-pub fn gauge_add(name: &str, by: i64) {
-    with_installed(|d| d.registry.gauge_add(name, by));
-}
-
 /// Records a histogram sample in the installed registry.
 pub fn observe(name: &str, v: u64) {
     with_installed(|d| d.registry.observe(name, v));
@@ -671,12 +660,9 @@ mod tests {
         let guard = Dispatcher::new().install();
         counter_add("pkts", 2);
         counter_add("pkts", 3);
-        gauge_set("depth", 7);
-        gauge_add("depth", -2);
         observe("lat", 100);
         let reg = guard.registry();
         assert_eq!(reg.counter("pkts"), 5);
-        assert_eq!(reg.gauge("depth"), 5);
         assert_eq!(reg.histogram("lat").unwrap().count(), 1);
         let final_reg = guard.uninstall().into_registry();
         assert_eq!(final_reg.counter("pkts"), 5);

@@ -13,8 +13,8 @@
 //!    microseconds of `sc-simnet` clock, never wall clock. Events are
 //!    addressed `component → target → name` (see [`event`]) and
 //!    filtered per component by [`Level`].
-//! 2. **Metrics** ([`Registry`]): saturating [`Counter`]s, [`Gauge`]s,
-//!    and HDR-style log-bucketed [`Histogram`]s with p50/p95/p99.
+//! 2. **Metrics** ([`Registry`]): saturating [`Counter`]s and
+//!    HDR-style log-bucketed [`Histogram`]s with p50/p95/p99.
 //! 3. **Sinks** ([`RingSink`] for tests, [`JsonlSink`] for offline
 //!    analysis, [`Registry::render_summary`] for human-readable
 //!    reports via `sc-metrics`).
@@ -74,13 +74,13 @@ pub mod timeseries;
 
 pub use context::{TraceCtx, TraceId, TRACE_HEADER};
 pub use dispatch::{
-    counter_add, emit, event, gauge_add, gauge_set, is_active, is_enabled, observe, span_end,
+    counter_add, emit, event, is_active, is_enabled, observe, span_end,
     span_start, span_start_ctx, span_start_with, tick, ts_bump, ts_bump_ex, ts_record,
     ts_record_ex, with_registry, with_slo_engine, with_timeseries, Dispatcher, ObsGuard,
     SpanFields,
 };
 pub use event::{Event, Level, SpanId, Value};
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::{Counter, Histogram, Registry};
 pub use sink::{write_event_json, JsonlSink, RingHandle, RingSink, Sink};
 pub use slo::{Objective, SloEngine, SloSpec, SloStatus};
 pub use timeseries::{SeriesKind, TimeSeries, Window, WindowSpec};

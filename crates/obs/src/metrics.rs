@@ -1,4 +1,4 @@
-//! Metrics: counters, gauges, and log-bucketed histograms.
+//! Metrics: counters and log-bucketed histograms.
 //!
 //! A [`Registry`] owns every metric, keyed by a dotted name
 //! (`"simnet.packets_sent"`). Iteration order is the `BTreeMap` key
@@ -37,27 +37,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A value that can go up and down (queue depths, open tunnels).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Gauge(i64);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&mut self, v: i64) {
-        self.0 = v;
-    }
-
-    /// Adds `by` (may be negative), saturating at the `i64` extremes.
-    pub fn add(&mut self, by: i64) {
-        self.0 = self.0.saturating_add(by);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.0
     }
 }
@@ -241,7 +220,6 @@ pub(crate) fn with_named<V, R>(
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: BTreeMap<String, Counter>,
-    gauges: BTreeMap<String, Gauge>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -261,21 +239,6 @@ impl Registry {
         self.counters.get(name).map_or(0, Counter::get)
     }
 
-    /// Sets the named gauge, creating it on first use.
-    pub fn gauge_set(&mut self, name: &str, v: i64) {
-        with_named(&mut self.gauges, name, Gauge::default, |g| g.set(v));
-    }
-
-    /// Adds `by` (may be negative) to the named gauge.
-    pub fn gauge_add(&mut self, name: &str, by: i64) {
-        with_named(&mut self.gauges, name, Gauge::default, |g| g.add(by));
-    }
-
-    /// Reads a gauge (0 when never touched).
-    pub fn gauge(&self, name: &str) -> i64 {
-        self.gauges.get(name).map_or(0, Gauge::get)
-    }
-
     /// Records a sample into the named histogram, creating it on first
     /// use.
     pub fn observe(&mut self, name: &str, v: u64) {
@@ -292,11 +255,6 @@ impl Registry {
         self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
     }
 
-    /// Iterates gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), v.get()))
-    }
-
     /// Iterates histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
@@ -304,7 +262,7 @@ impl Registry {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Renders a human-readable summary, deterministic for a given
@@ -315,12 +273,6 @@ impl Registry {
         if !self.counters.is_empty() {
             out.push_str("counters:\n");
             for (name, v) in self.counters() {
-                let _ = writeln!(out, "  {name:<42} {v}");
-            }
-        }
-        if !self.gauges.is_empty() {
-            out.push_str("gauges:\n");
-            for (name, v) in self.gauges() {
                 let _ = writeln!(out, "  {name:<42} {v}");
             }
         }
@@ -358,17 +310,6 @@ mod tests {
         assert_eq!(c.get(), u64::MAX);
         c.add(u64::MAX);
         assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn gauge_saturates_both_directions() {
-        let mut g = Gauge::default();
-        g.add(i64::MAX);
-        g.add(1);
-        assert_eq!(g.get(), i64::MAX);
-        g.set(i64::MIN);
-        g.add(-1);
-        assert_eq!(g.get(), i64::MIN);
     }
 
     #[test]
@@ -495,14 +436,12 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("z.last", 1);
         r.counter_add("a.first", 2);
-        r.gauge_set("queue.depth", -3);
         r.observe("latency_us", 100);
         r.observe("latency_us", 200);
         let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
         assert_eq!(names, ["a.first", "z.last"]);
         let text = r.render_summary();
         assert!(text.contains("a.first"));
-        assert!(text.contains("queue.depth"));
         assert!(text.contains("latency_us"));
         assert!(text.contains("n=2"));
     }

@@ -172,6 +172,9 @@ impl ServiceEwma {
     }
 }
 
+/// `Retry-After` advertised on 429/503 shed responses.
+pub const RETRY_AFTER: SimDuration = SimDuration::from_secs(1);
+
 /// Overload-control tunables. The defaults are deliberately generous —
 /// nominal paper-shaped scenarios (a handful of clients) never hit any
 /// of these limits, so traces from earlier PRs are unchanged; the
@@ -187,8 +190,6 @@ pub struct AdmissionConfig {
     /// Per-request deadline budget: a request may spend at most this
     /// long queued + establishing before it is useless to the browser.
     pub deadline_budget: SimDuration,
-    /// `Retry-After` advertised on 429/503 shed responses.
-    pub retry_after: SimDuration,
     /// Per-client token-bucket refill rate (requests/second).
     pub per_client_rate: f64,
     /// Per-client token-bucket burst capacity.
@@ -209,7 +210,6 @@ impl Default for AdmissionConfig {
             max_tunnels: 256,
             queue_len: 64,
             deadline_budget: SimDuration::from_secs(6),
-            retry_after: SimDuration::from_secs(1),
             per_client_rate: 16.0,
             per_client_burst: 32.0,
             max_streams_per_client: 32,
@@ -360,11 +360,6 @@ impl<T: Copy + PartialEq> AdmissionController<T> {
     /// The configured queue bound (shared with the parked-set cap).
     pub fn queue_len(&self) -> usize {
         self.cfg.queue_len
-    }
-
-    /// The `Retry-After` to advertise on shed/throttle responses.
-    pub fn retry_after(&self) -> SimDuration {
-        self.cfg.retry_after
     }
 
     fn client(&mut self, client: Addr, now: SimTime) -> &mut ClientState {

@@ -11,12 +11,13 @@ use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::time::SimDuration;
 
 use crate::admission::AdmissionConfig;
-use crate::resilience::BackoffPolicy;
 
 /// The remote proxy's listening port.
 pub const REMOTE_PORT: u16 = 8443;
 /// The domestic proxy's listening port (what the PAC file points at).
 pub const DOMESTIC_PORT: u16 = 8080;
+/// Host header fronted in the cover preamble.
+pub const FRONT_HOST: &str = "cdn.thucloud.example";
 
 /// A live handle to the blinding scheme in force. Because the operator
 /// controls both proxies, the scheme can be rotated at any time without
@@ -161,76 +162,20 @@ impl Default for SchemeHandle {
     }
 }
 
-/// Tunables for the domestic proxy's failure handling: per-attempt
-/// connect deadlines, retry budget and backoff, circuit breaking, active
-/// probing, and the fail-fast window for requests parked while every
-/// remote is dark.
-#[derive(Debug, Clone)]
-pub struct ResilienceConfig {
-    /// How long a tunnel (or probe) connect may take before the attempt
-    /// is aborted and counted as a failure.
-    pub connect_timeout: SimDuration,
-    /// Total connect attempts per browser request before it fails with
-    /// 502 (first try included).
-    pub max_attempts: u32,
-    /// Delay schedule between attempts.
-    pub backoff: BackoffPolicy,
-    /// Consecutive failures that open a remote's circuit breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker refuses traffic before half-opening.
-    pub breaker_cooldown: SimDuration,
-    /// Interval between active health-probe rounds (probes target
-    /// remotes that are unproven or unhealthy).
-    pub probe_interval: SimDuration,
-    /// How long a request may stay parked waiting for *any* remote to
-    /// come back before it fails fast with 503.
-    pub queue_fail_after: SimDuration,
-    /// Transparently re-establish a tunnel that is RST mid-stream
-    /// before the first downstream byte arrives. The adaptive censor's
-    /// learned-signature RESET lands exactly there — on the preamble,
-    /// after the connect succeeded — where the plain retry budget no
-    /// longer applies; without this, one detection kills every stream
-    /// in flight even though rotation reacts within the same instant.
-    /// Off by default: pre-adaptive traces were pinned without it.
-    pub stream_resume: bool,
-}
-
-impl Default for ResilienceConfig {
-    fn default() -> Self {
-        ResilienceConfig {
-            connect_timeout: SimDuration::from_secs(2),
-            max_attempts: 3,
-            backoff: BackoffPolicy::default(),
-            breaker_threshold: 2,
-            breaker_cooldown: SimDuration::from_secs(8),
-            probe_interval: SimDuration::from_secs(2),
-            queue_fail_after: SimDuration::from_secs(2),
-            stream_resume: false,
-        }
-    }
-}
-
 /// Full ScholarCloud deployment parameters, shared by both proxies.
 #[derive(Debug, Clone)]
 pub struct ScConfig {
     /// The domestic proxy's address (inside the wall).
     pub domestic: SocketAddr,
-    /// The primary remote proxy's address (outside the wall). Kept for
-    /// single-remote deployments and as `remotes[0]`.
-    pub remote: SocketAddr,
     /// Every remote proxy the domestic side may tunnel through, in
     /// preference order (the paper's §4.2 answer to IP blacklisting:
     /// cheap cloud VMs are expendable; spin up siblings and fail over).
     pub remotes: Vec<SocketAddr>,
-    /// Failure-handling tunables for the domestic side.
-    pub resilience: ResilienceConfig,
     /// Overload-control tunables for the domestic side (admission,
     /// fairness, retry budget).
     pub admission: AdmissionConfig,
     /// Operator shared secret (authenticates the inter-proxy channel).
     pub secret: Vec<u8>,
-    /// Host header fronted in the cover preamble.
-    pub front_host: String,
     /// The reviewable whitelist of legal-but-blocked domains (§3:
     /// government agencies can inspect and amend it).
     pub whitelist: Vec<String>,
@@ -254,15 +199,11 @@ impl ScConfig {
     /// The deployment shape from the paper: a domestic VM at Tsinghua and
     /// a remote VM in San Mateo, whitelisting Google Scholar.
     pub fn new(domestic_addr: Addr, remote_addr: Addr) -> Self {
-        let remote = SocketAddr::new(remote_addr, REMOTE_PORT);
         ScConfig {
             domestic: SocketAddr::new(domestic_addr, DOMESTIC_PORT),
-            remote,
-            remotes: vec![remote],
-            resilience: ResilienceConfig::default(),
+            remotes: vec![SocketAddr::new(remote_addr, REMOTE_PORT)],
             admission: AdmissionConfig::default(),
             secret: b"scholarcloud-operator-secret-2016".to_vec(),
-            front_host: "cdn.thucloud.example".into(),
             whitelist: vec!["scholar.google.com".into(), "www.google.com".into()],
             scheme: SchemeHandle::default(),
             cache: CacheHandle::new(CacheConfig::default()),
@@ -279,7 +220,7 @@ impl ScConfig {
     }
 
     /// Replaces the remote pool with `addrs` (each listening on
-    /// [`REMOTE_PORT`]); `remote` tracks the first entry.
+    /// [`REMOTE_PORT`]).
     ///
     /// # Panics
     ///
@@ -287,7 +228,6 @@ impl ScConfig {
     pub fn with_remotes(mut self, addrs: &[Addr]) -> Self {
         assert!(!addrs.is_empty(), "need at least one remote");
         self.remotes = addrs.iter().map(|&a| SocketAddr::new(a, REMOTE_PORT)).collect();
-        self.remote = self.remotes[0];
         self
     }
 

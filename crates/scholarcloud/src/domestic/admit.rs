@@ -18,7 +18,7 @@ use sc_simnet::time::{SimDuration, SimTime};
 use super::io::{Io, Timer};
 use super::trace::{self, target_label};
 use super::Step;
-use crate::admission::{AdmissionController, Decision};
+use crate::admission::{AdmissionController, Decision, RETRY_AFTER};
 use crate::config::ScConfig;
 use crate::fleet::FleetHandle;
 use crate::frame::{decoy_response, StreamHeader};
@@ -241,8 +241,7 @@ impl Admit {
     /// `Retry-After` hint, then closes the connection — the fast
     /// failure path that keeps an overloaded proxy responsive.
     pub fn refuse(&self, browser: TcpHandle, code: u16, reason: &'static str, io: &mut impl Io) {
-        let retry_after = self.ctl.retry_after();
-        let secs = retry_after.as_micros().div_ceil(1_000_000);
+        let secs = RETRY_AFTER.as_micros().div_ceil(1_000_000);
         let resp =
             HttpResponse::new(code, Vec::new()).header("Retry-After", &secs.max(1).to_string());
         io.send(browser, &resp.encode());
@@ -256,7 +255,7 @@ impl Admit {
         trace::event(io.now(), Level::Warn, "admission", name, |ev| {
             ev.field("code", code.to_string())
                 .field("reason", reason.to_string())
-                .field("retry_after_us", retry_after.as_micros().to_string())
+                .field("retry_after_us", RETRY_AFTER.as_micros().to_string())
         });
     }
 

@@ -28,8 +28,9 @@ use super::relay::Replay;
 use super::remotes::Remotes;
 use super::trace::{self, target_label};
 use super::Step;
-use crate::config::ScConfig;
+use crate::config::{ScConfig, FRONT_HOST};
 use crate::frame::{Hello, StreamCodec};
+use crate::resilience::{BACKOFF, CONNECT_TIMEOUT, MAX_ATTEMPTS, QUEUE_FAIL_AFTER};
 
 /// How often a parked request re-checks the pool for a recovered remote
 /// (probes also drain the parked set immediately on success).
@@ -313,7 +314,7 @@ impl Establish {
             // drain us early), failing fast once the window elapses.
             let newly_parked = pt.parked_since.is_none();
             let since = *pt.parked_since.get_or_insert(now);
-            let expired = now.saturating_since(since) >= self.cfg.resilience.queue_fail_after;
+            let expired = now.saturating_since(since) >= QUEUE_FAIL_AFTER;
             if !expired && !pt.retry_armed {
                 pt.retry_armed = true;
                 io.timer(PARK_RECHECK, Timer::Retry(browser));
@@ -373,7 +374,7 @@ impl Establish {
         let encrypt = !header.is_tls;
         let mut tx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 0);
         let rx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 1);
-        let mut wire = hello.encode(&self.preamble_key, &self.cfg.front_host);
+        let mut wire = hello.encode(&self.preamble_key, FRONT_HOST);
         let mut head = header.encode();
         tx.encode(&mut head);
         wire.extend_from_slice(&head);
@@ -389,7 +390,7 @@ impl Establish {
             rh,
             Attempt { browser, remote_idx: idx, started: now, wire, tx, rx, up_bytes: 0, span },
         );
-        io.timer(self.cfg.resilience.connect_timeout, Timer::ConnectDeadline(rh));
+        io.timer(CONNECT_TIMEOUT, Timer::ConnectDeadline(rh));
         sc_obs::counter_add("scholarcloud.connect_attempts", 1);
         Step::Done
     }
@@ -454,7 +455,7 @@ impl Establish {
         // The browser may have given up (or been refused) meanwhile.
         let Some(pt) = self.pending.get_mut(&at.browser) else { return Step::Done };
         pt.attempt = None;
-        if pt.attempts >= self.cfg.resilience.max_attempts {
+        if pt.attempts >= MAX_ATTEMPTS {
             Step::Fail { browser: at.browser, code: 502, reason }
         } else {
             Step::Retry { browser: at.browser, reason, attempts: pt.attempts }
@@ -466,7 +467,7 @@ impl Establish {
         let now = io.now();
         let draw = io.rand_unit();
         let Some(pt) = self.pending.get_mut(&browser) else { return };
-        let delay = self.cfg.resilience.backoff.delay(pt.attempts - 1, draw);
+        let delay = BACKOFF.delay(pt.attempts - 1, draw);
         pt.retry_armed = true;
         let parent = pt.req.tctx.with_parent(pt.establish_span);
         pt.wait_span = trace::span(now, "resilience", "backoff", parent, || {

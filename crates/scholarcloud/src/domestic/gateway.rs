@@ -523,7 +523,8 @@ pub(super) fn first_response(msgs: Vec<HttpMessage>) -> Option<HttpResponse> {
 }
 
 /// `(host, port, path)` of a gateway request: absolute-form, or
-/// origin-form with a Host header.
+/// origin-form with a Host header. `None` for anything else, a port
+/// that is not a `u16` included.
 fn split_target(req: &HttpRequest) -> Option<(String, u16, String)> {
     if let Some(rest) = req.target.strip_prefix("http://") {
         let (hostport, path) = match rest.find('/') {
@@ -531,7 +532,7 @@ fn split_target(req: &HttpRequest) -> Option<(String, u16, String)> {
             None => (rest, "/"),
         };
         let (host, port) = match hostport.rsplit_once(':') {
-            Some((h, p)) => (h, p.parse().unwrap_or(80)),
+            Some((h, p)) => (h, p.parse().ok()?),
             None => (hostport, 80),
         };
         Some((host.to_string(), port, path.to_string()))

@@ -110,7 +110,7 @@ impl DomesticProxy {
             conns: BTreeMap::new(),
             admit: Admit::new(config.clone()),
             gateway: Gateway::new(config.clone()),
-            peer: Peer::new(config.resilience.connect_timeout),
+            peer: Peer::new(),
             establish: Establish::new(config.clone()),
             remotes: Remotes::new(config.clone()),
             relay: Relay::new(config.clone()),

@@ -19,6 +19,7 @@ use super::io::{Io, Timer};
 use super::trace;
 use super::{Step, FLEET_HEADER};
 use crate::fleet::FleetMember;
+use crate::resilience::CONNECT_TIMEOUT;
 
 /// An in-flight intra-fleet peering hop: a non-owner's cacheable miss
 /// forwarded to the key's owner shard instead of upstream.
@@ -40,19 +41,20 @@ struct Hop {
     tctx: TraceCtx,
 }
 
+/// One deadline covers a whole hop (connect + response): a crashed or
+/// wedged owner must cost one bounded wait, then the fallback goes
+/// upstream.
+const HOP_DEADLINE: SimDuration = CONNECT_TIMEOUT.saturating_mul(2);
+
 pub(super) struct Peer {
-    /// One deadline covers a whole hop (connect + response): a crashed
-    /// or wedged owner must cost one bounded wait, then the fallback
-    /// goes upstream.
-    hop_deadline: SimDuration,
     /// `None` = the paper's single-proxy deployment: nothing ever hops.
     fleet: Option<FleetMember>,
     hops: BTreeMap<TcpHandle, Hop>,
 }
 
 impl Peer {
-    pub fn new(connect_timeout: SimDuration) -> Self {
-        Peer { hop_deadline: connect_timeout.saturating_mul(2), fleet: None, hops: BTreeMap::new() }
+    pub fn new() -> Self {
+        Peer { fleet: None, hops: BTreeMap::new() }
     }
 
     pub fn join_fleet(&mut self, member: FleetMember) {
@@ -127,7 +129,7 @@ impl Peer {
                 tctx: miss.tctx,
             },
         );
-        io.timer(self.hop_deadline, Timer::PeerDeadline(h));
+        io.timer(HOP_DEADLINE, Timer::PeerDeadline(h));
     }
 
     pub fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> Step {

@@ -22,6 +22,7 @@ use super::remotes::Remotes;
 use super::trace::{self, target_label};
 use crate::config::ScConfig;
 use crate::frame::StreamCodec;
+use crate::resilience::MAX_ATTEMPTS;
 
 /// Upper bound on buffered upstream plaintext per stream: past this the
 /// replay state is dropped and a mid-stream death is final.
@@ -106,9 +107,9 @@ impl Relay {
 
     /// Adopts the tunnel that just came up on `h`. The stream span
     /// covers its lifetime — established → torn down — parented on the
-    /// browser-side span that requested it. With `stream_resume` on, a
-    /// CONNECT tunnel arms its replay buffer (a gateway fetch is retried
-    /// by its browser).
+    /// browser-side span that requested it. Where the deployment rotates
+    /// its scheme, a CONNECT tunnel arms its replay buffer (a gateway
+    /// fetch is retried by its browser).
     pub fn open(&mut self, h: TcpHandle, up: Up, io: &mut impl Io) {
         let now = io.now();
         let Up { req, remote_idx, remote, attempts, resumed, tx, rx, up_bytes, .. } = up;
@@ -127,7 +128,11 @@ impl Relay {
                 .field("attempt", u64::from(attempts))
         });
         let (browser, client) = (req.browser, req.client);
-        let resumable = self.cfg.resilience.stream_resume
+        // The stream-level half of the rotation defense: a learned
+        // signature RSTs established tunnels on the preamble — past the
+        // connect retry budget — so rotation only preserves in-flight
+        // streams if they re-establish under the rotated scheme.
+        let resumable = self.cfg.rotation.is_some()
             && req.is_connect
             && req.initial_plain.len() <= REPLAY_CAP;
         let replay = resumable.then_some(Replay { req, attempts });
@@ -184,9 +189,8 @@ impl Relay {
     /// replay buffer and attempts left, the stream is
     /// [`Ending::Resumed`] instead of lost.
     pub fn ending_for(&self, h: TcpHandle, reset: bool) -> Ending {
-        let max_attempts = self.cfg.resilience.max_attempts;
         let replayable = self.streams.get(&h).is_some_and(|s| {
-            s.down_bytes == 0 && s.replay.as_ref().is_some_and(|r| r.attempts < max_attempts)
+            s.down_bytes == 0 && s.replay.as_ref().is_some_and(|r| r.attempts < MAX_ATTEMPTS)
         });
         match (reset, replayable) {
             (true, true) => Ending::Resumed,

@@ -18,7 +18,10 @@ use super::io::{Io, Timer};
 use super::trace;
 use crate::config::{ScConfig, REMOTE_PORT};
 use crate::elastic::{ElasticAction, ElasticHandle};
-use crate::resilience::{BreakerState, BreakerTransition, RemotePool};
+use crate::resilience::{
+    BreakerState, BreakerTransition, RemotePool, BREAKER_COOLDOWN, BREAKER_THRESHOLD,
+    CONNECT_TIMEOUT, PROBE_INTERVAL,
+};
 
 /// Elastic autoscaler control-loop period. Half the smallest default
 /// cold start, so a scale-out decision is never more than one tick
@@ -57,8 +60,8 @@ impl Remotes {
         Remotes {
             pool: RemotePool::new(
                 cfg.remotes.clone(),
-                cfg.resilience.breaker_threshold,
-                cfg.resilience.breaker_cooldown,
+                BREAKER_THRESHOLD,
+                BREAKER_COOLDOWN,
             ),
             elastic: None,
             probes: BTreeMap::new(),
@@ -74,7 +77,7 @@ impl Remotes {
     }
 
     pub fn start(&mut self, io: &mut impl Io) {
-        io.timer(self.cfg.resilience.probe_interval, Timer::ProbeTick);
+        io.timer(PROBE_INTERVAL, Timer::ProbeTick);
         if self.elastic.is_some() {
             io.timer(ELASTIC_TICK, Timer::ElasticTick);
         }
@@ -234,10 +237,10 @@ impl Remotes {
             }
             let h = io.connect(e.addr);
             self.probes.insert(h, Probe { remote_idx: idx, started: now, done: false });
-            io.timer(self.cfg.resilience.connect_timeout, Timer::ProbeDeadline(h));
+            io.timer(CONNECT_TIMEOUT, Timer::ProbeDeadline(h));
             sc_obs::counter_add("scholarcloud.probes", 1);
         }
-        io.timer(self.cfg.resilience.probe_interval, Timer::ProbeTick);
+        io.timer(PROBE_INTERVAL, Timer::ProbeTick);
     }
 
     /// The connect deadline of probe `h` fired.

@@ -6,6 +6,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use sc_netproto::http::HttpRequest;
+use sc_netproto::socks::TargetAddr;
 use sc_obs::{SpanId, TraceCtx, TraceId};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{AppEvent, TcpEvent, TcpHandle};
@@ -18,8 +19,9 @@ use super::io::{Io, Timer};
 use super::relay::{Ending, Relay};
 use super::remotes::Remotes;
 use super::{DomesticProxy, Step};
-use crate::config::ScConfig;
+use crate::config::{RotationPolicy, ScConfig};
 use crate::frame::{Hello, StreamCodec};
+use crate::resilience::BREAKER_THRESHOLD;
 
 /// What a stage did to the world.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,7 +141,7 @@ fn connect_request(browser: usize, tctx: TraceCtx) -> Request {
 fn dark_pool(io: &mut FakeIo) -> (Establish, Remotes) {
     let cfg = Rc::new(config());
     let mut remotes = Remotes::new(cfg.clone());
-    for _ in 0..cfg.resilience.breaker_threshold {
+    for _ in 0..BREAKER_THRESHOLD {
         remotes.failed(0, io);
     }
     assert!(remotes.pick(io.now, None).is_none(), "the breaker must be open");
@@ -296,6 +298,33 @@ fn gateway_get(gw: &mut Gateway, browser: usize, trace: u64, io: &mut FakeIo) ->
     gw.request(TcpHandle(browser), CLIENT, req, |_, _| None, io)
 }
 
+#[test]
+fn a_port_that_is_not_a_port_is_a_400_not_port_80() {
+    let request = |target: &str| {
+        let mut io = FakeIo::new();
+        let mut gw = Gateway::new(Rc::new(config()));
+        let req = HttpRequest::get("scholar.google.com", target);
+        let step = gw.request(TcpHandle(1), CLIENT, req, |_, _| None, &mut io);
+        (step, io, gw)
+    };
+    for target in [
+        "http://scholar.google.com:99999/x",
+        "http://scholar.google.com:abc/",
+        "scholar.google.com/x",
+    ] {
+        let (step, io, gw) = request(target);
+        assert!(matches!(step, Step::Done), "{target}: nothing is fetched");
+        assert!(io.sent(TcpHandle(1)).starts_with("HTTP/1.1 400"), "{target}");
+        assert_eq!(gw.occupancy().map(|(_, n)| n), [0, 0, 0], "{target}");
+    }
+    let (step, ..) = request("http://scholar.google.com:8081/x");
+    let dialled = TargetAddr::Domain("scholar.google.com".into(), 8081);
+    assert!(
+        matches!(&step, Step::Admit(req) if req.header.target == dialled),
+        "a port that is one is dialled as given"
+    );
+}
+
 /// A leader with two waiters coalesced behind its upstream fetch.
 fn flight_of_three(io: &mut FakeIo) -> Gateway {
     let mut gw = Gateway::new(Rc::new(config()));
@@ -349,13 +378,13 @@ fn a_failed_leader_fans_its_status_to_every_waiter() {
 /// An established CONNECT stream on remote handle 50 for browser 1.
 fn open_stream(stream_resume: bool, io: &mut FakeIo) -> (Relay, Remotes) {
     let mut cfg = config();
-    cfg.resilience.stream_resume = stream_resume;
+    cfg.rotation = stream_resume.then(RotationPolicy::default);
     let cfg = Rc::new(cfg);
     let hello = Hello { scheme: cfg.scheme.get(), nonce: 1, generation: 0 };
     let up = Up {
         req: connect_request(1, TraceCtx::NONE),
         remote_idx: 0,
-        remote: cfg.remote,
+        remote: cfg.remotes[0],
         attempts: 1,
         resumed: false,
         tx: StreamCodec::new(&cfg.secret, &hello, false, 0),

@@ -56,6 +56,23 @@ use std::rc::Rc;
 use sc_simnet::addr::Addr;
 use sc_simnet::time::{SimDuration, SimTime};
 
+/// Cost: micro-dollars charged per stream dispatched.
+pub const COST_PER_INVOCATION_MICRO: u64 = 50;
+/// Cost: micro-dollars per GB of egress (instance → domestic).
+pub const COST_PER_GB_EGRESS_MICRO: u64 = 90_000;
+/// Cost: micro-dollars per hour an instance stays warm.
+pub const COST_PER_WARM_HOUR_MICRO: u64 = 40_000;
+/// Cost: micro-dollars per hour of a *static always-on* VM — used only
+/// by [`ElasticConfig::static_cost_micro`] to price the control arm of
+/// cost experiments (the paper's 2-VM deployment runs about 2.2 USD/day
+/// ≈ 46 000 µ$/hour per VM).
+pub const COST_PER_VM_HOUR_MICRO: u64 = 46_000;
+/// Surge capacity (whole instances) added to desired capacity while an
+/// SLO burn is in progress. Queue depth only sees demand the warm set
+/// already failed to absorb; a latency burn fires earlier, while
+/// requests are still being served — slowly.
+pub const BURN_HEADROOM: usize = 1;
+
 /// Tunables for the elastic tier.
 #[derive(Debug, Clone)]
 pub struct ElasticConfig {
@@ -75,23 +92,6 @@ pub struct ElasticConfig {
     /// How long a warm instance must sit at zero in-flight streams
     /// before the idle scale-in drains it.
     pub idle_timeout: SimDuration,
-    /// Cost: micro-dollars charged per stream dispatched.
-    pub cost_per_invocation_micro: u64,
-    /// Cost: micro-dollars per GB of egress (instance → domestic).
-    pub cost_per_gb_egress_micro: u64,
-    /// Cost: micro-dollars per hour an instance stays warm.
-    pub cost_per_warm_hour_micro: u64,
-    /// Cost: micro-dollars per hour of a *static always-on* VM — used
-    /// only by [`static_cost_micro`](Self::static_cost_micro) to price
-    /// the control arm of cost experiments (the paper's 2-VM deployment
-    /// runs about 2.2 USD/day ≈ 46 000 µ$/hour per VM).
-    pub cost_per_vm_hour_micro: u64,
-    /// Surge capacity (whole instances) added to desired capacity while
-    /// an SLO burn is in progress. Queue depth only sees demand the warm
-    /// set already failed to absorb; a latency burn fires earlier, while
-    /// requests are still being served — slowly. Zero disables the
-    /// signal.
-    pub burn_headroom: usize,
 }
 
 impl Default for ElasticConfig {
@@ -103,11 +103,6 @@ impl Default for ElasticConfig {
             cold_start_max: SimDuration::from_millis(1500),
             target_inflight: 4,
             idle_timeout: SimDuration::from_secs(10),
-            cost_per_invocation_micro: 50,
-            cost_per_gb_egress_micro: 90_000,
-            cost_per_warm_hour_micro: 40_000,
-            cost_per_vm_hour_micro: 46_000,
-            burn_headroom: 1,
         }
     }
 }
@@ -126,16 +121,10 @@ impl ElasticConfig {
     /// control arm's price under the *same* cost arithmetic as the
     /// elastic meters (egress is billed identically; invocations are
     /// free on a VM you already pay for by the hour).
-    pub fn static_cost_micro(
-        &self,
-        instances: usize,
-        runtime: SimDuration,
-        egress_bytes: u64,
-    ) -> u64 {
+    pub fn static_cost_micro(instances: usize, runtime: SimDuration, egress_bytes: u64) -> u64 {
         let vm_us = instances as u128 * runtime.as_micros() as u128;
-        let vm = vm_us * self.cost_per_vm_hour_micro as u128 / 3_600_000_000;
-        let egress =
-            egress_bytes as u128 * self.cost_per_gb_egress_micro as u128 / 1_000_000_000;
+        let vm = vm_us * COST_PER_VM_HOUR_MICRO as u128 / 3_600_000_000;
+        let egress = egress_bytes as u128 * COST_PER_GB_EGRESS_MICRO as u128 / 1_000_000_000;
         (vm + egress) as u64
     }
 }
@@ -285,11 +274,6 @@ impl ElasticPool {
         }
     }
 
-    /// Configuration in force.
-    pub fn config(&self) -> &ElasticConfig {
-        &self.cfg
-    }
-
     /// Marks the next `n` pool addresses as warm from birth (their
     /// nodes are already up and listed in the proxy's remote pool —
     /// the pre-warmed baseline capacity). Returns the warmed addresses.
@@ -408,11 +392,6 @@ impl ElasticPool {
         false
     }
 
-    /// Whether `addr` is one of this tier's instances (any state).
-    pub fn manages(&self, addr: Addr) -> bool {
-        self.instances.iter().any(|i| i.addr == addr)
-    }
-
     /// An instance's current state.
     pub fn state_of(&self, addr: Addr) -> Option<InstanceState> {
         self.instances.iter().find(|i| i.addr == addr).map(|i| i.state)
@@ -422,7 +401,7 @@ impl ElasticPool {
     /// queue's current depth (the demand the warm set is failing to
     /// absorb); `burning` is the SLO burn-rate signal — true while a
     /// latency or availability objective is actively burning budget,
-    /// which adds [`burn_headroom`](ElasticConfig::burn_headroom)
+    /// which adds [`BURN_HEADROOM`]
     /// instances of surge demand so scale-out starts *before* the queue
     /// backs up; `draw` supplies uniform samples in `[0, 1)` from the
     /// caller's seeded RNG, consumed once per provision in a fixed
@@ -474,7 +453,7 @@ impl ElasticPool {
         if burning {
             // A burning SLO is demand the queue cannot see yet: requests
             // are being served, just too slowly. Surge ahead of it.
-            demand += self.cfg.burn_headroom * self.cfg.target_inflight.max(1);
+            demand += BURN_HEADROOM * self.cfg.target_inflight.max(1);
         }
         let desired = demand
             .div_ceil(self.cfg.target_inflight.max(1))
@@ -558,18 +537,17 @@ impl ElasticPool {
 
     /// Micro-dollars charged for invocations so far.
     pub fn cost_invocation_micro(&self) -> u64 {
-        self.invocations * self.cfg.cost_per_invocation_micro
+        self.invocations * COST_PER_INVOCATION_MICRO
     }
 
     /// Micro-dollars charged for egress so far.
     pub fn cost_egress_micro(&self) -> u64 {
-        (self.egress_bytes as u128 * self.cfg.cost_per_gb_egress_micro as u128
-            / 1_000_000_000) as u64
+        (self.egress_bytes as u128 * COST_PER_GB_EGRESS_MICRO as u128 / 1_000_000_000) as u64
     }
 
     /// Micro-dollars charged for warm time so far (accrued at ticks).
     pub fn cost_warm_micro(&self) -> u64 {
-        (self.warm_us * self.cfg.cost_per_warm_hour_micro as u128 / 3_600_000_000) as u64
+        (self.warm_us * COST_PER_WARM_HOUR_MICRO as u128 / 3_600_000_000) as u64
     }
 
     /// Total micro-dollars charged so far.
@@ -626,7 +604,6 @@ mod tests {
             cold_start_max: SimDuration::from_millis(500),
             target_inflight: 2,
             idle_timeout: SimDuration::from_secs(5),
-            ..ElasticConfig::default()
         }
     }
 
@@ -706,11 +683,11 @@ mod tests {
         p.note_stream_start(seeded[0]);
         p.note_egress(seeded[0], 2_000_000_000); // 2 GB
         p.tick(SimTime::from_secs(3600), 0, false, || 0.0);
-        assert_eq!(p.cost_invocation_micro(), p.config().cost_per_invocation_micro);
-        assert_eq!(p.cost_egress_micro(), 2 * p.config().cost_per_gb_egress_micro);
+        assert_eq!(p.cost_invocation_micro(), COST_PER_INVOCATION_MICRO);
+        assert_eq!(p.cost_egress_micro(), 2 * COST_PER_GB_EGRESS_MICRO);
         // Two instances warm for one hour (one idle-drained at the tick,
         // but billing accrues before the drain).
-        assert_eq!(p.cost_warm_micro(), 2 * p.config().cost_per_warm_hour_micro);
+        assert_eq!(p.cost_warm_micro(), 2 * COST_PER_WARM_HOUR_MICRO);
         assert_eq!(
             p.total_cost_micro(),
             p.cost_invocation_micro() + p.cost_egress_micro() + p.cost_warm_micro()
@@ -749,8 +726,8 @@ mod tests {
 
     #[test]
     fn static_cost_prices_vm_hours_plus_egress() {
-        let c = ElasticConfig::default();
-        let cost = c.static_cost_micro(4, SimDuration::from_secs(3600), 1_000_000_000);
-        assert_eq!(cost, 4 * c.cost_per_vm_hour_micro + c.cost_per_gb_egress_micro);
+        let cost =
+            ElasticConfig::static_cost_micro(4, SimDuration::from_secs(3600), 1_000_000_000);
+        assert_eq!(cost, 4 * COST_PER_VM_HOUR_MICRO + COST_PER_GB_EGRESS_MICRO);
     }
 }

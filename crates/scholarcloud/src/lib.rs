@@ -45,7 +45,7 @@ pub mod resilience;
 
 pub use admission::{AdmissionConfig, AdmissionController, Decision, Dequeued, RetryBudget, TokenBucket};
 pub use config::{
-    InterferencePad, ResilienceConfig, RotationPolicy, ScConfig, SchemeHandle, DOMESTIC_PORT,
+    InterferencePad, RotationPolicy, ScConfig, SchemeHandle, DOMESTIC_PORT,
     REMOTE_PORT,
 };
 pub use sc_cache::{CacheConfig, CacheHandle, CacheStats, ShardMap};

@@ -12,7 +12,7 @@ use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
 use sc_tunnels::names::NameMap;
 
-use crate::config::ScConfig;
+use crate::config::{ScConfig, REMOTE_PORT};
 use crate::frame::{could_be_preamble, decoy_response, Hello, StreamCodec, StreamHeader};
 
 enum ClientConn {
@@ -29,7 +29,6 @@ pub struct RemoteProxy {
     names: NameMap,
     conns: HashMap<TcpHandle, ClientConn>,
     upstreams: HashMap<TcpHandle, TcpHandle>,
-    upstream_pending: HashMap<TcpHandle, Vec<u8>>,
     /// Session nonces already accepted. A valid preamble whose nonce was
     /// seen before is a *replay* — the adaptive censor capturing and
     /// re-sending a real client's bytes to see whether we authenticate
@@ -52,7 +51,6 @@ impl RemoteProxy {
             names,
             conns: HashMap::new(),
             upstreams: HashMap::new(),
-            upstream_pending: HashMap::new(),
             seen_nonces: HashSet::new(),
             tunnels: 0,
             decoys: 0,
@@ -118,8 +116,7 @@ impl RemoteProxy {
                     if let Some((header, consumed)) = StreamHeader::decode(&attempt) {
                         if header.is_tls {
                             let tx = StreamCodec::new(&self.config.secret, &hello, false, 1);
-                            let leftover = attempt[consumed..].to_vec();
-                            self.begin_relay(h, header, rx0, tx, leftover, ctx);
+                            self.begin_relay(h, header, rx0, tx, &attempt[consumed..], ctx);
                             return;
                         }
                     }
@@ -129,8 +126,7 @@ impl RemoteProxy {
                     if let Some((header, consumed)) = StreamHeader::decode(&rest) {
                         if !header.is_tls {
                             let tx = StreamCodec::new(&self.config.secret, &hello, true, 1);
-                            let leftover = rest[consumed..].to_vec();
-                            self.begin_relay(h, header, rx1, tx, leftover, ctx);
+                            self.begin_relay(h, header, rx1, tx, &rest[consumed..], ctx);
                             return;
                         }
                     }
@@ -152,7 +148,7 @@ impl RemoteProxy {
         header: StreamHeader,
         rx: StreamCodec,
         tx: StreamCodec,
-        leftover: Vec<u8>,
+        leftover: &[u8],
         ctx: &mut Ctx<'_>,
     ) {
         // Whitelist enforcement happens here too: the remote proxy only
@@ -180,7 +176,8 @@ impl RemoteProxy {
         };
         let upstream = ctx.tcp_connect(dest);
         self.upstreams.insert(upstream, h);
-        self.upstream_pending.insert(upstream, leftover);
+        // TCP holds what is sent before the handshake completes.
+        ctx.tcp_send(upstream, leftover);
         // Parent the relay span into the originating request's trace via
         // the in-band ids carried on the stream header.
         let span = sc_obs::span_start_ctx(
@@ -208,7 +205,7 @@ impl RemoteProxy {
 
 impl App for RemoteProxy {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(self.config.remote.port);
+        ctx.tcp_listen(REMOTE_PORT);
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
@@ -218,13 +215,6 @@ impl App for RemoteProxy {
         // Upstream side.
         if let Some(&client) = self.upstreams.get(&h) {
             match tcp_ev {
-                TcpEvent::Connected => {
-                    if let Some(pending) = self.upstream_pending.remove(&h) {
-                        if !pending.is_empty() {
-                            ctx.tcp_send(h, &pending);
-                        }
-                    }
-                }
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
                     if let Some(ClientConn::Relaying { tx, .. }) = self.conns.get_mut(&client) {
@@ -264,11 +254,7 @@ impl App for RemoteProxy {
                         let upstream = *upstream;
                         let mut plain = data.to_vec();
                         rx.decode(&mut plain);
-                        if let Some(pending) = self.upstream_pending.get_mut(&upstream) {
-                            pending.extend_from_slice(&plain);
-                        } else {
-                            ctx.tcp_send(upstream, &plain);
-                        }
+                        ctx.tcp_send(upstream, &plain);
                     }
                     _ => {}
                 }

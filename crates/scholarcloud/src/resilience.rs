@@ -46,16 +46,29 @@ pub struct BackoffPolicy {
     pub jitter_frac: f64,
 }
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base: SimDuration::from_millis(100),
-            cap: SimDuration::from_secs(2),
-            multiplier: 2,
-            jitter_frac: 0.25,
-        }
-    }
-}
+/// The delay schedule between a request's connect attempts.
+pub const BACKOFF: BackoffPolicy = BackoffPolicy {
+    base: SimDuration::from_millis(100),
+    cap: SimDuration::from_secs(2),
+    multiplier: 2,
+    jitter_frac: 0.25,
+};
+/// How long a tunnel (or probe) connect may take before the attempt is
+/// aborted and counted as a failure.
+pub const CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Total connect attempts per browser request before it fails with 502
+/// (first try included).
+pub const MAX_ATTEMPTS: u32 = 3;
+/// Consecutive failures that open a remote's circuit breaker.
+pub const BREAKER_THRESHOLD: u32 = 2;
+/// How long an open breaker refuses traffic before half-opening.
+pub const BREAKER_COOLDOWN: SimDuration = SimDuration::from_secs(8);
+/// Interval between active health-probe rounds (probes target remotes
+/// that are unproven or unhealthy).
+pub const PROBE_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// How long a request may stay parked waiting for *any* remote to come
+/// back before it fails fast with 503.
+pub const QUEUE_FAIL_AFTER: SimDuration = SimDuration::from_secs(2);
 
 impl BackoffPolicy {
     /// The un-jittered delay for `attempt` (0-based), saturating at the
@@ -457,7 +470,7 @@ mod tests {
 
     #[test]
     fn backoff_grows_to_cap() {
-        let p = BackoffPolicy::default();
+        let p = BACKOFF;
         assert_eq!(p.raw_delay(0), SimDuration::from_millis(100));
         assert_eq!(p.raw_delay(1), SimDuration::from_millis(200));
         assert_eq!(p.raw_delay(4), SimDuration::from_millis(1600));
@@ -467,7 +480,7 @@ mod tests {
 
     #[test]
     fn jitter_stays_in_band() {
-        let p = BackoffPolicy::default();
+        let p = BACKOFF;
         let raw = p.raw_delay(2).as_secs_f64();
         for draw in [0.0, 0.1, 0.5, 0.9, 0.999] {
             let d = p.delay(2, draw).as_secs_f64();

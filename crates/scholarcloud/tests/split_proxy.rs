@@ -372,7 +372,7 @@ fn garbage_gets_the_decoy() {
     let got = Rc::new(RefCell::new(Vec::new()));
     sim.install_app(
         client,
-        Box::new(Garbage { remote: cfg.remote, got: got.clone(), conn: None }),
+        Box::new(Garbage { remote: cfg.remotes[0], got: got.clone(), conn: None }),
     );
     sim.run_for(SimDuration::from_secs(10));
     let got = got.borrow();

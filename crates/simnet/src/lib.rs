@@ -496,6 +496,86 @@ mod tests {
     }
 
     /// The (single) link attached to `n` in a two-node topology.
+    /// What the tunnel exits lean on: they dial upstream and send at
+    /// once, with no buffer of their own. `tcp_send` in `SynSent` queues
+    /// on the connection; the handshake's ACK flushes it. A dial that
+    /// fails, or one the app closes first, takes the queue with it.
+    #[test]
+    fn bytes_sent_before_connected_arrive_once_in_order_after_the_handshake() {
+        #[derive(Default)]
+        struct Sunk {
+            bytes: Vec<u8>,
+            first_at: Option<SimTime>,
+        }
+        struct Sink(Rc<RefCell<Sunk>>);
+        impl App for Sink {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                assert!(ctx.tcp_listen(80));
+            }
+            fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+                if let AppEvent::Tcp(h, TcpEvent::DataReceived) = ev {
+                    let mut sunk = self.0.borrow_mut();
+                    sunk.first_at.get_or_insert(ctx.now());
+                    sunk.bytes.extend_from_slice(&ctx.tcp_recv_all(h));
+                }
+            }
+        }
+        /// Dials `port`, sends two chunks before the handshake, closes
+        /// at once if `close_early`, and sends a third on `Connected`.
+        struct EarlySender {
+            port: u16,
+            close_early: bool,
+            events: Rc<RefCell<Vec<TcpEvent>>>,
+        }
+        impl App for EarlySender {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                let h = ctx.tcp_connect(SocketAddr::new(Addr::new(99, 0, 0, 1), self.port));
+                assert_eq!(ctx.tcp_send(h, &[1u8; 3000]), Some(3000));
+                assert_eq!(ctx.tcp_send(h, &[2u8; 10]), Some(10));
+                if self.close_early {
+                    ctx.tcp_close(h);
+                }
+            }
+            fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+                let AppEvent::Tcp(h, ev) = ev else { return };
+                match ev {
+                    TcpEvent::Connected => {
+                        ctx.tcp_send(h, &[3u8; 5]);
+                    }
+                    TcpEvent::ConnectFailed => assert_eq!(ctx.tcp_send(h, b"late"), None),
+                    _ => {}
+                }
+                self.events.borrow_mut().push(ev);
+            }
+        }
+        let run = |port: u16, close_early: bool| {
+            let (mut sim, a, b) = two_node_sim(0.0, 10, 41);
+            let sunk = Rc::new(RefCell::new(Sunk::default()));
+            let events = Rc::new(RefCell::new(Vec::new()));
+            sim.install_app(b, Box::new(Sink(sunk.clone())));
+            sim.install_app(a, Box::new(EarlySender { port, close_early, events: events.clone() }));
+            sim.run_for(SimDuration::from_secs(30));
+            (sunk.take(), events.take())
+        };
+
+        let (sunk, events) = run(80, false);
+        let expected: Vec<u8> = [&[1u8; 3000][..], &[2u8; 10], &[3u8; 5]].concat();
+        assert_eq!(sunk.bytes, expected, "once, in order");
+        assert_eq!(events.first(), Some(&TcpEvent::Connected));
+        // SYN, SYN-ACK, then the ACK and the data behind it: three
+        // one-way trips of 10 ms before the first byte lands.
+        let first_ms = sunk.first_at.expect("data arrived").as_micros() / 1000;
+        assert!((30..35).contains(&first_ms), "first byte at {first_ms} ms");
+
+        let (sunk, events) = run(81, false); // nothing listens: RST
+        assert_eq!(events, [TcpEvent::ConnectFailed]);
+        assert!(sunk.bytes.is_empty(), "a failed dial delivers nothing");
+
+        let (sunk, events) = run(80, true);
+        assert!(events.is_empty(), "a connection closed in SynSent is silent: {events:?}");
+        assert!(sunk.bytes.is_empty(), "closing before the handshake drops the queue");
+    }
+
     fn sc_link_of(sim: &Sim, n: NodeId) -> LinkId {
         sim.node(n).links[0]
     }

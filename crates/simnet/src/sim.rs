@@ -17,7 +17,7 @@ use crate::packet::{L4, Packet};
 use crate::queue::EventQueue;
 use crate::stats::{DropReason, SimStats};
 use sc_obs::prof::{self, Subsystem};
-use crate::tcp::{ConnStats, Effects, TcpLayer, TcpTimer};
+use crate::tcp::{Effects, TcpLayer, TcpTimer};
 use crate::time::{SimDuration, SimTime};
 
 #[derive(Debug)]
@@ -175,11 +175,6 @@ impl Sim {
     /// Installs (or replaces) a packet tunnel on a node.
     pub fn set_tunnel(&mut self, node: NodeId, tunnel: Box<dyn PacketTunnel>) {
         self.nodes[node.0].tunnel = Some(tunnel);
-    }
-
-    /// Removes a node's packet tunnel.
-    pub fn clear_tunnel(&mut self, node: NodeId) {
-        self.nodes[node.0].tunnel = None;
     }
 
     /// The node id owning `addr`.
@@ -773,11 +768,6 @@ impl<'a> Ctx<'a> {
         self.tcp_recv(h, usize::MAX)
     }
 
-    /// Bytes available to read.
-    pub fn tcp_available(&self, h: TcpHandle) -> usize {
-        self.sim.nodes[self.node.0].tcp.recv_available(h)
-    }
-
     /// Begins a graceful close.
     pub fn tcp_close(&mut self, h: TcpHandle) {
         self.sim
@@ -797,11 +787,6 @@ impl<'a> Ctx<'a> {
     /// The local address of a connection.
     pub fn tcp_local(&self, h: TcpHandle) -> Option<SocketAddr> {
         self.sim.nodes[self.node.0].tcp.local(h)
-    }
-
-    /// Connection statistics.
-    pub fn tcp_stats(&self, h: TcpHandle) -> Option<ConnStats> {
-        self.sim.nodes[self.node.0].tcp.stats(h)
     }
 
     /// Binds a UDP port (0 = ephemeral). Returns `None` if taken.
@@ -860,11 +845,6 @@ impl<'a> Ctx<'a> {
     /// Installs a packet tunnel on this node.
     pub fn install_tunnel(&mut self, tunnel: Box<dyn PacketTunnel>) {
         self.sim.set_tunnel(self.node, tunnel);
-    }
-
-    /// Removes this node's packet tunnel.
-    pub fn remove_tunnel(&mut self) {
-        self.sim.clear_tunnel(self.node);
     }
 
     /// Approximate bytes of transport state on this node (memory model).

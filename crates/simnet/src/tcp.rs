@@ -205,11 +205,6 @@ impl TcpLayer {
         true
     }
 
-    /// Stops listening on `port`.
-    pub fn unlisten(&mut self, port: u16) {
-        self.listeners.remove(&port);
-    }
-
     fn alloc_ephemeral(&mut self, remote: SocketAddr) -> u16 {
         loop {
             let p = self.next_ephemeral;
@@ -967,11 +962,6 @@ impl TcpLayer {
                 Self::arm_rto(c, t.conn, fx);
             }
         }
-    }
-
-    /// Number of connection slots ever created (diagnostics).
-    pub fn conn_count(&self) -> usize {
-        self.conns.len()
     }
 
     /// Approximate bytes of state held by this layer (used by the client

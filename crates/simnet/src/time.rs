@@ -102,7 +102,7 @@ impl SimDuration {
     }
 
     /// Saturating multiplication by an integer factor.
-    pub fn saturating_mul(self, k: u64) -> Self {
+    pub const fn saturating_mul(self, k: u64) -> Self {
         SimDuration(self.0.saturating_mul(k))
     }
 

@@ -30,7 +30,7 @@ use sc_simnet::time::{SimDuration, SimTime};
 
 /// Default Shadowsocks remote port.
 pub const SS_PORT: u16 = 8388;
-/// Default local SOCKS5 port.
+/// The local SOCKS5 port `SsLocal` listens on.
 pub const SS_LOCAL_PORT: u16 = 1080;
 /// The keep-alive window after which authentication must be redone
 /// (the 10-second default the paper calls out).
@@ -53,8 +53,6 @@ pub struct SsConfig {
     /// auth connection in every HTTP session) instead of sharing one
     /// authenticated window across connections.
     pub auth_per_connection: bool,
-    /// Local SOCKS5 port.
-    pub local_port: u16,
 }
 
 impl SsConfig {
@@ -66,7 +64,6 @@ impl SsConfig {
             username: "scholar".into(),
             keepalive: DEFAULT_KEEPALIVE,
             auth_per_connection: false,
-            local_port: SS_LOCAL_PORT,
         }
     }
 
@@ -133,7 +130,7 @@ enum RemoteConn {
 }
 
 /// The Shadowsocks local proxy app (runs on the user's machine; browsers
-/// speak SOCKS5 to it on `local_port`).
+/// speak SOCKS5 to it on [`SS_LOCAL_PORT`]).
 pub struct SsLocal {
     config: SsConfig,
     key: [u8; 32],
@@ -234,7 +231,7 @@ impl SsLocal {
 
 impl App for SsLocal {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(self.config.local_port);
+        ctx.tcp_listen(SS_LOCAL_PORT);
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
@@ -472,8 +469,6 @@ pub struct SsRemote {
     conns: HashMap<TcpHandle, ServerConn>,
     /// Upstream handle → client handle.
     upstreams: HashMap<TcpHandle, TcpHandle>,
-    /// Pending data for upstream connections still connecting.
-    upstream_pending: HashMap<TcpHandle, Vec<u8>>,
     /// Outstanding auth challenges: conn → (expected answer, reply
     /// cipher stream).
     pending_challenges: HashMap<TcpHandle, (Vec<u8>, Box<Cfb>)>,
@@ -495,7 +490,6 @@ impl SsRemote {
             names,
             conns: HashMap::new(),
             upstreams: HashMap::new(),
-            upstream_pending: HashMap::new(),
             pending_challenges: HashMap::new(),
             relays: 0,
             auths: 0,
@@ -577,9 +571,9 @@ impl SsRemote {
                     },
                 };
                 let upstream = ctx.tcp_connect(upstream_addr);
-                let leftover = plain_snapshot[consumed..].to_vec();
+                // TCP holds what is sent before the handshake completes.
+                ctx.tcp_send(upstream, &plain_snapshot[consumed..]);
                 self.upstreams.insert(upstream, h);
-                self.upstream_pending.insert(upstream, leftover);
                 self.relays += 1;
                 let rx = rx.take().expect("IV consumed before header");
                 self.conns.insert(h, ServerConn::Relaying { upstream, rx, tx: None });
@@ -605,13 +599,6 @@ impl App for SsRemote {
         // Upstream side.
         if let Some(&client) = self.upstreams.get(&h) {
             match tcp_ev {
-                TcpEvent::Connected => {
-                    if let Some(pending) = self.upstream_pending.remove(&h) {
-                        if !pending.is_empty() {
-                            ctx.tcp_send(h, &pending);
-                        }
-                    }
-                }
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
                     if let Some(ServerConn::Relaying { tx, .. }) = self.conns.get_mut(&client) {
@@ -668,14 +655,7 @@ impl App for SsRemote {
                         let upstream = *upstream;
                         let mut plain = data.to_vec();
                         open(rx, &mut plain);
-                        if self.upstream_pending.contains_key(&upstream) {
-                            self.upstream_pending
-                                .get_mut(&upstream)
-                                .expect("checked")
-                                .extend_from_slice(&plain);
-                        } else {
-                            ctx.tcp_send(upstream, &plain);
-                        }
+                        ctx.tcp_send(upstream, &plain);
                     }
                     Some(ServerConn::Blackhole) => { /* consume silently */ }
                     None => {}

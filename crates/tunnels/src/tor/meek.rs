@@ -36,9 +36,6 @@ struct ClientConn {
 struct Session {
     /// Loopback connection into the co-located OR relay.
     or_conn: TcpHandle,
-    or_connected: bool,
-    /// Bytes awaiting upstream transmission until the OR link connects.
-    upstream_pending: Vec<u8>,
     /// Downstream bytes awaiting the next poll.
     downstream: Vec<u8>,
     /// Connection currently holding an open poll, if any.
@@ -107,21 +104,16 @@ impl MeekGateway {
                 session_id,
                 Session {
                     or_conn,
-                    or_connected: false,
-                    upstream_pending: Vec::new(),
                     downstream: Vec::new(),
                     held_poll: None,
                 },
             );
         }
         let session = self.sessions.get_mut(&session_id).expect("just inserted");
-        // Ship upstream bytes into the OR link.
+        // Ship upstream bytes into the OR link (TCP holds them while the
+        // link is still connecting).
         if !req.body.is_empty() {
-            if session.or_connected {
-                ctx.tcp_send(session.or_conn, &req.body);
-            } else {
-                session.upstream_pending.extend_from_slice(&req.body);
-            }
+            ctx.tcp_send(session.or_conn, &req.body);
         }
         // Answer: immediately if downstream bytes wait, else hold.
         if !session.downstream.is_empty() {
@@ -160,14 +152,6 @@ impl App for MeekGateway {
                 // OR-link side.
                 if let Some(&session_id) = self.or_to_session.get(&h) {
                     match tcp_ev {
-                        TcpEvent::Connected => {
-                            let Some(s) = self.sessions.get_mut(&session_id) else { return };
-                            s.or_connected = true;
-                            let pending = std::mem::take(&mut s.upstream_pending);
-                            if !pending.is_empty() {
-                                ctx.tcp_send(h, &pending);
-                            }
-                        }
                         TcpEvent::DataReceived => {
                             let data = ctx.tcp_recv_all(h);
                             let held = {

@@ -54,8 +54,6 @@ pub struct OrRelay {
     out_conns: HashMap<TcpHandle, OutConn>,
     /// Upstream (exit) connections: handle → (circuit, stream id).
     upstreams: HashMap<TcpHandle, (usize, u16)>,
-    /// Buffered data for upstreams still connecting.
-    upstream_pending: HashMap<TcpHandle, Vec<u8>>,
     next_out_circ: u32,
     /// Circuits created through this relay (diagnostics).
     pub circuits_created: u64,
@@ -76,7 +74,6 @@ impl OrRelay {
             circuits: Vec::new(),
             out_conns: HashMap::new(),
             upstreams: HashMap::new(),
-            upstream_pending: HashMap::new(),
             next_out_circ: 1,
             circuits_created: 0,
             streams_opened: 0,
@@ -141,16 +138,12 @@ impl OrRelay {
                 let upstream = ctx.tcp_connect(dest);
                 self.circuits[circ_idx].streams.insert(stream_id, upstream);
                 self.upstreams.insert(upstream, (circ_idx, stream_id));
-                self.upstream_pending.insert(upstream, Vec::new());
                 self.streams_opened += 1;
             }
             relay_cmd::DATA => {
                 if let Some(&upstream) = self.circuits[circ_idx].streams.get(&stream_id) {
-                    if let Some(pending) = self.upstream_pending.get_mut(&upstream) {
-                        pending.extend_from_slice(data);
-                    } else {
-                        ctx.tcp_send(upstream, data);
-                    }
+                    // Before the exit's handshake completes, TCP holds it.
+                    ctx.tcp_send(upstream, data);
                 }
             }
             relay_cmd::END => {
@@ -268,11 +261,6 @@ impl App for OrRelay {
         if let Some(&(circ_idx, stream_id)) = self.upstreams.get(&h) {
             match tcp_ev {
                 TcpEvent::Connected => {
-                    if let Some(pending) = self.upstream_pending.remove(&h) {
-                        if !pending.is_empty() {
-                            ctx.tcp_send(h, &pending);
-                        }
-                    }
                     self.originate_backward(
                         circ_idx,
                         relay_payload(stream_id, relay_cmd::CONNECTED, &[]),

@@ -100,6 +100,20 @@ pub mod sc_ready {
     }
 }
 
+/// Host of the page to load.
+pub const PAGE_HOST: &str = "scholar.google.com";
+/// Retries per load of a `429`/`503` proxy answer carrying
+/// `Retry-After` before the load fails: a well-behaved client under
+/// overload control backs off and re-fetches the page within the same
+/// load. The backoff is deterministic: `Retry-After × 2^attempt`, no
+/// jitter.
+pub const MAX_THROTTLE_RETRIES: u32 = 3;
+/// Connect deadline for a PAC proxy candidate when the policy has a
+/// fallback list (≥ 2 proxies): a crashed proxy drops SYNs silently, so
+/// without this the browser would wait out the whole load deadline
+/// instead of failing over down the PAC list.
+pub const PROXY_CONNECT_TIMEOUT: SimDuration = SimDuration::from_secs(1);
+
 /// Browser configuration.
 #[derive(Debug, Clone)]
 pub struct BrowserConfig {
@@ -107,8 +121,6 @@ pub struct BrowserConfig {
     pub resolver: Addr,
     /// Access method.
     pub policy: ProxyPolicy,
-    /// Host of the page to load.
-    pub page_host: String,
     /// 443 for HTTPS pages, 80 for plain HTTP.
     pub page_port: u16,
     /// Gap between consecutive page loads (the paper used 60 s).
@@ -123,19 +135,6 @@ pub struct BrowserConfig {
     /// clients come online staggered). The PLT clock starts *after* the
     /// delay, so a ramped client's first load is not charged for it.
     pub start_delay: SimDuration,
-    /// Whether a `429`/`503` proxy answer carrying `Retry-After` makes
-    /// the browser back off and retry the page within the same load
-    /// (well-behaved client under overload control) instead of failing
-    /// immediately.
-    pub honor_retry_after: bool,
-    /// Retry-After retries per load before giving up. The backoff is
-    /// deterministic: `Retry-After × 2^attempt`, no jitter.
-    pub max_throttle_retries: u32,
-    /// Connect deadline for a PAC proxy candidate when the policy has a
-    /// fallback list (≥ 2 proxies): a crashed proxy drops SYNs
-    /// silently, so without this the browser would wait out the whole
-    /// load deadline instead of failing over down the PAC list.
-    pub proxy_connect_timeout: SimDuration,
 }
 
 impl BrowserConfig {
@@ -145,16 +144,12 @@ impl BrowserConfig {
         BrowserConfig {
             resolver,
             policy,
-            page_host: "scholar.google.com".into(),
             page_port: 443,
             interval: SimDuration::from_secs(60),
             loads: 10,
             entropy: 7,
             timeout: SimDuration::from_secs(55),
             start_delay: SimDuration::ZERO,
-            honor_retry_after: true,
-            max_throttle_retries: 3,
-            proxy_connect_timeout: SimDuration::from_secs(1),
         }
     }
 }
@@ -417,9 +412,7 @@ impl Browser {
             revalidated: 0,
         });
         ctx.set_timer(self.config.timeout, deadline_token);
-        let host = self.config.page_host.clone();
-        let port = self.config.page_port;
-        self.fetch(&host, port, "/", ctx);
+        self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
     }
 
     /// Requests `path` from `host:port`, opening or reusing a connection.
@@ -531,7 +524,7 @@ impl Browser {
             self.connect_seq += 1;
             let token = TIMER_CONNECT_BASE + self.connect_seq;
             self.connect_deadlines.insert(token, h);
-            ctx.set_timer(self.config.proxy_connect_timeout, token);
+            ctx.set_timer(PROXY_CONNECT_TIMEOUT, token);
         }
     }
 
@@ -671,9 +664,7 @@ impl Browser {
             ctx,
         );
         self.teardown_conns(ctx);
-        let host = self.config.page_host.clone();
-        let port = self.config.page_port;
-        self.fetch(&host, port, "/", ctx);
+        self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
         true
     }
 
@@ -870,7 +861,7 @@ impl Browser {
             resp.body
         };
         // The HTML: schedule subresource fetches.
-        if path == "/" && host == self.config.page_host {
+        if path == "/" && host == PAGE_HOST {
             let resources = crate::page::PageSpec::parse_manifest(&body);
             let first_time = self.load.as_ref().is_some_and(|l| l.first_time);
             let mut to_fetch = Vec::new();
@@ -900,7 +891,7 @@ impl Browser {
         let done = self.load.as_ref().is_some_and(|l| l.pending == 0);
         if done {
             // Page complete: sample RTT with a HEAD on the main connection.
-            let key = (self.config.page_host.clone(), self.config.page_port);
+            let key = (PAGE_HOST.to_string(), self.config.page_port);
             if let Some(&main) = self.by_host.get(&key) {
                 if self.conns.get(&main).is_some_and(|c| c.phase == ConnPhase::Ready) {
                     self.rtt_conn = Some(main);
@@ -999,15 +990,13 @@ impl Browser {
     /// Honors a proxy `Retry-After` on a `429`/`503`: tears down every
     /// connection, waits `retry_after × 2^attempt` (deterministic —
     /// backoff shape is part of the trace, so no jitter), and re-fetches
-    /// the page. Returns `false` when retries are disabled or exhausted,
+    /// the page. Returns `false` when retries are exhausted,
     /// in which case the caller fails the load instead. The load's
     /// deadline timer keeps running throughout, so a throttle wait can
     /// never extend a load past its budget.
     fn throttle_backoff(&mut self, retry_after_secs: u64, ctx: &mut Ctx<'_>) -> bool {
         let Some(load) = self.load.as_mut() else { return false };
-        if !self.config.honor_retry_after
-            || load.throttle_retries >= self.config.max_throttle_retries
-        {
+        if load.throttle_retries >= MAX_THROTTLE_RETRIES {
             return false;
         }
         let attempt = load.throttle_retries;
@@ -1070,7 +1059,7 @@ impl Browser {
 impl BrowserConfig {
     fn page_port_for(&self, host: &str) -> u16 {
         // Subresources use the page's scheme; the account host is HTTPS.
-        if host == self.page_host {
+        if host == PAGE_HOST {
             self.page_port
         } else {
             443
@@ -1129,9 +1118,7 @@ impl App for Browser {
                 let current = self.load.as_ref().map(|l| l.deadline_token);
                 if current.is_some() && current == self.throttle_wait_for {
                     self.throttle_wait_for = None;
-                    let host = self.config.page_host.clone();
-                    let port = self.config.page_port;
-                    self.fetch(&host, port, "/", ctx);
+                    self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
                 }
             }
             AppEvent::TimerFired(token) if token >= TIMER_CONNECT_BASE => {

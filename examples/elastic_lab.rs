@@ -209,7 +209,7 @@ fn run_once(static_pool: usize, elastic: bool, verbose: bool) -> RunStats {
 
     let cost_micro = match &elastic_handle {
         Some(h) => h.total_cost_micro(),
-        None => ElasticConfig::default().static_cost_micro(static_pool, runtime, bytes_down),
+        None => ElasticConfig::static_cost_micro(static_pool, runtime, bytes_down),
     };
 
     let mut ok = 0usize;

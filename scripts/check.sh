@@ -5,6 +5,11 @@ set -eu
 cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
+# The paper's figures, second half: Fig. 7's line of
+# tests/golden/figure_digests.txt takes 42 s in a debug build, so its
+# test is #[ignore]d in the run above and runs here in release.
+cargo test -q --offline --release --test figure_golden -- --ignored
+echo "figure digests: ok"
 
 # The two differential suites behind the packet path's "each byte's work
 # once" — the GFW engine against its inspect-everything-every-packet
@@ -173,12 +178,16 @@ echo "structure: ok (one Effects scratch; no std-keyed HashMap in the simnet eve
 
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion
-# benches and no binary — and nothing outside the change log, the
+# benches (the two targets whose rows benchmark/ does not own yet) and
+# no binary — and nothing outside the change log, the
 # roadmap, the issue and benchmark/ still speaks of it (the pattern is
 # bracketed so that this line does not). ScenarioConfig holds each
 # layer's config, not a flat copy of its fields, and no knob that only
 # ever had one value.
-for f in crates/bench/src/trajectory.rs crates/bench/src/bin BENCH_seed.json; do
+for f in crates/bench/src/trajectory.rs crates/bench/src/bin BENCH_seed.json \
+    crates/bench/benches/fig3_survey.rs crates/bench/benches/fig5_performance.rs \
+    crates/bench/benches/fig6_overhead.rs crates/bench/benches/fig7_scalability.rs \
+    crates/bench/benches/ablations.rs crates/bench/benches/cache_ops.rs; do
     if [ -e "$f" ]; then
         echo "structure: $f is back" >&2; exit 1
     fi
@@ -190,6 +199,18 @@ fail_if_found "the retired harness named outside CHANGES.md, ROADMAP.md and benc
 fail_if_found "a layer's tunable mirrored as a flat ScenarioConfig field" \
     grep -rnE 'sc_adaptive_|sc_elastic_[mic]|sc_cache_ttl|consensus_len:' crates/metrics
 echo "structure: ok (one harness; ScenarioConfig holds layer configs)"
+
+# Structure, knobs: a config field is a field somebody sets. The census
+# prints every `pub` field of the seven layer config structs with its
+# writers and fails on one that has none; the eighth, which was all
+# constants, is gone (its name is bracketed below so that this file
+# does not match).
+scripts/census.sh
+fail_if_found "the dissolved resilience config struct named again" \
+    grep -rn 'ResilienceConfi[g]' . --exclude-dir=.git --exclude-dir=target \
+        --exclude-dir=.bench_build \
+        --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md
+echo "structure: ok (every config field has a writer)"
 
 # run_gate <name> <example> [scholar-obs gate flags...]
 #

@@ -21,14 +21,12 @@
 //!    adaptive knobs off the trace carries no adaptive machinery at
 //!    all (the pre-adaptive byte-identity pin).
 
-use std::cell::RefCell;
-use std::io::Write;
-use std::rc::Rc;
+mod common;
 
+use common::captured;
 use proptest::prelude::*;
 use sc_gfw::adaptive::{AdaptiveConfig, AdaptiveState, FingerprintOutcome};
 use sc_metrics::{Method, ScenarioConfig, build_scenario};
-use sc_obs::{Dispatcher, JsonlSink, Level};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -206,21 +204,6 @@ proptest! {
     }
 }
 
-/// An in-memory `Write` target shared with the test after the sink is
-/// boxed away.
-#[derive(Clone, Default)]
-struct SharedBuf(Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// An arms-race scenario run (the arms_race_lab shape, shrunk): a
 /// reactive censor learning signatures and probing, against
 /// detection-driven scheme rotation with stream resume. Classifier
@@ -228,33 +211,25 @@ impl Write for SharedBuf {
 /// to the seeded sim, so the trace must be a pure function of the
 /// seed — and with `adaptive` off, of the pre-adaptive code path only.
 fn adaptive_run(seed: u64, adaptive: bool) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
-        .install();
-    let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
-    cfg.clients = 2;
-    cfg.loads = 5;
-    cfg.interval = SimDuration::from_secs(10);
-    cfg.timeout = SimDuration::from_secs(8);
-    cfg.extra_runtime = SimDuration::from_secs(20);
-    if adaptive {
-        cfg.sc_adaptive = Some(AdaptiveConfig {
-            learn_after_flows: 4,
-            ..AdaptiveConfig::default()
-        });
-        cfg.sc_rotation = Some(sc_core::RotationPolicy {
-            threshold: 1,
-            cooldown: SimDuration::from_secs(5),
-        });
-    }
-    let built = build_scenario(&cfg);
-    built.finish();
-    drop(guard);
-    let out = buf.0.borrow().clone();
-    out
+    captured(|| {
+        let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
+        cfg.clients = 2;
+        cfg.loads = 5;
+        cfg.interval = SimDuration::from_secs(10);
+        cfg.timeout = SimDuration::from_secs(8);
+        cfg.extra_runtime = SimDuration::from_secs(20);
+        if adaptive {
+            cfg.sc_adaptive = Some(AdaptiveConfig {
+                learn_after_flows: 4,
+                ..AdaptiveConfig::default()
+            });
+            cfg.sc_rotation = Some(sc_core::RotationPolicy {
+                threshold: 1,
+                cooldown: SimDuration::from_secs(5),
+            });
+        }
+        build_scenario(&cfg).finish();
+    })
 }
 
 #[test]
