@@ -184,18 +184,18 @@ impl App for ActiveProber {
                 let Some(probe) = self.probes.get_mut(&h) else { return };
                 match tcp_ev {
                     TcpEvent::Connected => {
-                        if let Some(replay) = probe.replay.clone() {
+                        if let Some(replay) = probe.replay.take() {
                             // Replay a captured preamble: a remote
                             // without replay protection authenticates
                             // it, then hangs awaiting a stream it can
                             // never decode — the silent signature.
-                            ctx.tcp_send(h, &replay);
+                            ctx.tcp_send_bytes(h, replay);
                         } else {
                             // Send garbage that decrypts to nothing
                             // under any real cipher.
                             let mut garbage = vec![0u8; PROBE_LEN];
                             ctx.rng().fill(&mut garbage[..]);
-                            ctx.tcp_send(h, &garbage);
+                            ctx.tcp_send_bytes(h, garbage);
                         }
                         let token = probe.check_token;
                         ctx.set_timer(PROBE_TIMEOUT, token);

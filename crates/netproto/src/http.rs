@@ -2,6 +2,7 @@
 //! parser (Content-Length and chunked bodies, keep-alive semantics).
 
 use std::collections::VecDeque;
+use std::io::Write;
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,17 +59,38 @@ impl HttpRequest {
 
     /// Serializes to wire bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(format!("{} {} HTTP/1.1\r\n", self.method, self.target).as_bytes());
-        for (n, v) in &self.headers {
-            out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-        }
+        let start = self.method.len() + self.target.len() + 12;
+        let mut out = Vec::with_capacity(head_capacity(start, &self.headers) + self.body.len());
+        put(&mut out, &[self.method.as_bytes(), b" ", self.target.as_bytes(), b" HTTP/1.1\r\n"]);
+        put_headers(&mut out, &self.headers);
         if !self.body.is_empty() && self.header_value("Content-Length").is_none() {
-            out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
+            write!(out, "Content-Length: {}\r\n", self.body.len()).expect(VEC_WRITE);
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
         out
+    }
+}
+
+/// Why writing a head cannot fail.
+const VEC_WRITE: &str = "writing to a Vec is infallible";
+
+/// Bytes a head of `start` start-line bytes and `headers` needs, with room
+/// for the `Content-Length` line and chunk framing `encode` may add — so
+/// head and body are written into one allocation that never grows.
+fn head_capacity(start: usize, headers: &[(String, String)]) -> usize {
+    start + headers.iter().map(|(n, v)| n.len() + v.len() + 4).sum::<usize>() + 64
+}
+
+fn put(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+}
+
+fn put_headers(out: &mut Vec<u8>, headers: &[(String, String)]) {
+    for (n, v) in headers {
+        put(out, &[n.as_bytes(), b": ", v.as_bytes(), b"\r\n"]);
     }
 }
 
@@ -134,21 +156,20 @@ impl HttpResponse {
 
     /// Serializes to wire bytes (adds Content-Length automatically).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, self.reason).as_bytes());
-        for (n, v) in &self.headers {
-            out.extend_from_slice(format!("{n}: {v}\r\n").as_bytes());
-        }
+        let start = self.reason.len() + 16;
+        let mut out = Vec::with_capacity(head_capacity(start, &self.headers) + self.body.len());
+        write!(out, "HTTP/1.1 {} {}\r\n", self.status, self.reason).expect(VEC_WRITE);
+        put_headers(&mut out, &self.headers);
         let is_chunked = self
             .header_value("Transfer-Encoding")
             .is_some_and(|v| v.eq_ignore_ascii_case("chunked"));
         if !is_chunked && self.header_value("Content-Length").is_none() {
-            out.extend_from_slice(format!("Content-Length: {}\r\n", self.body.len()).as_bytes());
+            write!(out, "Content-Length: {}\r\n", self.body.len()).expect(VEC_WRITE);
         }
         out.extend_from_slice(b"\r\n");
         if is_chunked {
             // Emit as a single chunk plus terminator.
-            out.extend_from_slice(format!("{:x}\r\n", self.body.len()).as_bytes());
+            write!(out, "{:x}\r\n", self.body.len()).expect(VEC_WRITE);
             out.extend_from_slice(&self.body);
             out.extend_from_slice(b"\r\n0\r\n\r\n");
         } else {
@@ -401,6 +422,60 @@ fn try_parse_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, HttpParseEr
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The head as `format!` renders it line by line — what `encode` wrote
+    /// before it wrote into the buffer directly.
+    fn formatted(start: String, headers: &[(String, String)], extra: Option<String>) -> Vec<u8> {
+        let mut head = start;
+        for (n, v) in headers {
+            head += &format!("{n}: {v}\r\n");
+        }
+        head += &extra.unwrap_or_default();
+        (head + "\r\n").into_bytes()
+    }
+
+    #[test]
+    fn encode_writes_what_format_rendered_into_one_allocation() {
+        // A request with a body: Content-Length is added.
+        let mut req = HttpRequest::get("scholar.google.com", "/scholar?q=gfw&hl=en")
+            .header("User-Agent", "Chrome/56.0")
+            .header("Sc-Trace", "00000000000007e1-000000000000002a");
+        req.method = "POST".into();
+        req.body = vec![b'q'; 300];
+        let mut want = formatted(
+            format!("{} {} HTTP/1.1\r\n", req.method, req.target),
+            &req.headers,
+            Some(format!("Content-Length: {}\r\n", req.body.len())),
+        );
+        want.extend_from_slice(&req.body);
+        let wire = req.encode();
+        assert_eq!(wire, want);
+        assert!(wire.capacity() >= wire.len() && wire.capacity() <= wire.len() + 96, "sized once");
+
+        // A chunked response: no Content-Length, one chunk and the terminator.
+        let resp = HttpResponse::new(200, vec![b'x'; 0x1234])
+            .header("Content-Type", "application/octet-stream")
+            .header("Transfer-Encoding", "chunked");
+        let mut want = formatted(format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason), &resp.headers, None);
+        want.extend_from_slice(format!("{:x}\r\n", resp.body.len()).as_bytes());
+        want.extend_from_slice(&resp.body);
+        want.extend_from_slice(b"\r\n0\r\n\r\n");
+        let wire = resp.encode();
+        assert_eq!(wire, want);
+        assert!(wire.capacity() <= wire.len() + 96, "sized once");
+
+        // A bodiless one: Content-Length: 0 all the same.
+        let resp = HttpResponse::new(304, Vec::new()).header("ETag", "\"v1\"");
+        let want = formatted(
+            format!("HTTP/1.1 {} {}\r\n", resp.status, resp.reason),
+            &resp.headers,
+            Some("Content-Length: 0\r\n".into()),
+        );
+        assert_eq!(resp.encode(), want);
+        // And a bodiless request adds none.
+        let req = HttpRequest::connect("scholar.google.com:443");
+        assert_eq!(req.encode(), formatted("CONNECT scholar.google.com:443 HTTP/1.1\r\n".into(), &req.headers, None));
+    }
 
     #[test]
     fn request_roundtrip() {

@@ -26,6 +26,8 @@
 //! or not. Minting is a 16-byte hash; no allocation happens until the
 //! header string is built, which request construction does anyway.
 
+use std::fmt::Write;
+
 use crate::event::SpanId;
 
 /// The header that carries trace context on simulated HTTP requests
@@ -98,7 +100,9 @@ impl TraceCtx {
     /// always exactly 33 bytes so traced and untraced runs put the same
     /// number of bytes on the wire.
     pub fn header_value(self) -> String {
-        format!("{:016x}-{:016x}", self.trace.0, self.parent.0)
+        let mut s = String::with_capacity(33);
+        write!(s, "{:016x}-{:016x}", self.trace.0, self.parent.0).expect("writing to a String is infallible");
+        s
     }
 
     /// Parses the wire form produced by [`header_value`]
@@ -132,7 +136,7 @@ mod tests {
     fn header_roundtrip_is_fixed_width() {
         let ctx = TraceCtx::new(TraceId(0xdead_beef), SpanId(42));
         let v = ctx.header_value();
-        assert_eq!(v.len(), 33);
+        assert_eq!((v.as_str(), v.capacity()), ("00000000deadbeef-000000000000002a", 33));
         assert_eq!(TraceCtx::parse(&v), Some(ctx));
         // Disabled tracing still encodes at the same width.
         let off = TraceCtx::new(TraceId::mint(1, 2), SpanId::NONE);

@@ -126,7 +126,7 @@ impl Admit {
         trace::event(io.now(), Level::Warn, "domestic", "whitelist_refused", |ev| {
             ev.field("host", host.to_string())
         });
-        io.send(browser, &HttpResponse::new(403, Vec::new()).encode());
+        io.send(browser, HttpResponse::new(403, Vec::new()).encode());
         io.close(browser);
     }
 
@@ -135,7 +135,7 @@ impl Admit {
     /// RST, the exact silent-proxy signature probing looks for; serve
     /// the same boring decoy as the remote side and close cleanly.
     pub fn decoy(&self, conn: TcpHandle, io: &mut impl Io) {
-        io.send(conn, &decoy_response());
+        io.send(conn, decoy_response());
         io.close(conn);
         sc_obs::counter_add("scholarcloud.decoys_served", 1);
         self.cfg.interference.note_probe();
@@ -155,7 +155,7 @@ impl Admit {
         io: &mut impl Io,
     ) -> Step {
         let Some((host, port)) = req.target.rsplit_once(':') else {
-            io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
+            io.send(browser, HttpResponse::new(400, Vec::new()).encode());
             return Step::Done;
         };
         if !self.cfg.whitelisted(host) {
@@ -244,7 +244,7 @@ impl Admit {
         let secs = RETRY_AFTER.as_micros().div_ceil(1_000_000);
         let resp =
             HttpResponse::new(code, Vec::new()).header("Retry-After", &secs.max(1).to_string());
-        io.send(browser, &resp.encode());
+        io.send(browser, resp.encode());
         io.close(browser);
         let (counter, name) = if code == 429 {
             ("scholarcloud.throttled", "throttle")

@@ -228,7 +228,7 @@ impl Establish {
     ) -> Option<Addr> {
         let now = io.now();
         let pt = self.drop_pending(browser, Dropped::Failed { code, reason }, now);
-        io.send(browser, &HttpResponse::new(code, Vec::new()).encode());
+        io.send(browser, HttpResponse::new(code, Vec::new()).encode());
         io.close(browser);
         let counter = match code {
             503 => "scholarcloud.fail_fast",
@@ -279,10 +279,10 @@ impl Establish {
         let Some(pt) = self.pending.get_mut(&browser) else { return };
         pt.req.initial_plain.extend_from_slice(data);
         if let Some(at) = pt.attempt.and_then(|rh| self.attempts.get_mut(&rh)) {
-            let mut wire = data.to_vec();
-            at.up_bytes += wire.len() as u64;
-            at.tx.encode(&mut wire);
-            at.wire.extend_from_slice(&wire);
+            at.up_bytes += data.len() as u64;
+            let queued = at.wire.len();
+            at.wire.extend_from_slice(data);
+            at.tx.encode(&mut at.wire[queued..]);
         }
     }
 
@@ -372,17 +372,14 @@ impl Establish {
             generation: self.cfg.scheme.generation(),
         };
         let encrypt = !header.is_tls;
-        let mut tx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 0);
-        let rx = StreamCodec::new(&self.cfg.secret, &hello, encrypt, 1);
+        let (mut tx, rx) = StreamCodec::pair(&self.cfg.secret, &hello, encrypt);
+        // Preamble in the clear, then header and early plaintext encoded
+        // where they lie.
         let mut wire = hello.encode(&self.preamble_key, FRONT_HOST);
-        let mut head = header.encode();
-        tx.encode(&mut head);
-        wire.extend_from_slice(&head);
-        if !pt.req.initial_plain.is_empty() {
-            let mut body = pt.req.initial_plain.clone();
-            tx.encode(&mut body);
-            wire.extend_from_slice(&body);
-        }
+        let preamble = wire.len();
+        wire.extend_from_slice(&header.encode());
+        wire.extend_from_slice(&pt.req.initial_plain);
+        tx.encode(&mut wire[preamble..]);
         remotes.stream_start(idx);
         let rh = io.connect(remote);
         pt.attempt = Some(rh);
@@ -493,7 +490,7 @@ impl Establish {
     ) -> Option<Up> {
         let mut at = self.attempts.remove(&rh)?;
         let now = io.now();
-        io.send(rh, &at.wire);
+        io.send(rh, std::mem::take(&mut at.wire));
         trace::end(now, &mut at.span, || vec![("ok", true.into())]);
         let rtt = now.saturating_since(at.started);
         sc_obs::observe("scholarcloud.connect_rtt_us", rtt.as_micros());

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_obs::{Level, SpanFields, SpanId, TraceCtx};
@@ -142,7 +143,7 @@ impl Gateway {
         io: &mut impl Io,
     ) -> Step {
         let Some((host, port, path)) = split_target(&req) else {
-            io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
+            io.send(browser, HttpResponse::new(400, Vec::new()).encode());
             return Step::Done;
         };
         if !self.cfg.whitelisted(&host) {
@@ -420,11 +421,11 @@ impl Gateway {
                 // Pass-through (non-GET, cache off, or an uncacheable
                 // status): every coalesced requester gets the same
                 // answer.
-                let wire = resp.encode();
-                io.send(leader, &wire);
+                let wire = Bytes::from(resp.encode());
+                io.send(leader, wire.clone());
                 for w in waiters {
                     self.end_wait(w, now, || vec![("ok", true.into())]);
-                    io.send(w, &wire);
+                    io.send(w, wire.clone());
                 }
             }
         }
@@ -454,7 +455,7 @@ impl Gateway {
         if let Some(max_age) = entry.max_age {
             resp = resp.header("Cache-Control", &format!("public, max-age={max_age}"));
         }
-        io.send(browser, &resp.encode());
+        io.send(browser, resp.encode());
     }
 
     /// A gateway leader's request failed (shed, retries exhausted, or
@@ -473,11 +474,11 @@ impl Gateway {
             return Vec::new();
         }
         let Some(flight) = self.flights.complete(&fetch.key) else { return Vec::new() };
-        let wire = HttpResponse::new(code, Vec::new()).encode();
+        let wire = Bytes::from(HttpResponse::new(code, Vec::new()).encode());
         for &w in &flight.waiters {
             self.end_wait(w, io.now(), || vec![("ok", false.into()), ("code", code.into())]);
             self.inm.remove(&w);
-            io.send(w, &wire);
+            io.send(w, wire.clone());
             io.close(w);
         }
         flight.waiters

@@ -70,8 +70,9 @@ pub(super) trait Io {
     fn now(&self) -> SimTime;
     /// Opens a TCP connection; events for it arrive under the handle.
     fn connect(&mut self, to: SocketAddr) -> TcpHandle;
-    /// Queues bytes on a connection.
-    fn send(&mut self, h: TcpHandle, data: &[u8]);
+    /// Queues a buffer on a connection. The buffer is handed over, not
+    /// copied: a stage builds what it sends and gives it away.
+    fn send(&mut self, h: TcpHandle, data: impl Into<Bytes>);
     /// Drains everything received on a connection.
     fn recv(&mut self, h: TcpHandle) -> Bytes;
     /// Begins a graceful close.
@@ -95,8 +96,8 @@ impl Io for Ctx<'_> {
     fn connect(&mut self, to: SocketAddr) -> TcpHandle {
         self.tcp_connect(to)
     }
-    fn send(&mut self, h: TcpHandle, data: &[u8]) {
-        self.tcp_send(h, data);
+    fn send(&mut self, h: TcpHandle, data: impl Into<Bytes>) {
+        self.tcp_send_bytes(h, data);
     }
     fn recv(&mut self, h: TcpHandle) -> Bytes {
         self.tcp_recv_all(h)

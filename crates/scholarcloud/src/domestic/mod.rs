@@ -190,7 +190,7 @@ impl DomesticProxy {
             self.set_state(browser, ConnState::Gateway(HttpParser::new()));
             self.gateway_request(browser, client, req, io)
         } else {
-            io.send(browser, &HttpResponse::new(400, Vec::new()).encode());
+            io.send(browser, HttpResponse::new(400, Vec::new()).encode());
             Step::Done
         };
         self.step(step, io);

@@ -137,8 +137,7 @@ impl Peer {
         match ev {
             TcpEvent::Connected => {
                 hop.connected = true;
-                let wire = std::mem::take(&mut hop.wire);
-                io.send(h, &wire);
+                io.send(h, std::mem::take(&mut hop.wire));
                 Step::Done
             }
             TcpEvent::DataReceived => {

@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use bytes::Bytes;
 use sc_obs::{Level, SpanId};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
@@ -118,7 +119,7 @@ impl Relay {
             vec![("target", target_label(&req.header).into())]
         });
         if req.is_connect && !resumed {
-            io.send(req.browser, b"HTTP/1.1 200 Connection established\r\n\r\n");
+            io.send(req.browser, Bytes::from_static(b"HTTP/1.1 200 Connection established\r\n\r\n"));
         }
         sc_obs::counter_add("scholarcloud.tunnels_opened", 1);
         trace::event(now, Level::Info, "domestic", "tunnel_open", |ev| {
@@ -152,11 +153,14 @@ impl Relay {
                 stream.replay = None;
             }
         }
+        // The hop's one copy: what the browser sent is shared with its
+        // retransmit queue, so the codec gets a buffer of its own, and
+        // that buffer is what goes on the wire.
         let mut wire = data.to_vec();
         stream.up_bytes += wire.len() as u64;
         sc_obs::counter_add("scholarcloud.bytes_up", wire.len() as u64);
         stream.tx.encode(&mut wire);
-        io.send(remote, &wire);
+        io.send(remote, wire);
     }
 
     /// Remote → browser: decodes what arrived on `h` and returns the
@@ -170,6 +174,7 @@ impl Relay {
     ) -> Option<(TcpHandle, Vec<u8>)> {
         let data = io.recv(h);
         let stream = self.streams.get_mut(&h)?;
+        // One copy again, for the same reason as upstream.
         let mut plain = data.to_vec();
         stream.rx.decode(&mut plain);
         stream.down_bytes += plain.len() as u64;

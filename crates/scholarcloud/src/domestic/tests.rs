@@ -93,8 +93,8 @@ impl Io for FakeIo {
         self.calls.push(Call::Connect(h));
         h
     }
-    fn send(&mut self, h: TcpHandle, data: &[u8]) {
-        self.calls.push(Call::Send(h, data.to_vec()));
+    fn send(&mut self, h: TcpHandle, data: impl Into<Bytes>) {
+        self.calls.push(Call::Send(h, data.into().to_vec()));
     }
     fn recv(&mut self, h: TcpHandle) -> Bytes {
         Bytes::from(self.inbox.remove(&h).unwrap_or_default())
@@ -381,14 +381,15 @@ fn open_stream(stream_resume: bool, io: &mut FakeIo) -> (Relay, Remotes) {
     cfg.rotation = stream_resume.then(RotationPolicy::default);
     let cfg = Rc::new(cfg);
     let hello = Hello { scheme: cfg.scheme.get(), nonce: 1, generation: 0 };
+    let (tx, rx) = StreamCodec::pair(&cfg.secret, &hello, false);
     let up = Up {
         req: connect_request(1, TraceCtx::NONE),
         remote_idx: 0,
         remote: cfg.remotes[0],
         attempts: 1,
         resumed: false,
-        tx: StreamCodec::new(&cfg.secret, &hello, false, 0),
-        rx: StreamCodec::new(&cfg.secret, &hello, false, 1),
+        tx,
+        rx,
         up_bytes: 0,
         service: SimDuration::ZERO,
     };
@@ -462,7 +463,7 @@ fn a_garbled_upstream_response_is_a_502_and_frees_the_slot() {
     // What the remote would send under the attempt's session: the fake's
     // first draw is the nonce.
     let hello = Hello { scheme: cfg.scheme.get(), nonce: 1, generation: cfg.scheme.generation() };
-    let mut remote_tx = StreamCodec::new(&cfg.secret, &hello, true, 1);
+    let (_, mut remote_tx) = StreamCodec::pair(&cfg.secret, &hello, true);
     let mut garbage = b"\x00\x01 not http \r\n\r\n".to_vec();
     remote_tx.encode(&mut garbage);
 

@@ -11,6 +11,8 @@
 //! HTTP 400 decoy, which is why probing never confirms a ScholarCloud
 //! remote (§3, "message blinding"; probe resistance).
 
+use std::rc::Rc;
+
 use sc_crypto::blinding::{Blinder, BlindingScheme};
 use sc_crypto::hmac::{ct_eq, hkdf_expand_into, hkdf_extract, HmacKey};
 use sc_crypto::sha256::sha256;
@@ -238,7 +240,9 @@ impl StreamHeader {
 /// The symmetric stream codec used on each side of the tunnel: blinding
 /// always; encryption only when the payload is not already TLS.
 pub struct StreamCodec {
-    blinder: Box<dyn Blinder>,
+    /// Shared with the codec of the tunnel's other direction: a blinder
+    /// is keyed by the session, not by the direction, and keeps no state.
+    blinder: Rc<dyn Blinder>,
     /// Boxed: a key schedule is 240 bytes, and codecs sit inline in
     /// per-stream state that mostly carries TLS (no cipher here).
     cipher: Option<Box<Ctr>>,
@@ -255,21 +259,80 @@ impl core::fmt::Debug for StreamCodec {
     }
 }
 
+/// Direction byte of the domestic→remote cipher stream.
+const UP: u8 = 0;
+/// Direction byte of the remote→domestic cipher stream.
+const DOWN: u8 = 1;
+
+/// The session's blinder: one HKDF and one keyed derivation (for
+/// `ByteMap`, a 256-entry permutation and its inverse) per tunnel end.
+fn session_blinder(secret: &[u8], hello: &Hello) -> Rc<dyn Blinder> {
+    Rc::from(hello.scheme.instantiate(&session_key(secret, hello.nonce)))
+}
+
+/// The session's AES key schedule; each direction runs its own counter
+/// stream over a copy of it.
+fn session_aes(secret: &[u8], hello: &Hello) -> Aes {
+    Aes::new(KeySize::Aes256, &session_key(secret, hello.nonce ^ 0xd1d1_d1d1)).expect("32-byte key")
+}
+
 impl StreamCodec {
+    fn from_parts(blinder: Rc<dyn Blinder>, aes: Option<Aes>, dir: u8) -> Self {
+        let cipher = aes.map(|aes| {
+            let mut nonce = [0u8; 16];
+            nonce[0] = dir;
+            Box::new(Ctr::new(aes, nonce))
+        });
+        StreamCodec { blinder, cipher, encode_pos: 0, decode_pos: 0 }
+    }
+
     /// Creates the codec for one direction of one stream.
     ///
     /// `dir` distinguishes the two directions so they use independent
-    /// cipher streams.
+    /// cipher streams. An end that needs both takes [`pair`](Self::pair),
+    /// which derives the key material once.
     pub fn new(secret: &[u8], hello: &Hello, encrypt: bool, dir: u8) -> Self {
         let _prof = prof::scope(Subsystem::Crypto);
-        let blinder = hello.scheme.instantiate(&session_key(secret, hello.nonce));
-        let cipher = encrypt.then(|| {
-            let key = session_key(secret, hello.nonce ^ 0xd1d1_d1d1);
-            let mut nonce = [0u8; 16];
-            nonce[0] = dir;
-            Box::new(Ctr::new(Aes::new(KeySize::Aes256, &key).expect("32-byte key"), nonce))
-        });
-        StreamCodec { blinder, cipher, encode_pos: 0, decode_pos: 0 }
+        let aes = encrypt.then(|| session_aes(secret, hello));
+        Self::from_parts(session_blinder(secret, hello), aes, dir)
+    }
+
+    /// Both codecs of one end of a tunnel, `(up, down)`: `up` is the
+    /// domestic→remote direction (the domestic proxy encodes with it, the
+    /// remote decodes), `down` the other. The key material — blinder and
+    /// AES schedule — is derived once and shared.
+    pub fn pair(secret: &[u8], hello: &Hello, encrypt: bool) -> (Self, Self) {
+        let _prof = prof::scope(Subsystem::Crypto);
+        let blinder = session_blinder(secret, hello);
+        let aes = encrypt.then(|| session_aes(secret, hello));
+        (Self::from_parts(blinder.clone(), aes.clone(), UP), Self::from_parts(blinder, aes, DOWN))
+    }
+
+    /// The remote end's [`pair`](Self::pair), made from the first bytes
+    /// after the preamble. The domestic side encrypts exactly when the
+    /// payload is not TLS, but says so only inside the stream header,
+    /// which is already encoded; the header's strict framing settles it:
+    /// `wire` is read as blinded-only, then as blinded ciphertext, and the
+    /// reading whose header agrees with how it was read is the stream.
+    /// Returns the header, the plaintext that followed it, and
+    /// `(up, down)` with `up` advanced past `wire`; `None` while the
+    /// header is incomplete.
+    pub fn accept(secret: &[u8], hello: &Hello, wire: &[u8]) -> Option<(StreamHeader, Vec<u8>, Self, Self)> {
+        let _prof = prof::scope(Subsystem::Crypto);
+        let blinder = session_blinder(secret, hello);
+        for encrypt in [false, true] {
+            let aes = encrypt.then(|| session_aes(secret, hello));
+            let mut up = Self::from_parts(blinder.clone(), aes.clone(), UP);
+            let mut plain = wire.to_vec();
+            up.decode(&mut plain);
+            if let Some((header, used)) = StreamHeader::decode(&plain) {
+                if header.is_tls != encrypt {
+                    plain.drain(..used);
+                    return Some((header, plain, up, Self::from_parts(blinder, aes, DOWN)));
+                }
+            }
+        }
+        None
     }
 
     /// Transforms plaintext into wire bytes (encrypt-then-blind).
@@ -411,6 +474,65 @@ mod tests {
             assert_ne!(wire, plain);
             b.decode(&mut wire);
             assert_eq!(wire, plain, "encrypt={encrypt}");
+        }
+    }
+
+    #[test]
+    fn a_pair_is_the_two_single_direction_codecs() {
+        let plain: Vec<u8> = (0..3000u32).map(|i| (i * 7 + (i >> 5)) as u8).collect();
+        for scheme in [BlindingScheme::Identity, BlindingScheme::ByteMap, BlindingScheme::XorRolling, BlindingScheme::NibbleSwap] {
+            let hello = Hello { scheme, nonce: 0x5eed, generation: 0 };
+            for encrypt in [false, true] {
+                // One end encodes, the other end's pair decodes.
+                let (up, down) = StreamCodec::pair(SECRET, &hello, encrypt);
+                let (peer_up, peer_down) = StreamCodec::pair(SECRET, &hello, encrypt);
+                for (dir, mut paired, mut peer) in [(0, up, peer_up), (1, down, peer_down)] {
+                    let mut single = StreamCodec::new(SECRET, &hello, encrypt, dir);
+                    // Two writes each, so positions and keystream carry over.
+                    for piece in [&plain[..1234], &plain[1234..]] {
+                        let (mut a, mut b) = (piece.to_vec(), piece.to_vec());
+                        paired.encode(&mut a);
+                        single.encode(&mut b);
+                        assert!(a == b, "{scheme:?} encrypt={encrypt} dir={dir}");
+                        peer.decode(&mut a);
+                        assert!(a == piece, "{scheme:?} encrypt={encrypt} dir={dir}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accept_builds_the_pair_the_stream_header_names() {
+        let hello = Hello { scheme: BlindingScheme::ByteMap, nonce: 77, generation: 0 };
+        for is_tls in [true, false] {
+            let header = StreamHeader {
+                is_tls,
+                trace: 9,
+                parent: 4,
+                target: TargetAddr::Domain("scholar.google.com".into(), if is_tls { 443 } else { 80 }),
+            };
+            // The domestic end: header and first bytes through `up`.
+            let (mut up, mut down) = StreamCodec::pair(SECRET, &hello, !is_tls);
+            let early = b"GET /scholar?q=gfw HTTP/1.1\r\n\r\n";
+            let mut wire = header.encode();
+            wire.extend_from_slice(early);
+            up.encode(&mut wire);
+
+            let cut = header.encode().len() - 1;
+            assert!(StreamCodec::accept(SECRET, &hello, &wire[..cut]).is_none(), "header incomplete");
+            let (got, leftover, mut rx, mut tx) = StreamCodec::accept(SECRET, &hello, &wire).expect("complete");
+            assert_eq!((got, &leftover[..]), (header, &early[..]));
+            // Both directions carry on from where the first bytes left them.
+            let mut more = b"second write".to_vec();
+            up.encode(&mut more);
+            rx.decode(&mut more);
+            assert_eq!(more, b"second write");
+            let mut reply = b"HTTP/1.1 200 OK\r\n\r\n".to_vec();
+            tx.encode(&mut reply);
+            assert_eq!(reply != b"HTTP/1.1 200 OK\r\n\r\n", hello.scheme != BlindingScheme::Identity);
+            down.decode(&mut reply);
+            assert_eq!(reply, b"HTTP/1.1 200 OK\r\n\r\n");
         }
     }
 

@@ -58,7 +58,7 @@ impl RemoteProxy {
     }
 
     fn serve_decoy(&mut self, h: TcpHandle, reason: &'static str, ctx: &mut Ctx<'_>) {
-        ctx.tcp_send(h, &decoy_response());
+        ctx.tcp_send_bytes(h, decoy_response());
         ctx.tcp_close(h);
         self.conns.insert(h, ClientConn::Decoyed);
         self.decoys += 1;
@@ -103,32 +103,13 @@ impl RemoteProxy {
                         self.serve_decoy(h, "replayed_preamble", ctx);
                         return;
                     }
-                    // The domestic side constructed its codec with
-                    // encrypt = !is_tls, but is_tls is only known after
-                    // decoding the header. Break the circularity by
-                    // trying both codec variants on the header bytes; the
-                    // header's strict framing disambiguates.
-                    let mut rest = snapshot[used..].to_vec();
-                    // First try: encrypt=false (TLS pass-through).
-                    let mut rx0 = StreamCodec::new(&self.config.secret, &hello, false, 0);
-                    let mut attempt = rest.clone();
-                    rx0.decode(&mut attempt);
-                    if let Some((header, consumed)) = StreamHeader::decode(&attempt) {
-                        if header.is_tls {
-                            let tx = StreamCodec::new(&self.config.secret, &hello, false, 1);
-                            self.begin_relay(h, header, rx0, tx, &attempt[consumed..], ctx);
-                            return;
-                        }
-                    }
-                    // Second try: encrypt=true (plain-HTTP payloads).
-                    let mut rx1 = StreamCodec::new(&self.config.secret, &hello, true, 0);
-                    rx1.decode(&mut rest);
-                    if let Some((header, consumed)) = StreamHeader::decode(&rest) {
-                        if !header.is_tls {
-                            let tx = StreamCodec::new(&self.config.secret, &hello, true, 1);
-                            self.begin_relay(h, header, rx1, tx, &rest[consumed..], ctx);
-                            return;
-                        }
+                    // Which codec the domestic side built is said only in
+                    // the stream header, which is encoded with it.
+                    if let Some((header, leftover, rx, tx)) =
+                        StreamCodec::accept(&self.config.secret, &hello, &snapshot[used..])
+                    {
+                        self.begin_relay(h, header, rx, tx, leftover, ctx);
+                        return;
                     }
                     // Header incomplete: stash raw bytes and wait. We must
                     // re-run from scratch next time, so keep hello + rest.
@@ -148,7 +129,7 @@ impl RemoteProxy {
         header: StreamHeader,
         rx: StreamCodec,
         tx: StreamCodec,
-        leftover: &[u8],
+        leftover: Vec<u8>,
         ctx: &mut Ctx<'_>,
     ) {
         // Whitelist enforcement happens here too: the remote proxy only
@@ -177,7 +158,7 @@ impl RemoteProxy {
         let upstream = ctx.tcp_connect(dest);
         self.upstreams.insert(upstream, h);
         // TCP holds what is sent before the handshake completes.
-        ctx.tcp_send(upstream, leftover);
+        ctx.tcp_send_bytes(upstream, leftover);
         // Parent the relay span into the originating request's trace via
         // the in-band ids carried on the stream header.
         let span = sc_obs::span_start_ctx(
@@ -218,9 +199,13 @@ impl App for RemoteProxy {
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
                     if let Some(ClientConn::Relaying { tx, .. }) = self.conns.get_mut(&client) {
+                        // The hop's one copy: a received chunk is shared
+                        // with its sender's retransmit queue, so the codec
+                        // works on a buffer of its own, which is then
+                        // handed on whole.
                         let mut wire = data.to_vec();
                         tx.encode(&mut wire);
-                        ctx.tcp_send(client, &wire);
+                        ctx.tcp_send_bytes(client, wire);
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
@@ -254,7 +239,7 @@ impl App for RemoteProxy {
                         let upstream = *upstream;
                         let mut plain = data.to_vec();
                         rx.decode(&mut plain);
-                        ctx.tcp_send(upstream, &plain);
+                        ctx.tcp_send_bytes(upstream, plain);
                     }
                     _ => {}
                 }

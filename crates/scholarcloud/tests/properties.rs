@@ -54,16 +54,19 @@ proptest! {
                        data in prop::collection::vec(any::<u8>(), 0..2000),
                        chunk in 1usize..257) {
         let hello = Hello { scheme, nonce, generation: 0 };
-        let mut tx = StreamCodec::new(&secret, &hello, encrypt, 0);
-        let mut rx = StreamCodec::new(&secret, &hello, encrypt, 0);
-        let mut wire = data.clone();
-        for piece in wire.chunks_mut(chunk) {
-            tx.encode(piece);
+        // Each end's pair; both directions of the tunnel carry the data.
+        let (mut near_up, mut near_down) = StreamCodec::pair(&secret, &hello, encrypt);
+        let (mut far_up, mut far_down) = StreamCodec::pair(&secret, &hello, encrypt);
+        for (tx, rx) in [(&mut near_up, &mut far_up), (&mut far_down, &mut near_down)] {
+            let mut wire = data.clone();
+            for piece in wire.chunks_mut(chunk) {
+                tx.encode(piece);
+            }
+            for piece in wire.chunks_mut(chunk) {
+                rx.decode(piece);
+            }
+            prop_assert_eq!(&wire, &data);
         }
-        for piece in wire.chunks_mut(chunk) {
-            rx.decode(piece);
-        }
-        prop_assert_eq!(wire, data);
     }
 
     /// Garbage (not starting with POST /) is immediately identified as

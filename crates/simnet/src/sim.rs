@@ -751,9 +751,19 @@ impl<'a> Ctx<'a> {
         self.sim.nodes[self.node.0].tcp.listen(port, self.app)
     }
 
-    /// Sends bytes on a connection. Returns bytes accepted, or `None` if
-    /// the connection cannot send.
+    /// Sends a copy of `data` on a connection. Returns bytes accepted, or
+    /// `None` if the connection cannot send. A caller that owns its buffer
+    /// hands it to [`tcp_send_bytes`](Self::tcp_send_bytes) instead.
     pub fn tcp_send(&mut self, h: TcpHandle, data: &[u8]) -> Option<usize> {
+        self.tcp_send_bytes(h, Bytes::copy_from_slice(data))
+    }
+
+    /// Sends `data` on a connection without copying it: the buffer is
+    /// queued as one chunk, segments are views of it, and the receiving
+    /// app reads those views. Returns bytes accepted, or `None` if the
+    /// connection cannot send.
+    pub fn tcp_send_bytes(&mut self, h: TcpHandle, data: impl Into<Bytes>) -> Option<usize> {
+        let data = data.into();
         self.sim
             .with_tcp(self.node, |tcp, now, fx| tcp.send(h, data, now, fx))
     }

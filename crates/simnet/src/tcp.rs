@@ -6,8 +6,12 @@
 //! Loss injected by links or by the GFW shows up here as retransmissions
 //! and congestion backoff, which is exactly how censorship-induced loss
 //! degrades page load time in the paper's measurements.
+//!
+//! Payload bytes are handed on, not copied: an app gives [`TcpLayer::send`]
+//! a [`Bytes`], segments are views of it, the receiver queues the views
+//! and [`TcpLayer::recv`] returns them (`ChunkQueue`; DESIGN.md §6k).
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes};
 use std::collections::VecDeque;
 
 use crate::addr::SocketAddr;
@@ -105,14 +109,15 @@ struct Conn {
     /// `snd_nxt` it never rewinds on go-back-N recovery, so it bounds the
     /// ACKs a well-behaved peer can legitimately produce.
     snd_max: u64,
-    /// Bytes queued for sending; `send_buf[0]` is sequence `snd_una`.
-    send_buf: VecDeque<u8>,
+    /// Bytes queued for sending, as the app handed them over; byte 0 is
+    /// sequence `snd_una`.
+    send_buf: ChunkQueue,
     /// Peer's advertised window.
     snd_wnd: u32,
     /// Next expected receive sequence.
     rcv_nxt: u64,
-    /// In-order received bytes not yet drained by the app.
-    recv_buf: VecDeque<u8>,
+    /// In-order received payloads not yet drained by the app.
+    recv_buf: ChunkQueue,
     cwnd: usize,
     ssthresh: usize,
     srtt: Option<SimDuration>,
@@ -145,16 +150,99 @@ impl Conn {
     }
 }
 
-/// Copies `buf[start..start + len]` out of the ring with at most two bulk
-/// copies (the range straddles the wrap point at most once).
-fn ring_bytes(buf: &VecDeque<u8>, start: usize, len: usize) -> Bytes {
-    let (head, tail) = buf.as_slices();
-    if start >= head.len() {
-        let start = start - head.len();
-        return Bytes::copy_from_slice(&tail[start..start + len]);
+/// A byte stream held as the [`Bytes`] chunks it arrived in. Bytes enter
+/// at the back whole and leave at the front; a range or a read that lies
+/// inside one chunk is a view of that chunk, and only one that spans
+/// chunks is copied. What has left is dropped chunk by chunk, and a
+/// cleared queue owns no heap memory.
+#[derive(Debug, Default)]
+struct ChunkQueue {
+    chunks: VecDeque<Bytes>,
+    /// Total bytes over all chunks.
+    len: usize,
+    /// Where [`range`](Self::range) last looked: `chunks[cursor.0]` starts
+    /// at stream offset `cursor.1`. The sender asks for consecutive
+    /// ranges, so the next one starts here or just past it, not at the
+    /// front of a queue that can be hundreds of small chunks long.
+    cursor: (usize, usize),
+}
+
+impl ChunkQueue {
+    fn len(&self) -> usize {
+        self.len
     }
-    let in_head = len.min(head.len() - start);
-    Bytes::copy_from_slices(&head[start..start + in_head], &tail[..len - in_head])
+
+    fn push(&mut self, chunk: Bytes) {
+        if !chunk.is_empty() {
+            self.len += chunk.len();
+            self.chunks.push_back(chunk);
+        }
+    }
+
+    /// Bytes `[start, start + len)` of the stream, which must be queued.
+    fn range(&mut self, start: usize, len: usize) -> Bytes {
+        debug_assert!(start + len <= self.len);
+        if len == 0 {
+            return Bytes::new();
+        }
+        let (mut idx, mut at) = if start >= self.cursor.1 { self.cursor } else { (0, 0) };
+        while start >= at + self.chunks[idx].len() {
+            at += self.chunks[idx].len();
+            idx += 1;
+        }
+        self.cursor = (idx, at);
+        let first = &self.chunks[idx];
+        let skip = start - at;
+        if skip + len <= first.len() {
+            return first.slice(skip..skip + len);
+        }
+        let mut out = Vec::with_capacity(len);
+        out.extend_from_slice(&first[skip..]);
+        for chunk in self.chunks.range(idx + 1..) {
+            let want = len - out.len();
+            if want == 0 {
+                break;
+            }
+            out.extend_from_slice(&chunk[..want.min(chunk.len())]);
+        }
+        Bytes::from(out)
+    }
+
+    /// Drops the first `n` bytes (all of them if there are fewer).
+    fn drain_front(&mut self, n: usize) {
+        let n = n.min(self.len);
+        self.len -= n;
+        let (mut left, mut popped) = (n, 0);
+        while left > 0 {
+            let front = &mut self.chunks[0];
+            if front.len() <= left {
+                left -= front.len();
+                self.chunks.pop_front();
+                popped += 1;
+            } else {
+                front.advance(left);
+                left = 0;
+            }
+        }
+        // The cursor's chunk moved `popped` places and `n` bytes forward,
+        // unless it is the new front chunk (offset 0) or gone.
+        self.cursor = if self.cursor.0 > popped { (self.cursor.0 - popped, self.cursor.1 - n) } else { (0, 0) };
+    }
+
+    /// Removes and returns the first `n` bytes (all of them if there are
+    /// fewer): the front chunk or a piece of it when that is the whole
+    /// answer, one copy of the chunks it spans otherwise.
+    fn take(&mut self, n: usize) -> Bytes {
+        let n = n.min(self.len);
+        let out = self.range(0, n);
+        self.drain_front(n);
+        out
+    }
+
+    /// Drops everything, the queue's own slots included.
+    fn clear(&mut self) {
+        *self = ChunkQueue::default();
+    }
 }
 
 /// Per-node TCP layer: connections, listeners, and the demux table.
@@ -224,10 +312,10 @@ impl TcpLayer {
             snd_una: iss,
             snd_nxt: iss,
             snd_max: iss,
-            send_buf: VecDeque::new(),
+            send_buf: ChunkQueue::default(),
             snd_wnd: RECV_WINDOW,
             rcv_nxt: 0,
-            recv_buf: VecDeque::new(),
+            recv_buf: ChunkQueue::default(),
             cwnd: INITIAL_CWND,
             ssthresh: usize::MAX / 2,
             srtt: None,
@@ -282,30 +370,31 @@ impl TcpLayer {
         TcpHandle(idx)
     }
 
-    /// Queues `data` on the connection's send buffer and transmits what the
-    /// windows allow. Returns the number of bytes accepted (all of them —
-    /// the simulated buffer is unbounded) or `None` for an invalid handle
-    /// or a connection that can no longer send.
-    pub fn send(&mut self, h: TcpHandle, data: &[u8], now: SimTime, fx: &mut Effects) -> Option<usize> {
+    /// Queues `data` — the chunk itself, not a copy — on the connection's
+    /// send buffer and transmits what the windows allow. Returns the
+    /// number of bytes accepted (all of them — the simulated buffer is
+    /// unbounded) or `None` for an invalid handle or a connection that can
+    /// no longer send.
+    pub fn send(&mut self, h: TcpHandle, data: Bytes, now: SimTime, fx: &mut Effects) -> Option<usize> {
         let c = self.conns.get_mut(h.0)?;
         match c.state {
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynRcvd => {}
             _ => return None,
         }
-        c.send_buf.extend(data);
+        let n = data.len();
+        c.send_buf.push(data);
         self.pump(h.0, now, fx);
-        Some(data.len())
+        Some(n)
     }
 
-    /// Drains up to `max` bytes of received data.
+    /// Drains up to `max` bytes of received data: the peer's segment
+    /// payload itself when one answers the read, one copy of several
+    /// otherwise.
     pub fn recv(&mut self, h: TcpHandle, max: usize) -> Bytes {
         let Some(c) = self.conns.get_mut(h.0) else {
             return Bytes::new();
         };
-        let n = c.recv_buf.len().min(max);
-        let out = ring_bytes(&c.recv_buf, 0, n);
-        c.recv_buf.drain(..n);
-        out
+        c.recv_buf.take(max)
     }
 
     /// Bytes currently waiting in the receive buffer.
@@ -327,11 +416,7 @@ impl TcpLayer {
             }
             TcpState::SynSent | TcpState::SynRcvd => {
                 // Abort a half-open connection quietly.
-                let local_port = c.local.port;
-                let remote = c.remote;
-                c.state = TcpState::Closed;
-                c.timer_gen += 1;
-                self.demux.remove(&(local_port, remote));
+                self.free(h.0);
                 return;
             }
             _ => return,
@@ -357,10 +442,7 @@ impl TcpLayer {
             },
         );
         fx.out.push(rst);
-        let key = (c.local.port, c.remote);
-        c.state = TcpState::Closed;
-        c.timer_gen += 1;
-        self.demux.remove(&key);
+        self.free(h.0);
     }
 
     /// Connection statistics for tests/metrics.
@@ -415,7 +497,7 @@ impl TcpLayer {
             if n == 0 {
                 break;
             }
-            let payload = ring_bytes(&c.send_buf, offset, n);
+            let payload = c.send_buf.range(offset, n);
             let seq = c.snd_nxt;
             if c.rtt_sample.is_none() {
                 c.rtt_sample = Some((seq + n as u64, now));
@@ -520,12 +602,17 @@ impl TcpLayer {
         }
     }
 
+    /// Every way into `Closed`: the slot stays (handles are indices), its
+    /// timers go stale, and both buffers are dropped — unsent bytes and
+    /// bytes the app never read alike — so a closed connection owns no
+    /// heap memory.
     fn free(&mut self, idx: usize) {
         let c = &mut self.conns[idx];
         let key = (c.local.port, c.remote);
         c.state = TcpState::Closed;
         c.timer_gen += 1;
         c.send_buf.clear();
+        c.recv_buf.clear();
         self.demux.remove(&key);
     }
 
@@ -665,7 +752,7 @@ impl TcpLayer {
                 let fin_acked = c.fin_seq.is_some_and(|f| seg.ack > f);
                 let data_acked = if fin_acked { acked.saturating_sub(1) } else { acked };
                 let drain = data_acked.min(c.send_buf.len());
-                c.send_buf.drain(..drain);
+                c.send_buf.drain_front(drain);
                 c.snd_una = seg.ack;
                 // Keep `snd_nxt >= snd_una` (the ACK may outrun a rewound
                 // `snd_nxt`; `flight()` must never underflow).
@@ -745,11 +832,14 @@ impl TcpLayer {
         }
 
         // --- payload processing (in-order only; out-of-order dropped) ---
-        if !seg.payload.is_empty() {
+        let payload_len = seg.payload.len() as u64;
+        if payload_len > 0 {
             let c = &mut self.conns[idx];
             if seg.seq == c.rcv_nxt {
-                c.recv_buf.extend(seg.payload.as_slice());
-                c.rcv_nxt += seg.payload.len() as u64;
+                // The segment's payload is queued as it arrived: the same
+                // allocation the sender's app handed to `send`.
+                c.rcv_nxt += payload_len;
+                c.recv_buf.push(seg.payload);
                 need_ack = true;
                 fx.app_events.push((app, AppEvent::Tcp(TcpHandle(idx), TcpEvent::DataReceived)));
             } else if seg.seq < c.rcv_nxt {
@@ -764,7 +854,7 @@ impl TcpLayer {
         // --- FIN processing ---
         if seg.flags.fin {
             let c = &mut self.conns[idx];
-            let fin_seq = seg.seq + seg.payload.len() as u64;
+            let fin_seq = seg.seq + payload_len;
             if fin_seq == c.rcv_nxt && !c.peer_fin_rcvd {
                 c.rcv_nxt += 1;
                 c.peer_fin_rcvd = true;
@@ -889,7 +979,7 @@ impl TcpLayer {
         let data_len = c.send_buf.len();
         if data_len > 0 {
             let n = data_len.min(MSS);
-            let payload = ring_bytes(&c.send_buf, 0, n);
+            let payload = c.send_buf.range(0, n);
             c.retransmitted_bytes += n as u64;
             sc_obs::counter_add("simnet.tcp_retransmits", 1);
             sc_obs::counter_add("simnet.tcp_retransmitted_bytes", n as u64);
@@ -964,8 +1054,8 @@ impl TcpLayer {
         }
     }
 
-    /// Approximate bytes of state held by this layer (used by the client
-    /// memory-overhead model: per-connection buffers are real allocations).
+    /// Approximate bytes of state held by this layer: every connection
+    /// slot ever opened plus the payload bytes queued on the live ones.
     pub fn state_bytes(&self) -> usize {
         self.conns
             .iter()
@@ -1082,7 +1172,8 @@ mod tests {
             let start = self.sent.len();
             self.sent.extend((start..start + n).map(stream_byte));
             let mut fx = Effects::default();
-            assert_eq!(self.a.send(self.ha, &self.sent[start..], self.now, &mut fx), Some(n));
+            let chunk = Bytes::copy_from_slice(&self.sent[start..]);
+            assert_eq!(self.a.send(self.ha, chunk, self.now, &mut fx), Some(n));
             self.sender_emitted(fx);
         }
 
@@ -1145,39 +1236,238 @@ mod tests {
             assert_eq!(self.b.stats(self.hb).unwrap().state, TcpState::Established);
         }
 
-        /// Both ring buffers currently hold their contents in two slices.
-        fn wrapped(&self) -> (bool, bool) {
-            (
-                !self.a.conns[self.ha.0].send_buf.as_slices().1.is_empty(),
-                !self.b.conns[self.hb.0].recv_buf.as_slices().1.is_empty(),
-            )
+        /// The sender's queued chunks, as `(stream offset, chunk)`.
+        fn send_chunks(&self) -> Vec<(usize, Bytes)> {
+            let mut end = self.acked;
+            let chunks = self.a.conns[self.ha.0].send_buf.chunks.iter();
+            chunks
+                .map(|c| {
+                    end += c.len();
+                    (end - c.len(), c.clone())
+                })
+                .collect()
+        }
+
+        /// The data segment on the wire to B that starts at stream
+        /// offset `start`, and whether its payload is a view of one of the
+        /// sender's queued chunks rather than a copy.
+        fn wire_segment(&self, start: usize) -> (Bytes, bool) {
+            let seq = self.base + start as u64;
+            let payloads = self.to_b.iter().filter_map(|pkt| match &pkt.l4 {
+                L4::Tcp(seg) if seg.seq == seq && !seg.payload.is_empty() => Some(seg.payload.clone()),
+                _ => None,
+            });
+            let payload = payloads.last().expect("a data segment at that offset");
+            let shared = self.send_chunks().iter().any(|(at, chunk)| {
+                (*at..at + chunk.len()).contains(&start) && payload.as_ptr() == chunk[start - at..].as_ptr()
+            });
+            (payload, shared)
+        }
+
+        /// The three places a chunk queue can be wrong where a ring could
+        /// not, reached on purpose: an ACK that lands mid-chunk, a segment
+        /// that spans chunk boundaries, and a retransmission that starts
+        /// mid-chunk.
+        fn open_across_chunk_boundaries(&mut self) {
+            // One 14 000-byte chunk fills the initial window: ten segments,
+            // each a view of it. Three small writes queue behind the window.
+            self.app_write(INITIAL_CWND);
+            assert_eq!(self.to_b.len(), 10);
+            assert_eq!(self.wire_segment(5 * MSS), (Bytes::copy_from_slice(&self.sent[5 * MSS..6 * MSS]), true));
+            for _ in 0..3 {
+                self.app_write(500);
+            }
+            assert_eq!(self.to_b.len(), 10, "the window is full");
+            // The first ACK lands 1 400 bytes into the big chunk and opens
+            // the window by two segments: 500 + 500 + 400 bytes of three
+            // chunks (a copy), then the last 100 (a view, mid-chunk).
+            self.deliver_to_b(1);
+            self.deliver_to_a(usize::MAX);
+            let chunks = self.send_chunks();
+            assert_eq!(chunks.iter().map(|(at, c)| (*at, c.len())).collect::<Vec<_>>(), [
+                (MSS, INITIAL_CWND - MSS),
+                (INITIAL_CWND, 500),
+                (INITIAL_CWND + 500, 500),
+                (INITIAL_CWND + 1000, 500),
+            ]);
+            let (spanning, shared) = self.wire_segment(INITIAL_CWND);
+            assert_eq!((spanning.len(), shared), (MSS, false), "a segment over three chunks is copied");
+            let (tail, shared) = self.wire_segment(INITIAL_CWND + MSS);
+            assert_eq!((tail.len(), shared), (100, true), "a segment inside one chunk is a view");
+            // Everything else in flight is lost; the timer goes back to
+            // `snd_una`, 1 400 bytes into the allocation the app handed over.
+            self.to_b.clear();
+            self.fire_rto();
+            let (again, shared) = self.wire_segment(MSS);
+            assert_eq!((again.len(), shared), (MSS, true), "a retransmission is a view too");
+            assert_eq!(self.to_b.len(), 1, "one segment: the window collapsed");
+            // And a read that one segment answers is that segment's payload:
+            // the receiving app holds the allocation the sending app made.
+            self.app_read(usize::MAX);
+            self.deliver_to_b(1);
+            let read = self.b.recv(self.hb, usize::MAX);
+            assert_eq!((read.len(), read.as_ptr()), (MSS, again.as_ptr()));
+            self.delivered.extend_from_slice(&read);
+        }
+    }
+
+    /// The zero-copy pin, on its own: a segment inside one chunk is a view
+    /// of the sender's chunk, and a read one segment answers returns that
+    /// allocation (the assertions are the opening's own).
+    #[test]
+    fn segments_and_reads_are_views_of_the_senders_chunk() {
+        let mut h = Harness::establish();
+        h.open_across_chunk_boundaries();
+        h.check_stats();
+    }
+
+    /// Two layers on a lossless wire, run until nothing is in flight and
+    /// no timer is live; `on_b` is B's app.
+    fn settle(
+        a: &mut TcpLayer,
+        b: &mut TcpLayer,
+        now: &mut SimTime,
+        mut fx_a: Effects,
+        on_b: &mut dyn FnMut(&mut TcpLayer, SimTime, &mut Effects, &AppEvent),
+    ) {
+        let mut fx_b = Effects::default();
+        let mut timers: Vec<(bool, SimTime, TcpTimer)> = Vec::new();
+        loop {
+            timers.extend(fx_a.timers.drain(..).map(|(after, t)| (true, *now + after, t)));
+            timers.extend(fx_b.timers.drain(..).map(|(after, t)| (false, *now + after, t)));
+            for (_, ev) in std::mem::take(&mut fx_b.app_events) {
+                on_b(b, *now, &mut fx_b, &ev);
+            }
+            fx_a.app_events.clear();
+            let (to_b, to_a) = (std::mem::take(&mut fx_a.out), std::mem::take(&mut fx_b.out));
+            if to_a.is_empty() && to_b.is_empty() {
+                // Quiet: let the earliest timer fire (a stale one does nothing).
+                timers.sort_by_key(|&(_, at, _)| std::cmp::Reverse(at));
+                let Some((on_a, at, timer)) = timers.pop() else { return };
+                *now = (*now).max(at);
+                let (layer, fx) = if on_a { (&mut *a, &mut fx_a) } else { (&mut *b, &mut fx_b) };
+                layer.on_timer(timer, *now, fx);
+                continue;
+            }
+            for pkt in to_b {
+                let L4::Tcp(seg) = pkt.l4 else { unreachable!() };
+                b.on_segment(pkt.src, pkt.dst, seg, *now, &mut fx_b);
+            }
+            for pkt in to_a {
+                let L4::Tcp(seg) = pkt.l4 else { unreachable!() };
+                a.on_segment(pkt.src, pkt.dst, seg, *now, &mut fx_a);
+            }
+        }
+    }
+
+    /// What a connection leaves behind is its slot: 200 connections each
+    /// carry 64 KB, half are closed by FIN with everything read and half
+    /// by RST with most of it unread, and afterwards neither layer holds
+    /// a payload byte or a buffer's capacity.
+    #[test]
+    fn closed_connections_hold_no_buffer_memory() {
+        const CONNS: usize = 200;
+        const BYTES: usize = 64 * 1024;
+        let (mut a, mut b) = (TcpLayer::new(), TcpLayer::new());
+        assert!(b.listen(80, AppId(0)));
+        let mut now = SimTime::ZERO;
+        let page = Bytes::from((0..BYTES).map(stream_byte).collect::<Vec<u8>>());
+        for i in 0..CONNS {
+            let graceful = i % 2 == 0;
+            let mut fx = Effects::default();
+            let ha = a.connect(AppId(0), A, SocketAddr::new(B, 80), &mut fx);
+            assert_eq!(a.send(ha, page.clone(), now, &mut fx), Some(BYTES), "queued until the handshake ends");
+            let mut hb = None;
+            settle(&mut a, &mut b, &mut now, fx, &mut |_, _, _, ev| {
+                if let AppEvent::Tcp(h, TcpEvent::Accepted { .. }) = ev {
+                    hb = Some(*h);
+                }
+            });
+            let hb = hb.expect("accepted");
+            assert_eq!(b.recv_available(hb), BYTES);
+            let read = b.recv(hb, if graceful { usize::MAX } else { 1000 });
+            assert_eq!(read.as_slice(), &page[..read.len()]);
+            assert_eq!(b.recv_available(hb), BYTES - read.len());
+
+            let mut fx = Effects::default();
+            if graceful {
+                a.close(ha, now, &mut fx);
+            } else {
+                a.abort(ha, &mut fx);
+            }
+            settle(&mut a, &mut b, &mut now, fx, &mut |b, now, fx, ev| {
+                if let AppEvent::Tcp(h, TcpEvent::PeerClosed) = ev {
+                    b.close(*h, now, fx);
+                }
+            });
+            assert_eq!(a.stats(ha).unwrap().state, TcpState::Closed);
+            assert_eq!(b.stats(hb).unwrap().state, TcpState::Closed);
+        }
+        for layer in [&a, &b] {
+            assert_eq!(layer.conns.len(), CONNS);
+            assert_eq!(layer.state_bytes(), CONNS * std::mem::size_of::<Conn>());
+            for c in &layer.conns {
+                assert_eq!((c.send_buf.chunks.capacity(), c.recv_buf.chunks.capacity()), (0, 0));
+            }
         }
     }
 
     proptest! {
-        /// `ring_bytes` against `Vec` slicing, over rings rotated so the
-        /// contents straddle the wrap point.
+        /// `ChunkQueue` against a `Vec<u8>`: arbitrary chunk sizes pushed,
+        /// arbitrary ranges copied or viewed, arbitrary prefixes dropped and
+        /// taken — the contents, the length and the cursor's bookkeeping
+        /// are the model's after every step.
         #[test]
-        fn ring_bytes_matches_a_vec_model(
-            len in 1usize..600,
-            rotate in 0usize..600,
-            start in 0usize..600,
-            take in 0usize..600,
+        fn chunk_queue_matches_a_vec_model(
+            ops in prop::collection::vec((0u8..5, 0usize..4000, 0usize..4000), 1..80),
         ) {
-            let mut ring: VecDeque<u8> = VecDeque::with_capacity(len);
-            let cap = ring.capacity();
-            // Advance the head without growing, then fill to capacity.
-            for _ in 0..rotate % cap {
-                ring.push_back(0);
-                ring.pop_front();
+            let mut q = ChunkQueue::default();
+            let mut model: Vec<u8> = Vec::new();
+            let mut pushed = 0;
+            for (op, a, b) in ops {
+                match op {
+                    0 | 1 => {
+                        // Small chunks as often as large: Tor cells, TLS records.
+                        let n = if op == 0 { a % 40 } else { a };
+                        let chunk: Vec<u8> = (pushed..pushed + n).map(stream_byte).collect();
+                        pushed += n;
+                        model.extend_from_slice(&chunk);
+                        q.push(Bytes::from(chunk));
+                    }
+                    2 => {
+                        let start = a % (model.len() + 1);
+                        let len = b % (model.len() - start + 1);
+                        let got = q.range(start, len);
+                        prop_assert_eq!(got.as_slice(), &model[start..start + len]);
+                        let inside_one = q.chunks.iter().any(|c| {
+                            let (lo, hi) = (c.as_ptr() as usize, c.as_ptr() as usize + c.len());
+                            len > 0 && (lo..hi).contains(&(got.as_ptr() as usize))
+                        });
+                        let (idx, at) = q.cursor;
+                        let fits = len > 0 && start + len <= at + q.chunks[idx].len();
+                        prop_assert_eq!(inside_one, fits, "a range inside one chunk is a view, any other a copy");
+                    }
+                    3 => {
+                        q.drain_front(a % (model.len() + 10));
+                        model.drain(..(a % (model.len() + 10)).min(model.len()));
+                    }
+                    _ => {
+                        let n = (a % (model.len() + 10)).min(model.len());
+                        let got = q.take(a % (model.len() + 10));
+                        prop_assert_eq!(got.as_slice(), &model[..n]);
+                        model.drain(..n);
+                    }
+                }
+                prop_assert_eq!(q.len(), model.len());
+                prop_assert!(q.chunks.iter().all(|c| !c.is_empty()), "no empty chunk is kept");
+                prop_assert_eq!(q.chunks.iter().map(Bytes::len).sum::<usize>(), model.len());
+                let (idx, at) = q.cursor;
+                prop_assert_eq!(q.chunks.iter().take(idx).map(Bytes::len).sum::<usize>(), at, "cursor");
+                prop_assert!(idx == 0 || idx < q.chunks.len());
             }
-            let model: Vec<u8> = (0..cap).map(stream_byte).collect();
-            ring.extend(&model);
-            prop_assert_eq!(ring.capacity(), cap);
-            prop_assert_eq!(ring.as_slices().1.len(), rotate % cap, "the ring wraps by its rotation");
-            let start = start % cap;
-            let take = take.min(cap - start);
-            prop_assert_eq!(ring_bytes(&ring, start, take).as_slice(), &model[start..start + take]);
+            let all = q.take(usize::MAX);
+            prop_assert_eq!(all.as_slice(), &model[..]);
+            prop_assert_eq!((q.len(), q.cursor), (0, (0, 0)));
         }
 
         /// `send`, ACK-driven drain, loss and RTO retransmission, in-order
@@ -1189,15 +1479,7 @@ mod tests {
             ops in prop::collection::vec((0u8..7, 1usize..5000), 1..60),
         ) {
             let mut h = Harness::establish();
-            // Open with both rings wrapped: 3000 bytes out, 2800 ACKed and
-            // 2000 read, then more of each than fits before the seam.
-            h.app_write(3000);
-            h.deliver_to_b(2);
-            h.deliver_to_a(usize::MAX);
-            h.app_read(2000);
-            h.app_write(2000);
-            h.deliver_to_b(2);
-            prop_assert_eq!(h.wrapped(), (true, true));
+            h.open_across_chunk_boundaries();
             h.check_stats();
 
             for (op, n) in ops {

@@ -250,7 +250,7 @@ impl App for SsLocal {
                         Some(BrowserConn::Negotiating(sess)) => {
                             let out = sess.on_bytes(&data);
                             if !out.reply.is_empty() {
-                                ctx.tcp_send(h, &out.reply);
+                                ctx.tcp_send_bytes(h, out.reply);
                             }
                             if out.failed {
                                 ctx.tcp_close(h);
@@ -268,7 +268,7 @@ impl App for SsLocal {
                                 Some(RemoteConn::DataUp { tx, .. }) => {
                                     let mut enc = data.to_vec();
                                     seal(tx, &mut enc);
-                                    ctx.tcp_send(remote, &enc);
+                                    ctx.tcp_send_bytes(remote, enc);
                                 }
                                 Some(RemoteConn::DataConnecting { buffered, .. }) => {
                                     buffered.extend_from_slice(&data);
@@ -306,7 +306,7 @@ impl App for SsLocal {
                         let mut frame = std::mem::take(buf); // the IV
                         seal(tx, &mut plain);
                         frame.extend_from_slice(&plain);
-                        ctx.tcp_send(h, &frame);
+                        ctx.tcp_send_bytes(h, frame);
                     }
                     Some(RemoteConn::DataConnecting { browser, target, buffered }) => {
                         let browser = *browser;
@@ -315,13 +315,12 @@ impl App for SsLocal {
                         let mut iv = [0u8; 16];
                         ctx.rng().fill(&mut iv);
                         let mut tx = new_cfb(&self.key, iv);
-                        let mut plain = target.encode();
-                        plain.extend_from_slice(&buffered);
+                        // IV ‖ E(target ‖ early bytes), sealed where it lies.
                         let mut frame = iv.to_vec();
-                        let mut ct = plain;
-                        seal(&mut tx, &mut ct);
-                        frame.extend_from_slice(&ct);
-                        ctx.tcp_send(h, &frame);
+                        frame.extend_from_slice(&target.encode());
+                        frame.extend_from_slice(&buffered);
+                        seal(&mut tx, &mut frame[iv.len()..]);
+                        ctx.tcp_send_bytes(h, frame);
                         self.remotes.insert(
                             h,
                             RemoteConn::DataUp {
@@ -368,7 +367,7 @@ impl App for SsLocal {
                             )[..16]
                                 .to_vec();
                             seal(tx, &mut answer);
-                            ctx.tcp_send(h, &answer);
+                            ctx.tcp_send_bytes(h, answer);
                             *buf = plain[16..].to_vec();
                             return;
                         }
@@ -414,7 +413,7 @@ impl App for SsLocal {
                         if let Some(rx) = rx {
                             let mut plain = std::mem::take(rx_buf);
                             open(rx, &mut plain);
-                            ctx.tcp_send(browser, &plain);
+                            ctx.tcp_send_bytes(browser, plain);
                         }
                     }
                     _ => {}
@@ -526,7 +525,7 @@ impl SsRemote {
                             seal(&mut tx, &mut body);
                             let mut frame = iv.to_vec();
                             frame.extend_from_slice(&body);
-                            ctx.tcp_send(h, &frame);
+                            ctx.tcp_send_bytes(h, frame);
                             let consumed = AUTH_MAGIC.len() + 2 + ulen + plen;
                             if let Some(ServerConn::Handshake { plain, .. }) = self.conns.get_mut(&h) {
                                 plain.drain(..consumed);
@@ -550,7 +549,7 @@ impl SsRemote {
                     self.auths += 1;
                     let mut ok = vec![1u8];
                     seal(&mut tx, &mut ok);
-                    ctx.tcp_send(h, &ok);
+                    ctx.tcp_send_bytes(h, ok);
                 } else {
                     self.conns.insert(h, ServerConn::Blackhole);
                 }
@@ -611,7 +610,7 @@ impl App for SsRemote {
                         let tx = tx.as_mut().expect("just initialized");
                         let mut enc = data.to_vec();
                         seal(tx, &mut enc);
-                        ctx.tcp_send(client, &enc);
+                        ctx.tcp_send_bytes(client, enc);
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
@@ -655,7 +654,7 @@ impl App for SsRemote {
                         let upstream = *upstream;
                         let mut plain = data.to_vec();
                         open(rx, &mut plain);
-                        ctx.tcp_send(upstream, &plain);
+                        ctx.tcp_send_bytes(upstream, plain);
                     }
                     Some(ServerConn::Blackhole) => { /* consume silently */ }
                     None => {}

@@ -162,7 +162,7 @@ impl TorClient {
             let _prof = prof::scope(Subsystem::Crypto);
             tls.send(&plain)
         };
-        ctx.tcp_send(conn, &wire);
+        ctx.tcp_send_bytes(conn, wire);
         self.poll_in_flight = true;
         self.polls_sent += 1;
     }
@@ -274,7 +274,7 @@ impl TorClient {
                     }
                     relay_cmd::DATA => {
                         if let Some(stream) = self.streams.get(&stream_id) {
-                            ctx.tcp_send(stream.browser, &data);
+                            ctx.tcp_send_bytes(stream.browser, data);
                         }
                     }
                     relay_cmd::END => {
@@ -322,7 +322,7 @@ impl App for TorClient {
                 TcpEvent::Connected => {
                     // Bootstrap stage 1: authority certificates.
                     let req = HttpRequest::get("directory.torproject.sim", "/certs");
-                    ctx.tcp_send(h, &req.encode());
+                    ctx.tcp_send_bytes(h, req.encode());
                 }
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
@@ -337,7 +337,7 @@ impl App for TorClient {
                                             "directory.torproject.sim",
                                             "/consensus",
                                         );
-                                        ctx.tcp_send(h, &req.encode());
+                                        ctx.tcp_send_bytes(h, req.encode());
                                     }
                                     Phase::FetchingConsensus => {
                                         // Second bootstrap stage: relay
@@ -347,7 +347,7 @@ impl App for TorClient {
                                             "directory.torproject.sim",
                                             "/descriptors",
                                         );
-                                        ctx.tcp_send(h, &req.encode());
+                                        ctx.tcp_send_bytes(h, req.encode());
                                     }
                                     Phase::FetchingDescriptors => {
                                         ctx.tcp_close(h);
@@ -371,7 +371,7 @@ impl App for TorClient {
                 TcpEvent::Connected => {
                     let mut tls = TlsClient::new(&self.config.front_domain, self.entropy);
                     let hello = tls.start_handshake();
-                    ctx.tcp_send(h, &hello);
+                    ctx.tcp_send_bytes(h, hello);
                     self.tls = Some(tls);
                 }
                 TcpEvent::DataReceived => {
@@ -387,7 +387,7 @@ impl App for TorClient {
                         return;
                     };
                     if !out.wire.is_empty() {
-                        ctx.tcp_send(h, &out.wire);
+                        ctx.tcp_send_bytes(h, out.wire);
                     }
                     if out.handshake_complete {
                         self.begin_create(ctx);
@@ -441,7 +441,7 @@ impl App for TorClient {
                             Some(BrowserConn::Negotiating(sess)) => {
                                 let out = sess.on_bytes(&data);
                                 if !out.reply.is_empty() {
-                                    ctx.tcp_send(h, &out.reply);
+                                    ctx.tcp_send_bytes(h, out.reply);
                                 }
                                 if out.failed {
                                     ctx.tcp_close(h);

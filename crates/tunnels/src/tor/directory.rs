@@ -70,7 +70,7 @@ impl App for DirectoryServer {
                             let body = vec![b'c'; 64 * 1024];
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
-                            ctx.tcp_send(h, &resp.encode());
+                            ctx.tcp_send_bytes(h, resp.encode());
                             self.served += 1;
                         } else if req.method == "GET"
                             && (req.target.starts_with("/consensus")
@@ -87,10 +87,10 @@ impl App for DirectoryServer {
                             body.truncate(self.consensus_len);
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
-                            ctx.tcp_send(h, &resp.encode());
+                            ctx.tcp_send_bytes(h, resp.encode());
                             self.served += 1;
                         } else {
-                            ctx.tcp_send(h, &HttpResponse::new(404, Vec::new()).encode());
+                            ctx.tcp_send_bytes(h, HttpResponse::new(404, Vec::new()).encode());
                         }
                     }
                 }

@@ -79,7 +79,7 @@ impl MeekGateway {
             let _prof = prof::scope(Subsystem::Crypto);
             c.tls.send(&plain)
         };
-        ctx.tcp_send(conn, &wire);
+        ctx.tcp_send_bytes(conn, wire);
         self.polls += 1;
     }
 
@@ -89,7 +89,7 @@ impl MeekGateway {
                 let Some(c) = self.conns.get_mut(&conn) else { return };
                 c.tls.send(&HttpResponse::new(404, Vec::new()).encode())
             };
-            ctx.tcp_send(conn, &wire);
+            ctx.tcp_send_bytes(conn, wire);
             return;
         }
         let session_id: u64 = req
@@ -113,7 +113,7 @@ impl MeekGateway {
         // Ship upstream bytes into the OR link (TCP holds them while the
         // link is still connecting).
         if !req.body.is_empty() {
-            ctx.tcp_send(session.or_conn, &req.body);
+            ctx.tcp_send_bytes(session.or_conn, req.body);
         }
         // Answer: immediately if downstream bytes wait, else hold.
         if !session.downstream.is_empty() {
@@ -208,7 +208,7 @@ impl App for MeekGateway {
                             (out.wire, requests)
                         };
                         if !wire_out.is_empty() {
-                            ctx.tcp_send(h, &wire_out);
+                            ctx.tcp_send_bytes(h, wire_out);
                         }
                         for req in requests {
                             self.handle_request(h, req, ctx);

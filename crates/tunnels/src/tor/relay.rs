@@ -87,7 +87,7 @@ impl OrRelay {
                 return;
             }
         }
-        ctx.tcp_send(conn, &cell.encode());
+        ctx.tcp_send_bytes(conn, cell.encode());
     }
 
     /// Originates a backward relay payload at this hop (EXTENDED,
@@ -99,7 +99,7 @@ impl OrRelay {
         self.send_cell(prev_conn, Cell::new(prev_circ, cmd::RELAY, data), ctx);
     }
 
-    fn handle_recognized(&mut self, circ_idx: usize, stream_id: u16, rcmd: u8, data: &[u8], ctx: &mut Ctx<'_>) {
+    fn handle_recognized(&mut self, circ_idx: usize, stream_id: u16, rcmd: u8, data: Vec<u8>, ctx: &mut Ctx<'_>) {
         match rcmd {
             relay_cmd::EXTEND => {
                 // data: addr(4) port(2) client_pub(8)
@@ -120,7 +120,7 @@ impl OrRelay {
             }
             relay_cmd::BEGIN => {
                 // data: SOCKS-format target address (IP or domain).
-                let Some((target, _)) = TargetAddr::decode(data) else { return };
+                let Some((target, _)) = TargetAddr::decode(&data) else { return };
                 let dest = match &target {
                     TargetAddr::Ip(a, p) => SocketAddr::new(*a, *p),
                     TargetAddr::Domain(name, p) => match self.names.resolve(name) {
@@ -143,7 +143,7 @@ impl OrRelay {
             relay_cmd::DATA => {
                 if let Some(&upstream) = self.circuits[circ_idx].streams.get(&stream_id) {
                     // Before the exit's handshake completes, TCP holds it.
-                    ctx.tcp_send(upstream, data);
+                    ctx.tcp_send_bytes(upstream, data);
                 }
             }
             relay_cmd::END => {
@@ -167,7 +167,7 @@ impl OrRelay {
                         self.circuits[circ_idx].layer.forward(&mut payload);
                         if let Some((sid, rcmd, data)) = parse_relay_payload(&payload) {
                             let data = data.to_vec();
-                            self.handle_recognized(circ_idx, sid, rcmd, &data, ctx);
+                            self.handle_recognized(circ_idx, sid, rcmd, data, ctx);
                         } else if let Some((next, out_circ)) = self.circuits[circ_idx].next {
                             let connected = self
                                 .out_conns
@@ -300,7 +300,7 @@ impl App for OrRelay {
                     out.connected = true;
                     let pending = std::mem::take(&mut out.pending_cells);
                     for cell in pending {
-                        ctx.tcp_send(h, &cell.encode());
+                        ctx.tcp_send_bytes(h, cell.encode());
                     }
                 }
             }

@@ -381,7 +381,7 @@ impl App for VpnClient {
         match ev {
             AppEvent::Tcp(h, TcpEvent::Connected) if Some(h) == self.control_tcp => {
                 let hello = self.hello_payload();
-                ctx.tcp_send(h, &hello);
+                ctx.tcp_send_bytes(h, hello);
             }
             AppEvent::Tcp(h, TcpEvent::DataReceived) if Some(h) == self.control_tcp => {
                 let data = ctx.tcp_recv_all(h);
@@ -535,7 +535,7 @@ impl App for VpnServer {
                     let peer = ctx.tcp_peer(h).map(|p| p.addr);
                     if let Some(client) = peer {
                         if let Some(reply) = self.handle_hello(client, rest, ctx) {
-                            ctx.tcp_send(h, &reply);
+                            ctx.tcp_send_bytes(h, reply);
                         }
                     }
                 }

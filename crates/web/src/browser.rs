@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
+use bytes::Bytes;
 use sc_dns::stub::{ResolveOutcome, StubResolver};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::pac::PacFile;
@@ -759,7 +760,7 @@ impl Browser {
             let _prof = prof::scope(Subsystem::Crypto);
             wire = tls.send(&wire);
         }
-        ctx.tcp_send(h, &wire);
+        ctx.tcp_send_bytes(h, wire);
     }
 
     fn begin_app_layer(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
@@ -773,7 +774,7 @@ impl Browser {
             };
             conn.tls = Some(tls);
             conn.phase = ConnPhase::TlsHandshake;
-            ctx.tcp_send(h, &hello);
+            ctx.tcp_send_bytes(h, hello);
         } else {
             conn.phase = ConnPhase::Ready;
             let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
@@ -1181,7 +1182,7 @@ impl App for Browser {
                             Route::Direct => self.begin_app_layer(h, ctx),
                             Route::Socks(_) => {
                                 conn.phase = ConnPhase::SocksGreetSent;
-                                ctx.tcp_send(h, &[5, 1, 0]);
+                                ctx.tcp_send_bytes(h, Bytes::from_static(&[5, 1, 0]));
                             }
                             Route::HttpProxy(_) => {
                                 if conn.port == 80 {
@@ -1203,7 +1204,7 @@ impl App for Browser {
                                         sc_obs::TRACE_HEADER,
                                         lctx.with_parent(conn.tunnel_span).header_value(),
                                     );
-                                    ctx.tcp_send(h, req.as_bytes());
+                                    ctx.tcp_send_bytes(h, req);
                                 }
                             }
                         }
@@ -1253,7 +1254,9 @@ impl App for Browser {
 impl Browser {
     fn on_bytes(&mut self, h: TcpHandle, data: &[u8], ctx: &mut Ctx<'_>) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
-        let mut stream_bytes: Vec<u8> = Vec::new();
+        // What of `data` belongs to the TLS / HTTP stream: all of it, once
+        // the proxy preliminaries are over.
+        let mut stream = data;
         match conn.phase {
             ConnPhase::SocksGreetSent => {
                 if data.starts_with(&[5, 0]) {
@@ -1261,7 +1264,7 @@ impl Browser {
                     let mut req = vec![5, 1, 0, 3, conn.host.len() as u8];
                     req.extend_from_slice(conn.host.as_bytes());
                     req.extend_from_slice(&conn.port.to_be_bytes());
-                    ctx.tcp_send(h, &req);
+                    ctx.tcp_send_bytes(h, req);
                 } else {
                     self.fail_load(ctx);
                 }
@@ -1269,9 +1272,9 @@ impl Browser {
             }
             ConnPhase::SocksConnectSent => {
                 if data.len() >= 10 && data[0] == 5 && data[1] == 0 {
-                    stream_bytes.extend_from_slice(&data[10..]);
+                    stream = &data[10..];
                     self.begin_app_layer(h, ctx);
-                    if stream_bytes.is_empty() {
+                    if stream.is_empty() {
                         return;
                     }
                 } else {
@@ -1330,23 +1333,24 @@ impl Browser {
                 }
                 return;
             }
-            _ => stream_bytes.extend_from_slice(data),
+            _ => {}
         }
 
         // TLS / plain processing.
         let Some(conn) = self.conns.get_mut(&h) else { return };
+        let decrypted;
         let plaintext = match conn.tls.as_mut() {
             Some(tls) => {
                 let out = {
                     let _prof = prof::scope(Subsystem::Crypto);
-                    tls.on_bytes(&stream_bytes)
+                    tls.on_bytes(stream)
                 };
                 let Ok(out) = out else {
                     self.fail_load(ctx);
                     return;
                 };
                 if !out.wire.is_empty() {
-                    ctx.tcp_send(h, &out.wire);
+                    ctx.tcp_send_bytes(h, out.wire);
                 }
                 if out.handshake_complete {
                     conn.phase = ConnPhase::Ready;
@@ -1354,17 +1358,16 @@ impl Browser {
                     sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new());
                     self.pump_conn(h, ctx);
                 }
-                let Some(conn) = self.conns.get_mut(&h) else { return };
-                let _ = conn;
-                out.plaintext
+                decrypted = out.plaintext;
+                &decrypted[..]
             }
-            None => stream_bytes,
+            None => stream,
         };
         if plaintext.is_empty() {
             return;
         }
         let Some(conn) = self.conns.get_mut(&h) else { return };
-        let Ok(msgs) = conn.http.push(&plaintext) else {
+        let Ok(msgs) = conn.http.push(plaintext) else {
             self.fail_load(ctx);
             return;
         };

@@ -189,7 +189,7 @@ impl OriginServer {
     ) {
         self.requests += 1;
         if !self.capacity.enabled {
-            ctx.tcp_send(h, &wire);
+            ctx.tcp_send_bytes(h, wire);
             sc_obs::span_end(ctx.now().as_micros(), span, Vec::new());
             return;
         }
@@ -216,7 +216,7 @@ impl App for OriginServer {
         match ev {
             AppEvent::TimerFired(token) => {
                 if let Some((h, wire, span)) = self.pending.remove(&token) {
-                    ctx.tcp_send(h, &wire);
+                    ctx.tcp_send_bytes(h, wire);
                     sc_obs::span_end(ctx.now().as_micros(), span, Vec::new());
                 }
             }
@@ -244,7 +244,7 @@ impl App for OriginServer {
                             return;
                         };
                         if !out.wire.is_empty() {
-                            ctx.tcp_send(h, &out.wire);
+                            ctx.tcp_send_bytes(h, out.wire);
                         }
                         if !out.plaintext.is_empty() {
                             if let Ok(msgs) = session.http.push(&out.plaintext) {
@@ -365,7 +365,7 @@ impl App for StaticSite {
                         } else {
                             HttpResponse::new(404, Vec::new())
                         };
-                        ctx.tcp_send(h, &resp.encode());
+                        ctx.tcp_send_bytes(h, resp.encode());
                     }
                 }
             }

@@ -5,6 +5,8 @@
 //! reproduced by an extra "account recording" resource on a separate host
 //! that is fetched only on a first visit (TCP-4 in the paper).
 
+use std::io::Write;
+
 /// One subresource referenced by a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
@@ -95,19 +97,19 @@ impl PageSpec {
 
     /// Renders the HTML body: manifest lines followed by padding.
     pub fn render_html(&self) -> Vec<u8> {
-        let mut body = String::from("<!doctype html><!-- scholar page -->\n");
+        const PADDING: &[u8] = b"<p>scholarly padding content for realistic sizing</p>\n";
+        // Written into the one buffer the page is: room for the manifest
+        // or for the padded length, whichever is longer, so it never grows.
+        let manifest: usize = self.resources.iter().map(|r| r.host.len() + r.path.len() + 40).sum();
+        let mut bytes = Vec::with_capacity((40 + manifest).max(self.html_len + PADDING.len()));
+        bytes.extend_from_slice(b"<!doctype html><!-- scholar page -->\n");
         for r in &self.resources {
-            body.push_str(&format!(
-                "RES {} {} {} {}\n",
-                r.host,
-                r.path,
-                r.len,
-                if r.first_visit_only { "first" } else { "always" }
-            ));
+            let visits = if r.first_visit_only { "first" } else { "always" };
+            writeln!(bytes, "RES {} {} {} {}", r.host, r.path, r.len, visits)
+                .expect("writing to a Vec is infallible");
         }
-        let mut bytes = body.into_bytes();
         while bytes.len() < self.html_len {
-            bytes.extend_from_slice(b"<p>scholarly padding content for realistic sizing</p>\n");
+            bytes.extend_from_slice(PADDING);
         }
         bytes.truncate(self.html_len);
         bytes
@@ -202,6 +204,27 @@ mod tests {
         assert_eq!(html.len(), page.html_len);
         let parsed = PageSpec::parse_manifest(&html);
         assert_eq!(parsed, page.resources);
+    }
+
+    #[test]
+    fn render_html_writes_what_format_rendered_into_one_allocation() {
+        let mut short = PageSpec::google_scholar();
+        short.html_len = 60; // shorter than its own manifest
+        for page in [PageSpec::google_scholar(), PageSpec::simple("example.com", 4_000), short] {
+            let mut want = String::from("<!doctype html><!-- scholar page -->\n");
+            for r in &page.resources {
+                let visits = if r.first_visit_only { "first" } else { "always" };
+                want += &format!("RES {} {} {} {}\n", r.host, r.path, r.len, visits);
+            }
+            while want.len() < page.html_len {
+                want += "<p>scholarly padding content for realistic sizing</p>\n";
+            }
+            want.truncate(page.html_len);
+            let html = page.render_html();
+            assert_eq!(html, want.as_bytes());
+            let room = 40 + page.resources.iter().map(|r| r.host.len() + r.path.len() + 40).sum::<usize>();
+            assert!(html.capacity() <= room.max(page.html_len + 54), "sized once: {}", html.capacity());
+        }
     }
 
     #[test]

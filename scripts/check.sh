@@ -13,9 +13,13 @@ echo "figure digests: ok"
 
 # The two differential suites behind the packet path's "each byte's work
 # once" — the GFW engine against its inspect-everything-every-packet
-# oracle, and the TCP ring buffers against a plain-Vec model — at depth:
-# the default 64 cases reach the common interleavings, the rare ones
-# (a rule learned mid-run by the adaptive censor, say) need thousands.
+# oracle, and TCP against a plain-Vec model (tcp::tests: the chunk queue
+# on its own over arbitrary pushes, ranges, drains and takes, then whole
+# connections — wire bytes, delivered stream and statistics under loss,
+# retransmission and partial reads, opened across every chunk boundary)
+# — at depth: the default 64 cases reach the common interleavings, the
+# rare ones (a rule learned mid-run by the adaptive censor, say) need
+# thousands.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-gfw --lib engine::reference
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
 # The event queue (heap of keys over a slab of payloads) against an
@@ -175,6 +179,20 @@ event_core_offenders() {
 }
 fail_if_found "a HashMap or a second Effects in the simnet event core" event_core_offenders
 echo "structure: ok (one Effects scratch; no std-keyed HashMap in the simnet event core)"
+
+# Structure, payload path (DESIGN.md §6k): TCP buffers are queues of
+# `Bytes` chunks and there is no second kind — no byte ring, no helper
+# that copies out of one, no two-slice constructor in the vendored
+# `bytes` (the names are bracketed so that this file does not match) —
+# and a relay hop does not copy what it received just to own it: the
+# one `to_vec` a codec needs is a statement of its own, next to the
+# transform it is for.
+fail_if_found "a byte-ring TCP buffer or its helpers" \
+    grep -rnE 'VecDeque<u[8]>|ring_byte[s]|copy_from_slice[s]' crates vendor/bytes
+fail_if_found "a received buffer copied on the statement that received it" \
+    grep -rnE '(tcp_recv(_all)?|io\.recv)\([^;]*\.to_vec\(\)' \
+        crates/scholarcloud/src crates/tunnels/src crates/web/src
+echo "structure: ok (TCP buffers are Bytes chunk queues; no copy-to-own at a relay hop)"
 
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion
