@@ -84,7 +84,7 @@ fn tls_benches(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(plain.len() as u64));
     g.bench_function("seal_open_1400", |b| {
         b.iter(|| {
-            let wire = client.send(&plain);
+            let wire = client.send(&[&plain]);
             server.on_bytes(&wire).expect("record opens").plaintext
         })
     });

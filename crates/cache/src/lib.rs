@@ -32,5 +32,5 @@ pub use shard::ShardMap;
 pub use singleflight::{Flight, Role, Singleflight};
 pub use store::{
     CacheConfig, CacheHandle, CacheKey, CacheStats, CachedResponse, ContentCache, InsertOutcome,
-    Lookup,
+    Lookup, StoredResponse,
 };

@@ -5,6 +5,7 @@ use std::cell::{Ref, RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use sc_simnet::bytes::Bytes;
 use sc_simnet::time::{SimDuration, SimTime};
 
 /// Cache identity of a response: the origin host (lowercased by the
@@ -41,9 +42,12 @@ impl Default for CacheConfig {
     }
 }
 
-/// The cached representation of an origin response.
+/// The cached representation of an origin response. What is inserted
+/// may hold its body as a `Vec<u8>` or as [`Bytes`]; what is stored, and
+/// what a lookup sees, is a [`StoredResponse`], whose body every reader
+/// shares.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachedResponse {
+pub struct CachedResponse<B = Vec<u8>> {
     /// Origin status (only `200` bodies are cached today).
     pub status: u16,
     /// `Content-Type` to replay downstream (empty if the origin sent none).
@@ -55,11 +59,15 @@ pub struct CachedResponse {
     /// caches age in step with the shared cache.
     pub max_age: Option<u64>,
     /// The response body.
-    pub body: Vec<u8>,
+    pub body: B,
 }
 
+/// A response as the cache holds it: cloning the body is a second
+/// reference to the stored bytes, not a copy of them.
+pub type StoredResponse = CachedResponse<Bytes>;
+
 struct Entry {
-    resp: CachedResponse,
+    resp: StoredResponse,
     expires_at: SimTime,
     /// LRU position: the key's slot in the recency index. Strictly
     /// monotone, so eviction order is a pure function of the access
@@ -71,10 +79,10 @@ struct Entry {
 #[derive(Debug)]
 pub enum Lookup<'a> {
     /// Entry present and within its TTL: serve it directly.
-    Fresh(&'a CachedResponse),
+    Fresh(&'a StoredResponse),
     /// Entry present but past its TTL: usable only after a cheap
     /// conditional revalidation (304) upstream.
-    Stale(&'a CachedResponse),
+    Stale(&'a StoredResponse),
     /// No entry.
     Miss,
 }
@@ -209,7 +217,7 @@ impl ContentCache {
         self.map.is_empty()
     }
 
-    fn cost(key: &CacheKey, resp: &CachedResponse) -> usize {
+    fn cost(key: &CacheKey, resp: &StoredResponse) -> usize {
         resp.body.len() + key.0.len() + key.1.len() + ENTRY_OVERHEAD
     }
 
@@ -240,11 +248,12 @@ impl ContentCache {
         let Some(entry) = self.map.get_mut(key) else {
             return Lookup::Miss;
         };
-        // Touch: move to the most-recent end of the recency index.
-        self.lru.remove(&entry.seq);
+        // Touch: move to the most-recent end of the recency index (the
+        // index's own copy of the key moves with it).
+        let indexed = self.lru.remove(&entry.seq).expect("index and map agree");
         entry.seq = self.next_seq;
         self.next_seq += 1;
-        self.lru.insert(entry.seq, key.clone());
+        self.lru.insert(entry.seq, indexed);
         if now < entry.expires_at {
             Lookup::Fresh(&entry.resp)
         } else {
@@ -261,14 +270,23 @@ impl ContentCache {
     /// Stores `resp` under `key` with lifetime `ttl`, evicting
     /// least-recently-used entries until the budget holds. A body larger
     /// than the whole budget is rejected (and any previous entry under
-    /// the key is dropped rather than left to serve stale data).
+    /// the key is dropped rather than left to serve stale data). The body
+    /// is kept as it comes — a `Vec<u8>` adopted, [`Bytes`] shared — never
+    /// copied.
     pub fn insert(
         &mut self,
         key: CacheKey,
-        resp: CachedResponse,
+        resp: CachedResponse<impl Into<Bytes>>,
         ttl: SimDuration,
         now: SimTime,
     ) -> InsertOutcome {
+        let resp = StoredResponse {
+            status: resp.status,
+            content_type: resp.content_type,
+            etag: resp.etag,
+            max_age: resp.max_age,
+            body: resp.body.into(),
+        };
         let mut out = InsertOutcome::default();
         // Replacement: the old body under this key is gone either way.
         if let Some(old) = self.map.remove(&key) {
@@ -313,7 +331,7 @@ impl ContentCache {
         ttl: SimDuration,
         now: SimTime,
         new_etag: Option<&str>,
-    ) -> Option<&CachedResponse> {
+    ) -> Option<&StoredResponse> {
         let entry = self.map.get_mut(key)?;
         entry.expires_at = now + ttl;
         if let Some(etag) = new_etag {
@@ -464,6 +482,28 @@ mod tests {
         assert_eq!(body.len(), 100);
         assert!(matches!(c.lookup(&k, SimTime::from_secs(19)), Lookup::Fresh(_)));
         assert_eq!(c.stats.revalidated, 1);
+    }
+
+    #[test]
+    fn a_body_is_stored_and_read_without_being_copied() {
+        let mut c = cache(1 << 20);
+        let (t, ttl) = (SimTime::ZERO, SimDuration::from_secs(60));
+        // A `Vec<u8>` body is adopted where it lies, and a hit's clone of
+        // the body is that allocation again.
+        let owned = resp(9000, "\"e\"");
+        let lies_at = owned.body.as_ptr();
+        c.insert(key("h", "/vec"), owned, ttl, t);
+        let Lookup::Fresh(hit) = c.lookup(&key("h", "/vec"), t) else { panic!("fresh") };
+        assert_eq!(hit.body.as_ptr(), lies_at);
+        assert_eq!(hit.body.clone().as_ptr(), lies_at);
+        // A `Bytes` body is shared with whoever inserted it.
+        let shared = Bytes::from(vec![b'y'; 9000]);
+        let CachedResponse { status, content_type, etag, max_age, .. } = resp(0, "\"e\"");
+        let entry = CachedResponse { status, content_type, etag, max_age, body: shared.clone() };
+        assert!(c.insert(key("h", "/bytes"), entry, ttl, t).inserted);
+        assert_eq!(c.used_bytes(), 2 * (9000 + ENTRY_OVERHEAD) + "h/vec".len() + "h/bytes".len());
+        let renewed = c.revalidate(&key("h", "/bytes"), ttl, t, None).expect("stored");
+        assert_eq!(renewed.body.as_ptr(), shared.as_ptr());
     }
 
     #[test]

@@ -525,12 +525,14 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
         "metrics",
         "scenario",
         "run",
-        vec![
-            ("method", cfg.method.name().into()),
-            ("seed", cfg.seed.into()),
-            ("clients", (cfg.clients as u64).into()),
-            ("loads", (cfg.loads as u64).into()),
-        ],
+        || {
+            vec![
+                ("method", cfg.method.name().into()),
+                ("seed", cfg.seed.into()),
+                ("clients", (cfg.clients as u64).into()),
+                ("loads", (cfg.loads as u64).into()),
+            ]
+        },
     );
 
     // --- nodes ---
@@ -1021,10 +1023,12 @@ impl BuiltScenario {
         sc_obs::span_end(
             sim.now().as_micros(),
             span,
-            vec![
-                ("censor_drops", sim.stats.censor_drops().into()),
-                ("packets_sent", sim.stats.packets_sent.into()),
-            ],
+            || {
+                vec![
+                    ("censor_drops", sim.stats.censor_drops().into()),
+                    ("packets_sent", sim.stats.packets_sent.into()),
+                ]
+            },
         );
         outcome
     }

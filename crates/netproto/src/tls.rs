@@ -81,21 +81,25 @@ const TAG_LEN: usize = 8;
 /// below the 4 GiB a peer could otherwise make us buffer towards.
 const MAX_RECORD_LEN: usize = 1 << 24;
 
-/// Starts a record of `payload_len` payload bytes: the header, with room
-/// reserved for the payload.
-fn start_record(rtype: u8, payload_len: usize) -> Vec<u8> {
+/// Starts a record of `payload_len` payload bytes at the end of `out`:
+/// the header, with room reserved for the payload.
+fn start_record(out: &mut Vec<u8>, rtype: u8, payload_len: usize) {
     assert!(payload_len <= MAX_RECORD_LEN, "TLS record of {payload_len} bytes: the peer would refuse it");
-    let mut out = Vec::with_capacity(HEADER_LEN + payload_len);
+    out.reserve(HEADER_LEN + payload_len);
     out.push(rtype);
     out.extend_from_slice(&VERSION);
     out.extend_from_slice(&(payload_len as u32).to_be_bytes());
-    out
 }
 
-fn frame_record(rtype: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = start_record(rtype, payload.len());
-    out.extend_from_slice(payload);
-    out
+/// Appends a handshake record to `wire`, `message` writing its
+/// `len`-byte payload where it goes. Returns the payload, for the
+/// transcript.
+fn handshake_record(wire: &mut Vec<u8>, len: usize, message: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+    start_record(wire, record_type::HANDSHAKE, len);
+    let start = wire.len();
+    message(wire);
+    debug_assert_eq!(wire.len() - start, len);
+    &wire[start..]
 }
 
 /// Incremental record deframer. Records are handed out as slices of the
@@ -116,7 +120,7 @@ impl RecordBuf {
     }
 
     fn next_record(&mut self) -> Result<Option<(u8, &mut [u8])>, TlsError> {
-        let pending = &mut self.buf[self.consumed..];
+        let pending = &self.buf[self.consumed..];
         if pending.len() < HEADER_LEN {
             return Ok(None);
         }
@@ -130,12 +134,16 @@ impl RecordBuf {
         let Some(len) = len else {
             return Err(TlsError::BadRecord);
         };
-        if pending.len() - HEADER_LEN < len {
+        let (rtype, have) = (pending[0], pending.len() - HEADER_LEN);
+        if have < len {
+            // Room for the rest now, so the segments it arrives in do not
+            // each grow the buffer.
+            self.buf.reserve(len - have);
             return Ok(None);
         }
-        self.consumed += HEADER_LEN + len;
-        let rtype = pending[0];
-        Ok(Some((rtype, &mut pending[HEADER_LEN..HEADER_LEN + len])))
+        let payload = self.consumed + HEADER_LEN;
+        self.consumed = payload + len;
+        Ok(Some((rtype, &mut self.buf[payload..payload + len])))
     }
 }
 
@@ -182,11 +190,17 @@ fn finished_mac(shared: &[u8; 32], transcript: &Sha256, label: &[u8]) -> [u8; 32
     mac.finalize()
 }
 
-/// A framed application record, encrypt-then-MAC: header || ciphertext
-/// || HMAC-tag(8), built in one buffer.
-fn seal(ctr: &mut Ctr, mac_key: &HmacKey, plaintext: &[u8]) -> Vec<u8> {
-    let mut out = start_record(record_type::APPLICATION_DATA, plaintext.len() + TAG_LEN);
-    out.extend_from_slice(plaintext);
+/// A framed application record over the plaintext `parts` make end to
+/// end (an HTTP head and its body, say), encrypt-then-MAC: header ||
+/// ciphertext || HMAC-tag(8). The parts are written straight into the one
+/// buffer the record is, and encrypted there.
+fn seal(ctr: &mut Ctr, mac_key: &HmacKey, parts: &[&[u8]]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    start_record(&mut out, record_type::APPLICATION_DATA, len + TAG_LEN);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
     let ct = &mut out[HEADER_LEN..];
     ctr.apply(ct);
     let tag = mac_key.mac(ct);
@@ -259,24 +273,28 @@ impl TlsClient {
     pub fn start_handshake(&mut self) -> Vec<u8> {
         assert_eq!(self.state, ClientState::Start, "start_handshake called twice");
         // ClientHello: type | random(32) | sni_len(2) | sni
-        let mut hello = vec![hs_type::CLIENT_HELLO];
-        hello.extend_from_slice(&self.client_random);
         let sni = self.server_name.as_bytes();
-        hello.extend_from_slice(&(sni.len() as u16).to_be_bytes());
-        hello.extend_from_slice(sni);
-        self.transcript.update(&hello);
+        let mut wire = Vec::new();
+        let hello = handshake_record(&mut wire, 35 + sni.len(), |hello| {
+            hello.push(hs_type::CLIENT_HELLO);
+            hello.extend_from_slice(&self.client_random);
+            hello.extend_from_slice(&(sni.len() as u16).to_be_bytes());
+            hello.extend_from_slice(sni);
+        });
+        self.transcript.update(hello);
         self.state = ClientState::AwaitServerHello;
-        frame_record(record_type::HANDSHAKE, &hello)
+        wire
     }
 
-    /// Encrypts application data for the wire.
+    /// Encrypts application data — `parts`, end to end — as one record
+    /// for the wire.
     ///
     /// # Panics
     ///
     /// Panics if the handshake has not completed.
-    pub fn send(&mut self, plaintext: &[u8]) -> Vec<u8> {
+    pub fn send(&mut self, parts: &[&[u8]]) -> Vec<u8> {
         let keys = self.keys.as_mut().expect("TLS handshake not complete");
-        seal(&mut keys.client_write, &keys.client_mac, plaintext)
+        seal(&mut keys.client_write, &keys.client_mac, parts)
     }
 
     /// Feeds bytes received from the peer.
@@ -303,16 +321,21 @@ impl TlsClient {
                     self.shared = Some(shared);
 
                     // ClientKeyExchange: type | dh_pub(8)
-                    let mut cke = vec![hs_type::CLIENT_KEY_EXCHANGE];
-                    cke.extend_from_slice(&self.dh.public_key().to_bytes());
-                    self.transcript.update(&cke);
-                    out.wire.extend(frame_record(record_type::HANDSHAKE, &cke));
+                    out.wire.reserve(2 * HEADER_LEN + 9 + 33);
+                    let public = self.dh.public_key().to_bytes();
+                    let cke = handshake_record(&mut out.wire, 9, |cke| {
+                        cke.push(hs_type::CLIENT_KEY_EXCHANGE);
+                        cke.extend_from_slice(&public);
+                    });
+                    self.transcript.update(cke);
 
                     // Client Finished: HMAC(shared, transcript || "client")
-                    let mut fin = vec![hs_type::FINISHED];
-                    fin.extend_from_slice(&finished_mac(&shared, &self.transcript, b"client"));
-                    self.transcript.update(&fin);
-                    out.wire.extend(frame_record(record_type::HANDSHAKE, &fin));
+                    let mac = finished_mac(&shared, &self.transcript, b"client");
+                    let fin = handshake_record(&mut out.wire, 33, |fin| {
+                        fin.push(hs_type::FINISHED);
+                        fin.extend_from_slice(&mac);
+                    });
+                    self.transcript.update(fin);
                     self.state = ClientState::AwaitFinished;
                 }
                 (t, ClientState::AwaitFinished) if t == record_type::HANDSHAKE => {
@@ -405,14 +428,15 @@ impl TlsServer {
         self.state == ServerState::Connected
     }
 
-    /// Encrypts application data for the wire.
+    /// Encrypts application data — `parts`, end to end — as one record
+    /// for the wire.
     ///
     /// # Panics
     ///
     /// Panics if the handshake has not completed.
-    pub fn send(&mut self, plaintext: &[u8]) -> Vec<u8> {
+    pub fn send(&mut self, parts: &[&[u8]]) -> Vec<u8> {
         let keys = self.keys.as_mut().expect("TLS handshake not complete");
-        seal(&mut keys.server_write, &keys.server_mac, plaintext)
+        seal(&mut keys.server_write, &keys.server_mac, parts)
     }
 
     /// Feeds bytes received from the peer.
@@ -440,11 +464,13 @@ impl TlsServer {
                     self.transcript.update(payload);
 
                     // ServerHello: type | random(32) | dh_pub(8)
-                    let mut hello = vec![hs_type::SERVER_HELLO];
-                    hello.extend_from_slice(&self.server_random);
-                    hello.extend_from_slice(&self.dh.public_key().to_bytes());
-                    self.transcript.update(&hello);
-                    out.wire.extend(frame_record(record_type::HANDSHAKE, &hello));
+                    let public = self.dh.public_key().to_bytes();
+                    let hello = handshake_record(&mut out.wire, 41, |hello| {
+                        hello.push(hs_type::SERVER_HELLO);
+                        hello.extend_from_slice(&self.server_random);
+                        hello.extend_from_slice(&public);
+                    });
+                    self.transcript.update(hello);
                     self.state = ServerState::AwaitKeyExchange;
                 }
                 (t, ServerState::AwaitKeyExchange) if t == record_type::HANDSHAKE => {
@@ -468,9 +494,11 @@ impl TlsServer {
                     }
                     self.transcript.update(payload);
                     // Server Finished.
-                    let mut fin = vec![hs_type::FINISHED];
-                    fin.extend_from_slice(&finished_mac(&shared, &self.transcript, b"server"));
-                    out.wire.extend(frame_record(record_type::HANDSHAKE, &fin));
+                    let mac = finished_mac(&shared, &self.transcript, b"server");
+                    handshake_record(&mut out.wire, 33, |fin| {
+                        fin.push(hs_type::FINISHED);
+                        fin.extend_from_slice(&mac);
+                    });
                     self.keys = Some(derive_keys(
                         &shared,
                         &self.client_random.expect("set at client hello"),
@@ -532,11 +560,11 @@ mod tests {
         assert!(client.is_connected() && server.is_connected());
         assert_eq!(server.sni(), Some("scholar.google.com"));
 
-        let wire = client.send(b"GET / HTTP/1.1\r\n\r\n");
+        let wire = client.send(&[b"GET / HTTP/1.1\r\n\r\n"]);
         let got = server.on_bytes(&wire).unwrap();
         assert_eq!(got.plaintext, b"GET / HTTP/1.1\r\n\r\n");
 
-        let wire = server.send(b"HTTP/1.1 200 OK\r\n\r\n");
+        let wire = server.send(&[b"HTTP/1.1 200 OK\r\n", b"\r\n"]);
         let got = client.on_bytes(&wire).unwrap();
         assert_eq!(got.plaintext, b"HTTP/1.1 200 OK\r\n\r\n");
     }
@@ -546,7 +574,7 @@ mod tests {
         let (mut client, mut server) = handshake();
         let mut wire = Vec::new();
         for i in 0..10u8 {
-            wire.extend(client.send(&[i; 100]));
+            wire.extend(client.send(&[&[i; 100]]));
         }
         // Feed in odd-sized fragments.
         let mut plain = Vec::new();
@@ -557,9 +585,36 @@ mod tests {
     }
 
     #[test]
+    fn parts_seal_as_their_concatenation_into_a_buffer_sized_once() {
+        let (mut by_parts, _) = handshake();
+        let (mut whole, _) = handshake();
+        let (head, body) = (b"HTTP/1.1 200 OK\r\nContent-Length: 5000\r\n\r\n".as_slice(), vec![7u8; 5000]);
+        let wire = by_parts.send(&[head, &body]);
+        assert_eq!(wire, whole.send(&[&[head, &body].concat()]));
+        assert_eq!(wire.len(), HEADER_LEN + head.len() + body.len() + TAG_LEN);
+        assert_eq!(wire.capacity(), wire.len(), "sized from the parts, never grown");
+    }
+
+    #[test]
+    fn a_record_that_arrives_in_segments_is_buffered_in_room_reserved_once() {
+        let (mut client, mut server) = handshake();
+        let wire = client.send(&[&vec![b'r'; 20_000]]);
+        let mut segments = wire.chunks(1460);
+        assert!(server.on_bytes(segments.next().unwrap()).unwrap().plaintext.is_empty());
+        let (room, at) = (server.records.buf.capacity(), server.records.buf.as_ptr());
+        assert!(room >= wire.len(), "the header said how long");
+        let mut plain = Vec::new();
+        for segment in segments {
+            plain.extend(server.on_bytes(segment).unwrap().plaintext);
+        }
+        assert_eq!(plain.len(), 20_000);
+        assert_eq!((server.records.buf.capacity(), server.records.buf.as_ptr()), (room, at));
+    }
+
+    #[test]
     fn ciphertext_is_high_entropy() {
         let (mut client, _server) = handshake();
-        let wire = client.send(&vec![b'A'; 4096]);
+        let wire = client.send(&[&vec![b'A'; 4096]]);
         let stats = sc_crypto::entropy::PayloadStats::analyze(&wire[7..]);
         assert!(stats.entropy > 7.0, "entropy {}", stats.entropy);
     }
@@ -571,14 +626,14 @@ mod tests {
         assert_eq!(sniff_sni(&ch).as_deref(), Some("www.google.com"));
         // Application data must not leak an SNI.
         let (mut c, _s) = handshake();
-        assert_eq!(sniff_sni(&c.send(b"data")), None);
+        assert_eq!(sniff_sni(&c.send(&[b"data"])), None);
         assert_eq!(sniff_sni(b"short"), None);
     }
 
     #[test]
     fn tampered_record_fails_mac() {
         let (mut client, mut server) = handshake();
-        let mut wire = client.send(b"secret");
+        let mut wire = client.send(&[b"secret"]);
         let n = wire.len();
         wire[n - 9] ^= 0xff; // flip a ciphertext bit
         assert_eq!(server.on_bytes(&wire).unwrap_err(), TlsError::BadRecordMac);
@@ -626,7 +681,7 @@ mod tests {
     fn wrong_order_is_rejected() {
         let mut server = TlsServer::new(2);
         let (mut client, _s) = handshake();
-        let appdata = client.send(b"x");
+        let appdata = client.send(&[b"x"]);
         assert!(matches!(
             server.on_bytes(&appdata).unwrap_err(),
             TlsError::BadHandshake(_)

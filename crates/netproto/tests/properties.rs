@@ -84,10 +84,10 @@ proptest! {
         let s2 = server.on_bytes(&c1.wire).unwrap();
         let _ = client.on_bytes(&s2.wire).unwrap();
 
-        let wire = client.send(&c2s);
+        let wire = client.send(&[&c2s]);
         let got = server.on_bytes(&wire).unwrap();
         prop_assert_eq!(got.plaintext, c2s);
-        let wire = server.send(&s2c);
+        let wire = server.send(&[&s2c]);
         let got = client.on_bytes(&wire).unwrap();
         prop_assert_eq!(got.plaintext, s2c);
     }
@@ -151,7 +151,7 @@ proptest! {
         let s2 = server.on_bytes(&damage(2, c1)).map(|o| o.wire).unwrap_or_default();
         let _ = client.on_bytes(&damage(3, s2));
         if client.is_connected() && server.is_connected() {
-            let got = server.on_bytes(&client.send(b"ping")).unwrap();
+            let got = server.on_bytes(&client.send(&[b"ping"])).unwrap();
             prop_assert_eq!(got.plaintext, b"ping");
         }
     }

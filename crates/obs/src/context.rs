@@ -101,7 +101,7 @@ impl TraceCtx {
     /// number of bytes on the wire.
     pub fn header_value(self) -> String {
         let mut s = String::with_capacity(33);
-        write!(s, "{:016x}-{:016x}", self.trace.0, self.parent.0).expect("writing to a String is infallible");
+        write!(s, "{self}").expect("writing to a String is infallible");
         s
     }
 
@@ -116,6 +116,14 @@ impl TraceCtx {
         let trace = u64::from_str_radix(&s[..16], 16).ok()?;
         let parent = u64::from_str_radix(&s[17..], 16).ok()?;
         Some(TraceCtx { trace: TraceId(trace), parent: SpanId(parent) })
+    }
+}
+
+/// The wire form of [`TraceCtx::header_value`], for a caller that writes
+/// it where it goes (a request head) instead of into a `String` first.
+impl core::fmt::Display for TraceCtx {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        write!(f, "{:016x}-{:016x}", self.trace.0, self.parent.0)
     }
 }
 

@@ -300,14 +300,15 @@ pub type SpanFields = Vec<(&'static str, crate::event::Value)>;
 
 /// Opens a span: emits a `span_start` event and returns the id to close
 /// it with. Returns [`SpanId::NONE`] (which [`span_end`] ignores) when
-/// no dispatcher is installed or the span's level is filtered out.
+/// no dispatcher is installed or the span's level is filtered out;
+/// `fields` runs only for a span that will be recorded.
 pub fn span_start(
     t_us: u64,
     level: Level,
     component: &'static str,
     target: &'static str,
     name: &'static str,
-    fields: SpanFields,
+    fields: impl FnOnce() -> SpanFields,
 ) -> SpanId {
     span_start_ctx(t_us, level, component, target, name, crate::context::TraceCtx::NONE, fields)
 }
@@ -328,26 +329,6 @@ pub fn span_start_ctx(
     target: &'static str,
     name: &'static str,
     ctx: crate::context::TraceCtx,
-    fields: SpanFields,
-) -> SpanId {
-    with_installed(|d| {
-        if !d.enabled(level, component) {
-            return SpanId::NONE;
-        }
-        d.open_span(SpanStart { t_us, component, target, name }, level, ctx, fields)
-    })
-    .unwrap_or(SpanId::NONE)
-}
-
-/// [`span_start_ctx`] for callers whose fields cost something to build:
-/// `fields` runs only once the level filter has accepted the span.
-pub fn span_start_with(
-    t_us: u64,
-    level: Level,
-    component: &'static str,
-    target: &'static str,
-    name: &'static str,
-    ctx: crate::context::TraceCtx,
     fields: impl FnOnce() -> SpanFields,
 ) -> SpanId {
     if !is_enabled(level, component) {
@@ -359,15 +340,17 @@ pub fn span_start_with(
 }
 
 /// Closes a span opened by [`span_start`], emitting a `span_end` event
-/// carrying the span's simulated duration in `dur_us`.
-pub fn span_end(t_us: u64, span: SpanId, fields: SpanFields) {
+/// carrying the span's simulated duration in `dur_us`; `fields` runs
+/// only if the span was recorded in the first place.
+pub fn span_end(t_us: u64, span: SpanId, fields: impl FnOnce() -> SpanFields) {
     if span.is_none() {
         return;
     }
+    let Some(start) = with_installed(|d| d.open_spans.remove(&span.0)).flatten() else {
+        return;
+    };
+    let fields = fields();
     with_installed(|d| {
-        let Some(start) = d.open_spans.remove(&span.0) else {
-            return;
-        };
         let mut ev = Event::new(
             t_us,
             Level::Info,
@@ -491,11 +474,14 @@ mod tests {
         assert_eq!(built.get(), 0, "a filtered event must not be built");
         event(3, Level::Info, "gfw", "t", "e", build);
         assert_eq!(built.get(), 1);
-        assert_eq!(span_start_with(4, Level::Debug, "gfw", "t", "s", crate::TraceCtx::NONE, || {
+        let fields = || {
             built.set(built.get() + 1);
             Vec::new()
-        }), SpanId::NONE);
-        assert_eq!(built.get(), 1, "a filtered span must not build its fields");
+        };
+        assert_eq!(span_start_ctx(4, Level::Debug, "gfw", "t", "s", crate::TraceCtx::NONE, fields), SpanId::NONE);
+        span_end(5, SpanId::NONE, fields);
+        span_end(5, SpanId(77), fields);
+        assert_eq!(built.get(), 1, "a span that is not recorded must not build its fields");
         drop(guard);
         assert_eq!(handle.count_named("gfw", "e"), 1);
         assert_eq!(handle.events()[0].get_u64("k"), Some(1));
@@ -507,9 +493,9 @@ mod tests {
         assert!(!is_enabled(Level::Error, "simnet"));
         emit(info(1, "simnet")); // must not panic
         counter_add("x", 1);
-        let id = span_start(0, Level::Info, "simnet", "t", "s", vec![]);
+        let id = span_start(0, Level::Info, "simnet", "t", "s", Vec::new);
         assert!(id.is_none());
-        span_end(5, id, vec![]);
+        span_end(5, id, Vec::new);
     }
 
     #[test]
@@ -537,10 +523,10 @@ mod tests {
         let ring = RingSink::with_capacity(64);
         let h = ring.handle();
         let guard = Dispatcher::new().with_sink(Box::new(ring)).install();
-        let a = span_start(100, Level::Info, "web", "load", "page", vec![]);
-        let b = span_start(150, Level::Info, "web", "load", "dns", vec![]);
-        span_end(250, b, vec![]);
-        span_end(400, a, vec![("ok", crate::event::Value::Bool(true))]);
+        let a = span_start(100, Level::Info, "web", "load", "page", Vec::new);
+        let b = span_start(150, Level::Info, "web", "load", "dns", Vec::new);
+        span_end(250, b, Vec::new);
+        span_end(400, a, || vec![("ok", crate::event::Value::Bool(true))]);
         drop(guard);
         let evs = h.events();
         assert_eq!(a, SpanId(1));
@@ -617,9 +603,9 @@ mod tests {
         // formatting, and spans short-circuit to NONE.
         assert!(!is_enabled(Level::Error, "simnet"));
         emit(info(1, "simnet"));
-        let id = span_start(0, Level::Info, "web", "load", "page", vec![]);
+        let id = span_start(0, Level::Info, "web", "load", "page", Vec::new);
         assert!(id.is_none());
-        span_end(10, id, vec![]);
+        span_end(10, id, Vec::new);
         // The registry and time-series still accumulate: they are
         // readable without a sink.
         counter_add("pkts", 3);

@@ -75,7 +75,7 @@ pub mod timeseries;
 pub use context::{TraceCtx, TraceId, TRACE_HEADER};
 pub use dispatch::{
     counter_add, emit, event, is_active, is_enabled, observe, span_end,
-    span_start, span_start_ctx, span_start_with, tick, ts_bump, ts_bump_ex, ts_record,
+    span_start, span_start_ctx, tick, ts_bump, ts_bump_ex, ts_record,
     ts_record_ex, with_registry, with_slo_engine, with_timeseries, Dispatcher, ObsGuard,
     SpanFields,
 };

@@ -126,7 +126,7 @@ impl Admit {
         trace::event(io.now(), Level::Warn, "domestic", "whitelist_refused", |ev| {
             ev.field("host", host.to_string())
         });
-        io.send(browser, HttpResponse::new(403, Vec::new()).encode());
+        io.send(browser, HttpResponse::new(403, Vec::new()).into_wire());
         io.close(browser);
     }
 
@@ -154,8 +154,8 @@ impl Admit {
         req: &HttpRequest,
         io: &mut impl Io,
     ) -> Step {
-        let Some((host, port)) = req.target.rsplit_once(':') else {
-            io.send(browser, HttpResponse::new(400, Vec::new()).encode());
+        let Some((host, port)) = req.target().rsplit_once(':') else {
+            io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
             return Step::Done;
         };
         if !self.cfg.whitelisted(host) {
@@ -242,9 +242,8 @@ impl Admit {
     /// failure path that keeps an overloaded proxy responsive.
     pub fn refuse(&self, browser: TcpHandle, code: u16, reason: &'static str, io: &mut impl Io) {
         let secs = RETRY_AFTER.as_micros().div_ceil(1_000_000);
-        let resp =
-            HttpResponse::new(code, Vec::new()).header("Retry-After", &secs.max(1).to_string());
-        io.send(browser, resp.encode());
+        let resp = HttpResponse::new(code, Vec::new()).header_fmt("Retry-After", secs.max(1));
+        io.send(browser, resp.into_wire());
         io.close(browser);
         let (counter, name) = if code == 429 {
             ("scholarcloud.throttled", "throttle")

@@ -228,7 +228,7 @@ impl Establish {
     ) -> Option<Addr> {
         let now = io.now();
         let pt = self.drop_pending(browser, Dropped::Failed { code, reason }, now);
-        io.send(browser, HttpResponse::new(code, Vec::new()).encode());
+        io.send(browser, HttpResponse::new(code, Vec::new()).into_wire());
         io.close(browser);
         let counter = match code {
             503 => "scholarcloud.fail_fast",

@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight};
-use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
+use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight, StoredResponse};
+use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse, Messages};
 use sc_obs::{Level, SpanFields, SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
@@ -75,8 +75,9 @@ pub(super) struct Miss {
 
 /// What an upstream stream's bytes amounted to.
 pub(super) enum Parsed {
-    /// No fetch of this browser's is waiting for them.
-    NotMine,
+    /// No fetch of this browser's is waiting for them: here they are
+    /// back.
+    NotMine(Bytes),
     /// Not a whole response yet.
     More,
     /// Not HTTP.
@@ -143,7 +144,7 @@ impl Gateway {
         io: &mut impl Io,
     ) -> Step {
         let Some((host, port, path)) = split_target(&req) else {
-            io.send(browser, HttpResponse::new(400, Vec::new()).encode());
+            io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
             return Step::Done;
         };
         if !self.cfg.whitelisted(&host) {
@@ -160,7 +161,7 @@ impl Gateway {
                 self.inm.remove(&browser);
             }
         }
-        let cacheable = req.method == "GET" && self.cfg.cache.borrow().enabled();
+        let cacheable = req.method() == "GET" && self.cfg.cache.borrow().enabled();
         // An intra-fleet peering hop announces itself with the
         // loop-guard header: the owner answers locally (cache,
         // coalesced flight, or its own upstream fetch) and never
@@ -176,10 +177,20 @@ impl Gateway {
             });
         }
 
-        // Upstream leg is origin-form.
-        let mut request = req;
-        request.target = key.1.clone();
-        request.headers.retain(|(n, _)| !n.eq_ignore_ascii_case(FLEET_HEADER));
+        // Upstream leg is origin-form and never says it is a hop. A
+        // cacheable fetch also leaves the client's validator behind: it
+        // is answered from the cache, not forwarded — the shared cache
+        // needs the full body for its other readers, so only *its own*
+        // validator may go upstream.
+        let mut request = HttpRequest::new(req.method(), &key.1);
+        for (name, value) in req.headers() {
+            let dropped = name.eq_ignore_ascii_case(FLEET_HEADER)
+                || (cacheable && name.eq_ignore_ascii_case("If-None-Match"));
+            if !dropped {
+                request = request.header(name, value);
+            }
+        }
+        request.body = req.body;
 
         if !cacheable {
             // Non-GET (the HEAD RTT probe) or cache disabled: a plain
@@ -187,23 +198,21 @@ impl Gateway {
             let fetch = Fetch::new(client, key, port, request, false, false);
             return self.go_upstream(browser, fetch, tctx, false, now);
         }
-        // The client's validator is answered from the cache, not
-        // forwarded: the shared cache needs the full body for its other
-        // readers, so only *its own* validator may go upstream.
-        request.headers.retain(|(n, _)| !n.eq_ignore_ascii_case("If-None-Match"));
 
         enum Plan {
-            Hit(CachedResponse),
+            /// The answer, built from the entry where it lies, and the
+            /// length of the body it shares with it.
+            Hit(HttpResponse, usize),
             Fetch { stored_etag: Option<String> },
         }
         let plan = {
             let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
             let mut cache = self.cfg.cache.borrow_mut();
             match cache.lookup(&key, now) {
-                Lookup::Fresh(r) => {
-                    let r = r.clone();
-                    cache.note_hit(r.body.len());
-                    Plan::Hit(r)
+                Lookup::Fresh(entry) => {
+                    let (resp, len) = (answer_from(entry, self.inm.remove(&browser)), entry.body.len());
+                    cache.note_hit(len);
+                    Plan::Hit(resp, len)
                 }
                 Lookup::Stale(_) => Plan::Fetch {
                     stored_etag: cache.etag_of(&key).filter(|e| !e.is_empty()).map(str::to_string),
@@ -215,7 +224,7 @@ impl Gateway {
         // trace tree (and marks the request as having reached the cache
         // tier even when it never goes upstream).
         let verdict = match &plan {
-            Plan::Hit(_) => "hit",
+            Plan::Hit(..) => "hit",
             Plan::Fetch { stored_etag: Some(_) } => "stale",
             Plan::Fetch { stored_etag: None } => "miss",
         };
@@ -223,11 +232,11 @@ impl Gateway {
             trace::span(now, "cache", "cache_lookup", tctx, || vec![("verdict", verdict.into())]);
         trace::end(now, &mut lookup_span, Vec::new);
         match plan {
-            Plan::Hit(r) => {
+            Plan::Hit(resp, body_len) => {
                 trace::count(now, "scholarcloud.cache_hits", 1);
-                trace::count(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
+                trace::count(now, "scholarcloud.cache_bytes_saved", body_len as u64);
                 self.cache_event(now, "hit", &key);
-                self.serve_from_cache(browser, &r, io);
+                io.send(browser, resp.into_wire());
                 Step::Done
             }
             Plan::Fetch { stored_etag } => match self.flights.begin(&key, browser) {
@@ -319,6 +328,8 @@ impl Gateway {
             browser,
             client: fetch.client,
             header: stream_header(&fetch.key.0, fetch.port, false, tctx),
+            // The replay buffer's own copy (of a head: a gateway fetch is
+            // a GET or the probe's HEAD).
             initial_plain: fetch.request.encode(),
             is_connect: false,
             tctx,
@@ -328,9 +339,9 @@ impl Gateway {
     }
 
     /// Feeds an upstream stream's plaintext to `browser`'s fetch.
-    pub fn upstream_data(&mut self, browser: TcpHandle, plain: &[u8]) -> Parsed {
-        let Some(fetch) = self.fetches.get_mut(&browser) else { return Parsed::NotMine };
-        match fetch.parser.push(plain) {
+    pub fn upstream_data(&mut self, browser: TcpHandle, plain: Bytes) -> Parsed {
+        let Some(fetch) = self.fetches.get_mut(&browser) else { return Parsed::NotMine(plain) };
+        match fetch.parser.push_bytes(plain) {
             Err(_) => Parsed::Garbled,
             Ok(msgs) => first_response(msgs).map_or(Parsed::More, Parsed::Response),
         }
@@ -352,7 +363,7 @@ impl Gateway {
         let Some(fetch) = self.fetches.remove(&leader) else { return };
         let now = io.now();
         let cache_prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
-        let served: Option<CachedResponse> = if !fetch.cacheable {
+        let served: Option<StoredResponse> = if !fetch.cacheable {
             None
         } else if resp.status == 304 && fetch.revalidating {
             // Our validator held: a cheap bodyless exchange renewed the
@@ -370,6 +381,8 @@ impl Gateway {
             }
             renewed
         } else if resp.status == 200 {
+            // The entry shares the response's body, and so will every
+            // answer built from it.
             let entry = CachedResponse {
                 status: 200,
                 content_type: resp
@@ -421,7 +434,7 @@ impl Gateway {
                 // Pass-through (non-GET, cache off, or an uncacheable
                 // status): every coalesced requester gets the same
                 // answer.
-                let wire = Bytes::from(resp.encode());
+                let wire = resp.into_wire();
                 io.send(leader, wire.clone());
                 for w in waiters {
                     self.end_wait(w, now, || vec![("ok", true.into())]);
@@ -440,22 +453,9 @@ impl Gateway {
     /// Answers a gateway requester from a cache entry: `304` when its own
     /// validator still matches, the full `200` otherwise. Validators and
     /// freshness are forwarded so browser caches layer on top.
-    fn serve_from_cache(&mut self, browser: TcpHandle, entry: &CachedResponse, io: &mut impl Io) {
+    fn serve_from_cache(&mut self, browser: TcpHandle, entry: &StoredResponse, io: &mut impl Io) {
         let inm = self.inm.remove(&browser);
-        let not_modified = !entry.etag.is_empty() && inm.as_deref() == Some(entry.etag.as_str());
-        let mut resp = if not_modified {
-            HttpResponse::new(304, Vec::new())
-        } else {
-            HttpResponse::new(entry.status, entry.body.clone())
-                .header("Content-Type", &entry.content_type)
-        };
-        if !entry.etag.is_empty() {
-            resp = resp.header("ETag", &entry.etag);
-        }
-        if let Some(max_age) = entry.max_age {
-            resp = resp.header("Cache-Control", &format!("public, max-age={max_age}"));
-        }
-        io.send(browser, resp.encode());
+        io.send(browser, answer_from(entry, inm).into_wire());
     }
 
     /// A gateway leader's request failed (shed, retries exhausted, or
@@ -474,7 +474,7 @@ impl Gateway {
             return Vec::new();
         }
         let Some(flight) = self.flights.complete(&fetch.key) else { return Vec::new() };
-        let wire = Bytes::from(HttpResponse::new(code, Vec::new()).encode());
+        let wire = HttpResponse::new(code, Vec::new()).into_wire();
         for &w in &flight.waiters {
             self.end_wait(w, io.now(), || vec![("ok", false.into()), ("code", code.into())]);
             self.inm.remove(&w);
@@ -515,8 +515,27 @@ impl Gateway {
     }
 }
 
+/// The answer to a requester from a cache entry: `304` when the
+/// validator it sent (`inm`) still matches, else the full `200` with the
+/// entry's body — shared, not copied.
+fn answer_from(entry: &StoredResponse, inm: Option<String>) -> HttpResponse {
+    let not_modified = !entry.etag.is_empty() && inm.as_deref() == Some(entry.etag.as_str());
+    let mut resp = if not_modified {
+        HttpResponse::new(304, Vec::new())
+    } else {
+        HttpResponse::new(entry.status, entry.body.clone()).header("Content-Type", &entry.content_type)
+    };
+    if !entry.etag.is_empty() {
+        resp = resp.header("ETag", &entry.etag);
+    }
+    if let Some(max_age) = entry.max_age {
+        resp = resp.header_fmt("Cache-Control", format_args!("public, max-age={max_age}"));
+    }
+    resp
+}
+
 /// The first complete response among freshly parsed messages.
-pub(super) fn first_response(msgs: Vec<HttpMessage>) -> Option<HttpResponse> {
+pub(super) fn first_response(msgs: Messages) -> Option<HttpResponse> {
     msgs.into_iter().find_map(|m| match m {
         HttpMessage::Response(r) => Some(r),
         _ => None,
@@ -527,7 +546,7 @@ pub(super) fn first_response(msgs: Vec<HttpMessage>) -> Option<HttpResponse> {
 /// origin-form with a Host header. `None` for anything else, a port
 /// that is not a `u16` included.
 fn split_target(req: &HttpRequest) -> Option<(String, u16, String)> {
-    if let Some(rest) = req.target.strip_prefix("http://") {
+    if let Some(rest) = req.target().strip_prefix("http://") {
         let (hostport, path) = match rest.find('/') {
             Some(i) => (&rest[..i], &rest[i..]),
             None => (rest, "/"),
@@ -537,8 +556,8 @@ fn split_target(req: &HttpRequest) -> Option<(String, u16, String)> {
             None => (hostport, 80),
         };
         Some((host.to_string(), port, path.to_string()))
-    } else if req.target.starts_with('/') {
-        Some((req.host()?.to_string(), 80, req.target.clone()))
+    } else if req.target().starts_with('/') {
+        Some((req.host()?.to_string(), 80, req.target().to_string()))
     } else {
         None
     }

@@ -6,7 +6,7 @@
 use bytes::Bytes;
 use rand::Rng;
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::TcpHandle;
+use sc_simnet::api::{IntoChunks, TcpHandle};
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -70,9 +70,10 @@ pub(super) trait Io {
     fn now(&self) -> SimTime;
     /// Opens a TCP connection; events for it arrive under the handle.
     fn connect(&mut self, to: SocketAddr) -> TcpHandle;
-    /// Queues a buffer on a connection. The buffer is handed over, not
-    /// copied: a stage builds what it sends and gives it away.
-    fn send(&mut self, h: TcpHandle, data: impl Into<Bytes>);
+    /// Queues a buffer — or the buffers one message is, head then body —
+    /// on a connection. They are handed over, not copied: a stage builds
+    /// what it sends and gives it away.
+    fn send(&mut self, h: TcpHandle, data: impl IntoChunks);
     /// Drains everything received on a connection.
     fn recv(&mut self, h: TcpHandle) -> Bytes;
     /// Begins a graceful close.
@@ -96,7 +97,7 @@ impl Io for Ctx<'_> {
     fn connect(&mut self, to: SocketAddr) -> TcpHandle {
         self.tcp_connect(to)
     }
-    fn send(&mut self, h: TcpHandle, data: impl Into<Bytes>) {
+    fn send(&mut self, h: TcpHandle, data: impl IntoChunks) {
         self.tcp_send_bytes(h, data);
     }
     fn recv(&mut self, h: TcpHandle) -> Bytes {

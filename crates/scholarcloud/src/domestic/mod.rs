@@ -182,15 +182,15 @@ impl DomesticProxy {
         req: HttpRequest,
         io: &mut impl Io,
     ) {
-        let step = if req.method == "CONNECT" {
+        let step = if req.method() == "CONNECT" {
             self.admit.connect(browser, client, &req, io)
-        } else if req.target.starts_with("http://") || req.target.starts_with('/') {
+        } else if req.target().starts_with("http://") || req.target().starts_with('/') {
             // Plain HTTP: the conn stays in gateway mode for keep-alive
             // follow-ups; each request runs through the shared cache.
             self.set_state(browser, ConnState::Gateway(HttpParser::new()));
             self.gateway_request(browser, client, req, io)
         } else {
-            io.send(browser, HttpResponse::new(400, Vec::new()).encode());
+            io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
             Step::Done
         };
         self.step(step, io);
@@ -212,8 +212,8 @@ impl DomesticProxy {
                     ConnState::Tunneling { remote } => {
                         return self.relay.upstream(*remote, &data, io);
                     }
-                    ConnState::AwaitRequest(parser) => (true, parser.push(&data)),
-                    ConnState::Gateway(parser) => (false, parser.push(&data)),
+                    ConnState::AwaitRequest(parser) => (true, parser.push_bytes(data)),
+                    ConnState::Gateway(parser) => (false, parser.push_bytes(data)),
                 };
                 let requests = parsed.map(|msgs| {
                     msgs.into_iter().filter_map(|m| match m {

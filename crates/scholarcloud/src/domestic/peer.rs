@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use sc_cache::CacheKey;
 use sc_netproto::http::{HttpParser, HttpRequest, HttpResponse};
 use sc_obs::{Level, SpanId, TraceCtx};
@@ -28,8 +29,8 @@ struct Hop {
     leader: TcpHandle,
     /// Owner shard index the hop targets.
     owner: usize,
-    /// Pre-encoded request, sent once the peer TCP connects.
-    wire: Vec<u8>,
+    /// The request's wire chunks, sent once the peer TCP connects.
+    wire: [Bytes; 2],
     connected: bool,
     /// Response settled; awaiting the close handshake's events.
     done: bool,
@@ -104,14 +105,15 @@ impl Peer {
         let span = trace::span(now, "fleet", "peer_fetch", miss.tctx, || {
             vec![("owner", (owner as u64).into())]
         });
-        let target = if miss.port == 80 {
-            format!("http://{}{}", key.0, key.1)
+        let hop = if miss.port == 80 {
+            HttpRequest::new("GET", format_args!("http://{}{}", key.0, key.1))
         } else {
-            format!("http://{}:{}{}", key.0, miss.port, key.1)
+            HttpRequest::new("GET", format_args!("http://{}:{}{}", key.0, miss.port, key.1))
         };
-        let mut hop = HttpRequest::get(&key.0, &target)
-            .header(FLEET_HEADER, &self_idx.to_string())
-            .header(sc_obs::TRACE_HEADER, &miss.tctx.with_parent(span).header_value());
+        let mut hop = hop
+            .header("Host", &key.0)
+            .header_fmt(FLEET_HEADER, self_idx)
+            .header_fmt(sc_obs::TRACE_HEADER, miss.tctx.with_parent(span));
         if let Some(etag) = &miss.stored_etag {
             hop = hop.header("If-None-Match", etag);
         }
@@ -121,7 +123,7 @@ impl Peer {
             Hop {
                 leader: miss.leader,
                 owner,
-                wire: hop.encode(),
+                wire: hop.into_wire(),
                 connected: false,
                 done: false,
                 parser: HttpParser::new(),
@@ -145,7 +147,7 @@ impl Peer {
                 if hop.done {
                     return Step::Done;
                 }
-                match hop.parser.push(&data) {
+                match hop.parser.push_bytes(data) {
                     Err(_) => {
                         io.abort(h);
                         self.failed(h, "bad_peer_response", io)

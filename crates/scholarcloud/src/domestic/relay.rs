@@ -171,7 +171,7 @@ impl Relay {
         h: TcpHandle,
         remotes: &Remotes,
         io: &mut impl Io,
-    ) -> Option<(TcpHandle, Vec<u8>)> {
+    ) -> Option<(TcpHandle, Bytes)> {
         let data = io.recv(h);
         let stream = self.streams.get_mut(&h)?;
         // One copy again, for the same reason as upstream.
@@ -183,7 +183,7 @@ impl Relay {
         stream.replay = None;
         sc_obs::counter_add("scholarcloud.bytes_down", plain.len() as u64);
         remotes.egress(stream.remote_idx, plain.len() as u64);
-        Some((stream.browser, plain))
+        Some((stream.browser, plain.into()))
     }
 
     /// How the stream on `h` ends now that its remote side closed

@@ -208,8 +208,8 @@ impl DomesticProxy {
                 };
                 // A gateway fetch reassembles the upstream response
                 // instead of piping bytes through.
-                let ended = match self.gateway.upstream_data(browser, &plain) {
-                    Parsed::NotMine => return io.send(browser, plain),
+                let ended = match self.gateway.upstream_data(browser, plain) {
+                    Parsed::NotMine(plain) => return io.send(browser, plain),
                     Parsed::More => return,
                     Parsed::Garbled => {
                         io.abort(rh);

@@ -5,16 +5,17 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use sc_netproto::http::HttpRequest;
+use sc_cache::CacheConfig;
+use sc_netproto::http::{HttpRequest, HttpResponse};
 use sc_netproto::socks::TargetAddr;
 use sc_obs::{SpanId, TraceCtx, TraceId};
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{AppEvent, IntoChunks, TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
 use super::admit::{stream_header, Request};
 use super::establish::{Establish, Up};
-use super::gateway::Gateway;
+use super::gateway::{Gateway, Parsed};
 use super::io::{Io, Timer};
 use super::relay::{Ending, Relay};
 use super::remotes::Remotes;
@@ -23,11 +24,16 @@ use crate::config::{RotationPolicy, ScConfig};
 use crate::frame::{Hello, StreamCodec};
 use crate::resilience::BREAKER_THRESHOLD;
 
+/// Counts what the stages allocate, for the copy-budget test.
+#[global_allocator]
+static COUNTING: sc_obs::prof::CountingAlloc = sc_obs::prof::CountingAlloc;
+
 /// What a stage did to the world.
 #[derive(Debug, Clone, PartialEq)]
 enum Call {
     Connect(TcpHandle),
-    Send(TcpHandle, Vec<u8>),
+    /// The chunks as they were handed over.
+    Send(TcpHandle, Vec<Bytes>),
     Close(TcpHandle),
     Abort(TcpHandle),
     Timer(Timer),
@@ -74,7 +80,7 @@ impl FakeIo {
             .calls
             .iter()
             .filter_map(|c| match c {
-                Call::Send(to, data) if *to == h => Some(data.clone()),
+                Call::Send(to, chunks) if *to == h => Some(chunks.concat()),
                 _ => None,
             })
             .flatten()
@@ -93,8 +99,8 @@ impl Io for FakeIo {
         self.calls.push(Call::Connect(h));
         h
     }
-    fn send(&mut self, h: TcpHandle, data: impl Into<Bytes>) {
-        self.calls.push(Call::Send(h, data.into().to_vec()));
+    fn send(&mut self, h: TcpHandle, data: impl IntoChunks) {
+        self.calls.push(Call::Send(h, data.into_chunks().collect()));
     }
     fn recv(&mut self, h: TcpHandle) -> Bytes {
         Bytes::from(self.inbox.remove(&h).unwrap_or_default())
@@ -327,7 +333,11 @@ fn a_port_that_is_not_a_port_is_a_400_not_port_80() {
 
 /// A leader with two waiters coalesced behind its upstream fetch.
 fn flight_of_three(io: &mut FakeIo) -> Gateway {
-    let mut gw = Gateway::new(Rc::new(config()));
+    flight_of_three_on(Rc::new(config()), io)
+}
+
+fn flight_of_three_on(cfg: Rc<ScConfig>, io: &mut FakeIo) -> Gateway {
+    let mut gw = Gateway::new(cfg);
     let led = gateway_get(&mut gw, 1, 0xa1, io);
     assert!(matches!(led, Step::Admit(req) if req.browser == TcpHandle(1)), "first request leads");
     for (browser, trace) in [(2, 0xa2), (3, 0xa3)] {
@@ -373,6 +383,98 @@ fn a_failed_leader_fans_its_status_to_every_waiter() {
     }
     assert!(io.sent(TcpHandle(1)).is_empty(), "the leader is answered by whoever failed it");
     assert_eq!(gw.occupancy().map(|(_, n)| n), [0, 0, 0]);
+}
+
+/// The body chunk of the one answer sent to `h`: `[head, body]`.
+fn body_sent(io: &FakeIo, h: usize) -> Bytes {
+    let mut sends = io.calls.iter().filter_map(|c| match c {
+        Call::Send(to, chunks) if *to == TcpHandle(h) => Some(chunks),
+        _ => None,
+    });
+    let (Some(chunks), None) = (sends.next(), sends.next()) else { panic!("one answer to {h}") };
+    assert_eq!(chunks.len(), 2, "an answer is handed over as head and body");
+    chunks[1].clone()
+}
+
+/// Bytes `f` allocates, under this test binary's counting allocator.
+/// Tests run on other threads at the same time and what they allocate
+/// is counted too, so the least of three runs is taken: a copy made by
+/// `f` is made every time, a neighbour's allocation is not.
+fn allocated_by(mut f: impl FnMut()) -> u64 {
+    let mut least = u64::MAX;
+    for _ in 0..3 {
+        let before = sc_obs::prof::alloc_stats().allocated_bytes;
+        f();
+        least = least.min(sc_obs::prof::alloc_stats().allocated_bytes - before);
+    }
+    least
+}
+
+/// The copy budget of the gateway tier (DESIGN.md §6p), counted: a
+/// coalesced settle stores the body and answers the leader and both
+/// waiters, and a later hit answers a fourth requester, without the body
+/// being copied once — the response, the cache entry and all four
+/// answers are one allocation.
+#[test]
+fn a_settled_fetch_and_a_cache_hit_share_the_body_they_were_given() {
+    const BODY: usize = 1 << 20;
+    let big_cache = || {
+        let cache = CacheConfig { capacity_bytes: 4 * BODY, ..CacheConfig::default() };
+        Rc::new(config().with_cache(cache))
+    };
+    // The origin's answer reaches the leader's fetch segment by segment.
+    let page = HttpResponse::new(200, vec![b'p'; BODY])
+        .header("ETag", "\"v1\"")
+        .header("Cache-Control", "public, max-age=60");
+    let wire = Bytes::from(page.encode());
+    let settle_one = |io: &mut FakeIo| {
+        let mut gw = flight_of_three_on(big_cache(), io);
+        let mut parsed = None;
+        for at in (0..wire.len()).step_by(1460) {
+            match gw.upstream_data(TcpHandle(1), wire.slice(at..wire.len().min(at + 1460))) {
+                Parsed::More => {}
+                Parsed::Response(resp) => parsed = Some(resp),
+                _ => panic!("the fetch is the leader's and the stream is HTTP"),
+            }
+        }
+        (gw, parsed.expect("a whole response"))
+    };
+
+    // The parser assembled the body once, into a buffer of its length.
+    let mut io = FakeIo::new();
+    let (mut gw, resp) = settle_one(&mut io);
+    let assembled = resp.body.clone();
+    gw.settle(TcpHandle(1), resp, false, &mut io);
+    for requester in [1, 2, 3] {
+        assert_eq!(body_sent(&io, requester).as_ptr(), assembled.as_ptr(), "answer to {requester}");
+    }
+    // A fourth requester hits the entry: the same allocation again.
+    assert!(matches!(gateway_get(&mut gw, 4, 0xa4, &mut io), Step::Done));
+    assert_eq!(body_sent(&io, 4).as_ptr(), assembled.as_ptr(), "the hit");
+    assert_eq!(gw.occupancy().map(|(_, n)| n), [0, 0, 0]);
+
+    // And by the allocator's count: settling and hitting allocate heads,
+    // keys and spans — a small fraction of one body between them.
+    let ready: Vec<_> = (0..3)
+        .map(|_| {
+            let mut io = FakeIo::new();
+            let (gw, resp) = settle_one(&mut io);
+            (gw, resp, io)
+        })
+        .collect();
+    let (mut ready, mut settled) = (ready.into_iter(), Vec::with_capacity(3));
+    let settling = allocated_by(|| {
+        let (mut gw, resp, mut io) = ready.next().expect("three runs");
+        gw.settle(TcpHandle(1), resp, false, &mut io);
+        settled.push((gw, io));
+    });
+    assert!(settling < BODY as u64 / 16, "settle allocated {settling} B around a {BODY} B body");
+    let mut settled = settled.iter_mut();
+    let hitting = allocated_by(|| {
+        let (gw, io) = settled.next().expect("three runs");
+        assert!(matches!(gateway_get(gw, 4, 0xa4, io), Step::Done));
+    });
+    assert!(hitting < BODY as u64 / 16, "a hit allocated {hitting} B around a {BODY} B body");
 }
 
 /// An established CONNECT stream on remote handle 50 for browser 1.

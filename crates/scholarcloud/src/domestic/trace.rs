@@ -41,16 +41,13 @@ pub(super) fn span(
     tctx: TraceCtx,
     fields: impl FnOnce() -> SpanFields,
 ) -> SpanId {
-    sc_obs::span_start_with(now.as_micros(), Level::Debug, COMPONENT, target, name, tctx, fields)
+    sc_obs::span_start_ctx(now.as_micros(), Level::Debug, COMPONENT, target, name, tctx, fields)
 }
 
 /// Closes `span` and clears it, so a second close is a no-op; `fields`
 /// runs only if the span was recorded in the first place.
 pub(super) fn end(now: SimTime, span: &mut SpanId, fields: impl FnOnce() -> SpanFields) {
-    let id = std::mem::replace(span, SpanId::NONE);
-    if !id.is_none() {
-        sc_obs::span_end(now.as_micros(), id, fields());
-    }
+    sc_obs::span_end(now.as_micros(), std::mem::replace(span, SpanId::NONE), fields);
 }
 
 /// Bumps a counter and its timeline series together.

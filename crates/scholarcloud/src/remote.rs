@@ -168,7 +168,7 @@ impl RemoteProxy {
             "remote",
             "relay",
             sc_obs::TraceCtx::new(sc_obs::TraceId(header.trace), sc_obs::SpanId(header.parent)),
-            vec![("dest", sc_obs::Value::String(dest.to_string()))],
+            || vec![("dest", sc_obs::Value::String(dest.to_string()))],
         );
         self.conns.insert(h, ClientConn::Relaying { rx, tx, upstream, span });
         self.tunnels += 1;
@@ -213,7 +213,7 @@ impl App for RemoteProxy {
                     self.upstreams.remove(&h);
                     if let Some(ClientConn::Relaying { span, .. }) = self.conns.get_mut(&client) {
                         let ok = !matches!(tcp_ev, TcpEvent::ConnectFailed);
-                        sc_obs::span_end(ctx.now().as_micros(), *span, vec![("ok", ok.into())]);
+                        sc_obs::span_end(ctx.now().as_micros(), *span, || vec![("ok", ok.into())]);
                         *span = sc_obs::SpanId::NONE;
                     }
                 }
@@ -248,7 +248,7 @@ impl App for RemoteProxy {
                 if let Some(ClientConn::Relaying { upstream, span, .. }) = self.conns.remove(&h) {
                     ctx.tcp_close(upstream);
                     self.upstreams.remove(&upstream);
-                    sc_obs::span_end(ctx.now().as_micros(), span, vec![("ok", true.into())]);
+                    sc_obs::span_end(ctx.now().as_micros(), span, || vec![("ok", true.into())]);
                 }
             }
             _ => {}

@@ -66,6 +66,38 @@ pub enum AppEvent {
     RawPacket(Packet),
 }
 
+/// What one send queues on a connection: a buffer, or the buffers that
+/// follow each other on the stream (an HTTP head and its body) — each
+/// handed over whole, none copied, all queued before anything is
+/// transmitted, so the segments are those of the bytes end to end.
+pub trait IntoChunks {
+    /// The chunks, in stream order.
+    type Chunks: Iterator<Item = Bytes>;
+    /// Hands the chunks over.
+    fn into_chunks(self) -> Self::Chunks;
+}
+
+impl IntoChunks for Bytes {
+    type Chunks = std::iter::Once<Bytes>;
+    fn into_chunks(self) -> Self::Chunks {
+        std::iter::once(self)
+    }
+}
+
+impl IntoChunks for Vec<u8> {
+    type Chunks = std::iter::Once<Bytes>;
+    fn into_chunks(self) -> Self::Chunks {
+        std::iter::once(self.into())
+    }
+}
+
+impl<const N: usize> IntoChunks for [Bytes; N] {
+    type Chunks = std::array::IntoIter<Bytes, N>;
+    fn into_chunks(self) -> Self::Chunks {
+        self.into_iter()
+    }
+}
+
 /// An event-driven application running on a node.
 ///
 /// Implementations hold their own state machine; all interaction with the

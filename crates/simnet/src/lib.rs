@@ -62,10 +62,15 @@ pub mod stats;
 pub mod tcp;
 pub mod time;
 
+/// The payload type of the public API ([`AppEvent::Udp`](api::AppEvent),
+/// [`Ctx::tcp_recv`](sim::Ctx::tcp_recv), [`IntoChunks`](api::IntoChunks)),
+/// for crates that hold payloads without a dependency of their own.
+pub use bytes;
+
 /// Convenient glob-import of the common types.
 pub mod prelude {
     pub use crate::addr::{Addr, SocketAddr};
-    pub use crate::api::{App, AppEvent, AppId, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
+    pub use crate::api::{App, AppEvent, AppId, IntoChunks, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
     pub use crate::faults::{Fault, FaultPlan};
     pub use crate::link::{LinkConfig, LinkId, NodeId};
     pub use crate::middlebox::{MbCtx, Middlebox, Verdict};

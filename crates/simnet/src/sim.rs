@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::addr::{Addr, SocketAddr};
-use crate::api::{App, AppEvent, AppId, PacketTunnel, TcpHandle, UdpHandle};
+use crate::api::{App, AppEvent, AppId, IntoChunks, PacketTunnel, TcpHandle, UdpHandle};
 use crate::faults::{Fault, FaultPlan, FlapState};
 use crate::hash::FixedMap;
 use crate::link::{Link, LinkConfig, LinkId, LinkOutcome, NodeId};
@@ -134,15 +134,17 @@ impl Sim {
     /// per-packet lookup is an address-to-node resolution and an index.
     pub fn compute_routes(&mut self) {
         let n = self.nodes.len();
+        // One scratch pair for all the searches; only a node's table is
+        // its own allocation.
+        let mut visited = vec![false; n];
+        let mut q = VecDeque::new();
         for start in 0..n {
             let mut first_link: Vec<Option<LinkId>> = vec![None; n];
-            let mut visited = vec![false; n];
-            let mut q = VecDeque::new();
+            visited.fill(false);
             visited[start] = true;
             q.push_back(start);
             while let Some(u) = q.pop_front() {
-                let links = self.nodes[u].links.clone();
-                for lid in links {
+                for &lid in &self.nodes[u].links {
                     let link = &self.links[lid.0];
                     let Some(v) = link.other_end(NodeId(u)) else { continue };
                     if visited[v.0] {
@@ -758,14 +760,14 @@ impl<'a> Ctx<'a> {
         self.tcp_send_bytes(h, Bytes::copy_from_slice(data))
     }
 
-    /// Sends `data` on a connection without copying it: the buffer is
+    /// Sends `data` on a connection without copying it: each buffer is
     /// queued as one chunk, segments are views of it, and the receiving
-    /// app reads those views. Returns bytes accepted, or `None` if the
+    /// app reads those views. Several buffers (`[head, body]`) go out as
+    /// the one stream they make. Returns bytes accepted, or `None` if the
     /// connection cannot send.
-    pub fn tcp_send_bytes(&mut self, h: TcpHandle, data: impl Into<Bytes>) -> Option<usize> {
-        let data = data.into();
+    pub fn tcp_send_bytes(&mut self, h: TcpHandle, data: impl IntoChunks) -> Option<usize> {
         self.sim
-            .with_tcp(self.node, |tcp, now, fx| tcp.send(h, data, now, fx))
+            .with_tcp(self.node, |tcp, now, fx| tcp.send(h, data.into_chunks(), now, fx))
     }
 
     /// Drains up to `max` received bytes.

@@ -370,19 +370,30 @@ impl TcpLayer {
         TcpHandle(idx)
     }
 
-    /// Queues `data` — the chunk itself, not a copy — on the connection's
-    /// send buffer and transmits what the windows allow. Returns the
+    /// Queues `chunks` — the buffers themselves, not copies — on the
+    /// connection's send buffer, then transmits what the windows allow:
+    /// all are queued before any is sent, so what goes in which segment
+    /// does not depend on how the stream was cut into chunks. Returns the
     /// number of bytes accepted (all of them — the simulated buffer is
     /// unbounded) or `None` for an invalid handle or a connection that can
     /// no longer send.
-    pub fn send(&mut self, h: TcpHandle, data: Bytes, now: SimTime, fx: &mut Effects) -> Option<usize> {
+    pub fn send(
+        &mut self,
+        h: TcpHandle,
+        chunks: impl IntoIterator<Item = Bytes>,
+        now: SimTime,
+        fx: &mut Effects,
+    ) -> Option<usize> {
         let c = self.conns.get_mut(h.0)?;
         match c.state {
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynRcvd => {}
             _ => return None,
         }
-        let n = data.len();
-        c.send_buf.push(data);
+        let queued = c.send_buf.len();
+        for chunk in chunks {
+            c.send_buf.push(chunk);
+        }
+        let n = c.send_buf.len() - queued;
         self.pump(h.0, now, fx);
         Some(n)
     }
@@ -1169,11 +1180,19 @@ mod tests {
         }
 
         fn app_write(&mut self, n: usize) {
-            let start = self.sent.len();
-            self.sent.extend((start..start + n).map(stream_byte));
+            self.app_write_chunks(&[n]);
+        }
+
+        /// One send of the stream's next bytes, cut into chunks of `lens`.
+        fn app_write_chunks(&mut self, lens: &[usize]) {
+            let mut chunks = Vec::new();
+            for &n in lens {
+                let start = self.sent.len();
+                self.sent.extend((start..start + n).map(stream_byte));
+                chunks.push(Bytes::copy_from_slice(&self.sent[start..]));
+            }
             let mut fx = Effects::default();
-            let chunk = Bytes::copy_from_slice(&self.sent[start..]);
-            assert_eq!(self.a.send(self.ha, chunk, self.now, &mut fx), Some(n));
+            assert_eq!(self.a.send(self.ha, chunks, self.now, &mut fx), Some(lens.iter().sum()));
             self.sender_emitted(fx);
         }
 
@@ -1321,6 +1340,40 @@ mod tests {
         h.check_stats();
     }
 
+    /// What is sent as `[head, body]` is segmented as `head ++ body` sent
+    /// whole is, wherever the cut between the two falls — a segment's
+    /// edge, one byte either side of it, the edge of the window — from the
+    /// first flight to the last ACK.
+    #[test]
+    fn chunks_of_one_send_are_segmented_as_their_concatenation() {
+        let run = |lens: &[usize]| {
+            let mut h = Harness::establish();
+            h.app_write_chunks(lens);
+            let mut wire = Vec::new();
+            while !h.to_b.is_empty() {
+                wire.extend(h.to_b.iter().cloned());
+                h.deliver_to_b(usize::MAX);
+                h.deliver_to_a(usize::MAX);
+            }
+            assert_eq!(h.acked, h.sent.len());
+            wire
+        };
+        // Every cut of a stream a little over two segments long.
+        let short = 2 * MSS + 700;
+        let whole = run(&[short]);
+        assert_eq!(whole.len(), 3);
+        for cut in 0..=short {
+            assert_eq!(run(&[cut, short - cut]), whole, "cut at {cut}");
+        }
+        // One that outlasts the initial window, cut where it matters.
+        let long = INITIAL_CWND + 2 * MSS + 1;
+        let whole = run(&[long]);
+        for cut in [1, MSS - 1, MSS, MSS + 1, INITIAL_CWND - 1, INITIAL_CWND, INITIAL_CWND + 1, long - 1] {
+            assert_eq!(run(&[cut, long - cut]), whole, "cut at {cut}");
+            assert_eq!(run(&[cut / 2, cut - cut / 2, long - cut]), whole, "three chunks, cut at {cut}");
+        }
+    }
+
     /// Two layers on a lossless wire, run until nothing is in flight and
     /// no timer is live; `on_b` is B's app.
     fn settle(
@@ -1376,7 +1429,7 @@ mod tests {
             let graceful = i % 2 == 0;
             let mut fx = Effects::default();
             let ha = a.connect(AppId(0), A, SocketAddr::new(B, 80), &mut fx);
-            assert_eq!(a.send(ha, page.clone(), now, &mut fx), Some(BYTES), "queued until the handshake ends");
+            assert_eq!(a.send(ha, [page.clone()], now, &mut fx), Some(BYTES), "queued until the handshake ends");
             let mut hb = None;
             settle(&mut a, &mut b, &mut now, fx, &mut |_, _, _, ev| {
                 if let AppEvent::Tcp(h, TcpEvent::Accepted { .. }) = ev {

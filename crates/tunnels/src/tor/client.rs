@@ -147,20 +147,14 @@ impl TorClient {
         if !tls.is_connected() {
             return;
         }
-        let body = std::mem::take(&mut self.tx_queue);
-        let req = HttpRequest {
-            method: "POST".into(),
-            target: MEEK_PATH.into(),
-            headers: vec![
-                ("Host".into(), self.config.front_domain.clone()),
-                ("X-Session-Id".into(), self.session_id.to_string()),
-            ],
-            body,
-        };
-        let plain = req.encode();
+        let mut req = HttpRequest::new("POST", MEEK_PATH)
+            .header("Host", &self.config.front_domain)
+            .header_fmt("X-Session-Id", self.session_id);
+        req.body = std::mem::take(&mut self.tx_queue).into();
+        let (head, body) = req.into_parts();
         let wire = {
             let _prof = prof::scope(Subsystem::Crypto);
-            tls.send(&plain)
+            tls.send(&[&head, &body])
         };
         ctx.tcp_send_bytes(conn, wire);
         self.poll_in_flight = true;
@@ -322,11 +316,11 @@ impl App for TorClient {
                 TcpEvent::Connected => {
                     // Bootstrap stage 1: authority certificates.
                     let req = HttpRequest::get("directory.torproject.sim", "/certs");
-                    ctx.tcp_send_bytes(h, req.encode());
+                    ctx.tcp_send_bytes(h, req.into_wire());
                 }
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
-                    if let Ok(msgs) = self.dir_http.push(&data) {
+                    if let Ok(msgs) = self.dir_http.push_bytes(data) {
                         for msg in msgs {
                             if let HttpMessage::Response(resp) = msg {
                                 self.consensus_bytes += resp.body.len();
@@ -337,7 +331,7 @@ impl App for TorClient {
                                             "directory.torproject.sim",
                                             "/consensus",
                                         );
-                                        ctx.tcp_send_bytes(h, req.encode());
+                                        ctx.tcp_send_bytes(h, req.into_wire());
                                     }
                                     Phase::FetchingConsensus => {
                                         // Second bootstrap stage: relay
@@ -347,7 +341,7 @@ impl App for TorClient {
                                             "directory.torproject.sim",
                                             "/descriptors",
                                         );
-                                        ctx.tcp_send_bytes(h, req.encode());
+                                        ctx.tcp_send_bytes(h, req.into_wire());
                                     }
                                     Phase::FetchingDescriptors => {
                                         ctx.tcp_close(h);
@@ -393,7 +387,7 @@ impl App for TorClient {
                         self.begin_create(ctx);
                     }
                     if !out.plaintext.is_empty() {
-                        if let Ok(msgs) = self.http.push(&out.plaintext) {
+                        if let Ok(msgs) = self.http.push_bytes(out.plaintext.into()) {
                             for msg in msgs {
                                 if let HttpMessage::Response(resp) = msg {
                                     self.poll_in_flight = false;

@@ -58,39 +58,41 @@ impl App for DirectoryServer {
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
                 let Some(parser) = self.parsers.get_mut(&h) else { return };
-                let Ok(msgs) = parser.push(&data) else {
+                let Ok(msgs) = parser.push_bytes(data) else {
                     ctx.tcp_abort(h);
                     return;
                 };
                 for msg in msgs {
                     if let HttpMessage::Request(req) = msg {
-                        if req.method == "GET" && req.target.starts_with("/certs") {
+                        if req.method() == "GET" && req.target().starts_with("/certs") {
                             // Authority certificates: small but a full
                             // round trip of the bootstrap sequence.
                             let body = vec![b'c'; 64 * 1024];
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
-                            ctx.tcp_send_bytes(h, resp.encode());
+                            ctx.tcp_send_bytes(h, resp.into_wire());
                             self.served += 1;
-                        } else if req.method == "GET"
-                            && (req.target.starts_with("/consensus")
-                                || req.target.starts_with("/descriptors"))
+                        } else if req.method() == "GET"
+                            && (req.target().starts_with("/consensus")
+                                || req.target().starts_with("/descriptors"))
                         {
                             // A synthetic consensus: repeated descriptor
                             // lines, compressible and printable like the
                             // real thing.
                             let line = b"r relay4096 9001 onion-router descriptor line\n";
-                            let mut body = Vec::with_capacity(self.consensus_len);
+                            // Room for the line that overshoots: the buffer is
+                            // sent as it is, so it must not double to fit it.
+                            let mut body = Vec::with_capacity(self.consensus_len + line.len());
                             while body.len() < self.consensus_len {
                                 body.extend_from_slice(line);
                             }
                             body.truncate(self.consensus_len);
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
-                            ctx.tcp_send_bytes(h, resp.encode());
+                            ctx.tcp_send_bytes(h, resp.into_wire());
                             self.served += 1;
                         } else {
-                            ctx.tcp_send_bytes(h, HttpResponse::new(404, Vec::new()).encode());
+                            ctx.tcp_send_bytes(h, HttpResponse::new(404, Vec::new()).into_wire());
                         }
                     }
                 }

@@ -72,22 +72,22 @@ impl MeekGateway {
         let body = std::mem::take(&mut session.downstream);
         session.held_poll = None;
         let resp = HttpResponse::new(200, body).header("Content-Type", "application/octet-stream");
-        let plain = resp.encode();
+        let (head, body) = resp.into_parts();
         let wire = {
             let Some(c) = self.conns.get_mut(&conn) else { return };
             c.holding_for = None;
             let _prof = prof::scope(Subsystem::Crypto);
-            c.tls.send(&plain)
+            c.tls.send(&[&head, &body])
         };
         ctx.tcp_send_bytes(conn, wire);
         self.polls += 1;
     }
 
     fn handle_request(&mut self, conn: TcpHandle, req: HttpRequest, ctx: &mut Ctx<'_>) {
-        if req.method != "POST" || !req.target.starts_with(MEEK_PATH) {
+        if req.method() != "POST" || !req.target().starts_with(MEEK_PATH) {
             let wire = {
                 let Some(c) = self.conns.get_mut(&conn) else { return };
-                c.tls.send(&HttpResponse::new(404, Vec::new()).encode())
+                c.tls.send(&[&HttpResponse::new(404, Vec::new()).into_parts().0])
             };
             ctx.tcp_send_bytes(conn, wire);
             return;
@@ -197,7 +197,7 @@ impl App for MeekGateway {
                             };
                             let mut requests = Vec::new();
                             if !out.plaintext.is_empty() {
-                                if let Ok(msgs) = c.http.push(&out.plaintext) {
+                                if let Ok(msgs) = c.http.push_bytes(out.plaintext.into()) {
                                     for m in msgs {
                                         if let HttpMessage::Request(r) = m {
                                             requests.push(r);

@@ -197,7 +197,15 @@ pub struct PageLoadResult {
 struct CachedContent {
     etag: Option<String>,
     expires_at: SimTime,
-    body: Vec<u8>,
+    /// Shared with the response it came in.
+    body: Bytes,
+}
+
+/// host → path → cached representation, so a lookup borrows both.
+type ContentCache = HashMap<String, HashMap<String, CachedContent>>;
+
+fn cached<'a>(cache: &'a ContentCache, host: &str, path: &str) -> Option<&'a CachedContent> {
+    cache.get(host)?.get(path)
 }
 
 /// Shared log the harness reads results from.
@@ -274,12 +282,13 @@ pub struct Browser {
     gate: ReadyGate,
     stub: StubResolver,
     conns: HashMap<TcpHandle, Conn>,
-    /// host:port → open connection (reused within a load).
-    by_host: HashMap<(String, u16), TcpHandle>,
+    /// `(host, port, open connection)`, reused within a load: a handful,
+    /// found by comparing the borrowed host.
+    by_host: Vec<(String, u16, TcpHandle)>,
     pending_dns: HashMap<u64, (String, u16, String)>,
     dns_spans: HashMap<u64, sc_obs::SpanId>,
     next_dns_token: u64,
-    content_cache: HashMap<(String, String), CachedContent>,
+    content_cache: ContentCache,
     load: Option<ActiveLoad>,
     loads_done: usize,
     visited: bool,
@@ -315,7 +324,7 @@ impl Browser {
             gate,
             stub,
             conns: HashMap::new(),
-            by_host: HashMap::new(),
+            by_host: Vec::new(),
             pending_dns: HashMap::new(),
             dns_spans: HashMap::new(),
             next_dns_token: 1,
@@ -392,10 +401,12 @@ impl Browser {
             "load",
             "page_load",
             sc_obs::TraceCtx::new(trace, sc_obs::SpanId::NONE),
-            vec![
-                ("index", (index as u64).into()),
-                ("first_time", (!self.visited).into()),
-            ],
+            || {
+                vec![
+                    ("index", (index as u64).into()),
+                    ("first_time", (!self.visited).into()),
+                ]
+            },
         );
         self.load = Some(ActiveLoad {
             index,
@@ -416,9 +427,14 @@ impl Browser {
         self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
     }
 
+    /// The open connection to `host:port`, if there is one.
+    fn conn_to(&self, host: &str, port: u16) -> Option<TcpHandle> {
+        self.by_host.iter().find(|(h, p, _)| h == host && *p == port).map(|&(_, _, conn)| conn)
+    }
+
     /// Requests `path` from `host:port`, opening or reusing a connection.
     fn fetch(&mut self, host: &str, port: u16, path: &str, ctx: &mut Ctx<'_>) {
-        if let Some(&h) = self.by_host.get(&(host.to_string(), port)) {
+        if let Some(h) = self.conn_to(host, port) {
             if let Some(conn) = self.conns.get_mut(&h) {
                 conn.queue.push_back(path.to_string());
                 self.pump_conn(h, ctx);
@@ -441,7 +457,7 @@ impl Browser {
                     "load",
                     "dns",
                     self.load_ctx(),
-                    vec![("host", host.to_string().into())],
+                    || vec![("host", host.to_string().into())],
                 );
                 if !dns_span.is_none() {
                     self.dns_spans.insert(token, dns_span);
@@ -463,7 +479,7 @@ impl Browser {
         let Some((host, port, path)) = self.pending_dns.remove(&token) else { return };
         if let Some(sp) = self.dns_spans.remove(&token) {
             let ok = matches!(&outcome, ResolveOutcome::Resolved(a) if !a.is_empty());
-            sc_obs::span_end(ctx.now().as_micros(), sp, vec![("ok", ok.into())]);
+            sc_obs::span_end(ctx.now().as_micros(), sp, || vec![("ok", ok.into())]);
         }
         match outcome {
             ResolveOutcome::Resolved(addrs) if !addrs.is_empty() => {
@@ -491,7 +507,7 @@ impl Browser {
             "load",
             "connect",
             self.load_ctx(),
-            vec![("host", host.to_string().into())],
+            || vec![("host", host.to_string().into())],
         );
         let mut queue = VecDeque::new();
         queue.push_back(path.to_string());
@@ -513,7 +529,10 @@ impl Browser {
                 rtt_probe_sent: None,
             },
         );
-        self.by_host.insert((host.to_string(), port), h);
+        match self.by_host.iter_mut().find(|(known, p, _)| known == host && *p == port) {
+            Some(entry) => entry.2 = h,
+            None => self.by_host.push((host.to_string(), port, h)),
+        }
         if let Some(load) = self.load.as_mut() {
             load.connections += 1;
         }
@@ -635,9 +654,9 @@ impl Browser {
             sc_obs::span_end(
                 ctx.now().as_micros(),
                 conn.connect_span,
-                vec![("ok", false.into()), ("reason", reason.into())],
+                || vec![("ok", false.into()), ("reason", reason.into())],
             );
-            self.by_host.remove(&(conn.host, conn.port));
+            self.by_host.retain(|&(_, _, open)| open != h);
         }
         self.mark_proxy_dead(addr, reason, ctx);
         if !self.proxy_failover_retry(addr, ctx) {
@@ -713,54 +732,50 @@ impl Browser {
                 "load",
                 "fetch",
                 lctx,
-                vec![("path", path.clone().into())],
+                || vec![("path", path.clone().into())],
             )
         };
         let req = if path == "\u{0}rtt" {
             conn.rtt_probe_sent = Some(ctx.now());
-            HttpRequest {
-                method: "HEAD".into(),
-                target: "/".into(),
-                headers: vec![
-                    ("Host".into(), conn.host.clone()),
-                    (sc_obs::TRACE_HEADER.into(), lctx.header_value()),
-                ],
-                body: Vec::new(),
-            }
+            HttpRequest::new("HEAD", "/").header("Host", &conn.host).header_fmt(sc_obs::TRACE_HEADER, lctx)
         } else {
             let req = if matches!(conn.route, Route::HttpProxy(_)) && conn.port == 80 {
                 // Absolute-form through an HTTP proxy.
-                HttpRequest::get(&conn.host, &format!("http://{}{}", conn.host, path))
+                HttpRequest::new("GET", format_args!("http://{}{}", conn.host, path))
             } else {
-                HttpRequest::get(&conn.host, &path)
+                HttpRequest::new("GET", &path)
             };
             // Every request carries the trace context, parented on its
             // fetch span, so the proxy tier and origin can stitch their
             // spans into this load's tree.
-            let req = req.header(
-                sc_obs::TRACE_HEADER,
-                &lctx.with_parent(conn.fetch_span).header_value(),
-            );
+            let req = req
+                .header("Host", &conn.host)
+                .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.fetch_span));
             // A stale cached copy with a validator turns the refetch into
             // a conditional request: the origin (or the proxy's shared
             // cache) may answer with a cheap bodyless 304.
-            let stale_etag = self
-                .content_cache
-                .get(&(conn.host.clone(), path.clone()))
+            let stale_etag = cached(&self.content_cache, &conn.host, &path)
                 .filter(|e| e.expires_at <= ctx.now())
-                .and_then(|e| e.etag.clone());
+                .and_then(|e| e.etag.as_deref());
             match stale_etag {
-                Some(etag) => req.header("If-None-Match", &etag),
+                Some(etag) => req.header("If-None-Match", etag),
                 None => req,
             }
         };
         conn.current = Some(path);
-        let mut wire = req.encode();
-        if let Some(tls) = conn.tls.as_mut() {
-            let _prof = prof::scope(Subsystem::Crypto);
-            wire = tls.send(&wire);
+        match conn.tls.as_mut() {
+            Some(tls) => {
+                let (head, body) = req.into_parts();
+                let record = {
+                    let _prof = prof::scope(Subsystem::Crypto);
+                    tls.send(&[&head, &body])
+                };
+                ctx.tcp_send_bytes(h, record);
+            }
+            None => {
+                ctx.tcp_send_bytes(h, req.into_wire());
+            }
         }
-        ctx.tcp_send_bytes(h, wire);
     }
 
     fn begin_app_layer(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
@@ -778,7 +793,7 @@ impl Browser {
         } else {
             conn.phase = ConnPhase::Ready;
             let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
-            sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new());
+            sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
             self.pump_conn(h, ctx);
         }
     }
@@ -789,7 +804,7 @@ impl Browser {
             let Some(conn) = self.conns.get_mut(&h) else { return };
             let path = conn.current.take().unwrap_or_default();
             let sp = std::mem::replace(&mut conn.fetch_span, sc_obs::SpanId::NONE);
-            sc_obs::span_end(ctx.now().as_micros(), sp, vec![("status", u64::from(status).into())]);
+            sc_obs::span_end(ctx.now().as_micros(), sp, || vec![("status", u64::from(status).into())]);
             (conn.host.clone(), path, conn.rtt_probe_sent.take())
         };
         // RTT probe response?
@@ -834,13 +849,13 @@ impl Browser {
             .max_age_secs()
             .map(SimDuration::from_secs)
             .unwrap_or(DEFAULT_CONTENT_TTL);
-        let key = (host.clone(), path.clone());
+        let is_page = path == "/" && host == PAGE_HOST;
         let body = if status == 304 {
             // Our stale copy is still good: renew it and serve from cache
             // without the body having crossed the wire again.
             load.revalidated += 1;
             sc_obs::counter_add("web.revalidated", 1);
-            match self.content_cache.get_mut(&key) {
+            match self.content_cache.get_mut(&host).and_then(|paths| paths.get_mut(&path)) {
                 Some(entry) => {
                     entry.expires_at = now + ttl;
                     if let Some(etag) = resp.header_value("ETag") {
@@ -848,21 +863,22 @@ impl Browser {
                     }
                     entry.body.clone()
                 }
-                None => Vec::new(),
+                None => Bytes::new(),
             }
         } else {
-            self.content_cache.insert(
-                key,
-                CachedContent {
-                    etag: resp.header_value("ETag").map(str::to_string),
-                    expires_at: now + ttl,
-                    body: resp.body.clone(),
-                },
-            );
+            let entry = CachedContent {
+                etag: resp.header_value("ETag").map(str::to_string),
+                expires_at: now + ttl,
+                body: resp.body.clone(),
+            };
+            match self.content_cache.get_mut(&host) {
+                Some(paths) => paths.insert(path, entry),
+                None => self.content_cache.entry(host).or_default().insert(path, entry),
+            };
             resp.body
         };
         // The HTML: schedule subresource fetches.
-        if path == "/" && host == PAGE_HOST {
+        if is_page {
             let resources = crate::page::PageSpec::parse_manifest(&body);
             let first_time = self.load.as_ref().is_some_and(|l| l.first_time);
             let mut to_fetch = Vec::new();
@@ -873,10 +889,7 @@ impl Browser {
                 // A fresh cached copy needs no fetch at all; stale or
                 // absent entries are (re)fetched — stale ones turn into
                 // conditional requests in `pump_conn`.
-                let fresh = self
-                    .content_cache
-                    .get(&(r.host.clone(), r.path.clone()))
-                    .is_some_and(|e| e.expires_at > now);
+                let fresh = cached(&self.content_cache, &r.host, &r.path).is_some_and(|e| e.expires_at > now);
                 if fresh {
                     continue;
                 }
@@ -886,14 +899,13 @@ impl Browser {
                 load.pending += to_fetch.len();
             }
             for r in to_fetch {
-                self.fetch(&r.host.clone(), self.config.page_port_for(&r.host), &r.path, ctx);
+                self.fetch(&r.host, self.config.page_port_for(&r.host), &r.path, ctx);
             }
         }
         let done = self.load.as_ref().is_some_and(|l| l.pending == 0);
         if done {
             // Page complete: sample RTT with a HEAD on the main connection.
-            let key = (PAGE_HOST.to_string(), self.config.page_port);
-            if let Some(&main) = self.by_host.get(&key) {
+            if let Some(main) = self.conn_to(PAGE_HOST, self.config.page_port) {
                 if self.conns.get(&main).is_some_and(|c| c.phase == ConnPhase::Ready) {
                     self.rtt_conn = Some(main);
                     if let Some(conn) = self.conns.get_mut(&main) {
@@ -930,10 +942,12 @@ impl Browser {
         sc_obs::span_end(
             now.as_micros(),
             load.span,
-            vec![
-                ("ok", true.into()),
-                ("connections", (load.connections as u64).into()),
-            ],
+            || {
+                vec![
+                    ("ok", true.into()),
+                    ("connections", (load.connections as u64).into()),
+                ]
+            },
         );
         self.log.borrow_mut().push(PageLoadResult {
             index: load.index,
@@ -964,10 +978,12 @@ impl Browser {
         sc_obs::span_end(
             ctx.now().as_micros(),
             load.span,
-            vec![
-                ("ok", false.into()),
-                ("connections", (load.connections as u64).into()),
-            ],
+            || {
+                vec![
+                    ("ok", false.into()),
+                    ("connections", (load.connections as u64).into()),
+                ]
+            },
         );
         self.log.borrow_mut().push(PageLoadResult {
             index: load.index,
@@ -1163,7 +1179,7 @@ impl App for Browser {
                         let lctx = self.load_ctx();
                         let conn = self.conns.get_mut(&h).expect("checked");
                         let sp = std::mem::replace(&mut conn.connect_span, sc_obs::SpanId::NONE);
-                        sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new());
+                        sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
                         let via = match conn.route {
                             Route::Direct => "direct",
                             Route::Socks(_) => "socks",
@@ -1176,7 +1192,7 @@ impl App for Browser {
                             "load",
                             "tunnel",
                             lctx,
-                            vec![("via", via.into())],
+                            || vec![("via", via.into())],
                         );
                         match conn.route {
                             Route::Direct => self.begin_app_layer(h, ctx),
@@ -1192,26 +1208,22 @@ impl App for Browser {
                                         &mut conn.tunnel_span,
                                         sc_obs::SpanId::NONE,
                                     );
-                                    sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new());
+                                    sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
                                     self.pump_conn(h, ctx);
                                 } else {
                                     conn.phase = ConnPhase::ProxyConnectSent;
-                                    let req = format!(
-                                        "CONNECT {}:{} HTTP/1.1\r\nHost: {}\r\n{}: {}\r\n\r\n",
-                                        conn.host,
-                                        conn.port,
-                                        conn.host,
-                                        sc_obs::TRACE_HEADER,
-                                        lctx.with_parent(conn.tunnel_span).header_value(),
-                                    );
-                                    ctx.tcp_send_bytes(h, req);
+                                    let authority = format_args!("{}:{}", conn.host, conn.port);
+                                    let req = HttpRequest::new("CONNECT", authority)
+                                        .header("Host", &conn.host)
+                                        .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.tunnel_span));
+                                    ctx.tcp_send_bytes(h, req.into_wire());
                                 }
                             }
                         }
                     }
                     TcpEvent::DataReceived => {
                         let data = ctx.tcp_recv_all(h);
-                        self.on_bytes(h, &data, ctx);
+                        self.on_bytes(h, data, ctx);
                     }
                     TcpEvent::ConnectFailed | TcpEvent::Reset => {
                         let connecting = self
@@ -1236,8 +1248,8 @@ impl App for Browser {
                             .conns
                             .get(&h)
                             .is_some_and(|c| c.current.is_some() || !c.queue.is_empty());
-                        if let Some(conn) = self.conns.remove(&h) {
-                            self.by_host.remove(&(conn.host, conn.port));
+                        if self.conns.remove(&h).is_some() {
+                            self.by_host.retain(|&(_, _, open)| open != h);
                         }
                         if had_work {
                             self.fail_load(ctx);
@@ -1252,11 +1264,11 @@ impl App for Browser {
 }
 
 impl Browser {
-    fn on_bytes(&mut self, h: TcpHandle, data: &[u8], ctx: &mut Ctx<'_>) {
+    fn on_bytes(&mut self, h: TcpHandle, data: Bytes, ctx: &mut Ctx<'_>) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         // What of `data` belongs to the TLS / HTTP stream: all of it, once
         // the proxy preliminaries are over.
-        let mut stream = data;
+        let mut stream = data.clone();
         match conn.phase {
             ConnPhase::SocksGreetSent => {
                 if data.starts_with(&[5, 0]) {
@@ -1272,7 +1284,7 @@ impl Browser {
             }
             ConnPhase::SocksConnectSent => {
                 if data.len() >= 10 && data[0] == 5 && data[1] == 0 {
-                    stream = &data[10..];
+                    stream = data.slice(10..);
                     self.begin_app_layer(h, ctx);
                     if stream.is_empty() {
                         return;
@@ -1283,7 +1295,7 @@ impl Browser {
                 }
             }
             ConnPhase::ProxyConnectSent => {
-                let Ok(msgs) = conn.proxy_http.push(data) else {
+                let Ok(msgs) = conn.proxy_http.push_bytes(data) else {
                     self.fail_load(ctx);
                     return;
                 };
@@ -1338,12 +1350,11 @@ impl Browser {
 
         // TLS / plain processing.
         let Some(conn) = self.conns.get_mut(&h) else { return };
-        let decrypted;
         let plaintext = match conn.tls.as_mut() {
             Some(tls) => {
                 let out = {
                     let _prof = prof::scope(Subsystem::Crypto);
-                    tls.on_bytes(stream)
+                    tls.on_bytes(&stream)
                 };
                 let Ok(out) = out else {
                     self.fail_load(ctx);
@@ -1355,11 +1366,10 @@ impl Browser {
                 if out.handshake_complete {
                     conn.phase = ConnPhase::Ready;
                     let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
-                    sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new());
+                    sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
                     self.pump_conn(h, ctx);
                 }
-                decrypted = out.plaintext;
-                &decrypted[..]
+                Bytes::from(out.plaintext)
             }
             None => stream,
         };
@@ -1367,7 +1377,7 @@ impl Browser {
             return;
         }
         let Some(conn) = self.conns.get_mut(&h) else { return };
-        let Ok(msgs) = conn.http.push(plaintext) else {
+        let Ok(msgs) = conn.http.push_bytes(plaintext) else {
             self.fail_load(ctx);
             return;
         };

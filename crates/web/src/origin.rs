@@ -8,8 +8,10 @@
 //! * the separate `accounts.google.com` host serves the first-visit
 //!   account-recording request (TCP-4).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
+use bytes::Bytes;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
 use sc_obs::prof::{self, Subsystem};
@@ -41,10 +43,25 @@ struct Session {
     http: HttpParser,
 }
 
+/// One representation the origin serves, rendered once: every response
+/// carrying it shares `body`, and a conditional request is compared with
+/// `etag` as it stands.
+struct Document {
+    path: String,
+    content_type: &'static str,
+    body: Bytes,
+    etag: String,
+}
+
 /// An HTTPS (and redirecting HTTP) origin serving a [`PageSpec`].
 pub struct OriginServer {
     host: String,
-    page: PageSpec,
+    /// The HTML at `/` (and, under its own validator, at `/scholar…`).
+    html: Document,
+    resources: Vec<Document>,
+    /// Deterministic `Last-Modified` stamp derived from the page entropy
+    /// (the sim has no wall clock; the value only needs to be stable).
+    last_modified: String,
     entropy: u64,
     capacity: Capacity,
     /// `max-age` (seconds) advertised on every cacheable response. Long
@@ -58,8 +75,8 @@ pub struct OriginServer {
     serve_http: bool,
     sessions: HashMap<TcpHandle, Session>,
     /// Pending responses waiting out the service delay: token → (conn,
-    /// wire bytes, origin span closed when the response leaves).
-    pending: HashMap<u64, (TcpHandle, Vec<u8>, sc_obs::SpanId)>,
+    /// wire chunks, origin span closed when the response leaves).
+    pending: HashMap<u64, (TcpHandle, [Bytes; 2], sc_obs::SpanId)>,
     next_token: u64,
     /// Time at which the single service core frees up (µs).
     busy_until_us: u64,
@@ -72,9 +89,26 @@ pub struct OriginServer {
 impl OriginServer {
     /// Creates an origin for `host` serving `page`.
     pub fn new(host: &str, page: PageSpec, entropy: u64) -> Self {
+        let document = |path: &str, content_type, body: Vec<u8>| Document {
+            path: path.to_string(),
+            content_type,
+            etag: etag_for(entropy, host, path, body.len()),
+            body: body.into(),
+        };
         OriginServer {
             host: host.to_string(),
-            page,
+            html: document("/", "text/html", page.render_html()),
+            resources: page
+                .resources
+                .iter()
+                .map(|r| document(&r.path, "application/octet-stream", vec![b'x'; r.len]))
+                .collect(),
+            last_modified: format!(
+                "Wed, 01 Mar 2017 {:02}:{:02}:{:02} GMT",
+                entropy % 24,
+                (entropy / 24) % 60,
+                (entropy / 1440) % 60
+            ),
             entropy,
             capacity: Capacity::default(),
             max_age: 86_400,
@@ -106,71 +140,39 @@ impl OriginServer {
         self
     }
 
-    /// Deterministic validator for the representation at `path`: a hash
-    /// of the page entropy, the host, the path, and the body length, so
-    /// the same seeded run always produces the same ETag and a content
-    /// change (different entropy or length) changes it.
-    pub fn etag_for(&self, path: &str, body_len: usize) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(&self.entropy.to_le_bytes());
-        eat(self.host.as_bytes());
-        eat(path.as_bytes());
-        eat(&(body_len as u64).to_le_bytes());
-        format!("\"{h:016x}\"")
-    }
-
-    /// Deterministic `Last-Modified` stamp derived from the page entropy
-    /// (the sim has no wall clock; the value only needs to be stable).
-    fn last_modified(&self) -> String {
-        format!(
-            "Wed, 01 Mar 2017 {:02}:{:02}:{:02} GMT",
-            self.entropy % 24,
-            (self.entropy / 24) % 60,
-            (self.entropy / 1440) % 60
-        )
-    }
-
     fn with_validators(&self, resp: HttpResponse, etag: &str) -> HttpResponse {
         resp.header("ETag", etag)
-            .header("Last-Modified", &self.last_modified())
-            .header("Cache-Control", &format!("public, max-age={}", self.max_age))
+            .header("Last-Modified", &self.last_modified)
+            .header_fmt("Cache-Control", format_args!("public, max-age={}", self.max_age))
     }
 
     fn response_for(&mut self, req: &HttpRequest) -> HttpResponse {
-        if req.method == "HEAD" {
+        if req.method() == "HEAD" {
             return HttpResponse::new(204, Vec::new());
         }
-        let body = if req.target == "/" || req.target.starts_with("/scholar") {
-            Some((self.page.render_html(), "text/html"))
-        } else if let Some(res) = self.page.resources.iter().find(|r| r.path == req.target) {
-            Some((vec![b'x'; res.len], "application/octet-stream"))
+        let target = req.target();
+        let (doc, etag) = if target == "/" {
+            (&self.html, Cow::Borrowed(self.html.etag.as_str()))
+        } else if target.starts_with("/scholar") {
+            // The same page under another name has that name's validator.
+            (&self.html, Cow::Owned(etag_for(self.entropy, &self.host, target, self.html.body.len())))
+        } else if let Some(doc) = self.resources.iter().find(|doc| doc.path == target) {
+            (doc, Cow::Borrowed(doc.etag.as_str()))
         } else {
-            None
-        };
-        let Some((body, content_type)) = body else {
             return HttpResponse::new(404, Vec::new());
         };
-        let etag = self.etag_for(&req.target, body.len());
         // A matching validator gets the cheap 304-style exchange: no
         // body, and a quarter of the service time (no rendering).
-        if req.header_value("If-None-Match") == Some(etag.as_str()) {
+        if req.header_value("If-None-Match") == Some(&*etag) {
             self.not_modified += 1;
             return self.with_validators(HttpResponse::new(304, Vec::new()), &etag);
         }
-        self.with_validators(
-            HttpResponse::new(200, body).header("Content-Type", content_type),
-            &etag,
-        )
+        let full = HttpResponse::new(200, doc.body.clone()).header("Content-Type", doc.content_type);
+        self.with_validators(full, &etag)
     }
 
     /// Queues `wire` for transmission after the modelled service delay.
-    fn respond(&mut self, h: TcpHandle, wire: Vec<u8>, span: sc_obs::SpanId, ctx: &mut Ctx<'_>) {
+    fn respond(&mut self, h: TcpHandle, wire: [Bytes; 2], span: sc_obs::SpanId, ctx: &mut Ctx<'_>) {
         let cost = self.capacity.service_us;
         self.respond_with_cost(h, wire, cost, span, ctx);
     }
@@ -182,7 +184,7 @@ impl OriginServer {
     fn respond_with_cost(
         &mut self,
         h: TcpHandle,
-        wire: Vec<u8>,
+        wire: [Bytes; 2],
         cost_us: u64,
         span: sc_obs::SpanId,
         ctx: &mut Ctx<'_>,
@@ -190,7 +192,7 @@ impl OriginServer {
         self.requests += 1;
         if !self.capacity.enabled {
             ctx.tcp_send_bytes(h, wire);
-            sc_obs::span_end(ctx.now().as_micros(), span, Vec::new());
+            sc_obs::span_end(ctx.now().as_micros(), span, Vec::new);
             return;
         }
         let now_us = ctx.now().as_micros();
@@ -217,7 +219,7 @@ impl App for OriginServer {
             AppEvent::TimerFired(token) => {
                 if let Some((h, wire, span)) = self.pending.remove(&token) {
                     ctx.tcp_send_bytes(h, wire);
-                    sc_obs::span_end(ctx.now().as_micros(), span, Vec::new());
+                    sc_obs::span_end(ctx.now().as_micros(), span, Vec::new);
                 }
             }
             AppEvent::Tcp(h, TcpEvent::Accepted { .. }) => {
@@ -231,8 +233,9 @@ impl App for OriginServer {
             AppEvent::Tcp(h, TcpEvent::DataReceived) => {
                 let data = ctx.tcp_recv_all(h);
                 let Some(session) = self.sessions.get_mut(&h) else { return };
-                let mut requests = Vec::new();
-                match session.tls.as_mut() {
+                // The stream's plaintext: what TLS opened, or the bytes
+                // themselves on port 80.
+                let plaintext = match session.tls.as_mut() {
                     Some(tls) => {
                         let out = {
                             let _prof = prof::scope(Subsystem::Crypto);
@@ -246,26 +249,15 @@ impl App for OriginServer {
                         if !out.wire.is_empty() {
                             ctx.tcp_send_bytes(h, out.wire);
                         }
-                        if !out.plaintext.is_empty() {
-                            if let Ok(msgs) = session.http.push(&out.plaintext) {
-                                for m in msgs {
-                                    if let HttpMessage::Request(r) = m {
-                                        requests.push(r);
-                                    }
-                                }
-                            }
-                        }
+                        out.plaintext.into()
                     }
-                    None => {
-                        if let Ok(msgs) = session.http.push(&data) {
-                            for m in msgs {
-                                if let HttpMessage::Request(r) = m {
-                                    requests.push(r);
-                                }
-                            }
-                        }
-                    }
-                }
+                    None => data,
+                };
+                let messages = session.http.push_bytes(plaintext).unwrap_or_default();
+                let requests = messages.into_iter().filter_map(|m| match m {
+                    HttpMessage::Request(r) => Some(r),
+                    HttpMessage::Response(_) => None,
+                });
                 for req in requests {
                     let is_tls = session_is_tls(&self.sessions, h);
                     // Requests arriving with trace context get an origin
@@ -283,13 +275,13 @@ impl App for OriginServer {
                         "origin",
                         "origin",
                         tctx,
-                        vec![("path", req.target.clone().into())],
+                        || vec![("path", req.target().to_string().into())],
                     );
                     if !is_tls && !self.serve_http {
                         // Port 80: HTTPS redirect (Figure 4's TCP-2).
                         let resp = HttpResponse::new(301, Vec::new())
-                            .header("Location", &format!("https://{}{}", self.host, req.target));
-                        self.respond(h, resp.encode(), span, ctx);
+                            .header_fmt("Location", format_args!("https://{}{}", self.host, req.target()));
+                        self.respond(h, resp.into_wire(), span, ctx);
                         continue;
                     }
                     let resp = self.response_for(&req);
@@ -299,13 +291,15 @@ impl App for OriginServer {
                     } else {
                         self.capacity.service_us
                     };
-                    let mut wire = resp.encode();
-                    if is_tls {
+                    let wire = if is_tls {
                         let session = self.sessions.get_mut(&h).expect("session exists");
                         let tls = session.tls.as_mut().expect("tls session");
+                        let (head, body) = resp.into_parts();
                         let _prof = prof::scope(Subsystem::Crypto);
-                        wire = tls.send(&wire);
-                    }
+                        [tls.send(&[&head, &body]).into(), Bytes::new()]
+                    } else {
+                        resp.into_wire()
+                    };
                     self.respond_with_cost(h, wire, cost, span, ctx);
                 }
             }
@@ -319,6 +313,25 @@ impl App for OriginServer {
 
 fn session_is_tls(sessions: &HashMap<TcpHandle, Session>, h: TcpHandle) -> bool {
     sessions.get(&h).is_some_and(|s| s.tls.is_some())
+}
+
+/// Deterministic validator for the representation of `host` at `path`: a
+/// hash of the page entropy, the host, the path, and the body length, so
+/// the same seeded run always produces the same ETag and a content
+/// change (different entropy or length) changes it.
+fn etag_for(entropy: u64, host: &str, path: &str, body_len: usize) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    eat(&entropy.to_le_bytes());
+    eat(host.as_bytes());
+    eat(path.as_bytes());
+    eat(&(body_len as u64).to_le_bytes());
+    format!("\"{h:016x}\"")
 }
 
 /// A plain-HTTP static site (baseline measurements, decoys).
@@ -348,24 +361,24 @@ impl App for StaticSite {
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
                 let Some(parser) = self.parsers.get_mut(&h) else { return };
-                let Ok(msgs) = parser.push(&data) else {
+                let Ok(msgs) = parser.push_bytes(data) else {
                     ctx.tcp_abort(h);
                     return;
                 };
                 for m in msgs {
                     if let HttpMessage::Request(req) = m {
-                        let resp = if req.target == "/" {
+                        let resp = if req.target() == "/" {
                             HttpResponse::new(200, self.page.render_html())
                         } else if let Some(r) =
-                            self.page.resources.iter().find(|r| r.path == req.target)
+                            self.page.resources.iter().find(|r| r.path == req.target())
                         {
                             HttpResponse::new(200, vec![b'y'; r.len])
-                        } else if req.method == "HEAD" {
+                        } else if req.method() == "HEAD" {
                             HttpResponse::new(204, Vec::new())
                         } else {
                             HttpResponse::new(404, Vec::new())
                         };
-                        ctx.tcp_send_bytes(h, resp.encode());
+                        ctx.tcp_send_bytes(h, resp.into_wire());
                     }
                 }
             }

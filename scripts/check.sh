@@ -27,6 +27,14 @@ PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
 # decode-the-whole-body parser it replaced, at the same depth.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib queue::tests
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-web --lib page::tests
+# HTTP messages (one head buffer and a span table, a parser that keeps
+# the chunks it is given) against the String-per-header types and the
+# one-growing-buffer parser they replaced, kept as http::tests::reference:
+# nearly-right message streams and arbitrary bytes under arbitrary
+# chunkings must give the same messages, errors, body bytes and
+# re-encodings. Most streams end in an error a few messages in, so the
+# deep ones need the depth.
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-netproto --lib http::tests
 echo "differential suites: ok"
 
 # The analyzer is where sc-obs reads bytes it did not write: written
@@ -193,6 +201,31 @@ fail_if_found "a received buffer copied on the statement that received it" \
     grep -rnE '(tcp_recv(_all)?|io\.recv)\([^;]*\.to_vec\(\)' \
         crates/scholarcloud/src crates/tunnels/src crates/web/src
 echo "structure: ok (TCP buffers are Bytes chunk queues; no copy-to-own at a relay hop)"
+
+# Structure, HTTP messages (DESIGN.md §6p): a head is one buffer and a
+# span table — the `String` pair per header is gone from http.rs, its
+# test oracle aside — and a message is handed to the wire, not encoded
+# into a copy: outside tests the stack's parsers are fed `Bytes`
+# (`push_bytes`), and the one `encode()` left copies a bodiless head
+# into a replay buffer. Span fields are built after the level check:
+# the three `span_*` entry points all take a closure, and the fourth
+# that did is gone (replaced, not forked; the name is bracketed so that
+# this file does not match).
+http_string_pairs() {
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /Vec<\(String, String\)>/ { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' crates/netproto/src/http.rs
+}
+fail_if_found "a String pair per header in http.rs" http_string_pairs
+fail_if_found "a parser fed a copy, or a message encoded to be sent" \
+    grep -rnE '(http|parser)\.push\(|(req|resp|hop|poll)\.encode\(\)' \
+        crates/web/src crates/scholarcloud/src crates/tunnels/src --include='*.rs' --exclude=tests.rs
+fail_if_found "a span entry point that takes its fields built" \
+    grep -rnE 'span_start_wit[h]|^    fields: SpanFields,$' crates src examples tests benchmark/src --include='*.rs'
+if [ "$(grep -c '^    fields: impl FnOnce() -> SpanFields,$' crates/obs/src/dispatch.rs)" -ne 2 ]; then
+    echo "structure: span_start and span_start_ctx each take their fields as a closure" >&2; exit 1
+fi
+echo "structure: ok (HTTP heads are one buffer; parsers take Bytes; span fields are lazy)"
 
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion
