@@ -12,7 +12,7 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::sink::Escaped;
+use crate::sink::push_escaped;
 
 /// A parsed JSON value. Strings and object keys are slices of the text
 /// they were parsed from, copied only where an escape had to be
@@ -526,7 +526,12 @@ impl JsonValue<'_> {
             // which print as `0`.
             JsonValue::F64(v) if v.is_finite() => write!(out, "{v}"),
             JsonValue::F64(_) => write!(out, "0"),
-            JsonValue::Str(s) => write!(out, "\"{}\"", Escaped(s)),
+            JsonValue::Str(s) => {
+                out.push('"');
+                push_escaped(out, s);
+                out.push('"');
+                Ok(())
+            }
             JsonValue::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -538,7 +543,9 @@ impl JsonValue<'_> {
             JsonValue::Obj(rows) => {
                 out.push('{');
                 for (i, (key, value)) in rows.iter().enumerate() {
-                    let _ = write!(out, "{}\"{}\": ", if i > 0 { ", " } else { "" }, Escaped(key));
+                    out.push_str(if i > 0 { ", \"" } else { "\"" });
+                    push_escaped(out, key);
+                    out.push_str("\": ");
                     value.write(out);
                 }
                 write!(out, "}}")

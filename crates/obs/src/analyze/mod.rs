@@ -50,8 +50,6 @@ pub mod sections {
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::metrics::with_named;
-
 pub use gate::{gates, Bound, Gate, Unit};
 pub use json::{
     parse_json, parse_line, parse_trace, Json, JsonValue, Row, TraceEvent, MAX_DEPTH,
@@ -223,7 +221,13 @@ pub fn analyze(events: &[TraceEvent<'_>], window_us: u64) -> TraceAnalysis {
     let mut pairing = spans::Pairing::default();
     for ev in events {
         a.t_end_us = a.t_end_us.max(ev.t_us);
-        with_named(&mut a.component_counts, &ev.component, || 0, |n| *n += 1);
+        // Looked up by the borrowed name; copied the first time only.
+        match a.component_counts.get_mut(&*ev.component) {
+            Some(n) => *n += 1,
+            None => {
+                a.component_counts.insert(ev.component.to_string(), 1);
+            }
+        }
         match &*ev.name {
             "span_start" => pairing.start(ev),
             "span_end" => pairing.end(ev),
@@ -232,9 +236,12 @@ pub fn analyze(events: &[TraceEvent<'_>], window_us: u64) -> TraceAnalysis {
             "drop" | "censor_drop" if matches!(&*ev.component, "gfw" | "simnet") => {
                 if let Some(rule) = ev.get_str("rule") {
                     let window = ev.t_us / a.window_us;
-                    with_named(&mut a.rule_timeline, rule, BTreeMap::new, |w| {
-                        *w.entry(window).or_insert(0) += 1
-                    });
+                    match a.rule_timeline.get_mut(rule) {
+                        Some(w) => *w.entry(window).or_insert(0) += 1,
+                        None => {
+                            a.rule_timeline.insert(rule.to_string(), BTreeMap::from([(window, 1)]));
+                        }
+                    }
                 }
             }
             "fire" | "resolve" if ev.component == "slo" => {

@@ -201,26 +201,68 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// Applies `f` to `map[name]`. Only a name the map has not seen is
-/// copied (and its value made by `new`): the write side runs this
-/// several times per simulated packet.
-pub(crate) fn with_named<V, R>(
-    map: &mut BTreeMap<String, V>,
-    name: &str,
-    new: impl FnOnce() -> V,
-    f: impl FnOnce(&mut V) -> R,
-) -> R {
-    match map.get_mut(name) {
-        Some(v) => f(v),
-        None => f(map.entry(name.to_string()).or_insert_with(new)),
+/// Named values of one kind: the values in a dense `Vec`, indexed by
+/// slot, and the name → slot map the ordered reads walk. A writer that
+/// has resolved a name once ([`Slots::slot`]) writes by slot after.
+#[derive(Clone)]
+pub(crate) struct Slots<V> {
+    names: BTreeMap<String, usize>,
+    values: Vec<V>,
+}
+
+impl<V> Default for Slots<V> {
+    fn default() -> Slots<V> {
+        Slots { names: BTreeMap::new(), values: Vec::new() }
+    }
+}
+
+impl<V> Slots<V> {
+    /// The slot of `name`; a name not seen before is copied once and
+    /// gets a value made by `new`.
+    pub(crate) fn slot(&mut self, name: &str, new: impl FnOnce() -> V) -> usize {
+        if let Some(&slot) = self.names.get(name) {
+            return slot;
+        }
+        self.names.insert(name.to_string(), self.values.len());
+        self.values.push(new());
+        self.values.len() - 1
+    }
+
+    /// The value in `slot`, which [`Slots::slot`] handed out.
+    pub(crate) fn at(&mut self, slot: usize) -> &mut V {
+        &mut self.values[slot]
+    }
+
+    pub(crate) fn get(&self, name: &str) -> Option<&V> {
+        self.names.get(name).map(|&slot| &self.values[slot])
+    }
+
+    /// Names and values in name order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
+        self.names.iter().map(|(name, &slot)| (name.as_str(), &self.values[slot]))
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+}
+
+/// Reads as the name → value map it stands for.
+impl<V: std::fmt::Debug> std::fmt::Debug for Slots<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 /// Central store of named metrics with deterministic iteration order.
+///
+/// Writes by name look the name up; the installed dispatcher resolves
+/// each name its call sites pass once ([`Registry::counter_slot`],
+/// [`Registry::histogram_slot`]) and writes by slot after.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Slots<Counter>,
+    histograms: Slots<Histogram>,
 }
 
 impl Registry {
@@ -231,7 +273,18 @@ impl Registry {
 
     /// Adds `by` to the named counter, creating it on first use.
     pub fn counter_add(&mut self, name: &str, by: u64) {
-        with_named(&mut self.counters, name, Counter::default, |c| c.add(by));
+        let slot = self.counter_slot(name);
+        self.counter_add_at(slot, by);
+    }
+
+    /// The slot of the named counter, creating it on first use.
+    pub(crate) fn counter_slot(&mut self, name: &str) -> usize {
+        self.counters.slot(name, Counter::default)
+    }
+
+    /// Adds `by` to the counter in `slot`.
+    pub(crate) fn counter_add_at(&mut self, slot: usize, by: u64) {
+        self.counters.at(slot).add(by);
     }
 
     /// Reads a counter (0 when never touched).
@@ -242,7 +295,18 @@ impl Registry {
     /// Records a sample into the named histogram, creating it on first
     /// use.
     pub fn observe(&mut self, name: &str, v: u64) {
-        with_named(&mut self.histograms, name, Histogram::default, |h| h.observe(v));
+        let slot = self.histogram_slot(name);
+        self.observe_at(slot, v);
+    }
+
+    /// The slot of the named histogram, creating it on first use.
+    pub(crate) fn histogram_slot(&mut self, name: &str) -> usize {
+        self.histograms.slot(name, Histogram::default)
+    }
+
+    /// Records a sample into the histogram in `slot`.
+    pub(crate) fn observe_at(&mut self, slot: usize, v: u64) {
+        self.histograms.at(slot).observe(v);
     }
 
     /// Reads a histogram, if it exists.
@@ -252,12 +316,12 @@ impl Registry {
 
     /// Iterates counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
+        self.counters.iter().map(|(k, v)| (k, v.get()))
     }
 
     /// Iterates histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+        self.histograms.iter()
     }
 
     /// Whether nothing has been recorded.
@@ -444,5 +508,55 @@ mod tests {
         assert!(text.contains("a.first"));
         assert!(text.contains("latency_us"));
         assert!(text.contains("n=2"));
+    }
+
+    #[test]
+    fn a_name_built_at_run_time_reaches_the_literal_names_slot() {
+        let mut r = Registry::new();
+        let slot = r.counter_slot("web.loads_ok");
+        r.counter_add_at(slot, 2);
+        let built = ["web", "loads_ok"].join(".");
+        r.counter_add(&built, 3);
+        assert_eq!(r.counter_slot(&built), slot);
+        assert_eq!(r.counter("web.loads_ok"), 5);
+        assert_eq!(r.counters().count(), 1);
+        let h = r.histogram_slot("web.plt_us");
+        r.observe_at(h, 10);
+        r.observe(&String::from("web.plt_us"), 30);
+        assert_eq!(r.histogram("web.plt_us").map(Histogram::count), Some(2));
+        assert_eq!(r.histograms().count(), 1);
+    }
+
+    #[test]
+    fn reads_are_in_name_order_whatever_order_slots_were_made_in() {
+        let mut r = Registry::new();
+        for (name, by) in [("z.last", 1), ("m.mid", 2), ("a.first", 3), ("m.mid", 4)] {
+            let slot = r.counter_slot(name);
+            r.counter_add_at(slot, by);
+        }
+        for (name, v) in [("lat_us", 100), ("bytes", 1500), ("lat_us", 300)] {
+            let slot = r.histogram_slot(name);
+            r.observe_at(slot, v);
+        }
+        let copy = r.clone();
+        r.counter_add("a.first", 1);
+        let counters: Vec<(&str, u64)> = copy.counters().collect();
+        assert_eq!(counters, [("a.first", 3), ("m.mid", 6), ("z.last", 1)]);
+        assert_eq!(r.counter("a.first"), 4, "a clone does not share slots with its original");
+        let names: Vec<&str> = copy.histograms().map(|(n, _)| n).collect();
+        assert_eq!(names, ["bytes", "lat_us"]);
+        assert_eq!(
+            copy.render_summary(),
+            format!(
+                "counters:\n  {:<42} 3\n  {:<42} 6\n  {:<42} 1\nhistograms (µs or bytes):\n  \
+                 {:<42} n=1 min=1500 p50=1500 p95=1500 p99=1500 max=1500 mean=1500.0\n  \
+                 {:<42} n=2 min=100 p50=100 p95=299 p99=299 max=300 mean=200.0\n",
+                "a.first", "m.mid", "z.last", "bytes", "lat_us"
+            )
+        );
+        assert_eq!(
+            format!("{copy:?}").split_once(", histograms").map(|(c, _)| c),
+            Some(r#"Registry { counters: {"a.first": Counter(3), "m.mid": Counter(6), "z.last": Counter(1)}"#)
+        );
     }
 }

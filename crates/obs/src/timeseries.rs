@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 
-use crate::metrics::{bucket_lo, bucket_of, bucket_width, with_named};
+use crate::metrics::{bucket_lo, bucket_of, bucket_width, Slots};
 
 /// Window geometry and the memory bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +255,7 @@ impl Series {
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
     spec: WindowSpec,
-    series: BTreeMap<String, Series>,
+    series: Slots<Series>,
     /// High-water simulation time, advanced by [`TimeSeries::advance`].
     clock_us: u64,
 }
@@ -269,7 +269,7 @@ impl Default for TimeSeries {
 impl TimeSeries {
     /// Creates an empty store with the given window geometry.
     pub fn new(spec: WindowSpec) -> TimeSeries {
-        TimeSeries { spec, series: BTreeMap::new(), clock_us: 0 }
+        TimeSeries { spec, series: Slots::default(), clock_us: 0 }
     }
 
     /// The window geometry.
@@ -277,51 +277,69 @@ impl TimeSeries {
         self.spec
     }
 
-    /// Applies `op` to the window of `name` that holds `t_us`, creating
-    /// the series as `kind` on first use. A series of the other kind is
-    /// left alone; a window outside retention counts as late.
-    fn write(&mut self, name: &str, kind: SeriesKind, t_us: u64, op: impl FnOnce(&mut Window)) {
+    /// The slot of the named series, creating it as `kind` on first use.
+    pub(crate) fn series_slot(&mut self, name: &str, kind: SeriesKind) -> usize {
+        self.series.slot(name, || Series::new(kind))
+    }
+
+    /// Applies `op` to the window of the series in `slot` that holds
+    /// `t_us`. A series of the other kind is left alone; a window
+    /// outside retention counts as late.
+    fn write_at(&mut self, slot: usize, kind: SeriesKind, t_us: u64, op: impl FnOnce(&mut Window)) {
         let idx = t_us / self.spec.width_us;
         let cap = self.spec.max_windows;
-        with_named(&mut self.series, name, || Series::new(kind), |s| {
-            if s.kind != kind {
-                return;
-            }
-            match s.window_mut(idx, cap) {
-                Some(w) => op(w),
-                None => s.late += 1,
-            }
-        })
+        let s = self.series.at(slot);
+        if s.kind != kind {
+            return;
+        }
+        match s.window_mut(idx, cap) {
+            Some(w) => op(w),
+            None => s.late += 1,
+        }
     }
 
-    /// Records a latency-style sample at simulation time `t_us`.
-    /// Ignored if the name is already a rate series.
-    pub fn record(&mut self, name: &str, t_us: u64, v: u64) {
-        self.write(name, SeriesKind::Sample, t_us, |w| w.observe(v));
-    }
-
-    /// Like [`record`](Self::record), but also offers `(v, trace_id)`
-    /// as an exemplar to the window (kept if among its worst K).
-    pub fn record_ex(&mut self, name: &str, t_us: u64, v: u64, trace_id: u64) {
-        self.write(name, SeriesKind::Sample, t_us, |w| {
+    /// Records a sample into the series in `slot`, offering it as an
+    /// exemplar when `trace_id` is not 0.
+    pub(crate) fn record_at(&mut self, slot: usize, t_us: u64, v: u64, trace_id: u64) {
+        self.write_at(slot, SeriesKind::Sample, t_us, |w| {
             w.observe(v);
             w.note_exemplar(v, trace_id);
         });
     }
 
+    /// Adds an increment to the series in `slot`, offering it as an
+    /// exemplar when `trace_id` is not 0.
+    pub(crate) fn bump_at(&mut self, slot: usize, t_us: u64, by: u64, trace_id: u64) {
+        self.write_at(slot, SeriesKind::Rate, t_us, |w| {
+            w.bump(by);
+            w.note_exemplar(by, trace_id);
+        });
+    }
+
+    /// Records a latency-style sample at simulation time `t_us`.
+    /// Ignored if the name is already a rate series.
+    pub fn record(&mut self, name: &str, t_us: u64, v: u64) {
+        self.record_ex(name, t_us, v, 0);
+    }
+
+    /// Like [`record`](Self::record), but also offers `(v, trace_id)`
+    /// as an exemplar to the window (kept if among its worst K).
+    pub fn record_ex(&mut self, name: &str, t_us: u64, v: u64, trace_id: u64) {
+        let slot = self.series_slot(name, SeriesKind::Sample);
+        self.record_at(slot, t_us, v, trace_id);
+    }
+
     /// Adds a counter-style increment at simulation time `t_us`.
     /// Ignored if the name is already a sample series.
     pub fn bump(&mut self, name: &str, t_us: u64, by: u64) {
-        self.write(name, SeriesKind::Rate, t_us, |w| w.bump(by));
+        self.bump_ex(name, t_us, by, 0);
     }
 
     /// Like [`bump`](Self::bump), but tags the increment with the
     /// contributing request's trace id (exemplar for rate-based SLOs).
     pub fn bump_ex(&mut self, name: &str, t_us: u64, by: u64, trace_id: u64) {
-        self.write(name, SeriesKind::Rate, t_us, |w| {
-            w.bump(by);
-            w.note_exemplar(by, trace_id);
-        });
+        let slot = self.series_slot(name, SeriesKind::Rate);
+        self.bump_at(slot, t_us, by, trace_id);
     }
 
     /// Advances the high-water clock (never backwards); windows with
@@ -342,7 +360,7 @@ impl TimeSeries {
 
     /// Series names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.series.keys().map(String::as_str)
+        self.series.iter().map(|(name, _)| name)
     }
 
     /// The kind of a series, if it exists.
