@@ -106,17 +106,28 @@ impl TraceCtx {
     }
 
     /// Parses the wire form produced by [`header_value`]
-    /// (`Self::header_value`). Returns `None` on any malformation —
-    /// degenerate inputs must never panic a relay.
+    /// (`Self::header_value`): exactly 16 lower-case hex digits, `-`, 16
+    /// more. Returns `None` for anything else — no sign, no whitespace,
+    /// no upper case — and never panics a relay.
     pub fn parse(s: &str) -> Option<TraceCtx> {
-        let s = s.trim();
-        if s.len() != 33 || s.as_bytes()[16] != b'-' {
-            return None;
-        }
-        let trace = u64::from_str_radix(&s[..16], 16).ok()?;
-        let parent = u64::from_str_radix(&s[17..], 16).ok()?;
-        Some(TraceCtx { trace: TraceId(trace), parent: SpanId(parent) })
+        let (trace, parent) = s.split_once('-')?;
+        Some(TraceCtx { trace: TraceId(hex16(trace)?), parent: SpanId(hex16(parent)?) })
     }
+}
+
+/// The value of exactly 16 lower-case hex digits.
+fn hex16(s: &str) -> Option<u64> {
+    if s.len() != 16 {
+        return None;
+    }
+    s.bytes().try_fold(0u64, |v, b| {
+        let digit = match b {
+            b'0'..=b'9' => b - b'0',
+            b'a'..=b'f' => b - b'a' + 10,
+            _ => return None,
+        };
+        Some(v << 4 | u64::from(digit))
+    })
 }
 
 /// The wire form of [`TraceCtx::header_value`], for a caller that writes
@@ -158,5 +169,67 @@ mod tests {
         assert_eq!(TraceCtx::parse(&"0".repeat(33)), None);
         assert_eq!(TraceCtx::parse(&format!("{}-{}", "z".repeat(16), "0".repeat(16))), None);
         assert_eq!(TraceCtx::parse(&format!("{}+{}", "0".repeat(16), "0".repeat(16))), None);
+        // What `u64::from_str_radix` would have taken: a sign, upper
+        // case, surrounding whitespace.
+        for odd in [
+            "+00000000000000a-000000000000002a",
+            "00000000deadbeef-+00000000000002a",
+            "00000000DEADBEEF-000000000000002a",
+            " 00000000deadbeef-000000000000002a",
+            "00000000deadbeef-000000000000002a\n",
+            "00000000deadbeef-000000000000002a-",
+        ] {
+            assert_eq!(TraceCtx::parse(odd), None, "{odd:?}");
+        }
+    }
+
+    mod props {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// Hex digits of both cases, the separator, a sign, a space and
+        /// a multi-byte char: the neighbourhood of the canonical form.
+        const ALPHABET: [char; 26] = [
+            '0', '1', '2', '7', '9', 'a', 'b', 'c', 'd', 'e', 'f', 'A', 'F', 'g', 'x', '-', '+', ' ',
+            '\t', '\n', '.', '_', '\0', 'é', '例', '0',
+        ];
+
+        fn canonical(s: &str) -> bool {
+            let b = s.as_bytes();
+            let hex = |c: &u8| c.is_ascii_digit() || (b'a'..=b'f').contains(c);
+            b.len() == 33 && b[16] == b'-' && b[..16].iter().all(hex) && b[17..].iter().all(hex)
+        }
+
+        fn check(s: &str) {
+            match TraceCtx::parse(s) {
+                Some(ctx) => assert_eq!(ctx.header_value(), s, "accepted a non-canonical {s:?}"),
+                None => assert!(!canonical(s), "refused the canonical {s:?}"),
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn arbitrary_text_parses_only_in_canonical_form(
+                picks in prop::collection::vec(0usize..ALPHABET.len(), 0..40),
+            ) {
+                check(&picks.into_iter().map(|i| ALPHABET[i]).collect::<String>());
+            }
+
+            #[test]
+            fn a_canonical_value_with_one_byte_changed_parses_only_if_still_canonical(
+                trace in any::<u64>(),
+                parent in any::<u64>(),
+                at in 0usize..33,
+                with in 0usize..ALPHABET.len(),
+            ) {
+                let ctx = TraceCtx::new(TraceId(trace), SpanId(parent));
+                let wire = ctx.header_value();
+                prop_assert_eq!(TraceCtx::parse(&wire), Some(ctx));
+                let mut chars: Vec<char> = wire.chars().collect();
+                chars[at] = ALPHABET[with];
+                check(&chars.into_iter().collect::<String>());
+            }
+        }
     }
 }
