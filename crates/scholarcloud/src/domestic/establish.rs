@@ -321,6 +321,9 @@ impl Establish {
             }
             let mut overflow = Vec::new();
             if newly_parked {
+                // A backoff that ends in a park ends here, as it would
+                // at an attempt.
+                trace::end(now, &mut pt.wait_span, Vec::new);
                 let parent = pt.req.tctx.with_parent(pt.establish_span);
                 pt.wait_span = trace::span(now, "resilience", "park", parent, Vec::new);
                 sc_obs::counter_add("scholarcloud.parked", 1);

@@ -242,6 +242,21 @@ struct Conn {
     rtt_probe_sent: Option<SimTime>,
 }
 
+impl Conn {
+    /// Closes whichever of the connection's spans are still open as
+    /// failed, with `reason`: a connection dropped mid-phase ends its
+    /// phase span rather than leaving it open for the rest of the run.
+    fn end_spans(&mut self, now: SimTime, reason: &'static str) {
+        for span in [&mut self.connect_span, &mut self.tunnel_span, &mut self.fetch_span] {
+            sc_obs::span_end(
+                now.as_micros(),
+                std::mem::replace(span, sc_obs::SpanId::NONE),
+                || vec![("ok", false.into()), ("reason", reason.into())],
+            );
+        }
+    }
+}
+
 struct ActiveLoad {
     index: usize,
     started: SimTime,
@@ -650,12 +665,8 @@ impl Browser {
             self.fail_load(ctx);
             return;
         };
-        if let Some(conn) = self.conns.remove(&h) {
-            sc_obs::span_end(
-                ctx.now().as_micros(),
-                conn.connect_span,
-                || vec![("ok", false.into()), ("reason", reason.into())],
-            );
+        if let Some(mut conn) = self.conns.remove(&h) {
+            conn.end_spans(ctx.now(), reason);
             self.by_host.retain(|&(_, _, open)| open != h);
         }
         self.mark_proxy_dead(addr, reason, ctx);
@@ -683,7 +694,7 @@ impl Browser {
             &[("from", from.to_string()), ("attempt", attempt.to_string())],
             ctx,
         );
-        self.teardown_conns(ctx);
+        self.teardown_conns("failover", ctx);
         self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
         true
     }
@@ -967,7 +978,7 @@ impl Browser {
         self.visited = true;
         self.loads_done += 1;
         self.throttle_wait_for = None;
-        self.teardown_conns(ctx);
+        self.teardown_conns("load_done", ctx);
         self.schedule_next(load.started, ctx);
     }
 
@@ -1000,7 +1011,7 @@ impl Browser {
         self.visited = true;
         self.loads_done += 1;
         self.throttle_wait_for = None;
-        self.teardown_conns(ctx);
+        self.teardown_conns("load_failed", ctx);
         self.schedule_next(load.started, ctx);
     }
 
@@ -1038,13 +1049,15 @@ impl Browser {
                     .field("delay_us", delay.as_micros())
             },
         );
-        self.teardown_conns(ctx);
+        self.teardown_conns("throttled", ctx);
         self.throttle_wait_for = Some(token);
         ctx.set_timer(delay, TIMER_THROTTLE);
         true
     }
 
-    fn teardown_conns(&mut self, ctx: &mut Ctx<'_>) {
+    /// Closes every connection, ending the spans of any caught mid-phase
+    /// with `reason`.
+    fn teardown_conns(&mut self, reason: &'static str, ctx: &mut Ctx<'_>) {
         // Close in handle order: HashMap iteration order varies between
         // same-seed runs, and close order shapes packet ordering (and
         // with it the loss RNG draw sequence), which would break trace
@@ -1052,6 +1065,9 @@ impl Browser {
         let mut handles: Vec<TcpHandle> = self.conns.keys().copied().collect();
         handles.sort_by_key(|h| h.0);
         for h in handles {
+            if let Some(conn) = self.conns.get_mut(&h) {
+                conn.end_spans(ctx.now(), reason);
+            }
             ctx.tcp_close(h);
         }
         self.conns.clear();
@@ -1248,7 +1264,8 @@ impl App for Browser {
                             .conns
                             .get(&h)
                             .is_some_and(|c| c.current.is_some() || !c.queue.is_empty());
-                        if self.conns.remove(&h).is_some() {
+                        if let Some(mut conn) = self.conns.remove(&h) {
+                            conn.end_spans(ctx.now(), "peer_closed");
                             self.by_host.retain(|&(_, _, open)| open != h);
                         }
                         if had_work {

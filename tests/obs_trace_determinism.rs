@@ -654,3 +654,48 @@ fn a_finished_run_leaves_the_proxy_empty() {
         assert!(held.is_empty(), "{label}: the proxy still holds {held:?}");
     }
 }
+
+/// Spans a run opened and never closed, as `component/target/name`
+/// with how many.
+fn spans_left_open(trace: &[u8]) -> std::collections::BTreeMap<String, usize> {
+    let text = std::str::from_utf8(trace).expect("traces are UTF-8");
+    let mut open = std::collections::BTreeMap::new();
+    for ev in sc_obs::analyze::parse_trace(text).expect("a trace the sink wrote parses") {
+        let Some(span) = ev.span else { continue };
+        match &*ev.name {
+            "span_start" => {
+                let site = format!("{}/{}/{}", ev.component, ev.target, ev.get_str("span_name").unwrap_or("?"));
+                open.insert(span, site);
+            }
+            "span_end" => {
+                open.remove(&span);
+            }
+            _ => {}
+        }
+    }
+    let mut by_site = std::collections::BTreeMap::new();
+    for site in open.into_values() {
+        *by_site.entry(site).or_insert(0) += 1;
+    }
+    by_site
+}
+
+/// Every span a faulted run opens is closed by the time the run ends: a
+/// load that fails, fails over or is throttled, and a connection the
+/// peer closes, end the phase spans of the connections they drop.
+#[test]
+fn a_faulted_run_leaves_no_span_open() {
+    for (label, trace) in [
+        ("fault injected", faulted_run(57)),
+        ("flash crowd", flash_crowd_run(77)),
+        ("fleet chaos", fleet_chaos_run(9393)),
+        ("elastic", elastic_run(7171)),
+        ("cache lab", cache_lab_run(4242)),
+        ("ops", ops_run(91).0),
+        ("arms race", arms_race_run()),
+        ("border lab", border_lab_run().0),
+    ] {
+        let open = spans_left_open(&trace);
+        assert!(open.is_empty(), "{label}: spans left open: {open:?}");
+    }
+}
