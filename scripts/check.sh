@@ -227,6 +227,26 @@ if [ "$(grep -c '^    fields: impl FnOnce() -> SpanFields,$' crates/obs/src/disp
 fi
 echo "structure: ok (HTTP heads are one buffer; parsers take Bytes; span fields are lazy)"
 
+# Structure, obs write path (DESIGN.md §6b "The write path"): a metric
+# write is an indexed add — the registry and the time-series hold values
+# by slot, and the helper that looked a name up on every write is gone
+# (bracketed so that this file does not match) — and a trace line is
+# written with push_str and a digit writer: above sink.rs's test module
+# no `write!` or `format!`, and `write_fmt` once, for a float with a
+# fraction. The fmt writer it replaced is the test oracle below that line.
+fail_if_found "the per-write name lookup is back" \
+    grep -rn 'with_name[d]' crates src examples tests benchmark/src --include='*.rs'
+jsonl_fmt_calls() {
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         /write!|format!/ { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' crates/obs/src/sink.rs
+}
+fail_if_found "core::fmt on the JSONL write path" jsonl_fmt_calls
+if [ "$(sans_tests crates/obs/src/sink.rs | grep -c 'write_fmt')" -ne 1 ]; then
+    echo "structure: sink.rs formats one value kind (a float with a fraction) through core::fmt" >&2; exit 1
+fi
+echo "structure: ok (metrics write by slot; the JSONL writer does not format)"
+
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion
 # benches (the two targets whose rows benchmark/ does not own yet) and

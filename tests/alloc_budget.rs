@@ -1,16 +1,22 @@
 //! Allocations a page load may cost, held in tier-1: the repository
 //! benchmark's `allocs_per_load` and `alloc_bytes_per_load` are counts
-//! that repeat exactly, so the two ScholarCloud shapes it measures can be
-//! run here, small, under the same counting allocator, against a stated
-//! budget. A change that brings back a `String` per header or a copy of
-//! the page per tier fails this before anyone runs the benchmark.
+//! that repeat exactly, so the three ScholarCloud shapes it measures can
+//! be run here, small, under the same counting allocator, against a
+//! stated budget. A change that brings back a `String` per header, a copy
+//! of the page per tier or a name lookup per metric write fails this
+//! before anyone runs the benchmark.
 //!
 //! The budgets are what the shapes cost when this file was last touched
 //! plus about a tenth; a change that lowers the cost lowers them with it.
 
+mod common;
+
+use common::SharedBuf;
 use sc_metrics::{build_scenario, Method, ScenarioConfig};
 use sc_obs::prof::{alloc_stats, CountingAlloc};
-use sc_simnet::time::SimDuration;
+use sc_obs::{Dispatcher, JsonlSink, Level, WindowSpec};
+use sc_simnet::faults::{Fault, FaultPlan};
+use sc_simnet::time::{SimDuration, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -27,19 +33,81 @@ fn shape(seed: u64, clients: usize, loads: usize) -> ScenarioConfig {
     cfg
 }
 
-/// `(allocations, bytes)` per load of building and running `cfg`; every
-/// load must succeed, or the division means nothing.
-fn cost_per_load(cfg: &ScenarioConfig) -> (f64, f64) {
+/// `(allocations, bytes)` per attempted load of `f`, which runs `loads`.
+fn cost_per_load(loads: usize, f: impl FnOnce()) -> (f64, f64) {
     let before = alloc_stats();
-    let outcome = build_scenario(cfg).finish();
+    f();
     let after = alloc_stats();
-    let loads = (cfg.clients * cfg.loads) as f64;
-    let completed = outcome.loads.iter().flatten().filter(|l| l.plt.is_some()).count();
-    assert_eq!(completed as f64, loads, "every load completes");
+    let loads = loads as f64;
     (
         (after.allocations - before.allocations) as f64 / loads,
         (after.allocated_bytes - before.allocated_bytes) as f64 / loads,
     )
+}
+
+/// Builds and runs `cfg`; every load must succeed, or the division means
+/// nothing.
+fn steady(cfg: &ScenarioConfig) -> (f64, f64) {
+    cost_per_load(cfg.clients * cfg.loads, || {
+        let outcome = build_scenario(cfg).finish();
+        let completed = outcome.loads.iter().flatten().filter(|l| l.plt.is_some()).count();
+        assert_eq!(completed, cfg.clients * cfg.loads, "every load completes");
+    })
+}
+
+/// `sc_ops_incident`'s shape, small: a flash crowd, a rolling GFW
+/// blacklist over three remotes (two dark at once for part of each
+/// cycle), run under the dispatcher the benchmark installs — Debug
+/// level, an in-memory JSONL sink, 10 s windows and the default SLOs —
+/// and read back as the benchmark reads it.
+fn traced_incident(seed: u64) -> (f64, f64) {
+    let mut cfg = shape(seed, 6, 10);
+    cfg.sc_remotes = 3;
+    cfg.sc_max_tunnels = Some(4);
+    cfg.sc_queue_len = Some(4);
+    cfg.flash_clients = 12;
+    cfg.flash_loads = 2;
+    cfg.flash_start = SimDuration::from_secs(20);
+    cfg.flash_ramp = SimDuration::from_secs(4);
+    let loads = cfg.clients * cfg.loads + cfg.flash_clients * cfg.flash_loads;
+    cost_per_load(loads, || {
+        let buf = SharedBuf::default();
+        let guard = Dispatcher::new()
+            .with_level(Level::Debug)
+            .with_sink(Box::new(JsonlSink::new(Box::new(buf.clone()))))
+            .with_windows(WindowSpec::seconds(10))
+            .with_slos(sc_metrics::default_slos())
+            .install();
+        let mut built = build_scenario(&cfg);
+        let gfw = built.gfw.clone().expect("paper config attaches the GFW");
+        let remotes = built.sc_remote_addrs.clone();
+        let gate = built.flash_gate.clone().expect("flash clients configured");
+        let at = SimTime::from_secs;
+        let mut plan = FaultPlan::new().at(
+            SimTime::ZERO + cfg.flash_start,
+            Fault::FlashCrowd {
+                clients: cfg.flash_clients as u32,
+                ramp: cfg.flash_ramp,
+                trigger: Box::new(move |_t| gate.set(true)),
+            },
+        );
+        for (cycle, t0) in [30, 75].into_iter().enumerate() {
+            let (first, second) = (remotes[cycle % 3], remotes[(cycle + 1) % 3]);
+            plan = plan
+                .at(at(t0), sc_gfw::blacklist_ip(&gfw, first))
+                .at(at(t0 + 10), sc_gfw::blacklist_ip(&gfw, second))
+                .at(at(t0 + 25), sc_gfw::unblacklist_ip(&gfw, second))
+                .at(at(t0 + 30), sc_gfw::unblacklist_ip(&gfw, first));
+        }
+        built.sim.install_fault_plan(plan);
+        let outcome = built.finish();
+        let d = guard.uninstall();
+        let registry = d.registry().clone();
+        let trace = String::from_utf8(std::mem::take(&mut *buf.0.borrow_mut())).expect("UTF-8");
+        assert!(registry.counter("scholarcloud.failovers") > 0, "the blacklist forced failovers");
+        assert!(trace.lines().count() > loads, "the run was traced");
+        assert_eq!(outcome.loads.iter().flatten().count(), loads, "every load ends");
+    })
 }
 
 /// One test, so that nothing else allocates while a shape is counted.
@@ -58,10 +126,13 @@ fn a_page_load_stays_inside_its_allocation_budget() {
     fleet.sc_cache_bytes = Some(12 * 1024);
     fleet.origin_max_age = Some(20);
 
-    for (name, cfg, max_allocs, max_bytes) in
-        [("tunnel", tunnel, TUNNEL_ALLOCS, TUNNEL_BYTES), ("gateway fleet", fleet, FLEET_ALLOCS, FLEET_BYTES)]
-    {
-        let (allocs, bytes) = cost_per_load(&cfg);
+    for (name, (allocs, bytes), max_allocs, max_bytes) in [
+        ("tunnel", steady(&tunnel), TUNNEL_ALLOCS, TUNNEL_BYTES),
+        ("gateway fleet", steady(&fleet), FLEET_ALLOCS, FLEET_BYTES),
+        // What the write side of obs adds: a registry write is an indexed
+        // add, a trace line is written into one reused buffer.
+        ("traced incident", traced_incident(2317), INCIDENT_ALLOCS, INCIDENT_BYTES),
+    ] {
         println!("{name}: {allocs:.1} allocations, {bytes:.0} B a load (budget {max_allocs}, {max_bytes})");
         assert!(allocs <= max_allocs, "{name}: {allocs:.1} allocations a load, budget {max_allocs}");
         assert!(bytes <= max_bytes, "{name}: {bytes:.0} B allocated a load, budget {max_bytes}");
@@ -70,11 +141,15 @@ fn a_page_load_stays_inside_its_allocation_budget() {
     }
 }
 
-// Measured 199.3 / 65 618 B (tunnel) and 206.7 / 54 382 B (gateway
-// fleet), the same in debug and release builds; before HTTP messages
-// stopped allocating per header and copying per tier the two shapes cost
-// 363.7 / 119 258 B and 433.2 / 138 177 B.
+// Measured 199.3 / 65 618 B (tunnel), 206.7 / 54 382 B (gateway fleet)
+// and 311.2 / 105 432 B (traced incident) in a debug build (a release
+// build: within 0.1 allocations and 20 B); before HTTP messages stopped allocating per header and copying
+// per tier the first two cost 363.7 / 119 258 B and 433.2 / 138 177 B,
+// and before obs wrote by slot and into one recycled field vector the
+// third cost 352.3 / 113 346 B.
 const TUNNEL_ALLOCS: f64 = 220.0;
 const TUNNEL_BYTES: f64 = 72_000.0;
 const FLEET_ALLOCS: f64 = 228.0;
 const FLEET_BYTES: f64 = 60_000.0;
+const INCIDENT_ALLOCS: f64 = 342.0;
+const INCIDENT_BYTES: f64 = 116_000.0;
