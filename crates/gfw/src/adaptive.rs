@@ -23,6 +23,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
+use sc_netproto::scan;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -173,9 +174,9 @@ pub fn cover_fingerprint(early: &[u8]) -> Option<Vec<u8>> {
     if !(early.starts_with(b"POST ") || early.starts_with(b"GET ") || early.starts_with(b"PUT ")) {
         return None;
     }
-    let line_end = early.iter().position(|&b| b == b'\r')?;
+    let line_end = scan::find_byte(early, b'\r')?;
     let line = &early[..line_end];
-    let path_end = line.windows(6).position(|w| w == b" HTTP/")?;
+    let path_end = scan::find(line, b" HTTP/")?;
     let sig = &line[..path_end];
     if sig.len() < 6 {
         return None;
@@ -191,7 +192,7 @@ pub fn odd_preamble(early: &[u8]) -> bool {
     if early.len() < 64 {
         return false;
     }
-    let Some(head_end) = early.windows(4).position(|w| w == b"\r\n\r\n") else {
+    let Some(head_end) = scan::find(early, b"\r\n\r\n") else {
         // Headerless: the entropy heuristic in classify already covers
         // pure-random streams; treat anything non-HTTP-shaped as odd
         // only when it is high-entropy.
@@ -222,7 +223,7 @@ pub fn evidence_ready(early: &[u8]) -> bool {
     if early.len() >= crate::classify::CAPTURE_LIMIT {
         return true;
     }
-    match early.windows(4).position(|w| w == b"\r\n\r\n") {
+    match scan::find(early, b"\r\n\r\n") {
         Some(head_end) => early.len() - head_end - 4 >= 48,
         None => early.len() >= 64,
     }

@@ -12,6 +12,7 @@
 //! fingerprints, which read the packet at hand, run per packet.
 
 use sc_crypto::entropy::PayloadStats;
+use sc_netproto::scan;
 use sc_netproto::tls::sniff_sni;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::hash::FixedMap;
@@ -166,7 +167,9 @@ impl FlowRecord {
         let from_client = pkt
             .src_socket()
             .is_some_and(|s| s == self.client);
-        let mut changed = self.rules_epoch != rules_epoch;
+        let captured = self.early_bytes.len();
+        let same_rules = self.rules_epoch == rules_epoch;
+        let mut changed = !same_rules;
         self.rules_epoch = rules_epoch;
         let mut window_moved = false;
         if from_client && !payload.is_empty() {
@@ -204,7 +207,10 @@ impl FlowRecord {
             }
         }
         if changed || self.class != class_before {
-            self.inspection = self.inspect(config);
+            // Under the last scan's rules and class only the capture can
+            // have grown, so the filters look at what the packet added.
+            let grown_from = (same_rules && self.class == class_before).then_some(captured);
+            self.inspection = self.inspect(config, grown_from);
         }
         changed
     }
@@ -248,12 +254,7 @@ impl FlowRecord {
     fn payload_fingerprint(&mut self, config: &GfwConfig) {
         // Learned byte signatures (GFW rule updates).
         for sig in &config.learned_signatures {
-            if !sig.is_empty()
-                && self
-                    .early_bytes
-                    .windows(sig.len())
-                    .any(|w| w == sig.as_slice())
-            {
+            if !sig.is_empty() && scan::find(&self.early_bytes, sig).is_some() {
                 self.class = TrafficClass::LearnedSignature;
                 return;
             }
@@ -292,31 +293,44 @@ impl FlowRecord {
     }
 
     /// The payload filters: keyword and embedded-TLS scans over
-    /// plaintext HTTP, the SNI filter over TLS.
-    fn inspect(&self, config: &GfwConfig) -> Inspection {
+    /// plaintext HTTP, the SNI filter over TLS. `grown_from` is the
+    /// capture's length at the last scan when that scan ran under the
+    /// same rules and class, so that only the capture has grown since.
+    fn inspect(&self, config: &GfwConfig, grown_from: Option<usize>) -> Inspection {
         let bytes = &self.early_bytes;
         match self.class {
             TrafficClass::Http => {
-                let keyword_hit = config
-                    .http_keywords
-                    .iter()
-                    .any(|k| contains_ignore_ascii_case(bytes, k.as_bytes()));
+                // A capture only grows, so a keyword hit stays a hit, and
+                // after a clean scan only a keyword that ends in the new
+                // bytes can be there.
+                let seen = match (grown_from, self.inspection) {
+                    (Some(_), Inspection::Keyword) => return Inspection::Keyword,
+                    (Some(seen), Inspection::Clean) => seen,
+                    _ => 0,
+                };
+                let keyword_hit = config.http_keywords.iter().any(|k| {
+                    let from = seen.saturating_sub(k.len().saturating_sub(1));
+                    !k.is_empty() && scan::find_ignore_ascii_case(&bytes[from..], k.as_bytes()).is_some()
+                });
                 if keyword_hit {
                     return Inspection::Keyword;
                 }
                 // The GFW inspects HTTP payloads (the keyword filter is
                 // one face of that); the same scanner spots a TLS
                 // ClientHello carried inside an upload body — i.e. a naive
-                // HTTP-covered tunnel whose payload is NOT blinded.
-                if !config.sni_blocklist.is_empty() {
-                    for off in 0..bytes.len().saturating_sub(42) {
-                        if bytes[off] == 22 && bytes[off + 1] == 3 && bytes[off + 2] == 3 {
-                            if let Some(sni) = sniff_sni(&bytes[off..]) {
-                                if GfwConfig::domain_matches(&config.sni_blocklist, &sni) {
-                                    return Inspection::EmbeddedSni;
-                                }
+                // HTTP-covered tunnel whose payload is NOT blinded. A
+                // candidate is a handshake record header (22, version 3.3)
+                // more than 42 bytes from the end of the capture.
+                if !config.sni_blocklist.is_empty() && bytes.len() > 42 {
+                    let starts = &bytes[..bytes.len() - 40];
+                    let mut from = 0;
+                    while let Some(at) = scan::find(&starts[from..], &[22, 3, 3]).map(|i| from + i) {
+                        if let Some(sni) = sniff_sni(&bytes[at..]) {
+                            if GfwConfig::domain_matches(&config.sni_blocklist, &sni) {
+                                return Inspection::EmbeddedSni;
                             }
                         }
+                        from = at + 1;
                     }
                 }
                 Inspection::Clean
@@ -341,8 +355,9 @@ impl FlowRecord {
         }
         let gaps: Vec<u64> = self
             .timings
-            .windows(2)
-            .map(|w| (w[1] - w[0]).as_micros())
+            .iter()
+            .zip(&self.timings[1..])
+            .map(|(&earlier, &later)| (later - earlier).as_micros())
             .collect();
         let mean = gaps.iter().sum::<u64>() as f64 / gaps.len() as f64;
         if mean < 20_000.0 {
@@ -444,14 +459,6 @@ impl FlowTable {
     }
 }
 
-/// Whether `needle` (non-empty) occurs in `hay`, ASCII case-insensitively.
-fn contains_ignore_ascii_case(hay: &[u8], needle: &[u8]) -> bool {
-    let Some((first, rest)) = needle.split_first() else { return false };
-    let (lower, upper) = (first.to_ascii_lowercase(), first.to_ascii_uppercase());
-    hay.windows(needle.len())
-        .any(|w| (w[0] == lower || w[0] == upper) && w[1..].eq_ignore_ascii_case(rest))
-}
-
 /// OpenVPN data-channel framing check: our implementation (like the real
 /// one) starts each datagram with an opcode/key-id byte from a small set.
 pub(crate) fn is_openvpn_frame(payload: &[u8]) -> bool {
@@ -510,6 +517,51 @@ mod tests {
         let pkt = tcp_packet(5000, 80, b"GET /scholar HTTP/1.1\r\nHost: x\r\n\r\n");
         let rec = table.observe(&pkt, SimTime::ZERO, &cfg).unwrap();
         assert_eq!(rec.class, TrafficClass::Http);
+    }
+
+    fn keywords(words: &[&str]) -> GfwConfig {
+        GfwConfig { http_keywords: words.iter().map(|w| w.to_string()).collect(), ..GfwConfig::default() }
+    }
+
+    #[test]
+    fn a_keyword_split_across_two_packets_is_found() {
+        let cfg = keywords(&["Tiananmen"]);
+        let mut table = FlowTable::new();
+        let first = table.observe(&tcp_packet(5000, 80, b"GET /search?q=tian"), SimTime::ZERO, &cfg).unwrap();
+        assert_eq!((first.class, first.inspection), (TrafficClass::Http, Inspection::Clean));
+        let rec = table.observe(&tcp_packet(5000, 80, b"ANMEN HTTP/1.1\r\n\r\n"), SimTime::ZERO, &cfg).unwrap();
+        assert_eq!(rec.inspection, Inspection::Keyword);
+    }
+
+    #[test]
+    fn a_rules_epoch_bump_rescans_the_whole_capture() {
+        let mut table = FlowTable::new();
+        let head = tcp_packet(5000, 80, b"GET /search?q=falun HTTP/1.1\r\nHost: s\r\n");
+        let more = tcp_packet(5000, 80, b"Accept: */*\r\n");
+        let rec = table.observe_at(&head, SimTime::ZERO, &keywords(&[]), 0).unwrap().0;
+        assert_eq!(rec.inspection, Inspection::Clean);
+        // The keyword is pushed. Under the old epoch only what a packet
+        // adds is looked at (which is why a rule push must bump it)…
+        let pushed = keywords(&["falun"]);
+        let rec = table.observe_at(&more, SimTime::ZERO, &pushed, 0).unwrap().0;
+        assert_eq!(rec.inspection, Inspection::Clean);
+        // …and under a new one the whole capture is, from its first byte.
+        let rec = table.observe_at(&more, SimTime::ZERO, &pushed, 1).unwrap().0;
+        assert_eq!(rec.inspection, Inspection::Keyword);
+    }
+
+    #[test]
+    fn a_keyword_inspection_survives_growth() {
+        let cfg = keywords(&["falun"]);
+        let mut table = FlowTable::new();
+        let rec = table.observe(&tcp_packet(5000, 80, b"GET /q=falun HTTP/1.1\r\n"), SimTime::ZERO, &cfg).unwrap();
+        assert_eq!(rec.inspection, Inspection::Keyword);
+        for _ in 0..4 {
+            let rec = table.observe(&tcp_packet(5000, 80, &[b'x'; 600]), SimTime::ZERO, &cfg).unwrap();
+            assert_eq!(rec.inspection, Inspection::Keyword);
+        }
+        let key = FlowKey::from_packet(&tcp_packet(5000, 80, b"")).unwrap();
+        assert_eq!(table.get(&key).unwrap().early_bytes.len(), CAPTURE_LIMIT);
     }
 
     #[test]

@@ -8,16 +8,24 @@
 //! the same two for a TLS record — so a body is never copied to be sent,
 //! and a parser hands one out as a view of the chunk it arrived in.
 
+use std::borrow::Cow;
 use std::fmt::{Display, Write as _};
 use std::io::Write as _;
 
 use bytes::{Buf, Bytes};
+
+use crate::scan;
 
 /// Largest `Content-Length` the parser accepts. A whole page body is tens
 /// of KB in the page models; 16 MiB is far above that and far below what
 /// a peer could otherwise make a parser buffer towards (the reasoning of
 /// the TLS record cap).
 pub const MAX_BODY_LEN: usize = 1 << 24;
+
+/// Longest head the parser holds, blank line included. The heads the
+/// stack sends are a few hundred bytes; this bounds what a peer that
+/// never ends its head can make a parser buffer.
+pub const MAX_HEAD_LEN: usize = 64 * 1024;
 
 /// Room a new head starts with: every head the stack builds fits, the
 /// `Content-Length` line and the blank line included, so building one is
@@ -404,6 +412,8 @@ pub enum HttpParseError {
     BadChunk,
     /// Content-Length was not a number, or one above [`MAX_BODY_LEN`].
     BadContentLength,
+    /// No blank line within [`MAX_HEAD_LEN`] bytes of a head's start.
+    HeadTooLong,
 }
 
 impl core::fmt::Display for HttpParseError {
@@ -413,6 +423,7 @@ impl core::fmt::Display for HttpParseError {
             HttpParseError::BadHeader(l) => write!(f, "bad HTTP header: {l:?}"),
             HttpParseError::BadChunk => write!(f, "bad chunked encoding"),
             HttpParseError::BadContentLength => write!(f, "bad content-length"),
+            HttpParseError::HeadTooLong => write!(f, "HTTP head longer than {MAX_HEAD_LEN} bytes"),
         }
     }
 }
@@ -497,8 +508,16 @@ impl HttpParser {
         loop {
             match &mut self.state {
                 ParseState::Head => {
-                    let parsed = if self.pending.is_empty() {
-                        let Some(end) = find_blank_line(&rest, 0) else {
+                    // Only what a head within the cap can reach is looked
+                    // at or kept: a head whose blank line is not within
+                    // MAX_HEAD_LEN bytes of its start is refused.
+                    let held = self.pending.len();
+                    let reach = rest.len().min(MAX_HEAD_LEN - held);
+                    let parsed = if held == 0 {
+                        let Some(end) = find_blank_line(&rest[..reach], 0) else {
+                            if reach == MAX_HEAD_LEN {
+                                return Err(HttpParseError::HeadTooLong);
+                            }
                             self.scanned = rest.len().saturating_sub(3);
                             self.pending.extend_from_slice(&rest);
                             break;
@@ -509,9 +528,11 @@ impl HttpParser {
                     } else {
                         // The head began in an earlier push, so it ends in
                         // this chunk or not yet.
-                        let held = self.pending.len();
-                        self.pending.extend_from_slice(&rest);
+                        self.pending.extend_from_slice(&rest[..reach]);
                         let Some(end) = find_blank_line(&self.pending, self.scanned) else {
+                            if self.pending.len() == MAX_HEAD_LEN {
+                                return Err(HttpParseError::HeadTooLong);
+                            }
                             self.scanned = self.pending.len().saturating_sub(3);
                             break;
                         };
@@ -585,15 +606,33 @@ enum BodyKind {
 
 /// Where the first `\r\n\r\n` at or after `from` starts.
 fn find_blank_line(buf: &[u8], from: usize) -> Option<usize> {
-    buf.get(from..)?.windows(4).position(|w| w == b"\r\n\r\n").map(|at| from + at)
+    scan::find(buf.get(from..)?, b"\r\n\r\n").map(|at| from + at)
+}
+
+/// The pieces of `text` between its CRLFs, cut as `split("\r\n")` cuts
+/// them.
+fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let line = rest?;
+        match scan::find(line.as_bytes(), b"\r\n") {
+            Some(at) => {
+                rest = Some(&line[at + 2..]);
+                Some(&line[..at])
+            }
+            None => rest.take(),
+        }
+    })
 }
 
 /// Parses a head (everything before the blank line) into a message whose
 /// own buffer holds it in the form [`HttpRequest::encode`] writes:
 /// names and values trimmed, `HTTP/1.1` whatever version came.
 fn parse_head(raw: &[u8]) -> Result<(HttpMessage, BodyKind), HttpParseError> {
-    let text = String::from_utf8_lossy(raw);
-    let mut lines = text.split("\r\n");
+    // Heads are ASCII; only one that is not valid UTF-8 pays for the
+    // lossy decoder's second pass.
+    let text = std::str::from_utf8(raw).map_or_else(|_| String::from_utf8_lossy(raw), Cow::Borrowed);
+    let mut lines = crlf_lines(&text);
     let start = lines.next().unwrap_or("");
     // A bad start line is reported after a bad header or length.
     let start_line = StartLine::parse(start);
@@ -665,7 +704,7 @@ fn try_parse_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, HttpParseEr
     let mut pos = 0usize;
     loop {
         let rest = &buf[pos..];
-        let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
+        let Some(line_end) = scan::find(rest, b"\r\n") else {
             return Ok(None);
         };
         let size_str = std::str::from_utf8(&rest[..line_end]).map_err(|_| HttpParseError::BadChunk)?;
@@ -706,7 +745,9 @@ mod tests {
     /// the span-table head and the chunk-keeping parser are held to. Two
     /// things are not the old code's: `Content-Length` above
     /// [`MAX_BODY_LEN`] is refused (marked below), and the chunked-body
-    /// decoder is the one shared with the parser.
+    /// decoder is the one shared with the parser. It has no head cap
+    /// ([`MAX_HEAD_LEN`]): the streams the properties build are far
+    /// shorter, and the cap has tests of its own.
     mod reference {
         use super::super::{try_parse_chunked, HttpParseError, MAX_BODY_LEN};
         use std::collections::VecDeque;
@@ -1416,6 +1457,42 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!(matches!(&done[0], HttpMessage::Request(r) if r.headers().count() > 150));
         assert!(p.pending.is_empty() && p.scanned == 0);
+    }
+
+    #[test]
+    fn a_head_that_never_ends_is_refused_at_the_cap() {
+        let filler = b"X-Filler: 0123456789abcdefghijklmnopqrstuvwxyz\r\n";
+        let stream: Vec<u8> =
+            b"GET / HTTP/1.1\r\n".iter().chain(filler.iter().cycle()).take(1 << 20).copied().collect();
+        // Segment by segment: what is held never passes the cap, and the
+        // push that reaches it is refused.
+        let mut p = HttpParser::new();
+        let mut pushed = 0;
+        let refused = stream.chunks(1460).find_map(|segment| {
+            pushed += segment.len();
+            let outcome = p.push(segment);
+            assert!(p.pending.len() <= MAX_HEAD_LEN, "{} bytes held", p.pending.len());
+            outcome.err()
+        });
+        assert_eq!(refused, Some(HttpParseError::HeadTooLong));
+        assert!(pushed < MAX_HEAD_LEN + 1460, "refused as the cap was reached, after {pushed} bytes");
+        // In one push: refused with nothing held.
+        let mut p = HttpParser::new();
+        assert_eq!(p.push(&stream).unwrap_err(), HttpParseError::HeadTooLong);
+        assert_eq!(p.pending.capacity(), 0);
+
+        // A head of exactly the cap, blank line included, still parses —
+        // whole or trickled in — and one a byte longer does not.
+        for len in [MAX_HEAD_LEN, MAX_HEAD_LEN + 1] {
+            let mut head = b"GET / HTTP/1.1\r\nX-Pad: ".to_vec();
+            head.resize(len - 4, b'a');
+            head.extend_from_slice(b"\r\n\r\n");
+            let whole = HttpParser::new().push(&head).map(|done| done.len());
+            let mut p = HttpParser::new();
+            let trickled = head.chunks(1000).try_fold(0, |n, piece| p.push(piece).map(|done| n + done.len()));
+            let want = if len <= MAX_HEAD_LEN { Ok(1) } else { Err(HttpParseError::HeadTooLong) };
+            assert_eq!((whole, trickled), (want.clone(), want), "a {len}-byte head");
+        }
     }
 
     #[test]

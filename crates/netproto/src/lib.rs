@@ -11,6 +11,8 @@
 //!   Shadowsocks local proxies; also the Shadowsocks target-address header.
 //! * [`pac`] — proxy auto-config generation/evaluation, ScholarCloud's
 //!   whole client-side configuration story.
+//! * [`scan`] — byte searches a word at a time, shared by the parsers
+//!   here and by the page manifest, the preamble and the GFW's filters.
 //!
 //! These are pure byte-level state machines with no dependency on the
 //! simulator loop, so they are unit-testable in isolation and reusable by
@@ -20,6 +22,7 @@
 
 pub mod http;
 pub mod pac;
+pub mod scan;
 pub mod socks;
 pub mod tls;
 

@@ -18,6 +18,7 @@ use sc_crypto::hmac::{ct_eq, hkdf_expand_into, hkdf_extract, HmacKey};
 use sc_crypto::sha256::sha256;
 use sc_crypto::modes::Ctr;
 use sc_crypto::{Aes, KeySize};
+use sc_netproto::scan;
 use sc_netproto::socks::TargetAddr;
 use sc_obs::prof::{self, Subsystem};
 
@@ -133,7 +134,7 @@ impl Hello {
         generation: u32,
         data: &[u8],
     ) -> Result<Option<(Hello, usize)>, ()> {
-        let Some(head_end) = data.windows(4).position(|w| w == b"\r\n\r\n") else {
+        let Some(head_end) = scan::find(data, b"\r\n\r\n") else {
             // An absurdly long "head" is not a preamble.
             return if data.len() > 4096 { Err(()) } else { Ok(None) };
         };

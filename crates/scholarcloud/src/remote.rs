@@ -17,6 +17,9 @@ use crate::frame::{could_be_preamble, decoy_response, Hello, StreamCodec, Stream
 
 enum ClientConn {
     AwaitHello { buf: Vec<u8> },
+    /// The hello authenticated and its nonce is spent; `buf` is what came
+    /// after it, short of a whole stream header.
+    AwaitHeader { hello: Hello, buf: Vec<u8> },
     Relaying { rx: StreamCodec, tx: StreamCodec, upstream: TcpHandle, span: sc_obs::SpanId },
     Decoyed,
 }
@@ -29,12 +32,16 @@ pub struct RemoteProxy {
     names: NameMap,
     conns: HashMap<TcpHandle, ClientConn>,
     upstreams: HashMap<TcpHandle, TcpHandle>,
-    /// Session nonces already accepted. A valid preamble whose nonce was
-    /// seen before is a *replay* — the adaptive censor capturing and
-    /// re-sending a real client's bytes to see whether we authenticate
-    /// them. Replays get the decoy, so a replayed preamble looks exactly
-    /// like garbage and the probe concludes "innocent web server".
-    seen_nonces: HashSet<u64>,
+    /// Session nonces already accepted, with the cover generation their
+    /// hello verified under. A valid preamble whose nonce was seen before
+    /// is a *replay* — the adaptive censor capturing and re-sending a real
+    /// client's bytes to see whether we authenticate them. Replays get the
+    /// decoy, so a replayed preamble looks exactly like garbage and the
+    /// probe concludes "innocent web server". Only the current generation
+    /// and the one before it verify, and they differ in parity, so
+    /// generation `g` is kept in slot `g % 2` and replaces the older
+    /// generation there.
+    seen_nonces: [(u32, HashSet<u64>); 2],
     /// Authenticated tunnels served (diagnostics).
     pub tunnels: u64,
     /// Decoys served to unauthenticated connections (diagnostics: probes
@@ -51,7 +58,7 @@ impl RemoteProxy {
             names,
             conns: HashMap::new(),
             upstreams: HashMap::new(),
-            seen_nonces: HashSet::new(),
+            seen_nonces: [(0, HashSet::new()), (1, HashSet::new())],
             tunnels: 0,
             decoys: 0,
         }
@@ -80,45 +87,58 @@ impl RemoteProxy {
         );
     }
 
+    /// Spends a hello's nonce: `false` if it was spent before (a replay).
+    fn spend_nonce(&mut self, hello: &Hello) -> bool {
+        let oldest_live = self.config.scheme.generation().saturating_sub(1);
+        if self.seen_nonces.iter().any(|(g, spent)| *g >= oldest_live && spent.contains(&hello.nonce)) {
+            return false;
+        }
+        let (g, spent) = &mut self.seen_nonces[(hello.generation % 2) as usize];
+        if *g != hello.generation {
+            *g = hello.generation;
+            spent.clear();
+        }
+        spent.insert(hello.nonce)
+    }
+
+    /// Reads as far into a new connection's stream as has arrived: the
+    /// hello is parsed and its nonce spent once, then the stream header
+    /// is awaited for as many segments as it takes.
     fn advance(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
-        if let Some(ClientConn::AwaitHello { buf }) = self.conns.get_mut(&h) {
-            let snapshot = std::mem::take(buf);
-            match Hello::parse(&self.preamble_key, self.config.scheme.generation(), &snapshot) {
-                Ok(None) => {
-                    if !could_be_preamble(&snapshot) {
-                        self.serve_decoy(h, "not_preamble", ctx);
+        let Some(conn) = self.conns.get_mut(&h) else { return };
+        let (hello, wire) = match std::mem::replace(conn, ClientConn::Decoyed) {
+            ClientConn::AwaitHello { mut buf } => {
+                match Hello::parse(&self.preamble_key, self.config.scheme.generation(), &buf) {
+                    Ok(None) if could_be_preamble(&buf) => {
+                        *conn = ClientConn::AwaitHello { buf };
                         return;
                     }
-                    if let Some(ClientConn::AwaitHello { buf }) = self.conns.get_mut(&h) {
-                        *buf = snapshot;
-                    }
-                    return;
-                }
-                Err(()) => {
-                    self.serve_decoy(h, "bad_preamble_auth", ctx);
-                    return;
-                }
-                Ok(Some((hello, used))) => {
-                    if !self.seen_nonces.insert(hello.nonce) {
-                        self.serve_decoy(h, "replayed_preamble", ctx);
-                        return;
-                    }
-                    // Which codec the domestic side built is said only in
-                    // the stream header, which is encoded with it.
-                    if let Some((header, leftover, rx, tx)) =
-                        StreamCodec::accept(&self.config.secret, &hello, &snapshot[used..])
-                    {
-                        self.begin_relay(h, header, rx, tx, leftover, ctx);
-                        return;
-                    }
-                    // Header incomplete: stash raw bytes and wait. We must
-                    // re-run from scratch next time, so keep hello + rest.
-                    let mut restored = snapshot;
-                    self.conns.insert(h, ClientConn::AwaitHello { buf: Vec::new() });
-                    if let Some(ClientConn::AwaitHello { buf }) = self.conns.get_mut(&h) {
-                        buf.append(&mut restored);
+                    Ok(None) => return self.serve_decoy(h, "not_preamble", ctx),
+                    Err(()) => return self.serve_decoy(h, "bad_preamble_auth", ctx),
+                    Ok(Some((hello, used))) => {
+                        if !self.spend_nonce(&hello) {
+                            return self.serve_decoy(h, "replayed_preamble", ctx);
+                        }
+                        buf.drain(..used);
+                        (hello, buf)
                     }
                 }
+            }
+            ClientConn::AwaitHeader { hello, buf } => (hello, buf),
+            relaying_or_decoyed => {
+                *conn = relaying_or_decoyed;
+                return;
+            }
+        };
+        // Which codec the domestic side built is said only in the stream
+        // header, which is encoded with it.
+        match StreamCodec::accept(&self.config.secret, &hello, &wire) {
+            Some((header, leftover, rx, tx)) => self.begin_relay(h, header, rx, tx, leftover, ctx),
+            // A header is a u16 length and that many bytes: past that,
+            // waiting for more cannot make one.
+            None if wire.len() > 2 + usize::from(u16::MAX) => self.serve_decoy(h, "bad_stream_header", ctx),
+            None => {
+                self.conns.insert(h, ClientConn::AwaitHeader { hello, buf: wire });
             }
         }
     }
@@ -231,7 +251,7 @@ impl App for RemoteProxy {
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
                 match self.conns.get_mut(&h) {
-                    Some(ClientConn::AwaitHello { buf }) => {
+                    Some(ClientConn::AwaitHello { buf } | ClientConn::AwaitHeader { buf, .. }) => {
                         buf.extend_from_slice(&data);
                         self.advance(h, ctx);
                     }
@@ -253,5 +273,35 @@ impl App for RemoteProxy {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sc_simnet::addr::Addr;
+
+    #[test]
+    fn a_nonce_is_spent_once_while_its_generation_verifies_and_older_sets_go() {
+        let cfg = ScConfig::new(Addr::new(10, 1, 0, 1), Addr::new(99, 0, 0, 40));
+        let mut remote = RemoteProxy::new(cfg.clone(), NameMap::new([("scholar.google.com", Addr::new(99, 2, 0, 1))]));
+        let hello = |nonce, generation| Hello { scheme: cfg.scheme.get(), nonce, generation };
+        assert!(remote.spend_nonce(&hello(7, 0)));
+        assert!(!remote.spend_nonce(&hello(7, 0)), "a replay");
+        cfg.scheme.rotate_fresh_at(0);
+        // Generation 0 still verifies, so its nonces stay spent, under
+        // either generation's cover.
+        assert!(!remote.spend_nonce(&hello(7, 1)));
+        assert!(remote.spend_nonce(&hello(8, 1)));
+        cfg.scheme.rotate_fresh_at(0);
+        // Generation 0 no longer verifies: its set makes way for
+        // generation 2's, and generation 1's stays.
+        assert!(remote.spend_nonce(&hello(9, 2)));
+        assert_eq!(remote.seen_nonces[0], (2, HashSet::from([9])));
+        assert!(!remote.spend_nonce(&hello(8, 2)));
+        cfg.scheme.rotate_fresh_at(0);
+        // A set left behind by a generation that no longer verifies is
+        // not consulted before its slot is reused.
+        assert!(remote.spend_nonce(&hello(8, 3)));
     }
 }

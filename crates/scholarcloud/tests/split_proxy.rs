@@ -423,3 +423,116 @@ fn scheme_rotation_keeps_service_working() {
     let text = String::from_utf8_lossy(&log2.borrow().response).to_string();
     assert!(text.ends_with("scholar"), "after rotation: {text:?}");
 }
+
+/// Speaks the inter-proxy protocol to the remote by hand: connects after
+/// `start_delay`, sends each of `segments` `gap` after the one before it
+/// (so each arrives as a segment of its own), and keeps what comes back.
+struct PreambleSender {
+    remote: SocketAddr,
+    segments: Vec<Vec<u8>>,
+    start_delay: SimDuration,
+    gap: SimDuration,
+    got: Rc<RefCell<Vec<u8>>>,
+    conn: Option<TcpHandle>,
+}
+
+impl PreambleSender {
+    fn new(remote: SocketAddr, segments: Vec<Vec<u8>>, start_delay: SimDuration) -> Self {
+        let got = Rc::new(RefCell::new(Vec::new()));
+        PreambleSender { remote, segments, start_delay, gap: SimDuration::from_millis(500), got, conn: None }
+    }
+
+    fn send_next(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+        if self.segments.is_empty() {
+            return;
+        }
+        let segment = self.segments.remove(0);
+        ctx.tcp_send(h, &segment);
+        if !self.segments.is_empty() {
+            ctx.set_timer(self.gap, 1);
+        }
+    }
+}
+
+impl App for PreambleSender {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.set_timer(self.start_delay, 0);
+    }
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+        match ev {
+            AppEvent::TimerFired(_) => match self.conn {
+                None => self.conn = Some(ctx.tcp_connect(self.remote)),
+                Some(h) => self.send_next(h, ctx),
+            },
+            AppEvent::Tcp(h, TcpEvent::Connected) => self.send_next(h, ctx),
+            AppEvent::Tcp(h, TcpEvent::DataReceived) => {
+                let data = ctx.tcp_recv_all(h);
+                self.got.borrow_mut().extend_from_slice(&data);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// What the domestic proxy sends for one HTTPS stream, as two pieces —
+/// the cover preamble, then the blinded stream header and first request —
+/// and the codec that reads the remote's answer.
+fn tunnel_open(cfg: &ScConfig, nonce: u64) -> (Vec<u8>, Vec<u8>, sc_core::StreamCodec) {
+    let hello = sc_core::Hello { scheme: cfg.scheme.get(), nonce, generation: cfg.scheme.generation() };
+    let preamble = hello.encode(&sc_crypto::hmac::HmacKey::new(&cfg.secret), "cdn.front.example");
+    let (mut up, down) = sc_core::StreamCodec::pair(&cfg.secret, &hello, false);
+    let header = sc_core::StreamHeader {
+        is_tls: true,
+        trace: 0,
+        parent: 0,
+        target: sc_netproto::socks::TargetAddr::Domain("scholar.google.com".into(), 443),
+    };
+    let mut stream = header.encode();
+    stream.extend_from_slice(b"GET /scholar HTTP/1.1\r\nHost: scholar.google.com\r\n\r\n");
+    up.encode(&mut stream);
+    (preamble, stream, down)
+}
+
+#[test]
+fn a_preamble_whose_stream_header_comes_in_a_later_segment_is_relayed() {
+    let (mut sim, client) = topology(12);
+    let cfg = config();
+    install_scholarcloud(&mut sim, &cfg);
+    let (preamble, stream, mut down) = tunnel_open(&cfg, 0x5eed);
+    let sender = PreambleSender::new(cfg.remotes[0], vec![preamble, stream], SimDuration::from_millis(1));
+    let got = sender.got.clone();
+    sim.install_app(client, Box::new(sender));
+    sim.run_for(SimDuration::from_secs(10));
+    let mut reply = got.borrow().clone();
+    assert!(!reply.starts_with(b"HTTP/1.1 400"), "a genuine split preamble was decoyed");
+    down.decode(&mut reply);
+    assert!(reply.ends_with(b"scholar"), "got {:?}", String::from_utf8_lossy(&reply));
+}
+
+#[test]
+fn a_replayed_preamble_is_decoyed_however_it_is_cut() {
+    let (mut sim, client) = topology(13);
+    let cfg = config();
+    install_scholarcloud(&mut sim, &cfg);
+    let (preamble, stream, mut down) = tunnel_open(&cfg, 0xfeed);
+    let whole = [preamble.clone(), stream.clone()].concat();
+    // The genuine connection, then a capture of it replayed whole, then
+    // replayed in the two pieces.
+    let senders = [
+        PreambleSender::new(cfg.remotes[0], vec![whole.clone()], SimDuration::from_millis(1)),
+        PreambleSender::new(cfg.remotes[0], vec![whole], SimDuration::from_secs(3)),
+        PreambleSender::new(cfg.remotes[0], vec![preamble, stream], SimDuration::from_secs(5)),
+    ];
+    let got: Vec<_> = senders.iter().map(|s| s.got.clone()).collect();
+    for sender in senders {
+        sim.install_app(client, Box::new(sender));
+    }
+    sim.run_for(SimDuration::from_secs(10));
+    let mut reply = got[0].borrow().clone();
+    down.decode(&mut reply);
+    assert!(reply.ends_with(b"scholar"), "got {:?}", String::from_utf8_lossy(&reply));
+    for replay in &got[1..] {
+        let replay = replay.borrow();
+        assert!(replay.starts_with(b"HTTP/1.1 400"), "replay answered {:?}", String::from_utf8_lossy(&replay));
+    }
+}

@@ -7,6 +7,8 @@
 
 use std::io::Write;
 
+use sc_netproto::scan;
+
 /// One subresource referenced by a page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Resource {
@@ -118,24 +120,36 @@ impl PageSpec {
     /// Parses the manifest back out of an HTML body: the `RES ` lines,
     /// wherever they stand. Lines are cut the way `str::lines` cuts them
     /// (at `\n`, dropping the `\r` of a `\r\n`), and only a `RES ` line
-    /// is decoded — the kilobytes of markup around them are stepped over
-    /// as bytes.
+    /// is decoded. The body is searched for `RES ` a word at a time, so
+    /// the kilobytes of markup around the lines are never split into
+    /// lines at all.
     pub fn parse_manifest(html: &[u8]) -> Vec<Resource> {
-        html.split_inclusive(|&b| b == b'\n')
-            .filter_map(|line| {
-                let line = match line.strip_suffix(b"\n") {
-                    Some(cut) => cut.strip_suffix(b"\r").unwrap_or(cut),
-                    None => line,
-                };
-                let fields = String::from_utf8_lossy(line.strip_prefix(b"RES ")?);
-                let mut parts = fields.split(' ');
-                let host = parts.next()?.to_string();
-                let path = parts.next()?.to_string();
-                let len: usize = parts.next()?.parse().ok()?;
-                let first = parts.next()? == "first";
-                Some(Resource { host, path, len, first_visit_only: first })
-            })
-            .collect()
+        let mut resources = Vec::new();
+        let mut from = 0;
+        while let Some(at) = scan::find(&html[from..], b"RES ").map(|i| from + i) {
+            let end = scan::find_byte(&html[at..], b'\n').map_or(html.len(), |i| at + i);
+            // No line can start before this one ends.
+            from = end;
+            if at > 0 && html[at - 1] != b'\n' {
+                continue;
+            }
+            let mut line = &html[at + 4..end];
+            if end < html.len() {
+                line = line.strip_suffix(b"\r").unwrap_or(line);
+            }
+            resources.extend(Self::parse_resource(&String::from_utf8_lossy(line)));
+        }
+        resources
+    }
+
+    /// One manifest line's fields, after its `RES `.
+    fn parse_resource(fields: &str) -> Option<Resource> {
+        let mut parts = fields.split(' ');
+        let host = parts.next()?.to_string();
+        let path = parts.next()?.to_string();
+        let len: usize = parts.next()?.parse().ok()?;
+        let first = parts.next()? == "first";
+        Some(Resource { host, path, len, first_visit_only: first })
     }
 
     /// Total bytes fetched on a first visit (HTML + all resources).

@@ -35,6 +35,11 @@ PROPTEST_CASES=2048 cargo test -q --offline -p sc-web --lib page::tests
 # re-encodings. Most streams end in an error a few messages in, so the
 # deep ones need the depth.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-netproto --lib http::tests
+# The scan kernel every byte search goes through (a word at a time,
+# DESIGN.md §6k "Byte scans") against the per-byte searches it replaced:
+# arbitrary haystacks over the bytes that make false flags common, and
+# needles cut out of arbitrary bytes, in both ASCII cases.
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-netproto --lib scan::tests
 echo "differential suites: ok"
 
 # The analyzer is where sc-obs reads bytes it did not write: written
@@ -226,6 +231,22 @@ if [ "$(grep -c '^    fields: impl FnOnce() -> SpanFields,$' crates/obs/src/disp
     echo "structure: span_start and span_start_ctx each take their fields as a closure" >&2; exit 1
 fi
 echo "structure: ok (HTTP heads are one buffer; parsers take Bytes; span fields are lazy)"
+
+# Structure, byte scans (DESIGN.md §6k "Byte scans"): a search for a
+# byte or a byte string goes through sc_netproto::scan, a word at a time.
+# Above the test modules of the crates that parse or inspect bytes there
+# is no `.windows(` search and no `split_inclusive` line splitter; the
+# GFW's per-packet oracle (engine/reference.rs, test-only) keeps the
+# code it was written with.
+byte_scan_offenders() {
+    find crates/netproto/src crates/web/src crates/gfw/src crates/scholarcloud/src -name '*.rs' \
+        ! -path '*/engine/reference.rs' ! -name tests.rs | sort | xargs awk '
+        FNR == 1 { tests = 0 } /^mod tests \{/ { tests = 1 }
+        !tests && /\.windows\(|split_inclusive/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }'
+}
+fail_if_found "a byte search outside sc_netproto::scan" byte_scan_offenders
+echo "structure: ok (byte searches go through sc_netproto::scan)"
 
 # Structure, obs write path (DESIGN.md §6b "The write path"): a metric
 # write is an indexed add — the registry and the time-series hold values
