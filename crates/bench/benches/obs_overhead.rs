@@ -7,11 +7,10 @@
 //! * a dispatcher installed but **no sink attached** (metrics/registry
 //!   still collect; `enabled()` early-outs before any event is built,
 //!   so emission must cost nothing — ROADMAP item 1's zero-cost claim),
-//! * a `RingSink` at `Debug` (in-memory event cloning),
 //! * a `JsonlSink` writing to `io::sink()` at `Debug` (serialization
 //!   without disk),
-//! * windows + SLO evaluation on top of the ring sink (the full
-//!   operator configuration driven by the simnet tick hook).
+//! * windows + SLO evaluation on top of that sink (the full operator
+//!   configuration driven by the simnet tick hook).
 //!
 //! Two trace-stitching micro-benchmarks ride along:
 //! * `trace_ctx_mint_and_roundtrip` — the per-request cost of causal
@@ -35,7 +34,7 @@ use criterion::{Criterion, Throughput, criterion_group, criterion_main};
 use sc_metrics::scenario::default_slos;
 use sc_metrics::{Method, ScenarioConfig, run_scenario};
 use sc_obs::analyze::{analyze, parse_trace};
-use sc_obs::{Dispatcher, JsonlSink, Level, RingSink, TraceCtx, TraceId, WindowSpec};
+use sc_obs::{Dispatcher, JsonlSink, Level, TraceCtx, TraceId, WindowSpec};
 use sc_simnet::time::SimDuration;
 
 fn small_cfg(seed: u64) -> ScenarioConfig {
@@ -63,18 +62,6 @@ fn obs_overhead(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("scenario_ring_sink_debug", |b| {
-        b.iter(|| {
-            let guard = Dispatcher::new()
-                .with_level(Level::Debug)
-                .with_sink(Box::new(RingSink::with_capacity(64 * 1024)))
-                .install();
-            let out = run_scenario(&small_cfg(7));
-            drop(guard);
-            out
-        })
-    });
-
     g.bench_function("scenario_jsonl_sink_debug", |b| {
         b.iter(|| {
             let guard = Dispatcher::new()
@@ -87,11 +74,11 @@ fn obs_overhead(c: &mut Criterion) {
         })
     });
 
-    g.bench_function("scenario_windows_slos_ring", |b| {
+    g.bench_function("scenario_windows_slos_jsonl", |b| {
         b.iter(|| {
             let guard = Dispatcher::new()
                 .with_level(Level::Debug)
-                .with_sink(Box::new(RingSink::with_capacity(64 * 1024)))
+                .with_sink(Box::new(JsonlSink::new(Box::new(std::io::sink()))))
                 .with_windows(WindowSpec::seconds(10))
                 .with_slos(default_slos())
                 .install();

@@ -22,19 +22,19 @@ pub const SC_TRACE_ENV: &str = "SC_TRACE";
 /// // ... run scenarios; drop the guard (end of scope) to flush.
 /// ```
 pub fn obs_from_env() -> Option<ObsGuard> {
-    let path = std::env::var(SC_TRACE_ENV).ok()?;
-    if path.is_empty() {
-        return None;
-    }
+    let sink = env_sink()?;
+    Some(Dispatcher::new().with_level(Level::Debug).with_sink(Box::new(sink)).install())
+}
+
+/// The JSONL sink `SC_TRACE` names, or `None` — with a warning on
+/// stderr when the file cannot be created — if the variable is unset,
+/// empty or not creatable.
+fn env_sink() -> Option<JsonlSink> {
+    let path = std::env::var(SC_TRACE_ENV).ok().filter(|p| !p.is_empty())?;
     match JsonlSink::create(&path) {
         Ok(sink) => {
             eprintln!("[sc-obs] tracing to {path} (SC_TRACE)");
-            Some(
-                Dispatcher::new()
-                    .with_level(Level::Debug)
-                    .with_sink(Box::new(sink))
-                    .install(),
-            )
+            Some(sink)
         }
         Err(e) => {
             eprintln!("[sc-obs] SC_TRACE={path}: cannot create trace file: {e}");
@@ -63,18 +63,8 @@ pub fn ops_obs(windows: WindowSpec, slos: Vec<SloSpec>) -> ObsGuard {
         .with_level(Level::Debug)
         .with_windows(windows)
         .with_slos(slos);
-    if let Ok(path) = std::env::var(SC_TRACE_ENV) {
-        if !path.is_empty() {
-            match JsonlSink::create(&path) {
-                Ok(sink) => {
-                    eprintln!("[sc-obs] tracing to {path} (SC_TRACE)");
-                    d = d.with_sink(Box::new(sink));
-                }
-                Err(e) => {
-                    eprintln!("[sc-obs] SC_TRACE={path}: cannot create trace file: {e}");
-                }
-            }
-        }
+    if let Some(sink) = env_sink() {
+        d = d.with_sink(Box::new(sink));
     }
     d.install()
 }

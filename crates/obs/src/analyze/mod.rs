@@ -577,4 +577,4 @@ fn density_char(n: u64, peak: u64) -> char {
 }
 
 #[cfg(test)]
-mod tests;
+pub(crate) mod tests;

@@ -14,7 +14,7 @@ pub(in crate::analyze) fn line(ev: &Event) -> String {
 }
 
 /// `ev` as the analyzer reads it back, detached from its line.
-pub(in crate::analyze) fn reparsed(ev: &Event) -> TraceEvent<'static> {
+pub(crate) fn reparsed(ev: &Event) -> TraceEvent<'static> {
     parse_line(&line(ev)).unwrap().into_owned()
 }
 

@@ -1,4 +1,4 @@
-//! The dispatcher: routes events to sinks and hosts the shared
+//! The dispatcher: writes events to its sink and hosts the shared
 //! [`Registry`].
 //!
 //! Instrumented code never threads an observability handle through its
@@ -6,18 +6,18 @@
 //! context parameter to hang one on. Instead a [`Dispatcher`] is
 //! **installed into a thread-local slot** for the duration of a run
 //! (RAII [`ObsGuard`]), and instrumentation calls the free functions
-//! ([`emit`], [`counter_add`], [`span_start`], …), which are no-ops
+//! ([`event`], [`counter_add`], [`span_start`], …), which are no-ops
 //! when nothing is installed. The simulator is single-threaded and
 //! tests run one scenario per thread, so thread-locality also keeps
 //! parallel test binaries from interleaving traces — a prerequisite for
 //! the byte-identical determinism guarantee.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use crate::event::{Event, Level, SpanId, Value};
 use crate::metrics::Registry;
-use crate::sink::Sink;
+use crate::sink::JsonlSink;
 use crate::slo::{SloEngine, SloSpec};
 use crate::timeseries::{SeriesKind, TimeSeries, WindowSpec};
 
@@ -29,12 +29,11 @@ thread_local! {
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Routes events to sinks, applying per-component level filters, and
-/// owns the run's metrics [`Registry`].
+/// Writes the events at or above one level to its sink, and owns the
+/// run's metrics [`Registry`].
 pub struct Dispatcher {
-    sinks: Vec<Box<dyn Sink>>,
-    default_level: Level,
-    component_levels: BTreeMap<&'static str, Level>,
+    sink: Option<JsonlSink>,
+    level: Level,
     registry: Registry,
     timeseries: TimeSeries,
     slos: SloEngine,
@@ -44,7 +43,7 @@ pub struct Dispatcher {
     /// open span remembers an index rather than three strings.
     span_sites: Vec<SpanSite>,
     /// The field vector every event, span start and span end is built
-    /// in, handed back empty after the sinks have seen it.
+    /// in, handed back empty after the sink has written it.
     fields: Vec<(&'static str, Value)>,
     next_span: u64,
     open_spans: OpenSpans,
@@ -249,12 +248,11 @@ impl Default for Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher accepting `Info` and above with no sinks.
+    /// Creates a dispatcher accepting `Info` and above with no sink.
     pub fn new() -> Dispatcher {
         Dispatcher {
-            sinks: Vec::new(),
-            default_level: Level::Info,
-            component_levels: BTreeMap::new(),
+            sink: None,
+            level: Level::Info,
             registry: Registry::new(),
             timeseries: TimeSeries::default(),
             slos: SloEngine::default(),
@@ -266,24 +264,19 @@ impl Dispatcher {
         }
     }
 
-    /// Sets the minimum level accepted for components without an
-    /// explicit override.
+    /// Sets the minimum level an event needs to be written.
     pub fn with_level(mut self, level: Level) -> Dispatcher {
-        self.default_level = level;
+        self.level = level;
         self
     }
 
-    /// Overrides the minimum level for one component (e.g. keep
-    /// `simnet` at `Info` while tracing `gfw` at `Trace`).
-    pub fn with_component_level(mut self, component: &'static str, level: Level) -> Dispatcher {
-        self.component_levels.insert(component, level);
-        self
-    }
-
-    /// Adds a sink; every accepted event is offered to all sinks in
-    /// registration order.
-    pub fn with_sink(mut self, sink: Box<dyn Sink>) -> Dispatcher {
-        self.sinks.push(sink);
+    /// Attaches the sink every accepted event is written to; a second
+    /// call replaces the first sink.
+    // Boxed because `benchmark/`, a workspace of its own that must
+    // build against this crate unchanged, passes `Box::new(JsonlSink::new(..))`.
+    #[allow(clippy::boxed_local)]
+    pub fn with_sink(mut self, sink: Box<JsonlSink>) -> Dispatcher {
+        self.sink = Some(*sink);
         self
     }
 
@@ -294,14 +287,8 @@ impl Dispatcher {
         self
     }
 
-    /// Adds one SLO; alerts are evaluated as windows close (see
-    /// [`tick`]) and dispatched through the sinks like any other event.
-    pub fn with_slo(mut self, spec: SloSpec) -> Dispatcher {
-        self.slos.push(spec);
-        self
-    }
-
-    /// Adds several SLOs.
+    /// Adds SLOs; their alerts are evaluated as windows close (see
+    /// [`tick`]) and written to the sink like any other event.
     pub fn with_slos(mut self, specs: Vec<SloSpec>) -> Dispatcher {
         for spec in specs {
             self.slos.push(spec);
@@ -310,7 +297,7 @@ impl Dispatcher {
     }
 
     /// Installs this dispatcher into the thread-local slot, returning a
-    /// guard that uninstalls (and flushes sinks into) it on drop. The
+    /// guard that uninstalls it (and flushes its sink) on drop. The
     /// previously installed dispatcher, if any, is restored afterwards,
     /// so scopes nest.
     pub fn install(self) -> ObsGuard {
@@ -340,25 +327,23 @@ impl Dispatcher {
         self.registry
     }
 
-    /// Whether an event at `level` from `component` would reach a sink.
-    /// With no sink attached nothing can observe an event, so emission
-    /// is disabled outright — the zero-cost guard hot paths rely on to
-    /// skip label formatting and field-vector allocation entirely.
-    fn enabled(&self, level: Level, component: &str) -> bool {
-        if self.sinks.is_empty() {
-            return false;
-        }
-        let min = self
-            .component_levels
-            .get(component)
-            .copied()
-            .unwrap_or(self.default_level);
-        level >= min
+    /// Whether an event at `level` would reach the sink. With no sink
+    /// attached nothing can observe an event, so emission is disabled
+    /// outright — the zero-cost guard hot paths rely on to skip label
+    /// formatting and field-vector allocation entirely.
+    fn enabled(&self, level: Level) -> bool {
+        self.sink.is_some() && level >= self.level
     }
 
     fn dispatch(&mut self, ev: &Event) {
-        for sink in &mut self.sinks {
+        if let Some(sink) = &mut self.sink {
             sink.record(ev);
+        }
+    }
+
+    fn flush(&mut self) {
+        if let Some(sink) = &mut self.sink {
+            sink.flush();
         }
     }
 
@@ -445,8 +430,8 @@ impl Dispatcher {
     }
 }
 
-/// RAII guard from [`Dispatcher::install`]; dropping it flushes sinks
-/// and restores the previously installed dispatcher.
+/// RAII guard from [`Dispatcher::install`]; dropping it flushes the
+/// sink and restores the previously installed dispatcher.
 pub struct ObsGuard {
     prev: Option<Dispatcher>,
 }
@@ -463,9 +448,7 @@ impl ObsGuard {
         // The restore is done: skip Drop, which would otherwise evict
         // the just-reinstalled previous dispatcher.
         std::mem::forget(self);
-        for sink in &mut d.sinks {
-            sink.flush();
-        }
+        d.flush();
         d
     }
 
@@ -487,9 +470,7 @@ impl Drop for ObsGuard {
         CURRENT.with(|c| {
             let mut slot = c.borrow_mut();
             if let Some(mut d) = std::mem::replace(&mut *slot, restored) {
-                for sink in &mut d.sinks {
-                    sink.flush();
-                }
+                d.flush();
             }
         });
     }
@@ -502,12 +483,11 @@ fn with_installed<R>(f: impl FnOnce(&mut Dispatcher) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow_mut().as_mut().map(f))
 }
 
-/// Whether an event at `level` from `component` would be accepted.
-/// Hot paths use this to skip building field vectors entirely. Always
-/// `false` when no dispatcher is installed **or the installed one has
-/// no sinks** — emission is pure cost if nothing can record it.
-pub fn is_enabled(level: Level, component: &str) -> bool {
-    with_installed(|d| d.enabled(level, component)).unwrap_or(false)
+/// Whether an event at `level` would be written. Always `false` when no
+/// dispatcher is installed **or the installed one has no sink** —
+/// emission is pure cost if nothing can record it.
+fn is_enabled(level: Level) -> bool {
+    with_installed(|d| d.enabled(level)).unwrap_or(false)
 }
 
 /// Whether any dispatcher is installed on this thread.
@@ -515,21 +495,11 @@ pub fn is_active() -> bool {
     ACTIVE.with(|a| a.get())
 }
 
-/// Sends an event through the installed dispatcher (no-op without one,
-/// when no sink is attached, or when filtered out by level).
-pub fn emit(ev: Event) {
-    with_installed(|d| {
-        if d.enabled(ev.level, ev.component) {
-            d.dispatch(&ev);
-        }
-    });
-}
-
 /// Emits one event, building it only if it will be recorded: `build`
 /// receives the bare event and attaches the fields, and runs only after
-/// the level filter has accepted `level` for `component` — a filtered
-/// event costs neither its `String`s nor its field vector, and each
-/// site names its level and component once.
+/// the level filter has accepted `level` — a filtered event costs
+/// neither its `String`s nor its field vector, and each site names its
+/// level and component once.
 pub fn event(
     t_us: u64,
     level: Level,
@@ -539,7 +509,7 @@ pub fn event(
     build: impl FnOnce(Event) -> Event,
 ) {
     let Some(ev) = with_installed(|d| {
-        d.enabled(level, component).then(|| d.start_event(t_us, level, component, target, name))
+        d.enabled(level).then(|| d.start_event(t_us, level, component, target, name))
     })
     .flatten() else {
         return;
@@ -586,7 +556,7 @@ pub fn span_start_ctx(
     ctx: crate::context::TraceCtx,
     fields: impl FnOnce() -> SpanFields,
 ) -> SpanId {
-    if !is_enabled(level, component) {
+    if !is_enabled(level) {
         return SpanId::NONE;
     }
     let fields = fields();
@@ -670,8 +640,8 @@ pub fn ts_bump_ex(t_us: u64, name: &'static str, by: u64, trace: crate::context:
 /// Advances the observability clock to simulation time `t_us`. The
 /// simulator calls this as its clock moves; every time-series window
 /// that closes is evaluated against the configured SLOs, and resulting
-/// burn-rate alerts are dispatched through the sinks like any other
-/// event (component `slo`, target `alert`, names `fire`/`resolve`).
+/// burn-rate alerts are written to the sink like any other event
+/// (component `slo`, target `alert`, names `fire`/`resolve`).
 /// No-op without a dispatcher; cheap when no window closed.
 pub fn tick(t_us: u64) {
     with_installed(|d| {
@@ -685,7 +655,7 @@ pub fn tick(t_us: u64) {
                 "fire" => d.counter_add("slo.alerts_fired", 1),
                 _ => d.counter_add("slo.alerts_resolved", 1),
             }
-            if d.enabled(ev.level, ev.component) {
+            if d.enabled(ev.level) {
                 d.dispatch(&ev);
             }
         }
@@ -712,11 +682,19 @@ pub fn with_slo_engine<R>(f: impl FnOnce(&SloEngine) -> R) -> Option<R> {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sink::RingSink;
+    use std::collections::BTreeMap;
 
-    fn info(t: u64, component: &'static str) -> Event {
-        Event::new(t, Level::Info, component, "t", "e")
+    use super::*;
+    use crate::analyze::{Json, TraceEvent};
+    use crate::sink::capture::Captured;
+
+    /// An event with no fields.
+    fn bare(t: u64, level: Level, name: &'static str) {
+        event(t, level, "web", "t", name, |ev| ev);
+    }
+
+    fn names(events: &[TraceEvent<'_>]) -> Vec<String> {
+        events.iter().map(|e| e.name.to_string()).collect()
     }
 
     #[test]
@@ -727,9 +705,8 @@ mod tests {
             ev.field("k", 1u64)
         };
         event(1, Level::Error, "gfw", "t", "e", build); // no dispatcher
-        let ring = RingSink::with_capacity(8);
-        let handle = ring.handle();
-        let guard = Dispatcher::new().with_level(Level::Info).with_sink(Box::new(ring)).install();
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_level(Level::Info).with_sink(out.sink()).install();
         event(2, Level::Debug, "gfw", "t", "e", build); // filtered by level
         assert_eq!(built.get(), 0, "a filtered event must not be built");
         event(3, Level::Info, "gfw", "t", "e", build);
@@ -743,15 +720,16 @@ mod tests {
         span_end(5, SpanId(77), fields);
         assert_eq!(built.get(), 1, "a span that is not recorded must not build its fields");
         drop(guard);
-        assert_eq!(handle.count_named("gfw", "e"), 1);
-        assert_eq!(handle.events()[0].get_u64("k"), Some(1));
+        let evs = out.events();
+        assert_eq!(evs.len(), 1);
+        assert_eq!((&*evs[0].component, &*evs[0].name, evs[0].get_u64("k")), ("gfw", "e", Some(1)));
     }
 
     #[test]
     fn no_dispatcher_means_noop() {
         assert!(!is_active());
-        assert!(!is_enabled(Level::Error, "simnet"));
-        emit(info(1, "simnet")); // must not panic
+        assert!(!is_enabled(Level::Error));
+        bare(1, Level::Error, "e"); // must not panic
         counter_add("x", 1);
         let id = span_start(0, Level::Info, "simnet", "t", "s", Vec::new);
         assert!(id.is_none());
@@ -759,36 +737,28 @@ mod tests {
     }
 
     #[test]
-    fn level_filtering_per_component() {
-        let ring = RingSink::with_capacity(64);
-        let h = ring.handle();
-        let guard = Dispatcher::new()
-            .with_level(Level::Info)
-            .with_component_level("gfw", Level::Trace)
-            .with_sink(Box::new(ring))
-            .install();
-        emit(Event::new(1, Level::Trace, "simnet", "t", "a")); // filtered
-        emit(Event::new(2, Level::Trace, "gfw", "t", "b")); // kept (override)
-        emit(Event::new(3, Level::Info, "simnet", "t", "c")); // kept
-        assert!(is_enabled(Level::Trace, "gfw"));
-        assert!(!is_enabled(Level::Trace, "simnet"));
+    fn events_below_the_level_are_filtered() {
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_level(Level::Info).with_sink(out.sink()).install();
+        bare(1, Level::Debug, "a"); // filtered
+        bare(2, Level::Info, "b"); // kept
+        bare(3, Level::Warn, "c"); // kept
+        assert!(is_enabled(Level::Info));
+        assert!(!is_enabled(Level::Trace));
         drop(guard);
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.events()[0].name, "b");
-        assert_eq!(h.events()[1].name, "c");
+        assert_eq!(names(&out.events()), ["b", "c"]);
     }
 
     #[test]
     fn spans_carry_duration_and_sequential_ids() {
-        let ring = RingSink::with_capacity(64);
-        let h = ring.handle();
-        let guard = Dispatcher::new().with_sink(Box::new(ring)).install();
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_sink(out.sink()).install();
         let a = span_start(100, Level::Info, "web", "load", "page", Vec::new);
         let b = span_start(150, Level::Info, "web", "load", "dns", Vec::new);
         span_end(250, b, Vec::new);
-        span_end(400, a, || vec![("ok", crate::event::Value::Bool(true))]);
+        span_end(400, a, || vec![("ok", Value::Bool(true))]);
         drop(guard);
-        let evs = h.events();
+        let evs = out.events();
         assert_eq!(a, SpanId(1));
         assert_eq!(b, SpanId(2));
         let end_b = &evs[2];
@@ -796,27 +766,24 @@ mod tests {
         assert_eq!(end_b.get_u64("dur_us"), Some(100));
         let end_a = &evs[3];
         assert_eq!(end_a.get_u64("dur_us"), Some(300));
-        assert_eq!(end_a.get("ok"), Some(&crate::event::Value::Bool(true)));
+        assert_eq!(end_a.get("ok"), Some(&Json::Bool(true)));
         assert_eq!(end_a.get_str("span_name"), Some("page"));
     }
 
     #[test]
     fn guards_nest_and_restore() {
-        let outer_ring = RingSink::with_capacity(8);
-        let oh = outer_ring.handle();
-        let outer = Dispatcher::new().with_sink(Box::new(outer_ring)).install();
-        emit(info(1, "a"));
+        let (outer_out, inner_out) = (Captured::default(), Captured::default());
+        let outer = Dispatcher::new().with_sink(outer_out.sink()).install();
+        bare(1, Level::Info, "a");
         {
-            let inner_ring = RingSink::with_capacity(8);
-            let ih = inner_ring.handle();
-            let inner = Dispatcher::new().with_sink(Box::new(inner_ring)).install();
-            emit(info(2, "b"));
+            let inner = Dispatcher::new().with_sink(inner_out.sink()).install();
+            bare(2, Level::Info, "b");
             drop(inner);
-            assert_eq!(ih.len(), 1);
+            assert_eq!(names(&inner_out.events()), ["b"]);
         }
-        emit(info(3, "c"));
+        bare(3, Level::Info, "c");
         drop(outer);
-        assert_eq!(oh.len(), 2);
+        assert_eq!(names(&outer_out.events()), ["a", "c"]);
         assert!(!is_active());
     }
 
@@ -825,27 +792,25 @@ mod tests {
         use crate::slo::SloSpec;
         use crate::timeseries::WindowSpec;
 
-        let ring = RingSink::with_capacity(64);
-        let h = ring.handle();
+        let out = Captured::default();
         let mut spec = SloSpec::quantile("plt", "web.plt_us", 0.95, 1_000);
         spec.eval_windows = 1;
         spec.budget = 0.5;
         let guard = Dispatcher::new()
             .with_windows(WindowSpec::new(1_000_000, 32))
-            .with_slo(spec)
-            .with_sink(Box::new(ring))
+            .with_slos(vec![spec])
+            .with_sink(out.sink())
             .install();
 
         ts_record(100, "web.plt_us", 50_000); // bad window 0
         tick(500_000); // window still open: nothing closes
-        assert_eq!(h.len(), 0);
+        assert!(out.events().is_empty());
         tick(1_200_000); // window 0 closes → burn 2.0 → fire
         tick(2_200_000); // window 1 empty → burn 0 → resolve
 
         let d = guard.uninstall();
-        let evs = h.events();
-        let names: Vec<&str> = evs.iter().map(|e| e.name).collect();
-        assert_eq!(names, ["fire", "resolve"], "{evs:?}");
+        let evs = out.events();
+        assert_eq!(names(&evs), ["fire", "resolve"], "{evs:?}");
         assert_eq!(evs[0].component, "slo");
         assert_eq!(evs[0].get_str("slo"), Some("plt"));
         assert_eq!(d.registry().counter("slo.alerts_fired"), 1);
@@ -861,8 +826,8 @@ mod tests {
         // Emission is pure cost with nothing attached to record it: the
         // enablement guard reports false so call sites skip label
         // formatting, and spans short-circuit to NONE.
-        assert!(!is_enabled(Level::Error, "simnet"));
-        emit(info(1, "simnet"));
+        assert!(!is_enabled(Level::Error));
+        bare(1, Level::Error, "e");
         let id = span_start(0, Level::Info, "web", "load", "page", Vec::new);
         assert!(id.is_none());
         span_end(10, id, Vec::new);
@@ -876,19 +841,46 @@ mod tests {
 
     #[test]
     fn uninstall_restores_previous_dispatcher() {
-        let outer_ring = RingSink::with_capacity(8);
-        let oh = outer_ring.handle();
-        let outer = Dispatcher::new().with_sink(Box::new(outer_ring)).install();
-        let inner = Dispatcher::new().with_sink(Box::new(RingSink::with_capacity(8))).install();
+        let outer_out = Captured::default();
+        let outer = Dispatcher::new().with_sink(outer_out.sink()).install();
+        let inner = Dispatcher::new().with_sink(Captured::default().sink()).install();
         counter_add("inner", 1);
         let d = inner.uninstall();
         assert_eq!(d.registry().counter("inner"), 1);
         // The outer dispatcher must be back in the slot and functional.
         assert!(is_active());
-        emit(info(5, "a"));
+        bare(5, Level::Info, "a");
         drop(outer);
-        assert_eq!(oh.len(), 1);
+        assert_eq!(names(&outer_out.events()), ["a"]);
         assert!(!is_active());
+    }
+
+    #[test]
+    fn a_trace_file_holds_every_line_after_drop_and_after_uninstall() {
+        let path = std::env::temp_dir().join(format!("sc_obs_flush_{}.jsonl", std::process::id()));
+        let path = path.to_str().expect("a UTF-8 temp path");
+        let lines_in_file = || {
+            let text = std::fs::read_to_string(path).expect("the trace file");
+            crate::analyze::parse_trace(&text).expect("the trace parses").len()
+        };
+        // Enough lines that the file's buffer has a partial block left
+        // when the run ends.
+        for uninstall in [false, true] {
+            let sink = JsonlSink::create(path).expect("a trace file");
+            let guard = Dispatcher::new().with_sink(Box::new(sink)).install();
+            for t in 0..1_000u64 {
+                event(t, Level::Info, "web", "t", "e", |ev| ev.field("t", t));
+            }
+            if uninstall {
+                let d = guard.uninstall();
+                assert_eq!(lines_in_file(), 1_000, "uninstall flushes while the dispatcher lives");
+                drop(d);
+            } else {
+                drop(guard);
+                assert_eq!(lines_in_file(), 1_000, "dropping the guard flushes");
+            }
+        }
+        std::fs::remove_file(path).expect("remove the trace file");
     }
 
     #[test]
@@ -903,18 +895,16 @@ mod tests {
 
     #[test]
     fn a_builder_that_emits_yields_both_lines_in_order() {
-        let ring = RingSink::with_capacity(8);
-        let h = ring.handle();
-        let guard = Dispatcher::new().with_sink(Box::new(ring)).install();
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_sink(out.sink()).install();
         event(1, Level::Info, "web", "t", "outer", |ev| {
             event(2, Level::Info, "web", "t", "inner", |ev| ev.field("depth", 2u64));
             ev.field("depth", 1u64).field("note", "built around an emit")
         });
         event(3, Level::Info, "web", "t", "next", |ev| ev);
         drop(guard);
-        let evs = h.events();
-        let names: Vec<&str> = evs.iter().map(|e| e.name).collect();
-        assert_eq!(names, ["inner", "outer", "next"]);
+        let evs = out.events();
+        assert_eq!(names(&evs), ["inner", "outer", "next"]);
         assert_eq!(evs[0].fields.len(), 1);
         assert_eq!(evs[1].get_u64("depth"), Some(1));
         assert_eq!(evs[1].fields.len(), 2);
@@ -961,11 +951,11 @@ mod tests {
         }
     }
 
+
     #[test]
     fn a_long_lived_span_survives_the_window_and_sites_are_told_apart() {
-        let ring = RingSink::with_capacity(4096);
-        let h = ring.handle();
-        let guard = Dispatcher::new().with_sink(Box::new(ring)).install();
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_sink(out.sink()).install();
         let root = span_start(0, Level::Info, "metrics", "run", "scenario", Vec::new);
         let mut open = Vec::new();
         for t in 1..=1000u64 {
@@ -985,28 +975,27 @@ mod tests {
         let d = guard.uninstall();
         assert_eq!(d.open_spans.in_window + d.open_spans.pinned.len(), 0);
         assert!(d.open_spans.window.capacity() < 64, "the window stayed short");
-        let evs = h.events();
-        let starts: BTreeMap<u64, &Event> =
-            evs.iter().filter(|e| e.name == "span_start").map(|e| (e.span.0, e)).collect();
-        let ends: Vec<&Event> = evs.iter().filter(|e| e.name == "span_end").collect();
+        let evs = out.events();
+        let starts: BTreeMap<Option<u64>, &TraceEvent<'_>> =
+            evs.iter().filter(|e| e.name == "span_start").map(|e| (e.span, e)).collect();
+        let ends: Vec<&TraceEvent<'_>> = evs.iter().filter(|e| e.name == "span_end").collect();
         assert_eq!(ends.len(), starts.len());
         for end in ends {
-            let start = starts[&end.span.0];
-            assert_eq!((end.component, end.target), (start.component, start.target));
+            let start = starts[&end.span];
+            assert_eq!((&end.component, &end.target), (&start.component, &start.target));
             assert_eq!(end.get_str("span_name"), start.get_str("span_name"));
             assert_eq!(end.get_u64("dur_us"), Some(end.t_us - start.t_us));
         }
-        let root_end = evs.iter().find(|e| e.name == "span_end" && e.span == root).unwrap();
-        assert_eq!((root_end.component, root_end.get_u64("dur_us")), ("metrics", Some(2000)));
+        let root_end = evs.iter().find(|e| e.name == "span_end" && e.span == Some(root.0)).unwrap();
+        assert_eq!((&*root_end.component, root_end.get_u64("dur_us")), ("metrics", Some(2000)));
         assert_eq!(d.registry().counter("obs.spans_evicted"), 0);
         assert_eq!(d.registry().counters().count(), 0, "no eviction, no counter");
     }
 
     #[test]
     fn the_open_span_cap_drops_the_oldest_and_counts_it() {
-        let ring = RingSink::with_capacity(64);
-        let h = ring.handle();
-        let guard = Dispatcher::new().with_sink(Box::new(ring)).install();
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_sink(out.sink()).install();
         CURRENT.with(|c| c.borrow_mut().as_mut().unwrap().open_spans.cap = 3);
         let ids: Vec<SpanId> =
             (0..5).map(|t| span_start(t, Level::Info, "web", "load", "leak", Vec::new)).collect();
@@ -1015,9 +1004,9 @@ mod tests {
         }
         let d = guard.uninstall();
         assert_eq!(d.registry().counter("obs.spans_evicted"), 2);
-        let ended: Vec<u64> =
-            h.events().iter().filter(|e| e.name == "span_end").map(|e| e.span.0).collect();
-        assert_eq!(ended, [3, 4, 5], "the two oldest were dropped; their ends are ignored");
+        let ended: Vec<Option<u64>> =
+            out.events().iter().filter(|e| e.name == "span_end").map(|e| e.span).collect();
+        assert_eq!(ended, [Some(3), Some(4), Some(5)], "the two oldest were dropped; their ends are ignored");
         assert_eq!(d.open_spans.in_window + d.open_spans.pinned.len(), 0);
     }
 

@@ -192,28 +192,6 @@ impl Event {
         self.span = span;
         self
     }
-
-    /// Looks up a field by key.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        self.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
-    /// Convenience: field value as `u64` if present and unsigned.
-    pub fn get_u64(&self, key: &str) -> Option<u64> {
-        match self.get(key) {
-            Some(Value::U64(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Convenience: field value as a string slice if present and textual.
-    pub fn get_str(&self, key: &str) -> Option<&str> {
-        match self.get(key) {
-            Some(Value::Str(s)) => Some(s),
-            Some(Value::String(s)) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -233,10 +211,11 @@ mod tests {
         let ev = Event::new(42, Level::Info, "gfw", "verdict", "drop")
             .field("rule", "gfw-sni")
             .field("bytes", 1500u64);
-        assert_eq!(ev.fields[0].0, "rule");
-        assert_eq!(ev.fields[1].0, "bytes");
-        assert_eq!(ev.get_str("rule"), Some("gfw-sni"));
-        assert_eq!(ev.get_u64("bytes"), Some(1500));
-        assert_eq!(ev.get("missing"), None);
+        assert_eq!(ev.fields, [("rule", Value::Str("gfw-sni")), ("bytes", Value::U64(1500))]);
+        // A reader looks fields up in the line the sink writes.
+        let parsed = crate::analyze::tests::reparsed(&ev);
+        assert_eq!(parsed.get_str("rule"), Some("gfw-sni"));
+        assert_eq!(parsed.get_u64("bytes"), Some(1500));
+        assert_eq!(parsed.get("missing"), None);
     }
 }

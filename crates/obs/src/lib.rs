@@ -12,12 +12,13 @@
 //!    keyed to **simulation time**: every record carries `t_us`,
 //!    microseconds of `sc-simnet` clock, never wall clock. Events are
 //!    addressed `component → target → name` (see [`event`]) and
-//!    filtered per component by [`Level`].
+//!    filtered by one [`Level`].
 //! 2. **Metrics** ([`Registry`]): saturating [`Counter`]s and
 //!    HDR-style log-bucketed [`Histogram`]s with p50/p95/p99.
-//! 3. **Sinks** ([`RingSink`] for tests, [`JsonlSink`] for offline
-//!    analysis, [`Registry::render_summary`] for human-readable
-//!    reports via `sc-metrics`).
+//! 3. **One sink**: [`JsonlSink`] writes the trace that everything
+//!    reading a run — tests, [`analyze`], the benchmark — parses back;
+//!    [`Registry::render_summary`] prints human-readable reports via
+//!    `sc-metrics`.
 //!
 //! A fourth piece stands apart: [`prof`] is a **wall-clock**
 //! self-profiler (per-subsystem scoped timers plus allocation
@@ -32,24 +33,25 @@
 //! installed (the un-instrumented fast path is a thread-local read):
 //!
 //! ```
-//! use sc_obs::{Dispatcher, Event, Level, RingSink};
+//! use sc_obs::{Dispatcher, JsonlSink, Level};
 //!
-//! let ring = RingSink::with_capacity(1024);
-//! let handle = ring.handle();
+//! let path = std::env::temp_dir().join(format!("sc_obs_doc_{}.jsonl", std::process::id()));
+//! let path = path.to_str().unwrap();
 //! let guard = Dispatcher::new()
 //!     .with_level(Level::Debug)
-//!     .with_sink(Box::new(ring))
+//!     .with_sink(Box::new(JsonlSink::create(path).unwrap()))
 //!     .install();
 //!
 //! // ... deep inside instrumented code, with no handle in scope:
-//! sc_obs::emit(
-//!     Event::new(1_500, Level::Info, "gfw", "verdict", "drop").field("rule", "gfw-sni"),
-//! );
+//! sc_obs::event(1_500, Level::Info, "gfw", "verdict", "drop", |ev| ev.field("rule", "gfw-sni"));
 //! sc_obs::counter_add("gfw.drops", 1);
 //!
 //! let registry = guard.uninstall().into_registry();
 //! assert_eq!(registry.counter("gfw.drops"), 1);
-//! assert_eq!(handle.count_named("gfw", "drop"), 1);
+//! let text = std::fs::read_to_string(path).unwrap();
+//! let trace = sc_obs::analyze::parse_trace(&text).unwrap();
+//! assert_eq!((&*trace[0].name, trace[0].get_str("rule")), ("drop", Some("gfw-sni")));
+//! # std::fs::remove_file(path).unwrap();
 //! ```
 //!
 //! # Determinism
@@ -74,13 +76,13 @@ pub mod timeseries;
 
 pub use context::{TraceCtx, TraceId, TRACE_HEADER};
 pub use dispatch::{
-    counter_add, emit, event, is_active, is_enabled, observe, span_end,
+    counter_add, event, is_active, observe, span_end,
     span_start, span_start_ctx, tick, ts_bump, ts_bump_ex, ts_record,
     ts_record_ex, with_registry, with_slo_engine, with_timeseries, Dispatcher, ObsGuard,
     SpanFields,
 };
 pub use event::{Event, Level, SpanId, Value};
 pub use metrics::{Counter, Histogram, Registry};
-pub use sink::{write_event_json, JsonlSink, RingHandle, RingSink, Sink};
+pub use sink::{write_event_json, JsonlSink};
 pub use slo::{Objective, SloEngine, SloSpec, SloStatus};
 pub use timeseries::{SeriesKind, TimeSeries, Window, WindowSpec};

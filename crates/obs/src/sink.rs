@@ -1,122 +1,14 @@
-//! Event sinks: where dispatched events go.
+//! The trace sink: where dispatched events go.
 //!
-//! Three sinks cover the workspace's needs:
-//!
-//! * [`RingSink`] — bounded in-memory buffer for tests and ad-hoc
-//!   inspection (read through a cloned [`RingHandle`]);
-//! * [`JsonlSink`] — one JSON object per line, hand-serialized with a
-//!   fixed field order so traces of the same seeded run are
-//!   **byte-identical**;
-//! * anything custom implementing [`Sink`].
+//! [`JsonlSink`] writes one JSON object per line, hand-serialized with a
+//! fixed field order so traces of the same seeded run are
+//! **byte-identical**. It is the only sink: the golden digests,
+//! `scholar-obs`, the benchmark and the tests all read a run's events
+//! back from that text with [`crate::analyze::parse_trace`].
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::rc::Rc;
 
 use crate::event::{Event, Value};
-
-/// Receives every event that passes the dispatcher's level filter.
-///
-/// Sinks must not emit events themselves: the dispatcher is borrowed
-/// while a sink runs, and re-entrant emission would panic.
-pub trait Sink {
-    /// Records one event.
-    fn record(&mut self, ev: &Event);
-
-    /// Flushes buffered output (called when the dispatcher uninstalls).
-    fn flush(&mut self) {}
-}
-
-#[derive(Debug, Default)]
-struct RingInner {
-    cap: usize,
-    buf: VecDeque<Event>,
-    /// Total events offered, including ones evicted by the cap.
-    seen: u64,
-}
-
-/// Bounded in-memory collector; the oldest events are evicted once
-/// `capacity` is reached.
-#[derive(Debug)]
-pub struct RingSink {
-    inner: Rc<RefCell<RingInner>>,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> RingSink {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingSink {
-            inner: Rc::new(RefCell::new(RingInner {
-                cap: capacity,
-                buf: VecDeque::with_capacity(capacity),
-                seen: 0,
-            })),
-        }
-    }
-
-    /// A handle that stays readable after the sink moves into a
-    /// dispatcher.
-    pub fn handle(&self) -> RingHandle {
-        RingHandle { inner: Rc::clone(&self.inner) }
-    }
-}
-
-impl Sink for RingSink {
-    fn record(&mut self, ev: &Event) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.buf.len() == inner.cap {
-            inner.buf.pop_front();
-        }
-        inner.buf.push_back(ev.clone());
-        inner.seen += 1;
-    }
-}
-
-/// Shared read access to a [`RingSink`]'s contents.
-#[derive(Debug, Clone)]
-pub struct RingHandle {
-    inner: Rc<RefCell<RingInner>>,
-}
-
-impl RingHandle {
-    /// Snapshot of the buffered events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.inner.borrow().buf.iter().cloned().collect()
-    }
-
-    /// Number of events currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.borrow().buf.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total events offered over the sink's lifetime, including any the
-    /// cap evicted.
-    pub fn total_seen(&self) -> u64 {
-        self.inner.borrow().seen
-    }
-
-    /// Counts buffered events matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&Event) -> bool) -> usize {
-        self.inner.borrow().buf.iter().filter(|e| pred(e)).count()
-    }
-
-    /// Counts buffered events by `(component, name)`.
-    pub fn count_named(&self, component: &str, name: &str) -> usize {
-        self.count(|e| e.component == component && e.name == name)
-    }
-
-    /// Whether any buffered event matches a predicate.
-    pub fn any(&self, mut pred: impl FnMut(&Event) -> bool) -> bool {
-        self.inner.borrow().buf.iter().any(|e| pred(e))
-    }
-}
 
 /// Writes one JSON object per event, newline-delimited, with a fixed
 /// key order (`t_us`, `level`, `component`, `target`, `event`, `span`,
@@ -137,10 +29,9 @@ impl JsonlSink {
         let file = std::fs::File::create(path)?;
         Ok(JsonlSink::new(Box::new(io::BufWriter::new(file))))
     }
-}
 
-impl Sink for JsonlSink {
-    fn record(&mut self, ev: &Event) {
+    /// Writes `ev` as one line.
+    pub(crate) fn record(&mut self, ev: &Event) {
         self.line.clear();
         write_event_json(&mut self.line, ev);
         self.line.push('\n');
@@ -149,7 +40,9 @@ impl Sink for JsonlSink {
         let _ = self.out.write_all(self.line.as_bytes());
     }
 
-    fn flush(&mut self) {
+    /// Flushes buffered output (the dispatcher calls this when it
+    /// uninstalls).
+    pub(crate) fn flush(&mut self) {
         let _ = self.out.flush();
     }
 }
@@ -344,28 +237,59 @@ pub(crate) mod reference {
 }
 
 #[cfg(test)]
+pub(crate) mod capture {
+    //! A trace written to memory and read back the way every reader
+    //! reads one: as JSONL, through `parse_trace`.
+    use std::cell::RefCell;
+    use std::io::{self, Write};
+    use std::rc::Rc;
+
+    use super::JsonlSink;
+    use crate::analyze::{parse_trace, TraceEvent};
+
+    /// The bytes a [`JsonlSink`] wrote, readable after the sink has
+    /// moved into a dispatcher.
+    #[derive(Clone, Default)]
+    pub(crate) struct Captured(Rc<RefCell<Vec<u8>>>);
+
+    impl Captured {
+        /// A sink writing here.
+        pub(crate) fn sink(&self) -> Box<JsonlSink> {
+            Box::new(JsonlSink::new(Box::new(self.clone())))
+        }
+
+        /// What was written so far.
+        pub(crate) fn text(&self) -> String {
+            String::from_utf8(self.0.borrow().clone()).expect("the writer writes UTF-8")
+        }
+
+        /// What was written so far, parsed.
+        pub(crate) fn events(&self) -> Vec<TraceEvent<'static>> {
+            let text = self.text();
+            let events = parse_trace(&text).expect("the writer's lines parse");
+            events.into_iter().map(TraceEvent::into_owned).collect()
+        }
+    }
+
+    impl Write for Captured {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.0.borrow_mut().extend_from_slice(data);
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::{Level, SpanId};
 
     fn ev(t: u64, name: &'static str) -> Event {
         Event::new(t, Level::Info, "simnet", "packet", name)
-    }
-
-    #[test]
-    fn ring_evicts_oldest_and_counts_all() {
-        let sink = RingSink::with_capacity(3);
-        let h = sink.handle();
-        let mut s = sink;
-        for t in 0..5 {
-            s.record(&ev(t, "send"));
-        }
-        assert_eq!(h.len(), 3);
-        assert_eq!(h.total_seen(), 5);
-        assert_eq!(h.events()[0].t_us, 2);
-        assert_eq!(h.count_named("simnet", "send"), 3);
-        assert!(h.any(|e| e.t_us == 4));
-        assert!(!h.any(|e| e.t_us == 1));
     }
 
     #[test]
@@ -388,22 +312,12 @@ mod tests {
 
     #[test]
     fn jsonl_writes_one_line_per_event() {
-        let buf: Rc<RefCell<Vec<u8>>> = Rc::default();
-        struct Shared(Rc<RefCell<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-                self.0.borrow_mut().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut sink = JsonlSink::new(Box::new(Shared(Rc::clone(&buf))));
+        let out = capture::Captured::default();
+        let mut sink = out.sink();
         sink.record(&ev(1, "send"));
         sink.record(&ev(2, "deliver"));
         sink.flush();
-        let text = String::from_utf8(buf.borrow().clone()).unwrap();
+        let text = out.text();
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }

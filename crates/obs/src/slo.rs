@@ -366,6 +366,7 @@ fn alert_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::tests::reparsed;
     use crate::timeseries::WindowSpec;
 
     fn ts_1s() -> TimeSeries {
@@ -391,7 +392,7 @@ mod tests {
         let alerts = eng.evaluate(&ts);
         let names: Vec<&str> = alerts.iter().map(|e| e.name).collect();
         assert_eq!(names, ["fire", "resolve"], "{alerts:?}");
-        assert_eq!(alerts[0].get_str("slo"), Some("plt"));
+        assert_eq!(reparsed(&alerts[0]).get_str("slo"), Some("plt"));
         // Fired when window 1 closed (edge at 2 s).
         assert_eq!(alerts[0].t_us, 2_000_000);
         // Resolved when window 4 closed (both eval windows healthy).
@@ -463,6 +464,7 @@ mod tests {
         ts.advance(2_000_000);
         let alerts = eng.evaluate(&ts);
         let fire = alerts.iter().find(|e| e.name == "fire").expect("fired");
+        let fire = reparsed(fire);
         let ex = fire.get_str("exemplars").expect("exemplars field");
         // Worst first across the burn window: 0xbbb (90 ms) then 0xaaa.
         assert_eq!(ex, format!("{:016x},{:016x}", 0xbbbu64, 0xaaau64));
@@ -473,7 +475,7 @@ mod tests {
         ts.advance(4_000_000);
         let alerts = eng.evaluate(&ts);
         let resolve = alerts.iter().find(|e| e.name == "resolve").expect("resolved");
-        assert!(resolve.get("exemplars").is_none());
+        assert!(reparsed(resolve).get("exemplars").is_none());
     }
 
     #[test]

@@ -1023,6 +1023,10 @@ impl Browser {
     /// deadline timer keeps running throughout, so a throttle wait can
     /// never extend a load past its budget.
     fn throttle_backoff(&mut self, retry_after_secs: u64, ctx: &mut Ctx<'_>) -> bool {
+        // A hint from the wire can be any u64; a wait longer than the
+        // load's deadline ends at the deadline anyway, so clamp it there
+        // before converting to microseconds, which would overflow.
+        let max_secs = self.config.timeout.as_micros().div_ceil(1_000_000);
         let Some(load) = self.load.as_mut() else { return false };
         if load.throttle_retries >= MAX_THROTTLE_RETRIES {
             return false;
@@ -1030,7 +1034,7 @@ impl Browser {
         let attempt = load.throttle_retries;
         load.throttle_retries += 1;
         load.throttled = true;
-        let delay = SimDuration::from_secs(retry_after_secs.max(1))
+        let delay = SimDuration::from_secs(retry_after_secs.min(max_secs).max(1))
             .saturating_mul(1u64 << attempt.min(16));
         // Back off with nothing in flight: the proxy told us to go away,
         // so holding sockets open would just occupy its accept queue.

@@ -138,6 +138,47 @@ mod tests {
     }
 
     #[test]
+    fn a_retry_after_past_the_deadline_fails_the_load_without_overflow() {
+        const PROXY: Addr = Addr::new(10, 0, 0, 80);
+        /// Answers every CONNECT with `503` and the largest `Retry-After`
+        /// a `u64` holds.
+        struct Refuser;
+        impl App for Refuser {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                assert!(ctx.tcp_listen(8080));
+            }
+            fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+                if let AppEvent::Tcp(h, TcpEvent::DataReceived) = ev {
+                    ctx.tcp_recv_all(h);
+                    let refusal = format!(
+                        "HTTP/1.1 503 Service Unavailable\r\nRetry-After: {}\r\nContent-Length: 0\r\n\r\n",
+                        u64::MAX
+                    );
+                    ctx.tcp_send(h, refusal.as_bytes());
+                    ctx.tcp_close(h);
+                }
+            }
+        }
+        let (mut sim, client) = topology();
+        let proxy = sim.add_node("proxy", PROXY);
+        let cernet = sim.node_by_addr(Addr::new(10, 0, 0, 254)).unwrap();
+        sim.add_link(proxy, cernet, LinkConfig::with_delay(SimDuration::from_millis(2)));
+        sim.compute_routes();
+        sim.install_app(proxy, Box::new(Refuser));
+        let log = new_load_log();
+        let pac = sc_netproto::pac::PacFile::new(["scholar.google.com"], SocketAddr::new(PROXY, 8080));
+        let mut cfg = BrowserConfig::scholar(RESOLVER, ProxyPolicy::Pac(pac));
+        cfg.loads = 1;
+        cfg.timeout = SimDuration::from_secs(20);
+        sim.install_app(client, Box::new(Browser::new(cfg, None, log.clone())));
+        sim.run_for(SimDuration::from_secs(60));
+        let log = log.borrow();
+        assert_eq!(log.len(), 1);
+        assert!(log[0].failed && log[0].throttled, "the refused load fails at its deadline: {log:?}");
+        assert_eq!(log[0].proxy_status, Some(503));
+    }
+
+    #[test]
     fn ready_gate_delays_first_load() {
         use std::cell::Cell;
         use std::rc::Rc;

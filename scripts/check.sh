@@ -268,6 +268,17 @@ if [ "$(sans_tests crates/obs/src/sink.rs | grep -c 'write_fmt')" -ne 1 ]; then
 fi
 echo "structure: ok (metrics write by slot; the JSONL writer does not format)"
 
+# Structure, one sink and one level (DESIGN.md §6b "Sinks"): the
+# dispatcher writes accepted events to one JsonlSink, filtered by one
+# level, and a test reads what it wrote back with parse_trace like every
+# other reader. The in-memory ring, the sink trait, per-component levels
+# and the public emit are gone (bracketed so that this file does not
+# match).
+fail_if_found "a second sink, a per-component level or a public emit" \
+    grep -rnE 'RingSin[k]|RingHandl[e]|dyn Sin[k]|impl Sin[k] for|with_component_leve[l]|pub fn emi[t]\(' \
+        crates src examples tests benchmark/src --include='*.rs'
+echo "structure: ok (one JSONL sink, one level)"
+
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion
 # benches (the two targets whose rows benchmark/ does not own yet) and

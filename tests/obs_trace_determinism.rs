@@ -469,7 +469,7 @@ fn ops_run(seed: u64) -> (Vec<u8>, String) {
         .with_level(Level::Debug)
         .with_sink(Box::new(sink))
         .with_windows(WindowSpec::new(2_000_000, 512))
-        .with_slo(SloSpec::quantile("plt-p95", "web.plt_us", 0.95, 1_000_000))
+        .with_slos(vec![SloSpec::quantile("plt-p95", "web.plt_us", 0.95, 1_000_000)])
         .install();
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, seed);
     cfg.clients = 6;
