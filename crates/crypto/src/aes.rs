@@ -246,20 +246,6 @@ impl Aes {
         Ok(Self { round_keys, size })
     }
 
-    /// Convenience constructor for AES-256.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidKeyLength`] if `key` is not 32 bytes.
-    pub fn new_256(key: &[u8]) -> Result<Self, InvalidKeyLength> {
-        Self::new(KeySize::Aes256, key)
-    }
-
-    /// The key size variant this cipher was constructed with.
-    pub fn key_size(&self) -> KeySize {
-        self.size
-    }
-
     fn add_round_key(&self, state: &mut [u8; 16], round: usize) {
         for (bytes, word) in state.chunks_exact_mut(4).zip(self.round_keys[round]) {
             for (s, k) in bytes.iter_mut().zip(word.to_be_bytes()) {

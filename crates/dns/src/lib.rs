@@ -213,4 +213,48 @@ mod tests {
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(*hits.borrow(), 1);
     }
+
+    /// The retry timer resends what is pending in query-id order, not in
+    /// the order of the map that holds it.
+    #[test]
+    fn retried_queries_go_out_in_query_id_order() {
+        struct ResolveMany {
+            stub: StubResolver,
+        }
+        impl App for ResolveMany {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                self.stub.bind(ctx);
+                for i in 0..32 {
+                    self.stub.resolve(&format!("n{i}.example"), i, ctx);
+                }
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+            fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+                if let AppEvent::TimerFired(_) = ev {
+                    self.stub.retry_pending(ctx);
+                }
+            }
+        }
+        /// Records the id of every query it is sent and answers none.
+        struct Silent {
+            ids: Rc<RefCell<Vec<u16>>>,
+        }
+        impl App for Silent {
+            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+                ctx.udp_bind(DNS_PORT);
+            }
+            fn on_event(&mut self, ev: AppEvent, _ctx: &mut Ctx<'_>) {
+                if let AppEvent::Udp { payload, .. } = ev {
+                    self.ids.borrow_mut().push(DnsMessage::decode(&payload).unwrap().id);
+                }
+            }
+        }
+        let (mut sim, client, resolver, _) = dns_topology();
+        let ids = Rc::new(RefCell::new(Vec::new()));
+        sim.install_app(resolver, Box::new(Silent { ids: ids.clone() }));
+        sim.install_app(client, Box::new(ResolveMany { stub: StubResolver::new(Addr::new(10, 0, 0, 53)) }));
+        sim.run_for(SimDuration::from_secs(2));
+        let sent_then_retried: Vec<u16> = (1..=32).chain(1..=32).collect();
+        assert_eq!(*ids.borrow(), sent_then_retried);
+    }
 }

@@ -52,8 +52,6 @@ pub struct StubResolver {
     cache: HashMap<String, CachedAnswer>,
     /// Number of queries answered from cache.
     pub cache_hits: u64,
-    /// Number of queries sent upstream.
-    pub queries_sent: u64,
 }
 
 impl StubResolver {
@@ -66,7 +64,6 @@ impl StubResolver {
             pending: HashMap::new(),
             cache: HashMap::new(),
             cache_hits: 0,
-            queries_sent: 0,
         }
     }
 
@@ -105,7 +102,6 @@ impl StubResolver {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         self.pending.insert(id, (key.clone(), token));
-        self.queries_sent += 1;
         ctx.udp_send(sock, self.server, DnsMessage::query(id, &key).encode());
         None
     }
@@ -142,16 +138,19 @@ impl StubResolver {
         !self.pending.is_empty()
     }
 
-    /// Retransmits every outstanding query (the owner calls this from a
-    /// retry timer; real stub resolvers retransmit after ~1 s).
+    /// Retransmits every outstanding query, in query-id order (the owner
+    /// calls this from a retry timer; real stub resolvers retransmit after
+    /// ~1 s).
     ///
     /// # Panics
     ///
     /// Panics if [`StubResolver::bind`] has not been called.
     pub fn retry_pending(&mut self, ctx: &mut Ctx<'_>) {
         let sock = self.sock.expect("StubResolver::bind not called");
-        for (&id, (name, _)) in self.pending.iter() {
-            self.queries_sent += 1;
+        let mut ids: Vec<u16> = self.pending.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            let (name, _) = &self.pending[&id];
             ctx.udp_send(sock, self.server, DnsMessage::query(id, name).encode());
         }
     }

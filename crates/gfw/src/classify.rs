@@ -31,8 +31,6 @@ pub mod ports {
     pub const OPENVPN: u16 = 1194;
     /// HTTP.
     pub const HTTP: u16 = 80;
-    /// HTTPS.
-    pub const HTTPS: u16 = 443;
 }
 
 /// What the GFW believes a flow is.

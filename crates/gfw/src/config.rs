@@ -21,9 +21,6 @@ impl Policy {
     /// No interference.
     pub const ALLOW: Policy = Policy { drop_prob: 0.0, rst: false, block: false };
 
-    /// Hard block.
-    pub const BLOCK: Policy = Policy { drop_prob: 0.0, rst: false, block: true };
-
     /// Reset on detection.
     pub const RESET: Policy = Policy { drop_prob: 0.0, rst: true, block: false };
 

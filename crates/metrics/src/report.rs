@@ -258,29 +258,6 @@ pub fn render_ablations(
     out
 }
 
-/// Renders rows as CSV (for external plotting).
-pub fn fig5_csv(rows: &[Fig5Row]) -> String {
-    let mut out = String::from(
-        "method,plt_first_mean,plt_first_min,plt_first_max,plt_subs_mean,plt_subs_min,plt_subs_max,rtt_ms_mean,plr,failure_rate\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{:.4},{:.4},{:.4},{:.4},{:.4},{:.4},{:.2},{:.6},{:.4}\n",
-            r.method.name(),
-            r.plt_first.mean,
-            r.plt_first.min,
-            r.plt_first.max,
-            r.plt_subsequent.mean,
-            r.plt_subsequent.min,
-            r.plt_subsequent.max,
-            r.rtt_ms.mean,
-            r.plr,
-            r.failure_rate,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,11 +273,8 @@ mod tests {
             plr: 0.0022,
             failure_rate: 0.0,
         };
-        let text = render_fig5(&[row.clone()]);
+        let text = render_fig5(&[row]);
         assert!(text.contains("ScholarCloud"));
         assert!(text.contains("1.30"));
-        let csv = fig5_csv(&[row]);
-        assert!(csv.lines().count() == 2);
-        assert!(csv.contains("ScholarCloud,2.1"));
     }
 }

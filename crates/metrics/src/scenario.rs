@@ -354,8 +354,6 @@ pub struct ScenarioOutcome {
     pub client_sent_bytes: u64,
     /// Wire bytes delivered to the first client.
     pub client_recv_bytes: u64,
-    /// Packets originated by the first client.
-    pub client_sent_packets: u64,
     /// Censor drops broken out by GFW rule label, sorted by label.
     pub censor_by_rule: Vec<(&'static str, u64)>,
     /// Simulated duration.
@@ -428,9 +426,6 @@ pub struct BuiltScenario {
     pub gfw: Option<GfwHandle>,
     /// ScholarCloud remote VM addresses, in pool order.
     pub sc_remote_addrs: Vec<Addr>,
-    /// The us↔sc-remote access links, same order as
-    /// [`sc_remote_addrs`](Self::sc_remote_addrs).
-    pub sc_remote_links: Vec<sc_simnet::link::LinkId>,
     /// The gate holding back the flash crowd (present when
     /// [`ScenarioConfig::flash_clients`] > 0). Open it from a
     /// [`Fault::FlashCrowd`](sc_simnet::faults::Fault) trigger at
@@ -639,11 +634,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
     sim.add_link(us, middle, lan);
     sim.add_link(us, exit, lan);
     sim.add_link(us, directory, lan);
-    let sc_remote_links: Vec<_> = sc_remotes
-        .iter()
-        .map(|&n| sim.add_link(us, n, lan.bandwidth_bps(server_bw(Method::ScholarCloud))))
-        .collect();
-    for &n in &sc_elastic_nodes {
+    for &n in sc_remotes.iter().chain(&sc_elastic_nodes) {
         sim.add_link(us, n, lan.bandwidth_bps(server_bw(Method::ScholarCloud)));
     }
     sim.add_link(us, scholar, lan);
@@ -969,7 +960,6 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
         sim,
         gfw,
         sc_remote_addrs,
-        sc_remote_links,
         flash_gate,
         sc_cache,
         sc_domestic_nodes,
@@ -1013,7 +1003,6 @@ impl BuiltScenario {
             gfw: gfw.map(|g| g.borrow().counters).unwrap_or_default(),
             client_sent_bytes: counters.sent_bytes,
             client_recv_bytes: counters.delivered_bytes,
-            client_sent_packets: counters.sent,
             censor_by_rule: sim.stats.censor_by_rule(),
             sim_end: sim.now(),
             events_processed: sim.stats.events_processed,

@@ -7,8 +7,9 @@
 //!   Content-Length and chunked bodies).
 //! * [`tls`] — a simulated TLS 1.2-style protocol with a plaintext SNI
 //!   (DPI-readable), DH key agreement, and an encrypted record layer.
-//! * [`socks`] — SOCKS5 with RFC 1929 username/password auth, as spoken to
-//!   Shadowsocks local proxies; also the Shadowsocks target-address header.
+//! * [`socks`] — SOCKS5 without authentication, as spoken to the
+//!   Shadowsocks and Tor local proxies; also the Shadowsocks target-address
+//!   header.
 //! * [`pac`] — proxy auto-config generation/evaluation, ScholarCloud's
 //!   whole client-side configuration story.
 //! * [`scan`] — byte searches a word at a time, shared by the parsers

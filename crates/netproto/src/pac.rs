@@ -55,11 +55,6 @@ impl PacFile {
         PacFile { whitelist, proxies }
     }
 
-    /// The primary proxy (head of the fallback list).
-    pub fn primary(&self) -> SocketAddr {
-        self.proxies[0]
-    }
-
     /// Whether `host` is on the whitelist (routed via the proxy list).
     fn whitelisted(&self, host: &str) -> bool {
         let host = host.to_ascii_lowercase();

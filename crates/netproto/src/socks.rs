@@ -1,37 +1,11 @@
-//! SOCKS5 (RFC 1928) with username/password authentication (RFC 1929) —
-//! the protocol spoken between a browser and the Shadowsocks local proxy,
-//! and (in Shadowsocks' wire format) the address header sent to the remote.
+//! SOCKS5 (RFC 1928) without authentication — the protocol spoken
+//! between a browser and the Shadowsocks or Tor local proxy, and (in
+//! Shadowsocks' wire format) the address header sent to the remote.
 
 use sc_simnet::addr::Addr;
 
 /// SOCKS protocol version byte.
 pub const SOCKS_VERSION: u8 = 5;
-
-/// Authentication methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AuthMethod {
-    /// No authentication.
-    None,
-    /// Username/password (RFC 1929).
-    UserPass,
-}
-
-impl AuthMethod {
-    fn to_byte(self) -> u8 {
-        match self {
-            AuthMethod::None => 0x00,
-            AuthMethod::UserPass => 0x02,
-        }
-    }
-
-    fn from_byte(b: u8) -> Option<Self> {
-        match b {
-            0x00 => Some(AuthMethod::None),
-            0x02 => Some(AuthMethod::UserPass),
-            _ => None,
-        }
-    }
-}
 
 /// A connect target: domain name or literal address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,76 +71,13 @@ impl TargetAddr {
     }
 }
 
-/// Messages in the SOCKS5 client→server direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ClientMsg {
-    /// Greeting offering auth methods.
-    Greeting(Vec<AuthMethod>),
-    /// Username/password credentials.
-    Auth {
-        /// Username.
-        username: String,
-        /// Password.
-        password: String,
-    },
-    /// CONNECT request.
-    Connect(TargetAddr),
-}
+/// The "no authentication required" method, the only one offered back.
+const NO_AUTH: u8 = 0x00;
 
-impl ClientMsg {
-    /// Serializes the message.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            ClientMsg::Greeting(methods) => {
-                let mut out = vec![SOCKS_VERSION, methods.len() as u8];
-                out.extend(methods.iter().map(|m| m.to_byte()));
-                out
-            }
-            ClientMsg::Auth { username, password } => {
-                let mut out = vec![0x01, username.len() as u8];
-                out.extend_from_slice(username.as_bytes());
-                out.push(password.len() as u8);
-                out.extend_from_slice(password.as_bytes());
-                out
-            }
-            ClientMsg::Connect(target) => {
-                let mut out = vec![SOCKS_VERSION, 0x01, 0x00];
-                out.extend(target.encode());
-                out
-            }
-        }
-    }
-}
-
-/// Messages in the SOCKS5 server→client direction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServerMsg {
-    /// Method selection.
-    MethodSelected(AuthMethod),
-    /// Auth result.
-    AuthResult {
-        /// True on success.
-        ok: bool,
-    },
-    /// CONNECT reply.
-    ConnectReply {
-        /// 0 = success; otherwise a SOCKS error code.
-        code: u8,
-    },
-}
-
-impl ServerMsg {
-    /// Serializes the message.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            ServerMsg::MethodSelected(m) => vec![SOCKS_VERSION, m.to_byte()],
-            ServerMsg::AuthResult { ok } => vec![0x01, if *ok { 0 } else { 1 }],
-            ServerMsg::ConnectReply { code } => {
-                // Bind address is zeroed, as most implementations do.
-                vec![SOCKS_VERSION, *code, 0x00, 0x01, 0, 0, 0, 0, 0, 0]
-            }
-        }
-    }
+/// A CONNECT reply with `code` (0 = success), its bind address zeroed as
+/// most implementations do.
+fn connect_reply(code: u8) -> [u8; 10] {
+    [SOCKS_VERSION, code, 0x00, 0x01, 0, 0, 0, 0, 0, 0]
 }
 
 /// Server-side SOCKS5 state machine, driven by stream bytes.
@@ -174,15 +85,11 @@ impl ServerMsg {
 pub struct SocksServerSession {
     state: SocksState,
     buf: Vec<u8>,
-    require_auth: Option<(String, String)>,
-    /// Established target once negotiation completes.
-    pub target: Option<TargetAddr>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SocksState {
     Greeting,
-    Auth,
     Request,
     Ready,
     Failed,
@@ -198,29 +105,14 @@ pub struct SocksOutput {
     /// Leftover bytes that belong to the proxied stream (sent by an eager
     /// client after its CONNECT).
     pub leftover: Vec<u8>,
-    /// The session failed (bad version, bad credentials…).
+    /// The session failed (bad version, no acceptable method…).
     pub failed: bool,
 }
 
 impl SocksServerSession {
     /// A session that accepts anonymous clients.
     pub fn new() -> Self {
-        SocksServerSession {
-            state: SocksState::Greeting,
-            buf: Vec::new(),
-            require_auth: None,
-            target: None,
-        }
-    }
-
-    /// A session that requires the given username/password.
-    pub fn with_auth(username: &str, password: &str) -> Self {
-        SocksServerSession {
-            state: SocksState::Greeting,
-            buf: Vec::new(),
-            require_auth: Some((username.to_string(), password.to_string())),
-            target: None,
-        }
+        SocksServerSession { state: SocksState::Greeting, buf: Vec::new() }
     }
 
     /// Whether negotiation finished and the stream is proxied.
@@ -247,70 +139,30 @@ impl SocksServerSession {
                         out.failed = true;
                         break;
                     }
-                    let methods: Vec<AuthMethod> = self.buf[2..2 + nmethods]
-                        .iter()
-                        .filter_map(|b| AuthMethod::from_byte(*b))
-                        .collect();
+                    let offered = self.buf[2..2 + nmethods].contains(&NO_AUTH);
                     self.buf.drain(..2 + nmethods);
-                    let want = if self.require_auth.is_some() {
-                        AuthMethod::UserPass
-                    } else {
-                        AuthMethod::None
-                    };
-                    if !methods.contains(&want) {
+                    if !offered {
                         out.reply.extend([SOCKS_VERSION, 0xff]);
                         self.state = SocksState::Failed;
                         out.failed = true;
                         break;
                     }
-                    out.reply.extend(ServerMsg::MethodSelected(want).encode());
-                    self.state = if self.require_auth.is_some() {
-                        SocksState::Auth
-                    } else {
-                        SocksState::Request
-                    };
-                }
-                SocksState::Auth => {
-                    if self.buf.len() < 2 {
-                        break;
-                    }
-                    let ulen = self.buf[1] as usize;
-                    if self.buf.len() < 2 + ulen + 1 {
-                        break;
-                    }
-                    let plen = self.buf[2 + ulen] as usize;
-                    if self.buf.len() < 2 + ulen + 1 + plen {
-                        break;
-                    }
-                    let username = String::from_utf8_lossy(&self.buf[2..2 + ulen]).to_string();
-                    let password =
-                        String::from_utf8_lossy(&self.buf[3 + ulen..3 + ulen + plen]).to_string();
-                    self.buf.drain(..3 + ulen + plen);
-                    let (eu, ep) = self.require_auth.as_ref().expect("auth state implies auth");
-                    let ok = *eu == username && *ep == password;
-                    out.reply.extend(ServerMsg::AuthResult { ok }.encode());
-                    if ok {
-                        self.state = SocksState::Request;
-                    } else {
-                        self.state = SocksState::Failed;
-                        out.failed = true;
-                        break;
-                    }
+                    out.reply.extend([SOCKS_VERSION, NO_AUTH]);
+                    self.state = SocksState::Request;
                 }
                 SocksState::Request => {
                     if self.buf.len() < 3 {
                         break;
                     }
                     if self.buf[0] != SOCKS_VERSION || self.buf[1] != 0x01 {
-                        out.reply.extend(ServerMsg::ConnectReply { code: 7 }.encode());
+                        out.reply.extend(connect_reply(7));
                         self.state = SocksState::Failed;
                         out.failed = true;
                         break;
                     }
                     let Some((target, consumed)) = TargetAddr::decode(&self.buf[3..]) else { break };
                     self.buf.drain(..3 + consumed);
-                    out.reply.extend(ServerMsg::ConnectReply { code: 0 }.encode());
-                    self.target = Some(target.clone());
+                    out.reply.extend(connect_reply(0));
                     out.connect = Some(target);
                     self.state = SocksState::Ready;
                 }
@@ -338,54 +190,42 @@ impl Default for SocksServerSession {
 mod tests {
     use super::*;
 
+    const GREETING: [u8; 3] = [5, 1, NO_AUTH];
+
+    fn connect(target: &TargetAddr) -> Vec<u8> {
+        let mut out = vec![5, 0x01, 0x00];
+        out.extend(target.encode());
+        out
+    }
+
     #[test]
     fn anonymous_connect_flow() {
         let mut s = SocksServerSession::new();
-        let o1 = s.on_bytes(&ClientMsg::Greeting(vec![AuthMethod::None]).encode());
+        let o1 = s.on_bytes(&GREETING);
         assert_eq!(o1.reply, vec![5, 0]);
         let target = TargetAddr::Domain("scholar.google.com".into(), 443);
-        let o2 = s.on_bytes(&ClientMsg::Connect(target.clone()).encode());
+        let o2 = s.on_bytes(&connect(&target));
+        assert_eq!(o2.reply, connect_reply(0));
+        assert_eq!(o2.reply.len(), 10);
         assert_eq!(o2.connect, Some(target));
         assert!(s.is_ready());
     }
 
     #[test]
-    fn authenticated_flow() {
-        let mut s = SocksServerSession::with_auth("user", "hunter2");
-        let o1 = s.on_bytes(&ClientMsg::Greeting(vec![AuthMethod::UserPass]).encode());
-        assert_eq!(o1.reply, vec![5, 2]);
-        let o2 = s.on_bytes(
-            &ClientMsg::Auth { username: "user".into(), password: "hunter2".into() }.encode(),
-        );
-        assert_eq!(o2.reply, vec![1, 0]);
-        let o3 = s.on_bytes(&ClientMsg::Connect(TargetAddr::Ip(Addr::new(9, 9, 9, 9), 80)).encode());
-        assert!(o3.connect.is_some());
-    }
-
-    #[test]
-    fn wrong_password_fails() {
-        let mut s = SocksServerSession::with_auth("user", "hunter2");
-        s.on_bytes(&ClientMsg::Greeting(vec![AuthMethod::UserPass]).encode());
-        let o = s.on_bytes(
-            &ClientMsg::Auth { username: "user".into(), password: "wrong".into() }.encode(),
-        );
-        assert!(o.failed);
-        assert_eq!(o.reply, vec![1, 1]);
-    }
-
-    #[test]
-    fn auth_required_but_not_offered() {
-        let mut s = SocksServerSession::with_auth("u", "p");
-        let o = s.on_bytes(&ClientMsg::Greeting(vec![AuthMethod::None]).encode());
+    fn a_greeting_without_no_auth_is_refused() {
+        // Username/password (0x02) alone: no acceptable method.
+        let mut s = SocksServerSession::new();
+        let o = s.on_bytes(&[5, 1, 2]);
         assert!(o.failed);
         assert_eq!(o.reply, vec![5, 0xff]);
+        assert!(!s.is_ready());
     }
 
     #[test]
     fn eager_client_data_is_preserved() {
         let mut s = SocksServerSession::new();
-        s.on_bytes(&ClientMsg::Greeting(vec![AuthMethod::None]).encode());
-        let mut bytes = ClientMsg::Connect(TargetAddr::Domain("h".into(), 80)).encode();
+        s.on_bytes(&GREETING);
+        let mut bytes = connect(&TargetAddr::Domain("h".into(), 80));
         bytes.extend_from_slice(b"GET / HTTP/1.1\r\n\r\n");
         let o = s.on_bytes(&bytes);
         assert!(o.connect.is_some());
@@ -395,8 +235,8 @@ mod tests {
     #[test]
     fn fragmented_negotiation() {
         let mut s = SocksServerSession::new();
-        let mut wire = ClientMsg::Greeting(vec![AuthMethod::None]).encode();
-        wire.extend(ClientMsg::Connect(TargetAddr::Domain("example.com".into(), 443)).encode());
+        let mut wire = GREETING.to_vec();
+        wire.extend(connect(&TargetAddr::Domain("example.com".into(), 443)));
         let mut connected = None;
         for b in wire {
             let o = s.on_bytes(&[b]);

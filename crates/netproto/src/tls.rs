@@ -18,8 +18,6 @@ pub mod record_type {
     pub const HANDSHAKE: u8 = 22;
     /// Application data.
     pub const APPLICATION_DATA: u8 = 23;
-    /// Alerts.
-    pub const ALERT: u8 = 21;
 }
 
 /// The record-layer version bytes (TLS 1.2 = 0x0303).

@@ -41,9 +41,6 @@ impl ClosedSpan {
 pub struct PhaseAgg {
     /// Phase spans attributed.
     pub spans: u64,
-    /// Total phase time (µs), summed (phases on parallel connections
-    /// may overlap).
-    pub total_us: u64,
 }
 
 /// One reconstructed `page_load` with its attributed phases.
@@ -289,7 +286,6 @@ fn attribute_phases(
         };
         let agg = phase_totals.entry(phase).or_default();
         agg.spans += 1;
-        agg.total_us = agg.total_us.saturating_add(s.dur_us());
         // Latest-starting load containing the phase start: `loads` is
         // sorted by start, so walk back from the last one that starts
         // at or before it.

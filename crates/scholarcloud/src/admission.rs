@@ -316,8 +316,6 @@ pub struct AdmissionController<T> {
     pub retry_budget: RetryBudget,
     /// Requests admitted (directly or from the queue).
     pub admitted: u64,
-    /// Requests enqueued.
-    pub enqueued: u64,
     /// Requests shed with 503 (queue full / deadline).
     pub shed: u64,
     /// Requests throttled with 429 (rate / stream cap).
@@ -336,7 +334,6 @@ impl<T: Copy + PartialEq> AdmissionController<T> {
             service: ServiceEwma::default(),
             retry_budget,
             admitted: 0,
-            enqueued: 0,
             shed: 0,
             throttled: 0,
         }
@@ -417,7 +414,6 @@ impl<T: Copy + PartialEq> AdmissionController<T> {
             enqueued_at: now,
             deadline: now + self.cfg.deadline_budget,
         });
-        self.enqueued += 1;
         Decision::Enqueue
     }
 

@@ -188,8 +188,6 @@ pub struct Instance {
     pub inflight: usize,
     /// When the instance last went idle (zero in-flight), while warm.
     pub idle_since: Option<SimTime>,
-    /// When the instance was powered off, once retired.
-    pub retired_at: Option<SimTime>,
     /// Set when the drain was a blacklist churn.
     pub churned: bool,
 }
@@ -288,7 +286,6 @@ impl ElasticPool {
                 cold_start: SimDuration::ZERO,
                 inflight: 0,
                 idle_since: Some(SimTime::ZERO),
-                retired_at: None,
                 churned: false,
             });
             warmed.push(addr);
@@ -494,7 +491,6 @@ impl ElasticPool {
         for i in self.instances.iter_mut() {
             if i.state == InstanceState::Draining && i.inflight == 0 {
                 i.state = InstanceState::Retired;
-                i.retired_at = Some(now);
                 actions.push(ElasticAction::Retire { addr: i.addr });
             }
         }
@@ -513,7 +509,6 @@ impl ElasticPool {
                 cold_start,
                 inflight: 0,
                 idle_since: None,
-                retired_at: None,
                 churned: false,
             });
             actions.push(ElasticAction::Provision { addr, cold_start });

@@ -9,8 +9,6 @@ pub struct Deployment {
     pub vms: u32,
     /// Daily cost per VM in USD.
     pub vm_daily_usd: f64,
-    /// Registered users.
-    pub registered_users: u64,
     /// Users online on a typical day.
     pub daily_active_users: u64,
     /// ICP registration number, once legalized.
@@ -23,7 +21,6 @@ impl Deployment {
         Deployment {
             vms: 2,
             vm_daily_usd: 1.1,
-            registered_users: 2000,
             daily_active_users: 700,
             icp_registration: Some("ICP Reg. #15063437".into()),
         }

@@ -42,11 +42,6 @@ pub struct RemoteProxy {
     /// generation `g` is kept in slot `g % 2` and replaces the older
     /// generation there.
     seen_nonces: [(u32, HashSet<u64>); 2],
-    /// Authenticated tunnels served (diagnostics).
-    pub tunnels: u64,
-    /// Decoys served to unauthenticated connections (diagnostics: probes
-    /// land here).
-    pub decoys: u64,
 }
 
 impl RemoteProxy {
@@ -59,8 +54,6 @@ impl RemoteProxy {
             conns: HashMap::new(),
             upstreams: HashMap::new(),
             seen_nonces: [(0, HashSet::new()), (1, HashSet::new())],
-            tunnels: 0,
-            decoys: 0,
         }
     }
 
@@ -68,7 +61,6 @@ impl RemoteProxy {
         ctx.tcp_send_bytes(h, decoy_response());
         ctx.tcp_close(h);
         self.conns.insert(h, ClientConn::Decoyed);
-        self.decoys += 1;
         // Decoys served to hostile-looking connections (garbage, bad
         // MACs, replays) are probe sightings the operator's domestic side
         // can act on; decoys to authenticated-but-misdirected tunnels
@@ -191,7 +183,6 @@ impl RemoteProxy {
             || vec![("dest", sc_obs::Value::String(dest.to_string()))],
         );
         self.conns.insert(h, ClientConn::Relaying { rx, tx, upstream, span });
-        self.tunnels += 1;
         sc_obs::counter_add("scholarcloud.remote_tunnels", 1);
         sc_obs::event(
             ctx.now().as_micros(),

@@ -231,10 +231,6 @@ pub struct RemoteHealth {
     pub rtt_ewma: Option<SimDuration>,
     /// Failures since the last success.
     pub consecutive_failures: u32,
-    /// Lifetime failures (diagnostics).
-    pub total_failures: u64,
-    /// Lifetime successes (diagnostics).
-    pub total_successes: u64,
 }
 
 impl RemoteHealth {
@@ -426,7 +422,6 @@ impl RemotePool {
     ) -> Option<BreakerTransition> {
         let e = &mut self.entries[idx];
         e.health.consecutive_failures = 0;
-        e.health.total_successes += 1;
         e.health.record_rtt(rtt);
         e.breaker.record_success()
     }
@@ -445,7 +440,6 @@ impl RemotePool {
     pub fn record_failure(&mut self, idx: usize, now: SimTime) -> Option<BreakerTransition> {
         let e = &mut self.entries[idx];
         e.health.consecutive_failures = e.health.consecutive_failures.saturating_add(1);
-        e.health.total_failures += 1;
         e.breaker.record_failure(now)
     }
 

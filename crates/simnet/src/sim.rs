@@ -859,11 +859,6 @@ impl<'a> Ctx<'a> {
         self.sim.set_tunnel(self.node, tunnel);
     }
 
-    /// Approximate bytes of transport state on this node (memory model).
-    pub fn transport_state_bytes(&self) -> usize {
-        self.sim.nodes[self.node.0].tcp.state_bytes()
-    }
-
     /// Requests a power transition for the node owning `addr` (elastic
     /// control plane: an autoscaler app spins sibling instances up and
     /// down). The transition is scheduled as an ordinary queue event at

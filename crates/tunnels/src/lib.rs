@@ -21,6 +21,9 @@ pub mod status;
 pub mod tor;
 pub mod vpn;
 
+#[cfg(test)]
+mod testnet;
+
 pub use names::NameMap;
 pub use shadowsocks::{SsConfig, SsLocal, SsRemote, SS_LOCAL_PORT, SS_PORT};
 pub use status::{TunnelState, TunnelStatus};

@@ -102,7 +102,6 @@ enum BrowserConn {
     },
     /// Proxied via the given remote data connection.
     Proxied(TcpHandle),
-    Dead,
 }
 
 #[derive(Debug)]
@@ -138,8 +137,6 @@ pub struct SsLocal {
     remotes: HashMap<TcpHandle, RemoteConn>,
     last_auth: Option<SimTime>,
     auth_in_flight: bool,
-    /// Auth round-trips performed (diagnostics; the paper's TCP-1 count).
-    pub auth_connections: u64,
 }
 
 impl SsLocal {
@@ -153,7 +150,6 @@ impl SsLocal {
             remotes: HashMap::new(),
             last_auth: None,
             auth_in_flight: false,
-            auth_connections: 0,
         }
     }
 
@@ -169,7 +165,6 @@ impl SsLocal {
             }
             self.auth_in_flight = true;
         }
-        self.auth_connections += 1;
         let h = ctx.tcp_connect(self.config.server);
         let mut iv = [0u8; 16];
         ctx.rng().fill(&mut iv);
@@ -193,8 +188,11 @@ impl SsLocal {
         self.browsers.insert(browser, BrowserConn::Proxied(h));
     }
 
+    /// Opens a data connection for every queued browser, in handle order:
+    /// the order sets the new handles, ports and SYNs, so it must not be
+    /// the map's.
     fn flush_queued(&mut self, ctx: &mut Ctx<'_>) {
-        let queued: Vec<(TcpHandle, TargetAddr, Vec<u8>)> = self
+        let mut queued: Vec<(TcpHandle, TargetAddr, Vec<u8>)> = self
             .browsers
             .iter_mut()
             .filter_map(|(h, c)| {
@@ -207,6 +205,7 @@ impl SsLocal {
                 }
             })
             .collect();
+        queued.sort_unstable_by_key(|q| q.0);
         for (h, target, buffered) in queued {
             self.open_data_conn(h, target, buffered, ctx);
         }
@@ -254,7 +253,7 @@ impl App for SsLocal {
                             }
                             if out.failed {
                                 ctx.tcp_close(h);
-                                self.browsers.insert(h, BrowserConn::Dead);
+                                self.browsers.remove(&h);
                             } else if let Some(target) = out.connect {
                                 self.on_socks_ready(h, target, out.leftover, ctx);
                             }
@@ -280,10 +279,9 @@ impl App for SsLocal {
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset => {
-                    if let Some(BrowserConn::Proxied(remote)) = self.browsers.get(&h) {
-                        ctx.tcp_close(*remote);
+                    if let Some(BrowserConn::Proxied(remote)) = self.browsers.remove(&h) {
+                        ctx.tcp_close(remote);
                     }
-                    self.browsers.insert(h, BrowserConn::Dead);
                 }
                 _ => {}
             }
@@ -424,7 +422,7 @@ impl App for SsLocal {
                     Some(RemoteConn::DataUp { browser, .. })
                     | Some(RemoteConn::DataConnecting { browser, .. }) => {
                         ctx.tcp_close(browser);
-                        self.browsers.insert(browser, BrowserConn::Dead);
+                        self.browsers.remove(&browser);
                     }
                     Some(RemoteConn::AuthInFlight { dedicated, .. }) => {
                         if dedicated.is_none() {
@@ -471,10 +469,6 @@ pub struct SsRemote {
     /// Outstanding auth challenges: conn → (expected answer, reply
     /// cipher stream).
     pending_challenges: HashMap<TcpHandle, (Vec<u8>, Box<Cfb>)>,
-    /// Successful relays established (diagnostics).
-    pub relays: u64,
-    /// Auth sessions served (diagnostics).
-    pub auths: u64,
 }
 
 impl SsRemote {
@@ -490,8 +484,6 @@ impl SsRemote {
             conns: HashMap::new(),
             upstreams: HashMap::new(),
             pending_challenges: HashMap::new(),
-            relays: 0,
-            auths: 0,
         }
     }
 
@@ -546,7 +538,6 @@ impl SsRemote {
             if plain_snapshot.len() >= expect.len() {
                 let (expect, mut tx) = self.pending_challenges.remove(&h).expect("checked");
                 if sc_crypto::hmac::ct_eq(&plain_snapshot[..16], &expect) {
-                    self.auths += 1;
                     let mut ok = vec![1u8];
                     seal(&mut tx, &mut ok);
                     ctx.tcp_send_bytes(h, ok);
@@ -573,7 +564,6 @@ impl SsRemote {
                 // TCP holds what is sent before the handshake completes.
                 ctx.tcp_send(upstream, &plain_snapshot[consumed..]);
                 self.upstreams.insert(upstream, h);
-                self.relays += 1;
                 let rx = rx.take().expect("IV consumed before header");
                 self.conns.insert(h, ServerConn::Relaying { upstream, rx, tx: None });
             }
@@ -667,6 +657,64 @@ impl App for SsRemote {
                 }
             }
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+
+    use sc_simnet::sim::Sim;
+
+    use super::*;
+    use crate::testnet::{self, SocksSessions, WebServer, CLIENT, SS_SERVER, WEB};
+
+    /// A Shadowsocks world: the remote, the local proxy and `sessions`
+    /// browsers offering `method`, against a web server that answers or
+    /// holds every request.
+    fn run(sessions: usize, method: u8, answer: bool) -> Sim {
+        let mut sim = testnet::world(46);
+        let cfg = SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT));
+        testnet::install(&mut sim, SS_SERVER, SsRemote::new(&cfg, testnet::names()));
+        testnet::install(&mut sim, WEB, WebServer { answer, log: Rc::default() });
+        testnet::install(&mut sim, CLIENT, SsLocal::new(cfg));
+        testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions, method, ready: None });
+        sim.run_for(SimDuration::from_secs(10));
+        sim
+    }
+
+    #[test]
+    fn queued_browsers_get_their_data_connections_in_handle_order() {
+        // Eight browsers queue behind the one auth round trip; when it
+        // completes, each gets a data connection (held open: the web
+        // server never answers). Handles are handed out in connect order.
+        let sim = run(8, 0, false);
+        let local = testnet::app::<SsLocal>(&sim, CLIENT);
+        let mut data: Vec<(TcpHandle, TcpHandle)> = local
+            .remotes
+            .iter()
+            .filter_map(|(&h, conn)| match conn {
+                RemoteConn::DataUp { browser, .. } | RemoteConn::DataConnecting { browser, .. } => {
+                    Some((h, *browser))
+                }
+                RemoteConn::AuthInFlight { .. } => None,
+            })
+            .collect();
+        data.sort_unstable();
+        let browsers: Vec<TcpHandle> = data.iter().map(|&(_, browser)| browser).collect();
+        let mut ascending = browsers.clone();
+        ascending.sort_unstable();
+        assert_eq!(browsers.len(), 8);
+        assert_eq!(browsers, ascending, "data connections opened out of browser order");
+    }
+
+    #[test]
+    fn sessions_that_end_leave_no_browser_entry() {
+        for (method, label) in [(0, "fetched and closed"), (2, "refused at the greeting")] {
+            let sim = run(6, method, true);
+            let local = testnet::app::<SsLocal>(&sim, CLIENT);
+            assert!(local.browsers.is_empty(), "{label}: {} browser entries left", local.browsers.len());
         }
     }
 }

@@ -64,7 +64,6 @@ enum Phase {
 enum BrowserConn {
     Negotiating(SocksServerSession),
     Stream(u16),
-    Dead,
 }
 
 struct StreamState {
@@ -83,8 +82,6 @@ pub struct TorClient {
     // Bootstrap.
     dir_conn: Option<TcpHandle>,
     dir_http: HttpParser,
-    /// Bytes of consensus fetched (diagnostics).
-    pub consensus_bytes: usize,
     // Meek transport.
     meek_conn: Option<TcpHandle>,
     tls: Option<TlsClient>,
@@ -93,8 +90,6 @@ pub struct TorClient {
     poll_in_flight: bool,
     tx_queue: Vec<u8>,
     cells: CellBuf,
-    /// Polls issued (diagnostics; drives the GFW's behavioral detector).
-    pub polls_sent: u64,
     /// Consecutive polls that returned no data (drives idle backoff).
     idle_polls: u32,
     // Circuit.
@@ -117,7 +112,6 @@ impl TorClient {
             phase: Phase::FetchingCerts,
             dir_conn: None,
             dir_http: HttpParser::new(),
-            consensus_bytes: 0,
             meek_conn: None,
             tls: None,
             session_id: 0,
@@ -125,7 +119,6 @@ impl TorClient {
             poll_in_flight: false,
             tx_queue: Vec::new(),
             cells: CellBuf::new(),
-            polls_sent: 0,
             idle_polls: 0,
             layers: Vec::new(),
             hop_keys: Vec::new(),
@@ -158,7 +151,6 @@ impl TorClient {
         };
         ctx.tcp_send_bytes(conn, wire);
         self.poll_in_flight = true;
-        self.polls_sent += 1;
     }
 
     fn queue_cell(&mut self, cell: Cell, ctx: &mut Ctx<'_>) {
@@ -255,7 +247,6 @@ impl TorClient {
                     relay_cmd::CONNECTED => {
                         if let Some(stream) = self.streams.get_mut(&stream_id) {
                             stream.connected = true;
-                            let browser = stream.browser;
                             let pending = std::mem::take(&mut stream.pending);
                             // SOCKS success already sent at negotiation time;
                             // now flush buffered request bytes.
@@ -263,7 +254,6 @@ impl TorClient {
                                 let payload = relay_payload(stream_id, relay_cmd::DATA, chunk);
                                 self.send_relay(2, payload, ctx);
                             }
-                            let _ = browser;
                         }
                     }
                     relay_cmd::DATA => {
@@ -274,7 +264,7 @@ impl TorClient {
                     relay_cmd::END => {
                         if let Some(stream) = self.streams.remove(&stream_id) {
                             ctx.tcp_close(stream.browser);
-                            self.browsers.insert(stream.browser, BrowserConn::Dead);
+                            self.browsers.remove(&stream.browser);
                         }
                     }
                     _ => {}
@@ -322,8 +312,7 @@ impl App for TorClient {
                     let data = ctx.tcp_recv_all(h);
                     if let Ok(msgs) = self.dir_http.push_bytes(data) {
                         for msg in msgs {
-                            if let HttpMessage::Response(resp) = msg {
-                                self.consensus_bytes += resp.body.len();
+                            if let HttpMessage::Response(_) = msg {
                                 match self.phase {
                                     Phase::FetchingCerts => {
                                         self.phase = Phase::FetchingConsensus;
@@ -439,13 +428,13 @@ impl App for TorClient {
                                 }
                                 if out.failed {
                                     ctx.tcp_close(h);
-                                    self.browsers.insert(h, BrowserConn::Dead);
+                                    self.browsers.remove(&h);
                                 } else if let Some(target) = out.connect {
                                     if self.phase == Phase::Ready {
                                         self.open_stream(h, target, out.leftover, ctx);
                                     } else {
                                         ctx.tcp_close(h);
-                                        self.browsers.insert(h, BrowserConn::Dead);
+                                        self.browsers.remove(&h);
                                     }
                                 }
                             }
@@ -466,19 +455,43 @@ impl App for TorClient {
                         }
                     }
                     TcpEvent::PeerClosed | TcpEvent::Reset => {
-                        if let Some(BrowserConn::Stream(stream_id)) = self.browsers.get(&h) {
-                            let stream_id = *stream_id;
+                        if let Some(BrowserConn::Stream(stream_id)) = self.browsers.remove(&h) {
                             if self.streams.remove(&stream_id).is_some() {
                                 let payload = relay_payload(stream_id, relay_cmd::END, &[]);
                                 self.send_relay(2, payload, ctx);
                             }
                         }
-                        self.browsers.insert(h, BrowserConn::Dead);
                     }
                     _ => {}
                 }
             }
             _ => {}
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+
+    use super::*;
+    use crate::testnet::{self, SocksSessions, WebServer, CLIENT, WEB};
+
+    #[test]
+    fn sessions_that_end_leave_no_browser_entry() {
+        for (method, label) in [(0, "fetched and closed"), (2, "refused at the greeting")] {
+            let mut sim = testnet::world(47);
+            let config = testnet::install_tor_network(&mut sim);
+            testnet::install(&mut sim, WEB, WebServer { answer: true, log: Rc::default() });
+            let status = TunnelStatus::new();
+            testnet::install(&mut sim, CLIENT, TorClient::new(config, 7, status.clone()));
+            let sessions = SocksSessions { port: TOR_SOCKS_PORT, sessions: 4, method, ready: Some(status.clone()) };
+            testnet::install(&mut sim, CLIENT, sessions);
+            sim.run_for(SimDuration::from_secs(120));
+            assert!(status.is_up(), "{label}: the circuit never came up");
+            let client = testnet::app::<TorClient>(&sim, CLIENT);
+            assert!(client.browsers.is_empty(), "{label}: {} browser entries left", client.browsers.len());
+            assert!(client.streams.is_empty(), "{label}: {} streams left", client.streams.len());
         }
     }
 }

@@ -22,8 +22,6 @@ pub const DEFAULT_CONSENSUS_LEN: usize = 600 * 1024;
 pub struct DirectoryServer {
     consensus_len: usize,
     parsers: HashMap<TcpHandle, HttpParser>,
-    /// Consensus documents served (diagnostics).
-    pub served: u64,
 }
 
 impl DirectoryServer {
@@ -34,7 +32,7 @@ impl DirectoryServer {
 
     /// Creates a directory serving a consensus of `len` bytes.
     pub fn with_consensus_len(len: usize) -> Self {
-        DirectoryServer { consensus_len: len, parsers: HashMap::new(), served: 0 }
+        DirectoryServer { consensus_len: len, parsers: HashMap::new() }
     }
 }
 
@@ -71,7 +69,6 @@ impl App for DirectoryServer {
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
                             ctx.tcp_send_bytes(h, resp.into_wire());
-                            self.served += 1;
                         } else if req.method() == "GET"
                             && (req.target().starts_with("/consensus")
                                 || req.target().starts_with("/descriptors"))
@@ -90,7 +87,6 @@ impl App for DirectoryServer {
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
                             ctx.tcp_send_bytes(h, resp.into_wire());
-                            self.served += 1;
                         } else {
                             ctx.tcp_send_bytes(h, HttpResponse::new(404, Vec::new()).into_wire());
                         }

@@ -49,9 +49,6 @@ pub struct MeekGateway {
     conns: HashMap<TcpHandle, ClientConn>,
     sessions: HashMap<u64, Session>,
     or_to_session: HashMap<TcpHandle, u64>,
-    hold_seq: u64,
-    /// Polls served (diagnostics).
-    pub polls: u64,
 }
 
 impl MeekGateway {
@@ -62,8 +59,6 @@ impl MeekGateway {
             conns: HashMap::new(),
             sessions: HashMap::new(),
             or_to_session: HashMap::new(),
-            hold_seq: 0,
-            polls: 0,
         }
     }
 
@@ -80,7 +75,6 @@ impl MeekGateway {
             c.tls.send(&[&head, &body])
         };
         ctx.tcp_send_bytes(conn, wire);
-        self.polls += 1;
     }
 
     fn handle_request(&mut self, conn: TcpHandle, req: HttpRequest, ctx: &mut Ctx<'_>) {
@@ -123,7 +117,6 @@ impl MeekGateway {
             if let Some(c) = self.conns.get_mut(&conn) {
                 c.holding_for = Some(session_id);
             }
-            self.hold_seq += 1;
             // Token encodes the session so the timer can release the hold.
             ctx.set_timer(HOLD_TIME, session_id);
         }

@@ -55,10 +55,6 @@ pub struct OrRelay {
     /// Upstream (exit) connections: handle → (circuit, stream id).
     upstreams: HashMap<TcpHandle, (usize, u16)>,
     next_out_circ: u32,
-    /// Circuits created through this relay (diagnostics).
-    pub circuits_created: u64,
-    /// Exit streams opened (diagnostics).
-    pub streams_opened: u64,
 }
 
 impl OrRelay {
@@ -75,8 +71,6 @@ impl OrRelay {
             out_conns: HashMap::new(),
             upstreams: HashMap::new(),
             next_out_circ: 1,
-            circuits_created: 0,
-            streams_opened: 0,
         }
     }
 
@@ -138,7 +132,6 @@ impl OrRelay {
                 let upstream = ctx.tcp_connect(dest);
                 self.circuits[circ_idx].streams.insert(stream_id, upstream);
                 self.upstreams.insert(upstream, (circ_idx, stream_id));
-                self.streams_opened += 1;
             }
             relay_cmd::DATA => {
                 if let Some(&upstream) = self.circuits[circ_idx].streams.get(&stream_id) {
@@ -188,7 +181,12 @@ impl OrRelay {
                         if let Some((next, out_circ)) = self.circuits[circ_idx].next {
                             self.send_cell(next, Cell::new(out_circ, cmd::DESTROY, vec![]), ctx);
                         }
-                        for (_, upstream) in self.circuits[circ_idx].streams.drain() {
+                        // In stream order: the order of the closes is
+                        // the order of their FINs on the wire.
+                        let mut streams: Vec<(u16, TcpHandle)> =
+                            self.circuits[circ_idx].streams.drain().collect();
+                        streams.sort_unstable();
+                        for (_, upstream) in streams {
                             ctx.tcp_close(upstream);
                             self.upstreams.remove(&upstream);
                         }
@@ -242,7 +240,6 @@ impl OrRelay {
                 streams: HashMap::new(),
             });
             self.by_link.insert(key, circ_idx);
-            self.circuits_created += 1;
             let created = Cell::new(cell.circ_id, cmd::CREATED, dh.public_key().to_bytes().to_vec());
             self.send_cell(conn, created, ctx);
         }
@@ -324,5 +321,76 @@ impl App for OrRelay {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use sc_simnet::time::SimDuration;
+
+    use super::*;
+    use crate::testnet::{self, WebLog, WebServer, CLIENT, EXIT, WEB};
+
+    /// Speaks cells to the exit directly: a one-hop circuit, `streams`
+    /// exit streams to web.example:80, and a DESTROY a second later.
+    struct OneHop {
+        streams: u16,
+        key: PrivateKey,
+        cells: CellBuf,
+    }
+
+    impl App for OneHop {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.tcp_connect(SocketAddr::new(EXIT, OR_PORT));
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::Tcp(h, TcpEvent::Connected) => {
+                    let public = self.key.public_key().to_bytes().to_vec();
+                    ctx.tcp_send(h, &Cell::new(1, cmd::CREATE, public).encode());
+                }
+                AppEvent::Tcp(h, TcpEvent::DataReceived) => {
+                    let data = ctx.tcp_recv_all(h);
+                    self.cells.push(&data);
+                    while let Some(cell) = self.cells.next_cell() {
+                        if cell.cmd != cmd::CREATED {
+                            continue;
+                        }
+                        let exit = PublicKey::from_bytes(cell.payload[..8].try_into().unwrap()).unwrap();
+                        let mut layer = OnionLayer::new(self.key.agree(&exit));
+                        let target = TargetAddr::Domain("web.example".into(), 80).encode();
+                        for stream in 1..=self.streams {
+                            let mut payload = relay_payload(stream, relay_cmd::BEGIN, &target);
+                            layer.forward(&mut payload);
+                            ctx.tcp_send(h, &Cell::new(1, cmd::RELAY, payload).encode());
+                        }
+                        ctx.set_timer(SimDuration::from_secs(1), h.0 as u64);
+                    }
+                }
+                AppEvent::TimerFired(h) => {
+                    ctx.tcp_send(TcpHandle(h as usize), &Cell::new(1, cmd::DESTROY, vec![]).encode());
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn destroy_closes_the_exit_streams_in_stream_order() {
+        let mut sim = testnet::world(48);
+        let log = Rc::new(RefCell::new(WebLog::default()));
+        testnet::install(&mut sim, WEB, WebServer { answer: false, log: log.clone() });
+        testnet::install(&mut sim, EXIT, OrRelay::new(OR_PORT, 103, testnet::names()));
+        let one_hop = OneHop { streams: 8, key: PrivateKey::from_entropy(7), cells: CellBuf::new() };
+        testnet::install(&mut sim, CLIENT, one_hop);
+        sim.run_for(SimDuration::from_secs(3));
+        let log = log.borrow();
+        // The exit connects in stream order, so the web server accepts in
+        // stream order; the closes must come in the same order.
+        assert_eq!(log.accepted.len(), 8);
+        assert_eq!(log.closed, log.accepted, "exit streams closed out of stream order");
     }
 }

@@ -313,7 +313,6 @@ pub struct Browser {
     browser_started: SimTime,
     log: LoadLog,
     deadline_seq: u64,
-    rtt_conn: Option<TcpHandle>,
     /// An armed [`TIMER_THROTTLE`] belongs to the load with this
     /// deadline token (stale firings for finished loads are ignored).
     throttle_wait_for: Option<u64>,
@@ -350,7 +349,6 @@ impl Browser {
             browser_started: SimTime::ZERO,
             log,
             deadline_seq: 0,
-            rtt_conn: None,
             throttle_wait_for: None,
             proxy_dead,
             connect_deadlines: HashMap::new(),
@@ -579,18 +577,6 @@ impl Browser {
         }
     }
 
-    fn emit_fleet(
-        &self,
-        level: sc_obs::Level,
-        name: &'static str,
-        fields: &[(&'static str, String)],
-        ctx: &Ctx<'_>,
-    ) {
-        sc_obs::event(ctx.now().as_micros(), level, "web", "fleet", name, |ev| {
-            fields.iter().fold(ev, |ev, (k, v)| ev.field(k, v.clone()))
-        });
-    }
-
     /// A connect to a PAC proxy succeeded: count it for fleet
     /// availability and clear any dead-mark (rejoin after recovery).
     fn mark_proxy_up(&mut self, addr: SocketAddr, ctx: &mut Ctx<'_>) {
@@ -598,23 +584,15 @@ impl Browser {
             return;
         }
         sc_obs::counter_add("web.proxy_connect_ok", 1);
-        self.emit_fleet(
-            sc_obs::Level::Debug,
-            "connect_ok",
-            &[("proxy", addr.to_string())],
-            ctx,
-        );
+        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_ok", |ev| ev.field("proxy", addr.to_string()));
         let Some(idx) = self.pac_proxy_index(addr) else { return };
         if self.proxy_dead[idx].fail_level > 0 {
             self.proxy_dead[idx] = ProxyHealth::default();
             sc_obs::counter_add("web.proxy_recoveries", 1);
             sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_recoveries", 1);
-            self.emit_fleet(
-                sc_obs::Level::Info,
-                "proxy_recovered",
-                &[("proxy", addr.to_string())],
-                ctx,
-            );
+            emit_fleet(ctx.now(), sc_obs::Level::Info, "proxy_recovered", |ev| {
+                ev.field("proxy", addr.to_string())
+            });
         }
     }
 
@@ -622,12 +600,9 @@ impl Browser {
     /// backoff, mirroring the fleet tier's own peer dead-marking.
     fn mark_proxy_dead(&mut self, addr: SocketAddr, reason: &str, ctx: &mut Ctx<'_>) {
         sc_obs::counter_add("web.proxy_connect_fail", 1);
-        self.emit_fleet(
-            sc_obs::Level::Debug,
-            "connect_fail",
-            &[("proxy", addr.to_string()), ("reason", reason.to_string())],
-            ctx,
-        );
+        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_fail", |ev| {
+            ev.field("proxy", addr.to_string()).field("reason", reason.to_string())
+        });
         let Some(idx) = self.pac_proxy_index(addr) else { return };
         let level = self.proxy_dead[idx].fail_level;
         self.proxy_dead[idx].fail_level = level.saturating_add(1);
@@ -637,16 +612,12 @@ impl Browser {
         self.proxy_dead[idx].dead_until = ctx.now() + backoff;
         sc_obs::counter_add("web.proxy_dead_marks", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_dead_marks", 1);
-        self.emit_fleet(
-            sc_obs::Level::Warn,
-            "proxy_dead",
-            &[
-                ("proxy", addr.to_string()),
-                ("reason", reason.to_string()),
-                ("backoff_us", backoff.as_micros().to_string()),
-            ],
-            ctx,
-        );
+        // The numbers go out as strings, as they always have.
+        emit_fleet(ctx.now(), sc_obs::Level::Warn, "proxy_dead", |ev| {
+            ev.field("proxy", addr.to_string())
+                .field("reason", reason.to_string())
+                .field("backoff_us", backoff.as_micros().to_string())
+        });
     }
 
     /// A proxy-route connect died (refused, reset, or timed out while
@@ -688,12 +659,9 @@ impl Browser {
         load.pending = 1; // the replayed HTML
         sc_obs::counter_add("web.failovers", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.failovers", 1);
-        self.emit_fleet(
-            sc_obs::Level::Info,
-            "failover",
-            &[("from", from.to_string()), ("attempt", attempt.to_string())],
-            ctx,
-        );
+        emit_fleet(ctx.now(), sc_obs::Level::Info, "failover", |ev| {
+            ev.field("from", from.to_string()).field("attempt", attempt.to_string())
+        });
         self.teardown_conns("failover", ctx);
         self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
         true
@@ -918,7 +886,6 @@ impl Browser {
             // Page complete: sample RTT with a HEAD on the main connection.
             if let Some(main) = self.conn_to(PAGE_HOST, self.config.page_port) {
                 if self.conns.get(&main).is_some_and(|c| c.phase == ConnPhase::Ready) {
-                    self.rtt_conn = Some(main);
                     if let Some(conn) = self.conns.get_mut(&main) {
                         conn.queue.push_back("\u{0}rtt".to_string());
                     }
@@ -1077,7 +1044,6 @@ impl Browser {
         self.conns.clear();
         self.by_host.clear();
         self.pending_dns.clear();
-        self.rtt_conn = None;
     }
 
     fn schedule_next(&mut self, last_start: SimTime, ctx: &mut Ctx<'_>) {
@@ -1091,6 +1057,11 @@ impl Browser {
         );
         ctx.set_timer(delay, TIMER_NEXT_LOAD);
     }
+}
+
+/// A `web.fleet` event; `f` adds its fields only when it is recorded.
+fn emit_fleet(now: SimTime, level: sc_obs::Level, name: &'static str, f: impl FnOnce(sc_obs::Event) -> sc_obs::Event) {
+    sc_obs::event(now.as_micros(), level, "web", "fleet", name, f);
 }
 
 impl BrowserConfig {

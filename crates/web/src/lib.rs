@@ -1,10 +1,10 @@
 //! # sc-web
 //!
 //! The web substrate of the reproduction: a [`page`] model sized to the
-//! paper's ~19 KB Google Scholar access, [`origin`] servers reproducing
+//! paper's ~19 KB Google Scholar access, an [`origin`] server reproducing
 //! Figure 4's session structure (HTTPS redirect on port 80, TLS on 443, a
-//! separate first-visit account-recording host, and a single-core service
-//! capacity model for the scalability experiment), and a [`browser`] that
+//! separate first-visit account-recording host, and one service core that
+//! requests queue for, for the scalability experiment), and a [`browser`] that
 //! loads pages over any access method and measures page load time.
 
 #![warn(missing_docs)]
@@ -17,7 +17,7 @@ pub use browser::{
     Browser, BrowserConfig, LoadLog, PageLoadResult, ProxyPolicy, new_load_log,
     sc_ready::ReadyProbe,
 };
-pub use origin::{Capacity, OriginServer, StaticSite};
+pub use origin::OriginServer;
 pub use page::{PageSpec, Resource};
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Origin servers: the Google Scholar model (Figure 4's session
-//! structure) and a generic static site for baselines.
+//! The origin server: the Google Scholar model (Figure 4's session
+//! structure).
 //!
 //! The Scholar server:
 //! * on port 80 answers every request with an HTTPS redirect (TCP-2);
@@ -20,23 +20,11 @@ use sc_simnet::sim::Ctx;
 
 use crate::page::PageSpec;
 
-/// Server processing capacity model: requests are answered after a
-/// service delay of `base + queued * per_request`, modelling the paper's
-/// single-core VM saturating under concurrent clients (Figure 7).
-#[derive(Debug, Clone, Copy)]
-pub struct Capacity {
-    /// Fixed per-request service time in microseconds.
-    pub service_us: u64,
-    /// Whether to model queueing at all.
-    pub enabled: bool,
-}
-
-impl Default for Capacity {
-    fn default() -> Self {
-        // A 2.3 GHz single-core VM serving ~3000 simple requests/s.
-        Capacity { service_us: 330, enabled: true }
-    }
-}
+/// Service time of one request on the origin's single core (µs): a
+/// 2.3 GHz single-core VM serving ~3000 simple requests/s. Requests queue
+/// for the core, modelling the paper's VM saturating under concurrent
+/// clients (Figure 7).
+const SERVICE_US: u64 = 330;
 
 struct Session {
     tls: Option<TlsServer>,
@@ -63,7 +51,6 @@ pub struct OriginServer {
     /// (the sim has no wall clock; the value only needs to be stable).
     last_modified: String,
     entropy: u64,
-    capacity: Capacity,
     /// `max-age` (seconds) advertised on every cacheable response. Long
     /// by default so the paper scenarios' in-run cache behavior is
     /// unchanged; cache experiments shorten it to exercise
@@ -80,10 +67,6 @@ pub struct OriginServer {
     next_token: u64,
     /// Time at which the single service core frees up (µs).
     busy_until_us: u64,
-    /// Requests served (diagnostics).
-    pub requests: u64,
-    /// Conditional requests answered with a cheap 304 (diagnostics).
-    pub not_modified: u64,
 }
 
 impl OriginServer {
@@ -110,22 +93,13 @@ impl OriginServer {
                 (entropy / 1440) % 60
             ),
             entropy,
-            capacity: Capacity::default(),
             max_age: 86_400,
             serve_http: false,
             sessions: HashMap::new(),
             pending: HashMap::new(),
             next_token: 1,
             busy_until_us: 0,
-            requests: 0,
-            not_modified: 0,
         }
-    }
-
-    /// Overrides the capacity model.
-    pub fn with_capacity(mut self, capacity: Capacity) -> Self {
-        self.capacity = capacity;
-        self
     }
 
     /// Overrides the advertised `max-age` (seconds).
@@ -164,37 +138,16 @@ impl OriginServer {
         // A matching validator gets the cheap 304-style exchange: no
         // body, and a quarter of the service time (no rendering).
         if req.header_value("If-None-Match") == Some(&*etag) {
-            self.not_modified += 1;
             return self.with_validators(HttpResponse::new(304, Vec::new()), &etag);
         }
         let full = HttpResponse::new(200, doc.body.clone()).header("Content-Type", doc.content_type);
         self.with_validators(full, &etag)
     }
 
-    /// Queues `wire` for transmission after the modelled service delay.
-    fn respond(&mut self, h: TcpHandle, wire: [Bytes; 2], span: sc_obs::SpanId, ctx: &mut Ctx<'_>) {
-        let cost = self.capacity.service_us;
-        self.respond_with_cost(h, wire, cost, span, ctx);
-    }
-
-    /// Like [`respond`](Self::respond) but with an explicit service cost
-    /// (a 304 skips body rendering, so it is cheaper than a full page).
-    /// The origin span stays open until the response is actually sent, so
-    /// its duration covers queueing for the service core too.
-    fn respond_with_cost(
-        &mut self,
-        h: TcpHandle,
-        wire: [Bytes; 2],
-        cost_us: u64,
-        span: sc_obs::SpanId,
-        ctx: &mut Ctx<'_>,
-    ) {
-        self.requests += 1;
-        if !self.capacity.enabled {
-            ctx.tcp_send_bytes(h, wire);
-            sc_obs::span_end(ctx.now().as_micros(), span, Vec::new);
-            return;
-        }
+    /// Queues `wire` for transmission once the service core has spent
+    /// `cost_us` on it. The origin span stays open until the response is
+    /// actually sent, so its duration covers queueing for the core too.
+    fn respond(&mut self, h: TcpHandle, wire: [Bytes; 2], cost_us: u64, span: sc_obs::SpanId, ctx: &mut Ctx<'_>) {
         let now_us = ctx.now().as_micros();
         let start = self.busy_until_us.max(now_us);
         let done = start + cost_us;
@@ -281,16 +234,12 @@ impl App for OriginServer {
                         // Port 80: HTTPS redirect (Figure 4's TCP-2).
                         let resp = HttpResponse::new(301, Vec::new())
                             .header_fmt("Location", format_args!("https://{}{}", self.host, req.target()));
-                        self.respond(h, resp.into_wire(), span, ctx);
+                        self.respond(h, resp.into_wire(), SERVICE_US, span, ctx);
                         continue;
                     }
                     let resp = self.response_for(&req);
-                    let cost = if resp.status == 304 {
-                        // No body rendered: a quarter of the service time.
-                        (self.capacity.service_us / 4).max(1)
-                    } else {
-                        self.capacity.service_us
-                    };
+                    // A 304 renders no body: a quarter of the service time.
+                    let cost = if resp.status == 304 { SERVICE_US / 4 } else { SERVICE_US };
                     let wire = if is_tls {
                         let session = self.sessions.get_mut(&h).expect("session exists");
                         let tls = session.tls.as_mut().expect("tls session");
@@ -300,7 +249,7 @@ impl App for OriginServer {
                     } else {
                         resp.into_wire()
                     };
-                    self.respond_with_cost(h, wire, cost, span, ctx);
+                    self.respond(h, wire, cost, span, ctx);
                 }
             }
             AppEvent::Tcp(h, TcpEvent::PeerClosed | TcpEvent::Reset) => {
@@ -332,60 +281,4 @@ fn etag_for(entropy: u64, host: &str, path: &str, body_len: usize) -> String {
     eat(path.as_bytes());
     eat(&(body_len as u64).to_le_bytes());
     format!("\"{h:016x}\"")
-}
-
-/// A plain-HTTP static site (baseline measurements, decoys).
-pub struct StaticSite {
-    page: PageSpec,
-    parsers: HashMap<TcpHandle, HttpParser>,
-}
-
-impl StaticSite {
-    /// Creates a site serving `page` over plain HTTP on port 80.
-    pub fn new(page: PageSpec) -> Self {
-        StaticSite { page, parsers: HashMap::new() }
-    }
-}
-
-impl App for StaticSite {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(80);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
-        let AppEvent::Tcp(h, tcp_ev) = ev else { return };
-        match tcp_ev {
-            TcpEvent::Accepted { .. } => {
-                self.parsers.insert(h, HttpParser::new());
-            }
-            TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
-                let Some(parser) = self.parsers.get_mut(&h) else { return };
-                let Ok(msgs) = parser.push_bytes(data) else {
-                    ctx.tcp_abort(h);
-                    return;
-                };
-                for m in msgs {
-                    if let HttpMessage::Request(req) = m {
-                        let resp = if req.target() == "/" {
-                            HttpResponse::new(200, self.page.render_html())
-                        } else if let Some(r) =
-                            self.page.resources.iter().find(|r| r.path == req.target())
-                        {
-                            HttpResponse::new(200, vec![b'y'; r.len])
-                        } else if req.method() == "HEAD" {
-                            HttpResponse::new(204, Vec::new())
-                        } else {
-                            HttpResponse::new(404, Vec::new())
-                        };
-                        ctx.tcp_send_bytes(h, resp.into_wire());
-                    }
-                }
-            }
-            TcpEvent::PeerClosed | TcpEvent::Reset => {
-                self.parsers.remove(&h);
-            }
-            _ => {}
-        }
-    }
 }

@@ -303,17 +303,52 @@ fail_if_found "a layer's tunable mirrored as a flat ScenarioConfig field" \
     grep -rnE 'sc_adaptive_|sc_elastic_[mic]|sc_cache_ttl|consensus_len:' crates/metrics
 echo "structure: ok (one harness; ScenarioConfig holds layer configs)"
 
-# Structure, knobs: a config field is a field somebody sets. The census
-# prints every `pub` field of the seven layer config structs with its
-# writers and fails on one that has none; the eighth, which was all
-# constants, is gone (its name is bracketed below so that this file
-# does not match).
+# Structure, knobs and readers: a config field is a field somebody sets,
+# a `pub` item is one somebody mentions, and a struct field is one
+# somebody reads. The census prints every `pub` field of the seven layer
+# config structs with its writers, and the items only tests or
+# benchmark/src mention, and fails on a knob with no writer, an item with
+# no mention or a field that is only ever written; the eighth config
+# struct, which was all constants, is gone (its name is bracketed below
+# so that this file does not match).
 scripts/census.sh
 fail_if_found "the dissolved resilience config struct named again" \
     grep -rn 'ResilienceConfi[g]' . --exclude-dir=.git --exclude-dir=target \
         --exclude-dir=.bench_build \
         --exclude=CHANGES.md --exclude=ROADMAP.md --exclude=ISSUE.md
-echo "structure: ok (every config field has a writer)"
+# What the item and field passes first deleted stays deleted: the static
+# site and the origin's capacity knob nothing set, SOCKS username and
+# password auth nothing used, and the dead-browser entries the local
+# proxies kept forever (bracketed so that this file does not match).
+fail_if_found "a deleted app, knob, auth mode or dead-entry table is back" \
+    grep -rnE 'StaticSit[e]|struct Capacit[y]|fn with_aut[h]|BrowserConn::Dea[d]' \
+        crates src examples tests benchmark/src --include='*.rs'
+# The census can fail: a copy of the sources with one `pub fn` nobody
+# mentions and one counter nobody reads is refused, and both are named.
+_plant=$(mktemp -d)
+cp -R scripts crates tests examples src "$_plant"
+mkdir "$_plant/benchmark" && cp -R benchmark/src "$_plant/benchmark"
+cat > "$_plant/crates/dns/src/planted.rs" <<'PLANTED'
+pub fn planted_dead_fn() {}
+struct Planted {
+    planted_write_only: u64,
+}
+impl Planted {
+    fn bump(&mut self) {
+        self.planted_write_only += 1;
+    }
+}
+PLANTED
+if _out=$(sh "$_plant/scripts/census.sh" 2>&1); then
+    echo "structure: the census passed a planted dead fn and write-only field" >&2; exit 1
+fi
+rm -rf "$_plant"
+case "$_out" in
+    *"item planted_dead_fn "*"field Planted.planted_write_only@"*) ;;
+    *) echo "structure: the census failed without naming both planted items:" >&2
+       echo "$_out" | tail -5 >&2; exit 1 ;;
+esac
+echo "structure: ok (every config field has a writer, every pub item a mention, every field a reader)"
 
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
