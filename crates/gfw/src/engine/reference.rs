@@ -410,7 +410,7 @@ mod tests {
     }
 
     fn client_hello(sni: &str) -> Vec<u8> {
-        sc_netproto::TlsClient::new(sni, 7).start_handshake()
+        sc_netproto::TlsClient::new(sni, 7).start_handshake().to_vec()
     }
 
     const COVER_HEAD: &[u8] = b"POST /api/sync HTTP/1.1\r\nHost: cdn.example\r\n\

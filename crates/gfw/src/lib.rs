@@ -318,7 +318,7 @@ mod tests {
             client,
             Box::new(RawClient {
                 server: SocketAddr::new(SERVER, 443),
-                to_send: vec![hello],
+                to_send: vec![hello.to_vec()],
                 outcome: outcome.clone(),
                 handle: None,
                 sent: 0,

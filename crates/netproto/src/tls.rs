@@ -6,6 +6,7 @@
 //! The record framing is faithful enough that DPI can fingerprint it:
 //! record type byte, version bytes, length, then ciphertext.
 
+use bytes::{BufMut, Bytes, BytesMut};
 use sc_crypto::aes::{Aes, KeySize};
 use sc_crypto::dh::{PrivateKey, PublicKey};
 use sc_crypto::hmac::{ct_eq, hkdf_expand_into, hkdf_extract, HmacKey, HmacSha256};
@@ -60,10 +61,11 @@ impl std::error::Error for TlsError {}
 /// Output of feeding bytes into a TLS endpoint.
 #[derive(Debug, Default)]
 pub struct TlsOutput {
-    /// Bytes to transmit to the peer.
-    pub wire: Vec<u8>,
-    /// Decrypted application data received.
-    pub plaintext: Vec<u8>,
+    /// Bytes to transmit to the peer (a handshake flight).
+    pub wire: Bytes,
+    /// Decrypted application data received: the buffer its record was
+    /// opened in, when one record completed.
+    pub plaintext: Bytes,
     /// True once the handshake completed (edge-triggered: set on the call
     /// that completes it).
     pub handshake_complete: bool,
@@ -81,18 +83,18 @@ const MAX_RECORD_LEN: usize = 1 << 24;
 
 /// Starts a record of `payload_len` payload bytes at the end of `out`:
 /// the header, with room reserved for the payload.
-fn start_record(out: &mut Vec<u8>, rtype: u8, payload_len: usize) {
+fn start_record(out: &mut BytesMut, rtype: u8, payload_len: usize) {
     assert!(payload_len <= MAX_RECORD_LEN, "TLS record of {payload_len} bytes: the peer would refuse it");
     out.reserve(HEADER_LEN + payload_len);
-    out.push(rtype);
-    out.extend_from_slice(&VERSION);
-    out.extend_from_slice(&(payload_len as u32).to_be_bytes());
+    out.put_u8(rtype);
+    out.put_slice(&VERSION);
+    out.put_u32(payload_len as u32);
 }
 
 /// Appends a handshake record to `wire`, `message` writing its
 /// `len`-byte payload where it goes. Returns the payload, for the
 /// transcript.
-fn handshake_record(wire: &mut Vec<u8>, len: usize, message: impl FnOnce(&mut Vec<u8>)) -> &[u8] {
+fn handshake_record(wire: &mut BytesMut, len: usize, message: impl FnOnce(&mut BytesMut)) -> &[u8] {
     start_record(wire, record_type::HANDSHAKE, len);
     let start = wire.len();
     message(wire);
@@ -100,48 +102,122 @@ fn handshake_record(wire: &mut Vec<u8>, len: usize, message: impl FnOnce(&mut Ve
     &wire[start..]
 }
 
-/// Incremental record deframer. Records are handed out as slices of the
-/// receive buffer (so the record layer can decrypt in place) and dropped
-/// from it on the next `push`.
+/// A record's payload as the deframer hands it out.
+enum Payload<'a> {
+    /// Whole inside the bytes just pushed, and read where it lies.
+    InPlace(&'a [u8]),
+    /// Assembled across pushes in a buffer of its own, allocated at the
+    /// length its header announced.
+    Assembled(BytesMut),
+}
+
+impl Payload<'_> {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Payload::InPlace(payload) => payload,
+            Payload::Assembled(payload) => payload,
+        }
+    }
+
+    /// The payload in a buffer of its own: the one it was assembled in,
+    /// or one copy of what lay in place.
+    fn into_buf(self) -> BytesMut {
+        match self {
+            Payload::InPlace(payload) => BytesMut::from(payload),
+            Payload::Assembled(payload) => payload,
+        }
+    }
+}
+
+/// Incremental record deframer. It keeps only what a record that spans
+/// pushes needs — the header seen so far, then a buffer for the payload
+/// sized by it — so an idle endpoint holds no receive buffer at all.
 #[derive(Debug, Default)]
 struct RecordBuf {
-    buf: Vec<u8>,
-    /// Bytes at the front of `buf` already handed out.
-    consumed: usize,
+    /// The current record's header, its first `header_len` bytes arrived.
+    header: [u8; HEADER_LEN],
+    header_len: usize,
+    /// The current record's payload so far, once its header is complete
+    /// and the payload did not arrive with it.
+    body: Option<BytesMut>,
 }
 
 impl RecordBuf {
-    fn push(&mut self, data: &[u8]) {
-        self.buf.drain(..self.consumed);
-        self.consumed = 0;
-        self.buf.extend_from_slice(data);
+    /// The next record completed by `data`, which is consumed up to the
+    /// end of it (all of it when none is).
+    fn next_record<'a>(&mut self, data: &mut &'a [u8]) -> Result<Option<(u8, Payload<'a>)>, TlsError> {
+        let body = match &mut self.body {
+            Some(body) => body,
+            None => {
+                let take = (HEADER_LEN - self.header_len).min(data.len());
+                self.header[self.header_len..self.header_len + take].copy_from_slice(&data[..take]);
+                self.header_len += take;
+                *data = &data[take..];
+                if self.header_len < HEADER_LEN {
+                    return Ok(None);
+                }
+                let len = self.announced()?;
+                if len <= data.len() {
+                    let (payload, rest) = data.split_at(len);
+                    *data = rest;
+                    self.header_len = 0;
+                    return Ok(Some((self.header[0], Payload::InPlace(payload))));
+                }
+                self.body.insert(BytesMut::with_capacity(len))
+            }
+        };
+        let want = body.capacity() - body.len();
+        let take = want.min(data.len());
+        body.put_slice(&data[..take]);
+        *data = &data[take..];
+        if take < want {
+            return Ok(None);
+        }
+        self.header_len = 0;
+        let body = self.body.take().expect("matched above");
+        Ok(Some((self.header[0], Payload::Assembled(body))))
     }
 
-    fn next_record(&mut self) -> Result<Option<(u8, &mut [u8])>, TlsError> {
-        let pending = &self.buf[self.consumed..];
-        if pending.len() < HEADER_LEN {
-            return Ok(None);
-        }
-        if pending[1..3] != VERSION {
+    /// The payload length the complete header announces. Checked as soon
+    /// as the header is readable, so an absurd length is refused before
+    /// anything is buffered towards it.
+    fn announced(&self) -> Result<usize, TlsError> {
+        if self.header[1..3] != VERSION {
             return Err(TlsError::BadRecord);
         }
-        // Checked as soon as the header is readable, so an absurd length
-        // is refused before anything is buffered towards it.
-        let len = u32::from_be_bytes(pending[3..7].try_into().expect("4 bytes"));
-        let len = usize::try_from(len).ok().filter(|&len| len <= MAX_RECORD_LEN);
-        let Some(len) = len else {
-            return Err(TlsError::BadRecord);
-        };
-        let (rtype, have) = (pending[0], pending.len() - HEADER_LEN);
-        if have < len {
-            // Room for the rest now, so the segments it arrives in do not
-            // each grow the buffer.
-            self.buf.reserve(len - have);
-            return Ok(None);
+        let len = u32::from_be_bytes(self.header[3..7].try_into().expect("4 bytes"));
+        usize::try_from(len).ok().filter(|&len| len <= MAX_RECORD_LEN).ok_or(TlsError::BadRecord)
+    }
+}
+
+/// Application data opened by one `on_bytes` call: a single record's
+/// plaintext is handed out as it is, several are concatenated once.
+#[derive(Default)]
+struct Plaintext {
+    first: Bytes,
+    rest: Vec<Bytes>,
+}
+
+impl Plaintext {
+    fn push(&mut self, record: Bytes) {
+        if self.first.is_empty() {
+            self.first = record;
+        } else if !record.is_empty() {
+            self.rest.push(record);
         }
-        let payload = self.consumed + HEADER_LEN;
-        self.consumed = payload + len;
-        Ok(Some((rtype, &mut self.buf[payload..payload + len])))
+    }
+
+    fn into_bytes(self) -> Bytes {
+        if self.rest.is_empty() {
+            return self.first;
+        }
+        let len = self.first.len() + self.rest.iter().map(Bytes::len).sum::<usize>();
+        let mut all = BytesMut::with_capacity(len);
+        all.put_slice(&self.first);
+        for record in &self.rest {
+            all.put_slice(record);
+        }
+        all.freeze()
     }
 }
 
@@ -191,34 +267,35 @@ fn finished_mac(shared: &[u8; 32], transcript: &Sha256, label: &[u8]) -> [u8; 32
 /// A framed application record over the plaintext `parts` make end to
 /// end (an HTTP head and its body, say), encrypt-then-MAC: header ||
 /// ciphertext || HMAC-tag(8). The parts are written straight into the one
-/// buffer the record is, and encrypted there.
-fn seal(ctr: &mut Ctr, mac_key: &HmacKey, parts: &[&[u8]]) -> Vec<u8> {
-    let mut out = Vec::new();
+/// buffer the record is, sized from them, and encrypted there.
+fn seal(ctr: &mut Ctr, mac_key: &HmacKey, parts: &[&[u8]]) -> Bytes {
     let len: usize = parts.iter().map(|part| part.len()).sum();
+    let mut out = BytesMut::new();
     start_record(&mut out, record_type::APPLICATION_DATA, len + TAG_LEN);
     for part in parts {
-        out.extend_from_slice(part);
+        out.put_slice(part);
     }
     let ct = &mut out[HEADER_LEN..];
     ctr.apply(ct);
     let tag = mac_key.mac(ct);
-    out.extend_from_slice(&tag[..TAG_LEN]);
-    out
+    out.put_slice(&tag[..TAG_LEN]);
+    out.freeze()
 }
 
-/// Checks an application record body's tag and decrypts it where it lies,
-/// returning the plaintext part.
-fn open<'a>(ctr: &mut Ctr, mac_key: &HmacKey, body: &'a mut [u8]) -> Result<&'a [u8], TlsError> {
-    let Some(ct_len) = body.len().checked_sub(TAG_LEN) else {
+/// Checks an application record payload's tag over the ciphertext, then
+/// decrypts it in its own buffer, which becomes the plaintext. A bad tag
+/// releases nothing and leaves the cipher stream where it was.
+fn open(ctr: &mut Ctr, mac_key: &HmacKey, payload: Payload<'_>) -> Result<Bytes, TlsError> {
+    let Some(ct_len) = payload.as_slice().len().checked_sub(TAG_LEN) else {
         return Err(TlsError::BadRecordMac);
     };
-    let (ct, tag) = body.split_at_mut(ct_len);
-    let expect = mac_key.mac(ct);
-    if !ct_eq(&expect[..TAG_LEN], tag) {
+    let (ct, tag) = payload.as_slice().split_at(ct_len);
+    if !ct_eq(&mac_key.mac(ct)[..TAG_LEN], tag) {
         return Err(TlsError::BadRecordMac);
     }
-    ctr.apply(ct);
-    Ok(ct)
+    let mut body = payload.into_buf();
+    ctr.apply(&mut body[..ct_len]);
+    Ok(body.freeze().slice(..ct_len))
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -268,20 +345,20 @@ impl TlsClient {
     /// # Panics
     ///
     /// Panics if called twice.
-    pub fn start_handshake(&mut self) -> Vec<u8> {
+    pub fn start_handshake(&mut self) -> Bytes {
         assert_eq!(self.state, ClientState::Start, "start_handshake called twice");
         // ClientHello: type | random(32) | sni_len(2) | sni
         let sni = self.server_name.as_bytes();
-        let mut wire = Vec::new();
+        let mut wire = BytesMut::new();
         let hello = handshake_record(&mut wire, 35 + sni.len(), |hello| {
-            hello.push(hs_type::CLIENT_HELLO);
-            hello.extend_from_slice(&self.client_random);
-            hello.extend_from_slice(&(sni.len() as u16).to_be_bytes());
-            hello.extend_from_slice(sni);
+            hello.put_u8(hs_type::CLIENT_HELLO);
+            hello.put_slice(&self.client_random);
+            hello.put_u16(sni.len() as u16);
+            hello.put_slice(sni);
         });
         self.transcript.update(hello);
         self.state = ClientState::AwaitServerHello;
-        wire
+        wire.freeze()
     }
 
     /// Encrypts application data — `parts`, end to end — as one record
@@ -290,7 +367,7 @@ impl TlsClient {
     /// # Panics
     ///
     /// Panics if the handshake has not completed.
-    pub fn send(&mut self, parts: &[&[u8]]) -> Vec<u8> {
+    pub fn send(&mut self, parts: &[&[u8]]) -> Bytes {
         let keys = self.keys.as_mut().expect("TLS handshake not complete");
         seal(&mut keys.client_write, &keys.client_mac, parts)
     }
@@ -300,10 +377,11 @@ impl TlsClient {
     /// # Errors
     ///
     /// Returns a [`TlsError`] on protocol violations.
-    pub fn on_bytes(&mut self, data: &[u8]) -> Result<TlsOutput, TlsError> {
-        self.records.push(data);
-        let mut out = TlsOutput::default();
-        while let Some((rtype, payload)) = self.records.next_record()? {
+    pub fn on_bytes(&mut self, mut data: &[u8]) -> Result<TlsOutput, TlsError> {
+        let (mut wire, mut plaintext) = (BytesMut::new(), Plaintext::default());
+        let mut handshake_complete = false;
+        while let Some((rtype, record)) = self.records.next_record(&mut data)? {
+            let payload = record.as_slice();
             match (rtype, self.state) {
                 (t, ClientState::AwaitServerHello) if t == record_type::HANDSHAKE => {
                     if payload.first() != Some(&hs_type::SERVER_HELLO) || payload.len() < 1 + 32 + 8 {
@@ -319,19 +397,19 @@ impl TlsClient {
                     self.shared = Some(shared);
 
                     // ClientKeyExchange: type | dh_pub(8)
-                    out.wire.reserve(2 * HEADER_LEN + 9 + 33);
+                    wire.reserve(2 * HEADER_LEN + 9 + 33);
                     let public = self.dh.public_key().to_bytes();
-                    let cke = handshake_record(&mut out.wire, 9, |cke| {
-                        cke.push(hs_type::CLIENT_KEY_EXCHANGE);
-                        cke.extend_from_slice(&public);
+                    let cke = handshake_record(&mut wire, 9, |cke| {
+                        cke.put_u8(hs_type::CLIENT_KEY_EXCHANGE);
+                        cke.put_slice(&public);
                     });
                     self.transcript.update(cke);
 
                     // Client Finished: HMAC(shared, transcript || "client")
                     let mac = finished_mac(&shared, &self.transcript, b"client");
-                    let fin = handshake_record(&mut out.wire, 33, |fin| {
-                        fin.push(hs_type::FINISHED);
-                        fin.extend_from_slice(&mac);
+                    let fin = handshake_record(&mut wire, 33, |fin| {
+                        fin.put_u8(hs_type::FINISHED);
+                        fin.put_slice(&mac);
                     });
                     self.transcript.update(fin);
                     self.state = ClientState::AwaitFinished;
@@ -351,17 +429,16 @@ impl TlsClient {
                         &self.server_random.expect("set with server hello"),
                     ));
                     self.state = ClientState::Connected;
-                    out.handshake_complete = true;
+                    handshake_complete = true;
                 }
                 (t, ClientState::Connected) if t == record_type::APPLICATION_DATA => {
                     let keys = self.keys.as_mut().expect("connected implies keys");
-                    out.plaintext
-                        .extend_from_slice(open(&mut keys.server_write, &keys.server_mac, payload)?);
+                    plaintext.push(open(&mut keys.server_write, &keys.server_mac, record)?);
                 }
                 _ => return Err(TlsError::BadHandshake("unexpected record")),
             }
         }
-        Ok(out)
+        Ok(TlsOutput { wire: wire.freeze(), plaintext: plaintext.into_bytes(), handshake_complete })
     }
 
     /// Whether application data can flow.
@@ -432,7 +509,7 @@ impl TlsServer {
     /// # Panics
     ///
     /// Panics if the handshake has not completed.
-    pub fn send(&mut self, parts: &[&[u8]]) -> Vec<u8> {
+    pub fn send(&mut self, parts: &[&[u8]]) -> Bytes {
         let keys = self.keys.as_mut().expect("TLS handshake not complete");
         seal(&mut keys.server_write, &keys.server_mac, parts)
     }
@@ -442,10 +519,11 @@ impl TlsServer {
     /// # Errors
     ///
     /// Returns a [`TlsError`] on protocol violations.
-    pub fn on_bytes(&mut self, data: &[u8]) -> Result<TlsOutput, TlsError> {
-        self.records.push(data);
-        let mut out = TlsOutput::default();
-        while let Some((rtype, payload)) = self.records.next_record()? {
+    pub fn on_bytes(&mut self, mut data: &[u8]) -> Result<TlsOutput, TlsError> {
+        let (mut wire, mut plaintext) = (BytesMut::new(), Plaintext::default());
+        let mut handshake_complete = false;
+        while let Some((rtype, record)) = self.records.next_record(&mut data)? {
+            let payload = record.as_slice();
             match (rtype, self.state) {
                 (t, ServerState::AwaitClientHello) if t == record_type::HANDSHAKE => {
                     if payload.first() != Some(&hs_type::CLIENT_HELLO) || payload.len() < 35 {
@@ -463,10 +541,10 @@ impl TlsServer {
 
                     // ServerHello: type | random(32) | dh_pub(8)
                     let public = self.dh.public_key().to_bytes();
-                    let hello = handshake_record(&mut out.wire, 41, |hello| {
-                        hello.push(hs_type::SERVER_HELLO);
-                        hello.extend_from_slice(&self.server_random);
-                        hello.extend_from_slice(&public);
+                    let hello = handshake_record(&mut wire, 41, |hello| {
+                        hello.put_u8(hs_type::SERVER_HELLO);
+                        hello.put_slice(&self.server_random);
+                        hello.put_slice(&public);
                     });
                     self.transcript.update(hello);
                     self.state = ServerState::AwaitKeyExchange;
@@ -493,9 +571,9 @@ impl TlsServer {
                     self.transcript.update(payload);
                     // Server Finished.
                     let mac = finished_mac(&shared, &self.transcript, b"server");
-                    handshake_record(&mut out.wire, 33, |fin| {
-                        fin.push(hs_type::FINISHED);
-                        fin.extend_from_slice(&mac);
+                    handshake_record(&mut wire, 33, |fin| {
+                        fin.put_u8(hs_type::FINISHED);
+                        fin.put_slice(&mac);
                     });
                     self.keys = Some(derive_keys(
                         &shared,
@@ -503,17 +581,16 @@ impl TlsServer {
                         &self.server_random,
                     ));
                     self.state = ServerState::Connected;
-                    out.handshake_complete = true;
+                    handshake_complete = true;
                 }
                 (t, ServerState::Connected) if t == record_type::APPLICATION_DATA => {
                     let keys = self.keys.as_mut().expect("connected implies keys");
-                    out.plaintext
-                        .extend_from_slice(open(&mut keys.client_write, &keys.client_mac, payload)?);
+                    plaintext.push(open(&mut keys.client_write, &keys.client_mac, record)?);
                 }
                 _ => return Err(TlsError::BadHandshake("unexpected record")),
             }
         }
-        Ok(out)
+        Ok(TlsOutput { wire: wire.freeze(), plaintext: plaintext.into_bytes(), handshake_complete })
     }
 }
 
@@ -560,11 +637,11 @@ mod tests {
 
         let wire = client.send(&[b"GET / HTTP/1.1\r\n\r\n"]);
         let got = server.on_bytes(&wire).unwrap();
-        assert_eq!(got.plaintext, b"GET / HTTP/1.1\r\n\r\n");
+        assert_eq!(got.plaintext[..], b"GET / HTTP/1.1\r\n\r\n"[..]);
 
         let wire = server.send(&[b"HTTP/1.1 200 OK\r\n", b"\r\n"]);
         let got = client.on_bytes(&wire).unwrap();
-        assert_eq!(got.plaintext, b"HTTP/1.1 200 OK\r\n\r\n");
+        assert_eq!(got.plaintext[..], b"HTTP/1.1 200 OK\r\n\r\n"[..]);
     }
 
     #[test]
@@ -590,7 +667,13 @@ mod tests {
         let wire = by_parts.send(&[head, &body]);
         assert_eq!(wire, whole.send(&[&[head, &body].concat()]));
         assert_eq!(wire.len(), HEADER_LEN + head.len() + body.len() + TAG_LEN);
-        assert_eq!(wire.capacity(), wire.len(), "sized from the parts, never grown");
+        // The room the record is written into is reserved by its header,
+        // before the first part, at the record's whole length: the parts
+        // and the tag then fill it without growing it (one allocation,
+        // counted in tests/tls_allocations.rs).
+        let mut record = BytesMut::new();
+        start_record(&mut record, record_type::APPLICATION_DATA, head.len() + body.len() + TAG_LEN);
+        assert_eq!(record.capacity(), wire.len(), "sized from the parts, never grown");
     }
 
     #[test]
@@ -599,14 +682,50 @@ mod tests {
         let wire = client.send(&[&vec![b'r'; 20_000]]);
         let mut segments = wire.chunks(1460);
         assert!(server.on_bytes(segments.next().unwrap()).unwrap().plaintext.is_empty());
-        let (room, at) = (server.records.buf.capacity(), server.records.buf.as_ptr());
-        assert!(room >= wire.len(), "the header said how long");
-        let mut plain = Vec::new();
-        for segment in segments {
-            plain.extend(server.on_bytes(segment).unwrap().plaintext);
+        let room = |server: &TlsServer| server.records.body.as_ref().map(|b| (b.capacity(), b.as_ptr()));
+        let (capacity, at) = room(&server).expect("a body buffer once the header is read");
+        assert_eq!(capacity, wire.len() - HEADER_LEN, "the header said how long");
+        let mut segments = segments.peekable();
+        let mut plain = Bytes::new();
+        while let Some(segment) = segments.next() {
+            let out = server.on_bytes(segment).unwrap();
+            if segments.peek().is_some() {
+                assert!(out.plaintext.is_empty());
+                assert_eq!(room(&server), Some((capacity, at)), "never grown or moved");
+            } else {
+                plain = out.plaintext;
+            }
         }
-        assert_eq!(plain.len(), 20_000);
-        assert_eq!((server.records.buf.capacity(), server.records.buf.as_ptr()), (room, at));
+        assert_eq!(plain, vec![b'r'; 20_000]);
+        assert_eq!(plain.as_ptr(), at, "the plaintext is the buffer the record was assembled in");
+        assert!(server.records.body.is_none() && server.records.header_len == 0, "and nothing is kept");
+    }
+
+    /// Several records sent back to back open to the same plaintext
+    /// however the bytes are cut: in one push, in two at every cut —
+    /// inside a header, inside a payload, on a record's edge — and one
+    /// byte at a time.
+    #[test]
+    fn records_cut_anywhere_open_as_their_concatenation() {
+        let (mut client, _) = handshake();
+        let sent: Vec<Vec<u8>> = vec![b"a".to_vec(), (0..=255).collect(), vec![b'x'; 40], Vec::new()];
+        let wire: Vec<u8> = sent.iter().flat_map(|p| client.send(&[p]).to_vec()).collect();
+        let expect = sent.concat();
+        let open_in = |pieces: &mut dyn Iterator<Item = &[u8]>| {
+            let (_, mut server) = handshake();
+            let mut plain = Vec::new();
+            for piece in pieces {
+                plain.extend_from_slice(&server.on_bytes(piece).unwrap().plaintext);
+            }
+            assert!(server.records.body.is_none() && server.records.header_len == 0);
+            plain
+        };
+        assert_eq!(open_in(&mut std::iter::once(&wire[..])), expect, "one push");
+        for cut in 0..=wire.len() {
+            let (front, back) = wire.split_at(cut);
+            assert_eq!(open_in(&mut [front, back].into_iter()), expect, "cut at {cut}");
+        }
+        assert_eq!(open_in(&mut wire.chunks(1)), expect, "a byte at a time");
     }
 
     #[test]
@@ -631,10 +750,30 @@ mod tests {
     #[test]
     fn tampered_record_fails_mac() {
         let (mut client, mut server) = handshake();
-        let mut wire = client.send(&[b"secret"]);
+        let mut wire = client.send(&[b"secret"]).to_vec();
         let n = wire.len();
         wire[n - 9] ^= 0xff; // flip a ciphertext bit
         assert_eq!(server.on_bytes(&wire).unwrap_err(), TlsError::BadRecordMac);
+    }
+
+    #[test]
+    fn a_tampered_record_releases_no_plaintext_and_moves_no_cipher_state() {
+        let (mut client, mut server) = handshake();
+        let wire = client.send(&[b"first"]);
+        let second = client.send(&[b"second"]);
+        for at in [HEADER_LEN, wire.len() - TAG_LEN - 1, wire.len() - 1] {
+            let mut tampered = wire.to_vec();
+            tampered[at] ^= 0x01;
+            // Whole in one push, and assembled across two.
+            assert_eq!(server.on_bytes(&tampered).unwrap_err(), TlsError::BadRecordMac);
+            let (front, back) = tampered.split_at(HEADER_LEN + 2);
+            assert!(server.on_bytes(front).unwrap().plaintext.is_empty());
+            assert_eq!(server.on_bytes(back).unwrap_err(), TlsError::BadRecordMac);
+        }
+        // The genuine records still open: nothing of the cipher stream
+        // was spent on the forgeries.
+        let got = server.on_bytes(&[&wire[..], &second[..]].concat()).unwrap();
+        assert_eq!(got.plaintext[..], b"firstsecond"[..]);
     }
 
     /// A header by itself, announcing `len` payload bytes to come.
@@ -669,10 +808,10 @@ mod tests {
         let mut server = TlsServer::new(2);
         let ch = client.start_handshake();
         let s1 = server.on_bytes(&ch).unwrap();
-        let mut c1 = client.on_bytes(&s1.wire).unwrap();
-        let n = c1.wire.len();
-        c1.wire[n - 1] ^= 1; // corrupt client finished MAC
-        assert_eq!(server.on_bytes(&c1.wire).unwrap_err(), TlsError::BadFinished);
+        let mut c1 = client.on_bytes(&s1.wire).unwrap().wire.to_vec();
+        let n = c1.len();
+        c1[n - 1] ^= 1; // corrupt client finished MAC
+        assert_eq!(server.on_bytes(&c1).unwrap_err(), TlsError::BadFinished);
     }
 
     #[test]

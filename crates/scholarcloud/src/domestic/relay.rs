@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use sc_obs::{Level, SpanId};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
@@ -154,13 +154,13 @@ impl Relay {
             }
         }
         // The hop's one copy: what the browser sent is shared with its
-        // retransmit queue, so the codec gets a buffer of its own, and
-        // that buffer is what goes on the wire.
-        let mut wire = data.to_vec();
+        // retransmit queue, so the codec gets a buffer of its own, built
+        // once, and that buffer is what goes on the wire.
+        let mut wire = BytesMut::from(data);
         stream.up_bytes += wire.len() as u64;
         sc_obs::counter_add("scholarcloud.bytes_up", wire.len() as u64);
         stream.tx.encode(&mut wire);
-        io.send(remote, wire);
+        io.send(remote, wire.freeze());
     }
 
     /// Remote → browser: decodes what arrived on `h` and returns the
@@ -175,7 +175,7 @@ impl Relay {
         let data = io.recv(h);
         let stream = self.streams.get_mut(&h)?;
         // One copy again, for the same reason as upstream.
-        let mut plain = data.to_vec();
+        let mut plain = BytesMut::from(&data[..]);
         stream.rx.decode(&mut plain);
         stream.down_bytes += plain.len() as u64;
         // The browser has now observed upstream state: a later death
@@ -183,7 +183,7 @@ impl Relay {
         stream.replay = None;
         sc_obs::counter_add("scholarcloud.bytes_down", plain.len() as u64);
         remotes.egress(stream.remote_idx, plain.len() as u64);
-        Some((stream.browser, plain.into()))
+        Some((stream.browser, plain.freeze()))
     }
 
     /// How the stream on `h` ends now that its remote side closed

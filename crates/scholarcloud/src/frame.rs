@@ -62,18 +62,36 @@ pub fn cover_path_gen(scheme: BlindingScheme, generation: u32) -> String {
     if generation == 0 {
         return cover_path(scheme).to_string();
     }
-    let mut msg = Vec::with_capacity(16);
-    msg.extend_from_slice(b"scholarcloud-cover-v1");
-    msg.push(scheme.wire_id());
-    msg.extend_from_slice(&generation.to_le_bytes());
+    let (dir, leaf, tag) = derived_cover(scheme, generation);
+    format!("/{dir}/{leaf}-{}", std::str::from_utf8(&tag).expect("hex digits are ASCII"))
+}
+
+/// The pieces of a derived (generation > 0) cover path
+/// `/{dir}/{leaf}-{tag}`: two words and four hex digits, all drawn from
+/// one digest of the scheme and the generation.
+fn derived_cover(scheme: BlindingScheme, generation: u32) -> (&'static str, &'static str, [u8; 4]) {
+    const LABEL: &[u8] = b"scholarcloud-cover-v1";
+    let mut msg = [0u8; LABEL.len() + 1 + 4];
+    msg[..LABEL.len()].copy_from_slice(LABEL);
+    msg[LABEL.len()] = scheme.wire_id();
+    msg[LABEL.len() + 1..].copy_from_slice(&generation.to_le_bytes());
     let d = sha256(&msg);
-    format!(
-        "/{}/{}-{:02x}{:02x}",
-        COVER_DIRS[(d[0] & 0x0f) as usize],
-        COVER_LEAVES[(d[1] & 0x0f) as usize],
-        d[2],
-        d[3],
-    )
+    let hex = |nibble: u8| b"0123456789abcdef"[usize::from(nibble)];
+    let tag = [hex(d[2] >> 4), hex(d[2] & 0x0f), hex(d[3] >> 4), hex(d[3] & 0x0f)];
+    (COVER_DIRS[(d[0] & 0x0f) as usize], COVER_LEAVES[(d[1] & 0x0f) as usize], tag)
+}
+
+/// Whether `path` is `scheme`'s cover at `generation`: what
+/// [`cover_path_gen`] renders, compared piece by piece without rendering
+/// it.
+fn is_cover_path(path: &str, scheme: BlindingScheme, generation: u32) -> bool {
+    if generation == 0 {
+        return path == cover_path(scheme);
+    }
+    let (dir, leaf, tag) = derived_cover(scheme, generation);
+    let rest = path.strip_prefix('/').and_then(|p| p.strip_prefix(dir));
+    let rest = rest.and_then(|p| p.strip_prefix('/')).and_then(|p| p.strip_prefix(leaf));
+    rest.and_then(|p| p.strip_prefix('-')).is_some_and(|p| p.as_bytes() == tag)
 }
 
 /// The parsed cover preamble.
@@ -152,7 +170,7 @@ impl Hello {
         .flat_map(|s| {
             [generation, generation.saturating_sub(1)].map(move |g| (s, g))
         })
-        .find(|&(s, g)| cover_path_gen(s, g) == path)
+        .find(|&(s, g)| is_cover_path(path, s, g))
         .ok_or(())?;
         let mut nonce = None;
         let mut trace = None;
@@ -546,7 +564,7 @@ mod tests {
         assert!(sc_netproto::sniff_sni(&hello_bytes).is_some());
         let hello = Hello { scheme: BlindingScheme::ByteMap, nonce: 3, generation: 0 };
         let mut codec = StreamCodec::new(SECRET, &hello, false, 0);
-        let mut wire = hello_bytes.clone();
+        let mut wire = hello_bytes.to_vec();
         codec.encode(&mut wire);
         assert!(sc_netproto::sniff_sni(&wire).is_none());
         // And no offset scan finds it either.

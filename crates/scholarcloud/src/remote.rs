@@ -5,6 +5,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use bytes::BytesMut;
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::SocketAddr;
@@ -212,11 +213,11 @@ impl App for RemoteProxy {
                     if let Some(ClientConn::Relaying { tx, .. }) = self.conns.get_mut(&client) {
                         // The hop's one copy: a received chunk is shared
                         // with its sender's retransmit queue, so the codec
-                        // works on a buffer of its own, which is then
-                        // handed on whole.
-                        let mut wire = data.to_vec();
+                        // works on a buffer of its own, built once, which
+                        // is then handed on whole.
+                        let mut wire = BytesMut::from(&data[..]);
                         tx.encode(&mut wire);
-                        ctx.tcp_send_bytes(client, wire);
+                        ctx.tcp_send_bytes(client, wire.freeze());
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
@@ -248,9 +249,9 @@ impl App for RemoteProxy {
                     }
                     Some(ClientConn::Relaying { rx, upstream, .. }) => {
                         let upstream = *upstream;
-                        let mut plain = data.to_vec();
+                        let mut plain = BytesMut::from(&data[..]);
                         rx.decode(&mut plain);
-                        ctx.tcp_send_bytes(upstream, plain);
+                        ctx.tcp_send_bytes(upstream, plain.freeze());
                     }
                     _ => {}
                 }

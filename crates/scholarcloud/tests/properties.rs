@@ -25,6 +25,28 @@ proptest! {
         prop_assert!(could_be_preamble(&wire[..wire.len().min(6)]));
     }
 
+    /// A receiver at cover-path generation `now` accepts every scheme's
+    /// preamble from its own generation and from the one before (flows in
+    /// flight across a rotation), and refuses one from two generations
+    /// back: the path no longer matches, so the sender gets the decoy.
+    #[test]
+    fn hello_generations(nonce: u64, now in 2u32..1_000_000,
+                         secret in prop::collection::vec(any::<u8>(), 1..32)) {
+        let key = HmacKey::new(&secret);
+        for id in 0u8..4 {
+            let scheme = BlindingScheme::from_wire_id(id).unwrap();
+            for generation in [now, now - 1] {
+                let hello = Hello { scheme, nonce, generation };
+                let wire = hello.encode(&key, "h.example");
+                let (parsed, used) = Hello::parse(&key, now, &wire).unwrap().unwrap();
+                prop_assert_eq!(parsed, hello);
+                prop_assert_eq!(used, wire.len());
+            }
+            let stale = Hello { scheme, nonce, generation: now - 2 }.encode(&key, "h.example");
+            prop_assert!(Hello::parse(&key, now, &stale).is_err(), "generation {} at {}", now - 2, now);
+        }
+    }
+
     /// A preamble never authenticates under a different secret.
     #[test]
     fn hello_secret_binding(scheme in scheme_strategy(), nonce: u64,

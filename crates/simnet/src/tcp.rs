@@ -11,7 +11,7 @@
 //! a [`Bytes`], segments are views of it, the receiver queues the views
 //! and [`TcpLayer::recv`] returns them (`ChunkQueue`; DESIGN.md §6k).
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, Bytes, BytesMut};
 use std::collections::VecDeque;
 
 use crate::addr::SocketAddr;
@@ -150,11 +150,18 @@ impl Conn {
     }
 }
 
+/// Chunk slots no queue is using: a queue borrows a deque from here when
+/// its first chunk arrives and gives it back, emptied, when its last one
+/// leaves, so the deques alive number the queues holding bytes, not the
+/// connections ever opened.
+type SpareSlots = Vec<VecDeque<Bytes>>;
+
 /// A byte stream held as the [`Bytes`] chunks it arrived in. Bytes enter
 /// at the back whole and leave at the front; a range or a read that lies
 /// inside one chunk is a view of that chunk, and only one that spans
-/// chunks is copied. What has left is dropped chunk by chunk, and a
-/// cleared queue owns no heap memory.
+/// chunks is copied. What has left is dropped chunk by chunk, and an
+/// empty queue owns no heap memory: its slots are lent back to the
+/// layer's [`SpareSlots`].
 #[derive(Debug, Default)]
 struct ChunkQueue {
     chunks: VecDeque<Bytes>,
@@ -172,11 +179,17 @@ impl ChunkQueue {
         self.len
     }
 
-    fn push(&mut self, chunk: Bytes) {
-        if !chunk.is_empty() {
-            self.len += chunk.len();
-            self.chunks.push_back(chunk);
+    fn push(&mut self, chunk: Bytes, spare: &mut SpareSlots) {
+        if chunk.is_empty() {
+            return;
         }
+        if self.chunks.capacity() == 0 {
+            if let Some(slots) = spare.pop() {
+                self.chunks = slots;
+            }
+        }
+        self.len += chunk.len();
+        self.chunks.push_back(chunk);
     }
 
     /// Bytes `[start, start + len)` of the stream, which must be queued.
@@ -196,7 +209,7 @@ impl ChunkQueue {
         if skip + len <= first.len() {
             return first.slice(skip..skip + len);
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = BytesMut::with_capacity(len);
         out.extend_from_slice(&first[skip..]);
         for chunk in self.chunks.range(idx + 1..) {
             let want = len - out.len();
@@ -205,11 +218,12 @@ impl ChunkQueue {
             }
             out.extend_from_slice(&chunk[..want.min(chunk.len())]);
         }
-        Bytes::from(out)
+        out.freeze()
     }
 
-    /// Drops the first `n` bytes (all of them if there are fewer).
-    fn drain_front(&mut self, n: usize) {
+    /// Drops the first `n` bytes (all of them if there are fewer), and
+    /// lends the slots back if that empties the queue.
+    fn drain_front(&mut self, n: usize, spare: &mut SpareSlots) {
         let n = n.min(self.len);
         self.len -= n;
         let (mut left, mut popped) = (n, 0);
@@ -227,21 +241,35 @@ impl ChunkQueue {
         // The cursor's chunk moved `popped` places and `n` bytes forward,
         // unless it is the new front chunk (offset 0) or gone.
         self.cursor = if self.cursor.0 > popped { (self.cursor.0 - popped, self.cursor.1 - n) } else { (0, 0) };
+        if self.len == 0 {
+            self.lend_back(spare);
+        }
     }
 
     /// Removes and returns the first `n` bytes (all of them if there are
     /// fewer): the front chunk or a piece of it when that is the whole
     /// answer, one copy of the chunks it spans otherwise.
-    fn take(&mut self, n: usize) -> Bytes {
+    fn take(&mut self, n: usize, spare: &mut SpareSlots) -> Bytes {
         let n = n.min(self.len);
         let out = self.range(0, n);
-        self.drain_front(n);
+        self.drain_front(n, spare);
         out
     }
 
-    /// Drops everything, the queue's own slots included.
-    fn clear(&mut self) {
-        *self = ChunkQueue::default();
+    /// Drops everything and lends the slots back.
+    fn clear(&mut self, spare: &mut SpareSlots) {
+        self.chunks.clear();
+        self.len = 0;
+        self.cursor = (0, 0);
+        self.lend_back(spare);
+    }
+
+    /// Gives the (empty) queue's slots to `spare`, if it has any.
+    fn lend_back(&mut self, spare: &mut SpareSlots) {
+        debug_assert!(self.chunks.is_empty());
+        if self.chunks.capacity() > 0 {
+            spare.push(std::mem::take(&mut self.chunks));
+        }
     }
 }
 
@@ -256,6 +284,8 @@ pub struct TcpLayer {
     next_ephemeral: u16,
     /// Deterministic ISS counter.
     next_iss: u64,
+    /// Chunk slots lent to the connections' queues while they hold bytes.
+    spare: SpareSlots,
 }
 
 /// Statistics snapshot for one connection (used by tests and metrics).
@@ -280,6 +310,7 @@ impl TcpLayer {
             listeners: FixedMap::default(),
             next_ephemeral: 40_000,
             next_iss: 1_000,
+            spare: SpareSlots::new(),
         }
     }
 
@@ -391,7 +422,7 @@ impl TcpLayer {
         }
         let queued = c.send_buf.len();
         for chunk in chunks {
-            c.send_buf.push(chunk);
+            c.send_buf.push(chunk, &mut self.spare);
         }
         let n = c.send_buf.len() - queued;
         self.pump(h.0, now, fx);
@@ -405,7 +436,7 @@ impl TcpLayer {
         let Some(c) = self.conns.get_mut(h.0) else {
             return Bytes::new();
         };
-        c.recv_buf.take(max)
+        c.recv_buf.take(max, &mut self.spare)
     }
 
     /// Bytes currently waiting in the receive buffer.
@@ -622,8 +653,8 @@ impl TcpLayer {
         let key = (c.local.port, c.remote);
         c.state = TcpState::Closed;
         c.timer_gen += 1;
-        c.send_buf.clear();
-        c.recv_buf.clear();
+        c.send_buf.clear(&mut self.spare);
+        c.recv_buf.clear(&mut self.spare);
         self.demux.remove(&key);
     }
 
@@ -763,7 +794,7 @@ impl TcpLayer {
                 let fin_acked = c.fin_seq.is_some_and(|f| seg.ack > f);
                 let data_acked = if fin_acked { acked.saturating_sub(1) } else { acked };
                 let drain = data_acked.min(c.send_buf.len());
-                c.send_buf.drain_front(drain);
+                c.send_buf.drain_front(drain, &mut self.spare);
                 c.snd_una = seg.ack;
                 // Keep `snd_nxt >= snd_una` (the ACK may outrun a rewound
                 // `snd_nxt`; `flight()` must never underflow).
@@ -850,7 +881,7 @@ impl TcpLayer {
                 // The segment's payload is queued as it arrived: the same
                 // allocation the sender's app handed to `send`.
                 c.rcv_nxt += payload_len;
-                c.recv_buf.push(seg.payload);
+                c.recv_buf.push(seg.payload, &mut self.spare);
                 need_ack = true;
                 fx.app_events.push((app, AppEvent::Tcp(TcpHandle(idx), TcpEvent::DataReceived)));
             } else if seg.seq < c.rcv_nxt {
@@ -1462,7 +1493,32 @@ mod tests {
             for c in &layer.conns {
                 assert_eq!((c.send_buf.chunks.capacity(), c.recv_buf.chunks.capacity()), (0, 0));
             }
+            // One connection at a time held bytes, so the same deque or
+            // two were lent to all of them in turn.
+            assert!((1..=2).contains(&layer.spare.len()), "{} spare deques", layer.spare.len());
         }
+    }
+
+    /// A queue that empties gives its slots back, and the next queue to
+    /// take a chunk — another connection's — starts with them instead of
+    /// allocating its own.
+    #[test]
+    fn a_drained_queues_slots_are_lent_to_the_next_queue() {
+        let mut spare = SpareSlots::new();
+        let (mut first, mut second) = (ChunkQueue::default(), ChunkQueue::default());
+        for n in 1..=5u8 {
+            first.push(Bytes::from(vec![n; 100]), &mut spare);
+        }
+        let slots = first.chunks.capacity();
+        assert!(slots >= 5 && spare.is_empty());
+        assert_eq!(first.take(250, &mut spare).len(), 250);
+        assert!(spare.is_empty(), "still holding bytes");
+        first.drain_front(usize::MAX, &mut spare);
+        assert_eq!((first.chunks.capacity(), spare.len()), (0, 1), "empty: owns no heap memory");
+        second.push(Bytes::from_static(b"next connection"), &mut spare);
+        assert_eq!((second.chunks.capacity(), spare.len()), (slots, 0), "no allocation of its own");
+        second.clear(&mut spare);
+        assert_eq!((second.chunks.capacity(), spare.len(), second.len()), (0, 1, 0));
     }
 
     proptest! {
@@ -1472,20 +1528,24 @@ mod tests {
         /// are the model's after every step.
         #[test]
         fn chunk_queue_matches_a_vec_model(
-            ops in prop::collection::vec((0u8..5, 0usize..4000, 0usize..4000), 1..80),
+            ops in prop::collection::vec((0u8..10, 0usize..4000, 0usize..4000), 1..120),
         ) {
-            let mut q = ChunkQueue::default();
-            let mut model: Vec<u8> = Vec::new();
-            let mut pushed = 0;
+            // Two queues over one spare list, as a layer's connections are.
+            let mut spare = SpareSlots::new();
+            let mut queues = [ChunkQueue::default(), ChunkQueue::default()];
+            let mut models: [Vec<u8>; 2] = Default::default();
+            let mut pushed = [0; 2];
             for (op, a, b) in ops {
-                match op {
+                let which = usize::from(op / 5);
+                let (q, model) = (&mut queues[which], &mut models[which]);
+                match op % 5 {
                     0 | 1 => {
                         // Small chunks as often as large: Tor cells, TLS records.
-                        let n = if op == 0 { a % 40 } else { a };
-                        let chunk: Vec<u8> = (pushed..pushed + n).map(stream_byte).collect();
-                        pushed += n;
+                        let n = if op % 5 == 0 { a % 40 } else { a };
+                        let chunk: Vec<u8> = (pushed[which]..pushed[which] + n).map(stream_byte).collect();
+                        pushed[which] += n;
                         model.extend_from_slice(&chunk);
-                        q.push(Bytes::from(chunk));
+                        q.push(Bytes::from(chunk), &mut spare);
                     }
                     2 => {
                         let start = a % (model.len() + 1);
@@ -1501,26 +1561,33 @@ mod tests {
                         prop_assert_eq!(inside_one, fits, "a range inside one chunk is a view, any other a copy");
                     }
                     3 => {
-                        q.drain_front(a % (model.len() + 10));
+                        q.drain_front(a % (model.len() + 10), &mut spare);
                         model.drain(..(a % (model.len() + 10)).min(model.len()));
                     }
                     _ => {
                         let n = (a % (model.len() + 10)).min(model.len());
-                        let got = q.take(a % (model.len() + 10));
+                        let got = q.take(a % (model.len() + 10), &mut spare);
                         prop_assert_eq!(got.as_slice(), &model[..n]);
                         model.drain(..n);
                     }
                 }
-                prop_assert_eq!(q.len(), model.len());
-                prop_assert!(q.chunks.iter().all(|c| !c.is_empty()), "no empty chunk is kept");
-                prop_assert_eq!(q.chunks.iter().map(Bytes::len).sum::<usize>(), model.len());
-                let (idx, at) = q.cursor;
-                prop_assert_eq!(q.chunks.iter().take(idx).map(Bytes::len).sum::<usize>(), at, "cursor");
-                prop_assert!(idx == 0 || idx < q.chunks.len());
+                for (q, model) in queues.iter().zip(&models) {
+                    prop_assert_eq!(q.len(), model.len());
+                    prop_assert!(q.chunks.iter().all(|c| !c.is_empty()), "no empty chunk is kept");
+                    prop_assert_eq!(q.chunks.iter().map(Bytes::len).sum::<usize>(), model.len());
+                    let (idx, at) = q.cursor;
+                    prop_assert_eq!(q.chunks.iter().take(idx).map(Bytes::len).sum::<usize>(), at, "cursor");
+                    prop_assert!(idx == 0 || idx < q.chunks.len());
+                    prop_assert!(q.len() > 0 || q.chunks.capacity() == 0, "an empty queue has lent its slots back");
+                }
+                prop_assert!(spare.iter().all(|slots| slots.is_empty() && slots.capacity() > 0));
+                prop_assert!(spare.len() <= 2, "no slots made beyond the two queues'");
             }
-            let all = q.take(usize::MAX);
-            prop_assert_eq!(all.as_slice(), &model[..]);
-            prop_assert_eq!((q.len(), q.cursor), (0, (0, 0)));
+            for (q, model) in queues.iter_mut().zip(&models) {
+                let all = q.take(usize::MAX, &mut spare);
+                prop_assert_eq!(all.as_slice(), &model[..]);
+                prop_assert_eq!((q.len(), q.cursor, q.chunks.capacity()), (0, (0, 0), 0));
+            }
         }
 
         /// `send`, ACK-driven drain, loss and RTO retransmission, in-order

@@ -376,7 +376,7 @@ impl App for TorClient {
                         self.begin_create(ctx);
                     }
                     if !out.plaintext.is_empty() {
-                        if let Ok(msgs) = self.http.push_bytes(out.plaintext.into()) {
+                        if let Ok(msgs) = self.http.push_bytes(out.plaintext) {
                             for msg in msgs {
                                 if let HttpMessage::Response(resp) = msg {
                                     self.poll_in_flight = false;

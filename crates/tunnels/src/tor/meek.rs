@@ -190,7 +190,7 @@ impl App for MeekGateway {
                             };
                             let mut requests = Vec::new();
                             if !out.plaintext.is_empty() {
-                                if let Ok(msgs) = c.http.push_bytes(out.plaintext.into()) {
+                                if let Ok(msgs) = c.http.push_bytes(out.plaintext) {
                                     for m in msgs {
                                         if let HttpMessage::Request(r) = m {
                                             requests.push(r);

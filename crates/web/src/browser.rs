@@ -1361,7 +1361,7 @@ impl Browser {
                     sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
                     self.pump_conn(h, ctx);
                 }
-                Bytes::from(out.plaintext)
+                out.plaintext
             }
             None => stream,
         };

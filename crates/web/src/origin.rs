@@ -202,7 +202,7 @@ impl App for OriginServer {
                         if !out.wire.is_empty() {
                             ctx.tcp_send_bytes(h, out.wire);
                         }
-                        out.plaintext.into()
+                        out.plaintext
                     }
                     None => data,
                 };
@@ -245,7 +245,7 @@ impl App for OriginServer {
                         let tls = session.tls.as_mut().expect("tls session");
                         let (head, body) = resp.into_parts();
                         let _prof = prof::scope(Subsystem::Crypto);
-                        [tls.send(&[&head, &body]).into(), Bytes::new()]
+                        [tls.send(&[&head, &body]), Bytes::new()]
                     } else {
                         resp.into_wire()
                     };

@@ -198,14 +198,34 @@ echo "structure: ok (one Effects scratch; no std-keyed HashMap in the simnet eve
 # that copies out of one, no two-slice constructor in the vendored
 # `bytes` (the names are bracketed so that this file does not match) —
 # and a relay hop does not copy what it received just to own it: the
-# one `to_vec` a codec needs is a statement of its own, next to the
-# transform it is for.
+# one copy a codec needs, built once, is a statement of its own, next to
+# the transform it is for.
 fail_if_found "a byte-ring TCP buffer or its helpers" \
     grep -rnE 'VecDeque<u[8]>|ring_byte[s]|copy_from_slice[s]' crates vendor/bytes
 fail_if_found "a received buffer copied on the statement that received it" \
     grep -rnE '(tcp_recv(_all)?|io\.recv)\([^;]*\.to_vec\(\)' \
         crates/scholarcloud/src crates/tunnels/src crates/web/src
 echo "structure: ok (TCP buffers are Bytes chunk queues; no copy-to-own at a relay hop)"
+
+# Structure, one allocation per tunnel-path buffer (DESIGN.md §6k, §6p):
+# a TLS record is opened in the buffer it is assembled in, which is then
+# handed out as the plaintext — no `Vec` plaintext in TlsOutput, no
+# opened record appended to one, no receive buffer in RecordBuf that
+# outlives its record — and a relay hop builds the codec's copy as a
+# `BytesMut`, not a `Vec` that a second allocation adopts (the names are
+# bracketed so that this file does not match).
+tls_record_copies() {
+    _none=1
+    grep -nE 'plaintext: Ve[c]<u8>|extend_from_slic[e]\(ope[n]\(' crates/netproto/src/tls.rs && _none=0
+    awk '/struct RecordBu[f] \{/ { inside = 1 } inside && /^\}/ { inside = 0 }
+         inside && /^ *buf: Ve[c]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' crates/netproto/src/tls.rs && _none=0
+    return $_none
+}
+fail_if_found "a TLS record copied out of the buffer it was opened in" tls_record_copies
+fail_if_found "a relay hop's codec copy built as a Vec" \
+    grep -rnE 'let mut (wire|plain) = dat[a]\.to_vec\(\)' crates/scholarcloud/src
+echo "structure: ok (TLS records open in place; hop copies are built once)"
 
 # Structure, HTTP messages (DESIGN.md §6p): a head is one buffer and a
 # span table — the `String` pair per header is gone from http.rs, its

@@ -141,15 +141,18 @@ fn a_page_load_stays_inside_its_allocation_budget() {
     }
 }
 
-// Measured 199.3 / 65 618 B (tunnel), 206.7 / 54 382 B (gateway fleet)
-// and 311.2 / 105 432 B (traced incident) in a debug build (a release
-// build: within 0.1 allocations and 20 B); before HTTP messages stopped allocating per header and copying
-// per tier the first two cost 363.7 / 119 258 B and 433.2 / 138 177 B,
-// and before obs wrote by slot and into one recycled field vector the
-// third cost 352.3 / 113 346 B.
-const TUNNEL_ALLOCS: f64 = 220.0;
-const TUNNEL_BYTES: f64 = 72_000.0;
-const FLEET_ALLOCS: f64 = 228.0;
-const FLEET_BYTES: f64 = 60_000.0;
-const INCIDENT_ALLOCS: f64 = 342.0;
-const INCIDENT_BYTES: f64 = 116_000.0;
+// Measured 135.7 / 54 313 B (tunnel), 174.5 / 51 281 B (gateway fleet)
+// and 235.4 / 92 888 B (traced incident) in a debug build; before TLS
+// records were opened in the buffer they arrive in, relay hops built
+// their copy once, `BytesMut` froze without a second allocation and TCP
+// chunk slots were lent instead of kept, they cost 199.3 / 65 618 B,
+// 206.7 / 54 382 B and 311.2 / 105 432 B; before HTTP messages stopped
+// allocating per header and copying per tier the first two cost
+// 363.7 / 119 258 B and 433.2 / 138 177 B, and before obs wrote by slot
+// and into one recycled field vector the third cost 352.3 / 113 346 B.
+const TUNNEL_ALLOCS: f64 = 150.0;
+const TUNNEL_BYTES: f64 = 60_000.0;
+const FLEET_ALLOCS: f64 = 192.0;
+const FLEET_BYTES: f64 = 56_500.0;
+const INCIDENT_ALLOCS: f64 = 260.0;
+const INCIDENT_BYTES: f64 = 102_000.0;
