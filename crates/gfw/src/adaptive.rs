@@ -417,7 +417,7 @@ impl AdaptiveState {
     }
 }
 
-fn emit_adaptive(now: SimTime, name: &'static str, f: impl FnOnce(sc_obs::Event) -> sc_obs::Event) {
+fn emit_adaptive(now: SimTime, name: &'static str, f: impl FnOnce(&mut sc_obs::Fields<'_>)) {
     sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "adaptive", name, f);
 }
 
@@ -449,8 +449,8 @@ pub(crate) fn process_flow(
         learned_signatures.retain(|s| *s != sig);
         rules_changed = true;
         sc_obs::counter_add("gfw.adaptive_signatures_expired", 1);
-        emit_adaptive(now, "signature_expired", |ev| {
-            ev.field("signature", String::from_utf8_lossy(&sig).into_owned())
+        emit_adaptive(now, "signature_expired", |f| {
+            f.field("signature", &*String::from_utf8_lossy(&sig));
         });
     }
 
@@ -472,10 +472,10 @@ pub(crate) fn process_flow(
                     }
                     counters.signatures_learned += 1;
                     sc_obs::counter_add("gfw.adaptive_signatures_learned", 1);
-                    emit_adaptive(now, "signature_learned", |ev| {
-                        ev.field("signature", String::from_utf8_lossy(&sig).into_owned())
+                    emit_adaptive(now, "signature_learned", |f| {
+                        f.field("signature", &*String::from_utf8_lossy(&sig))
                             .field("flows", cfg.learn_after_flows as u64)
-                            .field("server", rec.server.to_string())
+                            .field("server", rec.server);
                     });
                 }
                 FingerprintOutcome::Refreshed | FingerprintOutcome::None => {}
@@ -487,8 +487,8 @@ pub(crate) fn process_flow(
                 sc_obs::counter_add("gfw.adaptive_campaigns", 1);
                 let take = rec.early_bytes.len().min(REPLAY_CAPTURE);
                 replay_preambles.insert(rec.server, rec.early_bytes[..take].to_vec());
-                emit_adaptive(now, "campaign", |ev| {
-                    ev.field("server", rec.server.to_string()).field("score", score as u64)
+                emit_adaptive(now, "campaign", |f| {
+                    f.field("server", rec.server).field("score", score as u64);
                 });
             }
         }
@@ -499,8 +499,8 @@ pub(crate) fn process_flow(
     if let Some(wave) = adaptive.step_campaign(cfg, &rec.server, now, draw) {
         probe_queue.push_back(rec.server);
         sc_obs::counter_add("gfw.adaptive_probe_waves", 1);
-        emit_adaptive(now, "probe_wave", |ev| {
-            ev.field("server", rec.server.to_string()).field("wave", wave as u64)
+        emit_adaptive(now, "probe_wave", |f| {
+            f.field("server", rec.server).field("wave", wave as u64);
         });
     }
     rules_changed

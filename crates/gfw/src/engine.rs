@@ -160,15 +160,10 @@ fn trace_drop(now: sc_simnet::time::SimTime, rule: &'static str, pkt: &Packet, r
     if rsts > 0 {
         sc_obs::counter_add("gfw.rst_injected", rsts as u64);
     }
-    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "verdict", "drop", |ev| {
-        let ev = ev
-            .field("rule", rule)
-            .field("src", pkt.src.to_string())
-            .field("dst", pkt.dst.to_string());
+    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "verdict", "drop", |f| {
+        f.field("rule", rule).field("src", pkt.src).field("dst", pkt.dst);
         if rsts > 0 {
-            ev.field("rsts", rsts)
-        } else {
-            ev
+            f.field("rsts", rsts);
         }
     });
 }
@@ -300,8 +295,8 @@ impl Middlebox for GfwMiddlebox {
             st.probe_queue.push_back(rec.server);
             st.counters.probes_requested += 1;
             sc_obs::counter_add("gfw.probes_requested", 1);
-            sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |ev| {
-                ev.field("server", rec.server.to_string())
+            sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |f| {
+                f.field("server", rec.server);
             });
         }
 
@@ -328,9 +323,8 @@ impl Middlebox for GfwMiddlebox {
                         "gfw",
                         "adaptive",
                         "region_drift",
-                        |ev| {
-                            ev.field("region", region as u64)
-                                .field("enforcing", if enforcing { 1u64 } else { 0 })
+                        |f| {
+                            f.field("region", region as u64).field("enforcing", u64::from(enforcing));
                         },
                     );
                 }

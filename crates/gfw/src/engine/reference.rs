@@ -293,8 +293,8 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
         st.probe_queue.push_back(rec.server);
         st.counters.probes_requested += 1;
         sc_obs::counter_add("gfw.probes_requested", 1);
-        sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |ev| {
-            ev.field("server", rec.server.to_string())
+        sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |f| {
+            f.field("server", rec.server.to_string());
         });
     }
 
@@ -321,9 +321,8 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
                     "gfw",
                     "adaptive",
                     "region_drift",
-                    |ev| {
-                        ev.field("region", region as u64)
-                            .field("enforcing", if enforcing { 1u64 } else { 0 })
+                    |f| {
+                        f.field("region", region as u64).field("enforcing", if enforcing { 1u64 } else { 0 });
                     },
                 );
             }

@@ -28,8 +28,8 @@ pub fn blacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
             }
             sc_obs::counter_add("gfw.blacklist_updates", 1);
             let now_us = now.as_micros();
-            sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |ev| {
-                ev.field("addr", addr.to_string())
+            sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |f| {
+                f.field("addr", addr);
             });
         }),
     }
@@ -46,8 +46,8 @@ pub fn unblacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
             st.config_mut().ip_blacklist.retain(|&(a, len)| !(a == addr && len == 32));
             sc_obs::counter_add("gfw.blacklist_updates", 1);
             let now_us = now.as_micros();
-            sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "unblacklist_ip", |ev| {
-                ev.field("addr", addr.to_string())
+            sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "unblacklist_ip", |f| {
+                f.field("addr", addr);
             });
         }),
     }

@@ -96,21 +96,20 @@ impl ActiveProber {
             {
                 st.config_mut().ip_blacklist.push((server.addr, 32));
                 sc_obs::counter_add("gfw.adaptive_blacklisted", 1);
-                sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "adaptive", "blacklisted", |ev| {
-                    ev.field("server", server.to_string())
+                sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "adaptive", "blacklisted", |f| {
+                    f.field("server", server);
                 });
             }
         }
-        sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "verdict", |ev| {
-            ev.field("server", server.to_string())
-                .field(
-                    "verdict",
-                    match verdict {
-                        ProbeVerdict::Innocent => "innocent",
-                        ProbeVerdict::Confirmed => "confirmed",
-                        ProbeVerdict::Unreachable => "unreachable",
-                    },
-                )
+        sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "verdict", |f| {
+            f.field("server", server).field(
+                "verdict",
+                match verdict {
+                    ProbeVerdict::Innocent => "innocent",
+                    ProbeVerdict::Confirmed => "confirmed",
+                    ProbeVerdict::Unreachable => "unreachable",
+                },
+            );
         });
     }
 }
@@ -136,12 +135,10 @@ impl App for ActiveProber {
                     let h = ctx.tcp_connect(server);
                     sc_obs::counter_add("gfw.probes_launched", 1);
                     let now_us = ctx.now().as_micros();
-                    sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "launched", |ev| {
-                        let ev = ev.field("server", server.to_string());
+                    sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "launched", |f| {
+                        f.field("server", server);
                         if replay.is_some() {
-                            ev.field("replay", 1u64)
-                        } else {
-                            ev
+                            f.field("replay", 1u64);
                         }
                     });
                     let check_token = self.next_check;

@@ -520,13 +520,11 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
         "metrics",
         "scenario",
         "run",
-        || {
-            vec![
-                ("method", cfg.method.name().into()),
-                ("seed", cfg.seed.into()),
-                ("clients", (cfg.clients as u64).into()),
-                ("loads", (cfg.loads as u64).into()),
-            ]
+        |f| {
+            f.field("method", cfg.method.name())
+                .field("seed", cfg.seed)
+                .field("clients", cfg.clients)
+                .field("loads", cfg.loads);
         },
     );
 
@@ -1012,11 +1010,9 @@ impl BuiltScenario {
         sc_obs::span_end(
             sim.now().as_micros(),
             span,
-            || {
-                vec![
-                    ("censor_drops", sim.stats.censor_drops().into()),
-                    ("packets_sent", sim.stats.packets_sent.into()),
-                ]
+            |f| {
+                f.field("censor_drops", sim.stats.censor_drops())
+                    .field("packets_sent", sim.stats.packets_sent);
             },
         );
         outcome

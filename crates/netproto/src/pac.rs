@@ -55,14 +55,6 @@ impl PacFile {
         PacFile { whitelist, proxies }
     }
 
-    /// Whether `host` is on the whitelist (routed via the proxy list).
-    fn whitelisted(&self, host: &str) -> bool {
-        let host = host.to_ascii_lowercase();
-        self.whitelist
-            .iter()
-            .any(|domain| host == *domain || host.ends_with(&format!(".{domain}")))
-    }
-
     /// Decides how `host` should be reached (primary proxy only).
     ///
     /// # Examples
@@ -77,7 +69,7 @@ impl PacFile {
     /// assert_eq!(pac.decide("baidu.com"), ProxyDecision::Direct);
     /// ```
     pub fn decide(&self, host: &str) -> ProxyDecision {
-        if self.whitelisted(host) {
+        if whitelisted(&self.whitelist, host) {
             ProxyDecision::Proxy(self.proxies[0])
         } else {
             ProxyDecision::Direct
@@ -88,7 +80,7 @@ impl PacFile {
     /// or empty for a DIRECT host. Mirrors how a browser walks a
     /// `PROXY a; PROXY b; DIRECT` return value.
     pub fn candidates(&self, host: &str) -> &[SocketAddr] {
-        if self.whitelisted(host) {
+        if whitelisted(&self.whitelist, host) {
             &self.proxies
         } else {
             &[]
@@ -215,6 +207,23 @@ impl core::fmt::Display for PacParseError {
 
 impl std::error::Error for PacParseError {}
 
+/// Whether `host` is on `whitelist`: equal to an entry or a subdomain of
+/// one (`dnsDomainIs`), with `host` compared in ASCII lower case. Only
+/// the host is lowercased, so an entry holding an upper-case letter
+/// never matches (the PAC file lowercases its entries when it is made).
+/// Compares bytes in place: nothing is allocated per host or per entry.
+pub fn whitelisted(whitelist: &[String], host: &str) -> bool {
+    let host = host.as_bytes();
+    let lower_eq = |h: &[u8], d: &[u8]| {
+        h.len() == d.len() && h.iter().zip(d).all(|(h, d)| h.to_ascii_lowercase() == *d)
+    };
+    whitelist.iter().map(|d| d.as_bytes()).any(|d| match host.len().checked_sub(d.len()) {
+        Some(0) => lower_eq(host, d),
+        Some(dot) => host[dot - 1] == b'.' && lower_eq(&host[dot..], d),
+        None => false,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,5 +341,46 @@ mod tests {
         let pac = PacFile::new(Vec::<String>::new(), proxy());
         assert_eq!(pac.decide("anything.example"), ProxyDecision::Direct);
         assert_eq!(pac.candidates("anything.example"), &[] as &[SocketAddr]);
+    }
+
+    mod props {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// The formula `whitelisted` replaced: a lowercase copy of the
+        /// host and one `format!` per entry.
+        fn allocating(whitelist: &[String], host: &str) -> bool {
+            let host = host.to_ascii_lowercase();
+            whitelist.iter().any(|d| host == *d || host.ends_with(&format!(".{d}")))
+        }
+
+        /// Labels from a few letters in both cases, dots (empty labels
+        /// too) and multi-byte characters.
+        fn gen_name() -> impl Strategy<Value = String> {
+            const CHARS: [char; 8] = ['a', 'b', 'A', 'B', '.', '.', 'é', 'É'];
+            prop::collection::vec(0usize..CHARS.len(), 0..9)
+                .prop_map(|picks| picks.into_iter().map(|i| CHARS[i]).collect())
+        }
+
+        proptest! {
+            #[test]
+            fn whitelisted_decides_as_the_allocating_formula(
+                whitelist in prop::collection::vec(gen_name(), 0..4),
+                host in gen_name(),
+                suffix_of in any::<usize>(),
+                upper in any::<bool>(),
+            ) {
+                prop_assert_eq!(whitelisted(&whitelist, &host), allocating(&whitelist, &host));
+                // A host built on an entry, so that matches are common.
+                if !whitelist.is_empty() {
+                    let entry = &whitelist[suffix_of % whitelist.len()];
+                    let sub = format!("{host}.{entry}");
+                    let sub = if upper { sub.to_ascii_uppercase() } else { sub };
+                    prop_assert_eq!(whitelisted(&whitelist, &sub), allocating(&whitelist, &sub));
+                    prop_assert_eq!(whitelisted(&whitelist, entry), allocating(&whitelist, entry));
+                }
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The analyzer's JSON: one hand-rolled tokenizer (std-only, like
 //! everything in `sc-obs`) over JSON's whole value grammar, nesting
 //! capped at [`MAX_DEPTH`], behind two entry points — [`parse_line`]
-//! reads the records [`crate::write_event_json`] emits, the seven
+//! reads the records [`crate::write_line`] emits, the seven
 //! top-level keys it writes and no others, straight into a
 //! [`TraceEvent`] whose strings are slices of the line (a string is
 //! copied only when it holds an escape); [`parse_json`] reads any
@@ -422,7 +422,7 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 }
 
 /// Parses one JSONL trace line into a [`TraceEvent`] that borrows from
-/// it. A key [`crate::write_event_json`] does not write, or one of its
+/// it. A key [`crate::write_line`] does not write, or one of its
 /// keys holding the wrong kind of value, is an error.
 pub fn parse_line(line: &str) -> Result<TraceEvent<'_>, String> {
     let mut p = Parser::new(line);
@@ -576,7 +576,7 @@ mod tests {
     fn parses_what_the_writer_emits_including_hostile_strings() {
         let ev = Event::new(17, Level::Warn, "gfw", "verdict", "drop")
             .field("rule", "gfw-\"sni\"")
-            .field("host", "例子.测试\n\u{1}".to_string())
+            .field("host", "例子.测试\n\u{1}")
             .field("bytes", 1500u64)
             .field("delta", -3i64)
             .field("ratio", 0.5f64)

@@ -259,14 +259,14 @@ mod tests {
         let gfw = |t, target: &'static str, name: &'static str, extra: &[(&'static str, &str)]| {
             let mut ev = Event::new(t, Level::Info, "gfw", target, name);
             for (k, v) in extra {
-                ev = ev.field(*k, v.to_string());
+                ev = ev.field(k, *v);
             }
             reparsed(&ev)
         };
         let sc = |t, target: &'static str, name: &'static str, extra: &[(&'static str, &str)]| {
             let mut ev = Event::new(t, Level::Info, "scholarcloud", target, name);
             for (k, v) in extra {
-                ev = ev.field(*k, v.to_string());
+                ev = ev.field(k, *v);
             }
             reparsed(&ev)
         };

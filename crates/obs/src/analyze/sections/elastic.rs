@@ -202,7 +202,7 @@ mod tests {
             let mut ev = Event::new(t, Level::Info, "scholarcloud", "elastic", name)
                 .field("instance", "99.0.1.2");
             for (k, v) in extra {
-                ev = ev.field(*k, v.to_string());
+                ev = ev.field(k, *v);
             }
             reparsed(&ev)
         };

@@ -5,16 +5,13 @@
 
 use super::*;
 use crate::event::{Event, Level, SpanId};
-use crate::sink::write_event_json;
 
-pub(in crate::analyze) fn line(ev: &Event) -> String {
-    let mut s = String::new();
-    write_event_json(&mut s, ev);
-    s
+pub(in crate::analyze) fn line(ev: &Event<'_>) -> String {
+    ev.line()
 }
 
 /// `ev` as the analyzer reads it back, detached from its line.
-pub(crate) fn reparsed(ev: &Event) -> TraceEvent<'static> {
+pub(crate) fn reparsed(ev: &Event<'_>) -> TraceEvent<'static> {
     parse_line(&line(ev)).unwrap().into_owned()
 }
 
@@ -74,7 +71,7 @@ fn interference_and_slo_events_build_timelines() {
     evs.push(
         reparsed(
             &Event::new(3_000_000, Level::Warn, "slo", "alert", "fire")
-                .field("slo", "plt-p95".to_string())
+                .field("slo", "plt-p95")
                 .field("burn", 2.5),
         ),
     );
@@ -223,9 +220,9 @@ fn alert_exemplars_are_parsed_and_rendered() {
     evs.push(
         reparsed(
             &Event::new(2_000_000, Level::Warn, "slo", "alert", "fire")
-                .field("slo", "plt-p95".to_string())
+                .field("slo", "plt-p95")
                 .field("burn", 2.0)
-                .field("exemplars", "00000000000000ff,0000000000000abc".to_string()),
+                .field("exemplars", "00000000000000ff,0000000000000abc"),
         ),
     );
     let a = analyze(&evs, 1_000_000);

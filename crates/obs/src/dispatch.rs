@@ -15,10 +15,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 
-use crate::event::{Event, Level, SpanId, Value};
+use crate::event::{Level, SpanId};
 use crate::metrics::Registry;
-use crate::sink::JsonlSink;
-use crate::slo::{SloEngine, SloSpec};
+use crate::sink::{push_head, push_labels, push_quoted, push_u64, Fields, JsonlSink};
+use crate::slo::{Alert, SloEngine, SloSpec};
 use crate::timeseries::{SeriesKind, TimeSeries, WindowSpec};
 
 thread_local! {
@@ -27,24 +27,23 @@ thread_local! {
     /// `RefCell`: the early-out every free function takes first, so
     /// un-instrumented runs pay one `Cell` read and a branch.
     static ACTIVE: Cell<bool> = const { Cell::new(false) };
+    /// The simulation time at which the installed dispatcher's current
+    /// time-series window closes: [`tick`] below it returns without
+    /// touching `CURRENT`. 0 makes the next tick compute it (a
+    /// dispatcher was just installed or restored); `u64::MAX` with
+    /// nothing installed.
+    static NEXT_EDGE: Cell<u64> = const { Cell::new(u64::MAX) };
 }
 
 /// Writes the events at or above one level to its sink, and owns the
 /// run's metrics [`Registry`].
 pub struct Dispatcher {
-    sink: Option<JsonlSink>,
-    level: Level,
+    lines: Lines,
     registry: Registry,
     timeseries: TimeSeries,
     slos: SloEngine,
     /// The slots of the names call sites have passed.
     names: NameTable,
-    /// Every `(component, target, name)` a span was opened with, so an
-    /// open span remembers an index rather than three strings.
-    span_sites: Vec<SpanSite>,
-    /// The field vector every event, span start and span end is built
-    /// in, handed back empty after the sink has written it.
-    fields: Vec<(&'static str, Value)>,
     next_span: u64,
     open_spans: OpenSpans,
 }
@@ -137,15 +136,178 @@ impl NameTable {
 /// memory for the rest of the run.
 const MAX_OPEN_SPANS: usize = 1 << 16;
 
-/// Where a span was opened: what its `span_end` event repeats.
-#[derive(Clone, Copy, PartialEq)]
-struct SpanSite {
-    component: &'static str,
-    target: &'static str,
-    name: &'static str,
+/// A call site's `[component, target, name]`.
+type Labels = [&'static str; 3];
+
+/// Per-call-site data keyed by the addresses of a site's three
+/// `&'static str` labels, with open addressing like [`NameTable`]. A
+/// literal the linker duplicated is two sites with the same data.
+struct Sites<T> {
+    /// Index into `entries` + 1; 0 marks a free slot.
+    slots: Vec<u32>,
+    entries: Vec<(Labels, T)>,
 }
 
-/// An open span: when it started, and where ([`Dispatcher::span_sites`]).
+impl<T> Default for Sites<T> {
+    fn default() -> Sites<T> {
+        Sites { slots: Vec::new(), entries: Vec::new() }
+    }
+}
+
+impl<T> Sites<T> {
+    /// The index of `labels`' entry, made by `make` the first time.
+    fn index(&mut self, labels: Labels, make: impl FnOnce(Labels) -> T) -> usize {
+        let mut i = self.find(labels);
+        if self.slots.get(i).is_none_or(|&s| s == 0) {
+            if 4 * (self.entries.len() + 1) > 3 * self.slots.len() {
+                self.grow();
+                i = self.find(labels);
+            }
+            self.entries.push((labels, make(labels)));
+            self.slots[i] = self.entries.len() as u32;
+        }
+        self.slots[i] as usize - 1
+    }
+
+    /// The data of the entry at `index`.
+    fn get(&self, index: usize) -> &T {
+        &self.entries[index].1
+    }
+
+    /// The slot holding `labels`, or the free one where they go (0 for
+    /// the empty table).
+    fn find(&self, labels: Labels) -> usize {
+        if self.slots.is_empty() {
+            return 0;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hash = 0u64;
+        for label in labels {
+            hash = (hash ^ label.as_ptr() as u64 ^ label.len() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+        let mut i = (hash >> 32) as usize & mask;
+        loop {
+            match self.slots[i] {
+                0 => return i,
+                s if same_site(self.entries[s as usize - 1].0, labels) => return i,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(16);
+        self.slots = vec![0; cap];
+        for e in 0..self.entries.len() {
+            let i = self.find(self.entries[e].0);
+            self.slots[i] = e as u32 + 1;
+        }
+    }
+}
+
+/// Whether two label triples are the same strings at the same addresses.
+fn same_site(a: Labels, b: Labels) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.as_ptr() == y.as_ptr() && x.len() == y.len())
+}
+
+/// What every line of one span site repeats, escaped once: the labels
+/// of its `span_start` and of its `span_end`, each up to the span id,
+/// then the `span_name` field both open their fields with.
+struct SpanHeads {
+    text: String,
+    end_at: usize,
+    name_at: usize,
+}
+
+impl SpanHeads {
+    fn new([component, target, name]: Labels) -> SpanHeads {
+        let mut text = String::new();
+        push_labels(&mut text, component, target, "span_start");
+        text.push_str(",\"span\":");
+        let end_at = text.len();
+        push_labels(&mut text, component, target, "span_end");
+        text.push_str(",\"span\":");
+        let name_at = text.len();
+        text.push_str(",\"fields\":{\"span_name\":");
+        push_quoted(&mut text, name);
+        SpanHeads { text, end_at, name_at }
+    }
+
+    fn start(&self) -> &str {
+        &self.text[..self.end_at]
+    }
+
+    fn end(&self) -> &str {
+        &self.text[self.end_at..self.name_at]
+    }
+
+    fn name_field(&self) -> &str {
+        &self.text[self.name_at..]
+    }
+}
+
+/// The dispatcher's write side: the sink, the one level, and every
+/// site's labels escaped once.
+struct Lines {
+    sink: Option<JsonlSink>,
+    level: Level,
+    /// `,"component":…,"target":…,"event":…` per event site.
+    events: Sites<Box<str>>,
+    /// Per span site; an open span remembers the index.
+    spans: Sites<SpanHeads>,
+}
+
+impl Lines {
+    /// Whether a line at `level` would reach the sink. With no sink
+    /// attached nothing can observe an event, so emission is disabled
+    /// outright — the guard hot paths rely on to skip building fields.
+    fn enabled(&self, level: Level) -> bool {
+        self.sink.is_some() && level >= self.level
+    }
+
+    /// The sink's line buffer with `{"t_us":…,"level":…` written, for a
+    /// line that will be recorded.
+    fn take(&mut self, t_us: u64, level: Level) -> Option<String> {
+        let mut line = self.sink.as_mut()?.take_line();
+        push_head(&mut line, t_us, level);
+        Some(line)
+    }
+
+    /// An event's line up to its fields, if `level` passes.
+    fn begin_event(&mut self, t_us: u64, level: Level, labels: Labels) -> Option<String> {
+        if !self.enabled(level) {
+            return None;
+        }
+        let mut line = self.take(t_us, level)?;
+        let site = self.events.index(labels, |[component, target, name]| {
+            let mut head = String::new();
+            push_labels(&mut head, component, target, name);
+            head.into_boxed_str()
+        });
+        line.push_str(self.events.get(site));
+        Some(line)
+    }
+
+    /// Writes a finished line.
+    fn finish(&mut self, line: String) {
+        if let Some(sink) = &mut self.sink {
+            sink.write(line);
+        }
+    }
+
+    /// Writes an SLO alert as component `slo`, target `alert`.
+    fn alert(&mut self, alert: &Alert<'_>) {
+        let labels = ["slo", "alert", alert.name()];
+        if let Some(mut line) = self.begin_event(alert.t_us, alert.level(), labels) {
+            let mut fields = Fields::new(&mut line, false);
+            alert.write_fields(&mut fields);
+            fields.close();
+            self.finish(line);
+        }
+    }
+}
+
+/// An open span: when it started, and where ([`Lines::spans`]).
 #[derive(Clone, Copy)]
 struct SpanStart {
     t_us: u64,
@@ -251,14 +413,16 @@ impl Dispatcher {
     /// Creates a dispatcher accepting `Info` and above with no sink.
     pub fn new() -> Dispatcher {
         Dispatcher {
-            sink: None,
-            level: Level::Info,
+            lines: Lines {
+                sink: None,
+                level: Level::Info,
+                events: Sites::default(),
+                spans: Sites::default(),
+            },
             registry: Registry::new(),
             timeseries: TimeSeries::default(),
             slos: SloEngine::default(),
             names: NameTable::default(),
-            span_sites: Vec::new(),
-            fields: Vec::new(),
             next_span: 0,
             open_spans: OpenSpans::default(),
         }
@@ -266,7 +430,7 @@ impl Dispatcher {
 
     /// Sets the minimum level an event needs to be written.
     pub fn with_level(mut self, level: Level) -> Dispatcher {
-        self.level = level;
+        self.lines.level = level;
         self
     }
 
@@ -276,7 +440,7 @@ impl Dispatcher {
     // build against this crate unchanged, passes `Box::new(JsonlSink::new(..))`.
     #[allow(clippy::boxed_local)]
     pub fn with_sink(mut self, sink: Box<JsonlSink>) -> Dispatcher {
-        self.sink = Some(*sink);
+        self.lines.sink = Some(*sink);
         self
     }
 
@@ -303,6 +467,7 @@ impl Dispatcher {
     pub fn install(self) -> ObsGuard {
         let prev = CURRENT.with(|c| c.borrow_mut().replace(self));
         ACTIVE.with(|a| a.set(true));
+        NEXT_EDGE.with(|e| e.set(0));
         ObsGuard { prev }
     }
 
@@ -327,48 +492,9 @@ impl Dispatcher {
         self.registry
     }
 
-    /// Whether an event at `level` would reach the sink. With no sink
-    /// attached nothing can observe an event, so emission is disabled
-    /// outright — the zero-cost guard hot paths rely on to skip label
-    /// formatting and field-vector allocation entirely.
-    fn enabled(&self, level: Level) -> bool {
-        self.sink.is_some() && level >= self.level
-    }
-
-    fn dispatch(&mut self, ev: &Event) {
-        if let Some(sink) = &mut self.sink {
-            sink.record(ev);
-        }
-    }
-
     fn flush(&mut self) {
-        if let Some(sink) = &mut self.sink {
+        if let Some(sink) = &mut self.lines.sink {
             sink.flush();
-        }
-    }
-
-    /// An event to build, in the recycled field vector.
-    fn start_event(
-        &mut self,
-        t_us: u64,
-        level: Level,
-        component: &'static str,
-        target: &'static str,
-        name: &'static str,
-    ) -> Event {
-        let mut ev = Event::new(t_us, level, component, target, name);
-        ev.fields = std::mem::take(&mut self.fields);
-        ev
-    }
-
-    /// Dispatches `ev` and keeps its field vector for the next event
-    /// (the larger one, when a builder emitted while holding this one).
-    fn finish_event(&mut self, ev: Event) {
-        self.dispatch(&ev);
-        let mut fields = ev.fields;
-        if fields.capacity() >= self.fields.capacity() {
-            fields.clear();
-            self.fields = fields;
         }
     }
 
@@ -386,47 +512,76 @@ impl Dispatcher {
         self.names.slot(name, SlotKind::Series, || self.timeseries.series_slot(name, kind))
     }
 
-    /// The index of `site` in `span_sites`, added when new: a scan of
-    /// the dozen or so places spans are opened from.
-    fn span_site(&mut self, site: SpanSite) -> u32 {
-        let sites = &mut self.span_sites;
-        let index = sites.iter().position(|s| *s == site).unwrap_or_else(|| {
-            sites.push(site);
-            sites.len() - 1
-        });
-        index as u32
-    }
-
-    /// Allocates the next span id, remembers the start and dispatches
-    /// the `span_start` event (the caller has checked the level).
+    /// Allocates the next span id, remembers the start and writes the
+    /// `span_start` line up to the caller's fields, if `level` passes.
     fn open_span(
         &mut self,
         t_us: u64,
-        site: SpanSite,
         level: Level,
+        labels: Labels,
         ctx: crate::context::TraceCtx,
-        fields: SpanFields,
-    ) -> SpanId {
+    ) -> Option<(SpanId, String)> {
+        if !self.lines.enabled(level) {
+            return None;
+        }
         self.next_span += 1;
         let id = self.next_span;
-        let mut ev = self
-            .start_event(t_us, level, site.component, site.target, "span_start")
-            .in_span(SpanId(id));
-        ev.fields.push(("span_name", Value::Str(site.name)));
-        let start = SpanStart { t_us, site: self.span_site(site) };
-        let evicted = self.open_spans.insert(id, start);
+        let site = self.lines.spans.index(labels, SpanHeads::new);
+        let evicted = self.open_spans.insert(id, SpanStart { t_us, site: site as u32 });
         if evicted > 0 {
             self.counter_add("obs.spans_evicted", evicted);
         }
+        let mut line = self.lines.take(t_us, level)?;
+        let heads = self.lines.spans.get(site);
+        line.push_str(heads.start());
+        push_u64(&mut line, id);
+        line.push_str(heads.name_field());
         if !ctx.trace.is_none() {
-            ev.fields.push(("trace_id", Value::U64(ctx.trace.0)));
+            line.push_str(",\"trace_id\":");
+            push_u64(&mut line, ctx.trace.0);
         }
         if !ctx.parent.is_none() {
-            ev.fields.push(("parent", Value::U64(ctx.parent.0)));
+            line.push_str(",\"parent\":");
+            push_u64(&mut line, ctx.parent.0);
         }
-        ev.fields.extend(fields);
-        self.finish_event(ev);
-        SpanId(id)
+        Some((SpanId(id), line))
+    }
+
+    /// Forgets span `id` and writes its `span_end` line up to the
+    /// caller's fields, if it was open.
+    fn close_span(&mut self, t_us: u64, span: SpanId) -> Option<String> {
+        let start = self.open_spans.remove(span.0)?;
+        let mut line = self.lines.take(t_us, Level::Info)?;
+        let heads = self.lines.spans.get(start.site as usize);
+        line.push_str(heads.end());
+        push_u64(&mut line, span.0);
+        line.push_str(heads.name_field());
+        line.push_str(",\"dur_us\":");
+        push_u64(&mut line, t_us.saturating_sub(start.t_us));
+        Some(line)
+    }
+
+    /// Advances the windows to `t_us`, writes the alerts of every window
+    /// that closed, and returns the time the current window closes.
+    fn tick(&mut self, t_us: u64) -> u64 {
+        self.timeseries.advance(t_us);
+        let (mut fired, mut resolved) = (0, 0);
+        let lines = &mut self.lines;
+        self.slos.evaluate(&self.timeseries, |alert| {
+            if alert.fire {
+                fired += 1;
+            } else {
+                resolved += 1;
+            }
+            lines.alert(alert);
+        });
+        if fired > 0 {
+            self.counter_add("slo.alerts_fired", fired);
+        }
+        if resolved > 0 {
+            self.counter_add("slo.alerts_resolved", resolved);
+        }
+        (self.timeseries.closed_through() + 1).saturating_mul(self.timeseries.spec().width_us)
     }
 }
 
@@ -441,7 +596,7 @@ impl ObsGuard {
     /// giving access to its final [`Registry`].
     pub fn uninstall(mut self) -> Dispatcher {
         let prev = self.prev.take();
-        ACTIVE.with(|a| a.set(prev.is_some()));
+        restored(prev.is_some());
         let mut d = CURRENT
             .with(|c| std::mem::replace(&mut *c.borrow_mut(), prev))
             .expect("dispatcher slot emptied while guard alive");
@@ -465,15 +620,22 @@ impl ObsGuard {
 
 impl Drop for ObsGuard {
     fn drop(&mut self) {
-        let restored = self.prev.take();
-        ACTIVE.with(|a| a.set(restored.is_some()));
+        let prev = self.prev.take();
+        restored(prev.is_some());
         CURRENT.with(|c| {
             let mut slot = c.borrow_mut();
-            if let Some(mut d) = std::mem::replace(&mut *slot, restored) {
+            if let Some(mut d) = std::mem::replace(&mut *slot, prev) {
                 d.flush();
             }
         });
     }
+}
+
+/// Marks the slot as holding a restored dispatcher or none: a restored
+/// one computes its next window edge on its next tick.
+fn restored(some: bool) {
+    ACTIVE.with(|a| a.set(some));
+    NEXT_EDGE.with(|e| e.set(if some { 0 } else { u64::MAX }));
 }
 
 fn with_installed<R>(f: impl FnOnce(&mut Dispatcher) -> R) -> Option<R> {
@@ -483,45 +645,40 @@ fn with_installed<R>(f: impl FnOnce(&mut Dispatcher) -> R) -> Option<R> {
     CURRENT.with(|c| c.borrow_mut().as_mut().map(f))
 }
 
-/// Whether an event at `level` would be written. Always `false` when no
-/// dispatcher is installed **or the installed one has no sink** —
-/// emission is pure cost if nothing can record it.
-fn is_enabled(level: Level) -> bool {
-    with_installed(|d| d.enabled(level)).unwrap_or(false)
-}
-
 /// Whether any dispatcher is installed on this thread.
 pub fn is_active() -> bool {
     ACTIVE.with(|a| a.get())
 }
 
-/// Emits one event, building it only if it will be recorded: `build`
-/// receives the bare event and attaches the fields, and runs only after
-/// the level filter has accepted `level` — a filtered event costs
-/// neither its `String`s nor its field vector, and each site names its
-/// level and component once.
+/// Emits one event, writing its fields only if it will be recorded:
+/// `fields` runs only after the level filter has accepted `level`, and
+/// appends each field straight to the sink's line — a filtered event
+/// costs nothing to build, and each site names its level and labels
+/// once.
 pub fn event(
     t_us: u64,
     level: Level,
     component: &'static str,
     target: &'static str,
     name: &'static str,
-    build: impl FnOnce(Event) -> Event,
+    fields: impl FnOnce(&mut Fields<'_>),
 ) {
-    let Some(ev) = with_installed(|d| {
-        d.enabled(level).then(|| d.start_event(t_us, level, component, target, name))
-    })
-    .flatten() else {
+    let labels = [component, target, name];
+    let Some(line) = with_installed(|d| d.lines.begin_event(t_us, level, labels)).flatten() else {
         return;
     };
-    // Built outside the dispatcher borrow, so `build` may itself read
-    // the registry or emit.
-    let ev = build(ev);
-    with_installed(|d| d.finish_event(ev));
+    write_fields(line, false, fields);
 }
 
-/// Field list of a span's start or end event.
-pub type SpanFields = Vec<(&'static str, crate::event::Value)>;
+/// Runs a line's `fields` outside the dispatcher borrow, so it may
+/// itself read the registry or emit (that line is written first), then
+/// writes the line.
+fn write_fields(mut line: String, open: bool, fields: impl FnOnce(&mut Fields<'_>)) {
+    let mut f = Fields::new(&mut line, open);
+    fields(&mut f);
+    f.close();
+    with_installed(|d| d.lines.finish(line));
+}
 
 /// Opens a span: emits a `span_start` event and returns the id to close
 /// it with. Returns [`SpanId::NONE`] (which [`span_end`] ignores) when
@@ -533,7 +690,7 @@ pub fn span_start(
     component: &'static str,
     target: &'static str,
     name: &'static str,
-    fields: impl FnOnce() -> SpanFields,
+    fields: impl FnOnce(&mut Fields<'_>),
 ) -> SpanId {
     span_start_ctx(t_us, level, component, target, name, crate::context::TraceCtx::NONE, fields)
 }
@@ -554,37 +711,26 @@ pub fn span_start_ctx(
     target: &'static str,
     name: &'static str,
     ctx: crate::context::TraceCtx,
-    fields: impl FnOnce() -> SpanFields,
+    fields: impl FnOnce(&mut Fields<'_>),
 ) -> SpanId {
-    if !is_enabled(level) {
+    let labels = [component, target, name];
+    let Some((id, line)) = with_installed(|d| d.open_span(t_us, level, labels, ctx)).flatten() else {
         return SpanId::NONE;
-    }
-    let fields = fields();
-    with_installed(|d| d.open_span(t_us, SpanSite { component, target, name }, level, ctx, fields))
-        .unwrap_or(SpanId::NONE)
+    };
+    write_fields(line, true, fields);
+    id
 }
 
 /// Closes a span opened by [`span_start`], emitting a `span_end` event
 /// carrying the span's simulated duration in `dur_us`; `fields` runs
 /// only if the span was recorded in the first place.
-pub fn span_end(t_us: u64, span: SpanId, fields: impl FnOnce() -> SpanFields) {
+pub fn span_end(t_us: u64, span: SpanId, fields: impl FnOnce(&mut Fields<'_>)) {
     if span.is_none() {
         return;
     }
-    let Some(start) = with_installed(|d| d.open_spans.remove(span.0)).flatten() else {
-        return;
-    };
-    let fields = fields();
-    with_installed(|d| {
-        let site = d.span_sites[start.site as usize];
-        let mut ev = d
-            .start_event(t_us, Level::Info, site.component, site.target, "span_end")
-            .in_span(span);
-        ev.fields.push(("span_name", Value::Str(site.name)));
-        ev.fields.push(("dur_us", Value::U64(t_us.saturating_sub(start.t_us))));
-        ev.fields.extend(fields);
-        d.finish_event(ev);
-    });
+    if let Some(line) = with_installed(|d| d.close_span(t_us, span)).flatten() {
+        write_fields(line, true, fields);
+    }
 }
 
 // The metric writers take the name as a `&'static str`: the installed
@@ -642,24 +788,24 @@ pub fn ts_bump_ex(t_us: u64, name: &'static str, by: u64, trace: crate::context:
 /// that closes is evaluated against the configured SLOs, and resulting
 /// burn-rate alerts are written to the sink like any other event
 /// (component `slo`, target `alert`, names `fire`/`resolve`).
-/// No-op without a dispatcher; cheap when no window closed.
+/// A window closes, and an alert can fire, only when `t_us` reaches
+/// the next window edge, so below the cached edge this is one
+/// thread-local compare, inlined into the caller; with no dispatcher
+/// the edge is `u64::MAX`.
+#[inline]
 pub fn tick(t_us: u64) {
-    with_installed(|d| {
-        d.timeseries.advance(t_us);
-        if d.slos.is_empty() {
-            return;
-        }
-        let alerts = d.slos.evaluate(&d.timeseries);
-        for ev in alerts {
-            match ev.name {
-                "fire" => d.counter_add("slo.alerts_fired", 1),
-                _ => d.counter_add("slo.alerts_resolved", 1),
-            }
-            if d.enabled(ev.level) {
-                d.dispatch(&ev);
-            }
-        }
-    });
+    if t_us < NEXT_EDGE.with(Cell::get) {
+        return;
+    }
+    tick_at_edge(t_us);
+}
+
+/// [`tick`] at or past the cached edge.
+#[inline(never)]
+fn tick_at_edge(t_us: u64) {
+    if let Some(edge) = with_installed(|d| d.tick(t_us)) {
+        NEXT_EDGE.with(|e| e.set(edge));
+    }
 }
 
 /// Runs `f` against the installed registry, returning `None` without a
@@ -690,7 +836,17 @@ mod tests {
 
     /// An event with no fields.
     fn bare(t: u64, level: Level, name: &'static str) {
-        event(t, level, "web", "t", name, |ev| ev);
+        event(t, level, "web", "t", name, |_| {});
+    }
+
+    /// Whether an event at `level` would be written.
+    fn is_enabled(level: Level) -> bool {
+        with_installed(|d| d.lines.enabled(level)).unwrap_or(false)
+    }
+
+    /// The window edge `tick` compares with.
+    fn next_edge() -> u64 {
+        NEXT_EDGE.with(Cell::get)
     }
 
     fn names(events: &[TraceEvent<'_>]) -> Vec<String> {
@@ -700,9 +856,9 @@ mod tests {
     #[test]
     fn event_builds_its_fields_only_when_it_will_be_recorded() {
         let built = Cell::new(0);
-        let build = |ev: Event| {
+        let build = |f: &mut Fields<'_>| {
             built.set(built.get() + 1);
-            ev.field("k", 1u64)
+            f.field("k", 1u64);
         };
         event(1, Level::Error, "gfw", "t", "e", build); // no dispatcher
         let out = Captured::default();
@@ -711,10 +867,7 @@ mod tests {
         assert_eq!(built.get(), 0, "a filtered event must not be built");
         event(3, Level::Info, "gfw", "t", "e", build);
         assert_eq!(built.get(), 1);
-        let fields = || {
-            built.set(built.get() + 1);
-            Vec::new()
-        };
+        let fields = |_: &mut Fields<'_>| built.set(built.get() + 1);
         assert_eq!(span_start_ctx(4, Level::Debug, "gfw", "t", "s", crate::TraceCtx::NONE, fields), SpanId::NONE);
         span_end(5, SpanId::NONE, fields);
         span_end(5, SpanId(77), fields);
@@ -731,9 +884,9 @@ mod tests {
         assert!(!is_enabled(Level::Error));
         bare(1, Level::Error, "e"); // must not panic
         counter_add("x", 1);
-        let id = span_start(0, Level::Info, "simnet", "t", "s", Vec::new);
+        let id = span_start(0, Level::Info, "simnet", "t", "s", |_| {});
         assert!(id.is_none());
-        span_end(5, id, Vec::new);
+        span_end(5, id, |_| {});
     }
 
     #[test]
@@ -753,10 +906,12 @@ mod tests {
     fn spans_carry_duration_and_sequential_ids() {
         let out = Captured::default();
         let guard = Dispatcher::new().with_sink(out.sink()).install();
-        let a = span_start(100, Level::Info, "web", "load", "page", Vec::new);
-        let b = span_start(150, Level::Info, "web", "load", "dns", Vec::new);
-        span_end(250, b, Vec::new);
-        span_end(400, a, || vec![("ok", Value::Bool(true))]);
+        let a = span_start(100, Level::Info, "web", "load", "page", |_| {});
+        let b = span_start(150, Level::Info, "web", "load", "dns", |_| {});
+        span_end(250, b, |_| {});
+        span_end(400, a, |f| {
+            f.field("ok", true);
+        });
         drop(guard);
         let evs = out.events();
         assert_eq!(a, SpanId(1));
@@ -819,6 +974,161 @@ mod tests {
         assert!(d.slo_engine().any_fired());
     }
 
+    /// The alert lines and final statuses of one run of the same
+    /// samples, ticked at every simulated millisecond or only at the
+    /// times samples arrive (the times `Sim::run_until` ticks) and at
+    /// the deadline.
+    fn alerts_ticked(every_ms: bool) -> (String, Vec<crate::slo::SloStatus>) {
+        let mut plt = SloSpec::quantile("plt", "web.plt_us", 0.95, 1_000);
+        plt.eval_windows = 2;
+        plt.budget = 0.5;
+        let mut avail = SloSpec::availability("avail", "web.ok", "web.err", 0.9);
+        avail.eval_windows = 2;
+        let out = Captured::default();
+        let guard = Dispatcher::new()
+            .with_windows(WindowSpec::new(1_000_000, 64))
+            .with_slos(vec![plt, avail])
+            .with_sink(out.sink())
+            .install();
+        let (mut rng, mut next_sample) = (0x2017u64, 0u64);
+        for ms in 0..=30_000u64 {
+            let sample = ms == next_sample;
+            if every_ms || sample {
+                tick(ms * 1_000);
+            }
+            if sample {
+                rng = rng.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+                let trace = crate::context::TraceId(rng >> 16 | 1);
+                let bad = matches!(ms / 1_000, 3..=6 | 15..=16);
+                ts_record_ex(ms * 1_000, "web.plt_us", if bad { 50_000 } else { 500 }, trace);
+                let outcome = if bad && rng >> 60 < 8 { "web.err" } else { "web.ok" };
+                ts_bump_ex(ms * 1_000, outcome, 1, trace);
+                next_sample = ms + 1 + (rng >> 33) % 700;
+            }
+        }
+        tick(31_000_000); // the deadline
+        let d = guard.uninstall();
+        (out.text(), d.slo_engine().statuses().to_vec())
+    }
+
+    #[test]
+    fn ticking_every_millisecond_or_at_event_times_raises_the_same_alerts() {
+        let (every_ms, at_events) = (alerts_ticked(true), alerts_ticked(false));
+        assert_eq!(every_ms, at_events);
+        let (text, statuses) = every_ms;
+        assert!(statuses.iter().all(|s| s.fired >= 1 && s.resolved >= 1), "{statuses:?}\n{text}");
+        assert_eq!(statuses[0].evaluations, 31);
+    }
+
+    #[test]
+    fn an_inner_dispatcher_mid_window_leaves_the_outer_closing_on_the_right_tick() {
+        let out = Captured::default();
+        let mut spec = SloSpec::quantile("plt", "web.plt_us", 0.95, 1_000);
+        spec.eval_windows = 1;
+        spec.budget = 0.5;
+        let outer = Dispatcher::new()
+            .with_windows(WindowSpec::new(1_000_000, 32))
+            .with_slos(vec![spec])
+            .with_sink(out.sink())
+            .install();
+        ts_record(100, "web.plt_us", 50_000); // bad window 0
+        tick(400_000);
+        assert_eq!(next_edge(), 1_000_000);
+        let inner = Dispatcher::new().with_windows(WindowSpec::new(10_000_000, 8)).install();
+        assert_eq!(next_edge(), 0, "an installed dispatcher computes its own edge");
+        tick(600_000);
+        assert_eq!(next_edge(), 10_000_000);
+        drop(inner);
+        assert_eq!(next_edge(), 0, "the restored dispatcher recomputes its edge");
+        tick(999_999);
+        assert!(out.events().is_empty(), "window 0 is still open");
+        assert_eq!(next_edge(), 1_000_000);
+        tick(1_000_000); // window 0 closes on this tick, not on the inner's edge
+        let evs = out.events();
+        assert_eq!(names(&evs), ["fire"]);
+        assert_eq!(evs[0].t_us, 1_000_000);
+        assert_eq!(next_edge(), 2_000_000);
+        drop(outer);
+        assert_eq!(next_edge(), u64::MAX);
+    }
+
+    #[test]
+    fn with_nothing_installed_tick_stops_at_the_edge_compare() {
+        assert!(!is_active());
+        // Every tick below `u64::MAX` returns before `with_installed`.
+        assert_eq!(next_edge(), u64::MAX);
+        tick(0);
+        tick(u64::MAX - 1);
+        assert_eq!(next_edge(), u64::MAX);
+        let guard = Dispatcher::new().install();
+        tick(1_500_000); // the default 1-second windows
+        assert_eq!(next_edge(), 2_000_000);
+        drop(guard);
+        assert_eq!(next_edge(), u64::MAX);
+    }
+
+    /// Labels a site escapes once: controls, a quote, a backslash and
+    /// non-ASCII.
+    const HOSTILE: Labels = ["ctl\u{1}\n", "\"q\"", "back\\slash 例"];
+
+    #[test]
+    fn a_span_sites_cached_heads_are_the_escapers_output() {
+        let [component, target, name] = HOSTILE;
+        let heads = SpanHeads::new(HOSTILE);
+        let labels = |event| {
+            let mut s = String::new();
+            push_labels(&mut s, component, target, event);
+            s + ",\"span\":"
+        };
+        assert_eq!(heads.start(), labels("span_start"));
+        assert_eq!(heads.end(), labels("span_end"));
+        let mut name_field = String::from(",\"fields\":{\"span_name\":");
+        push_quoted(&mut name_field, name);
+        assert_eq!(heads.name_field(), name_field);
+        assert_eq!(heads.name_field(), ",\"fields\":{\"span_name\":\"back\\\\slash 例\"");
+    }
+
+    #[test]
+    fn a_dispatchers_lines_are_the_reference_writers_lines() {
+        use crate::event::Event;
+        let [component, target, name] = HOSTILE;
+        let out = Captured::default();
+        let guard = Dispatcher::new().with_sink(out.sink()).install();
+        event(5, Level::Warn, component, target, name, |f| {
+            f.field("k\"", "v\u{2}").field("n", 3u64);
+        });
+        let ctx = crate::TraceCtx::new(crate::TraceId(9), SpanId(4));
+        let id = span_start_ctx(6, Level::Info, component, target, name, ctx, |f| {
+            f.field("host", "h\"");
+        });
+        span_end(10, id, |f| {
+            f.field("ok", true);
+        });
+        event(11, Level::Info, component, target, name, |_| {}); // the site again, from its cache
+        drop(guard);
+        let expected = [
+            Event::new(5, Level::Warn, component, target, name).field("k\"", "v\u{2}").field("n", 3u64),
+            Event::new(6, Level::Info, component, target, "span_start")
+                .in_span(id)
+                .field("span_name", name)
+                .field("trace_id", 9u64)
+                .field("parent", 4u64)
+                .field("host", "h\""),
+            Event::new(10, Level::Info, component, target, "span_end")
+                .in_span(id)
+                .field("span_name", name)
+                .field("dur_us", 4u64)
+                .field("ok", true),
+            Event::new(11, Level::Info, component, target, name),
+        ];
+        let mut text = String::new();
+        for ev in &expected {
+            crate::sink::reference::write_event_json(&mut text, ev);
+            text.push('\n');
+        }
+        assert_eq!(out.text(), text);
+    }
+
     #[test]
     fn no_sink_disables_emission_but_not_metrics() {
         let guard = Dispatcher::new().with_level(Level::Trace).install();
@@ -828,9 +1138,9 @@ mod tests {
         // formatting, and spans short-circuit to NONE.
         assert!(!is_enabled(Level::Error));
         bare(1, Level::Error, "e");
-        let id = span_start(0, Level::Info, "web", "load", "page", Vec::new);
+        let id = span_start(0, Level::Info, "web", "load", "page", |_| {});
         assert!(id.is_none());
-        span_end(10, id, Vec::new);
+        span_end(10, id, |_| {});
         // The registry and time-series still accumulate: they are
         // readable without a sink.
         counter_add("pkts", 3);
@@ -869,7 +1179,9 @@ mod tests {
             let sink = JsonlSink::create(path).expect("a trace file");
             let guard = Dispatcher::new().with_sink(Box::new(sink)).install();
             for t in 0..1_000u64 {
-                event(t, Level::Info, "web", "t", "e", |ev| ev.field("t", t));
+                event(t, Level::Info, "web", "t", "e", |f| {
+                    f.field("t", t);
+                });
             }
             if uninstall {
                 let d = guard.uninstall();
@@ -897,18 +1209,20 @@ mod tests {
     fn a_builder_that_emits_yields_both_lines_in_order() {
         let out = Captured::default();
         let guard = Dispatcher::new().with_sink(out.sink()).install();
-        event(1, Level::Info, "web", "t", "outer", |ev| {
-            event(2, Level::Info, "web", "t", "inner", |ev| ev.field("depth", 2u64));
-            ev.field("depth", 1u64).field("note", "built around an emit")
+        event(1, Level::Info, "web", "t", "outer", |f| {
+            event(2, Level::Info, "web", "t", "inner", |f| {
+                f.field("depth", 2u64);
+            });
+            f.field("depth", 1u64).field("note", "built around an emit");
         });
-        event(3, Level::Info, "web", "t", "next", |ev| ev);
+        event(3, Level::Info, "web", "t", "next", |_| {});
         drop(guard);
         let evs = out.events();
         assert_eq!(names(&evs), ["inner", "outer", "next"]);
         assert_eq!(evs[0].fields.len(), 1);
         assert_eq!(evs[1].get_u64("depth"), Some(1));
         assert_eq!(evs[1].fields.len(), 2);
-        assert!(evs[2].fields.is_empty(), "a recycled vector comes back empty");
+        assert!(evs[2].fields.is_empty(), "a recycled line comes back empty");
     }
 
     #[test]
@@ -956,21 +1270,23 @@ mod tests {
     fn a_long_lived_span_survives_the_window_and_sites_are_told_apart() {
         let out = Captured::default();
         let guard = Dispatcher::new().with_sink(out.sink()).install();
-        let root = span_start(0, Level::Info, "metrics", "run", "scenario", Vec::new);
+        let root = span_start(0, Level::Info, "metrics", "run", "scenario", |_| {});
         let mut open = Vec::new();
         for t in 1..=1000u64 {
             // The same name from two components: the end must name the
             // component the span was opened in.
             let component = if t % 2 == 0 { "web" } else { "scholarcloud" };
-            open.push(span_start(t, Level::Info, component, "load", "fetch", Vec::new));
+            open.push(span_start(t, Level::Info, component, "load", "fetch", |_| {}));
             if open.len() > 3 {
                 let id = open.remove(t as usize % 3);
-                span_end(t, id, Vec::new);
+                span_end(t, id, |_| {});
             }
         }
-        span_end(2000, root, || vec![("ok", Value::Bool(true))]);
+        span_end(2000, root, |f| {
+            f.field("ok", true);
+        });
         for id in open {
-            span_end(2001, id, Vec::new);
+            span_end(2001, id, |_| {});
         }
         let d = guard.uninstall();
         assert_eq!(d.open_spans.in_window + d.open_spans.pinned.len(), 0);
@@ -998,9 +1314,9 @@ mod tests {
         let guard = Dispatcher::new().with_sink(out.sink()).install();
         CURRENT.with(|c| c.borrow_mut().as_mut().unwrap().open_spans.cap = 3);
         let ids: Vec<SpanId> =
-            (0..5).map(|t| span_start(t, Level::Info, "web", "load", "leak", Vec::new)).collect();
+            (0..5).map(|t| span_start(t, Level::Info, "web", "load", "leak", |_| {})).collect();
         for (t, &id) in ids.iter().enumerate() {
-            span_end(10 + t as u64, id, Vec::new);
+            span_end(10 + t as u64, id, |_| {});
         }
         let d = guard.uninstall();
         assert_eq!(d.registry().counter("obs.spans_evicted"), 2);

@@ -1,6 +1,6 @@
 //! Structured events: the unit of tracing.
 //!
-//! An [`Event`] is keyed to **simulation time** (microseconds since sim
+//! An event is keyed to **simulation time** (microseconds since sim
 //! start, as produced by `sc-simnet`'s clock) — never wall clock — so a
 //! trace of a seeded run is fully deterministic and replayable. Events
 //! are addressed by a three-level taxonomy:
@@ -11,6 +11,9 @@
 //!   `"tunnel"`, `"load"`, …),
 //! * **name** — what happened (`"drop"`, `"rst_injected"`,
 //!   `"auth_fail"`, …).
+//!
+//! An event is never held as data outside tests:
+//! [`crate::dispatch::event`] writes its fields straight into the sink's line.
 
 use std::fmt;
 
@@ -48,89 +51,6 @@ impl fmt::Display for Level {
     }
 }
 
-/// A typed field value attached to an event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Borrowed static string (labels, rule names).
-    Str(&'static str),
-    /// Owned string (addresses, hostnames).
-    String(String),
-    /// Boolean flag.
-    Bool(bool),
-}
-
-impl From<u64> for Value {
-    fn from(v: u64) -> Value {
-        Value::U64(v)
-    }
-}
-
-impl From<u32> for Value {
-    fn from(v: u32) -> Value {
-        Value::U64(v as u64)
-    }
-}
-
-impl From<u16> for Value {
-    fn from(v: u16) -> Value {
-        Value::U64(v as u64)
-    }
-}
-
-impl From<u8> for Value {
-    fn from(v: u8) -> Value {
-        Value::U64(v as u64)
-    }
-}
-
-impl From<usize> for Value {
-    fn from(v: usize) -> Value {
-        Value::U64(v as u64)
-    }
-}
-
-impl From<i64> for Value {
-    fn from(v: i64) -> Value {
-        Value::I64(v)
-    }
-}
-
-impl From<i32> for Value {
-    fn from(v: i32) -> Value {
-        Value::I64(v as i64)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::F64(v)
-    }
-}
-
-impl From<&'static str> for Value {
-    fn from(v: &'static str) -> Value {
-        Value::Str(v)
-    }
-}
-
-impl From<String> for Value {
-    fn from(v: String) -> Value {
-        Value::String(v)
-    }
-}
-
-impl From<bool> for Value {
-    fn from(v: bool) -> Value {
-        Value::Bool(v)
-    }
-}
-
 /// Identifier of a span within one dispatcher's lifetime.
 ///
 /// Span ids are allocated sequentially by the dispatcher, so traces of
@@ -150,47 +70,114 @@ impl SpanId {
     }
 }
 
-/// One structured trace record.
+/// One trace record held as data: the input of the writer's tests and
+/// of the `fmt`-based oracle ([`crate::sink`]'s `reference` module)
+/// the writer is compared with. Nothing outside tests builds one: an
+/// emitting site writes its fields straight into the sink's line
+/// through [`crate::Fields`].
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    /// Simulation time in microseconds since sim start.
+pub(crate) struct Event<'a> {
     pub t_us: u64,
-    /// Severity.
     pub level: Level,
-    /// Emitting crate (`"simnet"`, `"gfw"`, …).
-    pub component: &'static str,
-    /// Subsystem within the component (`"packet"`, `"verdict"`, …).
-    pub target: &'static str,
-    /// What happened (`"drop"`, `"rst_injected"`, …).
-    pub name: &'static str,
-    /// Enclosing span, if any.
+    pub component: &'a str,
+    pub target: &'a str,
+    pub name: &'a str,
     pub span: SpanId,
-    /// Ordered key/value payload; order is preserved in exports.
-    pub fields: Vec<(&'static str, Value)>,
+    pub fields: Vec<(&'a str, Value<'a>)>,
 }
 
-impl Event {
+/// A field value of a test [`Event`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Value<'a> {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Str(&'a str),
+    Bool(bool),
+    /// A number written as a JSON string ([`crate::Quoted`]).
+    Quoted(u64),
+}
+
+#[cfg(test)]
+macro_rules! value_from {
+    ($($t:ty => $variant:ident as $as:ty),*) => {$(
+        impl From<$t> for Value<'_> {
+            fn from(v: $t) -> Self {
+                Value::$variant(v as $as)
+            }
+        }
+    )*};
+}
+#[cfg(test)]
+value_from!(u64 => U64 as u64, u32 => U64 as u64, usize => U64 as u64, i64 => I64 as i64, f64 => F64 as f64);
+
+#[cfg(test)]
+impl<'a> From<&'a str> for Value<'a> {
+    fn from(v: &'a str) -> Self {
+        Value::Str(v)
+    }
+}
+
+#[cfg(test)]
+impl From<bool> for Value<'_> {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+#[cfg(test)]
+impl crate::sink::FieldValue for Value<'_> {
+    fn write_json(&self, out: &mut String) {
+        match *self {
+            Value::U64(n) => n.write_json(out),
+            Value::I64(n) => n.write_json(out),
+            Value::F64(x) => x.write_json(out),
+            Value::Str(s) => s.write_json(out),
+            Value::Bool(b) => b.write_json(out),
+            Value::Quoted(n) => crate::sink::Quoted(n).write_json(out),
+        }
+    }
+}
+
+#[cfg(test)]
+impl<'a> Event<'a> {
     /// Starts building an event at simulation time `t_us`.
-    pub fn new(
-        t_us: u64,
-        level: Level,
-        component: &'static str,
-        target: &'static str,
-        name: &'static str,
-    ) -> Event {
+    pub fn new(t_us: u64, level: Level, component: &'a str, target: &'a str, name: &'a str) -> Event<'a> {
         Event { t_us, level, component, target, name, span: SpanId::NONE, fields: Vec::new() }
     }
 
     /// Attaches a field (builder style; order is preserved).
-    pub fn field(mut self, key: &'static str, value: impl Into<Value>) -> Event {
+    pub fn field(mut self, key: &'a str, value: impl Into<Value<'a>>) -> Event<'a> {
         self.fields.push((key, value.into()));
         self
     }
 
     /// Associates the event with a span.
-    pub fn in_span(mut self, span: SpanId) -> Event {
+    pub fn in_span(mut self, span: SpanId) -> Event<'a> {
         self.span = span;
         self
+    }
+
+    /// The line the writer makes of this event, through [`crate::Fields`].
+    pub fn line(&self) -> String {
+        let mut out = String::new();
+        crate::sink::write_line(
+            &mut out,
+            self.t_us,
+            self.level,
+            self.component,
+            self.target,
+            self.name,
+            self.span,
+            |f| {
+                for (key, value) in &self.fields {
+                    f.field(key, value);
+                }
+            },
+        );
+        out
     }
 }
 

@@ -8,11 +8,12 @@
 //! bottleneck queue ran. This crate provides that layer, std-only (the
 //! build environment is fully offline), with three pieces:
 //!
-//! 1. **Structured tracing** ([`Event`], [`span_start`]/[`span_end`])
+//! 1. **Structured tracing** ([`event`], [`span_start`]/[`span_end`])
 //!    keyed to **simulation time**: every record carries `t_us`,
 //!    microseconds of `sc-simnet` clock, never wall clock. Events are
-//!    addressed `component → target → name` (see [`event`]) and
-//!    filtered by one [`Level`].
+//!    addressed `component → target → name`, filtered by one
+//!    [`Level`], and written in place: a site's closure appends its
+//!    fields to the sink's line through [`Fields`].
 //! 2. **Metrics** ([`Registry`]): saturating [`Counter`]s and
 //!    HDR-style log-bucketed [`Histogram`]s with p50/p95/p99.
 //! 3. **One sink**: [`JsonlSink`] writes the trace that everything
@@ -43,7 +44,9 @@
 //!     .install();
 //!
 //! // ... deep inside instrumented code, with no handle in scope:
-//! sc_obs::event(1_500, Level::Info, "gfw", "verdict", "drop", |ev| ev.field("rule", "gfw-sni"));
+//! sc_obs::event(1_500, Level::Info, "gfw", "verdict", "drop", |f| {
+//!     f.field("rule", "gfw-sni");
+//! });
 //! sc_obs::counter_add("gfw.drops", 1);
 //!
 //! let registry = guard.uninstall().into_registry();
@@ -79,10 +82,9 @@ pub use dispatch::{
     counter_add, event, is_active, observe, span_end,
     span_start, span_start_ctx, tick, ts_bump, ts_bump_ex, ts_record,
     ts_record_ex, with_registry, with_slo_engine, with_timeseries, Dispatcher, ObsGuard,
-    SpanFields,
 };
-pub use event::{Event, Level, SpanId, Value};
+pub use event::{Level, SpanId};
 pub use metrics::{Counter, Histogram, Registry};
-pub use sink::{write_event_json, JsonlSink};
-pub use slo::{Objective, SloEngine, SloSpec, SloStatus};
+pub use sink::{write_line, FieldValue, Fields, JsonlSink, Quoted};
+pub use slo::{Alert, Objective, SloEngine, SloSpec, SloStatus};
 pub use timeseries::{SeriesKind, TimeSeries, Window, WindowSpec};

@@ -19,7 +19,8 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use crate::event::{Event, Level, Value};
+use crate::event::Level;
+use crate::sink::Fields;
 use crate::timeseries::TimeSeries;
 
 /// What an SLO asserts about a series.
@@ -118,7 +119,7 @@ impl SloSpec {
 }
 
 /// Mutable alerting state of one SLO.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloStatus {
     /// Whether the alert is currently firing.
     pub firing: bool,
@@ -138,8 +139,56 @@ pub struct SloStatus {
     pub last_exemplars: Vec<u64>,
 }
 
+/// One `fire` or `resolve` transition, handed to
+/// [`SloEngine::evaluate`]'s caller to write.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Alert<'a> {
+    /// The SLO's name.
+    pub slo: &'a str,
+    /// The closing edge of the window whose evaluation transitioned.
+    pub t_us: u64,
+    /// That window's index.
+    pub window: u64,
+    /// The burn rate over the evaluation range ending at that window.
+    pub burn: f64,
+    /// `fire` (true) or `resolve`.
+    pub fire: bool,
+    /// A `fire`'s exemplar trace ids, worst first; empty on a resolve.
+    pub exemplars: &'a [u64],
+}
+
+impl Alert<'_> {
+    /// `Warn` for a fire, `Info` for a resolve.
+    pub fn level(&self) -> Level {
+        if self.fire {
+            Level::Warn
+        } else {
+            Level::Info
+        }
+    }
+
+    /// The event name: `fire` or `resolve`.
+    pub fn name(&self) -> &'static str {
+        if self.fire {
+            "fire"
+        } else {
+            "resolve"
+        }
+    }
+
+    /// The alert's fields: `slo`, `burn`, `window`, and a fire's
+    /// `exemplars` as comma-separated 16-digit hex trace ids.
+    pub fn write_fields(&self, f: &mut Fields<'_>) {
+        f.field("slo", self.slo).field("burn", self.burn).field("window", self.window);
+        if !self.exemplars.is_empty() {
+            let joined = self.exemplars.iter().map(|t| format!("{t:016x}")).collect::<Vec<_>>().join(",");
+            f.field("exemplars", joined);
+        }
+    }
+}
+
 /// Evaluates a set of [`SloSpec`]s over a [`TimeSeries`] as windows
-/// close, producing alert events.
+/// close, producing alerts.
 #[derive(Debug, Clone, Default)]
 pub struct SloEngine {
     specs: Vec<SloSpec>,
@@ -187,42 +236,41 @@ impl SloEngine {
     }
 
     /// Evaluates every window that has closed since the last call,
-    /// returning the alert events (timestamped at each window's closing
-    /// edge) to dispatch through the sink path.
-    pub fn evaluate(&mut self, ts: &TimeSeries) -> Vec<Event> {
-        let mut alerts = Vec::new();
-        if self.specs.is_empty() {
-            self.next_window = ts.closed_through();
-            return alerts;
-        }
+    /// handing each alert (timestamped at its window's closing edge) to
+    /// `on_alert` in order.
+    pub fn evaluate(&mut self, ts: &TimeSeries, mut on_alert: impl FnMut(&Alert<'_>)) {
         let closed = ts.closed_through();
+        if self.specs.is_empty() {
+            self.next_window = closed;
+            return;
+        }
         let width = ts.spec().width_us;
         while self.next_window < closed {
             let w = self.next_window;
             self.next_window += 1;
             let t_edge = (w + 1) * width;
-            for i in 0..self.specs.len() {
-                let burn = burn_at(&self.specs[i], ts, w);
-                let st = &mut self.status[i];
+            for (spec, st) in self.specs.iter().zip(&mut self.status) {
+                let burn = burn_at(spec, ts, w);
                 st.last_burn = burn;
                 st.worst_burn = st.worst_burn.max(burn);
                 st.evaluations += 1;
-                if !st.firing && burn >= self.specs[i].fire_burn {
-                    st.firing = true;
+                let fire = if !st.firing && burn >= spec.fire_burn {
                     st.fired += 1;
                     // Link the alert to evidence: the worst exemplar
                     // trace ids inside this evaluation's burn window.
-                    let exemplars = exemplars_at(&self.specs[i], ts, w);
-                    st.last_exemplars = exemplars.clone();
-                    alerts.push(alert_event(&self.specs[i], t_edge, w, burn, true, &exemplars));
-                } else if st.firing && burn <= self.specs[i].resolve_burn {
-                    st.firing = false;
+                    st.last_exemplars = exemplars_at(spec, ts, w);
+                    true
+                } else if st.firing && burn <= spec.resolve_burn {
                     st.resolved += 1;
-                    alerts.push(alert_event(&self.specs[i], t_edge, w, burn, false, &[]));
-                }
+                    false
+                } else {
+                    continue;
+                };
+                st.firing = fire;
+                let exemplars: &[u64] = if fire { &st.last_exemplars } else { &[] };
+                on_alert(&Alert { slo: &spec.name, t_us: t_edge, window: w, burn, fire, exemplars });
             }
         }
-        alerts
     }
 
     /// Renders the per-SLO verdict table: objective, final state, worst
@@ -339,38 +387,30 @@ fn exemplars_at(spec: &SloSpec, ts: &TimeSeries, w: u64) -> Vec<u64> {
     out
 }
 
-fn alert_event(
-    spec: &SloSpec,
-    t_us: u64,
-    window: u64,
-    burn: f64,
-    fire: bool,
-    exemplars: &[u64],
-) -> Event {
-    let (level, name) = if fire { (Level::Warn, "fire") } else { (Level::Info, "resolve") };
-    let ev = Event::new(t_us, level, "slo", "alert", name)
-        .field("slo", Value::String(spec.name.clone()))
-        .field("burn", burn)
-        .field("window", window);
-    if exemplars.is_empty() {
-        return ev;
-    }
-    let joined = exemplars
-        .iter()
-        .map(|t| format!("{t:016x}"))
-        .collect::<Vec<_>>()
-        .join(",");
-    ev.field("exemplars", Value::String(joined))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::tests::reparsed;
+    use crate::analyze::{parse_line, TraceEvent};
+    use crate::event::SpanId;
     use crate::timeseries::WindowSpec;
 
     fn ts_1s() -> TimeSeries {
         TimeSeries::new(WindowSpec::new(1_000_000, 64))
+    }
+
+    /// The alerts `eng` raises over `ts`, as the lines a dispatcher
+    /// writes for them, read back.
+    fn evaluated(eng: &mut SloEngine, ts: &TimeSeries) -> Vec<TraceEvent<'static>> {
+        let mut lines = Vec::new();
+        eng.evaluate(ts, |alert| {
+            let mut line = String::new();
+            let (t_us, level, name) = (alert.t_us, alert.level(), alert.name());
+            crate::sink::write_line(&mut line, t_us, level, "slo", "alert", name, SpanId::NONE, |f| {
+                alert.write_fields(f)
+            });
+            lines.push(parse_line(&line).expect("an alert line parses").into_owned());
+        });
+        lines
     }
 
     #[test]
@@ -389,10 +429,11 @@ mod tests {
         ts.record("plt_us", 4_100_000, 500);
         ts.advance(5_000_000);
 
-        let alerts = eng.evaluate(&ts);
-        let names: Vec<&str> = alerts.iter().map(|e| e.name).collect();
+        let alerts = evaluated(&mut eng, &ts);
+        let names: Vec<&str> = alerts.iter().map(|e| &*e.name).collect();
         assert_eq!(names, ["fire", "resolve"], "{alerts:?}");
-        assert_eq!(reparsed(&alerts[0]).get_str("slo"), Some("plt"));
+        assert_eq!(alerts[0].get_str("slo"), Some("plt"));
+        assert_eq!(alerts[0].level, "warn");
         // Fired when window 1 closed (edge at 2 s).
         assert_eq!(alerts[0].t_us, 2_000_000);
         // Resolved when window 4 closed (both eval windows healthy).
@@ -412,7 +453,7 @@ mod tests {
         ts.bump("ok", 100, 95);
         ts.bump("err", 100, 5);
         ts.advance(1_000_000);
-        let alerts = eng.evaluate(&ts);
+        let alerts = evaluated(&mut eng, &ts);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].name, "fire");
         assert_eq!(eng.statuses()[0].last_burn, 5.0);
@@ -426,7 +467,7 @@ mod tests {
             t
         };
         let mut eng = SloEngine::new(vec![SloSpec::quantile("q", "s", 0.95, 1)]);
-        assert!(eng.evaluate(&ts).is_empty());
+        assert!(evaluated(&mut eng, &ts).is_empty());
         assert_eq!(eng.statuses()[0].last_burn, 0.0);
         assert_eq!(eng.statuses()[0].evaluations, 10);
     }
@@ -440,13 +481,13 @@ mod tests {
         let mut eng = SloEngine::new(vec![spec]);
         ts.record("s", 100, 100);
         ts.advance(1_000_000);
-        let first = eng.evaluate(&ts);
+        let first = evaluated(&mut eng, &ts);
         assert_eq!(first.len(), 1);
         // Re-evaluating with no new closed windows emits nothing.
-        assert!(eng.evaluate(&ts).is_empty());
+        assert!(evaluated(&mut eng, &ts).is_empty());
         ts.advance(2_000_000);
         // The bad window leaves the 1-window range: resolve.
-        let second = eng.evaluate(&ts);
+        let second = evaluated(&mut eng, &ts);
         assert_eq!(second.len(), 1);
         assert_eq!(second[0].name, "resolve");
     }
@@ -462,9 +503,8 @@ mod tests {
         ts.record_ex("plt_us", 1_100_000, 90_000, 0xbbb); // window 1, bad → fire
         ts.record("plt_us", 1_200_000, 80_000); // untraced: never exemplar
         ts.advance(2_000_000);
-        let alerts = eng.evaluate(&ts);
+        let alerts = evaluated(&mut eng, &ts);
         let fire = alerts.iter().find(|e| e.name == "fire").expect("fired");
-        let fire = reparsed(fire);
         let ex = fire.get_str("exemplars").expect("exemplars field");
         // Worst first across the burn window: 0xbbb (90 ms) then 0xaaa.
         assert_eq!(ex, format!("{:016x},{:016x}", 0xbbbu64, 0xaaau64));
@@ -473,9 +513,9 @@ mod tests {
         ts.record("plt_us", 2_100_000, 10);
         ts.record("plt_us", 3_100_000, 10);
         ts.advance(4_000_000);
-        let alerts = eng.evaluate(&ts);
+        let alerts = evaluated(&mut eng, &ts);
         let resolve = alerts.iter().find(|e| e.name == "resolve").expect("resolved");
-        assert!(reparsed(resolve).get("exemplars").is_none());
+        assert!(resolve.get("exemplars").is_none());
     }
 
     #[test]

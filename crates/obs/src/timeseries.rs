@@ -353,11 +353,6 @@ impl TimeSeries {
         self.clock_us / self.spec.width_us
     }
 
-    /// High-water simulation time seen so far.
-    pub fn clock_us(&self) -> u64 {
-        self.clock_us
-    }
-
     /// Series names in order.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.series.iter().map(|(name, _)| name)
@@ -570,7 +565,10 @@ mod tests {
         assert_eq!(ts.closed_through(), 2);
         ts.advance(1_000_000); // backwards: ignored
         assert_eq!(ts.closed_through(), 2);
-        assert_eq!(ts.clock_us(), 2_500_000);
+        ts.advance(2_999_999); // forwards, inside window 2
+        assert_eq!(ts.closed_through(), 2);
+        ts.advance(3_000_000); // window 2's closing edge
+        assert_eq!(ts.closed_through(), 3);
     }
 
     #[test]

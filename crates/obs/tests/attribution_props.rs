@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use sc_obs::analyze::{analyze, parse_line, render_json, TraceEvent};
-use sc_obs::{write_event_json, Event, Level, SpanId};
+use sc_obs::{write_line, Level, SpanId};
 
 /// One generated child span: which earlier span it claims as parent
 /// (`parent_sel` indexes into the spans emitted so far, unless
@@ -68,23 +68,19 @@ fn push_pair(
     parent: Option<u64>,
     ok: bool,
 ) {
-    let mut s = Event::new(start, Level::Debug, component, "prop", "span_start")
-        .field("span_name", name)
-        .field("trace_id", trace)
-        .in_span(SpanId(id));
-    if let Some(p) = parent {
-        s = s.field("parent", p);
-    }
     let mut line = String::new();
-    write_event_json(&mut line, &s);
+    write_line(&mut line, start, Level::Debug, component, "prop", "span_start", SpanId(id), |f| {
+        f.field("span_name", name).field("trace_id", trace);
+        if let Some(p) = parent {
+            f.field("parent", p);
+        }
+    });
     out.push((start, line));
     if let Some(end) = end {
-        let e = Event::new(end, Level::Info, component, "prop", "span_end")
-            .field("span_name", name)
-            .field("ok", ok)
-            .in_span(SpanId(id));
         let mut line = String::new();
-        write_event_json(&mut line, &e);
+        write_line(&mut line, end, Level::Info, component, "prop", "span_end", SpanId(id), |f| {
+            f.field("span_name", name).field("ok", ok);
+        });
         out.push((end, line));
     }
 }

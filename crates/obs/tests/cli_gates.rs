@@ -8,12 +8,31 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use sc_obs::analyze::{analyze, gates, parse_trace};
-use sc_obs::{write_event_json, Event, Level, SpanId};
+use sc_obs::{write_line, Fields, Level, SpanId};
+
+/// One trace record: its time, and the line the writer made of it.
+#[derive(Clone)]
+struct Event {
+    t_us: u64,
+    line: String,
+}
+
+fn event(
+    t_us: u64,
+    level: Level,
+    (component, target, name): (&str, &str, &str),
+    span: SpanId,
+    fields: impl FnOnce(&mut Fields<'_>),
+) -> Event {
+    let mut line = String::new();
+    write_line(&mut line, t_us, level, component, target, name, span, fields);
+    Event { t_us, line }
+}
 
 fn write_trace(name: &str, events: &[Event]) -> PathBuf {
     let mut text = String::new();
     for ev in events {
-        write_event_json(&mut text, ev);
+        text.push_str(&ev.line);
         text.push('\n');
     }
     let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -30,17 +49,15 @@ fn span(
     parent: Option<u64>,
     ok: bool,
 ) -> [Event; 2] {
-    let mut s = Event::new(start, Level::Debug, component, "t", "span_start")
-        .field("span_name", name)
-        .field("trace_id", trace)
-        .in_span(SpanId(id));
-    if let Some(p) = parent {
-        s = s.field("parent", p);
-    }
-    let e = Event::new(end, Level::Info, component, "t", "span_end")
-        .field("span_name", name)
-        .field("ok", ok)
-        .in_span(SpanId(id));
+    let s = event(start, Level::Debug, (component, "t", "span_start"), SpanId(id), |f| {
+        f.field("span_name", name).field("trace_id", trace);
+        if let Some(p) = parent {
+            f.field("parent", p);
+        }
+    });
+    let e = event(end, Level::Info, (component, "t", "span_end"), SpanId(id), |f| {
+        f.field("span_name", name).field("ok", ok);
+    });
     [s, e]
 }
 
@@ -63,19 +80,22 @@ fn rich_trace(test: &str) -> PathBuf {
     evs.extend(span(3, "web", "page_load", (0, S), 2, None, false));
     evs.extend(span(4, "web", "page_load", (2 * S, 3 * S), 3, None, true));
     evs.extend(span(5, "web", "page_load", (2 * S, 3 * S), 4, None, false));
-    let sc = |target, name| Event::new(100, Level::Debug, "scholarcloud", target, name);
+    let bare = |t_us, level, labels| event(t_us, level, labels, SpanId::NONE, |_| {});
+    let sc = |target, name| bare(100, Level::Debug, ("scholarcloud", target, name));
     evs.extend(repeat(3, sc("admission", "admit")));
     evs.push(sc("admission", "shed"));
     evs.push(sc("cache", "hit"));
     evs.push(sc("cache", "miss"));
-    evs.extend(repeat(3, Event::new(100, Level::Info, "web", "fleet", "connect_ok")));
-    evs.push(Event::new(100, Level::Info, "web", "fleet", "connect_fail"));
-    evs.push(sc("elastic", "cost").field("live", 1u64).field("total_micro", 1000u64));
-    evs.push(Event::new(2 * S, Level::Info, "gfw", "adaptive", "campaign"));
-    evs.extend(repeat(4, Event::new(2 * S, Level::Info, "gfw", "probe", "launched")));
-    evs.push(
-        Event::new(2 * S, Level::Info, "gfw", "probe", "verdict").field("verdict", "confirmed"),
-    );
+    evs.extend(repeat(3, bare(100, Level::Info, ("web", "fleet", "connect_ok"))));
+    evs.push(bare(100, Level::Info, ("web", "fleet", "connect_fail")));
+    evs.push(event(100, Level::Debug, ("scholarcloud", "elastic", "cost"), SpanId::NONE, |f| {
+        f.field("live", 1u64).field("total_micro", 1000u64);
+    }));
+    evs.push(bare(2 * S, Level::Info, ("gfw", "adaptive", "campaign")));
+    evs.extend(repeat(4, bare(2 * S, Level::Info, ("gfw", "probe", "launched"))));
+    evs.push(event(2 * S, Level::Info, ("gfw", "probe", "verdict"), SpanId::NONE, |f| {
+        f.field("verdict", "confirmed");
+    }));
     evs.sort_by_key(|e| e.t_us);
     write_trace(&format!("cli_gates_{test}_rich.jsonl"), &evs)
 }

@@ -1,5 +1,5 @@
 //! Property tests for the analyzer's JSON parser, the one place where
-//! `sc-obs` reads bytes it did not just write: (a) whatever [`Event`]
+//! `sc-obs` reads bytes it did not just write: (a) whatever [`Record`]
 //! the writer can serialize parses back field for field, borrowing from
 //! the line exactly when nothing had to be unescaped; (b) a string
 //! parses to the same text whether it arrives plain (borrowed path) or
@@ -18,7 +18,44 @@ use sc_obs::analyze::{
     analyze, parse_json, parse_line, parse_trace, render_json, render_report, render_waterfall,
     JsonValue, TraceAnalysis, MAX_DEPTH,
 };
-use sc_obs::{write_event_json, Event, Level, SpanId, Value};
+use sc_obs::{write_line, FieldValue, Level, SpanId};
+
+/// A field value as a call site hands it to `Fields::field`.
+#[derive(Debug, Clone)]
+enum Value {
+    U64(u64),
+    I64(i64),
+    F64(f64),
+    Str(&'static str),
+    /// A runtime string.
+    Text(String),
+    Bool(bool),
+}
+
+impl FieldValue for Value {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Value::U64(v) => v.write_json(out),
+            Value::I64(v) => v.write_json(out),
+            Value::F64(v) => v.write_json(out),
+            Value::Str(v) => v.write_json(out),
+            Value::Text(v) => v.write_json(out),
+            Value::Bool(v) => v.write_json(out),
+        }
+    }
+}
+
+/// One record as the writer is given it.
+#[derive(Debug, Clone)]
+struct Record {
+    t_us: u64,
+    level: Level,
+    component: &'static str,
+    target: &'static str,
+    name: &'static str,
+    span: SpanId,
+    fields: Vec<(&'static str, Value)>,
+}
 
 /// Characters the writer escapes (quote, backslash, C0 controls), ones
 /// it must not (DEL, `/`), JSON punctuation, and 2-, 3- and 4-byte
@@ -28,7 +65,7 @@ const ALPHABET: [char; 26] = [
     '\u{1f}', '\u{7f}', '{', '}', '[', ':', ',', 'u', 'é', '例', '\u{ffff}', '😀',
 ];
 
-/// Static names for the `&'static str` slots of an [`Event`]: plain,
+/// Static names for the `&'static str` slots of a [`Record`]: plain,
 /// hostile, empty, and ones that collide with the record's own keys.
 const NAMES: [&str; 9] =
     ["web", "span_start", "with\"quote", "back\\slash", "ctl\u{1}\n\t", "例子.测试", "", "t_us", "fields"];
@@ -54,12 +91,12 @@ fn gen_value() -> impl Strategy<Value = Value> {
         1 => Value::I64(bits as i64),
         2 => Value::F64(f64::from_bits(bits)),
         3 => Value::Str(name),
-        4 => Value::String(text),
+        4 => Value::Text(text),
         _ => Value::Bool(bits & 1 == 1),
     })
 }
 
-fn gen_event() -> impl Strategy<Value = Event> {
+fn gen_event() -> impl Strategy<Value = Record> {
     (
         any::<u64>(),
         0usize..5,
@@ -70,15 +107,17 @@ fn gen_event() -> impl Strategy<Value = Event> {
     )
         .prop_map(|(t_us, level, (component, target, name), span, fields)| {
             let level = [Level::Trace, Level::Debug, Level::Info, Level::Warn, Level::Error][level];
-            let mut ev = Event::new(t_us, level, component, target, name).in_span(SpanId(span));
-            ev.fields = fields;
-            ev
+            Record { t_us, level, component, target, name, span: SpanId(span), fields }
         })
 }
 
-fn line_of(ev: &Event) -> String {
+fn line_of(r: &Record) -> String {
     let mut line = String::new();
-    write_event_json(&mut line, ev);
+    write_line(&mut line, r.t_us, r.level, r.component, r.target, r.name, r.span, |f| {
+        for (key, value) in &r.fields {
+            f.field(key, value);
+        }
+    });
     line
 }
 
@@ -130,7 +169,7 @@ proptest! {
                 (Value::F64(_), v) => prop_assert_eq!(v, &JsonValue::Null),
                 (Value::Bool(w), v) => prop_assert_eq!(v, &JsonValue::Bool(*w)),
                 (Value::Str(w), JsonValue::Str(s)) => assert_string(s, w),
-                (Value::String(w), JsonValue::Str(s)) => assert_string(s, w),
+                (Value::Text(w), JsonValue::Str(s)) => assert_string(s, w),
                 (w, v) => panic!("{w:?} parsed as {v:?}"),
             }
         }
@@ -233,7 +272,7 @@ const FIELD_TEXT: [&str; 14] = [
 /// of `u64` and in no order, span and trace ids from ranges small
 /// enough to collide and to go unmatched, and a field the analyzer
 /// looks up holds the type it expects or any other.
-fn gen_read_side_event() -> impl Strategy<Value = Event> {
+fn gen_read_side_event() -> impl Strategy<Value = Record> {
     const SPAN_NAMES: [&str; 6] = ["page_load", "page_load", "fetch", "dns", "relay", "admission"];
     let field = (0usize..FIELD_KEYS.len(), 0u8..5, any::<u64>(), 0usize..FIELD_TEXT.len());
     (
@@ -283,9 +322,7 @@ fn gen_read_side_event() -> impl Strategy<Value = Event> {
                 let vocabulary = read_side_vocabulary();
                 vocabulary[pick % vocabulary.len()]
             };
-            let mut ev = Event::new(t_us, Level::Debug, component, target, name).in_span(SpanId(span));
-            ev.fields = fields;
-            ev
+            Record { t_us, level: Level::Debug, component, target, name, span: SpanId(span), fields }
         })
 }
 

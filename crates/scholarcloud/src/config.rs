@@ -90,12 +90,10 @@ impl SchemeHandle {
             inner.1
         };
         sc_obs::counter_add("scholarcloud.scheme_rotations", 1);
-        sc_obs::event(t_us, sc_obs::Level::Info, "scholarcloud", "scheme", "rotate", |ev| {
-            let ev = ev.field("from", format!("{cur:?}")).field("to", format!("{next:?}"));
+        sc_obs::event(t_us, sc_obs::Level::Info, "scholarcloud", "scheme", "rotate", |f| {
+            f.field("from", format!("{cur:?}")).field("to", format!("{next:?}"));
             if fresh_cover {
-                ev.field("generation", u64::from(generation))
-            } else {
-                ev
+                f.field("generation", u64::from(generation));
             }
         });
         next
@@ -237,12 +235,9 @@ impl ScConfig {
         PacFile::new(self.whitelist.iter().cloned(), self.domestic)
     }
 
-    /// Whether `host` is on the whitelist.
+    /// Whether `host` is on the whitelist ([`sc_netproto::pac::whitelisted`]).
     pub fn whitelisted(&self, host: &str) -> bool {
-        let host = host.to_ascii_lowercase();
-        self.whitelist
-            .iter()
-            .any(|d| host == *d || host.ends_with(&format!(".{d}")))
+        sc_netproto::pac::whitelisted(&self.whitelist, host)
     }
 }
 

@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use sc_netproto::http::{HttpRequest, HttpResponse};
 use sc_netproto::socks::TargetAddr;
-use sc_obs::{Level, TraceCtx};
+use sc_obs::{Level, Quoted, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
 use sc_simnet::time::{SimDuration, SimTime};
@@ -123,8 +123,8 @@ impl Admit {
     /// close.
     pub fn refuse_host(&self, browser: TcpHandle, host: &str, io: &mut impl Io) {
         sc_obs::counter_add("scholarcloud.whitelist_refusals", 1);
-        trace::event(io.now(), Level::Warn, "domestic", "whitelist_refused", |ev| {
-            ev.field("host", host.to_string())
+        trace::event(io.now(), Level::Warn, "domestic", "whitelist_refused", |f| {
+            f.field("host", host);
         });
         io.send(browser, HttpResponse::new(403, Vec::new()).into_wire());
         io.close(browser);
@@ -139,8 +139,8 @@ impl Admit {
         io.close(conn);
         sc_obs::counter_add("scholarcloud.decoys_served", 1);
         self.cfg.interference.note_probe();
-        trace::event(io.now(), Level::Info, "domestic", "decoy", |ev| {
-            ev.field("reason", "not_http")
+        trace::event(io.now(), Level::Info, "domestic", "decoy", |f| {
+            f.field("reason", "not_http");
         });
     }
 
@@ -191,37 +191,37 @@ impl Admit {
                 && depth > 0
             {
                 trace::count(now, "scholarcloud.fleet_shed", 1);
-                trace::event(now, Level::Warn, "fleet", "fleet_shed", |ev| {
-                    ev.field("shard", *idx as u64)
-                        .field("queue_depth", depth.to_string())
-                        .field("fleet_queue", board.total_queue_depth().to_string())
+                trace::event(now, Level::Warn, "fleet", "fleet_shed", |f| {
+                    f.field("shard", *idx)
+                        .field("queue_depth", Quoted(depth as u64))
+                        .field("fleet_queue", Quoted(board.total_queue_depth() as u64));
                 });
                 return Step::Shed { browser: req.browser, code: 503, reason: "fleet_shed" };
             }
         }
         // The admission span covers arrival → verdict: for queued work
         // its duration is exactly the queue wait.
-        let mut span = trace::span(now, "admission", "admission", req.tctx, || {
-            vec![("target", target_label(&req.header).into())]
+        let mut span = trace::span(now, "admission", "admission", req.tctx, |f| {
+            f.field("target", target_label(&req.header));
         });
         let decision = self.ctl.on_request(req.browser, req.client, now);
         match decision {
             Decision::Admit => {
                 sc_obs::counter_add("scholarcloud.admitted", 1);
-                trace::end(now, &mut span, || {
-                    vec![("verdict", "admit".into()), ("waited_us", 0u64.into())]
+                trace::end(now, &mut span, |f| {
+                    f.field("verdict", "admit").field("waited_us", 0u64);
                 });
-                trace::event(now, Level::Debug, "admission", "admit", |ev| {
-                    ev.field("target", target_label(&req.header))
-                        .field("active", self.ctl.active().to_string())
+                trace::event(now, Level::Debug, "admission", "admit", |f| {
+                    f.field("target", target_label(&req.header))
+                        .field("active", Quoted(self.ctl.active() as u64));
                 });
                 Step::Establish { req, queued: false, span }
             }
             Decision::Enqueue => {
                 sc_obs::counter_add("scholarcloud.queued", 1);
-                trace::event(now, Level::Debug, "admission", "enqueue", |ev| {
-                    ev.field("target", target_label(&req.header))
-                        .field("depth", self.ctl.queue_depth().to_string())
+                trace::event(now, Level::Debug, "admission", "enqueue", |f| {
+                    f.field("target", target_label(&req.header))
+                        .field("depth", Quoted(self.ctl.queue_depth() as u64));
                 });
                 self.sample_queue_depth(now);
                 self.ensure_queue_tick(io);
@@ -229,8 +229,8 @@ impl Admit {
             }
             _ => {
                 let code = decision.status().expect("refusals carry a status");
-                trace::end(now, &mut span, || {
-                    vec![("verdict", decision.name().into()), ("code", code.into())]
+                trace::end(now, &mut span, |f| {
+                    f.field("verdict", decision.name()).field("code", code);
                 });
                 Step::Shed { browser: req.browser, code, reason: decision.name() }
             }
@@ -251,17 +251,17 @@ impl Admit {
             ("scholarcloud.shed", "shed")
         };
         trace::count(io.now(), counter, 1);
-        trace::event(io.now(), Level::Warn, "admission", name, |ev| {
-            ev.field("code", code.to_string())
-                .field("reason", reason.to_string())
-                .field("retry_after_us", RETRY_AFTER.as_micros().to_string())
+        trace::event(io.now(), Level::Warn, "admission", name, |f| {
+            f.field("code", Quoted(code.into()))
+                .field("reason", reason)
+                .field("retry_after_us", Quoted(RETRY_AFTER.as_micros()));
         });
     }
 
     /// A queued request was just granted its slot after `waited`.
     pub fn note_dequeue(&self, waited: SimDuration, now: SimTime) {
-        trace::event(now, Level::Debug, "admission", "dequeue", |ev| {
-            ev.field("waited_us", waited.as_micros().to_string())
+        trace::event(now, Level::Debug, "admission", "dequeue", |f| {
+            f.field("waited_us", Quoted(waited.as_micros()));
         });
     }
 
@@ -291,8 +291,8 @@ impl Admit {
             return true;
         }
         sc_obs::counter_add("scholarcloud.retry_denied", 1);
-        trace::event(now, Level::Warn, "admission", "retry_denied", |ev| {
-            ev.field("reason", reason.to_string()).field("attempt", attempts.to_string())
+        trace::event(now, Level::Warn, "admission", "retry_denied", |f| {
+            f.field("reason", reason).field("attempt", Quoted(attempts.into()));
         });
         false
     }

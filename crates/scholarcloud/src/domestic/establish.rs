@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::http::HttpResponse;
-use sc_obs::{Level, SpanId};
+use sc_obs::{Level, Quoted, SpanId};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::TcpHandle;
 use sc_simnet::time::{SimDuration, SimTime};
@@ -160,13 +160,13 @@ impl Establish {
     pub fn resume(&mut self, replay: Replay, last_remote: usize, now: SimTime) {
         let Replay { req, attempts } = replay;
         sc_obs::counter_add("scholarcloud.stream_resumes", 1);
-        trace::event(now, Level::Info, "domestic", "stream_resume", |ev| {
-            ev.field("target", target_label(&req.header))
+        trace::event(now, Level::Info, "domestic", "stream_resume", |f| {
+            f.field("target", target_label(&req.header))
                 .field("buffered", req.initial_plain.len() as u64)
-                .field("attempt", u64::from(attempts))
+                .field("attempt", u64::from(attempts));
         });
-        let establish_span = trace::span(now, "resilience", "establish", req.tctx, || {
-            vec![("target", target_label(&req.header).into()), ("resumed", true.into())]
+        let establish_span = trace::span(now, "resilience", "establish", req.tctx, |f| {
+            f.field("target", target_label(&req.header)).field("resumed", true);
         });
         let pt = Pending {
             attempts,
@@ -184,8 +184,8 @@ impl Establish {
         let Some(pt) = self.pending.get_mut(&browser) else { return false };
         pt.queued = false;
         pt.admitted_at = now;
-        trace::end(now, &mut pt.admission_span, || {
-            vec![("verdict", "admit".into()), ("waited_us", waited.as_micros().into())]
+        trace::end(now, &mut pt.admission_span, |f| {
+            f.field("verdict", "admit").field("waited_us", waited.as_micros());
         });
         true
     }
@@ -194,19 +194,23 @@ impl Establish {
     /// one teardown every early exit shares.
     fn drop_pending(&mut self, browser: TcpHandle, why: Dropped, now: SimTime) -> Option<Pending> {
         let mut pt = self.pending.remove(&browser)?;
-        trace::end(now, &mut pt.admission_span, || match why {
+        trace::end(now, &mut pt.admission_span, |f| match why {
             Dropped::Shed { code, reason } => {
-                vec![("verdict", reason.into()), ("code", code.into())]
+                f.field("verdict", reason).field("code", code);
             }
-            Dropped::Failed { reason, .. } => vec![("verdict", reason.into())],
-            Dropped::Abandoned => vec![("verdict", "abandoned".into())],
+            Dropped::Failed { reason, .. } => {
+                f.field("verdict", reason);
+            }
+            Dropped::Abandoned => {
+                f.field("verdict", "abandoned");
+            }
         });
-        trace::end(now, &mut pt.wait_span, Vec::new);
-        trace::end(now, &mut pt.establish_span, || match why {
-            Dropped::Failed { code, reason } => {
-                vec![("ok", false.into()), ("code", code.into()), ("reason", reason.into())]
+        trace::end(now, &mut pt.wait_span, |_| {});
+        trace::end(now, &mut pt.establish_span, |f| {
+            f.field("ok", false);
+            if let Dropped::Failed { code, reason } = why {
+                f.field("code", code).field("reason", reason);
             }
-            _ => vec![("ok", false.into())],
         });
         Some(pt)
     }
@@ -235,11 +239,12 @@ impl Establish {
             _ => "scholarcloud.tunnel_failures",
         };
         trace::count(now, counter, 1);
-        trace::event(now, Level::Warn, "resilience", "tunnel_failed", |ev| {
-            let target = pt.as_ref().map_or(String::new(), |pt| target_label(&pt.req.header));
-            ev.field("code", code.to_string())
-                .field("reason", reason.to_string())
-                .field("target", target)
+        trace::event(now, Level::Warn, "resilience", "tunnel_failed", |f| {
+            f.field("code", Quoted(code.into())).field("reason", reason);
+            match &pt {
+                Some(pt) => f.field("target", target_label(&pt.req.header)),
+                None => f.field("target", ""),
+            };
         });
         pt.filter(|pt| !pt.queued).map(|pt| pt.req.client)
     }
@@ -263,8 +268,8 @@ impl Establish {
             io.abort(rh);
             if let Some(mut at) = self.attempts.remove(&rh) {
                 remotes.stream_end(at.remote_idx, now);
-                trace::end(now, &mut at.span, || {
-                    vec![("ok", false.into()), ("reason", "browser_gone".into())]
+                trace::end(now, &mut at.span, |f| {
+                    f.field("ok", false).field("reason", "browser_gone");
                 });
             }
         }
@@ -304,8 +309,8 @@ impl Establish {
         // across retries/backoffs/parks until the tunnel is up or the
         // request fails.
         if pt.establish_span.is_none() {
-            pt.establish_span = trace::span(now, "resilience", "establish", pt.req.tctx, || {
-                vec![("target", target_label(&pt.req.header).into())]
+            pt.establish_span = trace::span(now, "resilience", "establish", pt.req.tctx, |f| {
+                f.field("target", target_label(&pt.req.header));
             });
         }
         let exclude = if pt.attempts > 0 { pt.last_remote } else { None };
@@ -323,12 +328,12 @@ impl Establish {
             if newly_parked {
                 // A backoff that ends in a park ends here, as it would
                 // at an attempt.
-                trace::end(now, &mut pt.wait_span, Vec::new);
+                trace::end(now, &mut pt.wait_span, |_| {});
                 let parent = pt.req.tctx.with_parent(pt.establish_span);
-                pt.wait_span = trace::span(now, "resilience", "park", parent, Vec::new);
+                pt.wait_span = trace::span(now, "resilience", "park", parent, |_| {});
                 sc_obs::counter_add("scholarcloud.parked", 1);
-                trace::event(now, Level::Warn, "resilience", "parked", |ev| {
-                    ev.field("target", target_label(&pt.req.header))
+                trace::event(now, Level::Warn, "resilience", "parked", |f| {
+                    f.field("target", target_label(&pt.req.header));
                 });
                 // The parked set is bounded: overflow sheds the oldest
                 // parked requests (a same-instant park burst can shed
@@ -345,11 +350,11 @@ impl Establish {
         pt.parked_since = None;
         let attempt = pt.attempts;
         // Any backoff/park wait ends the moment an attempt starts.
-        trace::end(now, &mut pt.wait_span, Vec::new);
+        trace::end(now, &mut pt.wait_span, |_| {});
         let remote = remotes.addr(idx);
         let parent = pt.req.tctx.with_parent(pt.establish_span);
-        let span = trace::span(now, "resilience", "attempt", parent, || {
-            vec![("remote", remote.to_string().into()), ("attempt", attempt.into())]
+        let span = trace::span(now, "resilience", "attempt", parent, |f| {
+            f.field("remote", remote).field("attempt", attempt);
         });
         // The stream header carries this attempt's span as the remote
         // side's parent, so the relay span stitches under the attempt
@@ -359,10 +364,8 @@ impl Establish {
 
         if let Some(p) = prev.filter(|&p| p != idx) {
             trace::count(now, "scholarcloud.failovers", 1);
-            trace::event(now, Level::Info, "resilience", "failover", |ev| {
-                ev.field("from", remotes.addr(p).to_string())
-                    .field("to", remote.to_string())
-                    .field("attempt", attempt.to_string())
+            trace::event(now, Level::Info, "resilience", "failover", |f| {
+                f.field("from", remotes.addr(p)).field("to", remote).field("attempt", Quoted(attempt.into()));
             });
         }
 
@@ -450,7 +453,9 @@ impl Establish {
         let Some(mut at) = self.attempts.remove(&rh) else { return Step::Done };
         let now = io.now();
         remotes.stream_end(at.remote_idx, now);
-        trace::end(now, &mut at.span, || vec![("ok", false.into()), ("reason", reason.into())]);
+        trace::end(now, &mut at.span, |f| {
+            f.field("ok", false).field("reason", reason);
+        });
         remotes.failed(at.remote_idx, io);
         // The browser may have given up (or been refused) meanwhile.
         let Some(pt) = self.pending.get_mut(&at.browser) else { return Step::Done };
@@ -470,14 +475,14 @@ impl Establish {
         let delay = BACKOFF.delay(pt.attempts - 1, draw);
         pt.retry_armed = true;
         let parent = pt.req.tctx.with_parent(pt.establish_span);
-        pt.wait_span = trace::span(now, "resilience", "backoff", parent, || {
-            vec![("delay_us", delay.as_micros().into())]
+        pt.wait_span = trace::span(now, "resilience", "backoff", parent, |f| {
+            f.field("delay_us", delay.as_micros());
         });
         sc_obs::counter_add("scholarcloud.retries", 1);
-        trace::event(now, Level::Info, "resilience", "retry", |ev| {
-            ev.field("reason", reason.to_string())
-                .field("attempt", pt.attempts.to_string())
-                .field("delay_us", delay.as_micros().to_string())
+        trace::event(now, Level::Info, "resilience", "retry", |f| {
+            f.field("reason", reason)
+                .field("attempt", Quoted(pt.attempts.into()))
+                .field("delay_us", Quoted(delay.as_micros()));
         });
         io.timer(delay, Timer::Retry(browser));
     }
@@ -494,7 +499,9 @@ impl Establish {
         let mut at = self.attempts.remove(&rh)?;
         let now = io.now();
         io.send(rh, std::mem::take(&mut at.wire));
-        trace::end(now, &mut at.span, || vec![("ok", true.into())]);
+        trace::end(now, &mut at.span, |f| {
+            f.field("ok", true);
+        });
         let rtt = now.saturating_since(at.started);
         sc_obs::observe("scholarcloud.connect_rtt_us", rtt.as_micros());
         remotes.succeeded(at.remote_idx, rtt, now);
@@ -504,8 +511,8 @@ impl Establish {
             remotes.stream_end(at.remote_idx, now);
             return None;
         };
-        trace::end(now, &mut pt.establish_span, || {
-            vec![("ok", true.into()), ("attempts", pt.attempts.into())]
+        trace::end(now, &mut pt.establish_span, |f| {
+            f.field("ok", true).field("attempts", pt.attempts);
         });
         Some(Up {
             req: pt.req,

@@ -15,7 +15,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight, StoredResponse};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse, Messages};
-use sc_obs::{Level, SpanFields, SpanId, TraceCtx};
+use sc_obs::{Fields, Level, Quoted, SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
 use sc_simnet::time::SimTime;
@@ -125,8 +125,8 @@ impl Gateway {
     }
 
     fn cache_event(&self, now: SimTime, name: &'static str, key: &CacheKey) {
-        trace::event(now, Level::Debug, "cache", name, |ev| {
-            trace::sharded(ev.field("host", key.0.clone()).field("path", key.1.clone()), self.shard)
+        trace::event(now, Level::Debug, "cache", name, |f| {
+            trace::sharded(f.field("host", &key.0).field("path", &key.1), self.shard);
         });
     }
 
@@ -170,10 +170,8 @@ impl Gateway {
         if let Some(from) = peer_hop {
             self.cfg.cache.borrow_mut().note_peer_serve();
             trace::count(now, "scholarcloud.peer_serves", 1);
-            trace::event(now, Level::Debug, "fleet", "peer_serve", |ev| {
-                trace::sharded(ev, self.shard)
-                    .field("from", from.to_string())
-                    .field("path", key.1.clone())
+            trace::event(now, Level::Debug, "fleet", "peer_serve", |f| {
+                trace::sharded(f, self.shard).field("from", Quoted(from as u64)).field("path", &key.1);
             });
         }
 
@@ -229,8 +227,10 @@ impl Gateway {
             Plan::Fetch { stored_etag: None } => "miss",
         };
         let mut lookup_span =
-            trace::span(now, "cache", "cache_lookup", tctx, || vec![("verdict", verdict.into())]);
-        trace::end(now, &mut lookup_span, Vec::new);
+            trace::span(now, "cache", "cache_lookup", tctx, |f| {
+                f.field("verdict", verdict);
+            });
+        trace::end(now, &mut lookup_span, |_| {});
         match plan {
             Plan::Hit(resp, body_len) => {
                 trace::count(now, "scholarcloud.cache_hits", 1);
@@ -243,8 +243,8 @@ impl Gateway {
                 Role::Waiter => {
                     // No admission slot, no tunnel: park on the leader's
                     // in-flight fetch.
-                    let span = trace::span(now, "cache", "coalesce_wait", tctx, || {
-                        vec![("path", key.1.clone().into())]
+                    let span = trace::span(now, "cache", "coalesce_wait", tctx, |f| {
+                        f.field("path", &key.1);
                     });
                     self.cfg.cache.borrow_mut().note_coalesced();
                     trace::count(now, "scholarcloud.cache_coalesced", 1);
@@ -424,7 +424,9 @@ impl Gateway {
             Some(entry) => {
                 self.serve_from_cache(leader, &entry, io);
                 for w in waiters {
-                    self.end_wait(w, now, || vec![("ok", true.into())]);
+                    self.end_wait(w, now, |f| {
+                        f.field("ok", true);
+                    });
                     self.cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
                     trace::count(now, "scholarcloud.cache_bytes_saved", entry.body.len() as u64);
                     self.serve_from_cache(w, &entry, io);
@@ -437,14 +439,16 @@ impl Gateway {
                 let wire = resp.into_wire();
                 io.send(leader, wire.clone());
                 for w in waiters {
-                    self.end_wait(w, now, || vec![("ok", true.into())]);
+                    self.end_wait(w, now, |f| {
+                        f.field("ok", true);
+                    });
                     io.send(w, wire.clone());
                 }
             }
         }
     }
 
-    fn end_wait(&mut self, waiter: TcpHandle, now: SimTime, fields: impl FnOnce() -> SpanFields) {
+    fn end_wait(&mut self, waiter: TcpHandle, now: SimTime, fields: impl FnOnce(&mut Fields<'_>)) {
         if let Some(mut wait) = self.waits.remove(&waiter) {
             trace::end(now, &mut wait.span, fields);
         }
@@ -476,7 +480,9 @@ impl Gateway {
         let Some(flight) = self.flights.complete(&fetch.key) else { return Vec::new() };
         let wire = HttpResponse::new(code, Vec::new()).into_wire();
         for &w in &flight.waiters {
-            self.end_wait(w, io.now(), || vec![("ok", false.into()), ("code", code.into())]);
+            self.end_wait(w, io.now(), |f| {
+                f.field("ok", false).field("code", code);
+            });
             self.inm.remove(&w);
             io.send(w, wire.clone());
             io.close(w);
@@ -492,7 +498,9 @@ impl Gateway {
     pub fn browser_gone(&mut self, browser: TcpHandle, now: SimTime) -> Step {
         self.inm.remove(&browser);
         if let Some(mut wait) = self.waits.remove(&browser) {
-            trace::end(now, &mut wait.span, || vec![("ok", false.into())]);
+            trace::end(now, &mut wait.span, |f| {
+                f.field("ok", false);
+            });
             self.flights.forget(&wait.key, browser);
             return Step::Done;
         }
@@ -505,7 +513,9 @@ impl Gateway {
         // here.
         let (tctx, client) = match self.waits.remove(&promoted) {
             Some(mut wait) => {
-                trace::end(now, &mut wait.span, || vec![("promoted", true.into())]);
+                trace::end(now, &mut wait.span, |f| {
+                    f.field("promoted", true);
+                });
                 (wait.tctx, wait.client)
             }
             None => (TraceCtx::NONE, fetch.client),

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use sc_cache::CacheKey;
 use sc_netproto::http::{HttpParser, HttpRequest, HttpResponse};
-use sc_obs::{Level, SpanId, TraceCtx};
+use sc_obs::{Level, Quoted, SpanId, TraceCtx};
 use sc_simnet::api::{TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -96,14 +96,14 @@ impl Peer {
         let (self_idx, addr) = (f.self_idx, f.handle.member_addr(owner));
         let key = &miss.key;
         trace::count(now, "scholarcloud.peer_fetches", 1);
-        trace::event(now, Level::Debug, "fleet", "peer_fetch", |ev| {
-            ev.field("shard", self_idx as u64)
-                .field("owner", owner.to_string())
-                .field("host", key.0.clone())
-                .field("path", key.1.clone())
+        trace::event(now, Level::Debug, "fleet", "peer_fetch", |f| {
+            f.field("shard", self_idx)
+                .field("owner", Quoted(owner as u64))
+                .field("host", &key.0)
+                .field("path", &key.1);
         });
-        let span = trace::span(now, "fleet", "peer_fetch", miss.tctx, || {
-            vec![("owner", (owner as u64).into())]
+        let span = trace::span(now, "fleet", "peer_fetch", miss.tctx, |f| {
+            f.field("owner", owner);
         });
         let hop = if miss.port == 80 {
             HttpRequest::new("GET", format_args!("http://{}{}", key.0, key.1))
@@ -202,22 +202,22 @@ impl Peer {
         let (leader, owner, tctx) = (hop.leader, hop.owner, hop.tctx);
         let ok = resp.status == 200 || resp.status == 304;
         io.close(h);
-        trace::end(now, &mut hop.span, || {
-            vec![("ok", ok.into()), ("status", resp.status.into())]
+        trace::end(now, &mut hop.span, |f| {
+            f.field("ok", ok).field("status", resp.status);
         });
         if !ok {
             trace::count(now, "scholarcloud.peer_refusals", 1);
-            trace::event(now, Level::Info, "fleet", "peer_refused", |ev| {
-                trace::sharded(ev, shard)
-                    .field("owner", owner.to_string())
-                    .field("status", resp.status.to_string())
+            trace::event(now, Level::Info, "fleet", "peer_refused", |f| {
+                trace::sharded(f, shard)
+                    .field("owner", Quoted(owner as u64))
+                    .field("status", Quoted(resp.status.into()));
             });
             return Step::FallBack { leader, tctx };
         }
         if self.fleet.as_mut().is_some_and(|f| f.mark_peer_up(owner)) {
             trace::count(now, "scholarcloud.peer_recoveries", 1);
-            trace::event(now, Level::Info, "fleet", "peer_up", |ev| {
-                trace::sharded(ev, shard).field("peer", owner.to_string())
+            trace::event(now, Level::Info, "fleet", "peer_up", |f| {
+                trace::sharded(f, shard).field("peer", Quoted(owner as u64));
             });
         }
         Step::Settle { leader, resp }
@@ -232,14 +232,16 @@ impl Peer {
             return Step::Done;
         };
         let now = io.now();
-        trace::end(now, &mut hop.span, || vec![("ok", false.into()), ("reason", reason.into())]);
+        trace::end(now, &mut hop.span, |f| {
+            f.field("ok", false).field("reason", reason);
+        });
         let backoff = self.fleet.as_mut().map(|f| f.mark_peer_dead(hop.owner, now));
         trace::count(now, "scholarcloud.peer_dead_marks", 1);
-        trace::event(now, Level::Warn, "fleet", "peer_dead", |ev| {
-            trace::sharded(ev, self.shard())
-                .field("peer", hop.owner.to_string())
-                .field("reason", reason.to_string())
-                .field("backoff_us", backoff.map_or(0, |b| b.as_micros()).to_string())
+        trace::event(now, Level::Warn, "fleet", "peer_dead", |f| {
+            trace::sharded(f, self.shard())
+                .field("peer", Quoted(hop.owner as u64))
+                .field("reason", reason)
+                .field("backoff_us", Quoted(backoff.map_or(0, |b| b.as_micros())));
         });
         Step::FallBack { leader: hop.leader, tctx: hop.tctx }
     }

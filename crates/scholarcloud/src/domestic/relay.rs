@@ -115,18 +115,18 @@ impl Relay {
         let now = io.now();
         let Up { req, remote_idx, remote, attempts, resumed, tx, rx, up_bytes, .. } = up;
         let name = if req.is_connect { "tunnel_stream" } else { "upstream_fetch" };
-        let span = trace::span(now, "domestic", name, req.tctx, || {
-            vec![("target", target_label(&req.header).into())]
+        let span = trace::span(now, "domestic", name, req.tctx, |f| {
+            f.field("target", target_label(&req.header));
         });
         if req.is_connect && !resumed {
             io.send(req.browser, Bytes::from_static(b"HTTP/1.1 200 Connection established\r\n\r\n"));
         }
         sc_obs::counter_add("scholarcloud.tunnels_opened", 1);
-        trace::event(now, Level::Info, "domestic", "tunnel_open", |ev| {
-            ev.field("target", target_label(&req.header))
+        trace::event(now, Level::Info, "domestic", "tunnel_open", |f| {
+            f.field("target", target_label(&req.header))
                 .field("encrypted", !req.header.is_tls)
-                .field("remote", remote.to_string())
-                .field("attempt", u64::from(attempts))
+                .field("remote", remote)
+                .field("attempt", u64::from(attempts));
         });
         let (browser, client) = (req.browser, req.client);
         // The stream-level half of the rotation defense: a learned
@@ -229,13 +229,14 @@ impl Relay {
             sc_obs::observe("scholarcloud.stream_bytes_up", stream.up_bytes);
             sc_obs::observe("scholarcloud.stream_bytes_down", down);
         }
-        trace::end(now, &mut stream.span, || match how {
-            Ending::Clean => vec![("ok", true.into()), ("bytes_down", down.into())],
-            Ending::Reset => vec![("ok", false.into()), ("bytes_down", down.into())],
-            Ending::Resumed => {
-                vec![("ok", false.into()), ("bytes_down", down.into()), ("resumed", true.into())]
+        trace::end(now, &mut stream.span, |f| {
+            f.field("ok", how == Ending::Clean);
+            if how != Ending::Garbled {
+                f.field("bytes_down", down);
             }
-            Ending::Garbled => vec![("ok", false.into())],
+            if how == Ending::Resumed {
+                f.field("resumed", true);
+            }
         });
         if how == Ending::Reset {
             remotes.failed(stream.remote_idx, io);

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use sc_obs::{Event, Level};
+use sc_obs::{Fields, Level, Quoted};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
@@ -133,10 +133,10 @@ impl Remotes {
             }
             BreakerState::HalfOpen => {}
         }
-        trace::event(now, Level::Warn, "resilience", "breaker", |ev| {
-            ev.field("remote", self.pool.entry(idx).addr.to_string())
-                .field("from", t.from.name().to_string())
-                .field("to", t.to.name().to_string())
+        trace::event(now, Level::Warn, "resilience", "breaker", |f| {
+            f.field("remote", self.pool.entry(idx).addr)
+                .field("from", t.from.name())
+                .field("to", t.to.name());
         });
     }
 
@@ -190,10 +190,8 @@ impl Remotes {
         // so every learned signature starves from here on out.
         let to = self.cfg.scheme.rotate_fresh_at(now.as_micros());
         sc_obs::counter_add("scholarcloud.adaptive_rotations", 1);
-        trace::event(now, Level::Info, "adaptive", "rotate", |ev| {
-            ev.field("from", format!("{from:?}"))
-                .field("to", format!("{to:?}"))
-                .field("evidence", fresh)
+        trace::event(now, Level::Info, "adaptive", "rotate", |f| {
+            f.field("from", format!("{from:?}")).field("to", format!("{to:?}")).field("evidence", fresh);
         });
         // Breaker amnesty: the opens that drove this rotation were the
         // censor killing the *scheme*, not the remotes. Forgive every
@@ -286,7 +284,7 @@ impl Remotes {
         let addr = self.pool.entry(idx).addr.addr;
         if handle.with(|p| p.churn(addr)) {
             sc_obs::counter_add("scholarcloud.elastic_churns", 1);
-            elastic_event(now, "churn", addr, |ev| ev);
+            elastic_event(now, "churn", addr, |_| {});
         }
     }
 
@@ -307,8 +305,8 @@ impl Remotes {
             match act {
                 ElasticAction::Provision { addr, cold_start } => {
                     sc_obs::counter_add("scholarcloud.elastic_provisions", 1);
-                    elastic_event(now, "provision", addr, |ev| {
-                        ev.field("cold_start_us", cold_start.as_micros().to_string())
+                    elastic_event(now, "provision", addr, |f| {
+                        f.field("cold_start_us", Quoted(cold_start.as_micros()));
                     });
                 }
                 ElasticAction::Warm { addr, cold_start } => {
@@ -320,36 +318,36 @@ impl Remotes {
                         self.pool.add_remote(sock);
                     }
                     sc_obs::observe("scholarcloud.elastic_cold_start_us", cold_start.as_micros());
-                    elastic_event(now, "warm", addr, |ev| {
-                        ev.field("cold_start_us", cold_start.as_micros().to_string())
+                    elastic_event(now, "warm", addr, |f| {
+                        f.field("cold_start_us", Quoted(cold_start.as_micros()));
                     });
                 }
                 ElasticAction::Drain { addr, reason } => {
                     if let Some(idx) = self.pool.index_of(SocketAddr::new(addr, REMOTE_PORT)) {
                         self.pool.retire(idx);
                     }
-                    elastic_event(now, "drain", addr, |ev| {
-                        ev.field("reason", reason.name().to_string())
+                    elastic_event(now, "drain", addr, |f| {
+                        f.field("reason", reason.name());
                     });
                 }
                 ElasticAction::Retire { addr } => {
                     // In-flight streams drained; the husk powers off.
                     io.node_power(addr, false);
                     sc_obs::counter_add("scholarcloud.elastic_retires", 1);
-                    elastic_event(now, "retire", addr, |ev| ev);
+                    elastic_event(now, "retire", addr, |_| {});
                 }
             }
         }
         let live = handle.with(|p| p.live_count());
         sc_obs::ts_record(now.as_micros(), "scholarcloud.elastic_instances", live as u64);
-        trace::event(now, Level::Info, "elastic", "cost", |ev| {
+        trace::event(now, Level::Info, "elastic", "cost", |f| {
             handle.with(|p| {
-                ev.field("warm", p.warm_count() as u64)
+                f.field("warm", p.warm_count() as u64)
                     .field("live", live as u64)
                     .field("invocation_micro", p.cost_invocation_micro())
                     .field("egress_micro", p.cost_egress_micro())
                     .field("warm_micro", p.cost_warm_micro())
-                    .field("total_micro", p.total_cost_micro())
+                    .field("total_micro", p.total_cost_micro());
             })
         });
         io.timer(ELASTIC_TICK, Timer::ElasticTick);
@@ -362,9 +360,9 @@ fn elastic_event(
     now: SimTime,
     name: &'static str,
     addr: Addr,
-    more: impl FnOnce(Event) -> Event,
+    more: impl FnOnce(&mut Fields<'_>),
 ) {
-    trace::event(now, Level::Info, "elastic", name, |ev| {
-        more(ev.field("instance", addr.to_string()))
+    trace::event(now, Level::Info, "elastic", name, |f| {
+        more(f.field("instance", addr));
     });
 }

@@ -3,32 +3,32 @@
 //! of them cost nothing to *build* unless a sink will record them.
 
 use sc_netproto::socks::TargetAddr;
-use sc_obs::{Event, Level, SpanFields, SpanId, TraceCtx};
+use sc_obs::{FieldValue, Fields, Level, SpanId, TraceCtx};
 use sc_simnet::time::SimTime;
 
 use crate::frame::StreamHeader;
 
 const COMPONENT: &str = "scholarcloud";
 
-/// Emits one event; `build` attaches the fields and runs only if the
+/// Emits one event; `fields` writes the fields and runs only if the
 /// event passes the level filter.
 pub(super) fn event(
     now: SimTime,
     level: Level,
     target: &'static str,
     name: &'static str,
-    build: impl FnOnce(Event) -> Event,
+    fields: impl FnOnce(&mut Fields<'_>),
 ) {
-    sc_obs::event(now.as_micros(), level, COMPONENT, target, name, build);
+    sc_obs::event(now.as_micros(), level, COMPONENT, target, name, fields);
 }
 
 /// Tags a fleet member's event with its shard index. Single-proxy
 /// traces carry no such field, so they stay byte-identical with
 /// pre-fleet builds.
-pub(super) fn sharded(ev: Event, shard: Option<usize>) -> Event {
+pub(super) fn sharded<'f, 'a>(f: &'f mut Fields<'a>, shard: Option<usize>) -> &'f mut Fields<'a> {
     match shard {
-        Some(idx) => ev.field("shard", idx as u64),
-        None => ev,
+        Some(idx) => f.field("shard", idx),
+        None => f,
     }
 }
 
@@ -39,14 +39,14 @@ pub(super) fn span(
     target: &'static str,
     name: &'static str,
     tctx: TraceCtx,
-    fields: impl FnOnce() -> SpanFields,
+    fields: impl FnOnce(&mut Fields<'_>),
 ) -> SpanId {
     sc_obs::span_start_ctx(now.as_micros(), Level::Debug, COMPONENT, target, name, tctx, fields)
 }
 
 /// Closes `span` and clears it, so a second close is a no-op; `fields`
 /// runs only if the span was recorded in the first place.
-pub(super) fn end(now: SimTime, span: &mut SpanId, fields: impl FnOnce() -> SpanFields) {
+pub(super) fn end(now: SimTime, span: &mut SpanId, fields: impl FnOnce(&mut Fields<'_>)) {
     sc_obs::span_end(now.as_micros(), std::mem::replace(span, SpanId::NONE), fields);
 }
 
@@ -56,10 +56,27 @@ pub(super) fn count(now: SimTime, name: &'static str, n: u64) {
     sc_obs::ts_bump(now.as_micros(), name, n);
 }
 
-/// `host:port` of the request a stream header carries.
-pub(super) fn target_label(header: &StreamHeader) -> String {
-    match &header.target {
-        TargetAddr::Domain(host, port) => format!("{host}:{port}"),
-        other => format!("{other:?}"),
+/// `host:port` of the request a stream header carries, as a trace
+/// field value.
+pub(super) fn target_label(header: &StreamHeader) -> TargetLabel<'_> {
+    TargetLabel(header)
+}
+
+/// See [`target_label`].
+pub(super) struct TargetLabel<'a>(&'a StreamHeader);
+
+impl FieldValue for TargetLabel<'_> {
+    fn write_json(&self, out: &mut String) {
+        match &self.0.target {
+            TargetAddr::Domain(host, port) => {
+                out.push('"');
+                sc_obs::sink::push_escaped(out, host);
+                out.push(':');
+                sc_obs::sink::push_u64(out, u64::from(*port));
+                out.push('"');
+            }
+            // A literal address: not what a browser sends a proxy.
+            other => format!("{other:?}").write_json(out),
+        }
     }
 }

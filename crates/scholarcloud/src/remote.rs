@@ -76,7 +76,9 @@ impl RemoteProxy {
             "scholarcloud",
             "remote",
             "auth_fail",
-            |ev| ev.field("reason", reason),
+            |f| {
+                f.field("reason", reason);
+            },
         );
     }
 
@@ -181,7 +183,9 @@ impl RemoteProxy {
             "remote",
             "relay",
             sc_obs::TraceCtx::new(sc_obs::TraceId(header.trace), sc_obs::SpanId(header.parent)),
-            || vec![("dest", sc_obs::Value::String(dest.to_string()))],
+            |f| {
+                f.field("dest", dest);
+            },
         );
         self.conns.insert(h, ClientConn::Relaying { rx, tx, upstream, span });
         sc_obs::counter_add("scholarcloud.remote_tunnels", 1);
@@ -191,7 +195,9 @@ impl RemoteProxy {
             "scholarcloud",
             "remote",
             "auth_ok",
-            |ev| ev.field("dest", dest.to_string()),
+            |f| {
+                f.field("dest", dest);
+            },
         );
     }
 }
@@ -225,7 +231,9 @@ impl App for RemoteProxy {
                     self.upstreams.remove(&h);
                     if let Some(ClientConn::Relaying { span, .. }) = self.conns.get_mut(&client) {
                         let ok = !matches!(tcp_ev, TcpEvent::ConnectFailed);
-                        sc_obs::span_end(ctx.now().as_micros(), *span, || vec![("ok", ok.into())]);
+                        sc_obs::span_end(ctx.now().as_micros(), *span, |f| {
+                            f.field("ok", ok);
+                        });
                         *span = sc_obs::SpanId::NONE;
                     }
                 }
@@ -260,7 +268,9 @@ impl App for RemoteProxy {
                 if let Some(ClientConn::Relaying { upstream, span, .. }) = self.conns.remove(&h) {
                     ctx.tcp_close(upstream);
                     self.upstreams.remove(&upstream);
-                    sc_obs::span_end(ctx.now().as_micros(), span, || vec![("ok", true.into())]);
+                    sc_obs::span_end(ctx.now().as_micros(), span, |f| {
+                        f.field("ok", true);
+                    });
                 }
             }
             _ => {}

@@ -61,6 +61,28 @@ impl fmt::Display for Addr {
     }
 }
 
+impl Addr {
+    /// Appends the dotted quad with the trace writer's digit writer.
+    fn push_dotted(self, out: &mut String) {
+        for (i, octet) in self.octets().into_iter().enumerate() {
+            if i > 0 {
+                out.push('.');
+            }
+            sc_obs::sink::push_u64(out, u64::from(octet));
+        }
+    }
+}
+
+/// A trace field value: the dotted quad as a JSON string, written
+/// without `core::fmt`.
+impl sc_obs::FieldValue for Addr {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        self.push_dotted(out);
+        out.push('"');
+    }
+}
+
 /// An address/port pair.
 ///
 /// # Examples
@@ -89,6 +111,18 @@ impl SocketAddr {
 impl fmt::Display for SocketAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}:{}", self.addr, self.port)
+    }
+}
+
+/// A trace field value: `a.b.c.d:port` as a JSON string, written
+/// without `core::fmt`.
+impl sc_obs::FieldValue for SocketAddr {
+    fn write_json(&self, out: &mut String) {
+        out.push('"');
+        self.addr.push_dotted(out);
+        out.push(':');
+        sc_obs::sink::push_u64(out, u64::from(self.port));
+        out.push('"');
     }
 }
 
@@ -122,5 +156,42 @@ mod tests {
             SocketAddr::new(Addr::new(10, 0, 0, 1), 8080).to_string(),
             "10.0.0.1:8080"
         );
+    }
+
+    mod props {
+        use proptest::prelude::*;
+        use sc_obs::{write_line, Level, SpanId};
+
+        use super::*;
+
+        /// A trace line with `fields`.
+        fn line(fields: impl FnOnce(&mut sc_obs::Fields<'_>)) -> String {
+            let mut out = String::new();
+            write_line(&mut out, 1, Level::Info, "simnet", "packet", "drop", SpanId::NONE, fields);
+            out
+        }
+
+        proptest! {
+            /// An address written as a field value is the line its
+            /// `Display` text makes as a `&str` field (which sc-obs checks
+            /// against its `fmt` oracle).
+            #[test]
+            fn addresses_write_as_their_display_text(
+                raw in any::<u32>(),
+                port in any::<u16>(),
+                edge in 0usize..4,
+            ) {
+                let addr = Addr::from_u32([raw, 0, u32::MAX, 0x0a00_0001][edge]);
+                let sock = SocketAddr::new(addr, [port, 0, u16::MAX, 443][edge]);
+                let direct = line(|f| {
+                    f.field("addr", addr).field("sock", sock);
+                });
+                let (addr_text, sock_text) = (addr.to_string(), sock.to_string());
+                let via_text = line(|f| {
+                    f.field("addr", addr_text.as_str()).field("sock", sock_text.as_str());
+                });
+                prop_assert_eq!(direct, via_text);
+            }
+        }
     }
 }

@@ -352,7 +352,9 @@ impl Sim {
             "simnet",
             "lifecycle",
             if up { "power_up" } else { "power_down" },
-            |ev| ev.field("node", self.nodes[node.0].name.clone()),
+            |f| {
+                f.field("node", &self.nodes[node.0].name);
+            },
         );
     }
 
@@ -421,8 +423,8 @@ impl Sim {
         };
         sc_obs::counter_add("simnet.faults_applied", 1);
         sc_obs::ts_bump(self.now.as_micros(), "simnet.faults", 1);
-        sc_obs::event(self.now.as_micros(), sc_obs::Level::Info, "simnet", "fault", name, |ev| {
-            ev.field("detail", detail)
+        sc_obs::event(self.now.as_micros(), sc_obs::Level::Info, "simnet", "fault", name, |f| {
+            f.field("detail", detail);
         });
     }
 
@@ -480,10 +482,8 @@ impl Sim {
                     "simnet",
                     "packet",
                     "censor_drop",
-                    |ev| {
-                        ev.field("rule", label)
-                            .field("src", packet.src.to_string())
-                            .field("dst", packet.dst.to_string())
+                    |f| {
+                        f.field("rule", label).field("src", packet.src).field("dst", packet.dst);
                     },
                 );
                 return;
@@ -650,10 +650,8 @@ impl Sim {
     /// and are emitted at their verdict site instead).
     fn trace_drop(&self, packet: &Packet, reason: &'static str) {
         sc_obs::counter_add("simnet.packets_dropped", 1);
-        sc_obs::event(self.now.as_micros(), sc_obs::Level::Debug, "simnet", "packet", "drop", |ev| {
-            ev.field("reason", reason)
-                .field("src", packet.src.to_string())
-                .field("dst", packet.dst.to_string())
+        sc_obs::event(self.now.as_micros(), sc_obs::Level::Debug, "simnet", "packet", "drop", |f| {
+            f.field("reason", reason).field("src", packet.src).field("dst", packet.dst);
         });
     }
 

@@ -970,10 +970,8 @@ impl TcpLayer {
         c.retransmitted_bytes += retx;
         sc_obs::counter_add("simnet.tcp_retransmits", 1);
         let now_us = now.as_micros();
-        sc_obs::event(now_us, sc_obs::Level::Debug, "simnet", "tcp", "loss_recovery", |ev| {
-            ev.field("bytes", retx)
-                .field("local", c.local.to_string())
-                .field("remote", c.remote.to_string())
+        sc_obs::event(now_us, sc_obs::Level::Debug, "simnet", "tcp", "loss_recovery", |f| {
+            f.field("bytes", retx).field("local", c.local).field("remote", c.remote);
         });
         self.pump(idx, now, fx);
         let c = &mut self.conns[idx];

@@ -49,8 +49,8 @@ impl TunnelStatus {
                 ("failed", 0)
             }
         };
-        sc_obs::event(t_us, sc_obs::Level::Info, "tunnels", "status", "transition", |ev| {
-            ev.field("state", name)
+        sc_obs::event(t_us, sc_obs::Level::Info, "tunnels", "status", "transition", |f| {
+            f.field("state", name);
         });
     }
 

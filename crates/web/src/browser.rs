@@ -17,6 +17,7 @@ use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::pac::PacFile;
 use sc_netproto::tls::TlsClient;
 use sc_obs::prof::{self, Subsystem};
+use sc_obs::Quoted;
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
@@ -251,7 +252,9 @@ impl Conn {
             sc_obs::span_end(
                 now.as_micros(),
                 std::mem::replace(span, sc_obs::SpanId::NONE),
-                || vec![("ok", false.into()), ("reason", reason.into())],
+                |f| {
+                    f.field("ok", false).field("reason", reason);
+                },
             );
         }
     }
@@ -414,11 +417,8 @@ impl Browser {
             "load",
             "page_load",
             sc_obs::TraceCtx::new(trace, sc_obs::SpanId::NONE),
-            || {
-                vec![
-                    ("index", (index as u64).into()),
-                    ("first_time", (!self.visited).into()),
-                ]
+            |f| {
+                f.field("index", index).field("first_time", !self.visited);
             },
         );
         self.load = Some(ActiveLoad {
@@ -470,7 +470,9 @@ impl Browser {
                     "load",
                     "dns",
                     self.load_ctx(),
-                    || vec![("host", host.to_string().into())],
+                    |f| {
+                        f.field("host", host);
+                    },
                 );
                 if !dns_span.is_none() {
                     self.dns_spans.insert(token, dns_span);
@@ -492,7 +494,9 @@ impl Browser {
         let Some((host, port, path)) = self.pending_dns.remove(&token) else { return };
         if let Some(sp) = self.dns_spans.remove(&token) {
             let ok = matches!(&outcome, ResolveOutcome::Resolved(a) if !a.is_empty());
-            sc_obs::span_end(ctx.now().as_micros(), sp, || vec![("ok", ok.into())]);
+            sc_obs::span_end(ctx.now().as_micros(), sp, |f| {
+                f.field("ok", ok);
+            });
         }
         match outcome {
             ResolveOutcome::Resolved(addrs) if !addrs.is_empty() => {
@@ -520,7 +524,9 @@ impl Browser {
             "load",
             "connect",
             self.load_ctx(),
-            || vec![("host", host.to_string().into())],
+            |f| {
+                f.field("host", host);
+            },
         );
         let mut queue = VecDeque::new();
         queue.push_back(path.to_string());
@@ -584,14 +590,16 @@ impl Browser {
             return;
         }
         sc_obs::counter_add("web.proxy_connect_ok", 1);
-        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_ok", |ev| ev.field("proxy", addr.to_string()));
+        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_ok", |f| {
+            f.field("proxy", addr);
+        });
         let Some(idx) = self.pac_proxy_index(addr) else { return };
         if self.proxy_dead[idx].fail_level > 0 {
             self.proxy_dead[idx] = ProxyHealth::default();
             sc_obs::counter_add("web.proxy_recoveries", 1);
             sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_recoveries", 1);
-            emit_fleet(ctx.now(), sc_obs::Level::Info, "proxy_recovered", |ev| {
-                ev.field("proxy", addr.to_string())
+            emit_fleet(ctx.now(), sc_obs::Level::Info, "proxy_recovered", |f| {
+                f.field("proxy", addr);
             });
         }
     }
@@ -600,8 +608,8 @@ impl Browser {
     /// backoff, mirroring the fleet tier's own peer dead-marking.
     fn mark_proxy_dead(&mut self, addr: SocketAddr, reason: &str, ctx: &mut Ctx<'_>) {
         sc_obs::counter_add("web.proxy_connect_fail", 1);
-        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_fail", |ev| {
-            ev.field("proxy", addr.to_string()).field("reason", reason.to_string())
+        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_fail", |f| {
+            f.field("proxy", addr).field("reason", reason);
         });
         let Some(idx) = self.pac_proxy_index(addr) else { return };
         let level = self.proxy_dead[idx].fail_level;
@@ -613,10 +621,8 @@ impl Browser {
         sc_obs::counter_add("web.proxy_dead_marks", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_dead_marks", 1);
         // The numbers go out as strings, as they always have.
-        emit_fleet(ctx.now(), sc_obs::Level::Warn, "proxy_dead", |ev| {
-            ev.field("proxy", addr.to_string())
-                .field("reason", reason.to_string())
-                .field("backoff_us", backoff.as_micros().to_string())
+        emit_fleet(ctx.now(), sc_obs::Level::Warn, "proxy_dead", |f| {
+            f.field("proxy", addr).field("reason", reason).field("backoff_us", Quoted(backoff.as_micros()));
         });
     }
 
@@ -659,8 +665,8 @@ impl Browser {
         load.pending = 1; // the replayed HTML
         sc_obs::counter_add("web.failovers", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.failovers", 1);
-        emit_fleet(ctx.now(), sc_obs::Level::Info, "failover", |ev| {
-            ev.field("from", from.to_string()).field("attempt", attempt.to_string())
+        emit_fleet(ctx.now(), sc_obs::Level::Info, "failover", |f| {
+            f.field("from", from).field("attempt", Quoted(attempt.into()));
         });
         self.teardown_conns("failover", ctx);
         self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
@@ -711,7 +717,9 @@ impl Browser {
                 "load",
                 "fetch",
                 lctx,
-                || vec![("path", path.clone().into())],
+                |f| {
+                    f.field("path", &path);
+                },
             )
         };
         let req = if path == "\u{0}rtt" {
@@ -772,7 +780,7 @@ impl Browser {
         } else {
             conn.phase = ConnPhase::Ready;
             let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
-            sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
+            sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
             self.pump_conn(h, ctx);
         }
     }
@@ -783,7 +791,9 @@ impl Browser {
             let Some(conn) = self.conns.get_mut(&h) else { return };
             let path = conn.current.take().unwrap_or_default();
             let sp = std::mem::replace(&mut conn.fetch_span, sc_obs::SpanId::NONE);
-            sc_obs::span_end(ctx.now().as_micros(), sp, || vec![("status", u64::from(status).into())]);
+            sc_obs::span_end(ctx.now().as_micros(), sp, |f| {
+                f.field("status", status);
+            });
             (conn.host.clone(), path, conn.rtt_probe_sent.take())
         };
         // RTT probe response?
@@ -920,11 +930,8 @@ impl Browser {
         sc_obs::span_end(
             now.as_micros(),
             load.span,
-            || {
-                vec![
-                    ("ok", true.into()),
-                    ("connections", (load.connections as u64).into()),
-                ]
+            |f| {
+                f.field("ok", true).field("connections", load.connections);
             },
         );
         self.log.borrow_mut().push(PageLoadResult {
@@ -956,11 +963,8 @@ impl Browser {
         sc_obs::span_end(
             ctx.now().as_micros(),
             load.span,
-            || {
-                vec![
-                    ("ok", false.into()),
-                    ("connections", (load.connections as u64).into()),
-                ]
+            |f| {
+                f.field("ok", false).field("connections", load.connections);
             },
         );
         self.log.borrow_mut().push(PageLoadResult {
@@ -1015,9 +1019,8 @@ impl Browser {
             "web",
             "browser",
             "throttled",
-            |ev| {
-                ev.field("attempt", u64::from(attempt))
-                    .field("delay_us", delay.as_micros())
+            |f| {
+                f.field("attempt", attempt).field("delay_us", delay.as_micros());
             },
         );
         self.teardown_conns("throttled", ctx);
@@ -1059,8 +1062,13 @@ impl Browser {
     }
 }
 
-/// A `web.fleet` event; `f` adds its fields only when it is recorded.
-fn emit_fleet(now: SimTime, level: sc_obs::Level, name: &'static str, f: impl FnOnce(sc_obs::Event) -> sc_obs::Event) {
+/// A `web.fleet` event; `f` writes its fields only when it is recorded.
+fn emit_fleet(
+    now: SimTime,
+    level: sc_obs::Level,
+    name: &'static str,
+    f: impl FnOnce(&mut sc_obs::Fields<'_>),
+) {
     sc_obs::event(now.as_micros(), level, "web", "fleet", name, f);
 }
 
@@ -1170,7 +1178,7 @@ impl App for Browser {
                         let lctx = self.load_ctx();
                         let conn = self.conns.get_mut(&h).expect("checked");
                         let sp = std::mem::replace(&mut conn.connect_span, sc_obs::SpanId::NONE);
-                        sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
+                        sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
                         let via = match conn.route {
                             Route::Direct => "direct",
                             Route::Socks(_) => "socks",
@@ -1183,7 +1191,9 @@ impl App for Browser {
                             "load",
                             "tunnel",
                             lctx,
-                            || vec![("via", via.into())],
+                            |f| {
+                                f.field("via", via);
+                            },
                         );
                         match conn.route {
                             Route::Direct => self.begin_app_layer(h, ctx),
@@ -1199,7 +1209,7 @@ impl App for Browser {
                                         &mut conn.tunnel_span,
                                         sc_obs::SpanId::NONE,
                                     );
-                                    sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
+                                    sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
                                     self.pump_conn(h, ctx);
                                 } else {
                                     conn.phase = ConnPhase::ProxyConnectSent;
@@ -1318,7 +1328,9 @@ impl Browser {
                                 "web",
                                 "browser",
                                 "proxy_error",
-                                |ev| ev.field("status", u64::from(r.status)),
+                                |f| {
+                                    f.field("status", r.status);
+                                },
                             );
                             if matches!(r.status, 429 | 503) && retry_after.is_some() {
                                 if let Some(secs) = retry_after {
@@ -1358,7 +1370,7 @@ impl Browser {
                 if out.handshake_complete {
                     conn.phase = ConnPhase::Ready;
                     let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
-                    sc_obs::span_end(ctx.now().as_micros(), sp, Vec::new);
+                    sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
                     self.pump_conn(h, ctx);
                 }
                 out.plaintext

@@ -172,7 +172,7 @@ impl App for OriginServer {
             AppEvent::TimerFired(token) => {
                 if let Some((h, wire, span)) = self.pending.remove(&token) {
                     ctx.tcp_send_bytes(h, wire);
-                    sc_obs::span_end(ctx.now().as_micros(), span, Vec::new);
+                    sc_obs::span_end(ctx.now().as_micros(), span, |_| {});
                 }
             }
             AppEvent::Tcp(h, TcpEvent::Accepted { .. }) => {
@@ -228,7 +228,9 @@ impl App for OriginServer {
                         "origin",
                         "origin",
                         tctx,
-                        || vec![("path", req.target().to_string().into())],
+                        |f| {
+                            f.field("path", req.target());
+                        },
                     );
                     if !is_tls && !self.serve_http {
                         // Port 80: HTTPS redirect (Figure 4's TCP-2).

@@ -128,8 +128,8 @@ fn blacklist_now(gfw: &GfwHandle, addr: Addr, now: SimTime) {
         st.config_mut().ip_blacklist.push((addr, 32));
     }
     sc_obs::counter_add("gfw.blacklist_updates", 1);
-    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |ev| {
-        ev.field("addr", addr.to_string())
+    sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |f| {
+        f.field("addr", addr);
     });
 }
 

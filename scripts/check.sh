@@ -232,10 +232,11 @@ echo "structure: ok (TLS records open in place; hop copies are built once)"
 # test oracle aside — and a message is handed to the wire, not encoded
 # into a copy: outside tests the stack's parsers are fed `Bytes`
 # (`push_bytes`), and the one `encode()` left copies a bodiless head
-# into a replay buffer. Span fields are built after the level check:
-# the three `span_*` entry points all take a closure, and the fourth
-# that did is gone (replaced, not forked; the name is bracketed so that
-# this file does not match).
+# into a replay buffer. Fields are written after the level check:
+# `event` and the three `span_*` entry points each take a closure over
+# the line's `Fields`, and the span entry point that took built fields
+# is gone (replaced, not forked; the name is bracketed so that this
+# file does not match).
 http_string_pairs() {
     awk '/^#\[cfg\(test\)\]/ { exit }
          /Vec<\(String, String\)>/ { print FILENAME ":" FNR ": " $0; found = 1 }
@@ -246,11 +247,19 @@ fail_if_found "a parser fed a copy, or a message encoded to be sent" \
     grep -rnE '(http|parser)\.push\(|(req|resp|hop|poll)\.encode\(\)' \
         crates/web/src crates/scholarcloud/src crates/tunnels/src --include='*.rs' --exclude=tests.rs
 fail_if_found "a span entry point that takes its fields built" \
-    grep -rnE 'span_start_wit[h]|^    fields: SpanFields,$' crates src examples tests benchmark/src --include='*.rs'
-if [ "$(grep -c '^    fields: impl FnOnce() -> SpanFields,$' crates/obs/src/dispatch.rs)" -ne 2 ]; then
-    echo "structure: span_start and span_start_ctx each take their fields as a closure" >&2; exit 1
-fi
-echo "structure: ok (HTTP heads are one buffer; parsers take Bytes; span fields are lazy)"
+    grep -rnE 'span_start_wit[h]' crates src examples tests benchmark/src --include='*.rs'
+eager_field_entry_points() {
+    awk '/^pub fn (event|span_start|span_start_ctx|span_end)\(/ {
+             sig = ""; head = FNR ": " $0; open = 1; n++ }
+         open { sig = sig $0 }
+         open && /\{$/ { open = 0
+             if (sig !~ /fields: impl FnOnce\(&mut Fields<[^>]*>\)/) { print FILENAME ":" head; found = 1 } }
+         END { if (n != 4) { print FILENAME ": " n " emission entry points where there are four"; found = 1 }
+               exit !found }' crates/obs/src/dispatch.rs
+}
+fail_if_found "an emission entry point that does not take its fields as a closure over Fields" \
+    eager_field_entry_points
+echo "structure: ok (HTTP heads are one buffer; parsers take Bytes; fields are lazy)"
 
 # Structure, byte scans (DESIGN.md §6k "Byte scans"): a search for a
 # byte or a byte string goes through sc_netproto::scan, a word at a time.
@@ -287,6 +296,39 @@ if [ "$(sans_tests crates/obs/src/sink.rs | grep -c 'write_fmt')" -ne 1 ]; then
     echo "structure: sink.rs formats one value kind (a float with a fraction) through core::fmt" >&2; exit 1
 fi
 echo "structure: ok (metrics write by slot; the JSONL writer does not format)"
+
+# Structure, fields written in place (DESIGN.md §6b "The write path"): a
+# site's fields go straight into the sink's line through `Fields`, so
+# the span field list, the owned-string value and the field vector the
+# dispatcher recycled are gone — replaced, not forked (bracketed so that
+# this file does not match). `Event` and `Value` live on only as the
+# test input of the writer's oracle, below event.rs's first
+# `#[cfg(test)]`.
+second_field_vectors() {
+    for f in crates/obs/src/dispatch.rs crates/obs/src/sink.rs crates/obs/src/event.rs \
+        crates/obs/src/slo.rs; do
+        sans_tests "$f" | grep -nE 'Vec<\(&[^,]*str, *[A-Za-z_:]*Valu[e]|enum Valu[e]|struct Even[t]\b' |
+            sed "s|^|$f:|"
+    done | grep .
+}
+fail_if_found "a span field list, an owned-string field value or a second field vector" \
+    grep -rnE 'SpanField[s]|Value::Strin[g]' crates src examples tests benchmark/src --include='*.rs'
+fail_if_found "a field vector or event struct outside the writer's test oracle" second_field_vectors
+echo "structure: ok (fields are written in place)"
+
+# Structure, the cached window edge (DESIGN.md §6b): `tick` compares the
+# clock with the thread-local next window edge before it touches the
+# dispatcher slot, so a clock advance inside a window costs one compare.
+tick_before_edge() {
+    awk '/^pub fn tick\(/ { inside = 1; seen = 1 }
+         inside && /NEXT_EDGE/ { edge = 1 }
+         inside && /with_installed|CURRENT/ && !edge { print FILENAME ":" FNR ": " $0; found = 1 }
+         inside && /^\}/ { inside = 0 }
+         END { if (!seen || !edge) { print FILENAME ": tick has no edge compare"; found = 1 }
+               exit !found }' crates/obs/src/dispatch.rs
+}
+fail_if_found "tick reaches the dispatcher before its edge compare" tick_before_edge
+echo "structure: ok (tick returns on a cached window edge)"
 
 # Structure, one sink and one level (DESIGN.md §6b "Sinks"): the
 # dispatcher writes accepted events to one JsonlSink, filtered by one

@@ -98,8 +98,8 @@ pub fn elastic_run(seed: u64) -> Vec<u8> {
                         st.config_mut().ip_blacklist.push((addr, 32));
                     }
                     let now_us = now.as_micros();
-                    sc_obs::event(now_us, Level::Info, "gfw", "fault", "blacklist_ip", |ev| {
-                        ev.field("addr", addr.to_string())
+                    sc_obs::event(now_us, Level::Info, "gfw", "fault", "blacklist_ip", |f| {
+                        f.field("addr", addr);
                     });
                 }),
             },
