@@ -20,13 +20,14 @@
 //!   propagation cost is already inside `scenario_no_dispatcher`, since
 //!   ids travel in-band unconditionally).
 //! * `stitch_and_attribute_200_trees` — offline analyzer throughput:
-//!   reconstruct 200 six-span request trees from a parsed event stream
-//!   and run the exclusive-time sweep over each (what `scholar-obs`
-//!   does per captured trace).
+//!   read a trace of 200 six-span requests, reconstruct their trees and
+//!   run the exclusive-time sweep over each (what `scholar-obs` does
+//!   per captured trace).
 //!
 //! The `analyze` group is the read side on its own, over a 2 000-tree
-//! synthetic trace: `parse_trace` in MiB/s of JSONL and `analyze` in
-//! events/s.
+//! synthetic trace: `parse_trace` — which folds each line as it reads
+//! it and builds the trees at the end — in MiB/s of JSONL, and
+//! `analyze`, the window-dependent rest, in events/s.
 //!
 //! Numbers are recorded in EXPERIMENTS.md.
 
@@ -148,10 +149,10 @@ fn trace_stitching(c: &mut Criterion) {
 
     // Offline analyzer throughput: trees stitched + attributed per pass.
     let text = synthetic_forest(200);
-    let events = parse_trace(&text).expect("synthetic trace parses");
     g.bench_function("stitch_and_attribute_200_trees", |b| {
         b.iter(|| {
-            let analysis = analyze(&events, 1_000_000);
+            let trace = parse_trace(&text).expect("synthetic trace parses");
+            let analysis = analyze(&trace, 1_000_000);
             assert_eq!(analysis.trees.len(), 200);
             criterion::black_box(analysis.tier_totals.len())
         })
@@ -163,7 +164,7 @@ fn trace_stitching(c: &mut Criterion) {
 /// The analyzer's two input stages over one synthetic trace.
 fn analyzer_read_side(c: &mut Criterion) {
     let text = synthetic_forest(2_000);
-    let events = parse_trace(&text).expect("synthetic trace parses");
+    let trace = parse_trace(&text).expect("synthetic trace parses");
     let mut g = c.benchmark_group("analyze");
 
     g.throughput(Throughput::Bytes(text.len() as u64));
@@ -171,9 +172,9 @@ fn analyzer_read_side(c: &mut Criterion) {
         b.iter(|| parse_trace(criterion::black_box(&text)).expect("synthetic trace parses"))
     });
 
-    g.throughput(Throughput::Elements(events.len() as u64));
+    g.throughput(Throughput::Elements(analyze(&trace, 1_000_000).events as u64));
     g.bench_function("analyze", |b| {
-        b.iter(|| analyze(criterion::black_box(&events), 1_000_000))
+        b.iter(|| analyze(criterion::black_box(&trace), 1_000_000))
     });
 
     g.finish();

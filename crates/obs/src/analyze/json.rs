@@ -263,13 +263,12 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn object(&mut self) -> Result<Vec<(Cow<'a, str>, JsonValue<'a>)>, String> {
-        let mut out = Vec::new();
+    /// An object, its members appended to `out`.
+    fn object(&mut self, out: &mut Vec<(Cow<'a, str>, JsonValue<'a>)>) -> Result<(), String> {
         self.members(|p, key| {
             out.push((key, p.value()?));
             Ok(())
-        })?;
-        Ok(out)
+        })
     }
 
     fn array(&mut self) -> Result<Vec<JsonValue<'a>>, String> {
@@ -284,7 +283,11 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue<'a>, String> {
         match self.peek() {
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'{') => Ok(JsonValue::Obj(self.object()?)),
+            Some(b'{') => {
+                let mut members = Vec::new();
+                self.object(&mut members)?;
+                Ok(JsonValue::Obj(members))
+            }
             Some(b'[') => Ok(JsonValue::Arr(self.array()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -425,10 +428,18 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// it. A key [`crate::write_line`] does not write, or one of its
 /// keys holding the wrong kind of value, is an error.
 pub fn parse_line(line: &str) -> Result<TraceEvent<'_>, String> {
+    parse_record(line, Vec::new())
+}
+
+/// [`parse_line`], with the event's field list built in `fields`, an
+/// empty list whose allocation the event takes over.
+pub(super) fn parse_record<'a>(
+    line: &'a str,
+    mut fields: Vec<(Cow<'a, str>, JsonValue<'a>)>,
+) -> Result<TraceEvent<'a>, String> {
     let mut p = Parser::new(line);
     let (mut t_us, mut span) = (None, None);
     let (mut level, mut component, mut target, mut name) = (None, None, None, None);
-    let mut fields = Vec::new();
     let mut unexpected = None;
     p.members(|p, key| {
         match (&*key, p.peek()) {
@@ -438,7 +449,10 @@ pub fn parse_line(line: &str) -> Result<TraceEvent<'_>, String> {
             ("component", Some(b'"')) => component = Some(p.string()?),
             ("target", Some(b'"')) => target = Some(p.string()?),
             ("event", Some(b'"')) => name = Some(p.string()?),
-            ("fields", Some(b'{')) => fields = p.object()?,
+            ("fields", Some(b'{')) => {
+                fields.clear();
+                p.object(&mut fields)?;
+            }
             // Reported once the line has proved well-formed.
             _ => {
                 p.value()?;
@@ -460,20 +474,6 @@ pub fn parse_line(line: &str) -> Result<TraceEvent<'_>, String> {
         span,
         fields,
     })
-}
-
-/// Parses a whole JSONL trace into events that borrow from `text`;
-/// blank lines are skipped, any malformed line is an error carrying its
-/// 1-based line number.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent<'_>>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(parse_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------
@@ -569,6 +569,7 @@ pub fn write_summary(rows: &[Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::parse_trace;
     use crate::analyze::tests::{line, reparsed};
     use crate::event::{Event, Level, SpanId};
 

@@ -20,13 +20,14 @@
 //!    fleet, elastic tier, adaptive censor.
 //!
 //! The module is a spine and a list. The spine (this file, [`json`],
-//! [`spans`], [`gate`]) knows traces, spans, page loads and what no
-//! single layer owns. Everything the analyzer knows about a layer —
-//! the events it reads, its aggregate, its report block, its `--json`
-//! keys, its gates — is one [`Section`] in one file under `sections/`,
-//! and [`TraceAnalysis::sections`] is the list of them that [`analyze`],
-//! [`render_report`], [`render_json`] and [`gate::gates`] walk. Adding a
-//! layer is one such file and its row here (DESIGN.md §6b).
+//! [`trace`], [`spans`], [`gate`]) knows traces, spans, page loads and
+//! what no single layer owns. Everything the analyzer knows about a
+//! layer — the events it reads, its aggregate, its report block, its
+//! `--json` keys, its gates — is one [`Section`] in one file under
+//! `sections/`, and [`TraceAnalysis::sections`] is the list of them that
+//! [`Trace`], [`render_report`], [`render_json`] and [`gate::gates`]
+//! walk. Adding a layer is one such file and its row here (DESIGN.md
+//! §6b).
 
 /// Object rows for counters whose schema key is the field's own name.
 macro_rules! counters {
@@ -38,6 +39,7 @@ macro_rules! counters {
 pub mod gate;
 pub mod json;
 pub mod spans;
+pub mod trace;
 /// One file per layer, each a [`Section`].
 pub mod sections {
     pub mod adaptive;
@@ -51,15 +53,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 pub use gate::{gates, Bound, Gate, Unit};
-pub use json::{
-    parse_json, parse_line, parse_trace, Json, JsonValue, Row, TraceEvent, MAX_DEPTH,
-};
+pub use json::{parse_json, parse_line, Json, JsonValue, Row, TraceEvent, MAX_DEPTH};
 pub use sections::adaptive::AdaptiveStats;
 pub use sections::admission::AdmissionStats;
 pub use sections::cache::CacheStats;
 pub use sections::elastic::ElasticStats;
 pub use sections::fleet::FleetStats;
 pub use spans::{render_waterfall, ClosedSpan, PageLoad, PhaseAgg, TraceSpan, TraceTree, PHASES};
+pub use trace::{analyze, parse_trace, read_trace, ReadError, Trace};
 
 /// Where some of a section's events come from: `(component, target,
 /// event names)`.
@@ -70,7 +71,7 @@ pub type Source = (&'static str, &'static str, &'static [&'static str]);
 /// are everything else the analyzer knows about the layer.
 pub trait Section {
     /// The events this layer reads. No event is in two sections'
-    /// vocabularies: [`analyze`] hands each event to at most one.
+    /// vocabularies: the [`Trace`] fold hands each event to at most one.
     fn vocabulary(&self) -> &'static [Source];
     /// Counts one event; only ever called with one from the vocabulary.
     fn ingest(&mut self, ev: &TraceEvent<'_>);
@@ -87,7 +88,7 @@ pub trait Section {
 }
 
 /// Everything the analyzer extracts from one trace.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceAnalysis {
     /// Events parsed.
     pub events: usize,
@@ -95,8 +96,8 @@ pub struct TraceAnalysis {
     pub t_end_us: u64,
     /// Events per component.
     pub component_counts: BTreeMap<String, u64>,
-    /// Closed spans, in end order.
-    pub spans: Vec<ClosedSpan>,
+    /// Spans closed by a matching `span_end`.
+    pub spans_closed: usize,
     /// `span_start`s never matched by a `span_end`.
     pub unclosed_spans: usize,
     /// Reconstructed page loads, in start order.
@@ -206,86 +207,6 @@ impl TraceAnalysis {
     }
 }
 
-/// Analyzes a parsed trace with `window_us`-wide timeline windows.
-/// No string is copied per event: text leaves `events` only for what
-/// the analysis keeps, once per distinct value for what repeats
-/// (components, span names, rules).
-///
-/// Each event goes to one reader. The spine's are tried first, in this
-/// order: span pairing, interference, SLO alerts, injected faults
-/// (anything under a `fault` target), failovers, breakers. What they
-/// leave goes to the one section whose vocabulary lists it, if any.
-pub fn analyze(events: &[TraceEvent<'_>], window_us: u64) -> TraceAnalysis {
-    let mut a =
-        TraceAnalysis { events: events.len(), window_us: window_us.max(1), ..Default::default() };
-    let mut pairing = spans::Pairing::default();
-    for ev in events {
-        a.t_end_us = a.t_end_us.max(ev.t_us);
-        // Looked up by the borrowed name; copied the first time only.
-        match a.component_counts.get_mut(&*ev.component) {
-            Some(n) => *n += 1,
-            None => {
-                a.component_counts.insert(ev.component.to_string(), 1);
-            }
-        }
-        match &*ev.name {
-            "span_start" => pairing.start(ev),
-            "span_end" => pairing.end(ev),
-            // Interference: GFW verdicts and the simnet drops they cause
-            // both carry the rule label.
-            "drop" | "censor_drop" if matches!(&*ev.component, "gfw" | "simnet") => {
-                if let Some(rule) = ev.get_str("rule") {
-                    let window = ev.t_us / a.window_us;
-                    match a.rule_timeline.get_mut(rule) {
-                        Some(w) => *w.entry(window).or_insert(0) += 1,
-                        None => {
-                            a.rule_timeline.insert(rule.to_string(), BTreeMap::from([(window, 1)]));
-                        }
-                    }
-                }
-            }
-            "fire" | "resolve" if ev.component == "slo" => {
-                let slo = ev.get_str("slo").unwrap_or("?");
-                let burn = ev.get("burn").and_then(JsonValue::as_f64).unwrap_or(0.0);
-                a.slo_alerts.push((ev.t_us, ev.name.to_string(), slo.to_string(), burn));
-                let exemplars = ev.get_str("exemplars").filter(|_| ev.name == "fire");
-                let ids: Vec<u64> = exemplars
-                    .into_iter()
-                    .flat_map(|list| list.split(','))
-                    .filter_map(|t| u64::from_str_radix(t.trim(), 16).ok())
-                    .filter(|&t| t != 0)
-                    .collect();
-                if !ids.is_empty() {
-                    a.alert_exemplars.push((ev.t_us, slo.to_string(), ids));
-                }
-            }
-            // Injected faults: `simnet/fault/<kind>` and `gfw/fault/…`.
-            _ if ev.target == "fault" => {
-                a.faults.push((ev.t_us, format!("{}/{}", ev.component, ev.name)));
-            }
-            "failover" if ev.component == "scholarcloud" => a.failover_times.push(ev.t_us),
-            "breaker" if ev.component == "scholarcloud" => {
-                let field = |key| ev.get_str(key).unwrap_or("?").to_string();
-                a.breaker_transitions.push((ev.t_us, field("remote"), field("from"), field("to")));
-            }
-            _ => {
-                let listed = |section: &&mut dyn Section| {
-                    section.vocabulary().iter().any(|(component, target, names)| {
-                        ev.component == *component
-                            && ev.target == *target
-                            && names.iter().any(|name| ev.name == *name)
-                    })
-                };
-                if let Some(section) = a.sections_mut().into_iter().find(listed) {
-                    section.ingest(ev);
-                }
-            }
-        }
-    }
-    pairing.finish(&mut a);
-    a
-}
-
 /// Exact quantile of a sorted slice (nearest-rank).
 fn quantile_sorted(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
@@ -319,7 +240,7 @@ pub fn render_report(a: &TraceAnalysis) -> String {
         "  events: {}   sim span: {:.1} s   spans: {} closed, {} unclosed",
         a.events,
         sim_s,
-        a.spans.len(),
+        a.spans_closed,
         a.unclosed_spans
     );
 
@@ -517,7 +438,7 @@ fn summary(a: &TraceAnalysis) -> Vec<Row> {
         ("schema", "scholar-obs/v5".into()),
         ("events", a.events.into()),
         ("sim_end_us", a.t_end_us.into()),
-        ("spans_closed", a.spans.len().into()),
+        ("spans_closed", a.spans_closed.into()),
         ("spans_unclosed", a.unclosed_spans.into()),
         ("page_loads", a.page_loads.len().into()),
         ("failed_loads", (a.page_loads.len() - a.plts_us.len()).into()),

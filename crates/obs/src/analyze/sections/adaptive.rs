@@ -245,8 +245,8 @@ impl Section for AdaptiveStats {
 #[cfg(test)]
 mod tests {
     use crate::analyze::json::{parse_json, Json};
-    use crate::analyze::tests::{reparsed, traced_pair};
-    use crate::analyze::{analyze, render_json, render_report};
+    use crate::analyze::tests::{analyzed, reparsed, traced_pair};
+    use crate::analyze::{render_json, render_report};
     use crate::event::{Event, Level};
 
     /// Adaptive traces: fingerprint/campaign/probe events on the censor
@@ -299,7 +299,7 @@ mod tests {
         // A plain scheme rotation (ops-driven, not adaptive) must NOT
         // count toward the adaptive rotation total.
         evs.push(sc(670_000, "scheme", "rotate", &[("from", "bytemap"), ("to", "xor_rolling")]));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert!(a.adaptive.any());
         assert_eq!(a.adaptive.signatures_learned, 1);
         assert_eq!(a.adaptive.signatures_expired, 1);
@@ -335,7 +335,7 @@ mod tests {
                 < 1e-9
         );
         // A trace without adaptive events renders no adaptive section.
-        let empty = analyze(&[], 1_000_000);
+        let empty = analyzed(&[], 1_000_000);
         assert!(!empty.adaptive.any());
         assert!(!render_report(&empty).contains("adaptive censor"));
     }

@@ -113,8 +113,8 @@ impl Section for CacheStats {
 
 #[cfg(test)]
 mod tests {
-    use crate::analyze::tests::reparsed;
-    use crate::analyze::{analyze, render_report};
+    use crate::analyze::tests::{analyzed, reparsed};
+    use crate::analyze::render_report;
     use crate::event::{Event, Level};
 
     #[test]
@@ -136,7 +136,7 @@ mod tests {
             // Same names under a different target must not count.
             reparsed(&Event::new(700, Level::Debug, "web", "cache", "hit")),
         ];
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert_eq!(a.cache.hits, 1);
         assert_eq!(a.cache.misses, 1);
         assert_eq!(a.cache.coalesced, 2);
@@ -149,7 +149,7 @@ mod tests {
         assert!(report.contains("shared cache (scholarcloud gateway)"));
         assert!(report.contains("hit rate:     80.0%"));
         // A trace with no cache events renders no cache section.
-        let empty = analyze(&[], 1_000_000);
+        let empty = analyzed(&[], 1_000_000);
         assert!(!empty.cache.any());
         assert!(!render_report(&empty).contains("shared cache"));
     }

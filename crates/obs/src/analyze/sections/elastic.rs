@@ -188,8 +188,8 @@ impl Section for ElasticStats {
 #[cfg(test)]
 mod tests {
     use crate::analyze::json::{parse_json, Json};
-    use crate::analyze::tests::{reparsed, span_pair};
-    use crate::analyze::{analyze, render_json, render_report};
+    use crate::analyze::tests::{analyzed, reparsed, span_pair};
+    use crate::analyze::{render_json, render_report};
     use crate::event::{Event, Level};
 
     /// Elastic traces: lifecycle transitions + per-tick cost events
@@ -226,7 +226,7 @@ mod tests {
         evs.push(el(900_000, "retire", &[]));
         evs.push(cost(500_000, 2, 100, 0, 10));
         evs.push(cost(1_000_000, 3, 250, 90, 40));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert!(a.elastic.any());
         assert_eq!(a.elastic.provisions, 1);
         assert_eq!(a.elastic.warms, 1);
@@ -258,7 +258,7 @@ mod tests {
                 < 1e-9
         );
         // A trace without elastic events renders no elastic section.
-        let empty = analyze(&[], 1_000_000);
+        let empty = analyzed(&[], 1_000_000);
         assert!(!empty.elastic.any());
         assert!(!render_report(&empty).contains("elastic remote tier"));
     }

@@ -203,8 +203,8 @@ impl Section for FleetStats {
 #[cfg(test)]
 mod tests {
     use crate::analyze::json::{parse_json, Json};
-    use crate::analyze::tests::{reparsed};
-    use crate::analyze::{analyze, render_json, render_report};
+    use crate::analyze::tests::{analyzed, reparsed};
+    use crate::analyze::{render_json, render_report};
     use crate::event::{Event, Level};
 
     /// Fleet traces: `web/fleet` + `scholarcloud/fleet` events and
@@ -245,7 +245,7 @@ mod tests {
             cache(710, "hit", 0),
             cache(720, "miss", 1),
         ];
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert_eq!(a.fleet.connect_ok, 2);
         assert_eq!(a.fleet.connect_fail, 1);
         assert_eq!(a.fleet.dead_marks, 1);
@@ -274,7 +274,7 @@ mod tests {
         // only shed (2) has no per-shard row.
         assert_eq!(fleet.get("shards").and_then(Json::as_arr).map(<[_]>::len), Some(2));
         // A single-proxy trace renders no fleet section.
-        let empty = analyze(&[], 1_000_000);
+        let empty = analyzed(&[], 1_000_000);
         assert!(!empty.fleet.any());
         assert!(!render_report(&empty).contains("domestic fleet"));
     }

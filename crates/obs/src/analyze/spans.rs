@@ -151,34 +151,37 @@ impl TraceTree {
 /// The page-load phases the browser instruments, in pipeline order.
 pub const PHASES: [&str; 4] = ["dns", "connect", "tunnel", "fetch"];
 
-/// A `span_start` waiting for its `span_end`; the strings are the start
-/// event's own.
-struct OpenSpan<'e> {
+/// A `span_start` waiting for its `span_end`, its strings interned.
+#[derive(Debug)]
+struct OpenSpan {
     start_us: u64,
-    component: &'e str,
-    name: &'e str,
+    component: Arc<str>,
+    name: Arc<str>,
     trace: u64,
     parent: Option<u64>,
 }
 
-/// Span pairing in progress over one trace. No string is copied per
-/// span: names are interned, one copy per distinct value.
-#[derive(Default)]
-pub(super) struct Pairing<'e> {
+/// Span pairing in progress over one trace. It keeps what a reader of
+/// spans reads: the spans still open, the closed `web` spans phase
+/// attribution needs, and each request's spans for its tree. No string
+/// is copied per span: names are interned, one copy per distinct value.
+#[derive(Debug, Default)]
+pub(super) struct Pairing {
     names: BTreeSet<Arc<str>>,
-    open: BTreeMap<u64, OpenSpan<'e>>,
-    closed: Vec<ClosedSpan>,
+    open: BTreeMap<u64, OpenSpan>,
+    closed: usize,
+    web: Vec<ClosedSpan>,
     // trace id → that request's spans, in close order (resorted later).
     by_trace: BTreeMap<u64, Vec<TraceSpan>>,
 }
 
-impl<'e> Pairing<'e> {
+impl Pairing {
     /// Takes a `span_start` event.
-    pub fn start(&mut self, ev: &'e TraceEvent<'_>) {
+    pub fn start(&mut self, ev: &TraceEvent<'_>) {
         if let (Some(id), Some(name)) = (ev.span, ev.get_str("span_name")) {
             let (trace, parent) = (ev.get_u64("trace_id").unwrap_or(0), ev.get_u64("parent"));
-            let new = OpenSpan { start_us: ev.t_us, component: &ev.component, name, trace, parent };
-            self.open.insert(id, new);
+            let (component, name) = (self.intern(&ev.component), self.intern(name));
+            self.open.insert(id, OpenSpan { start_us: ev.t_us, component, name, trace, parent });
         }
     }
 
@@ -196,8 +199,12 @@ impl<'e> Pairing<'e> {
         // its start closes the span where it began, so every duration
         // downstream is `end - start` without underflow.
         let end_us = ev.t_us.max(open.start_us);
-        let (component, name) = self.join_tree(id, &open, end_us, true, ok);
-        self.closed.push(ClosedSpan { id, component, name, start_us: open.start_us, end_us, ok });
+        self.closed += 1;
+        if &*open.component == "web" {
+            let (component, name) = (open.component.clone(), open.name.clone());
+            self.web.push(ClosedSpan { id, component, name, start_us: open.start_us, end_us, ok });
+        }
+        self.join_tree(id, open, end_us, true, ok);
     }
 
     /// The shared copy of `s`, made the first time `s` is seen.
@@ -211,22 +218,13 @@ impl<'e> Pairing<'e> {
     }
 
     /// Files a span that carries a trace id under its request, closed
-    /// by an end event (whose `ok` it carried, if any) or not. Returns
-    /// the span's interned component and name.
-    fn join_tree(
-        &mut self,
-        id: u64,
-        open: &OpenSpan<'_>,
-        end_us: u64,
-        closed: bool,
-        ok: Option<bool>,
-    ) -> (Arc<str>, Arc<str>) {
-        let (component, name) = (self.intern(open.component), self.intern(open.name));
+    /// by an end event (whose `ok` it carried, if any) or not.
+    fn join_tree(&mut self, id: u64, open: OpenSpan, end_us: u64, closed: bool, ok: Option<bool>) {
         if open.trace != 0 {
             self.by_trace.entry(open.trace).or_default().push(TraceSpan {
                 id,
-                component: component.clone(),
-                name: name.clone(),
+                component: open.component,
+                name: open.name,
                 start_us: open.start_us,
                 end_us,
                 closed,
@@ -236,13 +234,12 @@ impl<'e> Pairing<'e> {
                 excl_us: 0,
             });
         }
-        (component, name)
     }
 
-    /// Closes the books at the end of the trace: fills `a`'s spans,
-    /// page loads with their phases, and stitched trees.
+    /// Closes the books at the end of the trace: fills `a`'s span
+    /// counts, page loads with their phases, and stitched trees.
     pub fn finish(mut self, a: &mut TraceAnalysis) {
-        (a.page_loads, a.phase_totals) = attribute_phases(&self.closed);
+        (a.page_loads, a.phase_totals) = attribute_phases(&self.web);
         let unfailed = a.page_loads.iter().filter(|l| l.span.ok != Some(false));
         a.plts_us = unfailed.map(|l| l.span.dur_us()).collect();
         a.plts_us.sort_unstable();
@@ -250,11 +247,11 @@ impl<'e> Pairing<'e> {
         // truncation, still in flight at shutdown) joins its tree
         // unclosed, pinned to the trace end, so partial trees still
         // attribute.
-        a.unclosed_spans = self.open.len();
+        (a.spans_closed, a.unclosed_spans) = (self.closed, self.open.len());
         for (id, open) in std::mem::take(&mut self.open) {
-            self.join_tree(id, &open, a.t_end_us.max(open.start_us), false, None);
+            let end_us = a.t_end_us.max(open.start_us);
+            self.join_tree(id, open, end_us, false, None);
         }
-        a.spans = self.closed;
         a.trees = self.by_trace.into_iter().map(|(id, spans)| stitch_tree(id, spans)).collect();
         for tree in a.trees.iter().filter(|t| t.completed()) {
             for (tier, us) in &tree.tier_us {
@@ -483,8 +480,8 @@ pub fn render_waterfall(tree: &TraceTree) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::tests::{reparsed, span_pair, traced_pair};
-    use crate::analyze::{analyze, render_report};
+    use crate::analyze::tests::{analyzed, reparsed, span_pair, traced_pair};
+    use crate::analyze::render_report;
     use crate::event::{Event, Level, SpanId};
 
     #[test]
@@ -498,7 +495,7 @@ mod tests {
         evs.extend(span_pair(5, "web", "fetch", 2_100_000, 2_400_000));
         // An orphan phase outside any load: counted in totals only.
         evs.extend(span_pair(6, "web", "connect", 5_000_000, 5_100_000));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert_eq!(a.page_loads.len(), 2);
         let l0 = &a.page_loads[0];
         assert_eq!(l0.phase_us.get("connect"), Some(&200_000));
@@ -516,7 +513,7 @@ mod tests {
         evs.extend(span_pair(1, "web", "page_load", 0, 10_000_000));
         evs.extend(span_pair(2, "web", "page_load", 1_000_000, 2_000_000));
         evs.extend(span_pair(3, "web", "fetch", 5_000_000, 6_000_000));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert_eq!(a.page_loads[0].phase_us.get("fetch"), Some(&1_000_000));
         assert!(a.page_loads[1].phase_us.is_empty());
     }
@@ -535,8 +532,9 @@ mod tests {
     fn a_span_that_ends_before_it_starts_has_no_duration() {
         let mut evs = traced_pair(1, "web", "page_load", 500, 100, 7, None, true);
         evs.extend(traced_pair(2, "web", "fetch", 400, 300, 7, Some(1), true));
-        let a = analyze(&evs, 1_000_000);
-        assert_eq!((a.spans[0].start_us, a.spans[0].end_us, a.spans[0].dur_us()), (500, 500, 0));
+        let a = analyzed(&evs, 1_000_000);
+        let load = &a.page_loads[0].span;
+        assert_eq!((load.start_us, load.end_us, load.dur_us()), (500, 500, 0));
         assert_eq!(a.plts_us, [0]);
         let tree = a.tree(7).expect("the load's tree");
         assert_eq!((tree.plt_us, tree.spans.len()), (0, 2));
@@ -557,7 +555,7 @@ mod tests {
         evs.extend(traced_pair(4, "scholarcloud", "establish", 20_000, 400_000, T, Some(2), true));
         evs.extend(traced_pair(5, "scholarcloud", "attempt", 30_000, 400_000, T, Some(4), true));
         evs.extend(traced_pair(6, "scholarcloud", "relay", 250_000, 380_000, T, Some(5), true));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert_eq!(a.trees.len(), 1);
         let tree = a.tree(T).expect("tree by id");
         assert!(tree.completed() && tree.stitched());
@@ -604,7 +602,7 @@ mod tests {
         let mut evs = Vec::new();
         evs.extend(traced_pair(1, "web", "page_load", 0, 100_000, 7, None, true));
         evs.extend(traced_pair(2, "web", "origin", 10_000, 90_000, 7, Some(99), true));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         let tree = a.tree(7).unwrap();
         assert_eq!(tree.orphans, 1);
         assert_eq!(tree.tier_us.get("origin"), Some(&80_000));
@@ -615,7 +613,7 @@ mod tests {
         let mut evs = Vec::new();
         evs.extend(traced_pair(1, "web", "page_load", 0, 50_000, 8, None, false));
         evs.extend(traced_pair(2, "scholarcloud", "admission", 10_000, 12_000, 8, Some(1), true));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         let tree = a.tree(8).unwrap();
         assert!(tree.stitched() && !tree.completed());
         assert_eq!(a.attribution_coverage(), None, "no completed loads");
@@ -624,7 +622,7 @@ mod tests {
         // the trace). No attribution, but a renderable waterfall.
         let mut evs = Vec::new();
         evs.extend(traced_pair(5, "scholarcloud", "attempt", 0, 30_000, 9, Some(77), true));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         let tree = a.tree(9).unwrap();
         assert!(tree.root.is_none());
         assert_eq!(tree.plt_us, 0);
@@ -641,7 +639,7 @@ mod tests {
             .field("parent", 1u64)
             .in_span(SpanId(2));
         evs.push(reparsed(&s));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         let tree = a.tree(11).unwrap();
         let cut = tree.spans.iter().find(|s| s.id == 2).unwrap();
         assert!(!cut.closed);
@@ -655,7 +653,7 @@ mod tests {
         evs.extend(traced_pair(1, "web", "page_load", 0, 10_000, 13, None, true));
         evs.extend(traced_pair(2, "x", "a", 1_000, 2_000, 13, Some(3), true));
         evs.extend(traced_pair(3, "x", "b", 1_000, 2_000, 13, Some(2), true));
-        let a = analyze(&evs, 1_000_000);
+        let a = analyzed(&evs, 1_000_000);
         assert_eq!(a.tree(13).unwrap().tier_us.values().sum::<u64>(), 10_000);
     }
 }

@@ -15,6 +15,16 @@ pub(crate) fn reparsed(ev: &Event<'_>) -> TraceEvent<'static> {
     parse_line(&line(ev)).unwrap().into_owned()
 }
 
+/// `evs` folded as [`parse_trace`] folds the lines they were read from,
+/// and analyzed with `window_us`-wide windows.
+pub(crate) fn analyzed(evs: &[TraceEvent<'_>], window_us: u64) -> TraceAnalysis {
+    let mut trace = Trace::default();
+    for ev in evs {
+        trace.push(ev);
+    }
+    analyze(&trace.finish(), window_us)
+}
+
 pub(in crate::analyze) fn span_pair(
     id: u64,
     component: &'static str,
@@ -75,7 +85,7 @@ fn interference_and_slo_events_build_timelines() {
                 .field("burn", 2.5),
         ),
     );
-    let a = analyze(&evs, 1_000_000);
+    let a = analyzed(&evs, 1_000_000);
     assert_eq!(a.rule_timeline["gfw-dns"][&0], 2);
     assert_eq!(a.rule_timeline["gfw-sni"][&2], 1);
     assert_eq!(a.slo_alerts.len(), 1);
@@ -99,7 +109,7 @@ fn render_json_schema_is_stable() {
     };
     evs.push(mk(100, "miss"));
     evs.push(mk(200, "hit"));
-    let a = analyze(&evs, 1_000_000);
+    let a = analyzed(&evs, 1_000_000);
     let text = render_json(&a);
     let v = parse_json(&text).expect("render_json must emit valid JSON");
     assert_eq!(v.get("schema").and_then(Json::as_str), Some("scholar-obs/v5"));
@@ -206,7 +216,7 @@ fn render_json_schema_is_stable() {
     }
     assert_eq!(adaptive.get("time_to_detection_us"), Some(&Json::Null));
     // No finished loads → availability is null, still valid JSON.
-    let empty = analyze(&[], 1_000_000);
+    let empty = analyzed(&[], 1_000_000);
     let v = parse_json(&render_json(&empty)).unwrap();
     assert_eq!(v.get("availability"), Some(&Json::Null));
 }
@@ -225,7 +235,7 @@ fn alert_exemplars_are_parsed_and_rendered() {
                 .field("exemplars", "00000000000000ff,0000000000000abc"),
         ),
     );
-    let a = analyze(&evs, 1_000_000);
+    let a = analyzed(&evs, 1_000_000);
     assert_eq!(a.alert_exemplars.len(), 1);
     assert_eq!(a.alert_exemplars[0].1, "plt-p95");
     assert_eq!(a.alert_exemplars[0].2, vec![0xff, 0xabc]);
@@ -246,7 +256,7 @@ fn alert_exemplars_are_parsed_and_rendered() {
 #[test]
 fn a_page_load_ending_near_u64_max_renders() {
     let evs = span_pair(1, "web", "page_load", u64::MAX - 10, u64::MAX - 1);
-    let a = analyze(&evs, 2_000_000);
+    let a = analyzed(&evs, 2_000_000);
     let report = render_report(&a);
     assert!(report.contains("n=1"), "{report}");
     assert!(parse_json(&render_json(&a)).is_ok());
@@ -262,14 +272,14 @@ fn interference_lane_is_clipped_at_a_fixed_width() {
         reparsed(&Event::new(t, Level::Info, "gfw", "verdict", "drop").field("rule", "gfw-dns"))
     };
     for end in [40_000_000_000_000, u64::MAX] {
-        let report = render_report(&analyze(&[drop(1), drop(end)], 2_000_000));
+        let report = render_report(&analyzed(&[drop(1), drop(end)], 2_000_000));
         assert!(report.len() < 4096, "a {}-byte report", report.len());
         let lane = report.lines().find(|l| l.contains("gfw-dns")).expect("the rule's lane");
         assert!(lane.ends_with("…| total 2"), "{lane}");
         assert_eq!(lane.chars().filter(|c| *c == '.').count() as u64, LANE_WINDOWS - 1, "{lane}");
     }
     let whole = (LANE_WINDOWS - 1) * 2_000_000;
-    let report = render_report(&analyze(&[drop(1), drop(whole)], 2_000_000));
+    let report = render_report(&analyzed(&[drop(1), drop(whole)], 2_000_000));
     let lane = report.lines().find(|l| l.contains("gfw-dns")).expect("the rule's lane");
     assert!(lane.ends_with("@| total 2") && !lane.contains('…'), "{lane}");
 }
@@ -300,7 +310,7 @@ fn no_event_is_in_two_vocabularies() {
 /// nobody else's.
 #[test]
 fn each_listed_event_reaches_its_own_section_only() {
-    let blank = analyze(&[], 1);
+    let blank = analyzed(&[], 1);
     let printed = |a: &TraceAnalysis| -> Vec<String> {
         a.sections().iter().map(|s| format!("{:?}", s.json(a))).collect()
     };
@@ -311,7 +321,7 @@ fn each_listed_event_reaches_its_own_section_only() {
                 let ev = Event::new(7, Level::Info, component, target, name)
                     .field("verdict", "confirmed")
                     .field("total_micro", 5u64);
-                let a = analyze(&[reparsed(&ev)], 1);
+                let a = analyzed(&[reparsed(&ev)], 1);
                 for (j, (after, before)) in printed(&a).iter().zip(printed(&blank)).enumerate() {
                     assert_eq!(*after != before, i == j, "{component}/{target}/{name} → {j}");
                 }
@@ -341,7 +351,7 @@ fn design_md_tabulates_every_json_key() {
     }
     let cost = Event::new(100, Level::Info, "scholarcloud", "elastic", "cost");
     evs.push(reparsed(&cost.field("total_micro", 1000u64)));
-    let (rich, empty) = (analyze(&evs, 1_000_000), analyze(&[], 1_000_000));
+    let (rich, empty) = (analyzed(&evs, 1_000_000), analyzed(&[], 1_000_000));
 
     let owners = ["admission", "cache", "fleet", "elastic", "adaptive"];
     let owner_of = |key: &str| {

@@ -32,7 +32,7 @@
 //!
 //! Exit codes (used by `scripts/check.sh` as a smoke gate):
 //! * `0` — analysis printed (and any requested gates passed);
-//! * `1` — usage / IO error;
+//! * `1` — usage / IO error (a file that is not UTF-8 among them);
 //! * `2` — trace unparseable or empty;
 //! * `3` — trace parsed but carries no closed spans and no events worth
 //!   analyzing (empty analysis), or `--trace` names an unknown id;
@@ -40,7 +40,7 @@
 
 use std::process::ExitCode;
 
-use sc_obs::analyze::{gates, Gate};
+use sc_obs::analyze::{gates, read_trace, Gate, ReadError};
 
 fn usage(gates: &[&Gate]) -> String {
     let mut usage =
@@ -104,27 +104,28 @@ fn main() -> ExitCode {
         return ExitCode::from(1);
     };
 
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
+    // Read a line at a time: memory follows the spans a line leaves
+    // open and the requests' trees, not the size of the file.
+    let read = std::fs::File::open(&path)
+        .map_err(ReadError::Io)
+        .and_then(|file| read_trace(std::io::BufReader::new(file)));
+    let trace = match read {
+        Ok(trace) => trace,
+        Err(ReadError::Io(e)) => {
             eprintln!("scholar-obs: cannot read {path}: {e}");
             return ExitCode::from(1);
         }
-    };
-    let events = match sc_obs::analyze::parse_trace(&text) {
-        Ok(evs) => evs,
-        Err(e) => {
+        Err(ReadError::Parse(e)) => {
             eprintln!("scholar-obs: parse error in {path}: {e}");
             return ExitCode::from(2);
         }
     };
-    if events.is_empty() {
+    let analysis = sc_obs::analyze::analyze(&trace, window_s.saturating_mul(1_000_000));
+    if analysis.events == 0 {
         eprintln!("scholar-obs: {path} contains no events");
         return ExitCode::from(2);
     }
-
-    let analysis = sc_obs::analyze::analyze(&events, window_s.saturating_mul(1_000_000));
-    if analysis.spans.is_empty() && analysis.rule_timeline.is_empty() {
+    if analysis.spans_closed == 0 && analysis.rule_timeline.is_empty() {
         eprintln!(
             "scholar-obs: {path} parsed ({} events) but contains no spans or interference \
              events — was the trace captured at Debug level?",

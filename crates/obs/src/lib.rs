@@ -52,8 +52,9 @@
 //! let registry = guard.uninstall().into_registry();
 //! assert_eq!(registry.counter("gfw.drops"), 1);
 //! let text = std::fs::read_to_string(path).unwrap();
-//! let trace = sc_obs::analyze::parse_trace(&text).unwrap();
-//! assert_eq!((&*trace[0].name, trace[0].get_str("rule")), ("drop", Some("gfw-sni")));
+//! let line = text.lines().next().unwrap();
+//! let ev = sc_obs::analyze::parse_line(line).unwrap();
+//! assert_eq!((&*ev.name, ev.get_str("rule")), ("drop", Some("gfw-sni")));
 //! # std::fs::remove_file(path).unwrap();
 //! ```
 //!

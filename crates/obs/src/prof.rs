@@ -184,11 +184,6 @@ pub fn set_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
 }
 
-/// Whether the profiler is currently collecting on this thread.
-pub fn is_enabled() -> bool {
-    ENABLED.with(|e| e.get())
-}
-
 /// Clears all accumulated numbers and any open frames (call between
 /// benchmark scenarios).
 pub fn reset() {
@@ -405,7 +400,6 @@ mod tests {
     #[test]
     fn disabled_by_default_and_inert() {
         fresh();
-        assert!(!is_enabled());
         {
             let _g = scope(Subsystem::Tcp);
             let _h = scope(Subsystem::Cache);

@@ -5,7 +5,8 @@
 //! fixed field order so traces of the same seeded run are
 //! **byte-identical**. It is the only sink: the golden digests,
 //! `scholar-obs`, the benchmark and the tests all read a run's events
-//! back from that text with [`crate::analyze::parse_trace`].
+//! back from that text, a line at a time: [`crate::analyze::parse_trace`]
+//! folds a trace, [`crate::analyze::parse_line`] reads one record.
 //!
 //! A line is written in place: the dispatcher takes the sink's line
 //! buffer, writes the record's head into it, and hands the caller's
@@ -402,14 +403,14 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 pub(crate) mod capture {
-    //! A trace written to memory and read back the way every reader
-    //! reads one: as JSONL, through `parse_trace`.
+    //! A trace written to memory and read back as JSONL, a line at a
+    //! time through `parse_line`.
     use std::cell::RefCell;
     use std::io::{self, Write};
     use std::rc::Rc;
 
     use super::JsonlSink;
-    use crate::analyze::{parse_trace, TraceEvent};
+    use crate::analyze::{parse_line, TraceEvent};
 
     /// The bytes a [`JsonlSink`] wrote, readable after the sink has
     /// moved into a dispatcher.
@@ -427,11 +428,11 @@ pub(crate) mod capture {
             String::from_utf8(self.0.borrow().clone()).expect("the writer writes UTF-8")
         }
 
-        /// What was written so far, parsed.
+        /// What was written so far, each line parsed.
         pub(crate) fn events(&self) -> Vec<TraceEvent<'static>> {
             let text = self.text();
-            let events = parse_trace(&text).expect("the writer's lines parse");
-            events.into_iter().map(TraceEvent::into_owned).collect()
+            let parsed = |line| parse_line(line).expect("the writer's lines parse").into_owned();
+            text.lines().map(parsed).collect()
         }
     }
 

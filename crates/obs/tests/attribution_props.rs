@@ -9,7 +9,7 @@
 //! byte-identical-trace guarantee leans on.
 
 use proptest::prelude::*;
-use sc_obs::analyze::{analyze, parse_line, render_json, TraceEvent};
+use sc_obs::analyze::{analyze, parse_trace, render_json, TraceAnalysis};
 use sc_obs::{write_line, Level, SpanId};
 
 /// One generated child span: which earlier span it claims as parent
@@ -85,9 +85,9 @@ fn push_pair(
     }
 }
 
-/// Lower a generated forest to a time-ordered event stream, the way a
+/// Lower a generated forest to a time-ordered JSONL trace, the way a
 /// real `SC_TRACE` capture would interleave concurrent requests.
-fn forest_to_events(forest: &[GenTree]) -> Vec<TraceEvent<'static>> {
+fn forest_to_trace(forest: &[GenTree]) -> String {
     let mut lines: Vec<(u64, String)> = Vec::new();
     let mut next_id = 1u64;
     for (t_idx, (rooted_pct, window, children)) in forest.iter().enumerate() {
@@ -125,10 +125,13 @@ fn forest_to_events(forest: &[GenTree]) -> Vec<TraceEvent<'static>> {
         }
     }
     lines.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-    lines
-        .iter()
-        .map(|(_, l)| parse_line(l).expect("self-emitted line parses").into_owned())
-        .collect()
+    lines.iter().map(|(_, l)| format!("{l}\n")).collect()
+}
+
+/// The forest's trace, read as the analyzer reads a file.
+fn forest_analyzed(forest: &[GenTree]) -> TraceAnalysis {
+    let trace = parse_trace(&forest_to_trace(forest)).expect("self-emitted lines parse");
+    analyze(&trace, 1_000_000)
 }
 
 proptest! {
@@ -140,8 +143,7 @@ proptest! {
     fn exclusive_attribution_partitions_the_root_window(
         forest in prop::collection::vec(gen_tree(), 1..4)
     ) {
-        let events = forest_to_events(&forest);
-        let analysis = analyze(&events, 1_000_000);
+        let analysis = forest_analyzed(&forest);
         // A rootless tree with no children emits no event at all, so
         // the trace cannot hold a tree for it.
         let emitting = forest
@@ -179,9 +181,7 @@ proptest! {
     fn attribution_is_deterministic(
         forest in prop::collection::vec(gen_tree(), 1..4)
     ) {
-        let events = forest_to_events(&forest);
-        let a = analyze(&events, 1_000_000);
-        let b = analyze(&events, 1_000_000);
+        let (a, b) = (forest_analyzed(&forest), forest_analyzed(&forest));
         prop_assert_eq!(render_json(&a), render_json(&b));
         prop_assert_eq!(a.trees.len(), b.trees.len());
         for (ta, tb) in a.trees.iter().zip(&b.trees) {

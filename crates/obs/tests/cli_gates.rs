@@ -211,3 +211,41 @@ fn boolean_gates_and_json_keep_their_exit_codes() {
     assert!(String::from_utf8_lossy(&json.stdout).contains("\"schema\": \"scholar-obs/v5\""));
     assert_eq!(code(&run(&rich, &["--bogus"])), 1);
 }
+
+/// The binary reads the file a line at a time, and what it cannot read
+/// keeps its exit code: a damaged line is a parse error (2) that names
+/// the line, counting blank ones; bytes that are not UTF-8 are an I/O
+/// error (1); a file with no events is 2. `\r\n` endings read as `\n`.
+#[test]
+fn the_file_is_read_a_line_at_a_time_with_the_old_exit_codes() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let file = |name: &str, bytes: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes).expect("write trace");
+        path
+    };
+    let [start, end] = span(1, "web", "dns", (0, 10), 0, None, true);
+    let stderr = |out: &Output| String::from_utf8_lossy(&out.stderr).into_owned();
+
+    let damaged = format!("{}\n\n{}\n", start.line, &end.line[..end.line.len() - 1]);
+    let out = run(&file("cli_gates_damaged.jsonl", damaged.as_bytes()), &[]);
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    assert!(stderr(&out).contains(": line 3: "), "{}", stderr(&out));
+    assert!(out.stdout.is_empty());
+
+    let mut latin1 = format!("{}\n", start.line).into_bytes();
+    latin1.extend_from_slice(b"{\"t_us\":1,\"level\":\"info\",\"component\":\"caf\xe9\"");
+    let out = run(&file("cli_gates_latin1.jsonl", &latin1), &[]);
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert!(stderr(&out).contains("cannot read"), "{}", stderr(&out));
+
+    let out = run(&file("cli_gates_empty.jsonl", b""), &[]);
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    assert!(stderr(&out).contains("contains no events"), "{}", stderr(&out));
+
+    let rich = rich_trace("crlf");
+    let crlf = std::fs::read_to_string(&rich).unwrap().replace('\n', "\r\n");
+    let out = run(&file("cli_gates_crlf.jsonl", crlf.as_bytes()), &[]);
+    assert_eq!(code(&out), 0, "{}", stderr(&out));
+    assert_eq!(out.stdout, run(&rich, &[]).stdout);
+}

@@ -9,14 +9,18 @@
 //! (d) whatever sequence of well-formed events a trace holds — the
 //! analyzer's own vocabulary in any order, with any timestamps, span
 //! ids and field types — parses, analyzes and renders without a panic,
-//! to JSON that parses back, the same bytes every time.
+//! to JSON that parses back, the same bytes every time; (e) read from a
+//! reader a few bytes at a time, with `\r\n` endings and blank lines
+//! among the records, a trace gives what the text gives: the same
+//! report and `--json`, or the same `line N: …` error when damaged.
 
 use std::borrow::Cow;
+use std::io::{BufReader, Read};
 
 use proptest::prelude::*;
 use sc_obs::analyze::{
-    analyze, parse_json, parse_line, parse_trace, render_json, render_report, render_waterfall,
-    JsonValue, TraceAnalysis, MAX_DEPTH,
+    analyze, parse_json, parse_line, parse_trace, read_trace, render_json, render_report,
+    render_waterfall, JsonValue, ReadError, TraceAnalysis, MAX_DEPTH,
 };
 use sc_obs::{write_line, FieldValue, Level, SpanId};
 
@@ -350,6 +354,75 @@ proptest! {
             printed
         };
         prop_assert_eq!(read(), read());
+    }
+}
+
+/// A reader that hands out its bytes 1–7 at a time, in the order
+/// `sizes` cycles through, as a pipe may.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    sizes: Vec<usize>,
+    reads: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.sizes[self.reads % self.sizes.len()];
+        let n = want.min(buf.len()).min(self.bytes.len());
+        self.reads += 1;
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// What each entry point prints for a trace: its report and `--json`,
+/// or the error that stopped it.
+fn printed(read: Result<sc_obs::analyze::Trace, String>) -> Result<String, String> {
+    let analysis = analyze(&read?, 2_000_000);
+    Ok(render_report(&analysis) + &render_json(&analysis))
+}
+
+proptest! {
+    #[test]
+    fn parse_from_a_reader_gives_what_parse_from_the_text_gives(
+        events in prop::collection::vec((gen_read_side_event(), 0u8..8), 0..40),
+        sizes in prop::collection::vec(1usize..8, 1..6),
+        damage in (0u8..4, any::<usize>(), 0usize..6),
+    ) {
+        // Each record ends in `\n` or `\r\n`, after a blank line one time
+        // in four; the last may end at the end of the file.
+        const BLANK: [&str; 4] = ["\n", "\r\n", "  \t\n", "\r\n"];
+        let mut text = String::new();
+        for (ev, ending) in &events {
+            if ending & 3 == 0 {
+                text.push_str(BLANK[usize::from(ending >> 2) % BLANK.len()]);
+            }
+            text.push_str(&line_of(ev));
+            text.push_str(if ending & 4 == 0 { "\n" } else { "\r\n" });
+        }
+        if damage.0 == 1 {
+            text.truncate(text.trim_end().len());
+        }
+        // Damage: a byte that breaks JSON, or a line break, put anywhere
+        // on a character boundary.
+        if damage.0 >= 2 && !text.is_empty() {
+            let mut at = damage.1 % text.len();
+            while !text.is_char_boundary(at) {
+                at -= 1;
+            }
+            text.insert(at, ['{', '"', '\n', '\r', 'x', ','][damage.2]);
+        }
+        let from_text = printed(parse_trace(&text));
+        let reader = BufReader::new(Trickle { bytes: text.as_bytes(), sizes, reads: 0 });
+        let from_reader = printed(read_trace(reader).map_err(|e| match e {
+            ReadError::Parse(e) => e,
+            ReadError::Io(e) => panic!("a UTF-8 text is read without an I/O error: {e}"),
+        }));
+        if let Err(e) = &from_text {
+            prop_assert!(e.starts_with("line "), "{}", e);
+        }
+        prop_assert_eq!(from_reader, from_text);
     }
 }
 

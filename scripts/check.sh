@@ -332,14 +332,32 @@ echo "structure: ok (tick returns on a cached window edge)"
 
 # Structure, one sink and one level (DESIGN.md §6b "Sinks"): the
 # dispatcher writes accepted events to one JsonlSink, filtered by one
-# level, and a test reads what it wrote back with parse_trace like every
-# other reader. The in-memory ring, the sink trait, per-component levels
-# and the public emit are gone (bracketed so that this file does not
-# match).
+# level, and a test that looks at single events reads what it wrote back
+# as JSONL, line by line with parse_line. The in-memory ring, the sink
+# trait, per-component levels and the public emit are gone (bracketed so
+# that this file does not match).
 fail_if_found "a second sink, a per-component level or a public emit" \
     grep -rnE 'RingSin[k]|RingHandl[e]|dyn Sin[k]|impl Sin[k] for|with_component_leve[l]|pub fn emi[t]\(' \
         crates src examples tests benchmark/src --include='*.rs'
 echo "structure: ok (one JSONL sink, one level)"
+
+# Structure, the analyzer reads a line at a time (DESIGN.md §6l): each
+# line is parsed into one reused event and folded into a Trace before
+# the next is read, so no list of events is built or taken above a test
+# module in sc-obs (analyze/tests.rs, test code, builds its inputs that
+# way), and scholar-obs streams its file through read_trace instead of
+# reading it whole. Replaced, not forked (bracketed so that this file
+# does not match).
+event_lists() {
+    find crates/obs/src -name '*.rs' ! -path '*/analyze/tests.rs' | sort | xargs awk '
+        FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
+        !tests && /Vec<TraceEven[t]|&\[TraceEven[t]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }'
+}
+fail_if_found "a list of every event above a test module in sc-obs" event_lists
+fail_if_found "scholar-obs reads its trace whole" \
+    grep -n 'read_to_strin[g]' crates/obs/src/bin/scholar-obs.rs
+echo "structure: ok (the analyzer folds a trace line by line)"
 
 # Structure, measuring: one harness (benchmark/). The old one was
 # deleted, not kept beside its replacement — sc-bench is criterion

@@ -4,7 +4,11 @@
 //! be run here, small, under the same counting allocator, against a
 //! stated budget. A change that brings back a `String` per header, a copy
 //! of the page per tier or a name lookup per metric write fails this
-//! before anyone runs the benchmark.
+//! before anyone runs the benchmark. The analyzer is held the same way:
+//! its pass over the traced shape's trace has a budget per line, and
+//! its peak memory over a trace of lines it keeps nothing of is one
+//! bound however long the trace — a pass that holds every event again
+//! fails here.
 //!
 //! The budgets are what the shapes cost when this file was last touched
 //! plus about a tenth; a change that lowers the cost lowers them with it.
@@ -13,8 +17,9 @@ mod common;
 
 use common::SharedBuf;
 use sc_metrics::{build_scenario, Method, ScenarioConfig};
-use sc_obs::prof::{alloc_stats, CountingAlloc};
-use sc_obs::{Dispatcher, JsonlSink, Level, WindowSpec};
+use sc_obs::analyze::{analyze, parse_trace};
+use sc_obs::prof::{alloc_stats, reset_alloc_peak, CountingAlloc};
+use sc_obs::{write_line, Dispatcher, JsonlSink, Level, SpanId, WindowSpec};
 use sc_simnet::faults::{Fault, FaultPlan};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -58,9 +63,10 @@ fn steady(cfg: &ScenarioConfig) -> (f64, f64) {
 /// `sc_ops_incident`'s shape, small: a flash crowd, a rolling GFW
 /// blacklist over three remotes (two dark at once for part of each
 /// cycle), run under the dispatcher the benchmark installs — Debug
-/// level, an in-memory JSONL sink, 10 s windows and the default SLOs —
-/// and read back as the benchmark reads it.
-fn traced_incident(seed: u64) -> (f64, f64) {
+/// level, an in-memory JSONL sink, 10 s windows and the default SLOs.
+/// Returns its cost per load and the trace it wrote, which the
+/// analyzer's budget reads back as the benchmark reads it.
+fn traced_incident(seed: u64) -> ((f64, f64), String) {
     let mut cfg = shape(seed, 6, 10);
     cfg.sc_remotes = 3;
     cfg.sc_max_tunnels = Some(4);
@@ -70,7 +76,8 @@ fn traced_incident(seed: u64) -> (f64, f64) {
     cfg.flash_start = SimDuration::from_secs(20);
     cfg.flash_ramp = SimDuration::from_secs(4);
     let loads = cfg.clients * cfg.loads + cfg.flash_clients * cfg.flash_loads;
-    cost_per_load(loads, || {
+    let mut trace = String::new();
+    let cost = cost_per_load(loads, || {
         let buf = SharedBuf::default();
         let guard = Dispatcher::new()
             .with_level(Level::Debug)
@@ -103,11 +110,37 @@ fn traced_incident(seed: u64) -> (f64, f64) {
         let outcome = built.finish();
         let d = guard.uninstall();
         let registry = d.registry().clone();
-        let trace = String::from_utf8(std::mem::take(&mut *buf.0.borrow_mut())).expect("UTF-8");
+        trace = String::from_utf8(std::mem::take(&mut *buf.0.borrow_mut())).expect("UTF-8");
         assert!(registry.counter("scholarcloud.failovers") > 0, "the blacklist forced failovers");
         assert!(trace.lines().count() > loads, "the run was traced");
         assert_eq!(outcome.loads.iter().flatten().count(), loads, "every load ends");
-    })
+    });
+    (cost, trace)
+}
+
+/// `(allocations, peak live bytes above the start)` of the analyzer's
+/// pass over `text` as the benchmark runs it: `parse_trace`, then
+/// `analyze` at 10 s windows.
+fn analyzer_pass(text: &str) -> (u64, u64) {
+    reset_alloc_peak();
+    let before = alloc_stats();
+    let analysis = analyze(&parse_trace(text).expect("the trace parses"), 10_000_000);
+    let after = alloc_stats();
+    assert!(analysis.events > 0);
+    (after.allocations - before.allocations, after.peak_bytes - before.in_use_bytes)
+}
+
+/// `lines` records of a packet delivery inside a span: an event the
+/// analyzer counts per component and keeps nothing else of.
+fn unread_lines(lines: u64) -> String {
+    let mut text = String::new();
+    for t in 0..lines {
+        write_line(&mut text, t, Level::Debug, "simnet", "packet", "deliver", SpanId(7), |f| {
+            f.field("bytes", 1500u64).field("src", "10.0.0.1:443");
+        });
+        text.push('\n');
+    }
+    text
 }
 
 /// One test, so that nothing else allocates while a shape is counted.
@@ -126,18 +159,34 @@ fn a_page_load_stays_inside_its_allocation_budget() {
     fleet.sc_cache_bytes = Some(12 * 1024);
     fleet.origin_max_age = Some(20);
 
+    let (incident, trace) = traced_incident(2317);
     for (name, (allocs, bytes), max_allocs, max_bytes) in [
         ("tunnel", steady(&tunnel), TUNNEL_ALLOCS, TUNNEL_BYTES),
         ("gateway fleet", steady(&fleet), FLEET_ALLOCS, FLEET_BYTES),
         // What the write side of obs adds: a registry write is an indexed
         // add, a trace line is written into one reused buffer.
-        ("traced incident", traced_incident(2317), INCIDENT_ALLOCS, INCIDENT_BYTES),
+        ("traced incident", incident, INCIDENT_ALLOCS, INCIDENT_BYTES),
     ] {
         println!("{name}: {allocs:.1} allocations, {bytes:.0} B a load (budget {max_allocs}, {max_bytes})");
         assert!(allocs <= max_allocs, "{name}: {allocs:.1} allocations a load, budget {max_allocs}");
         assert!(bytes <= max_bytes, "{name}: {bytes:.0} B allocated a load, budget {max_bytes}");
         // A budget nobody is near holds no line.
         assert!(allocs >= 0.8 * max_allocs, "{name}: {allocs:.1} allocations a load: lower the budget to it");
+    }
+
+    // The read side: each line is parsed into one reused event and
+    // folded in, so what a line costs is what the analysis keeps of it.
+    let (allocs, _) = analyzer_pass(&trace);
+    let per_line = allocs as f64 / trace.lines().count() as f64;
+    println!("analyzer pass: {per_line:.3} allocations a line (budget {ANALYZER_ALLOCS_PER_LINE})");
+    assert!(per_line <= ANALYZER_ALLOCS_PER_LINE, "analyzer: {per_line:.3} allocations a line");
+    assert!(per_line >= 0.8 * ANALYZER_ALLOCS_PER_LINE, "analyzer: {per_line:.3} a line: lower the budget to it");
+    // Memory follows the spans a trace leaves open, not its length.
+    for lines in [10_000, 100_000] {
+        let (_, peak) = analyzer_pass(&unread_lines(lines));
+        println!("analyzer over {lines} unread lines: peak {peak} B (bound {ANALYZER_PEAK_BYTES})");
+        assert!(peak <= ANALYZER_PEAK_BYTES, "analyzer over {lines} lines: peak {peak} B");
+        assert!(peak as f64 >= 0.8 * ANALYZER_PEAK_BYTES as f64, "{peak} B: lower the bound to it");
     }
 }
 
@@ -160,3 +209,11 @@ const FLEET_ALLOCS: f64 = 185.0;
 const FLEET_BYTES: f64 = 56_500.0;
 const INCIDENT_ALLOCS: f64 = 185.0;
 const INCIDENT_BYTES: f64 = 100_000.0;
+
+// The analyzer's pass over the traced incident's trace measured 0.610
+// allocations a line, and its peak over 10 000 and over 100 000 lines
+// nothing reads 972 B each, once each line was folded into the trace
+// as it was read; while `parse_trace` returned every event they were
+// 1.550 a line, 4 599 670 B and 41 274 742 B.
+const ANALYZER_ALLOCS_PER_LINE: f64 = 0.67;
+const ANALYZER_PEAK_BYTES: u64 = 1_070;

@@ -1,13 +1,19 @@
 //! Observability smoke test: a small seeded ScholarCloud scenario run
-//! under a JSONL collector, read back with the analyzer's parser, must
-//! produce the key events from every instrumented layer, and the GFW's
-//! embedded-SNI scanner must find nothing (blinding is on).
+//! under a JSONL collector, read back line by line with the analyzer's
+//! parser, must produce the key events from every instrumented layer,
+//! and the GFW's embedded-SNI scanner must find nothing (blinding is
+//! on).
 
 mod common;
 
 use common::captured;
 use sc_metrics::{Method, ScenarioConfig, run_scenario};
-use sc_obs::analyze::{TraceEvent, parse_trace};
+use sc_obs::analyze::{TraceEvent, parse_line};
+
+/// Every record of a trace, each parsed from its line.
+fn parsed(text: &str) -> Vec<TraceEvent<'_>> {
+    text.lines().map(|line| parse_line(line).expect("each line parses")).collect()
+}
 
 /// The components that wrote at least one event, in first-seen order.
 fn components<'a>(events: &'a [TraceEvent<'_>]) -> Vec<&'a str> {
@@ -46,7 +52,7 @@ fn scholarcloud_run_emits_key_events() {
         .expect("a dispatcher is installed");
     });
     let text = String::from_utf8(trace).expect("UTF-8 trace");
-    let events = parse_trace(&text).expect("the trace parses");
+    let events = parsed(&text);
 
     // The remote proxy authenticated at least one preamble (the tunnel
     // worked), and the scanner never reset a tunnel.
@@ -86,7 +92,7 @@ fn active_probe_against_remote_proxy_gets_a_decoy() {
         assert!(out.gfw.probes_requested >= 1);
     });
     let text = String::from_utf8(trace).expect("UTF-8 trace");
-    let events = parse_trace(&text).expect("the trace parses");
+    let events = parsed(&text);
     assert!(count(&events, "gfw", "requested") >= 1, "no probe request events");
     assert!(count(&events, "gfw", "launched") >= 1, "no probe launch events");
     assert!(count(&events, "gfw", "verdict") >= 1, "no probe verdict events");
@@ -106,7 +112,7 @@ fn blocked_direct_run_emits_events_from_four_crates() {
         assert!(!out.censor_by_rule.is_empty(), "censor drops must be attributed");
     });
     let text = String::from_utf8(trace).expect("UTF-8 trace");
-    let events = parse_trace(&text).expect("the trace parses");
+    let events = parsed(&text);
 
     let components = components(&events);
     for c in ["metrics", "web", "gfw", "simnet"] {
