@@ -612,6 +612,59 @@ fn analyzer_output_digests_match_golden() {
     check_golden("analyzer_digests.txt", &actual);
 }
 
+/// A baseline transport under faults: `method`'s paper scenario with
+/// two clients, whose server-side node at `victim` (the Shadowsocks VM,
+/// or a Tor relay every circuit crosses) first loses packets on its one
+/// access link for a few seconds, then crashes mid-load and comes back.
+/// Loads time out and fail, the local proxy queues browsers behind a
+/// shared re-authentication, and relays drop their links: the paths
+/// where a table is walked and what it holds goes out on the wire.
+fn faulted_transport_run(mut cfg: ScenarioConfig, victim: sc_simnet::addr::Addr) -> Vec<u8> {
+    use sc_simnet::faults::Fault;
+    captured(|| {
+        cfg.clients = 2;
+        cfg.loads = 4;
+        cfg.interval = SimDuration::from_secs(15);
+        cfg.timeout = SimDuration::from_secs(12);
+        cfg.extra_runtime = SimDuration::from_secs(15);
+        let mut built = build_scenario(&cfg);
+        let node = built.sim.node_by_addr(victim).expect("the victim is in the topology");
+        let access = built.sim.node(node).links[0];
+        let plan = FaultPlan::new()
+            .at(SimTime::from_secs(16), Fault::LinkLoss(access, 0.3))
+            .at(SimTime::from_secs(20), Fault::LinkLoss(access, 0.0))
+            .at(SimTime::from_secs(32), Fault::NodeCrash(node))
+            .at(SimTime::from_secs(40), Fault::NodeRestart(node));
+        built.sim.install_fault_plan(plan);
+        built.finish();
+    })
+}
+
+fn tor_faulted_run(seed: u64) -> Vec<u8> {
+    faulted_transport_run(ScenarioConfig::paper(Method::Tor, seed), sc_metrics::scenario::addrs::MIDDLE)
+}
+
+/// Shadowsocks with one authentication shared by every data connection
+/// opened within the keep-alive window, so the browsers of a load queue
+/// behind it.
+fn shadowsocks_faulted_run(seed: u64) -> Vec<u8> {
+    let mut cfg = ScenarioConfig::paper(Method::Shadowsocks, seed);
+    cfg.ss_auth_per_connection = false;
+    faulted_transport_run(cfg, sc_metrics::scenario::addrs::SS)
+}
+
+#[test]
+fn faulted_transport_traces_are_byte_identical() {
+    for (label, run) in [("tor", tor_faulted_run as fn(u64) -> Vec<u8>), ("shadowsocks", shadowsocks_faulted_run)] {
+        let a = run(61);
+        let text = String::from_utf8(a.clone()).unwrap();
+        for needed in ["\"event\":\"link_loss\"", "\"event\":\"node_crash\"", "\"event\":\"node_restart\""] {
+            assert!(text.contains(needed), "{label}: trace must record {needed}");
+        }
+        assert_eq!(a, run(61), "{label}: same seed + same faults must be byte-identical");
+    }
+}
+
 /// The proxy-heavy scenarios, pinned byte for byte: the analyzer digests
 /// above only see what `analyze` reads, so a reordered field or a
 /// renamed key in an event it ignores would slip past them. These hash
@@ -626,6 +679,8 @@ fn scenario_trace_digests_match_golden() {
         ("CacheLab", cache_lab_run(4242)),
         ("Ops", ops_run(91).0),
         ("Elastic", elastic_run(7171)),
+        ("TorFaulted", tor_faulted_run(61)),
+        ("ShadowsocksFaulted", shadowsocks_faulted_run(61)),
     ] {
         actual.push_str(&digest_line(label, &trace));
     }
