@@ -9,7 +9,7 @@
 //! browsers on a hot Scholar page therefore costs one cross-border stream
 //! instead of N.
 
-use std::collections::HashMap;
+use sc_simnet::hash::FixedMap;
 
 use crate::store::CacheKey;
 
@@ -37,13 +37,13 @@ pub enum Role {
 /// requesters can be pruned.
 #[derive(Debug, Default)]
 pub struct Singleflight<W> {
-    flights: HashMap<CacheKey, Flight<W>>,
+    flights: FixedMap<CacheKey, Flight<W>>,
 }
 
 impl<W: Copy + PartialEq> Singleflight<W> {
     /// An empty table.
     pub fn new() -> Self {
-        Singleflight { flights: HashMap::new() }
+        Singleflight { flights: FixedMap::default() }
     }
 
     /// Registers requester `w` for `key`: leader if no fetch is in

@@ -2,10 +2,11 @@
 //! deterministic LRU eviction.
 
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sc_simnet::bytes::Bytes;
+use sc_simnet::hash::FixedMap;
 use sc_simnet::time::{SimDuration, SimTime};
 
 /// Cache identity of a response: the origin host (lowercased by the
@@ -167,10 +168,10 @@ impl CacheStats {
 /// `Rc<RefCell<_>>` rather than any lock.
 pub struct ContentCache {
     cfg: CacheConfig,
-    map: HashMap<CacheKey, Entry>,
+    map: FixedMap<CacheKey, Entry>,
     /// Recency index: seq → key, lowest seq = least recently used.
-    /// A `BTreeMap` (not a `HashMap`) so eviction scans are ordered and
-    /// the evicted sequence is deterministic.
+    /// A `BTreeMap`, so eviction scans are ordered and the evicted
+    /// sequence is deterministic.
     lru: BTreeMap<u64, CacheKey>,
     next_seq: u64,
     used: usize,
@@ -183,7 +184,7 @@ impl ContentCache {
     pub fn new(cfg: CacheConfig) -> Self {
         ContentCache {
             cfg,
-            map: HashMap::new(),
+            map: FixedMap::default(),
             lru: BTreeMap::new(),
             next_seq: 0,
             used: 0,

@@ -1,11 +1,10 @@
 //! DNS servers: an authoritative zone server and a caching recursive
 //! resolver, both as [`App`]s on simulated nodes.
 
-use std::collections::HashMap;
-
 use bytes::Bytes;
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, UdpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimTime;
 
@@ -17,7 +16,7 @@ pub const DNS_PORT: u16 = 53;
 /// A zone: name → addresses. Names are stored lowercase.
 #[derive(Debug, Clone, Default)]
 pub struct Zone {
-    records: HashMap<String, Vec<ARecord>>,
+    records: FixedMap<String, Vec<ARecord>>,
 }
 
 impl Zone {
@@ -101,9 +100,9 @@ struct CacheEntry {
 #[derive(Debug)]
 pub struct RecursiveResolver {
     upstream: Addr,
-    cache: HashMap<String, CacheEntry>,
+    cache: FixedMap<String, CacheEntry>,
     /// In-flight upstream queries: upstream-id → (client, client-id).
-    pending: HashMap<u16, (SocketAddr, u16)>,
+    pending: FixedMap<u16, (SocketAddr, u16)>,
     next_id: u16,
     sock: Option<UdpHandle>,
     /// Cache hits (diagnostics).
@@ -117,8 +116,8 @@ impl RecursiveResolver {
     pub fn new(upstream: Addr) -> Self {
         RecursiveResolver {
             upstream,
-            cache: HashMap::new(),
-            pending: HashMap::new(),
+            cache: FixedMap::default(),
+            pending: FixedMap::default(),
             next_id: 1,
             sock: None,
             hits: 0,

@@ -3,10 +3,11 @@
 //! cold state is one of the paper's three reasons first-time page loads are
 //! slower (§4.3).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::UdpHandle;
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimTime;
 
@@ -48,8 +49,8 @@ pub struct StubResolver {
     server: SocketAddr,
     sock: Option<UdpHandle>,
     next_id: u16,
-    pending: HashMap<u16, (String, u64)>,
-    cache: HashMap<String, CachedAnswer>,
+    pending: BTreeMap<u16, (String, u64)>,
+    cache: FixedMap<String, CachedAnswer>,
     /// Number of queries answered from cache.
     pub cache_hits: u64,
 }
@@ -61,8 +62,8 @@ impl StubResolver {
             server: SocketAddr::new(server, DNS_PORT),
             sock: None,
             next_id: 1,
-            pending: HashMap::new(),
-            cache: HashMap::new(),
+            pending: BTreeMap::new(),
+            cache: FixedMap::default(),
             cache_hits: 0,
         }
     }
@@ -147,10 +148,7 @@ impl StubResolver {
     /// Panics if [`StubResolver::bind`] has not been called.
     pub fn retry_pending(&mut self, ctx: &mut Ctx<'_>) {
         let sock = self.sock.expect("StubResolver::bind not called");
-        let mut ids: Vec<u16> = self.pending.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let (name, _) = &self.pending[&id];
+        for (&id, (name, _)) in &self.pending {
             ctx.udp_send(sock, self.server, DnsMessage::query(id, name).encode());
         }
     }

@@ -21,10 +21,11 @@
 //! `sc-core`'s elastic autoscaler — the module itself is a pure state
 //! machine, which is what makes the proptests possible.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use sc_netproto::scan;
 use sc_simnet::addr::SocketAddr;
+use sc_simnet::hash::{FixedMap, FixedSet};
 use sc_simnet::time::{SimDuration, SimTime};
 
 use crate::classify::FlowRecord;
@@ -103,7 +104,7 @@ impl Default for AdaptiveConfig {
 #[derive(Debug, Default)]
 pub struct ServerEvidence {
     /// Distinct client endpoints seen connecting here.
-    pub clients: HashSet<SocketAddr>,
+    pub clients: FixedSet<SocketAddr>,
     /// Machine-like reconnects (new flow within the cadence window).
     pub cadence_hits: u32,
     /// Flows whose preamble looked odd.
@@ -151,8 +152,8 @@ pub enum FingerprintOutcome {
 /// arguments.
 #[derive(Debug, Default)]
 pub struct AdaptiveState {
-    servers: HashMap<SocketAddr, ServerEvidence>,
-    fingerprints: HashMap<Vec<u8>, u32>,
+    servers: FixedMap<SocketAddr, ServerEvidence>,
+    fingerprints: FixedMap<Vec<u8>, u32>,
     learned: Vec<LearnedSig>,
     regions: Vec<RegionState>,
     next_expiry: Option<SimTime>,
@@ -435,7 +436,7 @@ pub(crate) fn process_flow(
     cfg: &AdaptiveConfig,
     learned_signatures: &mut Vec<Vec<u8>>,
     probe_queue: &mut VecDeque<SocketAddr>,
-    replay_preambles: &mut HashMap<SocketAddr, Vec<u8>>,
+    replay_preambles: &mut BTreeMap<SocketAddr, Vec<u8>>,
     counters: &mut GfwCounters,
     rec: &mut FlowRecord,
     evidence_changed: bool,

@@ -2,13 +2,14 @@
 //! requests active probes, and throttles classified flows.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
 use rand::Rng;
 use sc_dns::forge_response;
 use sc_simnet::addr::{Addr, SocketAddr};
+use sc_simnet::hash::FixedSet;
 use sc_simnet::middlebox::{MbCtx, Middlebox, Verdict};
 use sc_simnet::packet::{L4, Packet, TcpFlags, TcpSegmentBody};
 
@@ -62,15 +63,15 @@ pub struct GfwState {
     /// Servers awaiting an active probe.
     pub probe_queue: VecDeque<SocketAddr>,
     /// Servers already probed (never re-probed).
-    pub probed: HashSet<SocketAddr>,
+    pub probed: BTreeSet<SocketAddr>,
     /// Servers confirmed as circumvention proxies.
-    pub confirmed: HashSet<SocketAddr>,
+    pub confirmed: FixedSet<SocketAddr>,
     /// The reactive censor's evidence (idle unless
     /// [`GfwConfig::adaptive`] is set).
     pub adaptive: crate::adaptive::AdaptiveState,
     /// Captured preambles campaign probes replay instead of garbage,
     /// keyed by target server (populated only by adaptive campaigns).
-    pub replay_preambles: HashMap<SocketAddr, Vec<u8>>,
+    pub replay_preambles: BTreeMap<SocketAddr, Vec<u8>>,
     /// Activity counters.
     pub counters: GfwCounters,
 }
@@ -85,10 +86,10 @@ pub fn new_gfw(config: GfwConfig) -> GfwHandle {
         rules_epoch: 0,
         flows: FlowTable::new(),
         probe_queue: VecDeque::new(),
-        probed: HashSet::new(),
-        confirmed: HashSet::new(),
+        probed: BTreeSet::new(),
+        confirmed: FixedSet::default(),
         adaptive: crate::adaptive::AdaptiveState::default(),
-        replay_preambles: HashMap::new(),
+        replay_preambles: BTreeMap::new(),
         counters: GfwCounters::default(),
     }))
 }

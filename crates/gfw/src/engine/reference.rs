@@ -473,18 +473,13 @@ mod tests {
         counters: super::super::GfwCounters,
         flows: Vec<Option<(TrafficClass, usize, bool, bool)>>,
         probe_queue: Vec<SocketAddr>,
-        probed: Vec<SocketAddr>,
+        probed: std::collections::BTreeSet<SocketAddr>,
         learned_signatures: Vec<Vec<u8>>,
-        replay_preambles: Vec<(SocketAddr, Vec<u8>)>,
+        replay_preambles: std::collections::BTreeMap<SocketAddr, Vec<u8>>,
         adaptive: (u64, u64, u64, Option<SimTime>),
     }
 
     fn snapshot(st: &GfwState) -> Snapshot {
-        let mut probed: Vec<_> = st.probed.iter().copied().collect();
-        probed.sort();
-        let mut replay_preambles: Vec<_> =
-            st.replay_preambles.iter().map(|(k, v)| (*k, v.clone())).collect();
-        replay_preambles.sort();
         Snapshot {
             counters: st.counters,
             flows: (0..FLOWS)
@@ -496,9 +491,9 @@ mod tests {
                 })
                 .collect(),
             probe_queue: st.probe_queue.iter().copied().collect(),
-            probed,
+            probed: st.probed.clone(),
             learned_signatures: st.config.learned_signatures.clone(),
-            replay_preambles,
+            replay_preambles: st.replay_preambles.clone(),
             adaptive: (
                 st.adaptive.campaigns_launched,
                 st.adaptive.signatures_learned,

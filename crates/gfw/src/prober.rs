@@ -9,7 +9,7 @@
 //! an HTTP decoy to anything that fails its authentication — answers like
 //! a web server and is left alone.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::Rng;
 use sc_simnet::addr::SocketAddr;
@@ -58,7 +58,7 @@ struct Probe {
 /// [`GfwHandle`] as the middlebox.
 pub struct ActiveProber {
     state: GfwHandle,
-    probes: HashMap<TcpHandle, Probe>,
+    probes: BTreeMap<TcpHandle, Probe>,
     next_check: u64,
     /// Verdict log (server, verdict) for diagnostics and tests.
     pub verdicts: Vec<(SocketAddr, ProbeVerdict)>,
@@ -69,7 +69,7 @@ impl ActiveProber {
     pub fn new(state: GfwHandle) -> Self {
         ActiveProber {
             state,
-            probes: HashMap::new(),
+            probes: BTreeMap::new(),
             next_check: TIMER_CHECK_BASE,
             verdicts: Vec::new(),
         }

@@ -4,7 +4,7 @@
 //! shutdowns of unregistered or illegal services, in contrast to the
 //! GFW's immediate technical blocking.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -99,18 +99,22 @@ pub const REVIEW_DELAY: SimDuration = SimDuration::from_secs(30 * 24 * 3600);
 /// Investigation duration before a shutdown (conservative enforcement).
 pub const INVESTIGATION_DELAY: SimDuration = SimDuration::from_secs(60 * 24 * 3600);
 
+/// The first ICP number the registry issues: ScholarCloud's, in the paper.
+const FIRST_ICP: u64 = 15_063_437;
+
 /// The regulatory ecosystem: the MIIT database plus enforcement state.
 #[derive(Debug, Default)]
 pub struct Regulator {
-    records: HashMap<String, IcpRecord>,
-    enforcement: HashMap<String, EnforcementStatus>,
-    next_icp: u64,
+    records: BTreeMap<String, IcpRecord>,
+    enforcement: BTreeMap<String, EnforcementStatus>,
+    /// ICP numbers issued so far; the next is `FIRST_ICP + issued`.
+    issued: u64,
 }
 
 impl Regulator {
     /// Creates an empty regulator (numbers start at the paper's block).
     pub fn new() -> Self {
-        Regulator { records: HashMap::new(), enforcement: HashMap::new(), next_icp: 15_063_437 }
+        Self::default()
     }
 
     /// Submits a dossier to the TCA at `now`. Returns the initial status.
@@ -127,29 +131,25 @@ impl Regulator {
         status
     }
 
-    /// Advances the regulator's clock: completes reviews that are due.
+    /// Advances the regulator's clock: completes reviews that are due,
+    /// numbering them in domain order, and shuts down services whose
+    /// investigation has concluded.
     pub fn tick(&mut self, now: SimTime) {
         for rec in self.records.values_mut() {
             if let RegistrationStatus::UnderReview { completes_at } = rec.status {
                 if now >= completes_at {
                     rec.status = RegistrationStatus::Registered;
-                    rec.icp_number = Some(format!("ICP Reg. #{}", self.next_icp));
-                    self.next_icp += 1;
+                    rec.icp_number = Some(format!("ICP Reg. #{}", FIRST_ICP + self.issued));
+                    self.issued += 1;
                 }
             }
         }
-        let shutdowns: Vec<String> = self
-            .enforcement
-            .iter()
-            .filter_map(|(d, s)| match s {
-                EnforcementStatus::UnderInvestigation { concludes_at } if now >= *concludes_at => {
-                    Some(d.clone())
+        for status in self.enforcement.values_mut() {
+            if let EnforcementStatus::UnderInvestigation { concludes_at } = *status {
+                if now >= concludes_at {
+                    *status = EnforcementStatus::ShutDown;
                 }
-                _ => None,
-            })
-            .collect();
-        for d in shutdowns {
-            self.enforcement.insert(d, EnforcementStatus::ShutDown);
+            }
         }
     }
 
@@ -230,6 +230,32 @@ mod tests {
         assert!(reg.is_registered("scholar.thucloud.example"));
         let icp = reg.icp_number("scholar.thucloud.example").unwrap();
         assert!(icp.contains("15063437"), "paper's ICP number: {icp}");
+    }
+
+    #[test]
+    fn icp_numbers_ascend_in_domain_order() {
+        let mut reg = Regulator::new();
+        let domains: Vec<String> =
+            [5, 2, 7, 0, 3, 6, 1, 4].iter().map(|i| format!("svc-{i}.example")).collect();
+        for domain in &domains {
+            let dossier = RegistrationDossier { domain: domain.clone(), ..scholarcloud_dossier() };
+            reg.submit(dossier, SimTime::ZERO);
+        }
+        reg.tick(SimTime::ZERO + REVIEW_DELAY);
+        let mut sorted = domains.clone();
+        sorted.sort();
+        let numbers: Vec<&str> = sorted.iter().map(|d| reg.icp_number(d).unwrap()).collect();
+        let expected: Vec<String> = (0..8).map(|i| format!("ICP Reg. #{}", 15_063_437 + i)).collect();
+        assert_eq!(numbers, expected, "numbers follow domain order");
+    }
+
+    #[test]
+    fn both_constructors_issue_the_papers_first_number() {
+        for mut reg in [Regulator::new(), Regulator::default()] {
+            reg.submit(scholarcloud_dossier(), SimTime::ZERO);
+            reg.tick(SimTime::ZERO + REVIEW_DELAY);
+            assert_eq!(reg.icp_number("scholar.thucloud.example"), Some("ICP Reg. #15063437"));
+        }
     }
 
     #[test]

@@ -3,13 +3,12 @@
 //! wall), and relays. Anything that fails authentication — garbage, web
 //! crawlers, the GFW's active prober — gets an nginx-style 400 decoy.
 
-use std::collections::{HashMap, HashSet};
-
 use bytes::BytesMut;
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::{FixedMap, FixedSet};
 use sc_simnet::sim::Ctx;
 use sc_tunnels::names::NameMap;
 
@@ -31,8 +30,8 @@ pub struct RemoteProxy {
     /// `config.secret` as the preamble MAC takes it, prepared once.
     preamble_key: HmacKey,
     names: NameMap,
-    conns: HashMap<TcpHandle, ClientConn>,
-    upstreams: HashMap<TcpHandle, TcpHandle>,
+    conns: FixedMap<TcpHandle, ClientConn>,
+    upstreams: FixedMap<TcpHandle, TcpHandle>,
     /// Session nonces already accepted, with the cover generation their
     /// hello verified under. A valid preamble whose nonce was seen before
     /// is a *replay* — the adaptive censor capturing and re-sending a real
@@ -42,7 +41,7 @@ pub struct RemoteProxy {
     /// and the one before it verify, and they differ in parity, so
     /// generation `g` is kept in slot `g % 2` and replaces the older
     /// generation there.
-    seen_nonces: [(u32, HashSet<u64>); 2],
+    seen_nonces: [(u32, FixedSet<u64>); 2],
 }
 
 impl RemoteProxy {
@@ -52,9 +51,9 @@ impl RemoteProxy {
             preamble_key: HmacKey::new(&config.secret),
             config,
             names,
-            conns: HashMap::new(),
-            upstreams: HashMap::new(),
-            seen_nonces: [(0, HashSet::new()), (1, HashSet::new())],
+            conns: FixedMap::default(),
+            upstreams: FixedMap::default(),
+            seen_nonces: [(0, FixedSet::default()), (1, FixedSet::default())],
         }
     }
 
@@ -299,7 +298,7 @@ mod tests {
         // Generation 0 no longer verifies: its set makes way for
         // generation 2's, and generation 1's stays.
         assert!(remote.spend_nonce(&hello(9, 2)));
-        assert_eq!(remote.seen_nonces[0], (2, HashSet::from([9])));
+        assert_eq!(remote.seen_nonces[0], (2, FixedSet::from_iter([9])));
         assert!(!remote.spend_nonce(&hello(8, 2)));
         cfg.scheme.rotate_fresh_at(0);
         // A set left behind by a generation that no longer verifies is

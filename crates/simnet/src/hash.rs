@@ -1,15 +1,20 @@
-//! The one hasher behind every per-packet map: a fixed-state
-//! multiply-rotate hash in place of the standard library's randomly
-//! keyed SipHash.
+//! The one hasher behind every hashed table in the workspace: a
+//! fixed-state multiply-rotate hash in place of the standard library's
+//! randomly keyed SipHash.
 //!
 //! SipHash buys resistance to keys chosen to collide. Every key hashed
-//! here — addresses, ports, flow tuples, drop reasons — is minted inside
-//! the simulator from a seeded scenario, so there is no adversary to
-//! resist, and the ~20 ns it costs per lookup is paid several times per
-//! packet hop. A fixed state also makes a map's iteration order a
-//! function of its contents alone, so it repeats from run to run.
+//! here — addresses, ports, flow tuples, handles, names — is minted
+//! inside the simulator from a seeded scenario, so there is no adversary
+//! to resist, and the ~20 ns it costs per lookup is paid several times
+//! per packet hop. A fixed state also makes a table's iteration order a
+//! function of its history alone, so it repeats from run to run; but no
+//! one chose that order, so a table some loop walks is a `BTreeMap` or
+//! `BTreeSet` instead, and [`FixedMap`] / [`FixedSet`] are for tables
+//! that are only looked up. This file is the one place under
+//! `crates/*/src` that names the standard `HashMap` / `HashSet`
+//! (DESIGN.md §6o; `scripts/check.sh` enforces it).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// An odd 64-bit constant with no short bit pattern (the fractional bits
@@ -85,6 +90,9 @@ pub type FixedState = BuildHasherDefault<FixedHasher>;
 
 /// A `HashMap` keyed by simulator-minted values (see the module docs).
 pub type FixedMap<K, V> = HashMap<K, V, FixedState>;
+
+/// A `HashSet` of simulator-minted values (see the module docs).
+pub type FixedSet<T> = HashSet<T, FixedState>;
 
 #[cfg(test)]
 mod tests {

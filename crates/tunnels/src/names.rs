@@ -5,14 +5,14 @@
 //! Remote proxies and Tor exits hold a [`NameMap`] representing the
 //! uncensored DNS view of the outside world.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use sc_simnet::addr::Addr;
+use sc_simnet::hash::FixedMap;
 
 /// A shared, immutable name → address map (the outside world's DNS view).
 #[derive(Debug, Clone, Default)]
-pub struct NameMap(Rc<HashMap<String, Addr>>);
+pub struct NameMap(Rc<FixedMap<String, Addr>>);
 
 impl NameMap {
     /// Builds a map from (name, addr) pairs.

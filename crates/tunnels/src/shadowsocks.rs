@@ -13,7 +13,7 @@
 //! * **Probe behaviour**: the remote server consumes undecryptable bytes
 //!   silently — the signature the GFW's active prober confirms.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use rand::Rng;
 use sc_crypto::hmac::bytes_to_key;
@@ -25,6 +25,7 @@ use sc_obs::prof::{self, Subsystem};
 use crate::names::NameMap;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -133,8 +134,8 @@ enum RemoteConn {
 pub struct SsLocal {
     config: SsConfig,
     key: [u8; 32],
-    browsers: HashMap<TcpHandle, BrowserConn>,
-    remotes: HashMap<TcpHandle, RemoteConn>,
+    browsers: BTreeMap<TcpHandle, BrowserConn>,
+    remotes: FixedMap<TcpHandle, RemoteConn>,
     last_auth: Option<SimTime>,
     auth_in_flight: bool,
 }
@@ -146,8 +147,8 @@ impl SsLocal {
         SsLocal {
             config,
             key,
-            browsers: HashMap::new(),
-            remotes: HashMap::new(),
+            browsers: BTreeMap::new(),
+            remotes: FixedMap::default(),
             last_auth: None,
             auth_in_flight: false,
         }
@@ -188,11 +189,9 @@ impl SsLocal {
         self.browsers.insert(browser, BrowserConn::Proxied(h));
     }
 
-    /// Opens a data connection for every queued browser, in handle order:
-    /// the order sets the new handles, ports and SYNs, so it must not be
-    /// the map's.
+    /// Opens a data connection for every queued browser, in handle order.
     fn flush_queued(&mut self, ctx: &mut Ctx<'_>) {
-        let mut queued: Vec<(TcpHandle, TargetAddr, Vec<u8>)> = self
+        let queued: Vec<(TcpHandle, TargetAddr, Vec<u8>)> = self
             .browsers
             .iter_mut()
             .filter_map(|(h, c)| {
@@ -205,7 +204,6 @@ impl SsLocal {
                 }
             })
             .collect();
-        queued.sort_unstable_by_key(|q| q.0);
         for (h, target, buffered) in queued {
             self.open_data_conn(h, target, buffered, ctx);
         }
@@ -463,12 +461,12 @@ pub struct SsRemote {
     username: String,
     password: String,
     names: NameMap,
-    conns: HashMap<TcpHandle, ServerConn>,
+    conns: FixedMap<TcpHandle, ServerConn>,
     /// Upstream handle → client handle.
-    upstreams: HashMap<TcpHandle, TcpHandle>,
+    upstreams: FixedMap<TcpHandle, TcpHandle>,
     /// Outstanding auth challenges: conn → (expected answer, reply
     /// cipher stream).
-    pending_challenges: HashMap<TcpHandle, (Vec<u8>, Box<Cfb>)>,
+    pending_challenges: FixedMap<TcpHandle, (Vec<u8>, Box<Cfb>)>,
 }
 
 impl SsRemote {
@@ -481,9 +479,9 @@ impl SsRemote {
             username: config.username.clone(),
             password: config.password.clone(),
             names,
-            conns: HashMap::new(),
-            upstreams: HashMap::new(),
-            pending_challenges: HashMap::new(),
+            conns: FixedMap::default(),
+            upstreams: FixedMap::default(),
+            pending_challenges: FixedMap::default(),
         }
     }
 

@@ -3,8 +3,6 @@
 //! local SOCKS5 port to the browser — the moving parts behind the paper's
 //! observation that Tor's first-time page load takes 13–20 seconds.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest};
 use sc_netproto::socks::{SocksServerSession, TargetAddr};
@@ -12,6 +10,7 @@ use sc_netproto::tls::TlsClient;
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimDuration;
 
@@ -97,8 +96,8 @@ pub struct TorClient {
     hop_keys: Vec<PrivateKey>,
     circ_id: u32,
     // Streams.
-    browsers: HashMap<TcpHandle, BrowserConn>,
-    streams: HashMap<u16, StreamState>,
+    browsers: FixedMap<TcpHandle, BrowserConn>,
+    streams: FixedMap<u16, StreamState>,
     next_stream: u16,
 }
 
@@ -123,8 +122,8 @@ impl TorClient {
             layers: Vec::new(),
             hop_keys: Vec::new(),
             circ_id: 7,
-            browsers: HashMap::new(),
-            streams: HashMap::new(),
+            browsers: FixedMap::default(),
+            streams: FixedMap::default(),
             next_stream: 1,
         }
     }

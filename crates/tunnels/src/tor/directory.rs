@@ -3,10 +3,9 @@
 //! transfer the client must complete before building a circuit — a large
 //! part of Tor Browser's slow first start.
 
-use std::collections::HashMap;
-
 use sc_netproto::http::{HttpMessage, HttpParser, HttpResponse};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 
 /// Default directory port.
@@ -21,7 +20,7 @@ pub const DEFAULT_CONSENSUS_LEN: usize = 600 * 1024;
 /// The directory server app.
 pub struct DirectoryServer {
     consensus_len: usize,
-    parsers: HashMap<TcpHandle, HttpParser>,
+    parsers: FixedMap<TcpHandle, HttpParser>,
 }
 
 impl DirectoryServer {
@@ -32,7 +31,7 @@ impl DirectoryServer {
 
     /// Creates a directory serving a consensus of `len` bytes.
     pub fn with_consensus_len(len: usize) -> Self {
-        DirectoryServer { consensus_len: len, parsers: HashMap::new() }
+        DirectoryServer { consensus_len: len, parsers: FixedMap::default() }
     }
 }
 

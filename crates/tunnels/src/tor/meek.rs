@@ -7,13 +7,12 @@
 //! The gateway bridges each meek session onto a loopback TCP connection to
 //! the OR relay running on the same node (the Tor bridge).
 
-use std::collections::HashMap;
-
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimDuration;
 
@@ -46,9 +45,9 @@ struct Session {
 /// [`OrRelay`](super::relay::OrRelay).
 pub struct MeekGateway {
     entropy: u64,
-    conns: HashMap<TcpHandle, ClientConn>,
-    sessions: HashMap<u64, Session>,
-    or_to_session: HashMap<TcpHandle, u64>,
+    conns: FixedMap<TcpHandle, ClientConn>,
+    sessions: FixedMap<u64, Session>,
+    or_to_session: FixedMap<TcpHandle, u64>,
 }
 
 impl MeekGateway {
@@ -56,9 +55,9 @@ impl MeekGateway {
     pub fn new(entropy: u64) -> Self {
         MeekGateway {
             entropy,
-            conns: HashMap::new(),
-            sessions: HashMap::new(),
-            or_to_session: HashMap::new(),
+            conns: FixedMap::default(),
+            sessions: FixedMap::default(),
+            or_to_session: FixedMap::default(),
         }
     }
 

@@ -2,12 +2,13 @@
 //! layer, extends circuits toward other relays, and (as exit) opens
 //! streams to targets.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sc_crypto::dh::{PrivateKey, PublicKey};
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 
 use super::cells::{
@@ -29,7 +30,7 @@ struct Circuit {
     /// Relay payloads awaiting the next-hop connection.
     pending_next: Vec<Vec<u8>>,
     /// Exit streams: stream id → upstream connection.
-    streams: HashMap<u16, TcpHandle>,
+    streams: BTreeMap<u16, TcpHandle>,
 }
 
 #[derive(Debug, Default)]
@@ -46,14 +47,14 @@ pub struct OrRelay {
     /// Exit-side DNS view for resolving BEGIN targets by name.
     names: NameMap,
     /// Cell reassembly per connection (both inbound and outbound links).
-    bufs: HashMap<TcpHandle, CellBuf>,
+    bufs: FixedMap<TcpHandle, CellBuf>,
     /// (link, circ id on that link) → circuit index.
-    by_link: HashMap<(TcpHandle, u32), usize>,
+    by_link: FixedMap<(TcpHandle, u32), usize>,
     circuits: Vec<Circuit>,
     /// Outbound relay links.
-    out_conns: HashMap<TcpHandle, OutConn>,
+    out_conns: FixedMap<TcpHandle, OutConn>,
     /// Upstream (exit) connections: handle → (circuit, stream id).
-    upstreams: HashMap<TcpHandle, (usize, u16)>,
+    upstreams: FixedMap<TcpHandle, (usize, u16)>,
     next_out_circ: u32,
 }
 
@@ -65,11 +66,11 @@ impl OrRelay {
             port,
             entropy,
             names,
-            bufs: HashMap::new(),
-            by_link: HashMap::new(),
+            bufs: FixedMap::default(),
+            by_link: FixedMap::default(),
             circuits: Vec::new(),
-            out_conns: HashMap::new(),
-            upstreams: HashMap::new(),
+            out_conns: FixedMap::default(),
+            upstreams: FixedMap::default(),
             next_out_circ: 1,
         }
     }
@@ -183,10 +184,7 @@ impl OrRelay {
                         }
                         // In stream order: the order of the closes is
                         // the order of their FINs on the wire.
-                        let mut streams: Vec<(u16, TcpHandle)> =
-                            self.circuits[circ_idx].streams.drain().collect();
-                        streams.sort_unstable();
-                        for (_, upstream) in streams {
+                        for (_, upstream) in std::mem::take(&mut self.circuits[circ_idx].streams) {
                             ctx.tcp_close(upstream);
                             self.upstreams.remove(&upstream);
                         }
@@ -237,7 +235,7 @@ impl OrRelay {
                 layer: OnionLayer::new(shared),
                 next: None,
                 pending_next: Vec::new(),
-                streams: HashMap::new(),
+                streams: BTreeMap::new(),
             });
             self.by_link.insert(key, circ_idx);
             let created = Cell::new(cell.circ_id, cmd::CREATED, dh.public_key().to_bytes().to_vec());

@@ -9,8 +9,6 @@
 //! * VPN traffic is classified by the GFW as PPTP/L2TP/OpenVPN (legal,
 //!   registered classes since 2015) and passes with baseline loss only.
 
-use std::collections::HashMap;
-
 use bytes::{BufMut, Bytes, BytesMut};
 use sc_crypto::dh::{PrivateKey, PublicKey};
 use sc_crypto::hmac::{ct_eq, HmacKey};
@@ -19,6 +17,7 @@ use sc_crypto::{Aes, KeySize};
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::packet::{L4, Packet, proto};
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimTime;
@@ -152,15 +151,15 @@ struct NatEntry {
 /// A port-rewriting NAT for VPN servers.
 #[derive(Debug, Default)]
 pub struct Nat {
-    by_port: HashMap<u16, NatEntry>,
-    by_flow: HashMap<NatFlow, u16>,
+    by_port: FixedMap<u16, NatEntry>,
+    by_flow: FixedMap<NatFlow, u16>,
     next_port: u16,
 }
 
 impl Nat {
     /// Creates an empty NAT.
     pub fn new() -> Self {
-        Nat { by_port: HashMap::new(), by_flow: HashMap::new(), next_port: NAT_PORT_LO }
+        Nat { by_port: FixedMap::default(), by_flow: FixedMap::default(), next_port: NAT_PORT_LO }
     }
 
     /// Translates an outbound inner packet from `client`: rewrites the
@@ -449,7 +448,7 @@ impl VpnClient {
 pub struct VpnServer {
     variant: VpnVariant,
     /// Session key per client address.
-    sessions: HashMap<Addr, SessionKey>,
+    sessions: FixedMap<Addr, SessionKey>,
     nat: Nat,
     nonce: u64,
     entropy: u64,
@@ -463,7 +462,7 @@ impl VpnServer {
     pub fn new(variant: VpnVariant, entropy: u64) -> Self {
         VpnServer {
             variant,
-            sessions: HashMap::new(),
+            sessions: FixedMap::default(),
             nat: Nat::new(),
             nonce: 1 << 48, // disjoint from client nonce space
             entropy,

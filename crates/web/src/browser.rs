@@ -8,7 +8,7 @@
 //! is loaded once a minute so consecutive accesses do not overlap.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -20,6 +20,7 @@ use sc_obs::prof::{self, Subsystem};
 use sc_obs::Quoted;
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -203,7 +204,7 @@ struct CachedContent {
 }
 
 /// host → path → cached representation, so a lookup borrows both.
-type ContentCache = HashMap<String, HashMap<String, CachedContent>>;
+type ContentCache = FixedMap<String, FixedMap<String, CachedContent>>;
 
 fn cached<'a>(cache: &'a ContentCache, host: &str, path: &str) -> Option<&'a CachedContent> {
     cache.get(host)?.get(path)
@@ -299,12 +300,12 @@ pub struct Browser {
     config: BrowserConfig,
     gate: ReadyGate,
     stub: StubResolver,
-    conns: HashMap<TcpHandle, Conn>,
+    conns: BTreeMap<TcpHandle, Conn>,
     /// `(host, port, open connection)`, reused within a load: a handful,
     /// found by comparing the borrowed host.
     by_host: Vec<(String, u16, TcpHandle)>,
-    pending_dns: HashMap<u64, (String, u16, String)>,
-    dns_spans: HashMap<u64, sc_obs::SpanId>,
+    pending_dns: FixedMap<u64, (String, u16, String)>,
+    dns_spans: FixedMap<u64, sc_obs::SpanId>,
     next_dns_token: u64,
     content_cache: ContentCache,
     load: Option<ActiveLoad>,
@@ -323,7 +324,7 @@ pub struct Browser {
     /// fallback list; empty outside PAC policies).
     proxy_dead: Vec<ProxyHealth>,
     /// Armed proxy-connect deadlines: token → the conn it guards.
-    connect_deadlines: HashMap<u64, TcpHandle>,
+    connect_deadlines: FixedMap<u64, TcpHandle>,
     connect_seq: u64,
 }
 
@@ -340,12 +341,12 @@ impl Browser {
             config,
             gate,
             stub,
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             by_host: Vec::new(),
-            pending_dns: HashMap::new(),
-            dns_spans: HashMap::new(),
+            pending_dns: FixedMap::default(),
+            dns_spans: FixedMap::default(),
             next_dns_token: 1,
-            content_cache: HashMap::new(),
+            content_cache: FixedMap::default(),
             load: None,
             loads_done: 0,
             visited: false,
@@ -354,7 +355,7 @@ impl Browser {
             deadline_seq: 0,
             throttle_wait_for: None,
             proxy_dead,
-            connect_deadlines: HashMap::new(),
+            connect_deadlines: FixedMap::default(),
             connect_seq: 0,
         }
     }
@@ -682,7 +683,7 @@ impl Browser {
         if self.pac_fleet_size() < 2 {
             return;
         }
-        let mut stalled: Vec<SocketAddr> = self
+        let stalled: BTreeSet<SocketAddr> = self
             .conns
             .values()
             .filter(|c| c.phase != ConnPhase::Ready || c.current.is_some())
@@ -691,8 +692,6 @@ impl Browser {
                 _ => None,
             })
             .collect();
-        stalled.sort();
-        stalled.dedup();
         for p in stalled {
             self.mark_proxy_dead(p, "load_deadline", ctx);
         }
@@ -1029,22 +1028,15 @@ impl Browser {
         true
     }
 
-    /// Closes every connection, ending the spans of any caught mid-phase
-    /// with `reason`.
+    /// Closes every connection, in handle order, ending the spans of any
+    /// caught mid-phase with `reason`.
     fn teardown_conns(&mut self, reason: &'static str, ctx: &mut Ctx<'_>) {
-        // Close in handle order: HashMap iteration order varies between
-        // same-seed runs, and close order shapes packet ordering (and
-        // with it the loss RNG draw sequence), which would break trace
-        // byte-determinism.
-        let mut handles: Vec<TcpHandle> = self.conns.keys().copied().collect();
-        handles.sort_by_key(|h| h.0);
-        for h in handles {
-            if let Some(conn) = self.conns.get_mut(&h) {
-                conn.end_spans(ctx.now(), reason);
-            }
+        // Popped, not cleared: the emptied map keeps its node for the
+        // next load.
+        while let Some((h, mut conn)) = self.conns.pop_first() {
+            conn.end_spans(ctx.now(), reason);
             ctx.tcp_close(h);
         }
-        self.conns.clear();
         self.by_host.clear();
         self.pending_dns.clear();
     }

@@ -9,13 +9,13 @@
 //!   account-recording request (TCP-4).
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 
 use bytes::Bytes;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 
 use crate::page::PageSpec;
@@ -60,10 +60,10 @@ pub struct OriginServer {
     /// HTTPS — the configuration the domestic proxy's shared cache sees
     /// (only absolute-form plain HTTP exposes HTTP semantics to it).
     serve_http: bool,
-    sessions: HashMap<TcpHandle, Session>,
+    sessions: FixedMap<TcpHandle, Session>,
     /// Pending responses waiting out the service delay: token → (conn,
     /// wire chunks, origin span closed when the response leaves).
-    pending: HashMap<u64, (TcpHandle, [Bytes; 2], sc_obs::SpanId)>,
+    pending: FixedMap<u64, (TcpHandle, [Bytes; 2], sc_obs::SpanId)>,
     next_token: u64,
     /// Time at which the single service core frees up (µs).
     busy_until_us: u64,
@@ -95,8 +95,8 @@ impl OriginServer {
             entropy,
             max_age: 86_400,
             serve_http: false,
-            sessions: HashMap::new(),
-            pending: HashMap::new(),
+            sessions: FixedMap::default(),
+            pending: FixedMap::default(),
             next_token: 1,
             busy_until_us: 0,
         }
@@ -262,7 +262,7 @@ impl App for OriginServer {
     }
 }
 
-fn session_is_tls(sessions: &HashMap<TcpHandle, Session>, h: TcpHandle) -> bool {
+fn session_is_tls(sessions: &FixedMap<TcpHandle, Session>, h: TcpHandle) -> bool {
     sessions.get(&h).is_some_and(|s| s.tls.is_some())
 }
 

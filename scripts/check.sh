@@ -119,9 +119,7 @@ fail_if_found "is_x86_feature_detected outside sc-crypto" \
     grep -rn 'is_x86_feature_detected' crates src examples tests benchmark/src \
         --include='*.rs' --exclude-dir=crypto
 dom=crates/scholarcloud/src/domestic
-# Sim-visible tables iterate in key order; only the driver and the Io
-# seam know the simulator.
-fail_if_found "HashMap under domestic/" grep -rn 'HashMap' "$dom"
+# Only the driver and the Io seam know the simulator.
 fail_if_found "stage file imports sim::Ctx" \
     grep -ln 'sim::Ctx' "$dom/admit.rs" "$dom/gateway.rs" "$dom/peer.rs" \
         "$dom/establish.rs" "$dom/remotes.rs" "$dom/relay.rs" "$dom/step.rs" "$dom/trace.rs"
@@ -178,20 +176,46 @@ echo "structure: ok (analyze/ + scholar-obs.rs hold $_code non-blank non-comment
 
 # Structure, event core (DESIGN.md §6o): the simulator has one TCP
 # side-effect scratch — `Effects::default()` is spelled once, where
-# `Sim::new` fills the field, and otherwise only in tests — and the maps
-# a packet passes through are dense tables or the crate's fixed-state
-# `FixedMap`, never a `HashMap` with the standard library's random keys.
+# `Sim::new` fills the field, and otherwise only in tests.
 event_core_offenders() {
-    # Lines above a file's test module that name a HashMap, or build an
-    # Effects anywhere but in Sim's field initialiser.
+    # Lines above a file's test module that build an Effects anywhere
+    # but in Sim's field initialiser.
     awk 'FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
-         !tests && /HashMap|Effects::default\(\)/ && !/^ *fx: Effects::default\(\),$/ \
+         !tests && /Effects::default\(\)/ && !/^ *fx: Effects::default\(\),$/ \
              { print FILENAME ":" FNR ": " $0; found = 1 }
          END { exit !found }' crates/simnet/src/sim.rs crates/simnet/src/node.rs \
         crates/simnet/src/stats.rs crates/simnet/src/tcp.rs
 }
-fail_if_found "a HashMap or a second Effects in the simnet event core" event_core_offenders
-echo "structure: ok (one Effects scratch; no std-keyed HashMap in the simnet event core)"
+fail_if_found "a second Effects in the simnet event core" event_core_offenders
+echo "structure: ok (one Effects scratch)"
+
+# Structure, table order (DESIGN.md §6o): a table some loop walks is a
+# BTreeMap / BTreeSet, so its order is its keys'; a table that is only
+# looked up is sc_simnet::hash's FixedMap / FixedSet. The standard
+# library's HashMap and HashSet, whose SipHash keys change from process
+# to process, are named above no test module in crates/*/src, and
+# crates/simnet/src/hash.rs, which builds the fixed-state aliases on
+# them, is their one home. A file kept out of this rule is listed in
+# _hash_kept with its reason beside it: none.
+_hash_kept=""
+std_hash_tables() {
+    # Lines above a file's test module — the first `#[cfg(test)]` that
+    # opens an inline `mod … {`; a `#[cfg(test)] mod reference;` above
+    # it does not end the scan — that name std's HashMap or HashSet,
+    # comment lines aside.
+    find crates/*/src -name '*.rs' | sort |
+        grep -vxF "$(printf '%s\n' crates/simnet/src/hash.rs $_hash_kept)" | xargs awk '
+        FNR == 1 { tests = 0; cfg = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = 1; next }
+        cfg && /^[[:space:]]*#\[/ { next }
+        cfg && /^[[:space:]]*(pub[^[:space:]]* )?mod [[:alnum:]_]+ *\{/ { tests = 1 }
+        { cfg = 0 }
+        !tests && !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])Hash(Map|Set)([^[:alnum:]_]|$)|hash_(map|set)::/ \
+            { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }'
+}
+fail_if_found "a std HashMap or HashSet above a test module in crates/*/src" std_hash_tables
+echo "structure: ok (walked tables are BTrees; looked-up tables are FixedMap / FixedSet)"
 
 # Structure, payload path (DESIGN.md §6k): TCP buffers are queues of
 # `Bytes` chunks and there is no second kind — no byte ring, no helper
@@ -429,6 +453,45 @@ case "$_out" in
        echo "$_out" | tail -5 >&2; exit 1 ;;
 esac
 echo "structure: ok (every config field has a writer, every pub item a mention, every field a reader)"
+
+# Docs, references: what README.md, DESIGN.md and EXPERIMENTS.md tell a
+# reader to run or open is there. Every `--example X` names a file in
+# examples/, and every repository path they name exists: `{a,b}` is
+# expanded, and a path with a `*` must match a file as `find -path`
+# matches. The benchmark's generated and gitignored benchmark/out/ is
+# the one exemption.
+doc_refs_broken() {
+    _docs="README.md DESIGN.md EXPERIMENTS.md"
+    {
+        grep -noE -- '--example [[:alnum:]_]+' $_docs | while IFS=: read -r _f _n _ref; do
+            _x=${_ref#--example }
+            [ -e "examples/$_x.rs" ] || [ -e "examples/$_x/main.rs" ] || echo "$_f:$_n: $_ref"
+        done
+        grep -noE '(^|[^[:alnum:]_./-])(crates|tests|scripts|benchmark|docs|vendor)/[[:alnum:]_./*{},-]*' $_docs |
+            awk '
+            function expand(where, p,    head, tail, alts, n, i) {
+                if (!match(p, /\{[^{}]*\}/)) { print where, p; return }
+                head = substr(p, 1, RSTART - 1); tail = substr(p, RSTART + RLENGTH)
+                n = split(substr(p, RSTART + 1, RLENGTH - 2), alts, ",")
+                for (i = 1; i <= n; i++) expand(where, head alts[i] tail)
+            }
+            {
+                # file:line:match, the match led by the character before the path.
+                split($0, part, ":"); p = substr($0, length(part[1]) + length(part[2]) + 3)
+                sub(/^[^[:alpha:]]/, "", p); sub(/[.,]+$/, "", p); sub(/\/+$/, "", p)
+                expand(part[1] ":" part[2] ":", p)
+            }' | while read -r _where _path; do
+            case "$_path" in
+                benchmark/out|benchmark/out/*) ;;
+                *'*'*) [ -n "$(find "${_path%%/*}" -path "$_path" -print 2>/dev/null | head -1)" ] ||
+                    echo "$_where $_path" ;;
+                *) [ -e "$_path" ] || echo "$_where $_path" ;;
+            esac
+        done
+    } | grep .
+}
+fail_if_found "a doc names an example or a repository path that is not there" doc_refs_broken
+echo "structure: ok (every example and repository path the docs name exists)"
 
 # run_gate <name> <example> [scholar-obs gate flags...]
 #
