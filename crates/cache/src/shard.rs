@@ -15,14 +15,13 @@
 
 use crate::store::CacheKey;
 
-/// 64-bit FNV-1a over a byte string.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// 64-bit FNV-1a's starting state.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a state `h` carried over `bytes`: folding the pieces of a
+/// string in order hashes it as one buffer would.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// Rendezvous-hash shard map over a fixed fleet membership.
@@ -48,15 +47,12 @@ impl ShardMap {
         self.members
     }
 
-    /// The rendezvous score of `member` for `key`.
+    /// The rendezvous score of `member` for `key`: FNV-1a over
+    /// `host ‖ 0 ‖ path ‖ 0 ‖ member as u64 LE`, hashed piece by piece.
     fn score(key: &CacheKey, member: usize) -> u64 {
-        let mut bytes = Vec::with_capacity(key.0.len() + key.1.len() + 9);
-        bytes.extend_from_slice(key.0.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(key.1.as_bytes());
-        bytes.push(0);
-        bytes.extend_from_slice(&(member as u64).to_le_bytes());
-        fnv1a(&bytes)
+        [key.0.as_bytes(), &[0], key.1.as_bytes(), &[0], &(member as u64).to_le_bytes()]
+            .into_iter()
+            .fold(FNV_OFFSET, fnv1a)
     }
 
     /// The owner shard for `key` with every member alive.
@@ -91,6 +87,32 @@ mod tests {
 
     fn keys(n: usize) -> Vec<CacheKey> {
         (0..n).map(|i| key("scholar.google.com", &format!("/paper/{i}"))).collect()
+    }
+
+    /// The score as it was first written: the pieces copied into one
+    /// buffer, then hashed.
+    fn buffered_score(key: &CacheKey, member: usize) -> u64 {
+        let mut bytes = Vec::with_capacity(key.0.len() + key.1.len() + 10);
+        bytes.extend_from_slice(key.0.as_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(key.1.as_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&(member as u64).to_le_bytes());
+        fnv1a(FNV_OFFSET, &bytes)
+    }
+
+    #[test]
+    fn the_streamed_score_is_the_buffered_one() {
+        // FNV-1a of the empty string and of "a", the published values.
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        let mut ks = keys(64);
+        ks.extend([key("", ""), key("h", "/p"), key("scholar.google.com", "")]);
+        for k in &ks {
+            for m in 0..8 {
+                assert_eq!(ShardMap::score(k, m), buffered_score(k, m));
+            }
+        }
     }
 
     #[test]

@@ -168,11 +168,12 @@ impl CacheStats {
 /// `Rc<RefCell<_>>` rather than any lock.
 pub struct ContentCache {
     cfg: CacheConfig,
-    map: FixedMap<CacheKey, Entry>,
-    /// Recency index: seq → key, lowest seq = least recently used.
+    map: FixedMap<Rc<CacheKey>, Entry>,
+    /// Recency index: seq → key (the map's key, shared, not a copy),
+    /// lowest seq = least recently used.
     /// A `BTreeMap`, so eviction scans are ordered and the evicted
     /// sequence is deterministic.
-    lru: BTreeMap<u64, CacheKey>,
+    lru: BTreeMap<u64, Rc<CacheKey>>,
     next_seq: u64,
     used: usize,
     /// Everything the cache did; read through [`CacheHandle::stats`].
@@ -250,7 +251,7 @@ impl ContentCache {
             return Lookup::Miss;
         };
         // Touch: move to the most-recent end of the recency index (the
-        // index's own copy of the key moves with it).
+        // index's handle on the key moves with it).
         let indexed = self.lru.remove(&entry.seq).expect("index and map agree");
         entry.seq = self.next_seq;
         self.next_seq += 1;
@@ -310,11 +311,12 @@ impl ContentCache {
             let victim = self.map.remove(&victim_key).expect("index and map agree");
             self.used -= Self::cost(&victim_key, &victim.resp);
             self.stats.evicted += 1;
-            out.evicted.push(victim_key);
+            out.evicted.push(Rc::into_inner(victim_key).expect("the map and the index held the only two"));
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.lru.insert(seq, key.clone());
+        let key = Rc::new(key);
+        self.lru.insert(seq, Rc::clone(&key));
         self.used += cost;
         self.map.insert(key, Entry { resp, expires_at: now + ttl, seq });
         self.stats.insertions += 1;

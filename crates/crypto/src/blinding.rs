@@ -7,7 +7,9 @@
 //! scheme plus two alternates, and a rotation mechanism so the operator can
 //! switch schemes when the censor adapts (the paper's agility argument).
 
-use crate::sha256::sha256;
+use std::rc::Rc;
+
+use crate::sha256::{sha256, Sha256};
 
 /// A reversible byte-stream transform applied between the domestic and
 /// remote proxies.
@@ -63,13 +65,15 @@ impl BlindingScheme {
         }
     }
 
-    /// Constructs the codec for this scheme from a shared secret key.
-    pub fn instantiate(self, key: &[u8]) -> Box<dyn Blinder> {
+    /// Constructs the codec for this scheme from a shared secret key, in
+    /// the one allocation both directions of a tunnel end share (a codec
+    /// keeps no state).
+    pub fn instantiate(self, key: &[u8]) -> Rc<dyn Blinder> {
         match self {
-            BlindingScheme::Identity => Box::new(Identity),
-            BlindingScheme::ByteMap => Box::new(ByteMap::from_key(key)),
-            BlindingScheme::XorRolling => Box::new(XorRolling::from_key(key)),
-            BlindingScheme::NibbleSwap => Box::new(NibbleSwap::from_key(key)),
+            BlindingScheme::Identity => Rc::new(Identity),
+            BlindingScheme::ByteMap => Rc::new(ByteMap::from_key(key)),
+            BlindingScheme::XorRolling => Rc::new(XorRolling::from_key(key)),
+            BlindingScheme::NibbleSwap => Rc::new(NibbleSwap::from_key(key)),
         }
     }
 
@@ -115,11 +119,12 @@ impl core::fmt::Debug for ByteMap {
 struct KeyRng(u64);
 
 impl KeyRng {
+    /// Seeded from `sha256(domain ‖ key)`, hashed as it is read.
     fn from_key(key: &[u8], domain: &[u8]) -> Self {
-        let mut material = Vec::with_capacity(key.len() + domain.len());
-        material.extend_from_slice(domain);
-        material.extend_from_slice(key);
-        let digest = sha256(&material);
+        let mut material = Sha256::new();
+        material.update(domain);
+        material.update(key);
+        let digest = material.finalize();
         let seed = u64::from_be_bytes(digest[..8].try_into().unwrap());
         KeyRng(seed.max(1))
     }

@@ -1,18 +1,19 @@
 //! HTTP/1.1: message types, serialization, and an incremental stream
 //! parser (Content-Length and chunked bodies, keep-alive semantics).
 //!
-//! A message owns two things: its head as one text buffer in wire form
-//! (every name and value a range of it) and its body as [`Bytes`]. A
-//! sender gives both away — [`HttpResponse::into_wire`] is the head and
-//! the body as two chunks for one TCP send, [`HttpResponse::into_parts`]
-//! the same two for a TLS record — so a body is never copied to be sent,
-//! and a parser hands one out as a view of the chunk it arrived in.
+//! A message owns two things: its head as one buffer in wire form
+//! (where its lines start held inline beside it) and its body as
+//! [`Bytes`]. A sender gives both away — [`HttpResponse::into_wire`]
+//! is the head and the body as two chunks for one TCP send,
+//! [`HttpResponse::into_parts`] the same two for a TLS record — so a body
+//! is never copied to be sent, and a parser hands one out as a view of
+//! the chunk it arrived in.
 
 use std::borrow::Cow;
-use std::fmt::{Display, Write as _};
-use std::io::Write as _;
+use std::fmt::{self, Display, Write as _};
+use std::ops::Range;
 
-use bytes::{Buf, Bytes};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::scan;
 
@@ -32,102 +33,154 @@ pub const MAX_HEAD_LEN: usize = 64 * 1024;
 /// one allocation that never grows.
 const HEAD_CAPACITY: usize = 256;
 
+/// Header lines whose starts a head keeps inline. No head the stack
+/// builds or parses has more; a peer's head with more finds the lines
+/// past them by scanning its text from the last one kept. Scanning every
+/// head's lines instead was 2.5% fewer `sc_gateway_fleet` loads a
+/// second, slower in ten of ten paired runs (docs/perf-log.md).
+const INDEXED_LINES: usize = 6;
+
 /// A range of a head's text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Span {
-    start: usize,
-    end: usize,
+    start: u32,
+    end: u32,
 }
 
 impl Span {
     const EMPTY: Span = Span { start: 0, end: 0 };
 }
 
-/// A message head in wire form — the start line and every header line,
-/// each ending in CRLF — and where in it the pieces lie. Builders append
-/// to the text and lookups scan the spans, so the text is always exactly
-/// what goes on the wire, short of the `Content-Length` line and the
-/// blank line that [`end_head`] adds.
+/// A message head in wire form — the start line, then one
+/// `Name: value\r\n` line per header — and where in it the pieces lie.
+/// The text is one buffer that [`finish`](Self::finish) ends with the
+/// `Content-Length` line and the blank line and freezes into the
+/// message's first wire chunk, so a head is one allocation from its
+/// first byte to the wire. Builders append to it; lookups find a header
+/// line from where it starts, which the head keeps inline for its first
+/// lines. A name holds no `:` (the parser cuts at the first, and the
+/// stack's builders name their headers with constants) and no line
+/// holds a CRLF, so the first `:` of a line ends its name and a line
+/// ends where the next one starts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Head {
-    text: String,
+    text: BytesMut,
     /// Method and target of a request; the reason of a response.
     start: [Span; 2],
-    /// Name and value of each header, in order.
-    headers: Vec<[Span; 2]>,
+    /// Header lines in the text.
+    count: u32,
+    /// Where the first [`INDEXED_LINES`] header lines start.
+    lines: [u32; INDEXED_LINES],
 }
 
 impl Head {
     fn with_capacity(capacity: usize) -> Head {
-        Head { text: String::with_capacity(capacity), start: [Span::EMPTY; 2], headers: Vec::with_capacity(8) }
+        Head { text: BytesMut::with_capacity(capacity), start: [Span::EMPTY; 2], count: 0, lines: [0; INDEXED_LINES] }
     }
 
-    fn push(&mut self, piece: &str) -> Span {
-        let start = self.text.len();
-        self.text.push_str(piece);
-        Span { start, end: self.text.len() }
+    /// Where the text ends, as a span bound.
+    fn end(&self) -> u32 {
+        u32::try_from(self.text.len()).expect("a head is far shorter than 4 GiB")
     }
 
-    /// [`push`](Self::push) of something formatted where it goes.
-    fn push_fmt(&mut self, piece: impl Display) -> Span {
-        let start = self.text.len();
-        write!(self.text, "{piece}").expect(STRING_WRITE);
-        Span { start, end: self.text.len() }
+    /// A piece of the text. The text is written only from `&str`s and
+    /// every piece starts and ends beside an ASCII delimiter, so a piece
+    /// is always UTF-8.
+    fn get(&self, range: Range<usize>) -> &str {
+        std::str::from_utf8(&self.text[range]).expect("a head's pieces are UTF-8")
     }
 
-    fn get(&self, span: Span) -> &str {
-        &self.text[span.start..span.end]
+    fn start(&self, i: usize) -> &str {
+        self.get(self.start[i].start as usize..self.start[i].end as usize)
     }
 
     fn request_line(&mut self, method: &str, target: impl Display) {
-        let method = self.push(method);
-        self.text.push(' ');
-        let target = self.push_fmt(target);
-        self.text.push_str(" HTTP/1.1\r\n");
-        self.start = [method, target];
+        let start = self.end();
+        write!(self.text, "{method} {target} HTTP/1.1\r\n").expect(BUF_WRITE);
+        let method = Span { start, end: start + method.len() as u32 };
+        self.start = [method, Span { start: method.end + 1, end: self.end() - " HTTP/1.1\r\n".len() as u32 }];
     }
 
     fn status_line(&mut self, status: u16, reason: &str) {
-        write!(self.text, "HTTP/1.1 {status} ").expect(STRING_WRITE);
-        let reason = self.push(reason);
-        self.text.push_str("\r\n");
-        self.start = [reason, Span::EMPTY];
+        write!(self.text, "HTTP/1.1 {status} {reason}\r\n").expect(BUF_WRITE);
+        let end = self.end() - 2;
+        self.start = [Span { start: end - reason.len() as u32, end }, Span::EMPTY];
     }
 
-    /// Appends a header line; `value` pushes the value's text.
-    fn header(&mut self, name: &str, value: impl FnOnce(&mut Head) -> Span) {
-        let name = self.push(name);
-        self.text.push_str(": ");
-        let value = value(self);
-        self.text.push_str("\r\n");
-        self.headers.push([name, value]);
+    /// Appends a header line, `value` formatted where it goes.
+    fn header(&mut self, name: &str, value: impl Display) {
+        let at = self.end();
+        if let Some(slot) = self.lines.get_mut(self.count as usize) {
+            *slot = at;
+        }
+        self.count += 1;
+        write!(self.text, "{name}: {value}\r\n").expect(BUF_WRITE);
+        debug_assert!(
+            !name.contains(':') && scan::find(&self.text[at as usize..self.text.len() - 2], b"\r\n").is_none(),
+            "a header name holds no `:` and a header line no CRLF"
+        );
+    }
+
+    /// Each header line, its CRLF left out.
+    fn lines(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let count = self.count as usize;
+        let mut at = self.lines[0] as usize;
+        (0..count).map(move |i| {
+            let start = at;
+            at = match self.lines.get(i + 1) {
+                _ if i + 1 == count => self.text.len(),
+                Some(&next) => next as usize,
+                None => start + scan::find(&self.text[start..], b"\r\n").expect("a header line ends in CRLF") + 2,
+            };
+            start..at - 2
+        })
     }
 
     fn headers(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.headers.iter().map(|&[name, value]| (self.get(name), self.get(value)))
+        self.lines().map(|line| {
+            let colon = line.start + scan::find_byte(&self.text[line.clone()], b':').expect("a header line has a colon");
+            (self.get(line.start..colon), self.get(colon + 2..line.end))
+        })
     }
 
+    /// The value of `name`: a line is `name` when its first `:` is where
+    /// `name` would end, and the bytes before it match.
     fn header_value(&self, name: &str) -> Option<&str> {
-        self.headers().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v)
+        let name = name.as_bytes();
+        let line = self.lines().find(|line| {
+            let colon = line.start + name.len();
+            colon + 2 <= line.end
+                && self.text[colon] == b':'
+                && self.text[line.start..colon].eq_ignore_ascii_case(name)
+        })?;
+        Some(self.get(line.start + name.len() + 2..line.end))
     }
 
     fn is_chunked(&self) -> bool {
         self.header_value("Transfer-Encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked"))
     }
+
+    /// The wire head: the `Content-Length` line if the message needs one
+    /// added, then the blank line, written into the head's own buffer
+    /// and frozen without a copy.
+    fn finish(mut self, content_length: Option<usize>) -> Bytes {
+        end_head(&mut self.text, content_length);
+        self.text.freeze()
+    }
 }
 
 /// Ends a head written into `out`: the `Content-Length` line if the
 /// message needs one added, then the blank line.
-fn end_head(out: &mut Vec<u8>, content_length: Option<usize>) {
-    if let Some(n) = content_length {
-        write!(out, "Content-Length: {n}\r\n").expect(VEC_WRITE);
+fn end_head(out: &mut impl fmt::Write, content_length: Option<usize>) {
+    match content_length {
+        Some(n) => write!(out, "Content-Length: {n}\r\n\r\n"),
+        None => out.write_str("\r\n"),
     }
-    out.extend_from_slice(b"\r\n");
+    .expect(BUF_WRITE);
 }
 
 /// Why writing a head cannot fail.
-const STRING_WRITE: &str = "writing to a String is infallible";
-const VEC_WRITE: &str = "writing to a Vec is infallible";
+const BUF_WRITE: &str = "writing to a byte buffer is infallible";
 
 /// An HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,25 +211,25 @@ impl HttpRequest {
 
     /// Adds a header (builder style).
     pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.head.header(name, |head| head.push(value));
+        self.head.header(name, value);
         self
     }
 
     /// Adds a header whose value is formatted straight into the head
     /// (`header(name, &format!(..))` without the `String`).
     pub fn header_fmt(mut self, name: &str, value: impl Display) -> Self {
-        self.head.header(name, |head| head.push_fmt(value));
+        self.head.header(name, value);
         self
     }
 
     /// Method (GET, POST, CONNECT, …).
     pub fn method(&self) -> &str {
-        self.head.get(self.head.start[0])
+        self.head.start(0)
     }
 
     /// Request target (path, or authority for CONNECT).
     pub fn target(&self) -> &str {
-        self.head.get(self.head.start[1])
+        self.head.start(1)
     }
 
     /// Headers in order, as `(name, value)`.
@@ -203,26 +256,25 @@ impl HttpRequest {
     /// [`into_wire`](Self::into_wire) or [`into_parts`](Self::into_parts).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.head.text.len() + 64 + self.body.len());
-        out.extend_from_slice(self.head.text.as_bytes());
-        end_head(&mut out, self.added_length());
+        out.extend_from_slice(&self.head.text);
+        end_head(&mut VecWriter(&mut out), self.added_length());
         out.extend_from_slice(&self.body);
         out
     }
 
-    /// The finished head — in the buffer it was built in — and the body,
-    /// for a sender that writes both somewhere itself (a TLS record).
-    pub fn into_parts(self) -> (Vec<u8>, Bytes) {
+    /// The finished head — the buffer it was built in, frozen — and the
+    /// body, for a sender that writes both somewhere itself (a TLS
+    /// record).
+    pub fn into_parts(self) -> (Bytes, Bytes) {
         let length = self.added_length();
-        let mut head = self.head.text.into_bytes();
-        end_head(&mut head, length);
-        (head, self.body)
+        (self.head.finish(length), self.body)
     }
 
     /// The wire form as the two chunks one TCP send takes: nothing is
-    /// copied.
+    /// copied or allocated.
     pub fn into_wire(self) -> [Bytes; 2] {
         let (head, body) = self.into_parts();
-        [head.into(), body]
+        [head, body]
     }
 }
 
@@ -262,20 +314,20 @@ impl HttpResponse {
 
     /// Adds a header (builder style).
     pub fn header(mut self, name: &str, value: &str) -> Self {
-        self.head.header(name, |head| head.push(value));
+        self.head.header(name, value);
         self
     }
 
     /// Adds a header whose value is formatted straight into the head
     /// (`header(name, &format!(..))` without the `String`).
     pub fn header_fmt(mut self, name: &str, value: impl Display) -> Self {
-        self.head.header(name, |head| head.push_fmt(value));
+        self.head.header(name, value);
         self
     }
 
     /// Reason phrase.
     pub fn reason(&self) -> &str {
-        self.head.get(self.head.start[0])
+        self.head.start(0)
     }
 
     /// Headers in order, as `(name, value)`.
@@ -306,43 +358,65 @@ impl HttpResponse {
         (!self.head.is_chunked() && self.header_value("Content-Length").is_none()).then_some(self.body.len())
     }
 
+    /// Writes the whole message — a chunked body in its framing — into
+    /// `out`.
+    fn encode_into(&self, out: &mut (impl BufMut + fmt::Write)) {
+        out.put_slice(&self.head.text);
+        end_head(out, self.added_length());
+        if self.head.is_chunked() {
+            // Emit as a single chunk plus terminator.
+            write!(out, "{:x}\r\n", self.body.len()).expect(BUF_WRITE);
+            out.put_slice(&self.body);
+            out.put_slice(b"\r\n0\r\n\r\n");
+        } else {
+            out.put_slice(&self.body);
+        }
+    }
+
     /// Serializes to wire bytes (adds Content-Length automatically),
     /// copying the body. A sender uses [`into_wire`](Self::into_wire) or
     /// [`into_parts`](Self::into_parts).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.head.text.len() + 64 + self.body.len());
-        out.extend_from_slice(self.head.text.as_bytes());
-        end_head(&mut out, self.added_length());
-        if self.head.is_chunked() {
-            // Emit as a single chunk plus terminator.
-            write!(out, "{:x}\r\n", self.body.len()).expect(VEC_WRITE);
-            out.extend_from_slice(&self.body);
-            out.extend_from_slice(b"\r\n0\r\n\r\n");
-        } else {
-            out.extend_from_slice(&self.body);
-        }
+        self.encode_into(&mut VecWriter(&mut out));
         out
     }
 
-    /// The finished head — in the buffer it was built in — and the body,
-    /// for a sender that writes both somewhere itself (a TLS record). A
-    /// chunked body's framing surrounds it, so that one shape is encoded
-    /// whole into the first part.
-    pub fn into_parts(self) -> (Vec<u8>, Bytes) {
+    /// The finished head — the buffer it was built in, frozen — and the
+    /// body, for a sender that writes both somewhere itself (a TLS
+    /// record). A chunked body's framing surrounds it, so that one shape
+    /// is encoded whole, into one buffer, as the first part.
+    pub fn into_parts(self) -> (Bytes, Bytes) {
         if self.head.is_chunked() {
-            return (self.encode(), Bytes::new());
+            let mut whole = BytesMut::with_capacity(self.head.text.len() + 64 + self.body.len());
+            self.encode_into(&mut whole);
+            return (whole.freeze(), Bytes::new());
         }
         let length = self.added_length();
-        let mut head = self.head.text.into_bytes();
-        end_head(&mut head, length);
-        (head, self.body)
+        (self.head.finish(length), self.body)
     }
 
     /// The wire form as the two chunks one TCP send takes: nothing is
-    /// copied.
+    /// copied or allocated.
     pub fn into_wire(self) -> [Bytes; 2] {
         let (head, body) = self.into_parts();
-        [head.into(), body]
+        [head, body]
+    }
+}
+
+/// A `Vec<u8>` written through [`fmt::Write`], as a [`BytesMut`] is.
+struct VecWriter<'a>(&'a mut Vec<u8>);
+
+impl fmt::Write for VecWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl BufMut for VecWriter<'_> {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0.extend_from_slice(src);
     }
 }
 
@@ -649,7 +723,7 @@ fn parse_head(raw: &[u8]) -> Result<(HttpMessage, BodyKind), HttpParseError> {
         let Some((n, v)) = line.split_once(':') else {
             return Err(HttpParseError::BadHeader(line.to_string()));
         };
-        head.header(n.trim(), |head| head.push(v.trim()));
+        head.header(n.trim(), v.trim());
     }
     // Refused here, as soon as the head is read, so that nothing is
     // buffered towards a length no sender of ours would announce.
@@ -739,6 +813,7 @@ fn try_parse_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, HttpParseEr
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::io::Write as _;
 
     /// The message types and the parser as they were when a head was a
     /// `String` per piece and the parser one growing buffer: the oracle
@@ -1313,6 +1388,40 @@ mod tests {
         assert!(sent.is_empty());
         let [_, sent] = resp.into_wire();
         assert_eq!(sent.as_ptr(), body.as_ptr(), "and the body as the allocation it came in");
+    }
+
+    /// A head keeps where its first lines start; one with more headers
+    /// than that reads the rest out of its text, built or parsed, and
+    /// is still the one buffer.
+    #[test]
+    fn a_head_with_more_headers_than_it_indexes_reads_the_rest_from_its_text() {
+        let names: Vec<String> = (0..3 * INDEXED_LINES).map(|i| format!("X-H{i}")).collect();
+        let mut req = HttpRequest::new("GET", "/");
+        for (i, name) in names.iter().enumerate() {
+            req = req.header(name, &"v".repeat(i));
+        }
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(req.header_value(&name.to_lowercase()), Some("v".repeat(i).as_str()));
+        }
+        assert_eq!(req.headers().count(), names.len());
+        assert_eq!(req.header_value("X-H"), None);
+        let wire = req.encode();
+        assert_parses_as_the_oracle_does(&[wire.as_slice(), b"HTTP/1.1 200 OK\r\nA:1\r\nB:2\r\n\r\n"].concat(), &[7]);
+        let mut parser = HttpParser::new();
+        let Some(HttpMessage::Request(parsed)) = parser.push(&wire).unwrap().into_iter().next() else { panic!() };
+        assert_eq!(parsed, req);
+        // The raw head, short of its last CRLF and the blank line, and
+        // room for a `Content-Length` line: allocated once, never grown.
+        assert_eq!(parsed.head.text.capacity(), wire.len() - 4 + 32);
+    }
+
+    /// Parsers, fetches and pending requests hold messages inline, so a
+    /// head is no larger than the text `String`, start spans and span
+    /// `Vec` it replaced.
+    #[test]
+    fn a_head_is_no_larger_than_the_string_and_span_table_it_replaced() {
+        type Replaced = (String, [usize; 4], Vec<[usize; 4]>);
+        assert!(std::mem::size_of::<Head>() < std::mem::size_of::<Replaced>());
     }
 
     #[test]

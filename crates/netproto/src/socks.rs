@@ -2,10 +2,16 @@
 //! between a browser and the Shadowsocks or Tor local proxy, and (in
 //! Shadowsocks' wire format) the address header sent to the remote.
 
+use bytes::BufMut;
 use sc_simnet::addr::Addr;
 
 /// SOCKS protocol version byte.
 pub const SOCKS_VERSION: u8 = 5;
+
+/// Longest domain the address format carries: its length is one byte. A
+/// longer name is refused where it enters, before a [`TargetAddr`] is
+/// made of it.
+pub const MAX_DOMAIN_LEN: usize = u8::MAX as usize;
 
 /// A connect target: domain name or literal address.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,23 +30,44 @@ impl TargetAddr {
         }
     }
 
-    /// Encodes in SOCKS5 address format (ATYP + addr + port) — also the
-    /// header format Shadowsocks prepends to each proxied stream.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// Bytes [`encode_into`](Self::encode_into) writes.
+    pub fn encoded_len(&self) -> usize {
+        match self {
+            TargetAddr::Ip(..) => 7,
+            TargetAddr::Domain(d, _) => 4 + d.len(),
+        }
+    }
+
+    /// Appends the SOCKS5 address format (ATYP + addr + port) — also the
+    /// header format Shadowsocks prepends to each proxied stream — to
+    /// `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a domain longer than [`MAX_DOMAIN_LEN`] bytes: its length
+    /// byte cannot say so, and the peer would misread every byte after
+    /// it.
+    pub fn encode_into(&self, out: &mut impl BufMut) {
         match self {
             TargetAddr::Ip(a, p) => {
-                out.push(0x01);
-                out.extend_from_slice(&a.octets());
-                out.extend_from_slice(&p.to_be_bytes());
+                out.put_u8(0x01);
+                out.put_slice(&a.octets());
+                out.put_u16(*p);
             }
             TargetAddr::Domain(d, p) => {
-                out.push(0x03);
-                out.push(d.len() as u8);
-                out.extend_from_slice(d.as_bytes());
-                out.extend_from_slice(&p.to_be_bytes());
+                let len = u8::try_from(d.len()).expect("a domain is refused above MAX_DOMAIN_LEN bytes");
+                out.put_u8(0x03);
+                out.put_u8(len);
+                out.put_slice(d.as_bytes());
+                out.put_u16(*p);
             }
         }
+    }
+
+    /// [`encode_into`](Self::encode_into) a buffer of its own, sized once.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
         out
     }
 
@@ -261,5 +288,25 @@ mod tests {
         }
         assert!(TargetAddr::decode(&[0x04, 0, 0]).is_none()); // IPv6 unsupported
         assert!(TargetAddr::decode(&[0x01, 1, 2]).is_none()); // truncated
+    }
+
+    #[test]
+    fn every_domain_length_the_format_can_say_round_trips_in_a_buffer_sized_once() {
+        for len in [0, 1, 63, 254, MAX_DOMAIN_LEN] {
+            let t = TargetAddr::Domain("a".repeat(len), 443);
+            let enc = t.encode();
+            assert_eq!((enc.len(), enc.capacity()), (t.encoded_len(), t.encoded_len()));
+            assert_eq!(TargetAddr::decode(&enc), Some((t, len + 4)));
+        }
+    }
+
+    /// A 319-byte name's length byte would read 63: the peer would take
+    /// the first 63 bytes for the domain and the rest for the stream.
+    #[test]
+    #[should_panic(expected = "MAX_DOMAIN_LEN")]
+    fn a_domain_the_length_byte_cannot_say_is_never_encoded() {
+        let name = format!("{}.scholar.google.com", "a".repeat(300));
+        assert_eq!(name.len(), 319);
+        TargetAddr::Domain(name, 443).encode();
     }
 }

@@ -38,7 +38,7 @@ impl SchemeHandle {
     }
 
     /// The cover-path generation currently in force (see
-    /// `frame::cover_path_gen`). Stays 0 — the fixed pre-adaptive cover
+    /// `frame::CoverPath`). Stays 0 — the fixed pre-adaptive cover
     /// endpoints — until a detection-driven rotation bumps it.
     pub fn generation(&self) -> u32 {
         self.0.borrow().1

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 
 use sc_netproto::http::{HttpRequest, HttpResponse};
-use sc_netproto::socks::TargetAddr;
+use sc_netproto::socks::{TargetAddr, MAX_DOMAIN_LEN};
 use sc_obs::{Level, Quoted, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
@@ -154,7 +154,8 @@ impl Admit {
         req: &HttpRequest,
         io: &mut impl Io,
     ) -> Step {
-        let Some((host, port)) = req.target().rsplit_once(':') else {
+        // A name longer than a stream header can carry is no host.
+        let Some((host, port)) = req.target().rsplit_once(':').filter(|(host, _)| host.len() <= MAX_DOMAIN_LEN) else {
             io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
             return Step::Done;
         };

@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use bytes::BytesMut;
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::http::HttpResponse;
 use sc_obs::{Level, Quoted, SpanId};
@@ -29,7 +30,7 @@ use super::remotes::Remotes;
 use super::trace::{self, target_label};
 use super::Step;
 use crate::config::{ScConfig, FRONT_HOST};
-use crate::frame::{Hello, StreamCodec};
+use crate::frame::{Hello, StreamCodec, PREAMBLE_ROOM};
 use crate::resilience::{BACKOFF, CONNECT_TIMEOUT, MAX_ATTEMPTS, QUEUE_FAIL_AFTER};
 
 /// How often a parked request re-checks the pool for a recovered remote
@@ -85,8 +86,8 @@ struct Attempt {
     /// When the connect was issued (RTT measurement).
     started: SimTime,
     /// Wire bytes queued until the remote TCP connects (hello + header
-    /// + initial plaintext, pre-encoded).
-    wire: Vec<u8>,
+    /// + initial plaintext, pre-encoded), frozen into the first send.
+    wire: BytesMut,
     /// Outbound (domestic→remote) codec.
     tx: StreamCodec,
     /// Inbound (remote→domestic) codec.
@@ -359,8 +360,7 @@ impl Establish {
         // The stream header carries this attempt's span as the remote
         // side's parent, so the relay span stitches under the attempt
         // that actually carried the traffic.
-        let mut header = pt.req.header.clone();
-        header.parent = span.0;
+        pt.req.header.parent = span.0;
 
         if let Some(p) = prev.filter(|&p| p != idx) {
             trace::count(now, "scholarcloud.failovers", 1);
@@ -377,13 +377,17 @@ impl Establish {
             nonce: io.rand_u64(),
             generation: self.cfg.scheme.generation(),
         };
-        let encrypt = !header.is_tls;
+        let encrypt = !pt.req.header.is_tls;
         let (mut tx, rx) = StreamCodec::pair(&self.cfg.secret, &hello, encrypt);
         // Preamble in the clear, then header and early plaintext encoded
-        // where they lie.
-        let mut wire = hello.encode(&self.preamble_key, FRONT_HOST);
+        // where they lie, in one buffer with room for all three.
+        let header = &pt.req.header;
+        let mut wire = BytesMut::with_capacity(
+            PREAMBLE_ROOM + FRONT_HOST.len() + header.encoded_len() + pt.req.initial_plain.len(),
+        );
+        hello.encode_into(&self.preamble_key, FRONT_HOST, &mut wire);
         let preamble = wire.len();
-        wire.extend_from_slice(&header.encode());
+        header.encode_into(&mut wire);
         wire.extend_from_slice(&pt.req.initial_plain);
         tx.encode(&mut wire[preamble..]);
         remotes.stream_start(idx);
@@ -498,7 +502,7 @@ impl Establish {
     ) -> Option<Up> {
         let mut at = self.attempts.remove(&rh)?;
         let now = io.now();
-        io.send(rh, std::mem::take(&mut at.wire));
+        io.send(rh, std::mem::take(&mut at.wire).freeze());
         trace::end(now, &mut at.span, |f| {
             f.field("ok", true);
         });

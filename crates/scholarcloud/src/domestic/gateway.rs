@@ -15,6 +15,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight, StoredResponse};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse, Messages};
+use sc_netproto::socks::MAX_DOMAIN_LEN;
 use sc_obs::{Fields, Level, Quoted, SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
 use sc_simnet::api::TcpHandle;
@@ -147,12 +148,12 @@ impl Gateway {
             io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
             return Step::Done;
         };
-        if !self.cfg.whitelisted(&host) {
-            return Step::RefuseHost { browser, host };
+        if !self.cfg.whitelisted(host) {
+            return Step::RefuseHost { browser, host: host.to_string() };
         }
         let now = io.now();
         let tctx = trace_ctx_of(&req);
-        let key: CacheKey = (host, path);
+        let key: CacheKey = (host.to_string(), path.to_string());
         match req.header_value("If-None-Match") {
             Some(inm) => {
                 self.inm.insert(browser, inm.to_string());
@@ -362,6 +363,8 @@ impl Gateway {
     ) {
         let Some(fetch) = self.fetches.remove(&leader) else { return };
         let now = io.now();
+        // A pass-through fetch was never coalesced.
+        let flight = if fetch.cacheable { self.flights.complete(&fetch.key) } else { None };
         let cache_prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
         let served: Option<StoredResponse> = if !fetch.cacheable {
             None
@@ -394,20 +397,19 @@ impl Gateway {
                 body: resp.body.clone(),
             };
             // The representation changed upstream: the stale entry did
-            // not help after all.
+            // not help after all. (The store emits nothing, so the miss
+            // is told before the key moves into it.)
             let changed = fetch.revalidating && !via_peer;
-            let evicted = {
-                let mut cache = self.cfg.cache.borrow_mut();
-                let ttl = cache.ttl_for(&fetch.key.0, entry.max_age);
-                if changed {
-                    cache.note_miss();
-                }
-                cache.insert(fetch.key.clone(), entry.clone(), ttl, now).evicted
-            };
             if changed {
+                self.cfg.cache.borrow_mut().note_miss();
                 trace::count(now, "scholarcloud.cache_misses", 1);
                 self.cache_event(now, "miss", &fetch.key);
             }
+            let evicted = {
+                let mut cache = self.cfg.cache.borrow_mut();
+                let ttl = cache.ttl_for(&fetch.key.0, entry.max_age);
+                cache.insert(fetch.key, entry.clone(), ttl, now).evicted
+            };
             for victim in &evicted {
                 trace::count(now, "scholarcloud.cache_evicted", 1);
                 self.cache_event(now, "evicted", victim);
@@ -417,8 +419,6 @@ impl Gateway {
             None
         };
         drop(cache_prof);
-        // A pass-through fetch was never coalesced.
-        let flight = if fetch.cacheable { self.flights.complete(&fetch.key) } else { None };
         let waiters = flight.map_or(Vec::new(), |f| f.waiters);
         match served {
             Some(entry) => {
@@ -553,24 +553,24 @@ pub(super) fn first_response(msgs: Messages) -> Option<HttpResponse> {
 }
 
 /// `(host, port, path)` of a gateway request: absolute-form, or
-/// origin-form with a Host header. `None` for anything else, a port
-/// that is not a `u16` included.
-fn split_target(req: &HttpRequest) -> Option<(String, u16, String)> {
-    if let Some(rest) = req.target().strip_prefix("http://") {
+/// origin-form with a Host header. `None` for anything else: a port
+/// that is not a `u16`, or a host longer than a stream header can carry.
+fn split_target(req: &HttpRequest) -> Option<(&str, u16, &str)> {
+    let (host, port, path) = if let Some(rest) = req.target().strip_prefix("http://") {
         let (hostport, path) = match rest.find('/') {
             Some(i) => (&rest[..i], &rest[i..]),
             None => (rest, "/"),
         };
-        let (host, port) = match hostport.rsplit_once(':') {
-            Some((h, p)) => (h, p.parse().ok()?),
-            None => (hostport, 80),
-        };
-        Some((host.to_string(), port, path.to_string()))
+        match hostport.rsplit_once(':') {
+            Some((h, p)) => (h, p.parse().ok()?, path),
+            None => (hostport, 80, path),
+        }
     } else if req.target().starts_with('/') {
-        Some((req.host()?.to_string(), 80, req.target().to_string()))
+        (req.host()?, 80, req.target())
     } else {
-        None
-    }
+        return None;
+    };
+    (host.len() <= MAX_DOMAIN_LEN).then_some((host, port, path))
 }
 
 impl Fetch {

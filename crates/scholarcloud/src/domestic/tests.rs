@@ -331,6 +331,42 @@ fn a_port_that_is_not_a_port_is_a_400_not_port_80() {
     );
 }
 
+/// A whitelisted name of `len` bytes.
+fn scholar_host(len: usize) -> String {
+    format!("{}.scholar.google.com", "a".repeat(len - ".scholar.google.com".len()))
+}
+
+/// A stream header's length byte says at most 255: a longer host is
+/// refused where it enters — a CONNECT, a gateway request in either
+/// form — instead of being sent to the remote misframed.
+#[test]
+fn a_host_longer_than_a_stream_header_can_carry_is_a_400() {
+    for (len, admitted) in [(255, true), (256, false), (319, false)] {
+        let host = scholar_host(len);
+        assert!(config().whitelisted(&host), "{len}: the whitelist alone lets it through");
+
+        let mut proxy = DomesticProxy::new(config());
+        let mut io = FakeIo::new();
+        let browser = TcpHandle(1);
+        proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer: SocketAddr::new(CLIENT, 40_000) }), &mut io);
+        io.inbox.insert(browser, HttpRequest::connect(&format!("{host}:443")).encode());
+        proxy.route(AppEvent::Tcp(browser, TcpEvent::DataReceived), &mut io);
+        assert_eq!(io.connects().len(), usize::from(admitted), "CONNECT to a {len}-byte host");
+        assert_eq!(io.sent(browser).starts_with("HTTP/1.1 400"), !admitted, "CONNECT to a {len}-byte host");
+
+        for req in [
+            HttpRequest::get(&host, &format!("http://{host}/paper")),
+            HttpRequest::get(&host, "/paper"),
+        ] {
+            let mut io = FakeIo::new();
+            let mut gw = Gateway::new(Rc::new(config()));
+            let step = gw.request(TcpHandle(1), CLIENT, req, |_, _| None, &mut io);
+            assert_eq!(matches!(step, Step::Admit(_)), admitted, "gateway GET for a {len}-byte host");
+            assert_eq!(io.sent(TcpHandle(1)).starts_with("HTTP/1.1 400"), !admitted, "{len}");
+        }
+    }
+}
+
 /// A leader with two waiters coalesced behind its upstream fetch.
 fn flight_of_three(io: &mut FakeIo) -> Gateway {
     flight_of_three_on(Rc::new(config()), io)

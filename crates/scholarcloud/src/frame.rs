@@ -11,8 +11,10 @@
 //! HTTP 400 decoy, which is why probing never confirms a ScholarCloud
 //! remote (§3, "message blinding"; probe resistance).
 
+use std::fmt;
 use std::rc::Rc;
 
+use bytes::BufMut;
 use sc_crypto::blinding::{Blinder, BlindingScheme};
 use sc_crypto::hmac::{ct_eq, hkdf_expand_into, hkdf_extract, HmacKey};
 use sc_crypto::sha256::sha256;
@@ -46,7 +48,8 @@ const COVER_LEAVES: [&str; 16] = [
     "put", "send", "collect", "track", "log", "events",
 ];
 
-/// The cover endpoint for a scheme at a given rotation *generation*.
+/// The cover endpoint for a scheme at a given rotation *generation*,
+/// written where it goes (`Display`).
 ///
 /// Generation 0 is the fixed paths every pre-adaptive trace was pinned
 /// against; later generations derive a fresh innocuous path from the
@@ -58,12 +61,22 @@ const COVER_LEAVES: [&str; 16] = [
 /// rotation can front an endpoint the censor has never seen — the
 /// censor's classifier restarts from zero while the old signature
 /// starves out its TTL.
-pub fn cover_path_gen(scheme: BlindingScheme, generation: u32) -> String {
-    if generation == 0 {
-        return cover_path(scheme).to_string();
+#[derive(Debug, Clone, Copy)]
+pub struct CoverPath {
+    /// The scheme the cover fronts.
+    pub scheme: BlindingScheme,
+    /// The rotation generation.
+    pub generation: u32,
+}
+
+impl fmt::Display for CoverPath {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.generation == 0 {
+            return f.write_str(cover_path(self.scheme));
+        }
+        let (dir, leaf, tag) = derived_cover(self.scheme, self.generation);
+        write!(f, "/{dir}/{leaf}-{}", std::str::from_utf8(&tag).expect("hex digits are ASCII"))
     }
-    let (dir, leaf, tag) = derived_cover(scheme, generation);
-    format!("/{dir}/{leaf}-{}", std::str::from_utf8(&tag).expect("hex digits are ASCII"))
 }
 
 /// The pieces of a derived (generation > 0) cover path
@@ -82,8 +95,7 @@ fn derived_cover(scheme: BlindingScheme, generation: u32) -> (&'static str, &'st
 }
 
 /// Whether `path` is `scheme`'s cover at `generation`: what
-/// [`cover_path_gen`] renders, compared piece by piece without rendering
-/// it.
+/// [`CoverPath`] renders, compared piece by piece without rendering it.
 fn is_cover_path(path: &str, scheme: BlindingScheme, generation: u32) -> bool {
     if generation == 0 {
         return path == cover_path(scheme);
@@ -94,6 +106,10 @@ fn is_cover_path(path: &str, scheme: BlindingScheme, generation: u32) -> bool {
     rest.and_then(|p| p.strip_prefix('-')).is_some_and(|p| p.as_bytes() == tag)
 }
 
+/// Room a preamble needs besides its front host: the longest cover path
+/// and the fixed header lines.
+pub const PREAMBLE_ROOM: usize = 192;
+
 /// The parsed cover preamble.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hello {
@@ -101,7 +117,7 @@ pub struct Hello {
     pub scheme: BlindingScheme,
     /// Session nonce (keys are derived from secret + nonce).
     pub nonce: u64,
-    /// Cover-path generation (see [`cover_path_gen`]). Carried by the
+    /// Cover-path generation (see [`CoverPath`]). Carried by the
     /// path itself, not the MAC: it selects cover dressing only — keys
     /// derive from secret + nonce regardless.
     pub generation: u32,
@@ -122,18 +138,20 @@ fn mac_hex(key: &HmacKey, scheme: BlindingScheme, nonce: u64) -> [u8; 24] {
 }
 
 impl Hello {
-    /// Renders the cover preamble (a complete HTTP request head). `key`
-    /// is the operator secret, prepared once by whoever holds it.
-    pub fn encode(&self, key: &HmacKey, front_host: &str) -> Vec<u8> {
+    /// Writes the cover preamble (a complete HTTP request head) into
+    /// `out`. `key` is the operator secret, prepared once by whoever holds
+    /// it.
+    pub fn encode_into(&self, key: &HmacKey, front_host: &str, out: &mut impl fmt::Write) {
         let mac = mac_hex(key, self.scheme, self.nonce);
-        format!(
+        write!(
+            out,
             "POST {} HTTP/1.1\r\nHost: {}\r\nContent-Type: application/octet-stream\r\nX-Req-Id: {:016x}\r\nX-Trace: {}\r\nTransfer-Encoding: chunked\r\n\r\n",
-            cover_path_gen(self.scheme, self.generation),
+            CoverPath { scheme: self.scheme, generation: self.generation },
             front_host,
             self.nonce,
             std::str::from_utf8(&mac).expect("hex digits are ASCII"),
         )
-        .into_bytes()
+        .expect("writing to a buffer is infallible");
     }
 
     /// Attempts to parse and authenticate a preamble from the start of a
@@ -217,17 +235,27 @@ pub struct StreamHeader {
 }
 
 impl StreamHeader {
-    /// Encodes: flag(1) ‖ trace(8) ‖ parent(8) ‖ target (SOCKS format),
-    /// length-prefixed. The trace fields are fixed width — zero when
-    /// untraced — so traced and untraced runs frame identically.
+    /// Bytes [`encode_into`](Self::encode_into) writes.
+    pub fn encoded_len(&self) -> usize {
+        2 + 17 + self.target.encoded_len()
+    }
+
+    /// Appends flag(1) ‖ trace(8) ‖ parent(8) ‖ target (SOCKS format),
+    /// length-prefixed, to `out`. The trace fields are fixed width — zero
+    /// when untraced — so traced and untraced runs frame identically.
+    pub fn encode_into(&self, out: &mut impl BufMut) {
+        let len = u16::try_from(self.encoded_len() - 2).expect("a SOCKS target is at most 259 bytes");
+        out.put_u16(len);
+        out.put_u8(self.is_tls as u8);
+        out.put_u64(self.trace);
+        out.put_u64(self.parent);
+        self.target.encode_into(out);
+    }
+
+    /// [`encode_into`](Self::encode_into) a buffer of its own, sized once.
     pub fn encode(&self) -> Vec<u8> {
-        let t = self.target.encode();
-        let mut out = Vec::with_capacity(t.len() + 19);
-        out.extend_from_slice(&((t.len() + 17) as u16).to_be_bytes());
-        out.push(self.is_tls as u8);
-        out.extend_from_slice(&self.trace.to_be_bytes());
-        out.extend_from_slice(&self.parent.to_be_bytes());
-        out.extend_from_slice(&t);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
         out
     }
 
@@ -284,9 +312,10 @@ const UP: u8 = 0;
 const DOWN: u8 = 1;
 
 /// The session's blinder: one HKDF and one keyed derivation (for
-/// `ByteMap`, a 256-entry permutation and its inverse) per tunnel end.
+/// `ByteMap`, a 256-entry permutation and its inverse) per tunnel end,
+/// in one allocation.
 fn session_blinder(secret: &[u8], hello: &Hello) -> Rc<dyn Blinder> {
-    Rc::from(hello.scheme.instantiate(&session_key(secret, hello.nonce)))
+    hello.scheme.instantiate(&session_key(secret, hello.nonce))
 }
 
 /// The session's AES key schedule; each direction runs its own counter
@@ -408,10 +437,16 @@ mod tests {
         HmacKey::new(SECRET)
     }
 
+    fn preamble(hello: &Hello, key: &HmacKey, front_host: &str) -> Vec<u8> {
+        let mut out = String::new();
+        hello.encode_into(key, front_host, &mut out);
+        out.into_bytes()
+    }
+
     #[test]
     fn hello_roundtrip() {
         let hello = Hello { scheme: BlindingScheme::ByteMap, nonce: 0xdead_beef, generation: 0 };
-        let wire = hello.encode(&key(), "cdn.front.example");
+        let wire = preamble(&hello, &key(), "cdn.front.example");
         let (parsed, used) = Hello::parse(&key(), 0, &wire).unwrap().unwrap();
         assert_eq!(parsed, hello);
         assert_eq!(used, wire.len());
@@ -435,7 +470,7 @@ mod tests {
     #[test]
     fn hello_rejects_wrong_secret() {
         let hello = Hello { scheme: BlindingScheme::ByteMap, nonce: 7, generation: 0 };
-        let wire = hello.encode(&key(), "h");
+        let wire = preamble(&hello, &key(), "h");
         assert!(Hello::parse(&HmacKey::new(b"other-secret"), 0, &wire).is_err());
     }
 
@@ -455,6 +490,36 @@ mod tests {
             .map(cover_path)
             .collect();
         assert_eq!(paths.len(), BlindingScheme::rotation().len());
+    }
+
+    /// The establish path writes preamble, stream header and early
+    /// plaintext into one buffer sized up front: every cover's preamble
+    /// fits the room it reserves, and a header is the length it says.
+    #[test]
+    fn a_preamble_and_a_header_fit_the_room_reserved_for_them() {
+        let front = "cdn.front.example";
+        for scheme in [
+            BlindingScheme::Identity,
+            BlindingScheme::ByteMap,
+            BlindingScheme::XorRolling,
+            BlindingScheme::NibbleSwap,
+        ] {
+            for generation in 0..256 {
+                let hello = Hello { scheme, nonce: u64::MAX, generation };
+                let wire = preamble(&hello, &key(), front);
+                assert!(wire.len() <= PREAMBLE_ROOM + front.len(), "{scheme:?} at {generation}: {}", wire.len());
+                assert_eq!(Hello::parse(&key(), generation, &wire).unwrap(), Some((hello, wire.len())));
+            }
+        }
+        let header = StreamHeader {
+            is_tls: false,
+            trace: 1,
+            parent: 2,
+            target: TargetAddr::Domain("a".repeat(sc_netproto::socks::MAX_DOMAIN_LEN), 80),
+        };
+        let enc = header.encode();
+        assert_eq!((enc.len(), enc.capacity()), (header.encoded_len(), header.encoded_len()));
+        assert_eq!(StreamHeader::decode(&enc), Some((header, enc.len())));
     }
 
     #[test]

@@ -479,7 +479,8 @@ impl App for PreambleSender {
 /// and the codec that reads the remote's answer.
 fn tunnel_open(cfg: &ScConfig, nonce: u64) -> (Vec<u8>, Vec<u8>, sc_core::StreamCodec) {
     let hello = sc_core::Hello { scheme: cfg.scheme.get(), nonce, generation: cfg.scheme.generation() };
-    let preamble = hello.encode(&sc_crypto::hmac::HmacKey::new(&cfg.secret), "cdn.front.example");
+    let mut preamble = String::new();
+    hello.encode_into(&sc_crypto::hmac::HmacKey::new(&cfg.secret), "cdn.front.example", &mut preamble);
     let (mut up, down) = sc_core::StreamCodec::pair(&cfg.secret, &hello, false);
     let header = sc_core::StreamHeader {
         is_tls: true,
@@ -490,7 +491,7 @@ fn tunnel_open(cfg: &ScConfig, nonce: u64) -> (Vec<u8>, Vec<u8>, sc_core::Stream
     let mut stream = header.encode();
     stream.extend_from_slice(b"GET /scholar HTTP/1.1\r\nHost: scholar.google.com\r\n\r\n");
     up.encode(&mut stream);
-    (preamble, stream, down)
+    (preamble.into_bytes(), stream, down)
 }
 
 #[test]

@@ -867,10 +867,9 @@ impl Browser {
         };
         // The HTML: schedule subresource fetches.
         if is_page {
-            let resources = crate::page::PageSpec::parse_manifest(&body);
             let first_time = self.load.as_ref().is_some_and(|l| l.first_time);
             let mut to_fetch = Vec::new();
-            for r in resources {
+            for r in crate::page::PageSpec::parse_manifest(&body) {
                 if r.first_visit_only && !first_time {
                     continue;
                 }

@@ -5,21 +5,31 @@
 //! reproduced by an extra "account recording" resource on a separate host
 //! that is fetched only on a first visit (TCP-4 in the paper).
 
+use std::borrow::Cow;
 use std::io::Write;
 
 use sc_netproto::scan;
 
-/// One subresource referenced by a page.
+/// One subresource referenced by a page: its host and path owned (`S =
+/// String`, a page model's), or as [`PageSpec::parse_manifest`] reads
+/// them, borrowed from the body they are written in.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resource {
+pub struct Resource<S = String> {
     /// Host serving the resource.
-    pub host: String,
+    pub host: S,
     /// Path on that host.
-    pub path: String,
+    pub path: S,
     /// Body size in bytes.
     pub len: usize,
     /// Fetched only on first visits (the account-recording connection).
     pub first_visit_only: bool,
+}
+
+impl<S> Resource<S> {
+    /// The same resource with its host and path converted by `f`.
+    pub fn map<T>(self, f: impl Fn(S) -> T) -> Resource<T> {
+        Resource { host: f(self.host), path: f(self.path), len: self.len, first_visit_only: self.first_visit_only }
+    }
 }
 
 /// A page: HTML plus subresources.
@@ -118,15 +128,16 @@ impl PageSpec {
     }
 
     /// Parses the manifest back out of an HTML body: the `RES ` lines,
-    /// wherever they stand. Lines are cut the way `str::lines` cuts them
-    /// (at `\n`, dropping the `\r` of a `\r\n`), and only a `RES ` line
-    /// is decoded. The body is searched for `RES ` a word at a time, so
-    /// the kilobytes of markup around the lines are never split into
-    /// lines at all.
-    pub fn parse_manifest(html: &[u8]) -> Vec<Resource> {
-        let mut resources = Vec::new();
+    /// wherever they stand, in order. Lines are cut the way `str::lines`
+    /// cuts them (at `\n`, dropping the `\r` of a `\r\n`), and only a
+    /// `RES ` line is decoded. The body is searched for `RES ` a word at a
+    /// time, so the kilobytes of markup around the lines are never split
+    /// into lines at all; each host and path is a view of the body (a
+    /// copy only where a line is not UTF-8 and decodes lossily).
+    pub fn parse_manifest(html: &[u8]) -> impl Iterator<Item = Resource<Cow<'_, str>>> {
         let mut from = 0;
-        while let Some(at) = scan::find(&html[from..], b"RES ").map(|i| from + i) {
+        std::iter::from_fn(move || loop {
+            let at = scan::find(&html[from..], b"RES ").map(|i| from + i)?;
             let end = scan::find_byte(&html[at..], b'\n').map_or(html.len(), |i| at + i);
             // No line can start before this one ends.
             from = end;
@@ -137,16 +148,23 @@ impl PageSpec {
             if end < html.len() {
                 line = line.strip_suffix(b"\r").unwrap_or(line);
             }
-            resources.extend(Self::parse_resource(&String::from_utf8_lossy(line)));
-        }
-        resources
+            let parsed = match String::from_utf8_lossy(line) {
+                Cow::Borrowed(fields) => Self::parse_resource(fields).map(|r| r.map(Cow::Borrowed)),
+                Cow::Owned(fields) => {
+                    Self::parse_resource(&fields).map(|r| r.map(|piece| Cow::Owned(piece.to_string())))
+                }
+            };
+            if parsed.is_some() {
+                return parsed;
+            }
+        })
     }
 
     /// One manifest line's fields, after its `RES `.
-    fn parse_resource(fields: &str) -> Option<Resource> {
+    fn parse_resource(fields: &str) -> Option<Resource<&str>> {
         let mut parts = fields.split(' ');
-        let host = parts.next()?.to_string();
-        let path = parts.next()?.to_string();
+        let host = parts.next()?;
+        let path = parts.next()?;
         let len: usize = parts.next()?.parse().ok()?;
         let first = parts.next()? == "first";
         Some(Resource { host, path, len, first_visit_only: first })
@@ -162,6 +180,11 @@ impl PageSpec {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// What `parse_manifest` reads, owned.
+    fn owned(html: &[u8]) -> Vec<Resource> {
+        PageSpec::parse_manifest(html).map(|r| r.map(Cow::into_owned)).collect()
+    }
 
     /// `parse_manifest` as it was first written — decode the whole body,
     /// then look at every line — kept as the oracle for the one above.
@@ -206,7 +229,7 @@ mod tests {
             }
             for end in 0..=html.len() {
                 let body = &html[..end];
-                prop_assert_eq!(PageSpec::parse_manifest(body), parse_manifest_whole_body(body));
+                prop_assert_eq!(owned(body), parse_manifest_whole_body(body));
             }
         }
     }
@@ -216,8 +239,9 @@ mod tests {
         let page = PageSpec::google_scholar();
         let html = page.render_html();
         assert_eq!(html.len(), page.html_len);
-        let parsed = PageSpec::parse_manifest(&html);
-        assert_eq!(parsed, page.resources);
+        assert_eq!(owned(&html), page.resources);
+        // Read where they lie: nothing is copied out of a UTF-8 body.
+        assert!(PageSpec::parse_manifest(&html).all(|r| matches!((r.host, r.path), (Cow::Borrowed(_), Cow::Borrowed(_)))));
     }
 
     #[test]
@@ -260,7 +284,6 @@ mod tests {
     fn manifest_ignores_padding() {
         let page = PageSpec::simple("example.com", 4_000);
         let html = page.render_html();
-        let parsed = PageSpec::parse_manifest(&html);
-        assert_eq!(parsed.len(), 1);
+        assert_eq!(PageSpec::parse_manifest(&html).count(), 1);
     }
 }

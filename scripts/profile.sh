@@ -8,12 +8,13 @@
 # benchmark/src/main.rs, builds it with frame pointers and line tables,
 # runs the benchmark's own command for WORKLOAD (`--seed SEED --seconds 15
 # --trace 0`), and prints two tables over the samples whose stack holds
-# Sim::run_until: self time (the function the sampled pc is in) and
-# inclusive time (every function on the walked stack, inlined ones
-# included, once per sample). The checkout itself, benchmark/ included,
-# is never written. Needs x86_64 Linux (the sampler reads the registers
-# from a Linux x86_64 ucontext), addr2line and python3; a run takes the
-# build plus about 20 s.
+# Sim::run_until, called or inlined into its caller: self time (the
+# function the sampled pc is in) and inclusive time (every function on
+# the walked stack, inlined ones included, once per sample). The copy,
+# build and symbolising are scripts/lib's, shared with alloc_sites.sh;
+# the checkout itself, benchmark/ included, is never written. Needs x86_64
+# Linux (the sampler reads the registers from a Linux x86_64 ucontext),
+# addr2line and python3; a run takes the build plus about 20 s.
 set -eu
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -22,16 +23,8 @@ if [ $# -lt 1 ] || [ $# -gt 2 ]; then
 fi
 workload=$1
 seed=${2:-2017}
-if [ "$(uname -s)" != Linux ] || [ "$(uname -m)" != x86_64 ]; then
-    echo "profile.sh: x86_64 Linux only" >&2
-    exit 1
-fi
-root=$(cd "$(dirname "$0")/.." && pwd)
-work=$(mktemp -d "${TMPDIR:-/tmp}/sc-profile.XXXXXX")
-trap 'rm -rf "$work"' EXIT INT TERM
-
-(cd "$root" && tar -c --exclude=./.git --exclude=./target --exclude=./benchmark/target \
-    --exclude=./benchmark/out --exclude=./.bench_build .) | tar -x -C "$work"
+. "$(dirname "$0")/lib/fp_build.sh"
+fp_copy profile.sh
 
 cat > "$work/benchmark/src/sampler.rs" <<'RUST'
 //! SIGPROF sampler: every profiling tick stores the interrupted pc and
@@ -162,57 +155,31 @@ RUST
 main="$work/benchmark/src/main.rs"
 sed -i -e 's/^mod workloads;$/mod workloads;\nmod sampler;/' \
     -e 's/^fn main() -> ExitCode {$/fn main() -> ExitCode {\n    let _sampler = sampler::Sampler::start();/' "$main"
-if ! grep -q '^mod sampler;$' "$main" || ! grep -q 'sampler::Sampler::start' "$main"; then
-    echo "profile.sh: benchmark/src/main.rs no longer has the lines the sampler is patched in at" >&2
-    exit 1
-fi
+fp_patched "$main" '^mod sampler;$' 'sampler::Sampler::start'
 
-echo "building a frame-pointer copy of the benchmark in $work ..." >&2
-(cd "$work" && RUSTFLAGS="-C force-frame-pointers=yes" CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
-    SC_PROFILE_OUT="$work/samples.txt" \
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload "$workload" --seed "$seed" --seconds 15 --trace 0 >/dev/null)
+SC_PROFILE_OUT="$work/samples.txt" fp_run --workload "$workload" --seed "$seed" --seconds 15 --trace 0 >/dev/null
 
-python3 - "$work/samples.txt" "$work/benchmark/target/release/sc-benchmark" "$workload" "$seed" <<'PY'
-import collections, os, re, subprocess, sys
+PYTHONPATH="$lib" python3 - "$work/samples.txt" "$work/benchmark/target/release/sc-benchmark" "$workload" "$seed" <<'PY'
+import collections, re, sys
+from symbolize import read_dump, symbolize
 
 dump, binary, workload, seed = sys.argv[1:]
-binary = os.path.realpath(binary)
-base, samples = None, []
-for line in open(dump):
-    kind, _, rest = line.rstrip("\n").partition(" ")
-    if kind == "map":
-        f = rest.split()
-        # The executable's mapping at file offset 0 is where it was loaded.
-        if len(f) >= 6 and os.path.realpath(f[5]) == binary and int(f[2], 16) == 0 and base is None:
-            base = int(f[0].split("-")[0], 16)
-    elif kind == "s":
-        samples.append([int(x, 16) for x in rest.split()])
-if base is None:
-    sys.exit("profile.sh: the executable's mapping is not in the dump")
+base, records = read_dump(dump, binary, "profile.sh")
+samples = [[int(x, 16) for x in rest.split()] for kind, rest in records if kind == "s"]
 
 # A return address points after its call: look up the call itself.
-wanted = sorted({(pc if i == 0 else pc - 1) - base for s in samples for i, pc in enumerate(s)})
-out = subprocess.run(["addr2line", "-a", "-f", "-C", "-i", "-e", binary],
-                     input="\n".join(f"{a:x}" for a in wanted), capture_output=True, text=True, check=True).stdout
-names, current = {}, None
-lines = out.splitlines()
-i = 0
-while i < len(lines):
-    if re.fullmatch(r"0x[0-9a-f]+", lines[i]):
-        current = int(lines[i], 16)
-        names[current] = []
-        i += 1
-        continue
-    # function, then file:line; innermost inlined function first.
-    names[current].append(re.sub(r"::h[0-9a-f]{16}$", "", lines[i]))
-    i += 2
+def offsets(sample):
+    return [(pc if i == 0 else pc - 1) - base for i, pc in enumerate(sample)]
 
+names = symbolize(binary, [a for s in samples for a in offsets(s)])
 def frames(sample):
-    return [names.get((pc if i == 0 else pc - 1) - base, ["??"]) for i, pc in enumerate(sample)]
+    return [[fn for fn, _ in names.get(a, [("??", "")])] for a in offsets(sample)]
 
+# The event loop's frame: `Sim::run_until` where it was called, plain
+# `run_until` where addr2line names it inlined into its caller.
+loop_frame = re.compile(r"(?:^|::)run_until$")
 under = [frames(s) for s in samples]
-under = [s for s in under if any("Sim::run_until" in f for fs in s for f in fs)]
+under = [s for s in under if any(loop_frame.search(f) for fs in s for f in fs)]
 if not under:
     sys.exit("profile.sh: no sample has Sim::run_until on its stack")
 self_time = collections.Counter(s[0][-1] for s in under)

@@ -148,7 +148,7 @@ fn unread_lines(lines: u64) -> String {
 fn a_page_load_stays_inside_its_allocation_budget() {
     // `sc_tunnel_steady`'s shape: CONNECT, blinded tunnel, TLS to the
     // origin. What it allocates is TLS records, the relay hops' one copy
-    // each way, and two small buffers per HTTP message.
+    // each way, and one small buffer per HTTP message.
     let tunnel = shape(2017, 4, 12);
     // `sc_gateway_fleet`'s shape: plain HTTP through three gateways whose
     // 12 KiB shards churn. Bodies are shared from the origin's rendered
@@ -190,9 +190,13 @@ fn a_page_load_stays_inside_its_allocation_budget() {
     }
 }
 
-// Measured 131.9 / 54 249 B (tunnel), 167.8 / 51 164 B (gateway fleet)
-// and 167.7 / 90 973 B (traced incident) in a debug build; before the
-// whitelist check stopped copying the host and formatting each entry,
+// Measured 96.4 / 49 845 B (tunnel), 101.9 / 42 988 B (gateway fleet)
+// and 123.9 / 85 971 B (traced incident) in a debug build; before an
+// HTTP head was one buffer indexing its lines inline, the manifest was
+// read in place, a blinder was one allocation and the establish path
+// wrote its preamble, stream header and early bytes into one buffer,
+// they cost 131.9 / 54 249 B, 167.8 / 51 164 B and 167.7 / 90 973 B;
+// before the whitelist check stopped copying the host and formatting each entry,
 // and trace fields were written straight into the sink's line instead
 // of a field vector of owned strings, they cost 135.7 / 54 313 B,
 // 174.5 / 51 281 B and 235.4 / 92 888 B; before TLS
@@ -203,12 +207,12 @@ fn a_page_load_stays_inside_its_allocation_budget() {
 // allocating per header and copying per tier the first two cost
 // 363.7 / 119 258 B and 433.2 / 138 177 B, and before obs wrote by slot
 // and into one recycled field vector the third cost 352.3 / 113 346 B.
-const TUNNEL_ALLOCS: f64 = 145.0;
-const TUNNEL_BYTES: f64 = 60_000.0;
-const FLEET_ALLOCS: f64 = 185.0;
-const FLEET_BYTES: f64 = 56_500.0;
-const INCIDENT_ALLOCS: f64 = 185.0;
-const INCIDENT_BYTES: f64 = 100_000.0;
+const TUNNEL_ALLOCS: f64 = 106.0;
+const TUNNEL_BYTES: f64 = 55_000.0;
+const FLEET_ALLOCS: f64 = 112.0;
+const FLEET_BYTES: f64 = 47_500.0;
+const INCIDENT_ALLOCS: f64 = 136.0;
+const INCIDENT_BYTES: f64 = 95_000.0;
 
 // The analyzer's pass over the traced incident's trace measured 0.610
 // allocations a line, and its peak over 10 000 and over 100 000 lines
