@@ -1,8 +1,10 @@
 //! The paper's figures across commits: `tests/golden/figure_digests.txt`
 //! pins the SHA-256 of exactly what `examples/paper_figures.rs` prints
-//! for each figure at its seed (2017), one line per figure. A change
-//! that is not a calibration change must leave every line alone; one
-//! that means to move a cell re-blesses with
+//! for each figure at its seed (2017), one line per figure, and
+//! EXPERIMENTS.md holds the same bytes legibly, one
+//! `<!-- paper_figures NAME -->` … `<!-- /paper_figures -->` block per
+//! figure. A change that is not a calibration change must leave every
+//! line and block alone; one that means to move a cell re-blesses with
 //! `SC_BLESS=1 cargo test --test figure_golden` (and, for Fig. 7,
 //! `SC_BLESS=1 cargo test --release --test figure_golden -- --ignored`)
 //! and says which cell moved.
@@ -22,6 +24,7 @@ use sc_metrics::{
 
 const SEED: u64 = 2017;
 const FILE: &str = "figure_digests.txt";
+const DOC: &str = "EXPERIMENTS.md";
 
 /// Checks one half of the file — Fig. 7's line or all the others —
 /// against `actual`, or rewrites that half under `SC_BLESS`, leaving
@@ -38,6 +41,40 @@ fn check_half(fig7: bool, actual: &str) {
     assert_eq!(actual, mine, "{FILE} moved; if intended, re-bless with SC_BLESS=1");
 }
 
+/// Where the text of EXPERIMENTS.md's `name` block lies: between the
+/// fence under `<!-- paper_figures name -->` and the fence above
+/// `<!-- /paper_figures -->`.
+fn block(doc: &str, name: &str) -> std::ops::Range<usize> {
+    let open = format!("<!-- paper_figures {name} -->\n```\n");
+    let mut starts = doc.match_indices(&open).map(|(i, _)| i + open.len());
+    let start = starts.next().unwrap_or_else(|| panic!("{DOC} has no `{name}` block"));
+    assert!(starts.next().is_none(), "{DOC} has two `{name}` blocks");
+    let end = start + doc[start..].find("```\n").unwrap_or(doc.len() - start);
+    assert!(
+        doc[end..].starts_with("```\n<!-- /paper_figures -->"),
+        "{DOC}'s `{name}` block is not closed by a fence and `<!-- /paper_figures -->`"
+    );
+    start..end
+}
+
+/// Checks each named block of EXPERIMENTS.md against what the renderer
+/// printed, or rewrites just those blocks under `SC_BLESS`.
+fn check_blocks(figures: &[(&str, String)]) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(DOC);
+    let mut doc = std::fs::read_to_string(&path).expect("read EXPERIMENTS.md");
+    for (name, text) in figures {
+        let at = block(&doc, name);
+        if blessing() {
+            doc.replace_range(at, text);
+        } else {
+            assert_eq!(&doc[at], text, "{DOC}'s `{name}` block moved; if intended, re-bless with SC_BLESS=1");
+        }
+    }
+    if blessing() {
+        std::fs::write(&path, doc).expect("write EXPERIMENTS.md");
+    }
+}
+
 #[test]
 fn figure_digests_match_golden() {
     let ablations = render_ablations(
@@ -45,12 +82,14 @@ fn figure_digests_match_golden() {
         ablation_agility(SEED),
         &ablation_ss_keepalive(SEED, &[1, 10, 120]),
     );
-    let mut actual = String::new();
-    actual.push_str(&digest_line("fig3", render_fig3(&fig3_survey(371, SEED)).as_bytes()));
-    actual.push_str(&digest_line("fig5", render_fig5(&fig5_all(SEED, 10)).as_bytes()));
-    actual.push_str(&digest_line("fig6", render_fig6(&fig6_all(SEED)).as_bytes()));
-    actual.push_str(&digest_line("ablations", ablations.as_bytes()));
-    check_half(false, &actual);
+    let figures = [
+        ("fig3", render_fig3(&fig3_survey(371, SEED))),
+        ("fig5", render_fig5(&fig5_all(SEED, 10))),
+        ("fig6", render_fig6(&fig6_all(SEED))),
+        ("ablations", ablations),
+    ];
+    check_half(false, &figures.iter().map(|(n, t)| digest_line(n, t.as_bytes())).collect::<String>());
+    check_blocks(&figures);
 }
 
 #[test]
@@ -61,5 +100,7 @@ fn fig7_digest_matches_golden() {
             .into_iter()
             .map(|m| (m, fig7_method(m, SEED, &FIG7_CLIENTS)))
             .collect();
-    check_half(true, &digest_line("fig7", render_fig7(&curves).as_bytes()));
+    let fig7 = render_fig7(&curves);
+    check_half(true, &digest_line("fig7", fig7.as_bytes()));
+    check_blocks(&[("fig7", fig7)]);
 }
