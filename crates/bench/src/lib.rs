@@ -10,7 +10,7 @@
 //! The per-figure targets (`fig3_survey`, `fig5_performance`,
 //! `fig6_overhead`, `fig7_scalability`, `ablations`) only timed what
 //! `cargo run --release --example paper_figures` runs, and
-//! `tests/golden/figure_digests.txt` pins what that prints. `cache_ops`'s
+//! EXPERIMENTS.md's figure blocks pin what that prints. `cache_ops`'s
 //! rows are `cache.lookup_hit_ns`, `cache.insert_evict_ns` and
 //! `cache.singleflight_63_waiters_ns` in the repository benchmark.
 //!

@@ -1,8 +1,11 @@
 //! Text renderers: print each figure's data the way the paper reports it,
-//! plus the per-scenario interference report and the observability
-//! metrics summary.
+//! beside the paper's own values, plus the per-scenario interference
+//! report and the observability metrics summary.
 
-use crate::experiments::{Fig3Row, Fig5Row, Fig6Row, Fig7Point};
+use crate::experiments::{
+    FIG7_CLIENTS, Fig3Row, Fig5Row, Fig6Row, Fig7Point, ablation_agility, ablation_blinding,
+    ablation_ss_keepalive, fig3_survey, fig5_all, fig6_all, fig7_method,
+};
 use crate::scenario::{Method, ScenarioOutcome};
 
 /// Renders one scenario run's censorship-interference breakdown: what the
@@ -140,8 +143,33 @@ pub fn render_ops_dashboard(series: &[&str]) -> String {
     out
 }
 
+/// The figures [`render_figure`] knows, in the order
+/// `paper_figures all` prints them.
+pub const FIGURES: [&str; 5] = ["fig3", "fig5", "fig6", "fig7", "ablations"];
+
+/// Runs one figure of [`FIGURES`] at `seed` and renders it: the text
+/// `paper_figures NAME` prints and EXPERIMENTS.md holds at seed 2017.
+/// `None` for a name not in [`FIGURES`].
+pub fn render_figure(name: &str, seed: u64) -> Option<String> {
+    let fig7 = |m| (m, fig7_method(m, seed, &FIG7_CLIENTS));
+    Some(match name {
+        "fig3" => render_fig3(&fig3_survey(371, seed)),
+        "fig5" => render_fig5(&fig5_all(seed, 10)),
+        "fig6" => render_fig6(&fig6_all(seed)),
+        "fig7" => render_fig7(
+            &[Method::NativeVpn, Method::OpenVpn, Method::Shadowsocks, Method::ScholarCloud].map(fig7),
+        ),
+        "ablations" => render_ablations(
+            &ablation_blinding(seed),
+            ablation_agility(seed),
+            &ablation_ss_keepalive(seed, &[1, 10, 120]),
+        ),
+        _ => return None,
+    })
+}
+
 /// Renders Figure 3 as text.
-pub fn render_fig3(row: &Fig3Row) -> String {
+fn render_fig3(row: &Fig3Row) -> String {
     let mut out = String::new();
     out.push_str("Figure 3 — methods for accessing Google Scholar (survey)\n");
     out.push_str(&format!("  respondents:            {}\n", row.respondents));
@@ -154,8 +182,16 @@ pub fn render_fig3(row: &Fig3Row) -> String {
     out
 }
 
-/// Renders Figures 5a–5c as a table.
-pub fn render_fig5(rows: &[Fig5Row]) -> String {
+/// What the paper reports for Figures 5a–5c.
+const FIG5_PAPER: &str = "\
+paper: PLT first — VPNs ≈2–3 s, Tor ≈15 s (≤20 s), SC 2.1 s
+       PLT subs — VPNs 1.2–1.5 s, Tor 2.8 s, SS 3.7 s, SC 1.3 s
+       RTT — VPNs ≈200 ms, SC ≈210 ms, SS ≈250 ms, Tor ≈330 ms; all within 100–700 ms
+       PLR — native VPN 0.21%, OpenVPN ≈0.2%, SC 0.22%, SS 0.77%, Tor 4.4%
+";
+
+/// Renders Figures 5a–5c as a table, the paper's values under it.
+fn render_fig5(rows: &[Fig5Row]) -> String {
     let mut out = String::new();
     out.push_str("Figure 5 — performance and robustness\n");
     out.push_str(&format!(
@@ -173,6 +209,7 @@ pub fn render_fig5(rows: &[Fig5Row]) -> String {
             r.failure_rate * 100.0,
         ));
     }
+    out.push_str(FIG5_PAPER);
     out
 }
 
@@ -184,8 +221,16 @@ fn format_summary(s: &crate::stats::Summary) -> String {
     }
 }
 
-/// Renders Figures 6a–6c as a table.
-pub fn render_fig6(rows: &[Fig6Row]) -> String {
+/// What the paper reports for Figures 6a–6c.
+const FIG6_PAPER: &str = "\
+paper: traffic — direct ≈19 KB; native VPN +14 KB (most), OpenVPN +8 KB, Tor ≈+11 KB, SS ≈+9 KB, SC small
+       CPU — native VPN 3.07% (least) … Tor 3.62% (most)
+       memory before — Chrome ≈95 MB, Tor Browser ≈70% above it (≈162 MB)
+       memory after — +30 MB (native VPN, least) … +90 MB (Tor)
+";
+
+/// Renders Figures 6a–6c as a table, the paper's values under it.
+fn render_fig6(rows: &[Fig6Row]) -> String {
     let mut out = String::new();
     out.push_str("Figure 6 — client-side overhead\n");
     out.push_str(&format!(
@@ -204,11 +249,12 @@ pub fn render_fig6(rows: &[Fig6Row]) -> String {
             r.mem_after_mb,
         ));
     }
+    out.push_str(FIG6_PAPER);
     out
 }
 
-/// Renders Figure 7 curves.
-pub fn render_fig7(curves: &[(Method, Vec<Fig7Point>)]) -> String {
+/// Renders Figure 7 curves, the paper's shape under them.
+fn render_fig7(curves: &[(Method, Vec<Fig7Point>)]) -> String {
     let mut out = String::new();
     out.push_str("Figure 7 — scalability (mean PLT in s vs concurrent clients)\n");
     out.push_str(&format!("{:<14}", "clients"));
@@ -225,12 +271,14 @@ pub fn render_fig7(curves: &[(Method, Vec<Fig7Point>)]) -> String {
         }
         out.push('\n');
     }
+    out.push_str("paper: Shadowsocks knees past 60 clients; the others grow linearly,\n");
+    out.push_str("       OpenVPN and ScholarCloud most gently\n");
     out
 }
 
 /// Renders the three ablations (blinding, scheme agility, Shadowsocks
 /// keep-alive sweep) from what their runners return.
-pub fn render_ablations(
+fn render_ablations(
     blinding: &(Fig5Row, Fig5Row, u64),
     agility: (f64, f64),
     keepalive: &[(u64, f64)],

@@ -9,18 +9,20 @@
 # knob: the fix is a `pub const` beside the code that reads the value.
 #
 # Items. Every `pub` fn, method, struct, enum, const, static, type and
-# trait above the test module of a `crates/*/src` file, with the lines
-# that mention its name in crates/, tests/, examples/, benchmark/src and
+# trait in the code of a `crates/*/src` file, with the lines that
+# mention its name in crates/, tests/, examples/, benchmark/src and
 # src/ — its declaration, `use` lines and comments aside. An item nobody
-# mentions fails; one that only test code (tests/, crates/*/tests, code
-# from a `#[cfg(test)]` on) or only benchmark/src mentions is listed as
-# such.
+# mentions fails; one that only test code (tests/, crates/*/tests, an
+# item under a `#[cfg(test)]`) or only benchmark/src mentions is listed
+# as such.
 #
-# Fields. Every named field of a struct above a test module in
-# `crates/*/src` fails when each line that mentions its name assigns it
+# Fields. Every named field of a struct in the code of `crates/*/src`
+# fails when each line that mentions its name assigns it
 # (`.f = …`, `.f += …`) or initialises it (`f: …`): state nothing reads.
 #
-# An entry in a `_kept` list stays, with its reason beside it.
+# Which lines are code and which are tests is scripts/lib/rust_tests.sh's
+# rule, the one scripts/check.sh uses. An entry in a `_kept` list stays,
+# with its reason beside it.
 #
 # Knobs set where they are declared: `ScConfig::secret` and
 # `SsConfig::{username, password}` are credentials,
@@ -37,6 +39,7 @@ _kept_items=""
 _kept_fields="service_type declared_whitelist"
 set -eu
 cd "$(dirname "$0")/.."
+. scripts/lib/rust_tests.sh
 _bad=0
 _corpus=$(mktemp)
 _files=$(mktemp)
@@ -48,11 +51,11 @@ while read -r _struct _file; do
         inside && /^\}/ { exit }
         inside && /^    pub [a-z_0-9]+:/ { sub(/:.*/, "", $2); print $2 }' "$_file")
     # Everything that could write the struct's fields: every source
-    # file, the declaring one from its test module on, less doc comments
-    # and `pub` declarations.
+    # file, of the declaring one only its tests, less doc comments and
+    # `pub` declarations.
     find crates tests examples benchmark/src src -name '*.rs' | sort | while read -r _src; do
         if [ "$_src" = "$_file" ]; then
-            awk '/^#\[cfg\(test\)\]/ { tests = 1 } tests' "$_src"
+            awk "$rust_tests_awk"'in_test($0)' "$_src"
         else
             cat "$_src"
         fi
@@ -78,8 +81,8 @@ if [ "$_bad" -ne 0 ]; then
 fi
 
 # One line per source file: its class, then its path. `decl` files are
-# crates/*/src files, whose part above the test module declares what the
-# item and field passes cover; a file that a `#[cfg(test)] mod x;` pulls
+# crates/*/src files, whose code declares what the item and field passes
+# cover; a file that a `#[cfg(test)] mod x;` pulls
 # in is test code throughout, as is everything under a tests/ directory.
 _testmods=$(grep -rn -A1 '^#\[cfg(test)\]' crates/*/src --include='*.rs' \
     | sed -n 's/^\(.*\)-[0-9]*-\(pub(crate) \)\{0,1\}mod \([a-z_]*\);$/\1 \3/p' \
@@ -104,11 +107,10 @@ done > "$_files"
 
 # Both passes read every file once: declarations first, then each code
 # line's words (comments and `use` lines aside), counted once a line.
-awk -v kept_items=" $_kept_items " -v kept_fields=" $_kept_fields " '
+awk -v kept_items=" $_kept_items " -v kept_fields=" $_kept_fields " "$rust_tests_awk"'
 function classify(line) {
-    # "test" from a file-level #[cfg(test)] on, else the file class.
-    if (line ~ /^#\[cfg\(test\)\]/) intest = 1
-    return intest ? "test" : (cls == "decl" ? "code" : cls)
+    # "test" for an item under a #[cfg(test)], else the file class.
+    return in_test(line) ? "test" : (cls == "decl" ? "code" : cls)
 }
 function strip(line) {
     # Comments and use lines mention nothing.
@@ -122,13 +124,13 @@ BEGIN {
     while ((getline l < "'"$_files"'") > 0) { split(l, p, " "); cls_of[p[2]] = p[1]; order[++nf] = p[2] }
     decl_kw["fn"] = decl_kw["struct"] = decl_kw["enum"] = decl_kw["const"] = 1
     decl_kw["static"] = decl_kw["type"] = decl_kw["trait"] = 1
-    # Pass 1: what the decl files declare above their test modules.
+    # Pass 1: what the decl files declare in their code.
     for (i = 1; i <= nf; i++) {
         f = order[i]; if (cls_of[f] != "decl") continue
-        depth = -1; n = 0
+        depth = -1; n = 0; _t = 0
         while ((getline line < f) > 0) {
             n++
-            if (line ~ /^#\[cfg\(test\)\]/) break
+            if (in_test(line)) continue
             if (match(line, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|const|static|type|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
                 d = substr(line, RSTART, RLENGTH); sub(/.* /, "", d)
                 items[d] = items[d] " " f ":" n
@@ -149,7 +151,7 @@ BEGIN {
     }
     # Pass 2: mentions of every declared name, and reads of every field.
     for (i = 1; i <= nf; i++) {
-        f = order[i]; cls = cls_of[f]; intest = 0; inuse = 0
+        f = order[i]; cls = cls_of[f]; _t = 0; inuse = 0
         while ((getline line < f) > 0) {
             c = classify(line); line = strip(line); if (line == "") continue
             nw = split(line, w, /[^A-Za-z0-9_]+/); delete seen; prev = ""

@@ -3,13 +3,16 @@
 # Everything external is vendored under vendor/, so no network is needed.
 set -eu
 cd "$(dirname "$0")/.."
+# sans_tests, code_lines and $rust_tests_awk: the one rule for where a
+# file's tests are, shared with scripts/census.sh.
+. scripts/lib/rust_tests.sh
 cargo build --release --offline
 cargo test -q --offline
-# The paper's figures, second half: Fig. 7's line of
-# tests/golden/figure_digests.txt takes 42 s in a debug build, so its
-# test is #[ignore]d in the run above and runs here in release.
+# The paper's figures, second half: Fig. 7's block of EXPERIMENTS.md
+# takes 42 s to render in a debug build, so its test is #[ignore]d in the
+# run above and runs here in release.
 cargo test -q --offline --release --test figure_golden -- --ignored
-echo "figure digests: ok"
+echo "figure blocks: ok"
 
 # The two differential suites behind the packet path's "each byte's work
 # once" — the GFW engine against its inspect-everything-every-packet
@@ -137,9 +140,9 @@ for f in "$dom"/*.rs; do
         echo "structure: $f is over $_limit lines" >&2; exit 1
     fi
 done
-_code=$(cat $(ls "$dom"/*.rs | grep -v /tests.rs) | grep -v '^[[:space:]]*$' \
-    | grep -vc '^[[:space:]]*//')
-echo "structure: ok (domestic/ holds $_code non-blank non-comment lines, tests.rs aside)"
+_code=0
+for f in $(ls "$dom"/*.rs | grep -v /tests.rs); do _code=$((_code + $(code_lines "$f"))); done
+echo "structure: ok (domestic/ holds $_code non-blank non-comment lines, tests aside)"
 
 # Structure, read side: the analyzer stays a spine and a list of
 # sections (DESIGN.md §6b). analyze.rs was replaced, not forked; no file
@@ -150,10 +153,6 @@ ana=crates/obs/src/analyze
 if [ -e crates/obs/src/analyze.rs ]; then
     echo "structure: crates/obs/src/analyze.rs is back" >&2; exit 1
 fi
-# A file up to its test module, and its code lines: the non-blank,
-# non-comment ones of that.
-sans_tests() { awk '/^#\[cfg\(test\)\]/{exit} {print}' "$1"; }
-code_lines() { sans_tests "$1" | grep -v '^[[:space:]]*$' | grep -vc '^[[:space:]]*//'; }
 _code=$(code_lines crates/obs/src/bin/scholar-obs.rs)
 for f in $(find "$ana" -name '*.rs' ! -name tests.rs | sort); do
     if [ "$(sans_tests "$f" | wc -l)" -gt 700 ]; then
@@ -178,9 +177,9 @@ echo "structure: ok (analyze/ + scholar-obs.rs hold $_code non-blank non-comment
 # side-effect scratch — `Effects::default()` is spelled once, where
 # `Sim::new` fills the field, and otherwise only in tests.
 event_core_offenders() {
-    # Lines above a file's test module that build an Effects anywhere
-    # but in Sim's field initialiser.
-    awk 'FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
+    # Code lines that build an Effects anywhere but in Sim's field
+    # initialiser.
+    awk "$rust_tests_awk"'{ tests = in_test($0) }
          !tests && /Effects::default\(\)/ && !/^ *fx: Effects::default\(\),$/ \
              { print FILENAME ":" FNR ": " $0; found = 1 }
          END { exit !found }' crates/simnet/src/sim.rs crates/simnet/src/node.rs \
@@ -193,28 +192,21 @@ echo "structure: ok (one Effects scratch)"
 # BTreeMap / BTreeSet, so its order is its keys'; a table that is only
 # looked up is sc_simnet::hash's FixedMap / FixedSet. The standard
 # library's HashMap and HashSet, whose SipHash keys change from process
-# to process, are named above no test module in crates/*/src, and
+# to process, are named in no code line of crates/*/src, and
 # crates/simnet/src/hash.rs, which builds the fixed-state aliases on
 # them, is their one home. A file kept out of this rule is listed in
 # _hash_kept with its reason beside it: none.
 _hash_kept=""
 std_hash_tables() {
-    # Lines above a file's test module — the first `#[cfg(test)]` that
-    # opens an inline `mod … {`; a `#[cfg(test)] mod reference;` above
-    # it does not end the scan — that name std's HashMap or HashSet,
-    # comment lines aside.
+    # Code lines that name std's HashMap or HashSet, comment lines aside.
     find crates/*/src -name '*.rs' | sort |
-        grep -vxF "$(printf '%s\n' crates/simnet/src/hash.rs $_hash_kept)" | xargs awk '
-        FNR == 1 { tests = 0; cfg = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { cfg = 1; next }
-        cfg && /^[[:space:]]*#\[/ { next }
-        cfg && /^[[:space:]]*(pub[^[:space:]]* )?mod [[:alnum:]_]+ *\{/ { tests = 1 }
-        { cfg = 0 }
+        grep -vxF "$(printf '%s\n' crates/simnet/src/hash.rs $_hash_kept)" | xargs awk "$rust_tests_awk"'
+        { tests = in_test($0) }
         !tests && !/^[[:space:]]*\/\// && /(^|[^[:alnum:]_])Hash(Map|Set)([^[:alnum:]_]|$)|hash_(map|set)::/ \
             { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }'
 }
-fail_if_found "a std HashMap or HashSet above a test module in crates/*/src" std_hash_tables
+fail_if_found "a std HashMap or HashSet in a code line of crates/*/src" std_hash_tables
 echo "structure: ok (walked tables are BTrees; looked-up tables are FixedMap / FixedSet)"
 
 # Structure, payload path (DESIGN.md §6k): TCP buffers are queues of
@@ -262,8 +254,8 @@ echo "structure: ok (TLS records open in place; hop copies are built once)"
 # is gone (replaced, not forked; the name is bracketed so that this
 # file does not match).
 http_string_pairs() {
-    awk '/^#\[cfg\(test\)\]/ { exit }
-         /Vec<\(String, String\)>/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    awk "$rust_tests_awk"'{ tests = in_test($0) }
+         !tests && /Vec<\(String, String\)>/ { print FILENAME ":" FNR ": " $0; found = 1 }
          END { exit !found }' crates/netproto/src/http.rs
 }
 fail_if_found "a String pair per header in http.rs" http_string_pairs
@@ -287,14 +279,14 @@ echo "structure: ok (HTTP heads are one buffer; parsers take Bytes; fields are l
 
 # Structure, byte scans (DESIGN.md §6k "Byte scans"): a search for a
 # byte or a byte string goes through sc_netproto::scan, a word at a time.
-# Above the test modules of the crates that parse or inspect bytes there
-# is no `.windows(` search and no `split_inclusive` line splitter; the
+# Outside the tests of the crates that parse or inspect bytes there is
+# no `.windows(` search and no `split_inclusive` line splitter; the
 # GFW's per-packet oracle (engine/reference.rs, test-only) keeps the
 # code it was written with.
 byte_scan_offenders() {
     find crates/netproto/src crates/web/src crates/gfw/src crates/scholarcloud/src -name '*.rs' \
-        ! -path '*/engine/reference.rs' ! -name tests.rs | sort | xargs awk '
-        FNR == 1 { tests = 0 } /^mod tests \{/ { tests = 1 }
+        ! -path '*/engine/reference.rs' ! -name tests.rs | sort | xargs awk "$rust_tests_awk"'
+        { tests = in_test($0) }
         !tests && /\.windows\(|split_inclusive/ { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }'
 }
@@ -305,14 +297,14 @@ echo "structure: ok (byte searches go through sc_netproto::scan)"
 # write is an indexed add — the registry and the time-series hold values
 # by slot, and the helper that looked a name up on every write is gone
 # (bracketed so that this file does not match) — and a trace line is
-# written with push_str and a digit writer: above sink.rs's test module
-# no `write!` or `format!`, and `write_fmt` once, for a float with a
-# fraction. The fmt writer it replaced is the test oracle below that line.
+# written with push_str and a digit writer: outside sink.rs's tests no
+# `write!` or `format!`, and `write_fmt` once, for a float with a
+# fraction. The fmt writer it replaced is a test-only oracle module.
 fail_if_found "the per-write name lookup is back" \
     grep -rn 'with_name[d]' crates src examples tests benchmark/src --include='*.rs'
 jsonl_fmt_calls() {
-    awk '/^#\[cfg\(test\)\]/ { exit }
-         /write!|format!/ { print FILENAME ":" FNR ": " $0; found = 1 }
+    awk "$rust_tests_awk"'{ tests = in_test($0) }
+         !tests && /write!|format!/ { print FILENAME ":" FNR ": " $0; found = 1 }
          END { exit !found }' crates/obs/src/sink.rs
 }
 fail_if_found "core::fmt on the JSONL write path" jsonl_fmt_calls
@@ -326,8 +318,8 @@ echo "structure: ok (metrics write by slot; the JSONL writer does not format)"
 # the span field list, the owned-string value and the field vector the
 # dispatcher recycled are gone — replaced, not forked (bracketed so that
 # this file does not match). `Event` and `Value` live on only as the
-# test input of the writer's oracle, below event.rs's first
-# `#[cfg(test)]`.
+# test input of the writer's oracle, each behind a `#[cfg(test)]` in
+# event.rs.
 second_field_vectors() {
     for f in crates/obs/src/dispatch.rs crates/obs/src/sink.rs crates/obs/src/event.rs \
         crates/obs/src/slo.rs; do
@@ -367,18 +359,18 @@ echo "structure: ok (one JSONL sink, one level)"
 
 # Structure, the analyzer reads a line at a time (DESIGN.md §6l): each
 # line is parsed into one reused event and folded into a Trace before
-# the next is read, so no list of events is built or taken above a test
-# module in sc-obs (analyze/tests.rs, test code, builds its inputs that
+# the next is read, so no list of events is built or taken outside the
+# tests of sc-obs (analyze/tests.rs, test code, builds its inputs that
 # way), and scholar-obs streams its file through read_trace instead of
 # reading it whole. Replaced, not forked (bracketed so that this file
 # does not match).
 event_lists() {
-    find crates/obs/src -name '*.rs' ! -path '*/analyze/tests.rs' | sort | xargs awk '
-        FNR == 1 { tests = 0 } /^#\[cfg\(test\)\]/ { tests = 1 }
+    find crates/obs/src -name '*.rs' ! -path '*/analyze/tests.rs' | sort | xargs awk "$rust_tests_awk"'
+        { tests = in_test($0) }
         !tests && /Vec<TraceEven[t]|&\[TraceEven[t]/ { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }'
 }
-fail_if_found "a list of every event above a test module in sc-obs" event_lists
+fail_if_found "a list of every event outside the tests of sc-obs" event_lists
 fail_if_found "scholar-obs reads its trace whole" \
     grep -n 'read_to_strin[g]' crates/obs/src/bin/scholar-obs.rs
 echo "structure: ok (the analyzer folds a trace line by line)"
@@ -491,7 +483,42 @@ doc_refs_broken() {
     } | grep .
 }
 fail_if_found "a doc names an example or a repository path that is not there" doc_refs_broken
-echo "structure: ok (every example and repository path the docs name exists)"
+# Docs, crate paths: every `sc_<crate>::…` path they name resolves in
+# that crate's src (sc_core is crates/scholarcloud). Its last segment is
+# a `pub` item or module declared there or a name a `pub use` there
+# re-exports; a method after a type (`Type::method`) is a `fn` of the
+# crate, its type resolved the same way.
+pub_names() {
+    # The names crates/<dir>/src declares `pub` or re-exports, one a line.
+    find "$1/src" -name '*.rs' | xargs awk '
+        match($0, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|const|static|type|trait|mod) [A-Za-z_][A-Za-z0-9_]*/) {
+            d = substr($0, RSTART, RLENGTH); sub(/.* /, "", d); print d }
+        /^[[:space:]]*pub use / { inuse = 1 }
+        inuse { n = split($0, w, /[^A-Za-z0-9_]+/); for (i = 1; i <= n; i++) if (w[i] != "") print w[i]
+                if (/;/) inuse = 0 }' | sort -u
+}
+doc_crate_paths_broken() {
+    grep -noE '(^|[^[:alnum:]_])sc_[a-z]+::[A-Za-z_][A-Za-z0-9_:]*' README.md DESIGN.md EXPERIMENTS.md |
+        while IFS=: read -r _f _n _path; do
+            _path=${_path#"${_path%%sc_*}"}
+            while case "$_path" in *:) true ;; *) false ;; esac; do _path=${_path%:}; done
+            _crate=${_path%%::*}; _dir=crates/${_crate#sc_}
+            [ "$_crate" = sc_core ] && _dir=crates/scholarcloud
+            _last=${_path##*::}; _owner=${_path%::*}; _owner=${_owner##*::}
+            if [ ! -d "$_dir/src" ]; then
+                echo "$_f:$_n: $_path (no crate $_dir)"; continue
+            fi
+            case "$_owner:$_last" in
+                [A-Z]*:[a-z]*)
+                    pub_names "$_dir" | grep -qxF "$_owner" &&
+                        grep -rqE "fn $_last([^A-Za-z0-9_]|\$)" "$_dir/src" && continue ;;
+                *) pub_names "$_dir" | grep -qxF "$_last" && continue ;;
+            esac
+            echo "$_f:$_n: $_path"
+        done | grep .
+}
+fail_if_found "a doc names a crate path that does not resolve" doc_crate_paths_broken
+echo "structure: ok (every example, repository path and crate path the docs name exists)"
 
 # run_gate <name> <example> [scholar-obs gate flags...]
 #

@@ -1,45 +1,24 @@
-//! The paper's figures across commits: `tests/golden/figure_digests.txt`
-//! pins the SHA-256 of exactly what `examples/paper_figures.rs` prints
-//! for each figure at its seed (2017), one line per figure, and
-//! EXPERIMENTS.md holds the same bytes legibly, one
+//! The paper's figures across commits: EXPERIMENTS.md holds, in one
 //! `<!-- paper_figures NAME -->` … `<!-- /paper_figures -->` block per
-//! figure. A change that is not a calibration change must leave every
-//! line and block alone; one that means to move a cell re-blesses with
-//! `SC_BLESS=1 cargo test --test figure_golden` (and, for Fig. 7,
-//! `SC_BLESS=1 cargo test --release --test figure_golden -- --ignored`)
-//! and says which cell moved.
+//! figure, exactly the text `sc_metrics::report::render_figure` returns
+//! at seed 2017 — what `examples/paper_figures.rs` prints. A change that
+//! is not a calibration change must leave every block alone; one that
+//! means to move a cell re-blesses the blocks, and nothing else in the
+//! file, with `SC_BLESS=1 cargo test --test figure_golden` (and, for
+//! Fig. 7, `SC_BLESS=1 cargo test --release --test figure_golden --
+//! --ignored`) and says which cell moved.
 //!
-//! Fig. 7 sweeps four methods up to 150 clients — 42 s in a debug build
-//! — so its line is the file's second half, checked by an `#[ignore]`d
-//! test that `scripts/check.sh` runs in release.
+//! Fig. 7 sweeps four methods up to 180 clients — 42 s in a debug build
+//! — so its block is checked by an `#[ignore]`d test that
+//! `scripts/check.sh` runs in release.
 
 mod common;
 
-use common::{blessing, digest_line, golden_path};
-use sc_metrics::report::{render_ablations, render_fig3, render_fig5, render_fig6, render_fig7};
-use sc_metrics::{
-    FIG7_CLIENTS, Method, ablation_agility, ablation_blinding, ablation_ss_keepalive, fig3_survey,
-    fig5_all, fig6_all, fig7_method,
-};
+use common::blessing;
+use sc_metrics::report::render_figure;
 
 const SEED: u64 = 2017;
-const FILE: &str = "figure_digests.txt";
 const DOC: &str = "EXPERIMENTS.md";
-
-/// Checks one half of the file — Fig. 7's line or all the others —
-/// against `actual`, or rewrites that half under `SC_BLESS`, leaving
-/// the other as it is.
-fn check_half(fig7: bool, actual: &str) {
-    let golden = std::fs::read_to_string(golden_path(FILE)).unwrap_or_default();
-    let (mine, other): (String, String) =
-        golden.split_inclusive('\n').partition(|l| l.starts_with("fig7 ") == fig7);
-    if blessing() {
-        let whole = if fig7 { other + actual } else { actual.to_string() + &other };
-        std::fs::write(golden_path(FILE), whole).expect("write golden digests");
-        return;
-    }
-    assert_eq!(actual, mine, "{FILE} moved; if intended, re-bless with SC_BLESS=1");
-}
 
 /// Where the text of EXPERIMENTS.md's `name` block lies: between the
 /// fence under `<!-- paper_figures name -->` and the fence above
@@ -57,15 +36,16 @@ fn block(doc: &str, name: &str) -> std::ops::Range<usize> {
     start..end
 }
 
-/// Checks each named block of EXPERIMENTS.md against what the renderer
-/// printed, or rewrites just those blocks under `SC_BLESS`.
-fn check_blocks(figures: &[(&str, String)]) {
+/// Checks each named block of EXPERIMENTS.md against what its figure
+/// renders, or rewrites just those blocks under `SC_BLESS`.
+fn check_blocks(names: &[&str]) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(DOC);
     let mut doc = std::fs::read_to_string(&path).expect("read EXPERIMENTS.md");
-    for (name, text) in figures {
+    for name in names {
+        let text = render_figure(name, SEED).expect("a figure paper_figures prints");
         let at = block(&doc, name);
         if blessing() {
-            doc.replace_range(at, text);
+            doc.replace_range(at, &text);
         } else {
             assert_eq!(&doc[at], text, "{DOC}'s `{name}` block moved; if intended, re-bless with SC_BLESS=1");
         }
@@ -76,31 +56,12 @@ fn check_blocks(figures: &[(&str, String)]) {
 }
 
 #[test]
-fn figure_digests_match_golden() {
-    let ablations = render_ablations(
-        &ablation_blinding(SEED),
-        ablation_agility(SEED),
-        &ablation_ss_keepalive(SEED, &[1, 10, 120]),
-    );
-    let figures = [
-        ("fig3", render_fig3(&fig3_survey(371, SEED))),
-        ("fig5", render_fig5(&fig5_all(SEED, 10))),
-        ("fig6", render_fig6(&fig6_all(SEED))),
-        ("ablations", ablations),
-    ];
-    check_half(false, &figures.iter().map(|(n, t)| digest_line(n, t.as_bytes())).collect::<String>());
-    check_blocks(&figures);
+fn figures_match_experiments_md() {
+    check_blocks(&["fig3", "fig5", "fig6", "ablations"]);
 }
 
 #[test]
 #[ignore = "42 s in a debug build; scripts/check.sh runs it with --release -- --ignored"]
-fn fig7_digest_matches_golden() {
-    let curves: Vec<_> =
-        [Method::NativeVpn, Method::OpenVpn, Method::Shadowsocks, Method::ScholarCloud]
-            .into_iter()
-            .map(|m| (m, fig7_method(m, SEED, &FIG7_CLIENTS)))
-            .collect();
-    let fig7 = render_fig7(&curves);
-    check_half(true, &digest_line("fig7", fig7.as_bytes()));
-    check_blocks(&[("fig7", fig7)]);
+fn fig7_matches_experiments_md() {
+    check_blocks(&["fig7"]);
 }
