@@ -113,7 +113,11 @@ enum RemoteConn {
         dedicated: Option<TcpHandle>,
         rx: Option<Box<Cfb>>,
         tx: Box<Cfb>,
+        /// The IV to send, then what has arrived and is not decrypted
+        /// yet: the server's IV until it is whole.
         buf: Vec<u8>,
+        /// What has been decrypted and not consumed yet.
+        plain: Vec<u8>,
         challenge_answered: bool,
     },
     DataConnecting {
@@ -177,6 +181,7 @@ impl SsLocal {
                 rx: None,
                 tx,
                 buf: iv.to_vec(),
+                plain: Vec::new(),
                 challenge_answered: false,
             },
         );
@@ -333,7 +338,7 @@ impl App for SsLocal {
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
                 match self.remotes.get_mut(&h) {
-                    Some(RemoteConn::AuthInFlight { dedicated, rx, tx, buf, challenge_answered }) => {
+                    Some(RemoteConn::AuthInFlight { dedicated, rx, tx, buf, plain, challenge_answered }) => {
                         buf.extend_from_slice(&data);
                         if rx.is_none() {
                             if buf.len() < 16 {
@@ -343,19 +348,24 @@ impl App for SsLocal {
                             *rx = Some(Box::new(new_cfb(&self.key, iv)));
                             buf.drain(..16);
                         }
-                        let mut plain = std::mem::take(buf);
-                        open(rx.as_mut().expect("just set"), &mut plain);
+                        // Each arriving byte is decrypted once, into `plain`:
+                        // the CFB register must see ciphertext only. A chunk
+                        // that finds nothing pending is moved, not copied.
+                        let mut chunk = std::mem::take(buf);
+                        open(rx.as_mut().expect("just set"), &mut chunk);
+                        if plain.is_empty() {
+                            *plain = chunk;
+                        } else {
+                            plain.extend_from_slice(&chunk);
+                        }
                         if !*challenge_answered {
                             // Server sent a 16-byte challenge; answer with
                             // HMAC(password, challenge).
                             if plain.len() < 16 {
-                                // Re-encrypt leftover? Simpler: stash the
-                                // decrypted prefix back (decrypted bytes
-                                // buffer as plain).
-                                *buf = plain;
                                 return;
                             }
                             let challenge: [u8; 16] = plain[..16].try_into().expect("checked");
+                            plain.drain(..16);
                             *challenge_answered = true;
                             let mut answer = sc_crypto::hmac::hmac_sha256(
                                 self.config.password.as_bytes(),
@@ -364,8 +374,6 @@ impl App for SsLocal {
                                 .to_vec();
                             seal(tx, &mut answer);
                             ctx.tcp_send_bytes(h, answer);
-                            *buf = plain[16..].to_vec();
-                            return;
                         }
                         // Expect the 1-byte OK verdict.
                         if plain.is_empty() {
@@ -661,6 +669,7 @@ impl App for SsRemote {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::rc::Rc;
 
     use sc_simnet::sim::Sim;
@@ -714,5 +723,83 @@ mod tests {
             let local = testnet::app::<SsLocal>(&sim, CLIENT);
             assert!(local.browsers.is_empty(), "{label}: {} browser entries left", local.browsers.len());
         }
+    }
+
+    /// The remote's half of the auth exchange, scripted: IV ‖ challenge
+    /// goes out in two writes a timer apart, and the answer that comes
+    /// back is checked (and, if right, accepted).
+    struct SplitChallenge {
+        key: [u8; 32],
+        password: String,
+        challenge: [u8; 16],
+        tx: Box<Cfb>,
+        rx: Option<Box<Cfb>>,
+        conn: Option<TcpHandle>,
+        rest: Vec<u8>,
+        answered_right: Rc<Cell<Option<bool>>>,
+    }
+
+    impl App for SplitChallenge {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.tcp_listen(SS_PORT);
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                // The auth connection's; the data connection that follows
+                // a right answer is left unread.
+                AppEvent::Tcp(h, TcpEvent::DataReceived) if self.conn.is_none_or(|c| c == h) => {
+                    let received = ctx.tcp_recv_all(h);
+                    let mut data = received.to_vec();
+                    let Some(rx) = &mut self.rx else {
+                        // IV ‖ E(auth frame), one write from the local proxy.
+                        let rx = self.rx.insert(Box::new(new_cfb(&self.key, data[..16].try_into().unwrap())));
+                        open(rx, &mut data[16..]);
+                        let mut frame = [7u8; 16].to_vec();
+                        frame.extend_from_slice(&self.challenge);
+                        seal(&mut self.tx, &mut frame[16..]);
+                        ctx.tcp_send(h, &frame[..20]);
+                        self.rest = frame.split_off(20);
+                        self.conn = Some(h);
+                        ctx.set_timer(SimDuration::from_millis(20), 0);
+                        return;
+                    };
+                    open(rx, &mut data);
+                    let want = &sc_crypto::hmac::hmac_sha256(self.password.as_bytes(), &self.challenge)[..16];
+                    self.answered_right.set(Some(data == want));
+                    if data == want {
+                        let mut ok = vec![1u8];
+                        seal(&mut self.tx, &mut ok);
+                        ctx.tcp_send_bytes(h, ok);
+                    }
+                }
+                AppEvent::TimerFired(_) => {
+                    ctx.tcp_send(self.conn.expect("challenge begun"), &self.rest);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_challenge_split_across_reads_is_decrypted_once() {
+        let mut sim = testnet::world(46);
+        let cfg = SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT));
+        let answered_right = Rc::new(Cell::new(None));
+        let remote = SplitChallenge {
+            key: cfg.key(),
+            password: cfg.password.clone(),
+            challenge: *b"sixteen-byte-chl",
+            tx: Box::new(new_cfb(&cfg.key(), [7; 16])),
+            rx: None,
+            conn: None,
+            rest: Vec::new(),
+            answered_right: answered_right.clone(),
+        };
+        testnet::install(&mut sim, SS_SERVER, remote);
+        testnet::install(&mut sim, CLIENT, SsLocal::new(cfg));
+        testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions: 1, method: 0, ready: None });
+        sim.run_for(SimDuration::from_secs(2));
+        assert_eq!(answered_right.get(), Some(true), "the challenge's answer");
+        assert!(testnet::app::<SsLocal>(&sim, CLIENT).last_auth.is_some(), "auth never completed");
     }
 }
