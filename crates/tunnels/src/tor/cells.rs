@@ -278,6 +278,50 @@ mod tests {
         assert!(parse_relay_payload(&[]).is_none());
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A cell's 512 wire bytes as the hex of what precedes the padding,
+    /// checking that the padding is zeros.
+    fn pinned(wire: &[u8]) -> String {
+        assert_eq!(wire.len(), CELL_SIZE);
+        let len = 7 + u16::from_be_bytes([wire[5], wire[6]]) as usize;
+        assert!(wire[len..].iter().all(|&b| b == 0), "padding is zeros");
+        hex(&wire[..len])
+    }
+
+    /// A RELAY DATA cell on circuit 7 as the client sends it through
+    /// `hops` layers (keys 1, 2, 3 in path order, outermost first).
+    fn relay_wire(hops: u8) -> Vec<u8> {
+        let mut layers: Vec<OnionLayer> = (1..=hops).map(|k| OnionLayer::new([k; 32])).collect();
+        let mut payload = relay_payload(3, relay_cmd::DATA, b"GET / HTTP/1.1");
+        for layer in layers.iter_mut().rev() {
+            layer.forward(&mut payload);
+        }
+        Cell::new(7, cmd::RELAY, payload).encode()
+    }
+
+    /// The encoded CREATE, CREATED and RELAY cells, pinned: the cell
+    /// layout, the padding and the onion layers may be rewritten, the
+    /// bytes may not move.
+    #[test]
+    fn cell_wire_bytes_are_pinned() {
+        use sc_crypto::dh::PrivateKey;
+        let client = PrivateKey::from_entropy(7 ^ 0x1111).public_key().to_bytes();
+        let relay = PrivateKey::from_entropy(103).public_key().to_bytes();
+        let create = Cell::new(7, cmd::CREATE, client.to_vec()).encode();
+        let created = Cell::new(7, cmd::CREATED, relay.to_vec()).encode();
+        for (name, wire, expect) in [
+            ("CREATE", create, "000000070100081946c173d09c80e2"),
+            ("CREATED", created, "0000000702000807238ed7109792f4"),
+            ("RELAY, one layer", relay_wire(1), "00000007050015ebd4880476f7e489ba1fdac52ac7c6b7927619e826"),
+            ("RELAY, three layers", relay_wire(3), "00000007050015a2a16f4b80e7daf460febd9ae1fdb0f85a60af7df5"),
+        ] {
+            assert_eq!(pinned(&wire), expect, "{name}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "cell payload too large")]
     fn oversized_cell_panics() {

@@ -666,6 +666,81 @@ mod tests {
         assert_eq!(nat.len(), 1);
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    const CLIENT: Addr = Addr::new(10, 0, 0, 1);
+    const SERVER: Addr = Addr::new(99, 0, 0, 9);
+    const WEB: Addr = Addr::new(99, 2, 0, 1);
+
+    /// A segment between the client's inner socket and the web server.
+    fn segment(upstream: bool, payload: &'static [u8]) -> Packet {
+        let (client, web) = (SocketAddr::new(CLIENT, 40_000), SocketAddr::new(WEB, 443));
+        let (src, dst) = if upstream { (client, web) } else { (web, client) };
+        let body = sc_simnet::packet::TcpSegmentBody {
+            seq: 1_000,
+            ack: 7,
+            flags: sc_simnet::packet::TcpFlags::ACK,
+            window: 65_535,
+            payload: Bytes::from_static(payload),
+        };
+        Packet::tcp(src, dst, body)
+    }
+
+    /// The client's first data packet through the full tunnel.
+    fn client_wire(variant: VpnVariant, key: &SessionKey, inner: Packet) -> Packet {
+        let mut tunnel = VpnTunnel { variant, own: CLIENT, server: SERVER, key: key.clone(), nonce: 0 };
+        let mut out = tunnel.wrap(inner, SimTime::ZERO);
+        assert_eq!(out.len(), 1);
+        out.pop().unwrap()
+    }
+
+    /// The server's first reply, as `return_to_client` seals it.
+    fn server_wire(variant: VpnVariant, key: &SessionKey, inner: Packet) -> Packet {
+        let nonce = VpnServer::new(variant, 0).nonce + 1;
+        encap_packet(variant, SERVER, CLIENT, seal_packet(key, nonce, &inner.encode()))
+    }
+
+    /// The sealed wire bytes of one packet each way, pinned per variant:
+    /// the codec, the nonce layout, the cipher, the MAC and the opcode
+    /// framing may be rewritten, the bytes may not move.
+    #[test]
+    fn sealed_wire_bytes_are_pinned() {
+        let key = SessionKey::new([0x42; 32]);
+        // nonce ‖ E(inner) ‖ tag; the client counts from 1, the server
+        // from 2^48 + 1. GRE and ESP carry the same bytes, OpenVPN puts
+        // its data opcode (0x30) in front.
+        const UP: &str = "b5f52168b2a9a13d10fe4347d5c64dedf7acca66acf616eea438452b293d25983b906579181d17c6b36652dd54cfeae507ca1723";
+        const DOWN: &str = "eb1b6f90d5f770abc6ca9dc9bf3369a59916a6fc2ddc36d6e05298e4251d7bf03a305cc556c3384be12c68431cdc8606d6d6597e21";
+        let expect = [
+            (VpnVariant::Pptp, ""),
+            (VpnVariant::L2tp, ""),
+            (VpnVariant::OpenVpn, "30"),
+        ];
+        for (variant, opcode) in expect {
+            let up_hex = format!("{opcode}0000000000000001{UP}");
+            let down_hex = format!("{opcode}0001000000000001{DOWN}");
+            let up = client_wire(variant, &key, segment(true, b"GET /"));
+            let down = server_wire(variant, &key, segment(false, b"200 OK"));
+            assert_eq!((up.src, up.dst, down.src, down.dst), (CLIENT, SERVER, SERVER, CLIENT));
+            let proto = match variant {
+                VpnVariant::Pptp => proto::GRE,
+                VpnVariant::L2tp => proto::ESP,
+                VpnVariant::OpenVpn => proto::UDP,
+            };
+            assert_eq!((up.l4.protocol(), down.l4.protocol()), (proto, proto), "{variant:?}");
+            assert_eq!(hex(up.l4.payload()), up_hex, "{variant:?} client to server");
+            assert_eq!(hex(down.l4.payload()), down_hex, "{variant:?} server to client");
+            // And each opens back to the packet it carries.
+            for (wire, inner) in [(&up, segment(true, b"GET /")), (&down, segment(false, b"200 OK"))] {
+                let sealed = decap_payload(variant, wire).expect("a data packet");
+                let plain = open_packet(&key, &sealed).expect("authentic");
+                assert_eq!(Packet::decode(&plain).unwrap(), inner);
+            }
+        }
+    }
+
     #[test]
     fn variant_overheads() {
         assert_eq!(VpnVariant::Pptp.per_packet_overhead(), 16);
