@@ -102,15 +102,15 @@ mod tests {
             match ev {
                 AppEvent::Tcp(eh, TcpEvent::Connected) if eh == h => {
                     self.outcome.borrow_mut().connected = true;
-                    if let Some(first) = self.to_send.first().cloned() {
-                        ctx.tcp_send_bytes(h, first);
+                    if let Some(first) = self.to_send.first() {
+                        ctx.tcp_send(h, first);
                         self.sent = 1;
                         ctx.set_timer(SimDuration::from_millis(100), 1);
                     }
                 }
                 AppEvent::TimerFired(1) => {
-                    if let Some(next) = self.to_send.get(self.sent).cloned() {
-                        ctx.tcp_send_bytes(h, next);
+                    if let Some(next) = self.to_send.get(self.sent) {
+                        ctx.tcp_send(h, next);
                         self.sent += 1;
                         ctx.set_timer(SimDuration::from_millis(100), 1);
                     }

@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use bytes::Bytes;
 use rand::Rng;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
@@ -186,13 +187,13 @@ impl App for ActiveProber {
                             // without replay protection authenticates
                             // it, then hangs awaiting a stream it can
                             // never decode — the silent signature.
-                            ctx.tcp_send_bytes(h, replay);
+                            ctx.tcp_send_bytes(h, Bytes::from(replay));
                         } else {
                             // Send garbage that decrypts to nothing
                             // under any real cipher.
                             let mut garbage = vec![0u8; PROBE_LEN];
                             ctx.rng().fill(&mut garbage[..]);
-                            ctx.tcp_send_bytes(h, garbage);
+                            ctx.tcp_send_bytes(h, Bytes::from(garbage));
                         }
                         let token = probe.check_token;
                         ctx.set_timer(PROBE_TIMEOUT, token);

@@ -8,6 +8,8 @@
 
 use std::rc::Rc;
 
+use bytes::Bytes;
+
 use sc_netproto::http::{HttpRequest, HttpResponse};
 use sc_netproto::socks::{TargetAddr, MAX_DOMAIN_LEN};
 use sc_obs::{Level, Quoted, TraceCtx};
@@ -135,7 +137,7 @@ impl Admit {
     /// RST, the exact silent-proxy signature probing looks for; serve
     /// the same boring decoy as the remote side and close cleanly.
     pub fn decoy(&self, conn: TcpHandle, io: &mut impl Io) {
-        io.send(conn, decoy_response());
+        io.send(conn, Bytes::from(decoy_response()));
         io.close(conn);
         sc_obs::counter_add("scholarcloud.decoys_served", 1);
         self.cfg.interference.note_probe();

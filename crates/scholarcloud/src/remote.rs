@@ -3,7 +3,7 @@
 //! wall), and relays. Anything that fails authentication — garbage, web
 //! crawlers, the GFW's active prober — gets an nginx-style 400 decoy.
 
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::SocketAddr;
@@ -58,7 +58,7 @@ impl RemoteProxy {
     }
 
     fn serve_decoy(&mut self, h: TcpHandle, reason: &'static str, ctx: &mut Ctx<'_>) {
-        ctx.tcp_send_bytes(h, decoy_response());
+        ctx.tcp_send_bytes(h, Bytes::from(decoy_response()));
         ctx.tcp_close(h);
         self.conns.insert(h, ClientConn::Decoyed);
         // Decoys served to hostile-looking connections (garbage, bad
@@ -172,7 +172,7 @@ impl RemoteProxy {
         let upstream = ctx.tcp_connect(dest);
         self.upstreams.insert(upstream, h);
         // TCP holds what is sent before the handshake completes.
-        ctx.tcp_send_bytes(upstream, leftover);
+        ctx.tcp_send_bytes(upstream, Bytes::from(leftover));
         // Parent the relay span into the originating request's trace via
         // the in-band ids carried on the stream header.
         let span = sc_obs::span_start_ctx(

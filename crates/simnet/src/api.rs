@@ -70,6 +70,10 @@ pub enum AppEvent {
 /// follow each other on the stream (an HTTP head and its body) — each
 /// handed over whole, none copied, all queued before anything is
 /// transmitted, so the segments are those of the bytes end to end.
+///
+/// There is no impl for `Vec<u8>`: a `Bytes` that adopts a vector
+/// allocates its share count beside it, so a hot path builds its buffer
+/// as a `BytesMut` and freezes it, and a cold one converts explicitly.
 pub trait IntoChunks {
     /// The chunks, in stream order.
     type Chunks: Iterator<Item = Bytes>;
@@ -81,13 +85,6 @@ impl IntoChunks for Bytes {
     type Chunks = std::iter::Once<Bytes>;
     fn into_chunks(self) -> Self::Chunks {
         std::iter::once(self)
-    }
-}
-
-impl IntoChunks for Vec<u8> {
-    type Chunks = std::iter::Once<Bytes>;
-    fn into_chunks(self) -> Self::Chunks {
-        std::iter::once(self.into())
     }
 }
 
@@ -118,10 +115,10 @@ pub trait App: std::any::Any {
 /// packet (full-tunnel VPNs capture everything non-local; split tunnels
 /// capture a prefix).
 pub trait PacketTunnel {
-    /// Wraps an outgoing packet. Return the packet(s) that should actually
-    /// leave the node — typically one encapsulated packet, or the original
-    /// if the tunnel does not capture this destination.
-    fn wrap(&mut self, pkt: Packet, now: crate::time::SimTime) -> Vec<Packet>;
+    /// Wraps an outgoing packet. Returns the packet that actually leaves
+    /// the node: the encapsulated one, or the original if the tunnel does
+    /// not capture this destination.
+    fn wrap(&mut self, pkt: Packet, now: crate::time::SimTime) -> Packet;
 
     /// Human-readable tunnel name (diagnostics).
     fn name(&self) -> &str;

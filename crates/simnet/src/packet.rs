@@ -215,44 +215,60 @@ impl Packet {
         }
     }
 
-    /// Serializes the packet to bytes (for tunnel encapsulation).
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.l4.payload().len() + 40);
-        buf.put_u32(self.src.as_u32());
-        buf.put_u32(self.dst.as_u32());
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.l4.protocol());
+    /// Bytes [`encode_into`](Self::encode_into) writes.
+    pub fn encoded_len(&self) -> usize {
+        // src(4) dst(4) ttl(1) protocol(1), the transport header, the
+        // payload's length(4) and the payload.
+        let header = match &self.l4 {
+            L4::Tcp(_) => 2 + 2 + 8 + 8 + 1 + 4,
+            L4::Udp(_) => 2 + 2,
+            L4::Raw { .. } => 0,
+        };
+        10 + header + 4 + self.l4.payload().len()
+    }
+
+    /// Appends the packet's wire form (for tunnel encapsulation) to
+    /// `out`: the buffer a tunnel seals is written once, the inner
+    /// packet included.
+    pub fn encode_into(&self, out: &mut impl BufMut) {
+        out.put_u32(self.src.as_u32());
+        out.put_u32(self.dst.as_u32());
+        out.put_u8(self.ttl);
+        out.put_u8(self.l4.protocol());
         match &self.l4 {
             L4::Tcp(t) => {
-                buf.put_u16(t.src_port);
-                buf.put_u16(t.dst_port);
-                buf.put_u64(t.seq);
-                buf.put_u64(t.ack);
-                buf.put_u8(t.flags.to_byte());
-                buf.put_u32(t.window);
-                buf.put_u32(t.payload.len() as u32);
-                buf.put_slice(&t.payload);
+                out.put_u16(t.src_port);
+                out.put_u16(t.dst_port);
+                out.put_u64(t.seq);
+                out.put_u64(t.ack);
+                out.put_u8(t.flags.to_byte());
+                out.put_u32(t.window);
             }
             L4::Udp(u) => {
-                buf.put_u16(u.src_port);
-                buf.put_u16(u.dst_port);
-                buf.put_u32(u.payload.len() as u32);
-                buf.put_slice(&u.payload);
+                out.put_u16(u.src_port);
+                out.put_u16(u.dst_port);
             }
-            L4::Raw { payload, .. } => {
-                buf.put_u32(payload.len() as u32);
-                buf.put_slice(payload);
-            }
+            L4::Raw { .. } => {}
         }
+        let payload = self.l4.payload();
+        out.put_u32(payload.len() as u32);
+        out.put_slice(payload);
+    }
+
+    /// [`encode_into`](Self::encode_into) a buffer of its own, sized once.
+    pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
         buf.freeze()
     }
 
-    /// Parses a packet from bytes produced by [`Packet::encode`].
+    /// Parses a packet from bytes produced by [`Packet::encode`]. The
+    /// payload is a view of `data`, not a copy.
     ///
     /// # Errors
     ///
     /// Returns [`PacketDecodeError`] on truncation or malformed fields.
-    pub fn decode(mut data: &[u8]) -> Result<Packet, PacketDecodeError> {
+    pub fn decode(data: Bytes) -> Result<Packet, PacketDecodeError> {
         fn take<'a>(data: &mut &'a [u8], n: usize) -> Result<&'a [u8], PacketDecodeError> {
             if data.len() < n {
                 return Err(PacketDecodeError::Truncated);
@@ -260,6 +276,9 @@ impl Packet {
             let (head, tail) = data.split_at(n);
             *data = tail;
             Ok(head)
+        }
+        fn take_u8(d: &mut &[u8]) -> Result<u8, PacketDecodeError> {
+            Ok(take(d, 1)?[0])
         }
         fn take_u16(d: &mut &[u8]) -> Result<u16, PacketDecodeError> {
             Ok(u16::from_be_bytes(take(d, 2)?.try_into().unwrap()))
@@ -271,37 +290,41 @@ impl Packet {
             Ok(u64::from_be_bytes(take(d, 8)?.try_into().unwrap()))
         }
 
-        let src = Addr::from_u32(take_u32(&mut data)?);
-        let dst = Addr::from_u32(take_u32(&mut data)?);
-        let ttl = take(&mut data, 1)?[0];
-        let protocol = take(&mut data, 1)?[0];
+        // The payload: its length, then a view of that many bytes.
+        let payload = |d: &mut &[u8]| -> Result<Bytes, PacketDecodeError> {
+            let len = take_u32(d)? as usize;
+            let at = data.len() - d.len();
+            take(d, len)?;
+            Ok(data.slice(at..at + len))
+        };
+
+        let mut rest: &[u8] = &data;
+        let d = &mut rest;
+        let src = Addr::from_u32(take_u32(d)?);
+        let dst = Addr::from_u32(take_u32(d)?);
+        let ttl = take_u8(d)?;
+        let protocol = take_u8(d)?;
         let l4 = match protocol {
             proto::TCP => {
-                let src_port = take_u16(&mut data)?;
-                let dst_port = take_u16(&mut data)?;
-                let seq = take_u64(&mut data)?;
-                let ack = take_u64(&mut data)?;
-                let flags = TcpFlags::from_byte(take(&mut data, 1)?[0]);
-                let window = take_u32(&mut data)?;
-                let len = take_u32(&mut data)? as usize;
-                let payload = Bytes::copy_from_slice(take(&mut data, len)?);
+                let src_port = take_u16(d)?;
+                let dst_port = take_u16(d)?;
+                let seq = take_u64(d)?;
+                let ack = take_u64(d)?;
+                let flags = TcpFlags::from_byte(take_u8(d)?);
+                let window = take_u32(d)?;
+                let payload = payload(d)?;
                 L4::Tcp(TcpSegment { src_port, dst_port, seq, ack, flags, window, payload })
             }
             proto::UDP => {
-                let src_port = take_u16(&mut data)?;
-                let dst_port = take_u16(&mut data)?;
-                let len = take_u32(&mut data)? as usize;
-                let payload = Bytes::copy_from_slice(take(&mut data, len)?);
+                let src_port = take_u16(d)?;
+                let dst_port = take_u16(d)?;
+                let payload = payload(d)?;
                 L4::Udp(UdpDatagram { src_port, dst_port, payload })
             }
-            other => {
-                let len = take_u32(&mut data)? as usize;
-                let payload = Bytes::copy_from_slice(take(&mut data, len)?);
-                L4::Raw { protocol: other, payload }
-            }
+            other => L4::Raw { protocol: other, payload: payload(d)? },
         };
-        if !data.is_empty() {
-            return Err(PacketDecodeError::TrailingBytes(data.len()));
+        if !d.is_empty() {
+            return Err(PacketDecodeError::TrailingBytes(d.len()));
         }
         Ok(Packet { src, dst, ttl, l4 })
     }
@@ -365,7 +388,7 @@ mod tests {
     #[test]
     fn tcp_encode_decode_roundtrip() {
         let pkt = sample_tcp();
-        let decoded = Packet::decode(&pkt.encode()).unwrap();
+        let decoded = Packet::decode(pkt.encode()).unwrap();
         assert_eq!(decoded, pkt);
     }
 
@@ -376,7 +399,7 @@ mod tests {
             SocketAddr::new(Addr::new(8, 8, 8, 8), 53),
             Bytes::from_static(&[1, 2, 3, 4, 5]),
         );
-        assert_eq!(Packet::decode(&pkt.encode()).unwrap(), pkt);
+        assert_eq!(Packet::decode(pkt.encode()).unwrap(), pkt);
     }
 
     #[test]
@@ -387,30 +410,70 @@ mod tests {
             proto::GRE,
             Bytes::from_static(b"inner packet bytes"),
         );
-        assert_eq!(Packet::decode(&pkt.encode()).unwrap(), pkt);
+        assert_eq!(Packet::decode(pkt.encode()).unwrap(), pkt);
         assert_eq!(pkt.l4.protocol(), 47);
+    }
+
+    fn samples() -> [Packet; 3] {
+        [
+            sample_tcp(),
+            Packet::udp(
+                SocketAddr::new(Addr::new(10, 0, 0, 1), 3333),
+                SocketAddr::new(Addr::new(8, 8, 8, 8), 53),
+                Bytes::from_static(&[1, 2, 3, 4, 5]),
+            ),
+            Packet::raw(Addr::new(10, 0, 0, 1), Addr::new(99, 0, 0, 1), proto::ESP, Bytes::from_static(b"sealed")),
+        ]
+    }
+
+    #[test]
+    fn encoded_len_is_what_encode_writes() {
+        for pkt in samples() {
+            let mut out = Vec::new();
+            pkt.encode_into(&mut out);
+            assert_eq!(out.len(), pkt.encoded_len());
+            assert_eq!(pkt.encode(), out);
+        }
     }
 
     #[test]
     fn decode_rejects_truncation() {
-        let enc = sample_tcp().encode();
-        for cut in [0, 1, 5, 10, enc.len() - 1] {
-            assert_eq!(
-                Packet::decode(&enc[..cut]).unwrap_err(),
-                PacketDecodeError::Truncated,
-                "cut at {cut}"
-            );
+        for pkt in samples() {
+            let enc = pkt.encode();
+            for cut in 0..enc.len() {
+                assert_eq!(
+                    Packet::decode(enc.slice(..cut)).unwrap_err(),
+                    PacketDecodeError::Truncated,
+                    "{:?} cut at {cut}",
+                    pkt.l4.protocol()
+                );
+            }
         }
     }
 
     #[test]
     fn decode_rejects_trailing_bytes() {
-        let mut enc = sample_tcp().encode().to_vec();
-        enc.push(0xff);
-        assert!(matches!(
-            Packet::decode(&enc).unwrap_err(),
-            PacketDecodeError::TrailingBytes(1)
-        ));
+        for pkt in samples() {
+            for extra in [1, 2, 40] {
+                let mut enc = pkt.encode().to_vec();
+                enc.extend(std::iter::repeat_n(0xff, extra));
+                assert_eq!(
+                    Packet::decode(Bytes::from(enc)).unwrap_err(),
+                    PacketDecodeError::TrailingBytes(extra)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_payload_is_a_view_of_the_input() {
+        for pkt in samples() {
+            let enc = pkt.encode();
+            let decoded = Packet::decode(enc.clone()).unwrap();
+            let payload = decoded.l4.payload();
+            let at = enc.len() - payload.len();
+            assert_eq!(payload.as_ptr(), enc[at..].as_ptr(), "the payload is not copied");
+        }
     }
 
     #[test]
@@ -445,9 +508,9 @@ mod tests {
             SocketAddr::new(Addr::new(99, 0, 0, 9), 1194),
             inner.encode(),
         );
-        let outer2 = Packet::decode(&outer.encode()).unwrap();
+        let outer2 = Packet::decode(outer.encode()).unwrap();
         if let L4::Udp(u) = &outer2.l4 {
-            assert_eq!(Packet::decode(&u.payload).unwrap(), inner);
+            assert_eq!(Packet::decode(u.payload.clone()).unwrap(), inner);
         } else {
             panic!("expected UDP");
         }

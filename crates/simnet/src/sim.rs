@@ -567,9 +567,7 @@ impl Sim {
         let mut tun = self.nodes[node.0].tunnel.take().expect("checked");
         let wrapped = tun.wrap(packet, self.now);
         self.nodes[node.0].tunnel = Some(tun);
-        for pkt in wrapped {
-            self.originate(node, pkt);
-        }
+        self.originate(node, wrapped);
     }
 
     /// Puts one packet on the wire from `node`, or loops it back.

@@ -50,7 +50,7 @@ proptest! {
     /// Packet encode/decode is the identity.
     #[test]
     fn packet_codec_roundtrip(pkt in packet_strategy()) {
-        let decoded = Packet::decode(&pkt.encode()).unwrap();
+        let decoded = Packet::decode(pkt.encode()).unwrap();
         prop_assert_eq!(decoded, pkt);
     }
 
@@ -60,7 +60,7 @@ proptest! {
     fn packet_decode_rejects_truncation(pkt in packet_strategy(), cut in 0usize..100) {
         let wire = pkt.encode();
         let cut = cut.min(wire.len().saturating_sub(1));
-        prop_assert!(Packet::decode(&wire[..cut]).is_err());
+        prop_assert!(Packet::decode(wire.slice(..cut)).is_err());
     }
 
     /// Nested encapsulation (VPN-style) is lossless.
@@ -71,9 +71,9 @@ proptest! {
             SocketAddr::new(Addr::new(99, 0, 0, 1), 1194),
             inner.encode(),
         );
-        let outer2 = Packet::decode(&outer.encode()).unwrap();
+        let outer2 = Packet::decode(outer.encode()).unwrap();
         if let L4::Udp(u) = &outer2.l4 {
-            prop_assert_eq!(Packet::decode(&u.payload).unwrap(), inner);
+            prop_assert_eq!(Packet::decode(u.payload.clone()).unwrap(), inner);
         } else {
             prop_assert!(false);
         }

@@ -15,6 +15,7 @@
 
 use std::collections::BTreeMap;
 
+use bytes::{BufMut, Bytes, BytesMut};
 use rand::Rng;
 use sc_crypto::hmac::bytes_to_key;
 use sc_crypto::modes::Cfb;
@@ -252,7 +253,7 @@ impl App for SsLocal {
                         Some(BrowserConn::Negotiating(sess)) => {
                             let out = sess.on_bytes(&data);
                             if !out.reply.is_empty() {
-                                ctx.tcp_send_bytes(h, out.reply);
+                                ctx.tcp_send_bytes(h, Bytes::from(out.reply));
                             }
                             if out.failed {
                                 ctx.tcp_close(h);
@@ -268,9 +269,10 @@ impl App for SsLocal {
                             let remote = *remote;
                             match self.remotes.get_mut(&remote) {
                                 Some(RemoteConn::DataUp { tx, .. }) => {
-                                    let mut enc = data.to_vec();
+                                    // The hop's one copy, encrypted where it lies.
+                                    let mut enc = BytesMut::from(&data[..]);
                                     seal(tx, &mut enc);
-                                    ctx.tcp_send_bytes(remote, enc);
+                                    ctx.tcp_send_bytes(remote, enc.freeze());
                                 }
                                 Some(RemoteConn::DataConnecting { buffered, .. }) => {
                                     buffered.extend_from_slice(&data);
@@ -297,17 +299,20 @@ impl App for SsLocal {
                 match self.remotes.get_mut(&h) {
                     Some(RemoteConn::AuthInFlight { tx, buf, .. }) => {
                         // IV ‖ E(MAGIC ‖ ulen ‖ user ‖ plen ‖ pass)
-                        let user = self.config.username.as_bytes().to_vec();
-                        let pass = self.config.password.as_bytes().to_vec();
-                        let mut plain = AUTH_MAGIC.to_vec();
-                        plain.push(user.len() as u8);
-                        plain.extend_from_slice(&user);
-                        plain.push(pass.len() as u8);
-                        plain.extend_from_slice(&pass);
-                        let mut frame = std::mem::take(buf); // the IV
-                        seal(tx, &mut plain);
-                        frame.extend_from_slice(&plain);
-                        ctx.tcp_send_bytes(h, frame);
+                        let user = self.config.username.as_bytes();
+                        let pass = self.config.password.as_bytes();
+                        let mut frame =
+                            BytesMut::with_capacity(buf.len() + AUTH_MAGIC.len() + 2 + user.len() + pass.len());
+                        frame.put_slice(buf); // the IV
+                        buf.clear();
+                        let at = frame.len();
+                        frame.put_slice(AUTH_MAGIC);
+                        frame.put_u8(user.len() as u8);
+                        frame.put_slice(user);
+                        frame.put_u8(pass.len() as u8);
+                        frame.put_slice(pass);
+                        seal(tx, &mut frame[at..]);
+                        ctx.tcp_send_bytes(h, frame.freeze());
                     }
                     Some(RemoteConn::DataConnecting { browser, target, buffered }) => {
                         let browser = *browser;
@@ -317,11 +322,12 @@ impl App for SsLocal {
                         ctx.rng().fill(&mut iv);
                         let mut tx = new_cfb(&self.key, iv);
                         // IV ‖ E(target ‖ early bytes), sealed where it lies.
-                        let mut frame = iv.to_vec();
-                        frame.extend_from_slice(&target.encode());
-                        frame.extend_from_slice(&buffered);
+                        let mut frame = BytesMut::with_capacity(iv.len() + target.encoded_len() + buffered.len());
+                        frame.put_slice(&iv);
+                        target.encode_into(&mut frame);
+                        frame.put_slice(&buffered);
                         seal(&mut tx, &mut frame[iv.len()..]);
-                        ctx.tcp_send_bytes(h, frame);
+                        ctx.tcp_send_bytes(h, frame.freeze());
                         self.remotes.insert(
                             h,
                             RemoteConn::DataUp {
@@ -367,13 +373,10 @@ impl App for SsLocal {
                             let challenge: [u8; 16] = plain[..16].try_into().expect("checked");
                             plain.drain(..16);
                             *challenge_answered = true;
-                            let mut answer = sc_crypto::hmac::hmac_sha256(
-                                self.config.password.as_bytes(),
-                                &challenge,
-                            )[..16]
-                                .to_vec();
+                            let mac = sc_crypto::hmac::hmac_sha256(self.config.password.as_bytes(), &challenge);
+                            let mut answer = BytesMut::from(&mac[..16]);
                             seal(tx, &mut answer);
-                            ctx.tcp_send_bytes(h, answer);
+                            ctx.tcp_send_bytes(h, answer.freeze());
                         }
                         // Expect the 1-byte OK verdict.
                         if plain.is_empty() {
@@ -405,20 +408,25 @@ impl App for SsLocal {
                     }
                     Some(RemoteConn::DataUp { browser, rx, rx_buf, .. }) => {
                         let browser = *browser;
-                        rx_buf.extend_from_slice(&data);
-                        if rx.is_none() {
-                            if rx_buf.len() < 16 {
-                                return;
+                        // The hop's one copy, decrypted where it lies. What
+                        // arrives before the server's IV is whole waits in
+                        // `rx_buf`.
+                        let mut plain = match rx {
+                            Some(_) => BytesMut::from(&data[..]),
+                            None => {
+                                rx_buf.extend_from_slice(&data);
+                                if rx_buf.len() < 16 {
+                                    return;
+                                }
+                                let iv: [u8; 16] = rx_buf[..16].try_into().expect("checked length");
+                                *rx = Some(Box::new(new_cfb(&self.key, iv)));
+                                let rest = BytesMut::from(&rx_buf[16..]);
+                                *rx_buf = Vec::new();
+                                rest
                             }
-                            let iv: [u8; 16] = rx_buf[..16].try_into().expect("checked length");
-                            *rx = Some(Box::new(new_cfb(&self.key, iv)));
-                            rx_buf.drain(..16);
-                        }
-                        if let Some(rx) = rx {
-                            let mut plain = std::mem::take(rx_buf);
-                            open(rx, &mut plain);
-                            ctx.tcp_send_bytes(browser, plain);
-                        }
+                        };
+                        open(rx.as_mut().expect("set above"), &mut plain);
+                        ctx.tcp_send_bytes(browser, plain.freeze());
                     }
                     _ => {}
                 }
@@ -519,11 +527,12 @@ impl SsRemote {
                                 &challenge,
                             )[..16]
                                 .to_vec();
-                            let mut body = challenge.to_vec();
-                            seal(&mut tx, &mut body);
-                            let mut frame = iv.to_vec();
-                            frame.extend_from_slice(&body);
-                            ctx.tcp_send_bytes(h, frame);
+                            // IV ‖ E(challenge)
+                            let mut frame = BytesMut::with_capacity(iv.len() + challenge.len());
+                            frame.put_slice(&iv);
+                            frame.put_slice(&challenge);
+                            seal(&mut tx, &mut frame[iv.len()..]);
+                            ctx.tcp_send_bytes(h, frame.freeze());
                             let consumed = AUTH_MAGIC.len() + 2 + ulen + plen;
                             if let Some(ServerConn::Handshake { plain, .. }) = self.conns.get_mut(&h) {
                                 plain.drain(..consumed);
@@ -544,9 +553,9 @@ impl SsRemote {
             if plain_snapshot.len() >= expect.len() {
                 let (expect, mut tx) = self.pending_challenges.remove(&h).expect("checked");
                 if sc_crypto::hmac::ct_eq(&plain_snapshot[..16], &expect) {
-                    let mut ok = vec![1u8];
+                    let mut ok = BytesMut::from(&[1u8][..]);
                     seal(&mut tx, &mut ok);
-                    ctx.tcp_send_bytes(h, ok);
+                    ctx.tcp_send_bytes(h, ok.freeze());
                 } else {
                     self.conns.insert(h, ServerConn::Blackhole);
                 }
@@ -604,9 +613,9 @@ impl App for SsRemote {
                             ctx.tcp_send(client, &iv);
                         }
                         let tx = tx.as_mut().expect("just initialized");
-                        let mut enc = data.to_vec();
+                        let mut enc = BytesMut::from(&data[..]);
                         seal(tx, &mut enc);
-                        ctx.tcp_send_bytes(client, enc);
+                        ctx.tcp_send_bytes(client, enc.freeze());
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
@@ -648,9 +657,9 @@ impl App for SsRemote {
                     }
                     Some(ServerConn::Relaying { upstream, rx, .. }) => {
                         let upstream = *upstream;
-                        let mut plain = data.to_vec();
+                        let mut plain = BytesMut::from(&data[..]);
                         open(rx, &mut plain);
-                        ctx.tcp_send_bytes(upstream, plain);
+                        ctx.tcp_send_bytes(upstream, plain.freeze());
                     }
                     Some(ServerConn::Blackhole) => { /* consume silently */ }
                     None => {}
@@ -769,7 +778,7 @@ mod tests {
                     if data == want {
                         let mut ok = vec![1u8];
                         seal(&mut self.tx, &mut ok);
-                        ctx.tcp_send_bytes(h, ok);
+                        ctx.tcp_send_bytes(h, Bytes::from(ok));
                     }
                 }
                 AppEvent::TimerFired(_) => {

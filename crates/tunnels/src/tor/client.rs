@@ -3,6 +3,7 @@
 //! local SOCKS5 port to the browser — the moving parts behind the paper's
 //! observation that Tor's first-time page load takes 13–20 seconds.
 
+use bytes::{Bytes, BytesMut};
 use rand::Rng;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest};
 use sc_netproto::socks::{SocksServerSession, TargetAddr};
@@ -14,9 +15,7 @@ use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimDuration;
 
-use super::cells::{
-    Cell, CellBuf, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd, relay_payload,
-};
+use super::cells::{Cell, CellBuf, MalformedCell, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd};
 use super::directory::DIR_PORT;
 use super::meek::MEEK_PATH;
 use crate::status::{TunnelState, TunnelStatus};
@@ -87,7 +86,8 @@ pub struct TorClient {
     session_id: u64,
     http: HttpParser,
     poll_in_flight: bool,
-    tx_queue: Vec<u8>,
+    /// Cells awaiting the next poll, which carries them as its body.
+    tx_queue: BytesMut,
     cells: CellBuf,
     /// Consecutive polls that returned no data (drives idle backoff).
     idle_polls: u32,
@@ -116,7 +116,7 @@ impl TorClient {
             session_id: 0,
             http: HttpParser::new(),
             poll_in_flight: false,
-            tx_queue: Vec::new(),
+            tx_queue: BytesMut::new(),
             cells: CellBuf::new(),
             idle_polls: 0,
             layers: Vec::new(),
@@ -142,7 +142,7 @@ impl TorClient {
         let mut req = HttpRequest::new("POST", MEEK_PATH)
             .header("Host", &self.config.front_domain)
             .header_fmt("X-Session-Id", self.session_id);
-        req.body = std::mem::take(&mut self.tx_queue).into();
+        req.body = std::mem::take(&mut self.tx_queue).freeze();
         let (head, body) = req.into_parts();
         let wire = {
             let _prof = prof::scope(Subsystem::Crypto);
@@ -153,17 +153,17 @@ impl TorClient {
     }
 
     fn queue_cell(&mut self, cell: Cell, ctx: &mut Ctx<'_>) {
-        self.tx_queue.extend(cell.encode());
+        self.tx_queue.extend_from_slice(cell.wire());
         self.meek_flush(ctx);
     }
 
-    /// Wraps a relay payload in onion layers 0..=`upto` and queues it.
-    fn send_relay(&mut self, upto: usize, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
-        let mut data = payload;
+    /// Builds a relay cell for hop `upto`, wraps its payload in onion
+    /// layers 0..=`upto` where it lies, and queues it.
+    fn send_relay(&mut self, upto: usize, stream_id: u16, rcmd: u8, data: &[u8], ctx: &mut Ctx<'_>) {
+        let mut cell = Cell::relay(self.circ_id, stream_id, rcmd, data);
         for layer in self.layers[..=upto].iter_mut().rev() {
-            layer.forward(&mut data);
+            layer.forward(cell.payload_mut());
         }
-        let cell = Cell::new(self.circ_id, cmd::RELAY, data);
         self.queue_cell(cell, ctx);
     }
 
@@ -172,7 +172,7 @@ impl TorClient {
     fn begin_create(&mut self, ctx: &mut Ctx<'_>) {
         self.phase = Phase::Creating;
         let key = PrivateKey::from_entropy(self.entropy ^ 0x1111);
-        let cell = Cell::new(self.circ_id, cmd::CREATE, key.public_key().to_bytes().to_vec());
+        let cell = Cell::new(self.circ_id, cmd::CREATE, &key.public_key().to_bytes());
         self.hop_keys.push(key);
         self.queue_cell(cell, ctx);
     }
@@ -181,13 +181,13 @@ impl TorClient {
         self.phase = Phase::Extending(hop);
         let target = if hop == 1 { self.config.middle } else { self.config.exit };
         let key = PrivateKey::from_entropy(self.entropy ^ (0x2222 * (hop as u64 + 1)));
-        let mut data = Vec::with_capacity(14);
-        data.extend_from_slice(&target.addr.octets());
-        data.extend_from_slice(&target.port.to_be_bytes());
-        data.extend_from_slice(&key.public_key().to_bytes());
+        // addr(4) port(2) client_pub(8)
+        let mut data = [0u8; 14];
+        data[..4].copy_from_slice(&target.addr.octets());
+        data[4..6].copy_from_slice(&target.port.to_be_bytes());
+        data[6..].copy_from_slice(&key.public_key().to_bytes());
         self.hop_keys.push(key);
-        let payload = relay_payload(0, relay_cmd::EXTEND, &data);
-        self.send_relay(self.layers.len() - 1, payload, ctx);
+        self.send_relay(self.layers.len() - 1, 0, relay_cmd::EXTEND, &data, ctx);
     }
 
     fn on_hop_established(&mut self, pub_bytes: &[u8], ctx: &mut Ctx<'_>) {
@@ -215,32 +215,27 @@ impl TorClient {
 
     // --- inbound cells ---
 
-    fn on_cell(&mut self, cell: Cell, ctx: &mut Ctx<'_>) {
-        match cell.cmd {
+    fn on_cell(&mut self, mut cell: Cell, ctx: &mut Ctx<'_>) {
+        match cell.cmd() {
             cmd::CREATED => {
                 if self.phase == Phase::Creating {
-                    self.on_hop_established(&cell.payload, ctx);
+                    self.on_hop_established(cell.payload(), ctx);
                 }
             }
             cmd::RELAY => {
-                let mut payload = cell.payload;
-                let mut recognized = None;
-                for (i, layer) in self.layers.iter_mut().enumerate() {
-                    layer.backward(&mut payload);
-                    if parse_relay_payload(&payload).is_some() {
-                        recognized = Some(i);
-                        break;
-                    }
-                }
-                if recognized.is_none() {
+                // Peel layers in the cell until one recognizes it.
+                let recognized = self.layers.iter_mut().any(|layer| {
+                    layer.backward(cell.payload_mut());
+                    parse_relay_payload(cell.payload()).is_some()
+                });
+                if !recognized {
                     return;
                 }
-                let Some((stream_id, rcmd, data)) = parse_relay_payload(&payload) else { return };
-                let data = data.to_vec();
+                let Some((stream_id, rcmd, data)) = parse_relay_payload(cell.payload()) else { return };
                 match rcmd {
                     relay_cmd::EXTENDED => {
                         if matches!(self.phase, Phase::Extending(_)) {
-                            self.on_hop_established(&data, ctx);
+                            self.on_hop_established(data, ctx);
                         }
                     }
                     relay_cmd::CONNECTED => {
@@ -250,14 +245,13 @@ impl TorClient {
                             // SOCKS success already sent at negotiation time;
                             // now flush buffered request bytes.
                             for chunk in pending.chunks(RELAY_DATA_MAX) {
-                                let payload = relay_payload(stream_id, relay_cmd::DATA, chunk);
-                                self.send_relay(2, payload, ctx);
+                                self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
                             }
                         }
                     }
                     relay_cmd::DATA => {
                         if let Some(stream) = self.streams.get(&stream_id) {
-                            ctx.tcp_send_bytes(stream.browser, data);
+                            ctx.tcp_send_bytes(stream.browser, cell.into_relay_data());
                         }
                     }
                     relay_cmd::END => {
@@ -281,8 +275,7 @@ impl TorClient {
             StreamState { browser, connected: false, pending: leftover },
         );
         self.browsers.insert(browser, BrowserConn::Stream(stream_id));
-        let payload = relay_payload(stream_id, relay_cmd::BEGIN, &target.encode());
-        self.send_relay(2, payload, ctx);
+        self.send_relay(2, stream_id, relay_cmd::BEGIN, &target.encode(), ctx);
     }
 }
 
@@ -385,8 +378,19 @@ impl App for TorClient {
                                         self.idle_polls = 0;
                                     }
                                     self.cells.push(&resp.body);
-                                    while let Some(cell) = self.cells.next_cell() {
-                                        self.on_cell(cell, ctx);
+                                    loop {
+                                        match self.cells.next_cell() {
+                                            Ok(Some(cell)) => self.on_cell(cell, ctx),
+                                            Ok(None) => break,
+                                            Err(MalformedCell) => {
+                                                // A protocol violation: the
+                                                // bridge link is aborted.
+                                                ctx.tcp_abort(h);
+                                                self.phase = Phase::Failed;
+                                                self.status.set(TunnelState::Failed);
+                                                return;
+                                            }
+                                        }
                                     }
                                     // Keep the poll loop alive, backing
                                     // off while idle as real meek does.
@@ -423,7 +427,7 @@ impl App for TorClient {
                             Some(BrowserConn::Negotiating(sess)) => {
                                 let out = sess.on_bytes(&data);
                                 if !out.reply.is_empty() {
-                                    ctx.tcp_send_bytes(h, out.reply);
+                                    ctx.tcp_send_bytes(h, Bytes::from(out.reply));
                                 }
                                 if out.failed {
                                     ctx.tcp_close(h);
@@ -444,9 +448,7 @@ impl App for TorClient {
                                     stream.pending.extend_from_slice(&data);
                                 } else {
                                     for chunk in data.chunks(RELAY_DATA_MAX) {
-                                        let payload =
-                                            relay_payload(stream_id, relay_cmd::DATA, chunk);
-                                        self.send_relay(2, payload, ctx);
+                                        self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
                                     }
                                 }
                             }
@@ -456,8 +458,7 @@ impl App for TorClient {
                     TcpEvent::PeerClosed | TcpEvent::Reset => {
                         if let Some(BrowserConn::Stream(stream_id)) = self.browsers.remove(&h) {
                             if self.streams.remove(&stream_id).is_some() {
-                                let payload = relay_payload(stream_id, relay_cmd::END, &[]);
-                                self.send_relay(2, payload, ctx);
+                                self.send_relay(2, stream_id, relay_cmd::END, &[], ctx);
                             }
                         }
                     }

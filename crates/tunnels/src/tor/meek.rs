@@ -7,6 +7,7 @@
 //! The gateway bridges each meek session onto a loopback TCP connection to
 //! the OR relay running on the same node (the Tor bridge).
 
+use bytes::{Bytes, BytesMut};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
 use sc_obs::prof::{self, Subsystem};
@@ -35,8 +36,9 @@ struct ClientConn {
 struct Session {
     /// Loopback connection into the co-located OR relay.
     or_conn: TcpHandle,
-    /// Downstream bytes awaiting the next poll.
-    downstream: Vec<u8>,
+    /// Downstream reads awaiting the next poll, which carries them as its
+    /// body.
+    downstream: Vec<Bytes>,
     /// Connection currently holding an open poll, if any.
     held_poll: Option<TcpHandle>,
 }
@@ -63,7 +65,17 @@ impl MeekGateway {
 
     fn respond(&mut self, conn: TcpHandle, session_id: u64, ctx: &mut Ctx<'_>) {
         let Some(session) = self.sessions.get_mut(&session_id) else { return };
-        let body = std::mem::take(&mut session.downstream);
+        // One read is the body as it arrived; several are joined once.
+        let body = match session.downstream.as_slice() {
+            [] => Bytes::new(),
+            [one] => one.clone(),
+            reads => {
+                let mut body = BytesMut::with_capacity(reads.iter().map(Bytes::len).sum());
+                reads.iter().for_each(|r| body.extend_from_slice(r));
+                body.freeze()
+            }
+        };
+        session.downstream.clear();
         session.held_poll = None;
         let resp = HttpResponse::new(200, body).header("Content-Type", "application/octet-stream");
         let (head, body) = resp.into_parts();
@@ -148,7 +160,9 @@ impl App for MeekGateway {
                             let data = ctx.tcp_recv_all(h);
                             let held = {
                                 let Some(s) = self.sessions.get_mut(&session_id) else { return };
-                                s.downstream.extend_from_slice(&data);
+                                if !data.is_empty() {
+                                    s.downstream.push(data);
+                                }
                                 s.held_poll
                             };
                             if let Some(conn) = held {

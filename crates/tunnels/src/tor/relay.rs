@@ -11,9 +11,7 @@ use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 
-use super::cells::{
-    Cell, CellBuf, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd, relay_payload,
-};
+use super::cells::{Cell, CellBuf, MalformedCell, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd};
 use crate::names::NameMap;
 
 /// Default OR port.
@@ -27,8 +25,9 @@ struct Circuit {
     layer: OnionLayer,
     /// Link toward the next relay, once extended.
     next: Option<(TcpHandle, u32)>,
-    /// Relay payloads awaiting the next-hop connection.
-    pending_next: Vec<Vec<u8>>,
+    /// Relay cells awaiting the next-hop connection (their circuit id is
+    /// set when they are sent).
+    pending_next: Vec<Cell>,
     /// Exit streams: stream id → upstream connection.
     streams: BTreeMap<u16, TcpHandle>,
 }
@@ -82,19 +81,22 @@ impl OrRelay {
                 return;
             }
         }
-        ctx.tcp_send_bytes(conn, cell.encode());
+        ctx.tcp_send_bytes(conn, cell.into_wire());
     }
 
     /// Originates a backward relay payload at this hop (EXTENDED,
-    /// CONNECTED, DATA, END): one layer of our own encryption.
-    fn originate_backward(&mut self, circ_idx: usize, payload: Vec<u8>, ctx: &mut Ctx<'_>) {
+    /// CONNECTED, DATA, END): one layer of our own encryption, applied
+    /// in the cell.
+    fn originate_backward(&mut self, circ_idx: usize, stream_id: u16, rcmd: u8, data: &[u8], ctx: &mut Ctx<'_>) {
         let (prev_conn, prev_circ) = self.circuits[circ_idx].prev;
-        let mut data = payload;
-        self.circuits[circ_idx].layer.backward(&mut data);
-        self.send_cell(prev_conn, Cell::new(prev_circ, cmd::RELAY, data), ctx);
+        let mut cell = Cell::relay(prev_circ, stream_id, rcmd, data);
+        self.circuits[circ_idx].layer.backward(cell.payload_mut());
+        self.send_cell(prev_conn, cell, ctx);
     }
 
-    fn handle_recognized(&mut self, circ_idx: usize, stream_id: u16, rcmd: u8, data: Vec<u8>, ctx: &mut Ctx<'_>) {
+    /// Acts on a RELAY cell whose payload this hop's layer recognized.
+    fn handle_recognized(&mut self, circ_idx: usize, cell: Cell, ctx: &mut Ctx<'_>) {
+        let Some((stream_id, rcmd, data)) = parse_relay_payload(cell.payload()) else { return };
         match rcmd {
             relay_cmd::EXTEND => {
                 // data: addr(4) port(2) client_pub(8)
@@ -110,22 +112,18 @@ impl OrRelay {
                 self.next_out_circ += 1;
                 self.circuits[circ_idx].next = Some((next, out_circ));
                 self.by_link.insert((next, out_circ), circ_idx);
-                let create = Cell::new(out_circ, cmd::CREATE, data[6..14].to_vec());
+                let create = Cell::new(out_circ, cmd::CREATE, &data[6..14]);
                 self.send_cell(next, create, ctx);
             }
             relay_cmd::BEGIN => {
                 // data: SOCKS-format target address (IP or domain).
-                let Some((target, _)) = TargetAddr::decode(&data) else { return };
+                let Some((target, _)) = TargetAddr::decode(data) else { return };
                 let dest = match &target {
                     TargetAddr::Ip(a, p) => SocketAddr::new(*a, *p),
                     TargetAddr::Domain(name, p) => match self.names.resolve(name) {
                         Some(a) => SocketAddr::new(a, *p),
                         None => {
-                            self.originate_backward(
-                                circ_idx,
-                                relay_payload(stream_id, relay_cmd::END, &[]),
-                                ctx,
-                            );
+                            self.originate_backward(circ_idx, stream_id, relay_cmd::END, &[], ctx);
                             return;
                         }
                     },
@@ -137,7 +135,7 @@ impl OrRelay {
             relay_cmd::DATA => {
                 if let Some(&upstream) = self.circuits[circ_idx].streams.get(&stream_id) {
                     // Before the exit's handshake completes, TCP holds it.
-                    ctx.tcp_send_bytes(upstream, data);
+                    ctx.tcp_send_bytes(upstream, cell.into_relay_data());
                 }
             }
             relay_cmd::END => {
@@ -150,37 +148,36 @@ impl OrRelay {
         }
     }
 
-    fn on_cell(&mut self, conn: TcpHandle, cell: Cell, ctx: &mut Ctx<'_>) {
-        let key = (conn, cell.circ_id);
+    fn on_cell(&mut self, conn: TcpHandle, mut cell: Cell, ctx: &mut Ctx<'_>) {
+        let key = (conn, cell.circ_id());
         if let Some(&circ_idx) = self.by_link.get(&key) {
             let is_forward = self.circuits[circ_idx].prev == key;
             if is_forward {
-                match cell.cmd {
+                match cell.cmd() {
                     cmd::RELAY => {
-                        let mut payload = cell.payload;
-                        self.circuits[circ_idx].layer.forward(&mut payload);
-                        if let Some((sid, rcmd, data)) = parse_relay_payload(&payload) {
-                            let data = data.to_vec();
-                            self.handle_recognized(circ_idx, sid, rcmd, data, ctx);
+                        self.circuits[circ_idx].layer.forward(cell.payload_mut());
+                        if parse_relay_payload(cell.payload()).is_some() {
+                            self.handle_recognized(circ_idx, cell, ctx);
                         } else if let Some((next, out_circ)) = self.circuits[circ_idx].next {
                             let connected = self
                                 .out_conns
                                 .get(&next)
                                 .is_some_and(|o| o.connected);
                             if connected {
-                                self.send_cell(next, Cell::new(out_circ, cmd::RELAY, payload), ctx);
+                                cell.set_circ_id(out_circ);
+                                self.send_cell(next, cell, ctx);
                             } else {
-                                self.circuits[circ_idx].pending_next.push(payload);
+                                self.circuits[circ_idx].pending_next.push(cell);
                             }
                         } else {
                             // Not for us and nowhere to forward: the cell
                             // raced circuit extension; queue it.
-                            self.circuits[circ_idx].pending_next.push(payload);
+                            self.circuits[circ_idx].pending_next.push(cell);
                         }
                     }
                     cmd::DESTROY => {
                         if let Some((next, out_circ)) = self.circuits[circ_idx].next {
-                            self.send_cell(next, Cell::new(out_circ, cmd::DESTROY, vec![]), ctx);
+                            self.send_cell(next, Cell::new(out_circ, cmd::DESTROY, &[]), ctx);
                         }
                         // In stream order: the order of the closes is
                         // the order of their FINs on the wire.
@@ -193,27 +190,24 @@ impl OrRelay {
                 }
             } else {
                 // Backward direction (from the next hop).
-                match cell.cmd {
+                match cell.cmd() {
                     cmd::CREATED => {
                         // Our EXTEND completed: relay EXTENDED to client,
                         // and flush any cells that raced the extension.
-                        self.originate_backward(
-                            circ_idx,
-                            relay_payload(0, relay_cmd::EXTENDED, &cell.payload),
-                            ctx,
-                        );
+                        self.originate_backward(circ_idx, 0, relay_cmd::EXTENDED, cell.payload(), ctx);
                         let pending = std::mem::take(&mut self.circuits[circ_idx].pending_next);
                         if let Some((next, out_circ)) = self.circuits[circ_idx].next {
-                            for payload in pending {
-                                self.send_cell(next, Cell::new(out_circ, cmd::RELAY, payload), ctx);
+                            for mut cell in pending {
+                                cell.set_circ_id(out_circ);
+                                self.send_cell(next, cell, ctx);
                             }
                         }
                     }
                     cmd::RELAY => {
-                        let mut payload = cell.payload;
-                        self.circuits[circ_idx].layer.backward(&mut payload);
+                        self.circuits[circ_idx].layer.backward(cell.payload_mut());
                         let (prev_conn, prev_circ) = self.circuits[circ_idx].prev;
-                        self.send_cell(prev_conn, Cell::new(prev_circ, cmd::RELAY, payload), ctx);
+                        cell.set_circ_id(prev_circ);
+                        self.send_cell(prev_conn, cell, ctx);
                     }
                     _ => {}
                 }
@@ -222,12 +216,12 @@ impl OrRelay {
         }
 
         // Unknown circuit: CREATE starts one.
-        if cell.cmd == cmd::CREATE {
-            let Ok(pub_bytes): Result<[u8; 8], _> = cell.payload.as_slice().try_into() else {
+        if cell.cmd() == cmd::CREATE {
+            let Ok(pub_bytes): Result<[u8; 8], _> = cell.payload().try_into() else {
                 return;
             };
             let Ok(client_pub) = PublicKey::from_bytes(pub_bytes) else { return };
-            let dh = PrivateKey::from_entropy(self.entropy ^ (cell.circ_id as u64) << 16 ^ conn.0 as u64);
+            let dh = PrivateKey::from_entropy(self.entropy ^ (key.1 as u64) << 16 ^ conn.0 as u64);
             let shared = dh.agree(&client_pub);
             let circ_idx = self.circuits.len();
             self.circuits.push(Circuit {
@@ -238,7 +232,7 @@ impl OrRelay {
                 streams: BTreeMap::new(),
             });
             self.by_link.insert(key, circ_idx);
-            let created = Cell::new(cell.circ_id, cmd::CREATED, dh.public_key().to_bytes().to_vec());
+            let created = Cell::new(key.1, cmd::CREATED, &dh.public_key().to_bytes());
             self.send_cell(conn, created, ctx);
         }
     }
@@ -256,28 +250,16 @@ impl App for OrRelay {
         if let Some(&(circ_idx, stream_id)) = self.upstreams.get(&h) {
             match tcp_ev {
                 TcpEvent::Connected => {
-                    self.originate_backward(
-                        circ_idx,
-                        relay_payload(stream_id, relay_cmd::CONNECTED, &[]),
-                        ctx,
-                    );
+                    self.originate_backward(circ_idx, stream_id, relay_cmd::CONNECTED, &[], ctx);
                 }
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
                     for chunk in data.chunks(RELAY_DATA_MAX) {
-                        self.originate_backward(
-                            circ_idx,
-                            relay_payload(stream_id, relay_cmd::DATA, chunk),
-                            ctx,
-                        );
+                        self.originate_backward(circ_idx, stream_id, relay_cmd::DATA, chunk, ctx);
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
-                    self.originate_backward(
-                        circ_idx,
-                        relay_payload(stream_id, relay_cmd::END, &[]),
-                        ctx,
-                    );
+                    self.originate_backward(circ_idx, stream_id, relay_cmd::END, &[], ctx);
                     self.circuits[circ_idx].streams.remove(&stream_id);
                     self.upstreams.remove(&h);
                 }
@@ -295,23 +277,32 @@ impl App for OrRelay {
                     out.connected = true;
                     let pending = std::mem::take(&mut out.pending_cells);
                     for cell in pending {
-                        ctx.tcp_send_bytes(h, cell.encode());
+                        ctx.tcp_send_bytes(h, cell.into_wire());
                     }
                 }
             }
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
-                let cells = {
-                    let Some(buf) = self.bufs.get_mut(&h) else { return };
-                    buf.push(&data);
-                    let mut cells = Vec::new();
-                    while let Some(c) = buf.next_cell() {
-                        cells.push(c);
+                // Taken out while its cells are handled (which may open
+                // links of their own), and walked a cell at a time.
+                let Some(buf) = self.bufs.get_mut(&h) else { return };
+                let mut buf = std::mem::take(buf);
+                buf.push(&data);
+                loop {
+                    match buf.next_cell() {
+                        Ok(Some(cell)) => self.on_cell(h, cell, ctx),
+                        Ok(None) => break,
+                        Err(MalformedCell) => {
+                            // A protocol violation: the link is aborted,
+                            // and what it still held goes with it.
+                            ctx.tcp_abort(h);
+                            self.bufs.remove(&h);
+                            return;
+                        }
                     }
-                    cells
-                };
-                for cell in cells {
-                    self.on_cell(h, cell, ctx);
+                }
+                if let Some(slot) = self.bufs.get_mut(&h) {
+                    *slot = buf;
                 }
             }
             TcpEvent::PeerClosed | TcpEvent::Reset => {
@@ -347,29 +338,29 @@ mod tests {
         fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
             match ev {
                 AppEvent::Tcp(h, TcpEvent::Connected) => {
-                    let public = self.key.public_key().to_bytes().to_vec();
-                    ctx.tcp_send(h, &Cell::new(1, cmd::CREATE, public).encode());
+                    let public = self.key.public_key().to_bytes();
+                    ctx.tcp_send_bytes(h, Cell::new(1, cmd::CREATE, &public).into_wire());
                 }
                 AppEvent::Tcp(h, TcpEvent::DataReceived) => {
                     let data = ctx.tcp_recv_all(h);
                     self.cells.push(&data);
-                    while let Some(cell) = self.cells.next_cell() {
-                        if cell.cmd != cmd::CREATED {
+                    while let Some(cell) = self.cells.next_cell().unwrap() {
+                        if cell.cmd() != cmd::CREATED {
                             continue;
                         }
-                        let exit = PublicKey::from_bytes(cell.payload[..8].try_into().unwrap()).unwrap();
+                        let exit = PublicKey::from_bytes(cell.payload()[..8].try_into().unwrap()).unwrap();
                         let mut layer = OnionLayer::new(self.key.agree(&exit));
                         let target = TargetAddr::Domain("web.example".into(), 80).encode();
                         for stream in 1..=self.streams {
-                            let mut payload = relay_payload(stream, relay_cmd::BEGIN, &target);
-                            layer.forward(&mut payload);
-                            ctx.tcp_send(h, &Cell::new(1, cmd::RELAY, payload).encode());
+                            let mut cell = Cell::relay(1, stream, relay_cmd::BEGIN, &target);
+                            layer.forward(cell.payload_mut());
+                            ctx.tcp_send_bytes(h, cell.into_wire());
                         }
                         ctx.set_timer(SimDuration::from_secs(1), h.0 as u64);
                     }
                 }
                 AppEvent::TimerFired(h) => {
-                    ctx.tcp_send(TcpHandle(h as usize), &Cell::new(1, cmd::DESTROY, vec![]).encode());
+                    ctx.tcp_send_bytes(TcpHandle(h as usize), Cell::new(1, cmd::DESTROY, &[]).into_wire());
                 }
                 _ => {}
             }
@@ -390,5 +381,44 @@ mod tests {
         // stream order; the closes must come in the same order.
         assert_eq!(log.accepted.len(), 8);
         assert_eq!(log.closed, log.accepted, "exit streams closed out of stream order");
+    }
+
+    /// Opens an OR connection to the exit and sends, in one write, a cell
+    /// whose length field is too large followed by a good CREATE; logs
+    /// what comes back.
+    struct Hostile {
+        log: Rc<RefCell<Vec<TcpEvent>>>,
+    }
+
+    impl App for Hostile {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.tcp_connect(SocketAddr::new(EXIT, OR_PORT));
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            let AppEvent::Tcp(h, ev) = ev else { return };
+            if ev == TcpEvent::Connected {
+                let mut bad = Cell::new(1, cmd::CREATE, &[]).wire().to_vec();
+                bad[5..7].copy_from_slice(&u16::MAX.to_be_bytes());
+                let public = PrivateKey::from_entropy(7).public_key().to_bytes();
+                bad.extend_from_slice(Cell::new(2, cmd::CREATE, &public).wire());
+                ctx.tcp_send(h, &bad);
+            }
+            self.log.borrow_mut().push(ev);
+        }
+    }
+
+    #[test]
+    fn a_malformed_cell_aborts_the_or_connection() {
+        let mut sim = testnet::world(49);
+        testnet::install(&mut sim, EXIT, OrRelay::new(OR_PORT, 103, testnet::names()));
+        let log = Rc::new(RefCell::new(Vec::new()));
+        testnet::install(&mut sim, CLIENT, Hostile { log: log.clone() });
+        sim.run_for(SimDuration::from_secs(3));
+        // The link is reset, and the CREATE behind the bad cell is neither
+        // answered nor left buffered.
+        assert_eq!(*log.borrow(), [TcpEvent::Connected, TcpEvent::Reset]);
+        let exit = testnet::app::<OrRelay>(&sim, EXIT);
+        assert!(exit.circuits.is_empty(), "no circuit was created");
+        assert!(exit.bufs.is_empty(), "{} links still buffer bytes", exit.bufs.len());
     }
 }

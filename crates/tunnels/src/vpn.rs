@@ -76,6 +76,15 @@ impl VpnVariant {
             VpnVariant::OpenVpn => 17,
         }
     }
+
+    /// What a data packet's sealed body follows on the wire: OpenVPN's
+    /// data opcode, nothing for GRE and ESP.
+    fn data_prefix(self) -> &'static [u8] {
+        match self {
+            VpnVariant::Pptp | VpnVariant::L2tp => &[],
+            VpnVariant::OpenVpn => &[opcode::DATA],
+        }
+    }
 }
 
 // --- per-packet sealing -------------------------------------------------
@@ -103,21 +112,30 @@ impl SessionKey {
     }
 }
 
-/// Seals `plain` with `key`: nonce(8) || ctr-ciphertext || hmac-tag(8).
-pub fn seal_packet(key: &SessionKey, nonce: u64, plain: &[u8]) -> Vec<u8> {
-    let _prof = prof::scope(Subsystem::Crypto);
+/// Seals `inner` with `key` behind `prefix`, in one buffer: prefix ‖
+/// nonce(8) ‖ ctr-ciphertext of the encoded packet ‖ hmac-tag(8). The
+/// packet is encoded straight into the buffer, the cipher and the MAC run
+/// over it in place, and the buffer is frozen: one allocation.
+pub fn seal_packet(key: &SessionKey, nonce: u64, prefix: &[u8], inner: &Packet) -> Bytes {
     let nonce = nonce.to_be_bytes();
-    let mut out = Vec::with_capacity(plain.len() + 16);
-    out.extend_from_slice(&nonce);
-    out.extend_from_slice(plain);
-    key.ctr(&nonce).apply(&mut out[8..]);
-    let tag = key.mac_key.mac(&out);
-    out.extend_from_slice(&tag[..8]);
-    out
+    let at = prefix.len();
+    let mut out = BytesMut::with_capacity(at + 8 + inner.encoded_len() + 8);
+    out.put_slice(prefix);
+    out.put_slice(&nonce);
+    inner.encode_into(&mut out);
+    let tag = {
+        let _prof = prof::scope(Subsystem::Crypto);
+        key.ctr(&nonce).apply(&mut out[at + 8..]);
+        key.mac_key.mac(&out[at..])
+    };
+    out.put_slice(&tag[..8]);
+    out.freeze()
 }
 
-/// Opens a sealed packet; `None` on any authentication failure.
-pub fn open_packet(key: &SessionKey, data: &[u8]) -> Option<Vec<u8>> {
+/// Opens a sealed packet (what follows any opcode): checks the tag, then
+/// decrypts into one buffer, which [`Packet::decode`] hands out views of.
+/// `None` on any authentication failure.
+pub fn open_packet(key: &SessionKey, data: &[u8]) -> Option<Bytes> {
     let _prof = prof::scope(Subsystem::Crypto);
     if data.len() < 16 {
         return None;
@@ -128,9 +146,9 @@ pub fn open_packet(key: &SessionKey, data: &[u8]) -> Option<Vec<u8>> {
         return None;
     }
     let (nonce, ct) = body.split_first_chunk::<8>()?;
-    let mut pt = ct.to_vec();
+    let mut pt = BytesMut::from(ct);
     key.ctr(nonce).apply(&mut pt);
-    Some(pt)
+    Some(pt.freeze())
 }
 
 // --- NAT ------------------------------------------------------------------
@@ -164,7 +182,8 @@ impl Nat {
 
     /// Translates an outbound inner packet from `client`: rewrites the
     /// source to `(public_addr, nat_port)` and returns the packet to
-    /// forward. Returns `None` for packets without ports.
+    /// forward. Returns `None` for packets without ports, and for a new
+    /// flow once every port in the range is mapped (the flow is dropped).
     pub fn outbound(&mut self, client: Addr, public_addr: Addr, mut inner: Packet) -> Option<Packet> {
         let inner_src = inner.src_socket()?;
         let inner_dst = inner.dst_socket()?;
@@ -172,7 +191,7 @@ impl Nat {
         let port = match self.by_flow.get(&flow) {
             Some(&p) => p,
             None => {
-                let p = self.alloc_port();
+                let p = self.alloc_port()?;
                 self.by_flow.insert(flow, p);
                 self.by_port.insert(p, NatEntry { flow });
                 p
@@ -203,14 +222,16 @@ impl Nat {
         Some((flow.client, pkt))
     }
 
-    fn alloc_port(&mut self) -> u16 {
-        loop {
+    /// The next unmapped port, or `None` when all of them are mapped.
+    fn alloc_port(&mut self) -> Option<u16> {
+        for _ in NAT_PORT_LO..=NAT_PORT_HI {
             let p = self.next_port;
             self.next_port = if self.next_port >= NAT_PORT_HI { NAT_PORT_LO } else { self.next_port + 1 };
             if !self.by_port.contains_key(&p) {
-                return p;
+                return Some(p);
             }
         }
+        None
     }
 
     /// Active translations (diagnostics / memory model).
@@ -226,19 +247,15 @@ impl Nat {
 
 // --- encapsulation ----------------------------------------------------------
 
-fn encap_packet(variant: VpnVariant, from: Addr, to: Addr, sealed: Vec<u8>) -> Packet {
+/// The data packet carrying `inner` from `from` to `to`, sealed with
+/// `key` under `nonce` in the one buffer the outer packet carries.
+fn encap_packet(variant: VpnVariant, key: &SessionKey, nonce: u64, from: Addr, to: Addr, inner: &Packet) -> Packet {
+    let sealed = seal_packet(key, nonce, variant.data_prefix(), inner);
     match variant {
-        VpnVariant::Pptp => Packet::raw(from, to, proto::GRE, Bytes::from(sealed)),
-        VpnVariant::L2tp => Packet::raw(from, to, proto::ESP, Bytes::from(sealed)),
+        VpnVariant::Pptp => Packet::raw(from, to, proto::GRE, sealed),
+        VpnVariant::L2tp => Packet::raw(from, to, proto::ESP, sealed),
         VpnVariant::OpenVpn => {
-            let mut framed = BytesMut::with_capacity(sealed.len() + 1);
-            framed.put_u8(opcode::DATA);
-            framed.put_slice(&sealed);
-            Packet::udp(
-                SocketAddr::new(from, OPENVPN_PORT),
-                SocketAddr::new(to, OPENVPN_PORT),
-                framed.freeze(),
-            )
+            Packet::udp(SocketAddr::new(from, OPENVPN_PORT), SocketAddr::new(to, OPENVPN_PORT), sealed)
         }
     }
 }
@@ -252,6 +269,15 @@ fn decap_payload(variant: VpnVariant, pkt: &Packet) -> Option<Bytes> {
         }
         _ => None,
     }
+}
+
+/// A control-channel handshake message: `magic` ‖ the DH public key.
+fn control_message(magic: &[u8], public: PublicKey) -> Bytes {
+    let public = public.to_bytes();
+    let mut msg = BytesMut::with_capacity(magic.len() + public.len());
+    msg.put_slice(magic);
+    msg.put_slice(&public);
+    msg.freeze()
 }
 
 // --- client ---------------------------------------------------------------
@@ -270,16 +296,15 @@ impl PacketTunnel for VpnTunnel {
         self.variant.name()
     }
 
-    fn wrap(&mut self, pkt: Packet, _now: SimTime) -> Vec<Packet> {
+    fn wrap(&mut self, pkt: Packet, _now: SimTime) -> Packet {
         // Never capture traffic to the VPN server itself (control channel
         // and our own encapsulated output) or loopback deliveries of
         // already-decapsulated inbound packets.
         if pkt.dst == self.server || pkt.dst == self.own {
-            return vec![pkt];
+            return pkt;
         }
         self.nonce += 1;
-        let sealed = seal_packet(&self.key, self.nonce, &pkt.encode());
-        vec![encap_packet(self.variant, self.own, self.server, sealed)]
+        encap_packet(self.variant, &self.key, self.nonce, self.own, self.server, &pkt)
     }
 }
 
@@ -321,14 +346,14 @@ impl VpnClient {
         }
     }
 
-    fn hello_payload(&mut self) -> Vec<u8> {
+    fn hello_payload(&mut self) -> Bytes {
         let dh = PrivateKey::from_entropy(self.entropy);
-        let mut msg = match self.variant {
-            VpnVariant::Pptp => b"SCCRQ".to_vec(),
-            VpnVariant::L2tp => b"L2TP-SCCRQ".to_vec(),
-            VpnVariant::OpenVpn => vec![opcode::HARD_RESET_CLIENT],
+        let magic: &[u8] = match self.variant {
+            VpnVariant::Pptp => b"SCCRQ",
+            VpnVariant::L2tp => b"L2TP-SCCRQ",
+            VpnVariant::OpenVpn => &[opcode::HARD_RESET_CLIENT],
         };
-        msg.extend_from_slice(&dh.public_key().to_bytes());
+        let msg = control_message(magic, dh.public_key());
         self.dh = Some(dh);
         msg
     }
@@ -365,13 +390,13 @@ impl App for VpnClient {
                 let sock = ctx.udp_bind(0).expect("ephemeral bind");
                 self.control_udp = Some(sock);
                 let hello = self.hello_payload();
-                ctx.udp_send(sock, SocketAddr::new(self.server, L2TP_PORT), Bytes::from(hello));
+                ctx.udp_send(sock, SocketAddr::new(self.server, L2TP_PORT), hello);
             }
             VpnVariant::OpenVpn => {
                 let sock = ctx.udp_bind(OPENVPN_PORT).expect("openvpn port free");
                 self.control_udp = Some(sock);
                 let hello = self.hello_payload();
-                ctx.udp_send(sock, SocketAddr::new(self.server, OPENVPN_PORT), Bytes::from(hello));
+                ctx.udp_send(sock, SocketAddr::new(self.server, OPENVPN_PORT), hello);
             }
         }
     }
@@ -434,7 +459,7 @@ impl VpnClient {
     fn deliver_inner(&mut self, sealed: &[u8], ctx: &mut Ctx<'_>) {
         let Some(key) = &self.key else { return };
         let Some(plain) = open_packet(key, sealed) else { return };
-        let Ok(inner) = Packet::decode(&plain) else { return };
+        let Ok(inner) = Packet::decode(plain) else { return };
         // Feed the decapsulated reply into our own stack (loopback),
         // bypassing the tunnel so it cannot be re-captured.
         ctx.send_packet_untunneled(inner);
@@ -471,26 +496,25 @@ impl VpnServer {
         }
     }
 
-    fn handle_hello(&mut self, client: Addr, client_pub: &[u8], ctx: &mut Ctx<'_>) -> Option<Vec<u8>> {
+    fn handle_hello(&mut self, client: Addr, client_pub: &[u8], ctx: &mut Ctx<'_>) -> Option<Bytes> {
         let bytes8: [u8; 8] = client_pub.try_into().ok()?;
         let client_pub = PublicKey::from_bytes(bytes8).ok()?;
         let dh = PrivateKey::from_entropy(self.entropy ^ client.as_u32() as u64);
         let key = dh.agree(&client_pub);
         self.sessions.insert(client, SessionKey::new(key));
         let _ = ctx;
-        let mut reply = match self.variant {
-            VpnVariant::Pptp => b"SCCRP".to_vec(),
-            VpnVariant::L2tp => b"L2TP-SCCRP".to_vec(),
-            VpnVariant::OpenVpn => vec![opcode::HARD_RESET_SERVER],
+        let magic: &[u8] = match self.variant {
+            VpnVariant::Pptp => b"SCCRP",
+            VpnVariant::L2tp => b"L2TP-SCCRP",
+            VpnVariant::OpenVpn => &[opcode::HARD_RESET_SERVER],
         };
-        reply.extend_from_slice(&dh.public_key().to_bytes());
-        Some(reply)
+        Some(control_message(magic, dh.public_key()))
     }
 
     fn handle_data(&mut self, from: Addr, sealed: &[u8], ctx: &mut Ctx<'_>) {
         let Some(key) = self.sessions.get(&from) else { return };
         let Some(plain) = open_packet(key, sealed) else { return };
-        let Ok(inner) = Packet::decode(&plain) else { return };
+        let Ok(inner) = Packet::decode(plain) else { return };
         let public = ctx.addr();
         if let Some(translated) = self.nat.outbound(from, public, inner) {
             self.forwarded += 1;
@@ -501,8 +525,7 @@ impl VpnServer {
     fn return_to_client(&mut self, client: Addr, inner: Packet, ctx: &mut Ctx<'_>) {
         let Some(key) = self.sessions.get(&client) else { return };
         self.nonce += 1;
-        let sealed = seal_packet(key, self.nonce, &inner.encode());
-        let pkt = encap_packet(self.variant, ctx.addr(), client, sealed);
+        let pkt = encap_packet(self.variant, key, self.nonce, ctx.addr(), client, &inner);
         ctx.send_packet(pkt);
     }
 }
@@ -544,14 +567,14 @@ impl App for VpnServer {
                     VpnVariant::L2tp => {
                         if let Some(rest) = payload.strip_prefix(b"L2TP-SCCRQ".as_slice()) {
                             if let Some(reply) = self.handle_hello(from.addr, rest, ctx) {
-                                ctx.udp_send(socket, from, Bytes::from(reply));
+                                ctx.udp_send(socket, from, reply);
                             }
                         }
                     }
                     VpnVariant::OpenVpn => match payload.first() {
                         Some(&opcode::HARD_RESET_CLIENT) => {
                             if let Some(reply) = self.handle_hello(from.addr, &payload[1..], ctx) {
-                                ctx.udp_send(socket, from, Bytes::from(reply));
+                                ctx.udp_send(socket, from, reply);
                             }
                         }
                         Some(&opcode::DATA) => {
@@ -580,13 +603,18 @@ impl App for VpnServer {
 mod tests {
     use super::*;
 
+    /// A raw packet carrying `payload`, as a stand-in for any inner packet.
+    fn inner(payload: &[u8]) -> Packet {
+        Packet::raw(Addr::new(10, 0, 0, 1), Addr::new(99, 2, 0, 1), proto::ESP, Bytes::copy_from_slice(payload))
+    }
+
     #[test]
     fn seal_open_roundtrip() {
         let key = SessionKey::new([7u8; 32]);
-        let sealed = seal_packet(&key, 42, b"inner packet");
-        assert_eq!(open_packet(&key, &sealed).unwrap(), b"inner packet");
+        let sealed = seal_packet(&key, 42, &[], &inner(b"inner packet"));
+        assert_eq!(Packet::decode(open_packet(&key, &sealed).unwrap()).unwrap(), inner(b"inner packet"));
         // Tampering is detected.
-        let mut bad = sealed.clone();
+        let mut bad = sealed.to_vec();
         bad[10] ^= 1;
         assert!(open_packet(&key, &bad).is_none());
         // Wrong key fails.
@@ -596,11 +624,57 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_short_input_and_any_flipped_tag_bit() {
+        let key = SessionKey::new([7u8; 32]);
+        let sealed = seal_packet(&key, 42, &[], &inner(b""));
+        // Below nonce ‖ tag there is nothing to authenticate.
+        for len in 0..16 {
+            assert!(open_packet(&key, &sealed[..len.min(sealed.len())]).is_none(), "{len} bytes");
+            assert!(open_packet(&key, &vec![0u8; len]).is_none(), "{len} zero bytes");
+        }
+        let tag_at = sealed.len() - 8;
+        for bit in 0..64 {
+            let mut bad = sealed.to_vec();
+            bad[tag_at + bit / 8] ^= 1 << (bit % 8);
+            assert!(open_packet(&key, &bad).is_none(), "tag bit {bit} flipped");
+        }
+        assert!(open_packet(&key, &sealed).is_some());
+    }
+
+    #[test]
     fn sealed_payload_is_high_entropy() {
         let key = SessionKey::new([9u8; 32]);
-        let sealed = seal_packet(&key, 1, &vec![0u8; 2000]);
+        let sealed = seal_packet(&key, 1, &[], &inner(&[0u8; 2000]));
         let stats = sc_crypto::entropy::PayloadStats::analyze(&sealed);
         assert!(stats.entropy > 7.0);
+    }
+
+    #[test]
+    fn a_full_nat_drops_new_flows_and_keeps_translating_mapped_ones() {
+        let mut nat = Nat::new();
+        let public = Addr::new(99, 0, 0, 9);
+        let ports = (NAT_PORT_HI - NAT_PORT_LO) as u32 + 1;
+        // One flow per (client, source port): 10 000 of them fill the range.
+        let flow = |i: u32| {
+            let client = Addr::from_u32(Addr::new(10, 0, 0, 0).as_u32() + i / 1000);
+            let pkt = Packet::udp(
+                SocketAddr::new(client, 40_000 + (i % 1000) as u16),
+                SocketAddr::new(Addr::new(99, 2, 0, 1), 53),
+                Bytes::new(),
+            );
+            (client, pkt)
+        };
+        for i in 0..ports {
+            let (client, pkt) = flow(i);
+            assert!(nat.outbound(client, public, pkt).is_some(), "flow {i}");
+        }
+        assert_eq!(nat.len(), ports as usize);
+        let (client, pkt) = flow(ports);
+        assert!(nat.outbound(client, public, pkt).is_none(), "a new flow finds no port");
+        let (client, pkt) = flow(17);
+        let out = nat.outbound(client, public, pkt).expect("a mapped flow still translates");
+        assert_eq!(out.src, public);
+        assert_eq!(nat.len(), ports as usize);
     }
 
     #[test]
@@ -691,15 +765,13 @@ mod tests {
     /// The client's first data packet through the full tunnel.
     fn client_wire(variant: VpnVariant, key: &SessionKey, inner: Packet) -> Packet {
         let mut tunnel = VpnTunnel { variant, own: CLIENT, server: SERVER, key: key.clone(), nonce: 0 };
-        let mut out = tunnel.wrap(inner, SimTime::ZERO);
-        assert_eq!(out.len(), 1);
-        out.pop().unwrap()
+        tunnel.wrap(inner, SimTime::ZERO)
     }
 
     /// The server's first reply, as `return_to_client` seals it.
     fn server_wire(variant: VpnVariant, key: &SessionKey, inner: Packet) -> Packet {
         let nonce = VpnServer::new(variant, 0).nonce + 1;
-        encap_packet(variant, SERVER, CLIENT, seal_packet(key, nonce, &inner.encode()))
+        encap_packet(variant, key, nonce, SERVER, CLIENT, &inner)
     }
 
     /// The sealed wire bytes of one packet each way, pinned per variant:
@@ -736,7 +808,7 @@ mod tests {
             for (wire, inner) in [(&up, segment(true, b"GET /")), (&down, segment(false, b"200 OK"))] {
                 let sealed = decap_payload(variant, wire).expect("a data packet");
                 let plain = open_packet(&key, &sealed).expect("authentic");
-                assert_eq!(Packet::decode(&plain).unwrap(), inner);
+                assert_eq!(Packet::decode(plain).unwrap(), inner);
             }
         }
     }

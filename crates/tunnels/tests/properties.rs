@@ -1,13 +1,19 @@
 //! Property-based tests on tunnel wire formats and invariants.
 
 use proptest::prelude::*;
-use sc_tunnels::tor::cells::{
-    CELL_PAYLOAD, Cell, CellBuf, OnionLayer, cmd, parse_relay_payload, relay_payload,
-};
+use bytes::Bytes;
+use sc_simnet::addr::Addr;
+use sc_simnet::packet::{Packet, proto};
+use sc_tunnels::tor::cells::{CELL_PAYLOAD, Cell, CellBuf, OnionLayer, cmd, parse_relay_payload};
 use sc_tunnels::vpn::{NAT_PORT_HI, NAT_PORT_LO, Nat, SessionKey, open_packet, seal_packet};
 
+/// An inner packet carrying `payload`.
+fn inner(payload: Vec<u8>) -> Packet {
+    Packet::raw(Addr::new(10, 0, 0, 1), Addr::new(99, 2, 0, 1), proto::GRE, Bytes::from(payload))
+}
+
 proptest! {
-    /// Sealed VPN packets always open to the original bytes; any single
+    /// Sealed VPN packets always open to the original packet; any single
     /// bit flip is rejected.
     #[test]
     fn vpn_seal_open(key: [u8; 32],
@@ -15,9 +21,10 @@ proptest! {
                      plain in prop::collection::vec(any::<u8>(), 0..1500),
                      flip in 0usize..1500) {
         let key = SessionKey::new(key);
-        let sealed = seal_packet(&key, nonce, &plain);
-        prop_assert_eq!(open_packet(&key, &sealed).unwrap(), plain);
-        let mut bad = sealed.clone();
+        let pkt = inner(plain);
+        let sealed = seal_packet(&key, nonce, &[], &pkt);
+        prop_assert_eq!(Packet::decode(open_packet(&key, &sealed).unwrap()).unwrap(), pkt);
+        let mut bad = sealed.to_vec();
         let i = flip % bad.len();
         bad[i] ^= 1;
         prop_assert!(open_packet(&key, &bad).is_none());
@@ -30,7 +37,8 @@ proptest! {
                                  plain in prop::collection::vec(any::<u8>(), 1..500)) {
         prop_assume!(n1 != n2);
         let key = SessionKey::new(key);
-        prop_assert_ne!(seal_packet(&key, n1, &plain), seal_packet(&key, n2, &plain));
+        let pkt = inner(plain);
+        prop_assert_ne!(seal_packet(&key, n1, &[], &pkt), seal_packet(&key, n2, &[], &pkt));
     }
 
     /// Tor cells survive arbitrary re-chunking of the byte stream.
@@ -41,17 +49,17 @@ proptest! {
         let cells: Vec<Cell> = payloads
             .into_iter()
             .enumerate()
-            .map(|(i, p)| Cell::new(i as u32, cmd::RELAY, p))
+            .map(|(i, p)| Cell::new(i as u32, cmd::RELAY, &p))
             .collect();
         let mut wire = Vec::new();
         for c in &cells {
-            wire.extend(c.encode());
+            wire.extend_from_slice(c.wire());
         }
         let mut buf = CellBuf::new();
         let mut got = Vec::new();
         for piece in wire.chunks(chunk) {
             buf.push(piece);
-            while let Some(c) = buf.next_cell() {
+            while let Some(c) = buf.next_cell().unwrap() {
                 got.push(c);
             }
         }
@@ -69,8 +77,8 @@ proptest! {
         let mut client = [mk(0), mk(1), mk(2)];
         let mut hops = [mk(0), mk(1), mk(2)];
         for (sid, rcmd, data) in msgs {
-            let plain = relay_payload(sid, rcmd, &data);
-            let mut wrapped = plain.clone();
+            let plain = Cell::relay(0, sid, rcmd, &data);
+            let mut wrapped = plain.payload().to_vec();
             for layer in client.iter_mut().rev() {
                 layer.forward(&mut wrapped);
             }

@@ -11,7 +11,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use sc_dns::stub::{ResolveOutcome, StubResolver};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::pac::PacFile;
@@ -1266,10 +1266,12 @@ impl Browser {
             ConnPhase::SocksGreetSent => {
                 if data.starts_with(&[5, 0]) {
                     conn.phase = ConnPhase::SocksConnectSent;
-                    let mut req = vec![5, 1, 0, 3, conn.host.len() as u8];
-                    req.extend_from_slice(conn.host.as_bytes());
-                    req.extend_from_slice(&conn.port.to_be_bytes());
-                    ctx.tcp_send_bytes(h, req);
+                    let host = conn.host.as_bytes();
+                    let mut req = BytesMut::with_capacity(7 + host.len());
+                    req.put_slice(&[5, 1, 0, 3, host.len() as u8]);
+                    req.put_slice(host);
+                    req.put_u16(conn.port);
+                    ctx.tcp_send_bytes(h, req.freeze());
                 } else {
                     self.fail_load(ctx);
                 }

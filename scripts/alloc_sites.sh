@@ -16,8 +16,13 @@
 # and bytes per load, filed under the innermost frame (inlined ones
 # included) whose source lies under crates/ — so an allocation made by
 # std, the vendored crates or the allocator itself is charged to the
-# line of this repository that asked for it. Its total equals the
-# `allocs_per_load` the benchmark prints. The copy, build and
+# line of this repository that asked for it. Each by-function row also
+# names the site's caller: the nearest frame under crates/ in another
+# file, so a buffer that the simulator allocates on an app's behalf (the
+# share count of a `Bytes` adopting a vector, say) points at the app
+# that built it. Its totals are the `allocs_per_load` and
+# `alloc_bytes_per_load` the benchmark prints, and the script fails if
+# they are not. The copy, build and
 # symbolising are scripts/lib's, shared with profile.sh; the checkout
 # itself, benchmark/ included, is never written. Needs x86_64 Linux (the walk
 # reads the frame pointer), addr2line and python3; a run takes the build
@@ -213,34 +218,47 @@ if calls == 0:
 frames = symbolize(binary, [pc - 1 - base for e in entries for pc in e[2]])
 
 crates = os.path.join(os.path.realpath(tree), "crates") + os.sep
-def site(stack):
+def crate_frames(stack):
+    """(file under crates/, short function name) of each frame, inlined
+    ones included, innermost first."""
     for pc in stack:
         for fn, loc in frames.get(pc - 1 - base, []):
             path = os.path.realpath(loc.rsplit(":", 1)[0]) if loc.startswith("/") else loc
             if path.startswith(crates):
-                return path[len(crates):], re.sub(r"<[^<>]*>", "", fn).split("::")[-2:]
-    return "(outside crates/)", ["", ""]
+                short = re.sub(r"<[^<>]*>", "", fn).split("::")[-2:]
+                yield path[len(crates):], "::".join(x for x in short if x)
+
+def site(stack):
+    """The innermost frame under crates/ and its caller in another file."""
+    walk = crate_frames(stack)
+    path, fn = next(walk, ("(outside crates/)", ""))
+    caller = next((f"{p} {f}" for p, f in walk if p != path), "")
+    return path, fn, caller
 
 # The tally is the last repetition's; the benchmark divides the same
 # repetition by its loads.
-loads = calls / printed["allocs_per_load"]
+loads = round(calls / printed["allocs_per_load"])
 by_fn, by_file = collections.Counter(), collections.Counter()
 bytes_fn, bytes_file = collections.Counter(), collections.Counter()
 for n, b, stack in entries:
-    path, fn = site(stack)
-    key = (path, "::".join(x for x in fn if x))
+    path, fn, caller = site(stack)
+    key = (path, fn, caller)
     by_fn[key] += n
     bytes_fn[key] += b
     by_file[path] += n
     bytes_file[path] += b
 total_bytes = sum(bytes_file.values())
 print(f"{workload} at seed {seed}: {calls / loads:.2f} allocations and {total_bytes / loads:,.0f} B per load "
-      f"over {loads:.0f} loads (the benchmark prints {printed['allocs_per_load']:.2f} and "
+      f"over {loads} loads (the benchmark prints {printed['allocs_per_load']:.2f} and "
       f"{printed.get('alloc_bytes_per_load', 0):,.0f} B){'' if lost == 0 else f'; {lost} calls lost to a full table'}")
+# The census is only worth its rows if it counted what the benchmark did.
+if lost or f"{calls / loads:.2f}" != f"{printed['allocs_per_load']:.2f}" \
+        or abs(total_bytes / loads - printed.get("alloc_bytes_per_load", -1)) > 0.5 + 1e-6 * total_bytes / loads:
+    sys.exit("alloc_sites.sh: the census's totals are not the benchmark's allocs_per_load and alloc_bytes_per_load")
 print("\nby file (allocations / load, bytes / load)")
 for path, n in by_file.most_common():
     print(f"{n / loads:8.2f} {bytes_file[path] / loads:10.0f}  {path}")
-print("\nby function (the innermost frame under crates/)")
-for (path, fn), n in by_fn.most_common(40):
-    print(f"{n / loads:8.2f} {bytes_fn[(path, fn)] / loads:10.0f}  {path} {fn}")
+print("\nby function (the innermost frame under crates/, then its caller in another file)")
+for (path, fn, caller), n in by_fn.most_common(40):
+    print(f"{n / loads:8.2f} {bytes_fn[(path, fn, caller)] / loads:10.0f}  {path} {fn}  <- {caller or '(none)'}")
 PY

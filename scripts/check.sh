@@ -240,7 +240,7 @@ tls_record_copies() {
 }
 fail_if_found "a TLS record copied out of the buffer it was opened in" tls_record_copies
 fail_if_found "a relay hop's codec copy built as a Vec" \
-    grep -rnE 'let mut (wire|plain) = dat[a]\.to_vec\(\)' crates/scholarcloud/src
+    grep -rnE 'let mut (wire|plain|enc) = dat[a]\.to_vec\(\)' crates/scholarcloud/src crates/tunnels/src
 echo "structure: ok (TLS records open in place; hop copies are built once)"
 
 # Structure, HTTP messages (DESIGN.md §6p): a head is one buffer and a

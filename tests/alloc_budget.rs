@@ -1,10 +1,11 @@
 //! Allocations a page load may cost, held in tier-1: the repository
 //! benchmark's `allocs_per_load` and `alloc_bytes_per_load` are counts
-//! that repeat exactly, so the three ScholarCloud shapes it measures can
-//! be run here, small, under the same counting allocator, against a
-//! stated budget. A change that brings back a `String` per header, a copy
-//! of the page per tier or a name lookup per metric write fails this
-//! before anyone runs the benchmark. The analyzer is held the same way:
+//! that repeat exactly, so the three ScholarCloud shapes it measures and
+//! the four baselines of its transport matrix can be run here, small,
+//! under the same counting allocator, against a stated budget. A change
+//! that brings back a `String` per header, a copy of the page per tier, a
+//! name lookup per metric write or a second buffer per sealed packet or
+//! cell fails this before anyone runs the benchmark. The analyzer is held the same way:
 //! its pass over the traced shape's trace has a budget per line, and
 //! its peak memory over a trace of lines it keeps nothing of is one
 //! bound however long the trace — a pass that holds every event again
@@ -35,6 +36,17 @@ fn shape(seed: u64, clients: usize, loads: usize) -> ScenarioConfig {
     cfg.interval = SimDuration::from_secs(10);
     cfg.timeout = SimDuration::from_secs(8);
     cfg.ramp_stagger = SimDuration::from_millis(250);
+    cfg
+}
+
+/// A `transport_matrix` part, small: `method` as the paper deploys it,
+/// with the benchmark's think time and load deadline.
+fn matrix(method: Method, seed: u64) -> ScenarioConfig {
+    let mut cfg = ScenarioConfig::paper(method, seed);
+    cfg.clients = 3;
+    cfg.loads = 10;
+    cfg.interval = SimDuration::from_secs(20);
+    cfg.timeout = SimDuration::from_secs(18);
     cfg
 }
 
@@ -166,6 +178,14 @@ fn a_page_load_stays_inside_its_allocation_budget() {
         // What the write side of obs adds: a registry write is an indexed
         // add, a trace line is written into one reused buffer.
         ("traced incident", incident, INCIDENT_ALLOCS, INCIDENT_BYTES),
+        // The baselines: a VPN packet is sealed into one buffer and opened
+        // into one, a Tor cell is one buffer per hop, a Shadowsocks hop
+        // makes one copy each way. Tor's bootstrap is shared by few loads
+        // here, so its loads cost more than the benchmark's.
+        ("native VPN", steady(&matrix(Method::NativeVpn, 2217)), NATIVE_VPN_ALLOCS, NATIVE_VPN_BYTES),
+        ("OpenVPN", steady(&matrix(Method::OpenVpn, 2218)), OPENVPN_ALLOCS, OPENVPN_BYTES),
+        ("Shadowsocks", steady(&matrix(Method::Shadowsocks, 2219)), SHADOWSOCKS_ALLOCS, SHADOWSOCKS_BYTES),
+        ("Tor", steady(&matrix(Method::Tor, 2220)), TOR_ALLOCS, TOR_BYTES),
     ] {
         println!("{name}: {allocs:.1} allocations, {bytes:.0} B a load (budget {max_allocs}, {max_bytes})");
         assert!(allocs <= max_allocs, "{name}: {allocs:.1} allocations a load, budget {max_allocs}");
@@ -213,6 +233,22 @@ const FLEET_ALLOCS: f64 = 112.0;
 const FLEET_BYTES: f64 = 47_500.0;
 const INCIDENT_ALLOCS: f64 = 136.0;
 const INCIDENT_BYTES: f64 = 95_000.0;
+
+// The baselines measured 128.4 / 47 621 B (native VPN), 129.0 / 48 021 B
+// (OpenVPN), 138.0 / 56 559 B (Shadowsocks) and 339.3 / 356 395 B (Tor)
+// in a debug build, once a VPN packet was sealed into one buffer and
+// opened into one, a Tor cell was its wire buffer from hop to hop, a
+// Shadowsocks hop built its copy as a `BytesMut` and a send no longer
+// adopted a `Vec`; before, they cost 247.3 / 67 834 B, 247.9 / 77 332 B,
+// 183.5 / 57 564 B and 645.6 / 407 386 B.
+const NATIVE_VPN_ALLOCS: f64 = 141.0;
+const NATIVE_VPN_BYTES: f64 = 52_500.0;
+const OPENVPN_ALLOCS: f64 = 142.0;
+const OPENVPN_BYTES: f64 = 53_000.0;
+const SHADOWSOCKS_ALLOCS: f64 = 152.0;
+const SHADOWSOCKS_BYTES: f64 = 62_000.0;
+const TOR_ALLOCS: f64 = 373.0;
+const TOR_BYTES: f64 = 392_000.0;
 
 // The analyzer's pass over the traced incident's trace measured 0.610
 // allocations a line, and its peak over 10 000 and over 100 000 lines
