@@ -187,6 +187,15 @@ impl SocksServerSession {
                         out.failed = true;
                         break;
                     }
+                    // `decode` reads IPv4 and domain targets only: refuse
+                    // any other address type at once, or it would wait for
+                    // bytes that never make a target.
+                    if self.buf.get(3).is_some_and(|atyp| ![0x01, 0x03].contains(atyp)) {
+                        out.reply.extend(connect_reply(8));
+                        self.state = SocksState::Failed;
+                        out.failed = true;
+                        break;
+                    }
                     let Some((target, consumed)) = TargetAddr::decode(&self.buf[3..]) else { break };
                     self.buf.drain(..3 + consumed);
                     out.reply.extend(connect_reply(0));
@@ -246,6 +255,17 @@ mod tests {
         assert!(o.failed);
         assert_eq!(o.reply, vec![5, 0xff]);
         assert!(!s.is_ready());
+    }
+
+    #[test]
+    fn a_connect_to_an_unknown_address_type_is_refused_with_code_8() {
+        for atyp in [0x04, 0x09] {
+            let mut s = SocksServerSession::new();
+            s.on_bytes(&GREETING);
+            let o = s.on_bytes(&[5, 0x01, 0x00, atyp]);
+            assert_eq!(o.reply, [5, 8, 0, 1, 0, 0, 0, 0, 0, 0], "ATYP {atyp}");
+            assert!(o.failed, "ATYP {atyp}");
+        }
     }
 
     #[test]

@@ -295,12 +295,7 @@ impl Remotes {
     pub fn elastic_tick(&mut self, queue_depth: usize, io: &mut impl Io) {
         let Some(handle) = self.elastic.clone() else { return };
         let now = io.now();
-        // SLO burn-rate input: a latency or availability objective
-        // actively burning budget is demand the queue cannot see yet, so
-        // it surges capacity ahead of the backlog. Outside an SLO-guarded
-        // run there is no engine and the signal is simply false.
-        let burning = sc_obs::with_slo_engine(|e| e.any_fired()).unwrap_or(false);
-        let actions = handle.with(|p| p.tick(now, queue_depth, burning, || io.rand_unit()));
+        let actions = handle.with(|p| p.tick(now, queue_depth, || io.rand_unit()));
         for act in actions {
             match act {
                 ElasticAction::Provision { addr, cold_start } => {

@@ -67,11 +67,6 @@ pub const COST_PER_WARM_HOUR_MICRO: u64 = 40_000;
 /// cost experiments (the paper's 2-VM deployment runs about 2.2 USD/day
 /// ≈ 46 000 µ$/hour per VM).
 pub const COST_PER_VM_HOUR_MICRO: u64 = 46_000;
-/// Surge capacity (whole instances) added to desired capacity while an
-/// SLO burn is in progress. Queue depth only sees demand the warm set
-/// already failed to absorb; a latency burn fires earlier, while
-/// requests are still being served — slowly.
-pub const BURN_HEADROOM: usize = 1;
 
 /// Tunables for the elastic tier.
 #[derive(Debug, Clone)]
@@ -396,11 +391,7 @@ impl ElasticPool {
 
     /// One controller tick at `now`. `queue_depth` is the admission
     /// queue's current depth (the demand the warm set is failing to
-    /// absorb); `burning` is the SLO burn-rate signal — true while a
-    /// latency or availability objective is actively burning budget,
-    /// which adds [`BURN_HEADROOM`]
-    /// instances of surge demand so scale-out starts *before* the queue
-    /// backs up; `draw` supplies uniform samples in `[0, 1)` from the
+    /// absorb); `draw` supplies uniform samples in `[0, 1)` from the
     /// caller's seeded RNG, consumed once per provision in a fixed
     /// order — so same-seed runs provision identical cold starts.
     ///
@@ -412,7 +403,6 @@ impl ElasticPool {
         &mut self,
         now: SimTime,
         queue_depth: usize,
-        burning: bool,
         mut draw: impl FnMut() -> f64,
     ) -> Vec<ElasticAction> {
         let mut actions = Vec::new();
@@ -446,12 +436,7 @@ impl ElasticPool {
             .filter(|i| i.state == InstanceState::Warm)
             .map(|i| i.inflight)
             .sum();
-        let mut demand = inflight + queue_depth;
-        if burning {
-            // A burning SLO is demand the queue cannot see yet: requests
-            // are being served, just too slowly. Surge ahead of it.
-            demand += BURN_HEADROOM * self.cfg.target_inflight.max(1);
-        }
+        let demand = inflight + queue_depth;
         let desired = demand
             .div_ceil(self.cfg.target_inflight.max(1))
             .clamp(self.cfg.min_instances, self.cfg.max_instances);
@@ -608,16 +593,16 @@ mod tests {
         let seeded = p.seed_warm(1);
         assert_eq!(seeded.len(), 1);
         // Demand for 3 instances: queue depth 6, target 2.
-        let acts = p.tick(SimTime::from_millis(100), 6, false, || 0.0);
+        let acts = p.tick(SimTime::from_millis(100), 6, || 0.0);
         let provisions =
             acts.iter().filter(|a| matches!(a, ElasticAction::Provision { .. })).count();
         assert_eq!(provisions, 2);
         assert_eq!(p.warm_count(), 1, "cold-starting instances are not warm yet");
         // Before the cold start elapses: no promotion.
-        let acts = p.tick(SimTime::from_millis(400), 6, false, || 0.0);
+        let acts = p.tick(SimTime::from_millis(400), 6, || 0.0);
         assert!(acts.iter().all(|a| !matches!(a, ElasticAction::Warm { .. })));
         // After: both turn warm.
-        let acts = p.tick(SimTime::from_millis(700), 6, false, || 0.0);
+        let acts = p.tick(SimTime::from_millis(700), 6, || 0.0);
         let warms = acts.iter().filter(|a| matches!(a, ElasticAction::Warm { .. })).count();
         assert_eq!(warms, 2);
         assert_eq!(p.warm_count(), 3);
@@ -629,7 +614,7 @@ mod tests {
         let seeded = p.seed_warm(3);
         // One instance holds a stream; all idle timers are long past.
         p.note_stream_start(seeded[2]);
-        let acts = p.tick(SimTime::from_secs(60), 0, false, || 0.0);
+        let acts = p.tick(SimTime::from_secs(60), 0, || 0.0);
         let drains: Vec<Addr> = acts
             .iter()
             .filter_map(|a| match a {
@@ -651,7 +636,7 @@ mod tests {
         let seeded = p.seed_warm(1);
         p.note_stream_start(seeded[0]);
         p.churn(seeded[0]);
-        let acts = p.tick(SimTime::from_secs(1), 0, false, || 0.5);
+        let acts = p.tick(SimTime::from_secs(1), 0, || 0.5);
         assert!(acts.contains(&ElasticAction::Drain {
             addr: seeded[0],
             reason: DrainReason::Blacklist
@@ -666,7 +651,7 @@ mod tests {
         assert_eq!(p.churns(), 1);
         // Stream ends → next tick powers it off.
         p.note_stream_end(seeded[0], SimTime::from_secs(2));
-        let acts = p.tick(SimTime::from_secs(2), 0, false, || 0.5);
+        let acts = p.tick(SimTime::from_secs(2), 0, || 0.5);
         assert!(acts.contains(&ElasticAction::Retire { addr: seeded[0] }));
         assert_eq!(p.state_of(seeded[0]), Some(InstanceState::Retired));
     }
@@ -677,7 +662,7 @@ mod tests {
         let seeded = p.seed_warm(2);
         p.note_stream_start(seeded[0]);
         p.note_egress(seeded[0], 2_000_000_000); // 2 GB
-        p.tick(SimTime::from_secs(3600), 0, false, || 0.0);
+        p.tick(SimTime::from_secs(3600), 0, || 0.0);
         assert_eq!(p.cost_invocation_micro(), COST_PER_INVOCATION_MICRO);
         assert_eq!(p.cost_egress_micro(), 2 * COST_PER_GB_EGRESS_MICRO);
         // Two instances warm for one hour (one idle-drained at the tick,
@@ -690,31 +675,10 @@ mod tests {
     }
 
     #[test]
-    fn slo_burn_scales_out_before_the_queue_backs_up() {
-        // Same demand picture in both arms: one warm instance, two
-        // streams in flight (at target), zero queued — the queue-depth
-        // signal alone sees nothing to scale for.
-        let arm = |burning: bool| {
-            let mut p = ElasticPool::new(cfg(), pool_addrs(8));
-            let seeded = p.seed_warm(1);
-            p.note_stream_start(seeded[0]);
-            p.note_stream_start(seeded[0]);
-            let acts = p.tick(SimTime::from_secs(1), 0, burning, || 0.0);
-            acts.iter().filter(|a| matches!(a, ElasticAction::Provision { .. })).count()
-        };
-        assert_eq!(arm(false), 0, "no queue, no burn: nothing to do");
-        assert_eq!(
-            arm(true),
-            1,
-            "a burning latency SLO surges capacity before requests queue"
-        );
-    }
-
-    #[test]
     fn address_pool_exhaustion_is_survivable() {
         let mut p = ElasticPool::new(cfg(), pool_addrs(1));
         p.seed_warm(1);
-        let acts = p.tick(SimTime::from_secs(1), 100, false, || 0.0);
+        let acts = p.tick(SimTime::from_secs(1), 100, || 0.0);
         assert!(acts.iter().all(|a| !matches!(a, ElasticAction::Provision { .. })));
         assert!(p.starved_provisions > 0);
     }

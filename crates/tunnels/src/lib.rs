@@ -10,11 +10,13 @@
 //!   its PLT, and the probe-visible silent-server behaviour.
 //! * [`tor`] — directory bootstrap, meek (HTTPS long-poll) transport,
 //!   three-hop onion circuits, exit streams.
+//! * `front` — the local SOCKS5 front `SsLocal` and `TorClient` share.
 //! * [`names`] — the uncensored DNS view used for exit-side resolution.
 //! * [`status`] — tunnel readiness handles for measurement harnesses.
 
 #![warn(missing_docs)]
 
+mod front;
 pub mod names;
 pub mod shadowsocks;
 pub mod status;

@@ -13,16 +13,15 @@
 //! * **Probe behaviour**: the remote server consumes undecryptable bytes
 //!   silently — the signature the GFW's active prober confirms.
 
-use std::collections::BTreeMap;
-
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use rand::Rng;
 use sc_crypto::hmac::bytes_to_key;
 use sc_crypto::modes::Cfb;
 use sc_crypto::{Aes, KeySize};
-use sc_netproto::socks::{SocksServerSession, TargetAddr};
+use sc_netproto::socks::TargetAddr;
 use sc_obs::prof::{self, Subsystem};
 
+use crate::front::{FrontEvent, SocksFront};
 use crate::names::NameMap;
 use sc_simnet::addr::SocketAddr;
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
@@ -92,19 +91,45 @@ fn open(rx: &mut Cfb, data: &mut [u8]) {
     rx.decrypt(data);
 }
 
-// --- local proxy -------------------------------------------------------------
-
+/// The receiving half of a Shadowsocks stream: the peer's IV until its
+/// 16 bytes are whole, then the CFB state. Each arriving byte is
+/// decrypted once — the register must see ciphertext only.
 #[derive(Debug)]
-enum BrowserConn {
-    Negotiating(SocksServerSession),
-    /// Waiting for auth (and then a data connection).
-    Queued {
-        target: TargetAddr,
-        buffered: Vec<u8>,
-    },
-    /// Proxied via the given remote data connection.
-    Proxied(TcpHandle),
+enum RecvHalf {
+    /// The IV so far, and how much of it has arrived.
+    Iv([u8; 16], usize),
+    Open(Box<Cfb>),
 }
+
+impl RecvHalf {
+    fn new() -> Self {
+        RecvHalf::Iv([0; 16], 0)
+    }
+
+    /// The plaintext of `data` (the hop's one copy, decrypted where it
+    /// lies), or `None` while the IV is not whole.
+    fn open(&mut self, key: &[u8; 32], data: &[u8]) -> Option<BytesMut> {
+        let rest = match self {
+            RecvHalf::Open(_) => data,
+            RecvHalf::Iv(iv, have) => {
+                let take = (iv.len() - *have).min(data.len());
+                iv[*have..*have + take].copy_from_slice(&data[..take]);
+                *have += take;
+                if *have < iv.len() {
+                    return None;
+                }
+                *self = RecvHalf::Open(Box::new(new_cfb(key, *iv)));
+                &data[take..]
+            }
+        };
+        let RecvHalf::Open(rx) = self else { unreachable!("opened above") };
+        let mut plain = BytesMut::from(rest);
+        open(rx, &mut plain);
+        Some(plain)
+    }
+}
+
+// --- local proxy -------------------------------------------------------------
 
 #[derive(Debug)]
 enum RemoteConn {
@@ -112,25 +137,21 @@ enum RemoteConn {
         /// In per-connection mode, the browser connection this auth is
         /// dedicated to.
         dedicated: Option<TcpHandle>,
-        rx: Option<Box<Cfb>>,
+        /// The IV this side sends, drawn when the auth begins.
+        iv: [u8; 16],
         tx: Box<Cfb>,
-        /// The IV to send, then what has arrived and is not decrypted
-        /// yet: the server's IV until it is whole.
-        buf: Vec<u8>,
+        rx: RecvHalf,
         /// What has been decrypted and not consumed yet.
         plain: Vec<u8>,
         challenge_answered: bool,
     },
     DataConnecting {
         browser: TcpHandle,
-        target: TargetAddr,
-        buffered: Vec<u8>,
     },
     DataUp {
         browser: TcpHandle,
         tx: Box<Cfb>,
-        rx: Option<Box<Cfb>>,
-        rx_buf: Vec<u8>,
+        rx: RecvHalf,
     },
 }
 
@@ -139,7 +160,8 @@ enum RemoteConn {
 pub struct SsLocal {
     config: SsConfig,
     key: [u8; 32],
-    browsers: BTreeMap<TcpHandle, BrowserConn>,
+    /// Browsers; a tunnel is the remote data connection.
+    front: SocksFront<TcpHandle>,
     remotes: FixedMap<TcpHandle, RemoteConn>,
     last_auth: Option<SimTime>,
     auth_in_flight: bool,
@@ -152,7 +174,7 @@ impl SsLocal {
         SsLocal {
             config,
             key,
-            browsers: BTreeMap::new(),
+            front: SocksFront::new(),
             remotes: FixedMap::default(),
             last_auth: None,
             auth_in_flight: false,
@@ -179,54 +201,34 @@ impl SsLocal {
             h,
             RemoteConn::AuthInFlight {
                 dedicated,
-                rx: None,
+                iv,
                 tx,
-                buf: iv.to_vec(),
+                rx: RecvHalf::new(),
                 plain: Vec::new(),
                 challenge_answered: false,
             },
         );
     }
 
-    fn open_data_conn(&mut self, browser: TcpHandle, target: TargetAddr, buffered: Vec<u8>, ctx: &mut Ctx<'_>) {
-        let h = ctx.tcp_connect(self.config.server);
-        self.remotes
-            .insert(h, RemoteConn::DataConnecting { browser, target, buffered });
-        self.browsers.insert(browser, BrowserConn::Proxied(h));
+    /// Opens a data connection for every waiting browser without one
+    /// (`only` that one, if given), in handle order.
+    fn open_data_conns(&mut self, only: Option<TcpHandle>, ctx: &mut Ctx<'_>) {
+        let (server, remotes) = (self.config.server, &mut self.remotes);
+        self.front.bind(only, |browser| {
+            let h = ctx.tcp_connect(server);
+            remotes.insert(h, RemoteConn::DataConnecting { browser });
+            h
+        });
     }
 
-    /// Opens a data connection for every queued browser, in handle order.
-    fn flush_queued(&mut self, ctx: &mut Ctx<'_>) {
-        let queued: Vec<(TcpHandle, TargetAddr, Vec<u8>)> = self
-            .browsers
-            .iter_mut()
-            .filter_map(|(h, c)| {
-                if let BrowserConn::Queued { target, buffered } = c {
-                    let t = target.clone();
-                    let b = std::mem::take(buffered);
-                    Some((*h, t, b))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for (h, target, buffered) in queued {
-            self.open_data_conn(h, target, buffered, ctx);
-        }
-    }
-
-    fn on_socks_ready(&mut self, browser: TcpHandle, target: TargetAddr, leftover: Vec<u8>, ctx: &mut Ctx<'_>) {
+    fn on_connect(&mut self, browser: TcpHandle, ctx: &mut Ctx<'_>) {
         if self.config.auth_per_connection {
             // Figure-4 behaviour: every HTTP session begins with its own
             // TCP-1 authentication connection.
-            self.browsers
-                .insert(browser, BrowserConn::Queued { target, buffered: leftover });
             self.begin_auth(Some(browser), ctx);
         } else if self.auth_fresh(ctx.now()) {
-            self.open_data_conn(browser, target, leftover, ctx);
+            self.open_data_conns(Some(browser), ctx);
         } else {
-            self.browsers
-                .insert(browser, BrowserConn::Queued { target, buffered: leftover });
             self.begin_auth(None, ctx);
         }
     }
@@ -241,54 +243,26 @@ impl App for SsLocal {
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
 
         // --- browser side ---
-        if self.browsers.contains_key(&h) || matches!(tcp_ev, TcpEvent::Accepted { .. }) {
-            match tcp_ev {
-                TcpEvent::Accepted { .. } => {
-                    self.browsers
-                        .insert(h, BrowserConn::Negotiating(SocksServerSession::new()));
-                }
-                TcpEvent::DataReceived => {
-                    let data = ctx.tcp_recv_all(h);
-                    match self.browsers.get_mut(&h) {
-                        Some(BrowserConn::Negotiating(sess)) => {
-                            let out = sess.on_bytes(&data);
-                            if !out.reply.is_empty() {
-                                ctx.tcp_send_bytes(h, Bytes::from(out.reply));
-                            }
-                            if out.failed {
-                                ctx.tcp_close(h);
-                                self.browsers.remove(&h);
-                            } else if let Some(target) = out.connect {
-                                self.on_socks_ready(h, target, out.leftover, ctx);
-                            }
-                        }
-                        Some(BrowserConn::Queued { buffered, .. }) => {
-                            buffered.extend_from_slice(&data);
-                        }
-                        Some(BrowserConn::Proxied(remote)) => {
-                            let remote = *remote;
-                            match self.remotes.get_mut(&remote) {
-                                Some(RemoteConn::DataUp { tx, .. }) => {
-                                    // The hop's one copy, encrypted where it lies.
-                                    let mut enc = BytesMut::from(&data[..]);
-                                    seal(tx, &mut enc);
-                                    ctx.tcp_send_bytes(remote, enc.freeze());
-                                }
-                                Some(RemoteConn::DataConnecting { buffered, .. }) => {
-                                    buffered.extend_from_slice(&data);
-                                }
-                                _ => {}
-                            }
-                        }
-                        _ => {}
+        if self.front.owns(h, &tcp_ev) {
+            match self.front.on_event(h, tcp_ev, ctx) {
+                Some(FrontEvent::Connect(browser)) => self.on_connect(browser, ctx),
+                Some(FrontEvent::Data(remote, data)) => {
+                    if let Some(RemoteConn::DataUp { tx, .. }) = self.remotes.get_mut(&remote) {
+                        // The hop's one copy, encrypted where it lies.
+                        let mut enc = BytesMut::from(&data[..]);
+                        seal(tx, &mut enc);
+                        ctx.tcp_send_bytes(remote, enc.freeze());
                     }
                 }
-                TcpEvent::PeerClosed | TcpEvent::Reset => {
-                    if let Some(BrowserConn::Proxied(remote)) = self.browsers.remove(&h) {
-                        ctx.tcp_close(remote);
+                Some(FrontEvent::Left(Some(remote))) => {
+                    ctx.tcp_close(remote);
+                    // A connection still connecting is freed quietly: no
+                    // event will come back to remove its entry.
+                    if let Some(RemoteConn::DataConnecting { .. }) = self.remotes.get(&remote) {
+                        self.remotes.remove(&remote);
                     }
                 }
-                _ => {}
+                Some(FrontEvent::Left(None)) | None => {}
             }
             return;
         }
@@ -297,14 +271,13 @@ impl App for SsLocal {
         match tcp_ev {
             TcpEvent::Connected => {
                 match self.remotes.get_mut(&h) {
-                    Some(RemoteConn::AuthInFlight { tx, buf, .. }) => {
+                    Some(RemoteConn::AuthInFlight { iv, tx, .. }) => {
                         // IV ‖ E(MAGIC ‖ ulen ‖ user ‖ plen ‖ pass)
                         let user = self.config.username.as_bytes();
                         let pass = self.config.password.as_bytes();
                         let mut frame =
-                            BytesMut::with_capacity(buf.len() + AUTH_MAGIC.len() + 2 + user.len() + pass.len());
-                        frame.put_slice(buf); // the IV
-                        buf.clear();
+                            BytesMut::with_capacity(iv.len() + AUTH_MAGIC.len() + 2 + user.len() + pass.len());
+                        frame.put_slice(iv);
                         let at = frame.len();
                         frame.put_slice(AUTH_MAGIC);
                         frame.put_u8(user.len() as u8);
@@ -314,29 +287,21 @@ impl App for SsLocal {
                         seal(tx, &mut frame[at..]);
                         ctx.tcp_send_bytes(h, frame.freeze());
                     }
-                    Some(RemoteConn::DataConnecting { browser, target, buffered }) => {
+                    Some(RemoteConn::DataConnecting { browser }) => {
                         let browser = *browser;
-                        let target = target.clone();
-                        let buffered = std::mem::take(buffered);
+                        let Some((target, early)) = self.front.open(browser) else { return };
                         let mut iv = [0u8; 16];
                         ctx.rng().fill(&mut iv);
                         let mut tx = new_cfb(&self.key, iv);
                         // IV ‖ E(target ‖ early bytes), sealed where it lies.
-                        let mut frame = BytesMut::with_capacity(iv.len() + target.encoded_len() + buffered.len());
+                        let mut frame = BytesMut::with_capacity(iv.len() + target.encoded_len() + early.len());
                         frame.put_slice(&iv);
                         target.encode_into(&mut frame);
-                        frame.put_slice(&buffered);
+                        frame.put_slice(&early);
                         seal(&mut tx, &mut frame[iv.len()..]);
                         ctx.tcp_send_bytes(h, frame.freeze());
-                        self.remotes.insert(
-                            h,
-                            RemoteConn::DataUp {
-                                browser,
-                                tx: Box::new(tx),
-                                rx: None,
-                                rx_buf: Vec::new(),
-                            },
-                        );
+                        self.remotes
+                            .insert(h, RemoteConn::DataUp { browser, tx: Box::new(tx), rx: RecvHalf::new() });
                     }
                     _ => {}
                 }
@@ -344,26 +309,9 @@ impl App for SsLocal {
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
                 match self.remotes.get_mut(&h) {
-                    Some(RemoteConn::AuthInFlight { dedicated, rx, tx, buf, plain, challenge_answered }) => {
-                        buf.extend_from_slice(&data);
-                        if rx.is_none() {
-                            if buf.len() < 16 {
-                                return;
-                            }
-                            let iv: [u8; 16] = buf[..16].try_into().expect("checked");
-                            *rx = Some(Box::new(new_cfb(&self.key, iv)));
-                            buf.drain(..16);
-                        }
-                        // Each arriving byte is decrypted once, into `plain`:
-                        // the CFB register must see ciphertext only. A chunk
-                        // that finds nothing pending is moved, not copied.
-                        let mut chunk = std::mem::take(buf);
-                        open(rx.as_mut().expect("just set"), &mut chunk);
-                        if plain.is_empty() {
-                            *plain = chunk;
-                        } else {
-                            plain.extend_from_slice(&chunk);
-                        }
+                    Some(RemoteConn::AuthInFlight { dedicated, tx, rx, plain, challenge_answered, .. }) => {
+                        let Some(chunk) = rx.open(&self.key, &data) else { return };
+                        plain.extend_from_slice(&chunk);
                         if !*challenge_answered {
                             // Server sent a 16-byte challenge; answer with
                             // HMAC(password, challenge).
@@ -390,53 +338,23 @@ impl App for SsLocal {
                             return;
                         }
                         self.last_auth = Some(ctx.now());
-                        match dedicated {
-                            Some(browser) => {
-                                if let Some(BrowserConn::Queued { target, buffered }) =
-                                    self.browsers.get_mut(&browser)
-                                {
-                                    let target = target.clone();
-                                    let buffered = std::mem::take(buffered);
-                                    self.open_data_conn(browser, target, buffered, ctx);
-                                }
-                            }
-                            None => {
-                                self.auth_in_flight = false;
-                                self.flush_queued(ctx);
-                            }
+                        if dedicated.is_none() {
+                            self.auth_in_flight = false;
                         }
+                        self.open_data_conns(dedicated, ctx);
                     }
-                    Some(RemoteConn::DataUp { browser, rx, rx_buf, .. }) => {
-                        let browser = *browser;
-                        // The hop's one copy, decrypted where it lies. What
-                        // arrives before the server's IV is whole waits in
-                        // `rx_buf`.
-                        let mut plain = match rx {
-                            Some(_) => BytesMut::from(&data[..]),
-                            None => {
-                                rx_buf.extend_from_slice(&data);
-                                if rx_buf.len() < 16 {
-                                    return;
-                                }
-                                let iv: [u8; 16] = rx_buf[..16].try_into().expect("checked length");
-                                *rx = Some(Box::new(new_cfb(&self.key, iv)));
-                                let rest = BytesMut::from(&rx_buf[16..]);
-                                *rx_buf = Vec::new();
-                                rest
-                            }
-                        };
-                        open(rx.as_mut().expect("set above"), &mut plain);
-                        ctx.tcp_send_bytes(browser, plain.freeze());
+                    Some(RemoteConn::DataUp { browser, rx, .. }) => {
+                        if let Some(plain) = rx.open(&self.key, &data) {
+                            ctx.tcp_send_bytes(*browser, plain.freeze());
+                        }
                     }
                     _ => {}
                 }
             }
             TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
                 match self.remotes.remove(&h) {
-                    Some(RemoteConn::DataUp { browser, .. })
-                    | Some(RemoteConn::DataConnecting { browser, .. }) => {
-                        ctx.tcp_close(browser);
-                        self.browsers.remove(&browser);
+                    Some(RemoteConn::DataUp { browser, .. }) | Some(RemoteConn::DataConnecting { browser }) => {
+                        self.front.end(browser, ctx);
                     }
                     Some(RemoteConn::AuthInFlight { dedicated, .. }) => {
                         if dedicated.is_none() {
@@ -453,18 +371,25 @@ impl App for SsLocal {
 
 // --- remote proxy -------------------------------------------------------------
 
+/// One client connection of the remote: its receiving half, what has
+/// been decrypted and not consumed yet, and where it stands.
 #[derive(Debug)]
-enum ServerConn {
-    /// Awaiting IV + first decrypted bytes.
-    Handshake {
-        rx: Option<Box<Cfb>>,
-        buf: Vec<u8>,
-        plain: Vec<u8>,
-    },
+struct ServerConn {
+    rx: RecvHalf,
+    plain: Vec<u8>,
+    state: ServerState,
+}
+
+#[derive(Debug)]
+enum ServerState {
+    /// Awaiting an auth frame or a target header.
+    Handshake,
+    /// A challenge is out: the answer it expects, and the cipher stream
+    /// the verdict goes out on.
+    Challenged { expect: [u8; 16], tx: Box<Cfb> },
     /// Relaying to an upstream connection.
     Relaying {
         upstream: TcpHandle,
-        rx: Box<Cfb>,
         tx: Option<Box<Cfb>>,
     },
     /// Undecryptable input: consume silently (probe-visible behaviour).
@@ -480,9 +405,6 @@ pub struct SsRemote {
     conns: FixedMap<TcpHandle, ServerConn>,
     /// Upstream handle → client handle.
     upstreams: FixedMap<TcpHandle, TcpHandle>,
-    /// Outstanding auth challenges: conn → (expected answer, reply
-    /// cipher stream).
-    pending_challenges: FixedMap<TcpHandle, (Vec<u8>, Box<Cfb>)>,
 }
 
 impl SsRemote {
@@ -497,98 +419,82 @@ impl SsRemote {
             names,
             conns: FixedMap::default(),
             upstreams: FixedMap::default(),
-            pending_challenges: FixedMap::default(),
         }
     }
 
     fn try_interpret(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
-        let Some(ServerConn::Handshake { rx, plain, .. }) = self.conns.get_mut(&h) else { return };
-        let plain_snapshot = plain.clone();
-        // Auth frame?
-        if plain_snapshot.starts_with(AUTH_MAGIC) {
-            let rest = &plain_snapshot[AUTH_MAGIC.len()..];
-            if !rest.is_empty() {
-                let ulen = rest[0] as usize;
-                if rest.len() >= 1 + ulen + 1 {
-                    let plen = rest[1 + ulen] as usize;
-                    if rest.len() >= 2 + ulen + plen {
-                        let user = String::from_utf8_lossy(&rest[1..1 + ulen]).to_string();
-                        let pass = String::from_utf8_lossy(&rest[2 + ulen..2 + ulen + plen]).to_string();
-                        if user == self.username && pass == self.password {
-                            // Issue the challenge (second auth round trip
-                            // — the paper's costly TCP-1 exchange).
-                            let mut iv = [0u8; 16];
-                            ctx.rng().fill(&mut iv);
-                            let mut tx = new_cfb(&self.key, iv);
-                            let mut challenge = [0u8; 16];
-                            ctx.rng().fill(&mut challenge);
-                            let expect = sc_crypto::hmac::hmac_sha256(
-                                self.password.as_bytes(),
-                                &challenge,
-                            )[..16]
-                                .to_vec();
-                            // IV ‖ E(challenge)
-                            let mut frame = BytesMut::with_capacity(iv.len() + challenge.len());
-                            frame.put_slice(&iv);
-                            frame.put_slice(&challenge);
-                            seal(&mut tx, &mut frame[iv.len()..]);
-                            ctx.tcp_send_bytes(h, frame.freeze());
-                            let consumed = AUTH_MAGIC.len() + 2 + ulen + plen;
-                            if let Some(ServerConn::Handshake { plain, .. }) = self.conns.get_mut(&h) {
-                                plain.drain(..consumed);
-                            }
-                            self.pending_challenges.insert(h, (expect, Box::new(tx)));
-                        } else {
-                            // Bad credentials: silent (probe-visible).
-                            self.conns.insert(h, ServerConn::Blackhole);
-                        }
-                        return;
-                    }
-                }
+        let Some(conn) = self.conns.get_mut(&h) else { return };
+        // Auth frame: MAGIC ‖ ulen ‖ user ‖ plen ‖ pass.
+        if let Some(rest) = conn.plain.strip_prefix(AUTH_MAGIC) {
+            let Some(&ulen) = rest.first() else { return };
+            let ulen = ulen as usize;
+            let Some(&plen) = rest.get(1 + ulen) else { return };
+            let plen = plen as usize;
+            let Some(pass) = rest.get(2 + ulen..2 + ulen + plen) else { return };
+            if &rest[1..1 + ulen] != self.username.as_bytes() || pass != self.password.as_bytes() {
+                // Bad credentials: silent (probe-visible).
+                conn.state = ServerState::Blackhole;
+                return;
             }
-            return; // need more bytes
+            // Issue the challenge (second auth round trip — the paper's
+            // costly TCP-1 exchange).
+            let mut iv = [0u8; 16];
+            ctx.rng().fill(&mut iv);
+            let mut tx = new_cfb(&self.key, iv);
+            let mut challenge = [0u8; 16];
+            ctx.rng().fill(&mut challenge);
+            let mac = sc_crypto::hmac::hmac_sha256(self.password.as_bytes(), &challenge);
+            let expect = mac[..16].try_into().expect("16 of 32 bytes");
+            // IV ‖ E(challenge)
+            let mut frame = BytesMut::with_capacity(iv.len() + challenge.len());
+            frame.put_slice(&iv);
+            frame.put_slice(&challenge);
+            seal(&mut tx, &mut frame[iv.len()..]);
+            ctx.tcp_send_bytes(h, frame.freeze());
+            conn.plain.drain(..AUTH_MAGIC.len() + 2 + ulen + plen);
+            conn.state = ServerState::Challenged { expect, tx: Box::new(tx) };
+            return;
         }
-        // Challenge answer?
-        if let Some((expect, _)) = self.pending_challenges.get(&h) {
-            if plain_snapshot.len() >= expect.len() {
-                let (expect, mut tx) = self.pending_challenges.remove(&h).expect("checked");
-                if sc_crypto::hmac::ct_eq(&plain_snapshot[..16], &expect) {
-                    let mut ok = BytesMut::from(&[1u8][..]);
-                    seal(&mut tx, &mut ok);
-                    ctx.tcp_send_bytes(h, ok.freeze());
-                } else {
-                    self.conns.insert(h, ServerConn::Blackhole);
-                }
+        // Challenge answer? Right, the verdict goes out and the answer
+        // stays unconsumed: the client closes after the verdict.
+        if let ServerState::Challenged { expect, tx } = &mut conn.state {
+            if conn.plain.len() < expect.len() {
+                return;
+            }
+            if sc_crypto::hmac::ct_eq(&conn.plain[..16], expect) {
+                let mut ok = BytesMut::from(&[1u8][..]);
+                seal(tx, &mut ok);
+                ctx.tcp_send_bytes(h, ok.freeze());
+                conn.state = ServerState::Handshake;
+            } else {
+                conn.state = ServerState::Blackhole;
             }
             return;
         }
         // Target header?
-        match TargetAddr::decode(&plain_snapshot) {
-            Some((target, consumed)) => {
-                let upstream_addr = match &target {
-                    TargetAddr::Ip(a, p) => SocketAddr::new(*a, *p),
-                    TargetAddr::Domain(name, p) => match self.names.resolve(name) {
-                        Some(a) => SocketAddr::new(a, *p),
-                        None => {
-                            self.conns.insert(h, ServerConn::Blackhole);
-                            return;
-                        }
-                    },
-                };
-                let upstream = ctx.tcp_connect(upstream_addr);
-                // TCP holds what is sent before the handshake completes.
-                ctx.tcp_send(upstream, &plain_snapshot[consumed..]);
-                self.upstreams.insert(upstream, h);
-                let rx = rx.take().expect("IV consumed before header");
-                self.conns.insert(h, ServerConn::Relaying { upstream, rx, tx: None });
+        let Some((target, consumed)) = TargetAddr::decode(&conn.plain) else {
+            // Enough bytes to rule out a valid header ⇒ garbage.
+            if conn.plain.len() >= 64 {
+                conn.state = ServerState::Blackhole;
             }
-            None => {
-                // Enough bytes to rule out a valid header ⇒ garbage.
-                if plain_snapshot.len() >= 64 {
-                    self.conns.insert(h, ServerConn::Blackhole);
+            return;
+        };
+        let upstream_addr = match &target {
+            TargetAddr::Ip(a, p) => SocketAddr::new(*a, *p),
+            TargetAddr::Domain(name, p) => match self.names.resolve(name) {
+                Some(a) => SocketAddr::new(a, *p),
+                None => {
+                    conn.state = ServerState::Blackhole;
+                    return;
                 }
-            }
-        }
+            },
+        };
+        let upstream = ctx.tcp_connect(upstream_addr);
+        // TCP holds what is sent before the handshake completes.
+        ctx.tcp_send(upstream, &conn.plain[consumed..]);
+        self.upstreams.insert(upstream, h);
+        conn.plain = Vec::new();
+        conn.state = ServerState::Relaying { upstream, tx: None };
     }
 }
 
@@ -605,18 +511,21 @@ impl App for SsRemote {
             match tcp_ev {
                 TcpEvent::DataReceived => {
                     let data = ctx.tcp_recv_all(h);
-                    if let Some(ServerConn::Relaying { tx, .. }) = self.conns.get_mut(&client) {
-                        if tx.is_none() {
-                            let mut iv = [0u8; 16];
-                            ctx.rng().fill(&mut iv);
-                            *tx = Some(Box::new(new_cfb(&self.key, iv)));
-                            ctx.tcp_send(client, &iv);
-                        }
-                        let tx = tx.as_mut().expect("just initialized");
-                        let mut enc = BytesMut::from(&data[..]);
-                        seal(tx, &mut enc);
-                        ctx.tcp_send_bytes(client, enc.freeze());
-                    }
+                    let Some(ServerConn { state: ServerState::Relaying { tx, .. }, .. }) = self.conns.get_mut(&client)
+                    else {
+                        return;
+                    };
+                    // The IV goes out as its own write, before the first
+                    // sealed chunk.
+                    let tx = tx.get_or_insert_with(|| {
+                        let mut iv = [0u8; 16];
+                        ctx.rng().fill(&mut iv);
+                        ctx.tcp_send(client, &iv);
+                        Box::new(new_cfb(&self.key, iv))
+                    });
+                    let mut enc = BytesMut::from(&data[..]);
+                    seal(tx, &mut enc);
+                    ctx.tcp_send_bytes(client, enc.freeze());
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
                     ctx.tcp_close(client);
@@ -630,43 +539,28 @@ impl App for SsRemote {
         // Client side.
         match tcp_ev {
             TcpEvent::Accepted { .. } => {
-                self.conns.insert(
-                    h,
-                    ServerConn::Handshake { rx: None, buf: Vec::new(), plain: Vec::new() },
-                );
+                let conn = ServerConn { rx: RecvHalf::new(), plain: Vec::new(), state: ServerState::Handshake };
+                self.conns.insert(h, conn);
             }
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);
-                match self.conns.get_mut(&h) {
-                    Some(ServerConn::Handshake { rx, buf, plain }) => {
-                        buf.extend_from_slice(&data);
-                        if rx.is_none() {
-                            if buf.len() < 16 {
-                                return;
-                            }
-                            let iv: [u8; 16] = buf[..16].try_into().expect("checked length");
-                            *rx = Some(Box::new(new_cfb(&self.key, iv)));
-                            buf.drain(..16);
+                let Some(conn) = self.conns.get_mut(&h) else { return };
+                match conn.state {
+                    ServerState::Blackhole => { /* consume silently */ }
+                    ServerState::Relaying { upstream, .. } => {
+                        if let Some(plain) = conn.rx.open(&self.key, &data) {
+                            ctx.tcp_send_bytes(upstream, plain.freeze());
                         }
-                        if let Some(rx) = rx {
-                            let mut chunk = std::mem::take(buf);
-                            open(rx, &mut chunk);
-                            plain.extend_from_slice(&chunk);
-                        }
+                    }
+                    ServerState::Handshake | ServerState::Challenged { .. } => {
+                        let Some(chunk) = conn.rx.open(&self.key, &data) else { return };
+                        conn.plain.extend_from_slice(&chunk);
                         self.try_interpret(h, ctx);
                     }
-                    Some(ServerConn::Relaying { upstream, rx, .. }) => {
-                        let upstream = *upstream;
-                        let mut plain = BytesMut::from(&data[..]);
-                        open(rx, &mut plain);
-                        ctx.tcp_send_bytes(upstream, plain.freeze());
-                    }
-                    Some(ServerConn::Blackhole) => { /* consume silently */ }
-                    None => {}
                 }
             }
             TcpEvent::PeerClosed | TcpEvent::Reset => {
-                if let Some(ServerConn::Relaying { upstream, .. }) = self.conns.remove(&h) {
+                if let Some(ServerConn { state: ServerState::Relaying { upstream, .. }, .. }) = self.conns.remove(&h) {
                     ctx.tcp_close(upstream);
                     self.upstreams.remove(&upstream);
                 }
@@ -678,24 +572,31 @@ impl App for SsRemote {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
+    use bytes::Bytes;
     use sc_simnet::sim::Sim;
 
     use super::*;
-    use crate::testnet::{self, SocksSessions, WebServer, CLIENT, SS_SERVER, WEB};
+    use crate::testnet::{self, OneBrowser, SocksSessions, WebLog, WebServer, CLIENT, REQUEST, SS_SERVER, WEB};
 
     /// A Shadowsocks world: the remote, the local proxy and `sessions`
     /// browsers offering `method`, against a web server that answers or
     /// holds every request.
     fn run(sessions: usize, method: u8, answer: bool) -> Sim {
+        run_cut(sessions, method, answer, None, Rc::default())
+    }
+
+    /// [`run`], each session's bytes cut at `cut`, the web server
+    /// logging to `log`.
+    fn run_cut(sessions: usize, method: u8, answer: bool, cut: Option<usize>, log: Rc<RefCell<WebLog>>) -> Sim {
         let mut sim = testnet::world(46);
         let cfg = SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT));
         testnet::install(&mut sim, SS_SERVER, SsRemote::new(&cfg, testnet::names()));
-        testnet::install(&mut sim, WEB, WebServer { answer, log: Rc::default() });
+        testnet::install(&mut sim, WEB, WebServer { answer, log });
         testnet::install(&mut sim, CLIENT, SsLocal::new(cfg));
-        testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions, method, ready: None });
+        testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions, method, ready: None, cut });
         sim.run_for(SimDuration::from_secs(10));
         sim
     }
@@ -730,7 +631,55 @@ mod tests {
         for (method, label) in [(0, "fetched and closed"), (2, "refused at the greeting")] {
             let sim = run(6, method, true);
             let local = testnet::app::<SsLocal>(&sim, CLIENT);
-            assert!(local.browsers.is_empty(), "{label}: {} browser entries left", local.browsers.len());
+            assert_eq!(local.front.len(), 0, "{label}: browser entries left");
+        }
+    }
+
+    #[test]
+    fn early_bytes_cut_at_every_split_reach_the_origin_once() {
+        for cut in 1..testnet::socks_wire(0).len() {
+            let log = Rc::default();
+            let sim = run_cut(1, 0, true, Some(cut), Rc::clone(&log));
+            let log = log.borrow();
+            let received: Vec<&[u8]> = log.received.values().map(Vec::as_slice).collect();
+            assert_eq!(received, [REQUEST], "cut at {cut}: what the origin got");
+            assert_eq!(log.closed, log.accepted, "cut at {cut}: the session never completed");
+            assert_eq!(testnet::app::<SsLocal>(&sim, CLIENT).front.len(), 0, "cut at {cut}");
+        }
+    }
+
+    /// One [`OneBrowser`] sending `wire` to a local proxy whose auth is
+    /// fresh; the local proxy and what the browser saw.
+    fn one_browser(wire: Vec<u8>, hang_up: bool) -> (Sim, (Vec<u8>, bool)) {
+        let mut sim = testnet::world(46);
+        let cfg = SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT));
+        testnet::install(&mut sim, SS_SERVER, SsRemote::new(&cfg, testnet::names()));
+        let mut local = SsLocal::new(cfg);
+        local.last_auth = Some(SimTime::ZERO);
+        testnet::install(&mut sim, CLIENT, local);
+        let seen = Rc::default();
+        testnet::install(&mut sim, CLIENT, OneBrowser { port: SS_LOCAL_PORT, wire, hang_up, seen: Rc::clone(&seen) });
+        sim.run_for(SimDuration::from_secs(2));
+        let seen = seen.borrow().clone();
+        (sim, seen)
+    }
+
+    #[test]
+    fn a_browser_that_leaves_while_its_data_connection_connects_leaves_no_remote() {
+        let (sim, _) = one_browser(testnet::socks_wire(0)[..21].to_vec(), true);
+        let local = testnet::app::<SsLocal>(&sim, CLIENT);
+        assert_eq!(local.front.len(), 0, "browser entries left");
+        assert!(local.remotes.is_empty(), "remote entries left: {:?}", local.remotes);
+    }
+
+    #[test]
+    fn a_connect_to_an_unknown_address_type_is_refused_and_closed() {
+        for atyp in [0x04, 0x09] {
+            let mut wire = vec![5, 1, 0, 5, 1, 0, atyp];
+            wire.extend_from_slice(&[0; 18]);
+            let (sim, seen) = one_browser(wire, false);
+            assert_eq!(seen, (vec![5, 0, 5, 8, 0, 1, 0, 0, 0, 0, 0, 0], true), "ATYP {atyp}: reply, closed");
+            assert_eq!(testnet::app::<SsLocal>(&sim, CLIENT).front.len(), 0, "ATYP {atyp}: browser entries left");
         }
     }
 
@@ -806,7 +755,7 @@ mod tests {
         };
         testnet::install(&mut sim, SS_SERVER, remote);
         testnet::install(&mut sim, CLIENT, SsLocal::new(cfg));
-        testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions: 1, method: 0, ready: None });
+        testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions: 1, method: 0, ready: None, cut: None });
         sim.run_for(SimDuration::from_secs(2));
         assert_eq!(answered_right.get(), Some(true), "the challenge's answer");
         assert!(testnet::app::<SsLocal>(&sim, CLIENT).last_auth.is_some(), "auth never completed");

@@ -4,6 +4,7 @@
 //! sessions through it.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use sc_netproto::socks::TargetAddr;
@@ -77,12 +78,13 @@ pub(crate) fn install_tor_network(sim: &mut Sim) -> TorConfig {
     }
 }
 
-/// What the web server saw, in order: the connections it accepted, and
-/// those whose peer closed.
+/// What the web server saw, in order: the connections it accepted,
+/// those whose peer closed, and what each one sent.
 #[derive(Default)]
 pub(crate) struct WebLog {
     pub(crate) accepted: Vec<TcpHandle>,
     pub(crate) closed: Vec<TcpHandle>,
+    pub(crate) received: BTreeMap<TcpHandle, Vec<u8>>,
 }
 
 /// Port 80 of [`WEB`]: answers every request with `hello` if `answer`,
@@ -101,7 +103,9 @@ impl App for WebServer {
         match ev {
             TcpEvent::Accepted { .. } => self.log.borrow_mut().accepted.push(h),
             TcpEvent::DataReceived => {
-                let request = ctx.tcp_recv_all(h);
+                let mut log = self.log.borrow_mut();
+                let request = log.received.entry(h).or_default();
+                request.extend_from_slice(&ctx.tcp_recv_all(h));
                 if self.answer && request.ends_with(b"\r\n\r\n") {
                     ctx.tcp_send(h, b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
                 }
@@ -115,15 +119,31 @@ impl App for WebServer {
     }
 }
 
+/// The request every session sends.
+pub(crate) const REQUEST: &[u8] = b"GET / HTTP/1.1\r\nHost: web.example\r\n\r\n";
+
+/// A session's bytes: a greeting offering the one auth `method`, a
+/// CONNECT to web.example:80 (from byte 3) and [`REQUEST`] (from byte 21).
+pub(crate) fn socks_wire(method: u8) -> Vec<u8> {
+    let mut wire = vec![5, 1, method, 5, 1, 0];
+    wire.extend(TargetAddr::Domain("web.example".into(), 80).encode());
+    wire.extend_from_slice(REQUEST);
+    wire
+}
+
+/// How long a cut session waits before its second write.
+const CUT_GAP: SimDuration = SimDuration::from_millis(50);
+
 /// Opens `sessions` SOCKS sessions at once to the local proxy on `port`,
-/// once `ready` is up (or at start). Each offers the one auth `method`
-/// and, in the same segment, asks for web.example:80 and sends a request.
-/// A session closes when its response arrives or the proxy closes it.
+/// once `ready` is up (or at start). Each sends its [`socks_wire`] in one
+/// segment, or cut in two writes [`CUT_GAP`] apart. A session closes when
+/// its response arrives or the proxy closes it.
 pub(crate) struct SocksSessions {
     pub(crate) port: u16,
     pub(crate) sessions: usize,
     pub(crate) method: u8,
     pub(crate) ready: Option<TunnelStatus>,
+    pub(crate) cut: Option<usize>,
 }
 
 impl SocksSessions {
@@ -144,13 +164,21 @@ impl App for SocksSessions {
     }
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
         match ev {
-            AppEvent::TimerFired(_) if self.ready.as_ref().is_some_and(TunnelStatus::is_up) => self.open(ctx),
-            AppEvent::TimerFired(_) => ctx.set_timer(SimDuration::from_millis(50), 0),
+            AppEvent::TimerFired(0) if self.ready.as_ref().is_some_and(TunnelStatus::is_up) => self.open(ctx),
+            AppEvent::TimerFired(0) => ctx.set_timer(SimDuration::from_millis(50), 0),
+            // The second write of session `token - 1`.
+            AppEvent::TimerFired(token) => {
+                let cut = self.cut.expect("a cut session");
+                ctx.tcp_send(TcpHandle(token as usize - 1), &socks_wire(self.method)[cut..]);
+            }
             AppEvent::Tcp(h, TcpEvent::Connected) => {
-                let mut hello = vec![5, 1, self.method, 5, 1, 0];
-                hello.extend(TargetAddr::Domain("web.example".into(), 80).encode());
-                hello.extend_from_slice(b"GET / HTTP/1.1\r\nHost: web.example\r\n\r\n");
-                ctx.tcp_send(h, &hello);
+                let wire = socks_wire(self.method);
+                let Some(cut) = self.cut else {
+                    ctx.tcp_send(h, &wire);
+                    return;
+                };
+                ctx.tcp_send(h, &wire[..cut]);
+                ctx.set_timer(CUT_GAP, 1 + h.0 as u64);
             }
             AppEvent::Tcp(h, TcpEvent::DataReceived) => {
                 if ctx.tcp_recv_all(h).ends_with(b"hello") {
@@ -158,6 +186,39 @@ impl App for SocksSessions {
                 }
             }
             AppEvent::Tcp(h, TcpEvent::PeerClosed) => ctx.tcp_close(h),
+            _ => {}
+        }
+    }
+}
+
+/// One browser connection to the local proxy on `port`: sends `wire` once
+/// connected, and hangs up at once if `hang_up`. `seen` keeps what came
+/// back and whether the proxy closed.
+pub(crate) struct OneBrowser {
+    pub(crate) port: u16,
+    pub(crate) wire: Vec<u8>,
+    pub(crate) hang_up: bool,
+    pub(crate) seen: Rc<RefCell<(Vec<u8>, bool)>>,
+}
+
+impl App for OneBrowser {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.tcp_connect(SocketAddr::new(ctx.addr(), self.port));
+    }
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+        let AppEvent::Tcp(h, ev) = ev else { return };
+        match ev {
+            TcpEvent::Connected => {
+                ctx.tcp_send(h, &self.wire);
+                if self.hang_up {
+                    ctx.tcp_close(h);
+                }
+            }
+            TcpEvent::DataReceived => self.seen.borrow_mut().0.extend_from_slice(&ctx.tcp_recv_all(h)),
+            TcpEvent::PeerClosed => {
+                self.seen.borrow_mut().1 = true;
+                ctx.tcp_close(h);
+            }
             _ => {}
         }
     }

@@ -3,10 +3,9 @@
 //! local SOCKS5 port to the browser — the moving parts behind the paper's
 //! observation that Tor's first-time page load takes 13–20 seconds.
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 use rand::Rng;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest};
-use sc_netproto::socks::{SocksServerSession, TargetAddr};
 use sc_netproto::tls::TlsClient;
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
@@ -18,6 +17,7 @@ use sc_simnet::time::SimDuration;
 use super::cells::{Cell, CellBuf, MalformedCell, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd};
 use super::directory::DIR_PORT;
 use super::meek::MEEK_PATH;
+use crate::front::{FrontEvent, SocksFront};
 use crate::status::{TunnelState, TunnelStatus};
 use sc_crypto::dh::{PrivateKey, PublicKey};
 
@@ -59,18 +59,6 @@ enum Phase {
     Failed,
 }
 
-enum BrowserConn {
-    Negotiating(SocksServerSession),
-    Stream(u16),
-}
-
-struct StreamState {
-    browser: TcpHandle,
-    connected: bool,
-    /// Browser bytes buffered until CONNECTED arrives.
-    pending: Vec<u8>,
-}
-
 /// The Tor client app.
 pub struct TorClient {
     config: TorConfig,
@@ -95,9 +83,10 @@ pub struct TorClient {
     layers: Vec<OnionLayer>,
     hop_keys: Vec<PrivateKey>,
     circ_id: u32,
-    // Streams.
-    browsers: FixedMap<TcpHandle, BrowserConn>,
-    streams: FixedMap<u16, StreamState>,
+    // Streams: a browser's tunnel is its stream id.
+    front: SocksFront<u16>,
+    /// Stream id → browser.
+    streams: FixedMap<u16, TcpHandle>,
     next_stream: u16,
 }
 
@@ -122,7 +111,7 @@ impl TorClient {
             layers: Vec::new(),
             hop_keys: Vec::new(),
             circ_id: 7,
-            browsers: FixedMap::default(),
+            front: SocksFront::new(),
             streams: FixedMap::default(),
             next_stream: 1,
         }
@@ -239,25 +228,22 @@ impl TorClient {
                         }
                     }
                     relay_cmd::CONNECTED => {
-                        if let Some(stream) = self.streams.get_mut(&stream_id) {
-                            stream.connected = true;
-                            let pending = std::mem::take(&mut stream.pending);
-                            // SOCKS success already sent at negotiation time;
-                            // now flush buffered request bytes.
-                            for chunk in pending.chunks(RELAY_DATA_MAX) {
-                                self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
-                            }
+                        let Some(&browser) = self.streams.get(&stream_id) else { return };
+                        // SOCKS success already sent at negotiation time;
+                        // now flush buffered request bytes.
+                        let Some((_, early)) = self.front.open(browser) else { return };
+                        for chunk in early.chunks(RELAY_DATA_MAX) {
+                            self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
                         }
                     }
                     relay_cmd::DATA => {
-                        if let Some(stream) = self.streams.get(&stream_id) {
-                            ctx.tcp_send_bytes(stream.browser, cell.into_relay_data());
+                        if let Some(&browser) = self.streams.get(&stream_id) {
+                            ctx.tcp_send_bytes(browser, cell.into_relay_data());
                         }
                     }
                     relay_cmd::END => {
-                        if let Some(stream) = self.streams.remove(&stream_id) {
-                            ctx.tcp_close(stream.browser);
-                            self.browsers.remove(&stream.browser);
+                        if let Some(browser) = self.streams.remove(&stream_id) {
+                            self.front.end(browser, ctx);
                         }
                     }
                     _ => {}
@@ -267,15 +253,14 @@ impl TorClient {
         }
     }
 
-    fn open_stream(&mut self, browser: TcpHandle, target: TargetAddr, leftover: Vec<u8>, ctx: &mut Ctx<'_>) {
+    fn open_stream(&mut self, browser: TcpHandle, ctx: &mut Ctx<'_>) {
+        let Some(target) = self.front.target(browser) else { return };
+        let begin = target.encode();
         let stream_id = self.next_stream;
         self.next_stream += 1;
-        self.streams.insert(
-            stream_id,
-            StreamState { browser, connected: false, pending: leftover },
-        );
-        self.browsers.insert(browser, BrowserConn::Stream(stream_id));
-        self.send_relay(2, stream_id, relay_cmd::BEGIN, &target.encode(), ctx);
+        self.streams.insert(stream_id, browser);
+        self.front.bind(Some(browser), |_| stream_id);
+        self.send_relay(2, stream_id, relay_cmd::BEGIN, &begin, ctx);
     }
 }
 
@@ -414,57 +399,22 @@ impl App for TorClient {
                 }
                 _ => {}
             },
-            AppEvent::Tcp(h, tcp_ev) => {
-                // Browser SOCKS side.
-                match tcp_ev {
-                    TcpEvent::Accepted { .. } => {
-                        self.browsers
-                            .insert(h, BrowserConn::Negotiating(SocksServerSession::new()));
+            // Browser SOCKS side.
+            AppEvent::Tcp(h, tcp_ev) => match self.front.on_event(h, tcp_ev, ctx) {
+                Some(FrontEvent::Connect(browser)) if self.phase == Phase::Ready => self.open_stream(browser, ctx),
+                Some(FrontEvent::Connect(browser)) => self.front.end(browser, ctx),
+                Some(FrontEvent::Data(stream_id, data)) => {
+                    for chunk in data.chunks(RELAY_DATA_MAX) {
+                        self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
                     }
-                    TcpEvent::DataReceived => {
-                        let data = ctx.tcp_recv_all(h);
-                        match self.browsers.get_mut(&h) {
-                            Some(BrowserConn::Negotiating(sess)) => {
-                                let out = sess.on_bytes(&data);
-                                if !out.reply.is_empty() {
-                                    ctx.tcp_send_bytes(h, Bytes::from(out.reply));
-                                }
-                                if out.failed {
-                                    ctx.tcp_close(h);
-                                    self.browsers.remove(&h);
-                                } else if let Some(target) = out.connect {
-                                    if self.phase == Phase::Ready {
-                                        self.open_stream(h, target, out.leftover, ctx);
-                                    } else {
-                                        ctx.tcp_close(h);
-                                        self.browsers.remove(&h);
-                                    }
-                                }
-                            }
-                            Some(BrowserConn::Stream(stream_id)) => {
-                                let stream_id = *stream_id;
-                                let Some(stream) = self.streams.get_mut(&stream_id) else { return };
-                                if !stream.connected {
-                                    stream.pending.extend_from_slice(&data);
-                                } else {
-                                    for chunk in data.chunks(RELAY_DATA_MAX) {
-                                        self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                    }
-                    TcpEvent::PeerClosed | TcpEvent::Reset => {
-                        if let Some(BrowserConn::Stream(stream_id)) = self.browsers.remove(&h) {
-                            if self.streams.remove(&stream_id).is_some() {
-                                self.send_relay(2, stream_id, relay_cmd::END, &[], ctx);
-                            }
-                        }
-                    }
-                    _ => {}
                 }
-            }
+                Some(FrontEvent::Left(Some(stream_id))) => {
+                    if self.streams.remove(&stream_id).is_some() {
+                        self.send_relay(2, stream_id, relay_cmd::END, &[], ctx);
+                    }
+                }
+                Some(FrontEvent::Left(None)) | None => {}
+            },
             _ => {}
         }
     }
@@ -472,26 +422,51 @@ impl App for TorClient {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
     use std::rc::Rc;
 
+    use sc_simnet::sim::Sim;
+
     use super::*;
-    use crate::testnet::{self, SocksSessions, WebServer, CLIENT, WEB};
+    use crate::testnet::{self, SocksSessions, WebLog, WebServer, CLIENT, REQUEST, WEB};
+
+    /// A Tor world whose `sessions` browsers offer `method`, each cut at
+    /// `cut`: the client, its readiness, and what the web server saw.
+    fn run(sessions: usize, method: u8, cut: Option<usize>) -> (Sim, TunnelStatus, Rc<RefCell<WebLog>>) {
+        let mut sim = testnet::world(47);
+        let config = testnet::install_tor_network(&mut sim);
+        let log = Rc::default();
+        testnet::install(&mut sim, WEB, WebServer { answer: true, log: Rc::clone(&log) });
+        let status = TunnelStatus::new();
+        testnet::install(&mut sim, CLIENT, TorClient::new(config, 7, status.clone()));
+        let ready = Some(status.clone());
+        testnet::install(&mut sim, CLIENT, SocksSessions { port: TOR_SOCKS_PORT, sessions, method, ready, cut });
+        sim.run_for(SimDuration::from_secs(120));
+        (sim, status, log)
+    }
 
     #[test]
     fn sessions_that_end_leave_no_browser_entry() {
         for (method, label) in [(0, "fetched and closed"), (2, "refused at the greeting")] {
-            let mut sim = testnet::world(47);
-            let config = testnet::install_tor_network(&mut sim);
-            testnet::install(&mut sim, WEB, WebServer { answer: true, log: Rc::default() });
-            let status = TunnelStatus::new();
-            testnet::install(&mut sim, CLIENT, TorClient::new(config, 7, status.clone()));
-            let sessions = SocksSessions { port: TOR_SOCKS_PORT, sessions: 4, method, ready: Some(status.clone()) };
-            testnet::install(&mut sim, CLIENT, sessions);
-            sim.run_for(SimDuration::from_secs(120));
+            let (sim, status, _) = run(4, method, None);
             assert!(status.is_up(), "{label}: the circuit never came up");
             let client = testnet::app::<TorClient>(&sim, CLIENT);
-            assert!(client.browsers.is_empty(), "{label}: {} browser entries left", client.browsers.len());
+            assert_eq!(client.front.len(), 0, "{label}: browser entries left");
             assert!(client.streams.is_empty(), "{label}: {} streams left", client.streams.len());
+        }
+    }
+
+    #[test]
+    fn early_bytes_cut_in_the_greeting_the_connect_and_the_request_reach_the_origin_once() {
+        // The greeting is bytes 0..3, the CONNECT 3..21, the request 21...
+        for cut in [1, 8, 31] {
+            let (sim, status, log) = run(1, 0, Some(cut));
+            assert!(status.is_up(), "cut at {cut}: the circuit never came up");
+            let log = log.borrow();
+            let received: Vec<&[u8]> = log.received.values().map(Vec::as_slice).collect();
+            assert_eq!(received, [REQUEST], "cut at {cut}: what the origin got");
+            assert_eq!(log.closed, log.accepted, "cut at {cut}: the session never completed");
+            assert_eq!(testnet::app::<TorClient>(&sim, CLIENT).front.len(), 0, "cut at {cut}");
         }
     }
 }

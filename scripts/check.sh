@@ -188,6 +188,19 @@ event_core_offenders() {
 fail_if_found "a second Effects in the simnet event core" event_core_offenders
 echo "structure: ok (one Effects scratch)"
 
+# Structure, who reads what: the SOCKS5 server session sits behind the
+# one front both local proxies share (sc-tunnels' front.rs), and the
+# simulation reads nothing back from sc-obs — the registry, time-series
+# and SLO engine are read by reports and tests, so what a run does
+# cannot depend on what obs collects.
+fail_if_found "SocksServerSession named outside crates/tunnels/src/front.rs" \
+    grep -rn 'SocksServerSession' crates/tunnels/src --exclude=front.rs
+fail_if_found "an sc_obs::with_* read in the simulation" \
+    grep -rnE 'sc_obs::with_|with_(registry|timeseries|slo_engine)\(' \
+        crates/simnet/src crates/tunnels/src crates/scholarcloud/src crates/web/src crates/gfw/src \
+        crates/dns/src crates/cache/src crates/netproto/src crates/crypto/src crates/regulation/src
+echo "structure: ok (one SOCKS front; the simulation reads nothing back from sc-obs)"
+
 # Structure, table order (DESIGN.md §6o): a table some loop walks is a
 # BTreeMap / BTreeSet, so its order is its keys'; a table that is only
 # looked up is sc_simnet::hash's FixedMap / FixedSet. The standard

@@ -15,16 +15,19 @@
 //! 3. **determinism** — a full elastic scenario (autoscaler ticks,
 //!    cold starts from the seeded RNG, a mid-run blacklisting wave
 //!    resolved at fire time, churn, cost metering) produces
-//!    byte-identical JSONL traces across same-seed runs.
+//!    byte-identical JSONL traces across same-seed runs;
+//! 4. **obs is write-only** — the same scenario ends the same with no
+//!    dispatcher, a sinkless one, or one evaluating SLOs, fired or not.
 
 mod common;
 
 use std::collections::BTreeMap;
 
-use common::elastic_run;
+use common::{elastic_run, elastic_scenario};
 use proptest::prelude::*;
 use sc_core::{ElasticAction, ElasticConfig, ElasticPool};
 use sc_simnet::addr::Addr;
+use sc_obs::{Dispatcher, Level, SloSpec, WindowSpec};
 use sc_simnet::time::{SimDuration, SimTime};
 
 /// Fresh addresses for the pool, far more than any op sequence can
@@ -99,7 +102,7 @@ proptest! {
             match op {
                 Op::Tick { dt_ms, queue_depth } => {
                     now = now + SimDuration::from_millis(*dt_ms);
-                    for act in pool.tick(now, *queue_depth, false, &mut draw) {
+                    for act in pool.tick(now, *queue_depth, &mut draw) {
                         if let ElasticAction::Retire { addr } = act {
                             prop_assert_eq!(
                                 inflight.get(&addr).copied().unwrap_or(0),
@@ -159,7 +162,7 @@ proptest! {
         }
         for _ in 0..4 {
             now = now + SimDuration::from_secs(10);
-            pool.tick(now, 0, false, &mut draw);
+            pool.tick(now, 0, &mut draw);
         }
         prop_assert_eq!(pool.live_count(), min, "idle pool must settle at min");
     }
@@ -187,7 +190,7 @@ proptest! {
             match op {
                 Op::Tick { dt_ms, queue_depth } => {
                     now = now + SimDuration::from_millis(*dt_ms);
-                    pool.tick(now, *queue_depth, false, &mut draw);
+                    pool.tick(now, *queue_depth, &mut draw);
                 }
                 Op::StreamStart { k } => {
                     let warm = pool.warm_addrs();
@@ -249,4 +252,30 @@ fn elastic_traces_are_byte_identical() {
     // And a different seed must actually shift the run.
     let c = elastic_run(7172);
     assert_ne!(a, c, "different seeds must produce different elastic traces");
+}
+
+/// The elastic scenario's outcome at seed 7171 under `dispatcher` (none:
+/// no dispatcher at all), and whether an SLO alert fired.
+fn outcome_under(dispatcher: Option<Dispatcher>) -> (String, bool) {
+    let guard = dispatcher.map(Dispatcher::install);
+    let outcome = format!("{:?}", elastic_scenario(7171));
+    let fired = sc_obs::with_slo_engine(|e| e.any_fired()).unwrap_or(false);
+    drop(guard);
+    (outcome, fired)
+}
+
+#[test]
+fn the_elastic_tier_runs_the_same_whatever_obs_collects() {
+    let slo_dispatcher =
+        |slos| Dispatcher::new().with_level(Level::Debug).with_windows(WindowSpec::seconds(10)).with_slos(slos);
+    let (bare, _) = outcome_under(None);
+    let (sinkless, _) = outcome_under(Some(Dispatcher::new()));
+    assert_eq!(sinkless, bare, "a sinkless dispatcher moved the outcome");
+    let (slos, _) = outcome_under(Some(slo_dispatcher(sc_metrics::default_slos())));
+    assert_eq!(slos, bare, "the default SLOs moved the outcome");
+    // An objective no page load meets fires in the first window.
+    let strict = SloSpec::quantile("plt-p95", "web.plt_us", 0.95, 1);
+    let (burning, fired) = outcome_under(Some(slo_dispatcher(vec![strict])));
+    assert!(fired, "the strict objective never fired");
+    assert_eq!(burning, bare, "a fired SLO alert moved the outcome");
 }
