@@ -449,7 +449,6 @@ pub(crate) fn process_flow(
     for sig in adaptive.expire_signatures(now) {
         learned_signatures.retain(|s| *s != sig);
         rules_changed = true;
-        sc_obs::counter_add("gfw.adaptive_signatures_expired", 1);
         emit_adaptive(now, "signature_expired", |f| {
             f.field("signature", &*String::from_utf8_lossy(&sig));
         });
@@ -472,7 +471,6 @@ pub(crate) fn process_flow(
                         rules_changed = true;
                     }
                     counters.signatures_learned += 1;
-                    sc_obs::counter_add("gfw.adaptive_signatures_learned", 1);
                     emit_adaptive(now, "signature_learned", |f| {
                         f.field("signature", &*String::from_utf8_lossy(&sig))
                             .field("flows", cfg.learn_after_flows as u64)
@@ -485,7 +483,6 @@ pub(crate) fn process_flow(
         if odd && score >= cfg.suspicion_threshold {
             if adaptive.start_campaign(cfg, rec.server, now) {
                 counters.campaigns_launched += 1;
-                sc_obs::counter_add("gfw.adaptive_campaigns", 1);
                 let take = rec.early_bytes.len().min(REPLAY_CAPTURE);
                 replay_preambles.insert(rec.server, rec.early_bytes[..take].to_vec());
                 emit_adaptive(now, "campaign", |f| {
@@ -499,7 +496,6 @@ pub(crate) fn process_flow(
     // server gives the scheduler a chance to fire the next one.
     if let Some(wave) = adaptive.step_campaign(cfg, &rec.server, now, draw) {
         probe_queue.push_back(rec.server);
-        sc_obs::counter_add("gfw.adaptive_probe_waves", 1);
         emit_adaptive(now, "probe_wave", |f| {
             f.field("server", rec.server).field("wave", wave as u64);
         });

@@ -152,15 +152,11 @@ impl GfwMiddlebox {
     }
 }
 
-/// Records one GFW verdict in the observability layer: a counter plus,
-/// when tracing is enabled, an event carrying the rule label (and how
-/// many spoofed RSTs were injected alongside the drop).
+/// Records one GFW verdict in the observability layer: a timeline bump
+/// plus, when tracing is enabled, an event carrying the rule label (and
+/// how many spoofed RSTs were injected alongside the drop).
 fn trace_drop(now: sc_simnet::time::SimTime, rule: &'static str, pkt: &Packet, rsts: u32) {
-    sc_obs::counter_add("gfw.drops", 1);
     sc_obs::ts_bump(now.as_micros(), "gfw.drops", 1);
-    if rsts > 0 {
-        sc_obs::counter_add("gfw.rst_injected", rsts as u64);
-    }
     sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "verdict", "drop", |f| {
         f.field("rule", rule).field("src", pkt.src).field("dst", pkt.dst);
         if rsts > 0 {
@@ -231,7 +227,6 @@ impl Middlebox for GfwMiddlebox {
                 trace_drop(ctx.now, "gfw-throttle", pkt, 0);
                 return Verdict::Drop("gfw-throttle");
             }
-            sc_obs::counter_add("gfw.forwarded", 1);
             return Verdict::Forward;
         };
 
@@ -295,7 +290,6 @@ impl Middlebox for GfwMiddlebox {
             st.probed.insert(rec.server);
             st.probe_queue.push_back(rec.server);
             st.counters.probes_requested += 1;
-            sc_obs::counter_add("gfw.probes_requested", 1);
             sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |f| {
                 f.field("server", rec.server);
             });
@@ -317,7 +311,6 @@ impl Middlebox for GfwMiddlebox {
                     &mut draw,
                 );
                 if let Some(region) = rolled {
-                    sc_obs::counter_add("gfw.adaptive_region_rolls", 1);
                     sc_obs::event(
                         now.as_micros(),
                         sc_obs::Level::Info,
@@ -330,7 +323,6 @@ impl Middlebox for GfwMiddlebox {
                     );
                 }
                 if !enforcing {
-                    sc_obs::counter_add("gfw.forwarded", 1);
                     return Verdict::Forward;
                 }
             }
@@ -347,7 +339,6 @@ impl Middlebox for GfwMiddlebox {
             trace_drop(ctx.now, "gfw-throttle", pkt, 0);
             return Verdict::Drop("gfw-throttle");
         }
-        sc_obs::counter_add("gfw.forwarded", 1);
         Verdict::Forward
     }
 }

@@ -181,7 +181,6 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
             trace_drop(ctx.now, "gfw-throttle", pkt, 0);
             return Verdict::Drop("gfw-throttle");
         }
-        sc_obs::counter_add("gfw.forwarded", 1);
         return Verdict::Forward;
     };
     observe(rec, pkt, now, &st.config);
@@ -292,7 +291,6 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
         st.probed.insert(rec.server);
         st.probe_queue.push_back(rec.server);
         st.counters.probes_requested += 1;
-        sc_obs::counter_add("gfw.probes_requested", 1);
         sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "probe", "requested", |f| {
             f.field("server", rec.server.to_string());
         });
@@ -314,7 +312,6 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
                 &mut draw,
             );
             if let Some(region) = rolled {
-                sc_obs::counter_add("gfw.adaptive_region_rolls", 1);
                 sc_obs::event(
                     now.as_micros(),
                     sc_obs::Level::Info,
@@ -327,7 +324,6 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
                 );
             }
             if !enforcing {
-                sc_obs::counter_add("gfw.forwarded", 1);
                 return Verdict::Forward;
             }
         }
@@ -349,7 +345,6 @@ pub(super) fn process(st: &mut GfwState, pkt: &Packet, ctx: &mut MbCtx<'_>) -> V
         trace_drop(ctx.now, "gfw-throttle", pkt, 0);
         return Verdict::Drop("gfw-throttle");
     }
-    sc_obs::counter_add("gfw.forwarded", 1);
     Verdict::Forward
 }
 

@@ -26,7 +26,6 @@ pub fn blacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
             if !st.config().ip_blacklist.contains(&(addr, 32)) {
                 st.config_mut().ip_blacklist.push((addr, 32));
             }
-            sc_obs::counter_add("gfw.blacklist_updates", 1);
             let now_us = now.as_micros();
             sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |f| {
                 f.field("addr", addr);
@@ -44,7 +43,6 @@ pub fn unblacklist_ip(gfw: &GfwHandle, addr: Addr) -> Fault {
         apply: Box::new(move |now| {
             let mut st = gfw.borrow_mut();
             st.config_mut().ip_blacklist.retain(|&(a, len)| !(a == addr && len == 32));
-            sc_obs::counter_add("gfw.blacklist_updates", 1);
             let now_us = now.as_micros();
             sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "fault", "unblacklist_ip", |f| {
                 f.field("addr", addr);

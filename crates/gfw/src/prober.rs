@@ -89,14 +89,12 @@ impl ActiveProber {
             st.confirmed.insert(server);
             st.flows.confirm_server(server);
             st.counters.servers_confirmed += 1;
-            sc_obs::counter_add("gfw.servers_confirmed", 1);
             // An adaptive deployment escalates: endpoints that answer
             // like proxies are blacklisted at the IP layer outright.
             if st.config().adaptive.is_some()
                 && !st.config().ip_blacklist.contains(&(server.addr, 32))
             {
                 st.config_mut().ip_blacklist.push((server.addr, 32));
-                sc_obs::counter_add("gfw.adaptive_blacklisted", 1);
                 sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "adaptive", "blacklisted", |f| {
                     f.field("server", server);
                 });
@@ -134,7 +132,6 @@ impl App for ActiveProber {
                         .filter(|p| !p.is_empty())
                         .cloned();
                     let h = ctx.tcp_connect(server);
-                    sc_obs::counter_add("gfw.probes_launched", 1);
                     let now_us = ctx.now().as_micros();
                     sc_obs::event(now_us, sc_obs::Level::Info, "gfw", "probe", "launched", |f| {
                         f.field("server", server);

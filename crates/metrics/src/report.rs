@@ -1,6 +1,6 @@
 //! Text renderers: print each figure's data the way the paper reports it,
 //! beside the paper's own values, plus the per-scenario interference
-//! report and the observability metrics summary.
+//! report and the operator dashboard (time-series and SLO verdicts).
 
 use crate::experiments::{
     FIG7_CLIENTS, Fig3Row, Fig5Row, Fig6Row, Fig7Point, ablation_agility, ablation_blinding,
@@ -102,15 +102,6 @@ pub fn render_cache(stats: &sc_core::CacheStats) -> String {
         stats.hit_rate() * 100.0
     ));
     out
-}
-
-/// Renders the installed observability registry (counters,
-/// histogram percentiles), or a placeholder when no collector is
-/// installed. Plugs the `sc-obs` metrics into the report output.
-pub fn render_obs_summary() -> String {
-    sc_obs::with_registry(|r| r.render_summary())
-        .unwrap_or_else(|| "observability: no collector installed
-".to_string())
 }
 
 /// Renders the installed time-series store's per-window timeline for

@@ -127,6 +127,12 @@ pub struct TraceAnalysis {
     pub failover_times: Vec<u64>,
     /// Circuit-breaker transitions: `(t_us, remote, from, to)`.
     pub breaker_transitions: Vec<(u64, String, String, String)>,
+    /// ScholarCloud connect retries scheduled (each after a backoff).
+    pub retries: u64,
+    /// Plaintext bytes the domestic proxy relayed back from its remotes:
+    /// the `bytes_down` its relay spans close with. A stream still open
+    /// when the trace ends, or garbled, closes with none.
+    pub bytes_down: u64,
     /// Overload-control decisions.
     pub admission: AdmissionStats,
     /// Shared-cache decisions, in total and per fleet shard.

@@ -56,9 +56,10 @@ impl Trace {
     }
 
     /// Folds one event in. Each event goes to one reader. The spine's
-    /// are tried first, in this order: span pairing, interference, SLO
+    /// are tried first, in this order: span pairing (which also sums the
+    /// relay spans' `bytes_down`), interference, SLO
     /// alerts, injected faults (anything under a `fault` target),
-    /// failovers, breakers. What they leave goes to the one section
+    /// failovers, retries, breakers. What they leave goes to the one section
     /// whose vocabulary lists it, if any. Text leaves the event only
     /// for what the trace keeps, once per distinct value for what
     /// repeats (components, span names, rules).
@@ -75,7 +76,12 @@ impl Trace {
         }
         match &*ev.name {
             "span_start" => self.pairing.start(ev),
-            "span_end" => self.pairing.end(ev),
+            "span_end" => {
+                if ev.component == "scholarcloud" {
+                    a.bytes_down += ev.get_u64("bytes_down").unwrap_or(0);
+                }
+                self.pairing.end(ev);
+            }
             // Interference: GFW verdicts and the simnet drops they cause
             // both carry the rule label.
             "drop" | "censor_drop" if matches!(&*ev.component, "gfw" | "simnet") => {
@@ -108,6 +114,7 @@ impl Trace {
                 a.faults.push((ev.t_us, format!("{}/{}", ev.component, ev.name)));
             }
             "failover" if ev.component == "scholarcloud" => a.failover_times.push(ev.t_us),
+            "retry" if ev.component == "scholarcloud" => a.retries += 1,
             "breaker" if ev.component == "scholarcloud" => {
                 let field = |key| ev.get_str(key).unwrap_or("?").to_string();
                 a.breaker_transitions.push((ev.t_us, field("remote"), field("from"), field("to")));

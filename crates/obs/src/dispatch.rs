@@ -1,5 +1,5 @@
-//! The dispatcher: writes events to its sink and hosts the shared
-//! [`Registry`].
+//! The dispatcher: writes events to its sink and hosts the run's
+//! counter [`Registry`], windowed time-series and SLO engine.
 //!
 //! Instrumented code never threads an observability handle through its
 //! call graph — deep layers like `sc-simnet`'s TCP engine have no
@@ -36,7 +36,7 @@ thread_local! {
 }
 
 /// Writes the events at or above one level to its sink, and owns the
-/// run's metrics [`Registry`].
+/// run's counter [`Registry`].
 pub struct Dispatcher {
     lines: Lines,
     registry: Registry,
@@ -52,7 +52,6 @@ pub struct Dispatcher {
 #[derive(Clone, Copy)]
 enum SlotKind {
     Counter,
-    Histogram,
     Series,
 }
 
@@ -73,11 +72,11 @@ struct NameEntry {
     ptr: usize,
     len: u16,
     /// Slot per [`SlotKind`], [`NO_SLOT`] until that kind is resolved.
-    slots: [u16; 3],
+    slots: [u16; 2],
 }
 
 const NO_SLOT: u16 = u16::MAX;
-const FREE: NameEntry = NameEntry { ptr: 0, len: 0, slots: [NO_SLOT; 3] };
+const FREE: NameEntry = NameEntry { ptr: 0, len: 0, slots: [NO_SLOT; 2] };
 
 impl NameTable {
     /// The `kind` slot of `name`, asking `resolve` for it the first time.
@@ -471,7 +470,7 @@ impl Dispatcher {
         ObsGuard { prev }
     }
 
-    /// The metrics registry accumulated so far.
+    /// The counters accumulated so far.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -486,12 +485,6 @@ impl Dispatcher {
         &self.slos
     }
 
-    /// Consumes the dispatcher, yielding its final registry (typically
-    /// after [`ObsGuard::uninstall`]).
-    pub fn into_registry(self) -> Registry {
-        self.registry
-    }
-
     fn flush(&mut self) {
         if let Some(sink) = &mut self.lines.sink {
             sink.flush();
@@ -501,11 +494,6 @@ impl Dispatcher {
     fn counter_add(&mut self, name: &'static str, by: u64) {
         let slot = self.names.slot(name, SlotKind::Counter, || self.registry.counter_slot(name));
         self.registry.counter_add_at(slot, by);
-    }
-
-    fn observe(&mut self, name: &'static str, v: u64) {
-        let slot = self.names.slot(name, SlotKind::Histogram, || self.registry.histogram_slot(name));
-        self.registry.observe_at(slot, v);
     }
 
     fn series_slot(&mut self, name: &'static str, kind: SeriesKind) -> usize {
@@ -565,22 +553,8 @@ impl Dispatcher {
     /// that closed, and returns the time the current window closes.
     fn tick(&mut self, t_us: u64) -> u64 {
         self.timeseries.advance(t_us);
-        let (mut fired, mut resolved) = (0, 0);
         let lines = &mut self.lines;
-        self.slos.evaluate(&self.timeseries, |alert| {
-            if alert.fire {
-                fired += 1;
-            } else {
-                resolved += 1;
-            }
-            lines.alert(alert);
-        });
-        if fired > 0 {
-            self.counter_add("slo.alerts_fired", fired);
-        }
-        if resolved > 0 {
-            self.counter_add("slo.alerts_resolved", resolved);
-        }
+        self.slos.evaluate(&self.timeseries, |alert| lines.alert(alert));
         (self.timeseries.closed_through() + 1).saturating_mul(self.timeseries.spec().width_us)
     }
 }
@@ -593,7 +567,7 @@ pub struct ObsGuard {
 
 impl ObsGuard {
     /// Uninstalls explicitly and hands back the dispatcher (flushed),
-    /// giving access to its final [`Registry`].
+    /// giving access to its final counters, time-series and SLO state.
     pub fn uninstall(mut self) -> Dispatcher {
         let prev = self.prev.take();
         restored(prev.is_some());
@@ -605,16 +579,6 @@ impl ObsGuard {
         std::mem::forget(self);
         d.flush();
         d
-    }
-
-    /// Snapshot of the installed dispatcher's registry.
-    pub fn registry(&self) -> Registry {
-        CURRENT.with(|c| {
-            c.borrow()
-                .as_ref()
-                .map(|d| d.registry.clone())
-                .unwrap_or_default()
-        })
     }
 }
 
@@ -671,8 +635,8 @@ pub fn event(
 }
 
 /// Runs a line's `fields` outside the dispatcher borrow, so it may
-/// itself read the registry or emit (that line is written first), then
-/// writes the line.
+/// itself read the time-series or emit (that line is written first),
+/// then writes the line.
 fn write_fields(mut line: String, open: bool, fields: impl FnOnce(&mut Fields<'_>)) {
     let mut f = Fields::new(&mut line, open);
     fields(&mut f);
@@ -738,20 +702,14 @@ pub fn span_end(t_us: u64, span: SpanId, fields: impl FnOnce(&mut Fields<'_>)) {
 // later call is an indexed write.
 
 /// Adds to a named counter in the installed registry (no-op without a
-/// dispatcher).
+/// dispatcher). The registry holds the counters the repository
+/// benchmark reads; every other fact is read from the trace.
 pub fn counter_add(name: &'static str, by: u64) {
     with_installed(|d| d.counter_add(name, by));
 }
 
-/// Records a histogram sample in the installed registry.
-pub fn observe(name: &'static str, v: u64) {
-    with_installed(|d| d.observe(name, v));
-}
-
 /// Records a sample into the named windowed time-series at simulation
-/// time `t_us` (no-op without a dispatcher). Pairs with [`observe`]:
-/// `observe` feeds the run-wide histogram, `ts_record` the per-window
-/// one.
+/// time `t_us` (no-op without a dispatcher).
 pub fn ts_record(t_us: u64, name: &'static str, v: u64) {
     ts_record_ex(t_us, name, v, crate::context::TraceId::NONE);
 }
@@ -806,12 +764,6 @@ fn tick_at_edge(t_us: u64) {
     if let Some(edge) = with_installed(|d| d.tick(t_us)) {
         NEXT_EDGE.with(|e| e.set(edge));
     }
-}
-
-/// Runs `f` against the installed registry, returning `None` without a
-/// dispatcher. Used by report renderers to snapshot metrics.
-pub fn with_registry<R>(f: impl FnOnce(&Registry) -> R) -> Option<R> {
-    with_installed(|d| f(&d.registry))
 }
 
 /// Runs `f` against the installed windowed time-series, returning
@@ -968,8 +920,8 @@ mod tests {
         assert_eq!(names(&evs), ["fire", "resolve"], "{evs:?}");
         assert_eq!(evs[0].component, "slo");
         assert_eq!(evs[0].get_str("slo"), Some("plt"));
-        assert_eq!(d.registry().counter("slo.alerts_fired"), 1);
-        assert_eq!(d.registry().counter("slo.alerts_resolved"), 1);
+        assert_eq!(d.slo_engine().total_fired(), 1);
+        assert_eq!(d.slo_engine().statuses()[0].resolved, 1);
         assert_eq!(d.timeseries().window("web.plt_us", 0).unwrap().count(), 1);
         assert!(d.slo_engine().any_fired());
     }
@@ -1236,15 +1188,15 @@ mod tests {
         ts_bump(10, "web.loads_ok", 1);
         ts_bump(20, copy, 4);
         ts_record(30, copy, 7); // a rate series: the sample is dropped
-        observe("web.plt_us", 5);
-        observe(&copy[..4], 6);
+        counter_add(&copy[..4], 6);
         let d = guard.uninstall();
         let mut reg = d.registry().clone();
         reg.counter_add(&["web", "loads_ok"].join("."), 4);
         assert_eq!(reg.counter("web.loads_ok"), 7);
-        assert_eq!(reg.counters().count(), 1);
-        let hist: Vec<(&str, u64)> = reg.histograms().map(|(n, h)| (n, h.count())).collect();
-        assert_eq!(hist, [("web.", 1), ("web.plt_us", 1)]);
+        assert_eq!(
+            format!("{reg:?}"),
+            r#"Registry { counters: {"web.": Counter(6), "web.loads_ok": Counter(7)} }"#
+        );
         let ts = d.timeseries();
         assert_eq!(ts.names().collect::<Vec<_>>(), ["web.loads_ok"]);
         assert_eq!(ts.window("web.loads_ok", 0).map(|w| (w.count(), w.total())), Some((2, 5)));
@@ -1306,7 +1258,7 @@ mod tests {
         let root_end = evs.iter().find(|e| e.name == "span_end" && e.span == Some(root.0)).unwrap();
         assert_eq!((&*root_end.component, root_end.get_u64("dur_us")), ("metrics", Some(2000)));
         assert_eq!(d.registry().counter("obs.spans_evicted"), 0);
-        assert_eq!(d.registry().counters().count(), 0, "no eviction, no counter");
+        assert_eq!(format!("{:?}", d.registry()), "Registry { counters: {} }", "no eviction, no counter");
     }
 
     #[test]
@@ -1332,11 +1284,6 @@ mod tests {
         let guard = Dispatcher::new().install();
         counter_add("pkts", 2);
         counter_add("pkts", 3);
-        observe("lat", 100);
-        let reg = guard.registry();
-        assert_eq!(reg.counter("pkts"), 5);
-        assert_eq!(reg.histogram("lat").unwrap().count(), 1);
-        let final_reg = guard.uninstall().into_registry();
-        assert_eq!(final_reg.counter("pkts"), 5);
+        assert_eq!(guard.uninstall().registry().counter("pkts"), 5);
     }
 }

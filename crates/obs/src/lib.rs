@@ -14,12 +14,15 @@
 //!    addressed `component → target → name`, filtered by one
 //!    [`Level`], and written in place: a site's closure appends its
 //!    fields to the sink's line through [`Fields`].
-//! 2. **Metrics** ([`Registry`]): saturating [`Counter`]s and
-//!    HDR-style log-bucketed [`Histogram`]s with p50/p95/p99.
-//! 3. **One sink**: [`JsonlSink`] writes the trace that everything
-//!    reading a run — tests, [`analyze`], the benchmark — parses back;
-//!    [`Registry::render_summary`] prints human-readable reports via
-//!    `sc-metrics`.
+//! 2. **One sink**: [`JsonlSink`] writes the trace that everything
+//!    reading a run — tests, examples, [`analyze`], the benchmark —
+//!    parses back. A fact about a run is read from its trace.
+//! 3. **Windows and SLOs** ([`TimeSeries`], [`SloEngine`]): per-window
+//!    rates and quantiles, and the burn-rate alerts evaluated on them,
+//!    which reach the trace as events. Beside them a [`Registry`] holds
+//!    the three counters the repository benchmark reads
+//!    (`simnet.packets_sent`, `scholarcloud.failovers`, `web.failovers`)
+//!    until that benchmark reads the trace too (ROADMAP item 8j).
 //!
 //! A fourth piece stands apart: [`prof`] is a **wall-clock**
 //! self-profiler (per-subsystem scoped timers plus allocation
@@ -47,10 +50,8 @@
 //! sc_obs::event(1_500, Level::Info, "gfw", "verdict", "drop", |f| {
 //!     f.field("rule", "gfw-sni");
 //! });
-//! sc_obs::counter_add("gfw.drops", 1);
 //!
-//! let registry = guard.uninstall().into_registry();
-//! assert_eq!(registry.counter("gfw.drops"), 1);
+//! drop(guard); // flushes the sink
 //! let text = std::fs::read_to_string(path).unwrap();
 //! let line = text.lines().next().unwrap();
 //! let ev = sc_obs::analyze::parse_line(line).unwrap();
@@ -62,9 +63,9 @@
 //!
 //! Traces of the same seeded scenario are **byte-identical**: sim-time
 //! timestamps, sequential span ids, insertion-ordered fields,
-//! `BTreeMap`-ordered registries, and a hand-rolled JSON writer with a
+//! `BTreeMap`-ordered series, and a hand-rolled JSON writer with a
 //! fixed key order leave no room for wall-clock or hash-order noise.
-//! `tests/obs_determinism.rs` in the workspace root enforces this.
+//! `tests/obs_trace_determinism.rs` in the workspace root enforces this.
 
 #![warn(missing_docs)]
 
@@ -80,12 +81,11 @@ pub mod timeseries;
 
 pub use context::{TraceCtx, TraceId, TRACE_HEADER};
 pub use dispatch::{
-    counter_add, event, is_active, observe, span_end,
-    span_start, span_start_ctx, tick, ts_bump, ts_bump_ex, ts_record,
-    ts_record_ex, with_registry, with_slo_engine, with_timeseries, Dispatcher, ObsGuard,
+    counter_add, event, is_active, span_end, span_start, span_start_ctx, tick, ts_bump, ts_bump_ex,
+    ts_record, ts_record_ex, with_slo_engine, with_timeseries, Dispatcher, ObsGuard,
 };
 pub use event::{Level, SpanId};
-pub use metrics::{Counter, Histogram, Registry};
+pub use metrics::Registry;
 pub use sink::{write_line, FieldValue, Fields, JsonlSink, Quoted};
 pub use slo::{Alert, Objective, SloEngine, SloSpec, SloStatus};
 pub use timeseries::{SeriesKind, TimeSeries, Window, WindowSpec};

@@ -1,17 +1,17 @@
-//! Metrics: counters and log-bucketed histograms.
+//! The counter registry and the log-bucket arithmetic.
 //!
-//! A [`Registry`] owns every metric, keyed by a dotted name
-//! (`"simnet.packets_sent"`). Iteration order is the `BTreeMap` key
-//! order, so rendered summaries and exports are deterministic.
+//! A [`Registry`] holds named counters (`"simnet.packets_sent"`),
+//! iterated in `BTreeMap` key order, so its `Debug` reads the same from
+//! run to run. It keeps the counters the repository benchmark reads; a
+//! fact anything else reads is read from the trace.
 //!
-//! [`Histogram`] uses HDR-style logarithmic bucketing: values below
-//! 2^[`SUB_BITS`] are recorded exactly; above that, each power-of-two
+//! The bucketing is HDR-style and logarithmic: values below
+//! 2^[`SUB_BITS`] are bucketed exactly; above that, each power-of-two
 //! octave is split into 2^[`SUB_BITS`] sub-buckets, bounding relative
-//! quantile error at `1 / 2^SUB_BITS` (≈ 3% with the default of 5 bits)
-//! while keeping the bucket array a few hundred entries.
+//! quantile error at `1 / 2^SUB_BITS` (≈ 3% with the default of 5 bits).
+//! A time-series window keeps its samples in these buckets.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Sub-bucket resolution: each octave splits into `2^SUB_BITS` buckets.
 pub const SUB_BITS: u32 = 5;
@@ -30,19 +30,13 @@ impl Counter {
         self.0 = self.0.saturating_add(by);
     }
 
-    /// Adds one, saturating.
-    pub fn inc(&mut self) {
-        self.add(1);
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0
     }
 }
 
-/// Index of the bucket covering `v` (shared with the windowed
-/// time-series' sparse per-window histograms).
+/// Index of the bucket covering `v`.
 pub(crate) fn bucket_of(v: u64) -> usize {
     let top = 64 - v.leading_zeros() as usize;
     if top <= SUB_BITS as usize + 1 {
@@ -70,134 +64,6 @@ pub(crate) fn bucket_width(idx: usize) -> u64 {
         1
     } else {
         1u64 << (idx / SUB - 1)
-    }
-}
-
-const BUCKETS: usize = (64 - SUB_BITS as usize) * SUB + SUB;
-
-/// Log-bucketed histogram of `u64` samples (latencies in µs, sizes in
-/// bytes).
-#[derive(Clone)]
-pub struct Histogram {
-    buckets: Box<[u64; BUCKETS]>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            buckets: Box::new([0; BUCKETS]),
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn observe(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest recorded sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest recorded sample, or 0 when empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean of all samples, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Value at quantile `q` in `[0, 1]`, estimated from buckets.
-    ///
-    /// The estimate is the midpoint of the bucket containing the target
-    /// rank, clamped into the observed `[min, max]` range; relative
-    /// error is bounded by the sub-bucket resolution. Returns 0 when
-    /// empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        if q >= 1.0 {
-            return self.max;
-        }
-        let target = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                let mid = bucket_lo(idx) + (bucket_width(idx) - 1) / 2;
-                return mid.clamp(self.min, self.max);
-            }
-        }
-        self.max
-    }
-
-    /// p50 shorthand.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// p95 shorthand.
-    pub fn p95(&self) -> u64 {
-        self.quantile(0.95)
-    }
-
-    /// p99 shorthand.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("count", &self.count)
-            .field("min", &self.min())
-            .field("p50", &self.p50())
-            .field("p95", &self.p95())
-            .field("p99", &self.p99())
-            .field("max", &self.max)
-            .finish()
     }
 }
 
@@ -254,15 +120,14 @@ impl<V: std::fmt::Debug> std::fmt::Debug for Slots<V> {
     }
 }
 
-/// Central store of named metrics with deterministic iteration order.
+/// Named counters with deterministic iteration order.
 ///
 /// Writes by name look the name up; the installed dispatcher resolves
-/// each name its call sites pass once ([`Registry::counter_slot`],
-/// [`Registry::histogram_slot`]) and writes by slot after.
+/// each name its call sites pass once ([`Registry::counter_slot`]) and
+/// writes by slot after.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     counters: Slots<Counter>,
-    histograms: Slots<Histogram>,
 }
 
 impl Registry {
@@ -291,86 +156,30 @@ impl Registry {
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).map_or(0, Counter::get)
     }
-
-    /// Records a sample into the named histogram, creating it on first
-    /// use.
-    pub fn observe(&mut self, name: &str, v: u64) {
-        let slot = self.histogram_slot(name);
-        self.observe_at(slot, v);
-    }
-
-    /// The slot of the named histogram, creating it on first use.
-    pub(crate) fn histogram_slot(&mut self, name: &str) -> usize {
-        self.histograms.slot(name, Histogram::default)
-    }
-
-    /// Records a sample into the histogram in `slot`.
-    pub(crate) fn observe_at(&mut self, slot: usize, v: u64) {
-        self.histograms.at(slot).observe(v);
-    }
-
-    /// Reads a histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Iterates counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k, v.get()))
-    }
-
-    /// Iterates histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
-    }
-
-    /// Renders a human-readable summary, deterministic for a given
-    /// registry state. This is the text block `sc-metrics::report`
-    /// embeds in scenario reports.
-    pub fn render_summary(&self) -> String {
-        let mut out = String::new();
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for (name, v) in self.counters() {
-                let _ = writeln!(out, "  {name:<42} {v}");
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (µs or bytes):\n");
-            for (name, h) in self.histograms() {
-                let _ = writeln!(
-                    out,
-                    "  {name:<42} n={} min={} p50={} p95={} p99={} max={} mean={:.1}",
-                    h.count(),
-                    h.min(),
-                    h.p50(),
-                    h.p95(),
-                    h.p99(),
-                    h.max(),
-                    h.mean(),
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timeseries::Window;
+
+    /// A time-series window holding `samples`: where the buckets'
+    /// quantile estimate is made.
+    fn window(samples: impl IntoIterator<Item = u64>) -> Window {
+        let mut w = Window::new(0);
+        for v in samples {
+            w.observe(v);
+        }
+        w
+    }
 
     #[test]
     fn counter_saturates_instead_of_wrapping() {
         let mut c = Counter::default();
         c.add(u64::MAX - 1);
-        c.inc();
+        c.add(1);
         assert_eq!(c.get(), u64::MAX);
-        c.inc(); // would wrap to 0 with wrapping arithmetic
+        c.add(1); // would wrap to 0 with wrapping arithmetic
         assert_eq!(c.get(), u64::MAX);
         c.add(u64::MAX);
         assert_eq!(c.get(), u64::MAX);
@@ -380,6 +189,7 @@ mod tests {
     fn buckets_are_contiguous_and_invertible() {
         // Every value maps into a bucket whose [lo, lo+width) contains it,
         // and bucket indices are monotonically non-decreasing in v.
+        let buckets = (64 - SUB_BITS as usize) * SUB + SUB;
         let mut prev_idx = 0;
         for v in (0..4096u64).chain([u64::MAX / 2, u64::MAX - 1, u64::MAX]) {
             let idx = bucket_of(v);
@@ -391,86 +201,74 @@ mod tests {
                 v >= lo && v - lo < w,
                 "v={v} idx={idx} lo={lo} width={w}"
             );
-            assert!(idx < BUCKETS, "idx {idx} out of range for v={v}");
+            assert!(idx < buckets, "idx {idx} out of range for v={v}");
         }
     }
 
     #[test]
     fn small_values_are_exact() {
-        let mut h = Histogram::new();
-        for v in 0..=40u64 {
-            h.observe(v);
-        }
+        let w = window(0..=40u64);
         // Values below 2*SUB (64) are bucketed exactly: the median of
         // 0..=40 is 20 precisely.
-        assert_eq!(h.quantile(0.5), 20);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 40);
-        assert_eq!(h.count(), 41);
+        assert_eq!(w.quantile(0.5), 20);
+        assert_eq!(w.min(), 0);
+        assert_eq!(w.max(), 40);
+        assert_eq!(w.count(), 41);
     }
 
     #[test]
     fn quantiles_have_bounded_relative_error() {
-        let mut h = Histogram::new();
-        for v in 1..=100_000u64 {
-            h.observe(v);
-        }
+        let w = window(1..=100_000u64);
         for (q, exact) in [(0.50, 50_000.0), (0.95, 95_000.0), (0.99, 99_000.0)] {
-            let est = h.quantile(q) as f64;
+            let est = w.quantile(q) as f64;
             let rel = (est - exact).abs() / exact;
             assert!(rel < 0.04, "q={q}: est={est} exact={exact} rel={rel}");
         }
-        assert_eq!(h.quantile(0.0), 1);
-        assert_eq!(h.quantile(1.0) , h.max());
+        assert_eq!(w.quantile(0.0), 1);
+        assert_eq!(w.quantile(1.0), w.max());
     }
 
     #[test]
     fn empty_histogram_is_all_zeroes() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.mean(), 0.0);
+        let w = window([]);
+        assert_eq!(w.count(), 0);
+        assert_eq!(w.min(), 0);
+        assert_eq!(w.max(), 0);
+        assert_eq!(w.quantile(0.5), 0);
+        assert_eq!(w.total(), 0);
     }
 
     #[test]
     fn extreme_values_do_not_panic() {
-        let mut h = Histogram::new();
-        h.observe(0);
-        h.observe(u64::MAX);
-        h.observe(u64::MAX);
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.max(), u64::MAX);
-        assert!(h.quantile(0.9) > u64::MAX / 2);
+        let w = window([0, u64::MAX, u64::MAX]);
+        assert_eq!(w.count(), 3);
+        assert_eq!(w.max(), u64::MAX);
+        assert!(w.quantile(0.9) > u64::MAX / 2);
     }
 
     #[test]
     fn quantile_edge_cases() {
         // Empty: every quantile is 0, including the boundaries.
-        let h = Histogram::new();
-        assert_eq!(h.quantile(0.0), 0);
-        assert_eq!(h.quantile(0.5), 0);
-        assert_eq!(h.quantile(1.0), 0);
+        let w = window([]);
+        assert_eq!(w.quantile(0.0), 0);
+        assert_eq!(w.quantile(0.5), 0);
+        assert_eq!(w.quantile(1.0), 0);
 
         // Single sample: every quantile is that sample.
-        let mut h = Histogram::new();
-        h.observe(1234);
+        let w = window([1234]);
         for q in [0.0, 0.001, 0.5, 0.999, 1.0] {
-            assert_eq!(h.quantile(q), 1234, "q={q}");
+            assert_eq!(w.quantile(q), 1234, "q={q}");
         }
 
         // Out-of-range q clamps rather than panicking.
-        assert_eq!(h.quantile(-3.0), 1234);
-        assert_eq!(h.quantile(7.5), 1234);
-        assert_eq!(h.quantile(f64::NAN), 1234); // NaN degrades to rank 1
+        assert_eq!(w.quantile(-3.0), 1234);
+        assert_eq!(w.quantile(7.5), 1234);
+        assert_eq!(w.quantile(f64::NAN), 1234); // NaN degrades to rank 1
 
         // q=0.0 targets rank 1 (the minimum's bucket), q=1.0 the max.
-        let mut h = Histogram::new();
-        h.observe(10);
-        h.observe(1_000_000);
-        assert_eq!(h.quantile(0.0), 10);
-        assert_eq!(h.quantile(1.0), 1_000_000);
+        let w = window([10, 1_000_000]);
+        assert_eq!(w.quantile(0.0), 10);
+        assert_eq!(w.quantile(1.0), 1_000_000);
     }
 
     #[test]
@@ -479,20 +277,14 @@ mod tests {
         // stay within the clamped [min, max] range and within one
         // sub-bucket of the true value.
         for v in [1u64, 31, 32, 33, 63, 64, 1 << 20, (1 << 20) + 1] {
-            let mut h = Histogram::new();
-            for _ in 0..100 {
-                h.observe(v);
-            }
-            let est = h.quantile(0.5);
+            let est = window([v; 100]).quantile(0.5);
             assert_eq!(est, v, "all-equal samples must report exactly v={v}");
         }
         // Two adjacent boundary values: p50 lands on the lower one.
-        let mut h = Histogram::new();
-        h.observe(64);
-        h.observe(65);
-        let p50 = h.quantile(0.5);
+        let w = window([64, 65]);
+        let p50 = w.quantile(0.5);
         assert!((64..=65).contains(&p50), "p50={p50}");
-        assert_eq!(h.quantile(1.0), 65);
+        assert_eq!(w.quantile(1.0), 65);
     }
 
     #[test]
@@ -500,14 +292,10 @@ mod tests {
         let mut r = Registry::new();
         r.counter_add("z.last", 1);
         r.counter_add("a.first", 2);
-        r.observe("latency_us", 100);
-        r.observe("latency_us", 200);
-        let names: Vec<&str> = r.counters().map(|(n, _)| n).collect();
-        assert_eq!(names, ["a.first", "z.last"]);
-        let text = r.render_summary();
-        assert!(text.contains("a.first"));
-        assert!(text.contains("latency_us"));
-        assert!(text.contains("n=2"));
+        assert_eq!(
+            format!("{r:?}"),
+            r#"Registry { counters: {"a.first": Counter(2), "z.last": Counter(1)} }"#
+        );
     }
 
     #[test]
@@ -519,12 +307,7 @@ mod tests {
         r.counter_add(&built, 3);
         assert_eq!(r.counter_slot(&built), slot);
         assert_eq!(r.counter("web.loads_ok"), 5);
-        assert_eq!(r.counters().count(), 1);
-        let h = r.histogram_slot("web.plt_us");
-        r.observe_at(h, 10);
-        r.observe(&String::from("web.plt_us"), 30);
-        assert_eq!(r.histogram("web.plt_us").map(Histogram::count), Some(2));
-        assert_eq!(r.histograms().count(), 1);
+        assert_eq!(r.counters.iter().count(), 1);
     }
 
     #[test]
@@ -534,29 +317,14 @@ mod tests {
             let slot = r.counter_slot(name);
             r.counter_add_at(slot, by);
         }
-        for (name, v) in [("lat_us", 100), ("bytes", 1500), ("lat_us", 300)] {
-            let slot = r.histogram_slot(name);
-            r.observe_at(slot, v);
-        }
         let copy = r.clone();
         r.counter_add("a.first", 1);
-        let counters: Vec<(&str, u64)> = copy.counters().collect();
+        let counters: Vec<(&str, u64)> = copy.counters.iter().map(|(n, c)| (n, c.get())).collect();
         assert_eq!(counters, [("a.first", 3), ("m.mid", 6), ("z.last", 1)]);
         assert_eq!(r.counter("a.first"), 4, "a clone does not share slots with its original");
-        let names: Vec<&str> = copy.histograms().map(|(n, _)| n).collect();
-        assert_eq!(names, ["bytes", "lat_us"]);
         assert_eq!(
-            copy.render_summary(),
-            format!(
-                "counters:\n  {:<42} 3\n  {:<42} 6\n  {:<42} 1\nhistograms (µs or bytes):\n  \
-                 {:<42} n=1 min=1500 p50=1500 p95=1500 p99=1500 max=1500 mean=1500.0\n  \
-                 {:<42} n=2 min=100 p50=100 p95=299 p99=299 max=300 mean=200.0\n",
-                "a.first", "m.mid", "z.last", "bytes", "lat_us"
-            )
-        );
-        assert_eq!(
-            format!("{copy:?}").split_once(", histograms").map(|(c, _)| c),
-            Some(r#"Registry { counters: {"a.first": Counter(3), "m.mid": Counter(6), "z.last": Counter(1)}"#)
+            format!("{copy:?}"),
+            r#"Registry { counters: {"a.first": Counter(3), "m.mid": Counter(6), "z.last": Counter(1)} }"#
         );
     }
 }

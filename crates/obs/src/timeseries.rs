@@ -10,9 +10,9 @@
 //!
 //! * **sample series** ([`TimeSeries::record`]) — latency-style
 //!   observations; each window keeps count/sum/min/max plus a *sparse*
-//!   log-bucketed histogram (same bucketing as
-//!   [`Histogram`](crate::Histogram), ≈3% relative quantile error), so
-//!   per-window p50/p95/p99 come out without storing samples;
+//!   log-bucketed histogram (the [`metrics`](crate::metrics) buckets,
+//!   ≈3% relative quantile error), so per-window p50/p95/p99 come out
+//!   without storing samples;
 //! * **rate series** ([`TimeSeries::bump`]) — counter-style increments;
 //!   each window keeps the increment total, rendered as a per-second
 //!   rate.
@@ -94,7 +94,7 @@ pub struct Window {
 }
 
 impl Window {
-    fn new(index: u64) -> Window {
+    pub(crate) fn new(index: u64) -> Window {
         Window {
             index,
             count: 0,
@@ -106,7 +106,7 @@ impl Window {
         }
     }
 
-    fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         self.count += 1;
         self.total = self.total.saturating_add(v);
         self.min = self.min.min(v);

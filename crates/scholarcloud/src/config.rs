@@ -89,7 +89,6 @@ impl SchemeHandle {
             }
             inner.1
         };
-        sc_obs::counter_add("scholarcloud.scheme_rotations", 1);
         sc_obs::event(t_us, sc_obs::Level::Info, "scholarcloud", "scheme", "rotate", |f| {
             f.field("from", format!("{cur:?}")).field("to", format!("{next:?}"));
             if fresh_cover {

@@ -124,7 +124,6 @@ impl Admit {
     /// (should not happen when clients honour the PAC file): `403`,
     /// close.
     pub fn refuse_host(&self, browser: TcpHandle, host: &str, io: &mut impl Io) {
-        sc_obs::counter_add("scholarcloud.whitelist_refusals", 1);
         trace::event(io.now(), Level::Warn, "domestic", "whitelist_refused", |f| {
             f.field("host", host);
         });
@@ -139,7 +138,6 @@ impl Admit {
     pub fn decoy(&self, conn: TcpHandle, io: &mut impl Io) {
         io.send(conn, Bytes::from(decoy_response()));
         io.close(conn);
-        sc_obs::counter_add("scholarcloud.decoys_served", 1);
         self.cfg.interference.note_probe();
         trace::event(io.now(), Level::Info, "domestic", "decoy", |f| {
             f.field("reason", "not_http");
@@ -193,7 +191,7 @@ impl Admit {
                 && board.sickest() == *idx
                 && depth > 0
             {
-                trace::count(now, "scholarcloud.fleet_shed", 1);
+                trace::bump(now, "scholarcloud.fleet_shed", 1);
                 trace::event(now, Level::Warn, "fleet", "fleet_shed", |f| {
                     f.field("shard", *idx)
                         .field("queue_depth", Quoted(depth as u64))
@@ -210,7 +208,6 @@ impl Admit {
         let decision = self.ctl.on_request(req.browser, req.client, now);
         match decision {
             Decision::Admit => {
-                sc_obs::counter_add("scholarcloud.admitted", 1);
                 trace::end(now, &mut span, |f| {
                     f.field("verdict", "admit").field("waited_us", 0u64);
                 });
@@ -221,7 +218,6 @@ impl Admit {
                 Step::Establish { req, queued: false, span }
             }
             Decision::Enqueue => {
-                sc_obs::counter_add("scholarcloud.queued", 1);
                 trace::event(now, Level::Debug, "admission", "enqueue", |f| {
                     f.field("target", target_label(&req.header))
                         .field("depth", Quoted(self.ctl.queue_depth() as u64));
@@ -248,12 +244,12 @@ impl Admit {
         let resp = HttpResponse::new(code, Vec::new()).header_fmt("Retry-After", secs.max(1));
         io.send(browser, resp.into_wire());
         io.close(browser);
-        let (counter, name) = if code == 429 {
+        let (series, name) = if code == 429 {
             ("scholarcloud.throttled", "throttle")
         } else {
             ("scholarcloud.shed", "shed")
         };
-        trace::count(io.now(), counter, 1);
+        trace::bump(io.now(), series, 1);
         trace::event(io.now(), Level::Warn, "admission", name, |f| {
             f.field("code", Quoted(code.into()))
                 .field("reason", reason)
@@ -293,7 +289,6 @@ impl Admit {
         if self.ctl.retry_budget.try_retry() {
             return true;
         }
-        sc_obs::counter_add("scholarcloud.retry_denied", 1);
         trace::event(now, Level::Warn, "admission", "retry_denied", |f| {
             f.field("reason", reason).field("attempt", Quoted(attempts.into()));
         });

@@ -160,7 +160,6 @@ impl Establish {
     /// replays every plaintext byte it sent.
     pub fn resume(&mut self, replay: Replay, last_remote: usize, now: SimTime) {
         let Replay { req, attempts } = replay;
-        sc_obs::counter_add("scholarcloud.stream_resumes", 1);
         trace::event(now, Level::Info, "domestic", "stream_resume", |f| {
             f.field("target", target_label(&req.header))
                 .field("buffered", req.initial_plain.len() as u64)
@@ -235,11 +234,11 @@ impl Establish {
         let pt = self.drop_pending(browser, Dropped::Failed { code, reason }, now);
         io.send(browser, HttpResponse::new(code, Vec::new()).into_wire());
         io.close(browser);
-        let counter = match code {
+        let series = match code {
             503 => "scholarcloud.fail_fast",
             _ => "scholarcloud.tunnel_failures",
         };
-        trace::count(now, counter, 1);
+        trace::bump(now, series, 1);
         trace::event(now, Level::Warn, "resilience", "tunnel_failed", |f| {
             f.field("code", Quoted(code.into())).field("reason", reason);
             match &pt {
@@ -281,7 +280,6 @@ impl Establish {
     /// for any retry, and queue them on the in-flight attempt so the
     /// established stream stays in order.
     pub fn early_data(&mut self, browser: TcpHandle, data: &[u8]) {
-        sc_obs::counter_add("scholarcloud.bytes_up", data.len() as u64);
         let Some(pt) = self.pending.get_mut(&browser) else { return };
         pt.req.initial_plain.extend_from_slice(data);
         if let Some(at) = pt.attempt.and_then(|rh| self.attempts.get_mut(&rh)) {
@@ -332,7 +330,6 @@ impl Establish {
                 trace::end(now, &mut pt.wait_span, |_| {});
                 let parent = pt.req.tctx.with_parent(pt.establish_span);
                 pt.wait_span = trace::span(now, "resilience", "park", parent, |_| {});
-                sc_obs::counter_add("scholarcloud.parked", 1);
                 trace::event(now, Level::Warn, "resilience", "parked", |f| {
                     f.field("target", target_label(&pt.req.header));
                 });
@@ -363,7 +360,9 @@ impl Establish {
         pt.req.header.parent = span.0;
 
         if let Some(p) = prev.filter(|&p| p != idx) {
-            trace::count(now, "scholarcloud.failovers", 1);
+            // benchmark/src/run.rs reads this counter until ROADMAP 8j moves it to the trace.
+            sc_obs::counter_add("scholarcloud.failovers", 1);
+            trace::bump(now, "scholarcloud.failovers", 1);
             trace::event(now, Level::Info, "resilience", "failover", |f| {
                 f.field("from", remotes.addr(p)).field("to", remote).field("attempt", Quoted(attempt.into()));
             });
@@ -398,7 +397,6 @@ impl Establish {
             Attempt { browser, remote_idx: idx, started: now, wire, tx, rx, up_bytes: 0, span },
         );
         io.timer(CONNECT_TIMEOUT, Timer::ConnectDeadline(rh));
-        sc_obs::counter_add("scholarcloud.connect_attempts", 1);
         Step::Done
     }
 
@@ -441,7 +439,6 @@ impl Establish {
             return false;
         }
         io.abort(rh);
-        sc_obs::counter_add("scholarcloud.connect_timeouts", 1);
         true
     }
 
@@ -482,7 +479,6 @@ impl Establish {
         pt.wait_span = trace::span(now, "resilience", "backoff", parent, |f| {
             f.field("delay_us", delay.as_micros());
         });
-        sc_obs::counter_add("scholarcloud.retries", 1);
         trace::event(now, Level::Info, "resilience", "retry", |f| {
             f.field("reason", reason)
                 .field("attempt", Quoted(pt.attempts.into()))
@@ -507,7 +503,6 @@ impl Establish {
             f.field("ok", true);
         });
         let rtt = now.saturating_since(at.started);
-        sc_obs::observe("scholarcloud.connect_rtt_us", rtt.as_micros());
         remotes.succeeded(at.remote_idx, rtt, now);
         let Some(mut pt) = self.pending.remove(&at.browser) else {
             // Nobody is waiting for this tunnel any more.

@@ -170,7 +170,7 @@ impl Gateway {
         let peer_hop = req.header_value(FLEET_HEADER).and_then(|v| v.parse::<usize>().ok());
         if let Some(from) = peer_hop {
             self.cfg.cache.borrow_mut().note_peer_serve();
-            trace::count(now, "scholarcloud.peer_serves", 1);
+            trace::bump(now, "scholarcloud.peer_serves", 1);
             trace::event(now, Level::Debug, "fleet", "peer_serve", |f| {
                 trace::sharded(f, self.shard).field("from", Quoted(from as u64)).field("path", &key.1);
             });
@@ -234,8 +234,8 @@ impl Gateway {
         trace::end(now, &mut lookup_span, |_| {});
         match plan {
             Plan::Hit(resp, body_len) => {
-                trace::count(now, "scholarcloud.cache_hits", 1);
-                trace::count(now, "scholarcloud.cache_bytes_saved", body_len as u64);
+                trace::bump(now, "scholarcloud.cache_hits", 1);
+                trace::bump(now, "scholarcloud.cache_bytes_saved", body_len as u64);
                 self.cache_event(now, "hit", &key);
                 io.send(browser, resp.into_wire());
                 Step::Done
@@ -248,7 +248,7 @@ impl Gateway {
                         f.field("path", &key.1);
                     });
                     self.cfg.cache.borrow_mut().note_coalesced();
-                    trace::count(now, "scholarcloud.cache_coalesced", 1);
+                    trace::bump(now, "scholarcloud.cache_coalesced", 1);
                     self.cache_event(now, "coalesced", &key);
                     self.waits.insert(browser, Wait { key, span, tctx, client });
                     Step::Done
@@ -321,7 +321,7 @@ impl Gateway {
             self.cfg.cache.borrow_mut().note_upstream_fetch(&fetch.key, now);
             if !fetch.revalidating && !replay {
                 self.cfg.cache.borrow_mut().note_miss();
-                trace::count(now, "scholarcloud.cache_misses", 1);
+                trace::bump(now, "scholarcloud.cache_misses", 1);
                 self.cache_event(now, "miss", &fetch.key);
             }
         }
@@ -378,8 +378,8 @@ impl Gateway {
             };
             if let Some(r) = &renewed {
                 self.cfg.cache.borrow_mut().note_bytes_saved(r.body.len());
-                trace::count(now, "scholarcloud.cache_revalidated", 1);
-                trace::count(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
+                trace::bump(now, "scholarcloud.cache_revalidated", 1);
+                trace::bump(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
                 self.cache_event(now, "revalidated", &fetch.key);
             }
             renewed
@@ -402,7 +402,7 @@ impl Gateway {
             let changed = fetch.revalidating && !via_peer;
             if changed {
                 self.cfg.cache.borrow_mut().note_miss();
-                trace::count(now, "scholarcloud.cache_misses", 1);
+                trace::bump(now, "scholarcloud.cache_misses", 1);
                 self.cache_event(now, "miss", &fetch.key);
             }
             let evicted = {
@@ -411,7 +411,7 @@ impl Gateway {
                 cache.insert(fetch.key, entry.clone(), ttl, now).evicted
             };
             for victim in &evicted {
-                trace::count(now, "scholarcloud.cache_evicted", 1);
+                trace::bump(now, "scholarcloud.cache_evicted", 1);
                 self.cache_event(now, "evicted", victim);
             }
             Some(entry)
@@ -428,7 +428,7 @@ impl Gateway {
                         f.field("ok", true);
                     });
                     self.cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
-                    trace::count(now, "scholarcloud.cache_bytes_saved", entry.body.len() as u64);
+                    trace::bump(now, "scholarcloud.cache_bytes_saved", entry.body.len() as u64);
                     self.serve_from_cache(w, &entry, io);
                 }
             }

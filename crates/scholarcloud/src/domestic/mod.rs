@@ -201,7 +201,6 @@ impl DomesticProxy {
             TcpEvent::Accepted { peer } => {
                 let state = ConnState::AwaitRequest(HttpParser::new());
                 self.conns.insert(h, Conn { client: peer.addr, state });
-                sc_obs::counter_add("scholarcloud.domestic_accepts", 1);
             }
             TcpEvent::DataReceived => {
                 let data = io.recv(h);

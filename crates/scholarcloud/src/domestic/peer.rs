@@ -95,7 +95,7 @@ impl Peer {
         let f = self.fleet.as_ref().expect("owner_of found a fleet");
         let (self_idx, addr) = (f.self_idx, f.handle.member_addr(owner));
         let key = &miss.key;
-        trace::count(now, "scholarcloud.peer_fetches", 1);
+        trace::bump(now, "scholarcloud.peer_fetches", 1);
         trace::event(now, Level::Debug, "fleet", "peer_fetch", |f| {
             f.field("shard", self_idx)
                 .field("owner", Quoted(owner as u64))
@@ -183,7 +183,6 @@ impl Peer {
         let reason =
             if hop.connected { "peer_response_timeout" } else { "peer_connect_timeout" };
         io.abort(h);
-        sc_obs::counter_add("scholarcloud.peer_timeouts", 1);
         self.failed(h, reason, io)
     }
 
@@ -206,7 +205,7 @@ impl Peer {
             f.field("ok", ok).field("status", resp.status);
         });
         if !ok {
-            trace::count(now, "scholarcloud.peer_refusals", 1);
+            trace::bump(now, "scholarcloud.peer_refusals", 1);
             trace::event(now, Level::Info, "fleet", "peer_refused", |f| {
                 trace::sharded(f, shard)
                     .field("owner", Quoted(owner as u64))
@@ -215,7 +214,7 @@ impl Peer {
             return Step::FallBack { leader, tctx };
         }
         if self.fleet.as_mut().is_some_and(|f| f.mark_peer_up(owner)) {
-            trace::count(now, "scholarcloud.peer_recoveries", 1);
+            trace::bump(now, "scholarcloud.peer_recoveries", 1);
             trace::event(now, Level::Info, "fleet", "peer_up", |f| {
                 trace::sharded(f, shard).field("peer", Quoted(owner as u64));
             });
@@ -236,7 +235,7 @@ impl Peer {
             f.field("ok", false).field("reason", reason);
         });
         let backoff = self.fleet.as_mut().map(|f| f.mark_peer_dead(hop.owner, now));
-        trace::count(now, "scholarcloud.peer_dead_marks", 1);
+        trace::bump(now, "scholarcloud.peer_dead_marks", 1);
         trace::event(now, Level::Warn, "fleet", "peer_dead", |f| {
             trace::sharded(f, self.shard())
                 .field("peer", Quoted(hop.owner as u64))

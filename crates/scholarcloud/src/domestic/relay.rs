@@ -64,7 +64,7 @@ struct Stream {
     replay: Option<Replay>,
 }
 
-/// How a stream ended, as its span and byte histograms record it.
+/// How a stream ended, as its span records it.
 #[derive(Clone, Copy, PartialEq)]
 pub(super) enum Ending {
     /// Orderly: either side closed, or a gateway fetch completed.
@@ -121,7 +121,6 @@ impl Relay {
         if req.is_connect && !resumed {
             io.send(req.browser, Bytes::from_static(b"HTTP/1.1 200 Connection established\r\n\r\n"));
         }
-        sc_obs::counter_add("scholarcloud.tunnels_opened", 1);
         trace::event(now, Level::Info, "domestic", "tunnel_open", |f| {
             f.field("target", target_label(&req.header))
                 .field("encrypted", !req.header.is_tls)
@@ -158,7 +157,6 @@ impl Relay {
         // once, and that buffer is what goes on the wire.
         let mut wire = BytesMut::from(data);
         stream.up_bytes += wire.len() as u64;
-        sc_obs::counter_add("scholarcloud.bytes_up", wire.len() as u64);
         stream.tx.encode(&mut wire);
         io.send(remote, wire.freeze());
     }
@@ -181,7 +179,6 @@ impl Relay {
         // The browser has now observed upstream state: a later death
         // can no longer be replayed from zero.
         stream.replay = None;
-        sc_obs::counter_add("scholarcloud.bytes_down", plain.len() as u64);
         remotes.egress(stream.remote_idx, plain.len() as u64);
         Some((stream.browser, plain.freeze()))
     }
@@ -205,7 +202,7 @@ impl Relay {
     }
 
     /// Takes stream `h` out and closes its books: elastic idle
-    /// accounting, the byte histograms, the span. A reset is a health
+    /// accounting and the span. A reset is a health
     /// signal (GFW interference or a dying VM) and counts against the
     /// remote — *before* the books close when the stream will resume,
     /// so the breaker/rotation evidence is current and a
@@ -225,10 +222,6 @@ impl Relay {
             remotes.failed(stream.remote_idx, io);
         }
         let down = stream.down_bytes;
-        if how != Ending::Garbled {
-            sc_obs::observe("scholarcloud.stream_bytes_up", stream.up_bytes);
-            sc_obs::observe("scholarcloud.stream_bytes_down", down);
-        }
         trace::end(now, &mut stream.span, |f| {
             f.field("ok", how == Ending::Clean);
             if how != Ending::Garbled {

@@ -102,9 +102,7 @@ impl Remotes {
     /// function spins per connection).
     pub fn stream_start(&self, idx: usize) {
         if let Some(handle) = &self.elastic {
-            if handle.with(|p| p.note_stream_start(self.addr(idx).addr)) {
-                sc_obs::counter_add("scholarcloud.elastic_invocations", 1);
-            }
+            handle.with(|p| p.note_stream_start(self.addr(idx).addr));
         }
     }
 
@@ -125,7 +123,6 @@ impl Remotes {
     }
 
     fn breaker_event(&self, idx: usize, t: BreakerTransition, now: SimTime) {
-        sc_obs::counter_add("scholarcloud.breaker_transitions", 1);
         match t.to {
             BreakerState::Open => sc_obs::ts_bump(now.as_micros(), "scholarcloud.breaker_opens", 1),
             BreakerState::Closed => {
@@ -189,7 +186,6 @@ impl Remotes {
         // classifier has never seen the rotated deployment's preamble,
         // so every learned signature starves from here on out.
         let to = self.cfg.scheme.rotate_fresh_at(now.as_micros());
-        sc_obs::counter_add("scholarcloud.adaptive_rotations", 1);
         trace::event(now, Level::Info, "adaptive", "rotate", |f| {
             f.field("from", format!("{from:?}")).field("to", format!("{to:?}")).field("evidence", fresh);
         });
@@ -236,7 +232,6 @@ impl Remotes {
             let h = io.connect(e.addr);
             self.probes.insert(h, Probe { remote_idx: idx, started: now, done: false });
             io.timer(CONNECT_TIMEOUT, Timer::ProbeDeadline(h));
-            sc_obs::counter_add("scholarcloud.probes", 1);
         }
         io.timer(PROBE_INTERVAL, Timer::ProbeTick);
     }
@@ -248,7 +243,6 @@ impl Remotes {
         }
         io.abort(h);
         let p = self.probes.remove(&h).expect("checked");
-        sc_obs::counter_add("scholarcloud.probe_timeouts", 1);
         self.failed(p.remote_idx, io);
     }
 
@@ -262,7 +256,6 @@ impl Remotes {
                 p.done = true;
                 let (idx, rtt) = (p.remote_idx, now.saturating_since(p.started));
                 io.close(h);
-                sc_obs::observe("scholarcloud.probe_rtt_us", rtt.as_micros());
                 self.succeeded(idx, rtt, now);
                 true
             }
@@ -283,7 +276,6 @@ impl Remotes {
         let Some(handle) = &self.elastic else { return };
         let addr = self.pool.entry(idx).addr.addr;
         if handle.with(|p| p.churn(addr)) {
-            sc_obs::counter_add("scholarcloud.elastic_churns", 1);
             elastic_event(now, "churn", addr, |_| {});
         }
     }
@@ -299,7 +291,6 @@ impl Remotes {
         for act in actions {
             match act {
                 ElasticAction::Provision { addr, cold_start } => {
-                    sc_obs::counter_add("scholarcloud.elastic_provisions", 1);
                     elastic_event(now, "provision", addr, |f| {
                         f.field("cold_start_us", Quoted(cold_start.as_micros()));
                     });
@@ -312,7 +303,6 @@ impl Remotes {
                     if self.pool.index_of(sock).is_none() {
                         self.pool.add_remote(sock);
                     }
-                    sc_obs::observe("scholarcloud.elastic_cold_start_us", cold_start.as_micros());
                     elastic_event(now, "warm", addr, |f| {
                         f.field("cold_start_us", Quoted(cold_start.as_micros()));
                     });
@@ -328,7 +318,6 @@ impl Remotes {
                 ElasticAction::Retire { addr } => {
                     // In-flight streams drained; the husk powers off.
                     io.node_power(addr, false);
-                    sc_obs::counter_add("scholarcloud.elastic_retires", 1);
                     elastic_event(now, "retire", addr, |_| {});
                 }
             }

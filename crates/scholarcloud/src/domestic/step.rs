@@ -145,7 +145,6 @@ impl DomesticProxy {
                     self.step(Step::Shed { browser, code: 503, reason: "deadline_shed" }, io);
                 }
                 Dequeued::Admit { token, waited } => {
-                    sc_obs::counter_add("scholarcloud.admitted", 1);
                     if self.establish.dequeued(token, waited, now) {
                         self.admit.note_dequeue(waited, now);
                         self.attempt(token, io);

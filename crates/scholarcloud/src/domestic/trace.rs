@@ -1,6 +1,7 @@
-//! The proxy's one way into `sc-obs`: every event, span and counter the
-//! stages record is component `scholarcloud` at simulation time, and all
-//! of them cost nothing to *build* unless a sink will record them.
+//! The proxy's one way into `sc-obs`: every event, span and timeline
+//! series the stages record is component `scholarcloud` at simulation
+//! time, and all of them cost nothing to *build* unless a sink will
+//! record them.
 
 use sc_netproto::socks::TargetAddr;
 use sc_obs::{FieldValue, Fields, Level, SpanId, TraceCtx};
@@ -50,9 +51,8 @@ pub(super) fn end(now: SimTime, span: &mut SpanId, fields: impl FnOnce(&mut Fiel
     sc_obs::span_end(now.as_micros(), std::mem::replace(span, SpanId::NONE), fields);
 }
 
-/// Bumps a counter and its timeline series together.
-pub(super) fn count(now: SimTime, name: &'static str, n: u64) {
-    sc_obs::counter_add(name, n);
+/// Adds `n` to a timeline series at `now`.
+pub(super) fn bump(now: SimTime, name: &'static str, n: u64) {
     sc_obs::ts_bump(now.as_micros(), name, n);
 }
 

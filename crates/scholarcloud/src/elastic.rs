@@ -210,7 +210,7 @@ pub enum ElasticAction {
     Warm {
         /// The instance now serving.
         addr: Addr,
-        /// The cold start it paid (observability: cold-start histogram).
+        /// The cold start it paid (the `warm` event's `cold_start_us`).
         cold_start: SimDuration,
     },
     /// Retire the instance's pool entry — no new streams — but keep the

@@ -68,7 +68,6 @@ impl RemoteProxy {
         if matches!(reason, "not_preamble" | "bad_preamble_auth" | "replayed_preamble") {
             self.config.interference.note_probe();
         }
-        sc_obs::counter_add("scholarcloud.decoys_served", 1);
         sc_obs::event(
             ctx.now().as_micros(),
             sc_obs::Level::Info,
@@ -187,7 +186,6 @@ impl RemoteProxy {
             },
         );
         self.conns.insert(h, ClientConn::Relaying { rx, tx, upstream, span });
-        sc_obs::counter_add("scholarcloud.remote_tunnels", 1);
         sc_obs::event(
             ctx.now().as_micros(),
             sc_obs::Level::Info,
@@ -245,7 +243,6 @@ impl App for RemoteProxy {
         match tcp_ev {
             TcpEvent::Accepted { .. } => {
                 self.conns.insert(h, ClientConn::AwaitHello { buf: Vec::new() });
-                sc_obs::counter_add("scholarcloud.remote_accepts", 1);
             }
             TcpEvent::DataReceived => {
                 let data = ctx.tcp_recv_all(h);

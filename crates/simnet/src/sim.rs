@@ -345,7 +345,6 @@ impl Sim {
         if !up {
             self.nodes[node.0].pending.clear();
         }
-        sc_obs::counter_add("simnet.lifecycle_transitions", 1);
         sc_obs::event(
             self.now.as_micros(),
             sc_obs::Level::Info,
@@ -421,7 +420,6 @@ impl Sim {
                 format!("clients={clients} ramp_us={}", ramp.as_micros())
             }
         };
-        sc_obs::counter_add("simnet.faults_applied", 1);
         sc_obs::ts_bump(self.now.as_micros(), "simnet.faults", 1);
         sc_obs::event(self.now.as_micros(), sc_obs::Level::Info, "simnet", "fault", name, |f| {
             f.field("detail", detail);
@@ -474,7 +472,6 @@ impl Sim {
             if let Verdict::Drop(label) = verdict {
                 self.stats
                     .record_drop(packet.src, packet.dst, DropReason::Censor(label));
-                sc_obs::counter_add("simnet.censor_drops", 1);
                 sc_obs::ts_bump(self.now.as_micros(), "simnet.censor_drops", 1);
                 sc_obs::event(
                     self.now.as_micros(),
@@ -495,7 +492,6 @@ impl Sim {
             // never touches a wire; keep it out of the traffic stats.
             if packet.src != packet.dst {
                 self.stats.record_delivered(node, packet.wire_len());
-                sc_obs::counter_add("simnet.packets_delivered", 1);
             }
             self.deliver_local(node, packet);
             return;
@@ -597,8 +593,8 @@ impl Sim {
         // rather than per-hop.
         if self.nodes[node.0].addr == packet.src {
             self.stats.record_sent(node, wire_len);
+            // benchmark/src/run.rs reads this counter until ROADMAP 8j moves it to the trace.
             sc_obs::counter_add("simnet.packets_sent", 1);
-            sc_obs::counter_add("simnet.bytes_sent", wire_len as u64);
         }
         let link = &mut self.links[lid.0];
         let dest_node = link.other_end(NodeId(node.0)).expect("link endpoint");
@@ -631,15 +627,7 @@ impl Sim {
                 self.trace_drop(&packet, "queue_overflow");
             }
             LinkOutcome::Deliver(at) => {
-                let delay = at - self.now;
-                // Serialization backlog ahead of this packet = queueing
-                // delay beyond pure propagation; exported as a depth
-                // histogram so congested links stand out in reports.
-                let queued_us = delay
-                    .as_micros()
-                    .saturating_sub(link.config.delay.as_micros());
-                sc_obs::observe("simnet.link_queue_us", queued_us);
-                self.schedule(delay, Event::Arrival { node: dest_node, packet });
+                self.schedule(at - self.now, Event::Arrival { node: dest_node, packet });
             }
         }
     }
@@ -647,7 +635,6 @@ impl Sim {
     /// Emits a non-censor drop event (censor drops carry the rule label
     /// and are emitted at their verdict site instead).
     fn trace_drop(&self, packet: &Packet, reason: &'static str) {
-        sc_obs::counter_add("simnet.packets_dropped", 1);
         sc_obs::event(self.now.as_micros(), sc_obs::Level::Debug, "simnet", "packet", "drop", |f| {
             f.field("reason", reason).field("src", packet.src).field("dst", packet.dst);
         });

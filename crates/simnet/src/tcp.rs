@@ -968,7 +968,6 @@ impl TcpLayer {
         c.rtt_sample = None;
         let retx = c.send_buf.len().min(MSS) as u64;
         c.retransmitted_bytes += retx;
-        sc_obs::counter_add("simnet.tcp_retransmits", 1);
         let now_us = now.as_micros();
         sc_obs::event(now_us, sc_obs::Level::Debug, "simnet", "tcp", "loss_recovery", |f| {
             f.field("bytes", retx).field("local", c.local).field("remote", c.remote);
@@ -1021,8 +1020,6 @@ impl TcpLayer {
             let n = data_len.min(MSS);
             let payload = c.send_buf.range(0, n);
             c.retransmitted_bytes += n as u64;
-            sc_obs::counter_add("simnet.tcp_retransmits", 1);
-            sc_obs::counter_add("simnet.tcp_retransmitted_bytes", n as u64);
             let pkt = Packet::tcp(
                 c.local,
                 c.remote,

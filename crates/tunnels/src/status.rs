@@ -40,14 +40,8 @@ impl TunnelStatus {
         }
         let (name, t_us) = match state {
             TunnelState::Connecting => ("connecting", 0),
-            TunnelState::Up { established_at } => {
-                sc_obs::counter_add("tunnels.established", 1);
-                ("up", established_at.as_micros())
-            }
-            TunnelState::Failed => {
-                sc_obs::counter_add("tunnels.failed", 1);
-                ("failed", 0)
-            }
+            TunnelState::Up { established_at } => ("up", established_at.as_micros()),
+            TunnelState::Failed => ("failed", 0),
         };
         sc_obs::event(t_us, sc_obs::Level::Info, "tunnels", "status", "transition", |f| {
             f.field("state", name);

@@ -478,8 +478,6 @@ pub struct VpnServer {
     nonce: u64,
     entropy: u64,
     udp_sock: Option<UdpHandle>,
-    /// Data packets forwarded (diagnostics).
-    pub forwarded: u64,
 }
 
 impl VpnServer {
@@ -492,7 +490,6 @@ impl VpnServer {
             nonce: 1 << 48, // disjoint from client nonce space
             entropy,
             udp_sock: None,
-            forwarded: 0,
         }
     }
 
@@ -517,7 +514,6 @@ impl VpnServer {
         let Ok(inner) = Packet::decode(plain) else { return };
         let public = ctx.addr();
         if let Some(translated) = self.nat.outbound(from, public, inner) {
-            self.forwarded += 1;
             ctx.send_packet(translated);
         }
     }

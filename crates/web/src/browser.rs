@@ -406,7 +406,6 @@ impl Browser {
         // The very first load's clock starts at browser launch, so tunnel
         // bootstrap (waited out via the gate) counts into first-time PLT.
         let started = if index == 0 { self.browser_started } else { ctx.now() };
-        sc_obs::counter_add("web.loads_started", 1);
         // The trace id is minted whether or not a sink is attached —
         // it is a pure hash, and propagating it unconditionally keeps
         // traced and untraced packet schedules identical.
@@ -517,7 +516,6 @@ impl Browser {
         path: &str,
         ctx: &mut Ctx<'_>,
     ) {
-        sc_obs::counter_add("web.connections_opened", 1);
         let connect_span = sc_obs::span_start_ctx(
             ctx.now().as_micros(),
             sc_obs::Level::Debug,
@@ -590,14 +588,12 @@ impl Browser {
         if self.pac_fleet_size() < 2 {
             return;
         }
-        sc_obs::counter_add("web.proxy_connect_ok", 1);
         emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_ok", |f| {
             f.field("proxy", addr);
         });
         let Some(idx) = self.pac_proxy_index(addr) else { return };
         if self.proxy_dead[idx].fail_level > 0 {
             self.proxy_dead[idx] = ProxyHealth::default();
-            sc_obs::counter_add("web.proxy_recoveries", 1);
             sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_recoveries", 1);
             emit_fleet(ctx.now(), sc_obs::Level::Info, "proxy_recovered", |f| {
                 f.field("proxy", addr);
@@ -608,7 +604,6 @@ impl Browser {
     /// Dead-marks `addr` after a failed connect: exponential re-probe
     /// backoff, mirroring the fleet tier's own peer dead-marking.
     fn mark_proxy_dead(&mut self, addr: SocketAddr, reason: &str, ctx: &mut Ctx<'_>) {
-        sc_obs::counter_add("web.proxy_connect_fail", 1);
         emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_fail", |f| {
             f.field("proxy", addr).field("reason", reason);
         });
@@ -619,7 +614,6 @@ impl Browser {
             .saturating_mul(1u64 << level.min(4))
             .clamp(PROXY_DEAD_BASE, PROXY_DEAD_CAP);
         self.proxy_dead[idx].dead_until = ctx.now() + backoff;
-        sc_obs::counter_add("web.proxy_dead_marks", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_dead_marks", 1);
         // The numbers go out as strings, as they always have.
         emit_fleet(ctx.now(), sc_obs::Level::Warn, "proxy_dead", |f| {
@@ -664,6 +658,7 @@ impl Browser {
         let attempt = load.failover_retries;
         load.failover_retries += 1;
         load.pending = 1; // the replayed HTML
+        // benchmark/src/run.rs reads this counter until ROADMAP 8j moves it to the trace.
         sc_obs::counter_add("web.failovers", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.failovers", 1);
         emit_fleet(ctx.now(), sc_obs::Level::Info, "failover", |f| {
@@ -842,7 +837,6 @@ impl Browser {
             // Our stale copy is still good: renew it and serve from cache
             // without the body having crossed the wire again.
             load.revalidated += 1;
-            sc_obs::counter_add("web.revalidated", 1);
             match self.content_cache.get_mut(&host).and_then(|paths| paths.get_mut(&path)) {
                 Some(entry) => {
                     entry.expires_at = now + ttl;
@@ -910,8 +904,6 @@ impl Browser {
     fn finish_load(&mut self, rtt: Option<SimDuration>, ctx: &mut Ctx<'_>) {
         let Some(load) = self.load.take() else { return };
         let now = ctx.now();
-        sc_obs::counter_add("web.loads_ok", 1);
-        sc_obs::observe("web.plt_us", (now - load.started).as_micros());
         sc_obs::ts_bump(now.as_micros(), "web.loads_ok", 1);
         // PLT samples carry the load's trace id as an exemplar, so a
         // fired latency alert can point at the worst offending traces.
@@ -922,7 +914,6 @@ impl Browser {
             load.trace,
         );
         if let Some(rtt) = rtt {
-            sc_obs::observe("web.rtt_us", rtt.as_micros());
             sc_obs::ts_record(now.as_micros(), "web.rtt_us", rtt.as_micros());
         }
         sc_obs::span_end(
@@ -956,7 +947,6 @@ impl Browser {
 
     fn fail_load(&mut self, ctx: &mut Ctx<'_>) {
         let Some(load) = self.load.take() else { return };
-        sc_obs::counter_add("web.loads_failed", 1);
         sc_obs::ts_bump_ex(ctx.now().as_micros(), "web.loads_failed", 1, load.trace);
         sc_obs::span_end(
             ctx.now().as_micros(),
@@ -1009,7 +999,6 @@ impl Browser {
         // so holding sockets open would just occupy its accept queue.
         let token = load.deadline_token;
         load.pending = 1; // the retried HTML
-        sc_obs::counter_add("web.throttled", 1);
         sc_obs::ts_bump(ctx.now().as_micros(), "web.throttled", 1);
         sc_obs::event(
             ctx.now().as_micros(),
@@ -1140,7 +1129,6 @@ impl App for Browser {
                         .is_some_and(|c| c.phase == ConnPhase::Connecting);
                     if connecting {
                         ctx.tcp_abort(h);
-                        sc_obs::counter_add("web.proxy_connect_timeouts", 1);
                         self.proxy_conn_failed(h, "connect_timeout", ctx);
                     }
                 }
@@ -1313,7 +1301,6 @@ impl Browser {
                                     load.throttled = true;
                                 }
                             }
-                            sc_obs::counter_add("web.proxy_errors", 1);
                             sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_errors", 1);
                             sc_obs::event(
                                 ctx.now().as_micros(),

@@ -95,7 +95,7 @@ impl RunStats {
 }
 
 fn run_once(learn_flows: u32, rotation: bool, verbose: bool) -> RunStats {
-    let guard = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
+    let obs = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, SEED);
     cfg.clients = CLIENTS;
@@ -127,19 +127,18 @@ fn run_once(learn_flows: u32, rotation: bool, verbose: bool) -> RunStats {
         print!("{}", report::render_scenario(Method::ScholarCloud, &outcome));
     }
 
-    let counter = |name| sc_obs::with_registry(|r| r.counter(name)).unwrap_or(0);
+    let adaptive = obs.finish().adaptive;
     let stats = RunStats {
         ok: 0,
         failed: 0,
-        signatures: counter("gfw.adaptive_signatures_learned"),
-        campaigns: counter("gfw.adaptive_campaigns"),
-        probes_launched: counter("gfw.probes_launched"),
-        probes_confirmed: counter("gfw.servers_confirmed"),
-        probes_deflected: counter("scholarcloud.decoys_served"),
-        rotations: counter("scholarcloud.adaptive_rotations"),
-        blacklisted: counter("gfw.adaptive_blacklisted"),
+        signatures: adaptive.signatures_learned,
+        campaigns: adaptive.campaigns,
+        probes_launched: adaptive.probes_launched,
+        probes_confirmed: adaptive.probes_confirmed,
+        probes_deflected: adaptive.probes_deflected,
+        rotations: adaptive.rotations,
+        blacklisted: adaptive.blacklisted,
     };
-    drop(guard);
 
     let mut ok = 0usize;
     let mut failed = 0usize;

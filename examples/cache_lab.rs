@@ -64,7 +64,7 @@ struct RunStats {
 }
 
 fn run_once(cache_bytes: usize, verbose: bool) -> RunStats {
-    let guard = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
+    let obs = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 4242);
     cfg.clients = CLIENTS;
@@ -96,9 +96,7 @@ fn run_once(cache_bytes: usize, verbose: bool) -> RunStats {
         print!("{}", report::render_cache(&cache.stats()));
     }
 
-    let counter = |name| sc_obs::with_registry(|r| r.counter(name)).unwrap_or(0);
-    let upstream_bytes = counter("scholarcloud.bytes_down");
-    drop(guard);
+    let upstream_bytes = obs.finish().bytes_down;
 
     let mut ok = 0usize;
     let mut failed = 0usize;

@@ -69,7 +69,4 @@ fn main() {
         naked.failure_rate() * 100.0,
     );
     print!("{}", sc_metrics::report::render_scenario(Method::ScholarCloud, &naked));
-    // Counters/histograms collected this run (empty without SC_TRACE
-    // unless another collector is installed).
-    print!("{}", sc_metrics::report::render_obs_summary());
 }

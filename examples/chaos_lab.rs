@@ -34,7 +34,7 @@ use sc_simnet::faults::FaultPlan;
 use sc_simnet::time::{SimDuration, SimTime};
 
 fn main() {
-    let guard = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
+    let obs = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 4242);
     cfg.clients = 4;
@@ -83,13 +83,9 @@ fn main() {
         ])
     );
 
-    let failovers =
-        sc_obs::with_registry(|r| r.counter("scholarcloud.failovers")).unwrap_or(0);
-    let breaker_transitions =
-        sc_obs::with_registry(|r| r.counter("scholarcloud.breaker_transitions")).unwrap_or(0);
-    let fail_fast = sc_obs::with_registry(|r| r.counter("scholarcloud.fail_fast")).unwrap_or(0);
-    let probes = sc_obs::with_registry(|r| r.counter("scholarcloud.probes")).unwrap_or(0);
-    drop(guard);
+    let trace = obs.finish();
+    let failovers = trace.failover_times.len();
+    let breaker_transitions = trace.breaker_transitions.len();
 
     // --- outcome accounting ---
     let heal = SimTime::from_secs(125);
@@ -115,10 +111,7 @@ fn main() {
         "loads: {ok} ok / {failed} failed — availability {:.1}%",
         availability * 100.0
     );
-    println!(
-        "failovers={failovers} breaker_transitions={breaker_transitions} \
-         fail_fast_503s={fail_fast} probes={probes}"
-    );
+    println!("failovers={failovers} breaker_transitions={breaker_transitions}");
     println!("successful loads after the blacklist healed: {ok_after_heal}");
 
     // The resilience layer must have actually earned its keep:

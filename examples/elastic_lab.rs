@@ -80,8 +80,8 @@ struct RunStats {
     retires: u64,
     churns: u64,
     invocations: u64,
-    failovers: u64,
-    breaker_transitions: u64,
+    failovers: usize,
+    breaker_transitions: usize,
 }
 
 impl RunStats {
@@ -127,14 +127,13 @@ fn blacklist_now(gfw: &GfwHandle, addr: Addr, now: SimTime) {
     if !st.config().ip_blacklist.contains(&(addr, 32)) {
         st.config_mut().ip_blacklist.push((addr, 32));
     }
-    sc_obs::counter_add("gfw.blacklist_updates", 1);
     sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "fault", "blacklist_ip", |f| {
         f.field("addr", addr);
     });
 }
 
 fn run_once(static_pool: usize, elastic: bool, verbose: bool) -> RunStats {
-    let guard = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
+    let obs = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, SEED);
     cfg.clients = CLIENTS;
@@ -195,21 +194,12 @@ fn run_once(static_pool: usize, elastic: bool, verbose: bool) -> RunStats {
         print!("{}", report::render_scenario(Method::ScholarCloud, &outcome));
     }
 
-    let counter = |name| sc_obs::with_registry(|r| r.counter(name)).unwrap_or(0);
-    let provisions = counter("scholarcloud.elastic_provisions");
-    let retires = counter("scholarcloud.elastic_retires");
-    let churns = counter("scholarcloud.elastic_churns");
-    let invocations = counter("scholarcloud.elastic_invocations");
-    let failovers = counter("scholarcloud.failovers");
-    let breaker_transitions = counter("scholarcloud.breaker_transitions");
+    let trace = obs.finish();
     // The static arm relays the same pages; bill its egress from the
-    // relay counter so both arms price egress identically.
-    let bytes_down = counter("scholarcloud.bytes_down");
-    drop(guard);
-
+    // relay spans' byte counts so both arms price egress identically.
     let cost_micro = match &elastic_handle {
         Some(h) => h.total_cost_micro(),
-        None => ElasticConfig::static_cost_micro(static_pool, runtime, bytes_down),
+        None => ElasticConfig::static_cost_micro(static_pool, runtime, trace.bytes_down),
     };
 
     let mut ok = 0usize;
@@ -226,12 +216,12 @@ fn run_once(static_pool: usize, elastic: bool, verbose: bool) -> RunStats {
         ok,
         failed,
         cost_micro,
-        provisions,
-        retires,
-        churns,
-        invocations,
-        failovers,
-        breaker_transitions,
+        provisions: trace.elastic.provisions,
+        retires: trace.elastic.retires,
+        churns: trace.elastic.churns,
+        invocations: elastic_handle.map_or(0, |h| h.with(|p| p.invocations())),
+        failovers: trace.failover_times.len(),
+        breaker_transitions: trace.breaker_transitions.len(),
     }
 }
 

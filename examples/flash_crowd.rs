@@ -35,6 +35,7 @@
 use sc_metrics::scenario::default_slos;
 use sc_metrics::{Method, ScenarioConfig, build_scenario, report};
 use sc_obs::WindowSpec;
+use sc_obs::analyze::AdmissionStats;
 use sc_simnet::faults::{Fault, FaultPlan};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -74,7 +75,7 @@ impl RunStats {
 }
 
 fn run_once(flash_clients: usize, verbose: bool) -> RunStats {
-    let guard = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
+    let obs = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 7171);
     cfg.clients = NOMINAL_CLIENTS;
@@ -138,14 +139,9 @@ fn run_once(flash_clients: usize, verbose: bool) -> RunStats {
         );
     }
 
-    let counter = |name| sc_obs::with_registry(|r| r.counter(name)).unwrap_or(0);
-    let admitted = counter("scholarcloud.admitted");
-    let queued = counter("scholarcloud.queued");
-    let shed = counter("scholarcloud.shed");
-    let throttled = counter("scholarcloud.throttled");
-    let retries = counter("scholarcloud.retries");
-    let retry_denied = counter("scholarcloud.retry_denied");
-    drop(guard);
+    let trace = obs.finish();
+    let AdmissionStats { admitted, queued, shed, throttled, retry_denied } = trace.admission;
+    let retries = trace.retries;
 
     let spike_start = SimTime::from_secs(FLASH_START_S);
     let spike_end = SimTime::from_secs(FLASH_START_S + FLASH_RAMP_S + 20);

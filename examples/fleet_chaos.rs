@@ -46,6 +46,7 @@ use sc_core::CacheStats;
 use sc_metrics::scenario::default_slos;
 use sc_metrics::{Method, ScenarioConfig, build_scenario, report};
 use sc_obs::WindowSpec;
+use sc_obs::analyze::FleetStats;
 use sc_simnet::faults::{Fault, FaultPlan};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -79,15 +80,8 @@ struct RunStats {
     p95_plt_s: f64,
     /// Per-shard cache stats, member order (one entry when fleet=1).
     shards: Vec<CacheStats>,
-    /// Browser-side fleet counters.
-    failovers: u64,
-    dead_marks: u64,
-    recoveries: u64,
-    /// Proxy-side peering counters.
-    peer_fetches: u64,
-    peer_serves: u64,
-    peer_timeouts: u64,
-    fleet_sheds: u64,
+    /// Browser-side failover and proxy-side peering counts.
+    fleet: FleetStats,
 }
 
 impl RunStats {
@@ -102,7 +96,7 @@ impl RunStats {
 }
 
 fn run_once(fleet: usize, crash: bool, verbose: bool) -> RunStats {
-    let guard = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
+    let obs = sc_metrics::trace::ops_obs(WindowSpec::seconds(10), default_slos());
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, SEED);
     cfg.clients = NOMINAL_CLIENTS;
@@ -160,15 +154,7 @@ fn run_once(fleet: usize, crash: bool, verbose: bool) -> RunStats {
         print!("{}", report::render_scenario(Method::ScholarCloud, &outcome));
     }
 
-    let counter = |name| sc_obs::with_registry(|r| r.counter(name)).unwrap_or(0);
-    let failovers = counter("web.failovers");
-    let dead_marks = counter("web.proxy_dead_marks");
-    let recoveries = counter("web.proxy_recoveries");
-    let peer_fetches = counter("scholarcloud.peer_fetches");
-    let peer_serves = counter("scholarcloud.peer_serves");
-    let peer_timeouts = counter("scholarcloud.peer_timeouts");
-    let fleet_sheds = counter("scholarcloud.fleet_shed");
-    drop(guard);
+    let fleet_stats = obs.finish().fleet;
 
     let blast_start = SimTime::from_secs(CRASH_S.saturating_sub(TIMEOUT_S));
     let blast_end = SimTime::from_secs(CRASH_S + BLAST_WINDOW_S);
@@ -203,13 +189,7 @@ fn run_once(fleet: usize, crash: bool, verbose: bool) -> RunStats {
         failed_outside_blast,
         p95_plt_s,
         shards: shard_handles.iter().map(|h| h.stats()).collect(),
-        failovers,
-        dead_marks,
-        recoveries,
-        peer_fetches,
-        peer_serves,
-        peer_timeouts,
-        fleet_sheds,
+        fleet: fleet_stats,
     }
 }
 
@@ -232,9 +212,9 @@ fn sweep() {
                 s.failed,
                 s.fleet_hit_rate() * 100.0,
                 s.p95_plt_s,
-                s.failovers,
-                s.peer_fetches,
-                s.fleet_sheds,
+                s.fleet.failovers,
+                s.fleet.peer_fetches,
+                s.fleet.fleet_sheds,
             );
         }
     }
@@ -256,11 +236,11 @@ fn main() {
     );
     println!(
         "fleet: {} dead-marks, {} failovers, {} recoveries at the browsers",
-        s.dead_marks, s.failovers, s.recoveries
+        s.fleet.dead_marks, s.fleet.failovers, s.fleet.recoveries
     );
     println!(
-        "peering: {} fetches, {} serves, {} timeouts, {} fleet sheds",
-        s.peer_fetches, s.peer_serves, s.peer_timeouts, s.fleet_sheds
+        "peering: {} fetches, {} serves, {} fleet sheds",
+        s.fleet.peer_fetches, s.fleet.peer_serves, s.fleet.fleet_sheds
     );
     println!(
         "warm-hit rate: {:.1}% with crash vs {:.1}% control; p95 PLT {:.2} s",
@@ -273,16 +253,16 @@ fn main() {
     //    sharded cache actually peers (both sides of the hop observed).
     assert_eq!(control.failed, 0, "no-crash control had failed loads");
     assert!(
-        control.peer_fetches > 0 && control.peer_serves > 0,
+        control.fleet.peer_fetches > 0 && control.fleet.peer_serves > 0,
         "sharded fleet must exercise the peering hop (fetches={} serves={})",
-        control.peer_fetches,
-        control.peer_serves
+        control.fleet.peer_fetches,
+        control.fleet.peer_serves
     );
     // 2. The crash is detected the only way it can be (connect
     //    timeouts → dead-marks) and browsers fail over down their PAC
     //    lists.
-    assert!(s.dead_marks > 0, "crash must be dead-marked by browsers");
-    assert!(s.failovers > 0, "browsers must fail over to surviving members");
+    assert!(s.fleet.dead_marks > 0, "crash must be dead-marked by browsers");
+    assert!(s.fleet.failovers > 0, "browsers must fail over to surviving members");
     // 3. No browser-visible outage outside the blast window: every
     //    failure was a load in flight on (or racing the first
     //    detection of) the dying member.
@@ -314,7 +294,7 @@ fn main() {
     // 6. The restarted member rejoins: some browser's re-probe backoff
     //    expired, its connect succeeded, and the dead-mark cleared.
     assert!(
-        s.recoveries > 0,
+        s.fleet.recoveries > 0,
         "restarted member must rejoin via a successful re-probe connect"
     );
     // 7. Determinism: the same seed replays every per-shard cache
@@ -322,8 +302,8 @@ fn main() {
     let replay = run_once(FLEET, true, false);
     assert_eq!(s.shards, replay.shards, "per-shard cache decisions must replay exactly");
     assert_eq!(
-        (s.failovers, s.dead_marks, s.peer_fetches),
-        (replay.failovers, replay.dead_marks, replay.peer_fetches),
+        (s.fleet.failovers, s.fleet.dead_marks, s.fleet.peer_fetches),
+        (replay.fleet.failovers, replay.fleet.dead_marks, replay.fleet.peer_fetches),
         "fleet counters must replay exactly"
     );
 

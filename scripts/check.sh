@@ -190,16 +190,31 @@ echo "structure: ok (one Effects scratch)"
 
 # Structure, who reads what: the SOCKS5 server session sits behind the
 # one front both local proxies share (sc-tunnels' front.rs), and the
-# simulation reads nothing back from sc-obs — the registry, time-series
-# and SLO engine are read by reports and tests, so what a run does
-# cannot depend on what obs collects.
+# simulation reads nothing back from sc-obs — the time-series and SLO
+# engine are read by reports and tests, so what a run does cannot
+# depend on what obs collects. A fact about a run is read from its
+# trace: the counter registry holds only the three counters
+# benchmark/src/run.rs reads until ROADMAP item 8j moves it to the
+# trace — simnet.packets_sent and web.failovers (per-layer rows) and
+# scholarcloud.failovers (the incident workload's correctness check) —
+# and the histograms, the registry read and the registry summary are
+# gone.
 fail_if_found "SocksServerSession named outside crates/tunnels/src/front.rs" \
     grep -rn 'SocksServerSession' crates/tunnels/src --exclude=front.rs
 fail_if_found "an sc_obs::with_* read in the simulation" \
-    grep -rnE 'sc_obs::with_|with_(registry|timeseries|slo_engine)\(' \
+    grep -rnE 'sc_obs::with_|with_(timeseries|slo_engine)\(' \
         crates/simnet/src crates/tunnels/src crates/scholarcloud/src crates/web/src crates/gfw/src \
         crates/dns/src crates/cache/src crates/netproto/src crates/crypto/src crates/regulation/src
-echo "structure: ok (one SOCKS front; the simulation reads nothing back from sc-obs)"
+_kept_counters='simnet\.packets_sent|scholarcloud\.failovers|web\.failovers'
+unread_counters() {
+    grep -rnE 'sc_obs::counter_add\(|trace::count\(' crates/*/src --include='*.rs' |
+        grep -vE "sc_obs::counter_add\(\"($_kept_counters)\", "
+}
+fail_if_found "a counter the benchmark does not read (read the trace instead)" unread_counters
+fail_if_found "a histogram or a registry read outside the benchmark" \
+    grep -rnE 'sc_obs::observe\(|Histogram|with_registry|render_obs_summary' \
+        crates src examples tests --include='*.rs'
+echo "structure: ok (one SOCKS front; the simulation reads nothing back from sc-obs; three counters)"
 
 # Structure, table order (DESIGN.md §6o): a table some loop walks is a
 # BTreeMap / BTreeSet, so its order is its keys'; a table that is only

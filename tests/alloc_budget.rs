@@ -16,11 +16,11 @@
 
 mod common;
 
-use common::SharedBuf;
+use sc_metrics::trace::TraceBuf;
 use sc_metrics::{build_scenario, Method, ScenarioConfig};
 use sc_obs::analyze::{analyze, parse_trace};
 use sc_obs::prof::{alloc_stats, reset_alloc_peak, CountingAlloc};
-use sc_obs::{write_line, Dispatcher, JsonlSink, Level, SpanId, WindowSpec};
+use sc_obs::{write_line, Dispatcher, Level, SpanId, WindowSpec};
 use sc_simnet::faults::{Fault, FaultPlan};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -89,11 +89,12 @@ fn traced_incident(seed: u64) -> ((f64, f64), String) {
     cfg.flash_ramp = SimDuration::from_secs(4);
     let loads = cfg.clients * cfg.loads + cfg.flash_clients * cfg.flash_loads;
     let mut trace = String::new();
+    let mut failovers = 0;
     let cost = cost_per_load(loads, || {
-        let buf = SharedBuf::default();
+        let buf = TraceBuf::default();
         let guard = Dispatcher::new()
             .with_level(Level::Debug)
-            .with_sink(Box::new(JsonlSink::new(Box::new(buf.clone()))))
+            .with_sink(buf.sink())
             .with_windows(WindowSpec::seconds(10))
             .with_slos(sc_metrics::default_slos())
             .install();
@@ -120,13 +121,16 @@ fn traced_incident(seed: u64) -> ((f64, f64), String) {
         }
         built.sim.install_fault_plan(plan);
         let outcome = built.finish();
-        let d = guard.uninstall();
-        let registry = d.registry().clone();
-        trace = String::from_utf8(std::mem::take(&mut *buf.0.borrow_mut())).expect("UTF-8");
-        assert!(registry.counter("scholarcloud.failovers") > 0, "the blacklist forced failovers");
+        failovers = guard.uninstall().registry().counter("scholarcloud.failovers");
+        trace = String::from_utf8(buf.take()).expect("UTF-8");
+        assert!(failovers > 0, "the blacklist forced failovers");
         assert!(trace.lines().count() > loads, "the run was traced");
         assert_eq!(outcome.loads.iter().flatten().count(), loads, "every load ends");
     });
+    // The counter the benchmark's failover check reads has a twin in the
+    // trace, which is where everything else reads failovers from.
+    let analysis = analyze(&parse_trace(&trace).expect("the trace parses"), 10_000_000);
+    assert_eq!(failovers, analysis.failover_times.len() as u64, "counter and trace disagree");
     (cost, trace)
 }
 

@@ -2,41 +2,19 @@
 //! capture and the seeded scenarios that more than one binary runs.
 #![allow(dead_code)]
 
-use std::cell::RefCell;
-use std::io::Write;
-use std::rc::Rc;
-
+use sc_metrics::trace::TraceBuf;
 use sc_metrics::{Method, ScenarioConfig, ScenarioOutcome, build_scenario};
-use sc_obs::{Dispatcher, JsonlSink, Level};
+use sc_obs::{Dispatcher, Level};
 use sc_simnet::faults::{Fault, FaultPlan};
 use sc_simnet::time::{SimDuration, SimTime};
 
-/// An in-memory `Write` target shared with the test after the sink is
-/// boxed away.
-#[derive(Clone, Default)]
-pub struct SharedBuf(pub Rc<RefCell<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.borrow_mut().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
 /// Runs `f` under a Debug-level JSONL dispatcher and returns the trace.
 pub fn captured(f: impl FnOnce()) -> Vec<u8> {
-    let buf = SharedBuf::default();
-    let guard = Dispatcher::new()
-        .with_level(Level::Debug)
-        .with_sink(Box::new(JsonlSink::new(Box::new(buf.clone()))))
-        .install();
+    let buf = TraceBuf::default();
+    let guard = Dispatcher::new().with_level(Level::Debug).with_sink(buf.sink()).install();
     f();
     drop(guard);
-    let out = buf.0.borrow().clone();
-    out
+    buf.take()
 }
 
 /// One `label sha256-hex` line of a golden digest file.

@@ -8,7 +8,7 @@ mod common;
 
 use common::captured;
 use sc_metrics::{Method, ScenarioConfig, run_scenario};
-use sc_obs::analyze::{TraceEvent, parse_line};
+use sc_obs::analyze::{TraceEvent, analyze, parse_line, parse_trace};
 
 /// Every record of a trace, each parsed from its line.
 fn parsed(text: &str) -> Vec<TraceEvent<'_>> {
@@ -39,23 +39,19 @@ fn scholarcloud_run_emits_key_events() {
         let out = run_scenario(&cfg);
         assert_eq!(out.failure_rate(), 0.0, "{:?}", out.loads);
         assert_eq!(out.gfw.embedded_sni_resets, 0, "blinding must defeat the scanner");
-
-        // The registry collected the matching counters.
-        sc_obs::with_registry(|registry| {
-            assert!(registry.counter("scholarcloud.remote_tunnels") >= 1);
-            assert!(registry.counter("scholarcloud.domestic_accepts") >= 1);
-            assert!(registry.counter("web.loads_ok") >= 3);
-            assert!(registry.counter("simnet.packets_delivered") > 0);
-            let plt = registry.histogram("web.plt_us").expect("plt histogram");
-            assert_eq!(plt.count(), 3);
-        })
-        .expect("a dispatcher is installed");
+        assert!(out.client_recv_bytes > 0, "the client received packets");
     });
     let text = String::from_utf8(trace).expect("UTF-8 trace");
     let events = parsed(&text);
 
-    // The remote proxy authenticated at least one preamble (the tunnel
-    // worked), and the scanner never reset a tunnel.
+    // Every load's PLT reads back from the trace.
+    let analysis = analyze(&parse_trace(&text).expect("the trace parses"), 1_000_000);
+    assert_eq!(analysis.plts_us.len(), 3, "one PLT per load");
+
+    // The domestic proxy opened a tunnel, the remote proxy authenticated
+    // at least one preamble (the tunnel worked), and the scanner never
+    // reset a tunnel.
+    assert!(count(&events, "scholarcloud", "tunnel_open") >= 1, "no domestic tunnel events");
     assert!(count(&events, "scholarcloud", "auth_ok") >= 1, "no preamble auth events");
     assert!(!events.iter().any(|e| {
         e.component == "gfw" && e.name == "drop" && e.get_str("rule") == Some("gfw-embedded-sni")

@@ -5,9 +5,11 @@
 
 mod common;
 
-use common::{captured, check_golden, digest_line, elastic_run, SharedBuf};
+use common::{captured, check_golden, digest_line, elastic_run};
+use sc_metrics::trace::TraceBuf;
 use sc_metrics::{BuiltScenario, Method, ScenarioConfig, build_scenario, run_scenario};
-use sc_obs::{Dispatcher, JsonlSink, Level, SloSpec, WindowSpec};
+use sc_obs::analyze::{analyze, parse_trace};
+use sc_obs::{Dispatcher, Level, SloSpec, WindowSpec};
 use sc_simnet::faults::FaultPlan;
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -419,6 +421,21 @@ fn fleet_chaos_traces_are_byte_identical() {
     assert_eq!(a, b, "same seed + same node crash must be byte-identical");
 }
 
+/// `web.failovers`, which the benchmark reads from the registry, counts
+/// what the trace's fleet `failover` events count: the trace can stand
+/// in for the counter.
+#[test]
+fn the_web_failovers_counter_has_a_trace_twin() {
+    let buf = TraceBuf::default();
+    let guard = Dispatcher::new().with_level(Level::Debug).with_sink(buf.sink()).install();
+    fleet_chaos_scenario(9393).finish();
+    let counted = guard.uninstall().registry().counter("web.failovers");
+    let text = String::from_utf8(buf.take()).expect("UTF-8 trace");
+    let fleet = analyze(&parse_trace(&text).expect("the trace parses"), 1_000_000).fleet;
+    assert!(counted > 0, "the crash forced browser failovers");
+    assert_eq!(counted, fleet.failovers, "counter and trace disagree");
+}
+
 /// A shared-cache run: the cache_lab shape shrunk — clients loading the
 /// same plain-HTTP page through the domestic proxy's gateway path, with
 /// the origin's max-age expiring between rounds so the cache exercises
@@ -461,13 +478,12 @@ fn cache_lab_traces_are_byte_identical() {
 /// tight enough that the PLT SLO fires. Returns the raw trace bytes and
 /// the rendered timeline + verdict table.
 fn ops_run(seed: u64) -> (Vec<u8>, String) {
-    let buf = SharedBuf::default();
-    let sink = JsonlSink::new(Box::new(buf.clone()));
+    let buf = TraceBuf::default();
     // 2-second windows, a deliberately unachievable PLT target so
     // alerts fire even in this tiny run.
     let guard = Dispatcher::new()
         .with_level(Level::Debug)
-        .with_sink(Box::new(sink))
+        .with_sink(buf.sink())
         .with_windows(WindowSpec::new(2_000_000, 512))
         .with_slos(vec![SloSpec::quantile("plt-p95", "web.plt_us", 0.95, 1_000_000)])
         .install();
@@ -485,8 +501,7 @@ fn ops_run(seed: u64) -> (Vec<u8>, String) {
         sc_obs::with_slo_engine(|e| e.verdict_table()).unwrap(),
     );
     drop(guard);
-    let out = buf.0.borrow().clone();
-    (out, rendered)
+    (buf.take(), rendered)
 }
 
 #[test]

@@ -10,9 +10,11 @@
 //! was coming good. The fix routes `429`/`503 + Retry-After` through
 //! the same `throttle_backoff` path the CONNECT flow uses: the hint
 //! counts against the per-load throttle-retry budget, the load backs
-//! off and refetches, and `web.proxy_dead_marks` stays untouched.
+//! off and refetches, and no fleet `proxy_dead` event is traced.
 
+use sc_metrics::trace::TraceBuf;
 use sc_metrics::{Method, ScenarioConfig, build_scenario};
+use sc_obs::analyze::{analyze, parse_trace};
 use sc_obs::{Dispatcher, Level};
 use sc_simnet::time::SimDuration;
 
@@ -22,8 +24,9 @@ use sc_simnet::time::SimDuration;
 /// mostly recover), never as a dead-mark.
 #[test]
 fn gateway_throttle_counts_against_budget_but_never_dead_marks() {
-    // Counters only accumulate under an installed dispatcher.
-    let guard = Dispatcher::new().with_level(Level::Info).install();
+    // Dead-marks are read from the run's trace.
+    let trace = TraceBuf::default();
+    let guard = Dispatcher::new().with_level(Level::Info).with_sink(trace.sink()).install();
 
     let mut cfg = ScenarioConfig::paper(Method::ScholarCloud, 4242);
     cfg.clients = 6;
@@ -41,20 +44,21 @@ fn gateway_throttle_counts_against_budget_but_never_dead_marks() {
 
     let built = build_scenario(&cfg);
     let outcome = built.finish();
-
-    let counter = |name| sc_obs::with_registry(|r| r.counter(name)).unwrap_or(0);
+    drop(guard);
+    let text = String::from_utf8(trace.take()).expect("UTF-8 trace");
+    let fleet = analyze(&parse_trace(&text).expect("the trace parses"), 1_000_000).fleet;
 
     // The overload actually happened and the browsers honored the
     // Retry-After hints through the throttle path.
-    let throttled = counter("web.throttled");
+    let throttled = outcome.loads.iter().flatten().filter(|r| r.throttled).count();
     assert!(
         throttled > 0,
         "undersized admission must shed with Retry-After and browsers must \
-         register throttles (web.throttled = {throttled})"
+         register throttles ({throttled} throttled loads)"
     );
 
     // ... and back-pressure was never mistaken for proxy death.
-    let dead_marks = counter("web.proxy_dead_marks");
+    let dead_marks = fleet.dead_marks;
     assert_eq!(
         dead_marks, 0,
         "429/503 + Retry-After must not dead-mark a fleet member"
@@ -83,5 +87,4 @@ fn gateway_throttle_counts_against_budget_but_never_dead_marks() {
             .any(|r| r.throttled && matches!(r.proxy_status, Some(429) | Some(503))),
         "throttled loads must record the shed status they overcame"
     );
-    drop(guard);
 }
