@@ -29,8 +29,6 @@ pub mod ports {
     pub const L2TP: u16 = 1701;
     /// OpenVPN.
     pub const OPENVPN: u16 = 1194;
-    /// HTTP.
-    pub const HTTP: u16 = 80;
 }
 
 /// What the GFW believes a flow is.

@@ -5,6 +5,8 @@
 //! All latency/loss/bandwidth constants live in [`calibration`], each
 //! annotated with the paper-derived target it reproduces.
 
+use std::rc::Rc;
+
 use sc_crypto::blinding::BlindingScheme;
 use sc_dns::{AuthoritativeServer, RecursiveResolver, Zone};
 use sc_gfw::{ActiveProber, GfwConfig, GfwCounters, GfwHandle, GfwMiddlebox, new_gfw};
@@ -21,7 +23,7 @@ use sc_tunnels::tor::{
 };
 use sc_tunnels::vpn::{VpnClient, VpnServer, VpnVariant};
 use sc_web::{
-    Browser, BrowserConfig, LoadLog, OriginServer, PageSpec, ProxyPolicy, ReadyProbe, new_load_log,
+    Browser, BrowserConfig, LoadLog, OriginServer, PageSpec, ProxyPolicy, new_load_log,
 };
 
 /// The access methods compared in the paper's Figures 5–7.
@@ -729,10 +731,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                 );
                 let log = new_load_log();
                 let bcfg = browser_config(cfg, RESOLVER_US, ProxyPolicy::Direct, i);
-                let gate = {
-                    let status = status.clone();
-                    ReadyProbe::new(move || status.is_up())
-                };
+                let gate = Rc::new(move || status.is_up());
                 sim.install_app(c, Box::new(Browser::new(bcfg, Some(gate), log.clone())));
                 logs.push(log);
             }
@@ -777,10 +776,7 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                 let log = new_load_log();
                 let socks = SocketAddr::new(sim.addr_of(c), TOR_SOCKS_PORT);
                 let bcfg = browser_config(cfg, RESOLVER_CN, ProxyPolicy::Socks(socks), i);
-                let gate = {
-                    let status = status.clone();
-                    ReadyProbe::new(move || status.is_up())
-                };
+                let gate = Rc::new(move || status.is_up());
                 sim.install_app(c, Box::new(Browser::new(bcfg, Some(gate), log.clone())));
                 logs.push(log);
             }
@@ -934,10 +930,8 @@ pub fn build_scenario(cfg: &ScenarioConfig) -> BuiltScenario {
                     if cfg.sc_http_page {
                         bcfg.page_port = 80;
                     }
-                    let gate = {
-                        let flag = gate_flag.clone();
-                        ReadyProbe::new(move || flag.get())
-                    };
+                    let flag = gate_flag.clone();
+                    let gate = Rc::new(move || flag.get());
                     sim.install_app(c, Box::new(Browser::new(bcfg, Some(gate), log.clone())));
                     logs.push(log);
                 }

@@ -8,20 +8,6 @@ use std::collections::BTreeMap;
 
 use sc_simnet::time::{SimDuration, SimTime};
 
-/// Government agencies in the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Agency {
-    /// Ministry of Industry and Information Technology: legislation, the
-    /// central ICP database.
-    Miit,
-    /// Telecommunication Administration: per-city registration intake.
-    Tca,
-    /// Ministry of Public Security: enforcement.
-    Mps,
-    /// Ministry of State Security: enforcement.
-    Mss,
-}
-
 /// Documents submitted with a registration (§3's list).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistrationDossier {

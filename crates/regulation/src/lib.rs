@@ -11,7 +11,7 @@ pub mod icp;
 pub mod survey;
 
 pub use icp::{
-    Agency, EnforcementStatus, IcpRecord, RegistrationDossier, RegistrationStatus, Regulator,
+    EnforcementStatus, IcpRecord, RegistrationDossier, RegistrationStatus, Regulator,
     scholarcloud_dossier,
 };
 pub use survey::{AccessMethod, Response, SurveyDistribution, SurveyTabulation, sample_population};

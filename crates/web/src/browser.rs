@@ -12,12 +12,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
+use sc_dns::message::MAX_NAME_LEN;
 use sc_dns::stub::{ResolveOutcome, StubResolver};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::pac::PacFile;
+use sc_netproto::socks::TargetAddr;
 use sc_netproto::tls::TlsClient;
 use sc_obs::prof::{self, Subsystem};
-use sc_obs::Quoted;
+use sc_obs::{Quoted, SpanId, TraceCtx};
 use sc_simnet::addr::{Addr, SocketAddr};
 use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
@@ -44,16 +46,6 @@ enum Route {
 
 /// Poll interval while waiting for a tunnel to come up.
 const WAIT_POLL: SimDuration = SimDuration::from_millis(50);
-const TIMER_NEXT_LOAD: u64 = 1;
-const TIMER_WAIT: u64 = 2;
-const TIMER_DNS_RETRY: u64 = 3;
-/// Staggered-start (load-ramp) delay before the browser begins.
-const TIMER_RAMP: u64 = 4;
-/// Backoff after the proxy throttled us (`429`/`503` + `Retry-After`).
-const TIMER_THROTTLE: u64 = 5;
-/// Proxy-connect deadline tokens start here (load deadlines use
-/// `1_000 + seq`, so the two spaces never collide).
-const TIMER_CONNECT_BASE: u64 = 1_000_000;
 /// First re-probe delay after a PAC proxy is marked dead; doubles per
 /// consecutive failure up to [`PROXY_DEAD_CAP`]. Mirrors the fleet
 /// tier's own peer dead-marking so client and server views converge.
@@ -71,37 +63,66 @@ const DNS_RETRY: SimDuration = SimDuration::from_secs(1);
 /// responses).
 const DEFAULT_CONTENT_TTL: SimDuration = SimDuration::from_secs(300);
 
-/// Readiness gate the browser waits on before its first load (Tor's
-/// bootstrap, a VPN handshake). `None` means start immediately.
-pub type ReadyGate = Option<sc_ready::ReadyProbe>;
+/// Why a timer was armed. Timers cannot be cancelled, so whoever
+/// handles a fired one re-checks that its subject still needs it. The
+/// purpose and its subject travel in the token: a tag in the top bits,
+/// the load index or the handle below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Timer {
+    /// Staggered-start (load-ramp) delay before the browser begins.
+    Ramp,
+    /// Poll of the readiness gate.
+    Wait,
+    /// Stub resolver retransmission.
+    DnsRetry,
+    /// The next load is due.
+    NextLoad,
+    /// Deadline of the load with this index.
+    Deadline(usize),
+    /// Backoff of the load with this index after the proxy throttled it
+    /// (`429`/`503` + `Retry-After`).
+    Throttle(usize),
+    /// Connect deadline of a PAC proxy candidate.
+    Connect(TcpHandle),
+}
 
-/// Minimal readiness probe, kept separate so sc-web does not depend on
-/// sc-tunnels: any `Fn() -> bool` shared handle.
-pub mod sc_ready {
-    use std::rc::Rc;
+/// Bits of a token below the purpose tag: the load index or the handle.
+const VALUE_BITS: u32 = 56;
 
-    /// A cloneable readiness probe.
-    #[derive(Clone)]
-    pub struct ReadyProbe(Rc<dyn Fn() -> bool>);
-
-    impl ReadyProbe {
-        /// Wraps a readiness check.
-        pub fn new(f: impl Fn() -> bool + 'static) -> Self {
-            ReadyProbe(Rc::new(f))
-        }
-
-        /// Whether the gate is open.
-        pub fn is_ready(&self) -> bool {
-            (self.0)()
-        }
+impl Timer {
+    fn token(self) -> u64 {
+        let (tag, value) = match self {
+            Timer::Ramp => (0, 0),
+            Timer::Wait => (1, 0),
+            Timer::DnsRetry => (2, 0),
+            Timer::NextLoad => (3, 0),
+            Timer::Deadline(load) => (4, load),
+            Timer::Throttle(load) => (5, load),
+            Timer::Connect(h) => (6, h.0),
+        };
+        debug_assert!((value as u64) < 1 << VALUE_BITS, "value overflows the token");
+        tag << VALUE_BITS | value as u64
     }
 
-    impl core::fmt::Debug for ReadyProbe {
-        fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-            f.debug_struct("ReadyProbe").finish_non_exhaustive()
-        }
+    fn from_token(token: u64) -> Option<Timer> {
+        let value = (token & ((1 << VALUE_BITS) - 1)) as usize;
+        Some(match token >> VALUE_BITS {
+            0 => Timer::Ramp,
+            1 => Timer::Wait,
+            2 => Timer::DnsRetry,
+            3 => Timer::NextLoad,
+            4 => Timer::Deadline(value),
+            5 => Timer::Throttle(value),
+            6 => Timer::Connect(TcpHandle(value)),
+            _ => return None,
+        })
     }
 }
+
+/// Readiness gate the browser waits on before its first load (Tor's
+/// bootstrap, a VPN handshake): any shared `Fn() -> bool`, so sc-web
+/// need not depend on sc-tunnels. `None` means start immediately.
+pub type ReadyGate = Option<Rc<dyn Fn() -> bool>>;
 
 /// Host of the page to load.
 pub const PAGE_HOST: &str = "scholar.google.com";
@@ -228,20 +249,28 @@ enum ConnPhase {
     Ready,
 }
 
+/// A request a connection has queued or in flight.
+enum Fetch {
+    /// A page resource.
+    Get(String),
+    /// The `HEAD /` that samples the RTT once a page is complete,
+    /// stamped when it is sent.
+    RttProbe(SimTime),
+}
+
 struct Conn {
     host: String,
     port: u16,
     phase: ConnPhase,
-    connect_span: sc_obs::SpanId,
-    tunnel_span: sc_obs::SpanId,
-    fetch_span: sc_obs::SpanId,
+    connect_span: SpanId,
+    tunnel_span: SpanId,
+    fetch_span: SpanId,
     route: Route,
     tls: Option<TlsClient>,
     http: HttpParser,
     proxy_http: HttpParser,
-    queue: VecDeque<String>,
-    current: Option<String>,
-    rtt_probe_sent: Option<SimTime>,
+    queue: VecDeque<Fetch>,
+    current: Option<Fetch>,
 }
 
 impl Conn {
@@ -252,7 +281,7 @@ impl Conn {
         for span in [&mut self.connect_span, &mut self.tunnel_span, &mut self.fetch_span] {
             sc_obs::span_end(
                 now.as_micros(),
-                std::mem::replace(span, sc_obs::SpanId::NONE),
+                std::mem::replace(span, SpanId::NONE),
                 |f| {
                     f.field("ok", false).field("reason", reason);
                 },
@@ -261,10 +290,20 @@ impl Conn {
     }
 }
 
+/// Opens a Debug `web` `load` span named `name` under `parent`.
+fn load_span(
+    now: SimTime,
+    name: &'static str,
+    parent: TraceCtx,
+    f: impl FnOnce(&mut sc_obs::Fields<'_>),
+) -> SpanId {
+    sc_obs::span_start_ctx(now.as_micros(), sc_obs::Level::Debug, "web", "load", name, parent, f)
+}
+
 struct ActiveLoad {
     index: usize,
     started: SimTime,
-    span: sc_obs::SpanId,
+    span: SpanId,
     /// Deterministic end-to-end trace id minted for this load; carried
     /// on every request this load issues (`Sc-Trace`) so downstream
     /// tiers can parent their spans into this load's tree.
@@ -272,7 +311,6 @@ struct ActiveLoad {
     pending: usize,
     first_time: bool,
     connections: usize,
-    deadline_token: u64,
     proxy_status: Option<u16>,
     /// Retry-After retries taken so far in this load.
     throttle_retries: u32,
@@ -283,6 +321,14 @@ struct ActiveLoad {
     throttled: bool,
     /// 304-revalidated resources in this load.
     revalidated: usize,
+}
+
+/// How a load ended.
+enum LoadEnd {
+    /// Every resource arrived; the RTT probe's sample, if one was taken.
+    Done(Option<SimDuration>),
+    /// Reset, refused, throttled past its budget or timed out.
+    Failed,
 }
 
 /// Per-PAC-proxy liveness as seen by this browser: proxies are marked
@@ -304,8 +350,9 @@ pub struct Browser {
     /// `(host, port, open connection)`, reused within a load: a handful,
     /// found by comparing the borrowed host.
     by_host: Vec<(String, u16, TcpHandle)>,
-    pending_dns: FixedMap<u64, (String, u16, String)>,
-    dns_spans: FixedMap<u64, sc_obs::SpanId>,
+    /// Resolution token → the fetch waiting on it (host, port, path)
+    /// and its `dns` span.
+    pending_dns: FixedMap<u64, (String, u16, String, SpanId)>,
     next_dns_token: u64,
     content_cache: ContentCache,
     load: Option<ActiveLoad>,
@@ -316,16 +363,9 @@ pub struct Browser {
     /// first-time measurements).
     browser_started: SimTime,
     log: LoadLog,
-    deadline_seq: u64,
-    /// An armed [`TIMER_THROTTLE`] belongs to the load with this
-    /// deadline token (stale firings for finished loads are ignored).
-    throttle_wait_for: Option<u64>,
     /// Dead-mark state per PAC proxy (parallel to the PAC's ordered
     /// fallback list; empty outside PAC policies).
     proxy_dead: Vec<ProxyHealth>,
-    /// Armed proxy-connect deadlines: token → the conn it guards.
-    connect_deadlines: FixedMap<u64, TcpHandle>,
-    connect_seq: u64,
 }
 
 impl Browser {
@@ -344,7 +384,6 @@ impl Browser {
             conns: BTreeMap::new(),
             by_host: Vec::new(),
             pending_dns: FixedMap::default(),
-            dns_spans: FixedMap::default(),
             next_dns_token: 1,
             content_cache: FixedMap::default(),
             load: None,
@@ -352,20 +391,16 @@ impl Browser {
             visited: false,
             browser_started: SimTime::ZERO,
             log,
-            deadline_seq: 0,
-            throttle_wait_for: None,
             proxy_dead,
-            connect_deadlines: FixedMap::default(),
-            connect_seq: 0,
         }
     }
 
     /// Trace context of the in-flight load: its trace id, parented on
     /// the page-load root span. Empty when no load is active.
-    fn load_ctx(&self) -> sc_obs::TraceCtx {
+    fn load_ctx(&self) -> TraceCtx {
         match self.load.as_ref() {
-            Some(l) => sc_obs::TraceCtx::new(l.trace, l.span),
-            None => sc_obs::TraceCtx::NONE,
+            Some(l) => TraceCtx::new(l.trace, l.span),
+            None => TraceCtx::NONE,
         }
     }
 
@@ -399,10 +434,17 @@ impl Browser {
         }
     }
 
+    /// Begins the first load once the readiness gate is open, polling it
+    /// until then.
+    fn start_when_ready(&mut self, ctx: &mut Ctx<'_>) {
+        match &self.gate {
+            Some(ready) if !ready() => ctx.set_timer(WAIT_POLL, Timer::Wait.token()),
+            _ => self.begin_load(ctx),
+        }
+    }
+
     fn begin_load(&mut self, ctx: &mut Ctx<'_>) {
         let index = self.loads_done;
-        self.deadline_seq += 1;
-        let deadline_token = 1_000 + self.deadline_seq;
         // The very first load's clock starts at browser launch, so tunnel
         // bootstrap (waited out via the gate) counts into first-time PLT.
         let started = if index == 0 { self.browser_started } else { ctx.now() };
@@ -416,7 +458,7 @@ impl Browser {
             "web",
             "load",
             "page_load",
-            sc_obs::TraceCtx::new(trace, sc_obs::SpanId::NONE),
+            TraceCtx::new(trace, SpanId::NONE),
             |f| {
                 f.field("index", index).field("first_time", !self.visited);
             },
@@ -429,14 +471,13 @@ impl Browser {
             pending: 1, // the HTML itself
             first_time: !self.visited,
             connections: 0,
-            deadline_token,
             proxy_status: None,
             throttle_retries: 0,
             failover_retries: 0,
             throttled: false,
             revalidated: 0,
         });
-        ctx.set_timer(self.config.timeout, deadline_token);
+        ctx.set_timer(self.config.timeout, Timer::Deadline(index).token());
         self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
     }
 
@@ -449,7 +490,7 @@ impl Browser {
     fn fetch(&mut self, host: &str, port: u16, path: &str, ctx: &mut Ctx<'_>) {
         if let Some(h) = self.conn_to(host, port) {
             if let Some(conn) = self.conns.get_mut(&h) {
-                conn.queue.push_back(path.to_string());
+                conn.queue.push_back(Fetch::Get(path.to_string()));
                 self.pump_conn(h, ctx);
                 return;
             }
@@ -461,26 +502,14 @@ impl Browser {
                 // cache hit — the warm-cache fast path).
                 let token = self.next_dns_token;
                 self.next_dns_token += 1;
-                self.pending_dns
-                    .insert(token, (host.to_string(), port, path.to_string()));
-                let dns_span = sc_obs::span_start_ctx(
-                    ctx.now().as_micros(),
-                    sc_obs::Level::Debug,
-                    "web",
-                    "load",
-                    "dns",
-                    self.load_ctx(),
-                    |f| {
-                        f.field("host", host);
-                    },
-                );
-                if !dns_span.is_none() {
-                    self.dns_spans.insert(token, dns_span);
-                }
+                let span = load_span(ctx.now(), "dns", self.load_ctx(), |f| {
+                    f.field("host", host);
+                });
+                self.pending_dns.insert(token, (host.to_string(), port, path.to_string(), span));
                 if let Some(res) = self.stub.resolve(host, token, ctx) {
                     self.on_resolved(res.token, res.outcome, ctx);
                 } else {
-                    ctx.set_timer(DNS_RETRY, TIMER_DNS_RETRY);
+                    ctx.set_timer(DNS_RETRY, Timer::DnsRetry.token());
                 }
             }
             Route::Socks(p) | Route::HttpProxy(p) => {
@@ -491,19 +520,20 @@ impl Browser {
     }
 
     fn on_resolved(&mut self, token: u64, outcome: ResolveOutcome, ctx: &mut Ctx<'_>) {
-        let Some((host, port, path)) = self.pending_dns.remove(&token) else { return };
-        if let Some(sp) = self.dns_spans.remove(&token) {
-            let ok = matches!(&outcome, ResolveOutcome::Resolved(a) if !a.is_empty());
-            sc_obs::span_end(ctx.now().as_micros(), sp, |f| {
-                f.field("ok", ok);
-            });
-        }
-        match outcome {
-            ResolveOutcome::Resolved(addrs) if !addrs.is_empty() => {
-                let h = ctx.tcp_connect(SocketAddr::new(addrs[0], port));
+        let Some((host, port, path, span)) = self.pending_dns.remove(&token) else { return };
+        let addr = match outcome {
+            ResolveOutcome::Resolved(addrs) => addrs.first().copied(),
+            ResolveOutcome::Failed(_) => None,
+        };
+        sc_obs::span_end(ctx.now().as_micros(), span, |f| {
+            f.field("ok", addr.is_some());
+        });
+        match addr {
+            Some(addr) => {
+                let h = ctx.tcp_connect(SocketAddr::new(addr, port));
                 self.register_conn(h, &host, port, Route::Direct, &path, ctx);
             }
-            _ => self.fail_load(ctx),
+            None => self.end_load(LoadEnd::Failed, ctx),
         }
     }
 
@@ -516,19 +546,9 @@ impl Browser {
         path: &str,
         ctx: &mut Ctx<'_>,
     ) {
-        let connect_span = sc_obs::span_start_ctx(
-            ctx.now().as_micros(),
-            sc_obs::Level::Debug,
-            "web",
-            "load",
-            "connect",
-            self.load_ctx(),
-            |f| {
-                f.field("host", host);
-            },
-        );
-        let mut queue = VecDeque::new();
-        queue.push_back(path.to_string());
+        let connect_span = load_span(ctx.now(), "connect", self.load_ctx(), |f| {
+            f.field("host", host);
+        });
         self.conns.insert(
             h,
             Conn {
@@ -536,15 +556,14 @@ impl Browser {
                 port,
                 phase: ConnPhase::Connecting,
                 connect_span,
-                tunnel_span: sc_obs::SpanId::NONE,
-                fetch_span: sc_obs::SpanId::NONE,
+                tunnel_span: SpanId::NONE,
+                fetch_span: SpanId::NONE,
                 route,
                 tls: None,
                 http: HttpParser::new(),
                 proxy_http: HttpParser::new(),
-                queue,
+                queue: VecDeque::from([Fetch::Get(path.to_string())]),
                 current: None,
-                rtt_probe_sent: None,
             },
         );
         match self.by_host.iter_mut().find(|(known, p, _)| known == host && *p == port) {
@@ -559,10 +578,15 @@ impl Browser {
         // wait for the load deadline. Single-proxy policies keep the
         // pre-fleet behaviour (and the pre-fleet event schedule).
         if matches!(route, Route::HttpProxy(_)) && self.pac_fleet_size() >= 2 {
-            self.connect_seq += 1;
-            let token = TIMER_CONNECT_BASE + self.connect_seq;
-            self.connect_deadlines.insert(token, h);
-            ctx.set_timer(PROXY_CONNECT_TIMEOUT, token);
+            ctx.set_timer(PROXY_CONNECT_TIMEOUT, Timer::Connect(h).token());
+        }
+    }
+
+    /// Forgets connection `h`, ending its open spans with `reason`.
+    fn drop_conn(&mut self, h: TcpHandle, reason: &'static str, now: SimTime) {
+        if let Some(mut conn) = self.conns.remove(&h) {
+            conn.end_spans(now, reason);
+            self.by_host.retain(|&(_, _, open)| open != h);
         }
     }
 
@@ -634,16 +658,12 @@ impl Browser {
             _ => None,
         };
         let (Some(addr), true) = (addr, self.pac_fleet_size() >= 2) else {
-            self.fail_load(ctx);
-            return;
+            return self.end_load(LoadEnd::Failed, ctx);
         };
-        if let Some(mut conn) = self.conns.remove(&h) {
-            conn.end_spans(ctx.now(), reason);
-            self.by_host.retain(|&(_, _, open)| open != h);
-        }
+        self.drop_conn(h, reason, ctx.now());
         self.mark_proxy_dead(addr, reason, ctx);
         if !self.proxy_failover_retry(addr, ctx) {
-            self.fail_load(ctx);
+            self.end_load(LoadEnd::Failed, ctx);
         }
     }
 
@@ -700,50 +720,43 @@ impl Browser {
         if conn.phase != ConnPhase::Ready || conn.current.is_some() {
             return;
         }
-        let Some(path) = conn.queue.pop_front() else { return };
-        conn.fetch_span = if path == "\u{0}rtt" {
-            sc_obs::SpanId::NONE
-        } else {
-            sc_obs::span_start_ctx(
-                ctx.now().as_micros(),
-                sc_obs::Level::Debug,
-                "web",
-                "load",
-                "fetch",
-                lctx,
-                |f| {
-                    f.field("path", &path);
-                },
-            )
-        };
-        let req = if path == "\u{0}rtt" {
-            conn.rtt_probe_sent = Some(ctx.now());
-            HttpRequest::new("HEAD", "/").header("Host", &conn.host).header_fmt(sc_obs::TRACE_HEADER, lctx)
-        } else {
-            let req = if matches!(conn.route, Route::HttpProxy(_)) && conn.port == 80 {
-                // Absolute-form through an HTTP proxy.
-                HttpRequest::new("GET", format_args!("http://{}{}", conn.host, path))
-            } else {
-                HttpRequest::new("GET", &path)
-            };
-            // Every request carries the trace context, parented on its
-            // fetch span, so the proxy tier and origin can stitch their
-            // spans into this load's tree.
-            let req = req
-                .header("Host", &conn.host)
-                .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.fetch_span));
-            // A stale cached copy with a validator turns the refetch into
-            // a conditional request: the origin (or the proxy's shared
-            // cache) may answer with a cheap bodyless 304.
-            let stale_etag = cached(&self.content_cache, &conn.host, &path)
-                .filter(|e| e.expires_at <= ctx.now())
-                .and_then(|e| e.etag.as_deref());
-            match stale_etag {
-                Some(etag) => req.header("If-None-Match", etag),
-                None => req,
+        let Some(mut next) = conn.queue.pop_front() else { return };
+        let req = match &mut next {
+            Fetch::RttProbe(sent) => {
+                *sent = ctx.now();
+                HttpRequest::new("HEAD", "/")
+                    .header("Host", &conn.host)
+                    .header_fmt(sc_obs::TRACE_HEADER, lctx)
+            }
+            Fetch::Get(path) => {
+                conn.fetch_span = load_span(ctx.now(), "fetch", lctx, |f| {
+                    f.field("path", &*path);
+                });
+                let req = if matches!(conn.route, Route::HttpProxy(_)) && conn.port == 80 {
+                    // Absolute-form through an HTTP proxy.
+                    HttpRequest::new("GET", format_args!("http://{}{}", conn.host, path))
+                } else {
+                    HttpRequest::new("GET", &*path)
+                };
+                // Every request carries the trace context, parented on its
+                // fetch span, so the proxy tier and origin can stitch their
+                // spans into this load's tree.
+                let req = req
+                    .header("Host", &conn.host)
+                    .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.fetch_span));
+                // A stale cached copy with a validator turns the refetch into
+                // a conditional request: the origin (or the proxy's shared
+                // cache) may answer with a cheap bodyless 304.
+                let stale_etag = cached(&self.content_cache, &conn.host, path)
+                    .filter(|e| e.expires_at <= ctx.now())
+                    .and_then(|e| e.etag.as_deref());
+                match stale_etag {
+                    Some(etag) => req.header("If-None-Match", etag),
+                    None => req,
+                }
             }
         };
-        conn.current = Some(path);
+        conn.current = Some(next);
         match conn.tls.as_mut() {
             Some(tls) => {
                 let (head, body) = req.into_parts();
@@ -761,43 +774,47 @@ impl Browser {
 
     fn begin_app_layer(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
-        if conn.port == 443 {
-            let (tls, hello) = {
-                let _prof = prof::scope(Subsystem::Crypto);
-                let mut tls = TlsClient::new(&conn.host, self.config.entropy ^ h.0 as u64);
-                let hello = tls.start_handshake();
-                (tls, hello)
-            };
-            conn.tls = Some(tls);
-            conn.phase = ConnPhase::TlsHandshake;
-            ctx.tcp_send_bytes(h, hello);
-        } else {
-            conn.phase = ConnPhase::Ready;
-            let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
-            sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
-            self.pump_conn(h, ctx);
+        if conn.port != 443 {
+            return self.tunnel_ready(h, ctx);
         }
+        let (tls, hello) = {
+            let _prof = prof::scope(Subsystem::Crypto);
+            let mut tls = TlsClient::new(&conn.host, self.config.entropy ^ h.0 as u64);
+            let hello = tls.start_handshake();
+            (tls, hello)
+        };
+        conn.tls = Some(tls);
+        conn.phase = ConnPhase::TlsHandshake;
+        ctx.tcp_send_bytes(h, hello);
+    }
+
+    /// The connection's tunnel, and its TLS if it has one, is up: close
+    /// the tunnel span and send the first queued request.
+    fn tunnel_ready(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+        let Some(conn) = self.conns.get_mut(&h) else { return };
+        conn.phase = ConnPhase::Ready;
+        let sp = std::mem::replace(&mut conn.tunnel_span, SpanId::NONE);
+        sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
+        self.pump_conn(h, ctx);
     }
 
     fn on_response(&mut self, h: TcpHandle, resp: HttpResponse, ctx: &mut Ctx<'_>) {
         let status = resp.status;
-        let (host, path, probe_start) = {
-            let Some(conn) = self.conns.get_mut(&h) else { return };
-            let path = conn.current.take().unwrap_or_default();
-            let sp = std::mem::replace(&mut conn.fetch_span, sc_obs::SpanId::NONE);
-            sc_obs::span_end(ctx.now().as_micros(), sp, |f| {
-                f.field("status", status);
-            });
-            (conn.host.clone(), path, conn.rtt_probe_sent.take())
-        };
-        // RTT probe response?
-        if path == "\u{0}rtt" {
-            if let Some(sent) = probe_start {
+        let Some(conn) = self.conns.get_mut(&h) else { return };
+        let sp = std::mem::replace(&mut conn.fetch_span, SpanId::NONE);
+        sc_obs::span_end(ctx.now().as_micros(), sp, |f| {
+            f.field("status", status);
+        });
+        let path = match conn.current.take() {
+            // The RTT probe's answer completes the load.
+            Some(Fetch::RttProbe(sent)) => {
                 let rtt = ctx.now() - sent;
-                self.finish_load(Some(rtt), ctx);
+                return self.end_load(LoadEnd::Done(Some(rtt)), ctx);
             }
-            return;
-        }
+            Some(Fetch::Get(path)) => path,
+            None => String::new(),
+        };
+        let host = conn.host.clone();
         if status >= 400 {
             // A gateway-mode `429`/`503` carrying `Retry-After` is
             // backpressure — an overload shed or an elastic cold-start
@@ -806,23 +823,9 @@ impl Browser {
             // proxy is deliberately NOT dead-marked here; dead-marking
             // a member that is warming capacity would route the whole
             // crowd away from it just as it comes good.
-            if matches!(status, 429 | 503) {
-                let retry_after = resp
-                    .header_value("Retry-After")
-                    .and_then(|v| v.trim().parse::<u64>().ok());
-                if let Some(load) = self.load.as_mut() {
-                    load.proxy_status = Some(status);
-                    if status == 429 || retry_after.is_some() {
-                        load.throttled = true;
-                    }
-                }
-                if let Some(secs) = retry_after {
-                    if self.throttle_backoff(secs, ctx) {
-                        return;
-                    }
-                }
+            if !(matches!(status, 429 | 503) && self.proxy_throttled(&resp, ctx)) {
+                self.end_load(LoadEnd::Failed, ctx);
             }
-            self.fail_load(ctx);
             return;
         }
         let Some(load) = self.load.as_mut() else { return };
@@ -874,6 +877,12 @@ impl Browser {
                 if fresh {
                     continue;
                 }
+                // The host comes off the wire: one that no DNS query or
+                // SOCKS request can carry fails the load before anything
+                // is routed.
+                if r.host.is_empty() || r.host.len() > MAX_NAME_LEN {
+                    return self.end_load(LoadEnd::Failed, ctx);
+                }
                 to_fetch.push(r);
             }
             if let Some(load) = self.load.as_mut() {
@@ -883,137 +892,109 @@ impl Browser {
                 self.fetch(&r.host, self.config.page_port_for(&r.host), &r.path, ctx);
             }
         }
-        let done = self.load.as_ref().is_some_and(|l| l.pending == 0);
-        if done {
+        if self.load.as_ref().is_some_and(|l| l.pending == 0) {
             // Page complete: sample RTT with a HEAD on the main connection.
             if let Some(main) = self.conn_to(PAGE_HOST, self.config.page_port) {
-                if self.conns.get(&main).is_some_and(|c| c.phase == ConnPhase::Ready) {
-                    if let Some(conn) = self.conns.get_mut(&main) {
-                        conn.queue.push_back("\u{0}rtt".to_string());
-                    }
-                    self.pump_conn(main, ctx);
-                    return;
+                let ready = self.conns.get_mut(&main).filter(|c| c.phase == ConnPhase::Ready);
+                if let Some(conn) = ready {
+                    conn.queue.push_back(Fetch::RttProbe(now));
+                    return self.pump_conn(main, ctx);
                 }
             }
-            self.finish_load(None, ctx);
+            self.end_load(LoadEnd::Done(None), ctx);
         } else {
             self.pump_conn(h, ctx);
         }
     }
 
-    fn finish_load(&mut self, rtt: Option<SimDuration>, ctx: &mut Ctx<'_>) {
-        let Some(load) = self.load.take() else { return };
-        let now = ctx.now();
-        sc_obs::ts_bump(now.as_micros(), "web.loads_ok", 1);
-        // PLT samples carry the load's trace id as an exemplar, so a
-        // fired latency alert can point at the worst offending traces.
-        sc_obs::ts_record_ex(
-            now.as_micros(),
-            "web.plt_us",
-            (now - load.started).as_micros(),
-            load.trace,
-        );
-        if let Some(rtt) = rtt {
-            sc_obs::ts_record(now.as_micros(), "web.rtt_us", rtt.as_micros());
-        }
-        sc_obs::span_end(
-            now.as_micros(),
-            load.span,
-            |f| {
-                f.field("ok", true).field("connections", load.connections);
-            },
-        );
-        self.log.borrow_mut().push(PageLoadResult {
-            index: load.index,
-            started: load.started,
-            plt: Some(now - load.started),
-            first_time: load.first_time,
-            rtt,
-            failed: false,
-            connections: load.connections,
-            // A load that overcame a throttle en route keeps the status
-            // that stalled it, so the harness can count brownouts that
-            // ultimately succeeded.
-            proxy_status: if load.throttled { load.proxy_status } else { None },
-            throttled: load.throttled,
-            revalidated: load.revalidated,
-        });
-        self.visited = true;
-        self.loads_done += 1;
-        self.throttle_wait_for = None;
-        self.teardown_conns("load_done", ctx);
-        self.schedule_next(load.started, ctx);
-    }
-
-    fn fail_load(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(load) = self.load.take() else { return };
-        sc_obs::ts_bump_ex(ctx.now().as_micros(), "web.loads_failed", 1, load.trace);
-        sc_obs::span_end(
-            ctx.now().as_micros(),
-            load.span,
-            |f| {
-                f.field("ok", false).field("connections", load.connections);
-            },
-        );
-        self.log.borrow_mut().push(PageLoadResult {
-            index: load.index,
-            started: load.started,
-            plt: None,
-            first_time: load.first_time,
-            rtt: None,
-            failed: true,
-            connections: load.connections,
-            proxy_status: load.proxy_status,
-            throttled: load.throttled,
-            revalidated: load.revalidated,
-        });
-        self.visited = true;
-        self.loads_done += 1;
-        self.throttle_wait_for = None;
-        self.teardown_conns("load_failed", ctx);
-        self.schedule_next(load.started, ctx);
-    }
-
-    /// Honors a proxy `Retry-After` on a `429`/`503`: tears down every
-    /// connection, waits `retry_after × 2^attempt` (deterministic —
-    /// backoff shape is part of the trace, so no jitter), and re-fetches
-    /// the page. Returns `false` when retries are exhausted,
-    /// in which case the caller fails the load instead. The load's
-    /// deadline timer keeps running throughout, so a throttle wait can
-    /// never extend a load past its budget.
-    fn throttle_backoff(&mut self, retry_after_secs: u64, ctx: &mut Ctx<'_>) -> bool {
+    /// The one throttle rule, for a refused CONNECT and a gateway
+    /// `429`/`503` alike. The load keeps the proxy's status, and counts
+    /// as throttled on a `429` or a `Retry-After`. A `429`/`503` with
+    /// `Retry-After` tears every connection down, waits `Retry-After ×
+    /// 2^attempt` (deterministic — backoff shape is part of the trace,
+    /// so no jitter) and re-fetches the page. Returns `false` when there
+    /// is no retry — no hint, or [`MAX_THROTTLE_RETRIES`] taken — and the
+    /// caller fails the load. The load's deadline timer keeps running
+    /// throughout, so a throttle wait can never extend a load past its
+    /// budget.
+    fn proxy_throttled(&mut self, resp: &HttpResponse, ctx: &mut Ctx<'_>) -> bool {
+        let retry_after =
+            resp.header_value("Retry-After").and_then(|v| v.trim().parse::<u64>().ok());
         // A hint from the wire can be any u64; a wait longer than the
         // load's deadline ends at the deadline anyway, so clamp it there
         // before converting to microseconds, which would overflow.
         let max_secs = self.config.timeout.as_micros().div_ceil(1_000_000);
         let Some(load) = self.load.as_mut() else { return false };
+        load.proxy_status = Some(resp.status);
+        load.throttled |= resp.status == 429 || retry_after.is_some();
+        let Some(secs) = retry_after.filter(|_| matches!(resp.status, 429 | 503)) else {
+            return false;
+        };
         if load.throttle_retries >= MAX_THROTTLE_RETRIES {
             return false;
         }
         let attempt = load.throttle_retries;
         load.throttle_retries += 1;
-        load.throttled = true;
-        let delay = SimDuration::from_secs(retry_after_secs.min(max_secs).max(1))
+        let delay = SimDuration::from_secs(secs.min(max_secs).max(1))
             .saturating_mul(1u64 << attempt.min(16));
         // Back off with nothing in flight: the proxy told us to go away,
         // so holding sockets open would just occupy its accept queue.
-        let token = load.deadline_token;
         load.pending = 1; // the retried HTML
-        sc_obs::ts_bump(ctx.now().as_micros(), "web.throttled", 1);
-        sc_obs::event(
-            ctx.now().as_micros(),
-            sc_obs::Level::Info,
-            "web",
-            "browser",
-            "throttled",
-            |f| {
-                f.field("attempt", attempt).field("delay_us", delay.as_micros());
-            },
-        );
+        let index = load.index;
+        let t_us = ctx.now().as_micros();
+        sc_obs::ts_bump(t_us, "web.throttled", 1);
+        sc_obs::event(t_us, sc_obs::Level::Info, "web", "browser", "throttled", |f| {
+            f.field("attempt", attempt).field("delay_us", delay.as_micros());
+        });
         self.teardown_conns("throttled", ctx);
-        self.throttle_wait_for = Some(token);
-        ctx.set_timer(delay, TIMER_THROTTLE);
+        ctx.set_timer(delay, Timer::Throttle(index).token());
         true
+    }
+
+    /// Ends the in-flight load: logs it, closes every connection and
+    /// arms the next load.
+    fn end_load(&mut self, end: LoadEnd, ctx: &mut Ctx<'_>) {
+        let Some(load) = self.load.take() else { return };
+        let now = ctx.now();
+        let (plt, rtt) = match end {
+            LoadEnd::Done(rtt) => (Some(now - load.started), rtt),
+            LoadEnd::Failed => (None, None),
+        };
+        let ok = plt.is_some();
+        match plt {
+            Some(plt) => {
+                sc_obs::ts_bump(now.as_micros(), "web.loads_ok", 1);
+                // PLT samples carry the load's trace id as an exemplar, so a
+                // fired latency alert can point at the worst offending traces.
+                sc_obs::ts_record_ex(now.as_micros(), "web.plt_us", plt.as_micros(), load.trace);
+            }
+            None => sc_obs::ts_bump_ex(now.as_micros(), "web.loads_failed", 1, load.trace),
+        }
+        if let Some(rtt) = rtt {
+            sc_obs::ts_record(now.as_micros(), "web.rtt_us", rtt.as_micros());
+        }
+        sc_obs::span_end(now.as_micros(), load.span, |f| {
+            f.field("ok", ok).field("connections", load.connections);
+        });
+        self.log.borrow_mut().push(PageLoadResult {
+            index: load.index,
+            started: load.started,
+            plt,
+            first_time: load.first_time,
+            rtt,
+            failed: !ok,
+            connections: load.connections,
+            // A load that overcame a throttle en route keeps the status
+            // that stalled it, so the harness can count brownouts that
+            // ultimately succeeded.
+            proxy_status: load.proxy_status.filter(|_| !ok || load.throttled),
+            throttled: load.throttled,
+            revalidated: load.revalidated,
+        });
+        self.visited = true;
+        self.loads_done += 1;
+        self.teardown_conns(if ok { "load_done" } else { "load_failed" }, ctx);
+        self.schedule_next(load.started, ctx);
     }
 
     /// Closes every connection, in handle order, ending the spans of any
@@ -1038,7 +1019,46 @@ impl Browser {
             SimDuration::from_millis(1),
             self.config.interval,
         );
-        ctx.set_timer(delay, TIMER_NEXT_LOAD);
+        ctx.set_timer(delay, Timer::NextLoad.token());
+    }
+
+    /// A timer fired. An unknown token, and a stale one — for a load no
+    /// longer in flight, a conn no longer connecting — does nothing.
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        let in_flight = self.load.as_ref().map(|l| l.index);
+        match Timer::from_token(token) {
+            Some(Timer::Ramp) => {
+                // Ramp delay elapsed: restart the PLT clock so the
+                // stagger does not count into first-time PLT, then go
+                // through the normal readiness gate.
+                self.browser_started = ctx.now();
+                self.start_when_ready(ctx);
+            }
+            Some(Timer::Wait) => self.start_when_ready(ctx),
+            Some(Timer::DnsRetry) if self.stub.has_pending() && in_flight.is_some() => {
+                self.stub.retry_pending(ctx);
+                ctx.set_timer(DNS_RETRY, Timer::DnsRetry.token());
+            }
+            Some(Timer::NextLoad) if in_flight.is_none() && self.loads_done < self.config.loads => {
+                self.begin_load(ctx);
+            }
+            Some(Timer::Deadline(index)) if in_flight == Some(index) => {
+                self.deadline_dead_marks(ctx);
+                self.end_load(LoadEnd::Failed, ctx);
+            }
+            Some(Timer::Throttle(index)) if in_flight == Some(index) => {
+                self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
+            }
+            // A crashed proxy drops SYNs silently, so this is where a
+            // dead proxy is detected.
+            Some(Timer::Connect(h))
+                if self.conns.get(&h).is_some_and(|c| c.phase == ConnPhase::Connecting) =>
+            {
+                ctx.tcp_abort(h);
+                self.proxy_conn_failed(h, "connect_timeout", ctx);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -1068,172 +1088,47 @@ impl App for Browser {
         self.browser_started = ctx.now();
         self.stub.bind(ctx);
         if self.config.start_delay > SimDuration::ZERO {
-            ctx.set_timer(self.config.start_delay, TIMER_RAMP);
-            return;
-        }
-        match &self.gate {
-            Some(gate) if !gate.is_ready() => ctx.set_timer(WAIT_POLL, TIMER_WAIT),
-            _ => self.begin_load(ctx),
+            ctx.set_timer(self.config.start_delay, Timer::Ramp.token());
+        } else {
+            self.start_when_ready(ctx);
         }
     }
 
     fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
         let _prof = prof::scope(Subsystem::Web);
         match ev {
-            AppEvent::TimerFired(TIMER_RAMP) => {
-                // Ramp delay elapsed: restart the PLT clock so the
-                // stagger does not count into first-time PLT, then go
-                // through the normal readiness gate.
-                self.browser_started = ctx.now();
-                match &self.gate {
-                    Some(gate) if !gate.is_ready() => ctx.set_timer(WAIT_POLL, TIMER_WAIT),
-                    _ => self.begin_load(ctx),
-                }
-            }
-            AppEvent::TimerFired(TIMER_WAIT) => {
-                match &self.gate {
-                    Some(gate) if !gate.is_ready() => ctx.set_timer(WAIT_POLL, TIMER_WAIT),
-                    _ => self.begin_load(ctx),
-                }
-            }
-            AppEvent::TimerFired(TIMER_DNS_RETRY) => {
-                if self.stub.has_pending() && self.load.is_some() {
-                    self.stub.retry_pending(ctx);
-                    ctx.set_timer(DNS_RETRY, TIMER_DNS_RETRY);
-                }
-            }
-            AppEvent::TimerFired(TIMER_NEXT_LOAD) => {
-                if self.load.is_none() && self.loads_done < self.config.loads {
-                    self.begin_load(ctx);
-                }
-            }
-            AppEvent::TimerFired(TIMER_THROTTLE) => {
-                // Only act if the wait belongs to the load still in
-                // flight (deadline tokens are unique per load, so a
-                // stale timer from an already-finished load no-ops).
-                let current = self.load.as_ref().map(|l| l.deadline_token);
-                if current.is_some() && current == self.throttle_wait_for {
-                    self.throttle_wait_for = None;
-                    self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
-                }
-            }
-            AppEvent::TimerFired(token) if token >= TIMER_CONNECT_BASE => {
-                // Proxy-connect deadline: a crashed proxy drops SYNs
-                // silently, so this is where a dead proxy is detected.
-                // Stale firings (conn already past Connecting, or gone)
-                // no-op.
-                if let Some(h) = self.connect_deadlines.remove(&token) {
-                    let connecting = self
-                        .conns
-                        .get(&h)
-                        .is_some_and(|c| c.phase == ConnPhase::Connecting);
-                    if connecting {
-                        ctx.tcp_abort(h);
-                        self.proxy_conn_failed(h, "connect_timeout", ctx);
-                    }
-                }
-            }
-            AppEvent::TimerFired(token) if token > 1_000 => {
-                // Load deadline.
-                if self.load.as_ref().is_some_and(|l| l.deadline_token == token) {
-                    self.deadline_dead_marks(ctx);
-                    self.fail_load(ctx);
-                }
-            }
+            AppEvent::TimerFired(token) => self.on_timer(token, ctx),
             AppEvent::Udp { socket, payload, .. } => {
                 if let Some(res) = self.stub.on_datagram(socket, &payload, ctx.now()) {
                     self.on_resolved(res.token, res.outcome, ctx);
                 }
             }
             AppEvent::Tcp(h, tcp_ev) => {
-                if !self.conns.contains_key(&h) {
-                    return;
-                }
+                let Some(conn) = self.conns.get(&h) else { return };
+                let connecting = conn.phase == ConnPhase::Connecting;
+                let busy = conn.current.is_some() || !conn.queue.is_empty();
                 match tcp_ev {
-                    TcpEvent::Connected => {
-                        if let Some(Route::HttpProxy(p)) = self.conns.get(&h).map(|c| c.route) {
-                            self.mark_proxy_up(p, ctx);
-                        }
-                        let lctx = self.load_ctx();
-                        let conn = self.conns.get_mut(&h).expect("checked");
-                        let sp = std::mem::replace(&mut conn.connect_span, sc_obs::SpanId::NONE);
-                        sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
-                        let via = match conn.route {
-                            Route::Direct => "direct",
-                            Route::Socks(_) => "socks",
-                            Route::HttpProxy(_) => "http_proxy",
-                        };
-                        conn.tunnel_span = sc_obs::span_start_ctx(
-                            ctx.now().as_micros(),
-                            sc_obs::Level::Debug,
-                            "web",
-                            "load",
-                            "tunnel",
-                            lctx,
-                            |f| {
-                                f.field("via", via);
-                            },
-                        );
-                        match conn.route {
-                            Route::Direct => self.begin_app_layer(h, ctx),
-                            Route::Socks(_) => {
-                                conn.phase = ConnPhase::SocksGreetSent;
-                                ctx.tcp_send_bytes(h, Bytes::from_static(&[5, 1, 0]));
-                            }
-                            Route::HttpProxy(_) => {
-                                if conn.port == 80 {
-                                    // Absolute-form proxying, no CONNECT.
-                                    conn.phase = ConnPhase::Ready;
-                                    let sp = std::mem::replace(
-                                        &mut conn.tunnel_span,
-                                        sc_obs::SpanId::NONE,
-                                    );
-                                    sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
-                                    self.pump_conn(h, ctx);
-                                } else {
-                                    conn.phase = ConnPhase::ProxyConnectSent;
-                                    let authority = format_args!("{}:{}", conn.host, conn.port);
-                                    let req = HttpRequest::new("CONNECT", authority)
-                                        .header("Host", &conn.host)
-                                        .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.tunnel_span));
-                                    ctx.tcp_send_bytes(h, req.into_wire());
-                                }
-                            }
-                        }
-                    }
+                    TcpEvent::Connected => self.on_connected(h, ctx),
                     TcpEvent::DataReceived => {
                         let data = ctx.tcp_recv_all(h);
                         self.on_bytes(h, data, ctx);
                     }
+                    TcpEvent::ConnectFailed | TcpEvent::Reset if connecting => {
+                        let reason = match tcp_ev {
+                            TcpEvent::ConnectFailed => "connect_refused",
+                            _ => "connect_reset",
+                        };
+                        self.proxy_conn_failed(h, reason, ctx);
+                    }
                     TcpEvent::ConnectFailed | TcpEvent::Reset => {
-                        let connecting = self
-                            .conns
-                            .get(&h)
-                            .is_some_and(|c| c.phase == ConnPhase::Connecting);
-                        if connecting {
-                            let reason = if matches!(tcp_ev, TcpEvent::ConnectFailed) {
-                                "connect_refused"
-                            } else {
-                                "connect_reset"
-                            };
-                            self.proxy_conn_failed(h, reason, ctx);
-                        } else {
-                            self.fail_load(ctx);
-                        }
+                        self.end_load(LoadEnd::Failed, ctx);
                     }
                     TcpEvent::PeerClosed => {
                         // Server closed (keep-alive expiry): drop the conn;
                         // outstanding work fails the load.
-                        let had_work = self
-                            .conns
-                            .get(&h)
-                            .is_some_and(|c| c.current.is_some() || !c.queue.is_empty());
-                        if let Some(mut conn) = self.conns.remove(&h) {
-                            conn.end_spans(ctx.now(), "peer_closed");
-                            self.by_host.retain(|&(_, _, open)| open != h);
-                        }
-                        if had_work {
-                            self.fail_load(ctx);
+                        self.drop_conn(h, "peer_closed", ctx.now());
+                        if busy {
+                            self.end_load(LoadEnd::Failed, ctx);
                         }
                     }
                     _ => {}
@@ -1245,93 +1140,72 @@ impl App for Browser {
 }
 
 impl Browser {
+    fn on_connected(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+        if let Some(Route::HttpProxy(p)) = self.conns.get(&h).map(|c| c.route) {
+            self.mark_proxy_up(p, ctx);
+        }
+        let lctx = self.load_ctx();
+        let Some(conn) = self.conns.get_mut(&h) else { return };
+        let sp = std::mem::replace(&mut conn.connect_span, SpanId::NONE);
+        sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
+        let via = match conn.route {
+            Route::Direct => "direct",
+            Route::Socks(_) => "socks",
+            Route::HttpProxy(_) => "http_proxy",
+        };
+        conn.tunnel_span = load_span(ctx.now(), "tunnel", lctx, |f| {
+            f.field("via", via);
+        });
+        match conn.route {
+            Route::Direct => self.begin_app_layer(h, ctx),
+            Route::Socks(_) => {
+                conn.phase = ConnPhase::SocksGreetSent;
+                ctx.tcp_send_bytes(h, Bytes::from_static(&[5, 1, 0]));
+            }
+            // Absolute-form proxying, no CONNECT.
+            Route::HttpProxy(_) if conn.port == 80 => self.tunnel_ready(h, ctx),
+            Route::HttpProxy(_) => {
+                conn.phase = ConnPhase::ProxyConnectSent;
+                let req = HttpRequest::new("CONNECT", format_args!("{}:{}", conn.host, conn.port))
+                    .header("Host", &conn.host)
+                    .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.tunnel_span));
+                ctx.tcp_send_bytes(h, req.into_wire());
+            }
+        }
+    }
+
     fn on_bytes(&mut self, h: TcpHandle, data: Bytes, ctx: &mut Ctx<'_>) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         // What of `data` belongs to the TLS / HTTP stream: all of it, once
         // the proxy preliminaries are over.
-        let mut stream = data.clone();
-        match conn.phase {
-            ConnPhase::SocksGreetSent => {
-                if data.starts_with(&[5, 0]) {
-                    conn.phase = ConnPhase::SocksConnectSent;
-                    let host = conn.host.as_bytes();
-                    let mut req = BytesMut::with_capacity(7 + host.len());
-                    req.put_slice(&[5, 1, 0, 3, host.len() as u8]);
-                    req.put_slice(host);
-                    req.put_u16(conn.port);
-                    ctx.tcp_send_bytes(h, req.freeze());
-                } else {
-                    self.fail_load(ctx);
+        let stream = match conn.phase {
+            ConnPhase::SocksGreetSent if data.starts_with(&[5, 0]) => {
+                conn.phase = ConnPhase::SocksConnectSent;
+                // The host goes into the request and back, not copied.
+                let target = TargetAddr::Domain(std::mem::take(&mut conn.host), conn.port);
+                let mut req = BytesMut::with_capacity(3 + target.encoded_len());
+                req.put_slice(&[5, 1, 0]);
+                target.encode_into(&mut req);
+                if let TargetAddr::Domain(host, _) = target {
+                    conn.host = host;
                 }
+                ctx.tcp_send_bytes(h, req.freeze());
                 return;
             }
-            ConnPhase::SocksConnectSent => {
-                if data.len() >= 10 && data[0] == 5 && data[1] == 0 {
-                    stream = data.slice(10..);
-                    self.begin_app_layer(h, ctx);
-                    if stream.is_empty() {
-                        return;
-                    }
-                } else {
-                    self.fail_load(ctx);
+            ConnPhase::SocksConnectSent if data.len() >= 10 && data[0] == 5 && data[1] == 0 => {
+                let rest = data.slice(10..);
+                self.begin_app_layer(h, ctx);
+                if rest.is_empty() {
                     return;
                 }
+                rest
             }
-            ConnPhase::ProxyConnectSent => {
-                let Ok(msgs) = conn.proxy_http.push_bytes(data) else {
-                    self.fail_load(ctx);
-                    return;
-                };
-                let mut ok = false;
-                for m in msgs {
-                    if let HttpMessage::Response(r) = m {
-                        if r.status == 200 {
-                            ok = true;
-                        } else {
-                            // The proxy refused or degraded: keep the
-                            // status so the harness can tell a 403
-                            // (policy) from a 429 (throttled) from a
-                            // 502/503 (upstream dark or shed).
-                            let retry_after = r
-                                .header_value("Retry-After")
-                                .and_then(|v| v.trim().parse::<u64>().ok());
-                            if let Some(load) = self.load.as_mut() {
-                                load.proxy_status = Some(r.status);
-                                if r.status == 429 || retry_after.is_some() {
-                                    load.throttled = true;
-                                }
-                            }
-                            sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_errors", 1);
-                            sc_obs::event(
-                                ctx.now().as_micros(),
-                                sc_obs::Level::Warn,
-                                "web",
-                                "browser",
-                                "proxy_error",
-                                |f| {
-                                    f.field("status", r.status);
-                                },
-                            );
-                            if matches!(r.status, 429 | 503) && retry_after.is_some() {
-                                if let Some(secs) = retry_after {
-                                    if self.throttle_backoff(secs, ctx) {
-                                        return;
-                                    }
-                                }
-                            }
-                            self.fail_load(ctx);
-                            return;
-                        }
-                    }
-                }
-                if ok {
-                    self.begin_app_layer(h, ctx);
-                }
-                return;
+            ConnPhase::SocksGreetSent | ConnPhase::SocksConnectSent => {
+                return self.end_load(LoadEnd::Failed, ctx);
             }
-            _ => {}
-        }
-
+            ConnPhase::ProxyConnectSent => return self.on_connect_answer(h, data, ctx),
+            _ => data,
+        };
         // TLS / plain processing.
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let plaintext = match conn.tls.as_mut() {
@@ -1340,18 +1214,12 @@ impl Browser {
                     let _prof = prof::scope(Subsystem::Crypto);
                     tls.on_bytes(&stream)
                 };
-                let Ok(out) = out else {
-                    self.fail_load(ctx);
-                    return;
-                };
+                let Ok(out) = out else { return self.end_load(LoadEnd::Failed, ctx) };
                 if !out.wire.is_empty() {
                     ctx.tcp_send_bytes(h, out.wire);
                 }
                 if out.handshake_complete {
-                    conn.phase = ConnPhase::Ready;
-                    let sp = std::mem::replace(&mut conn.tunnel_span, sc_obs::SpanId::NONE);
-                    sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
-                    self.pump_conn(h, ctx);
+                    self.tunnel_ready(h, ctx);
                 }
                 out.plaintext
             }
@@ -1362,13 +1230,74 @@ impl Browser {
         }
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let Ok(msgs) = conn.http.push_bytes(plaintext) else {
-            self.fail_load(ctx);
-            return;
+            return self.end_load(LoadEnd::Failed, ctx);
         };
         for m in msgs {
             if let HttpMessage::Response(resp) = m {
                 self.on_response(h, resp, ctx);
             }
         }
+    }
+
+    /// The HTTP proxy's answer to CONNECT: a `200` opens the tunnel.
+    fn on_connect_answer(&mut self, h: TcpHandle, data: Bytes, ctx: &mut Ctx<'_>) {
+        let Some(conn) = self.conns.get_mut(&h) else { return };
+        let Ok(msgs) = conn.proxy_http.push_bytes(data) else {
+            return self.end_load(LoadEnd::Failed, ctx);
+        };
+        let mut ok = false;
+        for m in msgs {
+            let HttpMessage::Response(r) = m else { continue };
+            if r.status == 200 {
+                ok = true;
+                continue;
+            }
+            // The proxy refused or degraded: the load keeps the status so
+            // the harness can tell a 403 (policy) from a 429 (throttled)
+            // from a 502/503 (upstream dark or shed).
+            let t_us = ctx.now().as_micros();
+            sc_obs::ts_bump(t_us, "web.proxy_errors", 1);
+            sc_obs::event(t_us, sc_obs::Level::Warn, "web", "browser", "proxy_error", |f| {
+                f.field("status", r.status);
+            });
+            if !self.proxy_throttled(&r, ctx) {
+                self.end_load(LoadEnd::Failed, ctx);
+            }
+            return;
+        }
+        if ok {
+            self.begin_app_layer(h, ctx);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn timer_tokens_round_trip() {
+        let timers = [
+            Timer::Ramp,
+            Timer::Wait,
+            Timer::DnsRetry,
+            Timer::NextLoad,
+            Timer::Deadline(0),
+            Timer::Deadline(7),
+            Timer::Throttle(7),
+            Timer::Connect(TcpHandle(3)),
+            Timer::Connect(TcpHandle(123_456)),
+        ];
+        for timer in timers {
+            assert_eq!(Timer::from_token(timer.token()), Some(timer));
+        }
+        // The deadlines of two loads, and the connect deadlines of two
+        // handles, are told apart by their tokens: nothing else keeps them.
+        assert_ne!(Timer::Deadline(0).token(), Timer::Deadline(1).token());
+        assert_ne!(Timer::Connect(TcpHandle(3)).token(), Timer::Connect(TcpHandle(4)).token());
+        let distinct: BTreeSet<u64> = timers.iter().map(|t| t.token()).collect();
+        assert_eq!(distinct.len(), timers.len());
+        assert_eq!(Timer::from_token(u64::MAX), None);
+        assert_eq!(Timer::from_token(7 << VALUE_BITS), None);
     }
 }

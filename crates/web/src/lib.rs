@@ -13,10 +13,7 @@ pub mod browser;
 pub mod origin;
 pub mod page;
 
-pub use browser::{
-    Browser, BrowserConfig, LoadLog, PageLoadResult, ProxyPolicy, new_load_log,
-    sc_ready::ReadyProbe,
-};
+pub use browser::{Browser, BrowserConfig, LoadLog, PageLoadResult, ProxyPolicy, new_load_log};
 pub use origin::OriginServer;
 pub use page::{PageSpec, Resource};
 
@@ -33,6 +30,11 @@ mod tests {
     const ACCOUNTS: Addr = Addr::new(99, 2, 0, 2);
 
     fn topology() -> (Sim, NodeId) {
+        topology_serving(PageSpec::google_scholar())
+    }
+
+    /// The test network, its Scholar origin serving `page`.
+    fn topology_serving(page: PageSpec) -> (Sim, NodeId) {
         let mut sim = Sim::new(3);
         let client = sim.add_node("client", CLIENT);
         let cernet = sim.add_node("cernet", Addr::new(10, 0, 0, 254));
@@ -63,11 +65,7 @@ mod tests {
         let scholar_node = sim.node_by_addr(SCHOLAR).unwrap();
         sim.install_app(
             scholar_node,
-            Box::new(OriginServer::new(
-                "scholar.google.com",
-                PageSpec::google_scholar(),
-                11,
-            )),
+            Box::new(OriginServer::new("scholar.google.com", page, 11)),
         );
         let accounts_node = sim.node_by_addr(ACCOUNTS).unwrap();
         sim.install_app(
@@ -178,20 +176,46 @@ mod tests {
         assert_eq!(log[0].proxy_status, Some(503));
     }
 
+    /// Loads twice a Scholar page whose manifest names `host`, which no
+    /// DNS query can carry: both loads are logged as failed, and the
+    /// simulation runs on past the first.
+    fn bad_manifest_host_fails_each_load(host: &str) {
+        let mut page = PageSpec::google_scholar();
+        let bad = Resource { host: host.into(), path: "/bad".into(), len: 100, first_visit_only: false };
+        page.resources.push(bad);
+        let (mut sim, client) = topology_serving(page);
+        let log = new_load_log();
+        let mut cfg = BrowserConfig::scholar(RESOLVER, ProxyPolicy::Direct);
+        cfg.loads = 2;
+        sim.install_app(client, Box::new(Browser::new(cfg, None, log.clone())));
+        sim.run_for(SimDuration::from_secs(150));
+        let log = log.borrow();
+        assert_eq!(log.len(), 2, "both loads end: {log:?}");
+        assert!(log.iter().all(|r| r.failed && r.plt.is_none()), "a bad host fails its load: {log:?}");
+    }
+
+    #[test]
+    fn an_empty_manifest_host_fails_the_load() {
+        bad_manifest_host_fails_each_load("");
+    }
+
+    #[test]
+    fn a_manifest_host_too_long_for_dns_fails_the_load() {
+        bad_manifest_host_fails_each_load(&"a".repeat(300));
+    }
+
     #[test]
     fn ready_gate_delays_first_load() {
         use std::cell::Cell;
         use std::rc::Rc;
         let (mut sim, client) = topology();
         let ready = Rc::new(Cell::new(false));
-        let probe = {
-            let ready = ready.clone();
-            ReadyProbe::new(move || ready.get())
-        };
+        let flag = ready.clone();
+        let gate = Rc::new(move || flag.get());
         let log = new_load_log();
         let mut cfg = BrowserConfig::scholar(RESOLVER, ProxyPolicy::Direct);
         cfg.loads = 1;
-        sim.install_app(client, Box::new(Browser::new(cfg, Some(probe), log.clone())));
+        sim.install_app(client, Box::new(Browser::new(cfg, Some(gate), log.clone())));
         sim.run_for(SimDuration::from_secs(5));
         assert!(log.borrow().is_empty(), "must wait for the gate");
         ready.set(true);

@@ -94,19 +94,6 @@ impl PageSpec {
         }
     }
 
-    /// A small unblocked page (the Amazon-like domestic/US baseline).
-    pub fn simple(host: &str, html_len: usize) -> Self {
-        PageSpec {
-            html_len,
-            resources: vec![Resource {
-                host: host.into(),
-                path: "/style.css".into(),
-                len: 2_000,
-                first_visit_only: false,
-            }],
-        }
-    }
-
     /// Renders the HTML body: manifest lines followed by padding.
     pub fn render_html(&self) -> Vec<u8> {
         const PADDING: &[u8] = b"<p>scholarly padding content for realistic sizing</p>\n";
@@ -169,17 +156,24 @@ impl PageSpec {
         let first = parts.next()? == "first";
         Some(Resource { host, path, len, first_visit_only: first })
     }
-
-    /// Total bytes fetched on a first visit (HTML + all resources).
-    pub fn first_visit_bytes(&self) -> usize {
-        self.html_len + self.resources.iter().map(|r| r.len).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// A small page on `example.com`: 4 000 bytes of HTML and one
+    /// stylesheet.
+    fn small_page() -> PageSpec {
+        let style = Resource {
+            host: "example.com".into(),
+            path: "/style.css".into(),
+            len: 2_000,
+            first_visit_only: false,
+        };
+        PageSpec { html_len: 4_000, resources: vec![style] }
+    }
 
     /// What `parse_manifest` reads, owned.
     fn owned(html: &[u8]) -> Vec<Resource> {
@@ -248,7 +242,7 @@ mod tests {
     fn render_html_writes_what_format_rendered_into_one_allocation() {
         let mut short = PageSpec::google_scholar();
         short.html_len = 60; // shorter than its own manifest
-        for page in [PageSpec::google_scholar(), PageSpec::simple("example.com", 4_000), short] {
+        for page in [PageSpec::google_scholar(), small_page(), short] {
             let mut want = String::from("<!doctype html><!-- scholar page -->\n");
             for r in &page.resources {
                 let visits = if r.first_visit_only { "first" } else { "always" };
@@ -268,7 +262,8 @@ mod tests {
     #[test]
     fn scholar_page_is_about_19_kb() {
         // The paper's direct-access baseline traffic is ~19 KB.
-        let total = PageSpec::google_scholar().first_visit_bytes();
+        let page = PageSpec::google_scholar();
+        let total = page.html_len + page.resources.iter().map(|r| r.len).sum::<usize>();
         assert!((17_000..=20_000).contains(&total), "total {total}");
     }
 
@@ -282,7 +277,7 @@ mod tests {
 
     #[test]
     fn manifest_ignores_padding() {
-        let page = PageSpec::simple("example.com", 4_000);
+        let page = small_page();
         let html = page.render_html();
         assert_eq!(PageSpec::parse_manifest(&html).count(), 1);
     }

@@ -11,10 +11,10 @@
 # Items. Every `pub` fn, method, struct, enum, const, static, type and
 # trait in the code of a `crates/*/src` file, with the lines that
 # mention its name in crates/, tests/, examples/, benchmark/src and
-# src/ — its declaration, `use` lines and comments aside. An item nobody
-# mentions fails; one that only test code (tests/, crates/*/tests, an
-# item under a `#[cfg(test)]`) or only benchmark/src mentions is listed
-# as such.
+# src/ — its declaration, `use` lines, comments and the insides of
+# string and char literals aside. An item nobody mentions fails; one
+# that only test code (tests/, crates/*/tests, an item under a
+# `#[cfg(test)]`) or only benchmark/src mentions is listed as such.
 #
 # Fields. Every named field of a struct in the code of `crates/*/src`
 # fails when each line that mentions its name assigns it
@@ -112,13 +112,37 @@ function classify(line) {
     # "test" for an item under a #[cfg(test)], else the file class.
     return in_test(line) ? "test" : (cls == "decl" ? "code" : cls)
 }
-function strip(line) {
-    # Comments and use lines mention nothing.
-    if (inuse) { if (line ~ /;/) inuse = 0; return "" }
-    if (line ~ /^[[:space:]]*(pub(\([a-z]+\))? )?use /) { if (line !~ /;/) inuse = 1; return "" }
-    if (line ~ /^[[:space:]]*\/\//) return ""
-    sub(/[[:space:]]\/\/.*/, "", line)
-    return line
+function strip(line,    out, m) {
+    # Comments, use lines and what string and char literals say mention
+    # nothing. A string may run on over lines: `lit` is the delimiter
+    # that closes the one still open (a quote, or for a raw string the
+    # quote and its hashes) and `esc` whether a backslash escapes in it.
+    if (lit == "" && inuse) { if (line ~ /;/) inuse = 0; return "" }
+    if (lit == "" && line ~ /^[[:space:]]*(pub(\([a-z]+\))? )?use /) { if (line !~ /;/) inuse = 1; return "" }
+    out = ""
+    while (line != "") {
+        if (lit != "") {
+            if (esc) {
+                if (!match(line, /^([^"\\]|\\.)*"/)) return out
+                line = substr(line, RLENGTH + 1)
+            } else {
+                m = index(line, lit); if (!m) return out
+                line = substr(line, m + length(lit))
+            }
+            lit = ""; out = out "\"\""; continue
+        }
+        if (!match(line, /\/\/|r#*"|"|\047/)) return out line
+        out = out substr(line, 1, RSTART - 1); m = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+        if (m == "//") return out
+        if (m == "\047") {
+            # A char literal (a quote, an escape, a \u{..} in quotes), or
+            # the quote of a lifetime or a label, which none closes.
+            if (match(line, /^(\\.[^\047]*|[^\\\047])\047/)) line = substr(line, RLENGTH + 1)
+            continue
+        }
+        esc = m == "\""; lit = "\"" substr(m, 2, length(m) - 2)
+    }
+    return out
 }
 BEGIN {
     while ((getline l < "'"$_files"'") > 0) { split(l, p, " "); cls_of[p[2]] = p[1]; order[++nf] = p[2] }
@@ -151,7 +175,7 @@ BEGIN {
     }
     # Pass 2: mentions of every declared name, and reads of every field.
     for (i = 1; i <= nf; i++) {
-        f = order[i]; cls = cls_of[f]; _t = 0; inuse = 0
+        f = order[i]; cls = cls_of[f]; _t = 0; inuse = 0; lit = ""
         while ((getline line < f) > 0) {
             c = classify(line); line = strip(line); if (line == "") continue
             nw = split(line, w, /[^A-Za-z0-9_]+/); delete seen; prev = ""

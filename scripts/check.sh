@@ -447,13 +447,29 @@ fail_if_found "the dissolved resilience config struct named again" \
 fail_if_found "a deleted app, knob, auth mode or dead-entry table is back" \
     grep -rnE 'StaticSit[e]|struct Capacit[y]|fn with_aut[h]|BrowserConn::Dea[d]' \
         crates src examples tests benchmark/src --include='*.rs'
+# The browser is one state machine (DESIGN.md §6h): a timer is a typed
+# token carrying its load index or handle, the RTT probe a typed queue
+# entry and the readiness gate a plain closure. The token ranges, the
+# tables that decoded them, the sentinel path and the gate wrapper stay
+# gone (bracketed so that this file does not match).
+fail_if_found "a browser token range, token table, sentinel path or gate wrapper is back" \
+    grep -rnE 'TIMER_CONNECT_BAS[E]|connect_deadline[s]|throttle_wait_fo[r]|\\u\{0\}rt[t]|ReadyProb[e]' crates/web/src
 # The census can fail: a copy of the sources with one `pub fn` nobody
-# mentions and one counter nobody reads is refused, and both are named.
+# mentions, one only a string literal names and one counter nobody reads
+# is refused, and all three are named; a `pub fn` called after a raw
+# string, an escaped quote and a quote in a char literal is not.
 _plant=$(mktemp -d)
 cp -R scripts crates tests examples src "$_plant"
 mkdir "$_plant/benchmark" && cp -R benchmark/src "$_plant/benchmark"
 cat > "$_plant/crates/dns/src/planted.rs" <<'PLANTED'
 pub fn planted_dead_fn() {}
+pub fn planted_string_only() {}
+pub fn planted_live_fn() {}
+fn planted_reader() -> &'static str {
+    let _ = (r#"a "raw" string"#, "an \" escape", '"');
+    planted_live_fn();
+    "planted_string_only()"
+}
 struct Planted {
     planted_write_only: u64,
 }
@@ -464,13 +480,18 @@ impl Planted {
 }
 PLANTED
 if _out=$(sh "$_plant/scripts/census.sh" 2>&1); then
-    echo "structure: the census passed a planted dead fn and write-only field" >&2; exit 1
+    echo "structure: the census passed a planted dead fn, string-only fn and write-only field" >&2; exit 1
 fi
 rm -rf "$_plant"
+for _want in "item planted_dead_fn " "item planted_string_only " "field Planted.planted_write_only@"; do
+    case "$_out" in
+        *"$_want"*) ;;
+        *) echo "structure: the census failed without naming $_want:" >&2
+           echo "$_out" | tail -5 >&2; exit 1 ;;
+    esac
+done
 case "$_out" in
-    *"item planted_dead_fn "*"field Planted.planted_write_only@"*) ;;
-    *) echo "structure: the census failed without naming both planted items:" >&2
-       echo "$_out" | tail -5 >&2; exit 1 ;;
+    *"item planted_live_fn "*) echo "structure: the census lost a call that follows string and char literals" >&2; exit 1 ;;
 esac
 echo "structure: ok (every config field has a writer, every pub item a mention, every field a reader)"
 
