@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{App, AppEvent, UdpHandle};
+use sc_simnet::api::{App, AppEvent, Io, UdpHandle};
 use sc_simnet::hash::FixedMap;
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimTime;

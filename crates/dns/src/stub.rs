@@ -6,9 +6,8 @@
 use std::collections::BTreeMap;
 
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::UdpHandle;
+use sc_simnet::api::{Io, UdpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimTime;
 
 use crate::message::{DnsMessage, Rcode};
@@ -69,8 +68,8 @@ impl StubResolver {
     }
 
     /// Binds the stub's socket; call from the app's `on_start`.
-    pub fn bind(&mut self, ctx: &mut Ctx<'_>) {
-        self.sock = ctx.udp_bind(0);
+    pub fn bind(&mut self, io: &mut impl Io) {
+        self.sock = io.udp_bind(0);
     }
 
     /// The socket handle, once bound.
@@ -85,11 +84,11 @@ impl StubResolver {
     /// # Panics
     ///
     /// Panics if [`StubResolver::bind`] has not been called.
-    pub fn resolve(&mut self, name: &str, token: u64, ctx: &mut Ctx<'_>) -> Option<Resolution> {
+    pub fn resolve(&mut self, name: &str, token: u64, io: &mut impl Io) -> Option<Resolution> {
         let sock = self.sock.expect("StubResolver::bind not called");
         let key = name.to_ascii_lowercase();
         if let Some(hit) = self.cache.get(&key) {
-            if hit.expires > ctx.now() {
+            if hit.expires > io.now() {
                 self.cache_hits += 1;
                 return Some(Resolution {
                     name: key,
@@ -103,7 +102,7 @@ impl StubResolver {
         let id = self.next_id;
         self.next_id = self.next_id.wrapping_add(1).max(1);
         self.pending.insert(id, (key.clone(), token));
-        ctx.udp_send(sock, self.server, DnsMessage::query(id, &key).encode());
+        io.udp_send(sock, self.server, DnsMessage::query(id, &key).encode());
         None
     }
 
@@ -146,10 +145,10 @@ impl StubResolver {
     /// # Panics
     ///
     /// Panics if [`StubResolver::bind`] has not been called.
-    pub fn retry_pending(&mut self, ctx: &mut Ctx<'_>) {
+    pub fn retry_pending(&mut self, io: &mut impl Io) {
         let sock = self.sock.expect("StubResolver::bind not called");
         for (&id, (name, _)) in &self.pending {
-            ctx.udp_send(sock, self.server, DnsMessage::query(id, name).encode());
+            io.udp_send(sock, self.server, DnsMessage::query(id, name).encode());
         }
     }
 }

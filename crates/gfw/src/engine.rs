@@ -152,11 +152,9 @@ impl GfwMiddlebox {
     }
 }
 
-/// Records one GFW verdict in the observability layer: a timeline bump
-/// plus, when tracing is enabled, an event carrying the rule label (and
-/// how many spoofed RSTs were injected alongside the drop).
+/// Records one GFW verdict in the trace: an event carrying the rule
+/// label (and how many spoofed RSTs were injected alongside the drop).
 fn trace_drop(now: sc_simnet::time::SimTime, rule: &'static str, pkt: &Packet, rsts: u32) {
-    sc_obs::ts_bump(now.as_micros(), "gfw.drops", 1);
     sc_obs::event(now.as_micros(), sc_obs::Level::Info, "gfw", "verdict", "drop", |f| {
         f.field("rule", rule).field("src", pkt.src).field("dst", pkt.dst);
         if rsts > 0 {

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use rand::Rng;
 use sc_simnet::addr::SocketAddr;
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::sim::Ctx;
 use sc_simnet::time::{SimDuration, SimTime};
 

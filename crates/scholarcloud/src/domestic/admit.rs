@@ -14,10 +14,10 @@ use sc_netproto::http::{HttpRequest, HttpResponse};
 use sc_netproto::socks::{TargetAddr, MAX_DOMAIN_LEN};
 use sc_obs::{Level, Quoted, TraceCtx};
 use sc_simnet::addr::Addr;
-use sc_simnet::api::TcpHandle;
+use sc_simnet::api::{Io, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
-use super::io::{Io, Timer};
+use super::io::Timer;
 use super::trace::{self, target_label};
 use super::Step;
 use crate::admission::{AdmissionController, Decision, RETRY_AFTER};
@@ -116,7 +116,7 @@ impl Admit {
     pub fn ensure_queue_tick(&mut self, io: &mut impl Io) {
         if !self.queue_tick_armed && self.ctl.queue_depth() > 0 {
             self.queue_tick_armed = true;
-            io.timer(QUEUE_TICK, Timer::QueueTick);
+            io.set_timer(QUEUE_TICK, Timer::QueueTick.token());
         }
     }
 
@@ -127,8 +127,8 @@ impl Admit {
         trace::event(io.now(), Level::Warn, "domestic", "whitelist_refused", |f| {
             f.field("host", host);
         });
-        io.send(browser, HttpResponse::new(403, Vec::new()).into_wire());
-        io.close(browser);
+        io.tcp_send_bytes(browser, HttpResponse::new(403, Vec::new()).into_wire());
+        io.tcp_close(browser);
     }
 
     /// Bytes that never parse as HTTP are not a browser — they are a
@@ -136,8 +136,8 @@ impl Admit {
     /// RST, the exact silent-proxy signature probing looks for; serve
     /// the same boring decoy as the remote side and close cleanly.
     pub fn decoy(&self, conn: TcpHandle, io: &mut impl Io) {
-        io.send(conn, Bytes::from(decoy_response()));
-        io.close(conn);
+        io.tcp_send_bytes(conn, Bytes::from(decoy_response()));
+        io.tcp_close(conn);
         self.cfg.interference.note_probe();
         trace::event(io.now(), Level::Info, "domestic", "decoy", |f| {
             f.field("reason", "not_http");
@@ -156,7 +156,7 @@ impl Admit {
     ) -> Step {
         // A name longer than a stream header can carry is no host.
         let Some((host, port)) = req.target().rsplit_once(':').filter(|(host, _)| host.len() <= MAX_DOMAIN_LEN) else {
-            io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
+            io.tcp_send_bytes(browser, HttpResponse::new(400, Vec::new()).into_wire());
             return Step::Done;
         };
         if !self.cfg.whitelisted(host) {
@@ -191,7 +191,6 @@ impl Admit {
                 && board.sickest() == *idx
                 && depth > 0
             {
-                trace::bump(now, "scholarcloud.fleet_shed", 1);
                 trace::event(now, Level::Warn, "fleet", "fleet_shed", |f| {
                     f.field("shard", *idx)
                         .field("queue_depth", Quoted(depth as u64))
@@ -242,14 +241,15 @@ impl Admit {
     pub fn refuse(&self, browser: TcpHandle, code: u16, reason: &'static str, io: &mut impl Io) {
         let secs = RETRY_AFTER.as_micros().div_ceil(1_000_000);
         let resp = HttpResponse::new(code, Vec::new()).header_fmt("Retry-After", secs.max(1));
-        io.send(browser, resp.into_wire());
-        io.close(browser);
-        let (series, name) = if code == 429 {
-            ("scholarcloud.throttled", "throttle")
+        io.tcp_send_bytes(browser, resp.into_wire());
+        io.tcp_close(browser);
+        let name = if code == 429 {
+            sc_obs::ts_bump(io.now().as_micros(), "scholarcloud.throttled", 1);
+            "throttle"
         } else {
-            ("scholarcloud.shed", "shed")
+            sc_obs::ts_bump(io.now().as_micros(), "scholarcloud.shed", 1);
+            "shed"
         };
-        trace::bump(io.now(), series, 1);
         trace::event(io.now(), Level::Warn, "admission", name, |f| {
             f.field("code", Quoted(code.into()))
                 .field("reason", reason)

@@ -16,15 +16,16 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::BytesMut;
+use rand::Rng;
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::http::HttpResponse;
 use sc_obs::{Level, Quoted, SpanId};
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::TcpHandle;
+use sc_simnet::api::{Io, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
 use super::admit::Request;
-use super::io::{Io, Timer};
+use super::io::Timer;
 use super::relay::Replay;
 use super::remotes::Remotes;
 use super::trace::{self, target_label};
@@ -232,13 +233,11 @@ impl Establish {
     ) -> Option<Addr> {
         let now = io.now();
         let pt = self.drop_pending(browser, Dropped::Failed { code, reason }, now);
-        io.send(browser, HttpResponse::new(code, Vec::new()).into_wire());
-        io.close(browser);
-        let series = match code {
-            503 => "scholarcloud.fail_fast",
-            _ => "scholarcloud.tunnel_failures",
-        };
-        trace::bump(now, series, 1);
+        io.tcp_send_bytes(browser, HttpResponse::new(code, Vec::new()).into_wire());
+        io.tcp_close(browser);
+        if code != 503 {
+            sc_obs::ts_bump(now.as_micros(), "scholarcloud.tunnel_failures", 1);
+        }
         trace::event(now, Level::Warn, "resilience", "tunnel_failed", |f| {
             f.field("code", Quoted(code.into())).field("reason", reason);
             match &pt {
@@ -265,7 +264,7 @@ impl Establish {
             return Abandoned::Queued;
         }
         if let Some(rh) = pt.attempt {
-            io.abort(rh);
+            io.tcp_abort(rh);
             if let Some(mut at) = self.attempts.remove(&rh) {
                 remotes.stream_end(at.remote_idx, now);
                 trace::end(now, &mut at.span, |f| {
@@ -321,7 +320,7 @@ impl Establish {
             let expired = now.saturating_since(since) >= QUEUE_FAIL_AFTER;
             if !expired && !pt.retry_armed {
                 pt.retry_armed = true;
-                io.timer(PARK_RECHECK, Timer::Retry(browser));
+                io.set_timer(PARK_RECHECK, Timer::Retry(browser).token());
             }
             let mut overflow = Vec::new();
             if newly_parked {
@@ -362,7 +361,7 @@ impl Establish {
         if let Some(p) = prev.filter(|&p| p != idx) {
             // benchmark/src/run.rs reads this counter until ROADMAP 8j moves it to the trace.
             sc_obs::counter_add("scholarcloud.failovers", 1);
-            trace::bump(now, "scholarcloud.failovers", 1);
+            sc_obs::ts_bump(now.as_micros(), "scholarcloud.failovers", 1);
             trace::event(now, Level::Info, "resilience", "failover", |f| {
                 f.field("from", remotes.addr(p)).field("to", remote).field("attempt", Quoted(attempt.into()));
             });
@@ -373,7 +372,7 @@ impl Establish {
         // attempt takes effect here (the live scheme handle is re-read).
         let hello = Hello {
             scheme: self.cfg.scheme.get(),
-            nonce: io.rand_u64(),
+            nonce: io.rng().gen(),
             generation: self.cfg.scheme.generation(),
         };
         let encrypt = !pt.req.header.is_tls;
@@ -390,13 +389,13 @@ impl Establish {
         wire.extend_from_slice(&pt.req.initial_plain);
         tx.encode(&mut wire[preamble..]);
         remotes.stream_start(idx);
-        let rh = io.connect(remote);
+        let rh = io.tcp_connect(remote);
         pt.attempt = Some(rh);
         self.attempts.insert(
             rh,
             Attempt { browser, remote_idx: idx, started: now, wire, tx, rx, up_bytes: 0, span },
         );
-        io.timer(CONNECT_TIMEOUT, Timer::ConnectDeadline(rh));
+        io.set_timer(CONNECT_TIMEOUT, Timer::ConnectDeadline(rh).token());
         Step::Done
     }
 
@@ -438,7 +437,7 @@ impl Establish {
         if !self.attempts.contains_key(&rh) {
             return false;
         }
-        io.abort(rh);
+        io.tcp_abort(rh);
         true
     }
 
@@ -471,7 +470,7 @@ impl Establish {
     /// Schedules `browser`'s next attempt after a jittered backoff.
     pub fn backoff(&mut self, browser: TcpHandle, reason: &'static str, io: &mut impl Io) {
         let now = io.now();
-        let draw = io.rand_unit();
+        let draw = io.rng().gen();
         let Some(pt) = self.pending.get_mut(&browser) else { return };
         let delay = BACKOFF.delay(pt.attempts - 1, draw);
         pt.retry_armed = true;
@@ -484,7 +483,7 @@ impl Establish {
                 .field("attempt", Quoted(pt.attempts.into()))
                 .field("delay_us", Quoted(delay.as_micros()));
         });
-        io.timer(delay, Timer::Retry(browser));
+        io.set_timer(delay, Timer::Retry(browser).token());
     }
 
     /// Attempt `rh` connected: flush its queued bytes and hand the
@@ -498,7 +497,7 @@ impl Establish {
     ) -> Option<Up> {
         let mut at = self.attempts.remove(&rh)?;
         let now = io.now();
-        io.send(rh, std::mem::take(&mut at.wire).freeze());
+        io.tcp_send_bytes(rh, std::mem::take(&mut at.wire).freeze());
         trace::end(now, &mut at.span, |f| {
             f.field("ok", true);
         });
@@ -506,7 +505,7 @@ impl Establish {
         remotes.succeeded(at.remote_idx, rtt, now);
         let Some(mut pt) = self.pending.remove(&at.browser) else {
             // Nobody is waiting for this tunnel any more.
-            io.abort(rh);
+            io.tcp_abort(rh);
             remotes.stream_end(at.remote_idx, now);
             return None;
         };

@@ -18,11 +18,10 @@ use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse, Mess
 use sc_netproto::socks::MAX_DOMAIN_LEN;
 use sc_obs::{Fields, Level, Quoted, SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
-use sc_simnet::api::TcpHandle;
+use sc_simnet::api::{Io, TcpHandle};
 use sc_simnet::time::SimTime;
 
 use super::admit::{stream_header, trace_ctx_of, Request};
-use super::io::Io;
 use super::trace;
 use super::{Step, FLEET_HEADER};
 use crate::config::ScConfig;
@@ -145,7 +144,7 @@ impl Gateway {
         io: &mut impl Io,
     ) -> Step {
         let Some((host, port, path)) = split_target(&req) else {
-            io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
+            io.tcp_send_bytes(browser, HttpResponse::new(400, Vec::new()).into_wire());
             return Step::Done;
         };
         if !self.cfg.whitelisted(host) {
@@ -170,7 +169,6 @@ impl Gateway {
         let peer_hop = req.header_value(FLEET_HEADER).and_then(|v| v.parse::<usize>().ok());
         if let Some(from) = peer_hop {
             self.cfg.cache.borrow_mut().note_peer_serve();
-            trace::bump(now, "scholarcloud.peer_serves", 1);
             trace::event(now, Level::Debug, "fleet", "peer_serve", |f| {
                 trace::sharded(f, self.shard).field("from", Quoted(from as u64)).field("path", &key.1);
             });
@@ -199,9 +197,8 @@ impl Gateway {
         }
 
         enum Plan {
-            /// The answer, built from the entry where it lies, and the
-            /// length of the body it shares with it.
-            Hit(HttpResponse, usize),
+            /// The answer, built from the entry where it lies.
+            Hit(HttpResponse),
             Fetch { stored_etag: Option<String> },
         }
         let plan = {
@@ -211,7 +208,7 @@ impl Gateway {
                 Lookup::Fresh(entry) => {
                     let (resp, len) = (answer_from(entry, self.inm.remove(&browser)), entry.body.len());
                     cache.note_hit(len);
-                    Plan::Hit(resp, len)
+                    Plan::Hit(resp)
                 }
                 Lookup::Stale(_) => Plan::Fetch {
                     stored_etag: cache.etag_of(&key).filter(|e| !e.is_empty()).map(str::to_string),
@@ -233,11 +230,9 @@ impl Gateway {
             });
         trace::end(now, &mut lookup_span, |_| {});
         match plan {
-            Plan::Hit(resp, body_len) => {
-                trace::bump(now, "scholarcloud.cache_hits", 1);
-                trace::bump(now, "scholarcloud.cache_bytes_saved", body_len as u64);
+            Plan::Hit(resp) => {
                 self.cache_event(now, "hit", &key);
-                io.send(browser, resp.into_wire());
+                io.tcp_send_bytes(browser, resp.into_wire());
                 Step::Done
             }
             Plan::Fetch { stored_etag } => match self.flights.begin(&key, browser) {
@@ -248,7 +243,6 @@ impl Gateway {
                         f.field("path", &key.1);
                     });
                     self.cfg.cache.borrow_mut().note_coalesced();
-                    trace::bump(now, "scholarcloud.cache_coalesced", 1);
                     self.cache_event(now, "coalesced", &key);
                     self.waits.insert(browser, Wait { key, span, tctx, client });
                     Step::Done
@@ -321,7 +315,6 @@ impl Gateway {
             self.cfg.cache.borrow_mut().note_upstream_fetch(&fetch.key, now);
             if !fetch.revalidating && !replay {
                 self.cfg.cache.borrow_mut().note_miss();
-                trace::bump(now, "scholarcloud.cache_misses", 1);
                 self.cache_event(now, "miss", &fetch.key);
             }
         }
@@ -378,8 +371,6 @@ impl Gateway {
             };
             if let Some(r) = &renewed {
                 self.cfg.cache.borrow_mut().note_bytes_saved(r.body.len());
-                trace::bump(now, "scholarcloud.cache_revalidated", 1);
-                trace::bump(now, "scholarcloud.cache_bytes_saved", r.body.len() as u64);
                 self.cache_event(now, "revalidated", &fetch.key);
             }
             renewed
@@ -402,7 +393,6 @@ impl Gateway {
             let changed = fetch.revalidating && !via_peer;
             if changed {
                 self.cfg.cache.borrow_mut().note_miss();
-                trace::bump(now, "scholarcloud.cache_misses", 1);
                 self.cache_event(now, "miss", &fetch.key);
             }
             let evicted = {
@@ -411,7 +401,6 @@ impl Gateway {
                 cache.insert(fetch.key, entry.clone(), ttl, now).evicted
             };
             for victim in &evicted {
-                trace::bump(now, "scholarcloud.cache_evicted", 1);
                 self.cache_event(now, "evicted", victim);
             }
             Some(entry)
@@ -428,7 +417,6 @@ impl Gateway {
                         f.field("ok", true);
                     });
                     self.cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
-                    trace::bump(now, "scholarcloud.cache_bytes_saved", entry.body.len() as u64);
                     self.serve_from_cache(w, &entry, io);
                 }
             }
@@ -437,12 +425,12 @@ impl Gateway {
                 // status): every coalesced requester gets the same
                 // answer.
                 let wire = resp.into_wire();
-                io.send(leader, wire.clone());
+                io.tcp_send_bytes(leader, wire.clone());
                 for w in waiters {
                     self.end_wait(w, now, |f| {
                         f.field("ok", true);
                     });
-                    io.send(w, wire.clone());
+                    io.tcp_send_bytes(w, wire.clone());
                 }
             }
         }
@@ -459,7 +447,7 @@ impl Gateway {
     /// freshness are forwarded so browser caches layer on top.
     fn serve_from_cache(&mut self, browser: TcpHandle, entry: &StoredResponse, io: &mut impl Io) {
         let inm = self.inm.remove(&browser);
-        io.send(browser, answer_from(entry, inm).into_wire());
+        io.tcp_send_bytes(browser, answer_from(entry, inm).into_wire());
     }
 
     /// A gateway leader's request failed (shed, retries exhausted, or
@@ -484,8 +472,8 @@ impl Gateway {
                 f.field("ok", false).field("code", code);
             });
             self.inm.remove(&w);
-            io.send(w, wire.clone());
-            io.close(w);
+            io.tcp_send_bytes(w, wire.clone());
+            io.tcp_close(w);
         }
         flight.waiters
     }

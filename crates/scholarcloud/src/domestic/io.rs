@@ -1,14 +1,9 @@
-//! The one seam between the proxy's stages and the network: everything
-//! a stage does to the outside world goes through [`Io`]. The simulator's
-//! `Ctx` implements it; the stage unit tests drive a scripted fake, and a
-//! socket-backed implementation is all a real deployment would add.
+//! Why the proxy armed a timer. Everything a stage does to the outside
+//! world goes through `sc_simnet::api::Io`; the purpose of a timer
+//! travels in its token, in the one encoding every app shares
+//! (`sc_simnet::api::pack_token`).
 
-use bytes::Bytes;
-use rand::Rng;
-use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{IntoChunks, TcpHandle};
-use sc_simnet::sim::Ctx;
-use sc_simnet::time::{SimDuration, SimTime};
+use sc_simnet::api::{pack_token, unpack_token, TcpHandle};
 
 /// Why a timer was armed. Timers cannot be cancelled, so whoever
 /// handles a fired one re-checks that its subject still needs it. The
@@ -31,9 +26,6 @@ pub(super) enum Timer {
     PeerDeadline(TcpHandle),
 }
 
-/// Bits of a token below the purpose tag: the handle, if any.
-const HANDLE_BITS: u32 = 56;
-
 impl Timer {
     pub(super) fn token(self) -> u64 {
         let (tag, h) = match self {
@@ -45,13 +37,13 @@ impl Timer {
             Timer::Retry(h) => (5, h.0),
             Timer::PeerDeadline(h) => (6, h.0),
         };
-        debug_assert!((h as u64) < 1 << HANDLE_BITS, "handle overflows the token");
-        tag << HANDLE_BITS | h as u64
+        pack_token(tag, h)
     }
 
     pub(super) fn from_token(token: u64) -> Option<Timer> {
-        let h = TcpHandle((token & ((1 << HANDLE_BITS) - 1)) as usize);
-        Some(match token >> HANDLE_BITS {
+        let (tag, h) = unpack_token(token);
+        let h = TcpHandle(h);
+        Some(match tag {
             0 => Timer::ProbeTick,
             1 => Timer::QueueTick,
             2 => Timer::ElasticTick,
@@ -61,64 +53,5 @@ impl Timer {
             6 => Timer::PeerDeadline(h),
             _ => return None,
         })
-    }
-}
-
-/// What a stage may do to the world.
-pub(super) trait Io {
-    /// Current time.
-    fn now(&self) -> SimTime;
-    /// Opens a TCP connection; events for it arrive under the handle.
-    fn connect(&mut self, to: SocketAddr) -> TcpHandle;
-    /// Queues a buffer — or the buffers one message is, head then body —
-    /// on a connection. They are handed over, not copied: a stage builds
-    /// what it sends and gives it away.
-    fn send(&mut self, h: TcpHandle, data: impl IntoChunks);
-    /// Drains everything received on a connection.
-    fn recv(&mut self, h: TcpHandle) -> Bytes;
-    /// Begins a graceful close.
-    fn close(&mut self, h: TcpHandle);
-    /// Aborts with RST.
-    fn abort(&mut self, h: TcpHandle);
-    /// Arms a one-shot timer.
-    fn timer(&mut self, delay: SimDuration, purpose: Timer);
-    /// Next 64 bits of the run's seeded randomness.
-    fn rand_u64(&mut self) -> u64;
-    /// Next uniform draw in `[0, 1)` of the run's seeded randomness.
-    fn rand_unit(&mut self) -> f64;
-    /// Powers the node owning `addr` up or down (elastic instances).
-    fn node_power(&mut self, addr: Addr, up: bool);
-}
-
-impl Io for Ctx<'_> {
-    fn now(&self) -> SimTime {
-        Ctx::now(self)
-    }
-    fn connect(&mut self, to: SocketAddr) -> TcpHandle {
-        self.tcp_connect(to)
-    }
-    fn send(&mut self, h: TcpHandle, data: impl IntoChunks) {
-        self.tcp_send_bytes(h, data);
-    }
-    fn recv(&mut self, h: TcpHandle) -> Bytes {
-        self.tcp_recv_all(h)
-    }
-    fn close(&mut self, h: TcpHandle) {
-        self.tcp_close(h);
-    }
-    fn abort(&mut self, h: TcpHandle) {
-        self.tcp_abort(h);
-    }
-    fn timer(&mut self, delay: SimDuration, purpose: Timer) {
-        self.set_timer(delay, purpose.token());
-    }
-    fn rand_u64(&mut self) -> u64 {
-        self.rng().gen()
-    }
-    fn rand_unit(&mut self) -> f64 {
-        self.rng().gen()
-    }
-    fn node_power(&mut self, addr: Addr, up: bool) {
-        Ctx::node_power(self, addr, up);
     }
 }

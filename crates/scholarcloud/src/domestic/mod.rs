@@ -6,7 +6,8 @@
 //! # Pipeline
 //!
 //! A request moves through five stages, each a struct that owns only its
-//! own tables, touches the network only through [`io::Io`], and hands
+//! own tables, touches the network only through `sc_simnet::api::Io`
+//! (the trait every app that relays TCP is written against), and hands
 //! work for another stage back to the driver as a small outcome enum:
 //!
 //! 1. [`admit`] — whitelist and overload control: concurrent tunnels are
@@ -52,13 +53,12 @@ use std::rc::Rc;
 
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_simnet::addr::Addr;
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
-use sc_simnet::sim::Ctx;
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 
 use self::admit::Admit;
 use self::establish::{Abandoned, Establish};
 use self::gateway::Gateway;
-use self::io::{Io, Timer};
+use self::io::Timer;
 use self::peer::Peer;
 use self::relay::{Ending, Relay};
 use self::remotes::Remotes;
@@ -190,7 +190,7 @@ impl DomesticProxy {
             self.set_state(browser, ConnState::Gateway(HttpParser::new()));
             self.gateway_request(browser, client, req, io)
         } else {
-            io.send(browser, HttpResponse::new(400, Vec::new()).into_wire());
+            io.tcp_send_bytes(browser, HttpResponse::new(400, Vec::new()).into_wire());
             Step::Done
         };
         self.step(step, io);
@@ -203,7 +203,7 @@ impl DomesticProxy {
                 self.conns.insert(h, Conn { client: peer.addr, state });
             }
             TcpEvent::DataReceived => {
-                let data = io.recv(h);
+                let data = io.tcp_recv_all(h);
                 let Some(conn) = self.conns.get_mut(&h) else { return };
                 let client = conn.client;
                 let (first, parsed) = match &mut conn.state {
@@ -235,7 +235,7 @@ impl DomesticProxy {
                         }
                     }
                     (false, Err(_)) => {
-                        io.abort(h);
+                        io.tcp_abort(h);
                         self.browser_gone(h, io);
                     }
                     (false, Ok(requests)) => {
@@ -266,7 +266,7 @@ impl DomesticProxy {
             Abandoned::Held(client) => Some(client),
             Abandoned::NotPending => match self.conns.get(&h).map(|c| &c.state) {
                 Some(&ConnState::Tunneling { remote }) => {
-                    io.close(remote);
+                    io.tcp_close(remote);
                     self.end_stream(remote, Ending::Clean, io).map(|ended| ended.client)
                 }
                 _ => None,
@@ -337,12 +337,12 @@ impl DomesticProxy {
 }
 
 impl App for DomesticProxy {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
         ctx.tcp_listen(self.config.domestic.port);
         self.remotes.start(ctx);
     }
 
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
         // Wall-clock attribution for the benchmark; inert unless the
         // profiler is enabled, never read by proxy logic.
         let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Proxy);

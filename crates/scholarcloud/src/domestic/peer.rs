@@ -12,11 +12,11 @@ use bytes::Bytes;
 use sc_cache::CacheKey;
 use sc_netproto::http::{HttpParser, HttpRequest, HttpResponse};
 use sc_obs::{Level, Quoted, SpanId, TraceCtx};
-use sc_simnet::api::{TcpEvent, TcpHandle};
+use sc_simnet::api::{Io, TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
 use super::gateway::{first_response, Miss};
-use super::io::{Io, Timer};
+use super::io::Timer;
 use super::trace;
 use super::{Step, FLEET_HEADER};
 use crate::fleet::FleetMember;
@@ -95,7 +95,6 @@ impl Peer {
         let f = self.fleet.as_ref().expect("owner_of found a fleet");
         let (self_idx, addr) = (f.self_idx, f.handle.member_addr(owner));
         let key = &miss.key;
-        trace::bump(now, "scholarcloud.peer_fetches", 1);
         trace::event(now, Level::Debug, "fleet", "peer_fetch", |f| {
             f.field("shard", self_idx)
                 .field("owner", Quoted(owner as u64))
@@ -117,7 +116,7 @@ impl Peer {
         if let Some(etag) = &miss.stored_etag {
             hop = hop.header("If-None-Match", etag);
         }
-        let h = io.connect(addr);
+        let h = io.tcp_connect(addr);
         self.hops.insert(
             h,
             Hop {
@@ -131,7 +130,7 @@ impl Peer {
                 tctx: miss.tctx,
             },
         );
-        io.timer(HOP_DEADLINE, Timer::PeerDeadline(h));
+        io.set_timer(HOP_DEADLINE, Timer::PeerDeadline(h).token());
     }
 
     pub fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> Step {
@@ -139,17 +138,17 @@ impl Peer {
         match ev {
             TcpEvent::Connected => {
                 hop.connected = true;
-                io.send(h, std::mem::take(&mut hop.wire));
+                io.tcp_send_bytes(h, std::mem::take(&mut hop.wire));
                 Step::Done
             }
             TcpEvent::DataReceived => {
-                let data = io.recv(h);
+                let data = io.tcp_recv_all(h);
                 if hop.done {
                     return Step::Done;
                 }
                 match hop.parser.push_bytes(data) {
                     Err(_) => {
-                        io.abort(h);
+                        io.tcp_abort(h);
                         self.failed(h, "bad_peer_response", io)
                     }
                     Ok(msgs) => match first_response(msgs) {
@@ -182,7 +181,7 @@ impl Peer {
         };
         let reason =
             if hop.connected { "peer_response_timeout" } else { "peer_connect_timeout" };
-        io.abort(h);
+        io.tcp_abort(h);
         self.failed(h, reason, io)
     }
 
@@ -200,12 +199,11 @@ impl Peer {
         hop.done = true;
         let (leader, owner, tctx) = (hop.leader, hop.owner, hop.tctx);
         let ok = resp.status == 200 || resp.status == 304;
-        io.close(h);
+        io.tcp_close(h);
         trace::end(now, &mut hop.span, |f| {
             f.field("ok", ok).field("status", resp.status);
         });
         if !ok {
-            trace::bump(now, "scholarcloud.peer_refusals", 1);
             trace::event(now, Level::Info, "fleet", "peer_refused", |f| {
                 trace::sharded(f, shard)
                     .field("owner", Quoted(owner as u64))
@@ -214,7 +212,6 @@ impl Peer {
             return Step::FallBack { leader, tctx };
         }
         if self.fleet.as_mut().is_some_and(|f| f.mark_peer_up(owner)) {
-            trace::bump(now, "scholarcloud.peer_recoveries", 1);
             trace::event(now, Level::Info, "fleet", "peer_up", |f| {
                 trace::sharded(f, shard).field("peer", Quoted(owner as u64));
             });
@@ -235,7 +232,6 @@ impl Peer {
             f.field("ok", false).field("reason", reason);
         });
         let backoff = self.fleet.as_mut().map(|f| f.mark_peer_dead(hop.owner, now));
-        trace::bump(now, "scholarcloud.peer_dead_marks", 1);
         trace::event(now, Level::Warn, "fleet", "peer_dead", |f| {
             trace::sharded(f, self.shard())
                 .field("peer", Quoted(hop.owner as u64))

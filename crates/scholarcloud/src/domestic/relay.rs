@@ -14,11 +14,10 @@ use std::rc::Rc;
 use bytes::{Bytes, BytesMut};
 use sc_obs::{Level, SpanId};
 use sc_simnet::addr::Addr;
-use sc_simnet::api::TcpHandle;
+use sc_simnet::api::{Io, TcpHandle};
 
 use super::admit::Request;
 use super::establish::Up;
-use super::io::Io;
 use super::remotes::Remotes;
 use super::trace::{self, target_label};
 use crate::config::ScConfig;
@@ -119,7 +118,7 @@ impl Relay {
             f.field("target", target_label(&req.header));
         });
         if req.is_connect && !resumed {
-            io.send(req.browser, Bytes::from_static(b"HTTP/1.1 200 Connection established\r\n\r\n"));
+            io.tcp_send_bytes(req.browser, Bytes::from_static(b"HTTP/1.1 200 Connection established\r\n\r\n"));
         }
         trace::event(now, Level::Info, "domestic", "tunnel_open", |f| {
             f.field("target", target_label(&req.header))
@@ -158,7 +157,7 @@ impl Relay {
         let mut wire = BytesMut::from(data);
         stream.up_bytes += wire.len() as u64;
         stream.tx.encode(&mut wire);
-        io.send(remote, wire.freeze());
+        io.tcp_send_bytes(remote, wire.freeze());
     }
 
     /// Remote → browser: decodes what arrived on `h` and returns the
@@ -170,7 +169,7 @@ impl Relay {
         remotes: &Remotes,
         io: &mut impl Io,
     ) -> Option<(TcpHandle, Bytes)> {
-        let data = io.recv(h);
+        let data = io.tcp_recv_all(h);
         let stream = self.streams.get_mut(&h)?;
         // One copy again, for the same reason as upstream.
         let mut plain = BytesMut::from(&data[..]);

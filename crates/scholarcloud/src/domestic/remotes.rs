@@ -9,12 +9,13 @@
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
+use rand::Rng;
 use sc_obs::{Fields, Level, Quoted};
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{TcpEvent, TcpHandle};
+use sc_simnet::api::{Io, TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
-use super::io::{Io, Timer};
+use super::io::Timer;
 use super::trace;
 use crate::config::{ScConfig, REMOTE_PORT};
 use crate::elastic::{ElasticAction, ElasticHandle};
@@ -77,9 +78,9 @@ impl Remotes {
     }
 
     pub fn start(&mut self, io: &mut impl Io) {
-        io.timer(PROBE_INTERVAL, Timer::ProbeTick);
+        io.set_timer(PROBE_INTERVAL, Timer::ProbeTick.token());
         if self.elastic.is_some() {
-            io.timer(ELASTIC_TICK, Timer::ElasticTick);
+            io.set_timer(ELASTIC_TICK, Timer::ElasticTick.token());
         }
     }
 
@@ -229,11 +230,11 @@ impl Remotes {
             if !needs_probe || already_probing {
                 continue;
             }
-            let h = io.connect(e.addr);
+            let h = io.tcp_connect(e.addr);
             self.probes.insert(h, Probe { remote_idx: idx, started: now, done: false });
-            io.timer(CONNECT_TIMEOUT, Timer::ProbeDeadline(h));
+            io.set_timer(CONNECT_TIMEOUT, Timer::ProbeDeadline(h).token());
         }
-        io.timer(PROBE_INTERVAL, Timer::ProbeTick);
+        io.set_timer(PROBE_INTERVAL, Timer::ProbeTick.token());
     }
 
     /// The connect deadline of probe `h` fired.
@@ -241,7 +242,7 @@ impl Remotes {
         if self.probes.get(&h).is_none_or(|p| p.done) {
             return;
         }
-        io.abort(h);
+        io.tcp_abort(h);
         let p = self.probes.remove(&h).expect("checked");
         self.failed(p.remote_idx, io);
     }
@@ -255,7 +256,7 @@ impl Remotes {
                 let Some(p) = self.probes.get_mut(&h) else { return false };
                 p.done = true;
                 let (idx, rtt) = (p.remote_idx, now.saturating_since(p.started));
-                io.close(h);
+                io.tcp_close(h);
                 self.succeeded(idx, rtt, now);
                 true
             }
@@ -287,7 +288,7 @@ impl Remotes {
     pub fn elastic_tick(&mut self, queue_depth: usize, io: &mut impl Io) {
         let Some(handle) = self.elastic.clone() else { return };
         let now = io.now();
-        let actions = handle.with(|p| p.tick(now, queue_depth, || io.rand_unit()));
+        let actions = handle.with(|p| p.tick(now, queue_depth, || io.rng().gen()));
         for act in actions {
             match act {
                 ElasticAction::Provision { addr, cold_start } => {
@@ -323,7 +324,6 @@ impl Remotes {
             }
         }
         let live = handle.with(|p| p.live_count());
-        sc_obs::ts_record(now.as_micros(), "scholarcloud.elastic_instances", live as u64);
         trace::event(now, Level::Info, "elastic", "cost", |f| {
             handle.with(|p| {
                 f.field("warm", p.warm_count() as u64)
@@ -334,7 +334,7 @@ impl Remotes {
                     .field("total_micro", p.total_cost_micro());
             })
         });
-        io.timer(ELASTIC_TICK, Timer::ElasticTick);
+        io.set_timer(ELASTIC_TICK, Timer::ElasticTick.token());
     }
 }
 

@@ -7,11 +7,10 @@
 use sc_netproto::http::HttpResponse;
 use sc_obs::{SpanId, TraceCtx};
 use sc_simnet::addr::Addr;
-use sc_simnet::api::{TcpEvent, TcpHandle};
+use sc_simnet::api::{Io, TcpEvent, TcpHandle};
 
 use super::admit::Request;
 use super::gateway::{Miss, Parsed};
-use super::io::Io;
 use super::relay::{Ended, Ending};
 use super::{ConnState, DomesticProxy};
 use crate::admission::Dequeued;
@@ -208,10 +207,13 @@ impl DomesticProxy {
                 // A gateway fetch reassembles the upstream response
                 // instead of piping bytes through.
                 let ended = match self.gateway.upstream_data(browser, plain) {
-                    Parsed::NotMine(plain) => return io.send(browser, plain),
+                    Parsed::NotMine(plain) => {
+                        io.tcp_send_bytes(browser, plain);
+                        return;
+                    }
                     Parsed::More => return,
                     Parsed::Garbled => {
-                        io.abort(rh);
+                        io.tcp_abort(rh);
                         let ended = self.end_stream(rh, Ending::Garbled, io);
                         let reason = "bad_upstream_response";
                         self.step(Step::Fail { browser, code: 502, reason }, io);
@@ -219,7 +221,7 @@ impl DomesticProxy {
                     }
                     Parsed::Response(resp) => {
                         // One fetch per tunnel: close the upstream leg.
-                        io.close(rh);
+                        io.tcp_close(rh);
                         let ended = self.end_stream(rh, Ending::Clean, io);
                         self.gateway.settle(browser, resp, false, io);
                         ended
@@ -242,7 +244,7 @@ impl DomesticProxy {
                         // A gateway fetch dying mid-response takes its
                         // coalesced waiters down with the same status.
                         self.fail_waiters(ended.browser, 502, io);
-                        io.close(ended.browser);
+                        io.tcp_close(ended.browser);
                         self.finish(ended.browser);
                         self.release(ended.client, io);
                     }

@@ -1,7 +1,6 @@
-//! Stage unit tests: a scripted [`Io`] drives a stage (or the whole
-//! driver) with no simulator and no topology.
+//! Stage unit tests: the scripted world, `sc_simnet::scripted::ScriptedIo`,
+//! drives a stage (or the whole driver) with no simulator and no topology.
 
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
@@ -10,13 +9,14 @@ use sc_netproto::http::{HttpRequest, HttpResponse};
 use sc_netproto::socks::TargetAddr;
 use sc_obs::{SpanId, TraceCtx, TraceId};
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{AppEvent, IntoChunks, TcpEvent, TcpHandle};
-use sc_simnet::time::{SimDuration, SimTime};
+use sc_simnet::api::{AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::scripted::{Call, ScriptedIo};
+use sc_simnet::time::SimDuration;
 
 use super::admit::{stream_header, Request};
 use super::establish::{Establish, Up};
 use super::gateway::{Gateway, Parsed};
-use super::io::{Io, Timer};
+use super::io::Timer;
 use super::relay::{Ending, Relay};
 use super::remotes::Remotes;
 use super::{DomesticProxy, Step};
@@ -27,103 +27,6 @@ use crate::resilience::BREAKER_THRESHOLD;
 /// Counts what the stages allocate, for the copy-budget test.
 #[global_allocator]
 static COUNTING: sc_obs::prof::CountingAlloc = sc_obs::prof::CountingAlloc;
-
-/// What a stage did to the world.
-#[derive(Debug, Clone, PartialEq)]
-enum Call {
-    Connect(TcpHandle),
-    /// The chunks as they were handed over.
-    Send(TcpHandle, Vec<Bytes>),
-    Close(TcpHandle),
-    Abort(TcpHandle),
-    Timer(Timer),
-}
-
-/// A scripted world: hands out handles from 100 up, records every call,
-/// serves `recv` from `inbox`, and draws "randomness" from a counter.
-struct FakeIo {
-    now: SimTime,
-    next_handle: usize,
-    calls: Vec<Call>,
-    inbox: BTreeMap<TcpHandle, Vec<u8>>,
-    draws: u64,
-}
-
-impl FakeIo {
-    fn new() -> Self {
-        FakeIo {
-            now: SimTime::ZERO,
-            next_handle: 100,
-            calls: Vec::new(),
-            inbox: BTreeMap::new(),
-            draws: 0,
-        }
-    }
-
-    fn advance(&mut self, d: SimDuration) {
-        self.now += d;
-    }
-
-    fn connects(&self) -> Vec<TcpHandle> {
-        self.calls
-            .iter()
-            .filter_map(|c| match c {
-                Call::Connect(h) => Some(*h),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Everything sent on `h`, concatenated.
-    fn sent(&self, h: TcpHandle) -> String {
-        let bytes: Vec<u8> = self
-            .calls
-            .iter()
-            .filter_map(|c| match c {
-                Call::Send(to, chunks) if *to == h => Some(chunks.concat()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        String::from_utf8_lossy(&bytes).into_owned()
-    }
-}
-
-impl Io for FakeIo {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-    fn connect(&mut self, _to: SocketAddr) -> TcpHandle {
-        let h = TcpHandle(self.next_handle);
-        self.next_handle += 1;
-        self.calls.push(Call::Connect(h));
-        h
-    }
-    fn send(&mut self, h: TcpHandle, data: impl IntoChunks) {
-        self.calls.push(Call::Send(h, data.into_chunks().collect()));
-    }
-    fn recv(&mut self, h: TcpHandle) -> Bytes {
-        Bytes::from(self.inbox.remove(&h).unwrap_or_default())
-    }
-    fn close(&mut self, h: TcpHandle) {
-        self.calls.push(Call::Close(h));
-    }
-    fn abort(&mut self, h: TcpHandle) {
-        self.calls.push(Call::Abort(h));
-    }
-    fn timer(&mut self, _delay: SimDuration, purpose: Timer) {
-        self.calls.push(Call::Timer(purpose));
-    }
-    fn rand_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.draws
-    }
-    fn rand_unit(&mut self) -> f64 {
-        self.draws += 1;
-        0.5
-    }
-    fn node_power(&mut self, _addr: Addr, _up: bool) {}
-}
 
 const CLIENT: Addr = Addr::new(10, 0, 0, 7);
 
@@ -144,7 +47,7 @@ fn connect_request(browser: usize, tctx: TraceCtx) -> Request {
 
 /// A pool whose single remote's breaker is open, and the establish
 /// stage in front of it.
-fn dark_pool(io: &mut FakeIo) -> (Establish, Remotes) {
+fn dark_pool(io: &mut ScriptedIo) -> (Establish, Remotes) {
     let cfg = Rc::new(config());
     let mut remotes = Remotes::new(cfg.clone());
     for _ in 0..BREAKER_THRESHOLD {
@@ -160,7 +63,7 @@ fn park(
     remotes: &mut Remotes,
     browser: usize,
     cap: usize,
-    io: &mut FakeIo,
+    io: &mut ScriptedIo,
 ) -> Step {
     est.enter(connect_request(browser, TraceCtx::NONE), false, SpanId::NONE, io.now);
     est.try_attempt(TcpHandle(browser), cap, remotes, io)
@@ -188,7 +91,7 @@ fn timer_tokens_round_trip() {
 /// draws and remote picks — the trace — depended on `RandomState`.
 #[test]
 fn parked_requests_retry_oldest_first() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let (mut est, mut remotes) = dark_pool(&mut io);
     // Park order 9, 3, 5: neither handle order nor any hash order.
     for browser in [9, 3, 5] {
@@ -217,7 +120,7 @@ fn parked_requests_retry_oldest_first() {
 
 #[test]
 fn park_overflow_sheds_the_oldest_first() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let (mut est, mut remotes) = dark_pool(&mut io);
     for browser in [7, 2] {
         let parked = park(&mut est, &mut remotes, browser, 2, &mut io);
@@ -233,13 +136,13 @@ fn park_overflow_sheds_the_oldest_first() {
     };
     assert_eq!((browser, overflow, expired), (TcpHandle(5), vec![TcpHandle(7)], false));
     // Each parked request armed one re-check.
-    let rechecks = io.calls.iter().filter(|c| matches!(c, Call::Timer(Timer::Retry(_)))).count();
+    let rechecks = io.calls.iter().filter(|c| matches!(c, Call::Timer(t) if matches!(Timer::from_token(*t), Some(Timer::Retry(_))))).count();
     assert_eq!(rechecks, 3);
 }
 
 /// Drives a browser's CONNECT through the whole proxy and returns the
 /// remote-side handle of its first attempt.
-fn connect_through(proxy: &mut DomesticProxy, browser: TcpHandle, io: &mut FakeIo) -> TcpHandle {
+fn connect_through(proxy: &mut DomesticProxy, browser: TcpHandle, io: &mut ScriptedIo) -> TcpHandle {
     let peer = SocketAddr::new(CLIENT, 40_000);
     proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer }), io);
     io.inbox.insert(browser, HttpRequest::connect("scholar.google.com:443").encode());
@@ -258,7 +161,7 @@ fn a_denied_retry_is_a_502_not_a_retry() {
     cfg.admission.retry_budget_frac = 0.0;
     cfg.admission.retry_budget_burst = 0.0;
     let mut proxy = DomesticProxy::new(cfg);
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let browser = TcpHandle(1);
     let attempt = connect_through(&mut proxy, browser, &mut io);
 
@@ -266,7 +169,7 @@ fn a_denied_retry_is_a_502_not_a_retry() {
 
     assert!(io.sent(browser).starts_with("HTTP/1.1 502"), "{}", io.sent(browser));
     assert!(io.calls.contains(&Call::Close(browser)));
-    assert!(!io.calls.contains(&Call::Timer(Timer::Retry(browser))), "no retry was scheduled");
+    assert!(!io.calls.contains(&Call::Timer(Timer::Retry(browser).token())), "no retry was scheduled");
     assert_eq!(io.connects().len(), 1, "no second attempt");
     assert_drained(&proxy);
 }
@@ -277,11 +180,11 @@ fn a_granted_retry_backs_off_and_fails_over() {
         Addr::new(99, 0, 0, 40),
         Addr::new(99, 0, 0, 41),
     ]));
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let browser = TcpHandle(1);
     let first = connect_through(&mut proxy, browser, &mut io);
     proxy.route(AppEvent::Tcp(first, TcpEvent::ConnectFailed), &mut io);
-    assert!(io.calls.contains(&Call::Timer(Timer::Retry(browser))));
+    assert!(io.calls.contains(&Call::Timer(Timer::Retry(browser).token())));
     assert!(io.sent(browser).is_empty(), "the browser hears nothing while retrying");
 
     proxy.route(AppEvent::TimerFired(Timer::Retry(browser).token()), &mut io);
@@ -297,7 +200,7 @@ fn a_granted_retry_backs_off_and_fails_over() {
     assert_drained(&proxy);
 }
 
-fn gateway_get(gw: &mut Gateway, browser: usize, trace: u64, io: &mut FakeIo) -> Step {
+fn gateway_get(gw: &mut Gateway, browser: usize, trace: u64, io: &mut ScriptedIo) -> Step {
     let tctx = TraceCtx::new(TraceId(trace), SpanId(trace));
     let req = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper")
         .header(sc_obs::TRACE_HEADER, &tctx.header_value());
@@ -307,7 +210,7 @@ fn gateway_get(gw: &mut Gateway, browser: usize, trace: u64, io: &mut FakeIo) ->
 #[test]
 fn a_port_that_is_not_a_port_is_a_400_not_port_80() {
     let request = |target: &str| {
-        let mut io = FakeIo::new();
+        let mut io = ScriptedIo::default();
         let mut gw = Gateway::new(Rc::new(config()));
         let req = HttpRequest::get("scholar.google.com", target);
         let step = gw.request(TcpHandle(1), CLIENT, req, |_, _| None, &mut io);
@@ -346,7 +249,7 @@ fn a_host_longer_than_a_stream_header_can_carry_is_a_400() {
         assert!(config().whitelisted(&host), "{len}: the whitelist alone lets it through");
 
         let mut proxy = DomesticProxy::new(config());
-        let mut io = FakeIo::new();
+        let mut io = ScriptedIo::default();
         let browser = TcpHandle(1);
         proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer: SocketAddr::new(CLIENT, 40_000) }), &mut io);
         io.inbox.insert(browser, HttpRequest::connect(&format!("{host}:443")).encode());
@@ -358,7 +261,7 @@ fn a_host_longer_than_a_stream_header_can_carry_is_a_400() {
             HttpRequest::get(&host, &format!("http://{host}/paper")),
             HttpRequest::get(&host, "/paper"),
         ] {
-            let mut io = FakeIo::new();
+            let mut io = ScriptedIo::default();
             let mut gw = Gateway::new(Rc::new(config()));
             let step = gw.request(TcpHandle(1), CLIENT, req, |_, _| None, &mut io);
             assert_eq!(matches!(step, Step::Admit(_)), admitted, "gateway GET for a {len}-byte host");
@@ -368,11 +271,11 @@ fn a_host_longer_than_a_stream_header_can_carry_is_a_400() {
 }
 
 /// A leader with two waiters coalesced behind its upstream fetch.
-fn flight_of_three(io: &mut FakeIo) -> Gateway {
+fn flight_of_three(io: &mut ScriptedIo) -> Gateway {
     flight_of_three_on(Rc::new(config()), io)
 }
 
-fn flight_of_three_on(cfg: Rc<ScConfig>, io: &mut FakeIo) -> Gateway {
+fn flight_of_three_on(cfg: Rc<ScConfig>, io: &mut ScriptedIo) -> Gateway {
     let mut gw = Gateway::new(cfg);
     let led = gateway_get(&mut gw, 1, 0xa1, io);
     assert!(matches!(led, Step::Admit(req) if req.browser == TcpHandle(1)), "first request leads");
@@ -385,7 +288,7 @@ fn flight_of_three_on(cfg: Rc<ScConfig>, io: &mut FakeIo) -> Gateway {
 
 #[test]
 fn a_departing_leader_promotes_exactly_one_waiter_under_its_own_trace() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let mut gw = flight_of_three(&mut io);
 
     let Step::Admit(replayed) = gw.browser_gone(TcpHandle(1), io.now) else {
@@ -407,7 +310,7 @@ fn a_departing_leader_promotes_exactly_one_waiter_under_its_own_trace() {
 
 #[test]
 fn a_failed_leader_fans_its_status_to_every_waiter() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let mut gw = flight_of_three(&mut io);
 
     let closed = gw.fail_waiters(TcpHandle(1), 502, &mut io);
@@ -422,7 +325,7 @@ fn a_failed_leader_fans_its_status_to_every_waiter() {
 }
 
 /// The body chunk of the one answer sent to `h`: `[head, body]`.
-fn body_sent(io: &FakeIo, h: usize) -> Bytes {
+fn body_sent(io: &ScriptedIo, h: usize) -> Bytes {
     let mut sends = io.calls.iter().filter_map(|c| match c {
         Call::Send(to, chunks) if *to == TcpHandle(h) => Some(chunks),
         _ => None,
@@ -463,7 +366,7 @@ fn a_settled_fetch_and_a_cache_hit_share_the_body_they_were_given() {
         .header("ETag", "\"v1\"")
         .header("Cache-Control", "public, max-age=60");
     let wire = Bytes::from(page.encode());
-    let settle_one = |io: &mut FakeIo| {
+    let settle_one = |io: &mut ScriptedIo| {
         let mut gw = flight_of_three_on(big_cache(), io);
         let mut parsed = None;
         for at in (0..wire.len()).step_by(1460) {
@@ -477,7 +380,7 @@ fn a_settled_fetch_and_a_cache_hit_share_the_body_they_were_given() {
     };
 
     // The parser assembled the body once, into a buffer of its length.
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let (mut gw, resp) = settle_one(&mut io);
     let assembled = resp.body.clone();
     gw.settle(TcpHandle(1), resp, false, &mut io);
@@ -493,7 +396,7 @@ fn a_settled_fetch_and_a_cache_hit_share_the_body_they_were_given() {
     // keys and spans — a small fraction of one body between them.
     let ready: Vec<_> = (0..3)
         .map(|_| {
-            let mut io = FakeIo::new();
+            let mut io = ScriptedIo::default();
             let (gw, resp) = settle_one(&mut io);
             (gw, resp, io)
         })
@@ -514,7 +417,7 @@ fn a_settled_fetch_and_a_cache_hit_share_the_body_they_were_given() {
 }
 
 /// An established CONNECT stream on remote handle 50 for browser 1.
-fn open_stream(stream_resume: bool, io: &mut FakeIo) -> (Relay, Remotes) {
+fn open_stream(stream_resume: bool, io: &mut ScriptedIo) -> (Relay, Remotes) {
     let mut cfg = config();
     cfg.rotation = stream_resume.then(RotationPolicy::default);
     let cfg = Rc::new(cfg);
@@ -538,7 +441,7 @@ fn open_stream(stream_resume: bool, io: &mut FakeIo) -> (Relay, Remotes) {
 
 #[test]
 fn a_reset_before_the_first_downstream_byte_resumes_from_the_replay_buffer() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let (mut relay, mut remotes) = open_stream(true, &mut io);
     relay.upstream(TcpHandle(50), b"client hello", &mut io);
     relay.upstream(TcpHandle(50), b", more", &mut io);
@@ -555,7 +458,7 @@ fn a_reset_before_the_first_downstream_byte_resumes_from_the_replay_buffer() {
 
 #[test]
 fn a_reset_after_a_downstream_byte_is_final() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let (mut relay, mut remotes) = open_stream(true, &mut io);
     relay.upstream(TcpHandle(50), b"client hello", &mut io);
     io.inbox.insert(TcpHandle(50), b"server hello".to_vec());
@@ -570,7 +473,7 @@ fn a_reset_after_a_downstream_byte_is_final() {
 
 #[test]
 fn without_stream_resume_a_reset_is_final() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let (relay, _) = open_stream(false, &mut io);
     assert!(relay.ending_for(TcpHandle(50), true) == Ending::Reset);
 }
@@ -580,7 +483,7 @@ fn without_stream_resume_a_reset_is_final() {
 fn gateway_fetch_through(
     proxy: &mut DomesticProxy,
     browser: TcpHandle,
-    io: &mut FakeIo,
+    io: &mut ScriptedIo,
 ) -> TcpHandle {
     let peer = SocketAddr::new(CLIENT, 40_000);
     proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer }), io);
@@ -606,7 +509,7 @@ fn a_garbled_upstream_response_is_a_502_and_frees_the_slot() {
     remote_tx.encode(&mut garbage);
 
     let mut proxy = DomesticProxy::new(cfg);
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let browser = TcpHandle(1);
     let remote = gateway_fetch_through(&mut proxy, browser, &mut io);
     io.inbox.insert(remote, garbage);
@@ -622,7 +525,7 @@ fn a_garbled_upstream_response_is_a_502_and_frees_the_slot() {
 #[test]
 fn garbage_on_a_gateway_conn_tears_its_request_down() {
     let mut proxy = DomesticProxy::new(config());
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let browser = TcpHandle(1);
     let peer = SocketAddr::new(CLIENT, 40_000);
     proxy.route(AppEvent::Tcp(browser, TcpEvent::Accepted { peer }), &mut io);
@@ -641,7 +544,7 @@ fn garbage_on_a_gateway_conn_tears_its_request_down() {
 
 #[test]
 fn a_miss_on_another_shards_key_becomes_a_hop_with_the_fetch_registered() {
-    let mut io = FakeIo::new();
+    let mut io = ScriptedIo::default();
     let mut gw = Gateway::new(Rc::new(config()));
     let tctx = TraceCtx::new(TraceId(7), SpanId(7));
     let req = HttpRequest::get("scholar.google.com", "http://scholar.google.com/paper")

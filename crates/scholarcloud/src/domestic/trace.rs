@@ -1,7 +1,6 @@
-//! The proxy's one way into `sc-obs`: every event, span and timeline
-//! series the stages record is component `scholarcloud` at simulation
-//! time, and all of them cost nothing to *build* unless a sink will
-//! record them.
+//! The proxy's way into `sc-obs`'s trace: every event and span the
+//! stages record is component `scholarcloud` at simulation time, and all
+//! of them cost nothing to *build* unless a sink will record them.
 
 use sc_netproto::socks::TargetAddr;
 use sc_obs::{FieldValue, Fields, Level, SpanId, TraceCtx};
@@ -49,11 +48,6 @@ pub(super) fn span(
 /// runs only if the span was recorded in the first place.
 pub(super) fn end(now: SimTime, span: &mut SpanId, fields: impl FnOnce(&mut Fields<'_>)) {
     sc_obs::span_end(now.as_micros(), std::mem::replace(span, SpanId::NONE), fields);
-}
-
-/// Adds `n` to a timeline series at `now`.
-pub(super) fn bump(now: SimTime, name: &'static str, n: u64) {
-    sc_obs::ts_bump(now.as_micros(), name, n);
 }
 
 /// `host:port` of the request a stream header carries, as a trace

@@ -7,9 +7,8 @@ use bytes::{Bytes, BytesMut};
 use sc_crypto::hmac::HmacKey;
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::SocketAddr;
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::{FixedMap, FixedSet};
-use sc_simnet::sim::Ctx;
 use sc_tunnels::names::NameMap;
 
 use crate::config::{ScConfig, REMOTE_PORT};
@@ -57,9 +56,9 @@ impl RemoteProxy {
         }
     }
 
-    fn serve_decoy(&mut self, h: TcpHandle, reason: &'static str, ctx: &mut Ctx<'_>) {
-        ctx.tcp_send_bytes(h, Bytes::from(decoy_response()));
-        ctx.tcp_close(h);
+    fn serve_decoy(&mut self, h: TcpHandle, reason: &'static str, io: &mut impl Io) {
+        io.tcp_send_bytes(h, Bytes::from(decoy_response()));
+        io.tcp_close(h);
         self.conns.insert(h, ClientConn::Decoyed);
         // Decoys served to hostile-looking connections (garbage, bad
         // MACs, replays) are probe sightings the operator's domestic side
@@ -69,7 +68,7 @@ impl RemoteProxy {
             self.config.interference.note_probe();
         }
         sc_obs::event(
-            ctx.now().as_micros(),
+            io.now().as_micros(),
             sc_obs::Level::Info,
             "scholarcloud",
             "remote",
@@ -97,7 +96,7 @@ impl RemoteProxy {
     /// Reads as far into a new connection's stream as has arrived: the
     /// hello is parsed and its nonce spent once, then the stream header
     /// is awaited for as many segments as it takes.
-    fn advance(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn advance(&mut self, h: TcpHandle, io: &mut impl Io) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let (hello, wire) = match std::mem::replace(conn, ClientConn::Decoyed) {
             ClientConn::AwaitHello { mut buf } => {
@@ -106,11 +105,11 @@ impl RemoteProxy {
                         *conn = ClientConn::AwaitHello { buf };
                         return;
                     }
-                    Ok(None) => return self.serve_decoy(h, "not_preamble", ctx),
-                    Err(()) => return self.serve_decoy(h, "bad_preamble_auth", ctx),
+                    Ok(None) => return self.serve_decoy(h, "not_preamble", io),
+                    Err(()) => return self.serve_decoy(h, "bad_preamble_auth", io),
                     Ok(Some((hello, used))) => {
                         if !self.spend_nonce(&hello) {
-                            return self.serve_decoy(h, "replayed_preamble", ctx);
+                            return self.serve_decoy(h, "replayed_preamble", io);
                         }
                         buf.drain(..used);
                         (hello, buf)
@@ -126,10 +125,10 @@ impl RemoteProxy {
         // Which codec the domestic side built is said only in the stream
         // header, which is encoded with it.
         match StreamCodec::accept(&self.config.secret, &hello, &wire) {
-            Some((header, leftover, rx, tx)) => self.begin_relay(h, header, rx, tx, leftover, ctx),
+            Some((header, leftover, rx, tx)) => self.begin_relay(h, header, rx, tx, leftover, io),
             // A header is a u16 length and that many bytes: past that,
             // waiting for more cannot make one.
-            None if wire.len() > 2 + usize::from(u16::MAX) => self.serve_decoy(h, "bad_stream_header", ctx),
+            None if wire.len() > 2 + usize::from(u16::MAX) => self.serve_decoy(h, "bad_stream_header", io),
             None => {
                 self.conns.insert(h, ClientConn::AwaitHeader { hello, buf: wire });
             }
@@ -143,7 +142,7 @@ impl RemoteProxy {
         rx: StreamCodec,
         tx: StreamCodec,
         leftover: Vec<u8>,
-        ctx: &mut Ctx<'_>,
+        io: &mut impl Io,
     ) {
         // Whitelist enforcement happens here too: the remote proxy only
         // dials whitelisted hosts, so a compromised domestic proxy cannot
@@ -151,31 +150,31 @@ impl RemoteProxy {
         let dest = match &header.target {
             TargetAddr::Domain(name, port) => {
                 if !self.config.whitelisted(name) {
-                    self.serve_decoy(h, "off_whitelist", ctx);
+                    self.serve_decoy(h, "off_whitelist", io);
                     return;
                 }
                 match self.names.resolve(name) {
                     Some(a) => SocketAddr::new(a, *port),
                     None => {
-                        self.serve_decoy(h, "unresolvable", ctx);
+                        self.serve_decoy(h, "unresolvable", io);
                         return;
                     }
                 }
             }
             // Literal addresses cannot be whitelist-checked; refuse them.
             TargetAddr::Ip(_, _) => {
-                self.serve_decoy(h, "ip_literal", ctx);
+                self.serve_decoy(h, "ip_literal", io);
                 return;
             }
         };
-        let upstream = ctx.tcp_connect(dest);
+        let upstream = io.tcp_connect(dest);
         self.upstreams.insert(upstream, h);
         // TCP holds what is sent before the handshake completes.
-        ctx.tcp_send_bytes(upstream, Bytes::from(leftover));
+        io.tcp_send_bytes(upstream, Bytes::from(leftover));
         // Parent the relay span into the originating request's trace via
         // the in-band ids carried on the stream header.
         let span = sc_obs::span_start_ctx(
-            ctx.now().as_micros(),
+            io.now().as_micros(),
             sc_obs::Level::Debug,
             "scholarcloud",
             "remote",
@@ -187,7 +186,7 @@ impl RemoteProxy {
         );
         self.conns.insert(h, ClientConn::Relaying { rx, tx, upstream, span });
         sc_obs::event(
-            ctx.now().as_micros(),
+            io.now().as_micros(),
             sc_obs::Level::Info,
             "scholarcloud",
             "remote",
@@ -197,22 +196,16 @@ impl RemoteProxy {
             },
         );
     }
-}
 
-impl App for RemoteProxy {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(REMOTE_PORT);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
-        let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Remote);
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
 
         // Upstream side.
         if let Some(&client) = self.upstreams.get(&h) {
             match tcp_ev {
                 TcpEvent::DataReceived => {
-                    let data = ctx.tcp_recv_all(h);
+                    let data = io.tcp_recv_all(h);
                     if let Some(ClientConn::Relaying { tx, .. }) = self.conns.get_mut(&client) {
                         // The hop's one copy: a received chunk is shared
                         // with its sender's retransmit queue, so the codec
@@ -220,15 +213,15 @@ impl App for RemoteProxy {
                         // is then handed on whole.
                         let mut wire = BytesMut::from(&data[..]);
                         tx.encode(&mut wire);
-                        ctx.tcp_send_bytes(client, wire.freeze());
+                        io.tcp_send_bytes(client, wire.freeze());
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
-                    ctx.tcp_close(client);
+                    io.tcp_close(client);
                     self.upstreams.remove(&h);
                     if let Some(ClientConn::Relaying { span, .. }) = self.conns.get_mut(&client) {
                         let ok = !matches!(tcp_ev, TcpEvent::ConnectFailed);
-                        sc_obs::span_end(ctx.now().as_micros(), *span, |f| {
+                        sc_obs::span_end(io.now().as_micros(), *span, |f| {
                             f.field("ok", ok);
                         });
                         *span = sc_obs::SpanId::NONE;
@@ -245,26 +238,26 @@ impl App for RemoteProxy {
                 self.conns.insert(h, ClientConn::AwaitHello { buf: Vec::new() });
             }
             TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 match self.conns.get_mut(&h) {
                     Some(ClientConn::AwaitHello { buf } | ClientConn::AwaitHeader { buf, .. }) => {
                         buf.extend_from_slice(&data);
-                        self.advance(h, ctx);
+                        self.advance(h, io);
                     }
                     Some(ClientConn::Relaying { rx, upstream, .. }) => {
                         let upstream = *upstream;
                         let mut plain = BytesMut::from(&data[..]);
                         rx.decode(&mut plain);
-                        ctx.tcp_send_bytes(upstream, plain.freeze());
+                        io.tcp_send_bytes(upstream, plain.freeze());
                     }
                     _ => {}
                 }
             }
             TcpEvent::PeerClosed | TcpEvent::Reset => {
                 if let Some(ClientConn::Relaying { upstream, span, .. }) = self.conns.remove(&h) {
-                    ctx.tcp_close(upstream);
+                    io.tcp_close(upstream);
                     self.upstreams.remove(&upstream);
-                    sc_obs::span_end(ctx.now().as_micros(), span, |f| {
+                    sc_obs::span_end(io.now().as_micros(), span, |f| {
                         f.field("ok", true);
                     });
                 }
@@ -274,10 +267,85 @@ impl App for RemoteProxy {
     }
 }
 
+impl App for RemoteProxy {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(REMOTE_PORT);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Remote);
+        self.handle(ev, ctx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FRONT_HOST;
     use sc_simnet::addr::Addr;
+    use sc_simnet::scripted::{Call, ScriptedIo};
+
+    /// What a domestic proxy sends a remote to open a stream to `target`:
+    /// an authentic preamble, then the encoded stream header and `tail`.
+    fn stream_to(cfg: &ScConfig, target: TargetAddr, tail: &[u8]) -> Vec<u8> {
+        let hello = Hello { scheme: cfg.scheme.get(), nonce: 7, generation: cfg.scheme.generation() };
+        let mut preamble = String::new();
+        hello.encode_into(&HmacKey::new(&cfg.secret), FRONT_HOST, &mut preamble);
+        let header = StreamHeader { is_tls: true, trace: 0, parent: 0, target };
+        let mut rest = [&header.encode()[..], tail].concat();
+        StreamCodec::pair(&cfg.secret, &hello, false).0.encode(&mut rest);
+        [preamble.as_bytes(), &rest].concat()
+    }
+
+    /// A remote whose uncensored DNS knows no name takes `wire` on a new
+    /// connection; what it did.
+    fn serve(wire: Vec<u8>) -> Vec<Call> {
+        let cfg = ScConfig::new(Addr::new(10, 1, 0, 1), Addr::new(99, 0, 0, 40));
+        let mut remote = RemoteProxy::new(cfg, NameMap::default());
+        let mut io = ScriptedIo::default();
+        let h = TcpHandle(1);
+        let peer = SocketAddr::new(Addr::new(10, 1, 0, 1), 40_000);
+        remote.handle(AppEvent::Tcp(h, TcpEvent::Accepted { peer }), &mut io);
+        io.inbox.insert(h, wire);
+        remote.handle(AppEvent::Tcp(h, TcpEvent::DataReceived), &mut io);
+        io.calls
+    }
+
+    /// One decoy, then a close, and nothing dialled.
+    fn assert_decoyed(calls: Vec<Call>, why: &str) {
+        let h = TcpHandle(1);
+        assert_eq!(calls, [Call::Send(h, vec![Bytes::from(decoy_response())]), Call::Close(h)], "{why}");
+    }
+
+    #[test]
+    fn an_ip_literal_target_is_decoyed() {
+        let cfg = ScConfig::new(Addr::new(10, 1, 0, 1), Addr::new(99, 0, 0, 40));
+        let wire = stream_to(&cfg, TargetAddr::Ip(Addr::new(99, 2, 0, 1), 443), b"");
+        assert_decoyed(serve(wire), "a literal cannot be whitelist-checked");
+    }
+
+    #[test]
+    fn an_unresolvable_whitelisted_target_is_decoyed() {
+        let cfg = ScConfig::new(Addr::new(10, 1, 0, 1), Addr::new(99, 0, 0, 40));
+        assert!(cfg.whitelisted("scholar.google.com"));
+        let wire = stream_to(&cfg, TargetAddr::Domain("scholar.google.com".into(), 443), b"");
+        assert_decoyed(serve(wire), "no address for the name");
+    }
+
+    #[test]
+    fn a_stream_header_that_cannot_parse_is_decoyed_once_its_length_is_past() {
+        let cfg = ScConfig::new(Addr::new(10, 1, 0, 1), Addr::new(99, 0, 0, 40));
+        let hello = Hello { scheme: cfg.scheme.get(), nonce: 7, generation: cfg.scheme.generation() };
+        let mut wire = String::new();
+        hello.encode_into(&HmacKey::new(&cfg.secret), FRONT_HOST, &mut wire);
+        let preamble = wire.len();
+        let mut wire = wire.into_bytes();
+        // Short of a u16 length's worth, the header may yet arrive.
+        wire.resize(preamble + 2 + usize::from(u16::MAX), 0xff);
+        assert!(serve(wire.clone()).is_empty(), "still waiting for the header");
+        wire.push(0xff);
+        assert_decoyed(serve(wire), "past any header's length");
+    }
 
     #[test]
     fn a_nonce_is_spent_once_while_its_generation_verifies_and_older_sets_go() {

@@ -22,6 +22,7 @@ pub struct Addr(u32);
 
 impl Addr {
     /// The unspecified address `0.0.0.0`.
+    #[cfg(test)]
     pub const UNSPECIFIED: Addr = Addr(0);
 
     /// Creates an address from four octets.

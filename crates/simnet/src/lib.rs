@@ -12,7 +12,13 @@
 //! * [`link`] — links with propagation delay, bandwidth, queues, base loss.
 //! * [`middlebox`] — the in-path inspection hook the GFW attaches to.
 //! * [`api`] — the event-driven [`api::App`] trait every protocol endpoint
-//!   (browser, proxy, VPN server, origin server…) implements.
+//!   (browser, proxy, VPN server, origin server…) implements, and
+//!   [`api::Io`], the one surface through which the apps that relay or
+//!   serve TCP (proxies, tunnel endpoints, browser, origin, DNS stub)
+//!   touch the network: `sim::Ctx` implements it for a run.
+//! * [`scripted`] — [`scripted::ScriptedIo`], the other `Io`: a scripted
+//!   world that records what an app does, so any crate's unit tests can
+//!   drive an app with no simulator.
 //!
 //! Loss — whether from links or censor verdicts — is repaired by the real
 //! TCP retransmission machinery, so censorship degrades application
@@ -57,20 +63,21 @@ pub mod node;
 pub mod packet;
 mod queue;
 pub mod ramp;
+pub mod scripted;
 pub mod sim;
 pub mod stats;
 pub mod tcp;
 pub mod time;
 
 /// The payload type of the public API ([`AppEvent::Udp`](api::AppEvent),
-/// [`Ctx::tcp_recv`](sim::Ctx::tcp_recv), [`IntoChunks`](api::IntoChunks)),
+/// [`Io::tcp_recv_all`](api::Io::tcp_recv_all), [`IntoChunks`](api::IntoChunks)),
 /// for crates that hold payloads without a dependency of their own.
 pub use bytes;
 
 /// Convenient glob-import of the common types.
 pub mod prelude {
     pub use crate::addr::{Addr, SocketAddr};
-    pub use crate::api::{App, AppEvent, AppId, IntoChunks, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
+    pub use crate::api::{App, AppEvent, AppId, IntoChunks, Io, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
     pub use crate::faults::{Fault, FaultPlan};
     pub use crate::link::{LinkConfig, LinkId, NodeId};
     pub use crate::middlebox::{MbCtx, Middlebox, Verdict};

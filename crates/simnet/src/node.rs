@@ -45,6 +45,7 @@ impl UdpLayer {
     }
 
     /// Releases a bound port.
+    #[cfg(test)]
     pub fn unbind(&mut self, port: u16) {
         self.sockets.remove(&port);
     }

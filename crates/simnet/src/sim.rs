@@ -4,10 +4,10 @@ use std::collections::VecDeque;
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::addr::{Addr, SocketAddr};
-use crate::api::{App, AppEvent, AppId, IntoChunks, PacketTunnel, TcpHandle, UdpHandle};
+use crate::api::{App, AppEvent, AppId, IntoChunks, Io, PacketTunnel, TcpHandle, UdpHandle};
 use crate::faults::{Fault, FaultPlan, FlapState};
 use crate::hash::FixedMap;
 use crate::link::{Link, LinkConfig, LinkId, LinkOutcome, NodeId};
@@ -210,11 +210,13 @@ impl Sim {
     }
 
     /// Whether a link is administratively up (fault-injection state).
+    #[cfg(test)]
     pub fn link_is_up(&self, link: LinkId) -> bool {
         self.links[link.0].up
     }
 
     /// Whether a node is live (fault-injection state).
+    #[cfg(test)]
     pub fn node_is_up(&self, node: NodeId) -> bool {
         self.nodes[node.0].up
     }
@@ -226,7 +228,7 @@ impl Sim {
     /// fires at a fixed `(time, seq)` queue position, so same-seed runs
     /// flip power identically. Unlike installing a `Fault::NodeCrash`
     /// plan, scheduling can happen mid-run from app code via
-    /// [`Ctx::node_power`].
+    /// [`Io::node_power`](crate::api::Io::node_power).
     pub fn schedule_lifecycle(&mut self, node: NodeId, up: bool, delay: SimDuration) {
         self.schedule(delay, Event::Lifecycle { node, up });
     }
@@ -271,6 +273,7 @@ impl Sim {
     }
 
     /// Runs until no events remain (beware apps that re-arm timers forever).
+    #[cfg(test)]
     pub fn run_until_idle(&mut self) {
         let _prof = prof::scope(Subsystem::EventLoop);
         while let Some((at, ev)) = self.queue.pop() {
@@ -420,7 +423,6 @@ impl Sim {
                 format!("clients={clients} ramp_us={}", ramp.as_micros())
             }
         };
-        sc_obs::ts_bump(self.now.as_micros(), "simnet.faults", 1);
         sc_obs::event(self.now.as_micros(), sc_obs::Level::Info, "simnet", "fault", name, |f| {
             f.field("detail", detail);
         });
@@ -472,7 +474,6 @@ impl Sim {
             if let Verdict::Drop(label) = verdict {
                 self.stats
                     .record_drop(packet.src, packet.dst, DropReason::Censor(label));
-                sc_obs::ts_bump(self.now.as_micros(), "simnet.censor_drops", 1);
                 sc_obs::event(
                     self.now.as_micros(),
                     sc_obs::Level::Info,
@@ -692,7 +693,9 @@ fn jittered(mean: SimDuration, draw: f64) -> SimDuration {
     SimDuration::from_secs_f64(mean.as_secs_f64() * (0.5 + draw))
 }
 
-/// The API surface an [`App`] uses to interact with the network.
+/// The API surface an [`App`] uses to interact with the network: [`Io`]
+/// for what every app does, and below it what only the packet-level apps
+/// (VPNs, NAT, the DNS servers, the GFW) do.
 pub struct Ctx<'a> {
     sim: &'a mut Sim,
     /// The node this app runs on.
@@ -701,102 +704,88 @@ pub struct Ctx<'a> {
     pub app: AppId,
 }
 
-impl<'a> Ctx<'a> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
+impl Io for Ctx<'_> {
+    fn now(&self) -> SimTime {
         self.sim.now
     }
 
-    /// This node's address.
-    pub fn addr(&self) -> Addr {
+    fn addr(&self) -> Addr {
         self.sim.nodes[self.node.0].addr
     }
 
-    /// Deterministic RNG shared by the simulation.
-    pub fn rng(&mut self) -> &mut SmallRng {
+    fn rng(&mut self) -> &mut impl RngCore {
         &mut self.sim.rng
     }
 
-    /// Schedules [`AppEvent::TimerFired`] with `token` after `delay`.
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
+    fn set_timer(&mut self, delay: SimDuration, token: u64) {
         let node = self.node;
         let app = self.app;
         self.sim.schedule(delay, Event::AppTimer { node, app, token });
     }
 
-    /// Opens a TCP connection to `remote`.
-    pub fn tcp_connect(&mut self, remote: SocketAddr) -> TcpHandle {
+    fn tcp_connect(&mut self, remote: SocketAddr) -> TcpHandle {
         let (app, local) = (self.app, self.addr());
         self.sim
             .with_tcp(self.node, |tcp, _, fx| tcp.connect(app, local, remote, fx))
     }
 
-    /// Listens for TCP connections on `port`. Returns `false` if taken.
-    pub fn tcp_listen(&mut self, port: u16) -> bool {
+    fn tcp_listen(&mut self, port: u16) -> bool {
         self.sim.nodes[self.node.0].tcp.listen(port, self.app)
     }
 
-    /// Sends a copy of `data` on a connection. Returns bytes accepted, or
-    /// `None` if the connection cannot send. A caller that owns its buffer
-    /// hands it to [`tcp_send_bytes`](Self::tcp_send_bytes) instead.
-    pub fn tcp_send(&mut self, h: TcpHandle, data: &[u8]) -> Option<usize> {
-        self.tcp_send_bytes(h, Bytes::copy_from_slice(data))
-    }
-
-    /// Sends `data` on a connection without copying it: each buffer is
-    /// queued as one chunk, segments are views of it, and the receiving
-    /// app reads those views. Several buffers (`[head, body]`) go out as
-    /// the one stream they make. Returns bytes accepted, or `None` if the
-    /// connection cannot send.
-    pub fn tcp_send_bytes(&mut self, h: TcpHandle, data: impl IntoChunks) -> Option<usize> {
+    fn tcp_send_bytes(&mut self, h: TcpHandle, data: impl IntoChunks) -> Option<usize> {
         self.sim
             .with_tcp(self.node, |tcp, now, fx| tcp.send(h, data.into_chunks(), now, fx))
     }
 
-    /// Drains up to `max` received bytes.
-    pub fn tcp_recv(&mut self, h: TcpHandle, max: usize) -> Bytes {
-        self.sim.nodes[self.node.0].tcp.recv(h, max)
+    fn tcp_recv_all(&mut self, h: TcpHandle) -> Bytes {
+        self.sim.nodes[self.node.0].tcp.recv(h, usize::MAX)
     }
 
-    /// Drains everything currently buffered.
-    pub fn tcp_recv_all(&mut self, h: TcpHandle) -> Bytes {
-        self.tcp_recv(h, usize::MAX)
-    }
-
-    /// Begins a graceful close.
-    pub fn tcp_close(&mut self, h: TcpHandle) {
+    fn tcp_close(&mut self, h: TcpHandle) {
         self.sim
             .with_tcp(self.node, |tcp, now, fx| tcp.close(h, now, fx));
     }
 
-    /// Aborts with RST.
-    pub fn tcp_abort(&mut self, h: TcpHandle) {
+    fn tcp_abort(&mut self, h: TcpHandle) {
         self.sim.with_tcp(self.node, |tcp, _, fx| tcp.abort(h, fx));
     }
 
-    /// The peer address of a connection.
-    pub fn tcp_peer(&self, h: TcpHandle) -> Option<SocketAddr> {
-        self.sim.nodes[self.node.0].tcp.peer(h)
-    }
-
-    /// The local address of a connection.
-    pub fn tcp_local(&self, h: TcpHandle) -> Option<SocketAddr> {
+    fn tcp_local(&self, h: TcpHandle) -> Option<SocketAddr> {
         self.sim.nodes[self.node.0].tcp.local(h)
     }
 
-    /// Binds a UDP port (0 = ephemeral). Returns `None` if taken.
-    pub fn udp_bind(&mut self, port: u16) -> Option<UdpHandle> {
+    fn udp_bind(&mut self, port: u16) -> Option<UdpHandle> {
         self.sim.nodes[self.node.0]
             .udp
             .bind(port, self.app)
             .map(UdpHandle)
     }
 
-    /// Sends a UDP datagram from a bound socket.
-    pub fn udp_send(&mut self, socket: UdpHandle, to: SocketAddr, payload: Bytes) {
+    fn udp_send(&mut self, socket: UdpHandle, to: SocketAddr, payload: Bytes) {
         let from = SocketAddr::new(self.addr(), socket.0);
         let pkt = Packet::udp(from, to, payload);
         self.sim.send_from(self.node, pkt, false);
+    }
+
+    fn node_power(&mut self, addr: Addr, up: bool) -> bool {
+        let Some(node) = self.sim.node_by_addr(addr) else { return false };
+        self.sim.schedule_lifecycle(node, up, SimDuration::ZERO);
+        true
+    }
+}
+
+impl Ctx<'_> {
+    /// Sends a copy of `data` on a connection. Returns bytes accepted, or
+    /// `None` if the connection cannot send. A caller that owns its buffer
+    /// hands it to [`Io::tcp_send_bytes`] instead.
+    pub fn tcp_send(&mut self, h: TcpHandle, data: &[u8]) -> Option<usize> {
+        self.tcp_send_bytes(h, Bytes::copy_from_slice(data))
+    }
+
+    /// The peer address of a connection.
+    pub fn tcp_peer(&self, h: TcpHandle) -> Option<SocketAddr> {
+        self.sim.nodes[self.node.0].tcp.peer(h)
     }
 
     /// Registers this app to receive all packets whose destination port is
@@ -818,13 +807,6 @@ impl<'a> Ctx<'a> {
             .insert(protocol, self.app);
     }
 
-    /// Sends a raw-protocol packet.
-    pub fn raw_send(&mut self, dst: Addr, protocol: u8, payload: Bytes) {
-        let src = self.addr();
-        let pkt = Packet::raw(src, dst, protocol, payload);
-        self.sim.send_from(self.node, pkt, false);
-    }
-
     /// Injects an arbitrary packet from this node (router/NAT behaviour:
     /// the source address need not be the node's own).
     pub fn send_packet(&mut self, pkt: Packet) {
@@ -840,26 +822,6 @@ impl<'a> Ctx<'a> {
     /// Installs a packet tunnel on this node.
     pub fn install_tunnel(&mut self, tunnel: Box<dyn PacketTunnel>) {
         self.sim.set_tunnel(self.node, tunnel);
-    }
-
-    /// Requests a power transition for the node owning `addr` (elastic
-    /// control plane: an autoscaler app spins sibling instances up and
-    /// down). The transition is scheduled as an ordinary queue event at
-    /// the current time — it takes effect after the in-flight event
-    /// completes, at a deterministic `(time, seq)` position. Returns
-    /// `false` if no node owns `addr`.
-    pub fn node_power(&mut self, addr: Addr, up: bool) -> bool {
-        let Some(node) = self.sim.node_by_addr(addr) else { return false };
-        self.sim.schedule_lifecycle(node, up, SimDuration::ZERO);
-        true
-    }
-
-    /// Whether the node owning `addr` is currently powered (lifecycle /
-    /// fault state). Unknown addresses read as down.
-    pub fn node_is_up(&self, addr: Addr) -> bool {
-        self.sim
-            .node_by_addr(addr)
-            .map_or(false, |n| self.sim.nodes[n.0].up)
     }
 }
 
@@ -959,7 +921,7 @@ mod tests {
         struct Stray(Addr);
         impl App for Stray {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.raw_send(self.0, 47, Bytes::from_static(b"x"));
+                ctx.send_packet(Packet::raw(ctx.addr(), self.0, 47, Bytes::from_static(b"x")));
             }
             fn on_event(&mut self, _: AppEvent, _: &mut Ctx<'_>) {}
         }

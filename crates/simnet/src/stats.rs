@@ -126,6 +126,7 @@ impl SimStats {
     }
 
     /// Total drops across all reasons.
+    #[cfg(test)]
     pub fn total_drops(&self) -> u64 {
         self.drops.values().sum()
     }
@@ -142,6 +143,7 @@ impl SimStats {
     /// Drops attributed to injected faults (downed links, crashed nodes,
     /// partitions) — the chaos-engineering counterpart of
     /// [`censor_drops`](Self::censor_drops).
+    #[cfg(test)]
     pub fn fault_drops(&self) -> u64 {
         self.drops
             .iter()
@@ -183,6 +185,7 @@ impl SimStats {
     }
 
     /// Overall packet loss rate.
+    #[cfg(test)]
     pub fn overall_loss_rate(&self) -> f64 {
         if self.packets_sent == 0 {
             return 0.0;

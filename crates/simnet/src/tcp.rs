@@ -440,6 +440,7 @@ impl TcpLayer {
     }
 
     /// Bytes currently waiting in the receive buffer.
+    #[cfg(test)]
     pub fn recv_available(&self, h: TcpHandle) -> usize {
         self.conns.get(h.0).map_or(0, |c| c.recv_buf.len())
     }
@@ -1093,6 +1094,7 @@ impl TcpLayer {
 
     /// Approximate bytes of state held by this layer: every connection
     /// slot ever opened plus the payload bytes queued on the live ones.
+    #[cfg(test)]
     pub fn state_bytes(&self) -> usize {
         self.conns
             .iter()

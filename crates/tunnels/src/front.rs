@@ -14,8 +14,7 @@ use std::ops::Bound::{Included, Unbounded};
 
 use bytes::Bytes;
 use sc_netproto::socks::{SocksServerSession, TargetAddr};
-use sc_simnet::api::{TcpEvent, TcpHandle};
-use sc_simnet::sim::Ctx;
+use sc_simnet::api::{Io, TcpEvent, TcpHandle};
 
 /// What a browser did that the app must act on.
 pub(crate) enum FrontEvent<T> {
@@ -58,23 +57,23 @@ impl<T: Copy> SocksFront<T> {
 
     /// Takes a browser connection's event: negotiates, holds early bytes,
     /// and reports what the app must act on.
-    pub(crate) fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, ctx: &mut Ctx<'_>) -> Option<FrontEvent<T>> {
+    pub(crate) fn on_event(&mut self, h: TcpHandle, ev: TcpEvent, io: &mut impl Io) -> Option<FrontEvent<T>> {
         match ev {
             TcpEvent::Accepted { .. } => {
                 self.browsers.insert(h, Browser::Negotiating(SocksServerSession::new()));
                 None
             }
             TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 let browser = self.browsers.get_mut(&h)?;
                 match browser {
                     Browser::Negotiating(sess) => {
                         let out = sess.on_bytes(&data);
                         if !out.reply.is_empty() {
-                            ctx.tcp_send_bytes(h, Bytes::from(out.reply));
+                            io.tcp_send_bytes(h, Bytes::from(out.reply));
                         }
                         if out.failed {
-                            ctx.tcp_close(h);
+                            io.tcp_close(h);
                             self.browsers.remove(&h);
                             return None;
                         }
@@ -135,8 +134,8 @@ impl<T: Copy> SocksFront<T> {
     }
 
     /// The browser's tunnel ended (or none will come): closes the browser.
-    pub(crate) fn end(&mut self, browser: TcpHandle, ctx: &mut Ctx<'_>) {
-        ctx.tcp_close(browser);
+    pub(crate) fn end(&mut self, browser: TcpHandle, io: &mut impl Io) {
+        io.tcp_close(browser);
         self.browsers.remove(&browser);
     }
 

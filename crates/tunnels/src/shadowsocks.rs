@@ -13,7 +13,7 @@
 //! * **Probe behaviour**: the remote server consumes undecryptable bytes
 //!   silently — the signature the GFW's active prober confirms.
 
-use bytes::{BufMut, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rand::Rng;
 use sc_crypto::hmac::bytes_to_key;
 use sc_crypto::modes::Cfb;
@@ -24,9 +24,8 @@ use sc_obs::prof::{self, Subsystem};
 use crate::front::{FrontEvent, SocksFront};
 use crate::names::NameMap;
 use sc_simnet::addr::SocketAddr;
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 use sc_simnet::time::{SimDuration, SimTime};
 
 /// Default Shadowsocks remote port.
@@ -186,16 +185,16 @@ impl SsLocal {
             .is_some_and(|t| now - t < self.config.keepalive)
     }
 
-    fn begin_auth(&mut self, dedicated: Option<TcpHandle>, ctx: &mut Ctx<'_>) {
+    fn begin_auth(&mut self, dedicated: Option<TcpHandle>, io: &mut impl Io) {
         if dedicated.is_none() {
             if self.auth_in_flight {
                 return;
             }
             self.auth_in_flight = true;
         }
-        let h = ctx.tcp_connect(self.config.server);
+        let h = io.tcp_connect(self.config.server);
         let mut iv = [0u8; 16];
-        ctx.rng().fill(&mut iv);
+        io.rng().fill(&mut iv);
         let tx = Box::new(new_cfb(&self.key, iv));
         self.remotes.insert(
             h,
@@ -212,50 +211,45 @@ impl SsLocal {
 
     /// Opens a data connection for every waiting browser without one
     /// (`only` that one, if given), in handle order.
-    fn open_data_conns(&mut self, only: Option<TcpHandle>, ctx: &mut Ctx<'_>) {
+    fn open_data_conns(&mut self, only: Option<TcpHandle>, io: &mut impl Io) {
         let (server, remotes) = (self.config.server, &mut self.remotes);
         self.front.bind(only, |browser| {
-            let h = ctx.tcp_connect(server);
+            let h = io.tcp_connect(server);
             remotes.insert(h, RemoteConn::DataConnecting { browser });
             h
         });
     }
 
-    fn on_connect(&mut self, browser: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn on_connect(&mut self, browser: TcpHandle, io: &mut impl Io) {
         if self.config.auth_per_connection {
             // Figure-4 behaviour: every HTTP session begins with its own
             // TCP-1 authentication connection.
-            self.begin_auth(Some(browser), ctx);
-        } else if self.auth_fresh(ctx.now()) {
-            self.open_data_conns(Some(browser), ctx);
+            self.begin_auth(Some(browser), io);
+        } else if self.auth_fresh(io.now()) {
+            self.open_data_conns(Some(browser), io);
         } else {
-            self.begin_auth(None, ctx);
+            self.begin_auth(None, io);
         }
     }
-}
 
-impl App for SsLocal {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(SS_LOCAL_PORT);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
 
         // --- browser side ---
         if self.front.owns(h, &tcp_ev) {
-            match self.front.on_event(h, tcp_ev, ctx) {
-                Some(FrontEvent::Connect(browser)) => self.on_connect(browser, ctx),
+            match self.front.on_event(h, tcp_ev, io) {
+                Some(FrontEvent::Connect(browser)) => self.on_connect(browser, io),
                 Some(FrontEvent::Data(remote, data)) => {
                     if let Some(RemoteConn::DataUp { tx, .. }) = self.remotes.get_mut(&remote) {
                         // The hop's one copy, encrypted where it lies.
                         let mut enc = BytesMut::from(&data[..]);
                         seal(tx, &mut enc);
-                        ctx.tcp_send_bytes(remote, enc.freeze());
+                        io.tcp_send_bytes(remote, enc.freeze());
                     }
                 }
                 Some(FrontEvent::Left(Some(remote))) => {
-                    ctx.tcp_close(remote);
+                    io.tcp_close(remote);
                     // A connection still connecting is freed quietly: no
                     // event will come back to remove its entry.
                     if let Some(RemoteConn::DataConnecting { .. }) = self.remotes.get(&remote) {
@@ -285,13 +279,13 @@ impl App for SsLocal {
                         frame.put_u8(pass.len() as u8);
                         frame.put_slice(pass);
                         seal(tx, &mut frame[at..]);
-                        ctx.tcp_send_bytes(h, frame.freeze());
+                        io.tcp_send_bytes(h, frame.freeze());
                     }
                     Some(RemoteConn::DataConnecting { browser }) => {
                         let browser = *browser;
                         let Some((target, early)) = self.front.open(browser) else { return };
                         let mut iv = [0u8; 16];
-                        ctx.rng().fill(&mut iv);
+                        io.rng().fill(&mut iv);
                         let mut tx = new_cfb(&self.key, iv);
                         // IV ‖ E(target ‖ early bytes), sealed where it lies.
                         let mut frame = BytesMut::with_capacity(iv.len() + target.encoded_len() + early.len());
@@ -299,7 +293,7 @@ impl App for SsLocal {
                         target.encode_into(&mut frame);
                         frame.put_slice(&early);
                         seal(&mut tx, &mut frame[iv.len()..]);
-                        ctx.tcp_send_bytes(h, frame.freeze());
+                        io.tcp_send_bytes(h, frame.freeze());
                         self.remotes
                             .insert(h, RemoteConn::DataUp { browser, tx: Box::new(tx), rx: RecvHalf::new() });
                     }
@@ -307,7 +301,7 @@ impl App for SsLocal {
                 }
             }
             TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 match self.remotes.get_mut(&h) {
                     Some(RemoteConn::AuthInFlight { dedicated, tx, rx, plain, challenge_answered, .. }) => {
                         let Some(chunk) = rx.open(&self.key, &data) else { return };
@@ -324,7 +318,7 @@ impl App for SsLocal {
                             let mac = sc_crypto::hmac::hmac_sha256(self.config.password.as_bytes(), &challenge);
                             let mut answer = BytesMut::from(&mac[..16]);
                             seal(tx, &mut answer);
-                            ctx.tcp_send_bytes(h, answer.freeze());
+                            io.tcp_send_bytes(h, answer.freeze());
                         }
                         // Expect the 1-byte OK verdict.
                         if plain.is_empty() {
@@ -332,20 +326,20 @@ impl App for SsLocal {
                         }
                         let ok = plain[0] == 1;
                         let dedicated = *dedicated;
-                        ctx.tcp_close(h);
+                        io.tcp_close(h);
                         self.remotes.remove(&h);
                         if !ok {
                             return;
                         }
-                        self.last_auth = Some(ctx.now());
+                        self.last_auth = Some(io.now());
                         if dedicated.is_none() {
                             self.auth_in_flight = false;
                         }
-                        self.open_data_conns(dedicated, ctx);
+                        self.open_data_conns(dedicated, io);
                     }
                     Some(RemoteConn::DataUp { browser, rx, .. }) => {
                         if let Some(plain) = rx.open(&self.key, &data) {
-                            ctx.tcp_send_bytes(*browser, plain.freeze());
+                            io.tcp_send_bytes(*browser, plain.freeze());
                         }
                     }
                     _ => {}
@@ -354,7 +348,7 @@ impl App for SsLocal {
             TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
                 match self.remotes.remove(&h) {
                     Some(RemoteConn::DataUp { browser, .. }) | Some(RemoteConn::DataConnecting { browser }) => {
-                        self.front.end(browser, ctx);
+                        self.front.end(browser, io);
                     }
                     Some(RemoteConn::AuthInFlight { dedicated, .. }) => {
                         if dedicated.is_none() {
@@ -366,6 +360,16 @@ impl App for SsLocal {
             }
             _ => {}
         }
+    }
+}
+
+impl App for SsLocal {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(SS_LOCAL_PORT);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.handle(ev, ctx);
     }
 }
 
@@ -422,7 +426,7 @@ impl SsRemote {
         }
     }
 
-    fn try_interpret(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn try_interpret(&mut self, h: TcpHandle, io: &mut impl Io) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         // Auth frame: MAGIC ‖ ulen ‖ user ‖ plen ‖ pass.
         if let Some(rest) = conn.plain.strip_prefix(AUTH_MAGIC) {
@@ -439,10 +443,10 @@ impl SsRemote {
             // Issue the challenge (second auth round trip — the paper's
             // costly TCP-1 exchange).
             let mut iv = [0u8; 16];
-            ctx.rng().fill(&mut iv);
+            io.rng().fill(&mut iv);
             let mut tx = new_cfb(&self.key, iv);
             let mut challenge = [0u8; 16];
-            ctx.rng().fill(&mut challenge);
+            io.rng().fill(&mut challenge);
             let mac = sc_crypto::hmac::hmac_sha256(self.password.as_bytes(), &challenge);
             let expect = mac[..16].try_into().expect("16 of 32 bytes");
             // IV ‖ E(challenge)
@@ -450,7 +454,7 @@ impl SsRemote {
             frame.put_slice(&iv);
             frame.put_slice(&challenge);
             seal(&mut tx, &mut frame[iv.len()..]);
-            ctx.tcp_send_bytes(h, frame.freeze());
+            io.tcp_send_bytes(h, frame.freeze());
             conn.plain.drain(..AUTH_MAGIC.len() + 2 + ulen + plen);
             conn.state = ServerState::Challenged { expect, tx: Box::new(tx) };
             return;
@@ -464,7 +468,7 @@ impl SsRemote {
             if sc_crypto::hmac::ct_eq(&conn.plain[..16], expect) {
                 let mut ok = BytesMut::from(&[1u8][..]);
                 seal(tx, &mut ok);
-                ctx.tcp_send_bytes(h, ok.freeze());
+                io.tcp_send_bytes(h, ok.freeze());
                 conn.state = ServerState::Handshake;
             } else {
                 conn.state = ServerState::Blackhole;
@@ -489,28 +493,23 @@ impl SsRemote {
                 }
             },
         };
-        let upstream = ctx.tcp_connect(upstream_addr);
+        let upstream = io.tcp_connect(upstream_addr);
         // TCP holds what is sent before the handshake completes.
-        ctx.tcp_send(upstream, &conn.plain[consumed..]);
+        io.tcp_send_bytes(upstream, Bytes::copy_from_slice(&conn.plain[consumed..]));
         self.upstreams.insert(upstream, h);
         conn.plain = Vec::new();
         conn.state = ServerState::Relaying { upstream, tx: None };
     }
-}
 
-impl App for SsRemote {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(SS_PORT);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
 
         // Upstream side.
         if let Some(&client) = self.upstreams.get(&h) {
             match tcp_ev {
                 TcpEvent::DataReceived => {
-                    let data = ctx.tcp_recv_all(h);
+                    let data = io.tcp_recv_all(h);
                     let Some(ServerConn { state: ServerState::Relaying { tx, .. }, .. }) = self.conns.get_mut(&client)
                     else {
                         return;
@@ -519,16 +518,16 @@ impl App for SsRemote {
                     // sealed chunk.
                     let tx = tx.get_or_insert_with(|| {
                         let mut iv = [0u8; 16];
-                        ctx.rng().fill(&mut iv);
-                        ctx.tcp_send(client, &iv);
+                        io.rng().fill(&mut iv);
+                        io.tcp_send_bytes(client, Bytes::copy_from_slice(&iv));
                         Box::new(new_cfb(&self.key, iv))
                     });
                     let mut enc = BytesMut::from(&data[..]);
                     seal(tx, &mut enc);
-                    ctx.tcp_send_bytes(client, enc.freeze());
+                    io.tcp_send_bytes(client, enc.freeze());
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
-                    ctx.tcp_close(client);
+                    io.tcp_close(client);
                     self.upstreams.remove(&h);
                 }
                 _ => {}
@@ -543,25 +542,25 @@ impl App for SsRemote {
                 self.conns.insert(h, conn);
             }
             TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 let Some(conn) = self.conns.get_mut(&h) else { return };
                 match conn.state {
                     ServerState::Blackhole => { /* consume silently */ }
                     ServerState::Relaying { upstream, .. } => {
                         if let Some(plain) = conn.rx.open(&self.key, &data) {
-                            ctx.tcp_send_bytes(upstream, plain.freeze());
+                            io.tcp_send_bytes(upstream, plain.freeze());
                         }
                     }
                     ServerState::Handshake | ServerState::Challenged { .. } => {
                         let Some(chunk) = conn.rx.open(&self.key, &data) else { return };
                         conn.plain.extend_from_slice(&chunk);
-                        self.try_interpret(h, ctx);
+                        self.try_interpret(h, io);
                     }
                 }
             }
             TcpEvent::PeerClosed | TcpEvent::Reset => {
                 if let Some(ServerConn { state: ServerState::Relaying { upstream, .. }, .. }) = self.conns.remove(&h) {
-                    ctx.tcp_close(upstream);
+                    io.tcp_close(upstream);
                     self.upstreams.remove(&upstream);
                 }
             }
@@ -570,32 +569,37 @@ impl App for SsRemote {
     }
 }
 
+impl App for SsRemote {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(SS_PORT);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.handle(ev, ctx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use std::cell::{Cell, RefCell};
+    use std::cell::Cell;
     use std::rc::Rc;
 
-    use bytes::Bytes;
-    use sc_simnet::sim::Sim;
+    use sc_simnet::scripted::{Call, ScriptedIo};
+    use sc_simnet::sim::{Ctx, Sim};
 
     use super::*;
-    use crate::testnet::{self, OneBrowser, SocksSessions, WebLog, WebServer, CLIENT, REQUEST, SS_SERVER, WEB};
+    use crate::testnet::{self, SocksSessions, WebServer, CLIENT, REQUEST, SS_SERVER, WEB};
 
     /// A Shadowsocks world: the remote, the local proxy and `sessions`
     /// browsers offering `method`, against a web server that answers or
     /// holds every request.
     fn run(sessions: usize, method: u8, answer: bool) -> Sim {
-        run_cut(sessions, method, answer, None, Rc::default())
-    }
-
-    /// [`run`], each session's bytes cut at `cut`, the web server
-    /// logging to `log`.
-    fn run_cut(sessions: usize, method: u8, answer: bool, cut: Option<usize>, log: Rc<RefCell<WebLog>>) -> Sim {
         let mut sim = testnet::world(46);
         let cfg = SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT));
         testnet::install(&mut sim, SS_SERVER, SsRemote::new(&cfg, testnet::names()));
-        testnet::install(&mut sim, WEB, WebServer { answer, log });
+        testnet::install(&mut sim, WEB, WebServer { answer, log: Rc::default() });
         testnet::install(&mut sim, CLIENT, SsLocal::new(cfg));
+        let cut = None;
         testnet::install(&mut sim, CLIENT, SocksSessions { port: SS_LOCAL_PORT, sessions, method, ready: None, cut });
         sim.run_for(SimDuration::from_secs(10));
         sim
@@ -635,39 +639,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn early_bytes_cut_at_every_split_reach_the_origin_once() {
-        for cut in 1..testnet::socks_wire(0).len() {
-            let log = Rc::default();
-            let sim = run_cut(1, 0, true, Some(cut), Rc::clone(&log));
-            let log = log.borrow();
-            let received: Vec<&[u8]> = log.received.values().map(Vec::as_slice).collect();
-            assert_eq!(received, [REQUEST], "cut at {cut}: what the origin got");
-            assert_eq!(log.closed, log.accepted, "cut at {cut}: the session never completed");
-            assert_eq!(testnet::app::<SsLocal>(&sim, CLIENT).front.len(), 0, "cut at {cut}");
-        }
+    /// A local proxy whose auth is fresh, so a browser's CONNECT opens a
+    /// data connection at once, in the scripted world.
+    fn fresh_local() -> (SsLocal, ScriptedIo) {
+        let mut local = SsLocal::new(SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT)));
+        local.last_auth = Some(SimTime::ZERO);
+        (local, ScriptedIo::default())
     }
 
-    /// One [`OneBrowser`] sending `wire` to a local proxy whose auth is
-    /// fresh; the local proxy and what the browser saw.
-    fn one_browser(wire: Vec<u8>, hang_up: bool) -> (Sim, (Vec<u8>, bool)) {
-        let mut sim = testnet::world(46);
-        let cfg = SsConfig::new(SocketAddr::new(SS_SERVER, SS_PORT));
-        testnet::install(&mut sim, SS_SERVER, SsRemote::new(&cfg, testnet::names()));
-        let mut local = SsLocal::new(cfg);
-        local.last_auth = Some(SimTime::ZERO);
-        testnet::install(&mut sim, CLIENT, local);
-        let seen = Rc::default();
-        testnet::install(&mut sim, CLIENT, OneBrowser { port: SS_LOCAL_PORT, wire, hang_up, seen: Rc::clone(&seen) });
-        sim.run_for(SimDuration::from_secs(2));
-        let seen = seen.borrow().clone();
-        (sim, seen)
+    /// Browser connection 1 sends `wire` to `local`.
+    fn browser_sends(local: &mut SsLocal, wire: &[u8], io: &mut ScriptedIo) {
+        io.inbox.insert(BROWSER, wire.to_vec());
+        local.handle(AppEvent::Tcp(BROWSER, TcpEvent::DataReceived), io);
+    }
+
+    const BROWSER: TcpHandle = TcpHandle(1);
+
+    #[test]
+    fn early_bytes_cut_at_every_split_reach_the_origin_once() {
+        let wire = testnet::socks_wire(0);
+        let target = TargetAddr::Domain("web.example".into(), 80).encode();
+        for cut in 1..wire.len() {
+            // The data connection opens before the second write arrives,
+            // or after it, wherever the first write already holds the
+            // whole CONNECT.
+            for open_between in [false, true] {
+                let (mut local, mut io) = fresh_local();
+                let peer = SocketAddr::new(CLIENT, 40_000);
+                local.handle(AppEvent::Tcp(BROWSER, TcpEvent::Accepted { peer }), &mut io);
+                browser_sends(&mut local, &wire[..cut], &mut io);
+                let data = TcpHandle(100);
+                let opened = open_between && io.connects() == [data];
+                if opened {
+                    local.handle(AppEvent::Tcp(data, TcpEvent::Connected), &mut io);
+                }
+                browser_sends(&mut local, &wire[cut..], &mut io);
+                assert_eq!(io.connects(), [data], "cut at {cut}: one data connection");
+                if !opened {
+                    local.handle(AppEvent::Tcp(data, TcpEvent::Connected), &mut io);
+                }
+                // IV ‖ E(target ‖ request): the request once, in order.
+                let mut sent = io.sent_bytes(data);
+                let mut rx = new_cfb(&local.key, sent[..16].try_into().unwrap());
+                open(&mut rx, &mut sent[16..]);
+                assert_eq!(sent[16..], [&target[..], REQUEST].concat(), "cut at {cut}, open_between {open_between}");
+                assert_eq!(io.sent_bytes(BROWSER), [5, 0, 5, 0, 0, 1, 0, 0, 0, 0, 0, 0], "cut at {cut}");
+                // The tunnel ends: the browser is closed and forgotten.
+                local.handle(AppEvent::Tcp(data, TcpEvent::PeerClosed), &mut io);
+                assert_eq!(io.calls.last(), Some(&Call::Close(BROWSER)), "cut at {cut}");
+                assert_eq!(local.front.len(), 0, "cut at {cut}");
+            }
+        }
     }
 
     #[test]
     fn a_browser_that_leaves_while_its_data_connection_connects_leaves_no_remote() {
-        let (sim, _) = one_browser(testnet::socks_wire(0)[..21].to_vec(), true);
-        let local = testnet::app::<SsLocal>(&sim, CLIENT);
+        let (mut local, mut io) = fresh_local();
+        let peer = SocketAddr::new(CLIENT, 40_000);
+        local.handle(AppEvent::Tcp(BROWSER, TcpEvent::Accepted { peer }), &mut io);
+        browser_sends(&mut local, &testnet::socks_wire(0)[..21], &mut io);
+        assert_eq!(io.connects(), [TcpHandle(100)]);
+        local.handle(AppEvent::Tcp(BROWSER, TcpEvent::PeerClosed), &mut io);
+        assert_eq!(io.calls.last(), Some(&Call::Close(TcpHandle(100))), "the data connection is closed");
         assert_eq!(local.front.len(), 0, "browser entries left");
         assert!(local.remotes.is_empty(), "remote entries left: {:?}", local.remotes);
     }
@@ -677,9 +710,14 @@ mod tests {
         for atyp in [0x04, 0x09] {
             let mut wire = vec![5, 1, 0, 5, 1, 0, atyp];
             wire.extend_from_slice(&[0; 18]);
-            let (sim, seen) = one_browser(wire, false);
-            assert_eq!(seen, (vec![5, 0, 5, 8, 0, 1, 0, 0, 0, 0, 0, 0], true), "ATYP {atyp}: reply, closed");
-            assert_eq!(testnet::app::<SsLocal>(&sim, CLIENT).front.len(), 0, "ATYP {atyp}: browser entries left");
+            let (mut local, mut io) = fresh_local();
+            let peer = SocketAddr::new(CLIENT, 40_000);
+            local.handle(AppEvent::Tcp(BROWSER, TcpEvent::Accepted { peer }), &mut io);
+            browser_sends(&mut local, &wire, &mut io);
+            assert_eq!(io.sent_bytes(BROWSER), [5, 0, 5, 8, 0, 1, 0, 0, 0, 0, 0, 0], "ATYP {atyp}: the reply");
+            assert_eq!(io.calls.last(), Some(&Call::Close(BROWSER)), "ATYP {atyp}: closed");
+            assert!(io.connects().is_empty(), "ATYP {atyp}: nothing dialled");
+            assert_eq!(local.front.len(), 0, "ATYP {atyp}: browser entries left");
         }
     }
 

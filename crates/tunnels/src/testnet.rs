@@ -190,36 +190,3 @@ impl App for SocksSessions {
         }
     }
 }
-
-/// One browser connection to the local proxy on `port`: sends `wire` once
-/// connected, and hangs up at once if `hang_up`. `seen` keeps what came
-/// back and whether the proxy closed.
-pub(crate) struct OneBrowser {
-    pub(crate) port: u16,
-    pub(crate) wire: Vec<u8>,
-    pub(crate) hang_up: bool,
-    pub(crate) seen: Rc<RefCell<(Vec<u8>, bool)>>,
-}
-
-impl App for OneBrowser {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_connect(SocketAddr::new(ctx.addr(), self.port));
-    }
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
-        let AppEvent::Tcp(h, ev) = ev else { return };
-        match ev {
-            TcpEvent::Connected => {
-                ctx.tcp_send(h, &self.wire);
-                if self.hang_up {
-                    ctx.tcp_close(h);
-                }
-            }
-            TcpEvent::DataReceived => self.seen.borrow_mut().0.extend_from_slice(&ctx.tcp_recv_all(h)),
-            TcpEvent::PeerClosed => {
-                self.seen.borrow_mut().1 = true;
-                ctx.tcp_close(h);
-            }
-            _ => {}
-        }
-    }
-}

@@ -9,9 +9,8 @@ use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest};
 use sc_netproto::tls::TlsClient;
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimDuration;
 
 use super::cells::{Cell, CellBuf, MalformedCell, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd};
@@ -119,7 +118,7 @@ impl TorClient {
 
     // --- meek transport ---
 
-    fn meek_flush(&mut self, ctx: &mut Ctx<'_>) {
+    fn meek_flush(&mut self, io: &mut impl Io) {
         if self.poll_in_flight {
             return;
         }
@@ -137,36 +136,36 @@ impl TorClient {
             let _prof = prof::scope(Subsystem::Crypto);
             tls.send(&[&head, &body])
         };
-        ctx.tcp_send_bytes(conn, wire);
+        io.tcp_send_bytes(conn, wire);
         self.poll_in_flight = true;
     }
 
-    fn queue_cell(&mut self, cell: Cell, ctx: &mut Ctx<'_>) {
+    fn queue_cell(&mut self, cell: Cell, io: &mut impl Io) {
         self.tx_queue.extend_from_slice(cell.wire());
-        self.meek_flush(ctx);
+        self.meek_flush(io);
     }
 
     /// Builds a relay cell for hop `upto`, wraps its payload in onion
     /// layers 0..=`upto` where it lies, and queues it.
-    fn send_relay(&mut self, upto: usize, stream_id: u16, rcmd: u8, data: &[u8], ctx: &mut Ctx<'_>) {
+    fn send_relay(&mut self, upto: usize, stream_id: u16, rcmd: u8, data: &[u8], io: &mut impl Io) {
         let mut cell = Cell::relay(self.circ_id, stream_id, rcmd, data);
         for layer in self.layers[..=upto].iter_mut().rev() {
             layer.forward(cell.payload_mut());
         }
-        self.queue_cell(cell, ctx);
+        self.queue_cell(cell, io);
     }
 
     // --- circuit building ---
 
-    fn begin_create(&mut self, ctx: &mut Ctx<'_>) {
+    fn begin_create(&mut self, io: &mut impl Io) {
         self.phase = Phase::Creating;
         let key = PrivateKey::from_entropy(self.entropy ^ 0x1111);
         let cell = Cell::new(self.circ_id, cmd::CREATE, &key.public_key().to_bytes());
         self.hop_keys.push(key);
-        self.queue_cell(cell, ctx);
+        self.queue_cell(cell, io);
     }
 
-    fn begin_extend(&mut self, hop: u8, ctx: &mut Ctx<'_>) {
+    fn begin_extend(&mut self, hop: u8, io: &mut impl Io) {
         self.phase = Phase::Extending(hop);
         let target = if hop == 1 { self.config.middle } else { self.config.exit };
         let key = PrivateKey::from_entropy(self.entropy ^ (0x2222 * (hop as u64 + 1)));
@@ -176,10 +175,10 @@ impl TorClient {
         data[4..6].copy_from_slice(&target.port.to_be_bytes());
         data[6..].copy_from_slice(&key.public_key().to_bytes());
         self.hop_keys.push(key);
-        self.send_relay(self.layers.len() - 1, 0, relay_cmd::EXTEND, &data, ctx);
+        self.send_relay(self.layers.len() - 1, 0, relay_cmd::EXTEND, &data, io);
     }
 
-    fn on_hop_established(&mut self, pub_bytes: &[u8], ctx: &mut Ctx<'_>) {
+    fn on_hop_established(&mut self, pub_bytes: &[u8], io: &mut impl Io) {
         let Ok(bytes8): Result<[u8; 8], _> = pub_bytes.try_into() else {
             self.phase = Phase::Failed;
             self.status.set(TunnelState::Failed);
@@ -193,22 +192,22 @@ impl TorClient {
         let key = self.hop_keys[self.layers.len()].agree(&peer);
         self.layers.push(OnionLayer::new(key));
         match self.layers.len() {
-            1 => self.begin_extend(1, ctx),
-            2 => self.begin_extend(2, ctx),
+            1 => self.begin_extend(1, io),
+            2 => self.begin_extend(2, io),
             _ => {
                 self.phase = Phase::Ready;
-                self.status.set(TunnelState::Up { established_at: ctx.now() });
+                self.status.set(TunnelState::Up { established_at: io.now() });
             }
         }
     }
 
     // --- inbound cells ---
 
-    fn on_cell(&mut self, mut cell: Cell, ctx: &mut Ctx<'_>) {
+    fn on_cell(&mut self, mut cell: Cell, io: &mut impl Io) {
         match cell.cmd() {
             cmd::CREATED => {
                 if self.phase == Phase::Creating {
-                    self.on_hop_established(cell.payload(), ctx);
+                    self.on_hop_established(cell.payload(), io);
                 }
             }
             cmd::RELAY => {
@@ -224,7 +223,7 @@ impl TorClient {
                 match rcmd {
                     relay_cmd::EXTENDED => {
                         if matches!(self.phase, Phase::Extending(_)) {
-                            self.on_hop_established(data, ctx);
+                            self.on_hop_established(data, io);
                         }
                     }
                     relay_cmd::CONNECTED => {
@@ -233,17 +232,17 @@ impl TorClient {
                         // now flush buffered request bytes.
                         let Some((_, early)) = self.front.open(browser) else { return };
                         for chunk in early.chunks(RELAY_DATA_MAX) {
-                            self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
+                            self.send_relay(2, stream_id, relay_cmd::DATA, chunk, io);
                         }
                     }
                     relay_cmd::DATA => {
                         if let Some(&browser) = self.streams.get(&stream_id) {
-                            ctx.tcp_send_bytes(browser, cell.into_relay_data());
+                            io.tcp_send_bytes(browser, cell.into_relay_data());
                         }
                     }
                     relay_cmd::END => {
                         if let Some(browser) = self.streams.remove(&stream_id) {
-                            self.front.end(browser, ctx);
+                            self.front.end(browser, io);
                         }
                     }
                     _ => {}
@@ -253,40 +252,30 @@ impl TorClient {
         }
     }
 
-    fn open_stream(&mut self, browser: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn open_stream(&mut self, browser: TcpHandle, io: &mut impl Io) {
         let Some(target) = self.front.target(browser) else { return };
         let begin = target.encode();
         let stream_id = self.next_stream;
         self.next_stream += 1;
         self.streams.insert(stream_id, browser);
         self.front.bind(Some(browser), |_| stream_id);
-        self.send_relay(2, stream_id, relay_cmd::BEGIN, &begin, ctx);
-    }
-}
-
-impl App for TorClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(self.config.socks_port);
-        self.session_id = ctx.rng().gen();
-        // Bootstrap: fetch the consensus first.
-        let h = ctx.tcp_connect(self.config.directory);
-        self.dir_conn = Some(h);
-        debug_assert_eq!(self.config.directory.port, DIR_PORT);
+        self.send_relay(2, stream_id, relay_cmd::BEGIN, &begin, io);
     }
 
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         match ev {
             AppEvent::TimerFired(TIMER_POLL) => {
-                self.meek_flush(ctx);
+                self.meek_flush(io);
             }
             AppEvent::Tcp(h, tcp_ev) if Some(h) == self.dir_conn => match tcp_ev {
                 TcpEvent::Connected => {
                     // Bootstrap stage 1: authority certificates.
                     let req = HttpRequest::get("directory.torproject.sim", "/certs");
-                    ctx.tcp_send_bytes(h, req.into_wire());
+                    io.tcp_send_bytes(h, req.into_wire());
                 }
                 TcpEvent::DataReceived => {
-                    let data = ctx.tcp_recv_all(h);
+                    let data = io.tcp_recv_all(h);
                     if let Ok(msgs) = self.dir_http.push_bytes(data) {
                         for msg in msgs {
                             if let HttpMessage::Response(_) = msg {
@@ -297,7 +286,7 @@ impl App for TorClient {
                                             "directory.torproject.sim",
                                             "/consensus",
                                         );
-                                        ctx.tcp_send_bytes(h, req.into_wire());
+                                        io.tcp_send_bytes(h, req.into_wire());
                                     }
                                     Phase::FetchingConsensus => {
                                         // Second bootstrap stage: relay
@@ -307,12 +296,12 @@ impl App for TorClient {
                                             "directory.torproject.sim",
                                             "/descriptors",
                                         );
-                                        ctx.tcp_send_bytes(h, req.into_wire());
+                                        io.tcp_send_bytes(h, req.into_wire());
                                     }
                                     Phase::FetchingDescriptors => {
-                                        ctx.tcp_close(h);
+                                        io.tcp_close(h);
                                         self.phase = Phase::TlsToBridge;
-                                        let conn = ctx.tcp_connect(self.config.bridge);
+                                        let conn = io.tcp_connect(self.config.bridge);
                                         self.meek_conn = Some(conn);
                                     }
                                     _ => {}
@@ -331,11 +320,11 @@ impl App for TorClient {
                 TcpEvent::Connected => {
                     let mut tls = TlsClient::new(&self.config.front_domain, self.entropy);
                     let hello = tls.start_handshake();
-                    ctx.tcp_send_bytes(h, hello);
+                    io.tcp_send_bytes(h, hello);
                     self.tls = Some(tls);
                 }
                 TcpEvent::DataReceived => {
-                    let data = ctx.tcp_recv_all(h);
+                    let data = io.tcp_recv_all(h);
                     let Some(tls) = self.tls.as_mut() else { return };
                     let out = {
                         let _prof = prof::scope(Subsystem::Crypto);
@@ -347,10 +336,10 @@ impl App for TorClient {
                         return;
                     };
                     if !out.wire.is_empty() {
-                        ctx.tcp_send_bytes(h, out.wire);
+                        io.tcp_send_bytes(h, out.wire);
                     }
                     if out.handshake_complete {
-                        self.begin_create(ctx);
+                        self.begin_create(io);
                     }
                     if !out.plaintext.is_empty() {
                         if let Ok(msgs) = self.http.push_bytes(out.plaintext) {
@@ -365,12 +354,12 @@ impl App for TorClient {
                                     self.cells.push(&resp.body);
                                     loop {
                                         match self.cells.next_cell() {
-                                            Ok(Some(cell)) => self.on_cell(cell, ctx),
+                                            Ok(Some(cell)) => self.on_cell(cell, io),
                                             Ok(None) => break,
                                             Err(MalformedCell) => {
                                                 // A protocol violation: the
                                                 // bridge link is aborted.
-                                                ctx.tcp_abort(h);
+                                                io.tcp_abort(h);
                                                 self.phase = Phase::Failed;
                                                 self.status.set(TunnelState::Failed);
                                                 return;
@@ -380,13 +369,13 @@ impl App for TorClient {
                                     // Keep the poll loop alive, backing
                                     // off while idle as real meek does.
                                     if !self.tx_queue.is_empty() {
-                                        self.meek_flush(ctx);
+                                        self.meek_flush(io);
                                     } else if self.phase != Phase::Failed {
                                         let factor = 1u64 << self.idle_polls.min(5);
                                         let delay = POLL_INTERVAL
                                             .saturating_mul(factor)
                                             .clamp(POLL_INTERVAL, POLL_MAX);
-                                        ctx.set_timer(delay, TIMER_POLL);
+                                        io.set_timer(delay, TIMER_POLL);
                                     }
                                 }
                             }
@@ -400,23 +389,38 @@ impl App for TorClient {
                 _ => {}
             },
             // Browser SOCKS side.
-            AppEvent::Tcp(h, tcp_ev) => match self.front.on_event(h, tcp_ev, ctx) {
-                Some(FrontEvent::Connect(browser)) if self.phase == Phase::Ready => self.open_stream(browser, ctx),
-                Some(FrontEvent::Connect(browser)) => self.front.end(browser, ctx),
+            AppEvent::Tcp(h, tcp_ev) => match self.front.on_event(h, tcp_ev, io) {
+                Some(FrontEvent::Connect(browser)) if self.phase == Phase::Ready => self.open_stream(browser, io),
+                Some(FrontEvent::Connect(browser)) => self.front.end(browser, io),
                 Some(FrontEvent::Data(stream_id, data)) => {
                     for chunk in data.chunks(RELAY_DATA_MAX) {
-                        self.send_relay(2, stream_id, relay_cmd::DATA, chunk, ctx);
+                        self.send_relay(2, stream_id, relay_cmd::DATA, chunk, io);
                     }
                 }
                 Some(FrontEvent::Left(Some(stream_id))) => {
                     if self.streams.remove(&stream_id).is_some() {
-                        self.send_relay(2, stream_id, relay_cmd::END, &[], ctx);
+                        self.send_relay(2, stream_id, relay_cmd::END, &[], io);
                     }
                 }
                 Some(FrontEvent::Left(None)) | None => {}
             },
             _ => {}
         }
+    }
+}
+
+impl App for TorClient {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(self.config.socks_port);
+        self.session_id = ctx.rng().gen();
+        // Bootstrap: fetch the consensus first.
+        let h = ctx.tcp_connect(self.config.directory);
+        self.dir_conn = Some(h);
+        debug_assert_eq!(self.config.directory.port, DIR_PORT);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.handle(ev, ctx);
     }
 }
 

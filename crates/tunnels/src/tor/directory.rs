@@ -4,9 +4,8 @@
 //! part of Tor Browser's slow first start.
 
 use sc_netproto::http::{HttpMessage, HttpParser, HttpResponse};
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 
 /// Default directory port.
 pub const DIR_PORT: u16 = 9030;
@@ -33,30 +32,19 @@ impl DirectoryServer {
     pub fn with_consensus_len(len: usize) -> Self {
         DirectoryServer { consensus_len: len, parsers: FixedMap::default() }
     }
-}
 
-impl Default for DirectoryServer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl App for DirectoryServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(DIR_PORT);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
         match tcp_ev {
             TcpEvent::Accepted { .. } => {
                 self.parsers.insert(h, HttpParser::new());
             }
             TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 let Some(parser) = self.parsers.get_mut(&h) else { return };
                 let Ok(msgs) = parser.push_bytes(data) else {
-                    ctx.tcp_abort(h);
+                    io.tcp_abort(h);
                     return;
                 };
                 for msg in msgs {
@@ -67,7 +55,7 @@ impl App for DirectoryServer {
                             let body = vec![b'c'; 64 * 1024];
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
-                            ctx.tcp_send_bytes(h, resp.into_wire());
+                            io.tcp_send_bytes(h, resp.into_wire());
                         } else if req.method() == "GET"
                             && (req.target().starts_with("/consensus")
                                 || req.target().starts_with("/descriptors"))
@@ -85,9 +73,9 @@ impl App for DirectoryServer {
                             body.truncate(self.consensus_len);
                             let resp = HttpResponse::new(200, body)
                                 .header("Content-Type", "text/plain");
-                            ctx.tcp_send_bytes(h, resp.into_wire());
+                            io.tcp_send_bytes(h, resp.into_wire());
                         } else {
-                            ctx.tcp_send_bytes(h, HttpResponse::new(404, Vec::new()).into_wire());
+                            io.tcp_send_bytes(h, HttpResponse::new(404, Vec::new()).into_wire());
                         }
                     }
                 }
@@ -97,5 +85,21 @@ impl App for DirectoryServer {
             }
             _ => {}
         }
+    }
+}
+
+impl Default for DirectoryServer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl App for DirectoryServer {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(DIR_PORT);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.handle(ev, ctx);
     }
 }

@@ -12,9 +12,8 @@ use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::SocketAddr;
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 use sc_simnet::time::SimDuration;
 
 use super::relay::OR_PORT;
@@ -63,7 +62,7 @@ impl MeekGateway {
         }
     }
 
-    fn respond(&mut self, conn: TcpHandle, session_id: u64, ctx: &mut Ctx<'_>) {
+    fn respond(&mut self, conn: TcpHandle, session_id: u64, io: &mut impl Io) {
         let Some(session) = self.sessions.get_mut(&session_id) else { return };
         // One read is the body as it arrived; several are joined once.
         let body = match session.downstream.as_slice() {
@@ -85,16 +84,16 @@ impl MeekGateway {
             let _prof = prof::scope(Subsystem::Crypto);
             c.tls.send(&[&head, &body])
         };
-        ctx.tcp_send_bytes(conn, wire);
+        io.tcp_send_bytes(conn, wire);
     }
 
-    fn handle_request(&mut self, conn: TcpHandle, req: HttpRequest, ctx: &mut Ctx<'_>) {
+    fn handle_request(&mut self, conn: TcpHandle, req: HttpRequest, io: &mut impl Io) {
         if req.method() != "POST" || !req.target().starts_with(MEEK_PATH) {
             let wire = {
                 let Some(c) = self.conns.get_mut(&conn) else { return };
                 c.tls.send(&[&HttpResponse::new(404, Vec::new()).into_parts().0])
             };
-            ctx.tcp_send_bytes(conn, wire);
+            io.tcp_send_bytes(conn, wire);
             return;
         }
         let session_id: u64 = req
@@ -103,7 +102,7 @@ impl MeekGateway {
             .unwrap_or(0);
         // Create the session (and its loopback OR link) on first use.
         if !self.sessions.contains_key(&session_id) {
-            let or_conn = ctx.tcp_connect(SocketAddr::new(ctx.addr(), OR_PORT));
+            let or_conn = io.tcp_connect(SocketAddr::new(io.addr(), OR_PORT));
             self.or_to_session.insert(or_conn, session_id);
             self.sessions.insert(
                 session_id,
@@ -118,28 +117,23 @@ impl MeekGateway {
         // Ship upstream bytes into the OR link (TCP holds them while the
         // link is still connecting).
         if !req.body.is_empty() {
-            ctx.tcp_send_bytes(session.or_conn, req.body);
+            io.tcp_send_bytes(session.or_conn, req.body);
         }
         // Answer: immediately if downstream bytes wait, else hold.
         if !session.downstream.is_empty() {
-            self.respond(conn, session_id, ctx);
+            self.respond(conn, session_id, io);
         } else {
             session.held_poll = Some(conn);
             if let Some(c) = self.conns.get_mut(&conn) {
                 c.holding_for = Some(session_id);
             }
             // Token encodes the session so the timer can release the hold.
-            ctx.set_timer(HOLD_TIME, session_id);
+            io.set_timer(HOLD_TIME, session_id);
         }
     }
-}
 
-impl App for MeekGateway {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(MEEK_PORT);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         match ev {
             AppEvent::TimerFired(session_id) => {
                 // Release a held poll even if no data arrived (empty 200),
@@ -149,7 +143,7 @@ impl App for MeekGateway {
                     .get(&session_id)
                     .and_then(|s| s.held_poll);
                 if let Some(conn) = held {
-                    self.respond(conn, session_id, ctx);
+                    self.respond(conn, session_id, io);
                 }
             }
             AppEvent::Tcp(h, tcp_ev) => {
@@ -157,7 +151,7 @@ impl App for MeekGateway {
                 if let Some(&session_id) = self.or_to_session.get(&h) {
                     match tcp_ev {
                         TcpEvent::DataReceived => {
-                            let data = ctx.tcp_recv_all(h);
+                            let data = io.tcp_recv_all(h);
                             let held = {
                                 let Some(s) = self.sessions.get_mut(&session_id) else { return };
                                 if !data.is_empty() {
@@ -166,7 +160,7 @@ impl App for MeekGateway {
                                 s.held_poll
                             };
                             if let Some(conn) = held {
-                                self.respond(conn, session_id, ctx);
+                                self.respond(conn, session_id, io);
                             }
                         }
                         TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
@@ -190,7 +184,7 @@ impl App for MeekGateway {
                         );
                     }
                     TcpEvent::DataReceived => {
-                        let data = ctx.tcp_recv_all(h);
+                        let data = io.tcp_recv_all(h);
                         let (wire_out, requests) = {
                             let Some(c) = self.conns.get_mut(&h) else { return };
                             let out = {
@@ -198,7 +192,7 @@ impl App for MeekGateway {
                                 c.tls.on_bytes(&data)
                             };
                             let Ok(out) = out else {
-                                ctx.tcp_abort(h);
+                                io.tcp_abort(h);
                                 return;
                             };
                             let mut requests = Vec::new();
@@ -214,10 +208,10 @@ impl App for MeekGateway {
                             (out.wire, requests)
                         };
                         if !wire_out.is_empty() {
-                            ctx.tcp_send_bytes(h, wire_out);
+                            io.tcp_send_bytes(h, wire_out);
                         }
                         for req in requests {
-                            self.handle_request(h, req, ctx);
+                            self.handle_request(h, req, io);
                         }
                     }
                     TcpEvent::PeerClosed | TcpEvent::Reset => {
@@ -234,5 +228,15 @@ impl App for MeekGateway {
             }
             _ => {}
         }
+    }
+}
+
+impl App for MeekGateway {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(MEEK_PORT);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.handle(ev, ctx);
     }
 }

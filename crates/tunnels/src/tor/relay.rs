@@ -7,9 +7,8 @@ use std::collections::BTreeMap;
 use sc_crypto::dh::{PrivateKey, PublicKey};
 use sc_netproto::socks::TargetAddr;
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 
 use super::cells::{Cell, CellBuf, MalformedCell, OnionLayer, RELAY_DATA_MAX, cmd, parse_relay_payload, relay_cmd};
 use crate::names::NameMap;
@@ -74,28 +73,28 @@ impl OrRelay {
         }
     }
 
-    fn send_cell(&mut self, conn: TcpHandle, cell: Cell, ctx: &mut Ctx<'_>) {
+    fn send_cell(&mut self, conn: TcpHandle, cell: Cell, io: &mut impl Io) {
         if let Some(out) = self.out_conns.get_mut(&conn) {
             if !out.connected {
                 out.pending_cells.push(cell);
                 return;
             }
         }
-        ctx.tcp_send_bytes(conn, cell.into_wire());
+        io.tcp_send_bytes(conn, cell.into_wire());
     }
 
     /// Originates a backward relay payload at this hop (EXTENDED,
     /// CONNECTED, DATA, END): one layer of our own encryption, applied
     /// in the cell.
-    fn originate_backward(&mut self, circ_idx: usize, stream_id: u16, rcmd: u8, data: &[u8], ctx: &mut Ctx<'_>) {
+    fn originate_backward(&mut self, circ_idx: usize, stream_id: u16, rcmd: u8, data: &[u8], io: &mut impl Io) {
         let (prev_conn, prev_circ) = self.circuits[circ_idx].prev;
         let mut cell = Cell::relay(prev_circ, stream_id, rcmd, data);
         self.circuits[circ_idx].layer.backward(cell.payload_mut());
-        self.send_cell(prev_conn, cell, ctx);
+        self.send_cell(prev_conn, cell, io);
     }
 
     /// Acts on a RELAY cell whose payload this hop's layer recognized.
-    fn handle_recognized(&mut self, circ_idx: usize, cell: Cell, ctx: &mut Ctx<'_>) {
+    fn handle_recognized(&mut self, circ_idx: usize, cell: Cell, io: &mut impl Io) {
         let Some((stream_id, rcmd, data)) = parse_relay_payload(cell.payload()) else { return };
         match rcmd {
             relay_cmd::EXTEND => {
@@ -105,7 +104,7 @@ impl OrRelay {
                 }
                 let addr = Addr::new(data[0], data[1], data[2], data[3]);
                 let port = u16::from_be_bytes([data[4], data[5]]);
-                let next = ctx.tcp_connect(SocketAddr::new(addr, port));
+                let next = io.tcp_connect(SocketAddr::new(addr, port));
                 self.out_conns.insert(next, OutConn::default());
                 self.bufs.insert(next, CellBuf::new());
                 let out_circ = self.next_out_circ;
@@ -113,7 +112,7 @@ impl OrRelay {
                 self.circuits[circ_idx].next = Some((next, out_circ));
                 self.by_link.insert((next, out_circ), circ_idx);
                 let create = Cell::new(out_circ, cmd::CREATE, &data[6..14]);
-                self.send_cell(next, create, ctx);
+                self.send_cell(next, create, io);
             }
             relay_cmd::BEGIN => {
                 // data: SOCKS-format target address (IP or domain).
@@ -123,24 +122,24 @@ impl OrRelay {
                     TargetAddr::Domain(name, p) => match self.names.resolve(name) {
                         Some(a) => SocketAddr::new(a, *p),
                         None => {
-                            self.originate_backward(circ_idx, stream_id, relay_cmd::END, &[], ctx);
+                            self.originate_backward(circ_idx, stream_id, relay_cmd::END, &[], io);
                             return;
                         }
                     },
                 };
-                let upstream = ctx.tcp_connect(dest);
+                let upstream = io.tcp_connect(dest);
                 self.circuits[circ_idx].streams.insert(stream_id, upstream);
                 self.upstreams.insert(upstream, (circ_idx, stream_id));
             }
             relay_cmd::DATA => {
                 if let Some(&upstream) = self.circuits[circ_idx].streams.get(&stream_id) {
                     // Before the exit's handshake completes, TCP holds it.
-                    ctx.tcp_send_bytes(upstream, cell.into_relay_data());
+                    io.tcp_send_bytes(upstream, cell.into_relay_data());
                 }
             }
             relay_cmd::END => {
                 if let Some(upstream) = self.circuits[circ_idx].streams.remove(&stream_id) {
-                    ctx.tcp_close(upstream);
+                    io.tcp_close(upstream);
                     self.upstreams.remove(&upstream);
                 }
             }
@@ -148,7 +147,7 @@ impl OrRelay {
         }
     }
 
-    fn on_cell(&mut self, conn: TcpHandle, mut cell: Cell, ctx: &mut Ctx<'_>) {
+    fn on_cell(&mut self, conn: TcpHandle, mut cell: Cell, io: &mut impl Io) {
         let key = (conn, cell.circ_id());
         if let Some(&circ_idx) = self.by_link.get(&key) {
             let is_forward = self.circuits[circ_idx].prev == key;
@@ -157,7 +156,7 @@ impl OrRelay {
                     cmd::RELAY => {
                         self.circuits[circ_idx].layer.forward(cell.payload_mut());
                         if parse_relay_payload(cell.payload()).is_some() {
-                            self.handle_recognized(circ_idx, cell, ctx);
+                            self.handle_recognized(circ_idx, cell, io);
                         } else if let Some((next, out_circ)) = self.circuits[circ_idx].next {
                             let connected = self
                                 .out_conns
@@ -165,7 +164,7 @@ impl OrRelay {
                                 .is_some_and(|o| o.connected);
                             if connected {
                                 cell.set_circ_id(out_circ);
-                                self.send_cell(next, cell, ctx);
+                                self.send_cell(next, cell, io);
                             } else {
                                 self.circuits[circ_idx].pending_next.push(cell);
                             }
@@ -177,12 +176,12 @@ impl OrRelay {
                     }
                     cmd::DESTROY => {
                         if let Some((next, out_circ)) = self.circuits[circ_idx].next {
-                            self.send_cell(next, Cell::new(out_circ, cmd::DESTROY, &[]), ctx);
+                            self.send_cell(next, Cell::new(out_circ, cmd::DESTROY, &[]), io);
                         }
                         // In stream order: the order of the closes is
                         // the order of their FINs on the wire.
                         for (_, upstream) in std::mem::take(&mut self.circuits[circ_idx].streams) {
-                            ctx.tcp_close(upstream);
+                            io.tcp_close(upstream);
                             self.upstreams.remove(&upstream);
                         }
                     }
@@ -194,12 +193,12 @@ impl OrRelay {
                     cmd::CREATED => {
                         // Our EXTEND completed: relay EXTENDED to client,
                         // and flush any cells that raced the extension.
-                        self.originate_backward(circ_idx, 0, relay_cmd::EXTENDED, cell.payload(), ctx);
+                        self.originate_backward(circ_idx, 0, relay_cmd::EXTENDED, cell.payload(), io);
                         let pending = std::mem::take(&mut self.circuits[circ_idx].pending_next);
                         if let Some((next, out_circ)) = self.circuits[circ_idx].next {
                             for mut cell in pending {
                                 cell.set_circ_id(out_circ);
-                                self.send_cell(next, cell, ctx);
+                                self.send_cell(next, cell, io);
                             }
                         }
                     }
@@ -207,7 +206,7 @@ impl OrRelay {
                         self.circuits[circ_idx].layer.backward(cell.payload_mut());
                         let (prev_conn, prev_circ) = self.circuits[circ_idx].prev;
                         cell.set_circ_id(prev_circ);
-                        self.send_cell(prev_conn, cell, ctx);
+                        self.send_cell(prev_conn, cell, io);
                     }
                     _ => {}
                 }
@@ -233,33 +232,28 @@ impl OrRelay {
             });
             self.by_link.insert(key, circ_idx);
             let created = Cell::new(key.1, cmd::CREATED, &dh.public_key().to_bytes());
-            self.send_cell(conn, created, ctx);
+            self.send_cell(conn, created, io);
         }
     }
-}
 
-impl App for OrRelay {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(self.port);
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         let AppEvent::Tcp(h, tcp_ev) = ev else { return };
 
         // Exit upstream side.
         if let Some(&(circ_idx, stream_id)) = self.upstreams.get(&h) {
             match tcp_ev {
                 TcpEvent::Connected => {
-                    self.originate_backward(circ_idx, stream_id, relay_cmd::CONNECTED, &[], ctx);
+                    self.originate_backward(circ_idx, stream_id, relay_cmd::CONNECTED, &[], io);
                 }
                 TcpEvent::DataReceived => {
-                    let data = ctx.tcp_recv_all(h);
+                    let data = io.tcp_recv_all(h);
                     for chunk in data.chunks(RELAY_DATA_MAX) {
-                        self.originate_backward(circ_idx, stream_id, relay_cmd::DATA, chunk, ctx);
+                        self.originate_backward(circ_idx, stream_id, relay_cmd::DATA, chunk, io);
                     }
                 }
                 TcpEvent::PeerClosed | TcpEvent::Reset | TcpEvent::ConnectFailed => {
-                    self.originate_backward(circ_idx, stream_id, relay_cmd::END, &[], ctx);
+                    self.originate_backward(circ_idx, stream_id, relay_cmd::END, &[], io);
                     self.circuits[circ_idx].streams.remove(&stream_id);
                     self.upstreams.remove(&h);
                 }
@@ -277,12 +271,12 @@ impl App for OrRelay {
                     out.connected = true;
                     let pending = std::mem::take(&mut out.pending_cells);
                     for cell in pending {
-                        ctx.tcp_send_bytes(h, cell.into_wire());
+                        io.tcp_send_bytes(h, cell.into_wire());
                     }
                 }
             }
             TcpEvent::DataReceived => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 // Taken out while its cells are handled (which may open
                 // links of their own), and walked a cell at a time.
                 let Some(buf) = self.bufs.get_mut(&h) else { return };
@@ -290,12 +284,12 @@ impl App for OrRelay {
                 buf.push(&data);
                 loop {
                     match buf.next_cell() {
-                        Ok(Some(cell)) => self.on_cell(h, cell, ctx),
+                        Ok(Some(cell)) => self.on_cell(h, cell, io),
                         Ok(None) => break,
                         Err(MalformedCell) => {
                             // A protocol violation: the link is aborted,
                             // and what it still held goes with it.
-                            ctx.tcp_abort(h);
+                            io.tcp_abort(h);
                             self.bufs.remove(&h);
                             return;
                         }
@@ -313,11 +307,22 @@ impl App for OrRelay {
     }
 }
 
+impl App for OrRelay {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(self.port);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.handle(ev, ctx);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
+    use sc_simnet::sim::Ctx;
     use sc_simnet::time::SimDuration;
 
     use super::*;

@@ -16,7 +16,7 @@ use sc_crypto::modes::Ctr;
 use sc_crypto::{Aes, KeySize};
 use sc_obs::prof::{self, Subsystem};
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{App, AppEvent, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
+use sc_simnet::api::{App, AppEvent, Io, PacketTunnel, TcpEvent, TcpHandle, UdpHandle};
 use sc_simnet::hash::FixedMap;
 use sc_simnet::packet::{L4, Packet, proto};
 use sc_simnet::sim::Ctx;

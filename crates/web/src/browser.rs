@@ -21,9 +21,8 @@ use sc_netproto::tls::TlsClient;
 use sc_obs::prof::{self, Subsystem};
 use sc_obs::{Quoted, SpanId, TraceCtx};
 use sc_simnet::addr::{Addr, SocketAddr};
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{pack_token, unpack_token, App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 use sc_simnet::time::{SimDuration, SimTime};
 
 /// How the browser reaches the network.
@@ -65,8 +64,8 @@ const DEFAULT_CONTENT_TTL: SimDuration = SimDuration::from_secs(300);
 
 /// Why a timer was armed. Timers cannot be cancelled, so whoever
 /// handles a fired one re-checks that its subject still needs it. The
-/// purpose and its subject travel in the token: a tag in the top bits,
-/// the load index or the handle below.
+/// purpose and its subject travel in the token
+/// ([`pack_token`]: the load index or the handle under a tag).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Timer {
     /// Staggered-start (load-ramp) delay before the browser begins.
@@ -86,9 +85,6 @@ enum Timer {
     Connect(TcpHandle),
 }
 
-/// Bits of a token below the purpose tag: the load index or the handle.
-const VALUE_BITS: u32 = 56;
-
 impl Timer {
     fn token(self) -> u64 {
         let (tag, value) = match self {
@@ -100,13 +96,12 @@ impl Timer {
             Timer::Throttle(load) => (5, load),
             Timer::Connect(h) => (6, h.0),
         };
-        debug_assert!((value as u64) < 1 << VALUE_BITS, "value overflows the token");
-        tag << VALUE_BITS | value as u64
+        pack_token(tag, value)
     }
 
     fn from_token(token: u64) -> Option<Timer> {
-        let value = (token & ((1 << VALUE_BITS) - 1)) as usize;
-        Some(match token >> VALUE_BITS {
+        let (tag, value) = unpack_token(token);
+        Some(match tag {
             0 => Timer::Ramp,
             1 => Timer::Wait,
             2 => Timer::DnsRetry,
@@ -174,6 +169,15 @@ impl BrowserConfig {
             entropy: 7,
             timeout: SimDuration::from_secs(55),
             start_delay: SimDuration::ZERO,
+        }
+    }
+
+    fn page_port_for(&self, host: &str) -> u16 {
+        // Subresources use the page's scheme; the account host is HTTPS.
+        if host == PAGE_HOST {
+            self.page_port
+        } else {
+            443
         }
     }
 }
@@ -347,9 +351,10 @@ pub struct Browser {
     gate: ReadyGate,
     stub: StubResolver,
     conns: BTreeMap<TcpHandle, Conn>,
-    /// `(host, port, open connection)`, reused within a load: a handful,
-    /// found by comparing the borrowed host.
-    by_host: Vec<(String, u16, TcpHandle)>,
+    /// `(port, open connection)` of the connection each `host:port` reuses
+    /// within a load: a handful, the host compared where the connection
+    /// keeps it.
+    by_host: Vec<(u16, TcpHandle)>,
     /// Resolution token → the fetch waiting on it (host, port, path)
     /// and its `dns` span.
     pending_dns: FixedMap<u64, (String, u16, String, SpanId)>,
@@ -436,18 +441,18 @@ impl Browser {
 
     /// Begins the first load once the readiness gate is open, polling it
     /// until then.
-    fn start_when_ready(&mut self, ctx: &mut Ctx<'_>) {
+    fn start_when_ready(&mut self, io: &mut impl Io) {
         match &self.gate {
-            Some(ready) if !ready() => ctx.set_timer(WAIT_POLL, Timer::Wait.token()),
-            _ => self.begin_load(ctx),
+            Some(ready) if !ready() => io.set_timer(WAIT_POLL, Timer::Wait.token()),
+            _ => self.begin_load(io),
         }
     }
 
-    fn begin_load(&mut self, ctx: &mut Ctx<'_>) {
+    fn begin_load(&mut self, io: &mut impl Io) {
         let index = self.loads_done;
         // The very first load's clock starts at browser launch, so tunnel
         // bootstrap (waited out via the gate) counts into first-time PLT.
-        let started = if index == 0 { self.browser_started } else { ctx.now() };
+        let started = if index == 0 { self.browser_started } else { io.now() };
         // The trace id is minted whether or not a sink is attached —
         // it is a pure hash, and propagating it unconditionally keeps
         // traced and untraced packet schedules identical.
@@ -477,63 +482,64 @@ impl Browser {
             throttled: false,
             revalidated: 0,
         });
-        ctx.set_timer(self.config.timeout, Timer::Deadline(index).token());
-        self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
+        io.set_timer(self.config.timeout, Timer::Deadline(index).token());
+        self.fetch(PAGE_HOST, self.config.page_port, "/", io);
     }
 
     /// The open connection to `host:port`, if there is one.
     fn conn_to(&self, host: &str, port: u16) -> Option<TcpHandle> {
-        self.by_host.iter().find(|(h, p, _)| h == host && *p == port).map(|&(_, _, conn)| conn)
+        let to = |conn| self.conns.get(&conn).is_some_and(|c: &Conn| c.host == host);
+        self.by_host.iter().find(|&&(p, conn)| p == port && to(conn)).map(|&(_, conn)| conn)
     }
 
     /// Requests `path` from `host:port`, opening or reusing a connection.
-    fn fetch(&mut self, host: &str, port: u16, path: &str, ctx: &mut Ctx<'_>) {
+    fn fetch(&mut self, host: &str, port: u16, path: &str, io: &mut impl Io) {
         if let Some(h) = self.conn_to(host, port) {
             if let Some(conn) = self.conns.get_mut(&h) {
                 conn.queue.push_back(Fetch::Get(path.to_string()));
-                self.pump_conn(h, ctx);
+                self.pump_conn(h, io);
                 return;
             }
         }
-        let route = self.route_for(host, ctx.now());
+        let route = self.route_for(host, io.now());
         match route {
             Route::Direct => {
                 // Resolve first (the DNS stub returns synchronously on a
                 // cache hit — the warm-cache fast path).
                 let token = self.next_dns_token;
                 self.next_dns_token += 1;
-                let span = load_span(ctx.now(), "dns", self.load_ctx(), |f| {
+                let span = load_span(io.now(), "dns", self.load_ctx(), |f| {
                     f.field("host", host);
                 });
                 self.pending_dns.insert(token, (host.to_string(), port, path.to_string(), span));
-                if let Some(res) = self.stub.resolve(host, token, ctx) {
-                    self.on_resolved(res.token, res.outcome, ctx);
+                if let Some(res) = self.stub.resolve(host, token, io) {
+                    self.on_resolved(res.token, res.outcome, io);
                 } else {
-                    ctx.set_timer(DNS_RETRY, Timer::DnsRetry.token());
+                    io.set_timer(DNS_RETRY, Timer::DnsRetry.token());
                 }
             }
             Route::Socks(p) | Route::HttpProxy(p) => {
-                let h = ctx.tcp_connect(p);
-                self.register_conn(h, host, port, route, path, ctx);
+                let h = io.tcp_connect(p);
+                self.register_conn(h, host, port, route, path, io);
             }
         }
     }
 
-    fn on_resolved(&mut self, token: u64, outcome: ResolveOutcome, ctx: &mut Ctx<'_>) {
+    fn on_resolved(&mut self, token: u64, outcome: ResolveOutcome, io: &mut impl Io) {
         let Some((host, port, path, span)) = self.pending_dns.remove(&token) else { return };
         let addr = match outcome {
             ResolveOutcome::Resolved(addrs) => addrs.first().copied(),
             ResolveOutcome::Failed(_) => None,
         };
-        sc_obs::span_end(ctx.now().as_micros(), span, |f| {
+        sc_obs::span_end(io.now().as_micros(), span, |f| {
             f.field("ok", addr.is_some());
         });
         match addr {
             Some(addr) => {
-                let h = ctx.tcp_connect(SocketAddr::new(addr, port));
-                self.register_conn(h, &host, port, Route::Direct, &path, ctx);
+                let h = io.tcp_connect(SocketAddr::new(addr, port));
+                self.register_conn(h, &host, port, Route::Direct, &path, io);
             }
-            None => self.end_load(LoadEnd::Failed, ctx),
+            None => self.end_load(LoadEnd::Failed, io),
         }
     }
 
@@ -544,11 +550,14 @@ impl Browser {
         port: u16,
         route: Route,
         path: &str,
-        ctx: &mut Ctx<'_>,
+        io: &mut impl Io,
     ) {
-        let connect_span = load_span(ctx.now(), "connect", self.load_ctx(), |f| {
+        let connect_span = load_span(io.now(), "connect", self.load_ctx(), |f| {
             f.field("host", host);
         });
+        // A second connection to one host:port (two fetches that waited
+        // on DNS together) takes the first one's entry over.
+        let replaced = self.conn_to(host, port);
         self.conns.insert(
             h,
             Conn {
@@ -566,9 +575,9 @@ impl Browser {
                 current: None,
             },
         );
-        match self.by_host.iter_mut().find(|(known, p, _)| known == host && *p == port) {
-            Some(entry) => entry.2 = h,
-            None => self.by_host.push((host.to_string(), port, h)),
+        match self.by_host.iter_mut().find(|(_, open)| Some(*open) == replaced) {
+            Some(entry) => entry.1 = h,
+            None => self.by_host.push((port, h)),
         }
         if let Some(load) = self.load.as_mut() {
             load.connections += 1;
@@ -578,7 +587,7 @@ impl Browser {
         // wait for the load deadline. Single-proxy policies keep the
         // pre-fleet behaviour (and the pre-fleet event schedule).
         if matches!(route, Route::HttpProxy(_)) && self.pac_fleet_size() >= 2 {
-            ctx.set_timer(PROXY_CONNECT_TIMEOUT, Timer::Connect(h).token());
+            io.set_timer(PROXY_CONNECT_TIMEOUT, Timer::Connect(h).token());
         }
     }
 
@@ -586,7 +595,7 @@ impl Browser {
     fn drop_conn(&mut self, h: TcpHandle, reason: &'static str, now: SimTime) {
         if let Some(mut conn) = self.conns.remove(&h) {
             conn.end_spans(now, reason);
-            self.by_host.retain(|&(_, _, open)| open != h);
+            self.by_host.retain(|&(_, open)| open != h);
         }
     }
 
@@ -608,18 +617,17 @@ impl Browser {
 
     /// A connect to a PAC proxy succeeded: count it for fleet
     /// availability and clear any dead-mark (rejoin after recovery).
-    fn mark_proxy_up(&mut self, addr: SocketAddr, ctx: &mut Ctx<'_>) {
+    fn mark_proxy_up(&mut self, addr: SocketAddr, io: &mut impl Io) {
         if self.pac_fleet_size() < 2 {
             return;
         }
-        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_ok", |f| {
+        emit_fleet(io.now(), sc_obs::Level::Debug, "connect_ok", |f| {
             f.field("proxy", addr);
         });
         let Some(idx) = self.pac_proxy_index(addr) else { return };
         if self.proxy_dead[idx].fail_level > 0 {
             self.proxy_dead[idx] = ProxyHealth::default();
-            sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_recoveries", 1);
-            emit_fleet(ctx.now(), sc_obs::Level::Info, "proxy_recovered", |f| {
+            emit_fleet(io.now(), sc_obs::Level::Info, "proxy_recovered", |f| {
                 f.field("proxy", addr);
             });
         }
@@ -627,8 +635,8 @@ impl Browser {
 
     /// Dead-marks `addr` after a failed connect: exponential re-probe
     /// backoff, mirroring the fleet tier's own peer dead-marking.
-    fn mark_proxy_dead(&mut self, addr: SocketAddr, reason: &str, ctx: &mut Ctx<'_>) {
-        emit_fleet(ctx.now(), sc_obs::Level::Debug, "connect_fail", |f| {
+    fn mark_proxy_dead(&mut self, addr: SocketAddr, reason: &str, io: &mut impl Io) {
+        emit_fleet(io.now(), sc_obs::Level::Debug, "connect_fail", |f| {
             f.field("proxy", addr).field("reason", reason);
         });
         let Some(idx) = self.pac_proxy_index(addr) else { return };
@@ -637,10 +645,9 @@ impl Browser {
         let backoff = PROXY_DEAD_BASE
             .saturating_mul(1u64 << level.min(4))
             .clamp(PROXY_DEAD_BASE, PROXY_DEAD_CAP);
-        self.proxy_dead[idx].dead_until = ctx.now() + backoff;
-        sc_obs::ts_bump(ctx.now().as_micros(), "web.proxy_dead_marks", 1);
+        self.proxy_dead[idx].dead_until = io.now() + backoff;
         // The numbers go out as strings, as they always have.
-        emit_fleet(ctx.now(), sc_obs::Level::Warn, "proxy_dead", |f| {
+        emit_fleet(io.now(), sc_obs::Level::Warn, "proxy_dead", |f| {
             f.field("proxy", addr).field("reason", reason).field("backoff_us", Quoted(backoff.as_micros()));
         });
     }
@@ -649,7 +656,7 @@ impl Browser {
     /// still connecting). Under a fleet PAC policy the proxy is
     /// dead-marked and the load replayed through the next candidate;
     /// otherwise (or once retries are exhausted) the load fails.
-    fn proxy_conn_failed(&mut self, h: TcpHandle, reason: &'static str, ctx: &mut Ctx<'_>) {
+    fn proxy_conn_failed(&mut self, h: TcpHandle, reason: &'static str, io: &mut impl Io) {
         let addr = match self.conns.get(&h) {
             Some(c) if c.phase == ConnPhase::Connecting => match c.route {
                 Route::HttpProxy(p) => Some(p),
@@ -658,19 +665,19 @@ impl Browser {
             _ => None,
         };
         let (Some(addr), true) = (addr, self.pac_fleet_size() >= 2) else {
-            return self.end_load(LoadEnd::Failed, ctx);
+            return self.end_load(LoadEnd::Failed, io);
         };
-        self.drop_conn(h, reason, ctx.now());
-        self.mark_proxy_dead(addr, reason, ctx);
-        if !self.proxy_failover_retry(addr, ctx) {
-            self.end_load(LoadEnd::Failed, ctx);
+        self.drop_conn(h, reason, io.now());
+        self.mark_proxy_dead(addr, reason, io);
+        if !self.proxy_failover_retry(addr, io) {
+            self.end_load(LoadEnd::Failed, io);
         }
     }
 
     /// Replays the in-flight load from scratch through the (new) best
     /// PAC candidate. Bounded per load; the load's deadline timer keeps
     /// running throughout.
-    fn proxy_failover_retry(&mut self, from: SocketAddr, ctx: &mut Ctx<'_>) -> bool {
+    fn proxy_failover_retry(&mut self, from: SocketAddr, io: &mut impl Io) -> bool {
         let Some(load) = self.load.as_mut() else { return false };
         if load.failover_retries >= MAX_FAILOVER_RETRIES {
             return false;
@@ -680,12 +687,11 @@ impl Browser {
         load.pending = 1; // the replayed HTML
         // benchmark/src/run.rs reads this counter until ROADMAP 8j moves it to the trace.
         sc_obs::counter_add("web.failovers", 1);
-        sc_obs::ts_bump(ctx.now().as_micros(), "web.failovers", 1);
-        emit_fleet(ctx.now(), sc_obs::Level::Info, "failover", |f| {
+        emit_fleet(io.now(), sc_obs::Level::Info, "failover", |f| {
             f.field("from", from).field("attempt", Quoted(attempt.into()));
         });
-        self.teardown_conns("failover", ctx);
-        self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
+        self.teardown_conns("failover", io);
+        self.fetch(PAGE_HOST, self.config.page_port, "/", io);
         true
     }
 
@@ -694,7 +700,7 @@ impl Browser {
     /// routes around it immediately. A proxy that crashes mid-tunnel
     /// dies silently (no RST in the simulator), so this is the only
     /// signal the browser gets for an already-established connection.
-    fn deadline_dead_marks(&mut self, ctx: &mut Ctx<'_>) {
+    fn deadline_dead_marks(&mut self, io: &mut impl Io) {
         if self.pac_fleet_size() < 2 {
             return;
         }
@@ -708,13 +714,13 @@ impl Browser {
             })
             .collect();
         for p in stalled {
-            self.mark_proxy_dead(p, "load_deadline", ctx);
+            self.mark_proxy_dead(p, "load_deadline", io);
         }
     }
 
     /// Called when a connection's tunnel/TLS is ready or a response
     /// completed: sends the next queued request.
-    fn pump_conn(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn pump_conn(&mut self, h: TcpHandle, io: &mut impl Io) {
         let lctx = self.load_ctx();
         let Some(conn) = self.conns.get_mut(&h) else { return };
         if conn.phase != ConnPhase::Ready || conn.current.is_some() {
@@ -723,13 +729,13 @@ impl Browser {
         let Some(mut next) = conn.queue.pop_front() else { return };
         let req = match &mut next {
             Fetch::RttProbe(sent) => {
-                *sent = ctx.now();
+                *sent = io.now();
                 HttpRequest::new("HEAD", "/")
                     .header("Host", &conn.host)
                     .header_fmt(sc_obs::TRACE_HEADER, lctx)
             }
             Fetch::Get(path) => {
-                conn.fetch_span = load_span(ctx.now(), "fetch", lctx, |f| {
+                conn.fetch_span = load_span(io.now(), "fetch", lctx, |f| {
                     f.field("path", &*path);
                 });
                 let req = if matches!(conn.route, Route::HttpProxy(_)) && conn.port == 80 {
@@ -748,7 +754,7 @@ impl Browser {
                 // a conditional request: the origin (or the proxy's shared
                 // cache) may answer with a cheap bodyless 304.
                 let stale_etag = cached(&self.content_cache, &conn.host, path)
-                    .filter(|e| e.expires_at <= ctx.now())
+                    .filter(|e| e.expires_at <= io.now())
                     .and_then(|e| e.etag.as_deref());
                 match stale_etag {
                     Some(etag) => req.header("If-None-Match", etag),
@@ -764,18 +770,18 @@ impl Browser {
                     let _prof = prof::scope(Subsystem::Crypto);
                     tls.send(&[&head, &body])
                 };
-                ctx.tcp_send_bytes(h, record);
+                io.tcp_send_bytes(h, record);
             }
             None => {
-                ctx.tcp_send_bytes(h, req.into_wire());
+                io.tcp_send_bytes(h, req.into_wire());
             }
         }
     }
 
-    fn begin_app_layer(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn begin_app_layer(&mut self, h: TcpHandle, io: &mut impl Io) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         if conn.port != 443 {
-            return self.tunnel_ready(h, ctx);
+            return self.tunnel_ready(h, io);
         }
         let (tls, hello) = {
             let _prof = prof::scope(Subsystem::Crypto);
@@ -785,36 +791,35 @@ impl Browser {
         };
         conn.tls = Some(tls);
         conn.phase = ConnPhase::TlsHandshake;
-        ctx.tcp_send_bytes(h, hello);
+        io.tcp_send_bytes(h, hello);
     }
 
     /// The connection's tunnel, and its TLS if it has one, is up: close
     /// the tunnel span and send the first queued request.
-    fn tunnel_ready(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn tunnel_ready(&mut self, h: TcpHandle, io: &mut impl Io) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         conn.phase = ConnPhase::Ready;
         let sp = std::mem::replace(&mut conn.tunnel_span, SpanId::NONE);
-        sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
-        self.pump_conn(h, ctx);
+        sc_obs::span_end(io.now().as_micros(), sp, |_| {});
+        self.pump_conn(h, io);
     }
 
-    fn on_response(&mut self, h: TcpHandle, resp: HttpResponse, ctx: &mut Ctx<'_>) {
+    fn on_response(&mut self, h: TcpHandle, resp: HttpResponse, io: &mut impl Io) {
         let status = resp.status;
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let sp = std::mem::replace(&mut conn.fetch_span, SpanId::NONE);
-        sc_obs::span_end(ctx.now().as_micros(), sp, |f| {
+        sc_obs::span_end(io.now().as_micros(), sp, |f| {
             f.field("status", status);
         });
         let path = match conn.current.take() {
             // The RTT probe's answer completes the load.
             Some(Fetch::RttProbe(sent)) => {
-                let rtt = ctx.now() - sent;
-                return self.end_load(LoadEnd::Done(Some(rtt)), ctx);
+                let rtt = io.now() - sent;
+                return self.end_load(LoadEnd::Done(Some(rtt)), io);
             }
             Some(Fetch::Get(path)) => path,
             None => String::new(),
         };
-        let host = conn.host.clone();
         if status >= 400 {
             // A gateway-mode `429`/`503` carrying `Retry-After` is
             // backpressure — an overload shed or an elastic cold-start
@@ -823,24 +828,24 @@ impl Browser {
             // proxy is deliberately NOT dead-marked here; dead-marking
             // a member that is warming capacity would route the whole
             // crowd away from it just as it comes good.
-            if !(matches!(status, 429 | 503) && self.proxy_throttled(&resp, ctx)) {
-                self.end_load(LoadEnd::Failed, ctx);
+            if !(matches!(status, 429 | 503) && self.proxy_throttled(&resp, io)) {
+                self.end_load(LoadEnd::Failed, io);
             }
             return;
         }
         let Some(load) = self.load.as_mut() else { return };
         load.pending -= 1;
-        let now = ctx.now();
+        let now = io.now();
         let ttl = resp
             .max_age_secs()
             .map(SimDuration::from_secs)
             .unwrap_or(DEFAULT_CONTENT_TTL);
-        let is_page = path == "/" && host == PAGE_HOST;
+        let is_page = path == "/" && conn.host == PAGE_HOST;
         let body = if status == 304 {
             // Our stale copy is still good: renew it and serve from cache
             // without the body having crossed the wire again.
             load.revalidated += 1;
-            match self.content_cache.get_mut(&host).and_then(|paths| paths.get_mut(&path)) {
+            match self.content_cache.get_mut(&conn.host).and_then(|paths| paths.get_mut(&path)) {
                 Some(entry) => {
                     entry.expires_at = now + ttl;
                     if let Some(etag) = resp.header_value("ETag") {
@@ -856,9 +861,11 @@ impl Browser {
                 expires_at: now + ttl,
                 body: resp.body.clone(),
             };
-            match self.content_cache.get_mut(&host) {
+            // The host is borrowed: a key is made only for a host the
+            // cache has not seen.
+            match self.content_cache.get_mut(&conn.host) {
                 Some(paths) => paths.insert(path, entry),
-                None => self.content_cache.entry(host).or_default().insert(path, entry),
+                None => self.content_cache.entry(conn.host.clone()).or_default().insert(path, entry),
             };
             resp.body
         };
@@ -881,7 +888,7 @@ impl Browser {
                 // SOCKS request can carry fails the load before anything
                 // is routed.
                 if r.host.is_empty() || r.host.len() > MAX_NAME_LEN {
-                    return self.end_load(LoadEnd::Failed, ctx);
+                    return self.end_load(LoadEnd::Failed, io);
                 }
                 to_fetch.push(r);
             }
@@ -889,7 +896,7 @@ impl Browser {
                 load.pending += to_fetch.len();
             }
             for r in to_fetch {
-                self.fetch(&r.host, self.config.page_port_for(&r.host), &r.path, ctx);
+                self.fetch(&r.host, self.config.page_port_for(&r.host), &r.path, io);
             }
         }
         if self.load.as_ref().is_some_and(|l| l.pending == 0) {
@@ -898,12 +905,12 @@ impl Browser {
                 let ready = self.conns.get_mut(&main).filter(|c| c.phase == ConnPhase::Ready);
                 if let Some(conn) = ready {
                     conn.queue.push_back(Fetch::RttProbe(now));
-                    return self.pump_conn(main, ctx);
+                    return self.pump_conn(main, io);
                 }
             }
-            self.end_load(LoadEnd::Done(None), ctx);
+            self.end_load(LoadEnd::Done(None), io);
         } else {
-            self.pump_conn(h, ctx);
+            self.pump_conn(h, io);
         }
     }
 
@@ -917,7 +924,7 @@ impl Browser {
     /// caller fails the load. The load's deadline timer keeps running
     /// throughout, so a throttle wait can never extend a load past its
     /// budget.
-    fn proxy_throttled(&mut self, resp: &HttpResponse, ctx: &mut Ctx<'_>) -> bool {
+    fn proxy_throttled(&mut self, resp: &HttpResponse, io: &mut impl Io) -> bool {
         let retry_after =
             resp.header_value("Retry-After").and_then(|v| v.trim().parse::<u64>().ok());
         // A hint from the wire can be any u64; a wait longer than the
@@ -941,21 +948,21 @@ impl Browser {
         // so holding sockets open would just occupy its accept queue.
         load.pending = 1; // the retried HTML
         let index = load.index;
-        let t_us = ctx.now().as_micros();
+        let t_us = io.now().as_micros();
         sc_obs::ts_bump(t_us, "web.throttled", 1);
         sc_obs::event(t_us, sc_obs::Level::Info, "web", "browser", "throttled", |f| {
             f.field("attempt", attempt).field("delay_us", delay.as_micros());
         });
-        self.teardown_conns("throttled", ctx);
-        ctx.set_timer(delay, Timer::Throttle(index).token());
+        self.teardown_conns("throttled", io);
+        io.set_timer(delay, Timer::Throttle(index).token());
         true
     }
 
     /// Ends the in-flight load: logs it, closes every connection and
     /// arms the next load.
-    fn end_load(&mut self, end: LoadEnd, ctx: &mut Ctx<'_>) {
+    fn end_load(&mut self, end: LoadEnd, io: &mut impl Io) {
         let Some(load) = self.load.take() else { return };
-        let now = ctx.now();
+        let now = io.now();
         let (plt, rtt) = match end {
             LoadEnd::Done(rtt) => (Some(now - load.started), rtt),
             LoadEnd::Failed => (None, None),
@@ -969,9 +976,6 @@ impl Browser {
                 sc_obs::ts_record_ex(now.as_micros(), "web.plt_us", plt.as_micros(), load.trace);
             }
             None => sc_obs::ts_bump_ex(now.as_micros(), "web.loads_failed", 1, load.trace),
-        }
-        if let Some(rtt) = rtt {
-            sc_obs::ts_record(now.as_micros(), "web.rtt_us", rtt.as_micros());
         }
         sc_obs::span_end(now.as_micros(), load.span, |f| {
             f.field("ok", ok).field("connections", load.connections);
@@ -993,114 +997,81 @@ impl Browser {
         });
         self.visited = true;
         self.loads_done += 1;
-        self.teardown_conns(if ok { "load_done" } else { "load_failed" }, ctx);
-        self.schedule_next(load.started, ctx);
+        self.teardown_conns(if ok { "load_done" } else { "load_failed" }, io);
+        self.schedule_next(load.started, io);
     }
 
     /// Closes every connection, in handle order, ending the spans of any
     /// caught mid-phase with `reason`.
-    fn teardown_conns(&mut self, reason: &'static str, ctx: &mut Ctx<'_>) {
+    fn teardown_conns(&mut self, reason: &'static str, io: &mut impl Io) {
         // Popped, not cleared: the emptied map keeps its node for the
         // next load.
         while let Some((h, mut conn)) = self.conns.pop_first() {
-            conn.end_spans(ctx.now(), reason);
-            ctx.tcp_close(h);
+            conn.end_spans(io.now(), reason);
+            io.tcp_close(h);
         }
         self.by_host.clear();
         self.pending_dns.clear();
     }
 
-    fn schedule_next(&mut self, last_start: SimTime, ctx: &mut Ctx<'_>) {
+    fn schedule_next(&mut self, last_start: SimTime, io: &mut impl Io) {
         if self.loads_done >= self.config.loads {
             return;
         }
         let next_at = last_start + self.config.interval;
-        let delay = next_at.saturating_since(ctx.now()).clamp(
+        let delay = next_at.saturating_since(io.now()).clamp(
             SimDuration::from_millis(1),
             self.config.interval,
         );
-        ctx.set_timer(delay, Timer::NextLoad.token());
+        io.set_timer(delay, Timer::NextLoad.token());
     }
 
     /// A timer fired. An unknown token, and a stale one — for a load no
     /// longer in flight, a conn no longer connecting — does nothing.
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+    fn on_timer(&mut self, token: u64, io: &mut impl Io) {
         let in_flight = self.load.as_ref().map(|l| l.index);
         match Timer::from_token(token) {
             Some(Timer::Ramp) => {
                 // Ramp delay elapsed: restart the PLT clock so the
                 // stagger does not count into first-time PLT, then go
                 // through the normal readiness gate.
-                self.browser_started = ctx.now();
-                self.start_when_ready(ctx);
+                self.browser_started = io.now();
+                self.start_when_ready(io);
             }
-            Some(Timer::Wait) => self.start_when_ready(ctx),
+            Some(Timer::Wait) => self.start_when_ready(io),
             Some(Timer::DnsRetry) if self.stub.has_pending() && in_flight.is_some() => {
-                self.stub.retry_pending(ctx);
-                ctx.set_timer(DNS_RETRY, Timer::DnsRetry.token());
+                self.stub.retry_pending(io);
+                io.set_timer(DNS_RETRY, Timer::DnsRetry.token());
             }
             Some(Timer::NextLoad) if in_flight.is_none() && self.loads_done < self.config.loads => {
-                self.begin_load(ctx);
+                self.begin_load(io);
             }
             Some(Timer::Deadline(index)) if in_flight == Some(index) => {
-                self.deadline_dead_marks(ctx);
-                self.end_load(LoadEnd::Failed, ctx);
+                self.deadline_dead_marks(io);
+                self.end_load(LoadEnd::Failed, io);
             }
             Some(Timer::Throttle(index)) if in_flight == Some(index) => {
-                self.fetch(PAGE_HOST, self.config.page_port, "/", ctx);
+                self.fetch(PAGE_HOST, self.config.page_port, "/", io);
             }
             // A crashed proxy drops SYNs silently, so this is where a
             // dead proxy is detected.
             Some(Timer::Connect(h))
                 if self.conns.get(&h).is_some_and(|c| c.phase == ConnPhase::Connecting) =>
             {
-                ctx.tcp_abort(h);
-                self.proxy_conn_failed(h, "connect_timeout", ctx);
+                io.tcp_abort(h);
+                self.proxy_conn_failed(h, "connect_timeout", io);
             }
             _ => {}
         }
     }
-}
 
-/// A `web.fleet` event; `f` writes its fields only when it is recorded.
-fn emit_fleet(
-    now: SimTime,
-    level: sc_obs::Level,
-    name: &'static str,
-    f: impl FnOnce(&mut sc_obs::Fields<'_>),
-) {
-    sc_obs::event(now.as_micros(), level, "web", "fleet", name, f);
-}
-
-impl BrowserConfig {
-    fn page_port_for(&self, host: &str) -> u16 {
-        // Subresources use the page's scheme; the account host is HTTPS.
-        if host == PAGE_HOST {
-            self.page_port
-        } else {
-            443
-        }
-    }
-}
-
-impl App for Browser {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.browser_started = ctx.now();
-        self.stub.bind(ctx);
-        if self.config.start_delay > SimDuration::ZERO {
-            ctx.set_timer(self.config.start_delay, Timer::Ramp.token());
-        } else {
-            self.start_when_ready(ctx);
-        }
-    }
-
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
-        let _prof = prof::scope(Subsystem::Web);
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         match ev {
-            AppEvent::TimerFired(token) => self.on_timer(token, ctx),
+            AppEvent::TimerFired(token) => self.on_timer(token, io),
             AppEvent::Udp { socket, payload, .. } => {
-                if let Some(res) = self.stub.on_datagram(socket, &payload, ctx.now()) {
-                    self.on_resolved(res.token, res.outcome, ctx);
+                if let Some(res) = self.stub.on_datagram(socket, &payload, io.now()) {
+                    self.on_resolved(res.token, res.outcome, io);
                 }
             }
             AppEvent::Tcp(h, tcp_ev) => {
@@ -1108,27 +1079,27 @@ impl App for Browser {
                 let connecting = conn.phase == ConnPhase::Connecting;
                 let busy = conn.current.is_some() || !conn.queue.is_empty();
                 match tcp_ev {
-                    TcpEvent::Connected => self.on_connected(h, ctx),
+                    TcpEvent::Connected => self.on_connected(h, io),
                     TcpEvent::DataReceived => {
-                        let data = ctx.tcp_recv_all(h);
-                        self.on_bytes(h, data, ctx);
+                        let data = io.tcp_recv_all(h);
+                        self.on_bytes(h, data, io);
                     }
                     TcpEvent::ConnectFailed | TcpEvent::Reset if connecting => {
                         let reason = match tcp_ev {
                             TcpEvent::ConnectFailed => "connect_refused",
                             _ => "connect_reset",
                         };
-                        self.proxy_conn_failed(h, reason, ctx);
+                        self.proxy_conn_failed(h, reason, io);
                     }
                     TcpEvent::ConnectFailed | TcpEvent::Reset => {
-                        self.end_load(LoadEnd::Failed, ctx);
+                        self.end_load(LoadEnd::Failed, io);
                     }
                     TcpEvent::PeerClosed => {
                         // Server closed (keep-alive expiry): drop the conn;
                         // outstanding work fails the load.
-                        self.drop_conn(h, "peer_closed", ctx.now());
+                        self.drop_conn(h, "peer_closed", io.now());
                         if busy {
-                            self.end_load(LoadEnd::Failed, ctx);
+                            self.end_load(LoadEnd::Failed, io);
                         }
                     }
                     _ => {}
@@ -1137,44 +1108,42 @@ impl App for Browser {
             _ => {}
         }
     }
-}
 
-impl Browser {
-    fn on_connected(&mut self, h: TcpHandle, ctx: &mut Ctx<'_>) {
+    fn on_connected(&mut self, h: TcpHandle, io: &mut impl Io) {
         if let Some(Route::HttpProxy(p)) = self.conns.get(&h).map(|c| c.route) {
-            self.mark_proxy_up(p, ctx);
+            self.mark_proxy_up(p, io);
         }
         let lctx = self.load_ctx();
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let sp = std::mem::replace(&mut conn.connect_span, SpanId::NONE);
-        sc_obs::span_end(ctx.now().as_micros(), sp, |_| {});
+        sc_obs::span_end(io.now().as_micros(), sp, |_| {});
         let via = match conn.route {
             Route::Direct => "direct",
             Route::Socks(_) => "socks",
             Route::HttpProxy(_) => "http_proxy",
         };
-        conn.tunnel_span = load_span(ctx.now(), "tunnel", lctx, |f| {
+        conn.tunnel_span = load_span(io.now(), "tunnel", lctx, |f| {
             f.field("via", via);
         });
         match conn.route {
-            Route::Direct => self.begin_app_layer(h, ctx),
+            Route::Direct => self.begin_app_layer(h, io),
             Route::Socks(_) => {
                 conn.phase = ConnPhase::SocksGreetSent;
-                ctx.tcp_send_bytes(h, Bytes::from_static(&[5, 1, 0]));
+                io.tcp_send_bytes(h, Bytes::from_static(&[5, 1, 0]));
             }
             // Absolute-form proxying, no CONNECT.
-            Route::HttpProxy(_) if conn.port == 80 => self.tunnel_ready(h, ctx),
+            Route::HttpProxy(_) if conn.port == 80 => self.tunnel_ready(h, io),
             Route::HttpProxy(_) => {
                 conn.phase = ConnPhase::ProxyConnectSent;
                 let req = HttpRequest::new("CONNECT", format_args!("{}:{}", conn.host, conn.port))
                     .header("Host", &conn.host)
                     .header_fmt(sc_obs::TRACE_HEADER, lctx.with_parent(conn.tunnel_span));
-                ctx.tcp_send_bytes(h, req.into_wire());
+                io.tcp_send_bytes(h, req.into_wire());
             }
         }
     }
 
-    fn on_bytes(&mut self, h: TcpHandle, data: Bytes, ctx: &mut Ctx<'_>) {
+    fn on_bytes(&mut self, h: TcpHandle, data: Bytes, io: &mut impl Io) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         // What of `data` belongs to the TLS / HTTP stream: all of it, once
         // the proxy preliminaries are over.
@@ -1189,21 +1158,21 @@ impl Browser {
                 if let TargetAddr::Domain(host, _) = target {
                     conn.host = host;
                 }
-                ctx.tcp_send_bytes(h, req.freeze());
+                io.tcp_send_bytes(h, req.freeze());
                 return;
             }
             ConnPhase::SocksConnectSent if data.len() >= 10 && data[0] == 5 && data[1] == 0 => {
                 let rest = data.slice(10..);
-                self.begin_app_layer(h, ctx);
+                self.begin_app_layer(h, io);
                 if rest.is_empty() {
                     return;
                 }
                 rest
             }
             ConnPhase::SocksGreetSent | ConnPhase::SocksConnectSent => {
-                return self.end_load(LoadEnd::Failed, ctx);
+                return self.end_load(LoadEnd::Failed, io);
             }
-            ConnPhase::ProxyConnectSent => return self.on_connect_answer(h, data, ctx),
+            ConnPhase::ProxyConnectSent => return self.on_connect_answer(h, data, io),
             _ => data,
         };
         // TLS / plain processing.
@@ -1214,12 +1183,12 @@ impl Browser {
                     let _prof = prof::scope(Subsystem::Crypto);
                     tls.on_bytes(&stream)
                 };
-                let Ok(out) = out else { return self.end_load(LoadEnd::Failed, ctx) };
+                let Ok(out) = out else { return self.end_load(LoadEnd::Failed, io) };
                 if !out.wire.is_empty() {
-                    ctx.tcp_send_bytes(h, out.wire);
+                    io.tcp_send_bytes(h, out.wire);
                 }
                 if out.handshake_complete {
-                    self.tunnel_ready(h, ctx);
+                    self.tunnel_ready(h, io);
                 }
                 out.plaintext
             }
@@ -1230,20 +1199,20 @@ impl Browser {
         }
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let Ok(msgs) = conn.http.push_bytes(plaintext) else {
-            return self.end_load(LoadEnd::Failed, ctx);
+            return self.end_load(LoadEnd::Failed, io);
         };
         for m in msgs {
             if let HttpMessage::Response(resp) = m {
-                self.on_response(h, resp, ctx);
+                self.on_response(h, resp, io);
             }
         }
     }
 
     /// The HTTP proxy's answer to CONNECT: a `200` opens the tunnel.
-    fn on_connect_answer(&mut self, h: TcpHandle, data: Bytes, ctx: &mut Ctx<'_>) {
+    fn on_connect_answer(&mut self, h: TcpHandle, data: Bytes, io: &mut impl Io) {
         let Some(conn) = self.conns.get_mut(&h) else { return };
         let Ok(msgs) = conn.proxy_http.push_bytes(data) else {
-            return self.end_load(LoadEnd::Failed, ctx);
+            return self.end_load(LoadEnd::Failed, io);
         };
         let mut ok = false;
         for m in msgs {
@@ -1255,19 +1224,46 @@ impl Browser {
             // The proxy refused or degraded: the load keeps the status so
             // the harness can tell a 403 (policy) from a 429 (throttled)
             // from a 502/503 (upstream dark or shed).
-            let t_us = ctx.now().as_micros();
+            let t_us = io.now().as_micros();
             sc_obs::ts_bump(t_us, "web.proxy_errors", 1);
             sc_obs::event(t_us, sc_obs::Level::Warn, "web", "browser", "proxy_error", |f| {
                 f.field("status", r.status);
             });
-            if !self.proxy_throttled(&r, ctx) {
-                self.end_load(LoadEnd::Failed, ctx);
+            if !self.proxy_throttled(&r, io) {
+                self.end_load(LoadEnd::Failed, io);
             }
             return;
         }
         if ok {
-            self.begin_app_layer(h, ctx);
+            self.begin_app_layer(h, io);
         }
+    }
+}
+
+/// A `web.fleet` event; `f` writes its fields only when it is recorded.
+fn emit_fleet(
+    now: SimTime,
+    level: sc_obs::Level,
+    name: &'static str,
+    f: impl FnOnce(&mut sc_obs::Fields<'_>),
+) {
+    sc_obs::event(now.as_micros(), level, "web", "fleet", name, f);
+}
+
+impl App for Browser {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        self.browser_started = ctx.now();
+        self.stub.bind(ctx);
+        if self.config.start_delay > SimDuration::ZERO {
+            ctx.set_timer(self.config.start_delay, Timer::Ramp.token());
+        } else {
+            self.start_when_ready(ctx);
+        }
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        let _prof = prof::scope(Subsystem::Web);
+        self.handle(ev, ctx);
     }
 }
 
@@ -1298,6 +1294,6 @@ mod tests {
         let distinct: BTreeSet<u64> = timers.iter().map(|t| t.token()).collect();
         assert_eq!(distinct.len(), timers.len());
         assert_eq!(Timer::from_token(u64::MAX), None);
-        assert_eq!(Timer::from_token(7 << VALUE_BITS), None);
+        assert_eq!(Timer::from_token(pack_token(7, 0)), None);
     }
 }

@@ -14,9 +14,8 @@ use bytes::Bytes;
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse};
 use sc_netproto::tls::TlsServer;
 use sc_obs::prof::{self, Subsystem};
-use sc_simnet::api::{App, AppEvent, TcpEvent, TcpHandle};
+use sc_simnet::api::{App, AppEvent, Io, TcpEvent, TcpHandle};
 use sc_simnet::hash::FixedMap;
-use sc_simnet::sim::Ctx;
 
 use crate::page::PageSpec;
 
@@ -147,8 +146,8 @@ impl OriginServer {
     /// Queues `wire` for transmission once the service core has spent
     /// `cost_us` on it. The origin span stays open until the response is
     /// actually sent, so its duration covers queueing for the core too.
-    fn respond(&mut self, h: TcpHandle, wire: [Bytes; 2], cost_us: u64, span: sc_obs::SpanId, ctx: &mut Ctx<'_>) {
-        let now_us = ctx.now().as_micros();
+    fn respond(&mut self, h: TcpHandle, wire: [Bytes; 2], cost_us: u64, span: sc_obs::SpanId, io: &mut impl Io) {
+        let now_us = io.now().as_micros();
         let start = self.busy_until_us.max(now_us);
         let done = start + cost_us;
         self.busy_until_us = done;
@@ -156,27 +155,20 @@ impl OriginServer {
         let token = self.next_token;
         self.next_token += 1;
         self.pending.insert(token, (h, wire, span));
-        ctx.set_timer(delay, token);
-    }
-}
-
-impl App for OriginServer {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.tcp_listen(80);
-        ctx.tcp_listen(443);
+        io.set_timer(delay, token);
     }
 
-    fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
-        let _prof = prof::scope(Subsystem::Web);
+    /// Takes one event, over any [`Io`].
+    fn handle(&mut self, ev: AppEvent, io: &mut impl Io) {
         match ev {
             AppEvent::TimerFired(token) => {
                 if let Some((h, wire, span)) = self.pending.remove(&token) {
-                    ctx.tcp_send_bytes(h, wire);
-                    sc_obs::span_end(ctx.now().as_micros(), span, |_| {});
+                    io.tcp_send_bytes(h, wire);
+                    sc_obs::span_end(io.now().as_micros(), span, |_| {});
                 }
             }
             AppEvent::Tcp(h, TcpEvent::Accepted { .. }) => {
-                let port = ctx.tcp_local(h).map(|l| l.port).unwrap_or(443);
+                let port = io.tcp_local(h).map(|l| l.port).unwrap_or(443);
                 let tls = (port == 443).then(|| {
                     let _prof = prof::scope(Subsystem::Crypto);
                     TlsServer::new(self.entropy ^ h.0 as u64)
@@ -184,7 +176,7 @@ impl App for OriginServer {
                 self.sessions.insert(h, Session { tls, http: HttpParser::new() });
             }
             AppEvent::Tcp(h, TcpEvent::DataReceived) => {
-                let data = ctx.tcp_recv_all(h);
+                let data = io.tcp_recv_all(h);
                 let Some(session) = self.sessions.get_mut(&h) else { return };
                 // The stream's plaintext: what TLS opened, or the bytes
                 // themselves on port 80.
@@ -195,12 +187,12 @@ impl App for OriginServer {
                             tls.on_bytes(&data)
                         };
                         let Ok(out) = out else {
-                            ctx.tcp_abort(h);
+                            io.tcp_abort(h);
                             self.sessions.remove(&h);
                             return;
                         };
                         if !out.wire.is_empty() {
-                            ctx.tcp_send_bytes(h, out.wire);
+                            io.tcp_send_bytes(h, out.wire);
                         }
                         out.plaintext
                     }
@@ -222,7 +214,7 @@ impl App for OriginServer {
                         .and_then(sc_obs::TraceCtx::parse)
                         .unwrap_or(sc_obs::TraceCtx::NONE);
                     let span = sc_obs::span_start_ctx(
-                        ctx.now().as_micros(),
+                        io.now().as_micros(),
                         sc_obs::Level::Debug,
                         "web",
                         "origin",
@@ -236,7 +228,7 @@ impl App for OriginServer {
                         // Port 80: HTTPS redirect (Figure 4's TCP-2).
                         let resp = HttpResponse::new(301, Vec::new())
                             .header_fmt("Location", format_args!("https://{}{}", self.host, req.target()));
-                        self.respond(h, resp.into_wire(), SERVICE_US, span, ctx);
+                        self.respond(h, resp.into_wire(), SERVICE_US, span, io);
                         continue;
                     }
                     let resp = self.response_for(&req);
@@ -251,7 +243,7 @@ impl App for OriginServer {
                     } else {
                         resp.into_wire()
                     };
-                    self.respond(h, wire, cost, span, ctx);
+                    self.respond(h, wire, cost, span, io);
                 }
             }
             AppEvent::Tcp(h, TcpEvent::PeerClosed | TcpEvent::Reset) => {
@@ -259,6 +251,18 @@ impl App for OriginServer {
             }
             _ => {}
         }
+    }
+}
+
+impl App for OriginServer {
+    fn on_start(&mut self, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        ctx.tcp_listen(80);
+        ctx.tcp_listen(443);
+    }
+
+    fn on_event(&mut self, ev: AppEvent, ctx: &mut sc_simnet::sim::Ctx<'_>) {
+        let _prof = prof::scope(Subsystem::Web);
+        self.handle(ev, ctx);
     }
 }
 

@@ -131,7 +131,6 @@ fn run_once(flash_clients: usize, verbose: bool) -> RunStats {
                 "web.loads_ok",
                 "web.loads_failed",
                 "web.throttled",
-                "scholarcloud.admitted",
                 "scholarcloud.shed",
                 "scholarcloud.throttled",
                 "scholarcloud.queue_depth",

@@ -122,10 +122,27 @@ fail_if_found "is_x86_feature_detected outside sc-crypto" \
     grep -rn 'is_x86_feature_detected' crates src examples tests benchmark/src \
         --include='*.rs' --exclude-dir=crypto
 dom=crates/scholarcloud/src/domestic
-# Only the driver and the Io seam know the simulator.
-fail_if_found "stage file imports sim::Ctx" \
-    grep -ln 'sim::Ctx' "$dom/admit.rs" "$dom/gateway.rs" "$dom/peer.rs" \
-        "$dom/establish.rs" "$dom/remotes.rs" "$dom/relay.rs" "$dom/step.rs" "$dom/trace.rs"
+# One app API (DESIGN.md §6m "The seam"): every app that relays or serves
+# TCP — the domestic proxy's stages and driver, the remote proxy, the
+# Shadowsocks and Tor endpoints and their SOCKS front, the browser, the
+# origin and the DNS stub — is written against sc_simnet::api::Io. In
+# their code the simulator's `Ctx` is named only on the `fn on_start` /
+# `fn on_event` lines that hand it on, and nothing but sc-simnet (the
+# simulator's Ctx, the tests' ScriptedIo) implements Io.
+io_apps="$(ls "$dom"/*.rs | grep -v /tests.rs) crates/scholarcloud/src/remote.rs
+    crates/tunnels/src/shadowsocks.rs crates/tunnels/src/front.rs crates/tunnels/src/tor/client.rs
+    crates/tunnels/src/tor/relay.rs crates/tunnels/src/tor/meek.rs crates/tunnels/src/tor/directory.rs
+    crates/web/src/browser.rs crates/web/src/origin.rs crates/dns/src/stub.rs"
+ctx_past_the_handoff() {
+    # Code lines naming Ctx that do not hand it on.
+    awk "$rust_tests_awk"'!in_test($0) && /(^|[^[:alnum:]_])Ctx([^[:alnum:]_]|$)/ \
+             && !/^[[:space:]]*fn on_(start|event)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+         END { exit !found }' $io_apps
+}
+fail_if_found "an Io app names Ctx past its on_start / on_event line" ctx_past_the_handoff
+fail_if_found "impl Io for outside crates/simnet/src" \
+    sh -c "grep -rnE 'impl(<[^>]*>)? ([a-z_]+::)*Io for' crates src examples tests benchmark/src --include='*.rs' |
+        grep -v '^crates/simnet/src/'"
 fail_if_found "a second impl App under domestic/" \
     grep -ln 'impl App for' $(ls "$dom"/*.rs | grep -v /mod.rs)
 fail_if_found "clippy::too_many_arguments allowed under domestic/" \
@@ -211,10 +228,26 @@ unread_counters() {
         grep -vE "sc_obs::counter_add\(\"($_kept_counters)\", "
 }
 fail_if_found "a counter the benchmark does not read (read the trace instead)" unread_counters
+# A windowed time-series is written only if something reads it, by its
+# name as a literal. The kept series and their readers: web.plt_us —
+# sc_metrics::scenario::default_slos' latency SLO, the SloSpecs of
+# tests/obs_trace_determinism.rs and tests/elastic_props.rs, and the
+# dashboards of chaos_lab, flash_crowd and scholarcloud_ops;
+# web.loads_ok / web.loads_failed — default_slos' availability SLO and
+# the three dashboards; web.proxy_errors, scholarcloud.failovers,
+# .breaker_opens, .breaker_closes and .tunnel_failures — chaos_lab's
+# dashboard; web.throttled, scholarcloud.shed, .throttled and
+# .queue_depth — flash_crowd's dashboard.
+_kept_series='web\.(plt_us|loads_ok|loads_failed|proxy_errors|throttled)|scholarcloud\.(failovers|breaker_opens|breaker_closes|tunnel_failures|shed|throttled|queue_depth)'
+unread_series() {
+    grep -rnE 'ts_(bump|record)(_ex)?\(' $(ls -d crates/*/src | grep -v '^crates/obs/') --include='*.rs' |
+        grep -vE "ts_(bump|record)(_ex)?\([^,]*, \"($_kept_series)\", "
+}
+fail_if_found "a time-series write nothing reads (or whose name is not a literal)" unread_series
 fail_if_found "a histogram or a registry read outside the benchmark" \
     grep -rnE 'sc_obs::observe\(|Histogram|with_registry|render_obs_summary' \
         crates src examples tests --include='*.rs'
-echo "structure: ok (one SOCKS front; the simulation reads nothing back from sc-obs; three counters)"
+echo "structure: ok (one SOCKS front; the simulation reads nothing back from sc-obs; three counters; read series)"
 
 # Structure, table order (DESIGN.md §6o): a table some loop walks is a
 # BTreeMap / BTreeSet, so its order is its keys'; a table that is only
