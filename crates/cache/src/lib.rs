@@ -8,7 +8,7 @@
 //! through the scarce cross-border hop are the cost driver of the paper's
 //! 2-VM deployment, so every shared hit is capacity reclaimed.
 //!
-//! Three pieces, all deterministic (every decision is a pure function of
+//! Four pieces, all deterministic (every decision is a pure function of
 //! the seeded simulation's clock — no wall time, no hash-order dependence):
 //!
 //! * [`ContentCache`] — an HTTP-semantics store keyed by `(host, path)`
@@ -18,16 +18,22 @@
 //!   key collapse into one upstream fetch whose result fans out to every
 //!   waiter, so a flash crowd on a hot Scholar page costs one tunnel
 //!   stream instead of N.
+//! * [`CachePolicy`] — the HTTP decision over both: hit, wait or lead;
+//!   which validator goes upstream; how a `200` or `304` updates the
+//!   entry; and whether each requester gets a `304` or the body. It
+//!   writes the [`CacheStats`] the store does not.
 //! * [`CacheHandle`] — the `Rc<RefCell<_>>` wrapper shared between the
-//!   proxy (which owns the decisions) and the scenario/report layer (which
+//!   proxy (which drives the policy) and the scenario/report layer (which
 //!   reads [`CacheStats`]).
 
 #![warn(missing_docs)]
 
+pub mod policy;
 pub mod shard;
 pub mod singleflight;
 pub mod store;
 
+pub use policy::{Answer, CachePolicy, Lead, Plan, Settled, Upstream};
 pub use shard::ShardMap;
 pub use singleflight::{Flight, Role, Singleflight};
 pub use store::{

@@ -49,21 +49,17 @@ impl<W: Copy + PartialEq> Singleflight<W> {
     /// Registers requester `w` for `key`: leader if no fetch is in
     /// flight, waiter otherwise.
     pub fn begin(&mut self, key: &CacheKey, w: W) -> Role {
-        match self.flights.get_mut(key) {
-            Some(flight) => {
-                flight.waiters.push(w);
-                Role::Waiter
-            }
-            None => {
-                self.flights.insert(key.clone(), Flight { leader: w, waiters: Vec::new() });
-                Role::Leader
-            }
+        if let Some(flight) = self.flights.get_mut(key) {
+            flight.waiters.push(w);
+            return Role::Waiter;
         }
+        self.flights.insert(key.clone(), Flight { leader: w, waiters: Vec::new() });
+        Role::Leader
     }
 
-    /// True when a fetch for `key` is in flight.
-    pub fn is_inflight(&self, key: &CacheKey) -> bool {
-        self.flights.contains_key(key)
+    /// Who leads the fetch for `key`, if one is in flight.
+    pub fn leader(&self, key: &CacheKey) -> Option<W> {
+        self.flights.get(key).map(|flight| flight.leader)
     }
 
     /// Number of in-flight fetches.
@@ -83,6 +79,12 @@ impl<W: Copy + PartialEq> Singleflight<W> {
         self.flights.remove(key)
     }
 
+    /// Ends the flight for `key` if `leader` leads it, handing back the
+    /// table's own copy of the key with it.
+    pub(crate) fn take(&mut self, key: &CacheKey, leader: W) -> Option<(CacheKey, Flight<W>)> {
+        (self.leader(key) == Some(leader)).then(|| self.flights.remove_entry(key)).flatten()
+    }
+
     /// Drops requester `w` from the flight for `key`, wherever it sits:
     ///
     /// * a waiter is simply removed;
@@ -91,22 +93,17 @@ impl<W: Copy + PartialEq> Singleflight<W> {
     ///   leader;
     /// * a leader with no waiters ends the flight.
     pub fn forget(&mut self, key: &CacheKey, w: W) -> Option<W> {
-        let Some(flight) = self.flights.get_mut(key) else {
-            return None;
-        };
-        if flight.leader == w {
-            if flight.waiters.is_empty() {
-                self.flights.remove(key);
-                None
-            } else {
-                let promoted = flight.waiters.remove(0);
-                flight.leader = promoted;
-                Some(promoted)
-            }
-        } else {
+        let flight = self.flights.get_mut(key)?;
+        if flight.leader != w {
             flight.waiters.retain(|x| *x != w);
-            None
+            return None;
         }
+        if flight.waiters.is_empty() {
+            self.flights.remove(key);
+            return None;
+        }
+        flight.leader = flight.waiters.remove(0);
+        Some(flight.leader)
     }
 }
 
@@ -129,8 +126,8 @@ mod tests {
         let flight = sf.complete(&key("/")).expect("flight registered");
         assert_eq!(flight.leader, 1);
         assert_eq!(flight.waiters, vec![2, 3]);
-        assert!(!sf.is_inflight(&key("/")));
-        assert!(sf.is_inflight(&key("/css")));
+        assert_eq!(sf.leader(&key("/")), None);
+        assert_eq!(sf.leader(&key("/css")), Some(4));
     }
 
     #[test]

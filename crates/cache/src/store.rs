@@ -111,7 +111,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Requests attached as waiters to an in-flight fetch.
     pub coalesced: u64,
-    /// Entries evicted under byte-budget pressure (or explicitly).
+    /// Entries evicted under byte-budget pressure.
     pub evicted: u64,
     /// Stale entries refreshed by a 304 from the origin.
     pub revalidated: u64,
@@ -144,22 +144,15 @@ impl CacheStats {
     /// Fraction of cacheable requests that avoided a full upstream body
     /// transfer. `0.0` when nothing was looked up.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.served_from_cache() + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.served_from_cache() as f64 / total as f64
-        }
+        let served = self.served_from_cache();
+        served as f64 / (served + self.misses).max(1) as f64
     }
 
     /// Upstream fetches recorded for `host`/`path` strictly before
     /// `before_us` (µs of sim time).
     pub fn fetches_before(&self, host: &str, path: &str, before_us: u64) -> usize {
         let label = format!("{host} {path}");
-        self.upstream_fetches
-            .iter()
-            .filter(|(t, k)| *t < before_us && *k == label)
-            .count()
+        self.upstream_fetches.iter().filter(|(t, k)| *t < before_us && *k == label).count()
     }
 }
 
@@ -227,40 +220,35 @@ impl ContentCache {
     /// per-host operator override, else the origin's `max-age`, else the
     /// configured default.
     pub fn ttl_for(&self, host: &str, origin_max_age: Option<u64>) -> SimDuration {
-        for (h, ttl) in &self.cfg.host_ttl {
-            if h == host {
-                return *ttl;
-            }
-        }
-        match origin_max_age {
-            Some(secs) => SimDuration::from_secs(secs),
-            None => self.cfg.default_ttl,
+        match self.cfg.host_ttl.iter().find(|(h, _)| h == host) {
+            Some(&(_, ttl)) => ttl,
+            None => origin_max_age.map_or(self.cfg.default_ttl, SimDuration::from_secs),
         }
     }
 
     /// Looks up `key` at instant `now`, refreshing its LRU position on
     /// any find (fresh or stale — a stale find is about to be
     /// revalidated, which is a use). Does not touch the stats counters:
-    /// hit/miss/coalesced accounting belongs to the request dispatcher,
-    /// which alone knows whether a miss became a leader or a waiter.
+    /// hit/miss/coalesced accounting belongs to the
+    /// [`CachePolicy`](crate::CachePolicy), which alone knows whether a
+    /// miss became a leader or a waiter.
     pub fn lookup(&mut self, key: &CacheKey, now: SimTime) -> Lookup<'_> {
-        if !self.enabled() {
-            return Lookup::Miss;
-        }
-        let Some(entry) = self.map.get_mut(key) else {
-            return Lookup::Miss;
-        };
+        self.find(key, now).0
+    }
+
+    /// [`lookup`](Self::lookup), with the counters beside what it found.
+    pub(crate) fn find(&mut self, key: &CacheKey, now: SimTime) -> (Lookup<'_>, &mut CacheStats) {
+        let stats = &mut self.stats;
+        let found = if self.cfg.capacity_bytes > 0 { self.map.get_mut(key) } else { None };
+        let Some(entry) = found else { return (Lookup::Miss, stats) };
         // Touch: move to the most-recent end of the recency index (the
         // index's handle on the key moves with it).
         let indexed = self.lru.remove(&entry.seq).expect("index and map agree");
         entry.seq = self.next_seq;
         self.next_seq += 1;
         self.lru.insert(entry.seq, indexed);
-        if now < entry.expires_at {
-            Lookup::Fresh(&entry.resp)
-        } else {
-            Lookup::Stale(&entry.resp)
-        }
+        let found = if now < entry.expires_at { Lookup::Fresh(&entry.resp) } else { Lookup::Stale(&entry.resp) };
+        (found, stats)
     }
 
     /// Returns the stored etag for `key`, fresh or stale, without
@@ -282,13 +270,8 @@ impl ContentCache {
         ttl: SimDuration,
         now: SimTime,
     ) -> InsertOutcome {
-        let resp = StoredResponse {
-            status: resp.status,
-            content_type: resp.content_type,
-            etag: resp.etag,
-            max_age: resp.max_age,
-            body: resp.body.into(),
-        };
+        let CachedResponse { status, content_type, etag, max_age, body } = resp;
+        let resp = StoredResponse { status, content_type, etag, max_age, body: body.into() };
         let mut out = InsertOutcome::default();
         // Replacement: the old body under this key is gone either way.
         if let Some(old) = self.map.remove(&key) {
@@ -337,69 +320,11 @@ impl ContentCache {
     ) -> Option<&StoredResponse> {
         let entry = self.map.get_mut(key)?;
         entry.expires_at = now + ttl;
-        if let Some(etag) = new_etag {
-            if !etag.is_empty() {
-                entry.resp.etag = etag.to_string();
-            }
+        if let Some(etag) = new_etag.filter(|etag| !etag.is_empty()) {
+            entry.resp.etag = etag.to_string();
         }
         self.stats.revalidated += 1;
         Some(&entry.resp)
-    }
-
-    /// Explicitly drops `key`, counting it as an eviction. Returns true
-    /// if an entry was present.
-    pub fn remove(&mut self, key: &CacheKey) -> bool {
-        match self.map.remove(key) {
-            Some(entry) => {
-                self.lru.remove(&entry.seq);
-                self.used -= Self::cost(key, &entry.resp);
-                self.stats.evicted += 1;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Records a request served directly from a fresh entry.
-    pub fn note_hit(&mut self, body_len: usize) {
-        self.stats.hits += 1;
-        self.stats.bytes_saved += body_len as u64;
-    }
-
-    /// Records a request attached as a waiter to an in-flight fetch.
-    pub fn note_coalesced(&mut self) {
-        self.stats.coalesced += 1;
-    }
-
-    /// Records body bytes a coalesced waiter received without an
-    /// upstream transfer of its own.
-    pub fn note_bytes_saved(&mut self, body_len: usize) {
-        self.stats.bytes_saved += body_len as u64;
-    }
-
-    /// Records a request that became the leader of a full upstream fetch.
-    pub fn note_miss(&mut self) {
-        self.stats.misses += 1;
-    }
-
-    /// Records an upstream fetch started at `now` for `key` (leader
-    /// fetches only — coalesced waiters by construction start none).
-    pub fn note_upstream_fetch(&mut self, key: &CacheKey, now: SimTime) {
-        self.stats
-            .upstream_fetches
-            .push((now.as_micros(), format!("{} {}", key.0, key.1)));
-    }
-
-    /// Records a miss forwarded to the owning peer shard instead of
-    /// going upstream (requester side of the peering hop).
-    pub fn note_peer_fetch(&mut self) {
-        self.stats.peer_fetches += 1;
-    }
-
-    /// Records a peer-forwarded request answered by this shard as the
-    /// key's owner (owner side of the peering hop).
-    pub fn note_peer_serve(&mut self) {
-        self.stats.peer_serves += 1;
     }
 }
 
@@ -566,24 +491,19 @@ mod tests {
 
     #[test]
     fn stats_hit_rate() {
-        let mut c = cache(4096);
-        c.note_miss();
-        c.note_hit(100);
-        c.note_hit(100);
-        c.note_coalesced();
-        assert_eq!(c.stats.served_from_cache(), 3);
-        assert!((c.stats.hit_rate() - 0.75).abs() < 1e-9);
-        assert_eq!(c.stats.bytes_saved, 200);
+        let stats = CacheStats { misses: 1, hits: 2, coalesced: 1, ..CacheStats::default() };
+        assert_eq!(stats.served_from_cache(), 3);
+        assert!((stats.hit_rate() - 0.75).abs() < 1e-9);
     }
 
     #[test]
     fn fetch_log_filters_by_key_and_time() {
-        let mut c = cache(4096);
-        let k = key("scholar.google.com", "/");
-        c.note_upstream_fetch(&k, SimTime::from_secs(1));
-        c.note_upstream_fetch(&k, SimTime::from_secs(30));
-        c.note_upstream_fetch(&key("scholar.google.com", "/css"), SimTime::from_secs(1));
-        assert_eq!(c.stats.fetches_before("scholar.google.com", "/", 20_000_000), 1);
-        assert_eq!(c.stats.fetches_before("scholar.google.com", "/", u64::MAX), 2);
+        let fetched = |s: u64, path: &str| (SimTime::from_secs(s).as_micros(), format!("scholar.google.com {path}"));
+        let stats = CacheStats {
+            upstream_fetches: vec![fetched(1, "/"), fetched(30, "/"), fetched(1, "/css")],
+            ..CacheStats::default()
+        };
+        assert_eq!(stats.fetches_before("scholar.google.com", "/", 20_000_000), 1);
+        assert_eq!(stats.fetches_before("scholar.google.com", "/", u64::MAX), 2);
     }
 }

@@ -120,19 +120,8 @@ pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
     hmac_sha256(salt, ikm)
 }
 
-/// HKDF-Expand (RFC 5869 §2.3).
-///
-/// # Panics
-///
-/// Panics if `out_len > 255 * 32` (the RFC limit).
-pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out_len: usize) -> Vec<u8> {
-    let mut out = vec![0u8; out_len];
-    hkdf_expand_into(prk, info, &mut out);
-    out
-}
-
-/// [`hkdf_expand`] into a buffer the caller owns: `out.len()` bytes of
-/// output keying material, nothing allocated.
+/// HKDF-Expand (RFC 5869 §2.3) into a buffer the caller owns:
+/// `out.len()` bytes of output keying material, nothing allocated.
 ///
 /// # Panics
 ///
@@ -151,11 +140,6 @@ pub fn hkdf_expand_into(prk: &[u8; 32], info: &[u8], out: &mut [u8]) {
         t = mac.finalize();
         chunk.copy_from_slice(&t[..chunk.len()]);
     }
-}
-
-/// One-call HKDF (extract then expand).
-pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
-    hkdf_expand(&hkdf_extract(salt, ikm), info, out_len)
 }
 
 /// Derives a fixed-size key from a password the way Shadowsocks' `EVP_BytesToKey`
@@ -253,6 +237,13 @@ mod tests {
         });
     }
 
+    /// HKDF (extract, then expand into a buffer), as the protocols run it.
+    fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; out_len];
+        hkdf_expand_into(&hkdf_extract(salt, ikm), info, &mut out);
+        out
+    }
+
     // RFC 5869 test cases 1 and 3 (empty salt and info), on both kernels.
     #[test]
     fn rfc5869_cases_1_3() {
@@ -278,7 +269,8 @@ mod tests {
     #[test]
     fn hkdf_expand_into_fills_any_length_up_to_the_limit() {
         let prk = hkdf_extract(b"salt", b"input keying material");
-        let longest = hkdf_expand(&prk, b"info", 255 * 32);
+        let mut longest = vec![0u8; 255 * 32];
+        hkdf_expand_into(&prk, b"info", &mut longest);
         for len in [0usize, 1, 31, 32, 33, 160] {
             let mut out = vec![0u8; len];
             hkdf_expand_into(&prk, b"info", &mut out);
@@ -290,7 +282,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "RFC 5869 limit")]
     fn hkdf_expand_refuses_more_than_the_limit() {
-        hkdf_expand(&[0; 32], b"", 255 * 32 + 1);
+        hkdf_expand_into(&[0; 32], b"", &mut [0; 255 * 32 + 1]);
     }
 
     #[test]

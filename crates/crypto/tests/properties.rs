@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sc_crypto::aes::{Aes, KeySize};
 use sc_crypto::blinding::BlindingScheme;
-use sc_crypto::hmac::{hkdf, hmac_sha256};
+use sc_crypto::hmac::{hkdf_expand_into, hkdf_extract, hmac_sha256};
 use sc_crypto::modes::{Cfb, Ctr};
 use sc_crypto::sha256::{Sha256, sha256};
 
@@ -84,12 +84,15 @@ proptest! {
         prop_assert_ne!(hmac_sha256(&k1, &msg), hmac_sha256(&k2, &msg));
     }
 
-    /// HKDF output length is exactly as requested.
+    /// HKDF output of any requested length is the prefix of a longer one.
     #[test]
     fn hkdf_length(salt in prop::collection::vec(any::<u8>(), 0..32),
                    ikm in prop::collection::vec(any::<u8>(), 1..64),
                    len in 1usize..1000) {
-        prop_assert_eq!(hkdf(&salt, &ikm, b"t", len).len(), len);
+        let (prk, mut out, mut longest) = (hkdf_extract(&salt, &ikm), vec![0u8; len], vec![0u8; 1000]);
+        hkdf_expand_into(&prk, b"t", &mut out);
+        hkdf_expand_into(&prk, b"t", &mut longest);
+        prop_assert_eq!(&out[..], &longest[..len]);
     }
 
     /// Every blinding scheme round-trips under arbitrary stream splits.

@@ -369,14 +369,6 @@ impl AdaptiveState {
         Some(wave)
     }
 
-    /// Whether this server's campaign has exhausted all its waves.
-    pub fn campaign_exhausted(&self, server: &SocketAddr) -> bool {
-        self.servers
-            .get(server)
-            .and_then(|ev| ev.campaign.as_ref())
-            .is_some_and(|c| c.waves_left == 0)
-    }
-
     /// Whether enforcement is currently active on the region this
     /// client's path hashes to. Regions re-roll their state every
     /// [`drift_period`](AdaptiveConfig::drift_period): with probability
@@ -593,7 +585,8 @@ mod tests {
             }
         }
         assert_eq!(waves, 2);
-        assert!(st.campaign_exhausted(&server));
+        let long_after = SimTime::from_secs(100_000);
+        assert_eq!(st.step_campaign(&cfg, &server, long_after, &mut draw), None, "the campaign is spent");
     }
 
     #[test]

@@ -143,6 +143,7 @@ impl SocksServerSession {
     }
 
     /// Whether negotiation finished and the stream is proxied.
+    #[cfg(test)]
     pub fn is_ready(&self) -> bool {
         self.state == SocksState::Ready
     }

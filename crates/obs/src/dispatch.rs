@@ -923,7 +923,7 @@ mod tests {
         assert_eq!(d.slo_engine().total_fired(), 1);
         assert_eq!(d.slo_engine().statuses()[0].resolved, 1);
         assert_eq!(d.timeseries().window("web.plt_us", 0).unwrap().count(), 1);
-        assert!(d.slo_engine().any_fired());
+        assert!(d.slo_engine().total_fired() > 0);
     }
 
     /// The alert lines and final statuses of one run of the same

@@ -225,11 +225,6 @@ impl SloEngine {
         &self.status
     }
 
-    /// Whether any alert fired at least once.
-    pub fn any_fired(&self) -> bool {
-        self.status.iter().any(|s| s.fired > 0)
-    }
-
     /// Total `fire` transitions across all SLOs.
     pub fn total_fired(&self) -> u64 {
         self.status.iter().map(|s| s.fired).sum()
@@ -440,7 +435,7 @@ mod tests {
         assert_eq!(alerts[1].t_us, 5_000_000);
         assert!(!eng.statuses()[0].firing);
         assert_eq!(eng.statuses()[0].fired, 1);
-        assert!(eng.any_fired());
+        assert!(eng.total_fired() > 0);
     }
 
     #[test]

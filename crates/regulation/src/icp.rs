@@ -167,6 +167,7 @@ impl Regulator {
     }
 
     /// Current enforcement status for `domain`.
+    #[cfg(test)]
     pub fn enforcement_status(&self, domain: &str) -> EnforcementStatus {
         self.enforcement
             .get(domain)

@@ -4,16 +4,19 @@
 //! Unlike CONNECT tunnels, these requests expose their HTTP semantics —
 //! the only place caching can apply. The proxy terminates HTTP on a
 //! gateway connection (one request at a time, keep-alive across
-//! requests). The stage owns the in-flight fetches, the singleflight
-//! table with its parked waiters, and the requesters' validators; a
-//! fetch that must leave the proxy goes back to the driver as a request
-//! for admission or a [`Miss`] for the peer stage.
+//! requests). What the cache decides — hit, wait or lead, which
+//! validator goes upstream, how each requester is answered — is
+//! `sc_cache::CachePolicy`'s; the stage parses targets, rewrites the
+//! upstream request, owns the in-flight fetches and the waiters' spans,
+//! and records it all in the trace. A fetch that must leave the proxy
+//! goes back to the driver as a request for admission or a [`Miss`] for
+//! the peer stage.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytes::Bytes;
-use sc_cache::{CacheKey, CachedResponse, Lookup, Role, Singleflight, StoredResponse};
+use sc_cache::{Answer, CacheKey, CachePolicy, Lead, Plan, Upstream};
 use sc_netproto::http::{HttpMessage, HttpParser, HttpRequest, HttpResponse, Messages};
 use sc_netproto::socks::MAX_DOMAIN_LEN;
 use sc_obs::{Fields, Level, Quoted, SpanId, TraceCtx};
@@ -40,10 +43,9 @@ struct Fetch {
     /// Origin-form request (replayed if the flight's leadership moves
     /// or a peering hop falls back upstream).
     request: HttpRequest,
-    /// Store a `200` under `key` and fan it out to coalesced waiters.
-    cacheable: bool,
-    /// Carries our stored validator: an upstream `304` renews the entry.
-    revalidating: bool,
+    /// The leader's trace context: the upstream leg's spans parent into
+    /// it.
+    tctx: TraceCtx,
     /// Reassembles the upstream response stream.
     parser: HttpParser,
 }
@@ -91,12 +93,9 @@ pub(super) struct Gateway {
     /// This proxy's fleet shard, for event attribution.
     shard: Option<usize>,
     fetches: BTreeMap<TcpHandle, Fetch>,
-    /// Coalescing table for cacheable fetches.
-    flights: Singleflight<TcpHandle>,
+    /// The shared cache's decisions for this proxy's requesters.
+    policy: CachePolicy<TcpHandle>,
     waits: BTreeMap<TcpHandle, Wait>,
-    /// `If-None-Match` validators sent by requesters, consulted when
-    /// answering from the cache (matching validator → bodyless 304).
-    inm: BTreeMap<TcpHandle, String>,
 }
 
 impl Gateway {
@@ -105,9 +104,8 @@ impl Gateway {
             cfg,
             shard: None,
             fetches: BTreeMap::new(),
-            flights: Singleflight::new(),
+            policy: CachePolicy::default(),
             waits: BTreeMap::new(),
-            inm: BTreeMap::new(),
         }
     }
 
@@ -120,7 +118,7 @@ impl Gateway {
         [
             ("gateway fetches", self.fetches.len()),
             ("gateway waiters", self.waits.len()),
-            ("gateway flights", self.flights.len()),
+            ("gateway flights", self.policy.in_flight()),
         ]
     }
 
@@ -153,81 +151,36 @@ impl Gateway {
         let now = io.now();
         let tctx = trace_ctx_of(&req);
         let key: CacheKey = (host.to_string(), path.to_string());
-        match req.header_value("If-None-Match") {
-            Some(inm) => {
-                self.inm.insert(browser, inm.to_string());
-            }
-            None => {
-                self.inm.remove(&browser);
-            }
-        }
-        let cacheable = req.method() == "GET" && self.cfg.cache.borrow().enabled();
         // An intra-fleet peering hop announces itself with the
         // loop-guard header: the owner answers locally (cache,
         // coalesced flight, or its own upstream fetch) and never
         // re-forwards.
         let peer_hop = req.header_value(FLEET_HEADER).and_then(|v| v.parse::<usize>().ok());
         if let Some(from) = peer_hop {
-            self.cfg.cache.borrow_mut().note_peer_serve();
             trace::event(now, Level::Debug, "fleet", "peer_serve", |f| {
                 trace::sharded(f, self.shard).field("from", Quoted(from as u64)).field("path", &key.1);
             });
         }
-
-        // Upstream leg is origin-form and never says it is a hop. A
-        // cacheable fetch also leaves the client's validator behind: it
-        // is answered from the cache, not forwarded — the shared cache
-        // needs the full body for its other readers, so only *its own*
-        // validator may go upstream.
-        let mut request = HttpRequest::new(req.method(), &key.1);
-        for (name, value) in req.headers() {
-            let dropped = name.eq_ignore_ascii_case(FLEET_HEADER)
-                || (cacheable && name.eq_ignore_ascii_case("If-None-Match"));
-            if !dropped {
-                request = request.header(name, value);
-            }
-        }
-        request.body = req.body;
-
-        if !cacheable {
+        if req.method() != "GET" || !self.cfg.cache.borrow().enabled() {
             // Non-GET (the HEAD RTT probe) or cache disabled: a plain
             // uncoalesced pass-through fetch.
-            let fetch = Fetch::new(client, key, port, request, false, false);
-            return self.go_upstream(browser, fetch, tctx, false, now);
-        }
-
-        enum Plan {
-            /// The answer, built from the entry where it lies.
-            Hit(HttpResponse),
-            Fetch { stored_etag: Option<String> },
+            let request = upstream_request(req, &key.1, false, None);
+            return self.go_upstream(browser, Fetch { client, key, port, request, tctx, parser: HttpParser::new() });
         }
         let plan = {
             let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
+            let owner = peer_hop.is_none().then_some(|| owner_of(&key, now));
+            let validator = req.header_value("If-None-Match");
             let mut cache = self.cfg.cache.borrow_mut();
-            match cache.lookup(&key, now) {
-                Lookup::Fresh(entry) => {
-                    let (resp, len) = (answer_from(entry, self.inm.remove(&browser)), entry.body.len());
-                    cache.note_hit(len);
-                    Plan::Hit(resp)
-                }
-                Lookup::Stale(_) => Plan::Fetch {
-                    stored_etag: cache.etag_of(&key).filter(|e| !e.is_empty()).map(str::to_string),
-                },
-                Lookup::Miss => Plan::Fetch { stored_etag: None },
-            }
+            // A hit's answer is built from the entry where it lies.
+            self.policy.request(&mut cache, &key, browser, validator, owner, now).map_hit(answer)
         };
         // An instant "cache_lookup" span records the verdict in the
         // trace tree (and marks the request as having reached the cache
         // tier even when it never goes upstream).
-        let verdict = match &plan {
-            Plan::Hit(..) => "hit",
-            Plan::Fetch { stored_etag: Some(_) } => "stale",
-            Plan::Fetch { stored_etag: None } => "miss",
-        };
-        let mut lookup_span =
-            trace::span(now, "cache", "cache_lookup", tctx, |f| {
-                f.field("verdict", verdict);
-            });
+        let mut lookup_span = trace::span(now, "cache", "cache_lookup", tctx, |f| {
+            f.field("verdict", plan.verdict());
+        });
         trace::end(now, &mut lookup_span, |_| {});
         match plan {
             Plan::Hit(resp) => {
@@ -235,98 +188,65 @@ impl Gateway {
                 io.tcp_send_bytes(browser, resp.into_wire());
                 Step::Done
             }
-            Plan::Fetch { stored_etag } => match self.flights.begin(&key, browser) {
-                Role::Waiter => {
-                    // No admission slot, no tunnel: park on the leader's
-                    // in-flight fetch.
-                    let span = trace::span(now, "cache", "coalesce_wait", tctx, |f| {
-                        f.field("path", &key.1);
-                    });
-                    self.cfg.cache.borrow_mut().note_coalesced();
-                    self.cache_event(now, "coalesced", &key);
-                    self.waits.insert(browser, Wait { key, span, tctx, client });
-                    Step::Done
+            Plan::Wait { .. } => {
+                // No admission slot, no tunnel: park on the leader's
+                // in-flight fetch.
+                let span = trace::span(now, "cache", "coalesce_wait", tctx, |f| {
+                    f.field("path", &key.1);
+                });
+                self.cache_event(now, "coalesced", &key);
+                self.waits.insert(browser, Wait { key, span, tctx, client });
+                Step::Done
+            }
+            Plan::Lead(Lead { validator, owner: Some(owner), .. }) => {
+                // A non-owner's miss takes one intra-fleet hop to the
+                // key's owner (whose singleflight coalesces the whole
+                // fleet's demand) instead of a cross-border fetch.
+                let request = upstream_request(req, &key.1, true, None);
+                let hop = Miss { leader: browser, owner, key: key.clone(), port, stored_etag: validator, tctx };
+                self.fetches.insert(browser, Fetch { client, key, port, request, tctx, parser: HttpParser::new() });
+                Step::Hop(hop)
+            }
+            Plan::Lead(lead) => {
+                if lead.missed {
+                    self.cache_event(now, "miss", &key);
                 }
-                Role::Leader => {
-                    let revalidating = stored_etag.is_some();
-                    // A non-owner's miss takes one intra-fleet hop to
-                    // the key's owner (whose singleflight coalesces the
-                    // whole fleet's demand) instead of a cross-border
-                    // fetch — unless it already IS such a hop.
-                    let owner = if peer_hop.is_none() { owner_of(&key, now) } else { None };
-                    if let Some(owner) = owner {
-                        self.cfg.cache.borrow_mut().note_peer_fetch();
-                        let hop = key.clone();
-                        let fetch = Fetch::new(client, key, port, request, true, revalidating);
-                        self.fetches.insert(browser, fetch);
-                        return Step::Hop(Miss {
-                            leader: browser,
-                            owner,
-                            key: hop,
-                            port,
-                            stored_etag,
-                            tctx,
-                        });
-                    }
-                    // Only *our* stored validator rides upstream.
-                    if let Some(etag) = &stored_etag {
-                        request = request.header("If-None-Match", etag);
-                    }
-                    let fetch = Fetch::new(client, key, port, request, true, revalidating);
-                    self.go_upstream(browser, fetch, tctx, false, now)
-                }
-            },
+                let request = upstream_request(req, &key.1, true, lead.validator.as_deref());
+                self.go_upstream(browser, Fetch { client, key, port, request, tctx, parser: HttpParser::new() })
+            }
         }
     }
 
     /// Replays a failed hop's request through the normal upstream
-    /// machinery. One hop max: even if another peer now owns the key,
+    /// machinery, with the validator the cache holds now if the fetch
+    /// revalidates. One hop max: even if another peer now owns the key,
     /// the fallback goes straight upstream — bounded worst-case latency
     /// per request, by construction. (The browser may have vanished
     /// while the hop was in flight.)
-    pub fn fall_back_upstream(
-        &mut self,
-        leader: TcpHandle,
-        tctx: TraceCtx,
-        now: SimTime,
-    ) -> Step {
+    pub fn fall_back_upstream(&mut self, leader: TcpHandle, now: SimTime) -> Step {
         let Some(mut fetch) = self.fetches.remove(&leader) else { return Step::Done };
-        if fetch.revalidating {
-            let cache = self.cfg.cache.borrow();
-            if let Some(etag) = cache.etag_of(&fetch.key).filter(|e| !e.is_empty()) {
-                fetch.request = fetch.request.header("If-None-Match", etag);
-            }
+        let lead = self.policy.fall_back(&mut self.cfg.cache.borrow_mut(), &fetch.key, now);
+        if lead.missed {
+            self.cache_event(now, "miss", &fetch.key);
         }
-        self.go_upstream(leader, fetch, tctx, false, now)
+        if let Some(etag) = &lead.validator {
+            fetch.request = fetch.request.header("If-None-Match", etag);
+        }
+        self.go_upstream(leader, fetch)
     }
 
     /// Registers `fetch` under `browser` and builds its upstream leg's
-    /// [`Request`] (one tunnel per fetch). A `replay` re-runs a fetch
-    /// the stats already counted as a miss.
-    fn go_upstream(
-        &mut self,
-        browser: TcpHandle,
-        fetch: Fetch,
-        tctx: TraceCtx,
-        replay: bool,
-        now: SimTime,
-    ) -> Step {
-        if fetch.cacheable {
-            self.cfg.cache.borrow_mut().note_upstream_fetch(&fetch.key, now);
-            if !fetch.revalidating && !replay {
-                self.cfg.cache.borrow_mut().note_miss();
-                self.cache_event(now, "miss", &fetch.key);
-            }
-        }
+    /// [`Request`] (one tunnel per fetch).
+    fn go_upstream(&mut self, browser: TcpHandle, fetch: Fetch) -> Step {
         let req = Request {
             browser,
             client: fetch.client,
-            header: stream_header(&fetch.key.0, fetch.port, false, tctx),
+            header: stream_header(&fetch.key.0, fetch.port, false, fetch.tctx),
             // The replay buffer's own copy (of a head: a gateway fetch is
             // a GET or the probe's HEAD).
             initial_plain: fetch.request.encode(),
             is_connect: false,
-            tctx,
+            tctx: fetch.tctx,
         };
         self.fetches.insert(browser, fetch);
         Step::Admit(req)
@@ -341,98 +261,43 @@ impl Gateway {
         }
     }
 
-    /// Settles `leader`'s completed fetch: update the cache, answer the
-    /// leader and every coalesced waiter. Shared between the upstream
-    /// path (which then releases its admission slot) and the intra-fleet
-    /// peering path (which held none). `via_peer` bodies came from a
-    /// peer's cache over the LAN, so a changed representation there is
-    /// not a local miss.
-    pub fn settle(
-        &mut self,
-        leader: TcpHandle,
-        resp: HttpResponse,
-        via_peer: bool,
-        io: &mut impl Io,
-    ) {
+    /// Settles `leader`'s completed fetch: the policy updates the cache,
+    /// and the leader and every coalesced waiter are answered. Shared
+    /// between the upstream path (which then releases its admission
+    /// slot) and the intra-fleet peering path (which held none).
+    /// `via_peer` bodies came from a peer's cache over the LAN.
+    pub fn settle(&mut self, leader: TcpHandle, resp: HttpResponse, via_peer: bool, io: &mut impl Io) {
         let Some(fetch) = self.fetches.remove(&leader) else { return };
         let now = io.now();
-        // A pass-through fetch was never coalesced.
-        let flight = if fetch.cacheable { self.flights.complete(&fetch.key) } else { None };
-        let cache_prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
-        let served: Option<StoredResponse> = if !fetch.cacheable {
-            None
-        } else if resp.status == 304 && fetch.revalidating {
-            // Our validator held: a cheap bodyless exchange renewed the
-            // entry for everyone.
-            let renewed = {
-                let mut cache = self.cfg.cache.borrow_mut();
-                let ttl = cache.ttl_for(&fetch.key.0, resp.max_age_secs());
-                cache.revalidate(&fetch.key, ttl, now, resp.header_value("ETag")).cloned()
-            };
-            if let Some(r) = &renewed {
-                self.cfg.cache.borrow_mut().note_bytes_saved(r.body.len());
-                self.cache_event(now, "revalidated", &fetch.key);
-            }
-            renewed
-        } else if resp.status == 200 {
-            // The entry shares the response's body, and so will every
-            // answer built from it.
-            let entry = CachedResponse {
-                status: 200,
-                content_type: resp
-                    .header_value("Content-Type")
-                    .unwrap_or("application/octet-stream")
-                    .to_string(),
-                etag: resp.header_value("ETag").unwrap_or_default().to_string(),
+        let settled = {
+            let _prof = sc_obs::prof::scope(sc_obs::prof::Subsystem::Cache);
+            let upstream = Upstream {
+                status: resp.status,
+                etag: resp.header_value("ETag"),
                 max_age: resp.max_age_secs(),
-                body: resp.body.clone(),
+                content_type: resp.header_value("Content-Type"),
+                body: &resp.body,
             };
-            // The representation changed upstream: the stale entry did
-            // not help after all. (The store emits nothing, so the miss
-            // is told before the key moves into it.)
-            let changed = fetch.revalidating && !via_peer;
-            if changed {
-                self.cfg.cache.borrow_mut().note_miss();
-                self.cache_event(now, "miss", &fetch.key);
-            }
-            let evicted = {
-                let mut cache = self.cfg.cache.borrow_mut();
-                let ttl = cache.ttl_for(&fetch.key.0, entry.max_age);
-                cache.insert(fetch.key, entry.clone(), ttl, now).evicted
-            };
-            for victim in &evicted {
-                self.cache_event(now, "evicted", victim);
-            }
-            Some(entry)
-        } else {
-            None
+            self.policy.settle(&mut self.cfg.cache.borrow_mut(), &fetch.key, leader, upstream, via_peer, now)
         };
-        drop(cache_prof);
-        let waiters = flight.map_or(Vec::new(), |f| f.waiters);
-        match served {
-            Some(entry) => {
-                self.serve_from_cache(leader, &entry, io);
-                for w in waiters {
-                    self.end_wait(w, now, |f| {
-                        f.field("ok", true);
-                    });
-                    self.cfg.cache.borrow_mut().note_bytes_saved(entry.body.len());
-                    self.serve_from_cache(w, &entry, io);
-                }
-            }
-            None => {
-                // Pass-through (non-GET, cache off, or an uncacheable
-                // status): every coalesced requester gets the same
-                // answer.
-                let wire = resp.into_wire();
-                io.tcp_send_bytes(leader, wire.clone());
-                for w in waiters {
-                    self.end_wait(w, now, |f| {
-                        f.field("ok", true);
-                    });
-                    io.tcp_send_bytes(w, wire.clone());
-                }
-            }
+        if settled.renewed {
+            self.cache_event(now, "revalidated", &fetch.key);
+        }
+        if settled.missed {
+            self.cache_event(now, "miss", &fetch.key);
+        }
+        for victim in &settled.evicted {
+            self.cache_event(now, "evicted", victim);
+        }
+        // With no entry to answer from (a pass-through fetch, an
+        // uncacheable status) every requester gets the upstream answer.
+        let passed = settled.entry.is_none().then(|| resp.into_wire());
+        for (w, not_modified) in settled.answers {
+            self.end_wait(w, now, |f| {
+                f.field("ok", true);
+            });
+            let wire = settled.entry.as_ref().map(|entry| answer(Answer { entry, not_modified }).into_wire());
+            io.tcp_send_bytes(w, wire.or_else(|| passed.clone()).expect("an entry or the upstream answer"));
         }
     }
 
@@ -442,40 +307,25 @@ impl Gateway {
         }
     }
 
-    /// Answers a gateway requester from a cache entry: `304` when its own
-    /// validator still matches, the full `200` otherwise. Validators and
-    /// freshness are forwarded so browser caches layer on top.
-    fn serve_from_cache(&mut self, browser: TcpHandle, entry: &StoredResponse, io: &mut impl Io) {
-        let inm = self.inm.remove(&browser);
-        io.tcp_send_bytes(browser, answer_from(entry, inm).into_wire());
-    }
-
     /// A gateway leader's request failed (shed, retries exhausted, or
     /// upstream death): its coalesced waiters get the same answer —
     /// without this they would hang until their browsers time out.
     /// Returns the waiters whose connections were closed.
-    pub fn fail_waiters(
-        &mut self,
-        leader: TcpHandle,
-        code: u16,
-        io: &mut impl Io,
-    ) -> Vec<TcpHandle> {
+    pub fn fail_waiters(&mut self, leader: TcpHandle, code: u16, io: &mut impl Io) -> Vec<TcpHandle> {
         let Some(fetch) = self.fetches.remove(&leader) else { return Vec::new() };
-        self.inm.remove(&leader);
-        if !fetch.cacheable {
-            return Vec::new();
+        let waiters = self.policy.fail(&fetch.key, leader);
+        if waiters.is_empty() {
+            return waiters;
         }
-        let Some(flight) = self.flights.complete(&fetch.key) else { return Vec::new() };
         let wire = HttpResponse::new(code, Vec::new()).into_wire();
-        for &w in &flight.waiters {
+        for &w in &waiters {
             self.end_wait(w, io.now(), |f| {
                 f.field("ok", false).field("code", code);
             });
-            self.inm.remove(&w);
             io.tcp_send_bytes(w, wire.clone());
             io.tcp_close(w);
         }
-        flight.waiters
+        waiters
     }
 
     /// A gateway browser conn went away: drop it from any coalesced
@@ -484,18 +334,16 @@ impl Gateway {
     /// returned here — goes back through admission under the waiter's
     /// own slot and trace context.
     pub fn browser_gone(&mut self, browser: TcpHandle, now: SimTime) -> Step {
-        self.inm.remove(&browser);
         if let Some(mut wait) = self.waits.remove(&browser) {
             trace::end(now, &mut wait.span, |f| {
                 f.field("ok", false);
             });
-            self.flights.forget(&wait.key, browser);
+            self.policy.leave(&mut self.cfg.cache.borrow_mut(), &wait.key, browser, now);
             return Step::Done;
         }
-        let Some(fetch) = self.fetches.remove(&browser).filter(|f| f.cacheable) else {
-            return Step::Done;
-        };
-        let Some(promoted) = self.flights.forget(&fetch.key, browser) else { return Step::Done };
+        let Some(fetch) = self.fetches.remove(&browser) else { return Step::Done };
+        let promoted = self.policy.leave(&mut self.cfg.cache.borrow_mut(), &fetch.key, browser, now);
+        let Some(promoted) = promoted else { return Step::Done };
         // The dead leader's attempt is torn down by the caller; the
         // promoted waiter restarts the fetch. Its coalesce wait ends
         // here.
@@ -508,16 +356,14 @@ impl Gateway {
             }
             None => (TraceCtx::NONE, fetch.client),
         };
-        let replayed = Fetch { client, parser: HttpParser::new(), ..fetch };
-        self.go_upstream(promoted, replayed, tctx, true, now)
+        self.go_upstream(promoted, Fetch { client, tctx, parser: HttpParser::new(), ..fetch })
     }
 }
 
-/// The answer to a requester from a cache entry: `304` when the
-/// validator it sent (`inm`) still matches, else the full `200` with the
-/// entry's body — shared, not copied.
-fn answer_from(entry: &StoredResponse, inm: Option<String>) -> HttpResponse {
-    let not_modified = !entry.etag.is_empty() && inm.as_deref() == Some(entry.etag.as_str());
+/// A cache answer as HTTP: a bodyless `304`, or the full entry with its
+/// body — shared, not copied. Validators and freshness are forwarded so
+/// browser caches layer on top.
+fn answer(Answer { entry, not_modified }: Answer<'_>) -> HttpResponse {
     let mut resp = if not_modified {
         HttpResponse::new(304, Vec::new())
     } else {
@@ -530,6 +376,27 @@ fn answer_from(entry: &StoredResponse, inm: Option<String>) -> HttpResponse {
         resp = resp.header_fmt("Cache-Control", format_args!("public, max-age={max_age}"));
     }
     resp
+}
+
+/// The upstream leg's request for `path`: origin-form, and never saying
+/// it is a hop. A `cached` fetch also leaves the client's validator
+/// behind: the client is answered from the cache, and the shared cache
+/// needs the full body for its other readers, so only `ours` — the
+/// store's own validator — may go upstream.
+fn upstream_request(req: HttpRequest, path: &str, cached: bool, ours: Option<&str>) -> HttpRequest {
+    let mut request = HttpRequest::new(req.method(), path);
+    for (name, value) in req.headers() {
+        let dropped = name.eq_ignore_ascii_case(FLEET_HEADER)
+            || (cached && name.eq_ignore_ascii_case("If-None-Match"));
+        if !dropped {
+            request = request.header(name, value);
+        }
+    }
+    if let Some(etag) = ours {
+        request = request.header("If-None-Match", etag);
+    }
+    request.body = req.body;
+    request
 }
 
 /// The first complete response among freshly parsed messages.
@@ -559,17 +426,4 @@ fn split_target(req: &HttpRequest) -> Option<(&str, u16, &str)> {
         return None;
     };
     (host.len() <= MAX_DOMAIN_LEN).then_some((host, port, path))
-}
-
-impl Fetch {
-    fn new(
-        client: Addr,
-        key: CacheKey,
-        port: u16,
-        request: HttpRequest,
-        cacheable: bool,
-        revalidating: bool,
-    ) -> Self {
-        Fetch { client, key, port, request, cacheable, revalidating, parser: HttpParser::new() }
-    }
 }

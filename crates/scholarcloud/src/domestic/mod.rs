@@ -163,17 +163,6 @@ impl DomesticProxy {
         }
     }
 
-    fn gateway_request(
-        &mut self,
-        browser: TcpHandle,
-        client: Addr,
-        req: HttpRequest,
-        io: &mut impl Io,
-    ) -> Step {
-        let peer = &self.peer;
-        self.gateway.request(browser, client, req, |key, now| peer.owner_of(key, now), io)
-    }
-
     /// The first request on a browser connection decides its mode.
     fn first_request(
         &mut self,
@@ -188,7 +177,7 @@ impl DomesticProxy {
             // Plain HTTP: the conn stays in gateway mode for keep-alive
             // follow-ups; each request runs through the shared cache.
             self.set_state(browser, ConnState::Gateway(HttpParser::new()));
-            self.gateway_request(browser, client, req, io)
+            self.gateway.request(browser, client, req, |key, now| self.peer.owner_of(key, now), io)
         } else {
             io.tcp_send_bytes(browser, HttpResponse::new(400, Vec::new()).into_wire());
             Step::Done
@@ -240,7 +229,8 @@ impl DomesticProxy {
                     }
                     (false, Ok(requests)) => {
                         for req in requests {
-                            let routed = self.gateway_request(h, client, req, io);
+                            let routed =
+                                self.gateway.request(h, client, req, |key, now| self.peer.owner_of(key, now), io);
                             self.step(routed, io);
                         }
                     }

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 use sc_cache::CacheKey;
 use sc_netproto::http::{HttpParser, HttpRequest, HttpResponse};
-use sc_obs::{Level, Quoted, SpanId, TraceCtx};
+use sc_obs::{Level, Quoted, SpanId};
 use sc_simnet::api::{Io, TcpEvent, TcpHandle};
 use sc_simnet::time::{SimDuration, SimTime};
 
@@ -38,8 +38,6 @@ struct Hop {
     parser: HttpParser,
     /// Open "peer_fetch" span.
     span: SpanId,
-    /// Leader's trace context (a fallback replay parents into it).
-    tctx: TraceCtx,
 }
 
 /// One deadline covers a whole hop (connect + response): a crashed or
@@ -127,7 +125,6 @@ impl Peer {
                 done: false,
                 parser: HttpParser::new(),
                 span,
-                tctx: miss.tctx,
             },
         );
         io.set_timer(HOP_DEADLINE, Timer::PeerDeadline(h).token());
@@ -197,7 +194,7 @@ impl Peer {
         let shard = self.shard();
         let hop = self.hops.get_mut(&h).expect("caller checked");
         hop.done = true;
-        let (leader, owner, tctx) = (hop.leader, hop.owner, hop.tctx);
+        let (leader, owner) = (hop.leader, hop.owner);
         let ok = resp.status == 200 || resp.status == 304;
         io.tcp_close(h);
         trace::end(now, &mut hop.span, |f| {
@@ -209,7 +206,7 @@ impl Peer {
                     .field("owner", Quoted(owner as u64))
                     .field("status", Quoted(resp.status.into()));
             });
-            return Step::FallBack { leader, tctx };
+            return Step::FallBack { leader };
         }
         if self.fleet.as_mut().is_some_and(|f| f.mark_peer_up(owner)) {
             trace::event(now, Level::Info, "fleet", "peer_up", |f| {
@@ -238,6 +235,6 @@ impl Peer {
                 .field("reason", reason)
                 .field("backoff_us", Quoted(backoff.map_or(0, |b| b.as_micros())));
         });
-        Step::FallBack { leader: hop.leader, tctx: hop.tctx }
+        Step::FallBack { leader: hop.leader }
     }
 }

@@ -5,7 +5,7 @@
 //! lets out of the queue).
 
 use sc_netproto::http::HttpResponse;
-use sc_obs::{SpanId, TraceCtx};
+use sc_obs::SpanId;
 use sc_simnet::addr::Addr;
 use sc_simnet::api::{Io, TcpEvent, TcpHandle};
 
@@ -35,7 +35,7 @@ pub(super) enum Step {
     /// The key's owner answered the hop: settle the leader's fetch.
     Settle { leader: TcpHandle, resp: HttpResponse },
     /// The hop failed or was refused: the leader's fetch goes upstream.
-    FallBack { leader: TcpHandle, tctx: TraceCtx },
+    FallBack { leader: TcpHandle },
     /// Every remote is dark and the request parked. The oldest parked
     /// requests beyond the cap (`overflow`) are shed; `expired` says
     /// this one has waited out its window.
@@ -81,8 +81,8 @@ impl DomesticProxy {
             }
             Step::Hop(miss) => self.peer.start(miss, io),
             Step::Settle { leader, resp } => self.gateway.settle(leader, resp, true, io),
-            Step::FallBack { leader, tctx } => {
-                let upstream = self.gateway.fall_back_upstream(leader, tctx, io.now());
+            Step::FallBack { leader } => {
+                let upstream = self.gateway.fall_back_upstream(leader, io.now());
                 self.step(upstream, io);
             }
             Step::Parked { browser, overflow, expired } => {

@@ -556,6 +556,6 @@ fn a_miss_on_another_shards_key_becomes_a_hop_with_the_fetch_registered() {
     assert_eq!(miss.key, ("scholar.google.com".to_string(), "/paper".to_string()));
     assert_eq!(gw.occupancy().map(|(_, n)| n), [1, 0, 1], "waiters can coalesce behind the hop");
     // The hop failed: the same fetch goes upstream under the leader.
-    let fallback = gw.fall_back_upstream(TcpHandle(1), tctx, io.now);
+    let fallback = gw.fall_back_upstream(TcpHandle(1), io.now);
     assert!(matches!(fallback, Step::Admit(req) if req.browser == TcpHandle(1) && !req.is_connect));
 }

@@ -385,6 +385,7 @@ impl ElasticPool {
     }
 
     /// An instance's current state.
+    #[cfg(test)]
     pub fn state_of(&self, addr: Addr) -> Option<InstanceState> {
         self.instances.iter().find(|i| i.addr == addr).map(|i| i.state)
     }

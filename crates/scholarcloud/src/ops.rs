@@ -40,16 +40,6 @@ impl Deployment {
         assert!(self.daily_active_users > 0, "no active users");
         self.daily_cost_usd() / self.daily_active_users as f64
     }
-
-    /// Projected cost for `days` of operation.
-    pub fn cost_for_days_usd(&self, days: u64) -> f64 {
-        self.daily_cost_usd() * days as f64
-    }
-
-    /// Whether the service is legalized (registered with the TCA).
-    pub fn is_legalized(&self) -> bool {
-        self.icp_registration.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -60,11 +50,11 @@ mod tests {
     fn paper_numbers() {
         let d = Deployment::paper();
         assert!((d.daily_cost_usd() - 2.2).abs() < 1e-9);
-        assert!(d.is_legalized());
+        assert!(d.icp_registration.is_some(), "legalized: registered with the TCA");
         // ~0.31 US cents per active user per day.
         let per_user = d.cost_per_active_user_usd();
         assert!(per_user < 0.01, "cost per user should be well under a cent: {per_user}");
-        assert!((d.cost_for_days_usd(365) - 803.0).abs() < 0.5);
+        assert!((d.daily_cost_usd() * 365.0 - 803.0).abs() < 0.5, "a year of operation");
     }
 
     #[test]

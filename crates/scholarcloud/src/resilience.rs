@@ -314,11 +314,6 @@ impl RemotePool {
         self.entries.is_empty()
     }
 
-    /// Number of non-retired remotes.
-    pub fn active_len(&self) -> usize {
-        self.entries.iter().filter(|e| !e.retired).count()
-    }
-
     /// Read access to a remote.
     pub fn entry(&self, idx: usize) -> &RemoteEntry {
         &self.entries[idx]
@@ -343,13 +338,6 @@ impl RemotePool {
     /// The index of the non-retired remote at `addr`, if any.
     pub fn index_of(&self, addr: SocketAddr) -> Option<usize> {
         self.entries.iter().position(|e| !e.retired && e.addr == addr)
-    }
-
-    /// Whether any non-retired remote would currently admit a request.
-    pub fn any_available(&self, now: SimTime) -> bool {
-        self.entries
-            .iter()
-            .any(|e| !e.retired && e.breaker.would_allow(now))
     }
 
     /// A remote's dispatch weight: derived from the millisecond-
@@ -442,15 +430,6 @@ impl RemotePool {
         e.health.consecutive_failures = e.health.consecutive_failures.saturating_add(1);
         e.breaker.record_failure(now)
     }
-
-    /// Number of non-retired breakers currently not closed (dashboard
-    /// gauge).
-    pub fn breakers_not_closed(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| !e.retired && e.breaker.state() != BreakerState::Closed)
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -535,13 +514,11 @@ mod tests {
         let mut pool = RemotePool::new(addrs, 1, SimDuration::from_secs(10));
         pool.record_failure(0, sec(0));
         pool.record_failure(1, sec(0));
-        assert!(!pool.any_available(sec(5)));
         assert_eq!(pool.pick(sec(5), None), None);
-        assert_eq!(pool.breakers_not_closed(), 2);
+        assert!((0..2).all(|i| pool.entry(i).breaker.state() == BreakerState::Open));
         // Probe success on remote 1 closes its breaker: traffic resumes.
         let t = pool.record_success(1, SimDuration::from_millis(80)).unwrap();
         assert_eq!(t.to, BreakerState::Closed);
-        assert!(pool.any_available(sec(5)));
         assert_eq!(pool.pick(sec(5), None), Some(1));
     }
 
@@ -586,13 +563,13 @@ mod tests {
         assert_eq!(idx, 1);
         assert_eq!(pool.index_of(fresh), Some(1));
         pool.retire(0);
-        assert_eq!(pool.active_len(), 1);
+        assert_eq!(pool.index_of(SocketAddr::new(Addr::new(99, 0, 0, 40), 8443)), None, "retired: no longer a member");
         assert_eq!(pool.len(), 2, "indices stay stable after retirement");
         for _ in 0..4 {
             assert_eq!(pool.pick(sec(0), None), Some(1), "retired entry never picked");
         }
         pool.record_failure(1, sec(0));
-        assert!(!pool.any_available(sec(0)), "retired entries cast no availability vote");
+        assert_eq!(pool.pick(sec(0), None), None, "retired entries cast no availability vote");
     }
 
     #[test]

@@ -66,17 +66,6 @@ impl VpnVariant {
         }
     }
 
-    /// Extra bytes this encapsulation adds per data packet on the wire
-    /// (sealing overhead + any opcode byte).
-    pub fn per_packet_overhead(self) -> usize {
-        match self {
-            // nonce(8) + tag(8)
-            VpnVariant::Pptp | VpnVariant::L2tp => 16,
-            // opcode(1) + nonce(8) + tag(8)
-            VpnVariant::OpenVpn => 17,
-        }
-    }
-
     /// What a data packet's sealed body follows on the wire: OpenVPN's
     /// data opcode, nothing for GRE and ESP.
     fn data_prefix(self) -> &'static [u8] {
@@ -809,10 +798,16 @@ mod tests {
         }
     }
 
+    /// What each encapsulation adds to a packet on the wire: nonce (8)
+    /// and tag (8), and OpenVPN's opcode byte in front.
     #[test]
     fn variant_overheads() {
-        assert_eq!(VpnVariant::Pptp.per_packet_overhead(), 16);
-        assert_eq!(VpnVariant::OpenVpn.per_packet_overhead(), 17);
+        let key = SessionKey::new([0x42; 32]);
+        for (variant, overhead) in [(VpnVariant::Pptp, 16), (VpnVariant::L2tp, 16), (VpnVariant::OpenVpn, 17)] {
+            let inner = segment(true, b"GET /");
+            let carried = inner.encoded_len();
+            assert_eq!(client_wire(variant, &key, inner).l4.payload().len(), carried + overhead, "{variant:?}");
+        }
         assert_eq!(VpnVariant::Pptp.name(), "pptp");
     }
 }

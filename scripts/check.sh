@@ -157,6 +157,14 @@ for f in "$dom"/*.rs; do
         echo "structure: $f is over $_limit lines" >&2; exit 1
     fi
 done
+# The shared cache decides (DESIGN.md §6e): hit, wait or lead, the
+# validators, coalescing and how a 200 or 304 settles are
+# sc_cache::CachePolicy's. The gateway keeps HTTP, routing and the
+# trace, and reaches the store only through the policy: no lookup
+# verdicts, coalescing table, counters or entry updates of its own.
+fail_if_found "the cache's decision taken under domestic/ (it is sc_cache::CachePolicy's)" \
+    grep -rnE '\b(Lookup|Singleflight|Role)\b|\.note_(hit|miss|coalesced|bytes_saved|upstream_fetch|peer_fetch|peer_serve)\(|\.etag_of\(|\.ttl_for\(|\.revalidate\(|cache[^;]*\.(lookup|insert)\(|cache[^;]*\.stats\b' \
+        "$dom"
 _code=0
 for f in $(ls "$dom"/*.rs | grep -v /tests.rs); do _code=$((_code + $(code_lines "$f"))); done
 echo "structure: ok (domestic/ holds $_code non-blank non-comment lines, tests aside)"
@@ -488,9 +496,10 @@ fail_if_found "a deleted app, knob, auth mode or dead-entry table is back" \
 fail_if_found "a browser token range, token table, sentinel path or gate wrapper is back" \
     grep -rnE 'TIMER_CONNECT_BAS[E]|connect_deadline[s]|throttle_wait_fo[r]|\\u\{0\}rt[t]|ReadyProb[e]' crates/web/src
 # The census can fail: a copy of the sources with one `pub fn` nobody
-# mentions, one only a string literal names and one counter nobody reads
-# is refused, and all three are named; a `pub fn` called after a raw
-# string, an escaped quote and a quote in a char literal is not.
+# mentions, one only a string literal names, one only a test calls and
+# one counter nobody reads is refused, and all four are named; a `pub fn`
+# called after a raw string, an escaped quote and a quote in a char
+# literal is not.
 _plant=$(mktemp -d)
 cp -R scripts crates tests examples src "$_plant"
 mkdir "$_plant/benchmark" && cp -R benchmark/src "$_plant/benchmark"
@@ -498,6 +507,7 @@ cat > "$_plant/crates/dns/src/planted.rs" <<'PLANTED'
 pub fn planted_dead_fn() {}
 pub fn planted_string_only() {}
 pub fn planted_live_fn() {}
+pub fn planted_test_only_fn() {}
 fn planted_reader() -> &'static str {
     let _ = (r#"a "raw" string"#, "an \" escape", '"');
     planted_live_fn();
@@ -511,12 +521,20 @@ impl Planted {
         self.planted_write_only += 1;
     }
 }
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls_it() {
+        super::planted_test_only_fn();
+    }
+}
 PLANTED
 if _out=$(sh "$_plant/scripts/census.sh" 2>&1); then
-    echo "structure: the census passed a planted dead fn, string-only fn and write-only field" >&2; exit 1
+    echo "structure: the census passed a planted dead fn, string-only fn, test-only fn and write-only field" >&2; exit 1
 fi
 rm -rf "$_plant"
-for _want in "item planted_dead_fn " "item planted_string_only " "field Planted.planted_write_only@"; do
+for _want in "item planted_dead_fn " "item planted_string_only " "item planted_test_only_fn " \
+    "field Planted.planted_write_only@"; do
     case "$_out" in
         *"$_want"*) ;;
         *) echo "structure: the census failed without naming $_want:" >&2
@@ -695,4 +713,15 @@ GATES
 # timed; it fails only if a workload stops being correct.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke >/dev/null
+# benchmark/Cargo.lock records every crate's dependency edges, so a new
+# dependency between the repository's crates (sc-cache on sc-netproto,
+# say) rewrites it during the build above.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    if ! git diff --quiet -- benchmark/Cargo.lock; then
+        echo "structure: building benchmark/ rewrote benchmark/Cargo.lock:" >&2
+        git diff --stat -- benchmark/Cargo.lock >&2; exit 1
+    fi
+else
+    echo "benchmark lock check: skipped (not a git checkout)"
+fi
 echo "benchmark smoke gate: ok"

@@ -199,7 +199,8 @@ proptest! {
             }
         }
         prop_assert_eq!(fired.len() as u32, waves, "campaign must spend exactly its waves");
-        prop_assert!(st.campaign_exhausted(&srv));
+        let long_after = now + SimDuration::from_secs(100_000);
+        prop_assert_eq!(st.step_campaign(&cfg, &srv, long_after, &mut draw), None, "the campaign is spent");
         prop_assert_eq!(st.step_campaign(&cfg, &srv, now, &mut draw), None);
     }
 }

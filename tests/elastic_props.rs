@@ -259,7 +259,7 @@ fn elastic_traces_are_byte_identical() {
 fn outcome_under(dispatcher: Option<Dispatcher>) -> (String, bool) {
     let guard = dispatcher.map(Dispatcher::install);
     let outcome = format!("{:?}", elastic_scenario(7171));
-    let fired = sc_obs::with_slo_engine(|e| e.any_fired()).unwrap_or(false);
+    let fired = sc_obs::with_slo_engine(|e| e.total_fired() > 0).unwrap_or(false);
     drop(guard);
     (outcome, fired)
 }
