@@ -1000,4 +1000,119 @@ mod tests {
         assert!(sim.fx.out.capacity() > 0 && sim.fx.timers.capacity() > 0);
         assert!(sim.fx.app_events.capacity() > 0);
     }
+
+    /// Sends 20 000 bytes and reads the echo.
+    struct Bulk {
+        conn: Option<TcpHandle>,
+        echoed: usize,
+    }
+
+    impl App for Bulk {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.conn = Some(ctx.tcp_connect(SocketAddr::new(SERVER, 80)));
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::Tcp(h, TcpEvent::Connected) => {
+                    assert_eq!(ctx.tcp_send(h, &[0xa5; 20_000]), Some(20_000));
+                }
+                AppEvent::Tcp(h, TcpEvent::DataReceived) => {
+                    self.echoed += ctx.tcp_recv_all(h).len();
+                    if self.echoed == 20_000 {
+                        ctx.tcp_close(h);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// The one case where an arrival can come due before the arrival
+    /// queued ahead of it on the same link direction: `Fault::LinkDelay`
+    /// halves the server link's delay while the echo's segments are on
+    /// the wire, so those sent after the fault overtake those sent before
+    /// it. The wire log is what the router saw when every arrival was a
+    /// heap entry of its own.
+    #[test]
+    fn a_link_delay_that_shrinks_mid_transfer_lets_later_segments_overtake() {
+        let mut sim = Sim::new(11);
+        let a = sim.add_node("client", CLIENT);
+        let r = sim.add_node("router", Addr::new(10, 0, 0, 254));
+        let b = sim.add_node("server", SERVER);
+        let slow = LinkConfig::with_delay(SimDuration::from_millis(40)).bandwidth_bps(2_000_000);
+        sim.add_link(a, r, slow);
+        let rb = sim.add_link(r, b, slow);
+        sim.compute_routes();
+        let wire = Rc::new(RefCell::new(Vec::new()));
+        sim.set_middlebox(r, Box::new(WireLog(wire.clone())));
+        sim.install_app(b, Box::new(Echo));
+        sim.install_app(a, Box::new(Bulk { conn: None, echoed: 0 }));
+        let halved = SimTime::from_micros(262_000);
+        sim.install_fault_plan(
+            FaultPlan::new().at(halved, Fault::LinkDelay(rb, SimDuration::from_millis(20))),
+        );
+        sim.run_until_idle();
+        let expected = [
+            "40160 40000>80 S 1000:0 +0", "120480 80>40000 SA 1000:1001 +0",
+            "200800 40000>80 A 1001:1001 +0", "206560 40000>80 A 1001:1001 +1400",
+            "212320 40000>80 A 2401:1001 +1400", "218080 40000>80 A 3801:1001 +1400",
+            "223840 40000>80 A 5201:1001 +1400", "229600 40000>80 A 6601:1001 +1400",
+            "235360 40000>80 A 8001:1001 +1400", "241120 40000>80 A 9401:1001 +1400",
+            "246880 40000>80 A 10801:1001 +1400", "252640 40000>80 A 12201:1001 +1400",
+            "258400 40000>80 A 13601:1001 +1400", "284320 80>40000 A 3801:5201 +0",
+            "290080 80>40000 A 3801:5201 +1400", "290240 80>40000 A 5201:6601 +0",
+            "292480 80>40000 A 1001:2401 +0", "296000 80>40000 A 5201:6601 +1400",
+            "296160 80>40000 A 6601:8001 +0", "298240 80>40000 A 1001:2401 +1400",
+            "298400 80>40000 A 2401:3801 +0", "301920 80>40000 A 6601:8001 +1400",
+            "302080 80>40000 A 8001:9401 +0", "304160 80>40000 A 2401:3801 +1400",
+            "307840 80>40000 A 8001:9401 +1400", "308000 80>40000 A 9401:10801 +0",
+            "313760 80>40000 A 9401:10801 +1400", "313920 80>40000 A 10801:12201 +0",
+            "319680 80>40000 A 10801:12201 +1400", "319840 80>40000 A 12201:13601 +0",
+            "325600 80>40000 A 12201:13601 +1400", "325760 80>40000 A 13601:15001 +0",
+            "331520 80>40000 A 13601:15001 +1400", "370240 40000>80 A 15001:1001 +1400",
+            "376000 40000>80 A 16401:1001 +1400", "381760 40000>80 A 17801:1001 +1400",
+            "387520 40000>80 A 19201:1001 +1400", "387680 40000>80 A 20601:1001 +0",
+            "389440 40000>80 A 20601:1001 +400", "389600 40000>80 A 21001:1001 +0",
+            "389760 40000>80 A 21001:2401 +0", "393920 40000>80 A 21001:2401 +0",
+            "399840 40000>80 A 21001:3801 +0", "405600 40000>80 A 21001:3801 +0",
+            "411520 40000>80 A 21001:3801 +0", "416160 80>40000 A 15001:16401 +0",
+            "417440 40000>80 A 21001:3801 +0", "421920 80>40000 A 15001:17801 +0",
+            "423360 40000>80 A 21001:3801 +0", "427680 80>40000 A 15001:19201 +0",
+            "429280 40000>80 A 21001:3801 +0", "433440 80>40000 A 15001:20601 +0",
+            "435360 80>40000 A 15001:21001 +0", "441280 80>40000 A 15001:21001 +1400",
+            "447040 80>40000 A 16401:21001 +1400", "452800 80>40000 A 17801:21001 +1400",
+            "458560 80>40000 A 19201:21001 +1400", "464320 80>40000 A 3801:21001 +1400",
+            "527200 40000>80 A 21001:3801 +0", "532960 40000>80 A 21001:3801 +0",
+            "538720 40000>80 A 21001:3801 +0", "544480 40000>80 A 21001:3801 +0",
+            "550240 40000>80 A 21001:5201 +0", "573120 80>40000 A 3801:21001 +1400",
+            "590400 80>40000 A 3801:21001 +1400", "596160 80>40000 A 5201:21001 +1400",
+            "601920 80>40000 A 6601:21001 +1400", "659040 40000>80 A 21001:5201 +0",
+            "676320 40000>80 A 21001:5201 +0", "682080 40000>80 A 21001:6601 +0",
+            "687840 40000>80 A 21001:8001 +0", "728000 80>40000 A 8001:21001 +1400",
+            "730960 80>40000 A 9401:21001 +700", "736720 80>40000 A 10101:21001 +1400",
+            "739120 80>40000 A 11501:21001 +560", "813920 40000>80 A 21001:9401 +0",
+            "816880 40000>80 A 21001:10101 +0", "822640 40000>80 A 21001:11501 +0",
+            "825040 40000>80 A 21001:12061 +0", "859840 80>40000 A 12061:21001 +1400",
+            "861928 80>40000 A 13461:21001 +482", "866612 80>40000 A 13943:21001 +1131",
+            "872372 80>40000 A 15074:21001 +1400", "874108 80>40000 A 16474:21001 +394",
+            "877968 80>40000 A 16868:21001 +925", "945760 40000>80 A 21001:13461 +0",
+            "947848 40000>80 A 21001:13943 +0", "952532 40000>80 A 21001:15074 +0",
+            "958292 40000>80 A 21001:16474 +0", "960028 40000>80 A 21001:16868 +0",
+            "963888 40000>80 A 21001:17793 +0", "991680 80>40000 A 17793:21001 +1400",
+            "993204 80>40000 A 19193:21001 +341", "996580 80>40000 A 19534:21001 +804",
+            "999392 80>40000 A 20338:21001 +663", "1077600 40000>80 A 21001:19193 +0",
+            "1079124 40000>80 A 21001:19534 +0", "1082500 40000>80 A 21001:20338 +0",
+            "1085312 40000>80 A 21001:21001 +0", "1085472 40000>80 AF 21001:21001 +0",
+            "1125792 80>40000 A 21001:21002 +0", "1125952 80>40000 AF 21001:21002 +0",
+            "1206272 40000>80 A 21002:21002 +0",
+        ];
+        assert_eq!(*wire.borrow(), expected);
+        // The server's ACK for the first segment, sent before the fault,
+        // reaches the router after the two sent just after it.
+        let overtaken = wire.borrow().iter().position(|l| l == "292480 80>40000 A 1001:2401 +0");
+        assert!(overtaken > wire.borrow().iter().position(|l| l == "290240 80>40000 A 5201:6601 +0"));
+        // The last event is the client's TIME_WAIT expiry.
+        assert_eq!(sim.now().as_micros(), 2_166_112);
+        assert_eq!((sim.stats.packets_sent, sim.stats.packets_delivered), (103, 103));
+    }
 }
