@@ -56,6 +56,7 @@ impl ShardMap {
     }
 
     /// The owner shard for `key` with every member alive.
+    #[cfg(test)]
     pub fn owner(&self, key: &CacheKey) -> usize {
         self.owner_among(key, &vec![true; self.members])
             .expect("all-alive membership always has an owner")

@@ -399,11 +399,6 @@ impl AdaptiveState {
         (st.enforcing, rolled)
     }
 
-    /// Evidence snapshot for a server (tests and diagnostics).
-    pub fn evidence(&self, server: &SocketAddr) -> Option<&ServerEvidence> {
-        self.servers.get(server)
-    }
-
     /// Currently learned (unexpired) signatures.
     pub fn learned_signatures(&self) -> Vec<&[u8]> {
         self.learned.iter().map(|l| l.sig.as_slice()).collect()

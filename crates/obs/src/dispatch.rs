@@ -972,6 +972,45 @@ mod tests {
         assert_eq!(statuses[0].evaluations, 31);
     }
 
+    /// The alert lines of bad windows 0, 2 and 3 and good windows 1 and 4
+    /// when `ticks` are all the clock does after the samples.
+    fn alerts_after(ticks: &[u64]) -> String {
+        let mut spec = SloSpec::quantile("plt", "web.plt_us", 0.95, 1_000);
+        spec.eval_windows = 1;
+        spec.budget = 0.5;
+        let out = Captured::default();
+        let guard = Dispatcher::new()
+            .with_windows(WindowSpec::new(1_000_000, 32))
+            .with_slos(vec![spec])
+            .with_sink(out.sink())
+            .install();
+        for (window, plt) in [50_000, 500, 50_000, 50_000, 500].into_iter().enumerate() {
+            ts_record(window as u64 * 1_000_000 + 100, "web.plt_us", plt);
+        }
+        for &t in ticks {
+            tick(t);
+        }
+        drop(guard);
+        out.text()
+    }
+
+    /// `tick(t1); tick(t2)` writes what `tick(t2)` alone writes: every
+    /// window that closed, in order, each alert stamped with its window's
+    /// edge. `Sim::run_until` relies on it to move the clock only to the
+    /// events it delivers, not to every timer entry it pops.
+    #[test]
+    fn a_tick_that_catches_up_writes_the_alerts_of_the_ticks_it_skipped() {
+        let alone = alerts_after(&[5_500_000]);
+        let evs: Vec<_> = alone.lines().map(|l| crate::analyze::parse_line(l).unwrap()).collect();
+        assert_eq!(names(&evs), ["fire", "resolve", "fire", "resolve"], "{alone}");
+        let edges: Vec<u64> = evs.iter().map(|e| e.t_us).collect();
+        assert_eq!(edges, [1_000_000, 2_000_000, 3_000_000, 5_000_000]);
+        for t1 in [0, 999_999, 1_000_000, 1_500_000, 2_000_000, 3_700_000, 5_000_000, 5_500_000] {
+            assert_eq!(alerts_after(&[t1, 5_500_000]), alone, "tick({t1}) first");
+            assert_eq!(alerts_after(&[t1 / 2, t1, 5_500_000]), alone, "tick({}), tick({t1}) first", t1 / 2);
+        }
+    }
+
     #[test]
     fn an_inner_dispatcher_mid_window_leaves_the_outer_closing_on_the_right_tick() {
         let out = Captured::default();

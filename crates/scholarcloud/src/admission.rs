@@ -79,6 +79,7 @@ impl TokenBucket {
     }
 
     /// Tokens currently available (after refilling to `now`).
+    #[cfg(test)]
     pub fn available(&mut self, now: SimTime) -> f64 {
         self.refill(now);
         self.tokens
@@ -139,6 +140,7 @@ impl RetryBudget {
     }
 
     /// Tokens currently available.
+    #[cfg(test)]
     pub fn available(&self) -> f64 {
         self.millitokens as f64 / 1000.0
     }

@@ -14,16 +14,17 @@ use crate::link::{Link, LinkConfig, LinkId, LinkOutcome, NodeId};
 use crate::middlebox::{MbCtx, Middlebox, Verdict};
 use crate::node::Node;
 use crate::packet::{L4, Packet};
-use crate::queue::EventQueue;
+use crate::queue::{EventKey, EventQueue};
 use crate::stats::{DropReason, SimStats};
 use sc_obs::prof::{self, Subsystem};
-use crate::tcp::{Effects, TcpLayer, TcpTimer};
+use crate::tcp::{Effects, TcpLayer, TimerDue};
 use crate::time::{SimDuration, SimTime};
 
 #[derive(Debug)]
 enum Event {
     Arrival { node: NodeId, packet: Packet },
-    TcpTimer { node: NodeId, timer: TcpTimer },
+    /// A connection's one timer entry ([`TcpLayer::timer_due`]).
+    TcpTimer { node: NodeId, conn: usize },
     AppTimer { node: NodeId, app: AppId, token: u64 },
     Start { node: NodeId, app: AppId },
     Fault(Fault),
@@ -67,6 +68,10 @@ pub struct Sim {
     flaps: Vec<FlapState>,
     /// Packet accounting.
     pub stats: SimStats,
+    /// Every TCP timer armed, with the key it was given, for the tests'
+    /// eager model of the timer entries.
+    #[cfg(test)]
+    arms: Vec<(EventKey, NodeId, crate::tcp::TcpTimer)>,
 }
 
 impl core::fmt::Debug for Sim {
@@ -94,6 +99,8 @@ impl Sim {
             partitions: Vec::new(),
             flaps: Vec::new(),
             stats: SimStats::default(),
+            #[cfg(test)]
+            arms: Vec::new(),
         }
     }
 
@@ -125,6 +132,8 @@ impl Sim {
         self.links.push(Link::new(a, b, config));
         self.nodes[a.0].links.push(id);
         self.nodes[b.0].links.push(id);
+        // One arrival lane per direction: `2 * id + dir`, as `route_out`.
+        self.queue.add_lanes(2);
         id
     }
 
@@ -235,6 +244,10 @@ impl Sim {
 
     fn schedule(&mut self, delay: SimDuration, ev: Event) {
         self.queue.push(self.now + delay, ev);
+        self.note_depth();
+    }
+
+    fn note_depth(&mut self) {
         let depth = self.queue.len() as u64;
         if depth > self.stats.queue_depth_hwm {
             self.stats.queue_depth_hwm = depth;
@@ -246,19 +259,20 @@ impl Sim {
     /// Each time the clock advances, [`sc_obs::tick`] is driven so the
     /// observability layer can close time-series windows and evaluate
     /// SLOs *during* the run (alert events carry the sim time at which
-    /// the offending window closed, not the end of the run).
+    /// the offending window closed, not the end of the run). The clock
+    /// advances only to events that are delivered: a TCP timer entry that
+    /// is queued again or dropped ([`TcpLayer::timer_due`]) moves it
+    /// nowhere, and that skips nothing, because `tick(t1); tick(t2)`
+    /// writes the alert lines `tick(t2)` alone does — each stamped with
+    /// its window's edge, not with the tick's time.
     pub fn run_until(&mut self, deadline: SimTime) {
         // Wall-clock attribution only; nothing below reads the guard.
         // One scope per run, not one per event: the dequeue belongs to
         // the loop's row too, and per-event scopes were more than half of
         // all scopes, which is to say of the profiler's own cost.
         let _prof = prof::scope(Subsystem::EventLoop);
-        while let Some((at, ev)) = self.queue.pop_due(deadline) {
-            if at > self.now {
-                sc_obs::tick(at.as_micros());
-            }
-            self.now = at;
-            self.handle(ev);
+        while let Some((key, ev)) = self.queue.pop_due(deadline) {
+            self.handle(key, ev);
         }
         if self.now < deadline {
             self.now = deadline;
@@ -276,16 +290,26 @@ impl Sim {
     #[cfg(test)]
     pub fn run_until_idle(&mut self) {
         let _prof = prof::scope(Subsystem::EventLoop);
-        while let Some((at, ev)) = self.queue.pop() {
-            if at > self.now {
-                sc_obs::tick(at.as_micros());
-            }
-            self.now = at;
-            self.handle(ev);
+        while let Some((key, ev)) = self.queue.pop() {
+            self.handle(key, ev);
         }
     }
 
-    fn handle(&mut self, ev: Event) {
+    /// Delivers the entry the queue handed out under `key` — unless it is
+    /// a TCP timer entry whose connection's timer was armed for later
+    /// (queued again under that key) or no longer stands (dropped).
+    fn handle(&mut self, key: EventKey, ev: Event) {
+        if let Event::TcpTimer { node, conn } = ev {
+            match self.nodes[node.0].tcp.timer_due(conn, key) {
+                TimerDue::Fire => {}
+                TimerDue::Later(armed) => return self.queue.push_keyed(armed, ev),
+                TimerDue::Gone => return,
+            }
+        }
+        if key.at > self.now {
+            sc_obs::tick(key.at.as_micros());
+        }
+        self.now = key.at;
         self.stats.events_processed += 1;
         // A crashed node neither receives nor forwards; its timers are
         // swallowed while down (transport state goes stale on purpose).
@@ -321,11 +345,11 @@ impl Sim {
                     .push_back((app, AppEvent::TimerFired(token)));
                 self.drain_pending(node);
             }
-            Event::TcpTimer { node, timer } => {
+            Event::TcpTimer { node, conn } => {
                 self.stats.timers_fired += 1;
                 self.with_tcp(node, |tcp, now, fx| {
                     let _prof = prof::scope(Subsystem::Tcp);
-                    tcp.on_timer(timer, now, fx);
+                    tcp.fire_timer(conn, now, fx);
                 });
                 self.drain_pending(node);
             }
@@ -621,14 +645,16 @@ impl Sim {
             self.trace_drop(&packet, "link_loss");
             return;
         }
-        match link.transmit(NodeId(node.0), wire_len, self.now) {
+        let lane = 2 * lid.0 + usize::from(node != link.a);
+        match link.transmit(node, wire_len, self.now) {
             LinkOutcome::QueueDrop => {
                 self.stats
                     .record_drop(packet.src, packet.dst, DropReason::QueueOverflow);
                 self.trace_drop(&packet, "queue_overflow");
             }
             LinkOutcome::Deliver(at) => {
-                self.schedule(at - self.now, Event::Arrival { node: dest_node, packet });
+                self.queue.push_lane(lane, at, Event::Arrival { node: dest_node, packet });
+                self.note_depth();
             }
         }
     }
@@ -643,7 +669,9 @@ impl Sim {
 
     /// Runs one step of `node`'s TCP layer and carries out its side
     /// effects: packets out, timers into the queue, app events onto the
-    /// node's pending list.
+    /// node's pending list. Each timer armed takes the key a push would
+    /// take, but the queue gets an entry only if the connection has none
+    /// due by then ([`TcpLayer::timer_queued`]).
     ///
     /// The step writes into the simulator's one [`Effects`] scratch,
     /// which is *taken* for the duration and handed back drained, with
@@ -664,7 +692,13 @@ impl Sim {
             self.send_from(node, pkt, false);
         }
         for (delay, timer) in fx.timers.drain(..) {
-            self.schedule(delay, Event::TcpTimer { node, timer });
+            let key = self.queue.reserve(self.now + delay);
+            #[cfg(test)]
+            self.arms.push((key, node, timer));
+            if self.nodes[node.0].tcp.timer_queued(timer, key) {
+                self.queue.push_keyed(key, Event::TcpTimer { node, conn: timer.conn });
+                self.note_depth();
+            }
         }
         self.nodes[node.0].pending.extend(fx.app_events.drain(..));
         self.fx = fx;
@@ -832,6 +866,8 @@ mod tests {
     use crate::link::LinkConfig;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use crate::tcp::TcpTimer;
+    use std::collections::BTreeMap;
 
     const CLIENT: Addr = Addr::new(10, 0, 0, 1);
     const SERVER: Addr = Addr::new(99, 0, 0, 1);
@@ -993,8 +1029,10 @@ mod tests {
         // The last event is a TIME_WAIT expiry, a second after the close.
         assert_eq!(sim.now().as_micros(), 1_080_581);
         assert_eq!((sim.stats.packets_sent, sim.stats.packets_delivered), (26, 26));
-        assert_eq!((sim.stats.events_processed, sim.stats.timers_fired), (70, 16));
-        assert_eq!(sim.stats.queue_depth_hwm, 17);
+        // Every retransmission timer was re-armed or cancelled before it
+        // came due, so the two timers that fire are the TIME_WAIT expiries.
+        assert_eq!((sim.stats.events_processed, sim.stats.timers_fired), (56, 2));
+        assert_eq!(sim.stats.queue_depth_hwm, 10);
         // Every step handed the scratch back, drained and still grown.
         assert!(sim.fx.out.is_empty() && sim.fx.timers.is_empty() && sim.fx.app_events.is_empty());
         assert!(sim.fx.out.capacity() > 0 && sim.fx.timers.capacity() > 0);
@@ -1114,5 +1152,119 @@ mod tests {
         // The last event is the client's TIME_WAIT expiry.
         assert_eq!(sim.now().as_micros(), 2_166_112);
         assert_eq!((sim.stats.packets_sent, sim.stats.packets_delivered), (103, 103));
+    }
+
+    /// Plays a script of TCP steps, one every 40–140 ms: connect, send,
+    /// close or abort one of its connections, or wait. Reads all it
+    /// receives.
+    struct Script {
+        steps: Vec<(u8, u16)>,
+        next: usize,
+        conns: Vec<TcpHandle>,
+    }
+
+    impl App for Script {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+        fn on_event(&mut self, ev: AppEvent, ctx: &mut Ctx<'_>) {
+            match ev {
+                AppEvent::TimerFired(_) => {
+                    let Some(&(op, arg)) = self.steps.get(self.next) else { return };
+                    self.next += 1;
+                    let conn = (!self.conns.is_empty()).then(|| self.conns[usize::from(arg) % self.conns.len()]);
+                    match (op, conn) {
+                        (0, _) | (1..=3, None) => {
+                            let port = 80 + arg % 2;
+                            self.conns.push(ctx.tcp_connect(SocketAddr::new(SERVER, port)));
+                        }
+                        (1, Some(h)) => {
+                            ctx.tcp_send(h, &vec![0x3c; 200 + usize::from(arg) * 60]);
+                        }
+                        (2, Some(h)) => ctx.tcp_close(h),
+                        (3, Some(h)) => ctx.tcp_abort(h),
+                        _ => {}
+                    }
+                    ctx.set_timer(SimDuration::from_millis(40 + u64::from(arg) % 100), 0);
+                }
+                AppEvent::Tcp(h, TcpEvent::DataReceived) => {
+                    ctx.tcp_recv_all(h);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random send / close / abort scripts from two clients to an echo
+        /// server, over a lossy link whose loss changes and through
+        /// crashes and restarts of the server and a client, against an
+        /// eager list of the TCP timers: every arm queued under the key it
+        /// was given and, when it comes due, fired if no later arm or
+        /// cancel superseded it. The timers the simulator fires, and
+        /// their `(at, seq)` order, are that list's.
+        #[test]
+        fn tcp_timers_fire_as_an_eager_list_of_every_arm_would(
+            steps in proptest::collection::vec((0u8..6, 0u16..400), 1..80),
+            faults in proptest::collection::vec((0u8..4, 0u64..20_000), 0..6),
+            loss in 0u64..6,
+        ) {
+            let mut sim = Sim::new(steps.len() as u64);
+            let c1 = sim.add_node("c1", CLIENT);
+            let c2 = sim.add_node("c2", Addr::new(10, 0, 0, 2));
+            let r = sim.add_node("router", Addr::new(10, 0, 0, 254));
+            let b = sim.add_node("server", SERVER);
+            sim.add_link(c1, r, LinkConfig::with_delay(SimDuration::from_millis(5)));
+            sim.add_link(c2, r, LinkConfig::with_delay(SimDuration::from_millis(9)));
+            let lossy = LinkConfig::with_delay(SimDuration::from_millis(30)).loss(loss as f64 * 0.05);
+            let rb = sim.add_link(r, b, lossy);
+            sim.compute_routes();
+            sim.install_app(b, Box::new(Echo));
+            let (first, second) = steps.split_at(steps.len() / 2);
+            sim.install_app(c1, Box::new(Script { steps: first.to_vec(), next: 0, conns: Vec::new() }));
+            sim.install_app(c2, Box::new(Script { steps: second.to_vec(), next: 0, conns: Vec::new() }));
+            let mut plan = FaultPlan::new();
+            for (kind, ms) in faults {
+                let fault = match kind {
+                    0 => Fault::NodeCrash(b),
+                    1 => Fault::NodeRestart(b),
+                    2 => Fault::NodeCrash(c1),
+                    _ => Fault::LinkLoss(rb, (ms % 3) as f64 * 0.1),
+                };
+                plan = plan.at(SimTime::from_millis(ms), fault);
+            }
+            plan = plan.at(SimTime::from_secs(25), Fault::NodeRestart(c1));
+            sim.install_fault_plan(plan);
+
+            let deadline = SimTime::from_secs(60);
+            let mut eager = BTreeMap::new();
+            let (mut eager_fired, mut fired) = (Vec::new(), Vec::new());
+            // The eager list's entries due by `key`, fired if the
+            // connection's generation is still theirs: nothing ran since
+            // they came due, so it is what it was then.
+            let come_due = |sim: &Sim, eager: &mut BTreeMap<EventKey, (NodeId, TcpTimer)>, key, out: &mut Vec<_>| {
+                while let Some(entry) = eager.first_entry().filter(|e| *e.key() <= key) {
+                    let (at, (node, timer)) = entry.remove_entry();
+                    if sim.nodes[node.0].tcp.timer_gen(timer.conn) == timer.gen {
+                        out.push((at, node, timer.conn));
+                    }
+                }
+            };
+            while let Some((key, ev)) = sim.queue.pop_due(deadline) {
+                come_due(&sim, &mut eager, key, &mut eager_fired);
+                let timer = match ev {
+                    Event::TcpTimer { node, conn } => Some((node, conn)),
+                    _ => None,
+                };
+                let before = sim.stats.events_processed;
+                sim.handle(key, ev);
+                if let Some((node, conn)) = timer.filter(|_| sim.stats.events_processed > before) {
+                    fired.push((key, node, conn));
+                }
+                eager.extend(sim.arms.drain(..).map(|(key, node, timer)| (key, (node, timer))));
+            }
+            come_due(&sim, &mut eager, EventKey { at: deadline, seq: u64::MAX }, &mut eager_fired);
+            proptest::prop_assert_eq!(fired, eager_fired);
+        }
     }
 }

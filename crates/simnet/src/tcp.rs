@@ -13,11 +13,13 @@
 
 use bytes::{Buf, Bytes, BytesMut};
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 use crate::addr::SocketAddr;
 use crate::api::{AppEvent, AppId, TcpEvent, TcpHandle};
 use crate::hash::FixedMap;
 use crate::packet::{Packet, TcpFlags, TcpSegment, TcpSegmentBody};
+use crate::queue::EventKey;
 use crate::time::{SimDuration, SimTime};
 
 /// Maximum segment size (payload bytes per segment).
@@ -79,9 +81,21 @@ pub struct TcpTimer {
     /// Connection slot.
     pub conn: usize,
     /// Generation at scheduling time; stale timers are ignored.
-    pub gen: u64,
+    pub gen: u32,
     /// What the timer means.
     pub kind: TcpTimerKind,
+}
+
+/// What the event queue's entry for a connection stands for when it
+/// comes due ([`TcpLayer::timer_due`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum TimerDue {
+    /// The armed timer: fire it.
+    Fire,
+    /// A timer armed for later: queue the entry again under this key.
+    Later(EventKey),
+    /// Nothing: drop the entry.
+    Gone,
 }
 
 /// Side effects produced by TCP processing, drained by the simulator core.
@@ -91,7 +105,8 @@ pub struct Effects {
     pub out: Vec<Packet>,
     /// Events to deliver to applications on this node.
     pub app_events: Vec<(AppId, AppEvent)>,
-    /// Timers to schedule.
+    /// Timers armed, in order. The simulator gives each the key a push
+    /// would take and hands it back through `TcpLayer::timer_queued`.
     pub timers: Vec<(SimDuration, TcpTimer)>,
 }
 
@@ -124,15 +139,25 @@ struct Conn {
     rttvar: SimDuration,
     rto: SimDuration,
     /// (sequence end, send time) of the segment being timed for RTT.
-    rtt_sample: Option<(u64, SimTime)>,
-    timer_gen: u64,
+    rtt_sample: Option<(NonZeroU64, SimTime)>,
+    /// Counts arms and cancels: an arm in [`Effects::timers`] with an
+    /// older generation was superseded in the step that made it.
+    timer_gen: u32,
+    /// The key the armed timer fires under, once the simulator has
+    /// given it one; `EventKey::NEVER` while none is armed.
+    timer: EventKey,
+    /// The key of the connection's one entry in the event queue, due no
+    /// later than `timer`; `EventKey::NEVER` when it has none.
+    queued: EventKey,
     rto_armed: bool,
-    dup_acks: u32,
-    retries: u32,
+    // Bytes, not words: they count to 3 and to `MAX_RETRIES` + 1, and
+    // keep the `Conn` as small as it was before it held timer keys.
+    dup_acks: u8,
+    retries: u8,
     /// App called close: FIN should be sent once the buffer drains.
     fin_pending: bool,
     /// Sequence number consumed by our FIN once sent.
-    fin_seq: Option<u64>,
+    fin_seq: Option<NonZeroU64>,
     /// Peer's FIN has been processed.
     peer_fin_rcvd: bool,
     /// Total payload bytes retransmitted (diagnostics).
@@ -171,7 +196,9 @@ struct ChunkQueue {
     /// at stream offset `cursor.1`. The sender asks for consecutive
     /// ranges, so the next one starts here or just past it, not at the
     /// front of a queue that can be hundreds of small chunks long.
-    cursor: (usize, usize),
+    /// Narrower than the offsets it stores, which keeps a connection's
+    /// two queues, and so the `Conn`, 16 bytes smaller.
+    cursor: (u32, u32),
 }
 
 impl ChunkQueue {
@@ -198,12 +225,13 @@ impl ChunkQueue {
         if len == 0 {
             return Bytes::new();
         }
-        let (mut idx, mut at) = if start >= self.cursor.1 { self.cursor } else { (0, 0) };
+        let (idx, at) = self.cursor;
+        let (mut idx, mut at) = if start >= at as usize { (idx as usize, at as usize) } else { (0, 0) };
         while start >= at + self.chunks[idx].len() {
             at += self.chunks[idx].len();
             idx += 1;
         }
-        self.cursor = (idx, at);
+        self.cursor = (idx as u32, u32::try_from(at).expect("a stream offset under 4 GiB"));
         let first = &self.chunks[idx];
         let skip = start - at;
         if skip + len <= first.len() {
@@ -240,7 +268,8 @@ impl ChunkQueue {
         }
         // The cursor's chunk moved `popped` places and `n` bytes forward,
         // unless it is the new front chunk (offset 0) or gone.
-        self.cursor = if self.cursor.0 > popped { (self.cursor.0 - popped, self.cursor.1 - n) } else { (0, 0) };
+        let (idx, at) = self.cursor;
+        self.cursor = if idx > popped { (idx - popped, at - n as u32) } else { (0, 0) };
         if self.len == 0 {
             self.lend_back(spare);
         }
@@ -354,6 +383,8 @@ impl TcpLayer {
             rto: INITIAL_RTO,
             rtt_sample: None,
             timer_gen: 0,
+            timer: EventKey::NEVER,
+            queued: EventKey::NEVER,
             rto_armed: false,
             dup_acks: 0,
             retries: 0,
@@ -508,18 +539,75 @@ impl TcpLayer {
         self.conns.get(h.0).map(|c| c.local)
     }
 
-    fn arm_rto(c: &mut Conn, idx: usize, fx: &mut Effects) {
+    /// Arms the connection's one timer, superseding whatever was armed:
+    /// its key is the simulator's to give.
+    fn arm(c: &mut Conn, idx: usize, after: SimDuration, kind: TcpTimerKind, fx: &mut Effects) {
+        Self::disarm(c);
+        fx.timers.push((after, TcpTimer { conn: idx, gen: c.timer_gen, kind }));
+    }
+
+    fn disarm(c: &mut Conn) {
         c.timer_gen += 1;
+        c.timer = EventKey::NEVER;
+    }
+
+    fn arm_rto(c: &mut Conn, idx: usize, fx: &mut Effects) {
         c.rto_armed = true;
-        fx.timers.push((
-            c.rto,
-            TcpTimer { conn: idx, gen: c.timer_gen, kind: TcpTimerKind::Rto },
-        ));
+        Self::arm(c, idx, c.rto, TcpTimerKind::Rto, fx);
     }
 
     fn cancel_rto(c: &mut Conn) {
-        c.timer_gen += 1;
         c.rto_armed = false;
+        Self::disarm(c);
+    }
+
+    /// Records the key the simulator gave a timer the last step armed,
+    /// and says whether the event queue needs an entry for it: not if a
+    /// later arm or a cancel in that step superseded it, nor if the
+    /// connection's entry already comes due no later — that entry is
+    /// queued again under this key when it pops ([`Self::timer_due`]).
+    pub(crate) fn timer_queued(&mut self, timer: TcpTimer, key: EventKey) -> bool {
+        let c = &mut self.conns[timer.conn];
+        if c.timer_gen != timer.gen {
+            return false;
+        }
+        c.timer = key;
+        if c.queued <= key {
+            return false;
+        }
+        c.queued = key;
+        true
+    }
+
+    /// What the connection's queue entry, come due under `key`, stands
+    /// for: the armed timer, or a timer armed for later (queue the entry
+    /// again under its key), or nothing — the timer was cancelled, or an
+    /// arm that came due earlier gave the connection a newer entry.
+    pub(crate) fn timer_due(&mut self, conn: usize, key: EventKey) -> TimerDue {
+        let c = &mut self.conns[conn];
+        if c.queued != key {
+            return TimerDue::Gone;
+        }
+        if c.timer == key {
+            c.timer = EventKey::NEVER;
+            c.queued = EventKey::NEVER;
+            return TimerDue::Fire;
+        }
+        c.queued = c.timer;
+        if c.timer == EventKey::NEVER {
+            return TimerDue::Gone;
+        }
+        debug_assert!(c.timer > key, "an entry comes due no later than its timer");
+        TimerDue::Later(c.timer)
+    }
+
+    /// Fires the connection's timer, which [`Self::timer_due`] said is due.
+    pub(crate) fn fire_timer(&mut self, conn: usize, now: SimTime, fx: &mut Effects) {
+        let c = &self.conns[conn];
+        // The TIME_WAIT arm is the last arm a connection sees.
+        let kind = if c.state == TcpState::TimeWait { TcpTimerKind::TimeWait } else { TcpTimerKind::Rto };
+        let timer = TcpTimer { conn, gen: c.timer_gen, kind };
+        self.on_timer(timer, now, fx);
     }
 
     /// Transmits whatever the congestion and peer windows allow, including a
@@ -543,7 +631,7 @@ impl TcpLayer {
             let payload = c.send_buf.range(offset, n);
             let seq = c.snd_nxt;
             if c.rtt_sample.is_none() {
-                c.rtt_sample = Some((seq + n as u64, now));
+                c.rtt_sample = NonZeroU64::new(seq + n as u64).map(|end| (end, now));
             }
             let pkt = Packet::tcp(
                 c.local,
@@ -564,7 +652,7 @@ impl TcpLayer {
         // FIN once all data is out.
         if c.fin_pending && c.unsent() == 0 && c.fin_seq.is_none() {
             let seq = c.snd_nxt;
-            c.fin_seq = Some(seq);
+            c.fin_seq = NonZeroU64::new(seq);
             c.snd_nxt += 1;
             c.snd_max = c.snd_max.max(c.snd_nxt);
             let pkt = Packet::tcp(
@@ -653,7 +741,7 @@ impl TcpLayer {
         let c = &mut self.conns[idx];
         let key = (c.local.port, c.remote);
         c.state = TcpState::Closed;
-        c.timer_gen += 1;
+        Self::disarm(c);
         c.send_buf.clear(&mut self.spare);
         c.recv_buf.clear(&mut self.spare);
         self.demux.remove(&key);
@@ -792,7 +880,7 @@ impl TcpLayer {
             if seg.ack > c.snd_una && seg.ack <= max_ack {
                 let acked = (seg.ack - c.snd_una) as usize;
                 // Our FIN consumes a sequence number that is not in send_buf.
-                let fin_acked = c.fin_seq.is_some_and(|f| seg.ack > f);
+                let fin_acked = c.fin_seq.is_some_and(|f| seg.ack > f.get());
                 let data_acked = if fin_acked { acked.saturating_sub(1) } else { acked };
                 let drain = data_acked.min(c.send_buf.len());
                 c.send_buf.drain_front(drain, &mut self.spare);
@@ -806,7 +894,7 @@ impl TcpLayer {
                 // approximated by sampling whenever an ACK advances and a
                 // sample is armed).
                 if let Some((end, sent_at)) = c.rtt_sample {
-                    if seg.ack >= end {
+                    if seg.ack >= end.get() {
                         let sample = now - sent_at;
                         match c.srtt {
                             None => {
@@ -850,11 +938,7 @@ impl TcpLayer {
                         }
                         TcpState::Closing => {
                             c.state = TcpState::TimeWait;
-                            c.timer_gen += 1;
-                            fx.timers.push((
-                                TIME_WAIT,
-                                TcpTimer { conn: idx, gen: c.timer_gen, kind: TcpTimerKind::TimeWait },
-                            ));
+                            Self::arm(c, idx, TIME_WAIT, TcpTimerKind::TimeWait, fx);
                         }
                         _ => {}
                     }
@@ -911,11 +995,7 @@ impl TcpLayer {
                     }
                     TcpState::FinWait2 => {
                         c.state = TcpState::TimeWait;
-                        c.timer_gen += 1;
-                        fx.timers.push((
-                            TIME_WAIT,
-                            TcpTimer { conn: idx, gen: c.timer_gen, kind: TcpTimerKind::TimeWait },
-                        ));
+                        Self::arm(c, idx, TIME_WAIT, TcpTimerKind::TimeWait, fx);
                     }
                     _ => {}
                 }
@@ -961,7 +1041,7 @@ impl TcpLayer {
         // Rewind: everything unacknowledged will be re-sent by pump.
         c.snd_nxt = c.snd_una;
         if let Some(f) = c.fin_seq {
-            if c.snd_una <= f {
+            if c.snd_una <= f.get() {
                 c.fin_seq = None; // FIN unacked: pump re-sends it after data
             }
         }
@@ -1033,7 +1113,7 @@ impl TcpLayer {
                 },
             );
             fx.out.push(pkt);
-        } else if let Some(fin_seq) = c.fin_seq {
+        } else if let Some(fin_seq) = c.fin_seq.map(NonZeroU64::get) {
             if c.snd_una <= fin_seq {
                 let pkt = Packet::tcp(
                     c.local,
@@ -1053,8 +1133,8 @@ impl TcpLayer {
         c.rtt_sample = None;
     }
 
-    /// Handles a TCP timer firing.
-    pub fn on_timer(&mut self, t: TcpTimer, now: SimTime, fx: &mut Effects) {
+    /// Handles a TCP timer firing; a superseded one does nothing.
+    fn on_timer(&mut self, t: TcpTimer, now: SimTime, fx: &mut Effects) {
         let Some(c) = self.conns.get_mut(t.conn) else { return };
         if c.timer_gen != t.gen {
             return; // stale
@@ -1068,7 +1148,7 @@ impl TcpLayer {
                 let is_syn_phase = matches!(c.state, TcpState::SynSent | TcpState::SynRcvd);
                 c.retries += 1;
                 let max = if is_syn_phase { MAX_SYN_RETRIES } else { MAX_RETRIES };
-                if c.retries > max {
+                if u32::from(c.retries) > max {
                     let was = c.state;
                     self.free(t.conn);
                     let ev = if was == TcpState::SynSent {
@@ -1090,6 +1170,13 @@ impl TcpLayer {
                 Self::arm_rto(c, t.conn, fx);
             }
         }
+    }
+
+    /// The generation of a connection's timer: an arm with an older one
+    /// has been superseded.
+    #[cfg(test)]
+    pub(crate) fn timer_gen(&self, conn: usize) -> u32 {
+        self.conns[conn].timer_gen
     }
 
     /// Approximate bytes of state held by this layer: every connection
@@ -1264,7 +1351,7 @@ mod tests {
         /// Lets the sender's retransmission timer fire, if one is live
         /// (and the connection would survive it: this is a buffer test).
         fn fire_rto(&mut self) {
-            if self.a.conns[self.ha.0].retries >= MAX_RETRIES {
+            if u32::from(self.a.conns[self.ha.0].retries) >= MAX_RETRIES {
                 return;
             }
             let Some((at, timer)) = self.rto.take() else { return };
@@ -1553,7 +1640,7 @@ mod tests {
                             let (lo, hi) = (c.as_ptr() as usize, c.as_ptr() as usize + c.len());
                             len > 0 && (lo..hi).contains(&(got.as_ptr() as usize))
                         });
-                        let (idx, at) = q.cursor;
+                        let (idx, at) = (q.cursor.0 as usize, q.cursor.1 as usize);
                         let fits = len > 0 && start + len <= at + q.chunks[idx].len();
                         prop_assert_eq!(inside_one, fits, "a range inside one chunk is a view, any other a copy");
                     }
@@ -1572,7 +1659,7 @@ mod tests {
                     prop_assert_eq!(q.len(), model.len());
                     prop_assert!(q.chunks.iter().all(|c| !c.is_empty()), "no empty chunk is kept");
                     prop_assert_eq!(q.chunks.iter().map(Bytes::len).sum::<usize>(), model.len());
-                    let (idx, at) = q.cursor;
+                    let (idx, at) = (q.cursor.0 as usize, q.cursor.1 as usize);
                     prop_assert_eq!(q.chunks.iter().take(idx).map(Bytes::len).sum::<usize>(), at, "cursor");
                     prop_assert!(idx == 0 || idx < q.chunks.len());
                     prop_assert!(q.len() > 0 || q.chunks.capacity() == 0, "an empty queue has lent its slots back");

@@ -12,7 +12,14 @@
 # trait in the code of a `crates/*/src` file, with the lines that
 # mention its name in crates/, tests/, examples/, benchmark/src and
 # src/ — its declaration, `use` lines, comments and the insides of
-# string and char literals aside. An item nobody mentions fails, and so
+# string and char literals aside. A method (or associated const) counts
+# only the lines of its own file and of files that reach its `Self`
+# type — name it, or name a field, const or fn whose declared type or
+# signature names it (`sim.stats.by_addr(..)` reaches `SimStats`
+# through `stats`, `handle.with(|p| p.churn(..))` reaches `ElasticPool`
+# through `with`) — so a common name (`len`, `remove`, `complete`)
+# cannot hide a method behind another type's. An item nobody mentions
+# fails, and so
 # does one that only test code (tests/, crates/*/tests, an item under a
 # `#[cfg(test)]`) mentions, unless `_kept_tests_only` says why it stays;
 # one that benchmark/src mentions, alone or with tests, is listed.
@@ -53,8 +60,10 @@ _kept_items=""
 # way every test that captures JSONL checks it (`parse_trace` folds a
 # whole file through the same parser);
 # `sc_obs::write_line` writes one trace line with no dispatcher
-# installed: `scholar-obs`'s CLI tests build their trace files with it.
-_kept_tests_only="ScriptedIo connects as_millis decrypt_block from_wire_id as_arr is_active parse_line write_line"
+# installed: `scholar-obs`'s CLI tests build their trace files with it;
+# `ScriptedIo::sent` is the text view of what an app sent that the
+# domestic proxy's stage tests assert on.
+_kept_tests_only="ScriptedIo connects as_millis decrypt_block from_wire_id as_arr is_active parse_line write_line ScriptedIo::sent"
 # Fields written and never read: the ICP dossier's service type and
 # declared whitelist are the documents of the paper's §3 filing (the
 # whitelist is what makes the service reviewable), not state the
@@ -142,7 +151,7 @@ function strip(line,    out, m) {
     # that closes the one still open (a quote, or for a raw string the
     # quote and its hashes) and `esc` whether a backslash escapes in it.
     if (lit == "" && inuse) { if (line ~ /;/) inuse = 0; return "" }
-    if (lit == "" && line ~ /^[[:space:]]*(pub(\([a-z]+\))? )?use /) { if (line !~ /;/) inuse = 1; return "" }
+    if (lit == "" && !keep_use && line ~ /^[[:space:]]*(pub(\([a-z]+\))? )?use /) { if (line !~ /;/) inuse = 1; return "" }
     out = ""
     while (line != "") {
         if (lit != "") {
@@ -172,16 +181,38 @@ BEGIN {
     while ((getline l < "'"$_files"'") > 0) { split(l, p, " "); cls_of[p[2]] = p[1]; order[++nf] = p[2] }
     decl_kw["fn"] = decl_kw["struct"] = decl_kw["enum"] = decl_kw["const"] = 1
     decl_kw["static"] = decl_kw["type"] = decl_kw["trait"] = 1
-    # Pass 1: what the decl files declare in their code.
+    # Pass 1: what the decl files declare in their code. Declaration k
+    # of name d is at dfile[d, k]:dline[d, k], inside an `impl` of
+    # dself[d, k] or, for a free item, of "". A field, const or fn name
+    # reaches the types its declared type or signature names: reach[name].
     for (i = 1; i <= nf; i++) {
         f = order[i]; if (cls_of[f] != "decl") continue
-        depth = -1; n = 0; _t = 0
+        depth = -1; n = 0; _t = 0; impl_pad = -1
         while ((getline line < f) > 0) {
             n++
             if (in_test(line)) continue
+            if (impl_pad >= 0 && line ~ "^" sprintf("%" impl_pad "s", "") "\\}") impl_pad = -1
+            if (impl_pad < 0 && match(line, /^[[:space:]]*impl[<[:space:]]/)) {
+                impl_pad = RLENGTH - 5; self = impl_self(line)
+            }
+            if (match(line, /(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/)) {
+                sig = substr(line, RSTART, RLENGTH); sub(/.*fn /, "", sig)
+            }
+            if (sig != "") {
+                reach[sig] = reach[sig] " " line
+                if (line ~ /[{;][[:space:]]*$/) sig = ""
+            } else if (match(line, /^[[:space:]]*(pub(\([a-z]+\))? )?type [A-Za-z0-9_]+(<[^=]*>)? =/)) {
+                x = line; sub(/^[[:space:]]*(pub(\([a-z]+\))? )?type /, "", x); sub(/[<[:space:]].*/, "", x)
+                alias[x] = alias[x] " " substr(line, RLENGTH + 1)
+            } else if (match(line, /^[[:space:]]*(pub(\([a-z]+\))? )?(const|static) [A-Z_0-9]+:/)) {
+                x = substr(line, 1, RLENGTH - 1); sub(/.* /, "", x); reach[x] = reach[x] " " substr(line, RLENGTH + 1)
+            } else if (match(line, /^[[:space:]]+(pub(\([a-z]+\))? )?[a-z_][a-z0-9_]*: /)) {
+                x = substr(line, 1, RLENGTH - 2); sub(/.* /, "", x); reach[x] = reach[x] " " substr(line, RLENGTH + 1)
+            }
             if (match(line, /^[[:space:]]*pub (const |async |unsafe )*(fn|struct|enum|const|static|type|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
                 d = substr(line, RSTART, RLENGTH); sub(/.* /, "", d)
-                items[d] = items[d] " " f ":" n
+                k = ++ndecl[d]; dfile[d, k] = f; dline[d, k] = n
+                dself[d, k] = impl_pad >= 0 && line ~ /(fn|const) / ? self : ""
             }
             if (depth < 0 && match(line, /^[[:space:]]*(pub(\([a-z]+\))? )?struct [A-Za-z0-9_]+(<.*>)? \{$/)) {
                 s = line; sub(/^[[:space:]]*(pub(\([a-z]+\))? )?struct /, "", s); sub(/[< ].*/, "", s)
@@ -197,33 +228,55 @@ BEGIN {
         }
         close(f)
     }
-    # Pass 2: mentions of every declared name, and reads of every field.
+    # Pass 2: mentions of every declaration, and reads of every field.
+    # A file names what any of its lines says, `use` lines included.
     for (i = 1; i <= nf; i++) {
-        f = order[i]; cls = cls_of[f]; _t = 0; inuse = 0; lit = ""
-        while ((getline line < f) > 0) {
-            c = classify(line); line = strip(line); if (line == "") continue
+        f = order[i]; cls = cls_of[f]; nl = 0
+        while ((getline line < f) > 0) src[++nl] = line
+        close(f)
+        delete named; lit = ""; keep_use = 1
+        for (ln = 1; ln <= nl; ln++) {
+            nw = split(strip(src[ln]), w, /[^A-Za-z0-9_]+/)
+            for (j = 1; j <= nw; j++) named[w[j]] = 1
+        }
+        for (x in named) if (x in reach) {
+            nw = split(reach[x], w, /[^A-Za-z0-9_]+/)
+            for (j = 1; j <= nw; j++) named[w[j]] = 1
+        }
+        for (x in named) if (x in alias) {
+            nw = split(alias[x], w, /[^A-Za-z0-9_]+/)
+            for (j = 1; j <= nw; j++) named[w[j]] = 1
+        }
+        _t = 0; inuse = 0; lit = ""; keep_use = 0
+        for (ln = 1; ln <= nl; ln++) {
+            c = classify(src[ln]); line = strip(src[ln]); if (line == "") continue
             nw = split(line, w, /[^A-Za-z0-9_]+/); delete seen; prev = ""
             for (j = 1; j <= nw; j++) {
                 t = w[j]
-                if (t in items && !((t, c) in seen) && !is_decl(line, prev, t)) { seen[t, c] = 1; uses[t, c]++ }
+                if (t in ndecl && !((t, c) in seen) && !is_decl(line, prev, t)) {
+                    seen[t, c] = 1
+                    for (k = 1; k <= ndecl[t]; k++)
+                        if (dself[t, k] == "" || dfile[t, k] == f || dself[t, k] in named) uses[t, k, c]++
+                }
                 if (t in fields && !(t in read) && !is_write_only(line, t)) read[t] = 1
                 prev = t
             }
         }
-        close(f)
     }
     bad = 0; nonly = 0
-    for (t in items) {
-        if (uses[t, "code"]) continue
-        if (uses[t, "test"] || uses[t, "bench"]) {
-            k = uses[t, "test"] ? (uses[t, "bench"] ? "test+bench" : "test") : "bench"
-            if (index(kept_tests_only, " " t " ")) k = k " (kept)"
-            else if (k == "test") { print "census: only tests mention: item " t " (" substr(items[t], 2) ")" > "/dev/stderr"; bad = 1 }
-            only[++nonly] = sprintf("%-17s %-34s %s", k, t, items[t])
-        } else if (index(kept_items, " " t " ")) {
-            print "item kept: " t items[t]
+    for (t in ndecl) for (k = 1; k <= ndecl[t]; k++) {
+        at = dfile[t, k] ":" dline[t, k]; name = dself[t, k] == "" ? t : dself[t, k] "::" t
+        if (uses[t, k, "code"]) continue
+        kept = index(kept_tests_only, " " t " ") || index(kept_tests_only, " " name " ")
+        if (uses[t, k, "test"] || uses[t, k, "bench"]) {
+            u = uses[t, k, "test"] ? (uses[t, k, "bench"] ? "test+bench" : "test") : "bench"
+            if (kept) u = u " (kept)"
+            else if (u == "test") { print "census: only tests mention: item " name " (" at ")" > "/dev/stderr"; bad = 1 }
+            only[++nonly] = sprintf("%-17s %-34s %s", u, name, at)
+        } else if (index(kept_items, " " t " ") || index(kept_items, " " name " ")) {
+            print "item kept: " name " " at
         } else {
-            print "census: no reader: item " t " (" substr(items[t], 2) ")" > "/dev/stderr"; bad = 1
+            print "census: no reader: item " name " (" at ")" > "/dev/stderr"; bad = 1
         }
     }
     # Sorted, so that the list reads the same from run to run.
@@ -236,6 +289,14 @@ BEGIN {
         print "census: written, never read: field " substr(fields[fl], 2) > "/dev/stderr"; bad = 1
     }
     exit bad
+}
+function impl_self(line,    x, d) {
+    # The type an `impl` line is for: `impl<..> Trait<..> for path::Type<..> {`.
+    x = line; sub(/^[[:space:]]*impl/, "", x)
+    if (x ~ /^</) { d = 0; while (x != "") { c1 = substr(x, 1, 1); x = substr(x, 2); if (c1 == "<") d++; else if (c1 == ">" && --d == 0) break } }
+    if (match(x, / for /)) x = substr(x, RSTART + 5)
+    sub(/^[[:space:]&]*(dyn )?/, "", x); sub(/[<[:space:]{].*/, "", x); sub(/.*::/, "", x)
+    return x
 }
 function is_decl(line, kw, t) {
     # `fn t`, `struct t`, … declare t; a lifetime named static does not.

@@ -213,6 +213,40 @@ event_core_offenders() {
 fail_if_found "a second Effects in the simnet event core" event_core_offenders
 echo "structure: ok (one Effects scratch)"
 
+# Structure, one queue (DESIGN.md §6o): the event queue is the simulator's
+# one heap — `BinaryHeap` is named under crates/simnet/src only in
+# queue.rs — and it holds a TCP timer entry only where one can fire:
+# `Event::TcpTimer` is built in one code line, in `Sim::with_tcp`, where
+# an arm that needs an entry is queued (an entry that comes due early
+# is pushed back as it came, not built again). A second queue or an
+# eager push of every arm does not come back.
+second_heaps() {
+    grep -rn 'BinaryHeap' crates/simnet/src --include='*.rs' | grep -v '^crates/simnet/src/queue\.rs:'
+}
+fail_if_found "a heap outside crates/simnet/src/queue.rs" second_heaps
+tcp_timer_builds() {
+    # Code lines with an `Event::TcpTimer { .. }` that is not a pattern —
+    # one followed by `=>`, `=` or `|`, or alone on its line before a
+    # `|` alternative — outside `fn with_tcp`.
+    for _f in crates/simnet/src/*.rs; do
+        awk "$rust_tests_awk"'function built() {
+                 if (held == "") return
+                 n++; if (held_fn != "with_tcp") print FILENAME ":" held
+                 held = ""
+             }
+             { tests = in_test($0); if (/^ *\|/) held = ""; else built() }
+             match($0, /fn [a-z_]+/) { fn_name = substr($0, RSTART + 3, RLENGTH - 3) }
+             !tests && match($0, /Event::TcpTimer *\{[^}]*\}/) {
+                 after = substr($0, RSTART + RLENGTH); sub(/^[[:space:]]+/, "", after)
+                 if (after !~ /^[=|]/) { held = FNR ": " $0; held_fn = fn_name }
+                 if (after != "") built()
+             }
+             END { built(); if (FILENAME ~ /sim\.rs$/ && n != 1) print FILENAME ": " n " builds of Event::TcpTimer" }' "$_f"
+    done | grep .
+}
+fail_if_found "a TCP timer entry built where no timer is armed" tcp_timer_builds
+echo "structure: ok (one event queue, one TCP timer entry a connection)"
+
 # Structure, who reads what: the SOCKS5 server session sits behind the
 # one front both local proxies share (sc-tunnels' front.rs), and the
 # simulation reads nothing back from sc-obs — the time-series and SLO
@@ -496,10 +530,11 @@ fail_if_found "a deleted app, knob, auth mode or dead-entry table is back" \
 fail_if_found "a browser token range, token table, sentinel path or gate wrapper is back" \
     grep -rnE 'TIMER_CONNECT_BAS[E]|connect_deadline[s]|throttle_wait_fo[r]|\\u\{0\}rt[t]|ReadyProb[e]' crates/web/src
 # The census can fail: a copy of the sources with one `pub fn` nobody
-# mentions, one only a string literal names, one only a test calls and
-# one counter nobody reads is refused, and all four are named; a `pub fn`
-# called after a raw string, an escaped quote and a quote in a char
-# literal is not.
+# mentions, one only a string literal names, one only a test calls, a
+# method named like `Vec::len` that only a test calls, and one counter
+# nobody reads is refused, and all five are named; a `pub fn` called
+# after a raw string, an escaped quote and a quote in a char literal is
+# not, nor a method another file calls through a field of its type.
 _plant=$(mktemp -d)
 cp -R scripts crates tests examples src "$_plant"
 mkdir "$_plant/benchmark" && cp -R benchmark/src "$_plant/benchmark"
@@ -521,20 +556,37 @@ impl Planted {
         self.planted_write_only += 1;
     }
 }
+pub struct PlantedQueue;
+impl PlantedQueue {
+    pub fn len(&self) -> usize { 0 }
+}
+pub struct PlantedInner;
+impl PlantedInner {
+    pub fn reached_through_a_field(&self) {}
+}
+pub struct PlantedHolder {
+    pub inner: PlantedInner,
+}
 #[cfg(test)]
 mod tests {
     #[test]
     fn calls_it() {
         super::planted_test_only_fn();
+        super::PlantedQueue.len();
     }
 }
 PLANTED
+cat > "$_plant/crates/web/src/planted_user.rs" <<'PLANTED'
+fn planted_use(holder: &sc_dns::planted::PlantedHolder) {
+    holder.inner.reached_through_a_field();
+}
+PLANTED
 if _out=$(sh "$_plant/scripts/census.sh" 2>&1); then
-    echo "structure: the census passed a planted dead fn, string-only fn, test-only fn and write-only field" >&2; exit 1
+    echo "structure: the census passed a planted dead fn, string-only fn, test-only fn, test-only method and write-only field" >&2; exit 1
 fi
 rm -rf "$_plant"
 for _want in "item planted_dead_fn " "item planted_string_only " "item planted_test_only_fn " \
-    "field Planted.planted_write_only@"; do
+    "item PlantedQueue::len " "field Planted.planted_write_only@"; do
     case "$_out" in
         *"$_want"*) ;;
         *) echo "structure: the census failed without naming $_want:" >&2
@@ -543,6 +595,8 @@ for _want in "item planted_dead_fn " "item planted_string_only " "item planted_t
 done
 case "$_out" in
     *"item planted_live_fn "*) echo "structure: the census lost a call that follows string and char literals" >&2; exit 1 ;;
+    *"item PlantedInner::reached_through_a_field "*)
+        echo "structure: the census lost a method call through a field of its type" >&2; exit 1 ;;
 esac
 echo "structure: ok (every config field has a writer, every pub item a mention, every field a reader)"
 
