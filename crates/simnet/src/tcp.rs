@@ -139,6 +139,7 @@ struct Conn {
     rttvar: SimDuration,
     rto: SimDuration,
     /// (sequence end, send time) of the segment being timed for RTT.
+    /// Sequence numbers start at an ISS of 1 000 or more, never 0.
     rtt_sample: Option<(NonZeroU64, SimTime)>,
     /// Counts arms and cancels: an arm in [`Effects::timers`] with an
     /// older generation was superseded in the step that made it.
@@ -151,7 +152,7 @@ struct Conn {
     queued: EventKey,
     rto_armed: bool,
     // Bytes, not words: they count to 3 and to `MAX_RETRIES` + 1, and
-    // keep the `Conn` as small as it was before it held timer keys.
+    // the connection slots, never freed, are much of a run's memory.
     dup_acks: u8,
     retries: u8,
     /// App called close: FIN should be sent once the buffer drains.

@@ -25,10 +25,13 @@ echo "figure blocks: ok"
 # thousands.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-gfw --lib engine::reference
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib tcp::tests
-# The event queue (heap of keys over a slab of payloads) against an
-# ordered-map model, and the page manifest parser against the
+# The event queue (heap of keys over a slab of payloads, arrivals in
+# per-link lanes, keys reserved before their push) against an
+# ordered-map model, the TCP timers the simulator fires against an eager
+# list of every arm, and the page manifest parser against the
 # decode-the-whole-body parser it replaced, at the same depth.
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib queue::tests
+PROPTEST_CASES=2048 cargo test -q --offline -p sc-simnet --lib sim::tests::tcp_timers_fire
 PROPTEST_CASES=2048 cargo test -q --offline -p sc-web --lib page::tests
 # HTTP messages (one head buffer and a span table, a parser that keeps
 # the chunks it is given) against the String-per-header types and the
