@@ -187,7 +187,7 @@ BEGIN {
     # reaches the types its declared type or signature names: reach[name].
     for (i = 1; i <= nf; i++) {
         f = order[i]; if (cls_of[f] != "decl") continue
-        depth = -1; n = 0; _t = 0; impl_pad = -1
+        depth = -1; n = 0; _t = 0; impl_pad = -1; sig = ""
         while ((getline line < f) > 0) {
             n++
             if (in_test(line)) continue
@@ -290,7 +290,7 @@ BEGIN {
     }
     exit bad
 }
-function impl_self(line,    x, d) {
+function impl_self(line,    x, d, c1) {
     # The type an `impl` line is for: `impl<..> Trait<..> for path::Type<..> {`.
     x = line; sub(/^[[:space:]]*impl/, "", x)
     if (x ~ /^</) { d = 0; while (x != "") { c1 = substr(x, 1, 1); x = substr(x, 2); if (c1 == "<") d++; else if (c1 == ">" && --d == 0) break } }
